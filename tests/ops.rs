@@ -4,10 +4,12 @@
 
 use dimmer_core::Value;
 use district::deploy::Deployment;
-use district::scenario::ScenarioConfig;
+use district::scenario::{AggregationSpec, FederationSpec, ScenarioConfig};
 use master::MasterNode;
 use proxy::webservice::{WsClient, WsClientEvent, WsRequest};
-use simnet::{Context, Node, NodeId, Packet, SimConfig, SimDuration, Simulator, TimerTag};
+use pubsub::{PubSubClient, QoS, TopicFilter, PUBSUB_PORT};
+use simnet::chaos::{ChaosRunner, Fault, FaultPlan};
+use simnet::{Context, Node, NodeId, Packet, SimConfig, SimDuration, SimTime, Simulator, TimerTag};
 
 const SCRAPE_EVERY: SimDuration = SimDuration::from_secs(5);
 
@@ -215,4 +217,121 @@ fn fleet_health_marks_crashed_proxy_down() {
         .iter()
         .any(|(n, _)| n.starts_with("ops.scrape_age_ns.")));
     assert!(snapshot.counters.iter().any(|(n, _)| n == "ops.scrapes"));
+}
+
+/// Subscribes `district/#` at QoS 1 on one broker shard, so the other
+/// shards' publishes reach it over the federation bridge.
+struct Monitor {
+    client: PubSubClient,
+}
+
+impl Node for Monitor {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        self.client.subscribe(
+            ctx,
+            TopicFilter::new("district/#").expect("valid filter"),
+            QoS::AtLeastOnce,
+        );
+        self.client.start_keepalive(ctx, SimDuration::from_secs(1));
+    }
+    fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
+        if pkt.port == PUBSUB_PORT {
+            self.client.accept(ctx, &pkt);
+        }
+    }
+    fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
+        self.client.on_timer(ctx, tag);
+    }
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Golden digests of everything telemetry exports, recorded on the
+/// by-name `BTreeMap<String, _>` registry and the `String`-per-field
+/// trace ring. The scenario crosses every instrumented layer (device →
+/// proxy → labeled broker shards → bridge → aggregator → master),
+/// crashes a broker and a proxy, partitions the network, and runs long
+/// enough for the 4096-event ring to wrap. The master's fleet scrape
+/// stays off: it probes proxies in `HashMap` order, so its `ops.*`
+/// gauges are not reproducible run to run.
+#[test]
+fn exported_telemetry_matches_golden_digests() {
+    const METRICS_TEXT_FNV: u64 = 0xcdb5_55e0_78c5_c9de;
+    const TRACE_JSON_LINES_FNV: u64 = 0x11ed_f45b_3d42_154c;
+    const TRACE_DROPPED: u64 = 11_901;
+
+    let mut sim = Simulator::new(SimConfig {
+        seed: 0x601D,
+        ..SimConfig::default()
+    });
+    let mut config = ScenarioConfig::small()
+        .with_districts(3)
+        .with_federation(FederationSpec::sharded(3))
+        .with_aggregation(AggregationSpec::tumbling(10_000));
+    config.sample_interval = SimDuration::from_secs(5);
+    config.publish_qos = QoS::AtLeastOnce;
+    let scenario = config.build();
+    let deployment = Deployment::build(&mut sim, &scenario);
+    sim.telemetry().tracer.set_capacity(4096);
+    let proxy = deployment.districts[1].device_proxies[0];
+    sim.add_node(
+        "scrape-proxy-metrics",
+        Scraper::new(proxy, "/metrics", SCRAPE_EVERY),
+    );
+    sim.add_node(
+        "scrape-rollups",
+        Scraper::new(
+            deployment.districts[0].aggregator.expect("aggregator"),
+            "/rollups",
+            SCRAPE_EVERY,
+        ),
+    );
+    sim.add_node(
+        "scrape-master-metrics",
+        Scraper::new(deployment.master, "/metrics", SCRAPE_EVERY),
+    );
+    sim.add_node(
+        "monitor",
+        Monitor {
+            client: PubSubClient::new(deployment.brokers[0], 100),
+        },
+    );
+
+    let at = |secs| SimTime::ZERO + SimDuration::from_secs(secs);
+    let down = SimDuration::from_secs(10);
+    let plan = FaultPlan::new()
+        .at(
+            at(40),
+            Fault::CrashFor {
+                node: deployment.brokers[1],
+                down,
+            },
+        )
+        .at(at(60), Fault::CrashFor { node: proxy, down })
+        .at(
+            at(80),
+            Fault::Partition {
+                groups: vec![vec![deployment.brokers[2]], vec![deployment.brokers[0]]],
+            },
+        )
+        .at(at(90), Fault::Heal);
+    ChaosRunner::new(plan).run_for(&mut sim, SimDuration::from_secs(120));
+
+    let telemetry = sim.telemetry();
+    let metrics_text = telemetry.exposition();
+    let json_lines = telemetry.tracer.to_json_lines();
+    assert_eq!(json_lines.lines().count(), 4096, "ring should be full");
+    assert_eq!(
+        (
+            fnv1a(metrics_text.as_bytes()),
+            fnv1a(json_lines.as_bytes()),
+            telemetry.tracer.dropped(),
+        ),
+        (METRICS_TEXT_FNV, TRACE_JSON_LINES_FNV, TRACE_DROPPED),
+        "telemetry output drifted from the golden run"
+    );
 }
