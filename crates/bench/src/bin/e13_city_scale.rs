@@ -132,7 +132,7 @@ impl Node for LoadPub {
         }
         if self.traced {
             let trace = ctx.telemetry().tracer.next_trace_id();
-            let span = ctx.trace_hop("pub.send", trace, self.topic.as_str());
+            let span = ctx.trace_hop("pub.send", trace, format_args!("{}", self.topic.as_str()));
             self.client.publish_spanned(
                 ctx,
                 self.topic.clone(),

@@ -293,10 +293,10 @@ mod tests {
         let trace = telemetry.tracer.next_trace_id();
         telemetry
             .tracer
-            .record(1_000, 1, "broker.publish", trace, "");
+            .record(1_000, 1, "broker.publish", trace, format_args!(""));
         telemetry
             .tracer
-            .record(2_000_000, 2, "sub.receive", trace, "");
+            .record(2_000_000, 2, "sub.receive", trace, format_args!(""));
         let reports = telemetry.slo_refresh();
         assert_eq!(reports.len(), 1);
         let r = &reports[0];

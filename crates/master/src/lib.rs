@@ -42,6 +42,7 @@
 //! tags, recording who answered and when (`ops.up.<name>`,
 //! `ops.scrape_age_ns.<name>` gauges).
 
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashMap};
 
 use dimmer_core::{DistrictId, EntityKind, ProxyId, QuantityKind, Uri, Value};
@@ -54,6 +55,7 @@ use proxy::webservice::{
 use proxy::{uri_node, WS_PORT};
 use pubsub::{WirePacket, PUBSUB_PORT};
 use simnet::overload::{Admission, AdmissionGate, BreakerConfig, BreakerState, CircuitBreaker};
+use simnet::telemetry::{CounterHandle, GaugeHandle, Registry};
 use simnet::{Context, Node, NodeId, Packet, SimDuration, SimTime, TimerTag};
 
 const TAG_LIVENESS: TimerTag = TimerTag(1);
@@ -161,6 +163,32 @@ enum Contribution {
     DistrictRoot,
 }
 
+/// The series written per request, resolved on the first callback that
+/// writes one. Restart, eviction and the fleet scraper's per-round
+/// `ops.*` writes (dynamic names, one round every few seconds) stay
+/// by-name.
+struct MasterSeries {
+    requests: CounterHandle,
+    registrations: CounterHandle,
+    heartbeats: CounterHandle,
+    stale_rollups: CounterHandle,
+    outlier_ejections: CounterHandle,
+    proxies: GaugeHandle,
+}
+
+impl MasterSeries {
+    fn resolve(m: &Registry) -> Self {
+        MasterSeries {
+            requests: m.counter_handle("master.requests"),
+            registrations: m.counter_handle("master.registrations"),
+            heartbeats: m.counter_handle("master.heartbeats"),
+            stale_rollups: m.counter_handle("master.stale_rollups"),
+            outlier_ejections: m.counter_handle("master.outlier_ejections"),
+            proxies: m.gauge_handle("master.proxies"),
+        }
+    }
+}
+
 /// The master node.
 ///
 /// Construct with the districts it should pre-seed (a district created
@@ -189,6 +217,7 @@ pub struct MasterNode {
     /// district's breaker is open.
     rollup_cache: BTreeMap<DistrictId, (SimTime, Value)>,
     stats: MasterStats,
+    series: OnceCell<MasterSeries>,
 }
 
 impl std::fmt::Debug for MasterNode {
@@ -228,7 +257,13 @@ impl MasterNode {
             breakers: BTreeMap::new(),
             rollup_cache: BTreeMap::new(),
             stats: MasterStats::default(),
+            series: OnceCell::new(),
         }
+    }
+
+    fn series(&self, ctx: &Context<'_>) -> &MasterSeries {
+        self.series
+            .get_or_init(|| MasterSeries::resolve(&ctx.telemetry().metrics))
     }
 
     /// Replaces the query admission limits: at most `capacity` queued
@@ -468,7 +503,7 @@ impl MasterNode {
     }
 
     fn handle(&mut self, ctx: &mut Context<'_>, call: WsCall) {
-        ctx.telemetry().metrics.incr("master.requests");
+        self.series(ctx).requests.incr();
         if Self::is_query(&call.request) {
             if let Admission::Shed { retry_after } =
                 self.gate.try_admit(ctx.now(), &ctx.telemetry().metrics)
@@ -543,10 +578,9 @@ impl MasterNode {
                 let proxy = registration.proxy.clone();
                 match self.apply_registration(registration, ctx.now()) {
                     Ok(()) => {
-                        ctx.telemetry().metrics.incr("master.registrations");
-                        ctx.telemetry()
-                            .metrics
-                            .set_gauge("master.proxies", self.registry.len() as f64);
+                        let series = self.series(ctx);
+                        series.registrations.incr();
+                        series.proxies.set(self.registry.len() as f64);
                         WsResponse::ok(Value::object([("registered", Value::from(proxy.as_str()))]))
                     }
                     Err(e) => WsResponse::error(status::INTERNAL_ERROR, e.to_string()),
@@ -578,7 +612,7 @@ impl MasterNode {
                 Some(record) => {
                     record.last_seen = ctx.now();
                     self.stats.heartbeats += 1;
-                    ctx.telemetry().metrics.incr("master.heartbeats");
+                    self.series(ctx).heartbeats.incr();
                     WsResponse::ok(Value::Null)
                 }
                 None => WsResponse::error(status::NOT_FOUND, "unknown proxy"),
@@ -635,9 +669,7 @@ impl MasterNode {
                 .collect();
             let (kept, ejected) = self.eject_outliers(uris);
             if ejected > 0 {
-                ctx.telemetry()
-                    .metrics
-                    .add("master.outlier_ejections", ejected);
+                self.series(ctx).outlier_ejections.add(ejected);
             }
             let open = matches!(
                 self.breakers.get(&district).map(CircuitBreaker::state),
@@ -649,7 +681,7 @@ impl MasterNode {
                 // replica was ejected): serve the last retained rollups
                 // with a staleness marker instead of a dead redirect.
                 if let Some((at, rollups)) = self.rollup_cache.get(&district) {
-                    ctx.telemetry().metrics.incr("master.stale_rollups");
+                    self.series(ctx).stale_rollups.incr();
                     return WsResponse::ok(Value::object([
                         ("district", Value::from(district.as_str())),
                         ("aggregators", aggregators),
@@ -1139,7 +1171,7 @@ impl Node for MasterNode {
         self.breakers.clear();
         self.rollup_cache.clear();
         ctx.telemetry().metrics.incr("master.restart");
-        ctx.telemetry().metrics.set_gauge("master.proxies", 0.0);
+        self.series(ctx).proxies.set(0.0);
         self.on_start(ctx);
     }
 
@@ -1170,9 +1202,7 @@ impl Node for MasterNode {
             let evicted = self.sweep_liveness(ctx.now());
             if evicted > 0 {
                 ctx.telemetry().metrics.add("master.evictions", evicted);
-                ctx.telemetry()
-                    .metrics
-                    .set_gauge("master.proxies", self.registry.len() as f64);
+                self.series(ctx).proxies.set(self.registry.len() as f64);
             }
             ctx.set_timer(LIVENESS_PERIOD, TAG_LIVENESS);
         } else if tag == TAG_SCRAPE {

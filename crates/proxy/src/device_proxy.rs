@@ -14,6 +14,7 @@
 //! On startup the proxy registers itself on the master node; it then
 //! heartbeats periodically.
 
+use std::cell::OnceCell;
 use std::collections::{HashMap, VecDeque};
 
 use dimmer_core::{
@@ -24,6 +25,7 @@ use ontology::DeviceLeaf;
 use pubsub::{MeasurementTopic, PubSubClient, PubSubEvent, QoS, Topic, PUBSUB_PORT};
 use simnet::overload::{Admission, AdmissionGate};
 use simnet::rpc::{RequestTracker, RpcEvent};
+use simnet::telemetry::{CounterHandle, GaugeHandle, Registry};
 use simnet::{Context, Node, Packet, SimDuration, TimerTag};
 use storage::tskv::{Aggregate, TimeSeriesStore};
 
@@ -139,6 +141,41 @@ struct BufferedSample {
     span: u64,
 }
 
+/// The series written per sample, request or scrape, resolved on the
+/// first callback that writes one. Outage, restart and re-register
+/// events are rare and stay by-name.
+struct ProxySeries {
+    samples_ingested: CounterHandle,
+    published: CounterHandle,
+    buffered: CounterHandle,
+    replayed: CounterHandle,
+    shed_capacity: CounterHandle,
+    shed_decode: CounterHandle,
+    decode_errors: CounterHandle,
+    ws_requests: CounterHandle,
+    actuations: CounterHandle,
+    backlog: GaugeHandle,
+    inflight_publishes: GaugeHandle,
+}
+
+impl ProxySeries {
+    fn resolve(m: &Registry) -> Self {
+        ProxySeries {
+            samples_ingested: m.counter_handle("proxy.samples_ingested"),
+            published: m.counter_handle("proxy.published"),
+            buffered: m.counter_handle("proxy.buffered"),
+            replayed: m.counter_handle("proxy.replayed"),
+            shed_capacity: m.counter_handle("proxy.shed_capacity"),
+            shed_decode: m.counter_handle("proxy.shed_decode"),
+            decode_errors: m.counter_handle("proxy.decode_errors"),
+            ws_requests: m.counter_handle("proxy.ws_requests"),
+            actuations: m.counter_handle("proxy.actuations"),
+            backlog: m.gauge_handle("proxy.backlog"),
+            inflight_publishes: m.gauge_handle("proxy.inflight_publishes"),
+        }
+    }
+}
+
 /// The Device-proxy node.
 pub struct DeviceProxyNode {
     config: DeviceProxyConfig,
@@ -165,6 +202,7 @@ pub struct DeviceProxyNode {
     /// actuation and the ops plane are never shed.
     gate: AdmissionGate,
     stats: DeviceProxyStats,
+    series: OnceCell<ProxySeries>,
 }
 
 impl std::fmt::Debug for DeviceProxyNode {
@@ -201,7 +239,13 @@ impl DeviceProxyNode {
             replay_backoff: REPLAY_BACKOFF_BASE,
             gate: AdmissionGate::new(DEFAULT_ADMISSION_CAPACITY, DEFAULT_ADMISSION_RATE),
             stats: DeviceProxyStats::default(),
+            series: OnceCell::new(),
         }
+    }
+
+    fn series(&self, ctx: &Context<'_>) -> &ProxySeries {
+        self.series
+            .get_or_init(|| ProxySeries::resolve(&ctx.telemetry().metrics))
     }
 
     /// Replaces the data-query admission limits.
@@ -294,12 +338,12 @@ impl DeviceProxyNode {
         for (quantity, value) in samples {
             self.store.insert(quantity.as_str(), unix, value);
             self.stats.samples_ingested += 1;
-            ctx.telemetry().metrics.incr("proxy.samples_ingested");
+            self.series(ctx).samples_ingested.incr();
             let ingest_span = ctx.span_hop(
                 "proxy.ingest",
                 trace,
                 parent_span,
-                format!("device={} quantity={quantity}", self.config.device),
+                format_args!("device={} quantity={quantity}", self.config.device),
             );
             if self.pubsub.is_some() {
                 let topic = self.topic_for(quantity);
@@ -341,7 +385,7 @@ impl DeviceProxyNode {
             sample.span,
         );
         self.stats.published += 1;
-        ctx.telemetry().metrics.incr("proxy.published");
+        self.series(ctx).published.incr();
         if self.config.publish_qos == QoS::AtLeastOnce {
             self.inflight.insert(id, sample);
         }
@@ -353,20 +397,18 @@ impl DeviceProxyNode {
         if self.backlog.len() >= self.backlog_capacity {
             self.backlog.pop_front();
             self.stats.shed_capacity += 1;
-            ctx.telemetry().metrics.incr("proxy.shed_capacity");
+            self.series(ctx).shed_capacity.incr();
         }
         sample.span = ctx.span_hop(
             "proxy.buffer",
             sample.trace,
             sample.span,
-            format!("backlog={}", self.backlog.len() + 1),
+            format_args!("backlog={}", self.backlog.len() + 1),
         );
         self.backlog.push_back(sample);
         self.stats.buffered += 1;
-        ctx.telemetry().metrics.incr("proxy.buffered");
-        ctx.telemetry()
-            .metrics
-            .set_gauge("proxy.backlog", self.backlog.len() as f64);
+        self.series(ctx).buffered.incr();
+        self.series(ctx).backlog.set(self.backlog.len() as f64);
     }
 
     /// A QoS 1 publish ran out of retries: the broker is unreachable.
@@ -378,22 +420,20 @@ impl DeviceProxyNode {
                 // (being the oldest), so `buffered == replayed +
                 // shed_capacity + backlog` stays an exact identity.
                 self.stats.buffered += 1;
-                ctx.telemetry().metrics.incr("proxy.buffered");
+                self.series(ctx).buffered.incr();
                 self.stats.shed_capacity += 1;
-                ctx.telemetry().metrics.incr("proxy.shed_capacity");
+                self.series(ctx).shed_capacity.incr();
             } else {
                 sample.span = ctx.span_hop(
                     "proxy.buffer",
                     sample.trace,
                     sample.span,
-                    format!("backlog={}", self.backlog.len() + 1),
+                    format_args!("backlog={}", self.backlog.len() + 1),
                 );
                 self.backlog.push_front(sample);
                 self.stats.buffered += 1;
-                ctx.telemetry().metrics.incr("proxy.buffered");
-                ctx.telemetry()
-                    .metrics
-                    .set_gauge("proxy.backlog", self.backlog.len() as f64);
+                self.series(ctx).buffered.incr();
+                self.series(ctx).backlog.set(self.backlog.len() as f64);
             }
         }
         if !self.broker_down {
@@ -421,23 +461,23 @@ impl DeviceProxyNode {
         self.replay_backoff = REPLAY_BACKOFF_BASE;
         ctx.telemetry().metrics.incr("proxy.broker_up");
         let parked: Vec<BufferedSample> = self.backlog.drain(..).collect();
-        ctx.telemetry().metrics.set_gauge("proxy.backlog", 0.0);
+        self.series(ctx).backlog.set(0.0);
         for mut sample in parked {
             sample.span = ctx.span_hop(
                 "proxy.replay",
                 sample.trace,
                 sample.span,
-                format!("device={}", self.config.device),
+                format_args!("device={}", self.config.device),
             );
             self.stats.replayed += 1;
-            ctx.telemetry().metrics.incr("proxy.replayed");
+            self.series(ctx).replayed.incr();
             self.publish_sample(ctx, sample);
         }
     }
 
     fn serve(&mut self, ctx: &mut Context<'_>, call: crate::webservice::WsCall) {
         self.stats.ws_requests += 1;
-        ctx.telemetry().metrics.incr("proxy.ws_requests");
+        self.series(ctx).ws_requests.incr();
         let request = &call.request;
         let response = match request.path.as_str() {
             "/info" => self.info(ctx),
@@ -478,9 +518,9 @@ impl DeviceProxyNode {
     /// The ops-plane liveness view: identity plus the queue depths that
     /// show backpressure (store-and-forward backlog, unacked publishes).
     fn health(&self, ctx: &Context<'_>) -> WsResponse {
-        let metrics = &ctx.telemetry().metrics;
-        metrics.set_gauge("proxy.backlog", self.backlog.len() as f64);
-        metrics.set_gauge("proxy.inflight_publishes", self.inflight.len() as f64);
+        let series = self.series(ctx);
+        series.backlog.set(self.backlog.len() as f64);
+        series.inflight_publishes.set(self.inflight.len() as f64);
         WsResponse::ok(Value::object([
             ("status", Value::from("ok")),
             ("proxy", Value::from(self.config.proxy.as_str())),
@@ -605,7 +645,7 @@ impl DeviceProxyNode {
             Some(bytes) => {
                 ctx.send(device_node, DEVICE_DOWNLINK_PORT, bytes);
                 self.stats.actuations += 1;
-                ctx.telemetry().metrics.incr("proxy.actuations");
+                self.series(ctx).actuations.incr();
                 WsResponse::ok(Value::object([("actuated", Value::from(value))]))
             }
             None => WsResponse::error(status::BAD_REQUEST, "device is not actuatable"),
@@ -626,7 +666,7 @@ impl DeviceProxyNode {
 
 impl Node for DeviceProxyNode {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        self.store.attach_metrics(ctx.telemetry().metrics.clone());
+        self.store.attach_metrics(&ctx.telemetry().metrics);
         self.register(ctx);
         ctx.set_timer(HEARTBEAT_INTERVAL, TAG_HEARTBEAT);
         if let Some(interval) = self.config.poll_interval {
@@ -676,8 +716,8 @@ impl Node for DeviceProxyNode {
                 Err(_) => {
                     self.stats.decode_errors += 1;
                     self.stats.shed_decode += 1;
-                    ctx.telemetry().metrics.incr("proxy.decode_errors");
-                    ctx.telemetry().metrics.incr("proxy.shed_decode");
+                    self.series(ctx).decode_errors.incr();
+                    self.series(ctx).shed_decode.incr();
                 }
             },
             OPCUA_PORT | crate::COAP_PORT => {
@@ -689,8 +729,8 @@ impl Node for DeviceProxyNode {
                         Err(_) => {
                             self.stats.decode_errors += 1;
                             self.stats.shed_decode += 1;
-                            ctx.telemetry().metrics.incr("proxy.decode_errors");
-                            ctx.telemetry().metrics.incr("proxy.shed_decode");
+                            self.series(ctx).decode_errors.incr();
+                            self.series(ctx).shed_decode.incr();
                         }
                     }
                 }
@@ -789,11 +829,11 @@ impl Node for DeviceProxyNode {
                         ctx.trace_hop(
                             "proxy.replay",
                             sample.trace,
-                            format!("device={} probe", self.config.device),
+                            format_args!("device={} probe", self.config.device),
                         );
                     }
                     self.stats.replayed += 1;
-                    ctx.telemetry().metrics.incr("proxy.replayed");
+                    self.series(ctx).replayed.incr();
                     self.publish_sample(ctx, sample);
                 }
             }

@@ -6,9 +6,12 @@
 //! field server. Both substitute the physical hardware of the paper's
 //! test sites.
 
+use std::cell::OnceCell;
+
 use models::profiles::EnergyProfile;
 use protocols::device::{CoapFieldServer, OpcUaFieldServer, UplinkDevice};
 use simnet::rpc::{self, RpcFrame};
+use simnet::telemetry::CounterHandle;
 use simnet::{Context, Node, Packet, SimDuration, SimTime, TimerTag};
 
 use crate::{COAP_PORT, DEVICE_UPLINK_PORT, OPCUA_PORT};
@@ -35,6 +38,8 @@ pub struct UplinkDeviceNode {
     pub actuations: Vec<Vec<u8>>,
     /// The last value sampled (for test introspection).
     pub last_value: f64,
+    /// `device.samples`, resolved by the first emission.
+    samples: OnceCell<CounterHandle>,
 }
 
 impl std::fmt::Debug for UplinkDeviceNode {
@@ -65,6 +70,7 @@ impl UplinkDeviceNode {
             frames_sent: 0,
             actuations: Vec::new(),
             last_value: 0.0,
+            samples: OnceCell::new(),
         }
     }
 
@@ -80,13 +86,15 @@ impl UplinkDeviceNode {
         ctx.trace_hop(
             "device.sample",
             trace,
-            format!(
+            format_args!(
                 "protocol={:?} quantity={:?} value={value:.3}",
                 self.device.protocol(),
                 self.device.quantity()
             ),
         );
-        ctx.telemetry().metrics.incr("device.samples");
+        self.samples
+            .get_or_init(|| ctx.telemetry().metrics.counter_handle("device.samples"))
+            .incr();
         ctx.send_traced(self.proxy, DEVICE_UPLINK_PORT, bytes, trace);
         self.frames_sent += 1;
     }

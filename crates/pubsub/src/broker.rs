@@ -1,8 +1,10 @@
 //! The middleware broker node.
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
 
 use simnet::batch::PushOutcome;
+use simnet::telemetry::{CounterHandle, GaugeHandle, HistogramHandle, Registry};
 use simnet::{Context, Node, Packet as NetPacket, SimDuration, TimerTag};
 
 use crate::federation::{
@@ -62,59 +64,127 @@ impl AdvertRefs {
     }
 }
 
-/// Pre-rendered labeled metric names. A federation runs many brokers in
-/// one simulation; unlabeled counters would silently aggregate across
-/// all of them, so a labeled broker emits `<name>.<label>` next to every
-/// global `<name>` counter (the globals stay, for single-broker
-/// deployments and existing dashboards/tests).
+/// A global series and, on a labeled broker, its `<name>.<label>`
+/// twin. A federation runs many brokers in one simulation; unlabeled
+/// counters would silently aggregate across all of them, so a labeled
+/// broker writes `<name>.<label>` next to every global `<name>` (the
+/// globals stay, for single-broker deployments and existing
+/// dashboards/tests).
 #[derive(Debug)]
-struct LabeledNames {
-    publish: String,
-    deliver: String,
-    ack: String,
-    subscribe: String,
-    retry: String,
-    drop: String,
-    decode_error: String,
-    restart: String,
-    pending: String,
-    queue_shed: String,
-    fanout: String,
-    bridge_batch_sent: String,
-    bridge_frame_forward: String,
-    bridge_frame_recv: String,
-    bridge_duplicate: String,
-    bridge_retry: String,
-    bridge_drop: String,
-    retained_gauge: String,
-    bridge_buffered: String,
-    bridge_inflight: String,
+struct Twin<H> {
+    global: H,
+    labeled: Option<H>,
 }
 
-impl LabeledNames {
-    fn new(label: &str) -> Self {
-        let n = |name: &str| format!("{name}.{label}");
-        LabeledNames {
-            publish: n("pubsub.publish"),
-            deliver: n("pubsub.deliver"),
-            ack: n("pubsub.ack"),
-            subscribe: n("pubsub.subscribe"),
-            retry: n("pubsub.retry"),
-            drop: n("pubsub.drop"),
-            decode_error: n("pubsub.decode_error"),
-            restart: n("pubsub.broker_restart"),
-            pending: n("pubsub.pending_deliveries"),
-            queue_shed: n("pubsub.queue_shed"),
-            fanout: n("pubsub.fanout"),
-            bridge_batch_sent: n("pubsub.bridge.batch_sent"),
-            bridge_frame_forward: n("pubsub.bridge.frame_forward"),
-            bridge_frame_recv: n("pubsub.bridge.frame_recv"),
-            bridge_duplicate: n("pubsub.bridge.duplicate"),
-            bridge_retry: n("pubsub.bridge.retry"),
-            bridge_drop: n("pubsub.bridge.drop"),
-            retained_gauge: n("pubsub.retained"),
-            bridge_buffered: n("pubsub.bridge.buffered"),
-            bridge_inflight: n("pubsub.bridge.inflight"),
+impl Twin<CounterHandle> {
+    fn incr(&self) {
+        self.global.incr();
+        if let Some(l) = &self.labeled {
+            l.incr();
+        }
+    }
+}
+
+impl Twin<GaugeHandle> {
+    fn set(&self, v: f64) {
+        self.global.set(v);
+        if let Some(l) = &self.labeled {
+            l.set(v);
+        }
+    }
+}
+
+impl Twin<HistogramHandle> {
+    fn observe(&self, v: f64) {
+        self.global.observe(v);
+        if let Some(l) = &self.labeled {
+            l.observe(v);
+        }
+    }
+}
+
+/// Every series the broker writes per packet, timer or scrape, resolved
+/// on the first callback that writes one.
+#[derive(Debug)]
+struct BrokerSeries {
+    publish: Twin<CounterHandle>,
+    deliver: Twin<CounterHandle>,
+    ack: Twin<CounterHandle>,
+    subscribe: Twin<CounterHandle>,
+    retry: Twin<CounterHandle>,
+    drop: Twin<CounterHandle>,
+    decode_error: Twin<CounterHandle>,
+    restart: Twin<CounterHandle>,
+    queue_shed: Twin<CounterHandle>,
+    bridge_batch_sent: Twin<CounterHandle>,
+    bridge_frame_forward: Twin<CounterHandle>,
+    bridge_frame_recv: Twin<CounterHandle>,
+    bridge_duplicate: Twin<CounterHandle>,
+    bridge_retry: Twin<CounterHandle>,
+    bridge_drop: Twin<CounterHandle>,
+    pending: Twin<GaugeHandle>,
+    retained: Twin<GaugeHandle>,
+    bridge_buffered: Twin<GaugeHandle>,
+    bridge_inflight: Twin<GaugeHandle>,
+    fanout: Twin<HistogramHandle>,
+    bridge_batch_frames: HistogramHandle,
+}
+
+/// Resolves [`Twin`]s with the same call shape as [`Registry`]'s own
+/// resolution methods (the metric-name lint greps for that shape).
+struct TwinResolver<'a> {
+    registry: &'a Registry,
+    label: Option<&'a str>,
+}
+
+impl TwinResolver<'_> {
+    fn twin<H>(&self, name: &str, resolve: fn(&Registry, &str) -> H) -> Twin<H> {
+        Twin {
+            global: resolve(self.registry, name),
+            labeled: self
+                .label
+                .map(|l| resolve(self.registry, &format!("{name}.{l}"))),
+        }
+    }
+
+    fn counter_handle(&self, name: &str) -> Twin<CounterHandle> {
+        self.twin(name, Registry::counter_handle)
+    }
+
+    fn gauge_handle(&self, name: &str) -> Twin<GaugeHandle> {
+        self.twin(name, Registry::gauge_handle)
+    }
+
+    fn histogram_handle(&self, name: &str) -> Twin<HistogramHandle> {
+        self.twin(name, Registry::histogram_handle)
+    }
+}
+
+impl BrokerSeries {
+    fn resolve(registry: &Registry, label: Option<&str>) -> Self {
+        let m = TwinResolver { registry, label };
+        BrokerSeries {
+            publish: m.counter_handle("pubsub.publish"),
+            deliver: m.counter_handle("pubsub.deliver"),
+            ack: m.counter_handle("pubsub.ack"),
+            subscribe: m.counter_handle("pubsub.subscribe"),
+            retry: m.counter_handle("pubsub.retry"),
+            drop: m.counter_handle("pubsub.drop"),
+            decode_error: m.counter_handle("pubsub.decode_error"),
+            restart: m.counter_handle("pubsub.broker_restart"),
+            queue_shed: m.counter_handle("pubsub.queue_shed"),
+            bridge_batch_sent: m.counter_handle("pubsub.bridge.batch_sent"),
+            bridge_frame_forward: m.counter_handle("pubsub.bridge.frame_forward"),
+            bridge_frame_recv: m.counter_handle("pubsub.bridge.frame_recv"),
+            bridge_duplicate: m.counter_handle("pubsub.bridge.duplicate"),
+            bridge_retry: m.counter_handle("pubsub.bridge.retry"),
+            bridge_drop: m.counter_handle("pubsub.bridge.drop"),
+            pending: m.gauge_handle("pubsub.pending_deliveries"),
+            retained: m.gauge_handle("pubsub.retained"),
+            bridge_buffered: m.gauge_handle("pubsub.bridge.buffered"),
+            bridge_inflight: m.gauge_handle("pubsub.bridge.inflight"),
+            fanout: m.histogram_handle("pubsub.fanout"),
+            bridge_batch_frames: registry.histogram_handle("pubsub.bridge.batch_frames"),
         }
     }
 }
@@ -180,7 +250,9 @@ pub struct BrokerNode {
     /// Filter text → live local subscriber refcounts (advertisement
     /// bookkeeping; empty while not federated).
     advert_refs: HashMap<String, AdvertRefs>,
-    labels: Option<LabeledNames>,
+    /// Suffix of this broker's labeled twin series, if any.
+    label: Option<String>,
+    series: OnceCell<BrokerSeries>,
     federation: Option<FederationState>,
 }
 
@@ -195,7 +267,7 @@ impl BrokerNode {
     /// stay distinguishable inside a federation.
     pub fn with_label(label: impl AsRef<str>) -> Self {
         BrokerNode {
-            labels: Some(LabeledNames::new(label.as_ref())),
+            label: Some(label.as_ref().to_owned()),
             ..BrokerNode::default()
         }
     }
@@ -258,21 +330,13 @@ impl BrokerNode {
         self.pending_capacity = Some(capacity);
     }
 
-    fn incr(&self, ctx: &mut Context<'_>, global: &str, pick: impl Fn(&LabeledNames) -> &String) {
-        ctx.telemetry().metrics.incr(global);
-        if let Some(l) = &self.labels {
-            ctx.telemetry().metrics.incr(pick(l));
-        }
+    fn series(&self, ctx: &Context<'_>) -> &BrokerSeries {
+        self.series
+            .get_or_init(|| BrokerSeries::resolve(&ctx.telemetry().metrics, self.label.as_deref()))
     }
 
-    fn gauge_pending(&self, ctx: &mut Context<'_>) {
-        let v = self.pending.len() as f64;
-        ctx.telemetry()
-            .metrics
-            .set_gauge("pubsub.pending_deliveries", v);
-        if let Some(l) = &self.labels {
-            ctx.telemetry().metrics.set_gauge(&l.pending, v);
-        }
+    fn gauge_pending(&self, ctx: &Context<'_>) {
+        self.series(ctx).pending.set(self.pending.len() as f64);
     }
 
     #[allow(clippy::too_many_arguments)] // mirrors the Deliver wire frame field for field
@@ -293,7 +357,7 @@ impl BrokerNode {
                 "broker.deliver",
                 trace,
                 parent_span,
-                format!("to={to} topic={topic}"),
+                format_args!("to={to} topic={topic}"),
             )
         } else {
             0
@@ -309,35 +373,39 @@ impl BrokerNode {
             span,
         }
         .encode();
-        self.incr(ctx, "pubsub.deliver", |l| &l.deliver);
-        ctx.send_spanned(to, crate::PUBSUB_PORT, bytes.clone(), trace, span);
+        self.series(ctx).deliver.incr();
         self.stats.delivered += 1;
-        if qos == QoS::AtLeastOnce {
-            self.stats.qos1_enqueued += 1;
-            let capacity = self.pending_capacity.unwrap_or(DEFAULT_PENDING_CAPACITY);
-            if self.pending.len() >= capacity {
-                // The unacked table is the broker's memory bound: past
-                // it the delivery degrades to at-most-once — sent once
-                // above, never retried — and is counted dropped right
-                // away, so `qos1_enqueued == acked + dropped + pending`
-                // survives overload.
-                self.stats.dropped += 1;
-                self.stats.queue_shed += 1;
-                self.incr(ctx, "pubsub.queue_shed", |l| &l.queue_shed);
-                return;
-            }
-            self.pending.insert(
-                id,
-                PendingDelivery {
-                    to,
-                    bytes,
-                    retries_left: MAX_RETRIES,
-                    trace,
-                },
-            );
-            self.gauge_pending(ctx);
-            ctx.set_timer(RETRY_TIMEOUT, TimerTag(id));
+        if qos != QoS::AtLeastOnce {
+            ctx.send_spanned(to, crate::PUBSUB_PORT, bytes, trace, span);
+            return;
         }
+        // Only QoS 1 keeps the encoded packet (for redelivery), so only
+        // this branch copies it.
+        ctx.send_spanned(to, crate::PUBSUB_PORT, bytes.clone(), trace, span);
+        self.stats.qos1_enqueued += 1;
+        let capacity = self.pending_capacity.unwrap_or(DEFAULT_PENDING_CAPACITY);
+        if self.pending.len() >= capacity {
+            // The unacked table is the broker's memory bound: past it
+            // the delivery degrades to at-most-once — sent once above,
+            // never retried — and is counted dropped right away, so
+            // `qos1_enqueued == acked + dropped + pending` survives
+            // overload.
+            self.stats.dropped += 1;
+            self.stats.queue_shed += 1;
+            self.series(ctx).queue_shed.incr();
+            return;
+        }
+        self.pending.insert(
+            id,
+            PendingDelivery {
+                to,
+                bytes,
+                retries_left: MAX_RETRIES,
+                trace,
+            },
+        );
+        self.gauge_pending(ctx);
+        ctx.set_timer(RETRY_TIMEOUT, TimerTag(id));
     }
 
     #[allow(clippy::too_many_arguments)] // mirrors the Publish wire frame field for field
@@ -354,13 +422,13 @@ impl BrokerNode {
         span: u64,
     ) {
         self.stats.published += 1;
-        self.incr(ctx, "pubsub.publish", |l| &l.publish);
+        self.series(ctx).publish.incr();
         let pub_span = if trace != 0 {
             ctx.span_hop(
                 "broker.publish",
                 trace,
                 span,
-                format!("from={from} topic={topic}"),
+                format_args!("from={from} topic={topic}"),
             )
         } else {
             0
@@ -402,14 +470,7 @@ impl BrokerNode {
             .into_iter()
             .cloned()
             .collect();
-        ctx.telemetry()
-            .metrics
-            .observe("pubsub.fanout", targets.len() as f64);
-        if let Some(l) = &self.labels {
-            ctx.telemetry()
-                .metrics
-                .observe(&l.fanout, targets.len() as f64);
-        }
+        self.series(ctx).fanout.observe(targets.len() as f64);
         for sub in targets {
             // Effective delivery guarantee: the weaker of the two ends.
             let effective = if qos == QoS::AtLeastOnce && sub.qos == QoS::AtLeastOnce {
@@ -452,14 +513,12 @@ impl BrokerNode {
                     "bridge.forward",
                     trace,
                     span,
-                    format!("peer={peer} topic={topic}"),
+                    format_args!("peer={peer} topic={topic}"),
                 )
             } else {
                 0
             };
-            self.incr(ctx, "pubsub.bridge.frame_forward", |l| {
-                &l.bridge_frame_forward
-            });
+            self.series(ctx).bridge_frame_forward.incr();
             // The batcher retains the frame until the peer acks its
             // batch: the designed ownership boundary of the borrowed
             // publish path.
@@ -525,9 +584,7 @@ impl BrokerNode {
         .encode();
         let dst = fed.config.brokers[peer];
         fed.stats.batches_sent += 1;
-        ctx.telemetry()
-            .metrics
-            .observe("pubsub.bridge.batch_frames", frames.len() as f64);
+        let batch_frames = frames.len() as f64;
         fed.pending.insert(
             batch_id,
             crate::federation::PendingBatch {
@@ -539,7 +596,9 @@ impl BrokerNode {
         );
         ctx.send(dst, crate::PUBSUB_PORT, bytes);
         ctx.set_timer(BATCH_RETRY_TIMEOUT, TimerTag(BATCH_RETRY_BIT | batch_id));
-        self.incr(ctx, "pubsub.bridge.batch_sent", |l| &l.bridge_batch_sent);
+        let series = self.series(ctx);
+        series.bridge_batch_frames.observe(batch_frames);
+        series.bridge_batch_sent.incr();
     }
 
     /// Sends `BridgeHello` to every peer (start and restart), so peers
@@ -624,11 +683,11 @@ impl BrokerNode {
             span,
         } = frame;
         let bd_span = if trace != 0 {
-            ctx.span_hop("bridge.deliver", trace, span, format!("topic={topic}"))
+            ctx.span_hop("bridge.deliver", trace, span, format_args!("topic={topic}"))
         } else {
             0
         };
-        self.incr(ctx, "pubsub.bridge.frame_recv", |l| &l.bridge_frame_recv);
+        self.series(ctx).bridge_frame_recv.incr();
         if retain {
             if payload.is_empty() {
                 self.retained.remove(topic.as_str());
@@ -659,7 +718,7 @@ impl BrokerNode {
         filter: TopicFilter,
         qos: QoS,
     ) {
-        self.incr(ctx, "pubsub.subscribe", |l| &l.subscribe);
+        self.series(ctx).subscribe.incr();
         self.subscriptions
             .insert(&filter, Subscription { node: from, qos });
         let refs = self
@@ -827,7 +886,7 @@ impl BrokerNode {
             fed.stats.batches_received += 1;
             if !fed.seen_batches[peer].insert(batch_id) {
                 fed.stats.duplicate_batches += 1;
-                self.incr(ctx, "pubsub.bridge.duplicate", |l| &l.bridge_duplicate);
+                self.series(ctx).bridge_duplicate.incr();
                 return;
             }
             fed.stats.frames_received += frames.len() as u64;
@@ -871,34 +930,26 @@ impl BrokerNode {
             }
         }
         if drop_count > 0 {
-            self.incr(ctx, "pubsub.bridge.drop", |l| &l.bridge_drop);
+            self.series(ctx).bridge_drop.incr();
             return;
         }
         if let Some((dst, bytes)) = resend {
             ctx.send(dst, crate::PUBSUB_PORT, bytes);
             ctx.set_timer(BATCH_RETRY_TIMEOUT, TimerTag(BATCH_RETRY_BIT | batch_id));
-            self.incr(ctx, "pubsub.bridge.retry", |l| &l.bridge_retry);
+            self.series(ctx).bridge_retry.incr();
         }
     }
 
     /// Refreshes this broker's occupancy gauges (retained topics, QoS 1
     /// in-flight, bridge batcher/ledger depths) so a scrape sees current
     /// backpressure, not the state at the last mutation.
-    fn refresh_scrape_gauges(&self, ctx: &mut Context<'_>) {
-        let m = &ctx.telemetry().metrics;
-        m.set_gauge("pubsub.retained", self.retained.len() as f64);
-        m.set_gauge("pubsub.pending_deliveries", self.pending.len() as f64);
-        if let Some(l) = &self.labels {
-            m.set_gauge(&l.retained_gauge, self.retained.len() as f64);
-            m.set_gauge(&l.pending, self.pending.len() as f64);
-        }
+    fn refresh_scrape_gauges(&self, ctx: &Context<'_>) {
+        let series = self.series(ctx);
+        series.retained.set(self.retained.len() as f64);
+        series.pending.set(self.pending.len() as f64);
         if let Some(fed) = &self.federation {
-            m.set_gauge("pubsub.bridge.buffered", fed.buffered_frames() as f64);
-            m.set_gauge("pubsub.bridge.inflight", fed.in_flight_frames() as f64);
-            if let Some(l) = &self.labels {
-                m.set_gauge(&l.bridge_buffered, fed.buffered_frames() as f64);
-                m.set_gauge(&l.bridge_inflight, fed.in_flight_frames() as f64);
-            }
+            series.bridge_buffered.set(fed.buffered_frames() as f64);
+            series.bridge_inflight.set(fed.in_flight_frames() as f64);
         }
     }
 
@@ -948,7 +999,7 @@ impl Node for BrokerNode {
             // Malformed traffic is dropped, as a real broker would — but
             // counted, so a misbehaving client is visible in the stats.
             self.stats.decode_errors += 1;
-            self.incr(ctx, "pubsub.decode_error", |l| &l.decode_error);
+            self.series(ctx).decode_error.incr();
             return;
         };
         match packet {
@@ -970,7 +1021,7 @@ impl Node for BrokerNode {
             PacketRef::DeliverAck { id } => {
                 if self.pending.remove(&id).is_some() {
                     self.stats.acked += 1;
-                    self.incr(ctx, "pubsub.ack", |l| &l.ack);
+                    self.series(ctx).ack.incr();
                     self.gauge_pending(ctx);
                 }
             }
@@ -1085,13 +1136,8 @@ impl Node for BrokerNode {
                 *inc = 0;
             }
         }
-        self.incr(ctx, "pubsub.broker_restart", |l| &l.restart);
-        ctx.telemetry()
-            .metrics
-            .set_gauge("pubsub.pending_deliveries", 0.0);
-        if let Some(l) = &self.labels {
-            ctx.telemetry().metrics.set_gauge(&l.pending, 0.0);
-        }
+        self.series(ctx).restart.incr();
+        self.gauge_pending(ctx);
         // Tell peers about the new incarnation so they wipe our dead
         // advertisements and re-send theirs.
         self.send_hello(ctx);
@@ -1113,7 +1159,7 @@ impl Node for BrokerNode {
         if pending.retries_left == 0 {
             self.pending.remove(&id);
             self.stats.dropped += 1;
-            self.incr(ctx, "pubsub.drop", |l| &l.drop);
+            self.series(ctx).drop.incr();
             self.gauge_pending(ctx);
             return;
         }
@@ -1122,7 +1168,7 @@ impl Node for BrokerNode {
         ctx.send_traced(to, crate::PUBSUB_PORT, bytes, trace);
         self.stats.retries += 1;
         self.stats.delivered += 1;
-        self.incr(ctx, "pubsub.retry", |l| &l.retry);
+        self.series(ctx).retry.incr();
         ctx.set_timer(RETRY_TIMEOUT, TimerTag(id));
     }
 }

@@ -1,12 +1,13 @@
 //! The client half of the middleware, embedded in nodes.
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
 
 use simnet::{Context, NodeId, Packet as NetPacket, SimDuration, TimerTag};
 
 use crate::wire::{Packet, QoS};
 use crate::{Topic, TopicFilter, PUBSUB_PORT};
-use simnet::telemetry::{SpanId, TraceId, NO_SPAN, NO_TRACE};
+use simnet::telemetry::{CounterHandle, SpanId, TraceId, NO_SPAN, NO_TRACE};
 
 /// Publisher-side retry interval for unacked QoS 1 publishes.
 const PUBLISH_RETRY: SimDuration = SimDuration::from_secs(2);
@@ -78,6 +79,9 @@ pub struct PubSubClient {
     /// Keepalive probe interval; `None` until
     /// [`PubSubClient::start_keepalive`].
     keepalive: Option<SimDuration>,
+    /// `pubsub.decode_error` is written per malformed packet, so it
+    /// goes through a handle, resolved by the first one.
+    decode_error: OnceCell<CounterHandle>,
 }
 
 impl PubSubClient {
@@ -92,6 +96,7 @@ impl PubSubClient {
             subs: Vec::new(),
             last_incarnation: None,
             keepalive: None,
+            decode_error: OnceCell::new(),
         }
     }
 
@@ -221,17 +226,21 @@ impl PubSubClient {
             span: parent,
         }
         .encode();
-        ctx.send_spanned(self.broker, PUBSUB_PORT, bytes.clone(), trace, parent);
-        if qos == QoS::AtLeastOnce {
-            self.pending.insert(
-                id,
-                PendingPublish {
-                    bytes,
-                    retries_left: MAX_PUBLISH_RETRIES,
-                },
-            );
-            ctx.set_timer(PUBLISH_RETRY, TimerTag(self.tag_base + id));
+        if qos != QoS::AtLeastOnce {
+            ctx.send_spanned(self.broker, PUBSUB_PORT, bytes, trace, parent);
+            return id;
         }
+        // Only QoS 1 keeps the encoded packet (for retransmission), so
+        // only this branch copies it.
+        ctx.send_spanned(self.broker, PUBSUB_PORT, bytes.clone(), trace, parent);
+        self.pending.insert(
+            id,
+            PendingPublish {
+                bytes,
+                retries_left: MAX_PUBLISH_RETRIES,
+            },
+        );
+        ctx.set_timer(PUBLISH_RETRY, TimerTag(self.tag_base + id));
         id
     }
 
@@ -241,7 +250,13 @@ impl PubSubClient {
         let decoded = match Packet::decode(&pkt.payload) {
             Ok(p) => p,
             Err(_) => {
-                ctx.telemetry().metrics.incr("pubsub.decode_error");
+                self.decode_error
+                    .get_or_init(|| {
+                        ctx.telemetry()
+                            .metrics
+                            .counter_handle("pubsub.decode_error")
+                    })
+                    .incr();
                 return None;
             }
         };
@@ -258,7 +273,12 @@ impl PubSubClient {
                     ctx.send(pkt.src, PUBSUB_PORT, Packet::DeliverAck { id }.encode());
                 }
                 let span = if trace != NO_TRACE {
-                    ctx.span_hop("sub.receive", trace, deliver_span, format!("topic={topic}"))
+                    ctx.span_hop(
+                        "sub.receive",
+                        trace,
+                        deliver_span,
+                        format_args!("topic={topic}"),
+                    )
                 } else {
                     NO_SPAN
                 };

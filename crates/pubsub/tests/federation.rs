@@ -430,7 +430,7 @@ impl Node for TracedPub {
     fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
         if tag.0 == TAG_PUBLISH {
             self.trace = ctx.telemetry().tracer.next_trace_id();
-            let span = ctx.trace_hop("pub.send", self.trace, self.topic);
+            let span = ctx.trace_hop("pub.send", self.trace, format_args!("{}", self.topic));
             let topic = Topic::new(self.topic).expect("topic");
             self.client.publish_spanned(
                 ctx,

@@ -24,8 +24,10 @@
 //! assert_eq!(batcher.take(), vec!["a", "b", "c"]);
 //! ```
 
+use std::cell::OnceCell;
+
 use crate::time::SimDuration;
-use telemetry::Registry;
+use telemetry::{GaugeHandle, Registry};
 
 /// When an accumulating batch is cut and put on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,6 +73,9 @@ pub struct Batcher<T> {
     bytes: usize,
     /// Whether a flush timer is armed for the current accumulation run.
     timer_armed: bool,
+    /// The `(items, bytes)` gauges, resolved by the first
+    /// [`refresh_gauges`](Batcher::refresh_gauges).
+    gauges: OnceCell<(GaugeHandle, GaugeHandle)>,
 }
 
 impl<T> Batcher<T> {
@@ -81,6 +86,7 @@ impl<T> Batcher<T> {
             items: Vec::new(),
             bytes: 0,
             timer_armed: false,
+            gauges: OnceCell::new(),
         }
     }
 
@@ -133,9 +139,17 @@ impl<T> Batcher<T> {
     /// Publishes this batcher's occupancy as ops-plane gauges
     /// (`<prefix>.items`, `<prefix>.bytes`) so backpressure on the link
     /// is scrape-visible. Call after pushes/takes, e.g. once per flush.
+    /// The names are built and resolved on the first call only, so a
+    /// batcher keeps one registry and one prefix.
     pub fn refresh_gauges(&self, registry: &Registry, prefix: &str) {
-        registry.set_gauge(&format!("{prefix}.items"), self.items.len() as f64);
-        registry.set_gauge(&format!("{prefix}.bytes"), self.bytes as f64);
+        let (items, bytes) = self.gauges.get_or_init(|| {
+            (
+                registry.gauge_handle(&format!("{prefix}.items")),
+                registry.gauge_handle(&format!("{prefix}.bytes")),
+            )
+        });
+        items.set(self.items.len() as f64);
+        bytes.set(self.bytes as f64);
     }
 }
 

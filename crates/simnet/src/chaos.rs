@@ -33,6 +33,8 @@
 //! assert_eq!(chaos.faults_injected(), 2);
 //! ```
 
+use std::fmt;
+
 use crate::link::LinkModel;
 use crate::node::NodeId;
 use crate::rng::DeterministicRng;
@@ -68,7 +70,7 @@ pub trait FaultTarget {
     /// Sets the node's gray-failure slowdown factor.
     fn set_node_slowdown(&mut self, id: NodeId, factor: f64);
     /// Records a custom fault event into the telemetry trace stream.
-    fn record_fault(&self, kind: &str, detail: String);
+    fn record_fault(&self, kind: &'static str, detail: fmt::Arguments<'_>);
 }
 
 impl FaultTarget for Simulator {
@@ -112,7 +114,7 @@ impl FaultTarget for Simulator {
         Simulator::set_node_slowdown(self, id, factor);
     }
 
-    fn record_fault(&self, kind: &str, detail: String) {
+    fn record_fault(&self, kind: &'static str, detail: fmt::Arguments<'_>) {
         Simulator::record_fault(self, kind, detail);
     }
 }
@@ -456,7 +458,7 @@ impl ChaosRunner {
                 let r = self.restores.swap_remove(i);
                 sim.set_link_directed(r.a, r.b, r.forward);
                 sim.set_link_directed(r.b, r.a, r.backward);
-                sim.record_fault("chaos.link_restore", format!("a={} b={}", r.a, r.b));
+                sim.record_fault("chaos.link_restore", format_args!("a={} b={}", r.a, r.b));
             } else {
                 i += 1;
             }
@@ -466,7 +468,7 @@ impl ChaosRunner {
             if self.slow_restores[i].at <= now {
                 let r = self.slow_restores.swap_remove(i);
                 sim.set_node_slowdown(r.node, r.factor);
-                sim.record_fault("chaos.slow_restore", format!("node={}", r.node));
+                sim.record_fault("chaos.slow_restore", format_args!("node={}", r.node));
             } else {
                 i += 1;
             }
@@ -496,7 +498,7 @@ impl ChaosRunner {
                 sim.set_link_directed(b, a, dead);
                 sim.record_fault(
                     "chaos.link_flap",
-                    format!("a={a} b={b} down={:.1}s", down.as_secs_f64()),
+                    format_args!("a={a} b={b} down={:.1}s", down.as_secs_f64()),
                 );
             }
             Fault::LatencySpike {
@@ -519,7 +521,7 @@ impl ChaosRunner {
                 sim.set_link_directed(b, a, bw);
                 sim.record_fault(
                     "chaos.latency_spike",
-                    format!("a={a} b={b} extra={:.0}ms", extra.as_millis_f64()),
+                    format_args!("a={a} b={b} extra={:.0}ms", extra.as_millis_f64()),
                 );
             }
             Fault::SlowNode {
@@ -535,7 +537,7 @@ impl ChaosRunner {
                 sim.set_node_slowdown(node, factor);
                 sim.record_fault(
                     "chaos.slow_node",
-                    format!(
+                    format_args!(
                         "node={node} factor={factor:.1} for={:.1}s",
                         duration.as_secs_f64()
                     ),
@@ -564,7 +566,7 @@ impl ChaosRunner {
                 sim.set_link_directed(b, a, bw);
                 sim.record_fault(
                     "chaos.lossy_link",
-                    format!(
+                    format_args!(
                         "a={a} b={b} loss={loss:.2} for={:.1}s",
                         duration.as_secs_f64()
                     ),

@@ -8,6 +8,7 @@
 use crate::node::{NodeId, Port, TimerTag};
 use crate::rng::DeterministicRng;
 use crate::time::{SimDuration, SimTime};
+use std::fmt;
 use telemetry::{SpanId, Telemetry, TraceId, NO_SPAN, NO_TRACE};
 
 /// Handle to a pending timer, usable with [`Context::cancel_timer`].
@@ -103,35 +104,38 @@ impl Context<'_> {
     /// a root span for it (no causal parent). Returns the span id so the
     /// hop can be propagated as a parent via [`Context::send_spanned`];
     /// callers that only want the flat flight path may ignore it.
-    pub fn trace_hop(&self, kind: &str, trace: TraceId, detail: impl Into<String>) -> SpanId {
+    pub fn trace_hop(
+        &self,
+        kind: &'static str,
+        trace: TraceId,
+        detail: fmt::Arguments<'_>,
+    ) -> SpanId {
         self.span_hop(kind, trace, NO_SPAN, detail)
     }
 
     /// Records a flight-recorder hop caused by `parent` (use
     /// [`telemetry::NO_SPAN`] for a root, or the `span` field of the
     /// packet that triggered this work). Mints and returns this hop's own
-    /// span id.
+    /// span id. `detail` is a `format_args!`: an untraced message
+    /// ([`NO_TRACE`]) returns before anything is formatted.
     pub fn span_hop(
         &self,
-        kind: &str,
+        kind: &'static str,
         trace: TraceId,
         parent: SpanId,
-        detail: impl Into<String>,
+        detail: fmt::Arguments<'_>,
     ) -> SpanId {
         if trace == NO_TRACE {
             return NO_SPAN;
         }
-        let span = self.telemetry.tracer.next_span_id();
-        self.telemetry.tracer.record_span(
+        self.telemetry.tracer.record_hop(
             self.now.as_nanos(),
             self.node.0,
             kind,
             trace,
-            span,
             parent,
             detail,
-        );
-        span
+        )
     }
 
     /// Schedules a timer to fire `after` from now, carrying `tag`.

@@ -21,10 +21,11 @@
 //! caller-supplied [`Registry`] under the `admission.*` / `breaker.*`
 //! names inventoried in `docs/metrics.txt`.
 
+use std::cell::OnceCell;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-use telemetry::metrics::Registry;
+use telemetry::metrics::{CounterHandle, GaugeHandle, Registry};
 
 use crate::time::{SimDuration, SimTime};
 
@@ -72,6 +73,17 @@ pub struct AdmissionGate {
     last: SimTime,
     admitted: u64,
     shed: u64,
+    /// Resolved from the registry of the first
+    /// [`try_admit`](AdmissionGate::try_admit); a gate serves one node,
+    /// so it only ever sees that node's registry.
+    series: OnceCell<GateSeries>,
+}
+
+#[derive(Debug, Clone)]
+struct GateSeries {
+    admitted: CounterHandle,
+    shed: CounterHandle,
+    depth: GaugeHandle,
 }
 
 impl AdmissionGate {
@@ -91,6 +103,7 @@ impl AdmissionGate {
             last: SimTime::ZERO,
             admitted: 0,
             shed: 0,
+            series: OnceCell::new(),
         }
     }
 
@@ -104,14 +117,19 @@ impl AdmissionGate {
     /// `admission.admitted` / `admission.shed` in `metrics`.
     pub fn try_admit(&mut self, now: SimTime, metrics: &Registry) -> Admission {
         self.drain(now);
+        let series = self.series.get_or_init(|| GateSeries {
+            admitted: metrics.counter_handle("admission.admitted"),
+            shed: metrics.counter_handle("admission.shed"),
+            depth: metrics.gauge_handle("admission.depth"),
+        });
         let outcome = if self.level + 1.0 <= self.capacity as f64 {
             self.level += 1.0;
             self.admitted += 1;
-            metrics.incr("admission.admitted");
+            series.admitted.incr();
             Admission::Admitted
         } else {
             self.shed += 1;
-            metrics.incr("admission.shed");
+            series.shed.incr();
             // Wait until enough has drained that one more unit fits.
             let overflow = self.level + 1.0 - self.capacity as f64;
             let secs = overflow / self.drain_per_sec;
@@ -119,7 +137,7 @@ impl AdmissionGate {
                 retry_after: SimDuration::from_nanos((secs * 1e9).ceil() as u64),
             }
         };
-        metrics.set_gauge("admission.depth", self.level);
+        series.depth.set(self.level);
         outcome
     }
 
@@ -313,6 +331,10 @@ pub struct CircuitBreaker {
     probe_inflight: bool,
     probe_successes: u32,
     trips: u64,
+    /// `breaker.rejected` is written per refused request, so it goes
+    /// through a handle (resolved on first use, like
+    /// [`AdmissionGate`]'s); state transitions are rare and by-name.
+    rejected: OnceCell<CounterHandle>,
 }
 
 impl CircuitBreaker {
@@ -326,6 +348,7 @@ impl CircuitBreaker {
             probe_inflight: false,
             probe_successes: 0,
             trips: 0,
+            rejected: OnceCell::new(),
         }
     }
 
@@ -343,6 +366,9 @@ impl CircuitBreaker {
     /// Whether a request may be sent to the target at `now`. Rejections
     /// count as `breaker.rejected`.
     pub fn allow(&mut self, now: SimTime, metrics: &Registry) -> bool {
+        let rejected = self
+            .rejected
+            .get_or_init(|| metrics.counter_handle("breaker.rejected"));
         match self.state {
             BreakerState::Closed => true,
             BreakerState::Open => {
@@ -353,13 +379,13 @@ impl CircuitBreaker {
                     metrics.incr("breaker.half_open");
                     true
                 } else {
-                    metrics.incr("breaker.rejected");
+                    rejected.incr();
                     false
                 }
             }
             BreakerState::HalfOpen => {
                 if self.probe_inflight {
-                    metrics.incr("breaker.rejected");
+                    rejected.incr();
                     false
                 } else {
                     self.probe_inflight = true;

@@ -60,6 +60,7 @@
 //! ```
 
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::mpsc::{Receiver, Sender};
 
 use crate::chaos::FaultTarget;
@@ -68,7 +69,7 @@ use crate::node::{Node, NodeId};
 use crate::rng::DeterministicRng;
 use crate::sim::{CrossPacket, NetMetrics, NodeMetrics, SimConfig, Simulator};
 use crate::time::{SimDuration, SimTime};
-use telemetry::Telemetry;
+use telemetry::{CounterHandle, GaugeHandle, Telemetry};
 
 /// Configuration of a [`ParallelSimulator`].
 #[derive(Debug, Clone)]
@@ -147,6 +148,10 @@ pub struct ParallelSimulator {
     /// The runner's own bundle: `sim.parallel.*` metrics plus fault
     /// records that apply to the whole simulation.
     telemetry: Telemetry,
+    /// The two series written at every barrier; the per-run ones stay
+    /// by-name.
+    windows: CounterHandle,
+    mailbox_depth: GaugeHandle,
     stats: ParallelStats,
 }
 
@@ -194,6 +199,8 @@ impl ParallelSimulator {
             names: HashMap::new(),
             cross_links: HashMap::new(),
             cross_default: cfg.cross_link,
+            windows: telemetry.metrics.counter_handle("sim.parallel.windows"),
+            mailbox_depth: telemetry.metrics.gauge_handle("sim.parallel.mailbox_depth"),
             telemetry,
             stats: ParallelStats::default(),
         };
@@ -414,7 +421,7 @@ impl ParallelSimulator {
 
         let stats = &mut self.stats;
         let run_start = (stats.cross_packets, stats.barrier_stall_ns);
-        let runner_metrics = &self.telemetry.metrics;
+        let (windows, mailbox_depth) = (&self.windows, &self.mailbox_depth);
         let mut returned: Vec<Vec<(usize, Simulator)>> = Vec::new();
         std::thread::scope(|scope| {
             let mut order_txs: Vec<Sender<Order>> = Vec::new();
@@ -524,8 +531,8 @@ impl ParallelSimulator {
                 }
                 let max_depth = depth.into_iter().max().unwrap_or(0);
                 stats.max_mailbox_depth = stats.max_mailbox_depth.max(max_depth);
-                runner_metrics.add("sim.parallel.windows", 1);
-                runner_metrics.set_gauge("sim.parallel.mailbox_depth", max_depth as f64);
+                windows.incr();
+                mailbox_depth.set(max_depth as f64);
                 if end == deadline {
                     // Final barrier: deliver the last mail (it lands
                     // strictly past the deadline) and release workers.
@@ -739,7 +746,7 @@ impl FaultTarget for ParallelSimulator {
         self.owner_mut(id).set_node_slowdown(id, factor);
     }
 
-    fn record_fault(&self, kind: &str, detail: String) {
+    fn record_fault(&self, kind: &'static str, detail: fmt::Arguments<'_>) {
         self.telemetry.metrics.incr(kind);
         let trace = self.telemetry.tracer.next_trace_id();
         self.telemetry

@@ -14,12 +14,14 @@
 //! [`RpcEvent`]s, which keeps all state in the node where the simulator
 //! can see it.
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
 
 use crate::context::Context;
 use crate::node::{NodeId, Packet, Port, TimerTag};
 use crate::overload::RetryBudget;
 use crate::time::SimDuration;
+use telemetry::{CounterHandle, GaugeHandle};
 
 /// Direction flag + correlation id header, little-endian id.
 const HEADER_LEN: usize = 9;
@@ -210,6 +212,15 @@ pub struct RequestTracker {
     /// a token, so a fleet sharing one budget cannot retry-storm even
     /// with `max_retries: None` against a partitioned target.
     budget: Option<RetryBudget>,
+    /// The retry-timer series, resolved when the first timer fires.
+    series: OnceCell<RetrySeries>,
+}
+
+#[derive(Debug)]
+struct RetrySeries {
+    retry_exhausted: CounterHandle,
+    budget_exhausted: CounterHandle,
+    budget_tokens: GaugeHandle,
 }
 
 impl RequestTracker {
@@ -227,6 +238,7 @@ impl RequestTracker {
             pending: HashMap::new(),
             policy,
             budget: None,
+            series: OnceCell::new(),
         }
     }
 
@@ -330,21 +342,27 @@ impl RequestTracker {
     pub fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) -> Option<RpcEvent> {
         let id = tag.0.checked_sub(self.tag_base)?;
         let pending = self.pending.get_mut(&id)?;
+        let series = self.series.get_or_init(|| {
+            let m = &ctx.telemetry().metrics;
+            RetrySeries {
+                retry_exhausted: m.counter_handle("rpc.retry_exhausted"),
+                budget_exhausted: m.counter_handle("rpc.budget_exhausted"),
+                budget_tokens: m.gauge_handle("rpc.budget_tokens"),
+            }
+        });
         if pending.retries_left == 0 {
             self.pending.remove(&id);
-            ctx.telemetry().metrics.incr("rpc.retry_exhausted");
+            series.retry_exhausted.incr();
             return Some(RpcEvent::RequestTimedOut { id });
         }
         if let Some(budget) = &self.budget {
             let now = ctx.now();
             if !budget.try_claim(now) {
                 self.pending.remove(&id);
-                ctx.telemetry().metrics.incr("rpc.budget_exhausted");
+                series.budget_exhausted.incr();
                 return Some(RpcEvent::RequestTimedOut { id });
             }
-            ctx.telemetry()
-                .metrics
-                .set_gauge("rpc.budget_tokens", budget.tokens(now));
+            series.budget_tokens.set(budget.tokens(now));
         }
         pending.retries_left -= 1;
         pending.attempt += 1;

@@ -1,6 +1,7 @@
 //! The discrete-event [`Simulator`].
 
 use std::collections::{HashMap, HashSet};
+use std::fmt;
 
 use crate::context::{Context, Effect};
 use crate::event::{EventKind, EventQueue};
@@ -8,7 +9,7 @@ use crate::link::LinkModel;
 use crate::node::{Node, NodeId, Packet, Port, TimerTag};
 use crate::rng::DeterministicRng;
 use crate::time::{SimDuration, SimTime};
-use telemetry::Telemetry;
+use telemetry::{CounterHandle, GaugeHandle, HistogramHandle, Registry, Telemetry};
 
 /// Configuration of a [`Simulator`].
 #[derive(Debug, Clone)]
@@ -113,6 +114,46 @@ pub(crate) struct CrossPacket {
     pub(crate) pkt: Packet,
 }
 
+/// The kernel's per-event series, resolved once per simulator. Fault
+/// injection (`chaos.*`) is rare and stays by-name.
+struct KernelSeries {
+    node_starts: CounterHandle,
+    packets_sent: CounterHandle,
+    packets_delivered: CounterHandle,
+    packets_lost: CounterHandle,
+    crash_drops: CounterHandle,
+    partition_drops: CounterHandle,
+    timers_fired: CounterHandle,
+    timers_cancelled: CounterHandle,
+    timers_crashed: CounterHandle,
+    wire_bytes: HistogramHandle,
+    link_delay_ns: HistogramHandle,
+    nic_wait_ns: HistogramHandle,
+    arena_in_use: GaugeHandle,
+    arena_capacity: GaugeHandle,
+}
+
+impl KernelSeries {
+    fn resolve(m: &Registry) -> Self {
+        KernelSeries {
+            node_starts: m.counter_handle("net.node_starts"),
+            packets_sent: m.counter_handle("net.packets_sent"),
+            packets_delivered: m.counter_handle("net.packets_delivered"),
+            packets_lost: m.counter_handle("net.packets_lost"),
+            crash_drops: m.counter_handle("net.crash_drops"),
+            partition_drops: m.counter_handle("net.partition_drops"),
+            timers_fired: m.counter_handle("net.timers_fired"),
+            timers_cancelled: m.counter_handle("net.timers_cancelled"),
+            timers_crashed: m.counter_handle("net.timers_crashed"),
+            wire_bytes: m.histogram_handle("net.wire_bytes"),
+            link_delay_ns: m.histogram_handle("net.link_delay_ns"),
+            nic_wait_ns: m.histogram_handle("net.nic_wait_ns"),
+            arena_in_use: m.gauge_handle("sim.event_arena_in_use"),
+            arena_capacity: m.gauge_handle("sim.event_arena_capacity"),
+        }
+    }
+}
+
 /// A deterministic discrete-event network simulator.
 ///
 /// See the [crate-level documentation](crate) for a full example.
@@ -132,6 +173,10 @@ pub struct Simulator {
     next_timer_id: u64,
     metrics: NetMetrics,
     telemetry: Telemetry,
+    kernel: KernelSeries,
+    /// The effect buffer handed to each callback's [`Context`], kept
+    /// here between callbacks so its storage is reused.
+    effects: Vec<Effect>,
     /// Shard tag minted into every id this simulator hands out. 0 for
     /// stand-alone simulators, the shard index under a
     /// [`ParallelSimulator`](crate::parallel::ParallelSimulator).
@@ -159,6 +204,7 @@ impl Simulator {
     pub fn new(config: SimConfig) -> Self {
         let root_rng = DeterministicRng::seed_from(config.seed);
         let link_rng = root_rng.derive(u64::MAX);
+        let telemetry = Telemetry::new();
         Simulator {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
@@ -172,7 +218,9 @@ impl Simulator {
             cancelled_timers: HashSet::new(),
             next_timer_id: 0,
             metrics: NetMetrics::default(),
-            telemetry: Telemetry::new(),
+            kernel: KernelSeries::resolve(&telemetry.metrics),
+            telemetry,
+            effects: Vec::new(),
             shard: 0,
             cross_default_link: LinkModel::backbone(),
             cross_egress: Vec::new(),
@@ -485,7 +533,7 @@ impl Simulator {
             id.0,
             "chaos.crash",
             trace,
-            format!("node={}", self.slots[i].name),
+            format_args!("node={}", self.slots[i].name),
         );
     }
 
@@ -513,7 +561,7 @@ impl Simulator {
             u32::MAX,
             "chaos.partition",
             trace,
-            format!("groups=[{}]", sizes.join(",")),
+            format_args!("groups=[{}]", sizes.join(",")),
         );
     }
 
@@ -525,9 +573,13 @@ impl Simulator {
         self.partitions.clear();
         self.telemetry.metrics.incr("chaos.heal");
         let trace = self.telemetry.tracer.next_trace_id();
-        self.telemetry
-            .tracer
-            .record(self.now.as_nanos(), u32::MAX, "chaos.heal", trace, "");
+        self.telemetry.tracer.record(
+            self.now.as_nanos(),
+            u32::MAX,
+            "chaos.heal",
+            trace,
+            format_args!(""),
+        );
     }
 
     /// Whether an active partition separates `src` from `dst`.
@@ -542,7 +594,7 @@ impl Simulator {
     /// Records a custom fault-injection event into the telemetry trace
     /// stream (chaos controllers use this for faults the simulator does
     /// not apply itself, e.g. link flaps).
-    pub fn record_fault(&self, kind: &str, detail: impl Into<String>) {
+    pub fn record_fault(&self, kind: &'static str, detail: fmt::Arguments<'_>) {
         self.telemetry.metrics.incr(kind);
         let trace = self.telemetry.tracer.next_trace_id();
         self.telemetry
@@ -587,21 +639,19 @@ impl Simulator {
         let event = self.queue.pop()?;
         self.now = event.time;
         self.metrics.events_processed += 1;
-        // Refresh the arena-occupancy gauge periodically (every 4096
-        // events) so scrapes see queue pressure without a per-event
-        // mutex hit on the registry.
+        // The arena gauges are sampled every 4096 events; scrapes see
+        // queue pressure as of the last sample.
         if self.metrics.events_processed & 0xFFF == 0 {
-            self.telemetry
-                .metrics
-                .set_gauge("sim.event_arena_in_use", self.queue.arena_in_use() as f64);
-            self.telemetry.metrics.set_gauge(
-                "sim.event_arena_capacity",
-                self.queue.arena_capacity() as f64,
-            );
+            self.kernel
+                .arena_in_use
+                .set(self.queue.arena_in_use() as f64);
+            self.kernel
+                .arena_capacity
+                .set(self.queue.arena_capacity() as f64);
         }
         match event.kind {
             EventKind::Start(id) => {
-                self.telemetry.metrics.incr("net.node_starts");
+                self.kernel.node_starts.incr();
                 if self.is_up(id) {
                     self.dispatch(id, |node, ctx| node.on_start(ctx));
                 }
@@ -625,7 +675,7 @@ impl Simulator {
                         id.0,
                         "chaos.restart",
                         trace,
-                        format!("node={}", self.slots[i].name),
+                        format_args!("node={}", self.slots[i].name),
                     );
                     self.dispatch(id, |node, ctx| node.on_restart(ctx));
                 }
@@ -638,14 +688,14 @@ impl Simulator {
                         // The destination crashed (or rebooted) while the
                         // packet was in flight: it evaporates.
                         self.metrics.packets_dropped_crashed += 1;
-                        self.telemetry.metrics.incr("net.crash_drops");
+                        self.kernel.crash_drops.incr();
                         if pkt.trace != 0 {
                             self.telemetry.tracer.record(
                                 self.now.as_nanos(),
                                 dst.0,
                                 "net.crash_drop",
                                 pkt.trace,
-                                format!("from={} port={}", pkt.src, pkt.port),
+                                format_args!("from={} port={}", pkt.src, pkt.port),
                             );
                         }
                         return Some(self.now);
@@ -655,14 +705,14 @@ impl Simulator {
                     self.slots[di].metrics.bytes_received += wire;
                     self.metrics.packets_delivered += 1;
                     self.metrics.bytes_delivered += wire;
-                    self.telemetry.metrics.incr("net.packets_delivered");
+                    self.kernel.packets_delivered.incr();
                     if pkt.trace != 0 {
                         self.telemetry.tracer.record(
                             self.now.as_nanos(),
                             dst.0,
                             "net.deliver",
                             pkt.trace,
-                            format!("from={} port={} bytes={}", pkt.src, pkt.port, wire),
+                            format_args!("from={} port={} bytes={}", pkt.src, pkt.port, wire),
                         );
                     }
                     self.dispatch(dst, |node, ctx| node.on_packet(ctx, pkt));
@@ -679,12 +729,12 @@ impl Simulator {
                     .and_then(|i| self.slots.get(i))
                     .is_none_or(|s| !s.up || s.epoch != epoch);
                 if self.cancelled_timers.remove(&timer_id) {
-                    self.telemetry.metrics.incr("net.timers_cancelled");
+                    self.kernel.timers_cancelled.incr();
                 } else if stale {
                     // Armed before a crash: the crash cancelled it.
-                    self.telemetry.metrics.incr("net.timers_crashed");
+                    self.kernel.timers_crashed.incr();
                 } else {
-                    self.telemetry.metrics.incr("net.timers_fired");
+                    self.kernel.timers_fired.incr();
                     self.dispatch(node, |n, ctx| n.on_timer(ctx, tag));
                 }
             }
@@ -754,7 +804,7 @@ impl Simulator {
         let Some(mut node) = self.slots.get_mut(i).and_then(|s| s.node.take()) else {
             return;
         };
-        let mut effects = Vec::new();
+        let mut effects = std::mem::take(&mut self.effects);
         {
             let slot = &mut self.slots[i];
             let mut ctx = Context {
@@ -768,12 +818,13 @@ impl Simulator {
             f(node.as_mut(), &mut ctx);
         }
         self.slots[i].node = Some(node);
-        self.apply_effects(id, effects);
+        self.apply_effects(id, &mut effects);
+        self.effects = effects;
     }
 
-    fn apply_effects(&mut self, src: NodeId, effects: Vec<Effect>) {
+    fn apply_effects(&mut self, src: NodeId, effects: &mut Vec<Effect>) {
         let si = self.local(src).expect("effects come from a local node");
-        for effect in effects {
+        for effect in effects.drain(..) {
             match effect {
                 Effect::Send {
                     dst,
@@ -795,29 +846,27 @@ impl Simulator {
                     m.packets_sent += 1;
                     m.bytes_sent += wire;
                     self.metrics.packets_sent += 1;
-                    self.telemetry.metrics.incr("net.packets_sent");
-                    self.telemetry
-                        .metrics
-                        .observe("net.wire_bytes", wire as f64);
+                    self.kernel.packets_sent.incr();
+                    self.kernel.wire_bytes.observe(wire as f64);
                     if trace != 0 {
                         self.telemetry.tracer.record(
                             self.now.as_nanos(),
                             src.0,
                             "net.send",
                             trace,
-                            format!("to={} port={} bytes={}", dst, port, wire),
+                            format_args!("to={} port={} bytes={}", dst, port, wire),
                         );
                     }
                     if self.partitioned(src, dst) {
                         self.metrics.packets_dropped_partitioned += 1;
-                        self.telemetry.metrics.incr("net.partition_drops");
+                        self.kernel.partition_drops.incr();
                         if trace != 0 {
                             self.telemetry.tracer.record(
                                 self.now.as_nanos(),
                                 src.0,
                                 "net.partition_drop",
                                 trace,
-                                format!("to={} port={}", dst, port),
+                                format_args!("to={} port={}", dst, port),
                             );
                         }
                         continue;
@@ -847,9 +896,7 @@ impl Simulator {
                                     (delay.as_nanos() as f64 * factor).round() as u64,
                                 );
                             }
-                            self.telemetry
-                                .metrics
-                                .observe_ns("net.link_delay_ns", delay.as_nanos());
+                            self.kernel.link_delay_ns.observe_ns(delay.as_nanos());
                             // NIC serialization (opt-in, loopback exempt):
                             // the packet departs once the sender's NIC is
                             // free and is delivered once the receiver's
@@ -874,9 +921,7 @@ impl Simulator {
                             }
                             let nic_wait = arrival - (self.now + delay);
                             if !nic_wait.is_zero() {
-                                self.telemetry
-                                    .metrics
-                                    .observe_ns("net.nic_wait_ns", nic_wait.as_nanos());
+                                self.kernel.nic_wait_ns.observe_ns(nic_wait.as_nanos());
                             }
                             if dst_local.is_none() {
                                 // Another shard owns the destination:
@@ -895,14 +940,14 @@ impl Simulator {
                         None => {
                             self.slots[si].metrics.packets_lost += 1;
                             self.metrics.packets_lost += 1;
-                            self.telemetry.metrics.incr("net.packets_lost");
+                            self.kernel.packets_lost.incr();
                             if pkt.trace != 0 {
                                 self.telemetry.tracer.record(
                                     self.now.as_nanos(),
                                     src.0,
                                     "net.drop",
                                     pkt.trace,
-                                    format!("to={} port={}", pkt.dst, pkt.port),
+                                    format_args!("to={} port={}", pkt.dst, pkt.port),
                                 );
                             }
                         }
@@ -1273,7 +1318,7 @@ mod tests {
         sim.restart(n, SimDuration::from_secs(1));
         sim.partition(vec![vec![n]]);
         sim.heal();
-        sim.record_fault("chaos.link_flap", "a=n0 b=n1");
+        sim.record_fault("chaos.link_flap", format_args!("a=n0 b=n1"));
         sim.run_until(SimTime::from_secs(2));
         let kinds: Vec<String> = sim
             .telemetry()

@@ -35,7 +35,7 @@ mod wal;
 
 use std::collections::BTreeMap;
 
-use telemetry::Registry;
+use telemetry::{CounterHandle, GaugeHandle, HistogramHandle, Registry};
 
 use self::gorilla::{encode_block, BlockIter};
 use self::scan::MergeScan;
@@ -232,7 +232,31 @@ pub struct TimeSeriesStore {
     compactions: u64,
     wal_replayed: u64,
     /// Optional metrics sink (see [`TimeSeriesStore::attach_metrics`]).
-    metrics: Option<Registry>,
+    metrics: Option<TskvSeries>,
+}
+
+/// The store's series, resolved once by
+/// [`TimeSeriesStore::attach_metrics`].
+#[derive(Debug, Clone)]
+struct TskvSeries {
+    append: CounterHandle,
+    scan: CounterHandle,
+    scan_points: HistogramHandle,
+    seals: CounterHandle,
+    compactions: CounterHandle,
+    wal_truncated: CounterHandle,
+    wal_replayed: CounterHandle,
+    segments: GaugeHandle,
+    bytes_raw: GaugeHandle,
+    bytes_compressed: GaugeHandle,
+    wal_records: GaugeHandle,
+}
+
+impl TskvSeries {
+    fn scanned(&self, points: f64) {
+        self.scan.incr();
+        self.scan_points.observe(points);
+    }
 }
 
 impl PartialEq for TimeSeriesStore {
@@ -278,8 +302,20 @@ impl TimeSeriesStore {
     /// `tskv.compactions`, `tskv.wal_truncated`, `tskv.wal_replayed`)
     /// and gauges physical state (`tskv.segments`, `tskv.bytes_raw`,
     /// `tskv.bytes_compressed`, `tskv.wal_records`).
-    pub fn attach_metrics(&mut self, metrics: Registry) {
-        self.metrics = Some(metrics);
+    pub fn attach_metrics(&mut self, metrics: &Registry) {
+        self.metrics = Some(TskvSeries {
+            append: metrics.counter_handle("tskv.append"),
+            scan: metrics.counter_handle("tskv.scan"),
+            scan_points: metrics.histogram_handle("tskv.scan_points"),
+            seals: metrics.counter_handle("tskv.seals"),
+            compactions: metrics.counter_handle("tskv.compactions"),
+            wal_truncated: metrics.counter_handle("tskv.wal_truncated"),
+            wal_replayed: metrics.counter_handle("tskv.wal_replayed"),
+            segments: metrics.gauge_handle("tskv.segments"),
+            bytes_raw: metrics.gauge_handle("tskv.bytes_raw"),
+            bytes_compressed: metrics.gauge_handle("tskv.bytes_compressed"),
+            wal_records: metrics.gauge_handle("tskv.wal_records"),
+        });
     }
 
     /// Inserts a point; a point at the same timestamp is overwritten
@@ -302,7 +338,7 @@ impl TimeSeriesStore {
             self.note_seals(sealed);
         }
         if let Some(metrics) = &self.metrics {
-            metrics.incr("tskv.append");
+            metrics.append.incr();
         }
         if self.wal.len() >= self.config.wal_checkpoint_records {
             self.checkpoint();
@@ -372,8 +408,7 @@ impl TimeSeriesStore {
             }
         }
         if let Some(metrics) = &self.metrics {
-            metrics.incr("tskv.scan");
-            metrics.observe("tskv.scan_points", out.len() as f64);
+            metrics.scanned(out.len() as f64);
         }
         out
     }
@@ -392,8 +427,7 @@ impl TimeSeriesStore {
             }
         }
         if let Some(metrics) = &self.metrics {
-            metrics.incr("tskv.scan");
-            metrics.observe("tskv.scan_points", n as f64);
+            metrics.scanned(n as f64);
         }
     }
 
@@ -486,8 +520,7 @@ impl TimeSeriesStore {
             }
         }
         if let Some(metrics) = &self.metrics {
-            metrics.incr("tskv.scan");
-            metrics.observe("tskv.scan_points", scanned as f64);
+            metrics.scanned(scanned as f64);
         }
         out
     }
@@ -566,7 +599,7 @@ impl TimeSeriesStore {
         if report.compacted > 0 {
             self.compactions += report.compacted as u64;
             if let Some(metrics) = &self.metrics {
-                metrics.add("tskv.compactions", report.compacted as u64);
+                metrics.compactions.add(report.compacted as u64);
             }
         }
         if self.wal.len() >= self.config.wal_checkpoint_records {
@@ -584,7 +617,7 @@ impl TimeSeriesStore {
         self.write_snapshot();
         self.wal.truncate_through(self.snapshot.upto_seq);
         if let Some(metrics) = &self.metrics {
-            metrics.incr("tskv.wal_truncated");
+            metrics.wal_truncated.incr();
         }
         self.update_gauges();
     }
@@ -646,7 +679,7 @@ impl TimeSeriesStore {
             .retain(|_, s| !(s.head.is_empty() && s.segments.is_empty()));
         self.wal_replayed += replayed;
         if let Some(metrics) = &self.metrics {
-            metrics.add("tskv.wal_replayed", replayed);
+            metrics.wal_replayed.add(replayed);
         }
         self.update_gauges();
         replayed
@@ -677,7 +710,7 @@ impl TimeSeriesStore {
         if sealed > 0 {
             self.seals += sealed as u64;
             if let Some(metrics) = &self.metrics {
-                metrics.add("tskv.seals", sealed as u64);
+                metrics.seals.add(sealed as u64);
             }
         }
     }
@@ -702,10 +735,10 @@ impl TimeSeriesStore {
             return;
         };
         let st = self.stats();
-        metrics.set_gauge("tskv.segments", st.segments as f64);
-        metrics.set_gauge("tskv.bytes_raw", st.bytes_raw as f64);
-        metrics.set_gauge("tskv.bytes_compressed", st.bytes_compressed as f64);
-        metrics.set_gauge("tskv.wal_records", st.wal_records as f64);
+        metrics.segments.set(st.segments as f64);
+        metrics.bytes_raw.set(st.bytes_raw as f64);
+        metrics.bytes_compressed.set(st.bytes_compressed as f64);
+        metrics.wal_records.set(st.wal_records as f64);
     }
 }
 
@@ -1094,7 +1127,7 @@ mod tests {
     fn attached_metrics_count_appends_and_scans() {
         let mut s = TimeSeriesStore::new();
         let registry = Registry::new();
-        s.attach_metrics(registry.clone());
+        s.attach_metrics(&registry);
         s.insert("s", 1, 1.0);
         s.insert("s", 2, 2.0);
         assert_eq!(s.range("s", 0, 10).len(), 2);

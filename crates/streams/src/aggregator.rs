@@ -21,6 +21,7 @@
 //! proxies' store-and-forward buffers; the raw store deduplicates, so
 //! rollup sample counts are conserved exactly.
 
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
 use dimmer_core::{DistrictId, Measurement, ProxyId, QuantityKind, Value};
@@ -32,7 +33,7 @@ use pubsub::{MeasurementTopic, PubSubClient, PubSubEvent, QoS, PUBSUB_PORT};
 use simnet::overload::{Admission, AdmissionGate};
 use simnet::{Context, Node, NodeId, Packet, SimDuration, TimerTag};
 use storage::tskv::TimeSeriesStore;
-use telemetry::{SpanId, NO_SPAN, NO_TRACE};
+use telemetry::{CounterHandle, GaugeHandle, HistogramHandle, Registry, SpanId, NO_SPAN, NO_TRACE};
 
 use crate::rollup::Rollup;
 use crate::window::{Accumulator, WindowSpec, WindowedAggregator, DEFAULT_MAX_OPEN};
@@ -160,6 +161,41 @@ pub struct AggregatorStats {
     pub ws_shed: u64,
 }
 
+/// The series written per sample, window, request or scrape, resolved
+/// on the first callback that writes one. Recovery, restart and
+/// re-register events are rare and stay by-name.
+struct AggregatorSeries {
+    samples_in: CounterHandle,
+    duplicates: CounterHandle,
+    decode_errors: CounterHandle,
+    late_dropped: CounterHandle,
+    shed: CounterHandle,
+    windows_closed: CounterHandle,
+    rollups_published: CounterHandle,
+    ws_requests: CounterHandle,
+    open_windows: GaugeHandle,
+    pending_publishes: GaugeHandle,
+    window_samples: HistogramHandle,
+}
+
+impl AggregatorSeries {
+    fn resolve(m: &Registry) -> Self {
+        AggregatorSeries {
+            samples_in: m.counter_handle("streams.samples_in"),
+            duplicates: m.counter_handle("streams.duplicates"),
+            decode_errors: m.counter_handle("streams.decode_errors"),
+            late_dropped: m.counter_handle("streams.late_dropped"),
+            shed: m.counter_handle("streams.shed"),
+            windows_closed: m.counter_handle("streams.windows_closed"),
+            rollups_published: m.counter_handle("streams.rollups_published"),
+            ws_requests: m.counter_handle("streams.ws_requests"),
+            open_windows: m.gauge_handle("streams.open_windows"),
+            pending_publishes: m.gauge_handle("streams.pending_publishes"),
+            window_samples: m.histogram_handle("streams.window_samples"),
+        }
+    }
+}
+
 /// The per-district streaming aggregator node.
 pub struct AggregatorNode {
     config: AggregatorConfig,
@@ -174,6 +210,7 @@ pub struct AggregatorNode {
     /// Admission gate over `/rollups` (the ops plane is never shed).
     gate: AdmissionGate,
     stats: AggregatorStats,
+    series: OnceCell<AggregatorSeries>,
 }
 
 impl std::fmt::Debug for AggregatorNode {
@@ -205,7 +242,13 @@ impl AggregatorNode {
             registered: false,
             heartbeat_req: None,
             stats: AggregatorStats::default(),
+            series: OnceCell::new(),
         }
+    }
+
+    fn series(&self, ctx: &Context<'_>) -> &AggregatorSeries {
+        self.series
+            .get_or_init(|| AggregatorSeries::resolve(&ctx.telemetry().metrics))
     }
 
     /// Whether the master has acknowledged registration.
@@ -308,7 +351,7 @@ impl AggregatorNode {
             .and_then(|v| Measurement::from_value(&v).ok());
         let Some(measurement) = decoded else {
             self.stats.decode_errors += 1;
-            ctx.telemetry().metrics.incr("streams.decode_errors");
+            self.series(ctx).decode_errors.incr();
             return;
         };
         let t = measurement.timestamp().as_unix_millis();
@@ -318,24 +361,24 @@ impl AggregatorNode {
         // duplicates; the raw store is the dedup authority.
         if !self.store.range(&series, t, t.saturating_add(1)).is_empty() {
             self.stats.duplicates += 1;
-            ctx.telemetry().metrics.incr("streams.duplicates");
+            self.series(ctx).duplicates.incr();
             return;
         }
         self.store.insert(&series, t, value);
         self.stats.samples_in += 1;
-        ctx.telemetry().metrics.incr("streams.samples_in");
+        self.series(ctx).samples_in.incr();
         let ingest_span = ctx.span_hop(
             "streams.ingest",
             trace,
             recv_span,
-            format!("entity={} device={}", topic.entity, topic.device),
+            format_args!("entity={} device={}", topic.entity, topic.device),
         );
         match self
             .op
             .observe_spanned((topic.entity, topic.quantity), t, value, trace, ingest_span)
         {
-            crate::window::Observed::Late => ctx.telemetry().metrics.incr("streams.late_dropped"),
-            crate::window::Observed::Shed => ctx.telemetry().metrics.incr("streams.shed"),
+            crate::window::Observed::Late => self.series(ctx).late_dropped.incr(),
+            crate::window::Observed::Shed => self.series(ctx).shed.incr(),
             crate::window::Observed::Accepted => {}
         }
         self.drain(ctx);
@@ -347,9 +390,7 @@ impl AggregatorNode {
         let closed = self.op.close_ready();
         if !closed.is_empty() {
             self.stats.windows_closed += closed.len() as u64;
-            ctx.telemetry()
-                .metrics
-                .add("streams.windows_closed", closed.len() as u64);
+            self.series(ctx).windows_closed.add(closed.len() as u64);
             // Merging the building accumulators that closed for the same
             // (window, quantity) gives the exact district aggregate: the
             // watermark is shared, so all panes of a window close in the
@@ -372,9 +413,9 @@ impl AggregatorNode {
         if wm > i64::MIN {
             self.store.insert(WATERMARK_SERIES, 0, wm as f64);
         }
-        ctx.telemetry()
-            .metrics
-            .set_gauge("streams.open_windows", self.op.open_windows() as f64);
+        self.series(ctx)
+            .open_windows
+            .set(self.op.open_windows() as f64);
     }
 
     fn emit_rollup(
@@ -419,7 +460,7 @@ impl AggregatorNode {
                 "streams.window_close",
                 trace,
                 parent,
-                format!("{topic} start={start} count={}", acc.count),
+                format_args!("{topic} start={start} count={}", acc.count),
             );
             if close.0 == NO_TRACE {
                 close = (trace, span);
@@ -429,15 +470,13 @@ impl AggregatorNode {
         self.pubsub
             .publish_spanned(ctx, topic, payload, true, QoS::AtMostOnce, close.0, close.1);
         self.stats.rollups_published += 1;
-        ctx.telemetry().metrics.incr("streams.rollups_published");
-        ctx.telemetry()
-            .metrics
-            .observe("streams.window_samples", acc.count as f64);
+        self.series(ctx).rollups_published.incr();
+        self.series(ctx).window_samples.observe(acc.count as f64);
     }
 
     fn serve(&mut self, ctx: &mut Context<'_>, call: WsCall) {
         self.stats.ws_requests += 1;
-        ctx.telemetry().metrics.incr("streams.ws_requests");
+        self.series(ctx).ws_requests.incr();
         let request = &call.request;
         let response = match request.path.as_str() {
             "/info" => self.info(ctx),
@@ -474,10 +513,9 @@ impl AggregatorNode {
     /// The ops-plane liveness view: identity plus the queue depths that
     /// show backpressure (open panes, unacked publishes).
     fn health(&self, ctx: &Context<'_>) -> WsResponse {
-        ctx.telemetry().metrics.set_gauge(
-            "streams.pending_publishes",
-            self.pubsub.pending_publishes() as f64,
-        );
+        self.series(ctx)
+            .pending_publishes
+            .set(self.pubsub.pending_publishes() as f64);
         WsResponse::ok(Value::object([
             ("status", Value::from("ok")),
             ("proxy", Value::from(self.config.proxy.as_str())),
@@ -605,7 +643,7 @@ impl AggregatorNode {
 
 impl Node for AggregatorNode {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        self.store.attach_metrics(ctx.telemetry().metrics.clone());
+        self.store.attach_metrics(&ctx.telemetry().metrics);
         self.register(ctx);
         ctx.set_timer(HEARTBEAT_INTERVAL, TAG_HEARTBEAT);
         let filter = MeasurementTopic::district_filter(self.config.district.as_str())

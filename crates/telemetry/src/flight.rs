@@ -418,8 +418,8 @@ mod tests {
         let t = Tracer::new();
         let id = t.next_trace_id();
         t.register_node(1, "dev");
-        t.record(10, 1, "device.sample", id, "");
-        t.record(20, 2, "proxy.ingest", id, "");
+        t.record(10, 1, "device.sample", id, format_args!(""));
+        t.record(20, 2, "proxy.ingest", id, format_args!(""));
         let paths = reconstruct(&t.events());
         assert_eq!(paths.len(), 1);
         assert_eq!(paths[0].hops[0].node_name, "dev");

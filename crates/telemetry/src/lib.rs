@@ -4,13 +4,17 @@
 //!
 //! * [`metrics`] — a [`Registry`] of named counters, gauges and
 //!   log-bucketed [`Histogram`]s. Histograms hold a fixed number of
-//!   geometric buckets (plus exact count/sum/min/max), so hot paths can
+//!   geometric buckets (plus exact sum/min/max), so hot paths can
 //!   record millions of observations in constant memory and still answer
-//!   p50/p90/p99/p999 queries with bounded relative error.
+//!   p50/p90/p99/p999 queries with bounded relative error. Per-message
+//!   code writes through handles resolved once ([`CounterHandle`],
+//!   [`GaugeHandle`], [`HistogramHandle`]): no lock, no allocation. The
+//!   by-name calls are for cold paths and tests.
 //! * [`trace`] — a sim-time tracing layer. Events are stamped with a
 //!   nanosecond timestamp and node identity and recorded into a bounded
-//!   ring buffer ([`Tracer`]); when full, the oldest events are dropped
-//!   (and counted). The buffer exports as JSON lines.
+//!   ring buffer ([`Tracer`]) of fixed-size records; when full, the
+//!   oldest events are dropped (and counted). The buffer exports as
+//!   JSON lines.
 //! * [`flight`] — the flight recorder: given the trace events, it
 //!   reconstructs the path of each traced measurement (device →
 //!   device-proxy → broker → subscriber/master) with a per-hop latency
@@ -27,9 +31,9 @@
 //! passed in as raw `u64` nanoseconds; `simnet::SimTime::as_nanos()`
 //! provides exactly that.
 //!
-//! All handles are cheap to clone (`Arc<Mutex<..>>` internally): the
-//! simulator owns one [`Telemetry`] and shares it with every node via
-//! the callback context.
+//! All handles are cheap to clone (`Arc`s internally): the simulator
+//! owns one [`Telemetry`] and shares it with every node via the
+//! callback context.
 
 pub mod expo;
 pub mod flight;
@@ -39,7 +43,10 @@ pub mod trace;
 
 pub use expo::exposition;
 pub use flight::{FlightPath, Hop, SpanNode, SpanTree};
-pub use metrics::{Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
+pub use metrics::{
+    CounterHandle, GaugeHandle, Histogram, HistogramHandle, HistogramSnapshot, MetricsSnapshot,
+    Registry,
+};
 pub use slo::{SloReport, SloSpec, SloTracker};
 pub use trace::{SpanId, TraceEvent, TraceId, Tracer, NO_SPAN, NO_TRACE};
 
@@ -116,7 +123,7 @@ mod tests {
         assert_eq!(t.metrics.counter("a"), 2);
 
         let id = t.tracer.next_trace_id();
-        t2.tracer.record(5, 0, "x", id, "");
+        t2.tracer.record(5, 0, "x", id, format_args!(""));
         assert_eq!(t.tracer.events().len(), 1);
     }
 
@@ -124,8 +131,10 @@ mod tests {
     fn ops_gauges_and_slo_refresh_flow_into_scrape() {
         let t = Telemetry::new();
         let id = t.tracer.next_trace_id();
-        t.tracer.record(1_000, 1, "broker.publish", id, "");
-        t.tracer.record(2_000, 2, "sub.receive", id, "");
+        t.tracer
+            .record(1_000, 1, "broker.publish", id, format_args!(""));
+        t.tracer
+            .record(2_000, 2, "sub.receive", id, format_args!(""));
         t.slos
             .add_harvest("lat.e2e_ns", "broker.publish", "sub.receive");
         t.slos.add_spec(SloSpec {

@@ -277,9 +277,9 @@ mod tests {
     fn harvest_measures_from_to_and_dedups() {
         let tracer = Tracer::new();
         let id = tracer.next_trace_id();
-        tracer.record(1_000, 1, "broker.publish", id, "");
-        tracer.record(4_000, 2, "sub.receive", id, "");
-        tracer.record(9_000, 3, "sub.receive", id, ""); // second subscriber
+        tracer.record(1_000, 1, "broker.publish", id, format_args!(""));
+        tracer.record(4_000, 2, "sub.receive", id, format_args!(""));
+        tracer.record(9_000, 3, "sub.receive", id, format_args!("")); // second subscriber
         let r = Registry::new();
         let t = SloTracker::new();
         t.add_harvest("e2e", "broker.publish", "sub.receive");
@@ -297,7 +297,7 @@ mod tests {
     fn harvest_ignores_incomplete_flights() {
         let tracer = Tracer::new();
         let id = tracer.next_trace_id();
-        tracer.record(1_000, 1, "broker.publish", id, "");
+        tracer.record(1_000, 1, "broker.publish", id, format_args!(""));
         let r = Registry::new();
         let t = SloTracker::new();
         t.add_harvest("e2e", "broker.publish", "sub.receive");

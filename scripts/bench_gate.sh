@@ -6,7 +6,7 @@
 # five samples per bench), takes the per-bench minimum over
 # GATE_PASSES=3 passes (the minimum is robust to scheduler noise on a
 # loaded box, and a real regression raises the minimum too), and
-# compares it against the committed baseline in results/BENCH_pr9.json.
+# compares it against the committed baseline named by BASELINE below.
 # A bench fails the gate when its minimum exceeds baseline * 1.25 +
 # 100 ns — the flat 100 ns term keeps sub-microsecond benches from
 # tripping on jitter.

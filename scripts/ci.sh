@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Offline CI gate: formatting, lints, docs, examples and the full test
-# suite.
+# Offline CI gate: formatting, lints, docs, examples, the full test
+# suite, the experiment smokes and the benchmark's own gate.
 # Usage: scripts/ci.sh
 #
 # Knobs:
@@ -24,8 +24,12 @@ echo "== metric-name lint (docs/metrics.txt)"
 # Static metric names used in crates/*/src (test mods stripped — the
 # convention puts `#[cfg(test)]` last in a file) must match the
 # checked-in inventory exactly, both ways: no ad-hoc names in code, no
-# stale names in the inventory. Dynamic label/SLO families are
-# documented as comments in the inventory and invisible to this grep.
+# stale names in the inventory. A name is used where it is resolved to
+# a handle (`.counter_handle("..")`, `.gauge_handle`,
+# `.histogram_handle`) or written by name (`.incr("..")`, `.add`,
+# `.set_gauge`, `.observe`, `.observe_ns`). Dynamic label/SLO families
+# are documented as comments in the inventory and invisible to this
+# grep.
 used="$(mktemp)"
 listed="$(mktemp)"
 e13a="$(mktemp)"
@@ -34,7 +38,7 @@ trap 'rm -f "$used" "$listed" "$e13a" "$e13b"' EXIT
 for f in $(find crates -path '*/src/*.rs' | sort); do
     awk '/#\[cfg\(test\)\]/{exit} {print}' "$f"
 done | tr '\n' ' ' \
-    | grep -oE '\.(incr|add|set_gauge|observe|observe_ns)\(([^"();]{0,40},)?[[:space:]]*"[^"]+"' \
+    | grep -oE '\.(counter_handle|gauge_handle|histogram_handle|incr|add|set_gauge|observe|observe_ns)\(([^"();]{0,40},)?[[:space:]]*"[^"]+"' \
     | sed -E 's/.*"([^"]+)"$/\1/' | sort -u > "$used"
 grep -v '^#' docs/metrics.txt | grep -v '^$' | sort -u > "$listed"
 if ! diff -u "$listed" "$used"; then
@@ -94,6 +98,9 @@ DIMMER_E14_SMOKE=1 cargo run -q -p dimmer-bench --bin e14_overload
 
 echo "== e15 storage smoke (compression + recovery + crash sweep)"
 DIMMER_E15_SMOKE=1 cargo run -q -p dimmer-bench --bin e15_storage
+
+echo "== benchmark/check.sh (the frozen benchmark still builds against the facade and its checks pass)"
+benchmark/check.sh
 
 if [[ "${DIMMER_BENCH:-0}" == "1" ]]; then
     echo "== perf-regression gate (baseline: $baseline)"

@@ -334,7 +334,7 @@ impl Node for BurstPub {
             return;
         }
         let trace = ctx.telemetry().tracer.next_trace_id();
-        ctx.trace_hop("pub.send", trace, format!("seq={}", self.sent));
+        ctx.trace_hop("pub.send", trace, format_args!("seq={}", self.sent));
         self.client.publish_traced(
             ctx,
             dimmer::pubsub::Topic::new(format!("district/d0/burst/{}", self.sent)).unwrap(),

@@ -1,5 +1,14 @@
 //! End-to-end telemetry: flight-recorder traces across the full stack,
-//! and bounded-histogram accuracy against the exact [`Summary`].
+//! bounded-histogram accuracy against the exact [`Summary`], and the
+//! cost contract of the write path — by-handle metric writes, trace
+//! records and untraced hops allocate nothing.
+//!
+//! This file is its own test binary, so it can install a counting
+//! `#[global_allocator]` without touching any other suite.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::fmt;
 
 use district::deploy::Deployment;
 use district::scenario::ScenarioConfig;
@@ -8,7 +17,63 @@ use simnet::rng::DeterministicRng;
 use simnet::stats::Summary;
 use simnet::telemetry::flight::reconstruct;
 use simnet::telemetry::metrics::Histogram;
+use simnet::telemetry::trace::INLINE_DETAIL_BYTES;
+use simnet::telemetry::{
+    exposition, CounterHandle, GaugeHandle, HistogramHandle, Registry, Tracer, NO_SPAN, NO_TRACE,
+};
 use simnet::{Context, Node, Packet, SimConfig, SimDuration, Simulator, TimerTag};
+
+thread_local! {
+    /// Allocations (and reallocations) made by the current thread. Per
+    /// thread because the harness runs the tests of this binary in
+    /// parallel; const-initialised and destructor-free, so touching it
+    /// from inside the allocator allocates nothing itself.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting calls per thread.
+struct CountingAllocator;
+
+fn count_allocation() {
+    // `try_with`: the allocator also runs while a thread is torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter update touches
+// only a thread-local `Cell` and never allocates or unwinds.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
+        // SAFETY: the caller's `layout` is passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_allocation();
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`,
+        // with `layout`; both are passed through as is.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as for `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Allocations the current thread makes while running `f`.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}
 
 /// A monitor node that subscribes to everything and keeps the trace ids
 /// of messages it receives.
@@ -104,7 +169,7 @@ fn trace_follows_measurement_device_to_subscriber() {
 #[test]
 fn histogram_quantiles_track_exact_summary() {
     let mut rng = DeterministicRng::seed_from(0x7E1E_0001);
-    let mut hist = Histogram::new();
+    let hist = Histogram::new();
     let mut exact = Summary::new("exact");
     for _ in 0..20_000 {
         // Log-uniform over ~5 decades: stresses every octave.
@@ -125,4 +190,266 @@ fn histogram_quantiles_track_exact_summary() {
     assert_eq!(hist.quantile(0.0), exact.percentile(0.0));
     assert_eq!(hist.quantile(1.0), exact.percentile(100.0));
     assert_eq!(hist.count(), exact.count() as u64);
+}
+
+const WRITES: u64 = 10_000;
+
+#[test]
+fn by_handle_and_existing_by_name_metric_writes_allocate_nothing() {
+    let registry = Registry::new();
+    let counter = registry.counter_handle("t.counter");
+    let gauge = registry.gauge_handle("t.gauge");
+    let histogram = registry.histogram_handle("t.histogram");
+    // Warm-up: the first write of each kind, and the by-name series.
+    counter.incr();
+    gauge.set(1.0);
+    histogram.observe(1.0);
+    registry.incr("t.by_name");
+    registry.set_gauge("t.by_name", 1.0);
+    registry.observe("t.by_name", 1.0);
+
+    let by_handle = allocations_in(|| {
+        for i in 0..WRITES {
+            counter.add(i);
+            gauge.set(i as f64);
+            histogram.observe_ns(i * 997);
+        }
+    });
+    assert_eq!(by_handle, 0, "by-handle writes allocated");
+
+    let by_name = allocations_in(|| {
+        for i in 0..WRITES {
+            registry.add("t.by_name", i);
+            registry.set_gauge("t.by_name", i as f64);
+            registry.observe_ns("t.by_name", i * 997);
+        }
+    });
+    assert_eq!(by_name, 0, "by-name writes to existing series allocated");
+
+    let sum: u64 = (0..WRITES).sum();
+    assert_eq!(registry.counter("t.counter"), 1 + sum);
+    assert_eq!(registry.counter("t.by_name"), 1 + sum);
+    assert_eq!(registry.gauge("t.gauge"), (WRITES - 1) as f64);
+    let h = registry.histogram("t.histogram").expect("written");
+    assert_eq!(h.count, 1 + WRITES);
+    assert_eq!(registry.histogram("t.by_name"), Some(h));
+}
+
+#[test]
+fn trace_records_on_a_wrapped_ring_allocate_nothing() {
+    let tracer = Tracer::new();
+    tracer.set_capacity(256);
+    tracer.register_node(7, "broker-0");
+    let topic = "district/d12/building/b40/device/dev2/temperature";
+    let record = |i: u64| {
+        tracer.record_span(
+            i,
+            7,
+            "broker.deliver",
+            1 + i % 5,
+            i + 1,
+            i,
+            format_args!("to=n{i} topic={topic}"),
+        );
+    };
+    (0..1_000).for_each(record); // warm-up: fill the ring and wrap it
+    assert_eq!(tracer.len(), 256);
+    assert!(tracer.dropped() > 0, "ring has not wrapped");
+
+    assert_eq!(
+        allocations_in(|| (1_000..1_000 + WRITES).for_each(record)),
+        0
+    );
+    assert_eq!(tracer.len(), 256);
+    let last = tracer.events().pop().expect("ring is full");
+    assert_eq!(last.detail, format!("to=n{} topic={topic}", 999 + WRITES));
+    assert_eq!(last.node_name, "broker-0");
+}
+
+/// Panics when formatted: proves an untraced hop never runs the
+/// caller's formatter.
+struct MustNotFormat;
+
+impl fmt::Display for MustNotFormat {
+    fn fmt(&self, _: &mut fmt::Formatter<'_>) -> fmt::Result {
+        panic!("an untraced hop formatted its detail");
+    }
+}
+
+/// Measures hops from inside a callback, the only place a [`Context`]
+/// exists.
+#[derive(Default)]
+struct HopProbe {
+    untraced_allocations: Option<u64>,
+    traced_allocations: Option<u64>,
+}
+
+impl Node for HopProbe {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        let trace = ctx.telemetry().tracer.next_trace_id();
+        for _ in 0..100 {
+            ctx.trace_hop("probe.warmup", trace, format_args!("fill the ring"));
+        }
+        self.untraced_allocations = Some(allocations_in(|| {
+            for _ in 0..WRITES {
+                let span = ctx.span_hop(
+                    "probe.untraced",
+                    NO_TRACE,
+                    NO_SPAN,
+                    format_args!("topic={MustNotFormat}"),
+                );
+                assert_eq!(span, NO_SPAN);
+            }
+        }));
+        self.traced_allocations = Some(allocations_in(|| {
+            for i in 0..WRITES {
+                ctx.span_hop("probe.traced", trace, i, format_args!("seq={i}"));
+            }
+        }));
+    }
+    fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: Packet) {}
+}
+
+#[test]
+fn hops_allocate_nothing_and_untraced_hops_format_nothing() {
+    let mut sim = Simulator::new(SimConfig::default());
+    sim.telemetry().tracer.set_capacity(64);
+    let probe = sim.add_node("probe", HopProbe::default());
+    sim.run_for(SimDuration::from_secs(1));
+    let probe = sim.node_ref::<HopProbe>(probe).expect("probe");
+    assert_eq!(probe.untraced_allocations, Some(0));
+    assert_eq!(probe.traced_allocations, Some(0));
+    // The untraced hops left no record behind either.
+    let events = sim.telemetry().tracer.events();
+    assert_eq!(events.len(), 64);
+    assert!(events.iter().all(|e| e.kind == "probe.traced"));
+}
+
+/// One registry write; `name` indexes [`NAMES`].
+#[derive(Clone, Copy)]
+enum Write {
+    Add(usize, u64),
+    Set(usize, f64),
+    Observe(usize, f64),
+}
+
+type Handles = (
+    [CounterHandle; NAMES.len()],
+    [GaugeHandle; NAMES.len()],
+    [HistogramHandle; NAMES.len()],
+);
+
+/// Global names next to their broker-label twins, plus one that sorts
+/// between them, so the name-ordered output interleaves the families.
+const NAMES: [&str; 6] = [
+    "pubsub.publish",
+    "pubsub.publish.b0",
+    "pubsub.publish.b1",
+    "pubsub.fanout",
+    "pubsub.fanout.b0",
+    "net.wire_bytes",
+];
+
+#[test]
+fn by_name_and_by_handle_writes_are_indistinguishable() {
+    for seed in 0..8u64 {
+        let mut rng = DeterministicRng::seed_from(0x5A3E_0000 + seed);
+        let writes: Vec<Write> = (0..2_000)
+            .map(|_| {
+                // The last name is left out on odd seeds: resolved (on
+                // the handle side) but never written.
+                let name = rng.next_bounded(NAMES.len() as u64 - seed % 2) as usize;
+                match rng.next_bounded(3) {
+                    0 => Write::Add(name, rng.next_bounded(4)), // add(0) included
+                    1 => Write::Set(name, rng.next_f64_range(-10.0, 1e6)),
+                    _ => Write::Observe(name, rng.next_f64() * 1e9),
+                }
+            })
+            .collect();
+
+        let by_name = Registry::new();
+        let by_handle = Registry::new();
+        let mixed = Registry::new();
+        let resolve = |r: &Registry| -> Handles {
+            (
+                NAMES.map(|n| r.counter_handle(n)),
+                NAMES.map(|n| r.gauge_handle(n)),
+                NAMES.map(|n| r.histogram_handle(n)),
+            )
+        };
+        let handles = resolve(&by_handle);
+        let mixed_handles = resolve(&mixed);
+        for &w in &writes {
+            let write_by_name = |r: &Registry| match w {
+                Write::Add(n, v) => r.add(NAMES[n], v),
+                Write::Set(n, v) => r.set_gauge(NAMES[n], v),
+                Write::Observe(n, v) => r.observe(NAMES[n], v),
+            };
+            let write_by_handle = |(c, g, h): &Handles| match w {
+                Write::Add(n, v) => c[n].add(v),
+                Write::Set(n, v) => g[n].set(v),
+                Write::Observe(n, v) => h[n].observe(v),
+            };
+            write_by_name(&by_name);
+            write_by_handle(&handles);
+            if rng.chance(0.5) {
+                write_by_name(&mixed);
+            } else {
+                write_by_handle(&mixed_handles);
+            }
+        }
+
+        let expected = by_name.snapshot();
+        for (label, other) in [("by-handle", &by_handle), ("mixed", &mixed)] {
+            let got = other.snapshot();
+            assert_eq!(got.counters, expected.counters, "{label}, seed {seed}");
+            assert_eq!(got.gauges, expected.gauges, "{label}, seed {seed}");
+            assert_eq!(got.histograms, expected.histograms, "{label}, seed {seed}");
+            assert_eq!(
+                exposition(&got),
+                exposition(&expected),
+                "{label}, seed {seed}"
+            );
+        }
+        if seed % 2 == 1 {
+            let text = exposition(&by_handle.snapshot());
+            assert!(
+                !text.contains("net_wire_bytes"),
+                "a resolved but unwritten series was exposed"
+            );
+            assert_eq!(by_handle.histogram("net.wire_bytes"), None);
+            assert_eq!(by_handle.counter("net.wire_bytes"), 0);
+        }
+    }
+}
+
+#[test]
+fn details_past_the_inline_capacity_round_trip() {
+    let tracer = Tracer::new();
+    let n = INLINE_DETAIL_BYTES;
+    // Lengths straddling the capacity; 'é' is two bytes, so some
+    // pieces cannot be split at the boundary.
+    let details: Vec<String> = [0, 1, n - 1, n, n + 1, 2 * n, 1_000]
+        .into_iter()
+        .flat_map(|len| ["x".repeat(len), "é".repeat(len / 2)])
+        .collect();
+    for (i, d) in details.iter().enumerate() {
+        // One piece, and three pieces so the spill happens mid-format.
+        tracer.record(i as u64, 0, "whole", 1, format_args!("{d}"));
+        let (head, tail) = d.split_at(d.len() / 2 - (d.len() / 2) % 2);
+        tracer.record(i as u64, 0, "pieces", 1, format_args!("{head}|{tail}"));
+    }
+    let events = tracer.events();
+    let json = tracer.to_json_lines();
+    let lines: Vec<&str> = json.lines().collect();
+    assert_eq!(events.len(), 2 * details.len());
+    assert_eq!(lines.len(), events.len());
+    for (i, d) in details.iter().enumerate() {
+        let (head, tail) = d.split_at(d.len() / 2 - (d.len() / 2) % 2);
+        assert_eq!(events[2 * i].detail, *d);
+        assert_eq!(events[2 * i + 1].detail, format!("{head}|{tail}"));
+        assert!(lines[2 * i].ends_with(&format!("\"detail\":\"{d}\"}}")));
+        assert!(lines[2 * i + 1].ends_with(&format!("\"detail\":\"{head}|{tail}\"}}")));
+    }
+    assert_eq!(tracer.events_for(1), events);
 }
