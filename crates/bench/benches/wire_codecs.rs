@@ -24,7 +24,7 @@ fn publish(i: usize) -> WirePacket {
         ))
         .expect("valid topic"),
         payload: format!("{{\"value\":{}.25,\"unit\":\"C\",\"seq\":{i}}}", i % 40).into_bytes(),
-        retain: i % 2 == 0,
+        retain: i.is_multiple_of(2),
         qos: QoS::AtLeastOnce,
         trace: i as u64,
         span: i as u64 + 1,

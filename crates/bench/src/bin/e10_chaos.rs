@@ -138,7 +138,7 @@ fn main() {
     let mut samples: Vec<Sample> = Vec::new();
     let mut t = SimTime::ZERO;
     while t < HORIZON {
-        t = t + SLICE;
+        t += SLICE;
         runner.run_until(&mut sim, t);
         let devices = sim
             .node_ref::<MasterNode>(deployment.master)

@@ -130,7 +130,7 @@ fn run_compress(points_per_series: usize, quantize: bool) -> CompressResult {
     assert_eq!(stats.head_points, 0, "seal_all left points in the head");
     CompressResult {
         corpus: if quantize { "quantized" } else { "float" },
-        points: stats.sealed_points as u64,
+        points: stats.sealed_points,
         bytes_raw: stats.bytes_raw,
         bytes_compressed: stats.bytes_compressed,
         ratio: stats.bytes_raw as f64 / stats.bytes_compressed.max(1) as f64,
@@ -278,7 +278,9 @@ fn run_crash_sweep(rounds: usize) -> SweepResult {
 
     let round_gap = SimDuration::from_secs(180);
     let downtime = SimDuration::from_secs(10);
-    let mut acked: Vec<(NodeId, Vec<(String, Vec<(i64, u64)>)>)> = Vec::new();
+    /// Per series name, the acknowledged `(t, value bits)` points.
+    type SeriesContents = Vec<(String, Vec<(i64, u64)>)>;
+    let mut acked: Vec<(NodeId, SeriesContents)> = Vec::new();
     let mut last_crash_ns = 0u64;
     for round in 0..rounds {
         sim.run_for(round_gap);

@@ -28,7 +28,9 @@ fn batch(n: usize) -> MeasurementBatch {
         .collect()
 }
 
-fn row(table: &mut Table, payload: &str, value: &Value) {
+/// One row per format for a payload whose product is the tree itself
+/// (entity models): the tree codec over a built [`Value`].
+fn tree_rows(table: &mut Table, payload: &str, value: &Value) {
     for format in DataFormat::all() {
         let text = codec::encode_value(value, format);
         let (_, enc_ns) = time_it(ITERATIONS, || codec::encode_value(value, format).len());
@@ -38,6 +40,7 @@ fn row(table: &mut Table, payload: &str, value: &Value) {
         table.row([
             payload.to_owned(),
             format.to_string(),
+            "tree".to_owned(),
             text.len().to_string(),
             fmt_f64(enc_ns / 1e3, 1),
             fmt_f64(dec_ns / 1e3, 1),
@@ -45,30 +48,70 @@ fn row(table: &mut Table, payload: &str, value: &Value) {
     }
 }
 
+/// Two rows per format for a measurement payload, measurements to text
+/// and back: through a [`Value`] tree (`to_value` + tree codec,
+/// tree codec + `from_value`) and through the typed drivers.
+fn measurement_rows(table: &mut Table, payload: &str, batch: &MeasurementBatch) {
+    for format in DataFormat::all() {
+        let text = codec::encode_batch(batch, format);
+        assert_eq!(text, codec::encode_value(&batch.to_value(), format));
+        let (_, tree_enc) = time_it(ITERATIONS, || {
+            codec::encode_value(&batch.to_value(), format).len()
+        });
+        let (_, tree_dec) = time_it(ITERATIONS, || {
+            let tree = codec::decode_value(&text, format).expect("round trip");
+            MeasurementBatch::from_value(&tree).expect("a batch")
+        });
+        let (_, typed_enc) = time_it(ITERATIONS, || codec::encode_batch(batch, format).len());
+        let (_, typed_dec) = time_it(ITERATIONS, || {
+            codec::decode_batch(&text, format).expect("round trip")
+        });
+        for (path, enc_ns, dec_ns) in [
+            ("tree", tree_enc, tree_dec),
+            ("typed", typed_enc, typed_dec),
+        ] {
+            table.row([
+                payload.to_owned(),
+                format.to_string(),
+                path.to_owned(),
+                text.len().to_string(),
+                fmt_f64(enc_ns / 1e3, 1),
+                fmt_f64(dec_ns / 1e3, 1),
+            ]);
+        }
+    }
+}
+
 fn main() {
     let mut table = Table::new(
         "E4: JSON vs XML over real payloads",
-        ["payload", "format", "bytes", "encode_us", "decode_us"],
+        [
+            "payload",
+            "format",
+            "path",
+            "bytes",
+            "encode_us",
+            "decode_us",
+        ],
     );
 
-    let single = batch(1).iter().next().expect("one").to_value();
-    row(&mut table, "measurement", &single);
-    row(&mut table, "batch_10", &batch(10).to_value());
-    row(&mut table, "batch_100", &batch(100).to_value());
-    row(&mut table, "batch_1000", &batch(1000).to_value());
+    measurement_rows(&mut table, "batch_1", &batch(1));
+    measurement_rows(&mut table, "batch_10", &batch(10));
+    measurement_rows(&mut table, "batch_100", &batch(100));
+    measurement_rows(&mut table, "batch_1000", &batch(1000));
 
     let bim = BuildingModel::sample(
         &dimmer_core::BuildingId::new("bench-b").expect("valid"),
         4,
         6,
     );
-    row(&mut table, "bim_model", &bim.to_value());
+    tree_rows(&mut table, "bim_model", &bim.to_value());
 
     println!("{table}");
     println!("# series (csv)\n{}", table.to_csv());
 
     // Size ratio summary (the paper-level takeaway).
-    let json = codec::encode_value(&batch(100).to_value(), DataFormat::Json).len() as f64;
-    let xml = codec::encode_value(&batch(100).to_value(), DataFormat::Xml).len() as f64;
+    let json = codec::encode_batch(&batch(100), DataFormat::Json).len() as f64;
+    let xml = codec::encode_batch(&batch(100), DataFormat::Xml).len() as f64;
     println!("xml/json size ratio on batch_100: {:.2}", xml / json);
 }

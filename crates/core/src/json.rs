@@ -1,17 +1,23 @@
 //! JSON encoding of the common data format.
 //!
-//! A complete, dependency-free JSON writer and recursive-descent parser
-//! for [`Value`]. The paper names JSON as one of the two open standards
-//! proxies translate into; owning the codec keeps the translation cost
+//! A complete, dependency-free JSON codec for the common data format.
+//! The paper names JSON as one of the two open standards proxies
+//! translate into; owning the codec keeps the translation cost
 //! measurable (experiment E4).
 //!
+//! The grammar lives in an event-level [`Writer`] and a pull [`Reader`].
+//! [`to_string`] and [`from_str`] drive them through a [`Value`] tree;
+//! typed drivers reach them through [`crate::codec`].
+//!
 //! Conformance notes: the writer emits UTF-8 with minimal escaping; the
-//! parser accepts RFC 8259 JSON with the usual limits (numbers are `i64`
+//! reader accepts RFC 8259 JSON with the usual limits (numbers are `i64`
 //! when lossless, `f64` otherwise; `\uXXXX` escapes including surrogate
 //! pairs are decoded; duplicate keys keep the last occurrence).
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
+use crate::codec::{self, DataFormat, Event, KindStack, MAX_DEPTH};
 use crate::{CoreError, Value};
 
 /// Serializes a value as compact JSON.
@@ -22,9 +28,7 @@ use crate::{CoreError, Value};
 /// assert_eq!(json::to_string(&v), r#"{"t":21.5}"#);
 /// ```
 pub fn to_string(value: &Value) -> String {
-    let mut out = String::with_capacity(128);
-    write_value(value, &mut out);
-    out
+    codec::encode_value(value, DataFormat::Json)
 }
 
 /// Serializes a value as human-readable JSON with two-space indentation.
@@ -32,39 +36,6 @@ pub fn to_string_pretty(value: &Value) -> String {
     let mut out = String::with_capacity(256);
     write_pretty(value, &mut out, 0);
     out
-}
-
-fn write_value(value: &Value, out: &mut String) {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::Float(f) => write_float(*f, out),
-        Value::Str(s) => write_string(s, out),
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_value(item, out);
-            }
-            out.push(']');
-        }
-        Value::Object(map) => {
-            out.push('{');
-            for (i, (k, v)) in map.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_string(k, out);
-                out.push(':');
-                write_value(v, out);
-            }
-            out.push('}');
-        }
-    }
 }
 
 fn write_pretty(value: &Value, out: &mut String, indent: usize) {
@@ -97,13 +68,108 @@ fn write_pretty(value: &Value, out: &mut String, indent: usize) {
             push_indent(out, indent);
             out.push('}');
         }
-        other => write_value(other, out),
+        other => codec::Writer::new(DataFormat::Json, out).value(other),
     }
 }
 
 fn push_indent(out: &mut String, levels: usize) {
     for _ in 0..levels {
         out.push_str("  ");
+    }
+}
+
+/// Event-level JSON writer appending to a caller-owned buffer.
+#[derive(Debug)]
+pub struct Writer<'o> {
+    out: &'o mut String,
+    /// Whether the next value or key in the open container needs a
+    /// separating comma.
+    comma: bool,
+}
+
+impl<'o> Writer<'o> {
+    /// A writer appending one document to `out`.
+    pub fn new(out: &'o mut String) -> Self {
+        Writer { out, comma: false }
+    }
+
+    fn separate(&mut self) {
+        if self.comma {
+            self.out.push(',');
+        }
+        self.comma = true;
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) {
+        self.separate();
+        self.out.push_str("null");
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, b: bool) {
+        self.separate();
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// Writes an integer.
+    pub fn int(&mut self, i: i64) {
+        self.separate();
+        let _ = write!(self.out, "{i}");
+    }
+
+    /// Writes a float so that it reads back as a float.
+    pub fn float(&mut self, f: f64) {
+        self.separate();
+        write_float(f, self.out);
+    }
+
+    /// Writes a string.
+    pub fn str(&mut self, s: &str) {
+        self.separate();
+        write_string(s, self.out);
+    }
+
+    /// Writes what `value` displays as a string.
+    pub fn display(&mut self, value: &dyn fmt::Display) {
+        self.separate();
+        self.out.push('"');
+        let _ = write!(Escaped(self.out), "{value}");
+        self.out.push('"');
+    }
+
+    /// Opens an array.
+    pub fn begin_array(&mut self) {
+        self.separate();
+        self.out.push('[');
+        self.comma = false;
+    }
+
+    /// Closes the innermost array.
+    pub fn end_array(&mut self) {
+        self.out.push(']');
+        self.comma = true;
+    }
+
+    /// Opens an object.
+    pub fn begin_object(&mut self) {
+        self.separate();
+        self.out.push('{');
+        self.comma = false;
+    }
+
+    /// Names the member whose value is written next.
+    pub fn key(&mut self, name: &str) {
+        self.separate();
+        write_string(name, self.out);
+        self.out.push(':');
+        self.comma = false;
+    }
+
+    /// Closes the innermost object.
+    pub fn end_object(&mut self) {
+        self.out.push('}');
+        self.comma = true;
     }
 }
 
@@ -117,13 +183,13 @@ fn write_float(f: f64, out: &mut String) {
         });
     } else if f == f.trunc() && f.abs() < 1e15 {
         // Keep a trailing ".0" so the value round-trips as a float.
-        out.push_str(&format!("{f:.1}"));
+        let _ = write!(out, "{f:.1}");
     } else {
-        let text = format!("{f}");
-        out.push_str(&text);
+        let start = out.len();
+        let _ = write!(out, "{f}");
         // Very large integral floats format without '.' or 'e'; mark them
         // as floats so they do not reparse as integers.
-        if !text.contains(['.', 'e', 'E']) {
+        if !out[start..].contains(['.', 'e', 'E']) {
             out.push_str(".0");
         }
     }
@@ -131,22 +197,44 @@ fn write_float(f: f64, out: &mut String) {
 
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+    escape_into(s, out);
     out.push('"');
+}
+
+fn escape_into(s: &str, out: &mut String) {
+    let mut rest = s;
+    // Everything that needs an escape is one ASCII byte, so the runs
+    // between them can be copied whole.
+    while let Some(i) = rest
+        .bytes()
+        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+    {
+        out.push_str(&rest[..i]);
+        match rest.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0C => out.push_str("\\f"),
+            control => {
+                let _ = write!(out, "\\u{control:04x}");
+            }
+        }
+        rest = &rest[i + 1..];
+    }
+    out.push_str(rest);
+}
+
+/// Escapes everything formatted into it as string content.
+struct Escaped<'o>(&'o mut String);
+
+impl fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        escape_into(s, self.0);
+        Ok(())
+    }
 }
 
 /// Parses JSON text into a [`Value`].
@@ -156,27 +244,99 @@ fn write_string(s: &str, out: &mut String) {
 /// Returns [`CoreError::ParseJson`] with the byte offset of the first
 /// violation.
 pub fn from_str(text: &str) -> Result<Value, CoreError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.parse_value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after value"));
-    }
-    Ok(v)
+    codec::decode_value(text, DataFormat::Json)
 }
 
-const MAX_DEPTH: usize = 128;
+/// Where a [`Reader`] stands in the grammar.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Expect {
+    /// A value: the document root, or a member's value after its key.
+    Value,
+    /// Just inside `[`: an item or `]`.
+    FirstItem,
+    /// Just inside `{`: a key or `}`.
+    FirstKey,
+    /// After a value inside a container: `,` or the closing bracket.
+    Next,
+    /// After the root value.
+    End,
+}
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// Pull reader over one JSON document.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    text: &'a str,
     pos: usize,
+    open: KindStack,
+    expect: Expect,
 }
 
-impl Parser<'_> {
+impl<'a> Reader<'a> {
+    /// A reader positioned before the document in `text`.
+    pub fn new(text: &'a str) -> Self {
+        Reader {
+            text,
+            pos: 0,
+            open: KindStack::default(),
+            expect: Expect::Value,
+        }
+    }
+
+    /// The next event of the document.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::ParseJson`] with the byte offset of the
+    /// first violation.
+    pub fn next_event(&mut self) -> Result<Event<'a>, CoreError> {
+        self.skip_ws();
+        match self.expect {
+            Expect::Value => self.read_value(),
+            Expect::FirstItem if self.peek() == Some(b']') => self.close(false),
+            Expect::FirstItem => self.read_value(),
+            Expect::FirstKey if self.peek() == Some(b'}') => self.close(true),
+            Expect::FirstKey => self.read_key(),
+            Expect::Next => {
+                let object = self
+                    .open
+                    .top()
+                    .expect("Next is only set inside a container");
+                match self.peek() {
+                    Some(b',') => {
+                        self.pos += 1;
+                        self.skip_ws();
+                        if object {
+                            self.read_key()
+                        } else {
+                            self.read_value()
+                        }
+                    }
+                    Some(b']') if !object => self.close(false),
+                    Some(b'}') if object => self.close(true),
+                    _ => Err(self.err(if object {
+                        "expected ',' or '}'"
+                    } else {
+                        "expected ',' or ']'"
+                    })),
+                }
+            }
+            Expect::End => Err(self.err("trailing characters after value")),
+        }
+    }
+
+    /// Checks that only whitespace follows the root value.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::ParseJson`] on trailing characters.
+    pub fn finish(&mut self) -> Result<(), CoreError> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(self.err("trailing characters after value"));
+        }
+        Ok(())
+    }
+
     fn err(&self, reason: impl Into<String>) -> CoreError {
         CoreError::ParseJson {
             offset: self.pos,
@@ -185,7 +345,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -209,138 +369,143 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_value(&mut self, depth: usize) -> Result<Value, CoreError> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
-        match self.peek() {
-            Some(b'n') => self.parse_keyword("null", Value::Null),
-            Some(b't') => self.parse_keyword("true", Value::Bool(true)),
-            Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b'[') => self.parse_array(depth),
-            Some(b'{') => self.parse_object(depth),
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            Some(c) => Err(self.err(format!("unexpected character {:?}", c as char))),
-            None => Err(self.err("unexpected end of input")),
+    /// What follows a completed value.
+    fn after_value(&self) -> Expect {
+        if self.open.depth() == 0 {
+            Expect::End
+        } else {
+            Expect::Next
         }
     }
 
-    fn parse_keyword(&mut self, word: &str, value: Value) -> Result<Value, CoreError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    fn close(&mut self, object: bool) -> Result<Event<'a>, CoreError> {
+        self.pos += 1;
+        self.open.pop();
+        self.expect = self.after_value();
+        Ok(if object {
+            Event::EndObject
+        } else {
+            Event::EndArray
+        })
+    }
+
+    fn read_key(&mut self) -> Result<Event<'a>, CoreError> {
+        let key = self.parse_string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        self.expect = Expect::Value;
+        Ok(Event::Key(key))
+    }
+
+    fn read_value(&mut self) -> Result<Event<'a>, CoreError> {
+        if self.open.depth() > MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        let event = match self.peek() {
+            Some(b'n') => self.parse_keyword("null", Event::Null)?,
+            Some(b't') => self.parse_keyword("true", Event::Bool(true))?,
+            Some(b'f') => self.parse_keyword("false", Event::Bool(false))?,
+            Some(b'"') => Event::Str(self.parse_string()?),
+            Some(b'[') => {
+                self.pos += 1;
+                self.open.push(false);
+                self.expect = Expect::FirstItem;
+                return Ok(Event::BeginArray);
+            }
+            Some(b'{') => {
+                self.pos += 1;
+                self.open.push(true);
+                self.expect = Expect::FirstKey;
+                return Ok(Event::BeginObject);
+            }
+            Some(b'-' | b'0'..=b'9') => self.parse_number()?,
+            Some(c) => return Err(self.err(format!("unexpected character {:?}", c as char))),
+            None => return Err(self.err("unexpected end of input")),
+        };
+        self.expect = self.after_value();
+        Ok(event)
+    }
+
+    fn parse_keyword(&mut self, word: &str, event: Event<'a>) -> Result<Event<'a>, CoreError> {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            Ok(event)
         } else {
             Err(self.err(format!("invalid keyword (expected {word})")))
         }
     }
 
-    fn parse_array(&mut self, depth: usize) -> Result<Value, CoreError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.parse_value(depth + 1)?);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(Value::Array(items)),
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn parse_object(&mut self, depth: usize) -> Result<Value, CoreError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.parse_value(depth + 1)?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(Value::Object(map)),
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, CoreError> {
+    /// Parses a string, borrowing it from the input unless it holds an
+    /// escape.
+    fn parse_string(&mut self) -> Result<Cow<'a, str>, CoreError> {
         self.expect(b'"')?;
-        let mut s = String::new();
+        let mut owned: Option<String> = None;
         loop {
             let start = self.pos;
-            // Fast path: copy a run of plain bytes.
+            // Fast path: a run of plain bytes. It ends at an ASCII byte or
+            // the end of the input, so it can be sliced out of the text.
             while let Some(b) = self.peek() {
                 if b == b'"' || b == b'\\' || b < 0x20 {
                     break;
                 }
                 self.pos += 1;
             }
-            if self.pos > start {
-                s.push_str(
-                    std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid utf-8"))?,
-                );
-            }
+            let run = &self.text[start..self.pos];
             match self.bump() {
-                Some(b'"') => return Ok(s),
+                Some(b'"') => {
+                    return Ok(match owned {
+                        None => Cow::Borrowed(run),
+                        Some(mut s) => {
+                            s.push_str(run);
+                            Cow::Owned(s)
+                        }
+                    })
+                }
                 Some(b'\\') => {
-                    let esc = self.bump().ok_or_else(|| self.err("unterminated escape"))?;
-                    match esc {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'/' => s.push('/'),
-                        b'n' => s.push('\n'),
-                        b'r' => s.push('\r'),
-                        b't' => s.push('\t'),
-                        b'b' => s.push('\u{08}'),
-                        b'f' => s.push('\u{0C}'),
-                        b'u' => {
-                            let hi = self.parse_hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair.
-                                if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
-                                    return Err(self.err("unpaired surrogate"));
-                                }
-                                let lo = self.parse_hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid code point"))?
-                            } else if (0xDC00..0xE000).contains(&hi) {
-                                return Err(self.err("unpaired low surrogate"));
-                            } else {
-                                char::from_u32(hi).ok_or_else(|| self.err("invalid code point"))?
-                            };
-                            s.push(c);
-                        }
-                        other => {
-                            return Err(self.err(format!("invalid escape \\{}", other as char)))
-                        }
-                    }
+                    let s = owned.get_or_insert_with(String::new);
+                    s.push_str(run);
+                    let c = self.parse_escape()?;
+                    s.push(c);
                 }
                 Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
                 _ => return Err(self.err("unterminated string")),
             }
         }
+    }
+
+    /// Decodes the escape whose backslash was just consumed.
+    fn parse_escape(&mut self) -> Result<char, CoreError> {
+        let esc = self.bump().ok_or_else(|| self.err("unterminated escape"))?;
+        Ok(match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'b' => '\u{08}',
+            b'f' => '\u{0C}',
+            b'u' => {
+                let hi = self.parse_hex4()?;
+                if (0xD800..0xDC00).contains(&hi) {
+                    // Surrogate pair.
+                    if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
+                        return Err(self.err("unpaired surrogate"));
+                    }
+                    let lo = self.parse_hex4()?;
+                    if !(0xDC00..0xE000).contains(&lo) {
+                        return Err(self.err("invalid low surrogate"));
+                    }
+                    let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                    char::from_u32(code).ok_or_else(|| self.err("invalid code point"))?
+                } else if (0xDC00..0xE000).contains(&hi) {
+                    return Err(self.err("unpaired low surrogate"));
+                } else {
+                    char::from_u32(hi).ok_or_else(|| self.err("invalid code point"))?
+                }
+            }
+            other => return Err(self.err(format!("invalid escape \\{}", other as char))),
+        })
     }
 
     fn parse_hex4(&mut self) -> Result<u32, CoreError> {
@@ -357,7 +522,7 @@ impl Parser<'_> {
         Ok(code)
     }
 
-    fn parse_number(&mut self) -> Result<Value, CoreError> {
+    fn parse_number(&mut self) -> Result<Event<'a>, CoreError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -396,18 +561,17 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ascii");
+        let text = &self.text[start..self.pos];
         if !is_float {
             if let Ok(i) = text.parse::<i64>() {
-                return Ok(Value::Int(i));
+                return Ok(Event::Int(i));
             }
         }
         let f: f64 = text.parse().map_err(|_| self.err("number out of range"))?;
         if f.is_nan() || f.is_infinite() {
             return Err(self.err("number out of range"));
         }
-        Ok(Value::Float(f))
+        Ok(Event::Float(f))
     }
 }
 

@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use crate::codec::{Reader, Scalar, Shaped, Writer};
 use crate::{CoreError, DeviceId, QuantityKind, Timestamp, Unit, Value};
 
 /// One sample reported by a device, in the common data format.
@@ -123,21 +124,37 @@ impl Measurement {
     /// Returns [`CoreError::Shape`] (or a more specific error) when the
     /// value does not describe a measurement.
     pub fn from_value(v: &Value) -> Result<Self, CoreError> {
-        const T: &str = "measurement";
-        let device = DeviceId::new(v.require_str(T, "device")?)?;
-        let quantity = QuantityKind::parse(v.require_str(T, "quantity")?)?;
-        let value = v.require_f64(T, "value")?;
-        let unit = Unit::parse(v.require_str(T, "unit")?)?;
-        let timestamp = Timestamp::parse(v.require_str(T, "timestamp")?)?;
+        Measurement::from_fields(
+            v.require_str(MEASUREMENT, "device"),
+            v.require_str(MEASUREMENT, "quantity"),
+            v.require_f64(MEASUREMENT, "value"),
+            v.require_str(MEASUREMENT, "unit"),
+            v.require_str(MEASUREMENT, "timestamp"),
+        )
+    }
+
+    /// Validates the five members, reporting the first that is wrong.
+    fn from_fields(
+        device: Shaped<&str>,
+        quantity: Shaped<&str>,
+        value: Shaped<f64>,
+        unit: Shaped<&str>,
+        timestamp: Shaped<&str>,
+    ) -> Result<Self, CoreError> {
+        let device = DeviceId::new(device?)?;
+        let quantity = QuantityKind::parse(quantity?)?;
+        let value = value?;
+        let unit = Unit::parse(unit?)?;
+        let timestamp = Timestamp::parse(timestamp?)?;
         if value.is_nan() {
             return Err(CoreError::Shape {
-                target: T,
+                target: MEASUREMENT,
                 reason: "value is NaN".into(),
             });
         }
         if !quantity.accepts(unit) {
             return Err(CoreError::Shape {
-                target: T,
+                target: MEASUREMENT,
                 reason: format!("unit {unit} does not fit quantity {quantity}"),
             });
         }
@@ -149,7 +166,91 @@ impl Measurement {
             timestamp,
         })
     }
+
+    /// Typed writer: emits the encoding of [`Measurement::to_value`]
+    /// without building it.
+    pub fn write(&self, w: &mut Writer<'_>) {
+        Measurement::write_fields(
+            w,
+            &self.device,
+            self.quantity,
+            self.value,
+            self.unit,
+            self.timestamp,
+        );
+    }
+
+    /// Typed writer for a caller that holds the fields apart (a proxy
+    /// with a stored point and its own device id): emits what
+    /// `Measurement::new(device, …).write(w)` would, without the
+    /// measurement. Object keys go out in sorted order, as a [`Value`]
+    /// object encodes them.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`Measurement::new`] does.
+    pub fn write_fields(
+        w: &mut Writer<'_>,
+        device: &DeviceId,
+        quantity: QuantityKind,
+        value: f64,
+        unit: Unit,
+        timestamp: Timestamp,
+    ) {
+        assert!(!value.is_nan(), "measurement value must not be NaN");
+        assert!(
+            quantity.accepts(unit),
+            "unit {unit} has the wrong dimension for {quantity}"
+        );
+        w.begin_object();
+        w.key("device");
+        w.str(device.as_str());
+        w.key("quantity");
+        w.str(quantity.as_str());
+        w.key("timestamp");
+        w.display(&timestamp);
+        w.key("unit");
+        w.str(unit.symbol());
+        w.key("value");
+        w.float(value);
+        w.end_object();
+    }
+
+    /// Typed reader: decodes the next value as a measurement, as
+    /// [`Measurement::from_value`] would from the decoded tree.
+    ///
+    /// # Errors
+    ///
+    /// Returns the format's parse error; the inner result says whether
+    /// the well-formed value describes a measurement.
+    pub fn read(r: &mut Reader<'_>) -> Result<Shaped<Self>, CoreError> {
+        let [mut device, mut quantity, mut value, mut unit, mut timestamp] =
+            [const { Scalar::Missing }; 5];
+        if r.begin_object()? {
+            while let Some(key) = r.next_key()? {
+                let member = Scalar::read(r)?;
+                match &*key {
+                    "device" => device = member,
+                    "quantity" => quantity = member,
+                    "value" => value = member,
+                    "unit" => unit = member,
+                    "timestamp" => timestamp = member,
+                    _ => {}
+                }
+            }
+        }
+        Ok(Measurement::from_fields(
+            device.require_str(MEASUREMENT, "device"),
+            quantity.require_str(MEASUREMENT, "quantity"),
+            value.require_f64(MEASUREMENT, "value"),
+            unit.require_str(MEASUREMENT, "unit"),
+            timestamp.require_str(MEASUREMENT, "timestamp"),
+        ))
+    }
 }
+
+/// What decoding errors name as their target.
+const MEASUREMENT: &str = "measurement";
 
 impl fmt::Display for Measurement {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -213,12 +314,98 @@ impl MeasurementBatch {
     /// Returns [`CoreError::Shape`] when the value has the wrong shape.
     pub fn from_value(v: &Value) -> Result<Self, CoreError> {
         let items = v
-            .require_array("measurement batch", "measurements")?
+            .require_array(BATCH, "measurements")?
             .iter()
             .map(Measurement::from_value)
             .collect::<Result<Vec<_>, _>>()?;
         Ok(MeasurementBatch { items })
     }
+
+    /// Typed writer: emits the encoding of [`MeasurementBatch::to_value`]
+    /// without building it.
+    pub fn write(&self, w: &mut Writer<'_>) {
+        write_batch(w, |w| self.items.iter().for_each(|m| m.write(w)));
+    }
+
+    /// Typed writer for one device series: emits the batch that `points`
+    /// — `(unix millis, value)` pairs as the time-series store returns
+    /// them — would make as measurements of `quantity` in `unit`, without
+    /// building either.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`Measurement::new`] does.
+    pub fn write_series(
+        w: &mut Writer<'_>,
+        device: &DeviceId,
+        quantity: QuantityKind,
+        unit: Unit,
+        points: &[(i64, f64)],
+    ) {
+        write_batch(w, |w| {
+            for &(t, value) in points {
+                let timestamp = Timestamp::from_unix_millis(t);
+                Measurement::write_fields(w, device, quantity, value, unit, timestamp);
+            }
+        });
+    }
+
+    /// Typed reader: decodes the next value as a batch, as
+    /// [`MeasurementBatch::from_value`] would from the decoded tree.
+    ///
+    /// # Errors
+    ///
+    /// Returns the format's parse error; the inner result says whether
+    /// the well-formed value describes a batch.
+    pub fn read(r: &mut Reader<'_>) -> Result<Shaped<Self>, CoreError> {
+        let mut items = Err(CoreError::Shape {
+            target: BATCH,
+            reason: "missing member \"measurements\"".into(),
+        });
+        if r.begin_object()? {
+            while let Some(key) = r.next_key()? {
+                if key == "measurements" {
+                    items = read_items(r)?;
+                } else {
+                    r.skip_value()?;
+                }
+            }
+        }
+        Ok(items.map(|items| MeasurementBatch { items }))
+    }
+}
+
+/// What decoding errors name as their target.
+const BATCH: &str = "measurement batch";
+
+/// Writes the batch object around the items `write_items` emits.
+fn write_batch(w: &mut Writer<'_>, write_items: impl FnOnce(&mut Writer<'_>)) {
+    w.begin_object();
+    w.key("measurements");
+    w.begin_array();
+    write_items(w);
+    w.end_array();
+    w.end_object();
+}
+
+/// Reads the `measurements` member; the first ill-shaped item decides
+/// the outcome, but every item's syntax is still checked.
+fn read_items(r: &mut Reader<'_>) -> Result<Shaped<Vec<Measurement>>, CoreError> {
+    if !r.begin_array()? {
+        return Ok(Err(CoreError::Shape {
+            target: BATCH,
+            reason: "member \"measurements\" is not an array".into(),
+        }));
+    }
+    let mut items = Ok(Vec::new());
+    while r.more_items()? {
+        match (Measurement::read(r)?, &mut items) {
+            (Ok(m), Ok(items)) => items.push(m),
+            (Err(e), Ok(_)) => items = Err(e),
+            (_, Err(_)) => {}
+        }
+    }
+    Ok(items)
 }
 
 impl FromIterator<Measurement> for MeasurementBatch {

@@ -14,12 +14,16 @@
 //!
 //! Every element carries a `type` attribute (`null`, `bool`, `int`,
 //! `float`, `string`, `array`, `object`); object members carry `name`.
-//! The parser is a hand-written pull tokenizer that also skips XML
-//! declarations and comments, and decodes the five named entities plus
-//! numeric character references.
+//! The grammar lives in an event-level [`Writer`] and a pull [`Reader`]
+//! (a hand-written tokenizer that also skips XML declarations and
+//! comments, and decodes the five named entities plus numeric character
+//! references). [`to_string`] and [`from_str`] drive them through a
+//! [`Value`] tree; typed drivers reach them through [`crate::codec`].
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
+use crate::codec::{self, DataFormat, Event, KindStack, MAX_DEPTH};
 use crate::{CoreError, Value};
 
 /// Serializes a value as a compact XML document.
@@ -30,9 +34,7 @@ use crate::{CoreError, Value};
 /// assert_eq!(xml::to_string(&v), r#"<value type="int">4</value>"#);
 /// ```
 pub fn to_string(value: &Value) -> String {
-    let mut out = String::with_capacity(128);
-    write_element(value, "value", None, &mut out);
-    out
+    codec::encode_value(value, DataFormat::Xml)
 }
 
 /// Serializes a value as an XML document with a declaration and
@@ -42,10 +44,6 @@ pub fn to_string_pretty(value: &Value) -> String {
     write_element_pretty(value, "value", None, &mut out, 0);
     out.push('\n');
     out
-}
-
-fn type_name(value: &Value) -> &'static str {
-    value.type_name()
 }
 
 fn write_open(tag: &str, name: Option<&str>, ty: &'static str, out: &mut String) {
@@ -61,52 +59,9 @@ fn write_open(tag: &str, name: Option<&str>, ty: &'static str, out: &mut String)
     out.push('"');
 }
 
-fn write_element(value: &Value, tag: &str, name: Option<&str>, out: &mut String) {
-    write_open(tag, name, type_name(value), out);
-    match value {
-        Value::Null => {
-            out.push_str("/>");
-        }
-        Value::Bool(b) => {
-            out.push('>');
-            out.push_str(if *b { "true" } else { "false" });
-            close(tag, out);
-        }
-        Value::Int(i) => {
-            out.push('>');
-            out.push_str(&i.to_string());
-            close(tag, out);
-        }
-        Value::Float(f) => {
-            out.push('>');
-            out.push_str(&float_text(*f));
-            close(tag, out);
-        }
-        Value::Str(s) => {
-            out.push('>');
-            escape_into(s, false, out);
-            close(tag, out);
-        }
-        Value::Array(items) => {
-            out.push('>');
-            for item in items {
-                write_element(item, "item", None, out);
-            }
-            close(tag, out);
-        }
-        Value::Object(map) => {
-            out.push('>');
-            for (k, v) in map {
-                write_element(v, "member", Some(k), out);
-            }
-            close(tag, out);
-        }
-    }
-}
-
 fn write_element_pretty(
     value: &Value,
-    tag: &str,
+    tag: &'static str,
     name: Option<&str>,
     out: &mut String,
     indent: usize,
@@ -136,7 +91,28 @@ fn write_element_pretty(
             push_indent(out, indent);
             close(tag, out);
         }
-        other => write_element(other, tag, name, out),
+        // Scalars and empty containers are written compactly, as the
+        // element this position calls for.
+        other => {
+            let mut w = Writer {
+                root: tag,
+                ..Writer::new(out)
+            };
+            if let Some(k) = name {
+                w.key(k);
+            }
+            codec::Writer::Xml(w).value(other);
+        }
+    }
+}
+
+/// The tag of an element inside `parent` (`None` = the outermost
+/// element, tagged `root`; `Some(true)` = an object).
+fn tag_in(root: &'static str, parent: Option<bool>) -> &'static str {
+    match parent {
+        None => root,
+        Some(false) => "item",
+        Some(true) => "member",
     }
 }
 
@@ -152,29 +128,165 @@ fn close(tag: &str, out: &mut String) {
     out.push('>');
 }
 
-fn float_text(f: f64) -> String {
-    if f == f.trunc() && f.abs() < 1e15 {
-        format!("{f:.1}")
-    } else {
-        format!("{f}")
+/// Event-level XML writer appending to a caller-owned buffer.
+#[derive(Debug)]
+pub struct Writer<'o> {
+    out: &'o mut String,
+    /// The tag of the outermost element (`value` for a document).
+    root: &'static str,
+    open: KindStack,
+    /// Whether `key` already wrote `<member name="…"` for the next value.
+    named: bool,
+}
+
+impl<'o> Writer<'o> {
+    /// A writer appending one document to `out`.
+    pub fn new(out: &'o mut String) -> Self {
+        Writer {
+            out,
+            root: "value",
+            open: KindStack::default(),
+            named: false,
+        }
+    }
+
+    /// Writes the open tag up to and including the `type` attribute and
+    /// returns the tag, for the matching close.
+    fn open(&mut self, ty: &str) -> &'static str {
+        let tag = tag_in(self.root, self.open.top());
+        if self.named {
+            self.named = false;
+        } else {
+            debug_assert!(tag != "member", "an object member needs a key first");
+            self.out.push('<');
+            self.out.push_str(tag);
+        }
+        self.out.push_str(" type=\"");
+        self.out.push_str(ty);
+        self.out.push('"');
+        tag
+    }
+
+    /// Writes the absent value as a self-closing element.
+    pub fn null(&mut self) {
+        self.open("null");
+        self.out.push_str("/>");
+    }
+
+    /// Writes a boolean.
+    pub fn bool(&mut self, b: bool) {
+        let tag = self.open("bool");
+        self.out.push('>');
+        self.out.push_str(if b { "true" } else { "false" });
+        close(tag, self.out);
+    }
+
+    /// Writes an integer.
+    pub fn int(&mut self, i: i64) {
+        let tag = self.open("int");
+        let _ = write!(self.out, ">{i}");
+        close(tag, self.out);
+    }
+
+    /// Writes a float so that it reads back as a float.
+    pub fn float(&mut self, f: f64) {
+        let tag = self.open("float");
+        if f == f.trunc() && f.abs() < 1e15 {
+            let _ = write!(self.out, ">{f:.1}");
+        } else {
+            let _ = write!(self.out, ">{f}");
+        }
+        close(tag, self.out);
+    }
+
+    /// Writes a string.
+    pub fn str(&mut self, s: &str) {
+        let tag = self.open("string");
+        self.out.push('>');
+        escape_into(s, false, self.out);
+        close(tag, self.out);
+    }
+
+    /// Writes what `value` displays as a string.
+    pub fn display(&mut self, value: &dyn fmt::Display) {
+        let tag = self.open("string");
+        self.out.push('>');
+        let _ = write!(Escaped(self.out), "{value}");
+        close(tag, self.out);
+    }
+
+    /// Opens an array.
+    pub fn begin_array(&mut self) {
+        self.open("array");
+        self.out.push('>');
+        self.open.push(false);
+    }
+
+    /// Closes the innermost array.
+    pub fn end_array(&mut self) {
+        self.end_container();
+    }
+
+    /// Opens an object.
+    pub fn begin_object(&mut self) {
+        self.open("object");
+        self.out.push('>');
+        self.open.push(true);
+    }
+
+    /// Names the member whose value is written next.
+    pub fn key(&mut self, name: &str) {
+        self.out.push_str("<member name=\"");
+        escape_into(name, true, self.out);
+        self.out.push('"');
+        self.named = true;
+    }
+
+    /// Closes the innermost object.
+    pub fn end_object(&mut self) {
+        self.end_container();
+    }
+
+    fn end_container(&mut self) {
+        self.open.pop();
+        let tag = tag_in(self.root, self.open.top());
+        close(tag, self.out);
     }
 }
 
 fn escape_into(s: &str, attribute: bool, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '&' => out.push_str("&amp;"),
-            '"' if attribute => out.push_str("&quot;"),
-            c if (c as u32) < 0x20 && c != '\n' && c != '\t' && c != '\r' => {
-                out.push_str(&format!("&#x{:x};", c as u32));
+    let needs_escape = |b: u8| match b {
+        b'<' | b'>' | b'&' => true,
+        b'"' => attribute,
+        b'\n' | b'\r' | b'\t' => attribute,
+        _ => b < 0x20,
+    };
+    let mut rest = s;
+    // Everything that needs an escape is one ASCII byte, so the runs
+    // between them can be copied whole.
+    while let Some(i) = rest.bytes().position(needs_escape) {
+        out.push_str(&rest[..i]);
+        match rest.as_bytes()[i] {
+            b'<' => out.push_str("&lt;"),
+            b'>' => out.push_str("&gt;"),
+            b'&' => out.push_str("&amp;"),
+            b'"' => out.push_str("&quot;"),
+            control => {
+                let _ = write!(out, "&#x{control:x};");
             }
-            '\n' | '\r' | '\t' if attribute => {
-                out.push_str(&format!("&#x{:x};", c as u32));
-            }
-            c => out.push(c),
         }
+        rest = &rest[i + 1..];
+    }
+    out.push_str(rest);
+}
+
+/// Escapes everything formatted into it as element text.
+struct Escaped<'o>(&'o mut String);
+
+impl fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        escape_into(s, false, self.0);
+        Ok(())
     }
 }
 
@@ -185,35 +297,110 @@ fn escape_into(s: &str, attribute: bool, out: &mut String) {
 /// Returns [`CoreError::ParseXml`] with the byte offset of the first
 /// violation.
 pub fn from_str(text: &str) -> Result<Value, CoreError> {
-    let mut p = XmlParser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_misc();
-    let (value, tag) = p.parse_element(0)?;
-    if tag != "value" {
-        return Err(p.err(format!("root element must be <value>, got <{tag}>")));
-    }
-    p.skip_misc();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after document"));
-    }
-    Ok(value.value)
+    codec::decode_value(text, DataFormat::Xml)
 }
 
-const MAX_DEPTH: usize = 128;
-
-struct Named {
-    value: Value,
-    name: Option<String>,
+/// The `type` attribute of an element.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Type {
+    Null,
+    Bool,
+    Int,
+    Float,
+    String,
+    Array,
+    Object,
 }
 
-struct XmlParser<'a> {
-    bytes: &'a [u8],
+/// An element whose open tag has been read but whose value event has
+/// not been produced yet.
+#[derive(Debug, Clone, Copy)]
+struct Opened {
+    ty: Type,
+    self_closing: bool,
+}
+
+/// Pull reader over one XML document.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    text: &'a str,
     pos: usize,
+    open: KindStack,
+    /// The member whose `Key` was just emitted.
+    pending: Option<Opened>,
+    /// Whether the root element has been read.
+    rooted: bool,
 }
 
-impl XmlParser<'_> {
+impl<'a> Reader<'a> {
+    /// A reader positioned before the document in `text`.
+    pub fn new(text: &'a str) -> Self {
+        Reader {
+            text,
+            pos: 0,
+            open: KindStack::default(),
+            pending: None,
+            rooted: false,
+        }
+    }
+
+    /// The next event of the document.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::ParseXml`] with the byte offset of the first
+    /// violation.
+    pub fn next_event(&mut self) -> Result<Event<'a>, CoreError> {
+        if let Some(opened) = self.pending.take() {
+            return self.read_value(opened);
+        }
+        let Some(object) = self.open.top() else {
+            if self.rooted {
+                return Err(self.err("trailing characters after document"));
+            }
+            self.rooted = true;
+            self.skip_misc();
+            let (opened, _) = self.read_open_tag("value")?;
+            return self.read_value(opened);
+        };
+        self.skip_ws();
+        if self.starts_with("</") {
+            self.open.pop();
+            self.read_close_tag()?;
+            return Ok(if object {
+                Event::EndObject
+            } else {
+                Event::EndArray
+            });
+        }
+        if self.peek() != Some(b'<') {
+            return Err(self.err("unexpected text inside container"));
+        }
+        if object {
+            let (opened, name) = self.read_open_tag("member")?;
+            let name = name.ok_or_else(|| self.err("member missing name attribute"))?;
+            self.pending = Some(opened);
+            Ok(Event::Key(name))
+        } else {
+            let (opened, _) = self.read_open_tag("item")?;
+            self.read_value(opened)
+        }
+    }
+
+    /// Checks that only whitespace, comments and processing instructions
+    /// follow the root element.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::ParseXml`] on trailing characters.
+    pub fn finish(&mut self) -> Result<(), CoreError> {
+        self.skip_misc();
+        if self.pos != self.text.len() {
+            return Err(self.err("trailing characters after document"));
+        }
+        Ok(())
+    }
+
     fn err(&self, reason: impl Into<String>) -> CoreError {
         CoreError::ParseXml {
             offset: self.pos,
@@ -222,11 +409,11 @@ impl XmlParser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn starts_with(&self, s: &str) -> bool {
-        self.bytes[self.pos..].starts_with(s.as_bytes())
+        self.text.as_bytes()[self.pos..].starts_with(s.as_bytes())
     }
 
     fn skip_ws(&mut self) {
@@ -239,29 +426,25 @@ impl XmlParser<'_> {
     fn skip_misc(&mut self) {
         loop {
             self.skip_ws();
-            if self.starts_with("<?") {
-                match self.bytes[self.pos..].windows(2).position(|w| w == b"?>") {
-                    Some(i) => self.pos += i + 2,
-                    None => {
-                        self.pos = self.bytes.len();
-                        return;
-                    }
-                }
+            let end = if self.starts_with("<?") {
+                "?>"
             } else if self.starts_with("<!--") {
-                match self.bytes[self.pos..].windows(3).position(|w| w == b"-->") {
-                    Some(i) => self.pos += i + 3,
-                    None => {
-                        self.pos = self.bytes.len();
-                        return;
-                    }
-                }
+                "-->"
             } else {
                 return;
+            };
+            match self.text[self.pos..].find(end) {
+                Some(i) => self.pos += i + end.len(),
+                None => {
+                    self.pos = self.text.len();
+                    return;
+                }
             }
         }
     }
 
-    fn parse_name(&mut self) -> Result<String, CoreError> {
+    /// A tag or attribute name, borrowed from the input.
+    fn parse_name(&mut self) -> Result<&'a str, CoreError> {
         let start = self.pos;
         while let Some(b) = self.peek() {
             if b.is_ascii_alphanumeric() || b == b'_' || b == b'-' || b == b':' {
@@ -273,12 +456,16 @@ impl XmlParser<'_> {
         if self.pos == start {
             return Err(self.err("expected a name"));
         }
-        Ok(String::from_utf8(self.bytes[start..self.pos].to_vec()).expect("name bytes are ascii"))
+        Ok(&self.text[start..self.pos])
     }
 
-    /// Parses one element, returning the value and the element tag.
-    fn parse_element(&mut self, depth: usize) -> Result<(Named, String), CoreError> {
-        if depth > MAX_DEPTH {
+    /// Reads `<tag attr="…" …>` or `<tag …/>`, returning the element's
+    /// type and its `name` attribute.
+    fn read_open_tag(
+        &mut self,
+        expected: &'static str,
+    ) -> Result<(Opened, Option<Cow<'a, str>>), CoreError> {
+        if self.open.depth() > MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
         if self.peek() != Some(b'<') {
@@ -286,9 +473,16 @@ impl XmlParser<'_> {
         }
         self.pos += 1;
         let tag = self.parse_name()?;
-        let mut name_attr: Option<String> = None;
-        let mut type_attr: Option<String> = None;
-        loop {
+        if tag != expected {
+            return Err(self.err(match expected {
+                "value" => format!("root element must be <value>, got <{tag}>"),
+                "item" => "array children must be <item>".to_owned(),
+                _ => "object children must be <member>".to_owned(),
+            }));
+        }
+        let mut name_attr = None;
+        let mut type_attr = None;
+        let self_closing = loop {
             self.skip_ws();
             match self.peek() {
                 Some(b'/') => {
@@ -297,22 +491,11 @@ impl XmlParser<'_> {
                         return Err(self.err("expected '>' after '/'"));
                     }
                     self.pos += 1;
-                    // Self-closing element: only valid for null.
-                    let ty = type_attr.as_deref().unwrap_or("null");
-                    if ty != "null" {
-                        return Err(self.err("self-closing element must be type=\"null\""));
-                    }
-                    return Ok((
-                        Named {
-                            value: Value::Null,
-                            name: name_attr,
-                        },
-                        tag,
-                    ));
+                    break true;
                 }
                 Some(b'>') => {
                     self.pos += 1;
-                    break;
+                    break false;
                 }
                 Some(_) => {
                     let attr = self.parse_name()?;
@@ -322,112 +505,57 @@ impl XmlParser<'_> {
                     }
                     self.pos += 1;
                     self.skip_ws();
-                    let quote = self.peek();
-                    if quote != Some(b'"') && quote != Some(b'\'') {
-                        return Err(self.err("attribute value must be quoted"));
-                    }
-                    let quote = quote.expect("peeked");
+                    let quote = match self.peek() {
+                        Some(q @ (b'"' | b'\'')) => q,
+                        _ => return Err(self.err("attribute value must be quoted")),
+                    };
                     self.pos += 1;
                     let raw_start = self.pos;
-                    while let Some(b) = self.peek() {
-                        if b == quote {
-                            break;
-                        }
+                    while self.peek().is_some_and(|b| b != quote) {
                         self.pos += 1;
                     }
                     if self.peek() != Some(quote) {
                         return Err(self.err("unterminated attribute value"));
                     }
-                    let raw = std::str::from_utf8(&self.bytes[raw_start..self.pos])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let decoded = self.decode_entities(raw)?;
+                    // Unknown attributes are ignored, but their entities
+                    // must still be well formed.
+                    let decoded = self.decode_entities(&self.text[raw_start..self.pos])?;
                     self.pos += 1;
-                    match attr.as_str() {
+                    match attr {
                         "name" => name_attr = Some(decoded),
                         "type" => type_attr = Some(decoded),
-                        _ => {} // unknown attributes are ignored
+                        _ => {}
                     }
                 }
                 None => return Err(self.err("unexpected end inside tag")),
             }
-        }
-        let ty = type_attr.ok_or_else(|| self.err("missing type attribute"))?;
-        let value = match ty.as_str() {
-            "array" | "object" => {
-                let mut items = Vec::new();
-                let mut map = BTreeMap::new();
-                loop {
-                    self.skip_ws();
-                    if self.starts_with("</") {
-                        break;
-                    }
-                    if self.peek() != Some(b'<') {
-                        return Err(self.err("unexpected text inside container"));
-                    }
-                    let (child, child_tag) = self.parse_element(depth + 1)?;
-                    if ty == "array" {
-                        if child_tag != "item" {
-                            return Err(self.err("array children must be <item>"));
-                        }
-                        items.push(child.value);
-                    } else {
-                        if child_tag != "member" {
-                            return Err(self.err("object children must be <member>"));
-                        }
-                        let key = child
-                            .name
-                            .ok_or_else(|| self.err("member missing name attribute"))?;
-                        map.insert(key, child.value);
-                    }
-                }
-                if ty == "array" {
-                    Value::Array(items)
-                } else {
-                    Value::Object(map)
-                }
-            }
-            scalar => {
-                let raw_start = self.pos;
-                while let Some(b) = self.peek() {
-                    if b == b'<' {
-                        break;
-                    }
-                    self.pos += 1;
-                }
-                let raw = std::str::from_utf8(&self.bytes[raw_start..self.pos])
-                    .map_err(|_| self.err("invalid utf-8"))?;
-                let text = self.decode_entities(raw)?;
-                match scalar {
-                    "null" => {
-                        if !text.trim().is_empty() {
-                            return Err(self.err("null element must be empty"));
-                        }
-                        Value::Null
-                    }
-                    "bool" => match text.as_str() {
-                        "true" => Value::Bool(true),
-                        "false" => Value::Bool(false),
-                        _ => return Err(self.err("bool must be 'true' or 'false'")),
-                    },
-                    "int" => Value::Int(text.parse::<i64>().map_err(|_| self.err("invalid int"))?),
-                    "float" => {
-                        let f: f64 = text.parse().map_err(|_| self.err("invalid float"))?;
-                        if f.is_nan() {
-                            return Err(self.err("invalid float"));
-                        }
-                        Value::Float(f)
-                    }
-                    "string" => Value::Str(text),
-                    other => return Err(self.err(format!("unknown type {other:?}"))),
-                }
-            }
         };
-        // Closing tag.
+        let ty = match type_attr.as_deref() {
+            None if self_closing => Type::Null,
+            None => return Err(self.err("missing type attribute")),
+            Some("null") => Type::Null,
+            Some("bool") => Type::Bool,
+            Some("int") => Type::Int,
+            Some("float") => Type::Float,
+            Some("string") => Type::String,
+            Some("array") => Type::Array,
+            Some("object") => Type::Object,
+            Some(other) => return Err(self.err(format!("unknown type {other:?}"))),
+        };
+        if self_closing && ty != Type::Null {
+            return Err(self.err("self-closing element must be type=\"null\""));
+        }
+        Ok((Opened { ty, self_closing }, name_attr))
+    }
+
+    /// Reads `</tag>` of an element whose parent is now innermost.
+    fn read_close_tag(&mut self) -> Result<(), CoreError> {
         if !self.starts_with("</") {
             return Err(self.err("expected closing tag"));
         }
         self.pos += 2;
         let closing = self.parse_name()?;
+        let tag = tag_in("value", self.open.top());
         if closing != tag {
             return Err(self.err(format!("mismatched closing tag </{closing}> for <{tag}>")));
         }
@@ -436,18 +564,61 @@ impl XmlParser<'_> {
             return Err(self.err("expected '>' to end closing tag"));
         }
         self.pos += 1;
-        Ok((
-            Named {
-                value,
-                name: name_attr,
-            },
-            tag,
-        ))
+        Ok(())
     }
 
-    fn decode_entities(&self, raw: &str) -> Result<String, CoreError> {
+    /// Produces the value event of an element whose open tag was read.
+    fn read_value(&mut self, opened: Opened) -> Result<Event<'a>, CoreError> {
+        if opened.self_closing {
+            return Ok(Event::Null);
+        }
+        match opened.ty {
+            Type::Array => {
+                self.open.push(false);
+                return Ok(Event::BeginArray);
+            }
+            Type::Object => {
+                self.open.push(true);
+                return Ok(Event::BeginObject);
+            }
+            _ => {}
+        }
+        let raw_start = self.pos;
+        while self.peek().is_some_and(|b| b != b'<') {
+            self.pos += 1;
+        }
+        let text = self.decode_entities(&self.text[raw_start..self.pos])?;
+        let event = match opened.ty {
+            Type::Null => {
+                if !text.trim().is_empty() {
+                    return Err(self.err("null element must be empty"));
+                }
+                Event::Null
+            }
+            Type::Bool => match &*text {
+                "true" => Event::Bool(true),
+                "false" => Event::Bool(false),
+                _ => return Err(self.err("bool must be 'true' or 'false'")),
+            },
+            Type::Int => Event::Int(text.parse().map_err(|_| self.err("invalid int"))?),
+            Type::Float => {
+                let f: f64 = text.parse().map_err(|_| self.err("invalid float"))?;
+                if f.is_nan() {
+                    return Err(self.err("invalid float"));
+                }
+                Event::Float(f)
+            }
+            Type::String => Event::Str(text),
+            Type::Array | Type::Object => unreachable!("containers returned above"),
+        };
+        self.read_close_tag()?;
+        Ok(event)
+    }
+
+    /// Decodes entities, borrowing `raw` when it holds none.
+    fn decode_entities(&self, raw: &'a str) -> Result<Cow<'a, str>, CoreError> {
         if !raw.contains('&') {
-            return Ok(raw.to_owned());
+            return Ok(Cow::Borrowed(raw));
         }
         let mut out = String::with_capacity(raw.len());
         let mut rest = raw;
@@ -480,7 +651,7 @@ impl XmlParser<'_> {
             rest = &rest[end + 1..];
         }
         out.push_str(rest);
-        Ok(out)
+        Ok(Cow::Owned(out))
     }
 }
 

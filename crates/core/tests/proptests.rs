@@ -4,8 +4,11 @@
 //! property-testing crate so the workspace builds with no network
 //! access; the fixed seeds make every run reproducible.
 
-use dimmer_core::codec::{self, DataFormat};
-use dimmer_core::{json, xml, Timestamp, Uri, Value};
+use dimmer_core::codec::{self, DataFormat, Writer};
+use dimmer_core::{
+    json, xml, CoreError, DeviceId, Measurement, MeasurementBatch, QuantityKind, Timestamp, Unit,
+    Uri, Value,
+};
 use simnet::rng::DeterministicRng;
 
 const CASES: usize = 256;
@@ -187,5 +190,360 @@ fn uri_display_parse_round_trip() {
         }
         let back = Uri::parse(&uri.to_string()).unwrap();
         assert_eq!(back, uri);
+    }
+}
+
+/// Floats a measurement may carry, with the writer's special cases
+/// over-represented: signed zeros, integral values either side of the
+/// `1e15` switch to exponent-free text, infinities (clamped by JSON).
+fn rand_reading(rng: &mut DeterministicRng) -> f64 {
+    const SPECIAL: [f64; 12] = [
+        0.0,
+        -0.0,
+        21.5,
+        -4.0,
+        999_999_999_999_999.0,
+        1e15,
+        -1e15,
+        1.234_567_890_123_456_7e18,
+        1e300,
+        5e-324,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    match rng.next_bounded(3) {
+        0 => SPECIAL[rng.next_bounded(SPECIAL.len() as u64) as usize],
+        1 => (rng.next_bounded(2_000_000) as f64 - 1_000_000.0) / 8.0,
+        _ => {
+            let f = f64::from_bits(rng.next_u64());
+            if f.is_nan() {
+                0.5
+            } else {
+                f
+            }
+        }
+    }
+}
+
+fn rand_measurement(rng: &mut DeterministicRng) -> Measurement {
+    let quantity = QuantityKind::all()[rng.next_bounded(QuantityKind::all().len() as u64) as usize];
+    let units: Vec<Unit> = Unit::all()
+        .iter()
+        .copied()
+        .filter(|u| quantity.accepts(*u))
+        .collect();
+    // Whole seconds and odd milliseconds, before and after the epoch.
+    let millis = rng.next_bounded(4_000_000_000_000) as i64 - 1_000_000_000_000;
+    let millis = if rng.chance(0.5) {
+        millis - millis.rem_euclid(1000)
+    } else {
+        millis
+    };
+    Measurement::new(
+        DeviceId::new(string_from(rng, "abcXYZ019._:-", 1, 24)).unwrap(),
+        quantity,
+        rand_reading(rng),
+        units[rng.next_bounded(units.len() as u64) as usize],
+        Timestamp::from_unix_millis(millis),
+    )
+}
+
+#[test]
+fn typed_writers_match_the_tree_writer_byte_for_byte() {
+    let mut rng = DeterministicRng::seed_from(0xC0DE_000A);
+    for case in 0..CASES {
+        // Case 0 is the empty batch.
+        let batch: MeasurementBatch = (0..case % 7).map(|_| rand_measurement(&mut rng)).collect();
+        for format in DataFormat::all() {
+            assert_eq!(
+                codec::encode_batch(&batch, format),
+                codec::encode_value(&batch.to_value(), format),
+                "{format} batch"
+            );
+            for m in &batch {
+                assert_eq!(
+                    codec::encode_measurement(m, format),
+                    codec::encode_value(&m.to_value(), format),
+                    "{format} {m}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn series_writer_matches_the_batch_it_stands_for() {
+    let mut rng = DeterministicRng::seed_from(0xC0DE_000B);
+    for case in 0..CASES {
+        let template = rand_measurement(&mut rng);
+        let points: Vec<(i64, f64)> = (0..case % 7)
+            .map(|i| {
+                (
+                    1_425_859_200_123 + i as i64 * 60_000,
+                    rand_reading(&mut rng),
+                )
+            })
+            .collect();
+        let batch: MeasurementBatch = points
+            .iter()
+            .map(|&(t, v)| {
+                Measurement::new(
+                    template.device().clone(),
+                    template.quantity(),
+                    v,
+                    template.unit(),
+                    Timestamp::from_unix_millis(t),
+                )
+            })
+            .collect();
+        for format in DataFormat::all() {
+            let mut out = String::new();
+            MeasurementBatch::write_series(
+                &mut Writer::new(format, &mut out),
+                template.device(),
+                template.quantity(),
+                template.unit(),
+                &points,
+            );
+            assert_eq!(
+                out,
+                codec::encode_value(&batch.to_value(), format),
+                "{format}"
+            );
+        }
+    }
+}
+
+#[test]
+fn string_events_escape_like_tree_strings() {
+    let mut rng = DeterministicRng::seed_from(0xC0DE_000C);
+    for _ in 0..CASES {
+        // Control characters, quotes, markup and non-ASCII.
+        let text = any_text(&mut rng, 24) + &printable_string(&mut rng, 8);
+        let tree = Value::object([(text.clone(), Value::from(text.clone()))]);
+        for format in DataFormat::all() {
+            let expected = codec::encode_value(&tree, format);
+            for displayed in [false, true] {
+                let mut out = String::new();
+                let mut w = Writer::new(format, &mut out);
+                w.begin_object();
+                w.key(&text);
+                if displayed {
+                    w.display(&text);
+                } else {
+                    w.str(&text);
+                }
+                w.end_object();
+                assert_eq!(out, expected, "{format} displayed={displayed}");
+            }
+        }
+    }
+}
+
+/// Serializes an object from a member list, which — unlike a [`Value`]
+/// object — keeps the given order and may repeat a key.
+fn object_text(members: &[(String, Value)], format: DataFormat) -> String {
+    match format {
+        DataFormat::Json => {
+            let members: Vec<String> = members
+                .iter()
+                .map(|(k, v)| {
+                    format!(
+                        "{}:{}",
+                        json::to_string(&Value::from(k.as_str())),
+                        json::to_string(v)
+                    )
+                })
+                .collect();
+            format!("{{{}}}", members.join(","))
+        }
+        DataFormat::Xml => {
+            let mut out = String::from("<value type=\"object\">");
+            for (k, v) in members {
+                // `<value type=…>…</value>` or `<value type="null"/>`,
+                // re-tagged as a named member.
+                let doc = xml::to_string(v);
+                let name = xml::to_string(&Value::object([(k.as_str(), Value::Null)]));
+                let name = &name["<value type=\"object\"><member".len()..];
+                let name = &name[..name.len() - " type=\"null\"/></value>".len()];
+                out.push_str("<member");
+                out.push_str(name);
+                match doc.strip_suffix("</value>") {
+                    Some(open) => {
+                        out.push_str(&open["<value".len()..]);
+                        out.push_str("</member>");
+                    }
+                    None => out.push_str(&doc["<value".len()..]),
+                }
+            }
+            out + "</value>"
+        }
+    }
+}
+
+/// Typed and tree decoders must agree on any text: both reject it, or
+/// both accept it with equal results.
+fn assert_decoders_agree(text: &str, format: DataFormat) {
+    let tree = codec::decode_value(text, format);
+    let as_measurement = tree.clone().and_then(|v| Measurement::from_value(&v));
+    let as_batch = tree.and_then(|v| MeasurementBatch::from_value(&v));
+    assert_eq!(
+        codec::decode_measurement(text, format).ok(),
+        as_measurement.ok(),
+        "{format} measurement from {text:?}"
+    );
+    assert_eq!(
+        codec::decode_batch(text, format).ok(),
+        as_batch.ok(),
+        "{format} batch from {text:?}"
+    );
+}
+
+/// A member list that is often, but not always, a measurement: members
+/// in random order, sometimes repeated, sometimes of the wrong type,
+/// sometimes unknown.
+fn rand_measurement_members(rng: &mut DeterministicRng) -> Vec<(String, Value)> {
+    let m = rand_measurement(rng);
+    let mut members: Vec<(String, Value)> = match m.to_value() {
+        Value::Object(map) => map.into_iter().collect(),
+        other => panic!("measurement encodes as {other:?}"),
+    };
+    let junk = |rng: &mut DeterministicRng| rand_value(rng, 2);
+    for _ in 0..rng.next_bounded(4) {
+        let at = rng.next_bounded(members.len() as u64 + 1) as usize;
+        let member = match rng.next_bounded(4) {
+            // Unknown member, any value.
+            0 => (string_from(rng, "abcdevqut", 1, 9), junk(rng)),
+            // A known key with any value, before or after the good one.
+            1 => {
+                let key = ["device", "quantity", "value", "unit", "timestamp"]
+                    [rng.next_bounded(5) as usize];
+                (key.to_owned(), junk(rng))
+            }
+            // A repeat of some member already present.
+            2 => members[rng.next_bounded(members.len() as u64) as usize].clone(),
+            // An integral value where a float is usual.
+            _ => ("value".to_owned(), Value::Int(rng.next_bounded(100) as i64)),
+        };
+        members.insert(at, member);
+    }
+    // Shuffle.
+    for i in (1..members.len()).rev() {
+        members.swap(i, rng.next_bounded(i as u64 + 1) as usize);
+    }
+    if rng.chance(0.1) {
+        members.remove(rng.next_bounded(members.len() as u64) as usize);
+    }
+    members
+}
+
+#[test]
+fn typed_readers_match_the_tree_reader_on_reordered_repeated_and_unknown_members() {
+    let mut rng = DeterministicRng::seed_from(0xC0DE_000D);
+    let mut accepted = 0;
+    for _ in 0..4 * CASES {
+        let items: Vec<Vec<(String, Value)>> = (0..rng.next_bounded(4))
+            .map(|_| rand_measurement_members(&mut rng))
+            .collect();
+        for format in DataFormat::all() {
+            let item_texts: Vec<String> = items.iter().map(|m| object_text(m, format)).collect();
+            for text in &item_texts {
+                assert_decoders_agree(text, format);
+                accepted += usize::from(codec::decode_measurement(text, format).is_ok());
+            }
+            // The batch around them, itself with a repeated or unknown
+            // member now and then. Items are spliced in as text to keep
+            // their member lists.
+            let array = Value::Array(
+                (0..items.len())
+                    .map(|i| Value::from(format!("@{i}@")))
+                    .collect(),
+            );
+            let mut members = vec![("measurements".to_owned(), array.clone())];
+            match rng.next_bounded(4) {
+                0 => members.insert(0, ("measurements".to_owned(), rand_value(&mut rng, 2))),
+                1 => members.push(("measurements".to_owned(), Value::array([]))),
+                2 => members.push(("more".to_owned(), array)),
+                _ => {}
+            }
+            let mut text = object_text(&members, format);
+            for (i, item) in item_texts.iter().enumerate() {
+                let (placeholder, tagged) = match format {
+                    DataFormat::Json => (format!("\"@{i}@\""), item.clone()),
+                    DataFormat::Xml => (
+                        format!("<item type=\"string\">@{i}@</item>"),
+                        format!(
+                            "<item{}</item>",
+                            &item["<value".len()..item.len() - "</value>".len()]
+                        ),
+                    ),
+                };
+                text = text.replace(&placeholder, &tagged);
+            }
+            assert_decoders_agree(&text, format);
+        }
+    }
+    assert!(
+        accepted > CASES,
+        "generator makes too few valid measurements"
+    );
+}
+
+#[test]
+fn every_truncation_and_bit_flip_is_judged_alike_by_typed_and_tree_decoders() {
+    let mut rng = DeterministicRng::seed_from(0xC0DE_000E);
+    let batch: MeasurementBatch = (0..3).map(|_| rand_measurement(&mut rng)).collect();
+    let single = batch.iter().next().unwrap();
+    for format in DataFormat::all() {
+        for doc in [
+            codec::encode_measurement(single, format),
+            codec::encode_batch(&batch, format),
+        ] {
+            assert!(
+                doc.is_ascii(),
+                "cuts and flips below assume one byte per char"
+            );
+            assert_decoders_agree(&doc, format);
+            for cut in 0..doc.len() {
+                assert_decoders_agree(&doc[..cut], format);
+            }
+            let mut bytes = doc.clone().into_bytes();
+            for at in 0..bytes.len() {
+                for bit in 0..8 {
+                    bytes[at] ^= 1 << bit;
+                    // A flip into non-UTF-8 never reaches a text decoder.
+                    if let Ok(text) = std::str::from_utf8(&bytes) {
+                        assert_decoders_agree(text, format);
+                    }
+                    bytes[at] ^= 1 << bit;
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn shape_errors_are_reported_only_for_well_formed_text() {
+    // A typed reader must not report a shape error for text whose
+    // syntax is broken after the ill-shaped part.
+    for (text, format) in [
+        (r#"{"device":5} trailing"#, DataFormat::Json),
+        (
+            r#"{"measurements":[{"device":5}],"x":tru}"#,
+            DataFormat::Json,
+        ),
+        (
+            r#"<value type="object"><member name="device" type="int">5</member></value><x/>"#,
+            DataFormat::Xml,
+        ),
+    ] {
+        assert!(matches!(
+            codec::decode_measurement(text, format),
+            Err(CoreError::ParseJson { .. } | CoreError::ParseXml { .. })
+        ));
+        assert!(matches!(
+            codec::decode_batch(text, format),
+            Err(CoreError::ParseJson { .. } | CoreError::ParseXml { .. })
+        ));
     }
 }

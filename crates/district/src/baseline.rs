@@ -221,7 +221,7 @@ impl Node for CentralServerNode {
                     let decoded = self
                         .devices
                         .get_mut(&pkt.src)
-                        .map(|entry| entry.adapter.decode_poll(&body));
+                        .map(|entry| entry.adapter.decode_poll(body));
                     match decoded {
                         Some(Ok(samples)) => {
                             self.stats.frames_decoded += 1;

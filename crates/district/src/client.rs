@@ -17,7 +17,7 @@ use dimmer_core::codec::DataFormat;
 use dimmer_core::{DistrictId, MeasurementBatch, Value};
 use gis::geo::BoundingBox;
 use ontology::AreaResolution;
-use proxy::webservice::{WsClient, WsClientEvent, WsRequest, WsResponse};
+use proxy::webservice::{decode_response, status, WsClient, WsClientEvent, WsRequest, WsResponse};
 use proxy::{uri_node, WS_PORT};
 use simnet::{Context, Node, NodeId, Packet, SimDuration, SimTime, TimerTag};
 
@@ -225,28 +225,36 @@ impl ClientNode {
         self.finish_if_done(ctx, query_index);
     }
 
+    /// Integrates one fetch; `response` is the still-encoded answer, or
+    /// `None` after a timeout. Device data is decoded straight into
+    /// measurements; an entity model is the tree the snapshot keeps.
     fn on_fetch(
         &mut self,
         ctx: &mut Context<'_>,
         query_index: usize,
         kind: FetchKind,
-        response: Option<WsResponse>,
+        response: Option<&[u8]>,
     ) {
-        {
-            let query = &mut self.queries[query_index];
-            match response {
-                Some(response) if response.is_ok() => match kind {
-                    FetchKind::EntityModel(entity_id) => {
-                        query.entities.insert(entity_id, response.body);
-                    }
-                    FetchKind::DeviceData => match MeasurementBatch::from_value(&response.body) {
-                        Ok(batch) => query.measurements.extend(batch),
-                        Err(_) => query.errors += 1,
-                    },
-                    FetchKind::Resolution => unreachable!("handled in on_resolution"),
-                },
-                _ => query.errors += 1,
-            }
+        let query = &mut self.queries[query_index];
+        let integrated = response.is_some_and(|bytes| match kind {
+            FetchKind::EntityModel(entity_id) => match WsResponse::from_bytes(bytes) {
+                Ok(response) if response.is_ok() => {
+                    query.entities.insert(entity_id, response.body);
+                    true
+                }
+                _ => false,
+            },
+            FetchKind::DeviceData => match decode_response(bytes, MeasurementBatch::read) {
+                Ok((status, Some(batch))) if status::is_success(status) => {
+                    query.measurements.extend(batch);
+                    true
+                }
+                _ => false,
+            },
+            FetchKind::Resolution => unreachable!("handled in on_resolution"),
+        });
+        if !integrated {
+            query.errors += 1;
         }
         self.finish_if_done(ctx, query_index);
     }
@@ -282,18 +290,19 @@ impl Node for ClientNode {
         if pkt.port != WS_PORT {
             return;
         }
-        if let Some(WsClientEvent::Response { id, response }) = self.ws.accept(&pkt) {
+        if let Some((id, bytes)) = self.ws.accept_encoded(&pkt) {
             if let Some((query_index, kind)) = self.in_flight.remove(&id) {
                 match kind {
-                    FetchKind::Resolution => {
-                        if response.is_ok() {
+                    FetchKind::Resolution => match WsResponse::from_bytes(bytes) {
+                        Ok(response) if response.is_ok() => {
                             self.on_resolution(ctx, query_index, response);
-                        } else {
+                        }
+                        _ => {
                             self.queries[query_index].errors += 1;
                             self.finish_if_done(ctx, query_index);
                         }
-                    }
-                    other => self.on_fetch(ctx, query_index, other, Some(response)),
+                    },
+                    other => self.on_fetch(ctx, query_index, other, Some(bytes)),
                 }
             }
         }

@@ -9,6 +9,7 @@
 
 use std::collections::HashMap;
 
+use dimmer_core::codec::{self, DataFormat};
 use dimmer_core::{DistrictId, Measurement};
 use gis::geo::BoundingBox;
 use ontology::AreaResolution;
@@ -136,8 +137,7 @@ impl Node for LiveMonitorNode {
                     self.stats.updates += 1;
                     let decoded = std::str::from_utf8(&payload)
                         .ok()
-                        .and_then(|text| dimmer_core::json::from_str(text).ok())
-                        .and_then(|v| Measurement::from_value(&v).ok());
+                        .and_then(|text| codec::decode_measurement(text, DataFormat::Json).ok());
                     match decoded {
                         Some(measurement) => {
                             let key = (

@@ -13,7 +13,9 @@ use std::collections::HashMap;
 use dimmer_core::{MeasurementBatch, Value};
 use gis::geo::BoundingBox;
 use ontology::AreaResolution;
-use proxy::webservice::{status, WsCall, WsClient, WsClientEvent, WsRequest, WsResponse, WsServer};
+use proxy::webservice::{
+    decode_response, status, WsCall, WsClient, WsClientEvent, WsRequest, WsResponse, WsServer,
+};
 use proxy::{uri_node, WS_PORT};
 use simnet::{Context, Node, NodeId, Packet, TimerTag};
 
@@ -104,12 +106,11 @@ impl RelayNode {
         self.stats.fetches += 1;
     }
 
-    fn on_resolution(&mut self, ctx: &mut Context<'_>, index: usize, response: WsResponse) {
-        let resolution = if response.is_ok() {
-            AreaResolution::from_value(&response.body).ok()
-        } else {
-            None
-        };
+    fn on_resolution(&mut self, ctx: &mut Context<'_>, index: usize, response: &[u8]) {
+        let resolution = WsResponse::from_bytes(response)
+            .ok()
+            .filter(WsResponse::is_ok)
+            .and_then(|response| AreaResolution::from_value(&response.body).ok());
         let Some(resolution) = resolution else {
             if let Some(query) = &mut self.queries[index] {
                 query.errors += 1;
@@ -147,26 +148,35 @@ impl RelayNode {
         self.step(ctx, index);
     }
 
+    /// Integrates one upstream fetch; `response` is the still-encoded
+    /// answer, or `None` after a timeout.
     fn on_fetch(
         &mut self,
         ctx: &mut Context<'_>,
         index: usize,
         kind: FetchKind,
-        response: Option<WsResponse>,
+        response: Option<&[u8]>,
     ) {
         if let Some(query) = &mut self.queries[index] {
-            match response {
-                Some(response) if response.is_ok() => match kind {
-                    FetchKind::EntityModel(id) => {
+            let integrated = response.is_some_and(|bytes| match kind {
+                FetchKind::EntityModel(id) => match WsResponse::from_bytes(bytes) {
+                    Ok(response) if response.is_ok() => {
                         query.entities.insert(id, response.body);
+                        true
                     }
-                    FetchKind::DeviceData => match MeasurementBatch::from_value(&response.body) {
-                        Ok(batch) => query.measurements.extend(batch),
-                        Err(_) => query.errors += 1,
-                    },
-                    FetchKind::Resolution => unreachable!("handled separately"),
+                    _ => false,
                 },
-                _ => query.errors += 1,
+                FetchKind::DeviceData => match decode_response(bytes, MeasurementBatch::read) {
+                    Ok((status, Some(batch))) if status::is_success(status) => {
+                        query.measurements.extend(batch);
+                        true
+                    }
+                    _ => false,
+                },
+                FetchKind::Resolution => unreachable!("handled separately"),
+            });
+            if !integrated {
+                query.errors += 1;
             }
         }
         self.step(ctx, index);
@@ -208,13 +218,11 @@ impl Node for RelayNode {
         if pkt.port != WS_PORT {
             return;
         }
-        if let Some(event) = self.client.accept(&pkt) {
-            if let WsClientEvent::Response { id, response } = event {
-                if let Some((index, kind)) = self.in_flight.remove(&id) {
-                    match kind {
-                        FetchKind::Resolution => self.on_resolution(ctx, index, response),
-                        other => self.on_fetch(ctx, index, other, Some(response)),
-                    }
+        if let Some((id, response)) = self.client.accept_encoded(&pkt) {
+            if let Some((index, kind)) = self.in_flight.remove(&id) {
+                match kind {
+                    FetchKind::Resolution => self.on_resolution(ctx, index, response),
+                    other => self.on_fetch(ctx, index, other, Some(response)),
                 }
             }
             return;

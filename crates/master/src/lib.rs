@@ -870,13 +870,17 @@ impl MasterNode {
         ctx.telemetry().metrics.incr("ops.scrapes");
         // Proxies: whatever the registry holds right now, probed over
         // the Web Service at the node its registration URI names.
-        let proxies: Vec<(String, NodeId, &'static str)> = self
+        let mut proxies: Vec<(String, NodeId, &'static str)> = self
             .registry
             .iter()
             .filter_map(|(id, record)| {
                 uri_node(&record.uri).map(|node| (id.as_str().to_owned(), node, record.kind))
             })
             .collect();
+        // The registry is a `HashMap`; probe in proxy-id order so that
+        // link delays are sampled, and the run unfolds, the same way
+        // every time.
+        proxies.sort_unstable();
         for (name, node, kind) in proxies {
             let id = self
                 .ws_client

@@ -10,6 +10,9 @@
 //! * `GET /model` — the full source translated to the common format;
 //! * `GET /query?...` — source-specific filtered retrieval.
 
+use std::cell::OnceCell;
+
+use dimmer_core::codec::DataFormat;
 use dimmer_core::{DistrictId, Measurement, MeasurementBatch, ProxyId, Value};
 use gis::feature::GisDatabase;
 use gis::geo::{BoundingBox, GeoPoint};
@@ -334,6 +337,12 @@ pub struct DatabaseProxyNode {
     /// Admission gate over the query paths; the ops plane is never shed.
     gate: AdmissionGate,
     stats: DatabaseProxyStats,
+    /// The serialized `/model` response, JSON then XML, each translated
+    /// and encoded on the first request for its format. Nothing
+    /// invalidates them because nothing can change the source: it sits
+    /// behind `&self` methods for the node's whole life (a `&mut self`
+    /// method on [`SourceTranslator`] is what would need to clear them).
+    model_responses: [OnceCell<Vec<u8>>; 2],
 }
 
 impl std::fmt::Debug for DatabaseProxyNode {
@@ -365,6 +374,7 @@ impl DatabaseProxyNode {
             heartbeat_req: None,
             gate: AdmissionGate::new(DEFAULT_ADMISSION_CAPACITY, DEFAULT_ADMISSION_RATE),
             stats: DatabaseProxyStats::default(),
+            model_responses: Default::default(),
         }
     }
 
@@ -381,6 +391,15 @@ impl DatabaseProxyNode {
     /// The counters.
     pub fn stats(&self) -> &DatabaseProxyStats {
         &self.stats
+    }
+
+    /// The serialized `GET /model` response in `format`.
+    fn model_response(&self, format: DataFormat) -> &[u8] {
+        let slot = match format {
+            DataFormat::Json => &self.model_responses[0],
+            DataFormat::Xml => &self.model_responses[1],
+        };
+        slot.get_or_init(|| WsResponse::ok(self.source.model()).to_bytes(format))
     }
 
     fn register(&mut self, ctx: &mut Context<'_>) {
@@ -445,7 +464,8 @@ impl Node for DatabaseProxyNode {
                 "/model" | "/query" => {
                     match self.gate.try_admit(ctx.now(), &ctx.telemetry().metrics) {
                         Admission::Admitted if call.request.path == "/model" => {
-                            WsResponse::ok(self.source.model())
+                            let response = self.model_response(call.request.format);
+                            return self.ws.respond_encoded(ctx, &call, response);
                         }
                         Admission::Admitted => self.source.query(&call.request),
                         Admission::Shed { retry_after } => {

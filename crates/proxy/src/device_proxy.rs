@@ -17,6 +17,7 @@
 use std::cell::OnceCell;
 use std::collections::{HashMap, VecDeque};
 
+use dimmer_core::codec::{DataFormat, Writer};
 use dimmer_core::{
     DeviceId, DistrictId, Measurement, MeasurementBatch, ProxyId, QuantityKind, Timestamp, Value,
 };
@@ -32,7 +33,9 @@ use storage::tskv::{Aggregate, TimeSeriesStore};
 use crate::adapters::DeviceAdapter;
 use crate::devices::unix_millis_at;
 use crate::registration::{ProxyRole, Registration};
-use crate::webservice::{status, WsClient, WsClientEvent, WsRequest, WsResponse, WsServer};
+use crate::webservice::{
+    encode_response, status, WsClient, WsClientEvent, WsRequest, WsResponse, WsServer,
+};
 use crate::{node_uri, DEVICE_DOWNLINK_PORT, OPCUA_PORT, WS_PORT};
 
 const TAG_POLL: TimerTag = TimerTag(1);
@@ -347,8 +350,10 @@ impl DeviceProxyNode {
             );
             if self.pubsub.is_some() {
                 let topic = self.topic_for(quantity);
-                let measurement = Measurement::new(
-                    self.config.device.clone(),
+                let mut payload = String::with_capacity(192);
+                Measurement::write_fields(
+                    &mut Writer::new(DataFormat::Json, &mut payload),
+                    &self.config.device,
                     quantity,
                     value,
                     quantity.canonical_unit(),
@@ -356,7 +361,7 @@ impl DeviceProxyNode {
                 );
                 let sample = BufferedSample {
                     topic,
-                    payload: dimmer_core::json::to_string(&measurement.to_value()).into_bytes(),
+                    payload: payload.into_bytes(),
                     trace,
                     span: ingest_span,
                 };
@@ -482,8 +487,17 @@ impl DeviceProxyNode {
         let response = match request.path.as_str() {
             "/info" => self.info(ctx),
             "/latest" | "/data" => match self.gate.try_admit(ctx.now(), &ctx.telemetry().metrics) {
-                Admission::Admitted if request.path == "/latest" => self.latest(request),
-                Admission::Admitted => self.data(request),
+                Admission::Admitted => {
+                    let encoded = if request.path == "/latest" {
+                        self.latest(request)
+                    } else {
+                        self.data(request)
+                    };
+                    match encoded {
+                        Ok(bytes) => return self.ws.respond_encoded(ctx, &call, &bytes),
+                        Err(refusal) => refusal,
+                    }
+                }
                 Admission::Shed { retry_after } => {
                     self.stats.ws_shed += 1;
                     WsResponse::unavailable(retry_after)
@@ -559,31 +573,31 @@ impl DeviceProxyNode {
         }
     }
 
-    fn latest(&self, request: &WsRequest) -> WsResponse {
-        let quantity = match self.quantity_param(request) {
-            Ok(q) => q,
-            Err(resp) => return resp,
-        };
-        match self.store.latest(quantity.as_str()) {
-            Some((t, v)) => WsResponse::ok(
-                Measurement::new(
-                    self.config.device.clone(),
-                    quantity,
-                    v,
-                    quantity.canonical_unit(),
-                    Timestamp::from_unix_millis(t),
-                )
-                .to_value(),
-            ),
-            None => WsResponse::error(status::NOT_FOUND, "no samples yet"),
-        }
+    /// `GET /latest`: the newest sample, serialized in the request's
+    /// format straight from the stored point; `Err` is the refusal.
+    fn latest(&self, request: &WsRequest) -> Result<Vec<u8>, WsResponse> {
+        let quantity = self.quantity_param(request)?;
+        let (t, v) = self
+            .store
+            .latest(quantity.as_str())
+            .ok_or_else(|| WsResponse::error(status::NOT_FOUND, "no samples yet"))?;
+        Ok(encode_response(status::OK, request.format, |w| {
+            Measurement::write_fields(
+                w,
+                &self.config.device,
+                quantity,
+                v,
+                quantity.canonical_unit(),
+                Timestamp::from_unix_millis(t),
+            );
+        }))
     }
 
-    fn data(&self, request: &WsRequest) -> WsResponse {
-        let quantity = match self.quantity_param(request) {
-            Ok(q) => q,
-            Err(resp) => return resp,
-        };
+    /// `GET /data`: a range (optionally downsampled) as a measurement
+    /// batch, serialized in the request's format straight from the
+    /// stored points; `Err` is the refusal.
+    fn data(&self, request: &WsRequest) -> Result<Vec<u8>, WsResponse> {
+        let quantity = self.quantity_param(request)?;
         let parse_millis = |key: &str, default: i64| -> Result<i64, WsResponse> {
             match request.query(key) {
                 None => Ok(default),
@@ -592,43 +606,31 @@ impl DeviceProxyNode {
                     .map_err(|_| WsResponse::error(status::BAD_REQUEST, format!("invalid {key}"))),
             }
         };
-        let from = match parse_millis("from", i64::MIN) {
-            Ok(v) => v,
-            Err(r) => return r,
-        };
-        let to = match parse_millis("to", i64::MAX) {
-            Ok(v) => v,
-            Err(r) => return r,
-        };
+        let from = parse_millis("from", i64::MIN)?;
+        let to = parse_millis("to", i64::MAX)?;
         let points = match (request.query("bucket"), request.query("agg")) {
             (Some(bucket), agg) => {
-                let Ok(bucket) = bucket.parse::<i64>() else {
-                    return WsResponse::error(status::BAD_REQUEST, "invalid bucket");
-                };
-                if bucket <= 0 {
-                    return WsResponse::error(status::BAD_REQUEST, "invalid bucket");
-                }
-                let Some(agg) = Aggregate::parse(agg.unwrap_or("mean")) else {
-                    return WsResponse::error(status::BAD_REQUEST, "unknown aggregate");
-                };
+                let bucket = bucket
+                    .parse::<i64>()
+                    .ok()
+                    .filter(|b| *b > 0)
+                    .ok_or_else(|| WsResponse::error(status::BAD_REQUEST, "invalid bucket"))?;
+                let agg = Aggregate::parse(agg.unwrap_or("mean"))
+                    .ok_or_else(|| WsResponse::error(status::BAD_REQUEST, "unknown aggregate"))?;
                 self.store
                     .downsample(quantity.as_str(), from, to, bucket, agg)
             }
             (None, _) => self.store.range(quantity.as_str(), from, to),
         };
-        let batch: MeasurementBatch = points
-            .into_iter()
-            .map(|(t, v)| {
-                Measurement::new(
-                    self.config.device.clone(),
-                    quantity,
-                    v,
-                    quantity.canonical_unit(),
-                    Timestamp::from_unix_millis(t),
-                )
-            })
-            .collect();
-        WsResponse::ok(batch.to_value())
+        Ok(encode_response(status::OK, request.format, |w| {
+            MeasurementBatch::write_series(
+                w,
+                &self.config.device,
+                quantity,
+                quantity.canonical_unit(),
+                &points,
+            );
+        }))
     }
 
     fn actuate(&mut self, ctx: &mut Context<'_>, request: &WsRequest) -> WsResponse {
@@ -724,7 +726,7 @@ impl Node for DeviceProxyNode {
                 if let Some(RpcEvent::ResponseReceived { body, .. }) =
                     self.poll_tracker.accept(&pkt)
                 {
-                    match self.adapter.decode_poll(&body) {
+                    match self.adapter.decode_poll(body) {
                         Ok(samples) => self.ingest(ctx, samples, pkt.trace, pkt.span),
                         Err(_) => {
                             self.stats.decode_errors += 1;

@@ -181,7 +181,7 @@ impl Node for OpcUaFieldNode {
         }
         // Poll requests arrive in rpc framing from the proxy's tracker.
         if let Ok(RpcFrame::Request { id, body }) = rpc::decode(&pkt.payload) {
-            if let Ok(response) = self.server.handle_bytes(&body) {
+            if let Ok(response) = self.server.handle_bytes(body) {
                 ctx.send(pkt.src, OPCUA_PORT, rpc::encode_response(id, &response));
                 self.polls_answered += 1;
             }
@@ -255,7 +255,7 @@ impl Node for CoapFieldNode {
             COAP_PORT => {
                 // Proxy polls arrive in rpc framing.
                 if let Ok(RpcFrame::Request { id, body }) = rpc::decode(&pkt.payload) {
-                    if let Ok(response) = self.server.handle_bytes(&body) {
+                    if let Ok(response) = self.server.handle_bytes(body) {
                         ctx.send(pkt.src, COAP_PORT, rpc::encode_response(id, &response));
                         self.requests_answered += 1;
                     }
@@ -349,7 +349,7 @@ mod tests {
             }
             fn on_packet(&mut self, _ctx: &mut Context<'_>, pkt: Packet) {
                 if let Ok(RpcFrame::Response { body, .. }) = rpc::decode(&pkt.payload) {
-                    self.responses.push(body);
+                    self.responses.push(body.to_vec());
                 }
             }
         }
@@ -406,7 +406,7 @@ mod tests {
             }
             fn on_packet(&mut self, _ctx: &mut Context<'_>, pkt: Packet) {
                 if let Ok(RpcFrame::Response { body, .. }) = rpc::decode(&pkt.payload) {
-                    self.responses.push(body);
+                    self.responses.push(body.to_vec());
                 }
             }
         }

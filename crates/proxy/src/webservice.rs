@@ -5,10 +5,17 @@
 //! format (JSON or XML, one marker byte ahead of the text) and carried by
 //! the [`simnet::rpc`] request/response framing. Servers route paths
 //! against [`PathPattern`]s with `{param}` captures.
+//!
+//! The envelopes are typed drivers of the common-format codec (see
+//! [`dimmer_core::codec`]): they are written around the body and read by
+//! handing the body's events to a body reader, so a body is never copied
+//! into or out of an envelope tree. [`WsResponse`] carries a [`Value`]
+//! body; [`encode_response`] and [`decode_response`] take any other
+//! typed body (a measurement batch straight from stored points, say).
 
 use std::collections::BTreeMap;
 
-use dimmer_core::codec::{self, DataFormat};
+use dimmer_core::codec::{DataFormat, Reader, Scalar, Shaped, Writer};
 use dimmer_core::{CoreError, Value};
 use simnet::overload::RetryBudget;
 use simnet::rpc::{RequestTracker, RpcEvent};
@@ -33,6 +40,11 @@ pub mod status {
     pub const INTERNAL_ERROR: u16 = 500;
     /// The server is shedding load; retry after the advertised delay.
     pub const SERVICE_UNAVAILABLE: u16 = 503;
+
+    /// True for 2xx statuses.
+    pub fn is_success(status: u16) -> bool {
+        (200..300).contains(&status)
+    }
 }
 
 /// The request method.
@@ -121,20 +133,23 @@ impl WsRequest {
 
     /// Serializes: one format byte, then the envelope in that format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let envelope = Value::object([
-            ("method", Value::from(self.method.as_str())),
-            ("path", Value::from(self.path.as_str())),
-            (
-                "query",
-                Value::object(
-                    self.query
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Value::from(v.as_str()))),
-                ),
-            ),
-            ("body", self.body.clone()),
-        ]);
-        encode_with_marker(&envelope, self.format)
+        encode_envelope(self.format, |w| {
+            w.begin_object();
+            w.key("body");
+            w.value(&self.body);
+            w.key("method");
+            w.str(self.method.as_str());
+            w.key("path");
+            w.str(&self.path);
+            w.key("query");
+            w.begin_object();
+            for (k, v) in &self.query {
+                w.key(k);
+                w.str(v);
+            }
+            w.end_object();
+            w.end_object();
+        })
     }
 
     /// Deserializes bytes produced by [`WsRequest::to_bytes`].
@@ -143,35 +158,71 @@ impl WsRequest {
     ///
     /// Returns [`CoreError`] on an unknown marker or malformed envelope.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CoreError> {
-        let (envelope, format) = decode_with_marker(bytes)?;
         const T: &str = "ws request";
+        let (format, text) = split_marker(bytes)?;
+        let mut r = Reader::new(format, text);
+        let (mut method, mut path) = (Scalar::Missing, Scalar::Missing);
+        let mut query = None;
+        let mut body = Value::Null;
+        if r.begin_object()? {
+            while let Some(key) = r.next_key()? {
+                match &*key {
+                    "method" => method = Scalar::read(&mut r)?,
+                    "path" => path = Scalar::read(&mut r)?,
+                    "query" => query = Some(read_query(&mut r)?),
+                    "body" => body = r.value()?,
+                    _ => r.skip_value()?,
+                }
+            }
+        }
+        r.finish()?;
         let method =
-            Method::parse(envelope.require_str(T, "method")?).ok_or_else(|| CoreError::Shape {
+            Method::parse(method.require_str(T, "method")?).ok_or_else(|| CoreError::Shape {
                 target: T,
                 reason: "unknown method".into(),
             })?;
-        let mut query = BTreeMap::new();
-        if let Some(map) = envelope.require(T, "query")?.as_object() {
-            for (k, v) in map {
-                query.insert(
-                    k.clone(),
-                    v.as_str()
-                        .ok_or_else(|| CoreError::Shape {
-                            target: T,
-                            reason: "query values must be strings".into(),
-                        })?
-                        .to_owned(),
-                );
-            }
-        }
+        let query = query.ok_or_else(|| CoreError::Shape {
+            target: T,
+            reason: "missing member \"query\"".into(),
+        })??;
         Ok(WsRequest {
             method,
-            path: envelope.require_str(T, "path")?.to_owned(),
+            path: path.require_str(T, "path")?.to_owned(),
             query,
-            body: envelope.get("body").cloned().unwrap_or(Value::Null),
+            body,
             format,
         })
     }
+}
+
+/// Reads the `query` member of a request envelope: an object of strings
+/// (anything but an object reads as no parameters).
+fn read_query(r: &mut Reader<'_>) -> Result<Shaped<BTreeMap<String, String>>, CoreError> {
+    let mut query = BTreeMap::new();
+    // Keys whose last occurrence so far was not a string.
+    let mut ill_typed: Vec<String> = Vec::new();
+    if r.begin_object()? {
+        while let Some(key) = r.next_key()? {
+            ill_typed.retain(|k| *k != key);
+            match Scalar::read(r)? {
+                Scalar::Str(value) => {
+                    query.insert(key.into_owned(), value.into_owned());
+                }
+                _ => {
+                    query.remove(&*key);
+                    ill_typed.push(key.into_owned());
+                }
+            }
+        }
+    }
+    Ok(if ill_typed.is_empty() {
+        Ok(query)
+    } else {
+        Err(CoreError::Shape {
+            target: "ws request",
+            reason: "query values must be strings".into(),
+        })
+    })
 }
 
 /// A Web-Service response.
@@ -229,16 +280,12 @@ impl WsResponse {
 
     /// True for 2xx statuses.
     pub fn is_ok(&self) -> bool {
-        (200..300).contains(&self.status)
+        status::is_success(self.status)
     }
 
     /// Serializes in `format` (the request's format).
     pub fn to_bytes(&self, format: DataFormat) -> Vec<u8> {
-        let envelope = Value::object([
-            ("status", Value::from(i64::from(self.status))),
-            ("body", self.body.clone()),
-        ]);
-        encode_with_marker(&envelope, format)
+        encode_response(self.status, format, |w| w.value(&self.body))
     }
 
     /// Deserializes bytes produced by [`WsResponse::to_bytes`].
@@ -247,34 +294,82 @@ impl WsResponse {
     ///
     /// Returns [`CoreError`] on an unknown marker or malformed envelope.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CoreError> {
-        let (envelope, _) = decode_with_marker(bytes)?;
-        const T: &str = "ws response";
-        let status = envelope.require_i64(T, "status")?;
-        if !(100..600).contains(&status) {
-            return Err(CoreError::Shape {
-                target: T,
-                reason: "status out of range".into(),
-            });
-        }
+        let (status, body) = decode_response(bytes, |r| r.value().map(Ok))?;
         Ok(WsResponse {
-            status: status as u16,
-            body: envelope.get("body").cloned().unwrap_or(Value::Null),
+            status,
+            body: body.unwrap_or(Value::Null),
         })
     }
 }
 
-fn encode_with_marker(envelope: &Value, format: DataFormat) -> Vec<u8> {
-    let text = codec::encode_value(envelope, format);
-    let mut out = Vec::with_capacity(text.len() + 1);
-    out.push(match format {
-        DataFormat::Json => 0,
-        DataFormat::Xml => 1,
-    });
-    out.extend_from_slice(text.as_bytes());
-    out
+/// Serializes a response in `format` around the body that `write_body`
+/// emits — the bytes [`WsResponse::to_bytes`] gives for that body as a
+/// [`Value`], without the tree.
+pub fn encode_response(
+    status: u16,
+    format: DataFormat,
+    write_body: impl FnOnce(&mut Writer<'_>),
+) -> Vec<u8> {
+    encode_envelope(format, |w| {
+        w.begin_object();
+        w.key("body");
+        write_body(w);
+        w.key("status");
+        w.int(i64::from(status));
+        w.end_object();
+    })
 }
 
-fn decode_with_marker(bytes: &[u8]) -> Result<(Value, DataFormat), CoreError> {
+/// Deserializes a response, leaving the body to `read_body` (a typed
+/// reader such as `MeasurementBatch::read`). Returns the status
+/// and the body, `None` when the envelope carries none.
+///
+/// # Errors
+///
+/// Returns [`CoreError`] on an unknown marker or malformed envelope, or
+/// when `read_body` finds the body ill-shaped.
+pub fn decode_response<B>(
+    bytes: &[u8],
+    mut read_body: impl FnMut(&mut Reader<'_>) -> Result<Shaped<B>, CoreError>,
+) -> Result<(u16, Option<B>), CoreError> {
+    const T: &str = "ws response";
+    let (format, text) = split_marker(bytes)?;
+    let mut r = Reader::new(format, text);
+    let mut status = Scalar::Missing;
+    let mut body = Ok(None);
+    if r.begin_object()? {
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "status" => status = Scalar::read(&mut r)?,
+                "body" => body = read_body(&mut r)?.map(Some),
+                _ => r.skip_value()?,
+            }
+        }
+    }
+    r.finish()?;
+    let status = status.require_i64(T, "status")?;
+    if !(100..600).contains(&status) {
+        return Err(CoreError::Shape {
+            target: T,
+            reason: "status out of range".into(),
+        });
+    }
+    Ok((status as u16, body?))
+}
+
+/// One format byte, then the envelope `write` emits, in one buffer.
+fn encode_envelope(format: DataFormat, write: impl FnOnce(&mut Writer<'_>)) -> Vec<u8> {
+    let mut out = String::with_capacity(256);
+    // Both markers are ASCII, so the buffer stays a valid string.
+    out.push(match format {
+        DataFormat::Json => '\0',
+        DataFormat::Xml => '\u{1}',
+    });
+    write(&mut Writer::new(format, &mut out));
+    out.into_bytes()
+}
+
+fn split_marker(bytes: &[u8]) -> Result<(DataFormat, &str), CoreError> {
     let (&marker, text) = bytes.split_first().ok_or(CoreError::Shape {
         target: "ws envelope",
         reason: "empty payload".into(),
@@ -293,7 +388,7 @@ fn decode_with_marker(bytes: &[u8]) -> Result<(Value, DataFormat), CoreError> {
         target: "ws envelope",
         reason: "payload is not utf-8".into(),
     })?;
-    Ok((codec::decode_value(text, format)?, format))
+    Ok((format, text))
 }
 
 /// A path pattern with `{param}` captures, e.g.
@@ -387,35 +482,30 @@ impl WsServer {
     /// request. Malformed requests are answered with 400 automatically.
     pub fn accept(&mut self, ctx: &mut Context<'_>, pkt: &Packet) -> Option<WsCall> {
         match self.tracker.accept(pkt)? {
-            RpcEvent::IncomingRequest { id, from, body, .. } => {
-                match WsRequest::from_bytes(&body) {
-                    Ok(request) => Some(WsCall { id, from, request }),
-                    Err(e) => {
-                        let resp = WsResponse::error(status::BAD_REQUEST, e.to_string());
-                        self.tracker.respond(
-                            ctx,
-                            from,
-                            WS_PORT,
-                            id,
-                            &resp.to_bytes(DataFormat::Json),
-                        );
-                        None
-                    }
+            RpcEvent::IncomingRequest { id, from, body, .. } => match WsRequest::from_bytes(body) {
+                Ok(request) => Some(WsCall { id, from, request }),
+                Err(e) => {
+                    let resp = WsResponse::error(status::BAD_REQUEST, e.to_string());
+                    self.tracker
+                        .respond(ctx, from, WS_PORT, id, &resp.to_bytes(DataFormat::Json));
+                    None
                 }
-            }
+            },
             _ => None,
         }
     }
 
     /// Sends the response for a previously accepted call.
     pub fn respond(&self, ctx: &mut Context<'_>, call: &WsCall, response: WsResponse) {
-        self.tracker.respond(
-            ctx,
-            call.from,
-            WS_PORT,
-            call.id,
-            &response.to_bytes(call.request.format),
-        );
+        self.respond_encoded(ctx, call, &response.to_bytes(call.request.format));
+    }
+
+    /// Sends a response that is already serialized — by
+    /// [`encode_response`] or [`WsResponse::to_bytes`] — in the format
+    /// of the call's request.
+    pub fn respond_encoded(&self, ctx: &mut Context<'_>, call: &WsCall, response: &[u8]) {
+        self.tracker
+            .respond(ctx, call.from, WS_PORT, call.id, response);
     }
 }
 
@@ -448,7 +538,9 @@ pub struct WsClient {
     tracker: RequestTracker,
     /// Issue instants of in-flight requests, so callers can measure
     /// request latency (the breaker's gray-failure signal) without
-    /// keeping their own books. Pruned on each new request.
+    /// keeping their own books. Entries nobody took are pruned once they
+    /// outnumber the requests in flight, which keeps the map within
+    /// twice that number (plus one) at an amortised constant cost.
     sent: BTreeMap<u64, SimTime>,
 }
 
@@ -482,8 +574,10 @@ impl WsClient {
     /// Sends `request` to the Web Service on `server`; returns the
     /// correlation id.
     pub fn request(&mut self, ctx: &mut Context<'_>, server: NodeId, request: &WsRequest) -> u64 {
-        let tracker = &self.tracker;
-        self.sent.retain(|id, _| tracker.is_pending(*id));
+        if self.sent.len() > 2 * self.tracker.outstanding() {
+            let tracker = &self.tracker;
+            self.sent.retain(|id, _| tracker.is_pending(*id));
+        }
         let id = self.tracker.send_request(
             ctx,
             server,
@@ -505,12 +599,20 @@ impl WsClient {
 
     /// Feeds an incoming packet through the client.
     pub fn accept(&mut self, pkt: &Packet) -> Option<WsClientEvent> {
+        let (id, bytes) = self.accept_encoded(pkt)?;
+        let response = WsResponse::from_bytes(bytes)
+            .unwrap_or_else(|e| WsResponse::error(status::INTERNAL_ERROR, e.to_string()));
+        Some(WsClientEvent::Response { id, response })
+    }
+
+    /// Like [`WsClient::accept`], but leaves the response serialized:
+    /// returns the correlation id and the bytes for
+    /// [`WsResponse::from_bytes`] or a typed [`decode_response`], so a
+    /// caller that knows what the request asked for can decode the body
+    /// straight into it.
+    pub fn accept_encoded<'a>(&mut self, pkt: &'a Packet) -> Option<(u64, &'a [u8])> {
         match self.tracker.accept(pkt)? {
-            RpcEvent::ResponseReceived { id, body } => {
-                let response = WsResponse::from_bytes(&body)
-                    .unwrap_or_else(|e| WsResponse::error(status::INTERNAL_ERROR, e.to_string()));
-                Some(WsClientEvent::Response { id, response })
-            }
+            RpcEvent::ResponseReceived { id, body } => Some((id, body)),
             _ => None,
         }
     }
@@ -535,6 +637,16 @@ mod tests {
                 .with_query("from", "0")
                 .with_query("to", "100")
                 .with_format(format);
+            let back = WsRequest::from_bytes(&req.to_bytes()).unwrap();
+            assert_eq!(back, req, "{format}");
+            let body = Value::object([
+                ("proxy", Value::from("p \"1\" <&>")),
+                (
+                    "role",
+                    Value::object([("kinds", Value::array([Value::Null]))]),
+                ),
+            ]);
+            let req = WsRequest::post("/register", body).with_format(format);
             let back = WsRequest::from_bytes(&req.to_bytes()).unwrap();
             assert_eq!(back, req, "{format}");
         }
@@ -570,6 +682,192 @@ mod tests {
         assert_eq!(back.status, status::SERVICE_UNAVAILABLE);
         assert_eq!(back.retry_after(), Some(SimDuration::from_millis(750)));
         assert_eq!(WsResponse::ok(Value::Null).retry_after(), None);
+    }
+
+    #[test]
+    fn typed_response_matches_the_tree_response() {
+        use dimmer_core::{DeviceId, MeasurementBatch, QuantityKind, Unit};
+        let device = DeviceId::new("dev-1").unwrap();
+        let points = [(1_425_900_000_000, 21.5), (1_425_900_060_000, -0.0)];
+        let batch: MeasurementBatch = points
+            .iter()
+            .map(|&(t, v)| {
+                dimmer_core::Measurement::new(
+                    device.clone(),
+                    QuantityKind::Temperature,
+                    v,
+                    Unit::Celsius,
+                    dimmer_core::Timestamp::from_unix_millis(t),
+                )
+            })
+            .collect();
+        for format in DataFormat::all() {
+            // A body written by a typed driver …
+            let typed = encode_response(status::OK, format, |w| {
+                MeasurementBatch::write_series(
+                    w,
+                    &device,
+                    QuantityKind::Temperature,
+                    Unit::Celsius,
+                    &points,
+                );
+            });
+            // … is byte for byte the tree's encoding, …
+            let tree = WsResponse::ok(batch.to_value());
+            assert_eq!(typed, tree.to_bytes(format), "{format}");
+            // … reads back as the tree through the general reader and as
+            // the batch through the typed one.
+            assert_eq!(WsResponse::from_bytes(&typed).unwrap(), tree);
+            assert_eq!(
+                decode_response(&typed, MeasurementBatch::read).unwrap(),
+                (status::OK, Some(batch.clone()))
+            );
+        }
+    }
+
+    /// The envelope decoders as they were before they read events: the
+    /// whole envelope decoded to a tree, members picked out of it. Kept
+    /// as the oracle the typed decoders are compared against.
+    fn tree_envelope(bytes: &[u8]) -> Result<(Value, DataFormat), CoreError> {
+        let (format, text) = split_marker(bytes)?;
+        Ok((dimmer_core::codec::decode_value(text, format)?, format))
+    }
+
+    fn tree_request(bytes: &[u8]) -> Result<WsRequest, CoreError> {
+        const T: &str = "ws request";
+        let (envelope, format) = tree_envelope(bytes)?;
+        let shape = |reason: &str| CoreError::Shape {
+            target: T,
+            reason: reason.into(),
+        };
+        let method = Method::parse(envelope.require_str(T, "method")?)
+            .ok_or_else(|| shape("unknown method"))?;
+        let mut query = BTreeMap::new();
+        if let Some(map) = envelope.require(T, "query")?.as_object() {
+            for (k, v) in map {
+                let v = v
+                    .as_str()
+                    .ok_or_else(|| shape("query values must be strings"))?;
+                query.insert(k.clone(), v.to_owned());
+            }
+        }
+        Ok(WsRequest {
+            method,
+            path: envelope.require_str(T, "path")?.to_owned(),
+            query,
+            body: envelope.get("body").cloned().unwrap_or(Value::Null),
+            format,
+        })
+    }
+
+    fn tree_response(bytes: &[u8]) -> Result<WsResponse, CoreError> {
+        let (envelope, _) = tree_envelope(bytes)?;
+        let status = envelope.require_i64("ws response", "status")?;
+        if !(100..600).contains(&status) {
+            return Err(CoreError::Shape {
+                target: "ws response",
+                reason: "status out of range".into(),
+            });
+        }
+        Ok(WsResponse {
+            status: status as u16,
+            body: envelope.get("body").cloned().unwrap_or(Value::Null),
+        })
+    }
+
+    /// Typed and tree envelope decoders must agree on any bytes: both
+    /// reject them, or both accept them with equal results.
+    fn assert_envelope_decoders_agree(bytes: &[u8]) {
+        use dimmer_core::MeasurementBatch;
+        assert_eq!(
+            WsRequest::from_bytes(bytes).ok(),
+            tree_request(bytes).ok(),
+            "request from {bytes:?}"
+        );
+        let response = tree_response(bytes).ok();
+        assert_eq!(
+            WsResponse::from_bytes(bytes).ok(),
+            response,
+            "response from {bytes:?}"
+        );
+        // A typed body reader sees what decoding the tree body would; an
+        // absent body is no batch either way.
+        let batch = response.and_then(|r| {
+            let batch = MeasurementBatch::from_value(&r.body).ok()?;
+            Some((r.status, batch))
+        });
+        assert_eq!(
+            decode_response(bytes, MeasurementBatch::read)
+                .ok()
+                .and_then(|(status, batch)| Some((status, batch?))),
+            batch,
+            "batch response from {bytes:?}"
+        );
+    }
+
+    #[test]
+    fn every_truncation_and_bit_flip_is_judged_alike_by_typed_and_tree_envelopes() {
+        use dimmer_core::{DeviceId, MeasurementBatch, QuantityKind, Unit};
+        let device = DeviceId::new("dev-1").unwrap();
+        for format in DataFormat::all() {
+            let request = WsRequest::post("/actuate", Value::object([("value", Value::from(1.5))]))
+                .with_query("quantity", "temperature")
+                .with_format(format);
+            let response = encode_response(status::OK, format, |w| {
+                MeasurementBatch::write_series(
+                    w,
+                    &device,
+                    QuantityKind::Temperature,
+                    Unit::Celsius,
+                    &[(1_425_900_000_000, 21.5), (1_425_900_060_000, 22.0)],
+                );
+            });
+            let refusal = WsResponse::unavailable(SimDuration::from_millis(20)).to_bytes(format);
+            for mut bytes in [request.to_bytes(), response, refusal] {
+                assert_envelope_decoders_agree(&bytes);
+                for cut in 0..bytes.len() {
+                    assert_envelope_decoders_agree(&bytes[..cut]);
+                }
+                for at in 0..bytes.len() {
+                    for bit in 0..8 {
+                        bytes[at] ^= 1 << bit;
+                        assert_envelope_decoders_agree(&bytes);
+                        bytes[at] ^= 1 << bit;
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_and_unknown_envelope_members_are_judged_alike() {
+        for text in [
+            r#"{"status":"x","extra":[1,{"a":null}],"body":1,"status":201,"body":{"k":2}}"#,
+            r#"{"status":200,"body":{"measurements":[{"device":1}],"measurements":[]}}"#,
+            r#"{"status":200,"body":{"measurements":[]},"body":{"measurements":7}}"#,
+            r#"{"status":200.0,"body":null}"#,
+            r#"{"status":200.5}"#,
+            r#"{"status":99}"#,
+            r#"{"status":204}"#,
+            r#"{"status":404,"body":{"error":"no samples yet"}}"#,
+            r#"[200]"#,
+            r#"{"query":{"a":1,"b":"x","a":"y"},"path":"/p","method":"GET","else":{}}"#,
+            r#"{"query":{"a":"y","a":1},"path":"/p","method":"GET"}"#,
+            r#"{"query":{"a":1},"query":{},"path":"/p","method":"GET"}"#,
+            r#"{"query":null,"path":"/p","method":"POST","body":[1,2]}"#,
+            r#"{"query":{},"path":5,"path":"/p","method":"GET"}"#,
+            r#"{"query":{},"path":"/p","method":"PUT"}"#,
+            r#"{"path":"/p","method":"GET"}"#,
+        ] {
+            let mut bytes = vec![0];
+            bytes.extend_from_slice(text.as_bytes());
+            assert_envelope_decoders_agree(&bytes);
+        }
+        let xml = r#"<value type="object"><member name="status" type="int">200</member><member name="body" type="object"><member name="measurements" type="int">1</member><member name="measurements" type="array"></member></member></value>"#;
+        let mut bytes = vec![1];
+        bytes.extend_from_slice(xml.as_bytes());
+        assert_envelope_decoders_agree(&bytes);
+        assert!(decode_response(&bytes, dimmer_core::MeasurementBatch::read).is_ok());
     }
 
     #[test]
@@ -684,6 +982,78 @@ mod tests {
         assert_eq!(
             c.responses[0].body.get("echo").and_then(Value::as_str),
             Some("hello")
+        );
+    }
+
+    /// Issues `FAN_OUT` requests per round and the next round once all
+    /// are answered, taking the issue instant of every other response
+    /// and leaving the rest for the client to prune.
+    struct FanOutClient {
+        client: WsClient,
+        server: NodeId,
+        rounds_left: usize,
+        largest_sent_map: usize,
+    }
+
+    const FAN_OUT: usize = 16;
+
+    impl FanOutClient {
+        fn issue_round(&mut self, ctx: &mut Context<'_>) {
+            for _ in 0..FAN_OUT {
+                self.client
+                    .request(ctx, self.server, &WsRequest::get("/info"));
+                self.largest_sent_map = self.largest_sent_map.max(self.client.sent.len());
+            }
+        }
+    }
+
+    impl Node for FanOutClient {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            self.issue_round(ctx);
+        }
+        fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
+            if let Some(WsClientEvent::Response { id, .. }) = self.client.accept(&pkt) {
+                if id % 2 == 0 {
+                    assert!(self.client.take_sent_at(id).is_some_and(|t| t <= ctx.now()));
+                    assert_eq!(self.client.take_sent_at(id), None, "taken once");
+                }
+                if self.client.outstanding() == 0 && self.rounds_left > 0 {
+                    self.rounds_left -= 1;
+                    self.issue_round(ctx);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sent_map_stays_bounded_over_ten_thousand_rounds() {
+        let mut sim = Simulator::new(SimConfig::default());
+        let server = sim.add_node(
+            "server",
+            EchoServer {
+                server: WsServer::new(),
+            },
+        );
+        let rounds = 10_000 / FAN_OUT;
+        let client = sim.add_node(
+            "client",
+            FanOutClient {
+                client: WsClient::new(1000),
+                server,
+                rounds_left: rounds - 1,
+                largest_sent_map: 0,
+            },
+        );
+        sim.run_for(SimDuration::from_secs(600));
+        let c = sim.node_ref::<FanOutClient>(client).unwrap();
+        assert_eq!(c.rounds_left, 0, "every round completed");
+        assert_eq!(c.client.outstanding(), 0);
+        // Untaken entries may linger until they outnumber the requests in
+        // flight, never longer.
+        assert!(
+            c.largest_sent_map <= 2 * FAN_OUT + 1,
+            "sent map grew to {}",
+            c.largest_sent_map
         );
     }
 

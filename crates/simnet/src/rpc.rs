@@ -48,22 +48,22 @@ impl std::fmt::Display for DecodeRpcError {
 
 impl std::error::Error for DecodeRpcError {}
 
-/// A decoded RPC frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RpcFrame {
+/// A decoded RPC frame; the payload borrows from the decoded bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RpcFrame<'a> {
     /// A request carrying the caller-chosen correlation id.
     Request {
         /// Correlation id to echo in the response.
         id: u64,
         /// Application payload.
-        body: Vec<u8>,
+        body: &'a [u8],
     },
     /// A response to a previously sent request.
     Response {
         /// Correlation id of the matching request.
         id: u64,
         /// Application payload.
-        body: Vec<u8>,
+        body: &'a [u8],
     },
 }
 
@@ -92,12 +92,12 @@ pub fn encode_response(id: u64, body: &[u8]) -> Vec<u8> {
 ///
 /// Returns [`DecodeRpcError`] if the bytes are shorter than the header or
 /// the direction byte is invalid.
-pub fn decode(bytes: &[u8]) -> Result<RpcFrame, DecodeRpcError> {
+pub fn decode(bytes: &[u8]) -> Result<RpcFrame<'_>, DecodeRpcError> {
     if bytes.len() < HEADER_LEN {
         return Err(DecodeRpcError::Truncated);
     }
     let id = u64::from_le_bytes(bytes[1..9].try_into().expect("slice is 8 bytes"));
-    let body = bytes[HEADER_LEN..].to_vec();
+    let body = &bytes[HEADER_LEN..];
     match bytes[0] {
         0 => Ok(RpcFrame::Request { id, body }),
         1 => Ok(RpcFrame::Response { id, body }),
@@ -106,9 +106,10 @@ pub fn decode(bytes: &[u8]) -> Result<RpcFrame, DecodeRpcError> {
 }
 
 /// Events surfaced by [`RequestTracker::accept`] and
-/// [`RequestTracker::on_timer`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RpcEvent {
+/// [`RequestTracker::on_timer`]; payloads borrow from the accepted
+/// packet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RpcEvent<'a> {
     /// A peer sent us a request; reply with
     /// [`RequestTracker::respond`] using the same id.
     IncomingRequest {
@@ -119,14 +120,14 @@ pub enum RpcEvent {
         /// The port the request arrived on (responses go back to it).
         port: Port,
         /// Application payload.
-        body: Vec<u8>,
+        body: &'a [u8],
     },
     /// A response matched one of our outstanding requests.
     ResponseReceived {
         /// Correlation id of our request.
         id: u64,
         /// Application payload.
-        body: Vec<u8>,
+        body: &'a [u8],
     },
     /// An outstanding request exhausted its retries without a response.
     RequestTimedOut {
@@ -319,7 +320,7 @@ impl RequestTracker {
     ///
     /// Returns `None` for packets that are not valid RPC frames or that
     /// answer an already-completed (or unknown) request.
-    pub fn accept(&mut self, pkt: &Packet) -> Option<RpcEvent> {
+    pub fn accept<'a>(&mut self, pkt: &'a Packet) -> Option<RpcEvent<'a>> {
         match decode(&pkt.payload).ok()? {
             RpcFrame::Request { id, body } => Some(RpcEvent::IncomingRequest {
                 id,
@@ -339,7 +340,7 @@ impl RequestTracker {
     /// Returns `Some(RequestTimedOut)` when a request ran out of retries,
     /// `None` when the tag is foreign, the request already completed, or a
     /// retry was transparently resent.
-    pub fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) -> Option<RpcEvent> {
+    pub fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) -> Option<RpcEvent<'static>> {
         let id = tag.0.checked_sub(self.tag_base)?;
         let pending = self.pending.get_mut(&id)?;
         let series = self.series.get_or_init(|| {
@@ -396,7 +397,7 @@ mod tests {
             decode(&req).unwrap(),
             RpcFrame::Request {
                 id: 42,
-                body: b"hello".to_vec()
+                body: b"hello"
             }
         );
         let resp = encode_response(42, b"world");
@@ -404,7 +405,7 @@ mod tests {
             decode(&resp).unwrap(),
             RpcFrame::Response {
                 id: 42,
-                body: b"world".to_vec()
+                body: b"world"
             }
         );
     }
@@ -447,7 +448,7 @@ mod tests {
                 body,
             }) = self.tracker.accept(&pkt)
             {
-                let mut reply = body;
+                let mut reply = body.to_vec();
                 reply.reverse();
                 self.tracker.respond(ctx, from, port, id, &reply);
             }
@@ -474,7 +475,7 @@ mod tests {
         }
         fn on_packet(&mut self, _ctx: &mut Context<'_>, pkt: Packet) {
             if let Some(RpcEvent::ResponseReceived { id, body }) = self.tracker.accept(&pkt) {
-                self.responses.push((id, body));
+                self.responses.push((id, body.to_vec()));
             }
         }
         fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {

@@ -24,7 +24,8 @@
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
-use dimmer_core::{DistrictId, Measurement, ProxyId, QuantityKind, Value};
+use dimmer_core::codec::{self, DataFormat};
+use dimmer_core::{DistrictId, ProxyId, QuantityKind, Value};
 use proxy::devices::unix_millis_at;
 use proxy::registration::{ProxyRef, ProxyRole, Registration};
 use proxy::webservice::{status, WsCall, WsClient, WsClientEvent, WsRequest, WsResponse, WsServer};
@@ -347,8 +348,7 @@ impl AggregatorNode {
         };
         let decoded = std::str::from_utf8(payload)
             .ok()
-            .and_then(|text| dimmer_core::json::from_str(text).ok())
-            .and_then(|v| Measurement::from_value(&v).ok());
+            .and_then(|text| codec::decode_measurement(text, DataFormat::Json).ok());
         let Some(measurement) = decoded else {
             self.stats.decode_errors += 1;
             self.series(ctx).decode_errors.incr();

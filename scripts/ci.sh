@@ -53,6 +53,9 @@ cargo fmt --check
 
 echo "== cargo clippy -D warnings"
 cargo clippy --all-targets -- -D warnings
+# dimmer-bench is not a default member, so the line above skips the
+# experiment binaries.
+cargo clippy -p dimmer-bench --all-targets -- -D warnings
 
 echo "== cargo build --examples"
 cargo build --examples

@@ -1,0 +1,207 @@
+//! The cost contract of the common-format read path, counted in
+//! allocations: a Device-proxy's `/data` response is written into one
+//! growing buffer, a client decodes a batch with one allocation per
+//! measurement, and a Database-proxy answers `/model` from memoised
+//! bytes.
+//!
+//! This file is its own test binary, so it can install the counting
+//! `#[global_allocator]` of `tests/support` without touching any other
+//! suite.
+
+use dimmer_core::codec::DataFormat;
+use dimmer_core::{
+    BuildingId, DeviceId, DistrictId, MeasurementBatch, ProxyId, QuantityKind, Unit,
+};
+use models::bim::BuildingModel;
+use proxy::database_proxy::{BimSource, DatabaseProxyNode, SourceTranslator};
+use proxy::webservice::{
+    decode_response, encode_response, status, WsClient, WsRequest, WsResponse,
+};
+use simnet::{Context, Node, NodeId, Packet, SimConfig, SimDuration, Simulator, TimerTag};
+
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations_in;
+
+fn points(n: usize) -> Vec<(i64, f64)> {
+    (0..n)
+        .map(|i| (1_425_859_200_000 + i as i64 * 60_000, 412.5 + i as f64))
+        .collect()
+}
+
+/// What a Device-proxy does for an admitted `GET /data`.
+fn data_response(device: &DeviceId, points: &[(i64, f64)], format: DataFormat) -> Vec<u8> {
+    encode_response(status::OK, format, |w| {
+        MeasurementBatch::write_series(w, device, QuantityKind::ActivePower, Unit::Watt, points);
+    })
+}
+
+#[test]
+fn data_response_encode_allocates_only_its_growing_buffer() {
+    let device = DeviceId::new("d0-b0-dev0").unwrap();
+    for format in DataFormat::all() {
+        for n in [10, 100] {
+            let points = points(n);
+            let (bytes, allocations) = allocations_in(|| data_response(&device, &points, format));
+            // One buffer, doubling from its initial capacity until the
+            // response fits: no allocation per point, none per number or
+            // timestamp.
+            let initial = data_response(&device, &[], format).capacity();
+            let doublings = (bytes.len() as f64 / initial as f64).log2().ceil().max(0.0) as u64;
+            assert!(
+                allocations <= 1 + doublings,
+                "{format} n={n}: {allocations} allocations for {} bytes (initial buffer {initial})",
+                bytes.len()
+            );
+        }
+    }
+}
+
+#[test]
+fn batch_response_decode_allocates_once_per_measurement() {
+    let device = DeviceId::new("d0-b0-dev0").unwrap();
+    for format in DataFormat::all() {
+        for n in [10usize, 100] {
+            let bytes = data_response(&device, &points(n), format);
+            let (decoded, allocations) =
+                allocations_in(|| decode_response(&bytes, MeasurementBatch::read));
+            let (status, batch) = decoded.unwrap();
+            assert_eq!(status, status::OK);
+            assert_eq!(batch.unwrap().len(), n);
+            // The device id of each measurement, plus the growth of the
+            // vector that holds them; names, numbers, units and
+            // timestamps are read in place.
+            assert!(
+                allocations <= n as u64 + 8,
+                "{format} n={n}: {allocations} allocations"
+            );
+        }
+    }
+}
+
+/// Runs the wrapped node, recording how many allocations each delivered
+/// packet costs it.
+struct Counted<N> {
+    inner: N,
+    per_packet: Vec<u64>,
+}
+
+impl<N: Node> Node for Counted<N> {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        self.inner.on_start(ctx);
+    }
+    fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
+        let ((), allocations) = allocations_in(|| self.inner.on_packet(ctx, pkt));
+        self.per_packet.push(allocations);
+    }
+    fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
+        self.inner.on_timer(ctx, tag);
+    }
+}
+
+/// Asks `server` for `/model` once a second, alternating formats, and
+/// keeps the responses as they came off the wire.
+struct ModelClient {
+    client: WsClient,
+    server: NodeId,
+    asked: usize,
+    responses: Vec<Vec<u8>>,
+}
+
+const TAG_ASK: TimerTag = TimerTag(1);
+const ASKS: usize = 12;
+
+fn format_of_ask(ask: usize) -> DataFormat {
+    DataFormat::all()[ask % 2]
+}
+
+impl Node for ModelClient {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        ctx.set_timer(SimDuration::from_secs(1), TAG_ASK);
+    }
+    fn on_packet(&mut self, _ctx: &mut Context<'_>, pkt: Packet) {
+        if let Some((_, bytes)) = self.client.accept_encoded(&pkt) {
+            self.responses.push(bytes.to_vec());
+        }
+    }
+    fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
+        if tag == TAG_ASK && self.asked < ASKS {
+            let request = WsRequest::get("/model").with_format(format_of_ask(self.asked));
+            self.client.request(ctx, self.server, &request);
+            self.asked += 1;
+            ctx.set_timer(SimDuration::from_secs(1), TAG_ASK);
+        } else {
+            self.client.on_timer(ctx, tag);
+        }
+    }
+}
+
+/// Swallows the proxy's registration attempts.
+struct Sink;
+
+impl Node for Sink {
+    fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: Packet) {}
+}
+
+fn bim_source() -> BimSource {
+    let model = BuildingModel::sample(&BuildingId::new("b1").unwrap(), 3, 4);
+    BimSource::new(model.to_tables()).unwrap()
+}
+
+#[test]
+fn model_responses_after_the_first_are_served_from_memoised_bytes() {
+    let mut sim = Simulator::new(SimConfig::default());
+    let master = sim.add_node("sink", Sink);
+    let proxy = sim.add_node(
+        "db-proxy",
+        Counted {
+            inner: DatabaseProxyNode::new(
+                ProxyId::new("p1").unwrap(),
+                DistrictId::new("d1").unwrap(),
+                master,
+                Box::new(bim_source()),
+            ),
+            per_packet: Vec::new(),
+        },
+    );
+    let client = sim.add_node(
+        "client",
+        ModelClient {
+            client: WsClient::new(1000),
+            server: proxy,
+            asked: 0,
+            responses: Vec::new(),
+        },
+    );
+    sim.run_for(SimDuration::from_secs(20));
+
+    // Every response, first or memoised, is the encoding of a freshly
+    // translated model.
+    let responses = &sim.node_ref::<ModelClient>(client).unwrap().responses;
+    assert_eq!(responses.len(), ASKS);
+    for (ask, bytes) in responses.iter().enumerate() {
+        let fresh = WsResponse::ok(bim_source().model()).to_bytes(format_of_ask(ask));
+        assert_eq!(*bytes, fresh, "response {ask}");
+    }
+
+    // The proxy received nothing but the model requests (its master
+    // never answers). The first request in each format translates and
+    // encodes the source; from then on a request costs three
+    // allocations whatever the size of the model: the path string of the
+    // decoded request, the outgoing packet buffer, and the list the
+    // simulator collects the callback's one send in.
+    let costs = &sim
+        .node_ref::<Counted<DatabaseProxyNode>>(proxy)
+        .unwrap()
+        .per_packet;
+    assert_eq!(costs.len(), ASKS);
+    let (first, later) = costs.split_at(2);
+    assert!(
+        first.iter().all(|&c| c > 100),
+        "the first request per format builds the model: {first:?}"
+    );
+    assert!(
+        later.iter().all(|&c| c <= 3),
+        "memoised responses must not rebuild or re-encode: {later:?}"
+    );
+}

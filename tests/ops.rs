@@ -256,8 +256,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// proxy → labeled broker shards → bridge → aggregator → master),
 /// crashes a broker and a proxy, partitions the network, and runs long
 /// enough for the 4096-event ring to wrap. The master's fleet scrape
-/// stays off: it probes proxies in `HashMap` order, so its `ops.*`
-/// gauges are not reproducible run to run.
+/// is off, as it was when the digests were recorded (it then probed in
+/// `HashMap` order; `tests/parallel.rs` now pins its reproducibility).
 #[test]
 fn exported_telemetry_matches_golden_digests() {
     const METRICS_TEXT_FNV: u64 = 0xcdb5_55e0_78c5_c9de;

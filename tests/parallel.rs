@@ -170,6 +170,47 @@ fn sharded_deployment_identical_across_thread_counts() {
     assert_eq!(single, multi);
 }
 
+/// One district on one shard — every probe and reply crosses a jittered
+/// LAN link — with the master's fleet scraper on. Returns the flight
+/// digest and the `/metrics` text, whose `ops.*` gauges and link-delay
+/// sums record when each probe was answered.
+fn run_scraped_district(base_seed: u64) -> (u64, String) {
+    let mut sim = ParallelSimulator::new(ParallelConfig {
+        seed: seed(base_seed),
+        ..ParallelConfig::default()
+    });
+    let mut config = ScenarioConfig::small();
+    config.sample_interval = SimDuration::from_secs(1);
+    let deployment = Deployment::build_parallel(&mut sim, &config.build());
+    sim.node_mut::<MasterNode>(deployment.master)
+        .expect("master")
+        .enable_fleet_scrape(SimDuration::from_secs(3));
+    sim.run_for(SimDuration::from_secs(60));
+    let counters = sim.shard_telemetry(0).metrics.snapshot().counters;
+    assert!(
+        counters.iter().any(|(n, v)| n == "ops.scrapes" && *v >= 10),
+        "the fleet scraper did not run"
+    );
+    (sim.flight_digest(), sim.shard_telemetry(0).exposition())
+}
+
+/// The fleet scraper probes every registered proxy each round; the
+/// probe order must not follow `HashMap` iteration order, or two runs of
+/// one seed hand the sampled link delays to different probes and
+/// diverge.
+#[test]
+fn fleet_scrape_runs_are_reproducible() {
+    let (digest, metrics_text) = run_scraped_district(0x5C4A);
+    for _ in 0..3 {
+        let (again, text_again) = run_scraped_district(0x5C4A);
+        assert_eq!(digest, again, "flight digests differ between runs");
+        assert_eq!(
+            metrics_text, text_again,
+            "/metrics text differs between runs"
+        );
+    }
+}
+
 #[test]
 fn broker_crash_mid_run_stays_deterministic() {
     let single = run_city(0xC4A5, 1, true);

@@ -6,8 +6,6 @@
 //! This file is its own test binary, so it can install a counting
 //! `#[global_allocator]` without touching any other suite.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::fmt;
 
 use district::deploy::Deployment;
@@ -23,57 +21,9 @@ use simnet::telemetry::{
 };
 use simnet::{Context, Node, Packet, SimConfig, SimDuration, Simulator, TimerTag};
 
-thread_local! {
-    /// Allocations (and reallocations) made by the current thread. Per
-    /// thread because the harness runs the tests of this binary in
-    /// parallel; const-initialised and destructor-free, so touching it
-    /// from inside the allocator allocates nothing itself.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// The system allocator, counting calls per thread.
-struct CountingAllocator;
-
-fn count_allocation() {
-    // `try_with`: the allocator also runs while a thread is torn down.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter update touches
-// only a thread-local `Cell` and never allocates or unwinds.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
-        // SAFETY: the caller's `layout` is passed through as is.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_allocation();
-        // SAFETY: `ptr` came from this allocator, i.e. from `System`,
-        // with `layout`; both are passed through as is.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as for `realloc`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// Allocations the current thread makes while running `f`.
-fn allocations_in(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.with(Cell::get);
-    f();
-    ALLOCATIONS.with(Cell::get) - before
-}
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations_in;
 
 /// A monitor node that subscribes to everything and keeps the trace ids
 /// of messages it receives.
@@ -208,7 +158,7 @@ fn by_handle_and_existing_by_name_metric_writes_allocate_nothing() {
     registry.set_gauge("t.by_name", 1.0);
     registry.observe("t.by_name", 1.0);
 
-    let by_handle = allocations_in(|| {
+    let ((), by_handle) = allocations_in(|| {
         for i in 0..WRITES {
             counter.add(i);
             gauge.set(i as f64);
@@ -217,7 +167,7 @@ fn by_handle_and_existing_by_name_metric_writes_allocate_nothing() {
     });
     assert_eq!(by_handle, 0, "by-handle writes allocated");
 
-    let by_name = allocations_in(|| {
+    let ((), by_name) = allocations_in(|| {
         for i in 0..WRITES {
             registry.add("t.by_name", i);
             registry.set_gauge("t.by_name", i as f64);
@@ -257,7 +207,7 @@ fn trace_records_on_a_wrapped_ring_allocate_nothing() {
     assert!(tracer.dropped() > 0, "ring has not wrapped");
 
     assert_eq!(
-        allocations_in(|| (1_000..1_000 + WRITES).for_each(record)),
+        allocations_in(|| (1_000..1_000 + WRITES).for_each(record)).1,
         0
     );
     assert_eq!(tracer.len(), 256);
@@ -290,7 +240,7 @@ impl Node for HopProbe {
         for _ in 0..100 {
             ctx.trace_hop("probe.warmup", trace, format_args!("fill the ring"));
         }
-        self.untraced_allocations = Some(allocations_in(|| {
+        let ((), untraced) = allocations_in(|| {
             for _ in 0..WRITES {
                 let span = ctx.span_hop(
                     "probe.untraced",
@@ -300,12 +250,14 @@ impl Node for HopProbe {
                 );
                 assert_eq!(span, NO_SPAN);
             }
-        }));
-        self.traced_allocations = Some(allocations_in(|| {
+        });
+        self.untraced_allocations = Some(untraced);
+        let ((), traced) = allocations_in(|| {
             for i in 0..WRITES {
                 ctx.span_hop("probe.traced", trace, i, format_args!("seq={i}"));
             }
-        }));
+        });
+        self.traced_allocations = Some(traced);
     }
     fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: Packet) {}
 }
