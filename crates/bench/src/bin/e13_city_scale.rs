@@ -34,10 +34,8 @@
 //! barrier), a probe node scraping `GET /fleet/metrics` over the
 //! Web-Service wire, every 50th building publishing traced, and a
 //! scraped-gauge + SLO section after each scale's table row.
-//! `DIMMER_E13_JSON=<file>` appends one JSON line per SLO report plus
-//! one speedup record for the bench gate. `DIMMER_SEED=<offset>`
-//! shifts the simulation seed (the CI gate holds it fixed across
-//! thread counts).
+//! `DIMMER_SEED=<offset>` shifts the simulation seed (the CI gate holds
+//! it fixed across thread counts).
 //!
 //! `DIMMER_E13_SMOKE=1` shrinks the run (500 buildings, short window)
 //! so `scripts/ci.sh` can exercise the binary in debug builds.
@@ -551,7 +549,7 @@ fn main() {
     // compare wall time. The digests must match — the speedup is
     // measured between bit-identical executions.
     let (buildings, shards, r_threads) = last_run.expect("at least one scale ran");
-    let speedup = if threads > 1 {
+    if threads > 1 {
         let r1 = run_scale(buildings, shards, 1, seed, warmup, measure);
         assert_eq!(
             r1.digest, r_threads.digest,
@@ -563,14 +561,12 @@ fn main() {
              speedup={speedup:.3}",
             r1.wall_s, r_threads.wall_s
         );
-        speedup
     } else {
         println!(
             "e13-speedup buildings={buildings} threads=1 wall_1={:.2} wall_t={:.2} speedup=1.000",
             r_threads.wall_s, r_threads.wall_s
         );
-        1.0
-    };
+    }
 
     for (buildings, fleet_lines, slos) in &ops_sections {
         println!("## E13: fleet scrape ({buildings} buildings, wire-scraped /fleet/metrics)");
@@ -581,36 +577,5 @@ fn main() {
             "{}",
             slo_report(&format!("E13 ({buildings} buildings)"), slos)
         );
-    }
-
-    // Bench-gate hook: append one JSON record per SLO report plus the
-    // parallel-speedup record so scripts/bench_gate.sh can fold both
-    // into its baseline.
-    if let Ok(path) = std::env::var("DIMMER_E13_JSON") {
-        if !path.is_empty() {
-            use std::io::Write;
-            let mut out = String::new();
-            for (buildings, _, slos) in &ops_sections {
-                for r in slos {
-                    out.push_str(&format!(
-                        "{{\"slo\":\"{}\",\"buildings\":{},\"count\":{},\
-                         \"attainment\":{:.6},\"burn\":{:.4},\"met\":{}}}\n",
-                        r.name, buildings, r.count, r.attainment, r.burn, r.met
-                    ));
-                }
-            }
-            out.push_str(&format!(
-                "{{\"e13\":\"speedup\",\"buildings\":{buildings},\"threads\":{threads},\
-                 \"speedup\":{speedup:.4}}}\n"
-            ));
-            let written = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-                .and_then(|mut f| f.write_all(out.as_bytes()));
-            if let Err(e) = written {
-                eprintln!("DIMMER_E13_JSON: cannot write {path}: {e}");
-            }
-        }
     }
 }

@@ -27,8 +27,6 @@
 //! measurement traffic that kept flowing underneath.
 //!
 //! `DIMMER_E14_SMOKE=1` shrinks the sweep for CI debug builds.
-//! `DIMMER_E14_JSON=<file>` appends one JSON line per load point plus a
-//! gray-failure record for `scripts/bench_gate.sh`.
 
 use district::deploy::Deployment;
 use district::report::{
@@ -613,37 +611,4 @@ fn main() {
     print!("{}", slo_report("E14 pre-fault baseline", &gray.pre_slos));
     print!("{}", slo_report("E14 full horizon", &gray.slos));
     print!("{}", gray.metrics_text);
-
-    // Bench-gate hook: one JSON record per load point plus the
-    // gray-failure verdict, appended for scripts/bench_gate.sh.
-    if let Ok(path) = std::env::var("DIMMER_E14_JSON") {
-        if !path.is_empty() {
-            use std::io::Write;
-            let mut out = String::new();
-            for p in &points {
-                out.push_str(&format!(
-                    "{{\"e14\":\"sweep\",\"mult\":{:.1},\"offered\":{},\"served\":{},\
-                     \"shed\":{},\"failed\":{},\"goodput_qps\":{:.2},\"conserved\":{}}}\n",
-                    p.mult, p.offered, p.served, p.shed, p.failed, p.goodput_qps, p.conserved
-                ));
-            }
-            out.push_str(&format!(
-                "{{\"e14\":\"gray\",\"stale_served\":{},\"breaker_opens\":{},\
-                 \"recovered\":{},\"conserved\":{},\"slo_met\":{}}}\n",
-                gray.stale_rollups_served,
-                gray.breaker_opens,
-                gray.recovered_fresh,
-                gray.watch_conserved,
-                e2e.met
-            ));
-            let written = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-                .and_then(|mut f| f.write_all(out.as_bytes()));
-            if let Err(e) = written {
-                eprintln!("DIMMER_E14_JSON: cannot write {path}: {e}");
-            }
-        }
-    }
 }

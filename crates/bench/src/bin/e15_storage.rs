@@ -33,8 +33,6 @@
 //! measurement ingest on both sides of every crash window.
 //!
 //! `DIMMER_E15_SMOKE=1` shrinks the corpus for CI debug builds.
-//! `DIMMER_E15_JSON=<file>` appends one JSON line per phase for
-//! `scripts/bench_gate.sh`.
 
 use district::deploy::Deployment;
 use district::report::{fmt_bytes, fmt_f64, Table};
@@ -427,7 +425,7 @@ fn main() {
         fmt_f64(scan.map_mpts, 1),
     );
     // Debug-build timings say nothing about the decode path; the bound
-    // is enforced where it means something (and in bench_gate.sh).
+    // is enforced where it means something.
     if !cfg!(debug_assertions) {
         assert!(
             scan.rel <= MAX_SCAN_REL,
@@ -440,7 +438,6 @@ fn main() {
         "E15: crash recovery vs WAL length",
         ["wal_records", "recover_ms", "krec_per_s"],
     );
-    let mut recoveries: Vec<RecoveryResult> = Vec::new();
     for &len in &wal_lens {
         let r = run_recovery(len);
         rec_table.row([
@@ -448,7 +445,6 @@ fn main() {
             fmt_f64(r.millis, 2),
             fmt_f64(r.krec_per_s, 0),
         ]);
-        recoveries.push(r);
     }
     println!("{rec_table}");
     println!("# series (csv)\n{}", rec_table.to_csv());
@@ -471,44 +467,4 @@ fn main() {
         sweep.ingest_before > 0 && sweep.ingest_after > 0,
         "measurement ingest did not straddle the crash windows"
     );
-
-    // Bench-gate hook: one JSON record per phase for bench_gate.sh.
-    if let Ok(path) = std::env::var("DIMMER_E15_JSON") {
-        if !path.is_empty() {
-            use std::io::Write;
-            let mut out = String::new();
-            for r in [&quantized, &float] {
-                out.push_str(&format!(
-                    "{{\"e15\":\"compress\",\"corpus\":\"{}\",\"points\":{},\
-                     \"bytes_raw\":{},\"bytes_compressed\":{},\"ratio\":{:.2}}}\n",
-                    r.corpus, r.points, r.bytes_raw, r.bytes_compressed, r.ratio
-                ));
-            }
-            out.push_str(&format!(
-                "{{\"e15\":\"scan\",\"points\":{},\"flat_mpts\":{:.2},\
-                 \"sealed_mpts\":{:.2},\"map_mpts\":{:.2},\"rel\":{:.3}}}\n",
-                scan.points, scan.flat_mpts, scan.sealed_mpts, scan.map_mpts, scan.rel
-            ));
-            for r in &recoveries {
-                out.push_str(&format!(
-                    "{{\"e15\":\"recovery\",\"wal_records\":{},\"millis\":{:.3},\
-                     \"krec_per_s\":{:.1}}}\n",
-                    r.wal_records, r.millis, r.krec_per_s
-                ));
-            }
-            out.push_str(&format!(
-                "{{\"e15\":\"crash_sweep\",\"rounds\":{},\"acked_points\":{},\
-                 \"lost\":{},\"wal_replayed\":{},\"segments\":{}}}\n",
-                sweep.rounds, sweep.acked_points, sweep.lost, sweep.wal_replayed, sweep.segments
-            ));
-            let written = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-                .and_then(|mut f| f.write_all(out.as_bytes()));
-            if let Err(e) = written {
-                eprintln!("DIMMER_E15_JSON: cannot write {path}: {e}");
-            }
-        }
-    }
 }

@@ -5,10 +5,10 @@
 //! reports, per district size, the query latency percentiles and how
 //! many bytes the master versus the proxies contributed to the answer.
 
+use bench_support::stats::Summary;
 use bench_support::{deploy_warm, run_queries};
 use district::report::{fmt_bytes, fmt_f64, Table};
 use district::scenario::ScenarioConfig;
-use simnet::stats::Summary;
 use simnet::SimDuration;
 
 fn main() {

@@ -6,12 +6,12 @@
 //! the aggregation point's traffic and the end-to-end latency.
 
 use bench_support::deploy_warm;
+use bench_support::stats::Summary;
 use district::client::ClientNode;
 use district::relay::RelayNode;
 use district::report::{fmt_bytes, fmt_f64, Table};
 use district::scenario::ScenarioConfig;
 use proxy::webservice::{WsClient, WsClientEvent, WsRequest, WsResponse};
-use simnet::stats::Summary;
 use simnet::{Context, Node, NodeId, Packet, SimDuration, SimTime, TimerTag};
 
 /// A client that asks the relay instead of walking the redirect.

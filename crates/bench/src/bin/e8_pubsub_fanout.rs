@@ -11,15 +11,23 @@
 //! measurement's device → proxy → broker → subscriber journey from its
 //! trace id. Set `DIMMER_TRACE=<file|->` to dump the raw trace as JSON
 //! lines.
+//!
+//! It closes with the broker's design ablation (DESIGN §6): the
+//! subscription trie against a linear scan of the same filters, in
+//! wall-clock ns per match.
 
+use bench_support::stats::Summary;
+use bench_support::time_it;
 use district::deploy::Deployment;
 use district::report::{dump_trace_if_requested, fmt_f64, metrics_report, Table};
 use district::scenario::ScenarioConfig;
-use pubsub::{BrokerNode, PubSubClient, PubSubEvent, QoS, Topic, TopicFilter, PUBSUB_PORT};
-use simnet::stats::Summary;
+use pubsub::{
+    BrokerNode, PubSubClient, PubSubEvent, QoS, SubscriptionTrie, Topic, TopicFilter, PUBSUB_PORT,
+};
 use simnet::telemetry::flight::reconstruct;
 use simnet::telemetry::MetricsSnapshot;
 use simnet::{Context, Node, NodeId, Packet, SimConfig, SimDuration, SimTime, Simulator, TimerTag};
+use std::hint::black_box;
 
 struct Sub {
     client: PubSubClient,
@@ -181,6 +189,51 @@ fn flight_recorder_demo() {
     }
 }
 
+/// Trie vs linear scan over `n` subscriptions (exact, district-wide,
+/// per-building and per-quantity filters mixed), one topic.
+fn matcher_table() -> Table {
+    let topic = Topic::new("district/d1/entity/b17/device/dev17/temperature").expect("valid");
+    let mut table = Table::new(
+        "E8: topic matching, subscription trie vs linear scan (wall clock)",
+        ["subscriptions", "trie_ns", "linear_ns", "linear_x"],
+    );
+    for n in [10usize, 100, 1000] {
+        let filter = |i: usize| match i % 4 {
+            0 => format!(
+                "district/d{}/entity/b{}/device/dev{i}/temperature",
+                i % 3,
+                i % 50
+            ),
+            1 => format!("district/d{}/#", i % 3),
+            2 => format!("district/+/entity/b{}/#", i % 50),
+            _ => "district/+/entity/+/device/+/active_power".to_owned(),
+        };
+        let filters: Vec<TopicFilter> = (0..n)
+            .map(|i| TopicFilter::new(filter(i)).expect("valid filter"))
+            .collect();
+        let mut trie = SubscriptionTrie::new();
+        for (i, f) in filters.iter().enumerate() {
+            trie.insert(f, i);
+        }
+        // Iteration counts keep every timed loop above ~0.1 s.
+        let (_, trie_ns) = time_it(200_000, || trie.matches(black_box(&topic)).len());
+        let linear = || {
+            filters
+                .iter()
+                .filter(|f| f.matches(black_box(&topic)))
+                .count()
+        };
+        let (_, linear_ns) = time_it(2_000_000 / n as u32, linear);
+        table.row([
+            n.to_string(),
+            fmt_f64(trie_ns, 0),
+            fmt_f64(linear_ns, 0),
+            fmt_f64(linear_ns / trie_ns, 1),
+        ]);
+    }
+    table
+}
+
 fn main() {
     let mut table = Table::new(
         "E8: pub/sub fan-out (single publication)",
@@ -215,4 +268,5 @@ fn main() {
         );
     }
     flight_recorder_demo();
+    println!("{}", matcher_table());
 }

@@ -5,7 +5,7 @@
 //! centralizes the common moves: deploying a scenario, spawning probe
 //! clients, and collecting per-query statistics.
 
-pub mod criterion;
+pub mod stats;
 
 use district::client::{AreaSnapshot, ClientConfig, ClientNode};
 use district::deploy::Deployment;

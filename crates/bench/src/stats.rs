@@ -1,14 +1,14 @@
-//! Small statistics helpers for experiment reporting.
+//! Exact statistics for experiment reporting.
 //!
 //! Experiments accumulate observations (latencies, sizes, counts) into a
-//! [`Summary`] and read back mean/min/max/percentiles. Nothing here is
-//! simulation-specific; the type lives in `simnet` because every layer of
-//! the stack reports through it.
+//! [`Summary`] and read back mean/min/max/percentiles. It lives with the
+//! experiment binaries because only they need exact quantiles; the
+//! production crates record into the fixed-memory `telemetry::Histogram`.
 
 use std::cell::RefCell;
 use std::fmt;
 
-use crate::time::SimDuration;
+use simnet::SimDuration;
 
 /// An online collection of `f64` observations with exact quantiles.
 ///
@@ -20,11 +20,11 @@ use crate::time::SimDuration;
 /// bound with the number of points. This is intended for experiment
 /// harnesses reporting *exact* quantiles over thousands to a few million
 /// points. Hot paths that record unboundedly should use the fixed-memory
-/// log-bucketed [`telemetry::Histogram`](telemetry::metrics::Histogram)
+/// log-bucketed [`Histogram`](simnet::telemetry::metrics::Histogram)
 /// (±6% quantile error) instead.
 ///
 /// ```
-/// use simnet::stats::Summary;
+/// use bench_support::stats::Summary;
 /// let mut s = Summary::new("latency_ms");
 /// for x in [1.0, 2.0, 3.0, 4.0, 5.0] { s.record(x); }
 /// assert_eq!(s.mean(), 3.0);
@@ -198,57 +198,6 @@ impl fmt::Display for Summary {
     }
 }
 
-/// A monotonically increasing named counter.
-///
-/// ```
-/// use simnet::stats::Counter;
-/// let mut c = Counter::new("requests");
-/// c.add(3);
-/// c.incr();
-/// assert_eq!(c.value(), 4);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Counter {
-    name: String,
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter labelled `name`.
-    pub fn new(name: impl Into<String>) -> Self {
-        Counter {
-            name: name.into(),
-            value: 0,
-        }
-    }
-
-    /// The label given at construction.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Adds `n` to the counter.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Current value.
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}={}", self.name, self.value)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,9 +271,6 @@ mod tests {
         s.record(1.0);
         let text = s.to_string();
         assert!(text.starts_with("lat: n=1"));
-        let mut c = Counter::new("req");
-        c.incr();
-        assert_eq!(c.to_string(), "req=1");
     }
 
     #[test]

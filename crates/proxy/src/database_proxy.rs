@@ -20,16 +20,15 @@ use models::bim::{BimTables, BuildingModel};
 use models::simmodel::NetworkModel;
 use ontology::EntityNode;
 use simnet::overload::{Admission, AdmissionGate};
-use simnet::{Context, Node, Packet, SimDuration, TimerTag};
+use simnet::{Context, Node, Packet, TimerTag};
 use storage::legacy::csv::CsvDocument;
 
-use crate::registration::{ProxyRef, ProxyRole, Registration};
-use crate::webservice::{status, WsClient, WsClientEvent, WsRequest, WsResponse, WsServer};
+use crate::registration::{MasterReply, MasterSession, ProxyRole, Registration};
+use crate::webservice::{status, WsRequest, WsResponse, WsServer};
 use crate::{node_uri, WS_PORT};
 
 const TAG_HEARTBEAT: TimerTag = TimerTag(3);
 const WS_CLIENT_TAGS: u64 = 1_000_000_000;
-const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_secs(30);
 
 /// Translates one legacy source into the common data format.
 pub trait SourceTranslator: std::fmt::Debug + Send + 'static {
@@ -326,14 +325,9 @@ pub const DEFAULT_ADMISSION_RATE: f64 = 200.0;
 pub struct DatabaseProxyNode {
     proxy: ProxyId,
     district: DistrictId,
-    master: simnet::NodeId,
+    master: MasterSession,
     source: Box<dyn SourceTranslator>,
     ws: WsServer,
-    ws_client: WsClient,
-    registered: bool,
-    /// Correlation id of the in-flight heartbeat, so a 404 (the master
-    /// evicted or forgot us) can trigger re-registration.
-    heartbeat_req: Option<u64>,
     /// Admission gate over the query paths; the ops plane is never shed.
     gate: AdmissionGate,
     stats: DatabaseProxyStats,
@@ -350,7 +344,7 @@ impl std::fmt::Debug for DatabaseProxyNode {
         f.debug_struct("DatabaseProxyNode")
             .field("proxy", &self.proxy)
             .field("district", &self.district)
-            .field("registered", &self.registered)
+            .field("registered", &self.master.is_registered())
             .finish()
     }
 }
@@ -366,12 +360,9 @@ impl DatabaseProxyNode {
         DatabaseProxyNode {
             proxy,
             district,
-            master,
+            master: MasterSession::new(master, TAG_HEARTBEAT, WS_CLIENT_TAGS),
             source,
             ws: WsServer::new(),
-            ws_client: WsClient::new(WS_CLIENT_TAGS),
-            registered: false,
-            heartbeat_req: None,
             gate: AdmissionGate::new(DEFAULT_ADMISSION_CAPACITY, DEFAULT_ADMISSION_RATE),
             stats: DatabaseProxyStats::default(),
             model_responses: Default::default(),
@@ -385,7 +376,7 @@ impl DatabaseProxyNode {
 
     /// Whether the master acknowledged registration.
     pub fn is_registered(&self) -> bool {
-        self.registered
+        self.master.is_registered()
     }
 
     /// The counters.
@@ -401,32 +392,23 @@ impl DatabaseProxyNode {
         };
         slot.get_or_init(|| WsResponse::ok(self.source.model()).to_bytes(format))
     }
-
-    fn register(&mut self, ctx: &mut Context<'_>) {
-        let uri = node_uri(ctx.node_id(), "/model");
-        let registration = Registration {
-            proxy: self.proxy.clone(),
-            district: self.district.clone(),
-            uri: node_uri(ctx.node_id(), "/"),
-            role: self.source.role(&uri),
-        };
-        let request = WsRequest::post("/register", registration.to_value());
-        self.ws_client.request(ctx, self.master, &request);
-    }
 }
 
 impl Node for DatabaseProxyNode {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        self.register(ctx);
-        ctx.set_timer(HEARTBEAT_INTERVAL, TAG_HEARTBEAT);
+        let registration = Registration {
+            proxy: self.proxy.clone(),
+            district: self.district.clone(),
+            uri: node_uri(ctx.node_id(), "/"),
+            role: self.source.role(&node_uri(ctx.node_id(), "/model")),
+        };
+        self.master.start(ctx, registration);
     }
 
     fn on_restart(&mut self, ctx: &mut Context<'_>) {
         // The source model is durable; the WS session and registration
         // are not. Re-register from scratch.
-        self.ws_client.reset();
-        self.registered = false;
-        self.heartbeat_req = None;
+        self.master.reset();
         ctx.telemetry().metrics.incr("proxy.restart");
         self.on_start(ctx);
     }
@@ -435,26 +417,9 @@ impl Node for DatabaseProxyNode {
         if pkt.port != WS_PORT {
             return;
         }
-        if let Some(event) = self.ws_client.accept(&pkt) {
-            match event {
-                WsClientEvent::Response { id, response } => {
-                    if self.heartbeat_req == Some(id) {
-                        self.heartbeat_req = None;
-                        if response.status == status::NOT_FOUND {
-                            // The master no longer knows us: re-register.
-                            self.registered = false;
-                            ctx.telemetry().metrics.incr("proxy.reregister");
-                            self.register(ctx);
-                        }
-                    } else if response.is_ok() {
-                        self.registered = true;
-                    }
-                }
-                WsClientEvent::TimedOut { id } => {
-                    if self.heartbeat_req == Some(id) {
-                        self.heartbeat_req = None;
-                    }
-                }
+        if let Some(reply) = self.master.on_packet(ctx, &pkt) {
+            if reply == MasterReply::Reregistered {
+                ctx.telemetry().metrics.incr("proxy.reregister");
             }
             return;
         }
@@ -480,7 +445,7 @@ impl Node for DatabaseProxyNode {
                     ("proxy", Value::from(self.proxy.as_str())),
                     ("district", Value::from(self.district.as_str())),
                     ("kind", Value::from("database")),
-                    ("registered", Value::from(self.registered)),
+                    ("registered", Value::from(self.master.is_registered())),
                     ("ws_requests", Value::from(self.stats.ws_requests as i64)),
                 ])),
                 _ => WsResponse::error(status::NOT_FOUND, "unknown path"),
@@ -490,30 +455,7 @@ impl Node for DatabaseProxyNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
-        match tag {
-            TAG_HEARTBEAT => {
-                if self.registered {
-                    let body = ProxyRef {
-                        proxy: self.proxy.clone(),
-                        district: self.district.clone(),
-                    }
-                    .to_value();
-                    let id = self.ws_client.request(
-                        ctx,
-                        self.master,
-                        &WsRequest::post("/heartbeat", body),
-                    );
-                    self.heartbeat_req = Some(id);
-                } else {
-                    self.register(ctx);
-                }
-                ctx.set_timer(HEARTBEAT_INTERVAL, TAG_HEARTBEAT);
-            }
-            tag if tag.0 >= WS_CLIENT_TAGS => {
-                self.ws_client.on_timer(ctx, tag);
-            }
-            _ => {}
-        }
+        self.master.on_timer(ctx, tag);
     }
 }
 

@@ -32,16 +32,13 @@ use storage::tskv::{Aggregate, TimeSeriesStore};
 
 use crate::adapters::DeviceAdapter;
 use crate::devices::unix_millis_at;
-use crate::registration::{ProxyRole, Registration};
-use crate::webservice::{
-    encode_response, status, WsClient, WsClientEvent, WsRequest, WsResponse, WsServer,
-};
+use crate::registration::{MasterReply, MasterSession, ProxyRole, Registration};
+use crate::webservice::{encode_response, status, WsRequest, WsResponse, WsServer};
 use crate::{node_uri, DEVICE_DOWNLINK_PORT, OPCUA_PORT, WS_PORT};
 
 const TAG_POLL: TimerTag = TimerTag(1);
 const TAG_RETENTION: TimerTag = TimerTag(2);
 const TAG_HEARTBEAT: TimerTag = TimerTag(3);
-const TAG_REGISTER_RETRY: TimerTag = TimerTag(4);
 const TAG_REPLAY: TimerTag = TimerTag(5);
 const TAG_TSKV_MAINTAIN: TimerTag = TimerTag(6);
 
@@ -49,8 +46,6 @@ const WS_CLIENT_TAGS: u64 = 1_000_000_000;
 const PUBSUB_TAGS: u64 = 2_000_000_000;
 const POLL_TAGS: u64 = 3_000_000_000;
 
-/// How often proxies heartbeat the master.
-pub const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_secs(30);
 const RETENTION_PERIOD: SimDuration = SimDuration::from_hours(1);
 /// Storage maintenance cadence: seal cold partitions, compact,
 /// checkpoint the WAL (see `TimeSeriesStore::maintain`).
@@ -185,13 +180,9 @@ pub struct DeviceProxyNode {
     adapter: Box<dyn DeviceAdapter>,
     store: TimeSeriesStore,
     ws: WsServer,
-    ws_client: WsClient,
+    master: MasterSession,
     pubsub: Option<PubSubClient>,
     poll_tracker: RequestTracker,
-    registered: bool,
-    /// Correlation id of the in-flight heartbeat, so a 404 answer (the
-    /// master evicted or forgot us) can trigger re-registration.
-    heartbeat_req: Option<u64>,
     /// QoS 1 publish id → sample, until the broker acks it.
     inflight: HashMap<u64, BufferedSample>,
     /// Bounded store-and-forward buffer (oldest at the front).
@@ -213,7 +204,7 @@ impl std::fmt::Debug for DeviceProxyNode {
         f.debug_struct("DeviceProxyNode")
             .field("proxy", &self.config.proxy)
             .field("device", &self.config.device)
-            .field("registered", &self.registered)
+            .field("registered", &self.master.is_registered())
             .field("samples", &self.stats.samples_ingested)
             .finish()
     }
@@ -226,15 +217,13 @@ impl DeviceProxyNode {
             .broker
             .map(|broker| PubSubClient::new(broker, PUBSUB_TAGS));
         DeviceProxyNode {
+            master: MasterSession::new(config.master, TAG_HEARTBEAT, WS_CLIENT_TAGS),
             config,
             adapter,
             store: TimeSeriesStore::new(),
             ws: WsServer::new(),
-            ws_client: WsClient::new(WS_CLIENT_TAGS),
             pubsub,
             poll_tracker: RequestTracker::new(POLL_TAGS),
-            registered: false,
-            heartbeat_req: None,
             inflight: HashMap::new(),
             backlog: VecDeque::new(),
             backlog_capacity: STORE_FORWARD_CAPACITY,
@@ -258,7 +247,7 @@ impl DeviceProxyNode {
 
     /// Whether the master has acknowledged registration.
     pub fn is_registered(&self) -> bool {
-        self.registered
+        self.master.is_registered()
     }
 
     /// Overrides the bounded store-and-forward capacity (default
@@ -307,7 +296,7 @@ impl DeviceProxyNode {
         .expect("ids satisfy the topic grammar")
     }
 
-    fn register(&mut self, ctx: &mut Context<'_>) {
+    fn registration(&self, ctx: &Context<'_>) -> Registration {
         let mut leaf = DeviceLeaf::new(
             self.config.device.clone(),
             self.adapter.protocol().as_str(),
@@ -317,7 +306,7 @@ impl DeviceProxyNode {
         if let Some(loc) = self.config.location {
             leaf = leaf.with_location(loc);
         }
-        let registration = Registration {
+        Registration {
             proxy: self.config.proxy.clone(),
             district: self.config.district.clone(),
             uri: node_uri(ctx.node_id(), "/"),
@@ -325,9 +314,7 @@ impl DeviceProxyNode {
                 entity_id: self.config.entity_id.clone(),
                 leaf,
             },
-        };
-        let request = WsRequest::post("/register", registration.to_value());
-        self.ws_client.request(ctx, self.config.master, &request);
+        }
     }
 
     fn ingest(
@@ -540,7 +527,7 @@ impl DeviceProxyNode {
             ("proxy", Value::from(self.config.proxy.as_str())),
             ("device", Value::from(self.config.device.as_str())),
             ("kind", Value::from("device")),
-            ("registered", Value::from(self.registered)),
+            ("registered", Value::from(self.master.is_registered())),
             ("broker_down", Value::from(self.broker_down)),
             ("backlog", Value::from(self.backlog.len() as i64)),
             (
@@ -669,8 +656,8 @@ impl DeviceProxyNode {
 impl Node for DeviceProxyNode {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         self.store.attach_metrics(&ctx.telemetry().metrics);
-        self.register(ctx);
-        ctx.set_timer(HEARTBEAT_INTERVAL, TAG_HEARTBEAT);
+        let registration = self.registration(ctx);
+        self.master.start(ctx, registration);
         if let Some(interval) = self.config.poll_interval {
             ctx.set_timer(interval, TAG_POLL);
         }
@@ -688,10 +675,8 @@ impl Node for DeviceProxyNode {
         // the WAL tail first so every acknowledged point is back before
         // any query or ingest runs.
         self.store.crash_recover();
-        self.ws_client.reset();
+        self.master.reset();
         self.poll_tracker.reset();
-        self.registered = false;
-        self.heartbeat_req = None;
         // Unacked publishes were lost with the crash; park them (oldest
         // first) so they replay once the broker answers again.
         let mut unacked: Vec<(u64, BufferedSample)> = self.inflight.drain().collect();
@@ -752,33 +737,16 @@ impl Node for DeviceProxyNode {
             WS_PORT => {
                 // A packet on the WS port is either the master's response
                 // to our registration/heartbeat, or a client request.
-                if let Some(event) = self.ws_client.accept(&pkt) {
-                    match event {
-                        WsClientEvent::Response { id, response } => {
-                            if self.heartbeat_req == Some(id) {
-                                self.heartbeat_req = None;
-                                if response.status == status::NOT_FOUND {
-                                    // The master no longer knows us (it
-                                    // evicted us, or restarted and lost its
-                                    // registry): register again.
-                                    self.registered = false;
-                                    ctx.telemetry().metrics.incr("proxy.reregister");
-                                    self.register(ctx);
-                                }
-                            } else if response.is_ok() {
-                                self.registered = true;
-                            }
-                        }
-                        WsClientEvent::TimedOut { id } => {
-                            if self.heartbeat_req == Some(id) {
-                                self.heartbeat_req = None;
-                            }
+                match self.master.on_packet(ctx, &pkt) {
+                    Some(MasterReply::Reregistered) => {
+                        ctx.telemetry().metrics.incr("proxy.reregister");
+                    }
+                    Some(MasterReply::Handled) => {}
+                    None => {
+                        if let Some(call) = self.ws.accept(ctx, &pkt) {
+                            self.serve(ctx, call);
                         }
                     }
-                    return;
-                }
-                if let Some(call) = self.ws.accept(ctx, &pkt) {
-                    self.serve(ctx, call);
                 }
             }
             _ => {}
@@ -805,23 +773,6 @@ impl Node for DeviceProxyNode {
                 self.store.maintain();
                 ctx.set_timer(TSKV_MAINTAIN_PERIOD, TAG_TSKV_MAINTAIN);
             }
-            TAG_HEARTBEAT => {
-                if self.registered {
-                    let body = crate::registration::ProxyRef {
-                        proxy: self.config.proxy.clone(),
-                        district: self.config.district.clone(),
-                    }
-                    .to_value();
-                    let request = WsRequest::post("/heartbeat", body);
-                    let id = self.ws_client.request(ctx, self.config.master, &request);
-                    self.heartbeat_req = Some(id);
-                } else {
-                    // Registration response never came: retry now.
-                    self.register(ctx);
-                }
-                ctx.set_timer(HEARTBEAT_INTERVAL, TAG_HEARTBEAT);
-            }
-            TAG_REGISTER_RETRY => self.register(ctx),
             // Probe the broker with the oldest parked sample; its ack
             // (or timeout) decides whether the backlog drains or the
             // backoff grows.
@@ -852,10 +803,8 @@ impl Node for DeviceProxyNode {
                     self.on_publish_timeout(ctx, id);
                 }
             }
-            tag if tag.0 >= WS_CLIENT_TAGS => {
-                self.ws_client.on_timer(ctx, tag);
-            }
-            _ => {}
+            // The heartbeat and the master-request timeouts.
+            tag => self.master.on_timer(ctx, tag),
         }
     }
 }

@@ -16,7 +16,8 @@
 //! * [`devices`] — the simulated field devices as network nodes (uplink
 //!   emitters and the polled OPC UA server);
 //! * [`registration`] — the register/deregister/heartbeat bodies proxies
-//!   exchange with the master node.
+//!   exchange with the master node, and the [`registration::MasterSession`]
+//!   every proxy keeps with it.
 
 pub mod adapters;
 pub mod database_proxy;

@@ -53,7 +53,6 @@ pub mod overload;
 pub mod parallel;
 pub mod rng;
 pub mod rpc;
-pub mod stats;
 pub mod time;
 
 pub use chaos::FaultTarget;

@@ -27,8 +27,8 @@ use std::collections::BTreeMap;
 use dimmer_core::codec::{self, DataFormat};
 use dimmer_core::{DistrictId, ProxyId, QuantityKind, Value};
 use proxy::devices::unix_millis_at;
-use proxy::registration::{ProxyRef, ProxyRole, Registration};
-use proxy::webservice::{status, WsCall, WsClient, WsClientEvent, WsRequest, WsResponse, WsServer};
+use proxy::registration::{MasterReply, MasterSession, ProxyRole, Registration};
+use proxy::webservice::{status, WsCall, WsRequest, WsResponse, WsServer};
 use proxy::{node_uri, WS_PORT};
 use pubsub::{MeasurementTopic, PubSubClient, PubSubEvent, QoS, PUBSUB_PORT};
 use simnet::overload::{Admission, AdmissionGate};
@@ -45,8 +45,6 @@ const TAG_TSKV_MAINTAIN: TimerTag = TimerTag(3);
 const WS_CLIENT_TAGS: u64 = 1_000_000_000;
 const PUBSUB_TAGS: u64 = 2_000_000_000;
 
-/// How often proxies heartbeat the master (matches the Device-proxy).
-const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_secs(30);
 /// Keepalive probing the broker so restarts are noticed and the
 /// wildcard subscription re-established.
 const KEEPALIVE_INTERVAL: SimDuration = SimDuration::from_secs(5);
@@ -204,10 +202,8 @@ pub struct AggregatorNode {
     op: WindowedAggregator<(String, String)>,
     store: TimeSeriesStore,
     ws: WsServer,
-    ws_client: WsClient,
+    master: MasterSession,
     pubsub: PubSubClient,
-    registered: bool,
-    heartbeat_req: Option<u64>,
     /// Admission gate over `/rollups` (the ops plane is never shed).
     gate: AdmissionGate,
     stats: AggregatorStats,
@@ -219,7 +215,7 @@ impl std::fmt::Debug for AggregatorNode {
         f.debug_struct("AggregatorNode")
             .field("proxy", &self.config.proxy)
             .field("district", &self.config.district)
-            .field("registered", &self.registered)
+            .field("registered", &self.master.is_registered())
             .field("open_windows", &self.op.open_windows())
             .finish()
     }
@@ -233,15 +229,13 @@ impl AggregatorNode {
         let pubsub = PubSubClient::new(config.broker, PUBSUB_TAGS);
         let gate = AdmissionGate::new(config.admission_capacity, config.admission_rate);
         AggregatorNode {
+            master: MasterSession::new(config.master, TAG_HEARTBEAT, WS_CLIENT_TAGS),
             config,
             op,
             gate,
             store: TimeSeriesStore::new(),
             ws: WsServer::new(),
-            ws_client: WsClient::new(WS_CLIENT_TAGS),
             pubsub,
-            registered: false,
-            heartbeat_req: None,
             stats: AggregatorStats::default(),
             series: OnceCell::new(),
         }
@@ -254,7 +248,7 @@ impl AggregatorNode {
 
     /// Whether the master has acknowledged registration.
     pub fn is_registered(&self) -> bool {
-        self.registered
+        self.master.is_registered()
     }
 
     /// The counters.
@@ -322,17 +316,6 @@ impl AggregatorNode {
                 max: maxs.get(&start).copied().unwrap_or(f64::NEG_INFINITY),
             })
             .collect()
-    }
-
-    fn register(&mut self, ctx: &mut Context<'_>) {
-        let registration = Registration {
-            proxy: self.config.proxy.clone(),
-            district: self.config.district.clone(),
-            uri: node_uri(ctx.node_id(), "/"),
-            role: ProxyRole::Aggregator,
-        };
-        let request = WsRequest::post("/register", registration.to_value());
-        self.ws_client.request(ctx, self.config.master, &request);
     }
 
     fn ingest(
@@ -521,7 +504,7 @@ impl AggregatorNode {
             ("proxy", Value::from(self.config.proxy.as_str())),
             ("district", Value::from(self.config.district.as_str())),
             ("kind", Value::from("aggregator")),
-            ("registered", Value::from(self.registered)),
+            ("registered", Value::from(self.master.is_registered())),
             ("watermark", Value::from(self.op.watermark())),
             ("open_windows", Value::from(self.op.open_windows() as i64)),
             (
@@ -644,8 +627,13 @@ impl AggregatorNode {
 impl Node for AggregatorNode {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         self.store.attach_metrics(&ctx.telemetry().metrics);
-        self.register(ctx);
-        ctx.set_timer(HEARTBEAT_INTERVAL, TAG_HEARTBEAT);
+        let registration = Registration {
+            proxy: self.config.proxy.clone(),
+            district: self.config.district.clone(),
+            uri: node_uri(ctx.node_id(), "/"),
+            role: ProxyRole::Aggregator,
+        };
+        self.master.start(ctx, registration);
         let filter = MeasurementTopic::district_filter(self.config.district.as_str())
             .expect("district ids satisfy the filter grammar");
         self.pubsub.subscribe(ctx, filter, QoS::AtLeastOnce);
@@ -662,10 +650,8 @@ impl Node for AggregatorNode {
         // the WAL tail first so `recover` rebuilds windows from a store
         // with every acknowledged point back in place.
         self.store.crash_recover();
-        self.ws_client.reset();
+        self.master.reset();
         self.pubsub.reset();
-        self.registered = false;
-        self.heartbeat_req = None;
         self.recover(ctx);
         ctx.telemetry().metrics.incr("streams.restart");
         self.on_start(ctx);
@@ -684,56 +670,23 @@ impl Node for AggregatorNode {
                     self.ingest(ctx, &topic, &payload, trace, span);
                 }
             }
-            WS_PORT => {
-                if let Some(event) = self.ws_client.accept(&pkt) {
-                    match event {
-                        WsClientEvent::Response { id, response } => {
-                            if self.heartbeat_req == Some(id) {
-                                self.heartbeat_req = None;
-                                if response.status == status::NOT_FOUND {
-                                    // The master evicted or forgot us:
-                                    // register again.
-                                    self.registered = false;
-                                    ctx.telemetry().metrics.incr("streams.reregister");
-                                    self.register(ctx);
-                                }
-                            } else if response.is_ok() {
-                                self.registered = true;
-                            }
-                        }
-                        WsClientEvent::TimedOut { id } => {
-                            if self.heartbeat_req == Some(id) {
-                                self.heartbeat_req = None;
-                            }
-                        }
+            WS_PORT => match self.master.on_packet(ctx, &pkt) {
+                Some(MasterReply::Reregistered) => {
+                    ctx.telemetry().metrics.incr("streams.reregister");
+                }
+                Some(MasterReply::Handled) => {}
+                None => {
+                    if let Some(call) = self.ws.accept(ctx, &pkt) {
+                        self.serve(ctx, call);
                     }
-                    return;
                 }
-                if let Some(call) = self.ws.accept(ctx, &pkt) {
-                    self.serve(ctx, call);
-                }
-            }
+            },
             _ => {}
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
         match tag {
-            TAG_HEARTBEAT => {
-                if self.registered {
-                    let body = ProxyRef {
-                        proxy: self.config.proxy.clone(),
-                        district: self.config.district.clone(),
-                    }
-                    .to_value();
-                    let request = WsRequest::post("/heartbeat", body);
-                    let id = self.ws_client.request(ctx, self.config.master, &request);
-                    self.heartbeat_req = Some(id);
-                } else {
-                    self.register(ctx);
-                }
-                ctx.set_timer(HEARTBEAT_INTERVAL, TAG_HEARTBEAT);
-            }
             TAG_FLUSH => {
                 // Even with no traffic, wall-clock progress closes
                 // windows: the watermark may not regress, so this only
@@ -750,10 +703,8 @@ impl Node for AggregatorNode {
             tag if tag.0 >= PUBSUB_TAGS => {
                 self.pubsub.on_timer(ctx, tag);
             }
-            tag if tag.0 >= WS_CLIENT_TAGS => {
-                self.ws_client.on_timer(ctx, tag);
-            }
-            _ => {}
+            // The heartbeat and the master-request timeouts.
+            tag => self.master.on_timer(ctx, tag),
         }
     }
 }

@@ -1,8 +1,9 @@
 //! Metrics registry: counters, gauges, and log-bucketed bounded
 //! histograms, written through resolved handles.
 //!
-//! The histogram replaces the store-everything `simnet::stats::Summary`
-//! on hot paths: it keeps a fixed array of geometric buckets (16
+//! The histogram is the one statistics type of the production crates
+//! (the experiment binaries keep an exact, store-everything `Summary`
+//! in `bench_support`): it keeps a fixed array of geometric buckets (16
 //! sub-buckets per power of two), so memory is constant regardless of
 //! how many values are recorded, and quantiles are answered with a
 //! bounded relative error of at most `1/16 ≈ 6.25%` of the value.

@@ -25,6 +25,9 @@ bins=(
   e10_chaos
   e11_aggregation
   e12_federation
+  e13_city_scale
+  e14_overload
+  e15_storage
   f1a_infrastructure
   f1b_device_proxy
 )

@@ -6,10 +6,10 @@
 
 use dimmer::district::client::ClientNode;
 use dimmer::district::deploy::Deployment;
-use dimmer::district::scenario::ScenarioConfig;
+use dimmer::district::scenario::{AggregationSpec, ScenarioConfig};
 use dimmer::master::MasterNode;
 use dimmer::proxy::device_proxy::DeviceProxyNode;
-use dimmer::simnet::{LinkModel, SimConfig, SimDuration, Simulator};
+use dimmer::simnet::{LinkModel, NodeId, SimConfig, SimDuration, Simulator};
 
 /// The test's base seed offset by the `DIMMER_SEED` environment
 /// variable, for CI seed sweeps.
@@ -235,54 +235,91 @@ fn dead_device_proxy_disappears_from_the_ontology() {
     );
 }
 
+/// Everything the master knows, duplicates included: the registry size
+/// and, per district, each aggregator URI, entity id and device id.
+fn master_view(sim: &Simulator, deployment: &Deployment) -> (usize, Vec<String>) {
+    let master = sim.node_ref::<MasterNode>(deployment.master).unwrap();
+    let mut entries = Vec::new();
+    for d in &deployment.districts {
+        let tree = master.ontology().district(&d.district).unwrap();
+        entries.extend(tree.aggregator_proxies().iter().map(|u| format!("agg {u}")));
+        for entity in tree.entities() {
+            entries.push(format!("entity {}", entity.id()));
+            entries.extend(
+                entity
+                    .devices()
+                    .iter()
+                    .map(|leaf| format!("device {}", leaf.device())),
+            );
+        }
+    }
+    entries.sort();
+    (master.proxy_count(), entries)
+}
+
 #[test]
 fn evicted_proxy_reregisters_and_reappears_exactly_once() {
     // An eviction is not a death sentence: when the proxy's link comes
-    // back, its next heartbeat is answered 404 and it re-registers. The
-    // device leaf must reappear in the ontology exactly once — not
-    // duplicated by the re-registration.
-    let scenario = ScenarioConfig::small().build();
-    let mut sim = sim_with_seed(4);
-    let deployment = Deployment::build(&mut sim, &scenario);
-    sim.run_for(SimDuration::from_secs(60));
+    // back, its next heartbeat is answered 404 and it re-registers. What
+    // it contributed to the ontology — a device leaf, a building entity
+    // (with the leaves under it), an aggregator URI — must reappear
+    // exactly once, not duplicated by the re-registration. The three
+    // node types share one `MasterSession`; each is a victim in turn.
+    // (what is evicted, its node, the counter its re-registration is
+    // reported under)
+    type Victim = (&'static str, fn(&Deployment) -> NodeId, &'static str);
+    let victims: [Victim; 3] = [
+        (
+            "device proxy",
+            |d| d.districts[0].device_proxies[0],
+            "proxy.reregister",
+        ),
+        (
+            "BIM database proxy",
+            |d| d.districts[0].bim_proxies[0],
+            "proxy.reregister",
+        ),
+        (
+            "district aggregator",
+            |d| d.districts[0].aggregator.unwrap(),
+            "streams.reregister",
+        ),
+    ];
+    let scenario = ScenarioConfig::small()
+        .with_aggregation(AggregationSpec::tumbling(60_000))
+        .build();
+    for (name, pick, counter) in victims {
+        let mut sim = sim_with_seed(4);
+        let deployment = Deployment::build(&mut sim, &scenario);
+        sim.run_for(SimDuration::from_secs(60));
+        let victim = pick(&deployment);
+        let before = master_view(&sim, &deployment);
 
-    let victim = deployment.districts[0].device_proxies[0];
-    let victim_device = &scenario.districts[0].buildings[0].devices[0];
-    sim.set_link(
-        victim,
-        deployment.master,
-        LinkModel::builder().loss(1.0).build(),
-    );
-    sim.run_for(SimDuration::from_secs(400));
-    assert_eq!(
-        sim.node_ref::<MasterNode>(deployment.master)
-            .unwrap()
-            .ontology()
-            .device_count(),
-        11,
-        "the victim was evicted"
-    );
+        sim.set_link(
+            victim,
+            deployment.master,
+            LinkModel::builder().loss(1.0).build(),
+        );
+        sim.run_for(SimDuration::from_secs(400));
+        let master = sim.node_ref::<MasterNode>(deployment.master).unwrap();
+        assert!(
+            master.stats().evictions >= 1,
+            "{name}: {:?}",
+            master.stats()
+        );
+        assert!(
+            master.proxy_count() < before.0,
+            "{name}: the victim was evicted"
+        );
 
-    // The link heals; the next heartbeat discovers the eviction.
-    sim.set_link(victim, deployment.master, LinkModel::lan());
-    sim.run_for(SimDuration::from_secs(120));
-
-    let master = sim.node_ref::<MasterNode>(deployment.master).unwrap();
-    assert_eq!(master.ontology().device_count(), 12, "{:?}", master.stats());
-    let leaves = master
-        .ontology()
-        .devices_by_quantity(&scenario.districts[0].district, victim_device.quantity)
-        .unwrap();
-    assert_eq!(
-        leaves
-            .iter()
-            .filter(|(_, leaf)| leaf.device() == &victim_device.device)
-            .count(),
-        1,
-        "the re-registered device appears exactly once"
-    );
-    assert!(
-        sim.is_up(victim),
-        "the victim never crashed, only its link did"
-    );
+        // The link heals; the next heartbeat discovers the eviction.
+        sim.set_link(victim, deployment.master, LinkModel::lan());
+        sim.run_for(SimDuration::from_secs(120));
+        assert_eq!(master_view(&sim, &deployment), before, "{name}");
+        assert!(sim.telemetry().metrics.counter(counter) >= 1, "{name}");
+        assert!(
+            sim.is_up(victim),
+            "{name}: the victim never crashed, only its link did"
+        );
+    }
 }

@@ -1,5 +1,5 @@
 //! End-to-end telemetry: flight-recorder traces across the full stack,
-//! bounded-histogram accuracy against the exact [`Summary`], and the
+//! bounded-histogram accuracy against exact sorted quantiles, and the
 //! cost contract of the write path — by-handle metric writes, trace
 //! records and untraced hops allocate nothing.
 //!
@@ -12,7 +12,6 @@ use district::deploy::Deployment;
 use district::scenario::ScenarioConfig;
 use pubsub::{PubSubClient, PubSubEvent, QoS, TopicFilter, PUBSUB_PORT};
 use simnet::rng::DeterministicRng;
-use simnet::stats::Summary;
 use simnet::telemetry::flight::reconstruct;
 use simnet::telemetry::metrics::Histogram;
 use simnet::telemetry::trace::INLINE_DETAIL_BYTES;
@@ -120,16 +119,19 @@ fn trace_follows_measurement_device_to_subscriber() {
 fn histogram_quantiles_track_exact_summary() {
     let mut rng = DeterministicRng::seed_from(0x7E1E_0001);
     let hist = Histogram::new();
-    let mut exact = Summary::new("exact");
+    let mut sorted = Vec::new();
     for _ in 0..20_000 {
         // Log-uniform over ~5 decades: stresses every octave.
         let v = 10f64.powf(rng.next_f64() * 5.0);
         hist.record(v);
-        exact.record(v);
+        sorted.push(v);
     }
-    for (q, p) in [(0.5, 50.0), (0.9, 90.0), (0.99, 99.0)] {
+    sorted.sort_by(f64::total_cmp);
+    // The exact oracle: nearest rank over every observation.
+    let exact = |q: f64| sorted[(q * (sorted.len() as f64 - 1.0)).round() as usize];
+    for q in [0.5, 0.9, 0.99] {
         let approx = hist.quantile(q);
-        let truth = exact.percentile(p);
+        let truth = exact(q);
         let rel = (approx - truth).abs() / truth;
         assert!(
             rel <= 0.07,
@@ -137,9 +139,9 @@ fn histogram_quantiles_track_exact_summary() {
         );
     }
     // Endpoints are exact, not bucket representatives.
-    assert_eq!(hist.quantile(0.0), exact.percentile(0.0));
-    assert_eq!(hist.quantile(1.0), exact.percentile(100.0));
-    assert_eq!(hist.count(), exact.count() as u64);
+    assert_eq!(hist.quantile(0.0), exact(0.0));
+    assert_eq!(hist.quantile(1.0), exact(1.0));
+    assert_eq!(hist.count(), sorted.len() as u64);
 }
 
 const WRITES: u64 = 10_000;
