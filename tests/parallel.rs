@@ -89,11 +89,11 @@ struct Fingerprint {
     now_ns: u64,
 }
 
-fn run_city(base_seed: u64, threads: usize, crash_broker: bool) -> Fingerprint {
+fn run_city(shards: usize, base_seed: u64, threads: usize, crash_broker: bool) -> Fingerprint {
     let scenario = city();
     let mut sim = ParallelSimulator::new(ParallelConfig {
         seed: seed(base_seed),
-        shards: SHARDS,
+        shards,
         threads,
         ..ParallelConfig::default()
     });
@@ -120,9 +120,10 @@ fn run_city(base_seed: u64, threads: usize, crash_broker: bool) -> Fingerprint {
     let mut chaos = ChaosRunner::new(plan);
     chaos.run_for(&mut sim, SimDuration::from_secs(120));
 
-    assert!(
+    assert_eq!(
         sim.stats().cross_packets > 0,
-        "a federated 4-shard city must generate cross-shard traffic"
+        shards > 1,
+        "a federated city generates cross-shard traffic exactly when it has shards to cross"
     );
     let stream = sim
         .node_ref::<StreamRecorder>(recorder)
@@ -165,9 +166,34 @@ fn run_city(base_seed: u64, threads: usize, crash_broker: bool) -> Fingerprint {
 
 #[test]
 fn sharded_deployment_identical_across_thread_counts() {
-    let single = run_city(0x9A11, 1, false);
-    let multi = run_city(0x9A11, env_threads(), false);
+    let single = run_city(SHARDS, 0x9A11, 1, false);
+    let multi = run_city(SHARDS, 0x9A11, env_threads(), false);
     assert_eq!(single, multi);
+}
+
+/// Flight digests of the fault-free city under `ParallelConfig`'s seed
+/// rule (shard `i` is seeded `root.derive(i)`, also at `shards: 1`),
+/// recorded before the kernel became crate-private. Outside the frozen
+/// benchmark's `sim_digest` nothing else pins that rule, so a refactor
+/// of the runner must leave both unchanged. The with-faults digest of
+/// `broker_crash_mid_run_stays_deterministic` is deliberately not
+/// pinned: runner-level fault records may move between bundles; only
+/// its 1-vs-N-thread equality is promised.
+const CITY_DIGEST_4_SHARDS: u64 = 0xacf9_7779_565f_2152;
+const CITY_DIGEST_1_SHARD: u64 = 0x9eac_ce09_97f3_e00f;
+
+#[test]
+fn derived_seed_digests_match_the_recorded_ones() {
+    if std::env::var_os("DIMMER_SEED").is_some() {
+        return; // the pins hold for the unshifted seed only
+    }
+    let four = run_city(SHARDS, 0x9A11, env_threads(), false).digest;
+    let one = run_city(1, 0x9A11, 1, false).digest;
+    assert_eq!(
+        (four, one),
+        (CITY_DIGEST_4_SHARDS, CITY_DIGEST_1_SHARD),
+        "got {four:#018x} (4 shards) and {one:#018x} (1 shard)"
+    );
 }
 
 /// One district on one shard — every probe and reply crosses a jittered
@@ -213,7 +239,7 @@ fn fleet_scrape_runs_are_reproducible() {
 
 #[test]
 fn broker_crash_mid_run_stays_deterministic() {
-    let single = run_city(0xC4A5, 1, true);
-    let multi = run_city(0xC4A5, env_threads(), true);
+    let single = run_city(SHARDS, 0xC4A5, 1, true);
+    let multi = run_city(SHARDS, 0xC4A5, env_threads(), true);
     assert_eq!(single, multi);
 }
