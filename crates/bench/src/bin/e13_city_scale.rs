@@ -5,8 +5,8 @@
 //! the *protocol* (E8 fan-out, E12 federation); this one scales the
 //! *engine*: every building carries a constant-rate publisher, districts
 //! of 100 buildings each are served by a federated shard tier, and the
-//! whole simulation runs on a `simnet::parallel::ParallelSimulator` —
-//! one simulation shard per broker shard, `--threads N` worker threads,
+//! whole simulation runs on a sharded `simnet::Simulator` — one
+//! simulation shard per broker shard, `--threads N` worker threads,
 //! cross-shard bridge batches and master RPCs flowing through the
 //! deterministic lookahead barriers. The run reports how fast the
 //! engine chews through the event stream in wall-clock terms.
@@ -49,9 +49,10 @@ use pubsub::{
     PUBSUB_PORT,
 };
 use simnet::batch::BatchPolicy;
-use simnet::parallel::{ParallelConfig, ParallelSimulator};
 use simnet::telemetry::SloReport;
-use simnet::{Context, Node, NodeId, Packet, SimDuration, SimTime, TimerTag};
+use simnet::{
+    Context, Node, NodeId, Packet, ParallelConfig, SimDuration, SimTime, Simulator, TimerTag,
+};
 
 /// Every Nth building publishes traced: enough flights for the SLO
 /// harvest without flooding the trace ring at the 100k scale.
@@ -68,7 +69,7 @@ const MEASURE: SimDuration = SimDuration::from_secs(60);
 /// (district i → shard i % shards), mirroring `district::deploy`.
 /// Broker i lives on simulation shard i, so bridge batches are the
 /// cross-shard traffic.
-fn build_brokers(sim: &mut ParallelSimulator, shards: usize, districts: usize) -> Vec<NodeId> {
+fn build_brokers(sim: &mut Simulator, shards: usize, districts: usize) -> Vec<NodeId> {
     let ids: Vec<NodeId> = (0..shards)
         .map(|i| {
             sim.add_node_on(
@@ -296,7 +297,7 @@ fn run_scale(
     measure: SimDuration,
 ) -> RunResult {
     let districts = buildings.div_ceil(BUILDINGS_PER_DISTRICT);
-    let mut sim = ParallelSimulator::new(ParallelConfig {
+    let mut sim = Simulator::new(ParallelConfig {
         seed,
         shards,
         threads,
@@ -328,7 +329,7 @@ fn run_scale(
     // Publishers and subscribers are co-located with their district's
     // broker shard, so steady-state load is intra-shard and only bridge
     // batches + master RPCs cross the barrier — the deployment shape
-    // `district::deploy::build_parallel` uses.
+    // `district::deploy::Deployment::build` uses.
     let subs: Vec<NodeId> = (0..districts)
         .map(|d| {
             sim.add_node_on(

@@ -24,8 +24,7 @@ use proxy::database_proxy::{
 use proxy::device_proxy::{DeviceProxyConfig, DeviceProxyNode};
 use proxy::devices::{CoapFieldNode, OpcUaFieldNode, UplinkDeviceNode};
 use pubsub::{BrokerNode, FederationConfig, ShardMap};
-use simnet::parallel::ParallelSimulator;
-use simnet::{NodeId, SimDuration, SimHost, Simulator};
+use simnet::{NodeId, SimDuration, Simulator};
 use streams::{AggregatorConfig, AggregatorNode, WindowSpec};
 
 use crate::scenario::{DeviceSpec, DistrictSpec, Scenario};
@@ -70,23 +69,15 @@ pub struct Deployment {
 }
 
 impl Deployment {
-    /// Instantiates `scenario` on `sim`.
+    /// Instantiates `scenario` on `sim`: broker shard `i` and everything
+    /// publishing into it (the district's proxies, devices and
+    /// aggregator) land on simulation shard `i % sim.shard_count()`, so
+    /// the only cross-shard traffic is what really crosses broker
+    /// boundaries — bridge batches and master RPCs. With one shard that
+    /// is everything on shard 0.
     pub fn build(sim: &mut Simulator, scenario: &Scenario) -> Deployment {
-        Self::build_on(sim, scenario)
-    }
-
-    /// Instantiates `scenario` on a sharded parallel simulation: broker
-    /// shard `i` and everything publishing into it (the district's
-    /// proxies, devices and aggregator) land on simulation shard
-    /// `i % shards`, so the only cross-shard traffic is what really
-    /// crosses broker boundaries — bridge batches and master RPCs.
-    pub fn build_parallel(sim: &mut ParallelSimulator, scenario: &Scenario) -> Deployment {
-        Self::build_on(sim, scenario)
-    }
-
-    /// Instantiates `scenario` on any [`SimHost`].
-    pub fn build_on<S: SimHost>(sim: &mut S, scenario: &Scenario) -> Deployment {
-        let master = sim.place_node(
+        let sim_shards = sim.shard_count();
+        let master = sim.add_node_on(
             0,
             "master".to_owned(),
             MasterNode::new(
@@ -97,7 +88,7 @@ impl Deployment {
             ),
         );
         if let Some(ov) = scenario.config.overload {
-            sim.host_node_mut::<MasterNode>(master)
+            sim.node_mut::<MasterNode>(master)
                 .expect("just added")
                 .set_admission_limits(ov.master_capacity, ov.master_rate);
         }
@@ -105,15 +96,15 @@ impl Deployment {
         // Broker tier: the classic single broker, or one labeled broker
         // per shard bridged into a federation (district i → shard
         // i % shards, mirroring the scenario's round-robin promise).
-        // Under a parallel host, broker i lives on simulation shard i.
+        // Broker i lives on simulation shard i % sim_shards.
         let brokers: Vec<NodeId> =
             match scenario.config.federation {
-                None => vec![sim.place_node(0, "broker".to_owned(), BrokerNode::new())],
+                None => vec![sim.add_node_on(0, "broker".to_owned(), BrokerNode::new())],
                 Some(spec) => {
                     let ids: Vec<NodeId> = (0..spec.shards)
                         .map(|i| {
-                            sim.place_node(
-                                i,
+                            sim.add_node_on(
+                                i % sim_shards,
                                 format!("broker-{i}"),
                                 BrokerNode::with_label(format!("b{i}")),
                             )
@@ -124,7 +115,7 @@ impl Deployment {
                         shard.assign(d.district.as_str(), i % spec.shards);
                     }
                     for (i, &id) in ids.iter().enumerate() {
-                        sim.host_node_mut::<BrokerNode>(id)
+                        sim.node_mut::<BrokerNode>(id)
                             .expect("just added")
                             .federate(FederationConfig {
                                 index: i,
@@ -133,7 +124,7 @@ impl Deployment {
                                 batch: spec.batch_policy(),
                             });
                     }
-                    sim.host_node_mut::<MasterNode>(master)
+                    sim.node_mut::<MasterNode>(master)
                         .expect("just added")
                         .set_shard_owners(
                             scenario.districts.iter().enumerate().map(|(i, d)| {
@@ -150,7 +141,8 @@ impl Deployment {
             .enumerate()
             .map(|(i, d)| {
                 let broker_idx = i % brokers.len();
-                deploy_district(sim, scenario, d, master, brokers[broker_idx], broker_idx)
+                let shard = broker_idx % sim_shards;
+                deploy_district(sim, scenario, d, master, brokers[broker_idx], shard)
             })
             .collect();
         Deployment {
@@ -159,6 +151,13 @@ impl Deployment {
             brokers,
             districts,
         }
+    }
+
+    /// [`Deployment::build`] under its former name. `benchmark/` is the
+    /// only caller.
+    #[doc(hidden)]
+    pub fn build_parallel(sim: &mut Simulator, scenario: &Scenario) -> Deployment {
+        Self::build(sim, scenario)
     }
 
     /// Every Device-proxy across districts.
@@ -200,8 +199,8 @@ impl Deployment {
     }
 }
 
-fn deploy_district<S: SimHost>(
-    sim: &mut S,
+fn deploy_district(
+    sim: &mut Simulator,
     scenario: &Scenario,
     spec: &DistrictSpec,
     master: NodeId,
@@ -225,7 +224,7 @@ fn deploy_district<S: SimHost>(
             ))
             .expect("feature ids are unique");
     }
-    let gis_proxy = sim.place_node(
+    let gis_proxy = sim.add_node_on(
         shard,
         format!("gis-{did}"),
         DatabaseProxyNode::new(
@@ -240,7 +239,7 @@ fn deploy_district<S: SimHost>(
     let archive_csv = synthesize_archive(spec, config.archive_rows, config.epoch_offset_millis);
     let archive_source =
         MeasurementArchiveSource::new(&archive_csv).expect("synthesized archive is valid");
-    let archive_proxy = sim.place_node(
+    let archive_proxy = sim.add_node_on(
         shard,
         format!("archive-{did}"),
         DatabaseProxyNode::new(
@@ -258,7 +257,7 @@ fn deploy_district<S: SimHost>(
             .expect("sample BIM tables reassemble")
             .with_location(b.location)
             .with_gis_feature(format!("feat-{}", b.building));
-        bim_proxies.push(sim.place_node(
+        bim_proxies.push(sim.add_node_on(
             shard,
             format!("bim-{}", b.building),
             DatabaseProxyNode::new(
@@ -277,7 +276,7 @@ fn deploy_district<S: SimHost>(
         let source = SimSource::new(&legacy)
             .expect("legacy dump parses back")
             .with_location(n.location);
-        sim_proxies.push(sim.place_node(
+        sim_proxies.push(sim.add_node_on(
             shard,
             format!("sim-{}", n.network),
             DatabaseProxyNode::new(
@@ -323,7 +322,7 @@ fn deploy_district<S: SimHost>(
         if let Some(ov) = config.overload {
             agg_config = agg_config.with_admission(ov.aggregator_capacity, ov.aggregator_rate);
         }
-        sim.place_node(shard, format!("agg-{did}"), AggregatorNode::new(agg_config))
+        sim.add_node_on(shard, format!("agg-{did}"), AggregatorNode::new(agg_config))
     });
 
     DistrictDeployment {
@@ -340,8 +339,8 @@ fn deploy_district<S: SimHost>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn deploy_device<S: SimHost>(
-    sim: &mut S,
+fn deploy_device(
+    sim: &mut Simulator,
     scenario: &Scenario,
     district: &DistrictSpec,
     entity_id: &str,
@@ -383,7 +382,7 @@ fn deploy_device<S: SimHost>(
         epoch_offset_millis: config.epoch_offset_millis,
         publish_qos: config.publish_qos,
     };
-    let proxy_node = sim.place_node(
+    let proxy_node = sim.add_node_on(
         shard,
         format!("devproxy-{}", dev.device),
         DeviceProxyNode::new(proxy_config, adapter),
@@ -391,7 +390,7 @@ fn deploy_device<S: SimHost>(
 
     let profile = EnergyProfile::for_quantity(dev.quantity, config.seed ^ u64::from(dev.address));
     let device_node = match dev.protocol {
-        ProtocolKind::OpcUa => sim.place_node(
+        ProtocolKind::OpcUa => sim.add_node_on(
             shard,
             format!("device-{}", dev.device),
             OpcUaFieldNode::new(
@@ -401,7 +400,7 @@ fn deploy_device<S: SimHost>(
                 config.epoch_offset_millis,
             ),
         ),
-        ProtocolKind::Coap => sim.place_node(
+        ProtocolKind::Coap => sim.add_node_on(
             shard,
             format!("device-{}", dev.device),
             CoapFieldNode::new(
@@ -425,7 +424,7 @@ fn deploy_device<S: SimHost>(
                 )),
                 ProtocolKind::OpcUa | ProtocolKind::Coap => unreachable!("handled above"),
             };
-            sim.place_node(
+            sim.add_node_on(
                 shard,
                 format!("device-{}", dev.device),
                 UplinkDeviceNode::new(
@@ -438,7 +437,7 @@ fn deploy_device<S: SimHost>(
             )
         }
     };
-    sim.host_node_mut::<DeviceProxyNode>(proxy_node)
+    sim.node_mut::<DeviceProxyNode>(proxy_node)
         .expect("just added")
         .set_device_node(device_node);
     (proxy_node, device_node)
@@ -637,18 +636,18 @@ mod tests {
     #[test]
     fn parallel_deployment_places_districts_on_broker_shards() {
         use crate::scenario::FederationSpec;
-        use simnet::parallel::{ParallelConfig, ParallelSimulator};
+        use simnet::ParallelConfig;
 
         let scenario = ScenarioConfig::small()
             .with_districts(4)
             .with_federation(FederationSpec::sharded(2))
             .build();
-        let mut sim = ParallelSimulator::new(ParallelConfig {
+        let mut sim = Simulator::new(ParallelConfig {
             shards: 2,
             threads: 2,
             ..ParallelConfig::default()
         });
-        let deployment = Deployment::build_parallel(&mut sim, &scenario);
+        let deployment = Deployment::build(&mut sim, &scenario);
         assert_eq!(deployment.master.shard(), 0);
         for (i, b) in deployment.brokers.iter().enumerate() {
             assert_eq!(b.shard(), i % 2, "broker {i} on its own shard");

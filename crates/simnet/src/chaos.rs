@@ -4,14 +4,19 @@
 //!
 //! The simulator provides the primitives ([`Simulator::crash`],
 //! [`Simulator::restart`], [`Simulator::partition`], [`Simulator::heal`],
-//! [`Simulator::set_link`]); this module layers a schedule on top. Plans
+//! [`Simulator::set_link_directed`], [`Simulator::set_node_slowdown`]),
+//! each routed to the owning shard or fanned out to all of them, so one
+//! plan replays identically at any shard and thread count; this module
+//! layers a schedule on top. Plans
 //! are either written out explicitly (the `e10_chaos` experiment) or
 //! generated from configurable rates under a seed
 //! ([`FaultPlan::random`]), so a chaos run replays identically.
 //!
 //! Every injected fault is counted under a `chaos.*` metric and recorded
-//! into the telemetry trace stream, which makes a run fully
-//! reconstructable from its `DIMMER_TRACE` output.
+//! into a telemetry trace stream — a crash or restart into the owning
+//! shard's, everything else into shard 0's
+//! ([`Simulator::telemetry`]) — which makes a run fully reconstructable
+//! from its `DIMMER_TRACE` output.
 //!
 //! ```
 //! use simnet::chaos::{ChaosRunner, Fault, FaultPlan};
@@ -33,91 +38,11 @@
 //! assert_eq!(chaos.faults_injected(), 2);
 //! ```
 
-use std::fmt;
-
 use crate::link::LinkModel;
 use crate::node::NodeId;
+use crate::parallel::Simulator;
 use crate::rng::DeterministicRng;
-use crate::sim::Simulator;
 use crate::time::{SimDuration, SimTime};
-
-/// Anything a [`ChaosRunner`] can inject faults into: a stand-alone
-/// [`Simulator`] or a sharded
-/// [`ParallelSimulator`](crate::parallel::ParallelSimulator). The
-/// parallel implementation routes each primitive to the owning shard
-/// (or fans it out to all shards, for partitions), so one fault plan
-/// replays identically at any shard/thread combination.
-pub trait FaultTarget {
-    /// The current virtual time.
-    fn now(&self) -> SimTime;
-    /// Runs the simulation until `deadline`.
-    fn run_until(&mut self, deadline: SimTime);
-    /// Crashes a node (see [`Simulator::crash`]).
-    fn crash(&mut self, id: NodeId);
-    /// Schedules a crashed node's restart (see [`Simulator::restart`]).
-    fn restart(&mut self, id: NodeId, after: SimDuration);
-    /// Partitions the network (see [`Simulator::partition`]).
-    fn partition(&mut self, groups: Vec<Vec<NodeId>>);
-    /// Lifts the active partition (see [`Simulator::heal`]).
-    fn heal(&mut self);
-    /// Overrides the `src → dst` link model.
-    fn set_link_directed(&mut self, src: NodeId, dst: NodeId, model: LinkModel);
-    /// The link model in effect from `src` to `dst` (owned, so sharded
-    /// targets can answer without lending internal borrows).
-    fn link_model(&self, src: NodeId, dst: NodeId) -> LinkModel;
-    /// The node's gray-failure slowdown factor.
-    fn node_slowdown(&self, id: NodeId) -> f64;
-    /// Sets the node's gray-failure slowdown factor.
-    fn set_node_slowdown(&mut self, id: NodeId, factor: f64);
-    /// Records a custom fault event into the telemetry trace stream.
-    fn record_fault(&self, kind: &'static str, detail: fmt::Arguments<'_>);
-}
-
-impl FaultTarget for Simulator {
-    fn now(&self) -> SimTime {
-        Simulator::now(self)
-    }
-
-    fn run_until(&mut self, deadline: SimTime) {
-        Simulator::run_until(self, deadline);
-    }
-
-    fn crash(&mut self, id: NodeId) {
-        Simulator::crash(self, id);
-    }
-
-    fn restart(&mut self, id: NodeId, after: SimDuration) {
-        Simulator::restart(self, id, after);
-    }
-
-    fn partition(&mut self, groups: Vec<Vec<NodeId>>) {
-        Simulator::partition(self, groups);
-    }
-
-    fn heal(&mut self) {
-        Simulator::heal(self);
-    }
-
-    fn set_link_directed(&mut self, src: NodeId, dst: NodeId, model: LinkModel) {
-        Simulator::set_link_directed(self, src, dst, model);
-    }
-
-    fn link_model(&self, src: NodeId, dst: NodeId) -> LinkModel {
-        self.link(src, dst).clone()
-    }
-
-    fn node_slowdown(&self, id: NodeId) -> f64 {
-        Simulator::node_slowdown(self, id)
-    }
-
-    fn set_node_slowdown(&mut self, id: NodeId, factor: f64) {
-        Simulator::set_node_slowdown(self, id, factor);
-    }
-
-    fn record_fault(&self, kind: &'static str, detail: fmt::Arguments<'_>) {
-        Simulator::record_fault(self, kind, detail);
-    }
-}
 
 /// One injectable fault.
 #[derive(Debug, Clone)]
@@ -417,7 +342,7 @@ impl ChaosRunner {
 
     /// Runs the simulation until `deadline`, injecting every fault (and
     /// link restore) whose time falls inside the window.
-    pub fn run_until<T: FaultTarget>(&mut self, sim: &mut T, deadline: SimTime) {
+    pub fn run_until(&mut self, sim: &mut Simulator, deadline: SimTime) {
         loop {
             let next_fault = self.events.get(self.next).map(|e| e.at);
             let next_restore = self
@@ -444,13 +369,13 @@ impl ChaosRunner {
     }
 
     /// Runs for `dur` of virtual time from the current instant.
-    pub fn run_for<T: FaultTarget>(&mut self, sim: &mut T, dur: SimDuration) {
+    pub fn run_for(&mut self, sim: &mut Simulator, dur: SimDuration) {
         let deadline = sim.now() + dur;
         self.run_until(sim, deadline);
     }
 
     /// Applies every fault and restore due at or before the current time.
-    fn apply_due<T: FaultTarget>(&mut self, sim: &mut T) {
+    fn apply_due(&mut self, sim: &mut Simulator) {
         let now = sim.now();
         let mut i = 0;
         while i < self.restores.len() {
@@ -481,7 +406,7 @@ impl ChaosRunner {
         }
     }
 
-    fn apply<T: FaultTarget>(&mut self, sim: &mut T, fault: Fault) {
+    fn apply(&mut self, sim: &mut Simulator, fault: Fault) {
         match fault {
             Fault::Crash { node } => sim.crash(node),
             Fault::Restart { node } => sim.restart(node, SimDuration::ZERO),
@@ -578,7 +503,7 @@ impl ChaosRunner {
         }
     }
 
-    fn save_link<T: FaultTarget>(&mut self, sim: &T, a: NodeId, b: NodeId, duration: SimDuration) {
+    fn save_link(&mut self, sim: &Simulator, a: NodeId, b: NodeId, duration: SimDuration) {
         self.restores.push(LinkRestore {
             at: sim.now() + duration,
             a,
@@ -680,8 +605,8 @@ mod tests {
         );
         let mut chaos = ChaosRunner::new(plan);
         chaos.run_until(&mut sim, SimTime::from_secs(10));
-        assert_eq!(sim.link(tx, rx).latency(), custom.latency());
-        assert!((sim.link(tx, rx).loss_probability() - 0.0).abs() < f64::EPSILON);
+        assert_eq!(sim.link_model(tx, rx).latency(), custom.latency());
+        assert!((sim.link_model(tx, rx).loss_probability() - 0.0).abs() < f64::EPSILON);
         let got = &sim.node_ref::<Rx>(rx).unwrap().got;
         // Flapped 2→5: ticks sent at 3, 4 and 5 are lost on the wire (the
         // restore lands just after the t=5 send). The t=10 tick is still
@@ -722,7 +647,7 @@ mod tests {
             .count();
         assert_eq!(slow, 2, "ticks sent at 3s and 4s ride the spike: {got:?}");
         assert_eq!(
-            sim.link(tx, rx).latency(),
+            sim.link_model(tx, rx).latency(),
             SimDuration::from_millis(1),
             "restored"
         );
@@ -781,7 +706,7 @@ mod tests {
         // Total loss 1→5 drops the ticks sent at 2, 3, 4 and 5 (the
         // restore lands just after the t=5 send); the ideal link
         // delivers the rest instantly.
-        assert_eq!(sim.link(tx, rx).loss_probability(), 0.0, "restored");
+        assert_eq!(sim.link_model(tx, rx).loss_probability(), 0.0, "restored");
         let got = &sim.node_ref::<Rx>(rx).unwrap().got;
         assert_eq!(got.len(), 10 - 4, "{got:?}");
         assert_eq!(sim.metrics().packets_lost, 4);
@@ -811,7 +736,7 @@ mod tests {
         // the ideal link delivers instantly.
         let got = &sim.node_ref::<Rx>(rx).unwrap().got;
         assert_eq!(got.len(), 12 - 3, "{got:?}");
-        assert_eq!(sim.link(tx, rx).loss_probability(), 0.0, "restored");
+        assert_eq!(sim.link_model(tx, rx).loss_probability(), 0.0, "restored");
     }
 
     #[test]

@@ -11,6 +11,13 @@
 //! [`rng::DeterministicRng`]; event ordering is total (time, then a
 //! monotonically increasing sequence number).
 //!
+//! There is one runner, [`Simulator`]. Built from a [`SimConfig`] it is
+//! a single event engine, as in the example below; built from a
+//! [`ParallelConfig`] it is several (shards) on worker threads,
+//! synchronized at lookahead barriers so that the thread count never
+//! changes a result. Nodes, fault plans ([`chaos`]) and deployments see
+//! the same type either way.
+//!
 //! ## Example
 //!
 //! ```
@@ -45,22 +52,22 @@ mod context;
 mod event;
 mod link;
 mod node;
+mod parallel;
 mod sim;
 
 pub mod batch;
 pub mod chaos;
 pub mod overload;
-pub mod parallel;
 pub mod rng;
 pub mod rpc;
 pub mod time;
 
-pub use chaos::FaultTarget;
 pub use context::{Context, TimerId};
 pub use link::{LinkModel, LinkModelBuilder};
 pub use node::{Node, NodeId, Packet, Port, TimerTag};
-pub use parallel::{ParallelConfig, ParallelSimulator, ParallelStats, SimHost};
-pub use sim::{NetMetrics, NodeMetrics, SimConfig, Simulator};
+// `ParallelSimulator` is re-exported for `benchmark/`, its only caller.
+pub use parallel::{ParallelConfig, ParallelSimulator, ParallelStats, Simulator};
+pub use sim::{NetMetrics, NodeMetrics, SimConfig};
 pub use time::{SimDuration, SimTime};
 // Re-export the telemetry bundle so downstream crates can name it
 // without a separate dependency edge.

@@ -72,9 +72,8 @@ impl LinkModel {
     /// A metro backbone hop between broker shards: 5 ms latency,
     /// 1 Gbit/s, no jitter, no loss.
     ///
-    /// This is the default cross-shard link of
-    /// [`parallel::ParallelSimulator`](crate::parallel::ParallelSimulator);
-    /// being jitter- and loss-free it contributes its full 5 ms latency
+    /// This is the default cross-shard link of a sharded
+    /// [`Simulator`](crate::Simulator); being jitter- and loss-free it contributes its full 5 ms latency
     /// as conservative lookahead.
     pub fn backbone() -> Self {
         LinkModel {

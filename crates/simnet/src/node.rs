@@ -5,14 +5,13 @@ use std::fmt;
 
 use crate::context::Context;
 
-/// Identifies a node within one [`Simulator`](crate::Simulator) — or,
-/// under [`parallel::ParallelSimulator`](crate::parallel::ParallelSimulator),
-/// within the whole sharded simulation.
+/// Identifies a node within one [`Simulator`](crate::Simulator), across
+/// all of its shards.
 ///
-/// Node ids are dense indices handed out by
-/// [`Simulator::add_node`](crate::Simulator::add_node) in registration
-/// order, which keeps them stable across replays of the same scenario.
-/// A parallel simulation tags the owning shard into the top
+/// Node ids are dense per-shard indices handed out by
+/// [`Simulator::add_node_on`](crate::Simulator::add_node_on) in
+/// registration order, which keeps them stable across replays of the
+/// same scenario. The owning shard is tagged into the top
 /// [`NodeId::SHARD_BITS`] bits, so ids stay globally unique and any
 /// shard can tell local destinations from cross-shard ones without a
 /// lookup; a stand-alone simulator uses shard 0 and its ids are plain

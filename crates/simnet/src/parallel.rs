@@ -1,8 +1,11 @@
-//! Sharded parallel simulation with deterministic cross-shard merging.
+//! The simulation runner: one [`Simulator`], one or more shards, with
+//! deterministic cross-shard merging.
 //!
-//! A [`ParallelSimulator`] partitions one logical simulation into up to
-//! 256 [`Simulator`] shards (one per broker shard of the deployment, by
-//! convention) and executes them on worker OS threads. Cross-shard
+//! A [`Simulator`] partitions one logical simulation into up to 256
+//! shards (one per broker shard of the deployment, by convention), each
+//! a discrete-event engine of its own, and executes them on worker OS
+//! threads. A stand-alone simulation is the one-shard case: no cross
+//! traffic, no barrier, a plain run of its only engine. Cross-shard
 //! traffic flows through epoch-synchronized mailboxes drained at
 //! **conservative lookahead barriers**: virtual time advances in windows
 //! no wider than the minimum delay of any cross-shard link, so a packet
@@ -29,8 +32,7 @@
 //! trade: parallelism bounded by lookahead, determinism absolute.
 //!
 //! ```
-//! use simnet::parallel::{ParallelConfig, ParallelSimulator};
-//! use simnet::{Context, Node, Packet, Port, SimDuration};
+//! use simnet::{Context, Node, Packet, ParallelConfig, Port, SimDuration, Simulator};
 //!
 //! struct Echo;
 //! impl Node for Echo {
@@ -48,7 +50,7 @@
 //!     }
 //! }
 //!
-//! let mut sim = ParallelSimulator::new(ParallelConfig {
+//! let mut sim = Simulator::new(ParallelConfig {
 //!     shards: 2,
 //!     threads: 2,
 //!     ..ParallelConfig::default()
@@ -63,15 +65,15 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::mpsc::{Receiver, Sender};
 
-use crate::chaos::FaultTarget;
 use crate::link::LinkModel;
 use crate::node::{Node, NodeId};
 use crate::rng::DeterministicRng;
-use crate::sim::{CrossPacket, NetMetrics, NodeMetrics, SimConfig, Simulator};
+use crate::sim::{CrossPacket, NetMetrics, NodeMetrics, Shard, SimConfig};
 use crate::time::{SimDuration, SimTime};
-use telemetry::{CounterHandle, GaugeHandle, Telemetry};
+use telemetry::Telemetry;
 
-/// Configuration of a [`ParallelSimulator`].
+/// Configuration of a sharded [`Simulator`]: shard `i` is seeded with
+/// `seed`'s `i`-th derived sub-seed, also when `shards` is 1.
 #[derive(Debug, Clone)]
 pub struct ParallelConfig {
     /// Seed from which every shard's randomness derives (each shard gets
@@ -113,7 +115,7 @@ pub struct ParallelStats {
     /// Cross-shard packets routed through the mailboxes.
     pub cross_packets: u64,
     /// Wall-clock nanoseconds the coordinator spent blocked waiting for
-    /// worker reports (telemetry only — virtual time never sees it).
+    /// worker reports (virtual time never sees it).
     pub barrier_stall_ns: u64,
     /// Largest single-barrier mailbox (packets bound for one shard).
     pub max_mailbox_depth: usize,
@@ -132,32 +134,78 @@ struct Order {
     done: bool,
 }
 
-/// A deterministic parallel simulation: shards of one logical network,
-/// each a [`Simulator`], synchronized by conservative lookahead barriers.
-pub struct ParallelSimulator {
-    shards: Vec<Simulator>,
+/// What either config lowers to: one kernel seed per shard. The two
+/// `From` impls below are the only place the two seed rules live, and
+/// the only way to make one, so [`Simulator::new`] accepts exactly
+/// [`SimConfig`] and [`ParallelConfig`].
+pub struct ShardPlan {
+    seeds: Vec<u64>,
     threads: usize,
-    /// Global node-name registry (each shard also enforces uniqueness
-    /// locally, but lookups must work across shards).
+    default_link: LinkModel,
+    cross_link: LinkModel,
+}
+
+impl From<SimConfig> for ShardPlan {
+    /// One shard, seeded with `seed` itself.
+    fn from(cfg: SimConfig) -> Self {
+        ShardPlan {
+            seeds: vec![cfg.seed],
+            threads: 1,
+            default_link: cfg.default_link,
+            cross_link: LinkModel::backbone(),
+        }
+    }
+}
+
+impl From<ParallelConfig> for ShardPlan {
+    /// Shard `i` gets `root.derive(i)`: a pure function of `(seed, i)`,
+    /// identical at every thread count.
+    fn from(cfg: ParallelConfig) -> Self {
+        assert!(
+            (1..=1 << NodeId::SHARD_BITS).contains(&cfg.shards),
+            "shard count must be 1..=256"
+        );
+        assert!(cfg.threads >= 1, "thread count must be positive");
+        let root = DeterministicRng::seed_from(cfg.seed);
+        ShardPlan {
+            seeds: (0..cfg.shards as u64)
+                .map(|i| root.derive(i).next_u64())
+                .collect(),
+            threads: cfg.threads,
+            default_link: cfg.default_link,
+            cross_link: cfg.cross_link,
+        }
+    }
+}
+
+/// A deterministic discrete-event network simulation: one or more
+/// shards of one logical network, run on worker threads and
+/// synchronized by conservative lookahead barriers, so the merged event
+/// order is bit-identical at every thread count. Built from a
+/// [`SimConfig`] it has one shard and no barrier; from a
+/// [`ParallelConfig`], as many as the config asks for.
+///
+/// See the [crate-level documentation](crate) for a full example.
+pub struct Simulator {
+    shards: Vec<Shard>,
+    threads: usize,
+    /// The node-name registry, the only one: lookups work across
+    /// shards.
     names: HashMap<String, NodeId>,
     /// Directed cross-shard link overrides, tracked so the lookahead
     /// can shrink to match (the owning shard holds the model used for
     /// delay sampling).
     cross_links: HashMap<(NodeId, NodeId), LinkModel>,
     cross_default: LinkModel,
-    /// The runner's own bundle: `sim.parallel.*` metrics plus fault
-    /// records that apply to the whole simulation.
-    telemetry: Telemetry,
-    /// The two series written at every barrier; the per-run ones stay
-    /// by-name.
-    windows: CounterHandle,
-    mailbox_depth: GaugeHandle,
     stats: ParallelStats,
 }
 
-impl std::fmt::Debug for ParallelSimulator {
+/// The runner's former name. `benchmark/` is the only caller.
+pub type ParallelSimulator = Simulator;
+
+impl std::fmt::Debug for Simulator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ParallelSimulator")
+        f.debug_struct("Simulator")
             .field("shards", &self.shards.len())
             .field("threads", &self.threads)
             .field("now", &self.now())
@@ -165,52 +213,39 @@ impl std::fmt::Debug for ParallelSimulator {
     }
 }
 
-impl ParallelSimulator {
-    /// Creates an empty sharded simulation at time zero.
+impl Simulator {
+    /// Creates an empty simulation at time zero from a [`SimConfig`]
+    /// (one shard, seeded with the config's seed) or a
+    /// [`ParallelConfig`] (`shards` shards, each seeded with a sub-seed
+    /// derived from the config's seed).
     ///
     /// # Panics
     ///
     /// Panics if `shards` is 0 or exceeds 256, or `threads` is 0.
-    pub fn new(cfg: ParallelConfig) -> Self {
-        assert!(
-            (1..=1 << NodeId::SHARD_BITS).contains(&cfg.shards),
-            "shard count must be 1..=256"
-        );
-        assert!(cfg.threads >= 1, "thread count must be positive");
-        let root = DeterministicRng::seed_from(cfg.seed);
-        let shards = (0..cfg.shards)
-            .map(|i| {
-                // Distinct per-shard seed, a pure function of (seed, i):
-                // identical at every thread count.
-                let seed = root.derive(i as u64).next_u64();
-                let mut sim = Simulator::new(SimConfig {
+    pub fn new(cfg: impl Into<ShardPlan>) -> Self {
+        let plan = cfg.into();
+        let shards: Vec<Shard> = plan
+            .seeds
+            .iter()
+            .enumerate()
+            .map(|(i, &seed)| {
+                let mut shard = Shard::new(SimConfig {
                     seed,
-                    default_link: cfg.default_link.clone(),
+                    default_link: plan.default_link.clone(),
                 });
-                sim.set_shard(i as u32);
-                sim.set_cross_default_link(cfg.cross_link.clone());
-                sim
+                shard.set_shard(i as u32);
+                shard.set_cross_default_link(plan.cross_link.clone());
+                shard
             })
             .collect();
-        let telemetry = Telemetry::new();
-        let sim = ParallelSimulator {
+        Simulator {
+            threads: plan.threads.min(shards.len()),
             shards,
-            threads: cfg.threads.min(cfg.shards).max(1),
             names: HashMap::new(),
             cross_links: HashMap::new(),
-            cross_default: cfg.cross_link,
-            windows: telemetry.metrics.counter_handle("sim.parallel.windows"),
-            mailbox_depth: telemetry.metrics.gauge_handle("sim.parallel.mailbox_depth"),
-            telemetry,
+            cross_default: plan.cross_link,
             stats: ParallelStats::default(),
-        };
-        sim.telemetry
-            .metrics
-            .set_gauge("sim.parallel.shards", sim.shards.len() as f64);
-        sim.telemetry
-            .metrics
-            .set_gauge("sim.parallel.threads", sim.threads as f64);
-        sim
+        }
     }
 
     /// Number of simulation shards.
@@ -233,19 +268,31 @@ impl ParallelSimulator {
         self.stats
     }
 
-    /// The runner's own telemetry bundle (`sim.parallel.*` gauges and
-    /// counters, whole-simulation fault records).
+    /// Shard 0's telemetry bundle: the whole simulation's when there is
+    /// one shard, and where faults that belong to no single node
+    /// (partitions, heals, link and slow-node faults) are recorded when
+    /// there are more.
+    ///
+    /// The handle is clonable and internally shared: a clone taken before
+    /// a run observes everything recorded during it.
     pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        self.shard_telemetry(0)
     }
 
-    /// The telemetry bundle of one shard.
+    /// The telemetry bundle of one shard: what the nodes placed on it
+    /// write and serve.
     pub fn shard_telemetry(&self, shard: usize) -> &Telemetry {
         self.shards[shard].telemetry()
     }
 
+    /// Registers a node on shard 0 (the only shard of a stand-alone
+    /// simulation); see [`Simulator::add_node_on`].
+    pub fn add_node<N: Node>(&mut self, name: impl Into<String>, node: N) -> NodeId {
+        self.add_node_on(0, name, node)
+    }
+
     /// Registers a node on `shard` under a globally unique name and
-    /// schedules its start callback.
+    /// schedules its [`Node::on_start`] callback at the current time.
     ///
     /// # Panics
     ///
@@ -273,12 +320,17 @@ impl ParallelSimulator {
     /// # Panics
     ///
     /// Panics if the id's shard tag is out of range.
-    fn owner(&self, id: NodeId) -> &Simulator {
+    fn owner(&self, id: NodeId) -> &Shard {
         &self.shards[id.shard()]
     }
 
-    fn owner_mut(&mut self, id: NodeId) -> &mut Simulator {
+    fn owner_mut(&mut self, id: NodeId) -> &mut Shard {
         &mut self.shards[id.shard()]
+    }
+
+    /// The number of registered nodes.
+    pub fn node_count(&self) -> usize {
+        self.shards.iter().map(Shard::node_count).sum()
     }
 
     /// Looks a node up by its registration name.
@@ -292,6 +344,9 @@ impl ParallelSimulator {
     }
 
     /// Borrows a node, downcast to its concrete type.
+    ///
+    /// Returns `None` if `id` is unknown, the node is currently executing a
+    /// callback, or the concrete type does not match.
     pub fn node_ref<N: Node>(&self, id: NodeId) -> Option<&N> {
         self.owner(id).node_ref(id)
     }
@@ -301,7 +356,9 @@ impl ParallelSimulator {
         self.owner_mut(id).node_mut(id)
     }
 
-    /// Whether the node is currently up.
+    /// Whether the node is currently up (i.e. not crashed).
+    ///
+    /// Unknown ids report `false`.
     pub fn is_up(&self, id: NodeId) -> bool {
         self.owner(id).is_up(id)
     }
@@ -311,12 +368,117 @@ impl ParallelSimulator {
         self.owner(id).node_metrics(id)
     }
 
-    /// Models the node's NIC as a serializer (see
-    /// [`Simulator::set_node_bandwidth`]). Cross-shard packets are
+    /// Models the node's network interface as a `bps` serializer: its
+    /// packets (egress and ingress) occupy the NIC one at a time, so a
+    /// node fanning out faster than its interface drains builds a real
+    /// backlog. `None` (the default for every node) disables the model
+    /// and keeps links as the only delay source. Cross-shard packets are
     /// shaped on egress by the sender's shard and on ingress by the
     /// owner's shard at barrier injection.
+    ///
+    /// Unknown ids are ignored.
     pub fn set_node_bandwidth(&mut self, id: NodeId, bps: Option<u64>) {
         self.owner_mut(id).set_node_bandwidth(id, bps);
+    }
+
+    /// Overrides the link model between `a` and `b` in both directions.
+    pub fn set_link(&mut self, a: NodeId, b: NodeId, model: LinkModel) {
+        self.set_link_directed(a, b, model.clone());
+        self.set_link_directed(b, a, model);
+    }
+
+    /// Overrides the link model for the directed pair `(src, dst)` only.
+    pub fn set_link_directed(&mut self, src: NodeId, dst: NodeId, model: LinkModel) {
+        if src.shard() != dst.shard() {
+            // Track the override so the lookahead can adapt; delay
+            // sampling happens on the sending shard.
+            self.cross_links.insert((src, dst), model.clone());
+        }
+        self.owner_mut(src).set_link_directed(src, dst, model);
+    }
+
+    /// The link model in effect from `src` to `dst`.
+    pub fn link_model(&self, src: NodeId, dst: NodeId) -> LinkModel {
+        self.owner(src).link(src, dst).clone()
+    }
+
+    /// Models a gray-failed ("slow but up") node: every packet delay on
+    /// a path that starts or ends at `id` is multiplied by `factor`.
+    /// The node keeps answering — late — which is exactly the failure
+    /// mode liveness probes miss. `1.0` (the default for every node)
+    /// restores normal service.
+    ///
+    /// Unknown ids are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `factor` is below 1.0: shrinking delays under the
+    /// lookahead would break conservative synchrony, and gray failures
+    /// only slow nodes down.
+    pub fn set_node_slowdown(&mut self, id: NodeId, factor: f64) {
+        assert!(factor >= 1.0, "slowdown factors must be >= 1.0");
+        self.owner_mut(id).set_node_slowdown(id, factor);
+    }
+
+    /// The node's current gray-failure slowdown factor (1.0 = normal).
+    pub fn node_slowdown(&self, id: NodeId) -> f64 {
+        self.owner(id).node_slowdown(id)
+    }
+
+    /// Crashes a node: from now until a [`Simulator::restart`] completes,
+    /// packets addressed to it are dropped, its pending timers are
+    /// silently discarded and no callbacks run. The node's struct state
+    /// is untouched — what a restart wipes or keeps is decided by
+    /// [`Node::on_restart`].
+    ///
+    /// Crashing an already-down node is a no-op. The fault is counted and
+    /// recorded into the owning shard's trace stream.
+    pub fn crash(&mut self, id: NodeId) {
+        self.owner_mut(id).crash(id);
+    }
+
+    /// Schedules a crashed node to come back up `after` from now; its
+    /// [`Node::on_restart`] hook runs at that instant. A restart
+    /// scheduled for a node that is (still or again) up when it fires is
+    /// ignored.
+    pub fn restart(&mut self, id: NodeId, after: SimDuration) {
+        self.owner_mut(id).restart(id, after);
+    }
+
+    /// Partitions the network into `groups`: packets between nodes of
+    /// different groups are dropped at the sender until
+    /// [`Simulator::heal`] is called. Nodes not listed in any group keep
+    /// full connectivity. Replaces any previous partition.
+    pub fn partition(&mut self, groups: Vec<Vec<NodeId>>) {
+        let sizes: Vec<String> = groups.iter().map(|g| g.len().to_string()).collect();
+        // Every shard drops cross-group packets at its own senders, so
+        // each needs the full group list.
+        for s in &mut self.shards {
+            s.partition(groups.clone());
+        }
+        self.record_fault(
+            "chaos.partition",
+            format_args!("groups=[{}]", sizes.join(",")),
+        );
+    }
+
+    /// Lifts the active partition, restoring full connectivity.
+    pub fn heal(&mut self) {
+        let mut healed = false;
+        for s in &mut self.shards {
+            healed |= s.heal();
+        }
+        if healed {
+            self.record_fault("chaos.heal", format_args!(""));
+        }
+    }
+
+    /// Counts a fault that belongs to no single node under `kind` and
+    /// records it into the trace stream of [`Simulator::telemetry`]
+    /// (chaos controllers use this for faults the simulator does not
+    /// apply itself, e.g. link flaps).
+    pub fn record_fault(&self, kind: &'static str, detail: fmt::Arguments<'_>) {
+        self.shards[0].record_fault(kind, detail);
     }
 
     /// Whole-network counters, summed across shards.
@@ -346,7 +508,22 @@ impl ParallelSimulator {
 
     /// Events still pending, summed across shards.
     pub fn pending_events(&self) -> usize {
-        self.shards.iter().map(Simulator::pending_events).sum()
+        self.shards.iter().map(Shard::pending_events).sum()
+    }
+
+    /// Slots of the event arenas currently holding a pending event.
+    ///
+    /// The event queues store payloads in recycled slabs; this must
+    /// equal [`Simulator::pending_events`] at all times and return to
+    /// zero when the simulation quiesces — the chaos suite asserts both
+    /// to catch slab leaks.
+    pub fn event_arena_in_use(&self) -> usize {
+        self.shards.iter().map(Shard::event_arena_in_use).sum()
+    }
+
+    /// High-water mark of the event arenas (total slots ever grown).
+    pub fn event_arena_capacity(&self) -> usize {
+        self.shards.iter().map(Shard::event_arena_capacity).sum()
     }
 
     /// The conservative lookahead: the minimum delay any cross-shard
@@ -404,31 +581,26 @@ impl ParallelSimulator {
             return;
         }
         let lookahead = self.lookahead();
-        self.telemetry
-            .metrics
-            .set_gauge("sim.parallel.lookahead_ns", lookahead.as_nanos() as f64);
         let shard_count = self.shards.len();
         let threads = self.threads;
 
         // Distribute shards over thread groups round-robin; group 0
         // stays on the caller's thread with the coordinator.
-        let mut sims: Vec<Option<Simulator>> = self.shards.drain(..).map(Some).collect();
+        let mut sims: Vec<Option<Shard>> = self.shards.drain(..).map(Some).collect();
         let group_of = |shard: usize| shard % threads;
-        let mut local: Vec<(usize, Simulator)> = Vec::new();
+        let mut local: Vec<(usize, Shard)> = Vec::new();
         for i in (0..shard_count).filter(|&i| group_of(i) == 0) {
             local.push((i, sims[i].take().expect("shard taken twice")));
         }
 
         let stats = &mut self.stats;
-        let run_start = (stats.cross_packets, stats.barrier_stall_ns);
-        let (windows, mailbox_depth) = (&self.windows, &self.mailbox_depth);
-        let mut returned: Vec<Vec<(usize, Simulator)>> = Vec::new();
+        let mut returned: Vec<Vec<(usize, Shard)>> = Vec::new();
         std::thread::scope(|scope| {
             let mut order_txs: Vec<Sender<Order>> = Vec::new();
             let mut report_rxs: Vec<Receiver<GroupReport>> = Vec::new();
             let mut handles = Vec::new();
             for g in 1..threads {
-                let mut group: Vec<(usize, Simulator)> = Vec::new();
+                let mut group: Vec<(usize, Shard)> = Vec::new();
                 for i in (0..shard_count).filter(|&i| group_of(i) == g) {
                     group.push((i, sims[i].take().expect("shard taken twice")));
                 }
@@ -531,8 +703,6 @@ impl ParallelSimulator {
                 }
                 let max_depth = depth.into_iter().max().unwrap_or(0);
                 stats.max_mailbox_depth = stats.max_mailbox_depth.max(max_depth);
-                windows.incr();
-                mailbox_depth.set(max_depth as f64);
                 if end == deadline {
                     // Final barrier: deliver the last mail (it lands
                     // strictly past the deadline) and release workers.
@@ -575,14 +745,6 @@ impl ParallelSimulator {
             .into_iter()
             .map(|s| s.expect("shard lost in flight"))
             .collect();
-        self.telemetry.metrics.add(
-            "sim.parallel.cross_packets",
-            self.stats.cross_packets - run_start.0,
-        );
-        self.telemetry.metrics.add(
-            "sim.parallel.barrier_stall_ns",
-            self.stats.barrier_stall_ns - run_start.1,
-        );
     }
 
     /// Runs until no events remain anywhere. Returns the number of
@@ -597,7 +759,7 @@ impl ParallelSimulator {
             let next = self
                 .shards
                 .iter_mut()
-                .filter_map(Simulator::next_event_time)
+                .filter_map(Shard::next_event_time)
                 .min();
             let Some(next) = next else { break };
             self.run_until(next);
@@ -610,11 +772,10 @@ impl ParallelSimulator {
         self.metrics().events_processed - before
     }
 
-    /// A 64-bit FNV-1a digest of every flight-recorder event: the
-    /// runner's own trace stream followed by each shard's in shard
-    /// order. Two runs of the same scenario and seed produce the same
-    /// digest at any thread count — `scripts/ci.sh` gates on exactly
-    /// this.
+    /// A 64-bit FNV-1a digest of every flight-recorder event, shard by
+    /// shard in index order. Two runs of the same scenario and seed
+    /// produce the same digest at any thread count — `scripts/ci.sh`
+    /// gates on exactly this.
     pub fn flight_digest(&self) -> u64 {
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
         let mut eat = |bytes: &[u8]| {
@@ -623,8 +784,8 @@ impl ParallelSimulator {
                 hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
             }
         };
-        let mut eat_events = |telemetry: &Telemetry| {
-            for e in telemetry.tracer.events() {
+        for s in &self.shards {
+            for e in s.telemetry().tracer.events() {
                 eat(&e.time_ns.to_le_bytes());
                 eat(&e.node.to_le_bytes());
                 eat(e.kind.as_bytes());
@@ -634,124 +795,8 @@ impl ParallelSimulator {
                 eat(e.detail.as_bytes());
                 eat(&[0xFF]);
             }
-        };
-        eat_events(&self.telemetry);
-        for s in &self.shards {
-            eat_events(s.telemetry());
         }
         hash
-    }
-}
-
-/// A deployment target: either a stand-alone [`Simulator`] or a
-/// [`ParallelSimulator`] shard set. `district::deploy` builds scenarios
-/// against this so the same topology code places nodes in both.
-pub trait SimHost {
-    /// Number of shards nodes can be placed on (1 for a stand-alone
-    /// simulator). Placement code maps its own partitioning (e.g.
-    /// broker shards) onto `0..host_shards()`.
-    fn host_shards(&self) -> usize;
-
-    /// Registers a node on `shard` (ignored by stand-alone simulators).
-    fn place_node<N: Node>(&mut self, shard: usize, name: String, node: N) -> NodeId;
-
-    /// Mutably borrows a placed node, downcast to its concrete type.
-    fn host_node_mut<N: Node>(&mut self, id: NodeId) -> Option<&mut N>;
-}
-
-impl SimHost for Simulator {
-    fn host_shards(&self) -> usize {
-        1
-    }
-
-    fn place_node<N: Node>(&mut self, _shard: usize, name: String, node: N) -> NodeId {
-        self.add_node(name, node)
-    }
-
-    fn host_node_mut<N: Node>(&mut self, id: NodeId) -> Option<&mut N> {
-        self.node_mut(id)
-    }
-}
-
-impl SimHost for ParallelSimulator {
-    fn host_shards(&self) -> usize {
-        self.shard_count()
-    }
-
-    fn place_node<N: Node>(&mut self, shard: usize, name: String, node: N) -> NodeId {
-        self.add_node_on(shard % self.shard_count(), name, node)
-    }
-
-    fn host_node_mut<N: Node>(&mut self, id: NodeId) -> Option<&mut N> {
-        self.node_mut(id)
-    }
-}
-
-impl FaultTarget for ParallelSimulator {
-    fn now(&self) -> SimTime {
-        ParallelSimulator::now(self)
-    }
-
-    fn run_until(&mut self, deadline: SimTime) {
-        ParallelSimulator::run_until(self, deadline);
-    }
-
-    fn crash(&mut self, id: NodeId) {
-        self.owner_mut(id).crash(id);
-    }
-
-    fn restart(&mut self, id: NodeId, after: SimDuration) {
-        self.owner_mut(id).restart(id, after);
-    }
-
-    fn partition(&mut self, groups: Vec<Vec<NodeId>>) {
-        // Every shard drops cross-group packets at its own senders, so
-        // each needs the full group list.
-        for s in &mut self.shards {
-            s.partition(groups.clone());
-        }
-    }
-
-    fn heal(&mut self) {
-        for s in &mut self.shards {
-            s.heal();
-        }
-    }
-
-    fn set_link_directed(&mut self, src: NodeId, dst: NodeId, model: LinkModel) {
-        if src.shard() != dst.shard() {
-            // Track the override so the lookahead can adapt; delay
-            // sampling happens on the sending shard.
-            self.cross_links.insert((src, dst), model.clone());
-        }
-        self.shards[src.shard()].set_link_directed(src, dst, model);
-    }
-
-    fn link_model(&self, src: NodeId, dst: NodeId) -> LinkModel {
-        self.shards[src.shard()].link(src, dst).clone()
-    }
-
-    fn node_slowdown(&self, id: NodeId) -> f64 {
-        self.owner(id).node_slowdown(id)
-    }
-
-    fn set_node_slowdown(&mut self, id: NodeId, factor: f64) {
-        // A factor below 1.0 would shrink delays under the lookahead
-        // and break conservative synchrony; gray failures only slow
-        // nodes down, so this loses no modelling power.
-        assert!(
-            factor >= 1.0,
-            "parallel simulations require slowdown factors >= 1.0"
-        );
-        self.owner_mut(id).set_node_slowdown(id, factor);
-    }
-
-    fn record_fault(&self, kind: &'static str, detail: fmt::Arguments<'_>) {
-        self.telemetry.metrics.incr(kind);
-        let trace = self.telemetry.tracer.next_trace_id();
-        self.telemetry
-            .tracer
-            .record(self.now().as_nanos(), u32::MAX, kind, trace, detail);
     }
 }
 
@@ -794,8 +839,8 @@ mod tests {
         }
     }
 
-    fn build(shards: usize, threads: usize) -> (ParallelSimulator, Vec<NodeId>) {
-        let mut sim = ParallelSimulator::new(ParallelConfig {
+    fn build(shards: usize, threads: usize) -> (Simulator, Vec<NodeId>) {
+        let mut sim = Simulator::new(ParallelConfig {
             shards,
             threads,
             ..ParallelConfig::default()
@@ -857,8 +902,9 @@ mod tests {
 
     #[test]
     fn single_shard_matches_stand_alone_simulator() {
-        // A 1-shard parallel simulation must be bit-identical to a plain
-        // Simulator with the shard's derived seed.
+        // The two seed rules meet: a `ParallelConfig` with one shard is
+        // bit-identical to a `SimConfig` carrying that shard's derived
+        // seed.
         let seed = DeterministicRng::seed_from(0xD1_44_E2).derive(0).next_u64();
         let mut plain = Simulator::new(SimConfig {
             seed,
@@ -885,8 +931,7 @@ mod tests {
     fn lookahead_follows_min_cross_link() {
         let (mut sim, recorders) = build(2, 1);
         assert_eq!(sim.lookahead(), SimDuration::from_millis(5), "backbone");
-        FaultTarget::set_link_directed(
-            &mut sim,
+        sim.set_link_directed(
             recorders[0],
             recorders[1],
             LinkModel::builder()
@@ -896,8 +941,7 @@ mod tests {
         );
         assert_eq!(sim.lookahead(), SimDuration::from_micros(1500));
         // A total-loss link never delivers and must not constrain.
-        FaultTarget::set_link_directed(
-            &mut sim,
+        sim.set_link_directed(
             recorders[1],
             recorders[0],
             LinkModel::builder().loss(1.0).build(),
@@ -908,7 +952,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "lookahead is zero")]
     fn zero_lookahead_panics() {
-        let mut sim = ParallelSimulator::new(ParallelConfig {
+        let mut sim = Simulator::new(ParallelConfig {
             shards: 2,
             cross_link: LinkModel::ideal(),
             ..ParallelConfig::default()
@@ -922,14 +966,47 @@ mod tests {
     #[test]
     fn crash_and_partition_fan_out() {
         let (mut sim, recorders) = build(2, 2);
-        FaultTarget::crash(&mut sim, recorders[0]);
+        sim.crash(recorders[0]);
         assert!(!sim.is_up(recorders[0]));
-        FaultTarget::partition(&mut sim, vec![vec![recorders[0]], vec![recorders[1]]]);
-        FaultTarget::restart(&mut sim, recorders[0], SimDuration::ZERO);
+        sim.partition(vec![vec![recorders[0]], vec![recorders[1]]]);
+        sim.restart(recorders[0], SimDuration::ZERO);
         sim.run_for(SimDuration::from_secs(1));
         assert!(sim.is_up(recorders[0]));
-        FaultTarget::heal(&mut sim);
+        sim.heal();
+        sim.heal();
         assert_eq!(sim.metrics().crashes, 1);
+        // Every shard drops for the partition; it is recorded once, in
+        // shard 0, and the second heal found nothing to lift.
+        let kinds = |shard: usize| -> Vec<String> {
+            let events = sim.shard_telemetry(shard).tracer.events();
+            events.into_iter().map(|e| e.kind).collect()
+        };
+        assert_eq!(
+            kinds(0),
+            [
+                "chaos.crash",
+                "chaos.partition",
+                "chaos.restart",
+                "chaos.heal"
+            ]
+        );
+        assert!(kinds(1).is_empty(), "{:?}", kinds(1));
+    }
+
+    #[test]
+    fn find_node_by_name() {
+        let (sim, recorders) = build(2, 1);
+        assert_eq!(sim.find_node("rx-1"), Some(recorders[1]));
+        assert_eq!(sim.node_name(recorders[1]), "rx-1");
+        assert!(sim.find_node("missing").is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate node name")]
+    fn duplicate_names_rejected() {
+        let mut sim = Simulator::new(SimConfig::default());
+        sim.add_node("x", Recorder::default());
+        sim.add_node("x", Recorder::default());
     }
 
     #[test]

@@ -1,4 +1,6 @@
-//! The discrete-event [`Simulator`].
+//! The discrete-event kernel: one [`Shard`] of a
+//! [`Simulator`](crate::Simulator), crate-private. A stand-alone
+//! simulation is a runner with one of these.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -6,12 +8,13 @@ use std::fmt;
 use crate::context::{Context, Effect};
 use crate::event::{EventKind, EventQueue};
 use crate::link::LinkModel;
-use crate::node::{Node, NodeId, Packet, Port, TimerTag};
+use crate::node::{Node, NodeId, Packet};
 use crate::rng::DeterministicRng;
 use crate::time::{SimDuration, SimTime};
 use telemetry::{CounterHandle, GaugeHandle, HistogramHandle, Registry, Telemetry};
 
-/// Configuration of a [`Simulator`].
+/// Configuration of a one-shard [`Simulator`](crate::Simulator): the
+/// shard is seeded with `seed` itself.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Seed from which all simulation randomness derives.
@@ -154,14 +157,12 @@ impl KernelSeries {
     }
 }
 
-/// A deterministic discrete-event network simulator.
-///
-/// See the [crate-level documentation](crate) for a full example.
-pub struct Simulator {
+/// One deterministic discrete-event engine: an event queue, the nodes
+/// it owns and the links between them.
+pub(crate) struct Shard {
     now: SimTime,
     queue: EventQueue,
     slots: Vec<Slot>,
-    names: HashMap<String, NodeId>,
     links: HashMap<(NodeId, NodeId), LinkModel>,
     /// Active partition groups; cross-group packets are dropped at the
     /// sender. Empty = no partition. Nodes in no group reach everyone.
@@ -177,39 +178,27 @@ pub struct Simulator {
     /// The effect buffer handed to each callback's [`Context`], kept
     /// here between callbacks so its storage is reused.
     effects: Vec<Effect>,
-    /// Shard tag minted into every id this simulator hands out. 0 for
-    /// stand-alone simulators, the shard index under a
-    /// [`ParallelSimulator`](crate::parallel::ParallelSimulator).
+    /// Shard tag minted into every id this shard hands out: its index
+    /// in the runner.
     shard: u32,
     /// Link model applied to cross-shard pairs without an explicit
-    /// override (stand-alone simulators never consult it).
+    /// override (a lone shard never consults it).
     cross_default_link: LinkModel,
     /// Packets addressed to other shards, accumulated between lookahead
-    /// barriers and drained by the parallel runner.
+    /// barriers and drained by the runner.
     cross_egress: Vec<CrossPacket>,
 }
 
-impl std::fmt::Debug for Simulator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Simulator")
-            .field("now", &self.now)
-            .field("nodes", &self.slots.len())
-            .field("pending_events", &self.queue.len())
-            .finish()
-    }
-}
-
-impl Simulator {
-    /// Creates an empty simulator at time zero.
-    pub fn new(config: SimConfig) -> Self {
+impl Shard {
+    /// Creates an empty shard 0 at time zero.
+    pub(crate) fn new(config: SimConfig) -> Self {
         let root_rng = DeterministicRng::seed_from(config.seed);
         let link_rng = root_rng.derive(u64::MAX);
         let telemetry = Telemetry::new();
-        Simulator {
+        Shard {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
             slots: Vec::new(),
-            names: HashMap::new(),
             links: HashMap::new(),
             partitions: Vec::new(),
             default_link: config.default_link,
@@ -228,18 +217,18 @@ impl Simulator {
     }
 
     /// The current virtual time.
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         self.now
     }
 
-    /// The slot index of `id` when this simulator owns it, `None` when
-    /// the id belongs to another shard of a parallel simulation.
+    /// The slot index of `id` when this shard owns it, `None` when the
+    /// id belongs to another shard.
     #[inline]
     fn local(&self, id: NodeId) -> Option<usize> {
         (id.0 >> NodeId::SHARD_SHIFT == self.shard).then_some((id.0 & NodeId::LOCAL_MASK) as usize)
     }
 
-    /// Tags every id this simulator mints with `shard`. Must be called
+    /// Tags every id this shard mints with `shard`. Must be called
     /// before any node is registered.
     pub(crate) fn set_shard(&mut self, shard: u32) {
         assert!(self.slots.is_empty(), "set_shard before adding nodes");
@@ -248,7 +237,7 @@ impl Simulator {
     }
 
     /// Sets the link model applied to cross-shard pairs without an
-    /// explicit [`Simulator::set_link`] override.
+    /// explicit [`Shard::set_link_directed`] override.
     pub(crate) fn set_cross_default_link(&mut self, model: LinkModel) {
         self.cross_default_link = model;
     }
@@ -312,29 +301,22 @@ impl Simulator {
     }
 
     /// The number of registered nodes.
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.slots.len()
     }
 
     /// Registers a node under a human-readable name and schedules its
-    /// [`Node::on_start`] callback at the current time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already taken.
-    pub fn add_node<N: Node>(&mut self, name: impl Into<String>, node: N) -> NodeId {
+    /// [`Node::on_start`] callback at the current time. Names are
+    /// unique across shards, so the runner checks them.
+    pub(crate) fn add_node<N: Node>(&mut self, name: impl Into<String>, node: N) -> NodeId {
         let name = name.into();
-        assert!(
-            !self.names.contains_key(&name),
-            "duplicate node name {name:?}"
-        );
         let index = self.slots.len() as u32;
         assert!(index <= NodeId::LOCAL_MASK, "too many nodes in one shard");
         let id = NodeId((self.shard << NodeId::SHARD_SHIFT) | index);
         self.telemetry.tracer.register_node(id.0, &name);
         let rng = self.root_rng.derive(id.0 as u64);
         self.slots.push(Slot {
-            name: name.clone(),
+            name,
             node: Some(Box::new(node)),
             rng,
             metrics: NodeMetrics::default(),
@@ -345,7 +327,6 @@ impl Simulator {
             ingress_free_at: SimTime::ZERO,
             slowdown: 1.0,
         });
-        self.names.insert(name, id);
         self.queue.push(self.now, EventKind::Start(id));
         id
     }
@@ -355,47 +336,32 @@ impl Simulator {
     /// # Panics
     ///
     /// Panics if `id` is unknown.
-    pub fn node_name(&self, id: NodeId) -> &str {
+    pub(crate) fn node_name(&self, id: NodeId) -> &str {
         &self.slots[self.local(id).expect("foreign node id")].name
     }
 
-    /// Looks a node up by its registration name.
-    pub fn find_node(&self, name: &str) -> Option<NodeId> {
-        self.names.get(name).copied()
-    }
-
     /// Borrows a node, downcast to its concrete type.
-    ///
-    /// Returns `None` if `id` is unknown, the node is currently executing a
-    /// callback, or the concrete type does not match.
-    pub fn node_ref<N: Node>(&self, id: NodeId) -> Option<&N> {
+    pub(crate) fn node_ref<N: Node>(&self, id: NodeId) -> Option<&N> {
         let b = self.slots.get(self.local(id)?)?.node.as_deref()?;
         (b as &dyn std::any::Any).downcast_ref::<N>()
     }
 
     /// Mutably borrows a node, downcast to its concrete type.
-    pub fn node_mut<N: Node>(&mut self, id: NodeId) -> Option<&mut N> {
+    pub(crate) fn node_mut<N: Node>(&mut self, id: NodeId) -> Option<&mut N> {
         let i = self.local(id)?;
         let b = self.slots.get_mut(i)?.node.as_deref_mut()?;
         (b as &mut dyn std::any::Any).downcast_mut::<N>()
     }
 
-    /// Overrides the link model for the directed pair `(a, b)` in both
-    /// directions.
-    pub fn set_link(&mut self, a: NodeId, b: NodeId, model: LinkModel) {
-        self.links.insert((a, b), model.clone());
-        self.links.insert((b, a), model);
-    }
-
     /// Overrides the link model for the directed pair `(src, dst)` only.
-    pub fn set_link_directed(&mut self, src: NodeId, dst: NodeId, model: LinkModel) {
+    pub(crate) fn set_link_directed(&mut self, src: NodeId, dst: NodeId, model: LinkModel) {
         self.links.insert((src, dst), model);
     }
 
     /// The link model in effect from `src` to `dst`. Pairs that span
-    /// two shards of a parallel simulation fall back to the cross-shard
-    /// default instead of the intra-shard one.
-    pub fn link(&self, src: NodeId, dst: NodeId) -> &LinkModel {
+    /// two shards fall back to the cross-shard default instead of the
+    /// intra-shard one.
+    pub(crate) fn link(&self, src: NodeId, dst: NodeId) -> &LinkModel {
         self.links.get(&(src, dst)).unwrap_or(
             if self.local(src).is_none() || self.local(dst).is_none() {
                 &self.cross_default_link
@@ -405,15 +371,9 @@ impl Simulator {
         )
     }
 
-    /// Models the node's network interface as a `bps` serializer: its
-    /// packets (egress and ingress) occupy the NIC one at a time, so a
-    /// node fanning out faster than its interface drains builds a real
-    /// backlog. `None` (the default for every node) disables the model
-    /// and keeps links as the only delay source — existing scenarios are
-    /// timing-identical unless they opt in.
-    ///
-    /// Unknown ids are ignored.
-    pub fn set_node_bandwidth(&mut self, id: NodeId, bps: Option<u64>) {
+    /// Sets or clears the node's NIC rate and resets both NIC cursors
+    /// (see [`Simulator::set_node_bandwidth`](crate::Simulator::set_node_bandwidth)).
+    pub(crate) fn set_node_bandwidth(&mut self, id: NodeId, bps: Option<u64>) {
         let now = self.now;
         if let Some(slot) = self.local(id).and_then(|i| self.slots.get_mut(i)) {
             slot.nic_bps = bps;
@@ -422,73 +382,20 @@ impl Simulator {
         }
     }
 
-    /// The modelled NIC rate of a node, when one was set.
-    pub fn node_bandwidth(&self, id: NodeId) -> Option<u64> {
-        self.local(id)
-            .and_then(|i| self.slots.get(i))
-            .and_then(|s| s.nic_bps)
-    }
-
-    /// Models a gray-failed ("slow but up") node: every packet delay on
-    /// a path that starts or ends at `id` is multiplied by `factor`.
-    /// The node keeps answering — late — which is exactly the failure
-    /// mode liveness probes miss. `1.0` (the default for every node)
-    /// restores normal service and keeps existing scenarios
-    /// timing-identical.
-    ///
-    /// Unknown ids are ignored.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not positive.
-    pub fn set_node_slowdown(&mut self, id: NodeId, factor: f64) {
-        assert!(factor > 0.0, "slowdown factor must be positive");
+    /// Sets the node's gray-failure delay multiplier (see
+    /// [`Simulator::set_node_slowdown`](crate::Simulator::set_node_slowdown),
+    /// which bounds `factor`).
+    pub(crate) fn set_node_slowdown(&mut self, id: NodeId, factor: f64) {
         if let Some(slot) = self.local(id).and_then(|i| self.slots.get_mut(i)) {
             slot.slowdown = factor;
         }
     }
 
     /// The node's current gray-failure slowdown factor (1.0 = normal).
-    pub fn node_slowdown(&self, id: NodeId) -> f64 {
+    pub(crate) fn node_slowdown(&self, id: NodeId) -> f64 {
         self.local(id)
             .and_then(|i| self.slots.get(i))
             .map_or(1.0, |s| s.slowdown)
-    }
-
-    /// Injects a packet from outside the simulation (src = dst loopback
-    /// semantics are *not* used: the packet carries the destination as its
-    /// source so replies go nowhere). Mostly useful in tests.
-    pub fn inject(&mut self, dst: NodeId, port: Port, payload: Vec<u8>) {
-        self.queue.push(
-            self.now,
-            EventKind::Deliver {
-                pkt: Packet {
-                    src: dst,
-                    dst,
-                    port,
-                    payload,
-                    trace: 0,
-                    span: 0,
-                },
-                epoch: self.epoch_of(dst),
-            },
-        );
-    }
-
-    /// Schedules a timer on `node` from outside the simulation, e.g. to
-    /// kick off a scripted action at a given time.
-    pub fn schedule_timer(&mut self, node: NodeId, at: SimTime, tag: TimerTag) {
-        let id = self.next_timer_id;
-        self.next_timer_id += 1;
-        self.queue.push(
-            at.max(self.now),
-            EventKind::Timer {
-                node,
-                tag,
-                timer_id: id,
-                epoch: self.epoch_of(node),
-            },
-        );
     }
 
     fn epoch_of(&self, id: NodeId) -> u32 {
@@ -497,25 +404,18 @@ impl Simulator {
             .map_or(0, |s| s.epoch)
     }
 
-    /// Whether the node is currently up (i.e. not crashed).
-    ///
-    /// Unknown ids report `false`.
-    pub fn is_up(&self, id: NodeId) -> bool {
+    /// Whether the node is currently up; unknown ids report `false`.
+    pub(crate) fn is_up(&self, id: NodeId) -> bool {
         self.local(id)
             .and_then(|i| self.slots.get(i))
             .is_some_and(|s| s.up)
     }
 
-    /// Crashes a node: from now until a [`Simulator::restart`] completes,
-    /// packets addressed to it are dropped, its pending timers are
-    /// silently discarded (the epoch bump invalidates them) and no
-    /// callbacks run. The node's struct state is untouched — what a
-    /// restart wipes or keeps is decided by
-    /// [`Node::on_restart`](crate::Node::on_restart).
-    ///
-    /// Crashing an already-down node is a no-op. The fault is counted and
-    /// recorded into the telemetry trace stream.
-    pub fn crash(&mut self, id: NodeId) {
+    /// Crashes a node (see [`Simulator::crash`](crate::Simulator::crash)):
+    /// it goes down and its epoch is bumped, which invalidates every
+    /// packet and timer scheduled for it. The fault is counted and
+    /// recorded into this shard's trace stream.
+    pub(crate) fn crash(&mut self, id: NodeId) {
         let Some(i) = self.local(id) else { return };
         let Some(slot) = self.slots.get_mut(i) else {
             return;
@@ -537,53 +437,30 @@ impl Simulator {
         );
     }
 
-    /// Schedules a crashed node to come back up `after` from now; its
-    /// [`Node::on_restart`](crate::Node::on_restart) hook runs at that
-    /// instant. A restart scheduled for a node that is (still or again)
-    /// up when it fires is ignored.
-    pub fn restart(&mut self, id: NodeId, after: SimDuration) {
+    /// Schedules a crashed node to come back up `after` from now.
+    pub(crate) fn restart(&mut self, id: NodeId, after: SimDuration) {
         self.queue.push(self.now + after, EventKind::Restart(id));
     }
 
-    /// Partitions the network into `groups`: packets between nodes of
-    /// different groups are dropped at the sender until
-    /// [`Simulator::heal`] is called. Nodes not listed in any group keep
-    /// full connectivity. Replaces any previous partition.
-    ///
-    /// The fault is counted and recorded into the telemetry trace stream.
-    pub fn partition(&mut self, groups: Vec<Vec<NodeId>>) {
-        let sizes: Vec<String> = groups.iter().map(|g| g.len().to_string()).collect();
+    /// Partitions the network into `groups`: packets this shard's nodes
+    /// send to a node of a different group are dropped at the sender
+    /// until [`Shard::heal`] is called. Nodes not listed in any group
+    /// keep full connectivity. Replaces any previous partition. The
+    /// runner records the fault, once, for all shards.
+    pub(crate) fn partition(&mut self, groups: Vec<Vec<NodeId>>) {
         self.partitions = groups;
-        self.telemetry.metrics.incr("chaos.partition");
-        let trace = self.telemetry.tracer.next_trace_id();
-        self.telemetry.tracer.record(
-            self.now.as_nanos(),
-            u32::MAX,
-            "chaos.partition",
-            trace,
-            format_args!("groups=[{}]", sizes.join(",")),
-        );
     }
 
-    /// Lifts the active partition, restoring full connectivity.
-    pub fn heal(&mut self) {
-        if self.partitions.is_empty() {
-            return;
-        }
+    /// Lifts the active partition, restoring full connectivity. Returns
+    /// whether there was one.
+    pub(crate) fn heal(&mut self) -> bool {
+        let was_partitioned = !self.partitions.is_empty();
         self.partitions.clear();
-        self.telemetry.metrics.incr("chaos.heal");
-        let trace = self.telemetry.tracer.next_trace_id();
-        self.telemetry.tracer.record(
-            self.now.as_nanos(),
-            u32::MAX,
-            "chaos.heal",
-            trace,
-            format_args!(""),
-        );
+        was_partitioned
     }
 
     /// Whether an active partition separates `src` from `dst`.
-    pub fn partitioned(&self, src: NodeId, dst: NodeId) -> bool {
+    fn partitioned(&self, src: NodeId, dst: NodeId) -> bool {
         let group_of = |n: NodeId| self.partitions.iter().position(|g| g.contains(&n));
         match (group_of(src), group_of(dst)) {
             (Some(a), Some(b)) => a != b,
@@ -591,10 +468,9 @@ impl Simulator {
         }
     }
 
-    /// Records a custom fault-injection event into the telemetry trace
-    /// stream (chaos controllers use this for faults the simulator does
-    /// not apply itself, e.g. link flaps).
-    pub fn record_fault(&self, kind: &'static str, detail: fmt::Arguments<'_>) {
+    /// Counts a fault that belongs to no single node under `kind` and
+    /// records it into this shard's trace stream.
+    pub(crate) fn record_fault(&self, kind: &'static str, detail: fmt::Arguments<'_>) {
         self.telemetry.metrics.incr(kind);
         let trace = self.telemetry.tracer.next_trace_id();
         self.telemetry
@@ -603,15 +479,13 @@ impl Simulator {
     }
 
     /// Whole-network counters.
-    pub fn metrics(&self) -> NetMetrics {
+    pub(crate) fn metrics(&self) -> NetMetrics {
         self.metrics
     }
 
-    /// The simulation-wide telemetry bundle (metrics registry, tracer).
-    ///
-    /// The handle is clonable and internally shared: a clone taken before
-    /// a run observes everything recorded during it.
-    pub fn telemetry(&self) -> &Telemetry {
+    /// This shard's telemetry bundle (metrics registry, tracer): what
+    /// its nodes write through their [`Context`].
+    pub(crate) fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
 
@@ -620,13 +494,13 @@ impl Simulator {
     /// # Panics
     ///
     /// Panics if `id` is unknown.
-    pub fn node_metrics(&self, id: NodeId) -> NodeMetrics {
+    pub(crate) fn node_metrics(&self, id: NodeId) -> NodeMetrics {
         self.slots[self.local(id).expect("foreign node id")].metrics
     }
 
     /// Resets all traffic counters (network-wide and per node) to zero.
     /// Useful to measure only the steady-state phase of an experiment.
-    pub fn reset_metrics(&mut self) {
+    pub(crate) fn reset_metrics(&mut self) {
         self.metrics = NetMetrics::default();
         for slot in &mut self.slots {
             slot.metrics = NodeMetrics::default();
@@ -635,7 +509,7 @@ impl Simulator {
 
     /// Processes a single event, if any is pending. Returns the time of the
     /// processed event.
-    pub fn step(&mut self) -> Option<SimTime> {
+    fn step(&mut self) -> Option<SimTime> {
         let event = self.queue.pop()?;
         self.now = event.time;
         self.metrics.events_processed += 1;
@@ -744,7 +618,7 @@ impl Simulator {
 
     /// Runs until the event queue drains or virtual time would pass
     /// `deadline`; the clock ends exactly at `deadline` if it was reached.
-    pub fn run_until(&mut self, deadline: SimTime) {
+    pub(crate) fn run_until(&mut self, deadline: SimTime) {
         while let Some(t) = self.queue.peek_time() {
             if t > deadline {
                 break;
@@ -756,46 +630,23 @@ impl Simulator {
         }
     }
 
-    /// Runs for `dur` of virtual time from the current instant.
-    pub fn run_for(&mut self, dur: SimDuration) {
-        let deadline = self.now + dur;
-        self.run_until(deadline);
-    }
-
-    /// Runs until no events remain. Returns the number of events processed.
-    ///
-    /// # Panics
-    ///
-    /// Panics after `max_events` events as a runaway guard.
-    pub fn run_until_idle(&mut self, max_events: u64) -> u64 {
-        let mut n = 0;
-        while self.step().is_some() {
-            n += 1;
-            assert!(
-                n <= max_events,
-                "simulation did not quiesce within {max_events} events"
-            );
-        }
-        n
-    }
-
     /// Number of events still pending.
-    pub fn pending_events(&self) -> usize {
+    pub(crate) fn pending_events(&self) -> usize {
         self.queue.len()
     }
 
     /// Slots of the event arena currently holding a pending event.
     ///
     /// The event queue stores payloads in a recycled slab; this must
-    /// equal [`Simulator::pending_events`] at all times and return to
+    /// equal [`Shard::pending_events`] at all times and return to
     /// zero when the simulation quiesces — the chaos suite asserts both
     /// to catch slab leaks.
-    pub fn event_arena_in_use(&self) -> usize {
+    pub(crate) fn event_arena_in_use(&self) -> usize {
         self.queue.arena_in_use()
     }
 
     /// High-water mark of the event arena (total slots ever grown).
-    pub fn event_arena_capacity(&self) -> usize {
+    pub(crate) fn event_arena_capacity(&self) -> usize {
         self.queue.arena_capacity()
     }
 
@@ -976,6 +827,38 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Port, TimerTag};
+
+    /// Drivers only these tests need: the runner has its own
+    /// `run_until_idle`, and nothing else arms a timer from outside a
+    /// node.
+    impl Shard {
+        fn run_until_idle(&mut self, max_events: u64) -> u64 {
+            let mut n = 0;
+            while self.step().is_some() {
+                n += 1;
+                assert!(
+                    n <= max_events,
+                    "simulation did not quiesce within {max_events} events"
+                );
+            }
+            n
+        }
+
+        fn schedule_timer(&mut self, node: NodeId, at: SimTime, tag: TimerTag) {
+            let id = self.next_timer_id;
+            self.next_timer_id += 1;
+            self.queue.push(
+                at.max(self.now),
+                EventKind::Timer {
+                    node,
+                    tag,
+                    timer_id: id,
+                    epoch: self.epoch_of(node),
+                },
+            );
+        }
+    }
 
     #[derive(Default)]
     struct Counter {
@@ -1006,8 +889,8 @@ mod tests {
         fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: Packet) {}
     }
 
-    fn ideal_sim() -> Simulator {
-        Simulator::new(SimConfig {
+    fn ideal_sim() -> Shard {
+        Shard::new(SimConfig {
             seed: 1,
             default_link: LinkModel::ideal(),
         })
@@ -1039,7 +922,7 @@ mod tests {
 
     #[test]
     fn latency_delays_delivery() {
-        let mut sim = Simulator::new(SimConfig {
+        let mut sim = Shard::new(SimConfig {
             seed: 2,
             default_link: LinkModel::builder()
                 .latency(SimDuration::from_millis(10))
@@ -1058,7 +941,7 @@ mod tests {
 
     #[test]
     fn lossy_link_drops() {
-        let mut sim = Simulator::new(SimConfig {
+        let mut sim = Shard::new(SimConfig {
             seed: 3,
             default_link: LinkModel::builder().loss(1.0).build(),
         });
@@ -1133,7 +1016,7 @@ mod tests {
     #[test]
     fn identical_seeds_replay_identically() {
         let run = |seed| {
-            let mut sim = Simulator::new(SimConfig {
+            let mut sim = Shard::new(SimConfig {
                 seed,
                 default_link: LinkModel::wan(),
             });
@@ -1148,23 +1031,6 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(7), run(7));
-    }
-
-    #[test]
-    fn find_node_by_name() {
-        let mut sim = ideal_sim();
-        let id = sim.add_node("alpha", Counter::default());
-        assert_eq!(sim.find_node("alpha"), Some(id));
-        assert_eq!(sim.node_name(id), "alpha");
-        assert!(sim.find_node("missing").is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate node name")]
-    fn duplicate_names_rejected() {
-        let mut sim = ideal_sim();
-        sim.add_node("x", Counter::default());
-        sim.add_node("x", Counter::default());
     }
 
     #[test]
@@ -1241,7 +1107,7 @@ mod tests {
 
     #[test]
     fn packets_to_a_crashed_node_are_dropped() {
-        let mut sim = Simulator::new(SimConfig {
+        let mut sim = Shard::new(SimConfig {
             seed: 5,
             default_link: LinkModel::builder()
                 .latency(SimDuration::from_millis(10))
@@ -1260,7 +1126,7 @@ mod tests {
 
     #[test]
     fn restart_between_send_and_delivery_still_drops() {
-        let mut sim = Simulator::new(SimConfig {
+        let mut sim = Shard::new(SimConfig {
             seed: 6,
             default_link: LinkModel::builder()
                 .latency(SimDuration::from_secs(1))
@@ -1316,8 +1182,6 @@ mod tests {
         let n = sim.add_node("victim", Beeper::default());
         sim.crash(n);
         sim.restart(n, SimDuration::from_secs(1));
-        sim.partition(vec![vec![n]]);
-        sim.heal();
         sim.record_fault("chaos.link_flap", format_args!("a=n0 b=n1"));
         sim.run_until(SimTime::from_secs(2));
         let kinds: Vec<String> = sim
@@ -1327,13 +1191,9 @@ mod tests {
             .into_iter()
             .map(|e| e.kind)
             .collect();
-        for kind in [
-            "chaos.crash",
-            "chaos.restart",
-            "chaos.partition",
-            "chaos.heal",
-            "chaos.link_flap",
-        ] {
+        // Partitions and heals are recorded by the runner, once for all
+        // shards (`parallel::tests::crash_and_partition_fan_out`).
+        for kind in ["chaos.crash", "chaos.restart", "chaos.link_flap"] {
             assert!(kinds.iter().any(|k| k == kind), "missing {kind}: {kinds:?}");
         }
     }
@@ -1347,7 +1207,6 @@ mod tests {
         let rx = sim.add_node("rx", Counter::default());
         let tx = sim.add_node("tx", Sender { dst: rx, n: 10 });
         sim.set_node_bandwidth(tx, Some(8_000));
-        assert_eq!(sim.node_bandwidth(tx), Some(8_000));
         sim.run_until_idle(1000);
         let got = &sim.node_ref::<Counter>(rx).unwrap().packets;
         assert_eq!(got.len(), 10);
@@ -1378,7 +1237,7 @@ mod tests {
     #[test]
     fn nic_default_off_keeps_timing_identical() {
         let run = |nic: bool| {
-            let mut sim = Simulator::new(SimConfig {
+            let mut sim = Shard::new(SimConfig {
                 seed: 9,
                 default_link: LinkModel::wan(),
             });
@@ -1404,7 +1263,7 @@ mod tests {
         // Ideal link with a fixed 10 ms latency: a 5× slow receiver
         // turns every delivery into 50 ms.
         let run = |factor: f64| {
-            let mut sim = Simulator::new(SimConfig {
+            let mut sim = Shard::new(SimConfig {
                 seed: 11,
                 default_link: LinkModel::builder()
                     .latency(SimDuration::from_millis(10))
@@ -1435,7 +1294,7 @@ mod tests {
     #[test]
     fn slowdown_default_keeps_timing_identical() {
         let run = |touch: bool| {
-            let mut sim = Simulator::new(SimConfig {
+            let mut sim = Shard::new(SimConfig {
                 seed: 12,
                 default_link: LinkModel::wan(),
             });
@@ -1505,7 +1364,7 @@ mod tests {
     #[test]
     fn crashes_replay_identically_under_a_seed() {
         let run = |seed| {
-            let mut sim = Simulator::new(SimConfig {
+            let mut sim = Shard::new(SimConfig {
                 seed,
                 default_link: LinkModel::wan(),
             });

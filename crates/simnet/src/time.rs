@@ -317,8 +317,8 @@ impl PartialOrd for WheelEntry {
 /// `pop`/`peek_time` take `&mut self` because both may advance the
 /// cursor and cascade buckets; the ordering they observe is unaffected.
 ///
-/// Entries carry an opaque `u32` handle (the event arena slot in
-/// [`crate::Simulator`]); ties on `time` are broken by `seq`, which the
+/// Entries carry an opaque `u32` handle (the event arena slot of a
+/// simulation shard); ties on `time` are broken by `seq`, which the
 /// caller must keep unique and monotonically increasing — that is what
 /// makes replay deterministic across this structure and the old
 /// `BinaryHeap` implementation (see the differential tests below).

@@ -79,10 +79,10 @@ if [[ "$seeds" -gt 0 ]]; then
     done
 fi
 
-echo "== thread matrix: chaos + parallel suites under 1 and 4 worker threads"
+echo "== thread matrix: parallel suite (ChaosRunner on 4 shards) under 1 and 4 worker threads"
 for t in 1 4; do
     echo "-- DIMMER_THREADS=$t"
-    DIMMER_THREADS="$t" cargo test -q --test chaos --test parallel
+    DIMMER_THREADS="$t" cargo test -q --test parallel
 done
 
 echo "== e13 city-scale smoke + determinism gate (--threads 1 vs 4, same seed)"

@@ -1,6 +1,6 @@
 //! Differential determinism tests for the sharded parallel runner: the
-//! same seeded city, deployed through `Deployment::build_parallel` on a
-//! 4-shard `ParallelSimulator`, must produce bit-identical results at
+//! same seeded city, deployed through `Deployment::build` on a 4-shard
+//! `Simulator`, must produce bit-identical results at
 //! `--threads 1` and `--threads N` — delivery streams `(time, seq)`
 //! equal, per-broker `BridgeStats` ledgers equal, flight-recorder
 //! digests equal — including with a broker shard crashing mid-run.
@@ -15,7 +15,7 @@ use dimmer::master::MasterNode;
 use dimmer::pubsub::{BridgeStats, BrokerNode, PubSubClient, PubSubEvent, QoS, TopicFilter};
 use dimmer::simnet::chaos::{ChaosRunner, Fault, FaultPlan};
 use dimmer::simnet::{
-    Context, Node, Packet, ParallelConfig, ParallelSimulator, SimDuration, SimTime, TimerTag,
+    Context, Node, Packet, ParallelConfig, SimDuration, SimTime, Simulator, TimerTag,
 };
 
 const SHARDS: usize = 4;
@@ -91,13 +91,13 @@ struct Fingerprint {
 
 fn run_city(shards: usize, base_seed: u64, threads: usize, crash_broker: bool) -> Fingerprint {
     let scenario = city();
-    let mut sim = ParallelSimulator::new(ParallelConfig {
+    let mut sim = Simulator::new(ParallelConfig {
         seed: seed(base_seed),
         shards,
         threads,
         ..ParallelConfig::default()
     });
-    let deployment = Deployment::build_parallel(&mut sim, &scenario);
+    let deployment = Deployment::build(&mut sim, &scenario);
     let recorder = sim.add_node_on(
         0,
         "stream-recorder",
@@ -201,13 +201,13 @@ fn derived_seed_digests_match_the_recorded_ones() {
 /// digest and the `/metrics` text, whose `ops.*` gauges and link-delay
 /// sums record when each probe was answered.
 fn run_scraped_district(base_seed: u64) -> (u64, String) {
-    let mut sim = ParallelSimulator::new(ParallelConfig {
+    let mut sim = Simulator::new(ParallelConfig {
         seed: seed(base_seed),
         ..ParallelConfig::default()
     });
     let mut config = ScenarioConfig::small();
     config.sample_interval = SimDuration::from_secs(1);
-    let deployment = Deployment::build_parallel(&mut sim, &config.build());
+    let deployment = Deployment::build(&mut sim, &config.build());
     sim.node_mut::<MasterNode>(deployment.master)
         .expect("master")
         .enable_fleet_scrape(SimDuration::from_secs(3));
