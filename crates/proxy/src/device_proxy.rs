@@ -28,7 +28,7 @@ use simnet::overload::{Admission, AdmissionGate};
 use simnet::rpc::{RequestTracker, RpcEvent};
 use simnet::telemetry::{CounterHandle, GaugeHandle, Registry};
 use simnet::{Context, Node, Packet, SimDuration, TimerTag};
-use storage::tskv::{Aggregate, TimeSeriesStore};
+use storage::tskv::{Aggregate, SeriesId, TimeSeriesStore};
 
 use crate::adapters::DeviceAdapter;
 use crate::devices::unix_millis_at;
@@ -126,17 +126,31 @@ pub struct DeviceProxyStats {
     pub ws_shed: u64,
 }
 
-/// A QoS 1 sample parked while the broker is unreachable, carrying its
-/// original flight-recorder trace so end-to-end reconstruction survives
-/// the outage.
-#[derive(Debug, Clone)]
+/// A sample on its way into the middleware — awaiting its QoS 1 ack,
+/// or parked while the broker is unreachable — carrying its original
+/// flight-recorder trace so end-to-end reconstruction survives the
+/// outage. The topic and the JSON payload are functions of these
+/// fields and the proxy's fixed identity, so they are rendered at each
+/// publish (a replay re-encodes the same bytes) and never stored.
+#[derive(Debug, Clone, Copy)]
 struct BufferedSample {
-    topic: Topic,
-    payload: Vec<u8>,
+    quantity: QuantityKind,
+    unix: i64,
+    value: f64,
     trace: u64,
     /// Causal parent for the next hop this sample takes (the span of
     /// the last hop recorded for it: ingest, buffer or replay).
     span: u64,
+}
+
+/// What a quantity resolves to for the life of the proxy, resolved by
+/// its first sample.
+struct QuantityRoute {
+    quantity: QuantityKind,
+    /// The local-database series, named after the quantity.
+    series: SeriesId,
+    /// The topic its samples publish under; `None` without a broker.
+    topic: Option<Topic>,
 }
 
 /// The series written per sample, request or scrape, resolved on the
@@ -179,6 +193,11 @@ pub struct DeviceProxyNode {
     config: DeviceProxyConfig,
     adapter: Box<dyn DeviceAdapter>,
     store: TimeSeriesStore,
+    /// One entry per quantity the device has reported: bounded by the
+    /// variants of [`QuantityKind`], so a linear scan.
+    routes: Vec<QuantityRoute>,
+    /// The JSON payload of the publish in hand; kept for its buffer.
+    payload: String,
     ws: WsServer,
     master: MasterSession,
     pubsub: Option<PubSubClient>,
@@ -221,6 +240,8 @@ impl DeviceProxyNode {
             config,
             adapter,
             store: TimeSeriesStore::new(),
+            routes: Vec::new(),
+            payload: String::new(),
             ws: WsServer::new(),
             pubsub,
             poll_tracker: RequestTracker::new(POLL_TAGS),
@@ -296,6 +317,20 @@ impl DeviceProxyNode {
         .expect("ids satisfy the topic grammar")
     }
 
+    /// Index into `routes` of `quantity`'s entry, resolving it on the
+    /// quantity's first sample.
+    fn route(&mut self, quantity: QuantityKind) -> usize {
+        if let Some(at) = self.routes.iter().position(|r| r.quantity == quantity) {
+            return at;
+        }
+        self.routes.push(QuantityRoute {
+            quantity,
+            series: self.store.series_id(quantity.as_str()),
+            topic: self.pubsub.is_some().then(|| self.topic_for(quantity)),
+        });
+        self.routes.len() - 1
+    }
+
     fn registration(&self, ctx: &Context<'_>) -> Registration {
         let mut leaf = DeviceLeaf::new(
             self.config.device.clone(),
@@ -326,7 +361,8 @@ impl DeviceProxyNode {
     ) {
         let unix = unix_millis_at(self.config.epoch_offset_millis, ctx.now());
         for (quantity, value) in samples {
-            self.store.insert(quantity.as_str(), unix, value);
+            let route = self.route(quantity);
+            self.store.insert_at(self.routes[route].series, unix, value);
             self.stats.samples_ingested += 1;
             self.series(ctx).samples_ingested.incr();
             let ingest_span = ctx.span_hop(
@@ -336,19 +372,10 @@ impl DeviceProxyNode {
                 format_args!("device={} quantity={quantity}", self.config.device),
             );
             if self.pubsub.is_some() {
-                let topic = self.topic_for(quantity);
-                let mut payload = String::with_capacity(192);
-                Measurement::write_fields(
-                    &mut Writer::new(DataFormat::Json, &mut payload),
-                    &self.config.device,
-                    quantity,
-                    value,
-                    quantity.canonical_unit(),
-                    Timestamp::from_unix_millis(unix),
-                );
                 let sample = BufferedSample {
-                    topic,
-                    payload: payload.into_bytes(),
+                    quantity,
+                    unix,
+                    value,
                     trace,
                     span: ingest_span,
                 };
@@ -364,13 +391,23 @@ impl DeviceProxyNode {
     /// Publishes one sample into the middleware, remembering QoS 1
     /// publishes until the broker acknowledges them.
     fn publish_sample(&mut self, ctx: &mut Context<'_>, sample: BufferedSample) {
-        let Some(pubsub) = &mut self.pubsub else {
+        let route = self.route(sample.quantity);
+        let (Some(pubsub), Some(topic)) = (&mut self.pubsub, &self.routes[route].topic) else {
             return;
         };
-        let id = pubsub.publish_spanned(
+        self.payload.clear();
+        Measurement::write_fields(
+            &mut Writer::new(DataFormat::Json, &mut self.payload),
+            &self.config.device,
+            sample.quantity,
+            sample.value,
+            sample.quantity.canonical_unit(),
+            Timestamp::from_unix_millis(sample.unix),
+        );
+        let id = pubsub.publish_ref(
             ctx,
-            sample.topic.clone(),
-            sample.payload.clone(),
+            topic,
+            self.payload.as_bytes(),
             true,
             self.config.publish_qos,
             sample.trace,

@@ -26,7 +26,7 @@ const MAX_RETRIES: u32 = 3;
 /// [`BrokerNode::set_pending_capacity`].
 pub const DEFAULT_PENDING_CAPACITY: usize = 65_536;
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Subscription {
     node: simnet::NodeId,
     qos: QoS,
@@ -254,6 +254,11 @@ pub struct BrokerNode {
     label: Option<String>,
     series: OnceCell<BrokerSeries>,
     federation: Option<FederationState>,
+    /// Scratch for [`BrokerNode::fan_out`]: the subscribers matching the
+    /// publish in hand. Empty between publishes; kept for its buffer.
+    targets: Vec<Subscription>,
+    /// Scratch for [`BrokerNode::forward_to_peers`], likewise.
+    peers: Vec<usize>,
 }
 
 impl BrokerNode {
@@ -440,16 +445,27 @@ impl BrokerNode {
             if payload.is_empty() {
                 self.retained.remove(topic.as_str());
             } else {
-                // Retention outlives the packet: the one place a plain
-                // publish materializes its topic and payload.
-                self.retained.insert(
-                    topic.as_str().to_owned(),
-                    (topic.to_topic(), payload.to_vec(), trace, pub_span),
-                );
+                self.retain(topic, payload, trace, pub_span);
             }
         }
         self.fan_out(ctx, topic, payload, qos, trace, pub_span);
         self.forward_to_peers(ctx, topic, payload, retain, qos, trace, pub_span);
+    }
+
+    /// Retention outlives the packet: the one place a publish
+    /// materializes its topic and payload — once per topic, since an
+    /// overwrite refills the slot's buffers.
+    fn retain(&mut self, topic: TopicRef<'_>, payload: &[u8], trace: u64, span: u64) {
+        if let Some((_, held, held_trace, held_span)) = self.retained.get_mut(topic.as_str()) {
+            held.clear();
+            held.extend_from_slice(payload);
+            (*held_trace, *held_span) = (trace, span);
+        } else {
+            self.retained.insert(
+                topic.as_str().to_owned(),
+                (topic.to_topic(), payload.to_vec(), trace, span),
+            );
+        }
     }
 
     /// Delivers a publish to every matching local subscriber. Delivery
@@ -464,14 +480,11 @@ impl BrokerNode {
         trace: u64,
         span: u64,
     ) {
-        let targets: Vec<Subscription> = self
-            .subscriptions
-            .matches_str(topic.as_str())
-            .into_iter()
-            .cloned()
-            .collect();
+        let mut targets = std::mem::take(&mut self.targets);
+        self.subscriptions
+            .for_each_match(topic.as_str(), |sub| targets.push(*sub));
         self.series(ctx).fanout.observe(targets.len() as f64);
-        for sub in targets {
+        for sub in targets.drain(..) {
             // Effective delivery guarantee: the weaker of the two ends.
             let effective = if qos == QoS::AtLeastOnce && sub.qos == QoS::AtLeastOnce {
                 QoS::AtLeastOnce
@@ -480,6 +493,7 @@ impl BrokerNode {
             };
             self.deliver(ctx, sub.node, topic, payload, effective, trace, span);
         }
+        self.targets = targets;
     }
 
     /// Queues a locally received publish for every peer broker with a
@@ -499,15 +513,12 @@ impl BrokerNode {
         let Some(fed) = &self.federation else {
             return;
         };
-        let mut peers: Vec<usize> = fed
-            .remote_subs
-            .matches_str(topic.as_str())
-            .into_iter()
-            .map(|rs| rs.peer)
-            .collect();
+        let mut peers = std::mem::take(&mut self.peers);
+        fed.remote_subs
+            .for_each_match(topic.as_str(), |rs| peers.push(rs.peer));
         peers.sort_unstable();
         peers.dedup();
-        for peer in peers {
+        for peer in peers.drain(..) {
             let fwd_span = if trace != 0 {
                 ctx.span_hop(
                     "bridge.forward",
@@ -532,6 +543,7 @@ impl BrokerNode {
             };
             self.enqueue_frame(ctx, peer, frame);
         }
+        self.peers = peers;
     }
 
     /// Pushes one frame onto a peer's batcher and acts on the outcome.
@@ -700,12 +712,7 @@ impl BrokerNode {
                         return;
                     }
                 }
-                // Mirroring retained state outlives the batch packet:
-                // the one materialization point on the bridge path.
-                self.retained.insert(
-                    topic.as_str().to_owned(),
-                    (topic.to_topic(), payload.to_vec(), trace, bd_span),
-                );
+                self.retain(topic, payload, trace, bd_span);
             }
         }
         self.fan_out(ctx, topic, payload, qos, trace, bd_span);

@@ -5,8 +5,8 @@ use std::collections::HashMap;
 
 use simnet::{Context, NodeId, Packet as NetPacket, SimDuration, TimerTag};
 
-use crate::wire::{Packet, QoS};
-use crate::{Topic, TopicFilter, PUBSUB_PORT};
+use crate::wire::{Packet, PacketRef, QoS};
+use crate::{Topic, TopicFilter, TopicRef, PUBSUB_PORT};
 use simnet::telemetry::{CounterHandle, SpanId, TraceId, NO_SPAN, NO_TRACE};
 
 /// Publisher-side retry interval for unacked QoS 1 publishes.
@@ -214,11 +214,29 @@ impl PubSubClient {
         trace: TraceId,
         parent: SpanId,
     ) -> u64 {
+        self.publish_ref(ctx, &topic, &payload, retain, qos, trace, parent)
+    }
+
+    /// [`PubSubClient::publish_spanned`] on a borrowed topic and
+    /// payload, for publishers that keep both (a Device-proxy's topic
+    /// per quantity, its reused payload buffer): the frame is encoded
+    /// straight from the borrows.
+    #[allow(clippy::too_many_arguments)]
+    pub fn publish_ref(
+        &mut self,
+        ctx: &mut Context<'_>,
+        topic: &Topic,
+        payload: &[u8],
+        retain: bool,
+        qos: QoS,
+        trace: TraceId,
+        parent: SpanId,
+    ) -> u64 {
         let id = self.next_publish_id;
         self.next_publish_id += 1;
-        let bytes = Packet::Publish {
+        let bytes = PacketRef::Publish {
             id,
-            topic,
+            topic: TopicRef::from(topic),
             payload,
             retain,
             qos,

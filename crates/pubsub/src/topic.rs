@@ -476,13 +476,47 @@ impl RollupTopic {
     /// Returns [`PubSubError::InvalidTopic`] when a segment violates the
     /// grammar or the window is not strictly positive.
     pub fn topic(&self) -> Result<Topic, PubSubError> {
-        if self.window_millis <= 0 {
+        RollupTopic::render(
+            &self.district,
+            self.scoped_entity(),
+            &self.quantity,
+            self.window_millis,
+        )
+    }
+
+    fn scoped_entity(&self) -> Option<&str> {
+        match &self.scope {
+            RollupScope::District => None,
+            RollupScope::Entity(entity) => Some(entity),
+        }
+    }
+
+    /// [`RollupTopic::topic`] from borrowed segments (`entity` is `None`
+    /// at district scope), for a publisher that renders one topic per
+    /// closed window and keeps no typed form.
+    ///
+    /// # Errors
+    ///
+    /// As [`RollupTopic::topic`].
+    pub fn render(
+        district: &str,
+        entity: Option<&str>,
+        quantity: &str,
+        window_millis: i64,
+    ) -> Result<Topic, PubSubError> {
+        // The fixed words and a 20-digit window come to under 48 bytes.
+        let mut text = String::with_capacity(
+            48 + district.len() + entity.map_or(0, str::len) + quantity.len(),
+        );
+        write_rollup_text(&mut text, district, entity, quantity, window_millis)
+            .expect("writing to a String cannot fail");
+        if window_millis <= 0 {
             return Err(PubSubError::InvalidTopic {
-                input: self.to_string(),
+                input: text,
                 reason: "rollup window must be strictly positive",
             });
         }
-        Topic::new(self.to_string())
+        Topic::new(text)
     }
 
     /// Parses a topic back into its typed form; `None` when the topic
@@ -524,18 +558,33 @@ impl RollupTopic {
 
 impl fmt::Display for RollupTopic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.scope {
-            RollupScope::District => write!(
-                f,
-                "district/{}/agg/district/{}/{}",
-                self.district, self.quantity, self.window_millis
-            ),
-            RollupScope::Entity(entity) => write!(
-                f,
-                "district/{}/agg/entity/{}/{}/{}",
-                self.district, entity, self.quantity, self.window_millis
-            ),
-        }
+        write_rollup_text(
+            f,
+            &self.district,
+            self.scoped_entity(),
+            &self.quantity,
+            self.window_millis,
+        )
+    }
+}
+
+/// The rollup topic grammar, written once over borrowed segments.
+fn write_rollup_text(
+    out: &mut impl fmt::Write,
+    district: &str,
+    entity: Option<&str>,
+    quantity: &str,
+    window_millis: i64,
+) -> fmt::Result {
+    match entity {
+        None => write!(
+            out,
+            "district/{district}/agg/district/{quantity}/{window_millis}"
+        ),
+        Some(entity) => write!(
+            out,
+            "district/{district}/agg/entity/{entity}/{quantity}/{window_millis}"
+        ),
     }
 }
 
@@ -691,10 +740,16 @@ impl<T: PartialEq> SubscriptionTrie<T> {
     /// materializing a [`Topic`]. The caller guarantees `topic` is
     /// grammatically valid (segments of a validated [`TopicRef`]).
     pub fn matches_str<'a>(&'a self, topic: &str) -> Vec<&'a T> {
-        let segments: Vec<&str> = topic.split('/').collect();
         let mut out = Vec::new();
-        walk(&self.root, &segments, &mut out);
+        self.for_each_match(topic, |value| out.push(value));
         out
+    }
+
+    /// Visits the value of every subscription matching `topic`, in the
+    /// order [`SubscriptionTrie::matches_str`] lists them, allocating
+    /// nothing: the per-publish form of the match.
+    pub fn for_each_match<'a>(&'a self, topic: &str, mut visit: impl FnMut(&'a T)) {
+        walk(&self.root, topic.split('/'), &mut visit);
     }
 }
 
@@ -704,16 +759,20 @@ impl<T: PartialEq> Default for SubscriptionTrie<T> {
     }
 }
 
-fn walk<'a, T>(node: &'a TrieNode<T>, rest: &[&str], out: &mut Vec<&'a T>) {
-    out.extend(node.subtree.iter());
-    match rest.split_first() {
-        None => out.extend(node.here.iter()),
-        Some((seg, tail)) => {
-            if let Some(child) = node.children.get(*seg) {
-                walk(child, tail, out);
+fn walk<'a, T, F: FnMut(&'a T)>(
+    node: &'a TrieNode<T>,
+    mut rest: std::str::Split<'_, char>,
+    visit: &mut F,
+) {
+    node.subtree.iter().for_each(&mut *visit);
+    match rest.next() {
+        None => node.here.iter().for_each(&mut *visit),
+        Some(seg) => {
+            if let Some(child) = node.children.get(seg) {
+                walk(child, rest.clone(), visit);
             }
             if let Some(plus) = &node.one_level {
-                walk(plus, tail, out);
+                walk(plus, rest, visit);
             }
         }
     }

@@ -84,6 +84,67 @@ fn trie_agrees_with_linear_matching() {
     }
 }
 
+/// Where the trie walk reaches a matching filter: per level `#` before
+/// the exact child before the `+` child, and at the topic's end `#`
+/// before the filters that end there. Written from the filter text, so
+/// it knows nothing of the trie.
+fn walk_rank(filter: &TopicFilter) -> Vec<u8> {
+    let mut rank: Vec<u8> = filter
+        .segments()
+        .map(|seg| match seg {
+            "#" => 0,
+            "+" => 2,
+            _ => 1,
+        })
+        .collect();
+    if rank.last() != Some(&0) {
+        rank.push(1);
+    }
+    rank
+}
+
+#[test]
+fn for_each_match_visits_matches_str_in_walk_order() {
+    let mut rng = DeterministicRng::seed_from(0x50B0_0013);
+    // A three-word alphabet, so filters share prefixes with topics and
+    // with each other: matches, near misses and duplicates are common.
+    let word = |rng: &mut DeterministicRng| ["a", "b", "c"][rng.next_bounded(3) as usize];
+    for _ in 0..CASES {
+        let filters: Vec<TopicFilter> = (0..rng.next_bounded(32))
+            .map(|_| {
+                let mut parts: Vec<&str> = (0..rng.next_range(1, 5))
+                    .map(|_| if rng.chance(0.3) { "+" } else { word(&mut rng) })
+                    .collect();
+                if rng.chance(0.4) {
+                    parts.push("#");
+                }
+                TopicFilter::new(parts.join("/")).expect("valid by construction")
+            })
+            .collect();
+        let mut trie = SubscriptionTrie::new();
+        for (i, f) in filters.iter().enumerate() {
+            trie.insert(f, i);
+        }
+        for _ in 0..8 {
+            let parts: Vec<&str> = (0..rng.next_range(1, 6)).map(|_| word(&mut rng)).collect();
+            let topic = Topic::new(parts.join("/")).expect("valid by construction");
+            let mut expected: Vec<usize> = (0..filters.len())
+                .filter(|&i| filters[i].matches(&topic))
+                .collect();
+            expected.sort_by_key(|&i| (walk_rank(&filters[i]), i));
+            let mut visited = Vec::new();
+            trie.for_each_match(topic.as_str(), |&i| visited.push(i));
+            assert_eq!(visited, expected, "topic {topic} over {filters:?}");
+            let listed: Vec<usize> = trie
+                .matches_str(topic.as_str())
+                .into_iter()
+                .copied()
+                .collect();
+            assert_eq!(listed, expected, "topic {topic}");
+        }
+    }
+}
+
 #[test]
 fn trie_insert_remove_is_identity() {
     let mut rng = DeterministicRng::seed_from(0x50B0_0003);

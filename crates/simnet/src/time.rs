@@ -470,13 +470,17 @@ impl TimerWheel {
             };
             let bucket = self.min_bucket(level).expect("level is occupied");
             let slot = (bucket & (SLOTS as u64 - 1)) as usize;
-            let entries = std::mem::take(&mut self.slots[level * SLOTS + slot]);
+            let index = level * SLOTS + slot;
             self.occupancy[level] &= !(1 << slot);
             if level > 0 {
                 // Cascade: each entry re-homes at a strictly finer
-                // level now that the cursor has reached its bucket.
+                // level now that the cursor has reached its bucket. A
+                // coarse bucket holds up to seconds' worth of timers
+                // and is drained once per lap, so its buffer is freed
+                // rather than kept (measured on `district_ingest`:
+                // keeping them is 15 MiB for 0.13 allocations per op).
                 self.cursor_ns = self.cursor_ns.max(bound);
-                for e in entries {
+                for e in std::mem::take(&mut self.slots[index]) {
                     self.insert(e);
                 }
                 continue;
@@ -486,8 +490,10 @@ impl TimerWheel {
             // aligned multiples of its width, and ties cascaded above),
             // so everything due before the bucket end is here or in
             // `far`. Sweep the latter, sort once, serve from the tail.
+            // `ready` is empty here, so the swap hands its buffer to the
+            // bucket: neither side regrows from nothing next time round.
             self.cursor_ns = (bucket + 1) << SHIFT0;
-            self.ready = entries;
+            std::mem::swap(&mut self.ready, &mut self.slots[index]);
             while self
                 .far
                 .peek()

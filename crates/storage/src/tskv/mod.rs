@@ -1,9 +1,13 @@
 //! The time-series store backing every Device-proxy's local database.
 //!
-//! Series are keyed by free-form strings (by convention
-//! `<device>:<quantity>`); points are `(unix-millis, f64)` pairs. The
-//! store is an LSM-lite engine behind the same facade the flat
-//! `BTreeMap` version exposed:
+//! Series are keyed by free-form strings — a Device-proxy uses the
+//! quantity name (`temperature`), an aggregator
+//! `raw/<entity>/<device>/<quantity>` and `agg/...` — and points are
+//! `(unix-millis, f64)` pairs. A writer that appends to the same series
+//! many times resolves the name once ([`TimeSeriesStore::series_id`])
+//! and writes through the [`SeriesId`]; the `&str` calls are that
+//! resolution plus the same body. The store is an LSM-lite engine
+//! behind the same facade the flat `BTreeMap` version exposed:
 //!
 //! * a **mutable head** per series (a `BTreeMap`, so inserts keep the
 //!   same last-writer-wins overwrite semantics),
@@ -197,12 +201,42 @@ pub struct MaintenanceReport {
     pub checkpointed: bool,
 }
 
+/// A series name resolved by [`TimeSeriesStore::series_id`]: an index
+/// into the store that issued it, and meaningless to any other store
+/// but a `Clone` of it. An id stays valid for the life of the store —
+/// across `drop_series`, retention that empties the series,
+/// `checkpoint` and `crash_recover` — because the WAL and the snapshot
+/// name series by it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SeriesId(u32);
+
+impl SeriesId {
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// One series' storage: the mutable head plus sealed segments sorted
 /// by `(min_t, seq)`.
 #[derive(Debug, Clone, Default)]
 struct Series {
     head: BTreeMap<i64, f64>,
     segments: Vec<Segment>,
+}
+
+impl Series {
+    fn is_empty(&self) -> bool {
+        self.head.is_empty() && self.segments.is_empty()
+    }
+
+    /// Distinct points held.
+    fn len(&self) -> usize {
+        if self.segments.is_empty() {
+            self.head.len()
+        } else {
+            scan_all(self).count()
+        }
+    }
 }
 
 /// When an inline/maintenance seal takes a head partition.
@@ -224,7 +258,13 @@ enum SealMode {
 #[derive(Debug, Clone, Default)]
 pub struct TimeSeriesStore {
     config: TskvConfig,
-    series: BTreeMap<String, Series>,
+    /// The one name table, shared by the head map, the WAL and the
+    /// snapshot: name → id, sorted, never shrinking.
+    names: BTreeMap<Box<str>, SeriesId>,
+    /// Series storage, indexed by [`SeriesId`]. A slot outlives its
+    /// points (resolved but never written, dropped, expired); an empty
+    /// slot is invisible to every query and to `series_names`.
+    series: Vec<Series>,
     wal: Wal,
     snapshot: Snapshot,
     next_seq: u64,
@@ -261,13 +301,13 @@ impl TskvSeries {
 
 impl PartialEq for TimeSeriesStore {
     fn eq(&self, other: &Self) -> bool {
-        // Logical contents only: physical layout (sealed vs head) and
-        // the metrics sink are invisible to equality.
-        self.series.len() == other.series.len()
+        // Logical contents only: physical layout (sealed vs head), the
+        // ids names resolved to and the metrics sink are invisible to
+        // equality.
+        self.live().count() == other.live().count()
             && self
-                .series
-                .iter()
-                .zip(other.series.iter())
+                .live()
+                .zip(other.live())
                 .all(|((an, a), (bn, b))| an == bn && scan_all(a).eq(scan_all(b)))
     }
 }
@@ -318,15 +358,43 @@ impl TimeSeriesStore {
         });
     }
 
+    /// Resolves `name` to the handle [`TimeSeriesStore::insert_at`] and
+    /// [`TimeSeriesStore::contains_at`] take, creating an empty series
+    /// on first sight. Resolving writes nothing: a series enters
+    /// `series_names`, the WAL and the stats with its first point.
+    pub fn series_id(&mut self, name: &str) -> SeriesId {
+        if let Some(&id) = self.names.get(name) {
+            return id;
+        }
+        let id = SeriesId(u32::try_from(self.series.len()).expect("fewer than 2^32 series"));
+        self.names.insert(name.into(), id);
+        self.series.push(Series::default());
+        id
+    }
+
     /// Inserts a point; a point at the same timestamp is overwritten
     /// (last-writer-wins, matching sensor re-transmissions). The point
     /// is WAL-logged before it reaches the head, so once `insert`
     /// returns it survives [`TimeSeriesStore::crash_recover`].
     pub fn insert(&mut self, series: &str, timestamp_millis: i64, value: f64) {
-        self.wal.append_insert(series, timestamp_millis, value);
+        let id = self.series_id(series);
+        self.insert_at(id, timestamp_millis, value);
+    }
+
+    /// [`TimeSeriesStore::insert`] through a resolved handle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `series` was issued by another store.
+    pub fn insert_at(&mut self, series: SeriesId, timestamp_millis: i64, value: f64) {
+        self.wal.append(WalOp::Insert {
+            series,
+            t: timestamp_millis,
+            v: value,
+        });
         let threshold = self.config.seal_threshold;
         let partition = self.config.partition_millis;
-        let entry = self.series.entry(series.to_owned()).or_default();
+        let entry = &mut self.series[series.index()];
         entry.head.insert(timestamp_millis, value);
         if entry.head.len() >= threshold {
             let sealed = seal_head(
@@ -345,45 +413,68 @@ impl TimeSeriesStore {
         }
     }
 
+    /// Whether `series` holds a point at exactly `timestamp_millis` —
+    /// `!range(name, t, t + 1).is_empty()` without the `Vec`, and
+    /// counted as that one-point scan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `series` was issued by another store.
+    pub fn contains_at(&self, series: SeriesId, timestamp_millis: i64) -> bool {
+        let t = timestamp_millis;
+        let s = &self.series[series.index()];
+        let found = s.head.contains_key(&t)
+            || s.segments.iter().any(|seg| {
+                seg.min_t <= t
+                    && t <= seg.max_t
+                    && seg
+                        .iter()
+                        .take_while(|&(pt, _)| pt <= t)
+                        .any(|(pt, _)| pt == t)
+            });
+        if let Some(metrics) = &self.metrics {
+            metrics.scanned(f64::from(u8::from(found)));
+        }
+        found
+    }
+
+    /// The series `name` resolves to, if it was ever resolved. An empty
+    /// slot answers every query like an unknown name.
+    fn get(&self, name: &str) -> Option<&Series> {
+        self.names.get(name).map(|id| &self.series[id.index()])
+    }
+
+    /// Every series holding at least one point, sorted by name.
+    fn live(&self) -> impl Iterator<Item = (&str, &Series)> {
+        self.names
+            .iter()
+            .map(|(name, id)| (&**name, &self.series[id.index()]))
+            .filter(|(_, s)| !s.is_empty())
+    }
+
     /// Number of distinct points in `series` (0 for unknown series).
     pub fn series_len(&self, series: &str) -> usize {
-        self.series.get(series).map_or(0, |s| {
-            if s.segments.is_empty() {
-                s.head.len()
-            } else {
-                scan_all(s).count()
-            }
-        })
+        self.get(series).map_or(0, Series::len)
     }
 
     /// Total number of distinct points across all series.
     pub fn len(&self) -> usize {
-        self.series
-            .values()
-            .map(|s| {
-                if s.segments.is_empty() {
-                    s.head.len()
-                } else {
-                    scan_all(s).count()
-                }
-            })
-            .sum()
+        self.series.iter().map(Series::len).sum()
     }
 
     /// True when no points are stored.
     pub fn is_empty(&self) -> bool {
-        // Invariant: a series entry always holds at least one point.
-        self.series.is_empty()
+        self.series.iter().all(Series::is_empty)
     }
 
-    /// The names of all series, sorted.
+    /// The names of all series holding at least one point, sorted.
     pub fn series_names(&self) -> impl Iterator<Item = &str> {
-        self.series.keys().map(String::as_str)
+        self.live().map(|(name, _)| name)
     }
 
     /// The chronologically last point of a series.
     pub fn latest(&self, series: &str) -> Option<(i64, f64)> {
-        let s = self.series.get(series)?;
+        let s = self.get(series)?;
         let mut best: Option<(i64, f64, u64)> =
             s.head.iter().next_back().map(|(&t, &v)| (t, v, u64::MAX));
         for seg in &s.segments {
@@ -402,7 +493,7 @@ impl TimeSeriesStore {
     pub fn range(&self, series: &str, from: i64, to: i64) -> Vec<(i64, f64)> {
         let mut out = Vec::new();
         if from < to {
-            if let Some(s) = self.series.get(series) {
+            if let Some(s) = self.get(series) {
                 MergeScan::new(&s.head, &s.segments, from, Some(to))
                     .for_each(|t, v| out.push((t, v)));
             }
@@ -419,7 +510,7 @@ impl TimeSeriesStore {
     pub fn for_each_in(&self, series: &str, from: i64, to: i64, mut f: impl FnMut(i64, f64)) {
         let mut n = 0u64;
         if from < to {
-            if let Some(s) = self.series.get(series) {
+            if let Some(s) = self.get(series) {
                 MergeScan::new(&s.head, &s.segments, from, Some(to)).for_each(|t, v| {
                     n += 1;
                     f(t, v);
@@ -479,7 +570,7 @@ impl TimeSeriesStore {
         let mut out = Vec::new();
         let mut scanned = 0u64;
         if from < to {
-            if let Some(s) = self.series.get(series) {
+            if let Some(s) = self.get(series) {
                 let spans = if from.rem_euclid(bucket_millis) == 0 {
                     eligible_spans(s, from, to, bucket_millis)
                 } else {
@@ -526,19 +617,21 @@ impl TimeSeriesStore {
     }
 
     /// Drops every point strictly older than `horizon_millis` across all
-    /// series; returns how many points were removed. Empty series are
-    /// pruned. Partially-expired segments are rewritten (they lose
-    /// their compacted status until the next maintenance pass).
+    /// series; returns how many points were removed. Partially-expired
+    /// segments are rewritten (they lose their compacted status until
+    /// the next maintenance pass).
     pub fn apply_retention(&mut self, horizon_millis: i64) -> usize {
         let mut removed = 0usize;
-        for s in self.series.values() {
+        for s in &self.series {
             removed += MergeScan::new(&s.head, &s.segments, i64::MIN, Some(horizon_millis)).count();
         }
         if removed == 0 {
             return 0;
         }
-        self.wal.append_retention(horizon_millis);
-        for s in self.series.values_mut() {
+        self.wal.append(WalOp::Retention {
+            horizon: horizon_millis,
+        });
+        for s in &mut self.series {
             let keep = s.head.split_off(&horizon_millis);
             s.head = keep;
             let old = std::mem::take(&mut s.segments);
@@ -552,20 +645,20 @@ impl TimeSeriesStore {
                 }
             }
         }
-        self.series
-            .retain(|_, s| !(s.head.is_empty() && s.segments.is_empty()));
         self.update_gauges();
         removed
     }
 
     /// Removes a whole series; returns how many points it held.
     pub fn drop_series(&mut self, series: &str) -> usize {
-        let Some(s) = self.series.get(series) else {
+        let Some(&id) = self.names.get(series) else {
             return 0;
         };
-        let n = scan_all(s).count();
-        self.wal.append_drop(series);
-        self.series.remove(series);
+        let n = self.series[id.index()].len();
+        if n > 0 {
+            self.wal.append(WalOp::DropSeries { series: id });
+            self.series[id.index()] = Series::default();
+        }
         n
     }
 
@@ -575,7 +668,7 @@ impl TimeSeriesStore {
     pub fn seal_all(&mut self) {
         let partition = self.config.partition_millis;
         let mut sealed = 0;
-        for s in self.series.values_mut() {
+        for s in &mut self.series {
             sealed += seal_head(s, &mut self.next_seq, partition, SealMode::All);
         }
         self.note_seals(sealed);
@@ -590,7 +683,7 @@ impl TimeSeriesStore {
         let partition = self.config.partition_millis;
         let levels = std::mem::take(&mut self.config.rollup_levels);
         let mut report = MaintenanceReport::default();
-        for s in self.series.values_mut() {
+        for s in &mut self.series {
             report.sealed += seal_head(s, &mut self.next_seq, partition, SealMode::Cold);
             report.compacted += compact_series(s, partition, &levels);
         }
@@ -635,15 +728,13 @@ impl TimeSeriesStore {
     /// replays the WAL tail in order. Returns the number of WAL
     /// records replayed. Call from a node's `on_restart` hook.
     pub fn crash_recover(&mut self) -> u64 {
-        for s in self.series.values_mut() {
+        for s in &mut self.series {
             s.head.clear();
         }
-        self.series.retain(|_, s| !s.segments.is_empty());
-        for (name, count, bytes) in &self.snapshot.blocks {
-            let s = self.series.entry(name.clone()).or_default();
-            for (t, v) in BlockIter::new(bytes, *count) {
-                s.head.insert(t, v);
-            }
+        for (id, count, bytes) in &self.snapshot.blocks {
+            self.series[id.index()]
+                .head
+                .extend(BlockIter::new(bytes, *count));
         }
         let mut replayed = 0u64;
         let TimeSeriesStore {
@@ -656,27 +747,19 @@ impl TimeSeriesStore {
             replayed += 1;
             match rec.op {
                 WalOp::Insert { series: id, t, v } => {
-                    let name = wal.name(id);
-                    if let Some(s) = series.get_mut(name) {
-                        s.head.insert(t, v);
-                    } else {
-                        series.entry(name.to_owned()).or_default().head.insert(t, v);
-                    }
+                    series[id.index()].head.insert(t, v);
                 }
                 WalOp::DropSeries { series: id } => {
-                    series.remove(wal.name(id));
+                    series[id.index()] = Series::default();
                 }
                 WalOp::Retention { horizon } => {
-                    for s in series.values_mut() {
+                    for s in series.iter_mut() {
                         let keep = s.head.split_off(&horizon);
                         s.head = keep;
                     }
-                    series.retain(|_, s| !(s.head.is_empty() && s.segments.is_empty()));
                 }
             }
         }
-        self.series
-            .retain(|_, s| !(s.head.is_empty() && s.segments.is_empty()));
         self.wal_replayed += replayed;
         if let Some(metrics) = &self.metrics {
             metrics.wal_replayed.add(replayed);
@@ -694,7 +777,7 @@ impl TimeSeriesStore {
             wal_replayed: self.wal_replayed,
             ..TskvStats::default()
         };
-        for s in self.series.values() {
+        for s in &self.series {
             st.head_points += s.head.len();
             st.segments += s.segments.len();
             for seg in &s.segments {
@@ -717,12 +800,12 @@ impl TimeSeriesStore {
 
     fn write_snapshot(&mut self) {
         let mut blocks = Vec::new();
-        for (name, s) in &self.series {
+        for (id, s) in (0..).map(SeriesId).zip(&self.series) {
             if s.head.is_empty() {
                 continue;
             }
             let pts: Vec<(i64, f64)> = s.head.iter().map(|(&t, &v)| (t, v)).collect();
-            blocks.push((name.clone(), pts.len() as u32, encode_block(&pts)));
+            blocks.push((id, pts.len() as u32, encode_block(&pts)));
         }
         self.snapshot = Snapshot {
             upto_seq: self.wal.last_seq(),

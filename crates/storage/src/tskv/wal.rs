@@ -15,16 +15,17 @@
 //! idempotent and a *torn* checkpoint (snapshot written, crash before
 //! the truncate) recovers byte-identically.
 
-use std::collections::HashMap;
+use super::SeriesId;
 
-/// One logged mutation. Series names are interned to keep the log
-/// compact; the interner survives truncation.
+/// One logged mutation. Series are named by the store's [`SeriesId`],
+/// which keeps the log compact; the store's name table survives
+/// truncation and crashes with the log.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum WalOp {
     /// `insert(series, t, v)` — last-writer-wins on `t`.
-    Insert { series: u32, t: i64, v: f64 },
+    Insert { series: SeriesId, t: i64, v: f64 },
     /// `drop_series(series)`.
-    DropSeries { series: u32 },
+    DropSeries { series: SeriesId },
     /// `apply_retention(horizon)` — drop `t < horizon` everywhere.
     Retention { horizon: i64 },
 }
@@ -39,50 +40,17 @@ pub(crate) struct WalRecord {
 /// The in-simulation write-ahead log.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Wal {
-    names: Vec<String>,
-    ids: HashMap<String, u32>,
     records: Vec<WalRecord>,
     next_seq: u64,
 }
 
 impl Wal {
-    fn intern(&mut self, name: &str) -> u32 {
-        if let Some(&id) = self.ids.get(name) {
-            return id;
-        }
-        let id = self.names.len() as u32;
-        self.names.push(name.to_owned());
-        self.ids.insert(name.to_owned(), id);
-        id
-    }
-
-    /// The series name behind an interned id.
-    pub fn name(&self, id: u32) -> &str {
-        &self.names[id as usize]
-    }
-
-    fn append(&mut self, op: WalOp) -> u64 {
+    /// Logs one mutation; returns its sequence.
+    pub fn append(&mut self, op: WalOp) -> u64 {
         self.next_seq += 1;
         let seq = self.next_seq;
         self.records.push(WalRecord { seq, op });
         seq
-    }
-
-    /// Logs an insert; returns its sequence.
-    pub fn append_insert(&mut self, series: &str, t: i64, v: f64) -> u64 {
-        let series = self.intern(series);
-        self.append(WalOp::Insert { series, t, v })
-    }
-
-    /// Logs a series drop.
-    pub fn append_drop(&mut self, series: &str) -> u64 {
-        let series = self.intern(series);
-        self.append(WalOp::DropSeries { series })
-    }
-
-    /// Logs a retention sweep.
-    pub fn append_retention(&mut self, horizon: i64) -> u64 {
-        self.append(WalOp::Retention { horizon })
     }
 
     /// Sequence of the most recent record (0 before any append).
@@ -113,39 +81,35 @@ impl Wal {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Snapshot {
     pub upto_seq: u64,
-    pub blocks: Vec<(String, u32, Box<[u8]>)>,
+    pub blocks: Vec<(SeriesId, u32, Box<[u8]>)>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn insert(series: u32, t: i64, v: f64) -> WalOp {
+        WalOp::Insert {
+            series: SeriesId(series),
+            t,
+            v,
+        }
+    }
+
     #[test]
-    fn sequences_intern_and_truncate() {
+    fn sequences_and_truncate() {
         let mut wal = Wal::default();
         assert_eq!(wal.last_seq(), 0);
-        let s1 = wal.append_insert("a", 1, 1.0);
-        let s2 = wal.append_insert("b", 2, 2.0);
-        let s3 = wal.append_insert("a", 3, 3.0);
+        let s1 = wal.append(insert(0, 1, 1.0));
+        let s2 = wal.append(insert(1, 2, 2.0));
+        let s3 = wal.append(insert(0, 3, 3.0));
         assert_eq!((s1, s2, s3), (1, 2, 3));
-        // "a" interned once.
-        let ids: Vec<u32> = wal
-            .records_after(0)
-            .iter()
-            .filter_map(|r| match r.op {
-                WalOp::Insert { series, .. } => Some(series),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(ids, vec![0, 1, 0]);
-        assert_eq!(wal.name(1), "b");
 
         wal.truncate_through(2);
         assert_eq!(wal.len(), 1);
         assert_eq!(wal.records_after(0)[0].seq, 3);
-        // The interner and sequencing survive truncation.
-        assert_eq!(wal.append_retention(10), 4);
+        // Sequencing survives truncation.
+        assert_eq!(wal.append(WalOp::Retention { horizon: 10 }), 4);
         assert_eq!(wal.records_after(3).len(), 1);
-        assert_eq!(wal.name(0), "a");
     }
 }

@@ -196,6 +196,71 @@ fn tskv_segment_scans_match_flat_reference() {
 }
 
 #[test]
+fn tskv_series_ids_are_the_string_paths() {
+    let mut rng = DeterministicRng::seed_from(0x5709_0013);
+    let names = ["a", "b", "raw/b1/dev/temperature", "meta/watermark"];
+    for _ in 0..CASES / 4 {
+        // `mixed` is written through ids and names in turn, `named`
+        // through names only; no operation may tell them apart.
+        let mut mixed = TimeSeriesStore::with_config(tiny_config());
+        let mut named = TimeSeriesStore::with_config(tiny_config());
+        let mut ids = std::collections::HashMap::new();
+        for _ in 0..rng.next_range(1, 200) {
+            let name = names[rng.next_bounded(names.len() as u64) as usize];
+            let t = rng.next_bounded(6_000) as i64 - 1_000;
+            match rng.next_bounded(16) {
+                0 => assert_eq!(mixed.drop_series(name), named.drop_series(name)),
+                1 => {
+                    let horizon = rng.next_bounded(6_000) as i64 - 1_000;
+                    assert_eq!(
+                        mixed.apply_retention(horizon),
+                        named.apply_retention(horizon)
+                    );
+                }
+                2 => {
+                    mixed.checkpoint();
+                    named.checkpoint();
+                }
+                3 => assert_eq!(mixed.crash_recover(), named.crash_recover()),
+                4 => {
+                    mixed.seal_all();
+                    named.seal_all();
+                }
+                5 => assert_eq!(mixed.maintain(), named.maintain()),
+                // Resolving writes nothing, and an id outlives every
+                // operation above and a clone.
+                6 => {
+                    ids.entry(name).or_insert_with(|| mixed.series_id(name));
+                }
+                7 => mixed = mixed.clone(),
+                op => {
+                    let v = (rng.next_range(0, 10_000) as i64 - 5_000) as f64 / 100.0;
+                    if op % 2 == 0 {
+                        let id = *ids.entry(name).or_insert_with(|| mixed.series_id(name));
+                        assert_eq!(id, mixed.series_id(name), "ids are stable");
+                        mixed.insert_at(id, t, v);
+                    } else {
+                        mixed.insert(name, t, v);
+                    }
+                    named.insert(name, t, v);
+                }
+            }
+            assert!(mixed == named);
+            assert!(mixed.series_names().eq(named.series_names()));
+            assert_eq!(mixed.stats(), named.stats());
+            assert_eq!(mixed.is_empty(), named.is_empty());
+            if let Some(&id) = ids.get(name) {
+                assert_eq!(
+                    mixed.contains_at(id, t),
+                    !named.range(name, t, t + 1).is_empty(),
+                    "{name} at {t}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn tskv_downsample_agrees_between_sealed_and_head_only_stores() {
     let mut rng = DeterministicRng::seed_from(0x5709_000a);
     for _ in 0..CASES / 4 {

@@ -22,18 +22,20 @@
 //! rollup sample counts are conserved exactly.
 
 use std::cell::OnceCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
+use std::sync::Arc;
 
-use dimmer_core::codec::{self, DataFormat};
+use dimmer_core::codec::{self, DataFormat, Writer};
 use dimmer_core::{DistrictId, ProxyId, QuantityKind, Value};
 use proxy::devices::unix_millis_at;
 use proxy::registration::{MasterReply, MasterSession, ProxyRole, Registration};
 use proxy::webservice::{status, WsCall, WsRequest, WsResponse, WsServer};
 use proxy::{node_uri, WS_PORT};
-use pubsub::{MeasurementTopic, PubSubClient, PubSubEvent, QoS, PUBSUB_PORT};
+use pubsub::{MeasurementTopic, PubSubClient, PubSubEvent, QoS, RollupTopic, PUBSUB_PORT};
 use simnet::overload::{Admission, AdmissionGate};
 use simnet::{Context, Node, NodeId, Packet, SimDuration, TimerTag};
-use storage::tskv::TimeSeriesStore;
+use storage::tskv::{SeriesId, TimeSeriesStore};
 use telemetry::{CounterHandle, GaugeHandle, HistogramHandle, Registry, SpanId, NO_SPAN, NO_TRACE};
 
 use crate::rollup::Rollup;
@@ -64,6 +66,11 @@ pub const DEFAULT_ADMISSION_RATE: f64 = 500.0;
 
 /// Series name of the persisted watermark (single point at t=0).
 const WATERMARK_SERIES: &str = "meta/watermark";
+/// Bound on the route table: the memory an aggregator spends on
+/// remembering what a topic resolves to. A district publishes a few
+/// thousand measurement topics; past the bound a topic is resolved
+/// again for each of its samples.
+const ROUTE_TABLE_CAPACITY: usize = 16_384;
 
 fn raw_series(entity: &str, device: &str, quantity: &str) -> String {
     format!("raw/{entity}/{device}/{quantity}")
@@ -75,6 +82,50 @@ fn rollup_series_base(entity: Option<&str>, quantity: &str, window_millis: i64) 
         Some(entity) => format!("agg/entity/{entity}/{quantity}/{window_millis}"),
         None => format!("agg/district/{quantity}/{window_millis}"),
     }
+}
+
+/// The four per-window series (`<base>/{count,sum,min,max}`) of one
+/// rollup target, resolved in the local store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RollupSeries {
+    count: SeriesId,
+    sum: SeriesId,
+    min: SeriesId,
+    max: SeriesId,
+}
+
+/// The key of a building-tier pane. Panes close — and their rollups
+/// publish — in lexicographic `(window start, entity, quantity)` order,
+/// so both names stay text; `rollup` is a function of the two and takes
+/// no part in the order. `Arc` because a key is cloned per sample and
+/// nodes move across shard threads.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct PaneKey {
+    entity: Arc<str>,
+    quantity: Arc<str>,
+    rollup: RollupSeries,
+}
+
+impl Ord for PaneKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (&self.entity, &self.quantity).cmp(&(&other.entity, &other.quantity))
+    }
+}
+
+impl PartialOrd for PaneKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// What a measurement topic resolves to for the life of its device.
+#[derive(Debug, Clone)]
+struct Route {
+    device: Arc<str>,
+    /// `raw/<entity>/<device>/<quantity>`: every sample, and the dedup
+    /// authority.
+    raw: SeriesId,
+    pane: PaneKey,
 }
 
 /// Static configuration of an aggregator.
@@ -199,8 +250,19 @@ impl AggregatorSeries {
 pub struct AggregatorNode {
     config: AggregatorConfig,
     /// Building-tier operator keyed by `(entity, quantity)`.
-    op: WindowedAggregator<(String, String)>,
+    op: WindowedAggregator<PaneKey>,
     store: TimeSeriesStore,
+    /// Topic text → what [`MeasurementTopic::parse`] and the store made
+    /// of it; at most [`ROUTE_TABLE_CAPACITY`] entries.
+    routes: HashMap<Box<str>, Route>,
+    /// District-tier rollup series per quantity: bounded by the
+    /// variants of [`QuantityKind`], so a linear scan.
+    district_rollups: Vec<(QuantityKind, RollupSeries)>,
+    watermark_series: SeriesId,
+    /// The JSON payload of the rollup in hand; kept for its buffer.
+    payload: String,
+    /// The `streams.window_close` detail of the rollup in hand, likewise.
+    detail: String,
     ws: WsServer,
     master: MasterSession,
     pubsub: PubSubClient,
@@ -228,12 +290,18 @@ impl AggregatorNode {
             .with_max_open(config.max_open_windows);
         let pubsub = PubSubClient::new(config.broker, PUBSUB_TAGS);
         let gate = AdmissionGate::new(config.admission_capacity, config.admission_rate);
+        let mut store = TimeSeriesStore::new();
         AggregatorNode {
             master: MasterSession::new(config.master, TAG_HEARTBEAT, WS_CLIENT_TAGS),
             config,
             op,
             gate,
-            store: TimeSeriesStore::new(),
+            routes: HashMap::new(),
+            district_rollups: Vec::new(),
+            watermark_series: store.series_id(WATERMARK_SERIES),
+            payload: String::new(),
+            detail: String::new(),
+            store,
             ws: WsServer::new(),
             pubsub,
             stats: AggregatorStats::default(),
@@ -318,6 +386,45 @@ impl AggregatorNode {
             .collect()
     }
 
+    fn rollup_series(&mut self, entity: Option<&str>, quantity: &str) -> RollupSeries {
+        let base = rollup_series_base(entity, quantity, self.config.window.size_millis());
+        let mut resolve = |part: &str| self.store.series_id(&format!("{base}/{part}"));
+        RollupSeries {
+            count: resolve("count"),
+            sum: resolve("sum"),
+            min: resolve("min"),
+            max: resolve("max"),
+        }
+    }
+
+    fn pane_key(&mut self, entity: &str, quantity: &str) -> PaneKey {
+        PaneKey {
+            entity: entity.into(),
+            quantity: quantity.into(),
+            rollup: self.rollup_series(Some(entity), quantity),
+        }
+    }
+
+    /// What `topic` resolves to; `None` when it is not a measurement
+    /// topic. A miss resolves the topic the way every hit was resolved;
+    /// a full table only means the next sample misses again.
+    fn route(&mut self, topic: &pubsub::Topic) -> Option<Route> {
+        if let Some(route) = self.routes.get(topic.as_str()) {
+            return Some(route.clone());
+        }
+        let parsed = MeasurementTopic::parse(topic)?;
+        let raw = raw_series(&parsed.entity, &parsed.device, &parsed.quantity);
+        let route = Route {
+            raw: self.store.series_id(&raw),
+            pane: self.pane_key(&parsed.entity, &parsed.quantity),
+            device: parsed.device.into(),
+        };
+        if self.routes.len() < ROUTE_TABLE_CAPACITY {
+            self.routes.insert(topic.as_str().into(), route.clone());
+        }
+        Some(route)
+    }
+
     fn ingest(
         &mut self,
         ctx: &mut Context<'_>,
@@ -326,7 +433,7 @@ impl AggregatorNode {
         trace: u64,
         recv_span: SpanId,
     ) {
-        let Some(topic) = MeasurementTopic::parse(pkt_topic) else {
+        let Some(route) = self.route(pkt_topic) else {
             return; // not a measurement topic
         };
         let decoded = std::str::from_utf8(payload)
@@ -339,26 +446,25 @@ impl AggregatorNode {
         };
         let t = measurement.timestamp().as_unix_millis();
         let value = measurement.value();
-        let series = raw_series(&topic.entity, &topic.device, &topic.quantity);
         // QoS 1 redelivery and post-restart retained replays produce
         // duplicates; the raw store is the dedup authority.
-        if !self.store.range(&series, t, t.saturating_add(1)).is_empty() {
+        if self.store.contains_at(route.raw, t) {
             self.stats.duplicates += 1;
             self.series(ctx).duplicates.incr();
             return;
         }
-        self.store.insert(&series, t, value);
+        self.store.insert_at(route.raw, t, value);
         self.stats.samples_in += 1;
         self.series(ctx).samples_in.incr();
         let ingest_span = ctx.span_hop(
             "streams.ingest",
             trace,
             recv_span,
-            format_args!("entity={} device={}", topic.entity, topic.device),
+            format_args!("entity={} device={}", route.pane.entity, route.device),
         );
         match self
             .op
-            .observe_spanned((topic.entity, topic.quantity), t, value, trace, ingest_span)
+            .observe_spanned(route.pane, t, value, trace, ingest_span)
         {
             crate::window::Observed::Late => self.series(ctx).late_dropped.incr(),
             crate::window::Observed::Shed => self.series(ctx).shed.incr(),
@@ -378,80 +484,106 @@ impl AggregatorNode {
             // (window, quantity) gives the exact district aggregate: the
             // watermark is shared, so all panes of a window close in the
             // same drain.
-            let mut district: BTreeMap<(i64, String), Accumulator> = BTreeMap::new();
+            // Keyed by the quantity's name, not its kind, so the district
+            // tier publishes in the order the building tier closed.
+            let mut district: BTreeMap<(i64, &str), (QuantityKind, Accumulator)> = BTreeMap::new();
             for w in &closed {
-                let (entity, quantity) = &w.key;
-                self.emit_rollup(ctx, Some(entity.clone()), quantity, w.start, &w.acc);
+                let Ok(quantity) = QuantityKind::parse(&w.key.quantity) else {
+                    continue; // foreign quantity segment; nothing speaks it downstream
+                };
+                let entity = Some(&*w.key.entity);
+                self.emit_rollup(ctx, entity, quantity, w.key.rollup, w.start, &w.acc);
                 district
-                    .entry((w.start, quantity.clone()))
-                    .or_default()
+                    .entry((w.start, quantity.as_str()))
+                    .or_insert_with(|| (quantity, Accumulator::new()))
+                    .1
                     .merge(&w.acc);
             }
-            for ((start, quantity), acc) in district {
-                self.emit_rollup(ctx, None, &quantity, start, &acc);
+            for ((start, _), (quantity, acc)) in district {
+                let series = self.district_rollup_series(quantity);
+                self.emit_rollup(ctx, None, quantity, series, start, &acc);
             }
         }
         // Persist progress so recovery never re-closes a closed window.
         let wm = self.op.watermark();
         if wm > i64::MIN {
-            self.store.insert(WATERMARK_SERIES, 0, wm as f64);
+            self.store.insert_at(self.watermark_series, 0, wm as f64);
         }
         self.series(ctx)
             .open_windows
             .set(self.op.open_windows() as f64);
     }
 
+    fn district_rollup_series(&mut self, quantity: QuantityKind) -> RollupSeries {
+        if let Some((_, series)) = self.district_rollups.iter().find(|(q, _)| *q == quantity) {
+            return *series;
+        }
+        let series = self.rollup_series(None, quantity.as_str());
+        self.district_rollups.push((quantity, series));
+        series
+    }
+
     fn emit_rollup(
         &mut self,
         ctx: &mut Context<'_>,
-        entity: Option<String>,
-        quantity: &str,
+        entity: Option<&str>,
+        quantity: QuantityKind,
+        series: RollupSeries,
         start: i64,
         acc: &Accumulator,
     ) {
-        let Ok(quantity_kind) = QuantityKind::parse(quantity) else {
-            return; // foreign quantity segment; nothing speaks it downstream
-        };
         let window_millis = self.config.window.size_millis();
-        let base = rollup_series_base(entity.as_deref(), quantity, window_millis);
-        self.store
-            .insert(&format!("{base}/count"), start, acc.count as f64);
-        self.store.insert(&format!("{base}/sum"), start, acc.sum);
-        self.store.insert(&format!("{base}/min"), start, acc.min);
-        self.store.insert(&format!("{base}/max"), start, acc.max);
+        self.store.insert_at(series.count, start, acc.count as f64);
+        self.store.insert_at(series.sum, start, acc.sum);
+        self.store.insert_at(series.min, start, acc.min);
+        self.store.insert_at(series.max, start, acc.max);
 
-        let rollup = Rollup {
-            district: self.config.district.as_str().to_owned(),
-            entity,
-            quantity: quantity_kind,
-            window_start: start,
-            window_millis,
-            count: acc.count,
-            sum: acc.sum,
-            min: acc.min,
-            max: acc.max,
-        };
-        let Ok(topic) = rollup.topic() else {
+        let district = self.config.district.as_str();
+        let Ok(topic) = RollupTopic::render(district, entity, quantity.as_str(), window_millis)
+        else {
             return;
         };
         // Tie the closed window into the flight recorder: one hop per
         // (bounded) contributing sample, each parented onto the span the
         // sample entered the operator under.
         let mut close = (NO_TRACE, NO_SPAN);
+        if !acc.traces().is_empty() {
+            self.detail.clear();
+            let _ = write!(self.detail, "{topic} start={start} count={}", acc.count);
+        }
         for &(trace, parent) in acc.traces() {
             let span = ctx.span_hop(
                 "streams.window_close",
                 trace,
                 parent,
-                format_args!("{topic} start={start} count={}", acc.count),
+                format_args!("{}", self.detail),
             );
             if close.0 == NO_TRACE {
                 close = (trace, span);
             }
         }
-        let payload = dimmer_core::json::to_string(&rollup.to_value()).into_bytes();
-        self.pubsub
-            .publish_spanned(ctx, topic, payload, true, QoS::AtMostOnce, close.0, close.1);
+        self.payload.clear();
+        Rollup::write_fields(
+            &mut Writer::new(DataFormat::Json, &mut self.payload),
+            district,
+            entity,
+            quantity,
+            start,
+            window_millis,
+            acc.count,
+            acc.sum,
+            acc.min,
+            acc.max,
+        );
+        self.pubsub.publish_ref(
+            ctx,
+            &topic,
+            self.payload.as_bytes(),
+            true,
+            QoS::AtMostOnce,
+            close.0,
+            close.1,
+        );
         self.stats.rollups_published += 1;
         self.series(ctx).rollups_published.incr();
         self.series(ctx).window_samples.observe(acc.count as f64);
@@ -613,8 +745,9 @@ impl AggregatorNode {
             else {
                 continue;
             };
+            let key = self.pane_key(entity, quantity);
             for (t, v) in self.store.range(&series, replay_from, i64::MAX) {
-                op.restore((entity.to_owned(), quantity.to_owned()), t, v);
+                op.restore(key.clone(), t, v);
                 recovered += 1;
             }
         }
@@ -706,5 +839,152 @@ impl Node for AggregatorNode {
             // The heartbeat and the master-request timeouts.
             tag => self.master.on_timer(ctx, tag),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dimmer_core::{DeviceId, Measurement, Timestamp};
+    use pubsub::BrokerNode;
+    use simnet::{SimConfig, Simulator};
+
+    const EPOCH: i64 = 1_425_859_200_000;
+    const BATCH: usize = 1_000;
+
+    /// Publishes `(entity, device, t, value)` temperature samples at
+    /// QoS 0, a batch per 100 ms.
+    struct Publisher {
+        client: PubSubClient,
+        samples: std::vec::IntoIter<(String, String, i64, f64)>,
+    }
+
+    impl Node for Publisher {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            ctx.set_timer(SimDuration::from_secs(1), TimerTag(1));
+        }
+        fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: Packet) {}
+        fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
+            let quantity = QuantityKind::Temperature;
+            for (entity, device, t, value) in self.samples.by_ref().take(BATCH) {
+                let topic = MeasurementTopic::new("d1", entity, device.as_str(), quantity.as_str())
+                    .topic()
+                    .unwrap();
+                let measurement = Measurement::new(
+                    DeviceId::new(device).unwrap(),
+                    quantity,
+                    value,
+                    quantity.canonical_unit(),
+                    Timestamp::from_unix_millis(t),
+                );
+                let payload = codec::encode_measurement(&measurement, DataFormat::Json);
+                self.client
+                    .publish(ctx, topic, payload.into_bytes(), false, QoS::AtMostOnce);
+            }
+            if self.samples.len() > 0 {
+                ctx.set_timer(SimDuration::from_millis(100), tag);
+            }
+        }
+    }
+
+    /// A master that never answers.
+    struct Sink;
+
+    impl Node for Sink {
+        fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: Packet) {}
+    }
+
+    /// Runs `samples` through a broker and one aggregator (10 s windows,
+    /// no lateness) until every window has closed.
+    fn aggregate(samples: Vec<(String, String, i64, f64)>) -> (Simulator, NodeId) {
+        let mut sim = Simulator::new(SimConfig::default());
+        let master = sim.add_node("master", Sink);
+        let broker = sim.add_node("broker", BrokerNode::new());
+        let mut config = AggregatorConfig::new(
+            ProxyId::new("agg").unwrap(),
+            DistrictId::new("d1").unwrap(),
+            master,
+            broker,
+            EPOCH,
+        );
+        config.window = WindowSpec::tumbling(10_000);
+        config.lateness_millis = 0;
+        let aggregator = sim.add_node("agg", AggregatorNode::new(config));
+        sim.add_node(
+            "publisher",
+            Publisher {
+                client: PubSubClient::new(broker, 100),
+                samples: samples.into_iter(),
+            },
+        );
+        sim.run_for(SimDuration::from_secs(60));
+        (sim, aggregator)
+    }
+
+    #[test]
+    fn a_redelivered_sample_counts_as_a_duplicate_not_a_sample() {
+        let sample = |t: i64, v: f64| ("b1".to_owned(), "dev1".to_owned(), EPOCH + t, v);
+        // The same device and timestamp twice, as a QoS 1 redelivery
+        // repeats it, between two fresh samples.
+        let (sim, aggregator) = aggregate(vec![
+            sample(1_000, 20.0),
+            sample(3_000, 21.0),
+            sample(3_000, 21.0),
+            sample(5_000, 22.0),
+        ]);
+        let agg = sim.node_ref::<AggregatorNode>(aggregator).unwrap();
+        assert_eq!((agg.stats().samples_in, agg.stats().duplicates), (3, 1));
+        assert_eq!(agg.window_stats().samples_in, 3);
+        let metrics = &sim.telemetry().metrics;
+        assert_eq!(metrics.counter("streams.samples_in"), 3);
+        assert_eq!(metrics.counter("streams.duplicates"), 1);
+        let rollups = agg.district_rollups(QuantityKind::Temperature, i64::MIN, i64::MAX);
+        assert_eq!(rollups.len(), 1);
+        assert_eq!((rollups[0].count, rollups[0].sum), (3, 63.0));
+    }
+
+    #[test]
+    fn a_full_route_table_changes_no_rollup() {
+        // The same `(entity, t, value)` samples twice: spread over more
+        // device topics than the route table holds, each topic seen
+        // twice (a hit or a miss the second time), and over one device
+        // per entity. Halves sum exactly, whatever the arrival order.
+        let topics = ROUTE_TABLE_CAPACITY + 500;
+        let samples = |spread: bool| -> Vec<(String, String, i64, f64)> {
+            (0..2 * topics)
+                .map(|i| {
+                    let device = i % topics;
+                    let entity = device % 7;
+                    let device = if spread { device } else { entity };
+                    (
+                        format!("b{entity}"),
+                        format!("dev{device}"),
+                        EPOCH + i as i64,
+                        (i % 40) as f64 / 2.0,
+                    )
+                })
+                .collect()
+        };
+        let rollups_of = |samples| {
+            let (sim, aggregator) = aggregate(samples);
+            let agg = sim.node_ref::<AggregatorNode>(aggregator).unwrap();
+            assert_eq!(agg.stats().samples_in, 2 * topics as u64);
+            let mut rollups = agg.district_rollups(QuantityKind::Temperature, i64::MIN, i64::MAX);
+            for entity in 0..7 {
+                rollups.extend(agg.assemble_rollups(
+                    Some(&format!("b{entity}")),
+                    QuantityKind::Temperature,
+                    10_000,
+                    i64::MIN,
+                    i64::MAX,
+                ));
+            }
+            (rollups, agg.routes.len())
+        };
+        let (spread, full) = rollups_of(samples(true));
+        let (narrow, sparse) = rollups_of(samples(false));
+        assert_eq!((full, sparse), (ROUTE_TABLE_CAPACITY, 7));
+        assert_eq!(spread.len(), 8 * 4, "two tiers over 33.8 s of samples");
+        assert_eq!(spread, narrow);
     }
 }

@@ -4,8 +4,9 @@
 //! on [`pubsub::RollupTopic`] topics, the aggregator's `/rollups` Web
 //! Service responses, and the profile client's parsed results.
 
+use dimmer_core::codec::Writer;
 use dimmer_core::{CoreError, QuantityKind, Value};
-use pubsub::{PubSubError, RollupScope, RollupTopic, Topic};
+use pubsub::{PubSubError, RollupTopic, Topic};
 
 /// One closed window at district or entity scope.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,16 +49,56 @@ impl Rollup {
     ///
     /// Returns [`PubSubError`] when an id violates the topic grammar.
     pub fn topic(&self) -> Result<Topic, PubSubError> {
-        RollupTopic {
-            district: self.district.clone(),
-            scope: match &self.entity {
-                None => RollupScope::District,
-                Some(entity) => RollupScope::Entity(entity.clone()),
-            },
-            quantity: self.quantity.as_str().to_owned(),
-            window_millis: self.window_millis,
+        RollupTopic::render(
+            &self.district,
+            self.entity.as_deref(),
+            self.quantity.as_str(),
+            self.window_millis,
+        )
+    }
+
+    /// Writes the object [`Rollup::to_value`] builds — members in the
+    /// order `Value::object` sorts them, so the bytes are the tree
+    /// driver's — from the borrowed parts of a window the aggregator has
+    /// just closed, without building a `Rollup` or a tree.
+    #[allow(clippy::too_many_arguments)] // the rollup record field for field
+    pub fn write_fields(
+        w: &mut Writer<'_>,
+        district: &str,
+        entity: Option<&str>,
+        quantity: QuantityKind,
+        window_start: i64,
+        window_millis: i64,
+        count: u64,
+        sum: f64,
+        min: f64,
+        max: f64,
+    ) {
+        w.begin_object();
+        w.key("count");
+        w.int(count as i64);
+        w.key("district");
+        w.str(district);
+        w.key("entity");
+        match entity {
+            Some(entity) => w.str(entity),
+            None => w.null(),
         }
-        .topic()
+        w.key("max");
+        w.float(max);
+        w.key("mean");
+        w.float(sum / count as f64);
+        w.key("min");
+        w.float(min);
+        w.key("quantity");
+        w.str(quantity.as_str());
+        w.key("sum");
+        w.float(sum);
+        w.key("window_millis");
+        w.int(window_millis);
+        w.key("window_start");
+        w.int(window_start);
+        w.end_object();
     }
 
     /// Translates to the common data format.
@@ -135,6 +176,31 @@ mod tests {
     fn value_round_trip_both_scopes() {
         for rollup in [sample(None), sample(Some("b3"))] {
             assert_eq!(Rollup::from_value(&rollup.to_value()).unwrap(), rollup);
+        }
+    }
+
+    #[test]
+    fn typed_writer_matches_the_tree_driver() {
+        for r in [sample(None), sample(Some("b \"3\""))] {
+            for format in dimmer_core::codec::DataFormat::all() {
+                let mut typed = String::new();
+                Rollup::write_fields(
+                    &mut Writer::new(format, &mut typed),
+                    &r.district,
+                    r.entity.as_deref(),
+                    r.quantity,
+                    r.window_start,
+                    r.window_millis,
+                    r.count,
+                    r.sum,
+                    r.min,
+                    r.max,
+                );
+                assert_eq!(
+                    typed,
+                    dimmer_core::codec::encode_value(&r.to_value(), format)
+                );
+            }
         }
     }
 

@@ -158,15 +158,18 @@ impl WindowSpec {
     /// Starts are aligned to multiples of the slide (epoch origin), so
     /// independent operators agree on window boundaries.
     pub fn windows_for(&self, t: i64) -> Vec<i64> {
-        let newest = t.div_euclid(self.slide_millis) * self.slide_millis;
-        let mut starts = Vec::new();
-        let mut start = newest;
-        while self.window_end(start) > t {
-            starts.push(start);
-            start -= self.slide_millis;
-        }
-        starts.reverse();
-        starts
+        self.window_starts(t).collect()
+    }
+
+    /// [`WindowSpec::windows_for`] without the `Vec`: what the
+    /// per-sample path iterates.
+    pub fn window_starts(&self, t: i64) -> impl Iterator<Item = i64> {
+        let slide = self.slide_millis;
+        let newest = t.div_euclid(slide) * slide;
+        // A start `newest - k * slide` still covers `t` while its end,
+        // `size` later, lies beyond `t`.
+        let older = (self.size_millis - 1 - (t - newest)).div_euclid(slide);
+        (0..=older).rev().map(move |k| newest - k * slide)
     }
 }
 
@@ -338,7 +341,7 @@ impl<K: Ord + Clone> WindowedAggregator<K> {
     fn feed(&mut self, key: K, t: i64, value: f64, trace: TraceId, span: SpanId) -> Observed {
         let mut accepted = false;
         let mut shed = false;
-        for start in self.spec.windows_for(t) {
+        for start in self.spec.window_starts(t) {
             if self.spec.window_end(start) <= self.watermark {
                 continue; // this pane already closed
             }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Offline CI gate: formatting, lints, docs, examples, the full test
-# suite, the experiment smokes and the benchmark's own gate.
+# suite, the experiment smokes, the benchmark's own gate and the
+# allocation-count ratchet over its --quick runs.
 # Usage: scripts/ci.sh
 #
 # Knobs:
@@ -108,5 +109,20 @@ DIMMER_E15_SMOKE=1 cargo run -q -p dimmer-bench --bin e15_storage
 
 echo "== benchmark/check.sh (the frozen benchmark still builds against the facade and its checks pass)"
 benchmark/check.sh
+
+echo "== allocs_per_op ratchet (scripts/alloc_ceilings.txt against the --quick runs above)"
+# allocs_per_op repeats exactly per seed and scale, so a ceiling just
+# above the committed value catches a per-message allocation creeping
+# back onto a hot path. Lower a ceiling when a change lowers the count.
+while read -r workload ceiling _; do
+    [[ -z "$workload" || "$workload" == \#* ]] && continue
+    log="benchmark/out/quick.$workload.0.log"
+    got="$(awk '$1 == "allocs_per_op" {print $2}' "$log")"
+    if [[ -z "$got" ]] || ! awk -v got="$got" -v max="$ceiling" 'BEGIN {exit !(got <= max)}'; then
+        echo "alloc ratchet: $workload allocs_per_op ${got:-<missing from $log>} is above its ceiling $ceiling" >&2
+        exit 1
+    fi
+    echo "alloc ratchet: $workload $got <= $ceiling"
+done < scripts/alloc_ceilings.txt
 
 echo "ci: ok"

@@ -19,8 +19,11 @@ use proxy::webservice::{
 };
 use simnet::{Context, Node, NodeId, Packet, SimConfig, SimDuration, Simulator, TimerTag};
 
+#[path = "support/counted.rs"]
+mod counted;
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
+use counted::Counted;
 use counting_alloc::allocations_in;
 
 fn points(n: usize) -> Vec<(i64, f64)> {
@@ -79,26 +82,6 @@ fn batch_response_decode_allocates_once_per_measurement() {
     }
 }
 
-/// Runs the wrapped node, recording how many allocations each delivered
-/// packet costs it.
-struct Counted<N> {
-    inner: N,
-    per_packet: Vec<u64>,
-}
-
-impl<N: Node> Node for Counted<N> {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        self.inner.on_start(ctx);
-    }
-    fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
-        let ((), allocations) = allocations_in(|| self.inner.on_packet(ctx, pkt));
-        self.per_packet.push(allocations);
-    }
-    fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
-        self.inner.on_timer(ctx, tag);
-    }
-}
-
 /// Asks `server` for `/model` once a second, alternating formats, and
 /// keeps the responses as they came off the wire.
 struct ModelClient {
@@ -154,15 +137,12 @@ fn model_responses_after_the_first_are_served_from_memoised_bytes() {
     let master = sim.add_node("sink", Sink);
     let proxy = sim.add_node(
         "db-proxy",
-        Counted {
-            inner: DatabaseProxyNode::new(
-                ProxyId::new("p1").unwrap(),
-                DistrictId::new("d1").unwrap(),
-                master,
-                Box::new(bim_source()),
-            ),
-            per_packet: Vec::new(),
-        },
+        Counted::new(DatabaseProxyNode::new(
+            ProxyId::new("p1").unwrap(),
+            DistrictId::new("d1").unwrap(),
+            master,
+            Box::new(bim_source()),
+        )),
     );
     let client = sim.add_node(
         "client",
