@@ -101,6 +101,22 @@ if [[ -z "$d1" || "$d1" != "$d4" ]]; then
 fi
 echo "determinism gate: ok (digest $d1 at both --threads 1 and --threads 4)"
 
+echo "== results diff (the ten wall-clock-free experiments against results/, release build)"
+# These ten print no wall-clock field and repeat byte for byte, so the
+# committed output is the behavioural oracle a refactor is checked
+# against. A change that moves one on purpose regenerates the file and
+# says why in CHANGES.md.
+cargo build --release -q
+for bin in e1_query_scaling e2_ingest_throughput e5_redirect_vs_relay \
+        e9_centralized_baseline e10_chaos e11_aggregation e12_federation \
+        e14_overload f1a_infrastructure f1b_device_proxy; do
+    if ! env -u DIMMER_TRACE "target/release/$bin" | diff -u "results/$bin.txt" - >&2; then
+        echo "results diff: $bin no longer reproduces results/$bin.txt" >&2
+        exit 1
+    fi
+    echo "results diff: $bin ok"
+done
+
 echo "== e14 overload smoke (sweep + gray failure)"
 DIMMER_E14_SMOKE=1 cargo run -q -p dimmer-bench --bin e14_overload
 
