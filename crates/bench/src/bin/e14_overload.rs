@@ -25,8 +25,6 @@
 //! fresh redirects after the fault clears and the half-open probe
 //! succeeds. The `publish_to_deliver` SLO is asserted over the traced
 //! measurement traffic that kept flowing underneath.
-//!
-//! `DIMMER_E14_SMOKE=1` shrinks the sweep for CI debug builds.
 
 use district::deploy::Deployment;
 use district::report::{
@@ -464,31 +462,14 @@ fn run_gray_failure() -> GrayResult {
 }
 
 fn main() {
-    let smoke = std::env::var("DIMMER_E14_SMOKE").is_ok_and(|v| v == "1");
-    let (mults, warmup, measure): (Vec<f64>, _, _) = if smoke {
-        (
-            vec![1.0, 2.0, 4.0],
-            SimDuration::from_secs(10),
-            SimDuration::from_secs(10),
-        )
-    } else {
-        (
-            vec![0.5, 1.0, 2.0, 4.0],
-            SimDuration::from_secs(20),
-            SimDuration::from_secs(30),
-        )
-    };
+    let warmup = SimDuration::from_secs(20);
+    let measure = SimDuration::from_secs(30);
     // Long enough for every outstanding request to resolve (3 s RPC
     // timeout × 3 attempts), so the conservation check is exact.
     let drain = SimDuration::from_secs(12);
 
-    let title = if smoke {
-        "E14: overload sweep (smoke)"
-    } else {
-        "E14: overload sweep (2 gated targets, 40 qps drain each)"
-    };
     let mut table = Table::new(
-        title,
+        "E14: overload sweep (2 gated targets, 40 qps drain each)",
         [
             "load_x",
             "offered",
@@ -502,7 +483,7 @@ fn main() {
         ],
     );
     let mut points: Vec<SweepPoint> = Vec::new();
-    for &mult in &mults {
+    for mult in [0.5, 1.0, 2.0, 4.0] {
         let p = run_sweep_point(mult, warmup, measure, drain);
         table.row([
             fmt_f64(p.mult, 1),

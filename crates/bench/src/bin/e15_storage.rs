@@ -32,8 +32,6 @@
 //! first. Every point acknowledged at the crash instant must read back
 //! bit-identically after recovery, and the flight recorder must show
 //! measurement ingest on both sides of every crash window.
-//!
-//! `DIMMER_E15_SMOKE=1` shrinks the corpus for CI debug builds.
 
 use district::deploy::Deployment;
 use district::report::{fmt_bytes, fmt_f64, Table};
@@ -369,24 +367,10 @@ fn run_crash_sweep(rounds: usize) -> SweepResult {
 }
 
 fn main() {
-    let smoke = std::env::var("DIMMER_E15_SMOKE").is_ok_and(|v| v == "1");
-    // The corpus stays full-size even in smoke: the compression ratio
-    // and the scan race only mean something out of cache. Smoke trims
-    // the recovery ladder and the simulated crash sweep instead.
     let points_per_series = 129_600; // 90 days at 60 s
-    let (wal_lens, sweep_rounds): (Vec<usize>, usize) = if smoke {
-        (vec![1_000, 10_000], 2)
-    } else {
-        (vec![1_000, 10_000, 100_000], 3)
-    };
 
-    let title = if smoke {
-        "E15: segment compression (smoke)"
-    } else {
-        "E15: segment compression (6 series, 90 days at 60 s)"
-    };
     let mut table = Table::new(
-        title,
+        "E15: segment compression (6 series, 90 days at 60 s)",
         ["corpus", "points", "raw", "compressed", "ratio", "b_per_pt"],
     );
     let quantized = run_compress(points_per_series, true);
@@ -428,7 +412,7 @@ fn main() {
         "E15: crash recovery vs WAL length",
         ["wal_records", "recover_ms", "krec_per_s"],
     );
-    for &len in &wal_lens {
+    for len in [1_000, 10_000, 100_000] {
         let r = run_recovery(len);
         rec_table.row([
             r.wal_records.to_string(),
@@ -439,7 +423,7 @@ fn main() {
     println!("{rec_table}");
     println!("# series (csv)\n{}", rec_table.to_csv());
 
-    let sweep = run_crash_sweep(sweep_rounds);
+    let sweep = run_crash_sweep(3);
     println!(
         "crash sweep: {} rounds, {} acknowledged points checked, {} lost, \
          {} WAL records replayed, {} segments survived",

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Offline CI gate: formatting, lints, docs, examples, the full test
-# suite, the experiment smokes, the benchmark's own gate and the
+# suite, the e13 smoke, the results diff, the benchmark's own gate and the
 # allocation-count ratchet over its --quick runs.
 # Usage: scripts/ci.sh
 #
@@ -117,11 +117,8 @@ for bin in e1_query_scaling e2_ingest_throughput e5_redirect_vs_relay \
     echo "results diff: $bin ok"
 done
 
-echo "== e14 overload smoke (sweep + gray failure)"
-DIMMER_E14_SMOKE=1 cargo run -q -p dimmer-bench --bin e14_overload
-
-echo "== e15 storage smoke (compression + recovery + crash sweep)"
-DIMMER_E15_SMOKE=1 cargo run -q -p dimmer-bench --bin e15_storage
+echo "== e15 storage (compression + recovery + crash sweep; asserts only, prints wall-clock fields)"
+target/release/e15_storage
 
 echo "== benchmark/check.sh (the frozen benchmark still builds against the facade and its checks pass)"
 benchmark/check.sh
