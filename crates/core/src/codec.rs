@@ -36,7 +36,7 @@ pub enum DataFormat {
 
 impl DataFormat {
     /// The lowercase name used in `fmt=` query parameters.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             DataFormat::Json => "json",
             DataFormat::Xml => "xml",
@@ -48,7 +48,7 @@ impl DataFormat {
     /// # Errors
     ///
     /// Returns [`CoreError::UnknownSymbol`] for anything but `json`/`xml`.
-    pub fn parse(s: &str) -> Result<Self, CoreError> {
+    pub(crate) fn parse(s: &str) -> Result<Self, CoreError> {
         match s {
             "json" => Ok(DataFormat::Json),
             "xml" => Ok(DataFormat::Xml),
@@ -187,7 +187,7 @@ impl<'o> Writer<'o> {
     }
 
     /// Writes a boolean.
-    pub fn bool(&mut self, b: bool) {
+    pub(crate) fn bool(&mut self, b: bool) {
         forward!(self, w => w.bool(b))
     }
 
@@ -213,12 +213,12 @@ impl<'o> Writer<'o> {
     }
 
     /// Opens an array.
-    pub fn begin_array(&mut self) {
+    pub(crate) fn begin_array(&mut self) {
         forward!(self, w => w.begin_array())
     }
 
     /// Closes the innermost array.
-    pub fn end_array(&mut self) {
+    pub(crate) fn end_array(&mut self) {
         forward!(self, w => w.end_array())
     }
 
@@ -315,7 +315,7 @@ impl<'a> Reader<'a> {
     ///
     /// Returns the format's parse error at the first violation (here and
     /// in every other method); the reader is unusable afterwards.
-    pub fn next_event(&mut self) -> Result<Event<'a>, CoreError> {
+    pub(crate) fn next_event(&mut self) -> Result<Event<'a>, CoreError> {
         if let Some(event) = self.peeked.take() {
             return Ok(event);
         }
@@ -353,7 +353,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// Returns the format's parse error.
-    pub fn begin_array(&mut self) -> Result<bool, CoreError> {
+    pub(crate) fn begin_array(&mut self) -> Result<bool, CoreError> {
         self.begin(Event::BeginArray)
     }
 
@@ -386,7 +386,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// Returns the format's parse error.
-    pub fn more_items(&mut self) -> Result<bool, CoreError> {
+    pub(crate) fn more_items(&mut self) -> Result<bool, CoreError> {
         match self.next_event()? {
             Event::EndArray => Ok(false),
             first => {
@@ -522,7 +522,7 @@ impl<'a> Scalar<'a> {
     /// # Errors
     ///
     /// Returns [`CoreError::Shape`] if absent or not numeric.
-    pub fn require_f64(&self, target: &'static str, key: &str) -> Shaped<f64> {
+    pub(crate) fn require_f64(&self, target: &'static str, key: &str) -> Shaped<f64> {
         match self {
             Scalar::Int(i) => Ok(*i as f64),
             Scalar::Float(f) => Ok(*f),

@@ -163,7 +163,7 @@ impl EntityKind {
     }
 
     /// All entity kinds, root first.
-    pub fn all() -> [EntityKind; 4] {
+    pub(crate) fn all() -> [EntityKind; 4] {
         [
             EntityKind::District,
             EntityKind::Building,

@@ -89,7 +89,7 @@ pub struct Writer<'o> {
 
 impl<'o> Writer<'o> {
     /// A writer appending one document to `out`.
-    pub fn new(out: &'o mut String) -> Self {
+    pub(crate) fn new(out: &'o mut String) -> Self {
         Writer { out, comma: false }
     }
 
@@ -101,37 +101,37 @@ impl<'o> Writer<'o> {
     }
 
     /// Writes `null`.
-    pub fn null(&mut self) {
+    pub(crate) fn null(&mut self) {
         self.separate();
         self.out.push_str("null");
     }
 
     /// Writes `true` or `false`.
-    pub fn bool(&mut self, b: bool) {
+    pub(crate) fn bool(&mut self, b: bool) {
         self.separate();
         self.out.push_str(if b { "true" } else { "false" });
     }
 
     /// Writes an integer.
-    pub fn int(&mut self, i: i64) {
+    pub(crate) fn int(&mut self, i: i64) {
         self.separate();
         let _ = write!(self.out, "{i}");
     }
 
     /// Writes a float so that it reads back as a float.
-    pub fn float(&mut self, f: f64) {
+    pub(crate) fn float(&mut self, f: f64) {
         self.separate();
         write_float(f, self.out);
     }
 
     /// Writes a string.
-    pub fn str(&mut self, s: &str) {
+    pub(crate) fn str(&mut self, s: &str) {
         self.separate();
         write_string(s, self.out);
     }
 
     /// Writes what `value` displays as a string.
-    pub fn display(&mut self, value: &dyn fmt::Display) {
+    pub(crate) fn display(&mut self, value: &dyn fmt::Display) {
         self.separate();
         self.out.push('"');
         let _ = write!(Escaped(self.out), "{value}");
@@ -139,27 +139,27 @@ impl<'o> Writer<'o> {
     }
 
     /// Opens an array.
-    pub fn begin_array(&mut self) {
+    pub(crate) fn begin_array(&mut self) {
         self.separate();
         self.out.push('[');
         self.comma = false;
     }
 
     /// Closes the innermost array.
-    pub fn end_array(&mut self) {
+    pub(crate) fn end_array(&mut self) {
         self.out.push(']');
         self.comma = true;
     }
 
     /// Opens an object.
-    pub fn begin_object(&mut self) {
+    pub(crate) fn begin_object(&mut self) {
         self.separate();
         self.out.push('{');
         self.comma = false;
     }
 
     /// Names the member whose value is written next.
-    pub fn key(&mut self, name: &str) {
+    pub(crate) fn key(&mut self, name: &str) {
         self.separate();
         write_string(name, self.out);
         self.out.push(':');
@@ -167,7 +167,7 @@ impl<'o> Writer<'o> {
     }
 
     /// Closes the innermost object.
-    pub fn end_object(&mut self) {
+    pub(crate) fn end_object(&mut self) {
         self.out.push('}');
         self.comma = true;
     }
@@ -273,7 +273,7 @@ pub struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     /// A reader positioned before the document in `text`.
-    pub fn new(text: &'a str) -> Self {
+    pub(crate) fn new(text: &'a str) -> Self {
         Reader {
             text,
             pos: 0,
@@ -288,7 +288,7 @@ impl<'a> Reader<'a> {
     ///
     /// Returns [`CoreError::ParseJson`] with the byte offset of the
     /// first violation.
-    pub fn next_event(&mut self) -> Result<Event<'a>, CoreError> {
+    pub(crate) fn next_event(&mut self) -> Result<Event<'a>, CoreError> {
         self.skip_ws();
         match self.expect {
             Expect::Value => self.read_value(),
@@ -329,7 +329,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// Returns [`CoreError::ParseJson`] on trailing characters.
-    pub fn finish(&mut self) -> Result<(), CoreError> {
+    pub(crate) fn finish(&mut self) -> Result<(), CoreError> {
         self.skip_ws();
         if self.pos != self.text.len() {
             return Err(self.err("trailing characters after value"));

@@ -94,7 +94,7 @@ impl Measurement {
     /// Returns [`CoreError::IncompatibleUnits`] only if the type-level
     /// invariant was somehow violated; for values constructed through
     /// [`Measurement::new`] this cannot happen.
-    pub fn normalized(&self) -> Result<Measurement, CoreError> {
+    pub(crate) fn normalized(&self) -> Result<Measurement, CoreError> {
         let target = self.quantity.canonical_unit();
         let value = self.unit.convert(self.value, target)?;
         Ok(Measurement {
@@ -169,7 +169,7 @@ impl Measurement {
 
     /// Typed writer: emits the encoding of [`Measurement::to_value`]
     /// without building it.
-    pub fn write(&self, w: &mut Writer<'_>) {
+    pub(crate) fn write(&self, w: &mut Writer<'_>) {
         Measurement::write_fields(
             w,
             &self.device,
@@ -223,7 +223,7 @@ impl Measurement {
     ///
     /// Returns the format's parse error; the inner result says whether
     /// the well-formed value describes a measurement.
-    pub fn read(r: &mut Reader<'_>) -> Result<Shaped<Self>, CoreError> {
+    pub(crate) fn read(r: &mut Reader<'_>) -> Result<Shaped<Self>, CoreError> {
         let [mut device, mut quantity, mut value, mut unit, mut timestamp] =
             [const { Scalar::Missing }; 5];
         if r.begin_object()? {
@@ -295,7 +295,7 @@ impl MeasurementBatch {
     }
 
     /// Borrows the measurements as a slice.
-    pub fn as_slice(&self) -> &[Measurement] {
+    pub(crate) fn as_slice(&self) -> &[Measurement] {
         &self.items
     }
 
@@ -323,7 +323,7 @@ impl MeasurementBatch {
 
     /// Typed writer: emits the encoding of [`MeasurementBatch::to_value`]
     /// without building it.
-    pub fn write(&self, w: &mut Writer<'_>) {
+    pub(crate) fn write(&self, w: &mut Writer<'_>) {
         write_batch(w, |w| self.items.iter().for_each(|m| m.write(w)));
     }
 

@@ -94,7 +94,7 @@ impl QuantityKind {
     }
 
     /// The physical dimension measurements of this kind must have.
-    pub fn dimension(self) -> Dimension {
+    pub(crate) fn dimension(self) -> Dimension {
         match self {
             QuantityKind::Temperature => Dimension::Temperature,
             QuantityKind::ActivePower => Dimension::Power,

@@ -75,7 +75,7 @@ impl Timestamp {
     }
 
     /// Creates a timestamp from whole seconds since the Unix epoch.
-    pub const fn from_unix_seconds(secs: i64) -> Self {
+    pub(crate) const fn from_unix_seconds(secs: i64) -> Self {
         Timestamp(secs * 1000)
     }
 
@@ -87,7 +87,7 @@ impl Timestamp {
     /// minute/second < 60, millisecond < 1000). Day overflow within a
     /// month (e.g. Feb 30) is *not* detected; use [`Timestamp::civil`] to
     /// normalize if needed.
-    pub fn from_civil(civil: CivilTime) -> Self {
+    pub(crate) fn from_civil(civil: CivilTime) -> Self {
         let CivilTime {
             year,
             month,
@@ -113,12 +113,12 @@ impl Timestamp {
     }
 
     /// Whole seconds since the Unix epoch (truncating).
-    pub const fn as_unix_seconds(self) -> i64 {
+    pub(crate) const fn as_unix_seconds(self) -> i64 {
         self.0.div_euclid(1000)
     }
 
     /// The broken-down UTC representation.
-    pub fn civil(self) -> CivilTime {
+    pub(crate) fn civil(self) -> CivilTime {
         let millis = self.0.rem_euclid(1000) as u16;
         let secs = self.0.div_euclid(1000);
         let days = secs.div_euclid(86_400);

@@ -81,7 +81,7 @@ pub enum Dimension {
 
 impl Unit {
     /// The dimension this unit measures.
-    pub fn dimension(self) -> Dimension {
+    pub(crate) fn dimension(self) -> Dimension {
         match self {
             Unit::Celsius | Unit::Kelvin => Dimension::Temperature,
             Unit::Watt | Unit::Kilowatt => Dimension::Power,
@@ -168,7 +168,7 @@ impl Unit {
     /// # Errors
     ///
     /// Returns [`CoreError::IncompatibleUnits`] when the dimensions differ.
-    pub fn convert(self, value: f64, to: Unit) -> Result<f64, CoreError> {
+    pub(crate) fn convert(self, value: f64, to: Unit) -> Result<f64, CoreError> {
         if self.dimension() != to.dimension() {
             return Err(CoreError::IncompatibleUnits {
                 from: self.symbol(),

@@ -136,7 +136,7 @@ impl Uri {
     }
 
     /// The scheme, e.g. `ws`.
-    pub fn scheme(&self) -> &str {
+    pub(crate) fn scheme(&self) -> &str {
         &self.scheme
     }
 
@@ -146,22 +146,22 @@ impl Uri {
     }
 
     /// The explicit port, if any.
-    pub fn port(&self) -> Option<u16> {
+    pub(crate) fn port(&self) -> Option<u16> {
         self.port
     }
 
     /// The path, always starting with `/`.
-    pub fn path(&self) -> &str {
+    pub(crate) fn path(&self) -> &str {
         &self.path
     }
 
     /// The value of query parameter `key`, if present.
-    pub fn query(&self, key: &str) -> Option<&str> {
+    pub(crate) fn query(&self, key: &str) -> Option<&str> {
         self.query.get(key).map(String::as_str)
     }
 
     /// All query parameters in key order.
-    pub fn query_pairs(&self) -> impl Iterator<Item = (&str, &str)> {
+    pub(crate) fn query_pairs(&self) -> impl Iterator<Item = (&str, &str)> {
         self.query.iter().map(|(k, v)| (k.as_str(), v.as_str()))
     }
 
@@ -177,7 +177,7 @@ impl Uri {
     ///
     /// Returns [`CoreError::InvalidUri`] under the same rules as
     /// [`Uri::new`].
-    pub fn with_path(&self, path: impl Into<String>) -> Result<Self, CoreError> {
+    pub(crate) fn with_path(&self, path: impl Into<String>) -> Result<Self, CoreError> {
         let mut u = Uri::new(self.scheme.clone(), self.host.clone(), self.port, path)?;
         u.query = self.query.clone();
         Ok(u)

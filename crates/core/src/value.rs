@@ -65,7 +65,7 @@ impl Value {
     }
 
     /// The element at `index` of an array, if in range.
-    pub fn at(&self, index: usize) -> Option<&Value> {
+    pub(crate) fn at(&self, index: usize) -> Option<&Value> {
         match self {
             Value::Array(items) => items.get(index),
             _ => None,
@@ -79,7 +79,7 @@ impl Value {
     /// let v = Value::object([("rooms", Value::array([Value::from("r1")]))]);
     /// assert_eq!(v.pointer("rooms/0").and_then(Value::as_str), Some("r1"));
     /// ```
-    pub fn pointer(&self, path: &str) -> Option<&Value> {
+    pub(crate) fn pointer(&self, path: &str) -> Option<&Value> {
         let mut cur = self;
         for seg in path.split('/').filter(|s| !s.is_empty()) {
             cur = match cur {
@@ -142,7 +142,7 @@ impl Value {
     }
 
     /// True for `Value::Null`.
-    pub fn is_null(&self) -> bool {
+    pub(crate) fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }
 
@@ -232,7 +232,7 @@ impl Value {
     }
 
     /// A short name of the variant, for error messages.
-    pub fn type_name(&self) -> &'static str {
+    pub(crate) fn type_name(&self) -> &'static str {
         match self {
             Value::Null => "null",
             Value::Bool(_) => "bool",
@@ -245,7 +245,7 @@ impl Value {
     }
 
     /// Deep size: the number of leaf values in the tree.
-    pub fn leaf_count(&self) -> usize {
+    pub(crate) fn leaf_count(&self) -> usize {
         match self {
             Value::Array(items) => items.iter().map(Value::leaf_count).sum(),
             Value::Object(map) => map.values().map(Value::leaf_count).sum(),

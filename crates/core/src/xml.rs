@@ -141,7 +141,7 @@ pub struct Writer<'o> {
 
 impl<'o> Writer<'o> {
     /// A writer appending one document to `out`.
-    pub fn new(out: &'o mut String) -> Self {
+    pub(crate) fn new(out: &'o mut String) -> Self {
         Writer {
             out,
             root: "value",
@@ -168,13 +168,13 @@ impl<'o> Writer<'o> {
     }
 
     /// Writes the absent value as a self-closing element.
-    pub fn null(&mut self) {
+    pub(crate) fn null(&mut self) {
         self.open("null");
         self.out.push_str("/>");
     }
 
     /// Writes a boolean.
-    pub fn bool(&mut self, b: bool) {
+    pub(crate) fn bool(&mut self, b: bool) {
         let tag = self.open("bool");
         self.out.push('>');
         self.out.push_str(if b { "true" } else { "false" });
@@ -182,14 +182,14 @@ impl<'o> Writer<'o> {
     }
 
     /// Writes an integer.
-    pub fn int(&mut self, i: i64) {
+    pub(crate) fn int(&mut self, i: i64) {
         let tag = self.open("int");
         let _ = write!(self.out, ">{i}");
         close(tag, self.out);
     }
 
     /// Writes a float so that it reads back as a float.
-    pub fn float(&mut self, f: f64) {
+    pub(crate) fn float(&mut self, f: f64) {
         let tag = self.open("float");
         if f == f.trunc() && f.abs() < 1e15 {
             let _ = write!(self.out, ">{f:.1}");
@@ -200,7 +200,7 @@ impl<'o> Writer<'o> {
     }
 
     /// Writes a string.
-    pub fn str(&mut self, s: &str) {
+    pub(crate) fn str(&mut self, s: &str) {
         let tag = self.open("string");
         self.out.push('>');
         escape_into(s, false, self.out);
@@ -208,7 +208,7 @@ impl<'o> Writer<'o> {
     }
 
     /// Writes what `value` displays as a string.
-    pub fn display(&mut self, value: &dyn fmt::Display) {
+    pub(crate) fn display(&mut self, value: &dyn fmt::Display) {
         let tag = self.open("string");
         self.out.push('>');
         let _ = write!(Escaped(self.out), "{value}");
@@ -216,26 +216,26 @@ impl<'o> Writer<'o> {
     }
 
     /// Opens an array.
-    pub fn begin_array(&mut self) {
+    pub(crate) fn begin_array(&mut self) {
         self.open("array");
         self.out.push('>');
         self.open.push(false);
     }
 
     /// Closes the innermost array.
-    pub fn end_array(&mut self) {
+    pub(crate) fn end_array(&mut self) {
         self.end_container();
     }
 
     /// Opens an object.
-    pub fn begin_object(&mut self) {
+    pub(crate) fn begin_object(&mut self) {
         self.open("object");
         self.out.push('>');
         self.open.push(true);
     }
 
     /// Names the member whose value is written next.
-    pub fn key(&mut self, name: &str) {
+    pub(crate) fn key(&mut self, name: &str) {
         self.out.push_str("<member name=\"");
         escape_into(name, true, self.out);
         self.out.push('"');
@@ -243,7 +243,7 @@ impl<'o> Writer<'o> {
     }
 
     /// Closes the innermost object.
-    pub fn end_object(&mut self) {
+    pub(crate) fn end_object(&mut self) {
         self.end_container();
     }
 
@@ -334,7 +334,7 @@ pub struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     /// A reader positioned before the document in `text`.
-    pub fn new(text: &'a str) -> Self {
+    pub(crate) fn new(text: &'a str) -> Self {
         Reader {
             text,
             pos: 0,
@@ -350,7 +350,7 @@ impl<'a> Reader<'a> {
     ///
     /// Returns [`CoreError::ParseXml`] with the byte offset of the first
     /// violation.
-    pub fn next_event(&mut self) -> Result<Event<'a>, CoreError> {
+    pub(crate) fn next_event(&mut self) -> Result<Event<'a>, CoreError> {
         if let Some(opened) = self.pending.take() {
             return self.read_value(opened);
         }
@@ -393,7 +393,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// Returns [`CoreError::ParseXml`] on trailing characters.
-    pub fn finish(&mut self) -> Result<(), CoreError> {
+    pub(crate) fn finish(&mut self) -> Result<(), CoreError> {
         self.skip_misc();
         if self.pos != self.text.len() {
             return Err(self.err("trailing characters after document"));

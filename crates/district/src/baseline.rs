@@ -85,7 +85,7 @@ impl std::fmt::Debug for CentralServerNode {
 
 impl CentralServerNode {
     /// Creates an empty central server.
-    pub fn new(poll_interval: SimDuration, epoch_offset_millis: i64) -> Self {
+    pub(crate) fn new(poll_interval: SimDuration, epoch_offset_millis: i64) -> Self {
         CentralServerNode {
             devices: HashMap::new(),
             polled: Vec::new(),
@@ -105,7 +105,7 @@ impl CentralServerNode {
     }
 
     /// The single central store.
-    pub fn store(&self) -> &TimeSeriesStore {
+    pub(crate) fn store(&self) -> &TimeSeriesStore {
         &self.store
     }
 

@@ -137,7 +137,7 @@ impl ClientNode {
     /// pre-computed `quantity` rollups over the unix-millis `range`.
     /// The master redirects to the district aggregator; see
     /// [`crate::profile`].
-    pub fn profile(
+    pub(crate) fn profile(
         sim: &mut simnet::Simulator,
         deployment: &Deployment,
         district: DistrictId,
@@ -158,7 +158,7 @@ impl ClientNode {
     }
 
     /// Number of queries still in progress.
-    pub fn queries_in_flight(&self) -> usize {
+    pub(crate) fn queries_in_flight(&self) -> usize {
         self.queries.iter().filter(|q| q.outstanding > 0).count()
     }
 

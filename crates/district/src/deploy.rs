@@ -173,7 +173,7 @@ impl Deployment {
     }
 
     /// Every Database-proxy across districts.
-    pub fn database_proxies(&self) -> impl Iterator<Item = NodeId> + '_ {
+    pub(crate) fn database_proxies(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.districts.iter().flat_map(|d| {
             [d.gis_proxy, d.archive_proxy]
                 .into_iter()
@@ -492,7 +492,7 @@ fn synthesize_archive(spec: &DistrictSpec, rows: usize, epoch_millis: i64) -> St
 
 /// Looks up the primary quantity a device spec reports (exposed for
 /// experiment harnesses that label series).
-pub fn quantity_of(spec: &DeviceSpec) -> QuantityKind {
+pub(crate) fn quantity_of(spec: &DeviceSpec) -> QuantityKind {
     spec.quantity
 }
 

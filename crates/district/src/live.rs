@@ -74,12 +74,12 @@ impl LiveMonitorNode {
     }
 
     /// The area resolution, once the master answered.
-    pub fn resolution(&self) -> Option<&AreaResolution> {
+    pub(crate) fn resolution(&self) -> Option<&AreaResolution> {
         self.resolution.as_ref()
     }
 
     /// The latest value for a `(device, quantity)` series.
-    pub fn latest(&self, device: &str, quantity: &str) -> Option<&LiveValue> {
+    pub(crate) fn latest(&self, device: &str, quantity: &str) -> Option<&LiveValue> {
         self.latest.get(&(device.to_owned(), quantity.to_owned()))
     }
 
@@ -96,7 +96,7 @@ impl LiveMonitorNode {
     }
 
     /// The broker this monitor listens on.
-    pub fn broker(&self) -> NodeId {
+    pub(crate) fn broker(&self) -> NodeId {
         self.broker
     }
 

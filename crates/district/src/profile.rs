@@ -94,7 +94,7 @@ impl ProfileClientNode {
 
     /// Convenience: adds a one-shot profile client for `district` on
     /// `deployment`'s master.
-    pub fn spawn(
+    pub(crate) fn spawn(
         sim: &mut simnet::Simulator,
         deployment: &Deployment,
         district: DistrictId,

@@ -71,7 +71,7 @@ impl RelayNode {
     }
 
     /// Counters.
-    pub fn stats(&self) -> RelayStats {
+    pub(crate) fn stats(&self) -> RelayStats {
         self.stats
     }
 

@@ -238,7 +238,12 @@ impl FederationSpec {
     }
 
     /// Overrides the bridge flush policy (fluent).
-    pub fn with_batch(mut self, max_items: usize, max_bytes: usize, max_age: SimDuration) -> Self {
+    pub(crate) fn with_batch(
+        mut self,
+        max_items: usize,
+        max_bytes: usize,
+        max_age: SimDuration,
+    ) -> Self {
         self.batch_max_items = max_items;
         self.batch_max_bytes = max_bytes;
         self.batch_max_age = max_age;
@@ -285,14 +290,14 @@ impl OverloadSpec {
     }
 
     /// Overrides the master gate (fluent).
-    pub fn with_master(mut self, capacity: u64, rate: f64) -> Self {
+    pub(crate) fn with_master(mut self, capacity: u64, rate: f64) -> Self {
         self.master_capacity = capacity;
         self.master_rate = rate;
         self
     }
 
     /// Overrides the aggregator gate (fluent).
-    pub fn with_aggregator(mut self, capacity: u64, rate: f64) -> Self {
+    pub(crate) fn with_aggregator(mut self, capacity: u64, rate: f64) -> Self {
         self.aggregator_capacity = capacity;
         self.aggregator_rate = rate;
         self

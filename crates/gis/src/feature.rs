@@ -31,7 +31,7 @@ impl Geometry {
     }
 
     /// Translates to the common data format.
-    pub fn to_value(&self) -> Value {
+    pub(crate) fn to_value(&self) -> Value {
         match self {
             Geometry::Point(p) => Value::object([
                 ("type", Value::from("point")),
@@ -52,7 +52,7 @@ impl Geometry {
     /// # Errors
     ///
     /// Returns [`CoreError::Shape`] on the wrong shape.
-    pub fn from_value(v: &Value) -> Result<Self, CoreError> {
+    pub(crate) fn from_value(v: &Value) -> Result<Self, CoreError> {
         match v.require_str("geometry", "type")? {
             "point" => Ok(Geometry::Point(GeoPoint::from_value(
                 v.require("geometry", "coordinates")?,
@@ -98,7 +98,7 @@ impl Feature {
     }
 
     /// The feature id.
-    pub fn id(&self) -> &str {
+    pub(crate) fn id(&self) -> &str {
         &self.id
     }
 
@@ -108,7 +108,7 @@ impl Feature {
     }
 
     /// The property document.
-    pub fn properties(&self) -> &Value {
+    pub(crate) fn properties(&self) -> &Value {
         &self.properties
     }
 
@@ -160,12 +160,12 @@ impl GisDatabase {
     }
 
     /// Number of features.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.docs.len()
     }
 
     /// True when empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.docs.is_empty()
     }
 
@@ -197,7 +197,7 @@ impl GisDatabase {
     }
 
     /// All feature ids, sorted.
-    pub fn ids(&self) -> Vec<&str> {
+    pub(crate) fn ids(&self) -> Vec<&str> {
         self.docs.iter().map(|(id, _)| id).collect()
     }
 

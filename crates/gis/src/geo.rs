@@ -238,7 +238,7 @@ impl Polygon {
     }
 
     /// The vertex ring.
-    pub fn vertices(&self) -> &[GeoPoint] {
+    pub(crate) fn vertices(&self) -> &[GeoPoint] {
         &self.vertices
     }
 

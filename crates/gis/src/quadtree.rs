@@ -48,7 +48,7 @@ impl<T> QuadTree<T> {
     }
 
     /// The covered region.
-    pub fn bounds(&self) -> BoundingBox {
+    pub(crate) fn bounds(&self) -> BoundingBox {
         self.bounds
     }
 
@@ -58,7 +58,7 @@ impl<T> QuadTree<T> {
     }
 
     /// True when no items are stored.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
@@ -85,7 +85,7 @@ impl<T> QuadTree<T> {
     }
 
     /// Visits all items.
-    pub fn iter(&self) -> impl Iterator<Item = (&GeoPoint, &T)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&GeoPoint, &T)> {
         let mut stack = vec![&self.root];
         std::iter::from_fn(move || loop {
             let node = stack.pop()?;

@@ -339,7 +339,7 @@ impl MasterNode {
     }
 
     /// Number of device registrations parked waiting for their entity.
-    pub fn parked_count(&self) -> usize {
+    pub(crate) fn parked_count(&self) -> usize {
         self.parked.len()
     }
 

@@ -25,7 +25,7 @@ pub enum SpaceUse {
 
 impl SpaceUse {
     /// The lowercase name used in exports.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             SpaceUse::Office => "office",
             SpaceUse::Residential => "residential",
@@ -39,7 +39,7 @@ impl SpaceUse {
     /// # Errors
     ///
     /// Returns [`CoreError::UnknownSymbol`] otherwise.
-    pub fn parse(s: &str) -> Result<Self, CoreError> {
+    pub(crate) fn parse(s: &str) -> Result<Self, CoreError> {
         [
             SpaceUse::Office,
             SpaceUse::Residential,
@@ -92,7 +92,7 @@ pub enum EnvelopeKind {
 
 impl EnvelopeKind {
     /// The lowercase name used in exports.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             EnvelopeKind::Wall => "wall",
             EnvelopeKind::Window => "window",
@@ -106,7 +106,7 @@ impl EnvelopeKind {
     /// # Errors
     ///
     /// Returns [`CoreError::UnknownSymbol`] otherwise.
-    pub fn parse(s: &str) -> Result<Self, CoreError> {
+    pub(crate) fn parse(s: &str) -> Result<Self, CoreError> {
         [
             EnvelopeKind::Wall,
             EnvelopeKind::Window,
@@ -158,7 +158,7 @@ pub struct BuildingModel {
 
 impl BuildingModel {
     /// Creates an empty model for `building`.
-    pub fn new(building: BuildingId, name: impl Into<String>) -> Self {
+    pub(crate) fn new(building: BuildingId, name: impl Into<String>) -> Self {
         BuildingModel {
             building,
             name: name.into(),
@@ -233,37 +233,37 @@ impl BuildingModel {
     }
 
     /// The building name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
     /// The storeys.
-    pub fn storeys(&self) -> &[Storey] {
+    pub(crate) fn storeys(&self) -> &[Storey] {
         &self.storeys
     }
 
     /// The envelope elements.
-    pub fn envelope(&self) -> &[EnvelopeElement] {
+    pub(crate) fn envelope(&self) -> &[EnvelopeElement] {
         &self.envelope
     }
 
     /// The equipment.
-    pub fn equipment(&self) -> &[Equipment] {
+    pub(crate) fn equipment(&self) -> &[Equipment] {
         &self.equipment
     }
 
     /// Adds a storey.
-    pub fn add_storey(&mut self, storey: Storey) {
+    pub(crate) fn add_storey(&mut self, storey: Storey) {
         self.storeys.push(storey);
     }
 
     /// Adds an envelope element.
-    pub fn add_envelope(&mut self, element: EnvelopeElement) {
+    pub(crate) fn add_envelope(&mut self, element: EnvelopeElement) {
         self.envelope.push(element);
     }
 
     /// Adds equipment.
-    pub fn add_equipment(&mut self, equipment: Equipment) {
+    pub(crate) fn add_equipment(&mut self, equipment: Equipment) {
         self.equipment.push(equipment);
     }
 
@@ -277,7 +277,7 @@ impl BuildingModel {
     }
 
     /// Number of spaces.
-    pub fn space_count(&self) -> usize {
+    pub(crate) fn space_count(&self) -> usize {
         self.storeys.iter().map(|s| s.spaces.len()).sum()
     }
 
@@ -288,7 +288,7 @@ impl BuildingModel {
     }
 
     /// Total rated equipment power in watts.
-    pub fn installed_power_w(&self) -> f64 {
+    pub(crate) fn installed_power_w(&self) -> f64 {
         self.equipment.iter().map(|e| e.rated_w).sum()
     }
 

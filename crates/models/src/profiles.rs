@@ -19,12 +19,12 @@ mod simnet_free_rng {
 
     impl NoiseRng {
         /// Creates a stream from a seed.
-        pub fn new(seed: u64) -> Self {
+        pub(crate) fn new(seed: u64) -> Self {
             NoiseRng(seed)
         }
 
         /// The next sample in `[-1, 1]`.
-        pub fn next_unit(&mut self) -> f64 {
+        pub(crate) fn next_unit(&mut self) -> f64 {
             self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = self.0;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -90,7 +90,7 @@ impl EnergyProfile {
     }
 
     /// A profile with an explicit scale.
-    pub fn with_scale(quantity: QuantityKind, scale: f64, seed: u64) -> Self {
+    pub(crate) fn with_scale(quantity: QuantityKind, scale: f64, seed: u64) -> Self {
         EnergyProfile {
             quantity,
             scale,
@@ -102,13 +102,13 @@ impl EnergyProfile {
     }
 
     /// The quantity generated.
-    pub fn quantity(&self) -> QuantityKind {
+    pub(crate) fn quantity(&self) -> QuantityKind {
         self.quantity
     }
 
     /// The occupancy factor in `[0, 1]` at a time: the daily double hump
     /// damped on weekends.
-    pub fn occupancy(unix_millis: i64) -> f64 {
+    pub(crate) fn occupancy(unix_millis: i64) -> f64 {
         let h = day_fraction(unix_millis) * 24.0;
         let morning = (-((h - 9.0) / 2.5).powi(2)).exp();
         let evening = (-((h - 19.0) / 3.0).powi(2)).exp();
@@ -121,7 +121,7 @@ impl EnergyProfile {
     }
 
     /// Outdoor temperature in °C at a time (seasonal + daily swing).
-    pub fn outdoor_temperature(unix_millis: i64) -> f64 {
+    pub(crate) fn outdoor_temperature(unix_millis: i64) -> f64 {
         let season = -(2.0 * std::f64::consts::PI * year_fraction(unix_millis)).cos();
         let daily = -(2.0 * std::f64::consts::PI * (day_fraction(unix_millis) - 0.17)).cos();
         12.0 + 10.0 * season + 4.0 * daily

@@ -32,7 +32,7 @@ impl NetworkKind {
     }
 
     /// The two-letter code used in legacy records.
-    pub fn code(self) -> &'static str {
+    pub(crate) fn code(self) -> &'static str {
         match self {
             NetworkKind::Electrical => "EL",
             NetworkKind::DistrictHeating => "DH",
@@ -40,7 +40,7 @@ impl NetworkKind {
     }
 
     /// Parses either the name or the legacy code.
-    pub fn parse(s: &str) -> Option<Self> {
+    pub(crate) fn parse(s: &str) -> Option<Self> {
         match s {
             "electrical" | "EL" => Some(NetworkKind::Electrical),
             "district_heating" | "DH" => Some(NetworkKind::DistrictHeating),
@@ -64,7 +64,7 @@ pub enum NodeKind {
 
 impl NodeKind {
     /// The three-letter code used in legacy records.
-    pub fn code(self) -> &'static str {
+    pub(crate) fn code(self) -> &'static str {
         match self {
             NodeKind::Plant => "PLT",
             NodeKind::Substation => "SUB",
@@ -74,7 +74,7 @@ impl NodeKind {
     }
 
     /// Parses a code produced by [`NodeKind::code`].
-    pub fn parse(s: &str) -> Option<Self> {
+    pub(crate) fn parse(s: &str) -> Option<Self> {
         match s {
             "PLT" => Some(NodeKind::Plant),
             "SUB" => Some(NodeKind::Substation),
@@ -125,7 +125,7 @@ pub struct NetworkModel {
 
 impl NetworkModel {
     /// Creates an empty network.
-    pub fn new(network: NetworkId, kind: NetworkKind) -> Self {
+    pub(crate) fn new(network: NetworkId, kind: NetworkKind) -> Self {
         NetworkModel {
             network,
             kind,
@@ -197,27 +197,27 @@ impl NetworkModel {
     }
 
     /// The nodes.
-    pub fn nodes(&self) -> &[NetNode] {
+    pub(crate) fn nodes(&self) -> &[NetNode] {
         &self.nodes
     }
 
     /// The edges.
-    pub fn edges(&self) -> &[NetEdge] {
+    pub(crate) fn edges(&self) -> &[NetEdge] {
         &self.edges
     }
 
     /// Adds a node.
-    pub fn add_node(&mut self, node: NetNode) {
+    pub(crate) fn add_node(&mut self, node: NetNode) {
         self.nodes.push(node);
     }
 
     /// Adds an edge.
-    pub fn add_edge(&mut self, edge: NetEdge) {
+    pub(crate) fn add_edge(&mut self, edge: NetEdge) {
         self.edges.push(edge);
     }
 
     /// The node with `id`.
-    pub fn node(&self, id: &str) -> Option<&NetNode> {
+    pub(crate) fn node(&self, id: &str) -> Option<&NetNode> {
         self.nodes.iter().find(|n| n.id == id)
     }
 
@@ -301,7 +301,7 @@ impl NetworkModel {
     }
 
     /// The fixed-width layout of legacy SIM records.
-    pub fn record_layout() -> RecordLayout {
+    pub(crate) fn record_layout() -> RecordLayout {
         RecordLayout::new(vec![
             FieldSpec::new("rec", 1),  // N or E
             FieldSpec::new("net", 12), // network id

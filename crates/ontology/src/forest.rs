@@ -205,7 +205,7 @@ impl Ontology {
     /// # Errors
     ///
     /// Returns [`OntologyError::DuplicateDistrict`] if it exists.
-    pub fn add_tree(&mut self, tree: DistrictTree) -> Result<(), OntologyError> {
+    pub(crate) fn add_tree(&mut self, tree: DistrictTree) -> Result<(), OntologyError> {
         if self.districts.contains_key(tree.district()) {
             return Err(OntologyError::DuplicateDistrict(tree.district().clone()));
         }

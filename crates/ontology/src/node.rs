@@ -223,7 +223,7 @@ impl DeviceLeaf {
     }
 
     /// The device location, if set.
-    pub fn location(&self) -> Option<GeoPoint> {
+    pub(crate) fn location(&self) -> Option<GeoPoint> {
         self.location
     }
 
@@ -281,7 +281,7 @@ pub struct DistrictTree {
 
 impl DistrictTree {
     /// Creates an empty district tree.
-    pub fn new(district: DistrictId, name: impl Into<String>) -> Self {
+    pub(crate) fn new(district: DistrictId, name: impl Into<String>) -> Self {
         DistrictTree {
             district,
             name: name.into(),
@@ -305,12 +305,12 @@ impl DistrictTree {
     }
 
     /// The GIS Database-proxy URIs.
-    pub fn gis_proxies(&self) -> &[Uri] {
+    pub(crate) fn gis_proxies(&self) -> &[Uri] {
         &self.gis_proxies
     }
 
     /// The measurement-database proxy URIs.
-    pub fn measurement_proxies(&self) -> &[Uri] {
+    pub(crate) fn measurement_proxies(&self) -> &[Uri] {
         &self.measurement_proxies
     }
 
@@ -320,7 +320,7 @@ impl DistrictTree {
     }
 
     /// Root properties.
-    pub fn properties(&self) -> &Value {
+    pub(crate) fn properties(&self) -> &Value {
         &self.properties
     }
 
@@ -359,7 +359,7 @@ impl DistrictTree {
     }
 
     /// Sets root properties.
-    pub fn set_properties(&mut self, properties: Value) {
+    pub(crate) fn set_properties(&mut self, properties: Value) {
         self.properties = properties;
     }
 
@@ -428,7 +428,7 @@ impl DistrictTree {
     /// # Errors
     ///
     /// Returns [`CoreError`] on the wrong shape.
-    pub fn from_value(v: &Value) -> Result<Self, CoreError> {
+    pub(crate) fn from_value(v: &Value) -> Result<Self, CoreError> {
         const T: &str = "district tree";
         let uris = |key: &str| -> Result<Vec<Uri>, CoreError> {
             v.require_array(T, key)?

@@ -55,7 +55,7 @@ impl TriplePattern {
     }
 
     /// Restricts the subject.
-    pub fn with_subject(mut self, s: impl Into<String>) -> Self {
+    pub(crate) fn with_subject(mut self, s: impl Into<String>) -> Self {
         self.subject = Some(s.into());
         self
     }
@@ -73,7 +73,7 @@ impl TriplePattern {
     }
 
     /// Whether `triple` matches.
-    pub fn matches(&self, triple: &Triple) -> bool {
+    pub(crate) fn matches(&self, triple: &Triple) -> bool {
         self.subject.as_deref().is_none_or(|s| s == triple.subject)
             && self
                 .predicate

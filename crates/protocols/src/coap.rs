@@ -67,12 +67,12 @@ impl CoapCode {
 
     /// The class digit (0 request, 2 success, 4 client error, 5 server
     /// error).
-    pub fn class(self) -> u8 {
+    pub(crate) fn class(self) -> u8 {
         self.0 >> 5
     }
 
     /// The detail digits.
-    pub fn detail(self) -> u8 {
+    pub(crate) fn detail(self) -> u8 {
         self.0 & 0x1F
     }
 
@@ -151,7 +151,12 @@ impl CoapMessage {
     }
 
     /// The piggy-backed response to this request.
-    pub fn respond(&self, code: CoapCode, content_format: Option<u16>, payload: Vec<u8>) -> Self {
+    pub(crate) fn respond(
+        &self,
+        code: CoapCode,
+        content_format: Option<u16>,
+        payload: Vec<u8>,
+    ) -> Self {
         CoapMessage {
             mtype: CoapType::Acknowledgement,
             code,
@@ -164,7 +169,7 @@ impl CoapMessage {
     }
 
     /// The Uri-Path joined with `/`.
-    pub fn path(&self) -> String {
+    pub(crate) fn path(&self) -> String {
         self.uri_path.join("/")
     }
 

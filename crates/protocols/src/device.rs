@@ -59,7 +59,7 @@ fn quantity_code(q: QuantityKind) -> u8 {
 /// # Errors
 ///
 /// Returns [`ProtocolError::Unsupported`] for unknown codes.
-pub fn quantity_from_code(code: u8) -> Result<QuantityKind, ProtocolError> {
+pub(crate) fn quantity_from_code(code: u8) -> Result<QuantityKind, ProtocolError> {
     QuantityKind::all()
         .iter()
         .copied()
@@ -95,7 +95,7 @@ impl Ieee802154Sensor {
     }
 
     /// The MAC short address.
-    pub fn short_address(&self) -> u16 {
+    pub(crate) fn short_address(&self) -> u16 {
         self.short_address
     }
 
@@ -175,12 +175,12 @@ impl ZigbeeSensor {
     }
 
     /// The NWK short address.
-    pub fn nwk_address(&self) -> u16 {
+    pub(crate) fn nwk_address(&self) -> u16 {
         self.nwk_address
     }
 
     /// The cluster and attribute that report `quantity`, if supported.
-    pub fn cluster_for(quantity: QuantityKind) -> Option<(ClusterId, u16)> {
+    pub(crate) fn cluster_for(quantity: QuantityKind) -> Option<(ClusterId, u16)> {
         match quantity {
             QuantityKind::Temperature => Some((ClusterId::TEMPERATURE_MEASUREMENT, 0x0000)),
             QuantityKind::Humidity => Some((ClusterId::RELATIVE_HUMIDITY, 0x0000)),
@@ -194,7 +194,7 @@ impl ZigbeeSensor {
     }
 
     /// Converts a canonical-unit value into the cluster's wire scaling.
-    pub fn scale_to_wire(quantity: QuantityKind, value: f64) -> ZclValue {
+    pub(crate) fn scale_to_wire(quantity: QuantityKind, value: f64) -> ZclValue {
         match quantity {
             // centidegrees Celsius
             QuantityKind::Temperature => ZclValue::I16((value * 100.0) as i16),
@@ -257,12 +257,12 @@ impl EnoceanSensor {
     }
 
     /// The 32-bit radio id.
-    pub fn sender_id(&self) -> u32 {
+    pub(crate) fn sender_id(&self) -> u32 {
         self.sender_id
     }
 
     /// The equipment profile.
-    pub fn eep(&self) -> Eep {
+    pub(crate) fn eep(&self) -> Eep {
         self.eep
     }
 
@@ -353,7 +353,7 @@ impl OpcUaFieldServer {
     }
 
     /// Grants direct access to the address space (for browsing tests).
-    pub fn space_mut(&mut self) -> &mut AddressSpace {
+    pub(crate) fn space_mut(&mut self) -> &mut AddressSpace {
         &mut self.space
     }
 

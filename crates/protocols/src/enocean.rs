@@ -17,7 +17,7 @@ use crate::ieee802154::Reader;
 use crate::ProtocolError;
 
 /// CRC-8 with polynomial 0x07 (init 0), as used by ESP3.
-pub fn crc8(bytes: &[u8]) -> u8 {
+pub(crate) fn crc8(bytes: &[u8]) -> u8 {
     let mut crc: u8 = 0;
     for &b in bytes {
         crc ^= b;
@@ -54,7 +54,7 @@ impl Rorg {
     }
 
     /// Number of user-data bytes for this RORG.
-    pub fn data_len(self) -> usize {
+    pub(crate) fn data_len(self) -> usize {
         match self {
             Rorg::Rps | Rorg::OneBs => 1,
             Rorg::FourBs => 4,
@@ -109,7 +109,7 @@ impl Erp1Telegram {
     }
 
     /// Encodes the telegram body (RORG + data + sender + status).
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(2 + self.data.len() + 4);
         out.push(self.rorg.byte());
         out.extend_from_slice(&self.data);
@@ -123,7 +123,7 @@ impl Erp1Telegram {
     /// # Errors
     ///
     /// Returns [`ProtocolError`] on truncation or an unknown RORG.
-    pub fn decode(bytes: &[u8]) -> Result<Self, ProtocolError> {
+    pub(crate) fn decode(bytes: &[u8]) -> Result<Self, ProtocolError> {
         const CTX: &str = "erp1 telegram";
         let mut r = Reader::new(bytes, CTX);
         let rorg = Rorg::from_byte(r.u8()?)?;
@@ -276,7 +276,7 @@ pub enum Eep {
 
 impl Eep {
     /// The RORG this profile rides on.
-    pub fn rorg(self) -> Rorg {
+    pub(crate) fn rorg(self) -> Rorg {
         match self {
             Eep::A50205 | Eep::A50401 | Eep::A51201 => Rorg::FourBs,
             Eep::D50001 => Rorg::OneBs,
@@ -285,7 +285,7 @@ impl Eep {
     }
 
     /// The profile name in `RR-FF-TT` notation.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Eep::A50205 => "A5-02-05",
             Eep::A50401 => "A5-04-01",

@@ -135,7 +135,7 @@ impl MacFrame {
     }
 
     /// Builds the acknowledgement for a frame with `sequence`.
-    pub fn ack(sequence: u8) -> Self {
+    pub(crate) fn ack(sequence: u8) -> Self {
         MacFrame {
             frame_type: FrameType::Ack,
             ack_request: false,
@@ -150,7 +150,7 @@ impl MacFrame {
     }
 
     /// Builds a beacon frame from `src` in `pan`.
-    pub fn beacon(pan: PanId, src: Address, sequence: u8, payload: Vec<u8>) -> Self {
+    pub(crate) fn beacon(pan: PanId, src: Address, sequence: u8, payload: Vec<u8>) -> Self {
         MacFrame {
             frame_type: FrameType::Beacon,
             ack_request: false,
@@ -313,7 +313,7 @@ fn read_address(r: &mut Reader<'_>, mode: u16) -> Result<Address, ProtocolError>
 
 /// CRC-16/CCITT as used by the 802.15.4 FCS (poly 0x1021, init 0x0000,
 /// reflected input/output).
-pub fn crc16_ccitt(bytes: &[u8]) -> u16 {
+pub(crate) fn crc16_ccitt(bytes: &[u8]) -> u16 {
     let mut crc: u16 = 0x0000;
     for &b in bytes {
         crc ^= u16::from(b);

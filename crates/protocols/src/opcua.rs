@@ -210,7 +210,7 @@ impl DataValue {
     }
 
     /// A bad-quality placeholder carrying only a status.
-    pub fn bad(status: StatusCode) -> Self {
+    pub(crate) fn bad(status: StatusCode) -> Self {
         DataValue {
             value: None,
             status,
@@ -603,22 +603,22 @@ impl std::fmt::Debug for AddressSpace {
 
 impl AddressSpace {
     /// Creates an empty address space.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         AddressSpace::default()
     }
 
     /// Number of nodes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.nodes.len()
     }
 
     /// True when the space has no nodes.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
 
     /// Adds an object (folder) node, optionally under `parent`.
-    pub fn add_object(
+    pub(crate) fn add_object(
         &mut self,
         id: NodeId,
         browse_name: impl Into<String>,
@@ -635,7 +635,7 @@ impl AddressSpace {
     }
 
     /// Adds a variable node, optionally under `parent`.
-    pub fn add_variable(
+    pub(crate) fn add_variable(
         &mut self,
         id: NodeId,
         browse_name: impl Into<String>,
@@ -684,7 +684,7 @@ impl AddressSpace {
     ///
     /// Returns [`StatusCode::BAD_NODE_ID_UNKNOWN`] if the node does not
     /// exist or is not a variable.
-    pub fn set_value(
+    pub(crate) fn set_value(
         &mut self,
         id: &NodeId,
         value: Variant,
@@ -700,13 +700,13 @@ impl AddressSpace {
     }
 
     /// Reads a variable's current value.
-    pub fn value(&self, id: &NodeId) -> Option<&DataValue> {
+    pub(crate) fn value(&self, id: &NodeId) -> Option<&DataValue> {
         self.nodes.get(id).and_then(|n| n.value.as_ref())
     }
 
     /// Answers a service request. Requests that are themselves responses
     /// yield an empty `ReadResponse` (servers ignore them).
-    pub fn handle(&mut self, request: &Message) -> Message {
+    pub(crate) fn handle(&mut self, request: &Message) -> Message {
         match request {
             Message::ReadRequest { nodes } => Message::ReadResponse {
                 results: nodes.iter().map(|rv| self.read_one(rv)).collect(),

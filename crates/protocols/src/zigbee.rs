@@ -52,7 +52,7 @@ pub enum ZclValue {
 
 impl ZclValue {
     /// The ZCL data type discriminator byte.
-    pub fn type_id(self) -> u8 {
+    pub(crate) fn type_id(self) -> u8 {
         match self {
             ZclValue::Bool(_) => 0x10,
             ZclValue::U8(_) => 0x20,
@@ -65,7 +65,7 @@ impl ZclValue {
     }
 
     /// The value widened to `f64` (how adapters consume it).
-    pub fn as_f64(self) -> f64 {
+    pub(crate) fn as_f64(self) -> f64 {
         match self {
             ZclValue::Bool(b) => f64::from(u8::from(b)),
             ZclValue::U8(v) => f64::from(v),

@@ -261,7 +261,7 @@ impl OpcUaAdapter {
     }
 
     /// Declares a writable setpoint node for actuation.
-    pub fn with_writable_node(mut self, node: UaNodeId) -> Self {
+    pub(crate) fn with_writable_node(mut self, node: UaNodeId) -> Self {
         self.writable_node = Some(node);
         self
     }

@@ -277,7 +277,7 @@ impl MeasurementArchiveSource {
     }
 
     /// True when the archive holds nothing.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.batch.is_empty()
     }
 }
@@ -370,7 +370,7 @@ impl DatabaseProxyNode {
     }
 
     /// Replaces the query admission limits.
-    pub fn set_admission_limits(&mut self, capacity: u64, drain_per_sec: f64) {
+    pub(crate) fn set_admission_limits(&mut self, capacity: u64, drain_per_sec: f64) {
         self.gate = AdmissionGate::new(capacity, drain_per_sec);
     }
 
@@ -380,7 +380,7 @@ impl DatabaseProxyNode {
     }
 
     /// The counters.
-    pub fn stats(&self) -> &DatabaseProxyStats {
+    pub(crate) fn stats(&self) -> &DatabaseProxyStats {
         &self.stats
     }
 

@@ -262,7 +262,7 @@ impl DeviceProxyNode {
     }
 
     /// Replaces the data-query admission limits.
-    pub fn set_admission_limits(&mut self, capacity: u64, drain_per_sec: f64) {
+    pub(crate) fn set_admission_limits(&mut self, capacity: u64, drain_per_sec: f64) {
         self.gate = AdmissionGate::new(capacity, drain_per_sec);
     }
 
@@ -273,7 +273,7 @@ impl DeviceProxyNode {
 
     /// Overrides the bounded store-and-forward capacity (default
     /// [`STORE_FORWARD_CAPACITY`] QoS 1 samples).
-    pub fn set_store_forward_capacity(&mut self, capacity: usize) {
+    pub(crate) fn set_store_forward_capacity(&mut self, capacity: usize) {
         self.backlog_capacity = capacity;
     }
 
@@ -306,7 +306,7 @@ impl DeviceProxyNode {
     }
 
     /// The topic this proxy publishes `quantity` under.
-    pub fn topic_for(&self, quantity: QuantityKind) -> Topic {
+    pub(crate) fn topic_for(&self, quantity: QuantityKind) -> Topic {
         MeasurementTopic::new(
             self.config.district.as_str(),
             self.config.entity_id.as_str(),

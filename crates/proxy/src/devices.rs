@@ -159,7 +159,7 @@ impl OpcUaFieldNode {
     }
 
     /// The wrapped server (e.g. to read its value node id).
-    pub fn server(&self) -> &OpcUaFieldServer {
+    pub(crate) fn server(&self) -> &OpcUaFieldServer {
         &self.server
     }
 
@@ -234,7 +234,7 @@ impl CoapFieldNode {
     }
 
     /// The wrapped server (e.g. to read received actuations).
-    pub fn server(&self) -> &CoapFieldServer {
+    pub(crate) fn server(&self) -> &CoapFieldServer {
         &self.server
     }
 

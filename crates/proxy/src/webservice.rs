@@ -59,7 +59,7 @@ pub enum Method {
 
 impl Method {
     /// The canonical name.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Method::Get => "GET",
             Method::Post => "POST",
@@ -132,7 +132,7 @@ impl WsRequest {
     }
 
     /// Serializes: one format byte, then the envelope in that format.
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         encode_envelope(self.format, |w| {
             w.begin_object();
             w.key("body");
@@ -157,7 +157,7 @@ impl WsRequest {
     /// # Errors
     ///
     /// Returns [`CoreError`] on an unknown marker or malformed envelope.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CoreError> {
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Result<Self, CoreError> {
         const T: &str = "ws request";
         let (format, text) = split_marker(bytes)?;
         let mut r = Reader::new(format, text);
@@ -268,7 +268,7 @@ impl WsResponse {
     }
 
     /// The `Retry-After` hint of a shed response, when present.
-    pub fn retry_after(&self) -> Option<SimDuration> {
+    pub(crate) fn retry_after(&self) -> Option<SimDuration> {
         let ms = self.body.get("retry_after_ms")?.as_i64()?;
         Some(SimDuration::from_millis(ms.max(0) as u64))
     }
@@ -503,7 +503,7 @@ impl WsServer {
     /// Sends a response that is already serialized — by
     /// [`encode_response`] or [`WsResponse::to_bytes`] — in the format
     /// of the call's request.
-    pub fn respond_encoded(&self, ctx: &mut Context<'_>, call: &WsCall, response: &[u8]) {
+    pub(crate) fn respond_encoded(&self, ctx: &mut Context<'_>, call: &WsCall, response: &[u8]) {
         self.tracker
             .respond(ctx, call.from, WS_PORT, call.id, response);
     }
@@ -554,7 +554,7 @@ impl WsClient {
     }
 
     /// Number of requests in flight.
-    pub fn outstanding(&self) -> usize {
+    pub(crate) fn outstanding(&self) -> usize {
         self.tracker.outstanding()
     }
 

@@ -320,7 +320,7 @@ impl BrokerNode {
     }
 
     /// Number of live subscriptions.
-    pub fn subscription_count(&self) -> usize {
+    pub(crate) fn subscription_count(&self) -> usize {
         self.subscriptions.len()
     }
 
@@ -331,7 +331,7 @@ impl BrokerNode {
 
     /// Overrides the bound on the unacked QoS 1 delivery table (default
     /// [`DEFAULT_PENDING_CAPACITY`]).
-    pub fn set_pending_capacity(&mut self, capacity: usize) {
+    pub(crate) fn set_pending_capacity(&mut self, capacity: usize) {
         self.pending_capacity = Some(capacity);
     }
 

@@ -101,7 +101,7 @@ impl PubSubClient {
     }
 
     /// The broker this client talks to.
-    pub fn broker(&self) -> NodeId {
+    pub(crate) fn broker(&self) -> NodeId {
         self.broker
     }
 
@@ -111,7 +111,7 @@ impl PubSubClient {
     }
 
     /// Subscriptions this client currently remembers.
-    pub fn subscriptions(&self) -> &[(TopicFilter, QoS)] {
+    pub(crate) fn subscriptions(&self) -> &[(TopicFilter, QoS)] {
         &self.subs
     }
 

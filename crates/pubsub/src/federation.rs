@@ -78,12 +78,12 @@ impl ShardMap {
     }
 
     /// The degenerate single-broker map: everything owned by shard 0.
-    pub fn single() -> Self {
+    pub(crate) fn single() -> Self {
         ShardMap::new(1)
     }
 
     /// Number of shards.
-    pub fn shards(&self) -> usize {
+    pub(crate) fn shards(&self) -> usize {
         self.shards
     }
 

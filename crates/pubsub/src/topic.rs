@@ -83,7 +83,7 @@ impl Topic {
     }
 
     /// The segments.
-    pub fn segments(&self) -> impl Iterator<Item = &str> {
+    pub(crate) fn segments(&self) -> impl Iterator<Item = &str> {
         self.text.split('/')
     }
 }
@@ -121,7 +121,7 @@ impl<'a> TopicRef<'a> {
     ///
     /// Returns [`PubSubError::InvalidTopic`] under exactly the same
     /// grammar as [`Topic::new`].
-    pub fn new(text: &'a str) -> Result<Self, PubSubError> {
+    pub(crate) fn new(text: &'a str) -> Result<Self, PubSubError> {
         match Topic::validate(text) {
             Ok(()) => Ok(TopicRef { text }),
             Err(reason) => Err(PubSubError::InvalidTopic {
@@ -132,17 +132,17 @@ impl<'a> TopicRef<'a> {
     }
 
     /// The topic text.
-    pub fn as_str(self) -> &'a str {
+    pub(crate) fn as_str(self) -> &'a str {
         self.text
     }
 
     /// The segments.
-    pub fn segments(self) -> impl Iterator<Item = &'a str> {
+    pub(crate) fn segments(self) -> impl Iterator<Item = &'a str> {
         self.text.split('/')
     }
 
     /// Materializes an owned [`Topic`], skipping re-validation.
-    pub fn to_topic(self) -> Topic {
+    pub(crate) fn to_topic(self) -> Topic {
         Topic {
             text: self.text.to_owned(),
         }
@@ -280,7 +280,7 @@ impl<'a> TopicFilterRef<'a> {
     ///
     /// Returns [`PubSubError::InvalidFilter`] under exactly the same
     /// grammar as [`TopicFilter::new`].
-    pub fn new(text: &'a str) -> Result<Self, PubSubError> {
+    pub(crate) fn new(text: &'a str) -> Result<Self, PubSubError> {
         match TopicFilter::validate(text) {
             Ok(()) => Ok(TopicFilterRef { text }),
             Err(reason) => Err(PubSubError::InvalidFilter {
@@ -291,12 +291,12 @@ impl<'a> TopicFilterRef<'a> {
     }
 
     /// The filter text.
-    pub fn as_str(self) -> &'a str {
+    pub(crate) fn as_str(self) -> &'a str {
         self.text
     }
 
     /// Materializes an owned [`TopicFilter`], skipping re-validation.
-    pub fn to_filter(self) -> TopicFilter {
+    pub(crate) fn to_filter(self) -> TopicFilter {
         TopicFilter {
             text: self.text.to_owned(),
         }
@@ -441,7 +441,7 @@ pub struct RollupTopic {
 
 impl RollupTopic {
     /// District-wide rollup topic.
-    pub fn district(
+    pub(crate) fn district(
         district: impl Into<String>,
         quantity: impl Into<String>,
         window_millis: i64,
@@ -455,7 +455,7 @@ impl RollupTopic {
     }
 
     /// Per-entity rollup topic.
-    pub fn entity(
+    pub(crate) fn entity(
         district: impl Into<String>,
         entity: impl Into<String>,
         quantity: impl Into<String>,
@@ -475,7 +475,7 @@ impl RollupTopic {
     ///
     /// Returns [`PubSubError::InvalidTopic`] when a segment violates the
     /// grammar or the window is not strictly positive.
-    pub fn topic(&self) -> Result<Topic, PubSubError> {
+    pub(crate) fn topic(&self) -> Result<Topic, PubSubError> {
         RollupTopic::render(
             &self.district,
             self.scoped_entity(),
@@ -522,7 +522,7 @@ impl RollupTopic {
     /// Parses a topic back into its typed form; `None` when the topic
     /// does not follow the rollup grammar (including non-numeric or
     /// non-positive windows).
-    pub fn parse(topic: &Topic) -> Option<Self> {
+    pub(crate) fn parse(topic: &Topic) -> Option<Self> {
         let segs: Vec<&str> = topic.segments().collect();
         let (district, scope, quantity, window) = match segs.as_slice() {
             ["district", district, "agg", "district", quantity, window] => {
@@ -631,7 +631,7 @@ impl<T: PartialEq> SubscriptionTrie<T> {
     }
 
     /// True when the trie holds no subscriptions.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 

@@ -209,7 +209,7 @@ pub struct BridgeFrame {
 
 impl BridgeFrame {
     /// A borrowed view of this frame, for allocation-free encoding.
-    pub fn view(&self) -> BridgeFrameRef<'_> {
+    pub(crate) fn view(&self) -> BridgeFrameRef<'_> {
         BridgeFrameRef {
             topic: TopicRef::from(&self.topic),
             payload: &self.payload,
@@ -366,7 +366,7 @@ pub struct BridgeFrameRef<'a> {
 
 impl BridgeFrameRef<'_> {
     /// Materializes an owned [`BridgeFrame`].
-    pub fn to_frame(&self) -> BridgeFrame {
+    pub(crate) fn to_frame(&self) -> BridgeFrame {
         BridgeFrame {
             topic: self.topic.to_topic(),
             payload: self.payload.to_vec(),

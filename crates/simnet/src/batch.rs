@@ -91,7 +91,7 @@ impl<T> Batcher<T> {
     }
 
     /// The governing policy.
-    pub fn policy(&self) -> &BatchPolicy {
+    pub(crate) fn policy(&self) -> &BatchPolicy {
         &self.policy
     }
 
@@ -106,7 +106,7 @@ impl<T> Batcher<T> {
     }
 
     /// Buffered payload bytes.
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         self.bytes
     }
 
@@ -141,7 +141,7 @@ impl<T> Batcher<T> {
     /// is scrape-visible. Call after pushes/takes, e.g. once per flush.
     /// The names are built and resolved on the first call only, so a
     /// batcher keeps one registry and one prefix.
-    pub fn refresh_gauges(&self, registry: &Registry, prefix: &str) {
+    pub(crate) fn refresh_gauges(&self, registry: &Registry, prefix: &str) {
         let (items, bytes) = self.gauges.get_or_init(|| {
             (
                 registry.gauge_handle(&format!("{prefix}.items")),

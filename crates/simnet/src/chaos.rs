@@ -192,7 +192,7 @@ impl FaultPlan {
     }
 
     /// Number of scheduled faults.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.events.len()
     }
 
@@ -202,7 +202,7 @@ impl FaultPlan {
     }
 
     /// The scheduled events (unsorted, in insertion order).
-    pub fn events(&self) -> &[FaultEvent] {
+    pub(crate) fn events(&self) -> &[FaultEvent] {
         &self.events
     }
 
@@ -336,7 +336,7 @@ impl ChaosRunner {
     }
 
     /// Number of faults not yet injected.
-    pub fn pending_faults(&self) -> usize {
+    pub(crate) fn pending_faults(&self) -> usize {
         self.events.len() - self.next
     }
 

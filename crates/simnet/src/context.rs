@@ -156,7 +156,7 @@ impl Context<'_> {
 
     /// Cancels a pending timer. Cancelling an already-fired or unknown
     /// timer is a no-op.
-    pub fn cancel_timer(&mut self, id: TimerId) {
+    pub(crate) fn cancel_timer(&mut self, id: TimerId) {
         self.effects.push(Effect::CancelTimer(id.0));
     }
 }

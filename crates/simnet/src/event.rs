@@ -60,11 +60,11 @@ pub(crate) struct EventQueue {
 }
 
 impl EventQueue {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventQueue::default()
     }
 
-    pub fn push(&mut self, time: SimTime, kind: EventKind) {
+    pub(crate) fn push(&mut self, time: SimTime, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
         let slot = match self.free.pop() {
@@ -81,7 +81,7 @@ impl EventQueue {
         self.wheel.push(time, seq, slot);
     }
 
-    pub fn pop(&mut self) -> Option<Event> {
+    pub(crate) fn pop(&mut self) -> Option<Event> {
         let (time, seq, slot) = self.wheel.pop()?;
         let kind = self.arena[slot as usize]
             .take()
@@ -92,16 +92,16 @@ impl EventQueue {
 
     /// `&mut` because peeking may cascade wheel buckets; the observable
     /// order is unaffected.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
         self.wheel.peek_time()
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.wheel.len()
     }
 
     #[allow(dead_code)] // exercised by tests
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.wheel.is_empty()
     }
 
@@ -110,12 +110,12 @@ impl EventQueue {
     /// quiesce.
     ///
     /// [`len`]: EventQueue::len
-    pub fn arena_in_use(&self) -> usize {
+    pub(crate) fn arena_in_use(&self) -> usize {
         self.arena.len() - self.free.len()
     }
 
     /// High-water mark of the arena: total slots ever grown.
-    pub fn arena_capacity(&self) -> usize {
+    pub(crate) fn arena_capacity(&self) -> usize {
         self.arena.len()
     }
 }

@@ -60,7 +60,7 @@ impl LinkModel {
 
     /// A metropolitan WAN hop as between district sites: 10 ms latency,
     /// 20 Mbit/s, 1 ms jitter, 0.1 % loss.
-    pub fn wan() -> Self {
+    pub(crate) fn wan() -> Self {
         LinkModel {
             latency: SimDuration::from_millis(10),
             bandwidth_bps: 20_000_000,
@@ -75,7 +75,7 @@ impl LinkModel {
     /// This is the default cross-shard link of a sharded
     /// [`Simulator`](crate::Simulator); being jitter- and loss-free it contributes its full 5 ms latency
     /// as conservative lookahead.
-    pub fn backbone() -> Self {
+    pub(crate) fn backbone() -> Self {
         LinkModel {
             latency: SimDuration::from_millis(5),
             bandwidth_bps: 1_000_000_000,
@@ -86,7 +86,7 @@ impl LinkModel {
 
     /// A low-power wireless sensor hop (802.15.4-class): 5 ms latency,
     /// 250 kbit/s, 2 ms jitter, 1 % loss.
-    pub fn wireless_sensor() -> Self {
+    pub(crate) fn wireless_sensor() -> Self {
         LinkModel {
             latency: SimDuration::from_millis(5),
             bandwidth_bps: 250_000,
@@ -96,22 +96,22 @@ impl LinkModel {
     }
 
     /// Base propagation latency.
-    pub fn latency(&self) -> SimDuration {
+    pub(crate) fn latency(&self) -> SimDuration {
         self.latency
     }
 
     /// Serialization rate in bits per second.
-    pub fn bandwidth_bps(&self) -> u64 {
+    pub(crate) fn bandwidth_bps(&self) -> u64 {
         self.bandwidth_bps
     }
 
     /// Maximum symmetric jitter added or subtracted from the latency.
-    pub fn jitter(&self) -> SimDuration {
+    pub(crate) fn jitter(&self) -> SimDuration {
         self.jitter
     }
 
     /// Independent per-packet loss probability in `[0, 1]`.
-    pub fn loss_probability(&self) -> f64 {
+    pub(crate) fn loss_probability(&self) -> f64 {
         self.loss
     }
 
@@ -121,7 +121,7 @@ impl LinkModel {
     /// Used by the parallel runner to derive its conservative lookahead:
     /// a cross-shard packet sampled at time `t` arrives no earlier than
     /// `t + min_delay()`.
-    pub fn min_delay(&self) -> Option<SimDuration> {
+    pub(crate) fn min_delay(&self) -> Option<SimDuration> {
         if self.loss >= 1.0 {
             return None;
         }
@@ -130,7 +130,7 @@ impl LinkModel {
 
     /// Decides the fate of one packet of `wire_size` bytes: `None` if the
     /// packet is lost, otherwise the delivery delay.
-    pub fn sample_delay(
+    pub(crate) fn sample_delay(
         &self,
         wire_size: usize,
         rng: &mut DeterministicRng,

@@ -45,7 +45,7 @@ impl NodeId {
     }
 
     /// The dense in-shard slot index of this id.
-    pub const fn local_index(self) -> usize {
+    pub(crate) const fn local_index(self) -> usize {
         (self.0 & Self::LOCAL_MASK) as usize
     }
 }
@@ -108,7 +108,7 @@ impl Packet {
     ///
     /// The 32-byte header approximates the framing overhead of a small
     /// UDP/6LoWPAN datagram and keeps zero-length payloads from being free.
-    pub fn wire_size(&self) -> usize {
+    pub(crate) fn wire_size(&self) -> usize {
         self.payload.len() + 32
     }
 }

@@ -142,18 +142,18 @@ impl AdmissionGate {
     }
 
     /// Current bucket level (after draining to `now`).
-    pub fn level(&mut self, now: SimTime) -> f64 {
+    pub(crate) fn level(&mut self, now: SimTime) -> f64 {
         self.drain(now);
         self.level
     }
 
     /// Requests admitted over the gate's lifetime.
-    pub fn admitted(&self) -> u64 {
+    pub(crate) fn admitted(&self) -> u64 {
         self.admitted
     }
 
     /// Requests shed over the gate's lifetime.
-    pub fn shed(&self) -> u64 {
+    pub(crate) fn shed(&self) -> u64 {
         self.shed
     }
 }
@@ -216,7 +216,7 @@ impl RetryBudget {
 
     /// Claims one retry token at `now`. Returns `false` (and counts
     /// the exhaustion) when the budget is empty.
-    pub fn try_claim(&self, now: SimTime) -> bool {
+    pub(crate) fn try_claim(&self, now: SimTime) -> bool {
         let mut g = self.inner.lock().unwrap();
         let elapsed = now.saturating_since(g.last).as_secs_f64();
         g.last = g.last.max(now);
@@ -231,7 +231,7 @@ impl RetryBudget {
     }
 
     /// Tokens currently available (after refilling to `now`).
-    pub fn tokens(&self, now: SimTime) -> f64 {
+    pub(crate) fn tokens(&self, now: SimTime) -> f64 {
         let mut g = self.inner.lock().unwrap();
         let elapsed = now.saturating_since(g.last).as_secs_f64();
         g.last = g.last.max(now);
@@ -359,7 +359,7 @@ impl CircuitBreaker {
     }
 
     /// Times the breaker has tripped open.
-    pub fn trips(&self) -> u64 {
+    pub(crate) fn trips(&self) -> u64 {
         self.trips
     }
 

@@ -388,7 +388,7 @@ impl Simulator {
     }
 
     /// Overrides the link model for the directed pair `(src, dst)` only.
-    pub fn set_link_directed(&mut self, src: NodeId, dst: NodeId, model: LinkModel) {
+    pub(crate) fn set_link_directed(&mut self, src: NodeId, dst: NodeId, model: LinkModel) {
         if src.shard() != dst.shard() {
             // Track the override so the lookahead can adapt; delay
             // sampling happens on the sending shard.
@@ -398,7 +398,7 @@ impl Simulator {
     }
 
     /// The link model in effect from `src` to `dst`.
-    pub fn link_model(&self, src: NodeId, dst: NodeId) -> LinkModel {
+    pub(crate) fn link_model(&self, src: NodeId, dst: NodeId) -> LinkModel {
         self.owner(src).link(src, dst).clone()
     }
 
@@ -415,13 +415,13 @@ impl Simulator {
     /// Panics if `factor` is below 1.0: shrinking delays under the
     /// lookahead would break conservative synchrony, and gray failures
     /// only slow nodes down.
-    pub fn set_node_slowdown(&mut self, id: NodeId, factor: f64) {
+    pub(crate) fn set_node_slowdown(&mut self, id: NodeId, factor: f64) {
         assert!(factor >= 1.0, "slowdown factors must be >= 1.0");
         self.owner_mut(id).set_node_slowdown(id, factor);
     }
 
     /// The node's current gray-failure slowdown factor (1.0 = normal).
-    pub fn node_slowdown(&self, id: NodeId) -> f64 {
+    pub(crate) fn node_slowdown(&self, id: NodeId) -> f64 {
         self.owner(id).node_slowdown(id)
     }
 
@@ -449,7 +449,7 @@ impl Simulator {
     /// different groups are dropped at the sender until
     /// [`Simulator::heal`] is called. Nodes not listed in any group keep
     /// full connectivity. Replaces any previous partition.
-    pub fn partition(&mut self, groups: Vec<Vec<NodeId>>) {
+    pub(crate) fn partition(&mut self, groups: Vec<Vec<NodeId>>) {
         let sizes: Vec<String> = groups.iter().map(|g| g.len().to_string()).collect();
         // Every shard drops cross-group packets at its own senders, so
         // each needs the full group list.
@@ -463,7 +463,7 @@ impl Simulator {
     }
 
     /// Lifts the active partition, restoring full connectivity.
-    pub fn heal(&mut self) {
+    pub(crate) fn heal(&mut self) {
         let mut healed = false;
         for s in &mut self.shards {
             healed |= s.heal();
@@ -477,7 +477,7 @@ impl Simulator {
     /// records it into the trace stream of [`Simulator::telemetry`]
     /// (chaos controllers use this for faults the simulator does not
     /// apply itself, e.g. link flaps).
-    pub fn record_fault(&self, kind: &'static str, detail: fmt::Arguments<'_>) {
+    pub(crate) fn record_fault(&self, kind: &'static str, detail: fmt::Arguments<'_>) {
         self.shards[0].record_fault(kind, detail);
     }
 
@@ -538,7 +538,7 @@ impl Simulator {
     /// Panics if a cross-shard link that can deliver has zero minimum
     /// delay while more than one shard exists — conservative synchrony
     /// would need zero-width windows.
-    pub fn lookahead(&self) -> SimDuration {
+    pub(crate) fn lookahead(&self) -> SimDuration {
         let la = self
             .cross_links
             .values()

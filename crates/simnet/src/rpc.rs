@@ -232,7 +232,7 @@ impl RequestTracker {
     }
 
     /// Creates a tracker with an explicit [`RetryPolicy`].
-    pub fn with_policy(tag_base: u64, policy: RetryPolicy) -> Self {
+    pub(crate) fn with_policy(tag_base: u64, policy: RetryPolicy) -> Self {
         RequestTracker {
             tag_base,
             next_id: 0,
@@ -253,7 +253,7 @@ impl RequestTracker {
     }
 
     /// The attached retry budget, if any.
-    pub fn retry_budget(&self) -> Option<&RetryBudget> {
+    pub(crate) fn retry_budget(&self) -> Option<&RetryBudget> {
         self.budget.as_ref()
     }
 
@@ -381,7 +381,7 @@ impl RequestTracker {
     }
 
     /// Whether a timer tag belongs to this tracker's namespace.
-    pub fn owns_tag(&self, tag: TimerTag) -> bool {
+    pub(crate) fn owns_tag(&self, tag: TimerTag) -> bool {
         tag.0 >= self.tag_base && self.pending.contains_key(&(tag.0 - self.tag_base))
     }
 }

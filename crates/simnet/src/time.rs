@@ -40,7 +40,7 @@ impl SimTime {
     }
 
     /// Creates an instant `millis` milliseconds after simulation start.
-    pub const fn from_millis(millis: u64) -> Self {
+    pub(crate) const fn from_millis(millis: u64) -> Self {
         SimTime(millis * 1_000_000)
     }
 
@@ -60,7 +60,7 @@ impl SimTime {
     }
 
     /// Milliseconds since simulation start as a float.
-    pub fn as_millis_f64(self) -> f64 {
+    pub(crate) fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 
@@ -96,7 +96,7 @@ impl SimDuration {
     }
 
     /// Creates a duration from microseconds.
-    pub const fn from_micros(micros: u64) -> Self {
+    pub(crate) const fn from_micros(micros: u64) -> Self {
         SimDuration(micros * 1_000)
     }
 
@@ -111,7 +111,7 @@ impl SimDuration {
     }
 
     /// Creates a duration from whole minutes.
-    pub const fn from_mins(mins: u64) -> Self {
+    pub(crate) const fn from_mins(mins: u64) -> Self {
         SimDuration(mins * 60_000_000_000)
     }
 
@@ -149,12 +149,12 @@ impl SimDuration {
     }
 
     /// True if this is the zero duration.
-    pub const fn is_zero(self) -> bool {
+    pub(crate) const fn is_zero(self) -> bool {
         self.0 == 0
     }
 
     /// Saturating subtraction.
-    pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
+    pub(crate) fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
     }
 }
@@ -360,12 +360,12 @@ impl TimerWheel {
     }
 
     /// Number of entries in the wheel.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// True when the wheel holds no entries.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
@@ -388,7 +388,7 @@ impl TimerWheel {
     }
 
     /// The `time` of the entry the next [`TimerWheel::pop`] returns.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
         self.prepare();
         self.ready.last().map(|e| SimTime::from_nanos(e.time_ns))
     }

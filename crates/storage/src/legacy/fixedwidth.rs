@@ -71,12 +71,12 @@ impl RecordLayout {
     }
 
     /// The field specs.
-    pub fn fields(&self) -> &[FieldSpec] {
+    pub(crate) fn fields(&self) -> &[FieldSpec] {
         &self.fields
     }
 
     /// Total line width.
-    pub fn total_width(&self) -> usize {
+    pub(crate) fn total_width(&self) -> usize {
         self.total_width
     }
 
@@ -129,7 +129,7 @@ impl RecordLayout {
     ///
     /// Returns [`StorageError::ParseLegacy`] if the line has the wrong
     /// length or is not ASCII.
-    pub fn parse_record(&self, line: &str) -> Result<Vec<String>, StorageError> {
+    pub(crate) fn parse_record(&self, line: &str) -> Result<Vec<String>, StorageError> {
         if !line.is_ascii() {
             return Err(StorageError::ParseLegacy {
                 format: "fixed-width",

@@ -38,17 +38,17 @@ impl IniDocument {
     }
 
     /// Gets `key` from `section`.
-    pub fn get(&self, section: &str, key: &str) -> Option<&str> {
+    pub(crate) fn get(&self, section: &str, key: &str) -> Option<&str> {
         self.sections.get(section)?.get(key).map(String::as_str)
     }
 
     /// Iterates over section names, sorted.
-    pub fn sections(&self) -> impl Iterator<Item = &str> {
+    pub(crate) fn sections(&self) -> impl Iterator<Item = &str> {
         self.sections.keys().map(String::as_str)
     }
 
     /// Iterates over the `(key, value)` pairs of one section, key-sorted.
-    pub fn section(&self, name: &str) -> impl Iterator<Item = (&str, &str)> {
+    pub(crate) fn section(&self, name: &str) -> impl Iterator<Item = (&str, &str)> {
         self.sections
             .get(name)
             .into_iter()
@@ -56,12 +56,12 @@ impl IniDocument {
     }
 
     /// Number of keys across all sections.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.sections.values().map(BTreeMap::len).sum()
     }
 
     /// True when no keys are stored.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 

@@ -43,7 +43,7 @@ pub enum Cell {
 
 impl Cell {
     /// Whether the cell is admissible in a column of `ty`.
-    pub fn fits(&self, ty: ColumnType) -> bool {
+    pub(crate) fn fits(&self, ty: ColumnType) -> bool {
         matches!(
             (self, ty),
             (Cell::Int(_), ColumnType::Int)
@@ -55,7 +55,7 @@ impl Cell {
     }
 
     /// Translates the cell into the common data format.
-    pub fn to_value(&self) -> Value {
+    pub(crate) fn to_value(&self) -> Value {
         match self {
             Cell::Int(i) => Value::Int(*i),
             Cell::Float(f) => Value::Float(*f),
@@ -184,12 +184,12 @@ impl Predicate {
     }
 
     /// Conjunction.
-    pub fn and(self, other: Predicate) -> Self {
+    pub(crate) fn and(self, other: Predicate) -> Self {
         Predicate::And(Box::new(self), Box::new(other))
     }
 
     /// Disjunction.
-    pub fn or(self, other: Predicate) -> Self {
+    pub(crate) fn or(self, other: Predicate) -> Self {
         Predicate::Or(Box::new(self), Box::new(other))
     }
 }
@@ -253,12 +253,12 @@ impl Table {
     }
 
     /// The table name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
     /// The schema.
-    pub fn columns(&self) -> &[Column] {
+    pub(crate) fn columns(&self) -> &[Column] {
         &self.columns
     }
 
@@ -268,7 +268,7 @@ impl Table {
     }
 
     /// True when the table has no rows.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
 
@@ -396,7 +396,7 @@ impl Table {
 
     /// Translates a row into a common-data-format object keyed by column
     /// names.
-    pub fn row_to_value(&self, row: &[Cell]) -> Value {
+    pub(crate) fn row_to_value(&self, row: &[Cell]) -> Value {
         Value::object(
             self.columns
                 .iter()

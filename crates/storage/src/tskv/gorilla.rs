@@ -28,12 +28,12 @@ pub struct BitWriter {
 
 impl BitWriter {
     /// An empty writer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         BitWriter::default()
     }
 
     /// Appends the low `n` bits of `v`, most significant first.
-    pub fn push_bits(&mut self, v: u64, n: u32) {
+    pub(crate) fn push_bits(&mut self, v: u64, n: u32) {
         debug_assert!(n <= 64);
         for i in (0..n).rev() {
             let byte_idx = self.bit_len >> 3;
@@ -48,7 +48,7 @@ impl BitWriter {
     }
 
     /// The packed bytes (trailing bits zero-padded).
-    pub fn finish(self) -> Box<[u8]> {
+    pub(crate) fn finish(self) -> Box<[u8]> {
         self.bytes.into_boxed_slice()
     }
 }
@@ -66,7 +66,7 @@ pub struct BitReader<'a> {
 
 impl<'a> BitReader<'a> {
     /// A reader over `bytes`.
-    pub fn new(bytes: &'a [u8]) -> Self {
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
         BitReader {
             bytes,
             byte_pos: 0,
@@ -132,7 +132,7 @@ impl<'a> BitReader<'a> {
 
     /// Reads `n <= 64` bits, most significant first.
     #[inline]
-    pub fn read_bits(&mut self, n: u32) -> u64 {
+    pub(crate) fn read_bits(&mut self, n: u32) -> u64 {
         if n <= 32 {
             self.read_small(n)
         } else {
@@ -144,7 +144,7 @@ impl<'a> BitReader<'a> {
 
     /// Reads one bit.
     #[inline]
-    pub fn read_bit(&mut self) -> bool {
+    pub(crate) fn read_bit(&mut self) -> bool {
         self.read_small(1) == 1
     }
 }
@@ -247,7 +247,7 @@ fn detect_decimal_scale(points: &[(i64, f64)]) -> Option<u8> {
 
 /// Encodes a strictly-increasing-timestamp point run into a bitstream.
 /// The count is carried out of band (in the segment header).
-pub fn encode_block(points: &[(i64, f64)]) -> Box<[u8]> {
+pub(crate) fn encode_block(points: &[(i64, f64)]) -> Box<[u8]> {
     let mut w = BitWriter::new();
     if points.is_empty() {
         return w.finish();
@@ -343,7 +343,7 @@ pub struct BlockIter<'a> {
 
 impl<'a> BlockIter<'a> {
     /// A decoder over `bytes` holding `count` points.
-    pub fn new(bytes: &'a [u8], count: u32) -> Self {
+    pub(crate) fn new(bytes: &'a [u8], count: u32) -> Self {
         BlockIter {
             r: BitReader::new(bytes),
             remaining: count,

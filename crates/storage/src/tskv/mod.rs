@@ -65,7 +65,7 @@ pub enum Aggregate {
 
 impl Aggregate {
     /// The lowercase name used in query strings.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Aggregate::Mean => "mean",
             Aggregate::Min => "min",

@@ -67,7 +67,7 @@ pub(crate) struct MergeScan<'a> {
 
 impl<'a> MergeScan<'a> {
     /// A merged scan over one series' head and segments.
-    pub fn new(
+    pub(crate) fn new(
         head: &'a std::collections::BTreeMap<i64, f64>,
         segments: &'a [Segment],
         from: i64,
@@ -131,7 +131,7 @@ impl<'a> MergeScan<'a> {
     /// covers the frontier it drains that source's decoder in a
     /// monomorphic tight loop — segment scans run at decode speed
     /// instead of paying the merge bookkeeping per point.
-    pub fn for_each(mut self, mut f: impl FnMut(i64, f64)) {
+    pub(crate) fn for_each(mut self, mut f: impl FnMut(i64, f64)) {
         loop {
             if self.active.is_empty() {
                 if self.pending.is_empty() {

@@ -63,7 +63,7 @@ pub(crate) struct Segment {
 impl Segment {
     /// Seals `points` (sorted, strictly increasing timestamps,
     /// non-empty) into an L0 segment.
-    pub fn seal(points: &[(i64, f64)], seq: u64) -> Segment {
+    pub(crate) fn seal(points: &[(i64, f64)], seq: u64) -> Segment {
         debug_assert!(!points.is_empty());
         Segment {
             seq,
@@ -79,7 +79,7 @@ impl Segment {
 
     /// Seals `points` as the compacted owner of `[span.0, span.1)`,
     /// materializing one rollup level per entry in `level_millis`.
-    pub fn seal_compacted(
+    pub(crate) fn seal_compacted(
         points: &[(i64, f64)],
         seq: u64,
         span: (i64, i64),
@@ -92,12 +92,12 @@ impl Segment {
     }
 
     /// A lazy decoder over the segment's points.
-    pub fn iter(&self) -> BlockIter<'_> {
+    pub(crate) fn iter(&self) -> BlockIter<'_> {
         BlockIter::new(&self.bytes, self.count)
     }
 
     /// True when the segment may hold points in `[from, to)`.
-    pub fn overlaps(&self, from: i64, to: i64) -> bool {
+    pub(crate) fn overlaps(&self, from: i64, to: i64) -> bool {
         self.min_t < to && self.max_t >= from
     }
 }

@@ -46,7 +46,7 @@ pub(crate) struct Wal {
 
 impl Wal {
     /// Logs one mutation; returns its sequence.
-    pub fn append(&mut self, op: WalOp) -> u64 {
+    pub(crate) fn append(&mut self, op: WalOp) -> u64 {
         self.next_seq += 1;
         let seq = self.next_seq;
         self.records.push(WalRecord { seq, op });
@@ -54,23 +54,23 @@ impl Wal {
     }
 
     /// Sequence of the most recent record (0 before any append).
-    pub fn last_seq(&self) -> u64 {
+    pub(crate) fn last_seq(&self) -> u64 {
         self.next_seq
     }
 
     /// Records with `seq > after`, oldest first.
-    pub fn records_after(&self, after: u64) -> &[WalRecord] {
+    pub(crate) fn records_after(&self, after: u64) -> &[WalRecord] {
         let start = self.records.partition_point(|r| r.seq <= after);
         &self.records[start..]
     }
 
     /// Number of live (untruncated) records.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.records.len()
     }
 
     /// Drops every record with `seq <= through` (checkpoint truncate).
-    pub fn truncate_through(&mut self, through: u64) {
+    pub(crate) fn truncate_through(&mut self, through: u64) {
         let start = self.records.partition_point(|r| r.seq <= through);
         self.records.drain(..start);
     }

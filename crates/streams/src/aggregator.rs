@@ -330,7 +330,7 @@ impl AggregatorNode {
     }
 
     /// The local rollup store, for inspection.
-    pub fn store(&self) -> &TimeSeriesStore {
+    pub(crate) fn store(&self) -> &TimeSeriesStore {
         &self.store
     }
 

@@ -34,7 +34,7 @@ pub struct Rollup {
 
 impl Rollup {
     /// Window end (unix millis, exclusive).
-    pub fn window_end(&self) -> i64 {
+    pub(crate) fn window_end(&self) -> i64 {
         self.window_start + self.window_millis
     }
 
@@ -48,7 +48,7 @@ impl Rollup {
     /// # Errors
     ///
     /// Returns [`PubSubError`] when an id violates the topic grammar.
-    pub fn topic(&self) -> Result<Topic, PubSubError> {
+    pub(crate) fn topic(&self) -> Result<Topic, PubSubError> {
         RollupTopic::render(
             &self.district,
             self.entity.as_deref(),
@@ -62,7 +62,7 @@ impl Rollup {
     /// driver's — from the borrowed parts of a window the aggregator has
     /// just closed, without building a `Rollup` or a tree.
     #[allow(clippy::too_many_arguments)] // the rollup record field for field
-    pub fn write_fields(
+    pub(crate) fn write_fields(
         w: &mut Writer<'_>,
         district: &str,
         entity: Option<&str>,
@@ -102,7 +102,7 @@ impl Rollup {
     }
 
     /// Translates to the common data format.
-    pub fn to_value(&self) -> Value {
+    pub(crate) fn to_value(&self) -> Value {
         Value::object([
             ("district", Value::from(self.district.as_str())),
             (

@@ -49,7 +49,7 @@ impl Default for Accumulator {
 
 impl Accumulator {
     /// An empty accumulator.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Accumulator {
             count: 0,
             sum: 0.0,
@@ -60,12 +60,12 @@ impl Accumulator {
     }
 
     /// Folds one sample in.
-    pub fn add(&mut self, value: f64, trace: TraceId) {
+    pub(crate) fn add(&mut self, value: f64, trace: TraceId) {
         self.add_spanned(value, trace, NO_SPAN);
     }
 
     /// Folds one sample in, remembering the span it arrived under.
-    pub fn add_spanned(&mut self, value: f64, trace: TraceId, span: SpanId) {
+    pub(crate) fn add_spanned(&mut self, value: f64, trace: TraceId, span: SpanId) {
         self.count += 1;
         self.sum += value;
         self.min = self.min.min(value);
@@ -77,7 +77,7 @@ impl Accumulator {
 
     /// Merges another accumulator in (used to roll buildings up into
     /// the district tier).
-    pub fn merge(&mut self, other: &Accumulator) {
+    pub(crate) fn merge(&mut self, other: &Accumulator) {
         self.count += other.count;
         self.sum += other.sum;
         self.min = self.min.min(other.min);
@@ -98,7 +98,7 @@ impl Accumulator {
     /// `(trace, span)` pairs of contributing samples (bounded to
     /// [`TRACE_CAP`]). The span is [`NO_SPAN`] for samples folded in
     /// through [`Accumulator::add`].
-    pub fn traces(&self) -> &[(TraceId, SpanId)] {
+    pub(crate) fn traces(&self) -> &[(TraceId, SpanId)] {
         &self.traces
     }
 }
@@ -135,35 +135,35 @@ impl WindowSpec {
     }
 
     /// Window length in milliseconds.
-    pub fn size_millis(&self) -> i64 {
+    pub(crate) fn size_millis(&self) -> i64 {
         self.size_millis
     }
 
     /// Window advance in milliseconds (equals the size for tumbling).
-    pub fn slide_millis(&self) -> i64 {
+    pub(crate) fn slide_millis(&self) -> i64 {
         self.slide_millis
     }
 
     /// Whether the windows tumble (no overlap).
-    pub fn is_tumbling(&self) -> bool {
+    pub(crate) fn is_tumbling(&self) -> bool {
         self.size_millis == self.slide_millis
     }
 
     /// End (exclusive) of the window starting at `start`.
-    pub fn window_end(&self, start: i64) -> i64 {
+    pub(crate) fn window_end(&self, start: i64) -> i64 {
         start + self.size_millis
     }
 
     /// Starts of every window containing event time `t`, ascending.
     /// Starts are aligned to multiples of the slide (epoch origin), so
     /// independent operators agree on window boundaries.
-    pub fn windows_for(&self, t: i64) -> Vec<i64> {
+    pub(crate) fn windows_for(&self, t: i64) -> Vec<i64> {
         self.window_starts(t).collect()
     }
 
     /// [`WindowSpec::windows_for`] without the `Vec`: what the
     /// per-sample path iterates.
-    pub fn window_starts(&self, t: i64) -> impl Iterator<Item = i64> {
+    pub(crate) fn window_starts(&self, t: i64) -> impl Iterator<Item = i64> {
         let slide = self.slide_millis;
         let newest = t.div_euclid(slide) * slide;
         // A start `newest - k * slide` still covers `t` while its end,
@@ -263,12 +263,12 @@ impl<K: Ord + Clone> WindowedAggregator<K> {
     }
 
     /// The window shape.
-    pub fn spec(&self) -> WindowSpec {
+    pub(crate) fn spec(&self) -> WindowSpec {
         self.spec
     }
 
     /// The lateness horizon in milliseconds.
-    pub fn lateness_millis(&self) -> i64 {
+    pub(crate) fn lateness_millis(&self) -> i64 {
         self.lateness_millis
     }
 
@@ -297,7 +297,7 @@ impl<K: Ord + Clone> WindowedAggregator<K> {
 
     /// Advances the watermark from an event time: the watermark trails
     /// the newest event by the lateness horizon.
-    pub fn advance_watermark(&mut self, event_time: i64) {
+    pub(crate) fn advance_watermark(&mut self, event_time: i64) {
         self.advance_watermark_to(event_time.saturating_sub(self.lateness_millis));
     }
 
@@ -310,7 +310,7 @@ impl<K: Ord + Clone> WindowedAggregator<K> {
 
     /// Like [`WindowedAggregator::observe`], but remembers the span the
     /// sample arrived under so window-close hops can parent onto it.
-    pub fn observe_spanned(
+    pub(crate) fn observe_spanned(
         &mut self,
         key: K,
         t: i64,
@@ -333,7 +333,7 @@ impl<K: Ord + Clone> WindowedAggregator<K> {
     /// panes without re-counting it in the stats (it was counted when
     /// first observed; the raw store, like the counters, survived the
     /// crash).
-    pub fn restore(&mut self, key: K, t: i64, value: f64) {
+    pub(crate) fn restore(&mut self, key: K, t: i64, value: f64) {
         self.advance_watermark(t);
         let _ = self.feed(key, t, value, NO_TRACE, NO_SPAN);
     }

@@ -18,7 +18,7 @@ use crate::metrics::MetricsSnapshot;
 use std::fmt::Write as _;
 
 /// Sanitises a dotted metric name into the Prometheus grammar.
-pub fn sanitize(name: &str) -> String {
+pub(crate) fn sanitize(name: &str) -> String {
     let mut out: String = name
         .chars()
         .map(|c| {

@@ -180,7 +180,7 @@ impl SpanTree {
 
     /// `true` if some root-to-descendant chain visits every one of the
     /// given event kinds in order (intermediate spans may interleave).
-    pub fn chain(&self, kinds: &[&str]) -> bool {
+    pub(crate) fn chain(&self, kinds: &[&str]) -> bool {
         fn descend(node: &SpanNode, kinds: &[&str]) -> bool {
             let rest = if kinds.first() == Some(&node.hop.kind.as_str()) {
                 &kinds[1..]
@@ -193,7 +193,7 @@ impl SpanTree {
     }
 
     /// The depth of the tree (longest root-to-leaf chain, in spans).
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         fn d(n: &SpanNode) -> usize {
             1 + n.children.iter().map(d).max().unwrap_or(0)
         }
@@ -252,7 +252,7 @@ impl fmt::Display for SpanTree {
 /// missing from the ring (evicted, or never recorded) becomes a root,
 /// so a truncated ring still yields a usable forest. Trees are
 /// returned in ascending trace-id order; siblings keep ring order.
-pub fn reconstruct_trees(events: &[TraceEvent]) -> Vec<SpanTree> {
+pub(crate) fn reconstruct_trees(events: &[TraceEvent]) -> Vec<SpanTree> {
     let mut by_trace: BTreeMap<TraceId, Vec<&TraceEvent>> = BTreeMap::new();
     for e in events {
         if e.trace_id != NO_TRACE && e.span != NO_SPAN {

@@ -67,7 +67,7 @@ impl Telemetry {
 
     /// Reconstructs per-trace flight paths from the current ring-buffer
     /// contents. See [`flight::reconstruct`].
-    pub fn flight_paths(&self) -> Vec<FlightPath> {
+    pub(crate) fn flight_paths(&self) -> Vec<FlightPath> {
         flight::reconstruct(&self.tracer.events())
     }
 
@@ -80,7 +80,7 @@ impl Telemetry {
     /// Refreshes the ops-plane self-observation gauges (`trace.dropped`,
     /// `trace.ring_len`) so scrapes expose trace-ring health instead of
     /// silently losing events.
-    pub fn refresh_ops_gauges(&self) {
+    pub(crate) fn refresh_ops_gauges(&self) {
         self.metrics
             .set_gauge("trace.dropped", self.tracer.dropped() as f64);
         self.metrics

@@ -164,18 +164,18 @@ impl Histogram {
         self.buckets.iter().map(|b| b.load(Relaxed)).sum()
     }
 
-    pub fn sum(&self) -> f64 {
+    pub(crate) fn sum(&self) -> f64 {
         self.sum.load()
     }
 
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         match self.count() {
             0 => 0.0,
             n => self.sum() / n as f64,
         }
     }
 
-    pub fn min(&self) -> f64 {
+    pub(crate) fn min(&self) -> f64 {
         if self.count() == 0 {
             0.0
         } else {
@@ -183,7 +183,7 @@ impl Histogram {
         }
     }
 
-    pub fn max(&self) -> f64 {
+    pub(crate) fn max(&self) -> f64 {
         if self.count() == 0 {
             0.0
         } else {
@@ -230,7 +230,7 @@ impl Histogram {
     /// 1.0 (no sample violates any bound).
     ///
     /// [`quantile`]: Histogram::quantile
-    pub fn fraction_le(&self, v: f64) -> f64 {
+    pub(crate) fn fraction_le(&self, v: f64) -> f64 {
         let count = self.count();
         if count == 0 || v >= self.max.load() {
             return 1.0;
@@ -244,7 +244,7 @@ impl Histogram {
     }
 
     /// Fixed quantile snapshot used by reports.
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         let count = self.count();
         let sum = self.sum();
         let empty = count == 0;
@@ -469,7 +469,7 @@ impl Registry {
 
     /// Fraction of one histogram's samples `<= v` (the CDF at `v`), if
     /// the histogram exists. See [`Histogram::fraction_le`].
-    pub fn fraction_le(&self, name: &str, v: f64) -> Option<f64> {
+    pub(crate) fn fraction_le(&self, name: &str, v: f64) -> Option<f64> {
         let names = self.names();
         Some(names.histograms.get(name)?.read()?.fraction_le(v))
     }

@@ -87,7 +87,7 @@ pub struct SloTracker {
 }
 
 impl SloTracker {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -120,14 +120,14 @@ impl SloTracker {
     }
 
     /// Registered specs, in name order.
-    pub fn specs(&self) -> Vec<SloSpec> {
+    pub(crate) fn specs(&self) -> Vec<SloSpec> {
         self.inner.lock().unwrap().specs.clone()
     }
 
     /// Runs every harvest over the given trace events, observing
     /// newly-completed flights into their registry histograms. Returns
     /// the number of new samples recorded.
-    pub fn harvest(&self, events: &[TraceEvent], registry: &Registry) -> usize {
+    pub(crate) fn harvest(&self, events: &[TraceEvent], registry: &Registry) -> usize {
         let mut g = self.inner.lock().unwrap();
         if g.harvests.is_empty() {
             return 0;
@@ -158,7 +158,7 @@ impl SloTracker {
     /// Evaluates every spec against the registry's current histograms.
     /// Reports come back in name order. A spec whose histogram has no
     /// samples yet is vacuously met with zero burn.
-    pub fn evaluate(&self, registry: &Registry) -> Vec<SloReport> {
+    pub(crate) fn evaluate(&self, registry: &Registry) -> Vec<SloReport> {
         let specs = self.specs();
         specs
             .into_iter()

@@ -225,7 +225,7 @@ impl Tracer {
 
     /// Mints a fresh non-zero span id (sequential, deterministic; the
     /// counter is shared across traces).
-    pub fn next_span_id(&self) -> SpanId {
+    pub(crate) fn next_span_id(&self) -> SpanId {
         self.inner().mint_span()
     }
 
@@ -324,7 +324,7 @@ impl Tracer {
         self.inner().ring.len()
     }
 
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
