@@ -132,10 +132,10 @@ impl Node for LoadPub {
         if self.traced {
             let trace = ctx.telemetry().tracer.next_trace_id();
             let span = ctx.trace_hop("pub.send", trace, format_args!("{}", self.topic.as_str()));
-            self.client.publish_spanned(
+            self.client.publish_ref(
                 ctx,
-                self.topic.clone(),
-                payload.into_bytes(),
+                &self.topic,
+                payload.as_bytes(),
                 false,
                 QoS::AtMostOnce,
                 trace,

@@ -25,7 +25,7 @@ use pubsub::{
     BrokerNode, PubSubClient, PubSubEvent, QoS, SubscriptionTrie, Topic, TopicFilter, PUBSUB_PORT,
 };
 use simnet::telemetry::flight::reconstruct;
-use simnet::telemetry::MetricsSnapshot;
+use simnet::telemetry::{MetricsSnapshot, NO_SPAN};
 use simnet::{Context, Node, NodeId, Packet, SimConfig, SimDuration, SimTime, Simulator, TimerTag};
 use std::hint::black_box;
 
@@ -72,13 +72,14 @@ impl Node for Pub {
         if tag == TimerTag(1) {
             self.published_at = Some(ctx.now());
             let trace = ctx.telemetry().tracer.next_trace_id();
-            self.client.publish_traced(
+            self.client.publish_ref(
                 ctx,
-                Topic::new("district/d0/entity/b0/device/dev0/temperature").expect("valid"),
-                b"{\"value\":21.5}".to_vec(),
+                &Topic::new("district/d0/entity/b0/device/dev0/temperature").expect("valid"),
+                b"{\"value\":21.5}",
                 false,
                 QoS::AtMostOnce,
                 trace,
+                NO_SPAN,
             );
         } else {
             self.client.on_timer(ctx, tag);

@@ -88,9 +88,10 @@ impl Deployment {
             ),
         );
         if let Some(ov) = scenario.config.overload {
+            let (capacity, rate) = ov.admission_limits();
             sim.node_mut::<MasterNode>(master)
                 .expect("just added")
-                .set_admission_limits(ov.master_capacity, ov.master_rate);
+                .set_admission_limits(capacity, rate);
         }
 
         // Broker tier: the classic single broker, or one labeled broker
@@ -236,7 +237,7 @@ fn deploy_district(
     );
 
     // Measurement archive (historical CSV) + proxy.
-    let archive_csv = synthesize_archive(spec, config.archive_rows, config.epoch_offset_millis);
+    let archive_csv = synthesize_archive(spec, config.epoch_offset_millis);
     let archive_source =
         MeasurementArchiveSource::new(&archive_csv).expect("synthesized archive is valid");
     let archive_proxy = sim.add_node_on(
@@ -320,7 +321,8 @@ fn deploy_district(
         agg_config.window = WindowSpec::tumbling(agg.window_millis);
         agg_config.lateness_millis = agg.lateness_millis;
         if let Some(ov) = config.overload {
-            agg_config = agg_config.with_admission(ov.aggregator_capacity, ov.aggregator_rate);
+            let (capacity, rate) = ov.admission_limits();
+            agg_config = agg_config.with_admission(capacity, rate);
         }
         sim.add_node_on(shard, format!("agg-{did}"), AggregatorNode::new(agg_config))
     });
@@ -450,8 +452,11 @@ fn district_pan_offset(district: &DistrictSpec) -> u16 {
     }) % 0x100
 }
 
+/// Rows of synthetic history in a district's measurement archive.
+const ARCHIVE_ROWS: usize = 32;
+
 /// Synthesizes the historical CSV archive of a district.
-fn synthesize_archive(spec: &DistrictSpec, rows: usize, epoch_millis: i64) -> String {
+fn synthesize_archive(spec: &DistrictSpec, epoch_millis: i64) -> String {
     use storage::legacy::csv::CsvDocument;
     let mut doc = CsvDocument::new(
         ["timestamp", "device", "quantity", "value", "unit"]
@@ -473,7 +478,7 @@ fn synthesize_archive(spec: &DistrictSpec, rows: usize, epoch_millis: i64) -> St
         .collect();
     // History: the week before the simulation epoch, hourly.
     let start = epoch_millis - 7 * 24 * 3_600_000;
-    for row in 0..rows {
+    for row in 0..ARCHIVE_ROWS {
         let idx = row % devices.len();
         let t = start + (row / devices.len()) as i64 * 3_600_000;
         let dev = devices[idx];
@@ -682,8 +687,8 @@ mod tests {
     #[test]
     fn archive_synthesis_is_valid_csv() {
         let scenario = ScenarioConfig::small().build();
-        let csv = synthesize_archive(&scenario.districts[0], 48, 1_000_000);
+        let csv = synthesize_archive(&scenario.districts[0], 1_000_000);
         let source = MeasurementArchiveSource::new(&csv).unwrap();
-        assert_eq!(source.len(), 48);
+        assert_eq!(source.len(), ARCHIVE_ROWS);
     }
 }

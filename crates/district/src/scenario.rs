@@ -217,46 +217,17 @@ pub struct FederationSpec {
     /// Number of broker shards (1 = the classic single broker, but
     /// deployed through the federation path).
     pub shards: usize,
-    /// Max publishes per bridge batch.
-    pub batch_max_items: usize,
-    /// Max payload bytes per bridge batch.
-    pub batch_max_bytes: usize,
-    /// Max age of a buffered bridge frame before a forced flush.
-    pub batch_max_age: SimDuration,
 }
 
 impl FederationSpec {
     /// `shards` brokers under the default bridge batch policy.
     pub fn sharded(shards: usize) -> Self {
-        let policy = simnet::batch::BatchPolicy::default();
-        FederationSpec {
-            shards,
-            batch_max_items: policy.max_items,
-            batch_max_bytes: policy.max_bytes,
-            batch_max_age: policy.max_age,
-        }
+        FederationSpec { shards }
     }
 
-    /// Overrides the bridge flush policy (fluent).
-    pub(crate) fn with_batch(
-        mut self,
-        max_items: usize,
-        max_bytes: usize,
-        max_age: SimDuration,
-    ) -> Self {
-        self.batch_max_items = max_items;
-        self.batch_max_bytes = max_bytes;
-        self.batch_max_age = max_age;
-        self
-    }
-
-    /// The simnet batch policy this spec describes.
+    /// The bridge batch policy of a federated deployment.
     pub fn batch_policy(&self) -> simnet::batch::BatchPolicy {
-        simnet::batch::BatchPolicy {
-            max_items: self.batch_max_items,
-            max_bytes: self.batch_max_bytes,
-            max_age: self.batch_max_age,
-        }
+        simnet::batch::BatchPolicy::default()
     }
 }
 
@@ -266,41 +237,20 @@ impl FederationSpec {
 /// defaults; setting it sizes the system for a capacity experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverloadSpec {
-    /// Master query-admission bound (queued queries).
-    pub master_capacity: u64,
-    /// Master sustained query rate (queries per second).
-    pub master_rate: f64,
-    /// Aggregator `/rollups` admission bound.
-    pub aggregator_capacity: u64,
-    /// Aggregator sustained `/rollups` rate (queries per second).
-    pub aggregator_rate: f64,
+    queries_per_sec: f64,
 }
 
 impl OverloadSpec {
     /// Sizes both admission gates from a single target service rate:
     /// capacity covers one second of burst at that rate.
     pub fn rate_limited(queries_per_sec: f64) -> Self {
-        let capacity = (queries_per_sec.ceil() as u64).max(1);
-        OverloadSpec {
-            master_capacity: capacity,
-            master_rate: queries_per_sec,
-            aggregator_capacity: capacity,
-            aggregator_rate: queries_per_sec,
-        }
+        OverloadSpec { queries_per_sec }
     }
 
-    /// Overrides the master gate (fluent).
-    pub(crate) fn with_master(mut self, capacity: u64, rate: f64) -> Self {
-        self.master_capacity = capacity;
-        self.master_rate = rate;
-        self
-    }
-
-    /// Overrides the aggregator gate (fluent).
-    pub(crate) fn with_aggregator(mut self, capacity: u64, rate: f64) -> Self {
-        self.aggregator_capacity = capacity;
-        self.aggregator_rate = rate;
-        self
+    /// The `(capacity, drain_per_sec)` every gated endpoint gets.
+    pub(crate) fn admission_limits(&self) -> (u64, f64) {
+        let capacity = (self.queries_per_sec.ceil() as u64).max(1);
+        (capacity, self.queries_per_sec)
     }
 }
 
@@ -327,8 +277,6 @@ pub struct ScenarioConfig {
     pub center: GeoPoint,
     /// QoS of middleware publication.
     pub publish_qos: QoS,
-    /// Rows of synthetic history per district measurement archive.
-    pub archive_rows: usize,
     /// Optional aggregation tier; `None` (the default) deploys no
     /// aggregators, preserving the seed topology.
     pub aggregation: Option<AggregationSpec>,
@@ -355,7 +303,6 @@ impl ScenarioConfig {
             epoch_offset_millis: DEFAULT_EPOCH_MILLIS,
             center: GeoPoint::new(45.0703, 7.6869), // Turin
             publish_qos: QoS::AtMostOnce,
-            archive_rows: 32,
             aggregation: None,
             federation: None,
             overload: None,

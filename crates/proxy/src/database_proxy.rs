@@ -369,11 +369,6 @@ impl DatabaseProxyNode {
         }
     }
 
-    /// Replaces the query admission limits.
-    pub(crate) fn set_admission_limits(&mut self, capacity: u64, drain_per_sec: f64) {
-        self.gate = AdmissionGate::new(capacity, drain_per_sec);
-    }
-
     /// Whether the master acknowledged registration.
     pub fn is_registered(&self) -> bool {
         self.master.is_registered()

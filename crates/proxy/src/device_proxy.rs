@@ -52,9 +52,8 @@ const RETENTION_PERIOD: SimDuration = SimDuration::from_hours(1);
 const TSKV_MAINTAIN_PERIOD: SimDuration = SimDuration::from_secs(300);
 const POLL_TIMEOUT: SimDuration = SimDuration::from_secs(2);
 
-/// Default bounded store-and-forward capacity (QoS 1 samples held while
-/// the broker is unreachable); override with
-/// [`DeviceProxyNode::set_store_forward_capacity`].
+/// Bounded store-and-forward capacity (QoS 1 samples held while the
+/// broker is unreachable).
 pub const STORE_FORWARD_CAPACITY: usize = 256;
 /// First replay probe delay after the broker is detected down; doubles
 /// (with jitter) up to [`REPLAY_BACKOFF_MAX`] on each failed probe.
@@ -206,7 +205,6 @@ pub struct DeviceProxyNode {
     inflight: HashMap<u64, BufferedSample>,
     /// Bounded store-and-forward buffer (oldest at the front).
     backlog: VecDeque<BufferedSample>,
-    backlog_capacity: usize,
     /// Whether the broker is currently considered unreachable.
     broker_down: bool,
     /// Current replay probe delay (exponential, jittered).
@@ -247,7 +245,6 @@ impl DeviceProxyNode {
             poll_tracker: RequestTracker::new(POLL_TAGS),
             inflight: HashMap::new(),
             backlog: VecDeque::new(),
-            backlog_capacity: STORE_FORWARD_CAPACITY,
             broker_down: false,
             replay_backoff: REPLAY_BACKOFF_BASE,
             gate: AdmissionGate::new(DEFAULT_ADMISSION_CAPACITY, DEFAULT_ADMISSION_RATE),
@@ -261,20 +258,9 @@ impl DeviceProxyNode {
             .get_or_init(|| ProxySeries::resolve(&ctx.telemetry().metrics))
     }
 
-    /// Replaces the data-query admission limits.
-    pub(crate) fn set_admission_limits(&mut self, capacity: u64, drain_per_sec: f64) {
-        self.gate = AdmissionGate::new(capacity, drain_per_sec);
-    }
-
     /// Whether the master has acknowledged registration.
     pub fn is_registered(&self) -> bool {
         self.master.is_registered()
-    }
-
-    /// Overrides the bounded store-and-forward capacity (default
-    /// [`STORE_FORWARD_CAPACITY`] QoS 1 samples).
-    pub(crate) fn set_store_forward_capacity(&mut self, capacity: usize) {
-        self.backlog_capacity = capacity;
     }
 
     /// QoS 1 samples currently parked waiting for the broker.
@@ -423,7 +409,7 @@ impl DeviceProxyNode {
     /// Parks a QoS 1 sample in the bounded store-and-forward buffer,
     /// shedding the oldest entry on overflow.
     fn buffer_sample(&mut self, ctx: &mut Context<'_>, mut sample: BufferedSample) {
-        if self.backlog.len() >= self.backlog_capacity {
+        if self.backlog.len() >= STORE_FORWARD_CAPACITY {
             self.backlog.pop_front();
             self.stats.shed_capacity += 1;
             self.series(ctx).shed_capacity.incr();
@@ -444,7 +430,7 @@ impl DeviceProxyNode {
     fn on_publish_timeout(&mut self, ctx: &mut Context<'_>, id: u64) {
         if let Some(mut sample) = self.inflight.remove(&id) {
             // Requeue at the front — it is older than everything parked.
-            if self.backlog.len() >= self.backlog_capacity {
+            if self.backlog.len() >= STORE_FORWARD_CAPACITY {
                 // It enters the buffer's books and is immediately shed
                 // (being the oldest), so `buffered == replayed +
                 // shed_capacity + backlog` stays an exact identity.

@@ -11,7 +11,7 @@ use std::cell::OnceCell;
 use models::profiles::EnergyProfile;
 use protocols::device::{CoapFieldServer, OpcUaFieldServer, UplinkDevice};
 use simnet::rpc::{self, RpcFrame};
-use simnet::telemetry::CounterHandle;
+use simnet::telemetry::{CounterHandle, NO_SPAN};
 use simnet::{Context, Node, Packet, SimDuration, SimTime, TimerTag};
 
 use crate::{COAP_PORT, DEVICE_UPLINK_PORT, OPCUA_PORT};
@@ -95,7 +95,7 @@ impl UplinkDeviceNode {
         self.samples
             .get_or_init(|| ctx.telemetry().metrics.counter_handle("device.samples"))
             .incr();
-        ctx.send_traced(self.proxy, DEVICE_UPLINK_PORT, bytes, trace);
+        ctx.send_spanned(self.proxy, DEVICE_UPLINK_PORT, bytes, trace, NO_SPAN);
         self.frames_sent += 1;
     }
 }

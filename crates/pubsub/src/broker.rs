@@ -4,7 +4,7 @@ use std::cell::OnceCell;
 use std::collections::HashMap;
 
 use simnet::batch::PushOutcome;
-use simnet::telemetry::{CounterHandle, GaugeHandle, HistogramHandle, Registry};
+use simnet::telemetry::{CounterHandle, GaugeHandle, HistogramHandle, Registry, NO_SPAN};
 use simnet::{Context, Node, Packet as NetPacket, SimDuration, TimerTag};
 
 use crate::federation::{
@@ -20,10 +20,9 @@ use crate::{BridgeStats, Topic, TopicFilter, TopicRef};
 const RETRY_TIMEOUT: SimDuration = SimDuration::from_secs(2);
 /// How many redeliveries before a QoS 1 message is dropped.
 const MAX_RETRIES: u32 = 3;
-/// Default bound on the unacked QoS 1 delivery table. At capacity a new
-/// QoS 1 delivery degrades to at-most-once (sent once, never retried)
-/// instead of growing the table without limit; override with
-/// [`BrokerNode::set_pending_capacity`].
+/// Bound on the unacked QoS 1 delivery table. At capacity a new QoS 1
+/// delivery degrades to at-most-once (sent once, never retried) instead
+/// of growing the table without limit.
 pub const DEFAULT_PENDING_CAPACITY: usize = 65_536;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -244,9 +243,6 @@ pub struct BrokerNode {
     /// change to detect that their subscriptions were wiped.
     incarnation: u64,
     stats: BrokerStats,
-    /// Bound on the unacked QoS 1 delivery table; `None` means
-    /// [`DEFAULT_PENDING_CAPACITY`].
-    pending_capacity: Option<usize>,
     /// Filter text → live local subscriber refcounts (advertisement
     /// bookkeeping; empty while not federated).
     advert_refs: HashMap<String, AdvertRefs>,
@@ -329,12 +325,6 @@ impl BrokerNode {
         self.pending.len()
     }
 
-    /// Overrides the bound on the unacked QoS 1 delivery table (default
-    /// [`DEFAULT_PENDING_CAPACITY`]).
-    pub(crate) fn set_pending_capacity(&mut self, capacity: usize) {
-        self.pending_capacity = Some(capacity);
-    }
-
     fn series(&self, ctx: &Context<'_>) -> &BrokerSeries {
         self.series
             .get_or_init(|| BrokerSeries::resolve(&ctx.telemetry().metrics, self.label.as_deref()))
@@ -388,8 +378,7 @@ impl BrokerNode {
         // this branch copies it.
         ctx.send_spanned(to, crate::PUBSUB_PORT, bytes.clone(), trace, span);
         self.stats.qos1_enqueued += 1;
-        let capacity = self.pending_capacity.unwrap_or(DEFAULT_PENDING_CAPACITY);
-        if self.pending.len() >= capacity {
+        if self.pending.len() >= DEFAULT_PENDING_CAPACITY {
             // The unacked table is the broker's memory bound: past it
             // the delivery degrades to at-most-once — sent once above,
             // never retried — and is counted dropped right away, so
@@ -1172,7 +1161,7 @@ impl Node for BrokerNode {
         }
         pending.retries_left -= 1;
         let (to, bytes, trace) = (pending.to, pending.bytes.clone(), pending.trace);
-        ctx.send_traced(to, crate::PUBSUB_PORT, bytes, trace);
+        ctx.send_spanned(to, crate::PUBSUB_PORT, bytes, trace, NO_SPAN);
         self.stats.retries += 1;
         self.stats.delivered += 1;
         self.series(ctx).retry.incr();

@@ -181,46 +181,18 @@ impl PubSubClient {
         retain: bool,
         qos: QoS,
     ) -> u64 {
-        self.publish_traced(ctx, topic, payload, retain, qos, NO_TRACE)
+        self.publish_ref(ctx, &topic, &payload, retain, qos, NO_TRACE, NO_SPAN)
     }
 
-    /// Like [`PubSubClient::publish`], but stamps the publish with a
-    /// flight-recorder trace id that the broker propagates to every
-    /// matching delivery (see [`PubSubEvent::Message::trace`]).
-    pub fn publish_traced(
-        &mut self,
-        ctx: &mut Context<'_>,
-        topic: Topic,
-        payload: Vec<u8>,
-        retain: bool,
-        qos: QoS,
-        trace: TraceId,
-    ) -> u64 {
-        self.publish_spanned(ctx, topic, payload, retain, qos, trace, NO_SPAN)
-    }
-
-    /// Like [`PubSubClient::publish_traced`], but additionally threads a
-    /// causal parent span: the broker's `broker.publish` hop becomes a
-    /// child of `parent`, so cross-node span trees stay connected
-    /// (device sample → proxy ingest → publish → deliveries).
-    #[allow(clippy::too_many_arguments)]
-    pub fn publish_spanned(
-        &mut self,
-        ctx: &mut Context<'_>,
-        topic: Topic,
-        payload: Vec<u8>,
-        retain: bool,
-        qos: QoS,
-        trace: TraceId,
-        parent: SpanId,
-    ) -> u64 {
-        self.publish_ref(ctx, &topic, &payload, retain, qos, trace, parent)
-    }
-
-    /// [`PubSubClient::publish_spanned`] on a borrowed topic and
-    /// payload, for publishers that keep both (a Device-proxy's topic
-    /// per quantity, its reused payload buffer): the frame is encoded
-    /// straight from the borrows.
+    /// [`PubSubClient::publish`] on a borrowed topic and payload, for
+    /// publishers that keep both (a Device-proxy's topic per quantity,
+    /// its reused payload buffer): the frame is encoded straight from
+    /// the borrows. The publish is stamped with a flight-recorder trace
+    /// id that the broker propagates to every matching delivery (see
+    /// [`PubSubEvent::Message::trace`]) and threads a causal parent
+    /// span: the broker's `broker.publish` hop becomes a child of
+    /// `parent`, so cross-node span trees stay connected (device sample
+    /// → proxy ingest → publish → deliveries).
     #[allow(clippy::too_many_arguments)]
     pub fn publish_ref(
         &mut self,

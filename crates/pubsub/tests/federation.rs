@@ -432,15 +432,8 @@ impl Node for TracedPub {
             self.trace = ctx.telemetry().tracer.next_trace_id();
             let span = ctx.trace_hop("pub.send", self.trace, format_args!("{}", self.topic));
             let topic = Topic::new(self.topic).expect("topic");
-            self.client.publish_spanned(
-                ctx,
-                topic,
-                b"42".to_vec(),
-                false,
-                QoS::AtMostOnce,
-                self.trace,
-                span,
-            );
+            self.client
+                .publish_ref(ctx, &topic, b"42", false, QoS::AtMostOnce, self.trace, span);
         } else if self.client.owns_tag(tag) {
             self.client.on_timer(ctx, tag);
         }

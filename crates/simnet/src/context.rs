@@ -71,18 +71,14 @@ impl Context<'_> {
     /// Queues a packet to `dst` on `port`. Delivery time and loss are
     /// decided by the link model between the two nodes.
     pub fn send(&mut self, dst: NodeId, port: Port, payload: Vec<u8>) {
-        self.send_traced(dst, port, payload, NO_TRACE);
+        self.send_spanned(dst, port, payload, NO_TRACE, NO_SPAN);
     }
 
     /// Like [`Context::send`], but tags the packet with a flight-recorder
-    /// trace id so its journey can be reconstructed hop by hop.
-    pub fn send_traced(&mut self, dst: NodeId, port: Port, payload: Vec<u8>, trace: TraceId) {
-        self.send_spanned(dst, port, payload, trace, NO_SPAN);
-    }
-
-    /// Like [`Context::send_traced`], but also carries the causal span of
-    /// the sending hop, so the receiver can parent its own spans under it
-    /// and the flight recorder can rebuild the cross-node span tree.
+    /// trace id so its journey can be reconstructed hop by hop, and
+    /// carries the causal span of the sending hop ([`NO_SPAN`] for
+    /// none), so the receiver can parent its own spans under it and the
+    /// flight recorder can rebuild the cross-node span tree.
     pub fn send_spanned(
         &mut self,
         dst: NodeId,

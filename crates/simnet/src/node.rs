@@ -93,7 +93,7 @@ pub struct Packet {
     pub payload: Vec<u8>,
     /// Flight-recorder trace id carried with the packet
     /// (`telemetry::NO_TRACE` = 0 when the packet is untraced). Set via
-    /// [`Context::send_traced`](crate::Context::send_traced).
+    /// [`Context::send_spanned`](crate::Context::send_spanned).
     pub trace: u64,
     /// Causal span of the hop that sent this packet
     /// (`telemetry::NO_SPAN` = 0 when unstructured). Receivers use it as

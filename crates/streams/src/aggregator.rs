@@ -39,7 +39,7 @@ use storage::tskv::{SeriesId, TimeSeriesStore};
 use telemetry::{CounterHandle, GaugeHandle, HistogramHandle, Registry, SpanId, NO_SPAN, NO_TRACE};
 
 use crate::rollup::Rollup;
-use crate::window::{Accumulator, WindowSpec, WindowedAggregator, DEFAULT_MAX_OPEN};
+use crate::window::{Accumulator, WindowSpec, WindowedAggregator};
 
 const TAG_HEARTBEAT: TimerTag = TimerTag(1);
 const TAG_FLUSH: TimerTag = TimerTag(2);
@@ -53,8 +53,8 @@ const KEEPALIVE_INTERVAL: SimDuration = SimDuration::from_secs(5);
 /// Storage maintenance cadence: seal cold partitions, compact,
 /// checkpoint the WAL (see `TimeSeriesStore::maintain`).
 const TSKV_MAINTAIN_PERIOD: SimDuration = SimDuration::from_secs(300);
-/// Default wall-clock flush period (watermark advance + window close).
-pub const DEFAULT_FLUSH_INTERVAL: SimDuration = SimDuration::from_secs(5);
+/// Wall-clock flush period (watermark advance + window close).
+const FLUSH_INTERVAL: SimDuration = SimDuration::from_secs(5);
 /// Default tumbling window size.
 pub const DEFAULT_WINDOW_MILLIS: i64 = 300_000;
 /// Default lateness horizon.
@@ -144,12 +144,8 @@ pub struct AggregatorConfig {
     /// Lateness horizon: how long the watermark trails the newest
     /// event time, bounding out-of-order acceptance.
     pub lateness_millis: i64,
-    /// Wall-clock flush period.
-    pub flush_interval: SimDuration,
     /// Unix time at simulation start.
     pub epoch_offset_millis: i64,
-    /// Bound on concurrently open `(entity, quantity)` panes.
-    pub max_open_windows: usize,
     /// Admission bound on queued `/rollups` queries; bursts past it are
     /// shed with a 503 and a `Retry-After`.
     pub admission_capacity: u64,
@@ -158,7 +154,7 @@ pub struct AggregatorConfig {
 }
 
 impl AggregatorConfig {
-    /// A configuration with default window, lateness and flush values.
+    /// A configuration with default window and lateness values.
     pub fn new(
         proxy: ProxyId,
         district: DistrictId,
@@ -173,9 +169,7 @@ impl AggregatorConfig {
             broker,
             window: WindowSpec::tumbling(DEFAULT_WINDOW_MILLIS),
             lateness_millis: DEFAULT_LATENESS_MILLIS,
-            flush_interval: DEFAULT_FLUSH_INTERVAL,
             epoch_offset_millis,
-            max_open_windows: DEFAULT_MAX_OPEN,
             admission_capacity: DEFAULT_ADMISSION_CAPACITY,
             admission_rate: DEFAULT_ADMISSION_RATE,
         }
@@ -286,8 +280,7 @@ impl std::fmt::Debug for AggregatorNode {
 impl AggregatorNode {
     /// Creates an aggregator.
     pub fn new(config: AggregatorConfig) -> Self {
-        let op = WindowedAggregator::new(config.window, config.lateness_millis)
-            .with_max_open(config.max_open_windows);
+        let op = WindowedAggregator::new(config.window, config.lateness_millis);
         let pubsub = PubSubClient::new(config.broker, PUBSUB_TAGS);
         let gate = AdmissionGate::new(config.admission_capacity, config.admission_rate);
         let mut store = TimeSeriesStore::new();
@@ -723,8 +716,7 @@ impl AggregatorNode {
     /// the watermark from its persisted value, then replay every raw
     /// sample new enough to still belong to an open window.
     fn recover(&mut self, ctx: &mut Context<'_>) {
-        let mut op = WindowedAggregator::new(self.config.window, self.config.lateness_millis)
-            .with_max_open(self.config.max_open_windows);
+        let mut op = WindowedAggregator::new(self.config.window, self.config.lateness_millis);
         if let Some((_, wm)) = self.store.latest(WATERMARK_SERIES) {
             op.advance_watermark_to(wm as i64);
         }
@@ -771,7 +763,7 @@ impl Node for AggregatorNode {
             .expect("district ids satisfy the filter grammar");
         self.pubsub.subscribe(ctx, filter, QoS::AtLeastOnce);
         self.pubsub.start_keepalive(ctx, KEEPALIVE_INTERVAL);
-        ctx.set_timer(self.config.flush_interval, TAG_FLUSH);
+        ctx.set_timer(FLUSH_INTERVAL, TAG_FLUSH);
         ctx.set_timer(TSKV_MAINTAIN_PERIOD, TAG_TSKV_MAINTAIN);
     }
 
@@ -827,7 +819,7 @@ impl Node for AggregatorNode {
                 let now_unix = unix_millis_at(self.config.epoch_offset_millis, ctx.now());
                 self.op.advance_watermark(now_unix);
                 self.drain(ctx);
-                ctx.set_timer(self.config.flush_interval, TAG_FLUSH);
+                ctx.set_timer(FLUSH_INTERVAL, TAG_FLUSH);
             }
             TAG_TSKV_MAINTAIN => {
                 self.store.maintain();

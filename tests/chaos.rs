@@ -9,6 +9,7 @@ use dimmer::proxy::device_proxy::DeviceProxyNode;
 use dimmer::pubsub::{BrokerNode, PubSubClient, PubSubEvent, QoS, TopicFilter, PUBSUB_PORT};
 use dimmer::simnet::chaos::{ChaosRunner, FaultPlan, RandomFaults};
 use dimmer::simnet::telemetry::flight::reconstruct;
+use dimmer::simnet::telemetry::NO_SPAN;
 use dimmer::simnet::{Context, Node, Packet, SimConfig, SimDuration, SimTime, Simulator, TimerTag};
 
 /// A subscriber that rides out broker restarts via keepalive probes.
@@ -335,13 +336,14 @@ impl Node for BurstPub {
         }
         let trace = ctx.telemetry().tracer.next_trace_id();
         ctx.trace_hop("pub.send", trace, format_args!("seq={}", self.sent));
-        self.client.publish_traced(
+        self.client.publish_ref(
             ctx,
-            dimmer::pubsub::Topic::new(format!("district/d0/burst/{}", self.sent)).unwrap(),
-            format!("sample-{}", self.sent).into_bytes(),
+            &dimmer::pubsub::Topic::new(format!("district/d0/burst/{}", self.sent)).unwrap(),
+            format!("sample-{}", self.sent).as_bytes(),
             false,
             QoS::AtLeastOnce,
             trace,
+            NO_SPAN,
         );
         self.sent += 1;
         ctx.set_timer(SimDuration::from_millis(100), TimerTag(1));
