@@ -48,7 +48,7 @@ impl DataFormat {
     /// # Errors
     ///
     /// Returns [`CoreError::UnknownSymbol`] for anything but `json`/`xml`.
-    pub(crate) fn parse(s: &str) -> Result<Self, CoreError> {
+    pub fn parse(s: &str) -> Result<Self, CoreError> {
         match s {
             "json" => Ok(DataFormat::Json),
             "xml" => Ok(DataFormat::Xml),
@@ -267,17 +267,18 @@ impl<'o> Writer<'o> {
 
 /// Pull reader of one document in either format.
 ///
-/// [`Reader::next_event`] is the whole grammar; the other methods are
-/// what drivers say with it — "an object should start here", "is there
-/// another item", "I do not care about this value".
+/// The methods are what drivers say over the event grammar — "an
+/// object should start here", "what is the next key", "I do not care
+/// about this value".
 ///
 /// ```
-/// use dimmer_core::codec::{DataFormat, Event, Reader};
+/// use dimmer_core::codec::{DataFormat, Reader};
+/// use dimmer_core::Value;
 /// # fn main() -> Result<(), dimmer_core::CoreError> {
 /// let mut r = Reader::new(DataFormat::Json, r#"{"t":21.5,"tags":["a"]}"#);
 /// assert!(r.begin_object()?);
 /// assert_eq!(r.next_key()?.as_deref(), Some("t"));
-/// assert_eq!(r.next_event()?, Event::Float(21.5));
+/// assert_eq!(r.value()?, Value::Float(21.5));
 /// assert_eq!(r.next_key()?.as_deref(), Some("tags"));
 /// r.skip_value()?;
 /// assert_eq!(r.next_key()?, None);
@@ -619,7 +620,7 @@ mod tests {
             QuantityKind::Co2,
             417.0,
             Unit::PartsPerMillion,
-            Timestamp::from_unix_seconds(1_425_900_000),
+            Timestamp::from_unix_millis(1_425_900_000_000),
         )
     }
 

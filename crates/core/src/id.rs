@@ -161,16 +161,6 @@ impl EntityKind {
             }),
         }
     }
-
-    /// All entity kinds, root first.
-    pub(crate) fn all() -> [EntityKind; 4] {
-        [
-            EntityKind::District,
-            EntityKind::Building,
-            EntityKind::Network,
-            EntityKind::Device,
-        ]
-    }
 }
 
 impl fmt::Display for EntityKind {
@@ -220,7 +210,12 @@ mod tests {
 
     #[test]
     fn entity_kind_round_trip() {
-        for kind in EntityKind::all() {
+        for kind in [
+            EntityKind::District,
+            EntityKind::Building,
+            EntityKind::Network,
+            EntityKind::Device,
+        ] {
             assert_eq!(EntityKind::parse(kind.as_str()).unwrap(), kind);
         }
         assert!(EntityKind::parse("sensorz").is_err());

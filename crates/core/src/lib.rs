@@ -27,7 +27,7 @@
 //!     QuantityKind::Temperature,
 //!     21.5,
 //!     Unit::Celsius,
-//!     Timestamp::from_unix_seconds(1_420_070_400),
+//!     Timestamp::from_unix_millis(1_420_070_400_000),
 //! );
 //! let json = codec::encode_measurement(&m, DataFormat::Json);
 //! let back = codec::decode_measurement(&json, DataFormat::Json)?;

@@ -15,7 +15,7 @@ use crate::{CoreError, DeviceId, QuantityKind, Timestamp, Unit, Value};
 ///     QuantityKind::ActivePower,
 ///     1.2,
 ///     Unit::Kilowatt,
-///     Timestamp::from_unix_seconds(1_000_000),
+///     Timestamp::from_unix_millis(1_000_000_000),
 /// );
 /// // Normalization converts to the quantity's canonical unit.
 /// let n = m.normalized()?;
@@ -94,7 +94,7 @@ impl Measurement {
     /// Returns [`CoreError::IncompatibleUnits`] only if the type-level
     /// invariant was somehow violated; for values constructed through
     /// [`Measurement::new`] this cannot happen.
-    pub(crate) fn normalized(&self) -> Result<Measurement, CoreError> {
+    pub fn normalized(&self) -> Result<Measurement, CoreError> {
         let target = self.quantity.canonical_unit();
         let value = self.unit.convert(self.value, target)?;
         Ok(Measurement {
@@ -294,11 +294,6 @@ impl MeasurementBatch {
         self.items.iter()
     }
 
-    /// Borrows the measurements as a slice.
-    pub(crate) fn as_slice(&self) -> &[Measurement] {
-        &self.items
-    }
-
     /// Translates to the common data format.
     pub fn to_value(&self) -> Value {
         Value::object([(
@@ -448,7 +443,7 @@ mod tests {
             QuantityKind::Temperature,
             21.5,
             Unit::Celsius,
-            Timestamp::from_unix_seconds(1_425_900_000),
+            Timestamp::from_unix_millis(1_425_900_000_000),
         )
     }
 
@@ -510,7 +505,7 @@ mod tests {
                     QuantityKind::ActivePower,
                     100.0 * i as f64,
                     Unit::Watt,
-                    Timestamp::from_unix_seconds(i),
+                    Timestamp::from_unix_millis(i * 1000),
                 )
             })
             .collect();

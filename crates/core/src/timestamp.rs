@@ -15,7 +15,7 @@ use crate::CoreError;
 ///
 /// ```
 /// use dimmer_core::Timestamp;
-/// let t = Timestamp::from_unix_seconds(1_425_859_200); // 2015-03-09
+/// let t = Timestamp::from_unix_millis(1_425_859_200_000); // 2015-03-09
 /// assert_eq!(t.to_string(), "2015-03-09T00:00:00Z");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -74,11 +74,6 @@ impl Timestamp {
         Timestamp(millis)
     }
 
-    /// Creates a timestamp from whole seconds since the Unix epoch.
-    pub(crate) const fn from_unix_seconds(secs: i64) -> Self {
-        Timestamp(secs * 1000)
-    }
-
     /// Creates a timestamp from a civil UTC date and time.
     ///
     /// # Panics
@@ -110,11 +105,6 @@ impl Timestamp {
     /// Milliseconds since the Unix epoch.
     pub const fn as_unix_millis(self) -> i64 {
         self.0
-    }
-
-    /// Whole seconds since the Unix epoch (truncating).
-    pub(crate) const fn as_unix_seconds(self) -> i64 {
-        self.0.div_euclid(1000)
     }
 
     /// The broken-down UTC representation.
@@ -254,7 +244,7 @@ mod tests {
             second: 0,
             millisecond: 0,
         });
-        assert_eq!(t.as_unix_seconds(), 1_425_893_400);
+        assert_eq!(t.as_unix_millis(), 1_425_893_400_000);
         assert_eq!(t.to_string(), "2015-03-09T09:30:00Z");
     }
 
@@ -276,7 +266,7 @@ mod tests {
     fn civil_round_trip_across_years() {
         // Every 1000th second over ~4 months, plus leap-year boundaries.
         for secs in (0..10_000_000i64).step_by(997_003) {
-            let t = Timestamp::from_unix_seconds(secs);
+            let t = Timestamp::from_unix_millis(secs * 1000);
             let c = t.civil();
             assert_eq!(Timestamp::from_civil(c), t);
         }
@@ -287,7 +277,7 @@ mod tests {
 
     #[test]
     fn negative_times_before_epoch() {
-        let t = Timestamp::from_unix_seconds(-1);
+        let t = Timestamp::from_unix_millis(-1_000);
         let c = t.civil();
         assert_eq!((c.year, c.month, c.day), (1969, 12, 31));
         assert_eq!((c.hour, c.minute, c.second), (23, 59, 59));
@@ -313,7 +303,7 @@ mod tests {
 
     #[test]
     fn arithmetic() {
-        let t = Timestamp::from_unix_seconds(100);
+        let t = Timestamp::from_unix_millis(100_000);
         assert_eq!(t + 500, Timestamp::from_unix_millis(100_500));
         assert_eq!((t + 500) - t, 500);
     }

@@ -168,7 +168,7 @@ impl Unit {
     /// # Errors
     ///
     /// Returns [`CoreError::IncompatibleUnits`] when the dimensions differ.
-    pub(crate) fn convert(self, value: f64, to: Unit) -> Result<f64, CoreError> {
+    pub fn convert(self, value: f64, to: Unit) -> Result<f64, CoreError> {
         if self.dimension() != to.dimension() {
             return Err(CoreError::IncompatibleUnits {
                 from: self.symbol(),

@@ -16,11 +16,10 @@ use crate::CoreError;
 /// use dimmer_core::Uri;
 /// # fn main() -> Result<(), dimmer_core::CoreError> {
 /// let uri = Uri::parse("ws://proxy-7.district.example:8080/data?from=0&to=100")?;
-/// assert_eq!(uri.scheme(), "ws");
 /// assert_eq!(uri.host(), "proxy-7.district.example");
-/// assert_eq!(uri.port(), Some(8080));
-/// assert_eq!(uri.path(), "/data");
-/// assert_eq!(uri.query("from"), Some("0"));
+/// assert_eq!(uri, Uri::new("ws", "proxy-7.district.example", Some(8080), "data")?
+///     .with_query("from", "0")
+///     .with_query("to", "100"));
 /// # Ok(())
 /// # }
 /// ```
@@ -135,52 +134,15 @@ impl Uri {
         Ok(uri)
     }
 
-    /// The scheme, e.g. `ws`.
-    pub(crate) fn scheme(&self) -> &str {
-        &self.scheme
-    }
-
     /// The host name.
     pub fn host(&self) -> &str {
         &self.host
-    }
-
-    /// The explicit port, if any.
-    pub(crate) fn port(&self) -> Option<u16> {
-        self.port
-    }
-
-    /// The path, always starting with `/`.
-    pub(crate) fn path(&self) -> &str {
-        &self.path
-    }
-
-    /// The value of query parameter `key`, if present.
-    pub(crate) fn query(&self, key: &str) -> Option<&str> {
-        self.query.get(key).map(String::as_str)
-    }
-
-    /// All query parameters in key order.
-    pub(crate) fn query_pairs(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.query.iter().map(|(k, v)| (k.as_str(), v.as_str()))
     }
 
     /// Returns a copy with query parameter `key` set to `value`.
     pub fn with_query(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
         self.query.insert(key.into(), value.into());
         self
-    }
-
-    /// Returns a copy with the path replaced.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidUri`] under the same rules as
-    /// [`Uri::new`].
-    pub(crate) fn with_path(&self, path: impl Into<String>) -> Result<Self, CoreError> {
-        let mut u = Uri::new(self.scheme.clone(), self.host.clone(), self.port, path)?;
-        u.query = self.query.clone();
-        Ok(u)
     }
 }
 
@@ -212,21 +174,21 @@ mod tests {
     #[test]
     fn parse_full_uri() {
         let u = Uri::parse("http://master:9000/ontology/area?bbox=1,2,3,4&fmt=json").unwrap();
-        assert_eq!(u.scheme(), "http");
+        assert_eq!(u.scheme, "http");
         assert_eq!(u.host(), "master");
-        assert_eq!(u.port(), Some(9000));
-        assert_eq!(u.path(), "/ontology/area");
-        assert_eq!(u.query("bbox"), Some("1,2,3,4"));
-        assert_eq!(u.query("fmt"), Some("json"));
-        assert_eq!(u.query("missing"), None);
+        assert_eq!(u.port, Some(9000));
+        assert_eq!(u.path, "/ontology/area");
+        assert_eq!(u.query["bbox"], "1,2,3,4");
+        assert_eq!(u.query["fmt"], "json");
+        assert_eq!(u.query.get("missing"), None);
     }
 
     #[test]
     fn parse_minimal_uri() {
         let u = Uri::parse("ws://node7").unwrap();
-        assert_eq!(u.path(), "/");
-        assert_eq!(u.port(), None);
-        assert_eq!(u.query_pairs().count(), 0);
+        assert_eq!(u.path, "/");
+        assert_eq!(u.port, None);
+        assert!(u.query.is_empty());
     }
 
     #[test]
@@ -261,18 +223,16 @@ mod tests {
     fn with_query_and_path() {
         let u = Uri::parse("sim://n1/data").unwrap();
         let v = u.clone().with_query("from", "10");
-        assert_eq!(v.query("from"), Some("10"));
-        let w = v.with_path("/latest").unwrap();
-        assert_eq!(w.path(), "/latest");
-        assert_eq!(w.query("from"), Some("10"), "query survives path change");
+        assert_eq!(v.query["from"], "10");
+        assert_eq!(v.path, "/data", "path survives query change");
     }
 
     #[test]
     fn new_normalizes_path() {
         let u = Uri::new("sim", "n1", None, "data").unwrap();
-        assert_eq!(u.path(), "/data");
+        assert_eq!(u.path, "/data");
         let v = Uri::new("sim", "n1", None, "").unwrap();
-        assert_eq!(v.path(), "/");
+        assert_eq!(v.path, "/");
     }
 
     #[test]

@@ -64,33 +64,6 @@ impl Value {
         }
     }
 
-    /// The element at `index` of an array, if in range.
-    pub(crate) fn at(&self, index: usize) -> Option<&Value> {
-        match self {
-            Value::Array(items) => items.get(index),
-            _ => None,
-        }
-    }
-
-    /// Follows a `/`-separated path of object keys and array indices.
-    ///
-    /// ```
-    /// use dimmer_core::Value;
-    /// let v = Value::object([("rooms", Value::array([Value::from("r1")]))]);
-    /// assert_eq!(v.pointer("rooms/0").and_then(Value::as_str), Some("r1"));
-    /// ```
-    pub(crate) fn pointer(&self, path: &str) -> Option<&Value> {
-        let mut cur = self;
-        for seg in path.split('/').filter(|s| !s.is_empty()) {
-            cur = match cur {
-                Value::Object(map) => map.get(seg)?,
-                Value::Array(items) => items.get(seg.parse::<usize>().ok()?)?,
-                _ => return None,
-            };
-        }
-        Some(cur)
-    }
-
     /// This value as a bool, if it is one.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
@@ -243,15 +216,6 @@ impl Value {
             Value::Object(_) => "object",
         }
     }
-
-    /// Deep size: the number of leaf values in the tree.
-    pub(crate) fn leaf_count(&self) -> usize {
-        match self {
-            Value::Array(items) => items.iter().map(Value::leaf_count).sum(),
-            Value::Object(map) => map.values().map(Value::leaf_count).sum(),
-            _ => 1,
-        }
-    }
 }
 
 impl From<bool> for Value {
@@ -337,24 +301,14 @@ mod tests {
         assert_eq!(v.get("floors").and_then(Value::as_i64), Some(4));
         assert_eq!(v.get("area").and_then(Value::as_f64), Some(1250.5));
         assert_eq!(
-            v.get("rooms").and_then(|r| r.at(1)).and_then(Value::as_str),
+            v.get("rooms")
+                .and_then(Value::as_array)
+                .and_then(|r| r.get(1))
+                .and_then(Value::as_str),
             Some("r2")
         );
         assert!(v.get("nope").is_none());
         assert!(Value::Null.is_null());
-    }
-
-    #[test]
-    fn pointer_paths() {
-        let v = sample();
-        assert_eq!(
-            v.pointer("meta/heated").and_then(Value::as_bool),
-            Some(true)
-        );
-        assert_eq!(v.pointer("rooms/0").and_then(Value::as_str), Some("r1"));
-        assert!(v.pointer("rooms/7").is_none());
-        assert!(v.pointer("rooms/x").is_none());
-        assert_eq!(v.pointer(""), Some(&v));
     }
 
     #[test]
@@ -394,12 +348,6 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn nan_rejected() {
         let _ = Value::from(f64::NAN);
-    }
-
-    #[test]
-    fn leaf_count_counts_scalars() {
-        assert_eq!(sample().leaf_count(), 6);
-        assert_eq!(Value::Null.leaf_count(), 1);
     }
 
     #[test]

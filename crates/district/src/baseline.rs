@@ -104,11 +104,6 @@ impl CentralServerNode {
         self.stats
     }
 
-    /// The single central store.
-    pub(crate) fn store(&self) -> &TimeSeriesStore {
-        &self.store
-    }
-
     fn register_device(
         &mut self,
         node: NodeId,

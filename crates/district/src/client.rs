@@ -133,20 +133,6 @@ impl ClientNode {
         )
     }
 
-    /// Convenience: adds a one-shot profile client fetching `district`'s
-    /// pre-computed `quantity` rollups over the unix-millis `range`.
-    /// The master redirects to the district aggregator; see
-    /// [`crate::profile`].
-    pub(crate) fn profile(
-        sim: &mut simnet::Simulator,
-        deployment: &Deployment,
-        district: DistrictId,
-        quantity: dimmer_core::QuantityKind,
-        range: (i64, i64),
-    ) -> NodeId {
-        crate::profile::ProfileClientNode::spawn(sim, deployment, district, quantity, range)
-    }
-
     /// Completed snapshots, oldest first.
     pub fn snapshots(&self) -> &[AreaSnapshot] {
         &self.snapshots
@@ -155,11 +141,6 @@ impl ClientNode {
     /// The most recent completed snapshot.
     pub fn latest_snapshot(&self) -> Option<&AreaSnapshot> {
         self.snapshots.last()
-    }
-
-    /// Number of queries still in progress.
-    pub(crate) fn queries_in_flight(&self) -> usize {
-        self.queries.iter().filter(|q| q.outstanding > 0).count()
     }
 
     fn issue_query(&mut self, ctx: &mut Context<'_>) {

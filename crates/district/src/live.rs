@@ -46,7 +46,6 @@ pub struct LiveMonitorStats {
 #[derive(Debug)]
 pub struct LiveMonitorNode {
     master: NodeId,
-    broker: NodeId,
     district: DistrictId,
     bbox: BoundingBox,
     ws: WsClient,
@@ -62,7 +61,6 @@ impl LiveMonitorNode {
     pub fn new(master: NodeId, broker: NodeId, district: DistrictId, bbox: BoundingBox) -> Self {
         LiveMonitorNode {
             master,
-            broker,
             district,
             bbox,
             ws: WsClient::new(WS_TAGS),
@@ -71,16 +69,6 @@ impl LiveMonitorNode {
             latest: HashMap::new(),
             stats: LiveMonitorStats::default(),
         }
-    }
-
-    /// The area resolution, once the master answered.
-    pub(crate) fn resolution(&self) -> Option<&AreaResolution> {
-        self.resolution.as_ref()
-    }
-
-    /// The latest value for a `(device, quantity)` series.
-    pub(crate) fn latest(&self, device: &str, quantity: &str) -> Option<&LiveValue> {
-        self.latest.get(&(device.to_owned(), quantity.to_owned()))
     }
 
     /// All live series, sorted by key.
@@ -93,11 +81,6 @@ impl LiveMonitorNode {
     /// Counters.
     pub fn stats(&self) -> LiveMonitorStats {
         self.stats
-    }
-
-    /// The broker this monitor listens on.
-    pub(crate) fn broker(&self) -> NodeId {
-        self.broker
     }
 
     fn subscribe_devices(&mut self, ctx: &mut Context<'_>, resolution: &AreaResolution) {
@@ -207,7 +190,7 @@ mod tests {
         sim.run_for(SimDuration::from_secs(5));
         {
             let m = sim.node_ref::<LiveMonitorNode>(monitor).unwrap();
-            assert!(m.resolution().is_some(), "area resolved");
+            assert!(m.resolution.is_some(), "area resolved");
             assert_eq!(m.stats().subscriptions, 12);
             assert!(!m.series().is_empty(), "retained messages prime the cache");
         }
@@ -282,7 +265,7 @@ mod tests {
         );
         sim.run_for(SimDuration::from_secs(60));
         let m = sim.node_ref::<LiveMonitorNode>(monitor).unwrap();
-        assert!(m.resolution().is_none());
+        assert!(m.resolution.is_none());
         assert!(m.series().is_empty());
     }
 }

@@ -14,8 +14,6 @@ use proxy::{uri_node, WS_PORT};
 use simnet::{Context, Node, NodeId, Packet, SimTime, TimerTag};
 use streams::Rollup;
 
-use crate::deploy::Deployment;
-
 const WS_TAGS: u64 = 1_000_000_000;
 
 /// Configuration of a [`ProfileClientNode`].
@@ -90,28 +88,6 @@ impl ProfileClientNode {
             errors: 0,
             snapshots: Vec::new(),
         }
-    }
-
-    /// Convenience: adds a one-shot profile client for `district` on
-    /// `deployment`'s master.
-    pub(crate) fn spawn(
-        sim: &mut simnet::Simulator,
-        deployment: &Deployment,
-        district: DistrictId,
-        quantity: QuantityKind,
-        range: (i64, i64),
-    ) -> NodeId {
-        let name = format!("profile-client-{}", sim.node_count());
-        sim.add_node(
-            name,
-            ProfileClientNode::new(ProfileConfig {
-                master: deployment.master,
-                district,
-                quantity,
-                window_millis: None,
-                range,
-            }),
-        )
     }
 
     /// Completed snapshots, oldest first.
@@ -229,10 +205,28 @@ impl Node for ProfileClientNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::ClientNode;
     use crate::scenario::{AggregationSpec, ScenarioConfig};
     use crate::DEFAULT_EPOCH_MILLIS;
     use simnet::{SimConfig, SimDuration, Simulator};
+
+    /// Adds a one-shot temperature profile client for `district`.
+    fn spawn(
+        sim: &mut Simulator,
+        master: NodeId,
+        district: DistrictId,
+        range: (i64, i64),
+    ) -> NodeId {
+        sim.add_node(
+            "profile-client".to_owned(),
+            ProfileClientNode::new(ProfileConfig {
+                master,
+                district,
+                quantity: QuantityKind::Temperature,
+                window_millis: None,
+                range,
+            }),
+        )
+    }
 
     #[test]
     fn profile_query_fetches_rollups_via_redirect() {
@@ -248,13 +242,7 @@ mod tests {
 
         let district = scenario.districts[0].district.clone();
         let range = (DEFAULT_EPOCH_MILLIS, DEFAULT_EPOCH_MILLIS + 600_000);
-        let client = ClientNode::profile(
-            &mut sim,
-            &deployment,
-            district,
-            dimmer_core::QuantityKind::Temperature,
-            range,
-        );
+        let client = spawn(&mut sim, deployment.master, district, range);
         sim.run_for(SimDuration::from_secs(30));
 
         let c = sim.node_ref::<ProfileClientNode>(client).unwrap();
@@ -277,13 +265,7 @@ mod tests {
         let deployment = crate::deploy::Deployment::build(&mut sim, &scenario);
         sim.run_for(SimDuration::from_secs(60));
         let district = scenario.districts[0].district.clone();
-        let client = ProfileClientNode::spawn(
-            &mut sim,
-            &deployment,
-            district,
-            dimmer_core::QuantityKind::Temperature,
-            (0, 1),
-        );
+        let client = spawn(&mut sim, deployment.master, district, (0, 1));
         sim.run_for(SimDuration::from_secs(30));
         let snapshot = sim
             .node_ref::<ProfileClientNode>(client)

@@ -70,11 +70,6 @@ impl RelayNode {
         }
     }
 
-    /// Counters.
-    pub(crate) fn stats(&self) -> RelayStats {
-        self.stats
-    }
-
     fn start_query(&mut self, ctx: &mut Context<'_>, call: WsCall) {
         let (district, bbox) = match (
             call.request.query("district"),
@@ -332,7 +327,7 @@ mod tests {
                 .len()
                 > 50
         );
-        let stats = sim.node_ref::<RelayNode>(relay).unwrap().stats();
+        let stats = sim.node_ref::<RelayNode>(relay).unwrap().stats;
         assert_eq!(stats.queries, 1);
         assert!(stats.fetches > 10, "{stats:?}");
     }

@@ -49,11 +49,6 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub(crate) fn len(&self) -> usize {
-        self.rows.len()
-    }
-
     /// True when no rows were added.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()

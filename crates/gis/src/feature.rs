@@ -107,11 +107,6 @@ impl Feature {
         &self.geometry
     }
 
-    /// The property document.
-    pub(crate) fn properties(&self) -> &Value {
-        &self.properties
-    }
-
     /// Translates to the common data format.
     pub fn to_value(&self) -> Value {
         Value::object([
@@ -159,16 +154,6 @@ impl GisDatabase {
         }
     }
 
-    /// Number of features.
-    pub(crate) fn len(&self) -> usize {
-        self.docs.len()
-    }
-
-    /// True when empty.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.docs.is_empty()
-    }
-
     /// Inserts a feature.
     ///
     /// # Errors
@@ -194,11 +179,6 @@ impl GisDatabase {
             .into_iter()
             .filter_map(|(_, id)| self.get(id))
             .collect()
-    }
-
-    /// All feature ids, sorted.
-    pub(crate) fn ids(&self) -> Vec<&str> {
-        self.docs.iter().map(|(id, _)| id).collect()
     }
 
     /// Translates the whole database to a feature-collection value.
@@ -254,7 +234,7 @@ mod tests {
         db.insert(building("b1", 45.05, 7.65)).unwrap();
         db.insert(building("b2", 45.06, 7.66)).unwrap();
         db.insert(building("far", 52.5, 13.4)).unwrap();
-        assert_eq!(db.len(), 3);
+        assert_eq!(db.docs.len(), 3);
         assert_eq!(db.get("b1").unwrap().id(), "b1");
         assert!(db.get("ghost").is_none());
 
@@ -273,7 +253,7 @@ mod tests {
         let mut db = GisDatabase::new();
         db.insert(building("b1", 45.0, 7.6)).unwrap();
         assert!(db.insert(building("b1", 45.0, 7.6)).is_err());
-        assert_eq!(db.len(), 1);
+        assert_eq!(db.docs.len(), 1);
     }
 
     #[test]

@@ -47,19 +47,9 @@ impl<T> QuadTree<T> {
         }
     }
 
-    /// The covered region.
-    pub(crate) fn bounds(&self) -> BoundingBox {
-        self.bounds
-    }
-
     /// Number of stored items.
     pub fn len(&self) -> usize {
         self.len
-    }
-
-    /// True when no items are stored.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Inserts an item at `point`.
@@ -85,7 +75,7 @@ impl<T> QuadTree<T> {
     }
 
     /// Visits all items.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (&GeoPoint, &T)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&GeoPoint, &T)> {
         let mut stack = vec![&self.root];
         std::iter::from_fn(move || loop {
             let node = stack.pop()?;
@@ -299,6 +289,6 @@ mod tests {
     fn iter_visits_all() {
         let tree = grid_tree(7);
         assert_eq!(tree.iter().count(), 49);
-        assert!(QuadTree::<u32>::new(bounds()).is_empty());
+        assert_eq!(QuadTree::<u32>::new(bounds()).iter().count(), 0);
     }
 }

@@ -338,11 +338,6 @@ impl MasterNode {
         self.registry.len()
     }
 
-    /// Number of device registrations parked waiting for their entity.
-    pub(crate) fn parked_count(&self) -> usize {
-        self.parked.len()
-    }
-
     fn ensure_district(&mut self, district: &DistrictId) {
         if self.ontology.district(district).is_none() {
             self.ontology

@@ -232,26 +232,6 @@ impl BuildingModel {
         &self.building
     }
 
-    /// The building name.
-    pub(crate) fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The storeys.
-    pub(crate) fn storeys(&self) -> &[Storey] {
-        &self.storeys
-    }
-
-    /// The envelope elements.
-    pub(crate) fn envelope(&self) -> &[EnvelopeElement] {
-        &self.envelope
-    }
-
-    /// The equipment.
-    pub(crate) fn equipment(&self) -> &[Equipment] {
-        &self.equipment
-    }
-
     /// Adds a storey.
     pub(crate) fn add_storey(&mut self, storey: Storey) {
         self.storeys.push(storey);
@@ -276,20 +256,10 @@ impl BuildingModel {
             .sum()
     }
 
-    /// Number of spaces.
-    pub(crate) fn space_count(&self) -> usize {
-        self.storeys.iter().map(|s| s.spaces.len()).sum()
-    }
-
     /// Envelope heat-loss coefficient Σ U·A in W/K — the quantity
     /// district heat-demand simulation needs from the BIM.
     pub fn heat_loss_w_per_k(&self) -> f64 {
         self.envelope.iter().map(|e| e.u_value * e.area_m2).sum()
-    }
-
-    /// Total rated equipment power in watts.
-    pub(crate) fn installed_power_w(&self) -> f64 {
-        self.equipment.iter().map(|e| e.rated_w).sum()
     }
 
     /// Exports to the three relational tables of a BIM database dump.
@@ -565,13 +535,13 @@ mod tests {
     #[test]
     fn sample_has_expected_shape() {
         let m = BuildingModel::sample(&bid("b1"), 3, 4);
-        assert_eq!(m.storeys().len(), 3);
-        assert_eq!(m.space_count(), 12);
-        assert_eq!(m.envelope().len(), 4);
-        assert_eq!(m.equipment().len(), 2);
+        assert_eq!(m.storeys.len(), 3);
+        assert_eq!(m.storeys.iter().map(|s| s.spaces.len()).sum::<usize>(), 12);
+        assert_eq!(m.envelope.len(), 4);
+        assert_eq!(m.equipment.len(), 2);
         assert!(m.total_floor_area_m2() > 0.0);
         assert!(m.heat_loss_w_per_k() > 0.0);
-        assert!(m.installed_power_w() > 24_000.0);
+        assert!(m.equipment.iter().map(|e| e.rated_w).sum::<f64>() > 24_000.0);
     }
 
     #[test]
@@ -590,7 +560,7 @@ mod tests {
         let rows = tables.equipment.scan(&Predicate::True);
         assert!(matches!(rows[0][4], Cell::Null));
         let back = BuildingModel::from_tables(&tables).unwrap();
-        assert_eq!(back.equipment()[0].space_id, None);
+        assert_eq!(back.equipment[0].space_id, None);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let bim = BuildingModel::sample(&BuildingId::new("b1")?, 3, 4);
-//! assert_eq!(bim.storeys().len(), 3);
+//! assert!(bim.total_floor_area_m2() > 0.0);
 //! let tables = bim.to_tables();
 //! let back = BuildingModel::from_tables(&tables)?;
 //! assert_eq!(back, bim);

@@ -101,11 +101,6 @@ impl EnergyProfile {
         }
     }
 
-    /// The quantity generated.
-    pub(crate) fn quantity(&self) -> QuantityKind {
-        self.quantity
-    }
-
     /// The occupancy factor in `[0, 1]` at a time: the daily double hump
     /// damped on weekends.
     pub(crate) fn occupancy(unix_millis: i64) -> f64 {

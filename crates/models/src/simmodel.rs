@@ -196,16 +196,6 @@ impl NetworkModel {
         self.kind
     }
 
-    /// The nodes.
-    pub(crate) fn nodes(&self) -> &[NetNode] {
-        &self.nodes
-    }
-
-    /// The edges.
-    pub(crate) fn edges(&self) -> &[NetEdge] {
-        &self.edges
-    }
-
     /// Adds a node.
     pub(crate) fn add_node(&mut self, node: NetNode) {
         self.nodes.push(node);
@@ -214,11 +204,6 @@ impl NetworkModel {
     /// Adds an edge.
     pub(crate) fn add_edge(&mut self, edge: NetEdge) {
         self.edges.push(edge);
-    }
-
-    /// The node with `id`.
-    pub(crate) fn node(&self, id: &str) -> Option<&NetNode> {
-        self.nodes.iter().find(|n| n.id == id)
     }
 
     /// Ids of nodes unreachable from any plant (undirected reachability).
@@ -494,8 +479,8 @@ mod tests {
     #[test]
     fn sample_shape() {
         let m = NetworkModel::sample(&nid("dh1"), NetworkKind::DistrictHeating, 3, 4);
-        assert_eq!(m.nodes().len(), 1 + 3 + 12);
-        assert_eq!(m.edges().len(), 3 + 12);
+        assert_eq!(m.nodes.len(), 1 + 3 + 12);
+        assert_eq!(m.edges.len(), 3 + 12);
         assert_eq!(m.total_demand_kw(), 480.0);
         assert!(m.unreachable_from_supply().is_empty());
     }
@@ -589,11 +574,11 @@ mod tests {
         let back = NetworkModel::from_legacy(&text).unwrap();
         assert_eq!(back.network(), m.network());
         assert_eq!(back.kind(), m.kind());
-        assert_eq!(back.nodes().len(), m.nodes().len());
-        assert_eq!(back.edges().len(), m.edges().len());
+        assert_eq!(back.nodes.len(), m.nodes.len());
+        assert_eq!(back.edges.len(), m.edges.len());
         // Floats travel through %.3f / %.6f formatting.
-        assert!((back.nodes()[0].rated_kw - m.nodes()[0].rated_kw).abs() < 1e-3);
-        assert!((back.edges()[0].loss_per_km - m.edges()[0].loss_per_km).abs() < 1e-6);
+        assert!((back.nodes[0].rated_kw - m.nodes[0].rated_kw).abs() < 1e-3);
+        assert!((back.edges[0].loss_per_km - m.edges[0].loss_per_km).abs() < 1e-6);
     }
 
     #[test]

@@ -222,11 +222,6 @@ impl DeviceLeaf {
         &self.proxy
     }
 
-    /// The device location, if set.
-    pub(crate) fn location(&self) -> Option<GeoPoint> {
-        self.location
-    }
-
     /// Translates to the common data format.
     pub fn to_value(&self) -> Value {
         Value::object([
@@ -358,11 +353,6 @@ impl DistrictTree {
         self.broker = Some(broker.into());
     }
 
-    /// Sets root properties.
-    pub(crate) fn set_properties(&mut self, properties: Value) {
-        self.properties = properties;
-    }
-
     pub(crate) fn entities_mut(&mut self) -> &mut Vec<EntityNode> {
         &mut self.entities
     }
@@ -480,7 +470,7 @@ mod tests {
         tree.add_aggregator_proxy(uri("sim://n6/rollups"));
         tree.add_aggregator_proxy(uri("sim://n6/rollups")); // idempotent
         tree.set_broker("b1");
-        tree.set_properties(Value::object([("city", Value::from("Turin"))]));
+        tree.properties = Value::object([("city", Value::from("Turin"))]);
         let mut building =
             EntityNode::building(BuildingId::new("b1").unwrap(), uri("sim://n3/bim"))
                 .with_gis_feature("feat-b1")
@@ -558,6 +548,6 @@ mod tests {
         );
         let back = DeviceLeaf::from_value(&leaf.to_value()).unwrap();
         assert_eq!(back, leaf);
-        assert!(back.location().is_none());
+        assert!(back.location.is_none());
     }
 }

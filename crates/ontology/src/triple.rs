@@ -54,12 +54,6 @@ impl TriplePattern {
         TriplePattern::default()
     }
 
-    /// Restricts the subject.
-    pub(crate) fn with_subject(mut self, s: impl Into<String>) -> Self {
-        self.subject = Some(s.into());
-        self
-    }
-
     /// Restricts the predicate.
     pub fn with_predicate(mut self, p: impl Into<String>) -> Self {
         self.predicate = Some(p.into());
@@ -234,13 +228,14 @@ mod tests {
         assert_eq!(devices.len(), 1);
         assert_eq!(devices[0].subject, "device:dev1");
 
-        let all_about_b1 = query(&triples, &TriplePattern::any().with_subject("building:b1"));
+        let about = |subject: &str| TriplePattern {
+            subject: Some(subject.to_owned()),
+            ..TriplePattern::any()
+        };
+        let all_about_b1 = query(&triples, &about("building:b1"));
         assert!(all_about_b1.len() >= 4);
 
-        let none = query(
-            &triples,
-            &TriplePattern::any().with_subject("building:ghost"),
-        );
+        let none = query(&triples, &about("building:ghost"));
         assert!(none.is_empty());
 
         assert_eq!(query(&triples, &TriplePattern::any()).len(), triples.len());

@@ -94,11 +94,6 @@ impl Ieee802154Sensor {
         }
     }
 
-    /// The MAC short address.
-    pub(crate) fn short_address(&self) -> u16 {
-        self.short_address
-    }
-
     /// Parses the application payload of a frame this sensor type emits.
     ///
     /// # Errors
@@ -172,11 +167,6 @@ impl ZigbeeSensor {
             quantity,
             sequence: 0,
         }
-    }
-
-    /// The NWK short address.
-    pub(crate) fn nwk_address(&self) -> u16 {
-        self.nwk_address
     }
 
     /// The cluster and attribute that report `quantity`, if supported.
@@ -254,16 +244,6 @@ impl EnoceanSensor {
     /// Creates a sensor with unique radio id `sender_id` speaking `eep`.
     pub fn new(sender_id: u32, eep: Eep) -> Self {
         EnoceanSensor { sender_id, eep }
-    }
-
-    /// The 32-bit radio id.
-    pub(crate) fn sender_id(&self) -> u32 {
-        self.sender_id
-    }
-
-    /// The equipment profile.
-    pub(crate) fn eep(&self) -> Eep {
-        self.eep
     }
 
     fn reading_for(&self, value: f64) -> EepReading {
@@ -350,11 +330,6 @@ impl OpcUaFieldServer {
         self.space
             .set_value(&self.value_node, Variant::Double(value), timestamp_millis)
             .expect("value node exists");
-    }
-
-    /// Grants direct access to the address space (for browsing tests).
-    pub(crate) fn space_mut(&mut self) -> &mut AddressSpace {
-        &mut self.space
     }
 
     /// Handles an encoded service request, returning the encoded response.

@@ -134,36 +134,6 @@ impl MacFrame {
         }
     }
 
-    /// Builds the acknowledgement for a frame with `sequence`.
-    pub(crate) fn ack(sequence: u8) -> Self {
-        MacFrame {
-            frame_type: FrameType::Ack,
-            ack_request: false,
-            frame_pending: false,
-            sequence,
-            dest_pan: None,
-            dest: Address::None,
-            src_pan: None,
-            src: Address::None,
-            payload: Vec::new(),
-        }
-    }
-
-    /// Builds a beacon frame from `src` in `pan`.
-    pub(crate) fn beacon(pan: PanId, src: Address, sequence: u8, payload: Vec<u8>) -> Self {
-        MacFrame {
-            frame_type: FrameType::Beacon,
-            ack_request: false,
-            frame_pending: false,
-            sequence,
-            dest_pan: None,
-            dest: Address::None,
-            src_pan: Some(pan),
-            src,
-            payload,
-        }
-    }
-
     /// Whether PAN-id compression (src PAN elided) applies.
     fn pan_compression(&self) -> bool {
         self.dest_pan.is_some() && self.src_pan.is_none() && !matches!(self.src, Address::None)
@@ -430,7 +400,17 @@ mod tests {
 
     #[test]
     fn ack_frame_round_trip() {
-        let f = MacFrame::ack(200);
+        let f = MacFrame {
+            frame_type: FrameType::Ack,
+            ack_request: false,
+            frame_pending: false,
+            sequence: 200,
+            dest_pan: None,
+            dest: Address::None,
+            src_pan: None,
+            src: Address::None,
+            payload: Vec::new(),
+        };
         let bytes = f.encode();
         // fc(2) + seq(1) + fcs(2)
         assert_eq!(bytes.len(), 5);
@@ -439,12 +419,17 @@ mod tests {
 
     #[test]
     fn beacon_frame_round_trip() {
-        let f = MacFrame::beacon(
-            PanId(0x0001),
-            Address::Extended(0x00_12_4B_00_01_02_03_04),
-            3,
-            vec![0xFF, 0xCF, 0x00, 0x00],
-        );
+        let f = MacFrame {
+            frame_type: FrameType::Beacon,
+            ack_request: false,
+            frame_pending: false,
+            sequence: 3,
+            dest_pan: None,
+            dest: Address::None,
+            src_pan: Some(PanId(0x0001)),
+            src: Address::Extended(0x00_12_4B_00_01_02_03_04),
+            payload: vec![0xFF, 0xCF, 0x00, 0x00],
+        };
         assert_eq!(MacFrame::decode(&f.encode()).unwrap(), f);
     }
 

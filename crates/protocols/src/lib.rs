@@ -79,7 +79,7 @@ impl ProtocolKind {
     /// # Errors
     ///
     /// Returns [`ProtocolError::UnknownProtocol`] for anything else.
-    pub(crate) fn parse(s: &str) -> Result<Self, ProtocolError> {
+    pub fn parse(s: &str) -> Result<Self, ProtocolError> {
         ProtocolKind::all()
             .iter()
             .copied()
@@ -88,7 +88,7 @@ impl ProtocolKind {
     }
 
     /// All protocol kinds.
-    pub(crate) fn all() -> &'static [ProtocolKind] {
+    pub fn all() -> &'static [ProtocolKind] {
         &[
             ProtocolKind::Ieee802154,
             ProtocolKind::Zigbee,

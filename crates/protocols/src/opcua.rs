@@ -570,20 +570,23 @@ struct SpaceNode {
     children: Vec<NodeId>,
 }
 
-/// A server-side address space answering Read/Write/Browse.
+/// A server-side address space answering Read/Write/Browse, reached
+/// through the field server that owns it:
 ///
 /// ```
-/// use protocols::opcua::{AddressSpace, NodeId, Variant, Message, ReadValueId, AttributeId};
-/// let mut space = AddressSpace::new();
-/// let folder = NodeId::numeric(1, 100);
-/// let var = NodeId::string(1, "boiler.supply_temp");
-/// space.add_object(folder.clone(), "Plant", None);
-/// space.add_variable(var.clone(), "SupplyTemp", Some(&folder), false);
-/// space.set_value(&var, Variant::Double(71.5), 0).unwrap();
-/// let resp = space.handle(&Message::ReadRequest {
-///     nodes: vec![ReadValueId { node_id: var, attribute: AttributeId::Value }],
-/// });
-/// match resp {
+/// use dimmer_core::QuantityKind;
+/// use protocols::device::OpcUaFieldServer;
+/// use protocols::opcua::{AttributeId, Message, ReadValueId};
+/// let mut server = OpcUaFieldServer::new(QuantityKind::Temperature);
+/// server.update(71.5, 0);
+/// let request = Message::ReadRequest {
+///     nodes: vec![ReadValueId {
+///         node_id: server.value_node().clone(),
+///         attribute: AttributeId::Value,
+///     }],
+/// };
+/// let response = server.handle_bytes(&request.encode()).unwrap();
+/// match Message::decode(&response).unwrap() {
 ///     Message::ReadResponse { results } => assert!(results[0].status.is_good()),
 ///     _ => unreachable!(),
 /// }
@@ -605,16 +608,6 @@ impl AddressSpace {
     /// Creates an empty address space.
     pub(crate) fn new() -> Self {
         AddressSpace::default()
-    }
-
-    /// Number of nodes.
-    pub(crate) fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when the space has no nodes.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     /// Adds an object (folder) node, optionally under `parent`.
@@ -697,11 +690,6 @@ impl AddressSpace {
             }
             _ => Err(StatusCode::BAD_NODE_ID_UNKNOWN),
         }
-    }
-
-    /// Reads a variable's current value.
-    pub(crate) fn value(&self, id: &NodeId) -> Option<&DataValue> {
-        self.nodes.get(id).and_then(|n| n.value.as_ref())
     }
 
     /// Answers a service request. Requests that are themselves responses
@@ -933,7 +921,7 @@ mod tests {
         assert_eq!(results[2], StatusCode::BAD_TYPE_MISMATCH);
         assert_eq!(results[3], StatusCode::BAD_ATTRIBUTE_ID_INVALID);
         assert_eq!(
-            s.value(&setpoint).unwrap().value,
+            s.nodes[&setpoint].value.as_ref().unwrap().value,
             Some(Variant::Double(60.0))
         );
     }

@@ -259,12 +259,6 @@ impl OpcUaAdapter {
             writable_node: None,
         }
     }
-
-    /// Declares a writable setpoint node for actuation.
-    pub(crate) fn with_writable_node(mut self, node: UaNodeId) -> Self {
-        self.writable_node = Some(node);
-        self
-    }
 }
 
 impl DeviceAdapter for OpcUaAdapter {
@@ -526,8 +520,8 @@ mod tests {
     fn opcua_actuation_requires_writable_node() {
         let mut plain = OpcUaAdapter::new(UaNodeId::numeric(1, 1), QuantityKind::Temperature);
         assert!(plain.encode_actuation(60.0).is_none());
-        let mut with_node = OpcUaAdapter::new(UaNodeId::numeric(1, 1), QuantityKind::Temperature)
-            .with_writable_node(UaNodeId::string(1, "setpoint"));
+        let mut with_node = OpcUaAdapter::new(UaNodeId::numeric(1, 1), QuantityKind::Temperature);
+        with_node.writable_node = Some(UaNodeId::string(1, "setpoint"));
         let bytes = with_node.encode_actuation(60.0).unwrap();
         match Message::decode(&bytes).unwrap() {
             Message::WriteRequest { nodes } => {

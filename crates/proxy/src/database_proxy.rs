@@ -275,11 +275,6 @@ impl MeasurementArchiveSource {
     pub fn len(&self) -> usize {
         self.batch.len()
     }
-
-    /// True when the archive holds nothing.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.batch.is_empty()
-    }
 }
 
 impl SourceTranslator for MeasurementArchiveSource {
@@ -372,11 +367,6 @@ impl DatabaseProxyNode {
     /// Whether the master acknowledged registration.
     pub fn is_registered(&self) -> bool {
         self.master.is_registered()
-    }
-
-    /// The counters.
-    pub(crate) fn stats(&self) -> &DatabaseProxyStats {
-        &self.stats
     }
 
     /// The serialized `GET /model` response in `format`.

@@ -158,11 +158,6 @@ impl OpcUaFieldNode {
         }
     }
 
-    /// The wrapped server (e.g. to read its value node id).
-    pub(crate) fn server(&self) -> &OpcUaFieldServer {
-        &self.server
-    }
-
     fn refresh(&mut self, now_millis: i64) {
         let value = self.profile.sample(now_millis);
         self.server.update(value, now_millis);
@@ -231,11 +226,6 @@ impl CoapFieldNode {
             epoch_offset_millis,
             requests_answered: 0,
         }
-    }
-
-    /// The wrapped server (e.g. to read received actuations).
-    pub(crate) fn server(&self) -> &CoapFieldServer {
-        &self.server
     }
 
     fn refresh(&mut self, now_millis: i64) {

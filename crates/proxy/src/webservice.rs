@@ -267,12 +267,6 @@ impl WsResponse {
         }
     }
 
-    /// The `Retry-After` hint of a shed response, when present.
-    pub(crate) fn retry_after(&self) -> Option<SimDuration> {
-        let ms = self.body.get("retry_after_ms")?.as_i64()?;
-        Some(SimDuration::from_millis(ms.max(0) as u64))
-    }
-
     /// True when the server shed this request at admission.
     pub fn is_shed(&self) -> bool {
         self.status == status::SERVICE_UNAVAILABLE
@@ -553,11 +547,6 @@ impl WsClient {
         }
     }
 
-    /// Number of requests in flight.
-    pub(crate) fn outstanding(&self) -> usize {
-        self.tracker.outstanding()
-    }
-
     /// Forgets every in-flight request; call from a node's `on_restart`
     /// (the crash already cancelled the retry timers).
     pub fn reset(&mut self) {
@@ -680,8 +669,10 @@ mod tests {
         assert!(!shed.is_ok());
         let back = WsResponse::from_bytes(&shed.to_bytes(DataFormat::Json)).unwrap();
         assert_eq!(back.status, status::SERVICE_UNAVAILABLE);
-        assert_eq!(back.retry_after(), Some(SimDuration::from_millis(750)));
-        assert_eq!(WsResponse::ok(Value::Null).retry_after(), None);
+        assert_eq!(
+            back.body.get("retry_after_ms").and_then(Value::as_i64),
+            Some(750)
+        );
     }
 
     #[test]
@@ -1017,7 +1008,7 @@ mod tests {
                     assert!(self.client.take_sent_at(id).is_some_and(|t| t <= ctx.now()));
                     assert_eq!(self.client.take_sent_at(id), None, "taken once");
                 }
-                if self.client.outstanding() == 0 && self.rounds_left > 0 {
+                if self.client.tracker.outstanding() == 0 && self.rounds_left > 0 {
                     self.rounds_left -= 1;
                     self.issue_round(ctx);
                 }
@@ -1047,7 +1038,7 @@ mod tests {
         sim.run_for(SimDuration::from_secs(600));
         let c = sim.node_ref::<FanOutClient>(client).unwrap();
         assert_eq!(c.rounds_left, 0, "every round completed");
-        assert_eq!(c.client.outstanding(), 0);
+        assert_eq!(c.client.tracker.outstanding(), 0);
         // Untaken entries may linger until they outnumber the requests in
         // flight, never longer.
         assert!(

@@ -315,11 +315,6 @@ impl BrokerNode {
         self.incarnation
     }
 
-    /// Number of live subscriptions.
-    pub(crate) fn subscription_count(&self) -> usize {
-        self.subscriptions.len()
-    }
-
     /// Number of QoS 1 deliveries awaiting acknowledgement.
     pub fn pending_deliveries(&self) -> usize {
         self.pending.len()

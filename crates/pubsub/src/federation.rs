@@ -77,11 +77,6 @@ impl ShardMap {
         }
     }
 
-    /// The degenerate single-broker map: everything owned by shard 0.
-    pub(crate) fn single() -> Self {
-        ShardMap::new(1)
-    }
-
     /// Number of shards.
     pub(crate) fn shards(&self) -> usize {
         self.shards
@@ -318,7 +313,7 @@ mod tests {
 
     #[test]
     fn single_shard_owns_everything() {
-        let map = ShardMap::single();
+        let map = ShardMap::new(1);
         assert_eq!(map.owner(&topic("district/d9/x")), 0);
         assert_eq!(map.owner(&topic("a/b/c")), 0);
     }

@@ -36,8 +36,7 @@ pub use client::{PubSubClient, PubSubEvent};
 pub use error::PubSubError;
 pub use federation::{BridgeStats, FederationConfig, ShardMap};
 pub use topic::{
-    MeasurementTopic, RollupScope, RollupTopic, SubscriptionTrie, Topic, TopicFilter,
-    TopicFilterRef, TopicRef,
+    MeasurementTopic, RollupTopic, SubscriptionTrie, Topic, TopicFilter, TopicFilterRef, TopicRef,
 };
 pub use wire::{
     BridgeFrame, BridgeFrameRef, Packet as WirePacket, PacketRef as WirePacketRef, QoS, PUBSUB_PORT,

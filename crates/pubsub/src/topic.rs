@@ -136,11 +136,6 @@ impl<'a> TopicRef<'a> {
         self.text
     }
 
-    /// The segments.
-    pub(crate) fn segments(self) -> impl Iterator<Item = &'a str> {
-        self.text.split('/')
-    }
-
     /// Materializes an owned [`Topic`], skipping re-validation.
     pub(crate) fn to_topic(self) -> Topic {
         Topic {
@@ -409,16 +404,7 @@ impl fmt::Display for MeasurementTopic {
     }
 }
 
-/// Scope of a rollup topic: the whole district, or one entity within it.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum RollupScope {
-    /// District-wide rollup (all entities merged).
-    District,
-    /// Rollup for a single entity (building / network).
-    Entity(String),
-}
-
-/// Typed builder/parser for the aggregation rollup topic grammar:
+/// The aggregation rollup topic grammar:
 ///
 /// ```text
 /// district/<district>/agg/district/<quantity>/<window_millis>
@@ -427,89 +413,39 @@ pub enum RollupScope {
 ///
 /// Aggregators publish retained rollups on these topics so that late
 /// subscribers immediately see the latest closed window.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct RollupTopic {
-    /// District identifier segment.
-    pub district: String,
-    /// District-wide or per-entity scope.
-    pub scope: RollupScope,
-    /// Quantity name segment, e.g. `temperature`.
-    pub quantity: String,
-    /// Window size in milliseconds (strictly positive).
-    pub window_millis: i64,
-}
+#[derive(Debug)]
+pub struct RollupTopic;
 
 impl RollupTopic {
-    /// District-wide rollup topic.
-    pub(crate) fn district(
-        district: impl Into<String>,
-        quantity: impl Into<String>,
-        window_millis: i64,
-    ) -> Self {
-        RollupTopic {
-            district: district.into(),
-            scope: RollupScope::District,
-            quantity: quantity.into(),
-            window_millis,
-        }
-    }
-
-    /// Per-entity rollup topic.
-    pub(crate) fn entity(
-        district: impl Into<String>,
-        entity: impl Into<String>,
-        quantity: impl Into<String>,
-        window_millis: i64,
-    ) -> Self {
-        RollupTopic {
-            district: district.into(),
-            scope: RollupScope::Entity(entity.into()),
-            quantity: quantity.into(),
-            window_millis,
-        }
-    }
-
-    /// Renders the concrete topic.
+    /// Renders the concrete topic from borrowed segments (`entity` is
+    /// `None` at district scope).
     ///
     /// # Errors
     ///
     /// Returns [`PubSubError::InvalidTopic`] when a segment violates the
     /// grammar or the window is not strictly positive.
-    pub(crate) fn topic(&self) -> Result<Topic, PubSubError> {
-        RollupTopic::render(
-            &self.district,
-            self.scoped_entity(),
-            &self.quantity,
-            self.window_millis,
-        )
-    }
-
-    fn scoped_entity(&self) -> Option<&str> {
-        match &self.scope {
-            RollupScope::District => None,
-            RollupScope::Entity(entity) => Some(entity),
-        }
-    }
-
-    /// [`RollupTopic::topic`] from borrowed segments (`entity` is `None`
-    /// at district scope), for a publisher that renders one topic per
-    /// closed window and keeps no typed form.
-    ///
-    /// # Errors
-    ///
-    /// As [`RollupTopic::topic`].
     pub fn render(
         district: &str,
         entity: Option<&str>,
         quantity: &str,
         window_millis: i64,
     ) -> Result<Topic, PubSubError> {
+        use fmt::Write;
         // The fixed words and a 20-digit window come to under 48 bytes.
         let mut text = String::with_capacity(
             48 + district.len() + entity.map_or(0, str::len) + quantity.len(),
         );
-        write_rollup_text(&mut text, district, entity, quantity, window_millis)
-            .expect("writing to a String cannot fail");
+        match entity {
+            None => write!(
+                text,
+                "district/{district}/agg/district/{quantity}/{window_millis}"
+            ),
+            Some(entity) => write!(
+                text,
+                "district/{district}/agg/entity/{entity}/{quantity}/{window_millis}"
+            ),
+        }
+        .expect("writing to a String cannot fail");
         if window_millis <= 0 {
             return Err(PubSubError::InvalidTopic {
                 input: text,
@@ -517,32 +453,6 @@ impl RollupTopic {
             });
         }
         Topic::new(text)
-    }
-
-    /// Parses a topic back into its typed form; `None` when the topic
-    /// does not follow the rollup grammar (including non-numeric or
-    /// non-positive windows).
-    pub(crate) fn parse(topic: &Topic) -> Option<Self> {
-        let segs: Vec<&str> = topic.segments().collect();
-        let (district, scope, quantity, window) = match segs.as_slice() {
-            ["district", district, "agg", "district", quantity, window] => {
-                (*district, RollupScope::District, *quantity, *window)
-            }
-            ["district", district, "agg", "entity", entity, quantity, window] => (
-                *district,
-                RollupScope::Entity((*entity).to_owned()),
-                *quantity,
-                *window,
-            ),
-            _ => return None,
-        };
-        let window_millis: i64 = window.parse().ok().filter(|w| *w > 0)?;
-        Some(RollupTopic {
-            district: district.to_owned(),
-            scope,
-            quantity: quantity.to_owned(),
-            window_millis,
-        })
     }
 
     /// Filter matching every rollup published for `district`.
@@ -553,38 +463,6 @@ impl RollupTopic {
     /// valid segment.
     pub fn district_filter(district: &str) -> Result<TopicFilter, PubSubError> {
         TopicFilter::new(format!("district/{district}/agg/#"))
-    }
-}
-
-impl fmt::Display for RollupTopic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_rollup_text(
-            f,
-            &self.district,
-            self.scoped_entity(),
-            &self.quantity,
-            self.window_millis,
-        )
-    }
-}
-
-/// The rollup topic grammar, written once over borrowed segments.
-fn write_rollup_text(
-    out: &mut impl fmt::Write,
-    district: &str,
-    entity: Option<&str>,
-    quantity: &str,
-    window_millis: i64,
-) -> fmt::Result {
-    match entity {
-        None => write!(
-            out,
-            "district/{district}/agg/district/{quantity}/{window_millis}"
-        ),
-        Some(entity) => write!(
-            out,
-            "district/{district}/agg/entity/{entity}/{quantity}/{window_millis}"
-        ),
     }
 }
 
@@ -628,11 +506,6 @@ impl<T: PartialEq> SubscriptionTrie<T> {
     /// Number of subscriptions.
     pub fn len(&self) -> usize {
         self.len
-    }
-
-    /// True when the trie holds no subscriptions.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Inserts a subscription.
@@ -962,38 +835,19 @@ mod tests {
 
     #[test]
     fn rollup_topic_round_trip() {
-        let district = RollupTopic::district("d1", "temperature", 120_000);
-        let topic = district.topic().unwrap();
+        let topic = RollupTopic::render("d1", None, "temperature", 120_000).unwrap();
         assert_eq!(
             topic.as_str(),
             "district/d1/agg/district/temperature/120000"
         );
-        assert_eq!(RollupTopic::parse(&topic), Some(district));
 
-        let entity = RollupTopic::entity("d1", "b3", "power", 60_000);
-        let topic = entity.topic().unwrap();
+        let topic = RollupTopic::render("d1", Some("b3"), "power", 60_000).unwrap();
         assert_eq!(topic.as_str(), "district/d1/agg/entity/b3/power/60000");
-        assert_eq!(RollupTopic::parse(&topic), Some(entity));
 
         assert!(RollupTopic::district_filter("d1").unwrap().matches(&topic));
         assert!(!RollupTopic::district_filter("d2").unwrap().matches(&topic));
-    }
 
-    #[test]
-    fn rollup_topic_rejects_foreign_shapes() {
-        for text in [
-            "district/d1/agg/district/temperature", // missing window
-            "district/d1/agg/district/temperature/abc",
-            "district/d1/agg/district/temperature/0",
-            "district/d1/agg/district/temperature/-5",
-            "district/d1/agg/building/b3/power/60000",
-            "district/d1/entity/b3/device/dev-7/temperature",
-        ] {
-            assert_eq!(RollupTopic::parse(&t(text)), None, "{text}");
-        }
-        assert!(RollupTopic::district("d1", "temperature", 0)
-            .topic()
-            .is_err());
+        assert!(RollupTopic::render("d1", None, "temperature", 0).is_err());
     }
 
     #[test]
@@ -1003,9 +857,7 @@ mod tests {
         let measurement = MeasurementTopic::new("d1", "b3", "dev-7", "temperature")
             .topic()
             .unwrap();
-        let rollup = RollupTopic::entity("d1", "b3", "temperature", 60_000)
-            .topic()
-            .unwrap();
+        let rollup = RollupTopic::render("d1", Some("b3"), "temperature", 60_000).unwrap();
         assert!(!MeasurementTopic::district_filter("d1")
             .unwrap()
             .matches(&rollup));

@@ -24,10 +24,7 @@
 //! assert_eq!(batcher.take(), vec!["a", "b", "c"]);
 //! ```
 
-use std::cell::OnceCell;
-
 use crate::time::SimDuration;
-use telemetry::{GaugeHandle, Registry};
 
 /// When an accumulating batch is cut and put on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,9 +70,6 @@ pub struct Batcher<T> {
     bytes: usize,
     /// Whether a flush timer is armed for the current accumulation run.
     timer_armed: bool,
-    /// The `(items, bytes)` gauges, resolved by the first
-    /// [`refresh_gauges`](Batcher::refresh_gauges).
-    gauges: OnceCell<(GaugeHandle, GaugeHandle)>,
 }
 
 impl<T> Batcher<T> {
@@ -86,13 +80,7 @@ impl<T> Batcher<T> {
             items: Vec::new(),
             bytes: 0,
             timer_armed: false,
-            gauges: OnceCell::new(),
         }
-    }
-
-    /// The governing policy.
-    pub(crate) fn policy(&self) -> &BatchPolicy {
-        &self.policy
     }
 
     /// Number of buffered items.
@@ -103,11 +91,6 @@ impl<T> Batcher<T> {
     /// True when nothing is buffered.
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
-    }
-
-    /// Buffered payload bytes.
-    pub(crate) fn bytes(&self) -> usize {
-        self.bytes
     }
 
     /// Buffers one item of `bytes` payload and reports what the owner
@@ -135,22 +118,6 @@ impl<T> Batcher<T> {
         self.timer_armed = false;
         std::mem::take(&mut self.items)
     }
-
-    /// Publishes this batcher's occupancy as ops-plane gauges
-    /// (`<prefix>.items`, `<prefix>.bytes`) so backpressure on the link
-    /// is scrape-visible. Call after pushes/takes, e.g. once per flush.
-    /// The names are built and resolved on the first call only, so a
-    /// batcher keeps one registry and one prefix.
-    pub(crate) fn refresh_gauges(&self, registry: &Registry, prefix: &str) {
-        let (items, bytes) = self.gauges.get_or_init(|| {
-            (
-                registry.gauge_handle(&format!("{prefix}.items")),
-                registry.gauge_handle(&format!("{prefix}.bytes")),
-            )
-        });
-        items.set(self.items.len() as f64);
-        bytes.set(self.bytes as f64);
-    }
 }
 
 #[cfg(test)]
@@ -174,7 +141,7 @@ mod tests {
         assert_eq!(b.push(4, 1), PushOutcome::Flush);
         assert_eq!(b.take(), vec![1, 2, 3, 4]);
         assert!(b.is_empty());
-        assert_eq!(b.bytes(), 0);
+        assert_eq!(b.bytes, 0);
     }
 
     #[test]
@@ -191,20 +158,6 @@ mod tests {
         assert_eq!(b.push(1, 1), PushOutcome::ArmTimer);
         b.take(); // timer flush
         assert_eq!(b.push(2, 1), PushOutcome::ArmTimer, "fresh batch re-arms");
-    }
-
-    #[test]
-    fn gauges_track_occupancy() {
-        let r = Registry::new();
-        let mut b = Batcher::new(policy());
-        b.push("x", 7);
-        b.push("y", 8);
-        b.refresh_gauges(&r, "bridge.b0");
-        assert_eq!(r.gauge("bridge.b0.items"), 2.0);
-        assert_eq!(r.gauge("bridge.b0.bytes"), 15.0);
-        b.take();
-        b.refresh_gauges(&r, "bridge.b0");
-        assert_eq!(r.gauge("bridge.b0.items"), 0.0);
     }
 
     #[test]

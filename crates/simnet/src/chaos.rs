@@ -191,19 +191,9 @@ impl FaultPlan {
         self
     }
 
-    /// Number of scheduled faults.
-    pub(crate) fn len(&self) -> usize {
-        self.events.len()
-    }
-
     /// True when no faults are scheduled.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// The scheduled events (unsorted, in insertion order).
-    pub(crate) fn events(&self) -> &[FaultEvent] {
-        &self.events
     }
 
     /// Generates a plan over `[0, horizon)` from per-hour rates,
@@ -333,11 +323,6 @@ impl ChaosRunner {
     /// Number of faults injected so far (restores not counted).
     pub fn faults_injected(&self) -> u64 {
         self.injected
-    }
-
-    /// Number of faults not yet injected.
-    pub(crate) fn pending_faults(&self) -> usize {
-        self.events.len() - self.next
     }
 
     /// Runs the simulation until `deadline`, injecting every fault (and
@@ -575,7 +560,7 @@ mod tests {
         let mut chaos = ChaosRunner::new(plan);
         chaos.run_until(&mut sim, SimTime::from_secs(20));
         assert_eq!(chaos.faults_injected(), 3);
-        assert_eq!(chaos.pending_faults(), 0);
+        assert_eq!(chaos.next, chaos.events.len());
         let got = &sim.node_ref::<Rx>(rx).unwrap().got;
         // Down 3→5 drops the tick sent at 4 (the restart event at t=5 is
         // older than that second's tick, so the node is back up in time);
@@ -728,7 +713,7 @@ mod tests {
             },
         );
         let mut chaos = ChaosRunner::new(plan);
-        assert_eq!(chaos.pending_faults(), 3, "one LinkFlap per cycle");
+        assert_eq!(chaos.events.len(), 3, "one LinkFlap per cycle");
         chaos.run_until(&mut sim, SimTime::from_secs(12));
         assert_eq!(chaos.faults_injected(), 3);
         // Down windows [1,2], [4,5], [7,8] each eat one tick (sent at
@@ -754,17 +739,17 @@ mod tests {
         let horizon = SimDuration::from_hours(1);
         let a = FaultPlan::random(42, horizon, &cfg);
         let b = FaultPlan::random(42, horizon, &cfg);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.events().iter().zip(b.events()) {
+        assert_eq!(a.events.len(), b.events.len());
+        for (x, y) in a.events.iter().zip(&b.events) {
             assert_eq!(x.at, y.at);
             assert_eq!(format!("{:?}", x.fault), format!("{:?}", y.fault));
         }
         // ~2 crashes/node/hour over 10 nodes + ~1 flap: expect 15..30.
-        assert!((15..=30).contains(&a.len()), "{}", a.len());
+        assert!((15..=30).contains(&a.events.len()), "{}", a.events.len());
         let c = FaultPlan::random(43, horizon, &cfg);
         assert!(
-            a.events().iter().map(|e| e.at).collect::<Vec<_>>()
-                != c.events().iter().map(|e| e.at).collect::<Vec<_>>(),
+            a.events.iter().map(|e| e.at).collect::<Vec<_>>()
+                != c.events.iter().map(|e| e.at).collect::<Vec<_>>(),
             "different seeds should differ"
         );
     }

@@ -152,7 +152,7 @@ impl Context<'_> {
 
     /// Cancels a pending timer. Cancelling an already-fired or unknown
     /// timer is a no-op.
-    pub(crate) fn cancel_timer(&mut self, id: TimerId) {
+    pub fn cancel_timer(&mut self, id: TimerId) {
         self.effects.push(Effect::CancelTimer(id.0));
     }
 }

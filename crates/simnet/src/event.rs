@@ -176,7 +176,10 @@ mod tests {
         let mut q = EventQueue::new();
         for round in 0..5 {
             for i in 0..100 {
-                q.push(SimTime::from_millis(round * 1000 + i), start(i as u32));
+                q.push(
+                    SimTime::from_nanos((round * 1000 + i) * 1_000_000),
+                    start(i as u32),
+                );
             }
             assert_eq!(q.arena_in_use(), 100);
             while q.pop().is_some() {}

@@ -18,7 +18,7 @@ use crate::time::SimDuration;
 ///     .jitter(SimDuration::from_millis(2))
 ///     .loss(0.001)
 ///     .build();
-/// assert!(wan.loss_probability() > 0.0);
+/// assert_ne!(wan, LinkModel::lan());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkModel {
@@ -58,17 +58,6 @@ impl LinkModel {
         }
     }
 
-    /// A metropolitan WAN hop as between district sites: 10 ms latency,
-    /// 20 Mbit/s, 1 ms jitter, 0.1 % loss.
-    pub(crate) fn wan() -> Self {
-        LinkModel {
-            latency: SimDuration::from_millis(10),
-            bandwidth_bps: 20_000_000,
-            jitter: SimDuration::from_millis(1),
-            loss: 0.001,
-        }
-    }
-
     /// A metro backbone hop between broker shards: 5 ms latency,
     /// 1 Gbit/s, no jitter, no loss.
     ///
@@ -81,17 +70,6 @@ impl LinkModel {
             bandwidth_bps: 1_000_000_000,
             jitter: SimDuration::ZERO,
             loss: 0.0,
-        }
-    }
-
-    /// A low-power wireless sensor hop (802.15.4-class): 5 ms latency,
-    /// 250 kbit/s, 2 ms jitter, 1 % loss.
-    pub(crate) fn wireless_sensor() -> Self {
-        LinkModel {
-            latency: SimDuration::from_millis(5),
-            bandwidth_bps: 250_000,
-            jitter: SimDuration::from_millis(2),
-            loss: 0.01,
         }
     }
 

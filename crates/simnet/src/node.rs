@@ -43,11 +43,6 @@ impl NodeId {
     pub const fn shard(self) -> usize {
         (self.0 >> Self::SHARD_SHIFT) as usize
     }
-
-    /// The dense in-shard slot index of this id.
-    pub(crate) const fn local_index(self) -> usize {
-        (self.0 & Self::LOCAL_MASK) as usize
-    }
 }
 
 impl fmt::Display for NodeId {

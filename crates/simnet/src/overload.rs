@@ -140,22 +140,6 @@ impl AdmissionGate {
         series.depth.set(self.level);
         outcome
     }
-
-    /// Current bucket level (after draining to `now`).
-    pub(crate) fn level(&mut self, now: SimTime) -> f64 {
-        self.drain(now);
-        self.level
-    }
-
-    /// Requests admitted over the gate's lifetime.
-    pub(crate) fn admitted(&self) -> u64 {
-        self.admitted
-    }
-
-    /// Requests shed over the gate's lifetime.
-    pub(crate) fn shed(&self) -> u64 {
-        self.shed
-    }
 }
 
 #[derive(Debug)]
@@ -177,14 +161,13 @@ struct BudgetInner {
 ///
 /// ```
 /// use simnet::overload::RetryBudget;
-/// use simnet::SimTime;
+/// use simnet::rpc::RequestTracker;
 ///
 /// let budget = RetryBudget::new(2.0, 1.0);
-/// let t = SimTime::ZERO;
-/// assert!(budget.try_claim(t));
-/// assert!(budget.try_claim(t));
-/// assert!(!budget.try_claim(t)); // exhausted
-/// assert!(budget.try_claim(SimTime::from_secs(1))); // refilled
+/// let (mut a, mut b) = (RequestTracker::new(0), RequestTracker::new(1 << 32));
+/// a.set_retry_budget(budget.clone());
+/// b.set_retry_budget(budget.clone());
+/// assert_eq!(budget.exhausted(), 0); // no retry has been refused yet
 /// ```
 ///
 /// [`rpc::RequestTracker`]: crate::rpc::RequestTracker
@@ -358,11 +341,6 @@ impl CircuitBreaker {
         self.state
     }
 
-    /// Times the breaker has tripped open.
-    pub(crate) fn trips(&self) -> u64 {
-        self.trips
-    }
-
     /// Whether a request may be sent to the target at `now`. Rejections
     /// count as `breaker.rejected`.
     pub fn allow(&mut self, now: SimTime, metrics: &Registry) -> bool {
@@ -494,8 +472,8 @@ mod tests {
         // Level 4, capacity 4, drain 2/s: one unit frees in 0.5 s.
         assert_eq!(retry_after, SimDuration::from_millis(500));
         assert_eq!(gate.try_admit(t0 + retry_after, &m), Admission::Admitted);
-        assert_eq!(gate.admitted(), 5);
-        assert_eq!(gate.shed(), 1);
+        assert_eq!(gate.admitted, 5);
+        assert_eq!(gate.shed, 1);
         assert_eq!(m.counter("admission.admitted"), 5);
         assert_eq!(m.counter("admission.shed"), 1);
     }
@@ -512,9 +490,9 @@ mod tests {
             offered += 1;
             gate.try_admit(t, &m);
         }
-        assert_eq!(gate.admitted() + gate.shed(), offered);
-        assert!(gate.shed() > 0, "offered load above drain rate must shed");
-        assert!(gate.admitted() > 0);
+        assert_eq!(gate.admitted + gate.shed, offered);
+        assert!(gate.shed > 0, "offered load above drain rate must shed");
+        assert!(gate.admitted > 0);
     }
 
     #[test]
@@ -592,7 +570,7 @@ mod tests {
         assert!(b.allow(t1, &m));
         b.record_success(t1, SimDuration::from_millis(1), &m);
         assert_eq!(b.state(), BreakerState::Closed);
-        assert_eq!(b.trips(), 1);
+        assert_eq!(b.trips, 1);
     }
 
     #[test]
@@ -620,7 +598,7 @@ mod tests {
         assert!(b.allow(t1, &m));
         b.record_failure(t1, &m);
         assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.trips(), 2);
+        assert_eq!(b.trips, 2);
         assert!(!b.allow(t1 + SimDuration::from_secs(1), &m));
     }
 
@@ -677,7 +655,7 @@ mod tests {
                     continue;
                 }
                 let in_probe = b.state() == BreakerState::HalfOpen;
-                let trips_before = b.trips();
+                let trips_before = b.trips;
                 if rng.chance(0.4) {
                     b.record_failure(t, &m);
                 } else {
@@ -687,7 +665,7 @@ mod tests {
                 if in_probe {
                     inflight_probes = 0;
                 }
-                if b.trips() > trips_before {
+                if b.trips > trips_before {
                     opened_at = t;
                 }
             }

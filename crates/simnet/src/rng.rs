@@ -122,7 +122,7 @@ impl DeterministicRng {
     }
 
     /// A sample from the standard normal distribution (Box–Muller).
-    pub(crate) fn next_gaussian(&mut self) -> f64 {
+    pub fn next_gaussian(&mut self) -> f64 {
         loop {
             let u = self.next_f64();
             if u > 0.0 {

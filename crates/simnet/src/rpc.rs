@@ -252,11 +252,6 @@ impl RequestTracker {
         self.budget = Some(budget);
     }
 
-    /// The attached retry budget, if any.
-    pub(crate) fn retry_budget(&self) -> Option<&RetryBudget> {
-        self.budget.as_ref()
-    }
-
     /// Number of requests still awaiting a response.
     pub fn outstanding(&self) -> usize {
         self.pending.len()
@@ -381,7 +376,7 @@ impl RequestTracker {
     }
 
     /// Whether a timer tag belongs to this tracker's namespace.
-    pub(crate) fn owns_tag(&self, tag: TimerTag) -> bool {
+    pub fn owns_tag(&self, tag: TimerTag) -> bool {
         tag.0 >= self.tag_base && self.pending.contains_key(&(tag.0 - self.tag_base))
     }
 }

@@ -889,6 +889,16 @@ mod tests {
         fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: Packet) {}
     }
 
+    /// A jittery, slightly lossy metropolitan hop.
+    fn wan() -> LinkModel {
+        LinkModel::builder()
+            .latency(SimDuration::from_millis(10))
+            .bandwidth_bps(20_000_000)
+            .jitter(SimDuration::from_millis(1))
+            .loss(0.001)
+            .build()
+    }
+
     fn ideal_sim() -> Shard {
         Shard::new(SimConfig {
             seed: 1,
@@ -1018,7 +1028,7 @@ mod tests {
         let run = |seed| {
             let mut sim = Shard::new(SimConfig {
                 seed,
-                default_link: LinkModel::wan(),
+                default_link: wan(),
             });
             let rx = sim.add_node("rx", Counter::default());
             let _tx = sim.add_node("tx", Sender { dst: rx, n: 50 });
@@ -1135,7 +1145,7 @@ mod tests {
         });
         let rx = sim.add_node("rx", Counter::default());
         let _tx = sim.add_node("tx", Sender { dst: rx, n: 1 });
-        sim.run_until(SimTime::from_millis(1));
+        sim.run_until(SimTime::from_nanos(1_000_000));
         // The packet is in flight (arrives at t=1s). Reboot quickly: the
         // epoch bump must still kill the packet.
         sim.crash(rx);
@@ -1239,7 +1249,7 @@ mod tests {
         let run = |nic: bool| {
             let mut sim = Shard::new(SimConfig {
                 seed: 9,
-                default_link: LinkModel::wan(),
+                default_link: wan(),
             });
             let rx = sim.add_node("rx", Counter::default());
             let tx = sim.add_node("tx", Sender { dst: rx, n: 20 });
@@ -1296,7 +1306,7 @@ mod tests {
         let run = |touch: bool| {
             let mut sim = Shard::new(SimConfig {
                 seed: 12,
-                default_link: LinkModel::wan(),
+                default_link: wan(),
             });
             let rx = sim.add_node("rx", Counter::default());
             let tx = sim.add_node("tx", Sender { dst: rx, n: 20 });
@@ -1343,10 +1353,10 @@ mod tests {
         let rx = sim.add_node("rx", Counter::default());
         let tx = sim.add_node("tx", BurstThenTimer { dst: rx, n: 50 });
         sim.set_node_bandwidth(tx, Some(1_000));
-        sim.run_until(SimTime::from_millis(1));
+        sim.run_until(SimTime::from_nanos(1_000_000));
         sim.crash(tx);
         sim.restart(tx, SimDuration::from_millis(10));
-        sim.schedule_timer(tx, SimTime::from_millis(100), TimerTag(1));
+        sim.schedule_timer(tx, SimTime::from_nanos(100_000_000), TimerTag(1));
         sim.run_until_idle(100_000);
         let got = &sim.node_ref::<Counter>(rx).unwrap().packets;
         let (when, _) = got
@@ -1357,7 +1367,7 @@ mod tests {
         // cursor reset this would land after the ~13.2 s backlog.
         assert_eq!(
             *when,
-            SimTime::from_millis(100) + SimDuration::from_millis(264)
+            SimTime::from_nanos(100_000_000) + SimDuration::from_millis(264)
         );
     }
 
@@ -1366,11 +1376,11 @@ mod tests {
         let run = |seed| {
             let mut sim = Shard::new(SimConfig {
                 seed,
-                default_link: LinkModel::wan(),
+                default_link: wan(),
             });
             let rx = sim.add_node("rx", Counter::default());
             let _tx = sim.add_node("tx", Sender { dst: rx, n: 50 });
-            sim.run_until(SimTime::from_millis(5));
+            sim.run_until(SimTime::from_nanos(5_000_000));
             sim.crash(rx);
             sim.restart(rx, SimDuration::from_millis(20));
             sim.run_until_idle(10_000);

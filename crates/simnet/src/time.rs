@@ -39,11 +39,6 @@ impl SimTime {
         SimTime(nanos)
     }
 
-    /// Creates an instant `millis` milliseconds after simulation start.
-    pub(crate) const fn from_millis(millis: u64) -> Self {
-        SimTime(millis * 1_000_000)
-    }
-
     /// Creates an instant `secs` seconds after simulation start.
     pub const fn from_secs(secs: u64) -> Self {
         SimTime(secs * 1_000_000_000)
@@ -57,11 +52,6 @@ impl SimTime {
     /// Seconds since simulation start as a float.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// Milliseconds since simulation start as a float.
-    pub(crate) fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
     }
 
     /// The duration elapsed since `earlier`.
@@ -108,11 +98,6 @@ impl SimDuration {
     /// Creates a duration from whole seconds.
     pub const fn from_secs(secs: u64) -> Self {
         SimDuration(secs * 1_000_000_000)
-    }
-
-    /// Creates a duration from whole minutes.
-    pub(crate) const fn from_mins(mins: u64) -> Self {
-        SimDuration(mins * 60_000_000_000)
     }
 
     /// Creates a duration from whole hours.
@@ -669,7 +654,7 @@ mod wheel_tests {
     #[test]
     fn same_time_entries_pop_in_push_order() {
         let mut wheel = TimerWheel::new();
-        let t = SimTime::from_millis(5);
+        let t = SimTime::from_nanos(5_000_000);
         for seq in 0..100u64 {
             wheel.push(t, seq, (99 - seq) as u32);
         }
@@ -683,9 +668,9 @@ mod wheel_tests {
         let mut wheel = TimerWheel::new();
         assert_eq!(wheel.peek_time(), None);
         wheel.push(SimTime::from_secs(500), 0, 0); // far heap
-        wheel.push(SimTime::from_millis(1), 1, 1);
-        assert_eq!(wheel.peek_time(), Some(SimTime::from_millis(1)));
-        assert_eq!(wheel.pop(), Some((SimTime::from_millis(1), 1, 1)));
+        wheel.push(SimTime::from_nanos(1_000_000), 1, 1);
+        assert_eq!(wheel.peek_time(), Some(SimTime::from_nanos(1_000_000)));
+        assert_eq!(wheel.pop(), Some((SimTime::from_nanos(1_000_000), 1, 1)));
         assert_eq!(wheel.peek_time(), Some(SimTime::from_secs(500)));
         assert_eq!(wheel.pop(), Some((SimTime::from_secs(500), 0, 0)));
         assert_eq!(wheel.peek_time(), None);
@@ -694,15 +679,15 @@ mod wheel_tests {
     #[test]
     fn push_behind_cursor_still_pops_in_order() {
         let mut wheel = TimerWheel::new();
-        wheel.push(SimTime::from_millis(10), 0, 0);
+        wheel.push(SimTime::from_nanos(10_000_000), 0, 0);
         assert!(wheel.pop().is_some()); // cursor now past the 10 ms bucket
                                         // A caller scheduling "at now" lands behind the drained bucket's
                                         // end; it must merge into the ready buffer, not get lost.
-        wheel.push(SimTime::from_millis(10), 1, 1);
-        wheel.push(SimTime::from_millis(10), 2, 2);
+        wheel.push(SimTime::from_nanos(10_000_000), 1, 1);
+        wheel.push(SimTime::from_nanos(10_000_000), 2, 2);
         wheel.push(SimTime::from_secs(1), 3, 3);
-        assert_eq!(wheel.pop(), Some((SimTime::from_millis(10), 1, 1)));
-        assert_eq!(wheel.pop(), Some((SimTime::from_millis(10), 2, 2)));
+        assert_eq!(wheel.pop(), Some((SimTime::from_nanos(10_000_000), 1, 1)));
+        assert_eq!(wheel.pop(), Some((SimTime::from_nanos(10_000_000), 2, 2)));
         assert_eq!(wheel.pop(), Some((SimTime::from_secs(1), 3, 3)));
         assert!(wheel.is_empty());
     }
@@ -717,8 +702,7 @@ mod tests {
         assert_eq!(SimDuration::from_secs(1).as_nanos(), 1_000_000_000);
         assert_eq!(SimDuration::from_millis(1).as_nanos(), 1_000_000);
         assert_eq!(SimDuration::from_micros(1).as_nanos(), 1_000);
-        assert_eq!(SimDuration::from_mins(2), SimDuration::from_secs(120));
-        assert_eq!(SimDuration::from_hours(1), SimDuration::from_mins(60));
+        assert_eq!(SimDuration::from_hours(1), SimDuration::from_secs(3_600));
     }
 
     #[test]

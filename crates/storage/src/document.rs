@@ -68,7 +68,7 @@ impl DocumentStore {
     }
 
     /// Inserts or replaces a document, returning the previous one.
-    pub(crate) fn upsert(&mut self, id: impl Into<String>, doc: Value) -> Option<Value> {
+    pub fn upsert(&mut self, id: impl Into<String>, doc: Value) -> Option<Value> {
         let id = id.into();
         let old = self.remove(&id);
         self.index_doc(&id, &doc);
@@ -82,7 +82,7 @@ impl DocumentStore {
     }
 
     /// Removes a document, returning it.
-    pub(crate) fn remove(&mut self, id: &str) -> Option<Value> {
+    pub fn remove(&mut self, id: &str) -> Option<Value> {
         let doc = self.docs.remove(id)?;
         for (field, index) in self.indexes.iter_mut() {
             if let Some(v) = doc.get(field) {
@@ -103,7 +103,7 @@ impl DocumentStore {
     }
 
     /// Builds a secondary index over top-level `field`.
-    pub(crate) fn create_index(&mut self, field: impl Into<String>) {
+    pub fn create_index(&mut self, field: impl Into<String>) {
         let field = field.into();
         let mut index: BTreeMap<String, Vec<String>> = BTreeMap::new();
         for (id, doc) in &self.docs {
@@ -116,7 +116,7 @@ impl DocumentStore {
 
     /// Finds documents whose top-level `field` equals `value`. Uses the
     /// secondary index when one exists, otherwise scans.
-    pub(crate) fn find_eq(&self, field: &str, value: &Value) -> Vec<(&str, &Value)> {
+    pub fn find_eq(&self, field: &str, value: &Value) -> Vec<(&str, &Value)> {
         if let Some(index) = self.indexes.get(field) {
             index
                 .get(&index_key(value))

@@ -44,8 +44,8 @@ impl FieldSpec {
 /// ]);
 /// let line = layout.encode_record(&["SUB-0007", "SUB", "1250.5"])?;
 /// assert_eq!(line.len(), 20);
-/// let fields = layout.parse_record(&line)?;
-/// assert_eq!(fields, vec!["SUB-0007", "SUB", "1250.5"]);
+/// let records = layout.parse_document(&line)?;
+/// assert_eq!(records, vec![vec!["SUB-0007", "SUB", "1250.5"]]);
 /// # Ok(())
 /// # }
 /// ```
@@ -68,16 +68,6 @@ impl RecordLayout {
             fields,
             total_width,
         }
-    }
-
-    /// The field specs.
-    pub(crate) fn fields(&self) -> &[FieldSpec] {
-        &self.fields
-    }
-
-    /// Total line width.
-    pub(crate) fn total_width(&self) -> usize {
-        self.total_width
     }
 
     /// Encodes one record as a line (no terminator), right-padding each

@@ -37,34 +37,6 @@ impl IniDocument {
             .insert(key.into(), value.into())
     }
 
-    /// Gets `key` from `section`.
-    pub(crate) fn get(&self, section: &str, key: &str) -> Option<&str> {
-        self.sections.get(section)?.get(key).map(String::as_str)
-    }
-
-    /// Iterates over section names, sorted.
-    pub(crate) fn sections(&self) -> impl Iterator<Item = &str> {
-        self.sections.keys().map(String::as_str)
-    }
-
-    /// Iterates over the `(key, value)` pairs of one section, key-sorted.
-    pub(crate) fn section(&self, name: &str) -> impl Iterator<Item = (&str, &str)> {
-        self.sections
-            .get(name)
-            .into_iter()
-            .flat_map(|kv| kv.iter().map(|(k, v)| (k.as_str(), v.as_str())))
-    }
-
-    /// Number of keys across all sections.
-    pub(crate) fn len(&self) -> usize {
-        self.sections.values().map(BTreeMap::len).sum()
-    }
-
-    /// True when no keys are stored.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Serializes the document.
     pub fn encode(&self) -> String {
         let mut out = String::new();
@@ -167,27 +139,27 @@ mod tests {
     fn comments_and_blanks_skipped() {
         let doc = IniDocument::parse("# comment\n; another\n\n[s]\n  key = value with spaces  \n")
             .unwrap();
-        assert_eq!(doc.get("s", "key"), Some("value with spaces"));
+        assert_eq!(doc.sections["s"]["key"], "value with spaces");
     }
 
     #[test]
     fn global_section() {
         let doc = IniDocument::parse("top = 1\n[s]\nk = 2\n").unwrap();
-        assert_eq!(doc.get("", "top"), Some("1"));
-        assert_eq!(doc.get("s", "k"), Some("2"));
+        assert_eq!(doc.sections[""]["top"], "1");
+        assert_eq!(doc.sections["s"]["k"], "2");
     }
 
     #[test]
     fn duplicate_keys_keep_last() {
         let doc = IniDocument::parse("[s]\nk = 1\nk = 2\n").unwrap();
-        assert_eq!(doc.get("s", "k"), Some("2"));
-        assert_eq!(doc.len(), 1);
+        assert_eq!(doc.sections["s"]["k"], "2");
+        assert_eq!(doc.sections["s"].len(), 1);
     }
 
     #[test]
     fn values_may_contain_equals() {
         let doc = IniDocument::parse("[s]\nuri = sim://n1/path?a=b\n").unwrap();
-        assert_eq!(doc.get("s", "uri"), Some("sim://n1/path?a=b"));
+        assert_eq!(doc.sections["s"]["uri"], "sim://n1/path?a=b");
     }
 
     #[test]
@@ -210,18 +182,19 @@ mod tests {
     #[test]
     fn empty_sections_survive() {
         let doc = IniDocument::parse("[empty]\n").unwrap();
-        assert!(doc.sections().any(|s| s == "empty"));
-        assert_eq!(doc.section("empty").count(), 0);
-        assert!(doc.is_empty());
+        assert!(doc.sections["empty"].is_empty());
     }
 
     #[test]
     fn iteration_is_sorted() {
         let doc = IniDocument::parse("[z]\nk=1\n[a]\nb=2\nc=3\n").unwrap();
-        assert_eq!(doc.sections().collect::<Vec<_>>(), vec!["a", "z"]);
+        assert_eq!(doc.sections.keys().collect::<Vec<_>>(), vec!["a", "z"]);
         assert_eq!(
-            doc.section("a").collect::<Vec<_>>(),
-            vec![("b", "2"), ("c", "3")]
+            doc.sections["a"].iter().collect::<Vec<_>>(),
+            vec![
+                (&"b".to_owned(), &"2".to_owned()),
+                (&"c".to_owned(), &"3".to_owned())
+            ]
         );
     }
 }

@@ -182,16 +182,6 @@ impl Predicate {
             literal: literal.into(),
         }
     }
-
-    /// Conjunction.
-    pub(crate) fn and(self, other: Predicate) -> Self {
-        Predicate::And(Box::new(self), Box::new(other))
-    }
-
-    /// Disjunction.
-    pub(crate) fn or(self, other: Predicate) -> Self {
-        Predicate::Or(Box::new(self), Box::new(other))
-    }
 }
 
 fn compare_cells(a: &Cell, b: &Cell) -> Option<std::cmp::Ordering> {
@@ -252,24 +242,9 @@ impl Table {
         }
     }
 
-    /// The table name.
-    pub(crate) fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The schema.
-    pub(crate) fn columns(&self) -> &[Column] {
-        &self.columns
-    }
-
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.rows.len()
-    }
-
-    /// True when the table has no rows.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// The position of a column by name.
@@ -494,9 +469,15 @@ mod tests {
     #[test]
     fn and_or_compose() {
         let t = rooms();
-        let p = Predicate::eq("floor", 2i64).and(Predicate::eq("heated", true));
+        let p = Predicate::And(
+            Box::new(Predicate::eq("floor", 2i64)),
+            Box::new(Predicate::eq("heated", true)),
+        );
         assert_eq!(t.scan(&p).len(), 2);
-        let p = Predicate::eq("id", "r1").or(Predicate::eq("id", "r3"));
+        let p = Predicate::Or(
+            Box::new(Predicate::eq("id", "r1")),
+            Box::new(Predicate::eq("id", "r3")),
+        );
         assert_eq!(t.scan(&p).len(), 2);
     }
 

@@ -64,18 +64,6 @@ pub enum Aggregate {
 }
 
 impl Aggregate {
-    /// The lowercase name used in query strings.
-    pub(crate) fn as_str(self) -> &'static str {
-        match self {
-            Aggregate::Mean => "mean",
-            Aggregate::Min => "min",
-            Aggregate::Max => "max",
-            Aggregate::Sum => "sum",
-            Aggregate::Count => "count",
-            Aggregate::Last => "last",
-        }
-    }
-
     /// Parses a name produced by [`Aggregate::as_str`]. Matching is
     /// exact (lowercase only), and a direct string match so the query
     /// path does no scanning.
@@ -1187,15 +1175,15 @@ mod tests {
 
     #[test]
     fn aggregate_names_round_trip() {
-        for a in [
-            Aggregate::Mean,
-            Aggregate::Min,
-            Aggregate::Max,
-            Aggregate::Sum,
-            Aggregate::Count,
-            Aggregate::Last,
+        for (name, a) in [
+            ("mean", Aggregate::Mean),
+            ("min", Aggregate::Min),
+            ("max", Aggregate::Max),
+            ("sum", Aggregate::Sum),
+            ("count", Aggregate::Count),
+            ("last", Aggregate::Last),
         ] {
-            assert_eq!(Aggregate::parse(a.as_str()), Some(a));
+            assert_eq!(Aggregate::parse(name), Some(a));
         }
         assert_eq!(Aggregate::parse("median"), None);
         // Parsing is exact: mixed or upper case is rejected.

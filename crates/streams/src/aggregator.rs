@@ -322,11 +322,6 @@ impl AggregatorNode {
         self.op.stats()
     }
 
-    /// The local rollup store, for inspection.
-    pub(crate) fn store(&self) -> &TimeSeriesStore {
-        &self.store
-    }
-
     /// The current event-time watermark.
     pub fn watermark(&self) -> i64 {
         self.op.watermark()

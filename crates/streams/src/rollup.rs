@@ -6,7 +6,6 @@
 
 use dimmer_core::codec::Writer;
 use dimmer_core::{CoreError, QuantityKind, Value};
-use pubsub::{PubSubError, RollupTopic, Topic};
 
 /// One closed window at district or entity scope.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,28 +32,9 @@ pub struct Rollup {
 }
 
 impl Rollup {
-    /// Window end (unix millis, exclusive).
-    pub(crate) fn window_end(&self) -> i64 {
-        self.window_start + self.window_millis
-    }
-
     /// The count-weighted mean (`NaN` when empty).
     pub fn mean(&self) -> f64 {
         self.sum / self.count as f64
-    }
-
-    /// The retained topic this rollup publishes on.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PubSubError`] when an id violates the topic grammar.
-    pub(crate) fn topic(&self) -> Result<Topic, PubSubError> {
-        RollupTopic::render(
-            &self.district,
-            self.entity.as_deref(),
-            self.quantity.as_str(),
-            self.window_millis,
-        )
     }
 
     /// Writes the object [`Rollup::to_value`] builds — members in the
@@ -207,16 +187,7 @@ mod tests {
     #[test]
     fn derived_fields() {
         let r = sample(None);
-        assert_eq!(r.window_end(), 1_425_859_500_000);
         assert_eq!(r.mean(), 21.0);
-        assert_eq!(
-            r.topic().unwrap().as_str(),
-            "district/d1/agg/district/temperature/300000"
-        );
-        assert_eq!(
-            sample(Some("b3")).topic().unwrap().as_str(),
-            "district/d1/agg/entity/b3/temperature/300000"
-        );
     }
 
     #[test]

@@ -59,11 +59,6 @@ impl Accumulator {
         }
     }
 
-    /// Folds one sample in.
-    pub(crate) fn add(&mut self, value: f64, trace: TraceId) {
-        self.add_spanned(value, trace, NO_SPAN);
-    }
-
     /// Folds one sample in, remembering the span it arrived under.
     pub(crate) fn add_spanned(&mut self, value: f64, trace: TraceId, span: SpanId) {
         self.count += 1;
@@ -139,16 +134,6 @@ impl WindowSpec {
         self.size_millis
     }
 
-    /// Window advance in milliseconds (equals the size for tumbling).
-    pub(crate) fn slide_millis(&self) -> i64 {
-        self.slide_millis
-    }
-
-    /// Whether the windows tumble (no overlap).
-    pub(crate) fn is_tumbling(&self) -> bool {
-        self.size_millis == self.slide_millis
-    }
-
     /// End (exclusive) of the window starting at `start`.
     pub(crate) fn window_end(&self, start: i64) -> i64 {
         start + self.size_millis
@@ -157,12 +142,6 @@ impl WindowSpec {
     /// Starts of every window containing event time `t`, ascending.
     /// Starts are aligned to multiples of the slide (epoch origin), so
     /// independent operators agree on window boundaries.
-    pub(crate) fn windows_for(&self, t: i64) -> Vec<i64> {
-        self.window_starts(t).collect()
-    }
-
-    /// [`WindowSpec::windows_for`] without the `Vec`: what the
-    /// per-sample path iterates.
     pub(crate) fn window_starts(&self, t: i64) -> impl Iterator<Item = i64> {
         let slide = self.slide_millis;
         let newest = t.div_euclid(slide) * slide;
@@ -260,16 +239,6 @@ impl<K: Ord + Clone> WindowedAggregator<K> {
         assert!(max_open > 0, "at least one pane must stay open");
         self.max_open = max_open;
         self
-    }
-
-    /// The window shape.
-    pub(crate) fn spec(&self) -> WindowSpec {
-        self.spec
-    }
-
-    /// The lateness horizon in milliseconds.
-    pub(crate) fn lateness_millis(&self) -> i64 {
-        self.lateness_millis
     }
 
     /// The current watermark (`i64::MIN` before any sample).
@@ -392,22 +361,27 @@ impl<K: Ord + Clone> WindowedAggregator<K> {
 mod tests {
     use super::*;
 
+    /// The collected form of [`WindowSpec::window_starts`].
+    fn windows_for(spec: &WindowSpec, t: i64) -> Vec<i64> {
+        spec.window_starts(t).collect()
+    }
+
     #[test]
     fn tumbling_window_assignment() {
         let spec = WindowSpec::tumbling(10);
-        assert_eq!(spec.windows_for(0), vec![0]);
-        assert_eq!(spec.windows_for(9), vec![0]);
-        assert_eq!(spec.windows_for(10), vec![10]);
-        assert_eq!(spec.windows_for(-1), vec![-10], "euclidean alignment");
-        assert!(spec.is_tumbling());
+        assert_eq!(windows_for(&spec, 0), vec![0]);
+        assert_eq!(windows_for(&spec, 9), vec![0]);
+        assert_eq!(windows_for(&spec, 10), vec![10]);
+        assert_eq!(windows_for(&spec, -1), vec![-10], "euclidean alignment");
+        assert_eq!(spec.size_millis, spec.slide_millis);
     }
 
     #[test]
     fn sliding_window_assignment() {
         let spec = WindowSpec::sliding(30, 10);
-        assert_eq!(spec.windows_for(5), vec![-20, -10, 0]);
-        assert_eq!(spec.windows_for(29), vec![0, 10, 20]);
-        assert!(!spec.is_tumbling());
+        assert_eq!(windows_for(&spec, 5), vec![-20, -10, 0]);
+        assert_eq!(windows_for(&spec, 29), vec![0, 10, 20]);
+        assert_ne!(spec.size_millis, spec.slide_millis);
     }
 
     #[test]
@@ -462,9 +436,9 @@ mod tests {
         let mut building_a = Accumulator::new();
         let mut building_b = Accumulator::new();
         for v in [1.0, 2.0, 3.0] {
-            building_a.add(v, NO_TRACE);
+            building_a.add_spanned(v, NO_TRACE, NO_SPAN);
         }
-        building_b.add(10.0, NO_TRACE);
+        building_b.add_spanned(10.0, NO_TRACE, NO_SPAN);
         let mut district = Accumulator::new();
         district.merge(&building_a);
         district.merge(&building_b);
@@ -478,7 +452,7 @@ mod tests {
     fn trace_capture_is_bounded() {
         let mut acc = Accumulator::new();
         for i in 0..(2 * TRACE_CAP as u64) {
-            acc.add(1.0, i + 1);
+            acc.add_spanned(1.0, i + 1, NO_SPAN);
         }
         assert_eq!(acc.traces().len(), TRACE_CAP);
         assert_eq!(acc.count, 2 * TRACE_CAP as u64);

@@ -177,28 +177,6 @@ impl SpanTree {
         }
         out
     }
-
-    /// `true` if some root-to-descendant chain visits every one of the
-    /// given event kinds in order (intermediate spans may interleave).
-    pub(crate) fn chain(&self, kinds: &[&str]) -> bool {
-        fn descend(node: &SpanNode, kinds: &[&str]) -> bool {
-            let rest = if kinds.first() == Some(&node.hop.kind.as_str()) {
-                &kinds[1..]
-            } else {
-                kinds
-            };
-            rest.is_empty() || node.children.iter().any(|c| descend(c, rest))
-        }
-        kinds.is_empty() || self.roots.iter().any(|r| descend(r, kinds))
-    }
-
-    /// The depth of the tree (longest root-to-leaf chain, in spans).
-    pub(crate) fn depth(&self) -> usize {
-        fn d(n: &SpanNode) -> usize {
-            1 + n.children.iter().map(d).max().unwrap_or(0)
-        }
-        self.roots.iter().map(d).max().unwrap_or(0)
-    }
 }
 
 impl fmt::Display for SpanTree {
@@ -386,11 +364,16 @@ mod tests {
         assert_eq!(t.roots.len(), 1);
         assert_eq!(t.roots[0].hop.kind, "broker.publish");
         assert_eq!(t.roots[0].children.len(), 2);
-        assert_eq!(t.depth(), 3);
         assert_eq!(t.total_ns, 30);
-        assert!(t.chain(&["broker.publish", "broker.deliver", "sub.receive"]));
-        assert!(!t.chain(&["sub.receive", "broker.publish"]));
-        // The second deliver is a leaf; the first carries the receive.
+        // The first deliver is a leaf; the second carries the receive,
+        // which ends the three-span chain.
+        let [first, second] = &t.roots[0].children[..] else {
+            panic!("two delivers");
+        };
+        assert!(first.children.is_empty());
+        assert_eq!(second.children.len(), 1);
+        assert_eq!(second.children[0].hop.kind, "sub.receive");
+        assert!(second.children[0].children.is_empty());
         let receive = t
             .nodes()
             .into_iter()

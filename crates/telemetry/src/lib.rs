@@ -65,12 +65,6 @@ impl Telemetry {
         Self::default()
     }
 
-    /// Reconstructs per-trace flight paths from the current ring-buffer
-    /// contents. See [`flight::reconstruct`].
-    pub(crate) fn flight_paths(&self) -> Vec<FlightPath> {
-        flight::reconstruct(&self.tracer.events())
-    }
-
     /// Reconstructs per-trace causal span trees from the current
     /// ring-buffer contents. See [`flight::reconstruct_trees`].
     pub fn span_trees(&self) -> Vec<SpanTree> {

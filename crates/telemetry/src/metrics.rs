@@ -168,13 +168,6 @@ impl Histogram {
         self.sum.load()
     }
 
-    pub(crate) fn mean(&self) -> f64 {
-        match self.count() {
-            0 => 0.0,
-            n => self.sum() / n as f64,
-        }
-    }
-
     pub(crate) fn min(&self) -> f64 {
         if self.count() == 0 {
             0.0
@@ -514,7 +507,7 @@ mod tests {
         let h = Histogram::new();
         assert_eq!(h.count(), 0);
         assert_eq!(h.quantile(0.5), 0.0);
-        assert_eq!(h.mean(), 0.0);
+        assert_eq!(h.sum(), 0.0);
     }
 
     #[test]

@@ -87,10 +87,6 @@ pub struct SloTracker {
 }
 
 impl SloTracker {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     /// Registers an objective. Replaces an existing spec of the same
     /// name, so installers can run idempotently.
     pub fn add_spec(&self, spec: SloSpec) {
@@ -224,7 +220,7 @@ mod tests {
         for _ in 0..2 {
             r.observe_ns("lat", 50_000_000);
         }
-        let t = SloTracker::new();
+        let t = SloTracker::default();
         t.add_spec(spec("fast_enough", "lat", 1_000_000.0, 0.99));
         let reports = t.evaluate(&r);
         assert_eq!(reports.len(), 1);
@@ -242,7 +238,7 @@ mod tests {
         for _ in 0..1000 {
             r.observe_ns("lat", 100);
         }
-        let t = SloTracker::new();
+        let t = SloTracker::default();
         t.add_spec(spec("ok", "lat", 1_000_000.0, 0.99));
         let rep = &t.evaluate(&r)[0];
         assert!(rep.met);
@@ -252,7 +248,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_is_vacuously_met() {
-        let t = SloTracker::new();
+        let t = SloTracker::default();
         t.add_spec(spec("quiet", "nothing_here", 1.0, 0.999));
         let rep = &t.evaluate(&Registry::new())[0];
         assert_eq!(rep.count, 0);
@@ -262,7 +258,7 @@ mod tests {
 
     #[test]
     fn add_spec_replaces_by_name_and_sorts() {
-        let t = SloTracker::new();
+        let t = SloTracker::default();
         t.add_spec(spec("b", "h1", 1.0, 0.9));
         t.add_spec(spec("a", "h2", 2.0, 0.9));
         t.add_spec(spec("b", "h3", 3.0, 0.9));
@@ -281,7 +277,7 @@ mod tests {
         tracer.record(4_000, 2, "sub.receive", id, format_args!(""));
         tracer.record(9_000, 3, "sub.receive", id, format_args!("")); // second subscriber
         let r = Registry::new();
-        let t = SloTracker::new();
+        let t = SloTracker::default();
         t.add_harvest("e2e", "broker.publish", "sub.receive");
         assert_eq!(t.harvest(&tracer.events(), &r), 1);
         // Last matching to-hop wins: 9_000 - 1_000.
@@ -299,7 +295,7 @@ mod tests {
         let id = tracer.next_trace_id();
         tracer.record(1_000, 1, "broker.publish", id, format_args!(""));
         let r = Registry::new();
-        let t = SloTracker::new();
+        let t = SloTracker::default();
         t.add_harvest("e2e", "broker.publish", "sub.receive");
         assert_eq!(t.harvest(&tracer.events(), &r), 0);
         assert!(r.histogram("e2e").is_none());

@@ -225,7 +225,7 @@ impl Tracer {
 
     /// Mints a fresh non-zero span id (sequential, deterministic; the
     /// counter is shared across traces).
-    pub(crate) fn next_span_id(&self) -> SpanId {
+    pub fn next_span_id(&self) -> SpanId {
         self.inner().mint_span()
     }
 
@@ -322,10 +322,6 @@ impl Tracer {
     /// Number of events currently held.
     pub fn len(&self) -> usize {
         self.inner().ring.len()
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// All retained events, oldest first.
