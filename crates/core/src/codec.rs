@@ -5,8 +5,8 @@
 //! point so higher layers never match on the format themselves.
 //!
 //! Each format has one grammar, held by an event-level writer and a pull
-//! reader ([`json::Writer`]/[`json::Reader`], [`xml::Writer`]/
-//! [`xml::Reader`]); [`Writer`] and [`Reader`] dispatch to them. The
+//! reader ([`json::Writer`]/`json::Reader`, [`xml::Writer`]/
+//! `xml::Reader`); [`Writer`] and [`Reader`] dispatch to them. The
 //! grammar has two kinds of driver:
 //!
 //! * the **tree drivers** [`Writer::value`] and [`Reader::value`] walk or
@@ -79,7 +79,7 @@ pub(crate) const MAX_DEPTH: usize = 128;
 /// [`Reader`]. Names and strings borrow from the input unless an escape
 /// had to be decoded.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Event<'a> {
+pub(crate) enum Event<'a> {
     /// The absent value.
     Null,
     /// A boolean.

@@ -9,7 +9,7 @@
 //! * typed identifiers for districts, buildings, networks, devices and
 //!   proxies ([`id`]);
 //! * [`Uri`]s, the addressing currency the master node hands out;
-//! * physical [`units`] and [`quantity`] kinds;
+//! * physical `units` and [`quantity`] kinds;
 //! * [`Measurement`]s and batches thereof;
 //! * civil [`Timestamp`]s;
 //! * the dynamic [`Value`] tree plus [`json`] and [`xml`] codecs and the
@@ -39,10 +39,10 @@
 pub mod codec;
 pub mod id;
 pub mod json;
-pub mod measure;
+pub(crate) mod measure;
 pub mod quantity;
-pub mod timestamp;
-pub mod units;
+pub(crate) mod timestamp;
+pub(crate) mod units;
 pub mod uri;
 pub mod value;
 pub mod xml;

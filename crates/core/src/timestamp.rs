@@ -23,21 +23,21 @@ pub struct Timestamp(i64);
 
 /// Broken-down UTC civil time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CivilTime {
+pub(crate) struct CivilTime {
     /// Full year, e.g. 2015.
-    pub year: i32,
+    pub(crate) year: i32,
     /// Month 1–12.
-    pub month: u8,
+    pub(crate) month: u8,
     /// Day of month 1–31.
-    pub day: u8,
+    pub(crate) day: u8,
     /// Hour 0–23.
-    pub hour: u8,
+    pub(crate) hour: u8,
     /// Minute 0–59.
-    pub minute: u8,
+    pub(crate) minute: u8,
     /// Second 0–59.
-    pub second: u8,
+    pub(crate) second: u8,
     /// Millisecond 0–999.
-    pub millisecond: u16,
+    pub(crate) millisecond: u16,
 }
 
 /// Days since epoch of civil date (Hinnant's `days_from_civil`).

@@ -56,7 +56,7 @@ pub enum Unit {
 /// The physical dimension a unit measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[non_exhaustive]
-pub enum Dimension {
+pub(crate) enum Dimension {
     /// Thermodynamic temperature.
     Temperature,
     /// Power.

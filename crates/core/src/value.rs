@@ -64,6 +64,25 @@ impl Value {
         }
     }
 
+    /// Follows a `/`-separated path of object keys and array indices.
+    ///
+    /// ```
+    /// use dimmer_core::Value;
+    /// let v = Value::object([("rooms", Value::array([Value::from("r1")]))]);
+    /// assert_eq!(v.pointer("rooms/0").and_then(Value::as_str), Some("r1"));
+    /// ```
+    pub fn pointer(&self, path: &str) -> Option<&Value> {
+        let mut cur = self;
+        for seg in path.split('/').filter(|s| !s.is_empty()) {
+            cur = match cur {
+                Value::Object(map) => map.get(seg)?,
+                Value::Array(items) => items.get(seg.parse::<usize>().ok()?)?,
+                _ => return None,
+            };
+        }
+        Some(cur)
+    }
+
     /// This value as a bool, if it is one.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
@@ -309,6 +328,19 @@ mod tests {
         );
         assert!(v.get("nope").is_none());
         assert!(Value::Null.is_null());
+    }
+
+    #[test]
+    fn pointer_paths() {
+        let v = sample();
+        assert_eq!(
+            v.pointer("meta/heated").and_then(Value::as_bool),
+            Some(true)
+        );
+        assert_eq!(v.pointer("rooms/0").and_then(Value::as_str), Some("r1"));
+        assert!(v.pointer("rooms/7").is_none());
+        assert!(v.pointer("rooms/x").is_none());
+        assert_eq!(v.pointer(""), Some(&v));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!
 //! Every element carries a `type` attribute (`null`, `bool`, `int`,
 //! `float`, `string`, `array`, `object`); object members carry `name`.
-//! The grammar lives in an event-level [`Writer`] and a pull [`Reader`]
+//! The grammar lives in an event-level [`Writer`] and a pull `Reader`
 //! (a hand-written tokenizer that also skips XML declarations and
 //! comments, and decodes the five named entities plus numeric character
 //! references). [`to_string`] and [`from_str`] drive them through a
@@ -322,7 +322,7 @@ struct Opened {
 
 /// Pull reader over one XML document.
 #[derive(Debug)]
-pub struct Reader<'a> {
+pub(crate) struct Reader<'a> {
     text: &'a str,
     pos: usize,
     open: KindStack,

@@ -40,13 +40,13 @@ const POLL_TAGS: u64 = 3_000_000_000;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CentralStats {
     /// Raw frames decoded.
-    pub frames_decoded: u64,
+    pub(crate) frames_decoded: u64,
     /// Frames that failed decoding.
     pub decode_errors: u64,
     /// Samples stored.
-    pub samples: u64,
+    pub(crate) samples: u64,
     /// Area queries answered.
-    pub queries: u64,
+    pub(crate) queries: u64,
 }
 
 struct DeviceEntry {

@@ -33,7 +33,7 @@ pub struct AreaSnapshot {
     /// When the query was issued.
     pub started_at: SimTime,
     /// When the last fetch completed.
-    pub completed_at: SimTime,
+    pub(crate) completed_at: SimTime,
     /// The master's redirect response.
     pub resolution: AreaResolution,
     /// Per-entity translated models, keyed by entity id.

@@ -38,7 +38,7 @@ pub struct LiveMonitorStats {
     /// Messages that failed to decode as measurements.
     pub decode_errors: u64,
     /// Devices subscribed to.
-    pub subscriptions: u64,
+    pub(crate) subscriptions: u64,
 }
 
 /// A client that keeps an area's latest values fresh through the

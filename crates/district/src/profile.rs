@@ -37,7 +37,7 @@ pub struct ProfileSnapshot {
     /// When the query was issued.
     pub started_at: SimTime,
     /// When the last fetch completed.
-    pub completed_at: SimTime,
+    pub(crate) completed_at: SimTime,
     /// The aggregator URI the master redirected to (`None` when the
     /// district has no aggregation tier).
     pub aggregator: Option<Uri>,

@@ -39,11 +39,11 @@ struct RelayQuery {
 
 /// Counters of the relay.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct RelayStats {
+pub(crate) struct RelayStats {
     /// Client queries served.
-    pub queries: u64,
+    pub(crate) queries: u64,
     /// Upstream fetches issued.
-    pub fetches: u64,
+    pub(crate) fetches: u64,
 }
 
 /// The relaying aggregator node.

@@ -43,9 +43,9 @@ pub struct BuildingSpec {
     /// The building id.
     pub building: BuildingId,
     /// The information model (exported to tables by the deployment).
-    pub bim: BuildingModel,
+    pub(crate) bim: BuildingModel,
     /// Footprint polygon for the GIS database.
-    pub footprint: Polygon,
+    pub(crate) footprint: Polygon,
     /// Reference location (footprint centroid).
     pub location: GeoPoint,
     /// Devices installed in this building.
@@ -58,7 +58,7 @@ pub struct NetworkSpec {
     /// The network id.
     pub network: NetworkId,
     /// The network model (exported to fixed-width records on deploy).
-    pub model: NetworkModel,
+    pub(crate) model: NetworkModel,
     /// Reference location.
     pub location: GeoPoint,
 }
@@ -117,15 +117,15 @@ impl Scenario {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProtocolMix {
     /// Raw IEEE 802.15.4 devices.
-    pub ieee802154: f64,
+    pub(crate) ieee802154: f64,
     /// ZigBee devices.
-    pub zigbee: f64,
+    pub(crate) zigbee: f64,
     /// EnOcean devices.
-    pub enocean: f64,
+    pub(crate) enocean: f64,
     /// OPC UA gateways.
-    pub opcua: f64,
+    pub(crate) opcua: f64,
     /// CoAP motes (6LoWPAN IoT devices).
-    pub coap: f64,
+    pub(crate) coap: f64,
 }
 
 impl ProtocolMix {
@@ -266,7 +266,7 @@ pub struct ScenarioConfig {
     /// Devices per building.
     pub devices_per_building: usize,
     /// Distribution networks per district.
-    pub networks_per_district: usize,
+    pub(crate) networks_per_district: usize,
     /// Protocol weights.
     pub protocol_mix: ProtocolMix,
     /// How often devices report.
@@ -285,7 +285,7 @@ pub struct ScenarioConfig {
     pub federation: Option<FederationSpec>,
     /// Optional overload sizing; `None` (the default) keeps each
     /// node's generous admission defaults.
-    pub overload: Option<OverloadSpec>,
+    pub(crate) overload: Option<OverloadSpec>,
 }
 
 impl ScenarioConfig {

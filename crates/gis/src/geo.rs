@@ -6,7 +6,7 @@ use std::fmt;
 use dimmer_core::{CoreError, Value};
 
 /// Mean Earth radius in metres (IUGG).
-pub const EARTH_RADIUS_M: f64 = 6_371_008.8;
+pub(crate) const EARTH_RADIUS_M: f64 = 6_371_008.8;
 
 /// A WGS-84 coordinate.
 ///

@@ -67,13 +67,13 @@ const LIVENESS_PERIOD: SimDuration = SimDuration::from_secs(30);
 /// A proxy silent for longer than this is evicted.
 const LIVENESS_HORIZON: SimDuration = SimDuration::from_secs(100);
 /// Default fleet-scrape period.
-pub const DEFAULT_SCRAPE_INTERVAL: SimDuration = SimDuration::from_secs(15);
+pub(crate) const DEFAULT_SCRAPE_INTERVAL: SimDuration = SimDuration::from_secs(15);
 /// Default admission capacity for query endpoints (bursts above this
 /// are shed with a 503 and a `Retry-After`).
-pub const DEFAULT_ADMISSION_CAPACITY: u64 = 1024;
+pub(crate) const DEFAULT_ADMISSION_CAPACITY: u64 = 1024;
 /// Default admission drain rate: sustained queries per second the
 /// master is willing to serve.
-pub const DEFAULT_ADMISSION_RATE: f64 = 4096.0;
+pub(crate) const DEFAULT_ADMISSION_RATE: f64 = 4096.0;
 /// A scraped aggregator whose probe latency exceeds this floor *and*
 /// three times the fleet median is ejected from redirect rotation.
 const OUTLIER_LATENCY_FLOOR: SimDuration = SimDuration::from_millis(100);
@@ -97,15 +97,15 @@ fn district_breaker_config() -> BreakerConfig {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MasterStats {
     /// Successful registrations applied.
-    pub registrations: u64,
+    pub(crate) registrations: u64,
     /// Heartbeats received.
-    pub heartbeats: u64,
+    pub(crate) heartbeats: u64,
     /// Queries answered (area/entities/devices/districts/tree).
-    pub queries: u64,
+    pub(crate) queries: u64,
     /// Proxies evicted by the liveness sweep.
     pub evictions: u64,
     /// Device registrations parked while their entity is unknown.
-    pub parked_devices: u64,
+    pub(crate) parked_devices: u64,
 }
 
 #[derive(Debug, Clone)]
@@ -293,7 +293,7 @@ impl MasterNode {
     /// Adds a broker shard to the fleet scrape (brokers speak the
     /// middleware wire, not the Web Service, so they cannot register
     /// like proxies). Enables the scraper at
-    /// [`DEFAULT_SCRAPE_INTERVAL`] if it was off.
+    /// `DEFAULT_SCRAPE_INTERVAL` if it was off.
     pub fn track_broker(&mut self, label: impl Into<String>, node: NodeId) {
         if self.scrape.is_none() {
             self.enable_fleet_scrape(DEFAULT_SCRAPE_INTERVAL);

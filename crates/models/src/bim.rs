@@ -12,7 +12,7 @@ use storage::StorageError;
 
 /// The use of a space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum SpaceUse {
+pub(crate) enum SpaceUse {
     /// Offices.
     Office,
     /// Residential units.
@@ -57,29 +57,29 @@ impl SpaceUse {
 
 /// A room or zone on a storey.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Space {
+pub(crate) struct Space {
     /// Unique id within the building.
     pub id: String,
     /// Human-readable name.
     pub name: String,
     /// Floor area in square metres.
-    pub area_m2: f64,
+    pub(crate) area_m2: f64,
     /// The space use.
-    pub use_kind: SpaceUse,
+    pub(crate) use_kind: SpaceUse,
 }
 
 /// One storey with its spaces.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Storey {
+pub(crate) struct Storey {
     /// Level number (0 = ground).
-    pub level: i32,
+    pub(crate) level: i32,
     /// The spaces on this storey.
     pub spaces: Vec<Space>,
 }
 
 /// The kind of an envelope element.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum EnvelopeKind {
+pub(crate) enum EnvelopeKind {
     /// Exterior wall.
     Wall,
     /// Window / glazing.
@@ -124,26 +124,26 @@ impl EnvelopeKind {
 
 /// A thermal envelope element.
 #[derive(Debug, Clone, PartialEq)]
-pub struct EnvelopeElement {
+pub(crate) struct EnvelopeElement {
     /// The element kind.
     pub kind: EnvelopeKind,
     /// Surface area in square metres.
-    pub area_m2: f64,
+    pub(crate) area_m2: f64,
     /// Thermal transmittance in W/(m²·K).
-    pub u_value: f64,
+    pub(crate) u_value: f64,
 }
 
 /// A piece of energy equipment.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Equipment {
+pub(crate) struct Equipment {
     /// Unique id within the building.
     pub id: String,
     /// Free-form kind ("boiler", "heat_pump", "lighting", …).
     pub kind: String,
     /// Rated electrical/thermal power in watts.
-    pub rated_w: f64,
+    pub(crate) rated_w: f64,
     /// The space it serves, if any.
-    pub space_id: Option<String>,
+    pub(crate) space_id: Option<String>,
 }
 
 /// One building's information model.

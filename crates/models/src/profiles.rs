@@ -15,7 +15,7 @@ use simnet_free_rng::NoiseRng;
 mod simnet_free_rng {
     /// Deterministic noise generator for profile jitter.
     #[derive(Debug, Clone)]
-    pub struct NoiseRng(u64);
+    pub(crate) struct NoiseRng(u64);
 
     impl NoiseRng {
         /// Creates a stream from a seed.

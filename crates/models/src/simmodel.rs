@@ -51,7 +51,7 @@ impl NetworkKind {
 
 /// The role of a network node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum NodeKind {
+pub(crate) enum NodeKind {
     /// Generation/injection point (power plant, heat plant).
     Plant,
     /// Transformation point (substation, heat exchanger).
@@ -87,7 +87,7 @@ impl NodeKind {
 
 /// A node of the network graph.
 #[derive(Debug, Clone, PartialEq)]
-pub struct NetNode {
+pub(crate) struct NetNode {
     /// Unique id within the network (≤ 12 ASCII chars for the legacy
     /// export).
     pub id: String,
@@ -95,7 +95,7 @@ pub struct NetNode {
     pub kind: NodeKind,
     /// Rated power at this node in kW (generation for plants, demand for
     /// consumers, capacity for substations).
-    pub rated_kw: f64,
+    pub(crate) rated_kw: f64,
     /// The building this consumer connects to, if any.
     pub building: Option<String>,
 }
@@ -103,15 +103,15 @@ pub struct NetNode {
 /// An edge of the network graph (directed plant → consumers for loss
 /// computation, but connectivity treats it as undirected).
 #[derive(Debug, Clone, PartialEq)]
-pub struct NetEdge {
+pub(crate) struct NetEdge {
     /// Source node id.
-    pub from: String,
+    pub(crate) from: String,
     /// Target node id.
-    pub to: String,
+    pub(crate) to: String,
     /// Length in metres.
-    pub length_m: f64,
+    pub(crate) length_m: f64,
     /// Fractional loss per kilometre (0.002 = 0.2 %/km).
-    pub loss_per_km: f64,
+    pub(crate) loss_per_km: f64,
 }
 
 /// One distribution network.

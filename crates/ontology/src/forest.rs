@@ -70,9 +70,9 @@ impl From<CoreError> for OntologyError {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct AreaResolution {
     /// GIS Database-proxies of the district (for geometry retrieval).
-    pub gis_proxies: Vec<Uri>,
+    pub(crate) gis_proxies: Vec<Uri>,
     /// Measurement-database proxies of the district.
-    pub measurement_proxies: Vec<Uri>,
+    pub(crate) measurement_proxies: Vec<Uri>,
     /// The matched intermediate entities (buildings/networks) —
     /// independent copies carrying their Database-proxy URI.
     pub entities: Vec<EntityNode>,

@@ -14,11 +14,11 @@ use crate::{DistrictTree, Ontology};
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Triple {
     /// The subject IRI-like identifier, e.g. `district:d1`.
-    pub subject: String,
+    pub(crate) subject: String,
     /// The predicate, e.g. `rdf:type` or `dimmer:hasDevice`.
-    pub predicate: String,
+    pub(crate) predicate: String,
     /// The object: another identifier or a literal.
-    pub object: String,
+    pub(crate) object: String,
 }
 
 impl Triple {
@@ -41,11 +41,11 @@ impl std::fmt::Display for Triple {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TriplePattern {
     /// Required subject, or any.
-    pub subject: Option<String>,
+    pub(crate) subject: Option<String>,
     /// Required predicate, or any.
-    pub predicate: Option<String>,
+    pub(crate) predicate: Option<String>,
     /// Required object, or any.
-    pub object: Option<String>,
+    pub(crate) object: Option<String>,
 }
 
 impl TriplePattern {

@@ -50,20 +50,18 @@ impl CoapType {
 pub struct CoapCode(pub u8);
 
 impl CoapCode {
-    /// 0.00 — empty message (pure ACK/RST).
-    pub const EMPTY: CoapCode = CoapCode(0x00);
     /// 0.01 — GET.
     pub const GET: CoapCode = CoapCode(0x01);
     /// 0.02 — POST.
     pub const POST: CoapCode = CoapCode(0x02);
     /// 2.04 — Changed.
-    pub const CHANGED: CoapCode = CoapCode(0x44);
+    pub(crate) const CHANGED: CoapCode = CoapCode(0x44);
     /// 2.05 — Content.
     pub const CONTENT: CoapCode = CoapCode(0x45);
     /// 4.04 — Not Found.
-    pub const NOT_FOUND: CoapCode = CoapCode(0x84);
+    pub(crate) const NOT_FOUND: CoapCode = CoapCode(0x84);
     /// 4.05 — Method Not Allowed.
-    pub const METHOD_NOT_ALLOWED: CoapCode = CoapCode(0x85);
+    pub(crate) const METHOD_NOT_ALLOWED: CoapCode = CoapCode(0x85);
 
     /// The class digit (0 request, 2 success, 4 client error, 5 server
     /// error).
@@ -90,10 +88,8 @@ impl std::fmt::Display for CoapCode {
 
 /// Content-Format option values used by the framework.
 pub mod content_format {
-    /// text/plain; charset=utf-8
-    pub const TEXT_PLAIN: u16 = 0;
     /// application/json
-    pub const JSON: u16 = 50;
+    pub(crate) const JSON: u16 = 50;
 }
 
 /// A CoAP message.
@@ -370,7 +366,7 @@ mod tests {
     fn empty_ack_round_trips() {
         let ack = CoapMessage {
             mtype: CoapType::Acknowledgement,
-            code: CoapCode::EMPTY,
+            code: CoapCode(0x00), // empty message (pure ACK/RST)
             message_id: 9,
             token: vec![],
             uri_path: vec![],

@@ -156,7 +156,7 @@ impl ZigbeeSensor {
     /// # Panics
     ///
     /// Panics if no ZCL cluster maps to `quantity` (see
-    /// [`ZigbeeSensor::cluster_for`]).
+    /// `ZigbeeSensor::cluster_for`).
     pub fn new(nwk_address: u16, quantity: QuantityKind) -> Self {
         assert!(
             ZigbeeSensor::cluster_for(quantity).is_some(),

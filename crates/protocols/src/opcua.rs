@@ -8,7 +8,7 @@
 //! * [`Variant`] values and [`DataValue`]s with status + source timestamp;
 //! * the **Read**, **Write** and **Browse** services in OPC UA binary
 //!   encoding (little-endian, length-prefixed strings);
-//! * a server-side [`AddressSpace`] that answers those services.
+//! * a server-side `AddressSpace` that answers those services.
 
 use std::collections::BTreeMap;
 
@@ -20,14 +20,14 @@ use crate::ProtocolError;
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId {
     /// The namespace index.
-    pub namespace: u16,
+    pub(crate) namespace: u16,
     /// The identifier within the namespace.
-    pub identifier: Identifier,
+    pub(crate) identifier: Identifier,
 }
 
 /// The identifier part of a [`NodeId`].
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Identifier {
+pub(crate) enum Identifier {
     /// Numeric identifier (encoding byte 0x01 — four-byte form).
     Numeric(u32),
     /// String identifier (encoding byte 0x03).
@@ -172,15 +172,15 @@ pub struct StatusCode(pub u32);
 
 impl StatusCode {
     /// The operation succeeded.
-    pub const GOOD: StatusCode = StatusCode(0);
+    pub(crate) const GOOD: StatusCode = StatusCode(0);
     /// The node id refers to a node that does not exist.
-    pub const BAD_NODE_ID_UNKNOWN: StatusCode = StatusCode(0x8034_0000);
+    pub(crate) const BAD_NODE_ID_UNKNOWN: StatusCode = StatusCode(0x8034_0000);
     /// The requested attribute is not supported by the node.
-    pub const BAD_ATTRIBUTE_ID_INVALID: StatusCode = StatusCode(0x8035_0000);
+    pub(crate) const BAD_ATTRIBUTE_ID_INVALID: StatusCode = StatusCode(0x8035_0000);
     /// The node is not writable.
-    pub const BAD_NOT_WRITABLE: StatusCode = StatusCode(0x803B_0000);
+    pub(crate) const BAD_NOT_WRITABLE: StatusCode = StatusCode(0x803B_0000);
     /// The supplied value's type does not match the variable's type.
-    pub const BAD_TYPE_MISMATCH: StatusCode = StatusCode(0x8074_0000);
+    pub(crate) const BAD_TYPE_MISMATCH: StatusCode = StatusCode(0x8074_0000);
 
     /// Whether the code reports success.
     pub fn is_good(self) -> bool {
@@ -196,7 +196,7 @@ pub struct DataValue {
     /// The quality of the value.
     pub status: StatusCode,
     /// When the underlying source produced the value (Unix millis).
-    pub source_timestamp: Option<i64>,
+    pub(crate) source_timestamp: Option<i64>,
 }
 
 impl DataValue {
@@ -297,7 +297,7 @@ impl AttributeId {
 
 /// The class of an address-space node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum NodeClass {
+pub(crate) enum NodeClass {
     /// A folder/object node.
     Object,
     /// A variable node holding a value.
@@ -350,9 +350,9 @@ pub struct ReferenceDescription {
     /// The target node.
     pub node_id: NodeId,
     /// Its browse name.
-    pub browse_name: String,
+    pub(crate) browse_name: String,
     /// Its class.
-    pub node_class: NodeClass,
+    pub(crate) node_class: NodeClass,
 }
 
 /// An OPC UA service message.
@@ -592,7 +592,7 @@ struct SpaceNode {
 /// }
 /// ```
 #[derive(Default)]
-pub struct AddressSpace {
+pub(crate) struct AddressSpace {
     nodes: BTreeMap<NodeId, SpaceNode>,
 }
 

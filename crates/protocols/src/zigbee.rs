@@ -130,7 +130,7 @@ impl ZclAttribute {
 
 /// The ZCL command carried in the frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ZclCommand {
+pub(crate) enum ZclCommand {
     /// Report Attributes (0x0A) — unsolicited sensor reports.
     ReportAttributes,
     /// Read Attributes Response (0x01) — reply to a poll.
@@ -161,27 +161,27 @@ impl ZclCommand {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ZigbeeFrame {
     /// NWK destination short address.
-    pub nwk_dest: u16,
+    pub(crate) nwk_dest: u16,
     /// NWK source short address (the reporting device).
     pub nwk_src: u16,
     /// Remaining hop radius.
-    pub radius: u8,
+    pub(crate) radius: u8,
     /// NWK sequence number.
-    pub nwk_sequence: u8,
+    pub(crate) nwk_sequence: u8,
     /// Destination endpoint.
-    pub dest_endpoint: u8,
+    pub(crate) dest_endpoint: u8,
     /// The addressed cluster.
     pub cluster: ClusterId,
     /// The application profile (0x0104 = Home Automation).
-    pub profile: u16,
+    pub(crate) profile: u16,
     /// Source endpoint.
-    pub src_endpoint: u8,
+    pub(crate) src_endpoint: u8,
     /// APS counter.
-    pub aps_counter: u8,
+    pub(crate) aps_counter: u8,
     /// ZCL transaction sequence number.
-    pub zcl_sequence: u8,
+    pub(crate) zcl_sequence: u8,
     /// The ZCL command.
-    pub command: ZclCommand,
+    pub(crate) command: ZclCommand,
     /// The attribute records.
     pub attributes: Vec<ZclAttribute>,
 }

@@ -18,7 +18,7 @@ use protocols::{ProtocolError, ProtocolKind};
 use simnet::Port;
 
 /// A decoded sample: the quantity and its value in the canonical unit.
-pub type Sample = (QuantityKind, f64);
+pub(crate) type Sample = (QuantityKind, f64);
 
 /// The dedicated (protocol-specific) layer of a Device-proxy.
 pub trait DeviceAdapter: std::fmt::Debug + Send + 'static {

@@ -272,6 +272,7 @@ impl MeasurementArchiveSource {
     }
 
     /// Number of archived measurements.
+    #[allow(clippy::len_without_is_empty)] // nothing asks whether it is empty
     pub fn len(&self) -> usize {
         self.batch.len()
     }
@@ -304,17 +305,17 @@ impl SourceTranslator for MeasurementArchiveSource {
 
 /// Ingestion/serving counters.
 #[derive(Debug, Clone, Default)]
-pub struct DatabaseProxyStats {
+pub(crate) struct DatabaseProxyStats {
     /// Web-Service requests served.
     pub ws_requests: u64,
     /// Queries (`/model`, `/query`) shed by the admission gate.
-    pub ws_shed: u64,
+    pub(crate) ws_shed: u64,
 }
 
 /// Default admission bound on queued queries (`/model`, `/query`).
-pub const DEFAULT_ADMISSION_CAPACITY: u64 = 32;
+pub(crate) const DEFAULT_ADMISSION_CAPACITY: u64 = 32;
 /// Default sustained query service rate (queries per second).
-pub const DEFAULT_ADMISSION_RATE: f64 = 200.0;
+pub(crate) const DEFAULT_ADMISSION_RATE: f64 = 200.0;
 
 /// The Database-proxy node.
 pub struct DatabaseProxyNode {

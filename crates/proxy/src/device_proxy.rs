@@ -54,15 +54,15 @@ const POLL_TIMEOUT: SimDuration = SimDuration::from_secs(2);
 
 /// Bounded store-and-forward capacity (QoS 1 samples held while the
 /// broker is unreachable).
-pub const STORE_FORWARD_CAPACITY: usize = 256;
+pub(crate) const STORE_FORWARD_CAPACITY: usize = 256;
 /// First replay probe delay after the broker is detected down; doubles
 /// (with jitter) up to [`REPLAY_BACKOFF_MAX`] on each failed probe.
 const REPLAY_BACKOFF_BASE: SimDuration = SimDuration::from_secs(2);
 const REPLAY_BACKOFF_MAX: SimDuration = SimDuration::from_secs(60);
 /// Default admission bound on queued data queries (`/latest`, `/data`).
-pub const DEFAULT_ADMISSION_CAPACITY: u64 = 32;
+pub(crate) const DEFAULT_ADMISSION_CAPACITY: u64 = 32;
 /// Default sustained data-query service rate (queries per second).
-pub const DEFAULT_ADMISSION_RATE: f64 = 200.0;
+pub(crate) const DEFAULT_ADMISSION_RATE: f64 = 200.0;
 
 /// Static configuration of a Device-proxy.
 #[derive(Debug, Clone)]
@@ -122,7 +122,7 @@ pub struct DeviceProxyStats {
     /// and corruption cannot masquerade as each other.
     pub shed_decode: u64,
     /// Data queries (`/latest`, `/data`) shed by the admission gate.
-    pub ws_shed: u64,
+    pub(crate) ws_shed: u64,
 }
 
 /// A sample on its way into the middleware — awaiting its QoS 1 ack,

@@ -33,11 +33,11 @@ pub struct UplinkDeviceNode {
     interval: SimDuration,
     epoch_offset_millis: i64,
     /// Frames transmitted so far.
-    pub frames_sent: u64,
+    pub(crate) frames_sent: u64,
     /// Raw actuation frames received from the proxy (most recent last).
     pub actuations: Vec<Vec<u8>>,
     /// The last value sampled (for test introspection).
-    pub last_value: f64,
+    pub(crate) last_value: f64,
     /// `device.samples`, resolved by the first emission.
     samples: OnceCell<CounterHandle>,
 }
@@ -129,7 +129,7 @@ pub struct OpcUaFieldNode {
     interval: SimDuration,
     epoch_offset_millis: i64,
     /// Polls answered so far.
-    pub polls_answered: u64,
+    pub(crate) polls_answered: u64,
 }
 
 impl std::fmt::Debug for OpcUaFieldNode {
@@ -199,7 +199,7 @@ pub struct CoapFieldNode {
     interval: SimDuration,
     epoch_offset_millis: i64,
     /// Requests answered so far.
-    pub requests_answered: u64,
+    pub(crate) requests_answered: u64,
 }
 
 impl std::fmt::Debug for CoapFieldNode {

@@ -53,7 +53,7 @@ pub const WS_PORT: Port = Port(80);
 /// Port devices push uplink frames to on their Device-proxy.
 pub const DEVICE_UPLINK_PORT: Port = Port(7200);
 /// Port Device-proxies push actuation frames to on their device.
-pub const DEVICE_DOWNLINK_PORT: Port = Port(7201);
+pub(crate) const DEVICE_DOWNLINK_PORT: Port = Port(7201);
 /// Port OPC UA field servers answer polls on.
 pub const OPCUA_PORT: Port = Port(4840);
 /// Port CoAP field servers answer polls on.

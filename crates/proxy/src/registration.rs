@@ -14,7 +14,7 @@ use simnet::{Context, NodeId, Packet, SimDuration, TimerTag};
 use crate::webservice::{status, WsClient, WsClientEvent, WsRequest};
 
 /// How often proxies heartbeat the master.
-pub const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_secs(30);
+pub(crate) const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_secs(30);
 
 /// What kind of data source a registering proxy fronts.
 #[derive(Debug, Clone, PartialEq)]
@@ -170,7 +170,7 @@ pub enum MasterReply {
 }
 
 /// A proxy's session with the master: register on start, heartbeat
-/// every [`HEARTBEAT_INTERVAL`], register again when a heartbeat is
+/// every `HEARTBEAT_INTERVAL`, register again when a heartbeat is
 /// answered 404 or the registration was never acknowledged.
 ///
 /// The embedding node calls [`start`](Self::start) from `on_start`,

@@ -24,9 +24,9 @@ use simnet::{Context, NodeId, Packet, SimDuration, SimTime, TimerTag};
 use crate::WS_PORT;
 
 /// Default request timeout.
-pub const REQUEST_TIMEOUT: SimDuration = SimDuration::from_secs(3);
+pub(crate) const REQUEST_TIMEOUT: SimDuration = SimDuration::from_secs(3);
 /// Default retry count.
-pub const REQUEST_RETRIES: u32 = 2;
+pub(crate) const REQUEST_RETRIES: u32 = 2;
 
 /// Common status codes.
 pub mod status {
@@ -39,7 +39,7 @@ pub mod status {
     /// The server failed internally.
     pub const INTERNAL_ERROR: u16 = 500;
     /// The server is shedding load; retry after the advertised delay.
-    pub const SERVICE_UNAVAILABLE: u16 = 503;
+    pub(crate) const SERVICE_UNAVAILABLE: u16 = 503;
 
     /// True for 2xx statuses.
     pub fn is_success(status: u16) -> bool {
@@ -84,7 +84,7 @@ pub struct WsRequest {
     /// The path, starting with `/`.
     pub path: String,
     /// Query parameters.
-    pub query: BTreeMap<String, String>,
+    pub(crate) query: BTreeMap<String, String>,
     /// The body in the common data format (often `Null` for GET).
     pub body: Value,
     /// The open format this request (and its response) is encoded in.
@@ -452,7 +452,7 @@ pub struct WsCall {
     /// Correlation id (pass back to [`WsServer::respond`]).
     pub id: u64,
     /// The requesting node.
-    pub from: NodeId,
+    pub(crate) from: NodeId,
     /// The decoded request.
     pub request: WsRequest,
 }

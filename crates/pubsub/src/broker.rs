@@ -204,7 +204,7 @@ pub struct BrokerStats {
     pub dropped: u64,
     /// QoS 1 deliveries degraded to at-most-once because the unacked
     /// table was at capacity (a subset of `dropped`).
-    pub queue_shed: u64,
+    pub(crate) queue_shed: u64,
     /// Topics currently retained.
     pub retained: u64,
     /// QoS 1 deliveries enqueued for acknowledgement. At any instant the

@@ -185,11 +185,11 @@ pub struct BridgeStats {
     /// Frames abandoned: batch retries exhausted or wiped by a restart.
     pub frames_dropped: u64,
     /// Batches received from peers, duplicates included.
-    pub batches_received: u64,
+    pub(crate) batches_received: u64,
     /// Frames applied locally from received batches.
     pub frames_received: u64,
     /// Received batches discarded as retransmissions of an applied batch.
-    pub duplicate_batches: u64,
+    pub(crate) duplicate_batches: u64,
     /// Batch retransmissions sent.
     pub retries: u64,
 }

@@ -106,7 +106,7 @@ impl std::str::FromStr for Topic {
 /// Produced by the borrowed wire decoder
 /// ([`PacketRef`](crate::wire::PacketRef)) as a view straight into the
 /// receive buffer. Validation runs once at construction; materializing
-/// an owned [`Topic`] via [`TopicRef::to_topic`] is the *only*
+/// an owned [`Topic`] via `TopicRef::to_topic` is the *only*
 /// allocation on the hot publish path, and the broker calls it solely
 /// where it must retain the topic (retained messages, bridge batches).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -504,6 +504,7 @@ impl<T: PartialEq> SubscriptionTrie<T> {
     }
 
     /// Number of subscriptions.
+    #[allow(clippy::len_without_is_empty)] // nothing asks whether it is empty
     pub fn len(&self) -> usize {
         self.len
     }
@@ -846,8 +847,13 @@ mod tests {
 
         assert!(RollupTopic::district_filter("d1").unwrap().matches(&topic));
         assert!(!RollupTopic::district_filter("d2").unwrap().matches(&topic));
+    }
 
+    #[test]
+    fn rollup_topic_rejects_foreign_shapes() {
         assert!(RollupTopic::render("d1", None, "temperature", 0).is_err());
+        assert!(RollupTopic::render("d1", None, "temperature", -5).is_err());
+        assert!(RollupTopic::render("d 1", None, "temperature", 60_000).is_err());
     }
 
     #[test]

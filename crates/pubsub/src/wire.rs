@@ -366,7 +366,7 @@ pub struct BridgeFrameRef<'a> {
 
 impl BridgeFrameRef<'_> {
     /// Materializes an owned [`BridgeFrame`].
-    pub(crate) fn to_frame(&self) -> BridgeFrame {
+    pub(crate) fn to_frame(self) -> BridgeFrame {
         BridgeFrame {
             topic: self.topic.to_topic(),
             payload: self.payload.to_vec(),
@@ -788,7 +788,7 @@ impl<'a> PacketRef<'a> {
             } => Packet::BridgeBatch {
                 incarnation: *incarnation,
                 batch_id: *batch_id,
-                frames: frames.iter().map(BridgeFrameRef::to_frame).collect(),
+                frames: frames.iter().map(|f| f.to_frame()).collect(),
             },
             PacketRef::BridgeBatchAck { batch_id } => Packet::BridgeBatchAck {
                 batch_id: *batch_id,

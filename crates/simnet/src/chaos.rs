@@ -3,8 +3,8 @@
 //! running [`Simulator`] by a [`ChaosRunner`].
 //!
 //! The simulator provides the primitives ([`Simulator::crash`],
-//! [`Simulator::restart`], [`Simulator::partition`], [`Simulator::heal`],
-//! [`Simulator::set_link_directed`], [`Simulator::set_node_slowdown`]),
+//! [`Simulator::restart`], `Simulator::partition`, `Simulator::heal`,
+//! `Simulator::set_link_directed`, `Simulator::set_node_slowdown`),
 //! each routed to the owning shard or fanned out to all of them, so one
 //! plan replays identically at any shard and thread count; this module
 //! layers a schedule on top. Plans
@@ -64,7 +64,7 @@ pub enum Fault {
         /// How long it stays down.
         down: SimDuration,
     },
-    /// Partition the network into groups (see [`Simulator::partition`]).
+    /// Partition the network into groups (see `Simulator::partition`).
     Partition {
         /// The groups; cross-group packets are dropped.
         groups: Vec<Vec<NodeId>>,
@@ -97,7 +97,7 @@ pub enum Fault {
     /// `factor` for `duration`, then restore normal service. The node
     /// never stops answering — it just answers late, which is the
     /// failure mode liveness probes miss (see
-    /// [`Simulator::set_node_slowdown`]).
+    /// `Simulator::set_node_slowdown`).
     SlowNode {
         /// The victim.
         node: NodeId,
@@ -139,11 +139,11 @@ pub enum Fault {
 
 /// A fault and the instant it is injected.
 #[derive(Debug, Clone)]
-pub struct FaultEvent {
+pub(crate) struct FaultEvent {
     /// Injection time.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// The fault.
-    pub fault: Fault,
+    pub(crate) fault: Fault,
 }
 
 /// Configuration for seeded random fault injection

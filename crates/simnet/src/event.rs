@@ -41,11 +41,11 @@ pub(crate) enum EventKind {
 
 #[derive(Debug)]
 pub(crate) struct Event {
-    pub time: SimTime,
+    pub(crate) time: SimTime,
     /// Position in the total `(time, seq)` order; the simulator itself
     /// only needs `time`, but tests assert on the tie-break.
     #[allow(dead_code)]
-    pub seq: u64,
+    pub(crate) seq: u64,
     pub kind: EventKind,
 }
 

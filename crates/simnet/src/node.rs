@@ -12,7 +12,7 @@ use crate::context::Context;
 /// [`Simulator::add_node_on`](crate::Simulator::add_node_on) in
 /// registration order, which keeps them stable across replays of the
 /// same scenario. The owning shard is tagged into the top
-/// [`NodeId::SHARD_BITS`] bits, so ids stay globally unique and any
+/// `NodeId::SHARD_BITS` bits, so ids stay globally unique and any
 /// shard can tell local destinations from cross-shard ones without a
 /// lookup; a stand-alone simulator uses shard 0 and its ids are plain
 /// indices, bit-for-bit as before.
@@ -22,11 +22,11 @@ pub struct NodeId(pub(crate) u32);
 impl NodeId {
     /// Bits reserved for the owning shard (max 256 shards, 16.7M nodes
     /// per shard).
-    pub const SHARD_BITS: u32 = 8;
+    pub(crate) const SHARD_BITS: u32 = 8;
     /// Shift applied to a shard index when tagging it into an id.
-    pub const SHARD_SHIFT: u32 = 32 - Self::SHARD_BITS;
+    pub(crate) const SHARD_SHIFT: u32 = 32 - Self::SHARD_BITS;
     /// Mask selecting the in-shard index of an id.
-    pub const LOCAL_MASK: u32 = (1 << Self::SHARD_SHIFT) - 1;
+    pub(crate) const LOCAL_MASK: u32 = (1 << Self::SHARD_SHIFT) - 1;
 
     /// The raw index of this node (shard tag included, so ids from a
     /// parallel simulation stay unique when used as flat keys).
@@ -81,7 +81,7 @@ pub struct Packet {
     /// The sending node.
     pub src: NodeId,
     /// The destination node.
-    pub dst: NodeId,
+    pub(crate) dst: NodeId,
     /// The destination service selector.
     pub port: Port,
     /// The opaque payload bytes (already encoded by the sender).

@@ -143,18 +143,18 @@ pub enum RpcEvent<'a> {
 /// per-request retry budgets, a constant resend interval equal to the
 /// request timeout, and no jitter.
 #[derive(Debug, Clone)]
-pub struct RetryPolicy {
+pub(crate) struct RetryPolicy {
     /// When `Some`, caps (and overrides) the per-request `retries`
     /// argument of [`RequestTracker::send_request`] for every request.
-    pub max_retries: Option<u32>,
+    pub(crate) max_retries: Option<u32>,
     /// Multiplier applied to the resend interval per attempt
     /// (`timeout * backoff^attempt`). `1.0` keeps the interval constant;
     /// `2.0` doubles it on every retry.
-    pub backoff: f64,
+    pub(crate) backoff: f64,
     /// Fractional jitter on each retry delay: a delay `d` becomes a
     /// uniform draw from `d * [1 - jitter, 1 + jitter]`. Jitter decorrelates
     /// retry storms after a partition heals or a peer restarts.
-    pub jitter: f64,
+    pub(crate) jitter: f64,
 }
 
 impl Default for RetryPolicy {
@@ -374,11 +374,6 @@ impl RequestTracker {
         ctx.set_timer(delay, TimerTag(self.tag_base + id));
         None
     }
-
-    /// Whether a timer tag belongs to this tracker's namespace.
-    pub fn owns_tag(&self, tag: TimerTag) -> bool {
-        tag.0 >= self.tag_base && self.pending.contains_key(&(tag.0 - self.tag_base))
-    }
 }
 
 #[cfg(test)]
@@ -559,15 +554,6 @@ mod tests {
     }
 
     #[test]
-    fn owns_tag_tracks_pending_requests() {
-        // Construct a tracker and inspect tag ownership around the
-        // request lifecycle without a simulator (pure bookkeeping).
-        let tracker = RequestTracker::new(500);
-        assert!(!tracker.owns_tag(TimerTag(500)), "nothing pending yet");
-        assert!(!tracker.owns_tag(TimerTag(0)), "below the namespace");
-    }
-
-    #[test]
     fn exhausted_retries_emit_a_metric_and_respect_the_policy_cap() {
         struct Mute;
         impl Node for Mute {
@@ -710,7 +696,6 @@ mod tests {
         assert_eq!(c.tracker.outstanding(), 1);
         c.tracker.reset();
         assert_eq!(c.tracker.outstanding(), 0);
-        assert!(!c.tracker.owns_tag(TimerTag(1000)));
     }
 
     #[test]

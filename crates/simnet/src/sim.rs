@@ -40,7 +40,7 @@ pub struct NodeMetrics {
     /// Wire bytes (payload + header) handed to the network.
     pub bytes_sent: u64,
     /// Packets delivered to this node.
-    pub packets_received: u64,
+    pub(crate) packets_received: u64,
     /// Wire bytes delivered to this node.
     pub bytes_received: u64,
     /// Packets this node sent that the link dropped.
@@ -57,14 +57,14 @@ pub struct NetMetrics {
     /// Total packets dropped by links.
     pub packets_lost: u64,
     /// Total wire bytes delivered.
-    pub bytes_delivered: u64,
+    pub(crate) bytes_delivered: u64,
     /// Total events processed (deliveries, timers, starts).
     pub events_processed: u64,
     /// Packets dropped because the destination was down (or rebooted
     /// between send and delivery).
-    pub packets_dropped_crashed: u64,
+    pub(crate) packets_dropped_crashed: u64,
     /// Packets dropped at the sender by an active network partition.
-    pub packets_dropped_partitioned: u64,
+    pub(crate) packets_dropped_partitioned: u64,
     /// Node crashes injected.
     pub crashes: u64,
     /// Node restarts completed.

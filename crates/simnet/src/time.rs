@@ -31,8 +31,6 @@ pub struct SimDuration(u64);
 impl SimTime {
     /// The start of the simulation.
     pub const ZERO: SimTime = SimTime(0);
-    /// The greatest representable instant; used as an "never" sentinel.
-    pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Creates an instant from raw nanoseconds since simulation start.
     pub const fn from_nanos(nanos: u64) -> Self {
@@ -77,8 +75,6 @@ impl SimTime {
 impl SimDuration {
     /// The empty duration.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// The largest representable duration.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Creates a duration from nanoseconds.
     pub const fn from_nanos(nanos: u64) -> Self {
@@ -637,7 +633,7 @@ mod wheel_tests {
         // One entry per decade of delay, pushed in shuffled order.
         let mut delays: Vec<u64> = (0..14).map(|i| 10u64.pow(i)).collect();
         delays.push(0);
-        delays.push(u64::MAX); // SimTime::MAX sentinel territory
+        delays.push(u64::MAX); // the greatest representable instant
         let mut rng = DeterministicRng::seed_from(99);
         rng.shuffle(&mut delays);
         for (i, &d) in delays.iter().enumerate() {
@@ -648,7 +644,7 @@ mod wheel_tests {
             assert!(last.is_none_or(|p| p <= t), "out of order: {last:?} {t}");
             last = Some(t);
         }
-        assert_eq!(last, Some(SimTime::MAX));
+        assert_eq!(last, Some(SimTime::from_nanos(u64::MAX)));
     }
 
     #[test]

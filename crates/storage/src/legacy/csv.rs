@@ -11,7 +11,7 @@ use crate::StorageError;
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CsvDocument {
     /// Column names from the header record.
-    pub header: Vec<String>,
+    pub(crate) header: Vec<String>,
     /// Data records; every record has `header.len()` fields.
     pub records: Vec<Vec<String>>,
 }

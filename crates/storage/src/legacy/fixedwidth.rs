@@ -14,7 +14,7 @@ pub struct FieldSpec {
     /// Field name.
     pub name: String,
     /// Width in bytes (ASCII).
-    pub width: usize,
+    pub(crate) width: usize,
 }
 
 impl FieldSpec {

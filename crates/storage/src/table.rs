@@ -114,7 +114,7 @@ pub struct Column {
     /// The column name.
     pub name: String,
     /// The column type.
-    pub ty: ColumnType,
+    pub(crate) ty: ColumnType,
 }
 
 impl Column {
@@ -243,6 +243,7 @@ impl Table {
     }
 
     /// Number of rows.
+    #[allow(clippy::len_without_is_empty)] // nothing asks whether it is empty
     pub fn len(&self) -> usize {
         self.rows.len()
     }

@@ -21,7 +21,7 @@ const SCALES: [f64; 5] = [1.0, 10.0, 100.0, 1_000.0, 10_000.0];
 
 /// An MSB-first bit sink.
 #[derive(Debug, Default)]
-pub struct BitWriter {
+pub(crate) struct BitWriter {
     bytes: Vec<u8>,
     bit_len: usize,
 }
@@ -57,7 +57,7 @@ impl BitWriter {
 /// end yields zero bits; block decoding is count-driven, so a valid
 /// stream never over-reads.
 #[derive(Debug, Clone)]
-pub struct BitReader<'a> {
+pub(crate) struct BitReader<'a> {
     bytes: &'a [u8],
     byte_pos: usize,
     cache: u64,
@@ -329,7 +329,7 @@ pub(crate) fn encode_block(points: &[(i64, f64)]) -> Box<[u8]> {
 
 /// A lazy decoder over an encoded block; yields exactly `count` points.
 #[derive(Debug, Clone)]
-pub struct BlockIter<'a> {
+pub(crate) struct BlockIter<'a> {
     r: BitReader<'a>,
     remaining: u32,
     started: bool,

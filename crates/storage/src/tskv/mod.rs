@@ -64,7 +64,7 @@ pub enum Aggregate {
 }
 
 impl Aggregate {
-    /// Parses a name produced by [`Aggregate::as_str`]. Matching is
+    /// Parses the lowercase name used in query strings. Matching is
     /// exact (lowercase only), and a direct string match so the query
     /// path does no scanning.
     pub fn parse(s: &str) -> Option<Self> {
@@ -171,9 +171,9 @@ pub struct TskvStats {
     /// Live (untruncated) WAL records.
     pub wal_records: usize,
     /// Lifetime seal operations.
-    pub seals: u64,
+    pub(crate) seals: u64,
     /// Lifetime partition compactions.
-    pub compactions: u64,
+    pub(crate) compactions: u64,
     /// Lifetime WAL records replayed by crash recovery.
     pub wal_replayed: u64,
 }
@@ -182,11 +182,11 @@ pub struct TskvStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MaintenanceReport {
     /// Segments sealed from cold head partitions.
-    pub sealed: usize,
+    pub(crate) sealed: usize,
     /// Partitions compacted (merged and/or rollups materialized).
-    pub compacted: usize,
+    pub(crate) compacted: usize,
     /// Whether a checkpoint (snapshot + WAL truncate) ran.
-    pub checkpointed: bool,
+    pub(crate) checkpointed: bool,
 }
 
 /// A series name resolved by [`TimeSeriesStore::series_id`]: an index

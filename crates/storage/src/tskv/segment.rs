@@ -25,7 +25,7 @@ pub(crate) struct SummaryBucket {
     pub sum: f64,
     pub min: f64,
     pub max: f64,
-    pub last: f64,
+    pub(crate) last: f64,
 }
 
 /// All buckets of one rollup granularity inside a segment's span.
@@ -34,30 +34,30 @@ pub(crate) struct SummaryBucket {
 /// when the query's `from` is itself bucket-aligned.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct MaterializedLevel {
-    pub bucket_millis: i64,
-    pub buckets: Vec<SummaryBucket>,
+    pub(crate) bucket_millis: i64,
+    pub(crate) buckets: Vec<SummaryBucket>,
 }
 
 /// A sealed, compressed, immutable run of points.
 #[derive(Debug, Clone)]
 pub(crate) struct Segment {
     /// Global seal sequence; higher wins on duplicate timestamps.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// First timestamp in the segment.
-    pub min_t: i64,
+    pub(crate) min_t: i64,
     /// Last timestamp in the segment.
-    pub max_t: i64,
+    pub(crate) max_t: i64,
     /// The value at `max_t`, so `latest()` never decodes.
-    pub last_v: f64,
+    pub(crate) last_v: f64,
     /// Number of encoded points.
     pub count: u32,
     /// The Gorilla-encoded block.
-    pub bytes: Box<[u8]>,
+    pub(crate) bytes: Box<[u8]>,
     /// `Some((start, end))` when this segment is the compacted owner of
     /// the whole partition `[start, end)`.
     pub span: Option<(i64, i64)>,
     /// Materialized rollups (compacted segments only).
-    pub levels: Vec<MaterializedLevel>,
+    pub(crate) levels: Vec<MaterializedLevel>,
 }
 
 impl Segment {

@@ -33,8 +33,8 @@ pub(crate) enum WalOp {
 /// A sequenced WAL record.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct WalRecord {
-    pub seq: u64,
-    pub op: WalOp,
+    pub(crate) seq: u64,
+    pub(crate) op: WalOp,
 }
 
 /// The in-simulation write-ahead log.
@@ -80,8 +80,8 @@ impl Wal {
 /// are `(series, point-count, encoded bytes)`.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Snapshot {
-    pub upto_seq: u64,
-    pub blocks: Vec<(SeriesId, u32, Box<[u8]>)>,
+    pub(crate) upto_seq: u64,
+    pub(crate) blocks: Vec<(SeriesId, u32, Box<[u8]>)>,
 }
 
 #[cfg(test)]

@@ -56,13 +56,13 @@ const TSKV_MAINTAIN_PERIOD: SimDuration = SimDuration::from_secs(300);
 /// Wall-clock flush period (watermark advance + window close).
 const FLUSH_INTERVAL: SimDuration = SimDuration::from_secs(5);
 /// Default tumbling window size.
-pub const DEFAULT_WINDOW_MILLIS: i64 = 300_000;
+pub(crate) const DEFAULT_WINDOW_MILLIS: i64 = 300_000;
 /// Default lateness horizon.
-pub const DEFAULT_LATENESS_MILLIS: i64 = 30_000;
+pub(crate) const DEFAULT_LATENESS_MILLIS: i64 = 30_000;
 /// Default admission bound on queued `/rollups` queries.
-pub const DEFAULT_ADMISSION_CAPACITY: u64 = 64;
+pub(crate) const DEFAULT_ADMISSION_CAPACITY: u64 = 64;
 /// Default sustained `/rollups` service rate (queries per second).
-pub const DEFAULT_ADMISSION_RATE: f64 = 500.0;
+pub(crate) const DEFAULT_ADMISSION_RATE: f64 = 500.0;
 
 /// Series name of the persisted watermark (single point at t=0).
 const WATERMARK_SERIES: &str = "meta/watermark";
@@ -148,9 +148,9 @@ pub struct AggregatorConfig {
     pub epoch_offset_millis: i64,
     /// Admission bound on queued `/rollups` queries; bursts past it are
     /// shed with a 503 and a `Retry-After`.
-    pub admission_capacity: u64,
+    pub(crate) admission_capacity: u64,
     /// Sustained `/rollups` queries per second the aggregator serves.
-    pub admission_rate: f64,
+    pub(crate) admission_rate: f64,
 }
 
 impl AggregatorConfig {
@@ -194,7 +194,7 @@ pub struct AggregatorStats {
     /// Messages that failed to decode.
     pub decode_errors: u64,
     /// Building-tier windows closed.
-    pub windows_closed: u64,
+    pub(crate) windows_closed: u64,
     /// Rollups published into the middleware (both tiers).
     pub rollups_published: u64,
     /// Raw samples replayed from the store after a restart.
@@ -202,7 +202,7 @@ pub struct AggregatorStats {
     /// Web-Service requests served.
     pub ws_requests: u64,
     /// `/rollups` queries shed by the admission gate.
-    pub ws_shed: u64,
+    pub(crate) ws_shed: u64,
 }
 
 /// The series written per sample, window, request or scrape, resolved

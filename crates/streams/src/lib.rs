@@ -7,7 +7,7 @@
 //! - [`window`] — event-time windowed operators: tumbling + sliding
 //!   windows, monotonic watermarks with a bounded lateness horizon,
 //!   bounded per-key state with shed accounting;
-//! - [`rollup`] — the [`rollup::Rollup`] record shared by middleware
+//! - `rollup` — the [`rollup::Rollup`] record shared by middleware
 //!   publications, Web-Service responses and clients;
 //! - [`aggregator`] — the [`aggregator::AggregatorNode`]: one per
 //!   district, subscribing to measurement topics, rolling device →
@@ -15,7 +15,7 @@
 //!   publishing retained rollups and serving `/rollups` redirects.
 
 pub mod aggregator;
-pub mod rollup;
+pub(crate) mod rollup;
 pub mod window;
 
 pub use aggregator::{AggregatorConfig, AggregatorNode, AggregatorStats};

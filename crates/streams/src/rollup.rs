@@ -103,7 +103,7 @@ impl Rollup {
         ])
     }
 
-    /// Decodes a value produced by [`Rollup::to_value`].
+    /// Decodes a value produced by `Rollup::to_value`.
     ///
     /// # Errors
     ///

@@ -16,10 +16,10 @@ use telemetry::{SpanId, TraceId, NO_SPAN, NO_TRACE};
 
 /// Most contributing flight-recorder traces kept per accumulator; the
 /// bound keeps per-window state O(1) under heavy traffic.
-pub const TRACE_CAP: usize = 32;
+pub(crate) const TRACE_CAP: usize = 32;
 
 /// Default cap on concurrently open `(window, key)` panes.
-pub const DEFAULT_MAX_OPEN: usize = 4096;
+pub(crate) const DEFAULT_MAX_OPEN: usize = 4096;
 
 /// A mergeable aggregate over one window's samples. Carrying the raw
 /// `count` and `sum` (not the mean) is what makes hierarchical rollups
@@ -167,7 +167,7 @@ pub struct WindowStats {
     /// Samples refused because the open-pane cap was reached.
     pub shed: u64,
     /// Panes emitted by [`WindowedAggregator::close_ready`].
-    pub windows_closed: u64,
+    pub(crate) windows_closed: u64,
 }
 
 /// One closed `(key, window)` pane.
@@ -230,7 +230,7 @@ impl<K: Ord + Clone> WindowedAggregator<K> {
     }
 
     /// Overrides the bound on concurrently open panes (default
-    /// [`DEFAULT_MAX_OPEN`]).
+    /// `DEFAULT_MAX_OPEN`).
     ///
     /// # Panics
     ///

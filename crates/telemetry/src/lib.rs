@@ -19,11 +19,11 @@
 //!   reconstructs the path of each traced measurement (device →
 //!   device-proxy → broker → subscriber/master) with a per-hop latency
 //!   breakdown, and — for span-carrying events — the causal tree
-//!   ([`flight::reconstruct_trees`]) showing who caused what across
+//!   (`flight::reconstruct_trees`) showing who caused what across
 //!   fan-outs and federation bridges.
 //! * [`expo`] — Prometheus-style text exposition of a
 //!   [`MetricsSnapshot`], served by each node's `/metrics` endpoint.
-//! * [`slo`] — named latency objectives evaluated against registry
+//! * `slo` — named latency objectives evaluated against registry
 //!   histograms, with attainment and error-budget burn.
 //!
 //! The crate deliberately has no dependencies — not even on `simnet` —
@@ -38,7 +38,7 @@
 pub mod expo;
 pub mod flight;
 pub mod metrics;
-pub mod slo;
+pub(crate) mod slo;
 pub mod trace;
 
 pub use expo::exposition;
@@ -66,7 +66,7 @@ impl Telemetry {
     }
 
     /// Reconstructs per-trace causal span trees from the current
-    /// ring-buffer contents. See [`flight::reconstruct_trees`].
+    /// ring-buffer contents. See `flight::reconstruct_trees`.
     pub fn span_trees(&self) -> Vec<SpanTree> {
         flight::reconstruct_trees(&self.tracer.events())
     }

@@ -34,7 +34,7 @@ pub const NO_TRACE: TraceId = 0;
 /// A span marks one unit of work (a broker publish, a bridge forward,
 /// a subscriber receive). Spans form a tree per trace: each span
 /// carries the id of the span that caused it, so
-/// [`crate::flight::reconstruct_trees`] can rebuild the true causal
+/// `crate::flight::reconstruct_trees` can rebuild the true causal
 /// structure even when hops of independent branches interleave in time.
 pub type SpanId = u64;
 
@@ -320,6 +320,7 @@ impl Tracer {
     }
 
     /// Number of events currently held.
+    #[allow(clippy::len_without_is_empty)] // nothing asks whether it is empty
     pub fn len(&self) -> usize {
         self.inner().ring.len()
     }
