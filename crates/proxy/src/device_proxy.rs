@@ -54,7 +54,7 @@ const POLL_TIMEOUT: SimDuration = SimDuration::from_secs(2);
 
 /// Bounded store-and-forward capacity (QoS 1 samples held while the
 /// broker is unreachable).
-pub(crate) const STORE_FORWARD_CAPACITY: usize = 256;
+pub const STORE_FORWARD_CAPACITY: usize = 256;
 /// First replay probe delay after the broker is detected down; doubles
 /// (with jitter) up to [`REPLAY_BACKOFF_MAX`] on each failed probe.
 const REPLAY_BACKOFF_BASE: SimDuration = SimDuration::from_secs(2);

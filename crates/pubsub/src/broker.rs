@@ -23,7 +23,7 @@ const MAX_RETRIES: u32 = 3;
 /// Bound on the unacked QoS 1 delivery table. At capacity a new QoS 1
 /// delivery degrades to at-most-once (sent once, never retried) instead
 /// of growing the table without limit.
-pub const DEFAULT_PENDING_CAPACITY: usize = 65_536;
+pub(crate) const DEFAULT_PENDING_CAPACITY: usize = 65_536;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Subscription {

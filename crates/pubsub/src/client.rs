@@ -786,6 +786,75 @@ mod tests {
     }
 
     #[test]
+    fn qos1_delivery_degrades_to_at_most_once_at_pending_capacity() {
+        use crate::broker::DEFAULT_PENDING_CAPACITY;
+
+        /// Subscribes at QoS 1 and never acknowledges a delivery.
+        struct MuteSubscriber {
+            broker: NodeId,
+        }
+        impl Node for MuteSubscriber {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                let subscribe = Packet::Subscribe {
+                    filter: filter("#"),
+                    qos: QoS::AtLeastOnce,
+                };
+                ctx.send(self.broker, PUBSUB_PORT, subscribe.encode());
+            }
+            fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: NetPacket) {}
+        }
+        /// Sends `count` QoS 1 publishes at once.
+        struct Burst {
+            broker: NodeId,
+            count: u64,
+        }
+        impl Node for Burst {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                for id in 0..self.count {
+                    let publish = Packet::Publish {
+                        id,
+                        topic: topic("d1/x"),
+                        payload: vec![],
+                        retain: false,
+                        qos: QoS::AtLeastOnce,
+                        trace: NO_TRACE,
+                        span: NO_SPAN,
+                    };
+                    ctx.send(self.broker, PUBSUB_PORT, publish.encode());
+                }
+            }
+            fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: NetPacket) {}
+        }
+        let capacity = DEFAULT_PENDING_CAPACITY as u64;
+        let (mut sim, broker) = build(LinkModel::lan());
+        sim.add_node("mute", MuteSubscriber { broker });
+        sim.run_for(SimDuration::from_millis(100));
+        // Both bursts land before the first redelivery timeout (2 s).
+        // At the bound the table is full and nothing has been shed.
+        let count = capacity;
+        sim.add_node("fill", Burst { broker, count });
+        sim.run_for(SimDuration::from_millis(500));
+        let b = sim.node_ref::<BrokerNode>(broker).unwrap();
+        let stats = b.stats();
+        assert_eq!(b.pending_deliveries() as u64, capacity);
+        assert_eq!((stats.qos1_enqueued, stats.queue_shed), (capacity, 0));
+        assert_eq!((stats.acked, stats.dropped), (0, 0));
+
+        // One past it: sent once, written off, the table no larger.
+        sim.add_node("overflow", Burst { broker, count: 1 });
+        sim.run_for(SimDuration::from_millis(500));
+        let b = sim.node_ref::<BrokerNode>(broker).unwrap();
+        let stats = b.stats();
+        assert_eq!(b.pending_deliveries() as u64, capacity);
+        assert_eq!((stats.qos1_enqueued, stats.queue_shed), (capacity + 1, 1));
+        assert_eq!(stats.delivered, capacity + 1, "the shed delivery was sent");
+        assert_eq!(
+            stats.qos1_enqueued,
+            stats.acked + stats.dropped + b.pending_deliveries() as u64
+        );
+    }
+
+    #[test]
     fn malformed_packets_are_counted_not_ignored() {
         struct Garbler {
             broker: NodeId,

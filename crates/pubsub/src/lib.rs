@@ -31,7 +31,7 @@ pub mod federation;
 mod topic;
 mod wire;
 
-pub use broker::{BrokerNode, BrokerStats, DEFAULT_PENDING_CAPACITY};
+pub use broker::{BrokerNode, BrokerStats};
 pub use client::{PubSubClient, PubSubEvent};
 pub use error::PubSubError;
 pub use federation::{BridgeStats, FederationConfig, ShardMap};

@@ -5,7 +5,7 @@
 use dimmer::district::deploy::Deployment;
 use dimmer::district::scenario::ScenarioConfig;
 use dimmer::master::MasterNode;
-use dimmer::proxy::device_proxy::DeviceProxyNode;
+use dimmer::proxy::device_proxy::{DeviceProxyNode, STORE_FORWARD_CAPACITY};
 use dimmer::pubsub::{BrokerNode, PubSubClient, PubSubEvent, QoS, TopicFilter, PUBSUB_PORT};
 use dimmer::simnet::chaos::{ChaosRunner, FaultPlan, RandomFaults};
 use dimmer::simnet::telemetry::flight::reconstruct;
@@ -142,6 +142,56 @@ fn broker_outage_buffers_then_replays_without_loss() {
         "conservation violated: {stats:?}"
     );
     assert_eq!(broker.incarnation(), 1);
+}
+
+#[test]
+fn store_and_forward_sheds_the_oldest_sample_past_its_capacity() {
+    let mut config = ScenarioConfig::small();
+    config.publish_qos = QoS::AtLeastOnce;
+    config.sample_interval = SimDuration::from_secs(1);
+    // A fixed seed: "at the bound" below is one step of one timeline.
+    let mut sim = Simulator::new(SimConfig::default());
+    let deployment = Deployment::build(&mut sim, &config.build());
+    sim.run_for(SimDuration::from_secs(30));
+    sim.crash(deployment.broker);
+
+    let victim = deployment.device_proxies().next().unwrap();
+    let books = |sim: &Simulator| {
+        let proxy = sim.node_ref::<DeviceProxyNode>(victim).unwrap();
+        let stats = proxy.stats();
+        assert_eq!(
+            stats.buffered,
+            stats.replayed + stats.shed_capacity + proxy.backlog_len() as u64,
+            "conservation violated: {stats:?}"
+        );
+        assert!(proxy.backlog_len() <= STORE_FORWARD_CAPACITY);
+        (proxy.backlog_len(), stats.shed_capacity)
+    };
+    // The broker never comes back. At the bound the buffer is full and
+    // nothing has been shed.
+    let step = SimDuration::from_millis(10);
+    while books(&sim).0 < STORE_FORWARD_CAPACITY {
+        assert!(sim.now() < SimTime::from_secs(600), "buffer never filled");
+        sim.run_for(step);
+    }
+    assert_eq!(books(&sim), (STORE_FORWARD_CAPACITY, 0));
+    // One sample past it: the oldest is written off, the buffer no larger.
+    while books(&sim).1 == 0 {
+        assert!(sim.now() < SimTime::from_secs(600), "nothing was shed");
+        sim.run_for(step);
+    }
+    assert_eq!(books(&sim).1, 1);
+    // Long enough for replay probes to time out against the full buffer.
+    for _ in 0..300 {
+        sim.run_for(SimDuration::from_secs(1));
+        books(&sim);
+    }
+    let (backlog, shed) = books(&sim);
+    assert!(
+        backlog >= STORE_FORWARD_CAPACITY - 1,
+        "one probe at most in flight"
+    );
+    assert!(shed > 1);
 }
 
 #[test]
