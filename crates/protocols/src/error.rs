@@ -37,8 +37,6 @@ pub enum ProtocolError {
         /// What is wrong.
         reason: &'static str,
     },
-    /// An unknown protocol name was parsed.
-    UnknownProtocol(String),
 }
 
 impl fmt::Display for ProtocolError {
@@ -62,7 +60,6 @@ impl fmt::Display for ProtocolError {
                 write!(f, "unsupported {context} value {value:#x}")
             }
             ProtocolError::Malformed { reason } => write!(f, "malformed frame: {reason}"),
-            ProtocolError::UnknownProtocol(s) => write!(f, "unknown protocol {s:?}"),
         }
     }
 }

@@ -73,47 +73,10 @@ impl ProtocolKind {
             ProtocolKind::Coap => "coap",
         }
     }
-
-    /// Parses a name produced by [`ProtocolKind::as_str`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtocolError::UnknownProtocol`] for anything else.
-    pub fn parse(s: &str) -> Result<Self, ProtocolError> {
-        ProtocolKind::all()
-            .iter()
-            .copied()
-            .find(|p| p.as_str() == s)
-            .ok_or_else(|| ProtocolError::UnknownProtocol(s.to_owned()))
-    }
-
-    /// All protocol kinds.
-    pub fn all() -> &'static [ProtocolKind] {
-        &[
-            ProtocolKind::Ieee802154,
-            ProtocolKind::Zigbee,
-            ProtocolKind::EnOcean,
-            ProtocolKind::OpcUa,
-            ProtocolKind::Coap,
-        ]
-    }
 }
 
 impl fmt::Display for ProtocolKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn protocol_names_round_trip() {
-        for &p in ProtocolKind::all() {
-            assert_eq!(ProtocolKind::parse(p.as_str()).unwrap(), p);
-        }
-        assert!(ProtocolKind::parse("lonworks").is_err());
     }
 }

@@ -223,12 +223,6 @@ impl Tracer {
         id
     }
 
-    /// Mints a fresh non-zero span id (sequential, deterministic; the
-    /// counter is shared across traces).
-    pub fn next_span_id(&self) -> SpanId {
-        self.inner().mint_span()
-    }
-
     /// Records one unstructured event (no causal span); O(1),
     /// overwrites the oldest when full.
     pub fn record(
@@ -432,9 +426,9 @@ mod tests {
     #[test]
     fn span_ids_are_sequential_and_independent_of_traces() {
         let t = Tracer::new();
-        assert_eq!(t.next_span_id(), 1);
+        assert_eq!(t.record_hop(0, 0, "a", 7, NO_SPAN, format_args!("")), 1);
         assert_eq!(t.next_trace_id(), 1);
-        assert_eq!(t.next_span_id(), 2);
+        assert_eq!(t.record_hop(0, 0, "b", 8, NO_SPAN, format_args!("")), 2);
     }
 
     #[test]
