@@ -15,9 +15,32 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+echo "== test-mod lint (what the metric-name lint below relies on)"
+# The metric-name lint stops reading a file at its first `#[cfg(test)]`,
+# so nothing but test modules may follow one: every `#[cfg(test)]` in
+# crates/*/src sits at top level directly above a `mod`, and no other
+# top-level item comes after the first. A test-gated item mid-file
+# would hide every metric name below it.
+find crates -path '*/src/*.rs' | sort | xargs awk '
+    function bad(msg) { printf "test-mod lint: %s:%d: %s\n", FILENAME, FNR, msg; rc = 1 }
+    FNR == 1 { tail = 0; want_mod = 0 }
+    want_mod {
+        if ($0 !~ /^mod [a-z_]+( \{|;)$/) bad("#[cfg(test)] is not directly above a top-level `mod`")
+        want_mod = 0
+        next
+    }
+    /#\[cfg\(.*test/ {
+        if ($0 != "#[cfg(test)]") bad("test-gated item inside another item")
+        tail = 1
+        want_mod = 1
+        next
+    }
+    tail && /^[^[:space:]}]/ { bad("top-level item after the first #[cfg(test)]") }
+    END { exit rc }' >&2
+
 echo "== metric-name lint (docs/metrics.txt)"
 # Static metric names used in crates/*/src (test mods stripped — the
-# convention puts `#[cfg(test)]` last in a file) must match the
+# lint above holds them to the tail of a file) must match the
 # checked-in inventory exactly, both ways: no ad-hoc names in code, no
 # stale names in the inventory. A name is used where it is resolved to
 # a handle (`.counter_handle("..")`, `.gauge_handle`,
