@@ -548,6 +548,69 @@ mod tests {
         }
     }
 
+    /// FNV-1a over `(device, protocol, quantity, eep, address)` of every
+    /// generated device, in generation order.
+    fn device_digest(s: &Scenario) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for dev in s
+            .districts
+            .iter()
+            .flat_map(|d| d.buildings.iter().flat_map(|b| b.devices.iter()))
+        {
+            let line = format!(
+                "{}|{}|{}|{:?}|{}\n",
+                dev.device, dev.protocol, dev.quantity, dev.eep, dev.address
+            );
+            for b in line.bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Pins every draw of the generator: the protocol pick, each family's
+    /// quantity draw and the order the mix's weights are summed in.
+    #[test]
+    fn generated_devices_are_pinned() {
+        let city = |seed| {
+            ScenarioConfig::small()
+                .with_districts(3)
+                .with_buildings(40)
+                .with_seed(seed)
+        };
+        let only = |kind| {
+            let mut config = ScenarioConfig::small();
+            config.protocol_mix = ProtocolMix::only(kind);
+            config
+        };
+        let digests: Vec<u64> = [
+            ScenarioConfig::small(),
+            city(1),
+            city(2),
+            only(ProtocolKind::Ieee802154),
+            only(ProtocolKind::Zigbee),
+            only(ProtocolKind::EnOcean),
+            only(ProtocolKind::OpcUa),
+            only(ProtocolKind::Coap),
+        ]
+        .into_iter()
+        .map(|config| device_digest(&config.build()))
+        .collect();
+        assert_eq!(
+            digests,
+            [
+                0x8a31_5315_dc72_192d,
+                0xcb3d_62fd_f671_8226,
+                0xacdd_86ed_3bf4_b7d9,
+                0x3375_356b_b20a_acd7,
+                0xc1bb_aec4_8332_ab89,
+                0x2e63_2d16_28c9_07cd,
+                0x482d_f881_7d08_be61,
+                0xcc89_3361_95f6_4a69,
+            ]
+        );
+    }
+
     #[test]
     fn multi_district_ids_distinct() {
         let mut config = ScenarioConfig::small();
