@@ -7,48 +7,20 @@
 
 use bench_support::time_it;
 use dimmer_core::codec::{self, DataFormat};
-use dimmer_core::{DeviceId, Measurement, QuantityKind, Timestamp};
+use dimmer_core::QuantityKind::{self, Co2, Temperature, ThermalEnergy};
+use dimmer_core::{DeviceId, Measurement, Timestamp};
 use district::report::{fmt_f64, Table};
-use protocols::device::{
-    EnoceanSensor, Ieee802154Sensor, OpcUaFieldServer, UplinkDevice, ZigbeeSensor,
-};
 use protocols::enocean::Eep;
 use protocols::ieee802154::PanId;
-use protocols::opcua::{AttributeId, Message, ReadValueId};
-use proxy::adapters::{
-    DeviceAdapter, EnoceanAdapter, Ieee802154Adapter, OpcUaAdapter, ZigbeeAdapter,
-};
+use protocols::ProtocolKind::{Coap, EnOcean, Ieee802154, OpcUa, Zigbee};
+use proxy::adapters::DeviceAdapter;
+use proxy::registry::{self, Device, Install};
 
 const ITERATIONS: u32 = 20_000;
 
-fn measure_push(
-    name: &str,
-    frame: Vec<u8>,
-    mut adapter: Box<dyn DeviceAdapter>,
-    table: &mut Table,
-) {
-    // decode + translate to a common-format measurement string
-    let (_, ns) = time_it(ITERATIONS, || {
-        let samples = adapter.decode_uplink(&frame).expect("valid frame");
-        samples
-            .iter()
-            .map(|&(q, v)| {
-                codec::encode_measurement(
-                    &Measurement::new(
-                        DeviceId::new("bench-dev").expect("valid"),
-                        q,
-                        v,
-                        q.canonical_unit(),
-                        Timestamp::EPOCH,
-                    ),
-                    DataFormat::Json,
-                )
-                .len()
-            })
-            .sum::<usize>()
-    });
-    let samples = adapter.decode_uplink(&frame).expect("valid frame");
-    let json_len: usize = samples
+/// The common-format JSON bytes of one frame's samples.
+fn json_bytes(samples: &[(QuantityKind, f64)]) -> usize {
+    samples
         .iter()
         .map(|&(q, v)| {
             codec::encode_measurement(
@@ -63,12 +35,39 @@ fn measure_push(
             )
             .len()
         })
-        .sum();
+        .sum()
+}
+
+/// Decodes one frame of `install`'s family reporting `value` and
+/// translates it to the common format, `ITERATIONS` times: a push
+/// device's uplink, or a field server's answer to the adapter's poll.
+fn measure(name: &str, install: Install, value: f64, table: &mut Table) {
+    let family = registry::family(install.protocol);
+    let mut adapter = (family.adapter)(&install);
+    let (frame, polled) = match family.device {
+        Device::Push(device) => (device(&install).emit(value), false),
+        Device::Polled { server, .. } => {
+            let mut server = server(&install);
+            server.update(value, 0);
+            let poll = adapter.poll_request().expect("polled family");
+            (server.handle_bytes(&poll).expect("server answers"), true)
+        }
+    };
+    let decode = |adapter: &mut Box<dyn DeviceAdapter>| {
+        if polled {
+            adapter.decode_poll(&frame)
+        } else {
+            adapter.decode_uplink(&frame)
+        }
+        .expect("valid frame")
+    };
+    let (_, ns) = time_it(ITERATIONS, || json_bytes(&decode(&mut adapter)));
+    let samples = decode(&mut adapter);
     table.row([
         name.to_owned(),
         frame.len().to_string(),
         samples.len().to_string(),
-        json_len.to_string(),
+        json_bytes(&samples).to_string(),
         fmt_f64(ns, 0),
         fmt_f64(1e9 / ns, 0),
     ]);
@@ -86,126 +85,30 @@ fn main() {
             "frames_per_s",
         ],
     );
-
-    let mut dev = Ieee802154Sensor::new(PanId(0x23), 0x42, QuantityKind::Temperature);
-    measure_push(
-        "ieee802154",
-        dev.emit(21.5),
-        Box::new(Ieee802154Adapter::new(PanId(0x23), 0x42)),
-        &mut table,
-    );
-
-    let mut dev = ZigbeeSensor::new(0x42, QuantityKind::Temperature);
-    measure_push(
-        "zigbee",
-        dev.emit(21.5),
-        Box::new(ZigbeeAdapter::new(0x42)),
-        &mut table,
-    );
-
-    let mut dev = EnoceanSensor::new(0xAB, Eep::A50401);
-    measure_push(
-        "enocean(A5-04-01)",
-        dev.emit(21.5),
-        Box::new(EnoceanAdapter::new(0xAB, Eep::A50401)),
-        &mut table,
-    );
-
-    // OPC UA: the polled path (request encode + response decode).
-    let mut server = OpcUaFieldServer::new(QuantityKind::ThermalEnergy);
-    server.update(4321.0, 0);
-    let request = Message::ReadRequest {
-        nodes: vec![ReadValueId {
-            node_id: server.value_node().clone(),
-            attribute: AttributeId::Value,
-        }],
+    // (row label, protocol, quantity, EnOcean profile, reported value)
+    let rows = [
+        ("ieee802154", Ieee802154, Temperature, None, 21.5),
+        ("zigbee", Zigbee, Temperature, None, 21.5),
+        (
+            "enocean(A5-04-01)",
+            EnOcean,
+            Temperature,
+            Some(Eep::A50401),
+            21.5,
+        ),
+        ("opcua(poll)", OpcUa, ThermalEnergy, None, 4321.0),
+        ("coap(poll)", Coap, Co2, None, 417.0),
+    ];
+    for (name, protocol, quantity, eep, value) in rows {
+        let install = Install {
+            protocol,
+            quantity,
+            eep,
+            address: 0x42,
+            pan: PanId(0x23),
+        };
+        measure(name, install, value, &mut table);
     }
-    .encode();
-    let response = server.handle_bytes(&request).expect("server answers");
-    let mut adapter = OpcUaAdapter::new(server.value_node().clone(), QuantityKind::ThermalEnergy);
-    let (_, ns) = time_it(ITERATIONS, || {
-        let samples = adapter.decode_poll(&response).expect("valid response");
-        samples
-            .iter()
-            .map(|&(q, v)| {
-                codec::encode_measurement(
-                    &Measurement::new(
-                        DeviceId::new("bench-dev").expect("valid"),
-                        q,
-                        v,
-                        q.canonical_unit(),
-                        Timestamp::EPOCH,
-                    ),
-                    DataFormat::Json,
-                )
-                .len()
-            })
-            .sum::<usize>()
-    });
-    table.row([
-        "opcua(poll)".to_owned(),
-        response.len().to_string(),
-        "1".to_owned(),
-        codec::encode_measurement(
-            &Measurement::new(
-                DeviceId::new("bench-dev").expect("valid"),
-                QuantityKind::ThermalEnergy,
-                4321.0,
-                QuantityKind::ThermalEnergy.canonical_unit(),
-                Timestamp::EPOCH,
-            ),
-            DataFormat::Json,
-        )
-        .len()
-        .to_string(),
-        fmt_f64(ns, 0),
-        fmt_f64(1e9 / ns, 0),
-    ]);
-
-    // CoAP: the second polled path.
-    let mut coap_server = protocols::device::CoapFieldServer::new(QuantityKind::Co2);
-    coap_server.update(417.0, 0);
-    let mut coap_adapter = proxy::adapters::CoapAdapter::new(QuantityKind::Co2);
-    let poll = coap_adapter.poll_request().expect("coap polls");
-    let response = coap_server.handle_bytes(&poll).expect("server answers");
-    let (_, ns) = time_it(ITERATIONS, || {
-        let samples = coap_adapter.decode_poll(&response).expect("valid response");
-        samples
-            .iter()
-            .map(|&(q, v)| {
-                codec::encode_measurement(
-                    &Measurement::new(
-                        DeviceId::new("bench-dev").expect("valid"),
-                        q,
-                        v,
-                        q.canonical_unit(),
-                        Timestamp::EPOCH,
-                    ),
-                    DataFormat::Json,
-                )
-                .len()
-            })
-            .sum::<usize>()
-    });
-    table.row([
-        "coap(poll)".to_owned(),
-        response.len().to_string(),
-        "1".to_owned(),
-        codec::encode_measurement(
-            &Measurement::new(
-                DeviceId::new("bench-dev").expect("valid"),
-                QuantityKind::Co2,
-                417.0,
-                QuantityKind::Co2.canonical_unit(),
-                Timestamp::EPOCH,
-            ),
-            DataFormat::Json,
-        )
-        .len()
-        .to_string(),
-        fmt_f64(ns, 0),
-        fmt_f64(1e9 / ns, 0),
-    ]);
 
     println!("{table}");
     println!("# series (csv)\n{}", table.to_csv());

@@ -10,28 +10,22 @@
 //! queries by returning **all the data inline** — concentrating both the
 //! interoperability burden and the traffic in one node.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use dimmer_core::{DeviceId, Measurement, MeasurementBatch, QuantityKind, Timestamp, Value};
 use gis::geo::{BoundingBox, GeoPoint};
-use models::profiles::EnergyProfile;
-use protocols::device::{
-    CoapFieldServer, EnoceanSensor, Ieee802154Sensor, OpcUaFieldServer, ZigbeeSensor,
-};
-use protocols::enocean::Eep;
 use protocols::ieee802154::PanId;
-use protocols::ProtocolKind;
-use proxy::adapters::{
-    CoapAdapter, DeviceAdapter, EnoceanAdapter, Ieee802154Adapter, OpcUaAdapter, ZigbeeAdapter,
-};
-use proxy::devices::{unix_millis_at, CoapFieldNode, OpcUaFieldNode, UplinkDeviceNode};
+use proxy::adapters::DeviceAdapter;
+use proxy::devices::unix_millis_at;
+use proxy::registry::{self, Install};
 use proxy::webservice::{status, WsResponse, WsServer};
-use proxy::{DEVICE_UPLINK_PORT, OPCUA_PORT, WS_PORT};
+use proxy::{DEVICE_UPLINK_PORT, WS_PORT};
 use simnet::rpc::{RequestTracker, RpcEvent};
-use simnet::{Context, Node, NodeId, Packet, SimDuration, Simulator, TimerTag};
+use simnet::{Context, Node, NodeId, Packet, Port, SimDuration, Simulator, TimerTag};
 use storage::tskv::TimeSeriesStore;
 
-use crate::scenario::Scenario;
+use crate::deploy::placement;
+use crate::scenario::{DeviceSpec, Scenario};
 
 const TAG_POLL: TimerTag = TimerTag(1);
 const POLL_TAGS: u64 = 3_000_000_000;
@@ -51,6 +45,8 @@ pub struct CentralStats {
 
 struct DeviceEntry {
     adapter: Box<dyn DeviceAdapter>,
+    /// The port a polled device answers on; `None` for push.
+    poll_port: Option<Port>,
     device: DeviceId,
     location: GeoPoint,
 }
@@ -58,10 +54,9 @@ struct DeviceEntry {
 /// The monolithic central server.
 pub struct CentralServerNode {
     /// device node → its protocol adapter (the interoperability burden
-    /// the distributed design pushes to the edges).
-    devices: HashMap<NodeId, DeviceEntry>,
-    /// Polled (OPC UA) device nodes.
-    polled: Vec<NodeId>,
+    /// the distributed design pushes to the edges), in registration
+    /// order.
+    devices: BTreeMap<NodeId, DeviceEntry>,
     poll_tracker: RequestTracker,
     poll_interval: SimDuration,
     store: TimeSeriesStore,
@@ -87,8 +82,7 @@ impl CentralServerNode {
     /// Creates an empty central server.
     pub(crate) fn new(poll_interval: SimDuration, epoch_offset_millis: i64) -> Self {
         CentralServerNode {
-            devices: HashMap::new(),
-            polled: Vec::new(),
+            devices: BTreeMap::new(),
             poll_tracker: RequestTracker::new(POLL_TAGS),
             poll_interval,
             store: TimeSeriesStore::new(),
@@ -104,25 +98,16 @@ impl CentralServerNode {
         self.stats
     }
 
-    fn register_device(
-        &mut self,
-        node: NodeId,
-        device: DeviceId,
-        location: GeoPoint,
-        adapter: Box<dyn DeviceAdapter>,
-        polled: bool,
-    ) {
-        if polled {
-            self.polled.push(node);
-        }
-        self.devices.insert(
-            node,
-            DeviceEntry {
-                adapter,
-                device,
-                location,
-            },
-        );
+    /// Takes `dev`'s adapter and poll port from its row.
+    fn register_device(&mut self, node: NodeId, dev: &DeviceSpec, install: &Install) {
+        let family = registry::family(dev.protocol);
+        let entry = DeviceEntry {
+            adapter: (family.adapter)(install),
+            poll_port: family.poll_port(),
+            device: dev.device.clone(),
+            location: dev.location,
+        };
+        self.devices.insert(node, entry);
     }
 
     fn add_entity(&mut self, id: String, location: GeoPoint, model: Value) {
@@ -186,7 +171,7 @@ impl CentralServerNode {
 
 impl Node for CentralServerNode {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        if !self.polled.is_empty() {
+        if self.devices.values().any(|e| e.poll_port.is_some()) {
             ctx.set_timer(self.poll_interval, TAG_POLL);
         }
     }
@@ -208,7 +193,11 @@ impl Node for CentralServerNode {
                     None => {}
                 }
             }
-            OPCUA_PORT | proxy::COAP_PORT => {
+            port if self
+                .devices
+                .get(&pkt.src)
+                .is_some_and(|e| e.poll_port == Some(port)) =>
+            {
                 if let Some(RpcEvent::ResponseReceived { body, .. }) =
                     self.poll_tracker.accept(&pkt)
                 {
@@ -252,13 +241,9 @@ impl Node for CentralServerNode {
     fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
         match tag {
             TAG_POLL => {
-                let polled = self.polled.clone();
-                for node in polled {
-                    if let Some((request, port)) = self.devices.get_mut(&node).and_then(|e| {
-                        e.adapter
-                            .poll_request()
-                            .map(|request| (request, e.adapter.poll_port()))
-                    }) {
+                for (&node, e) in &mut self.devices {
+                    let Some(port) = e.poll_port else { continue };
+                    if let Some(request) = e.adapter.poll_request() {
                         self.poll_tracker.send_request(
                             ctx,
                             node,
@@ -316,105 +301,14 @@ impl CentralDeployment {
             let pan = PanId(0x2400);
             for b in &district.buildings {
                 for dev in &b.devices {
-                    let profile = EnergyProfile::for_quantity(
-                        dev.quantity,
-                        config.seed ^ u64::from(dev.address),
-                    );
-                    let (adapter, device_node, polled): (Box<dyn DeviceAdapter>, NodeId, bool) =
-                        match dev.protocol {
-                            ProtocolKind::Ieee802154 => (
-                                Box::new(Ieee802154Adapter::new(pan, dev.address as u16)),
-                                sim.add_node(
-                                    format!("cdev-{}", dev.device),
-                                    UplinkDeviceNode::new(
-                                        Box::new(Ieee802154Sensor::new(
-                                            pan,
-                                            dev.address as u16,
-                                            dev.quantity,
-                                        )),
-                                        profile,
-                                        server,
-                                        config.sample_interval,
-                                        config.epoch_offset_millis,
-                                    ),
-                                ),
-                                false,
-                            ),
-                            ProtocolKind::Zigbee => (
-                                Box::new(ZigbeeAdapter::new(dev.address as u16)),
-                                sim.add_node(
-                                    format!("cdev-{}", dev.device),
-                                    UplinkDeviceNode::new(
-                                        Box::new(ZigbeeSensor::new(
-                                            dev.address as u16,
-                                            dev.quantity,
-                                        )),
-                                        profile,
-                                        server,
-                                        config.sample_interval,
-                                        config.epoch_offset_millis,
-                                    ),
-                                ),
-                                false,
-                            ),
-                            ProtocolKind::EnOcean => {
-                                let eep = dev.eep.unwrap_or(Eep::A50205);
-                                (
-                                    Box::new(EnoceanAdapter::new(dev.address, eep)),
-                                    sim.add_node(
-                                        format!("cdev-{}", dev.device),
-                                        UplinkDeviceNode::new(
-                                            Box::new(EnoceanSensor::new(dev.address, eep)),
-                                            profile,
-                                            server,
-                                            config.sample_interval,
-                                            config.epoch_offset_millis,
-                                        ),
-                                    ),
-                                    false,
-                                )
-                            }
-                            ProtocolKind::OpcUa => {
-                                let field = OpcUaFieldServer::new(dev.quantity);
-                                let adapter =
-                                    OpcUaAdapter::new(field.value_node().clone(), dev.quantity);
-                                (
-                                    Box::new(adapter),
-                                    sim.add_node(
-                                        format!("cdev-{}", dev.device),
-                                        OpcUaFieldNode::new(
-                                            field,
-                                            profile,
-                                            config.sample_interval,
-                                            config.epoch_offset_millis,
-                                        ),
-                                    ),
-                                    true,
-                                )
-                            }
-                            ProtocolKind::Coap => (
-                                Box::new(CoapAdapter::new(dev.quantity)),
-                                sim.add_node(
-                                    format!("cdev-{}", dev.device),
-                                    CoapFieldNode::new(
-                                        CoapFieldServer::new(dev.quantity),
-                                        profile,
-                                        config.sample_interval,
-                                        config.epoch_offset_millis,
-                                    ),
-                                ),
-                                true,
-                            ),
-                        };
+                    let family = registry::family(dev.protocol);
+                    let install = dev.install(pan);
+                    let name = format!("cdev-{}", dev.device);
+                    let device_node =
+                        family.add_device(sim, &install, placement(config, dev, name, 0, server));
                     sim.node_mut::<CentralServerNode>(server)
                         .expect("just added")
-                        .register_device(
-                            device_node,
-                            dev.device.clone(),
-                            dev.location,
-                            adapter,
-                            polled,
-                        );
+                        .register_device(device_node, dev, &install);
                     devices.push(device_node);
                 }
             }

@@ -9,25 +9,17 @@
 use dimmer_core::ProxyId;
 use master::MasterNode;
 use models::profiles::EnergyProfile;
-use protocols::device::{
-    CoapFieldServer, EnoceanSensor, Ieee802154Sensor, OpcUaFieldServer, UplinkDevice, ZigbeeSensor,
-};
-use protocols::enocean::Eep;
 use protocols::ieee802154::PanId;
-use protocols::ProtocolKind;
-use proxy::adapters::{
-    CoapAdapter, DeviceAdapter, EnoceanAdapter, Ieee802154Adapter, OpcUaAdapter, ZigbeeAdapter,
-};
 use proxy::database_proxy::{
     BimSource, DatabaseProxyNode, GisSource, MeasurementArchiveSource, SimSource,
 };
 use proxy::device_proxy::{DeviceProxyConfig, DeviceProxyNode};
-use proxy::devices::{CoapFieldNode, OpcUaFieldNode, UplinkDeviceNode};
+use proxy::registry::{self, Placement};
 use pubsub::{BrokerNode, FederationConfig, ShardMap};
 use simnet::{NodeId, SimDuration, Simulator};
 use streams::{AggregatorConfig, AggregatorNode, WindowSpec};
 
-use crate::scenario::{DeviceSpec, DistrictSpec, Scenario};
+use crate::scenario::{DeviceSpec, DistrictSpec, Scenario, ScenarioConfig};
 
 /// The node ids of one deployed district.
 #[derive(Debug, Clone)]
@@ -342,22 +334,8 @@ fn deploy_device(
     shard: usize,
 ) -> (NodeId, NodeId) {
     let config = &scenario.config;
-    let pan = PanId(0x2300 + district_pan_offset(district));
-    let adapter: Box<dyn DeviceAdapter> = match dev.protocol {
-        ProtocolKind::Ieee802154 => Box::new(Ieee802154Adapter::new(pan, dev.address as u16)),
-        ProtocolKind::Zigbee => Box::new(ZigbeeAdapter::new(dev.address as u16)),
-        ProtocolKind::EnOcean => Box::new(EnoceanAdapter::new(
-            dev.address,
-            dev.eep.unwrap_or(Eep::A50205),
-        )),
-        ProtocolKind::OpcUa => {
-            // The adapter needs the field server's value node; create the
-            // server model up front so ids agree.
-            let server = OpcUaFieldServer::new(dev.quantity);
-            Box::new(OpcUaAdapter::new(server.value_node().clone(), dev.quantity))
-        }
-        ProtocolKind::Coap => Box::new(CoapAdapter::new(dev.quantity)),
-    };
+    let family = registry::family(dev.protocol);
+    let install = dev.install(PanId(0x2300 + district_pan_offset(district)));
     let proxy_config = DeviceProxyConfig {
         proxy: ProxyId::new(format!("proxy-{}", dev.device)).expect("grammatical"),
         district: district.district.clone(),
@@ -367,8 +345,7 @@ fn deploy_device(
         master,
         broker: Some(broker),
         device_node: None, // attached below
-        poll_interval: matches!(dev.protocol, ProtocolKind::OpcUa | ProtocolKind::Coap)
-            .then_some(config.sample_interval),
+        poll_interval: family.poll_port().map(|_| config.sample_interval),
         retention: Some(SimDuration::from_hours(24 * 7)),
         location: Some(dev.location),
         epoch_offset_millis: config.epoch_offset_millis,
@@ -377,62 +354,42 @@ fn deploy_device(
     let proxy_node = sim.add_node_on(
         shard,
         format!("devproxy-{}", dev.device),
-        DeviceProxyNode::new(proxy_config, adapter),
+        DeviceProxyNode::new(proxy_config, (family.adapter)(&install)),
     );
-
-    let profile = EnergyProfile::for_quantity(dev.quantity, config.seed ^ u64::from(dev.address));
-    let device_node = match dev.protocol {
-        ProtocolKind::OpcUa => sim.add_node_on(
-            shard,
+    let device_node = family.add_device(
+        sim,
+        &install,
+        placement(
+            config,
+            dev,
             format!("device-{}", dev.device),
-            OpcUaFieldNode::new(
-                OpcUaFieldServer::new(dev.quantity),
-                profile,
-                config.sample_interval,
-                config.epoch_offset_millis,
-            ),
-        ),
-        ProtocolKind::Coap => sim.add_node_on(
             shard,
-            format!("device-{}", dev.device),
-            CoapFieldNode::new(
-                CoapFieldServer::new(dev.quantity),
-                profile,
-                config.sample_interval,
-                config.epoch_offset_millis,
-            ),
+            proxy_node,
         ),
-        push => {
-            let device: Box<dyn UplinkDevice> = match push {
-                ProtocolKind::Ieee802154 => {
-                    Box::new(Ieee802154Sensor::new(pan, dev.address as u16, dev.quantity))
-                }
-                ProtocolKind::Zigbee => {
-                    Box::new(ZigbeeSensor::new(dev.address as u16, dev.quantity))
-                }
-                ProtocolKind::EnOcean => Box::new(EnoceanSensor::new(
-                    dev.address,
-                    dev.eep.unwrap_or(Eep::A50205),
-                )),
-                ProtocolKind::OpcUa | ProtocolKind::Coap => unreachable!("handled above"),
-            };
-            sim.add_node_on(
-                shard,
-                format!("device-{}", dev.device),
-                UplinkDeviceNode::new(
-                    device,
-                    profile,
-                    proxy_node,
-                    config.sample_interval,
-                    config.epoch_offset_millis,
-                ),
-            )
-        }
-    };
+    );
     sim.node_mut::<DeviceProxyNode>(proxy_node)
         .expect("just added")
         .set_device_node(device_node);
     (proxy_node, device_node)
+}
+
+/// Where `dev`'s simulated device runs: named `name` on `shard`,
+/// reporting to `sink` at the scenario's sample interval.
+pub(crate) fn placement(
+    config: &ScenarioConfig,
+    dev: &DeviceSpec,
+    name: String,
+    shard: usize,
+    sink: NodeId,
+) -> Placement {
+    Placement {
+        name,
+        shard,
+        sink,
+        profile: EnergyProfile::for_quantity(dev.quantity, config.seed ^ u64::from(dev.address)),
+        interval: config.sample_interval,
+        epoch_offset_millis: config.epoch_offset_millis,
+    }
 }
 
 fn district_pan_offset(district: &DistrictSpec) -> u16 {

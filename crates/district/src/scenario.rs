@@ -13,7 +13,9 @@ use gis::geo::{BoundingBox, GeoPoint, Polygon};
 use models::bim::BuildingModel;
 use models::simmodel::{NetworkKind, NetworkModel};
 use protocols::enocean::Eep;
+use protocols::ieee802154::PanId;
 use protocols::ProtocolKind;
+use proxy::registry::{Family, Install, FAMILIES};
 use pubsub::QoS;
 use simnet::rng::DeterministicRng;
 use simnet::SimDuration;
@@ -35,6 +37,20 @@ pub struct DeviceSpec {
     pub address: u32,
     /// Where it is installed.
     pub location: GeoPoint,
+}
+
+impl DeviceSpec {
+    /// The record the device-family registry builds the device and its
+    /// adapter from; `pan` is the deployment's.
+    pub(crate) fn install(&self, pan: PanId) -> Install {
+        Install {
+            protocol: self.protocol,
+            quantity: self.quantity,
+            eep: self.eep,
+            address: self.address,
+            pan,
+        }
+    }
 }
 
 /// One building with its exported BIM and GIS footprint.
@@ -113,68 +129,42 @@ impl Scenario {
     }
 }
 
-/// Relative weights of the four protocol families.
+/// Relative weights of the protocol families, one per row of
+/// [`FAMILIES`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProtocolMix {
-    /// Raw IEEE 802.15.4 devices.
-    pub(crate) ieee802154: f64,
-    /// ZigBee devices.
-    pub(crate) zigbee: f64,
-    /// EnOcean devices.
-    pub(crate) enocean: f64,
-    /// OPC UA gateways.
-    pub(crate) opcua: f64,
-    /// CoAP motes (6LoWPAN IoT devices).
-    pub(crate) coap: f64,
+    weights: [f64; FAMILIES.len()],
 }
 
 impl ProtocolMix {
     /// The default mix of a mostly-wireless district with a few legacy
-    /// gateways.
+    /// gateways: each family's `share`.
     pub fn typical() -> Self {
         ProtocolMix {
-            ieee802154: 0.2,
-            zigbee: 0.35,
-            enocean: 0.25,
-            opcua: 0.1,
-            coap: 0.1,
+            weights: FAMILIES.each_ref().map(|f| f.share),
         }
     }
 
     /// A single-protocol mix (used by the per-protocol experiments).
     pub fn only(protocol: ProtocolKind) -> Self {
-        let mut mix = ProtocolMix {
-            ieee802154: 0.0,
-            zigbee: 0.0,
-            enocean: 0.0,
-            opcua: 0.0,
-            coap: 0.0,
-        };
-        match protocol {
-            ProtocolKind::Ieee802154 => mix.ieee802154 = 1.0,
-            ProtocolKind::Zigbee => mix.zigbee = 1.0,
-            ProtocolKind::EnOcean => mix.enocean = 1.0,
-            ProtocolKind::OpcUa => mix.opcua = 1.0,
-            ProtocolKind::Coap => mix.coap = 1.0,
+        ProtocolMix {
+            weights: FAMILIES.each_ref().map(|f| f64::from(f.kind == protocol)),
         }
-        mix
     }
 
-    fn pick(&self, rng: &mut DeterministicRng) -> ProtocolKind {
-        let total = self.ieee802154 + self.zigbee + self.enocean + self.opcua + self.coap;
+    /// Draws a family with probability proportional to its weight.
+    fn pick(&self, rng: &mut DeterministicRng) -> &'static Family {
+        let total: f64 = self.weights.iter().sum();
         assert!(total > 0.0, "protocol mix must have positive weight");
         let x = rng.next_f64() * total;
-        if x < self.ieee802154 {
-            ProtocolKind::Ieee802154
-        } else if x < self.ieee802154 + self.zigbee {
-            ProtocolKind::Zigbee
-        } else if x < self.ieee802154 + self.zigbee + self.enocean {
-            ProtocolKind::EnOcean
-        } else if x < self.ieee802154 + self.zigbee + self.enocean + self.opcua {
-            ProtocolKind::OpcUa
-        } else {
-            ProtocolKind::Coap
+        let mut upto = 0.0;
+        for (family, weight) in FAMILIES.iter().zip(self.weights) {
+            upto += weight;
+            if x < upto {
+                return family;
+            }
         }
+        &FAMILIES[FAMILIES.len() - 1]
     }
 }
 
@@ -354,13 +344,6 @@ impl ScenarioConfig {
     /// Generates the scenario.
     pub fn build(self) -> Scenario {
         let mut rng = DeterministicRng::seed_from(self.seed);
-        let quantities = [
-            QuantityKind::Temperature,
-            QuantityKind::ActivePower,
-            QuantityKind::ElectricalEnergy,
-            QuantityKind::Humidity,
-            QuantityKind::SwitchState,
-        ];
         let mut districts = Vec::with_capacity(self.districts);
         let mut next_address: u32 = 0x100;
         for d in 0..self.districts {
@@ -387,41 +370,13 @@ impl ScenarioConfig {
                 ]);
                 let mut devices = Vec::with_capacity(self.devices_per_building);
                 for v in 0..self.devices_per_building {
-                    let protocol = self.protocol_mix.pick(&mut rng);
-                    let (quantity, eep) = match protocol {
-                        ProtocolKind::Zigbee => {
-                            // Only quantities with a ZCL cluster mapping.
-                            let supported = [
-                                QuantityKind::Temperature,
-                                QuantityKind::Humidity,
-                                QuantityKind::ActivePower,
-                                QuantityKind::ElectricalEnergy,
-                                QuantityKind::SwitchState,
-                            ];
-                            (*rng.choose(&supported).expect("non-empty"), None)
-                        }
-                        ProtocolKind::EnOcean => {
-                            let eep = *rng
-                                .choose(&[Eep::A50205, Eep::A50401, Eep::A51201, Eep::D50001])
-                                .expect("non-empty");
-                            let quantity = match eep {
-                                Eep::A50205 | Eep::A50401 => QuantityKind::Temperature,
-                                Eep::A51201 => QuantityKind::ElectricalEnergy,
-                                _ => QuantityKind::SwitchState,
-                            };
-                            (quantity, Some(eep))
-                        }
-                        ProtocolKind::OpcUa => (QuantityKind::ThermalEnergy, None),
-                        ProtocolKind::Coap => (QuantityKind::Co2, None),
-                        ProtocolKind::Ieee802154 => {
-                            (*rng.choose(&quantities).expect("non-empty"), None)
-                        }
-                    };
+                    let family = self.protocol_mix.pick(&mut rng);
+                    let (quantity, eep) = (family.draw)(&mut rng);
                     let address = next_address;
                     next_address += 1;
                     devices.push(DeviceSpec {
                         device: DeviceId::new(format!("d{d}-b{b}-dev{v}")).expect("grammatical"),
-                        protocol,
+                        protocol: family.kind,
                         quantity,
                         eep,
                         address,
@@ -551,21 +506,15 @@ mod tests {
     /// FNV-1a over `(device, protocol, quantity, eep, address)` of every
     /// generated device, in generation order.
     fn device_digest(s: &Scenario) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for dev in s
-            .districts
-            .iter()
-            .flat_map(|d| d.buildings.iter().flat_map(|b| b.devices.iter()))
-        {
-            let line = format!(
-                "{}|{}|{}|{:?}|{}\n",
-                dev.device, dev.protocol, dev.quantity, dev.eep, dev.address
-            );
-            for b in line.bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-            }
-        }
-        h
+        let devices = s.districts.iter().flat_map(|d| &d.buildings);
+        devices
+            .flat_map(|b| &b.devices)
+            .fold(0xcbf2_9ce4_8422_2325, |h, dev| {
+                let (id, kind, eep) = (&dev.device, dev.protocol, dev.eep);
+                let line = format!("{id}|{kind}|{}|{eep:?}|{}\n", dev.quantity, dev.address);
+                line.bytes()
+                    .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+            })
     }
 
     /// Pins every draw of the generator: the protocol pick, each family's

@@ -4,7 +4,7 @@
 //! device turns a physical reading into the **exact bytes** its protocol
 //! would put on the air, so the Device-proxy's dedicated layer exercises
 //! the real decode path. Uplink devices ([`UplinkDevice`]) push frames;
-//! the OPC UA device ([`OpcUaFieldServer`]) is a server that is polled.
+//! field servers ([`FieldServer`]: OPC UA, CoAP) are polled.
 
 use dimmer_core::QuantityKind;
 
@@ -15,7 +15,7 @@ use crate::zigbee::{self, ClusterId, ZclAttribute, ZclValue};
 use crate::{ProtocolError, ProtocolKind};
 
 /// Marker byte opening the raw-802.15.4 application payload.
-pub const RAW_SENSOR_MARKER: u8 = 0xA0;
+const RAW_SENSOR_MARKER: u8 = 0xA0;
 
 /// A device that spontaneously pushes uplink frames (802.15.4, ZigBee,
 /// EnOcean). The caller decides *when* to emit; the device decides *what
@@ -31,6 +31,24 @@ pub trait UplinkDevice: Send {
     /// Produces the wire bytes reporting `value` (in the quantity's
     /// canonical unit).
     fn emit(&mut self, value: f64) -> Vec<u8>;
+}
+
+/// A device that is polled: it holds a live reading and answers encoded
+/// requests (OPC UA, CoAP). `Send` for the same reason as
+/// [`UplinkDevice`].
+pub trait FieldServer: Send {
+    /// The quantity served.
+    fn quantity(&self) -> QuantityKind;
+
+    /// Updates the live reading (the "field" side changing).
+    fn update(&mut self, value: f64, unix_millis: i64);
+
+    /// Handles an encoded request, returning the encoded response.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProtocolError`] when the request bytes do not decode.
+    fn handle_bytes(&mut self, request: &[u8]) -> Result<Vec<u8>, ProtocolError>;
 }
 
 /// Quantity codes used in the raw 802.15.4 application payload.
@@ -113,6 +131,17 @@ impl Ieee802154Sensor {
         let value = f32::from_le_bytes(payload[2..6].try_into().expect("length checked"));
         Ok((quantity, f64::from(value)))
     }
+
+    /// The application payload reporting `value` as `quantity`, the
+    /// inverse of [`Ieee802154Sensor::parse_payload`]. Downlink
+    /// actuations use the same format.
+    pub fn encode_payload(quantity: QuantityKind, value: f64) -> Vec<u8> {
+        let mut payload = Vec::with_capacity(6);
+        payload.push(RAW_SENSOR_MARKER);
+        payload.push(quantity_code(quantity));
+        payload.extend_from_slice(&(value as f32).to_le_bytes());
+        payload
+    }
 }
 
 impl UplinkDevice for Ieee802154Sensor {
@@ -125,16 +154,12 @@ impl UplinkDevice for Ieee802154Sensor {
     }
 
     fn emit(&mut self, value: f64) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(6);
-        payload.push(RAW_SENSOR_MARKER);
-        payload.push(quantity_code(self.quantity));
-        payload.extend_from_slice(&(value as f32).to_le_bytes());
         let frame = MacFrame::data(
             self.pan,
             Address::Short(self.coordinator),
             Address::Short(self.short_address),
             self.sequence,
-            payload,
+            Ieee802154Sensor::encode_payload(self.quantity, value),
         );
         self.sequence = self.sequence.wrapping_add(1);
         frame.encode()
@@ -274,11 +299,7 @@ impl UplinkDevice for EnoceanSensor {
     }
 
     fn quantity(&self) -> QuantityKind {
-        match self.eep {
-            Eep::A50205 | Eep::A50401 => QuantityKind::Temperature,
-            Eep::A51201 => QuantityKind::ElectricalEnergy,
-            Eep::D50001 | Eep::F60201 => QuantityKind::SwitchState,
-        }
+        self.eep.quantity()
     }
 
     fn emit(&mut self, value: f64) -> Vec<u8> {
@@ -305,7 +326,7 @@ impl OpcUaFieldServer {
     pub fn new(quantity: QuantityKind) -> Self {
         let mut space = AddressSpace::new();
         let root = NodeId::numeric(1, 1);
-        let value_node = NodeId::string(1, format!("plant.{quantity}"));
+        let value_node = OpcUaFieldServer::value_node_for(quantity);
         space.add_object(root.clone(), "Plant", None);
         space.add_variable(value_node.clone(), quantity.as_str(), Some(&root), false);
         OpcUaFieldServer {
@@ -320,9 +341,10 @@ impl OpcUaFieldServer {
         &self.value_node
     }
 
-    /// The quantity served.
-    pub fn quantity(&self) -> QuantityKind {
-        self.quantity
+    /// The node id a server for `quantity` holds its live value at, so
+    /// a poller can be built without building the server.
+    pub fn value_node_for(quantity: QuantityKind) -> NodeId {
+        NodeId::string(1, format!("plant.{quantity}"))
     }
 
     /// Updates the live value (the "field" side changing).
@@ -340,6 +362,20 @@ impl OpcUaFieldServer {
     pub fn handle_bytes(&mut self, request: &[u8]) -> Result<Vec<u8>, ProtocolError> {
         let msg = Message::decode(request)?;
         Ok(self.space.handle(&msg).encode())
+    }
+}
+
+impl FieldServer for OpcUaFieldServer {
+    fn quantity(&self) -> QuantityKind {
+        self.quantity
+    }
+
+    fn update(&mut self, value: f64, unix_millis: i64) {
+        OpcUaFieldServer::update(self, value, unix_millis);
+    }
+
+    fn handle_bytes(&mut self, request: &[u8]) -> Result<Vec<u8>, ProtocolError> {
+        OpcUaFieldServer::handle_bytes(self, request)
     }
 }
 
@@ -368,11 +404,6 @@ impl CoapFieldServer {
             unix_millis: 0,
             actuations: Vec::new(),
         }
-    }
-
-    /// The quantity served.
-    pub fn quantity(&self) -> QuantityKind {
-        self.quantity
     }
 
     /// Updates the live reading.
@@ -418,6 +449,20 @@ impl CoapFieldServer {
             _ => msg.respond(CoapCode::METHOD_NOT_ALLOWED, None, Vec::new()),
         };
         Ok(response.encode())
+    }
+}
+
+impl FieldServer for CoapFieldServer {
+    fn quantity(&self) -> QuantityKind {
+        self.quantity
+    }
+
+    fn update(&mut self, value: f64, unix_millis: i64) {
+        CoapFieldServer::update(self, value, unix_millis);
+    }
+
+    fn handle_bytes(&mut self, request: &[u8]) -> Result<Vec<u8>, ProtocolError> {
+        CoapFieldServer::handle_bytes(self, request)
     }
 }
 

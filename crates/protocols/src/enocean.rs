@@ -13,6 +13,8 @@
 //!   A5-12-01 (automated meter reading), D5-00-01 (single input contact)
 //!   and F6-02-01 (rocker switch).
 
+use dimmer_core::QuantityKind;
+
 use crate::ieee802154::Reader;
 use crate::ProtocolError;
 
@@ -281,6 +283,16 @@ impl Eep {
             Eep::A50205 | Eep::A50401 | Eep::A51201 => Rorg::FourBs,
             Eep::D50001 => Rorg::OneBs,
             Eep::F60201 => Rorg::Rps,
+        }
+    }
+
+    /// The quantity a device speaking this profile reports (A5-04-01
+    /// adds humidity beside its temperature).
+    pub fn quantity(self) -> QuantityKind {
+        match self {
+            Eep::A50205 | Eep::A50401 => QuantityKind::Temperature,
+            Eep::A51201 => QuantityKind::ElectricalEnergy,
+            Eep::D50001 | Eep::F60201 => QuantityKind::SwitchState,
         }
     }
 

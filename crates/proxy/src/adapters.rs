@@ -10,12 +10,9 @@ use dimmer_core::QuantityKind;
 use protocols::device::{Ieee802154Sensor, ZigbeeSensor};
 use protocols::enocean::{Eep, EepReading, Erp1Telegram};
 use protocols::ieee802154::{Address, MacFrame, PanId};
-use protocols::opcua::{
-    AttributeId, Message, NodeId as UaNodeId, ReadValueId, Variant, WriteValue,
-};
+use protocols::opcua::{AttributeId, Message, NodeId as UaNodeId, ReadValueId, Variant};
 use protocols::zigbee::{self, ClusterId, ZclAttribute, ZclValue, ZigbeeFrame};
 use protocols::{ProtocolError, ProtocolKind};
-use simnet::Port;
 
 /// A decoded sample: the quantity and its value in the canonical unit.
 pub(crate) type Sample = (QuantityKind, f64);
@@ -39,15 +36,10 @@ pub trait DeviceAdapter: std::fmt::Debug + Send + 'static {
     fn encode_actuation(&mut self, value: f64) -> Option<Vec<u8>>;
 
     /// For polled protocols: the next poll request. Push protocols
-    /// return `None` (the default).
+    /// return `None` (the default). The port it goes to is the family's
+    /// (see [`crate::registry`]).
     fn poll_request(&mut self) -> Option<Vec<u8>> {
         None
-    }
-
-    /// The port the polled device answers on (OPC UA default; CoAP
-    /// overrides).
-    fn poll_port(&self) -> Port {
-        crate::OPCUA_PORT
     }
 
     /// Decodes a poll response (only called for polled protocols).
@@ -98,14 +90,12 @@ impl DeviceAdapter for Ieee802154Adapter {
 
     fn encode_actuation(&mut self, value: f64) -> Option<Vec<u8>> {
         // Downlink: the same raw payload format, switch-state quantity.
-        let mut payload = vec![protocols::device::RAW_SENSOR_MARKER, 12];
-        payload.extend_from_slice(&(value as f32).to_le_bytes());
         let frame = MacFrame::data(
             self.pan,
             Address::Short(self.device_address),
             Address::Short(0x0000),
             self.downlink_sequence,
-            payload,
+            Ieee802154Sensor::encode_payload(QuantityKind::SwitchState, value),
         );
         self.downlink_sequence = self.downlink_sequence.wrapping_add(1);
         Some(frame.encode())
@@ -242,12 +232,12 @@ impl DeviceAdapter for EnoceanAdapter {
 }
 
 /// Adapter for OPC UA field servers — a *polled* protocol bridging wired
-/// legacy automation into the infrastructure.
+/// legacy automation into the infrastructure. Read-only: the field
+/// server exposes no writable node, so it is not actuatable.
 #[derive(Debug)]
 pub struct OpcUaAdapter {
     value_node: UaNodeId,
     quantity: QuantityKind,
-    writable_node: Option<UaNodeId>,
 }
 
 impl OpcUaAdapter {
@@ -256,7 +246,6 @@ impl OpcUaAdapter {
         OpcUaAdapter {
             value_node,
             quantity,
-            writable_node: None,
         }
     }
 }
@@ -273,18 +262,8 @@ impl DeviceAdapter for OpcUaAdapter {
         })
     }
 
-    fn encode_actuation(&mut self, value: f64) -> Option<Vec<u8>> {
-        let node = self.writable_node.clone()?;
-        Some(
-            Message::WriteRequest {
-                nodes: vec![WriteValue {
-                    node_id: node,
-                    attribute: AttributeId::Value,
-                    value: Variant::Double(value),
-                }],
-            }
-            .encode(),
-        )
+    fn encode_actuation(&mut self, _value: f64) -> Option<Vec<u8>> {
+        None
     }
 
     fn poll_request(&mut self) -> Option<Vec<u8>> {
@@ -364,10 +343,6 @@ impl DeviceAdapter for CoapAdapter {
         let id = self.next_message_id;
         self.next_message_id = self.next_message_id.wrapping_add(1);
         Some(CoapMessage::get(id, id.to_be_bytes().to_vec(), "sensor").encode())
-    }
-
-    fn poll_port(&self) -> Port {
-        crate::COAP_PORT
     }
 
     fn decode_poll(&mut self, bytes: &[u8]) -> Result<Vec<Sample>, ProtocolError> {
@@ -488,7 +463,6 @@ mod tests {
         let mut server = CoapFieldServer::new(QuantityKind::Co2);
         server.update(417.0, 5_000);
         let mut adapter = CoapAdapter::new(QuantityKind::Co2);
-        assert_eq!(adapter.poll_port(), crate::COAP_PORT);
         let poll = adapter.poll_request().unwrap();
         let response = server.handle_bytes(&poll).unwrap();
         assert_eq!(
@@ -514,20 +488,5 @@ mod tests {
         let bad = protocols::coap::CoapMessage::get(1, vec![], "ghost").encode();
         let response = server.handle_bytes(&bad).unwrap();
         assert!(adapter.decode_poll(&response).is_err());
-    }
-
-    #[test]
-    fn opcua_actuation_requires_writable_node() {
-        let mut plain = OpcUaAdapter::new(UaNodeId::numeric(1, 1), QuantityKind::Temperature);
-        assert!(plain.encode_actuation(60.0).is_none());
-        let mut with_node = OpcUaAdapter::new(UaNodeId::numeric(1, 1), QuantityKind::Temperature);
-        with_node.writable_node = Some(UaNodeId::string(1, "setpoint"));
-        let bytes = with_node.encode_actuation(60.0).unwrap();
-        match Message::decode(&bytes).unwrap() {
-            Message::WriteRequest { nodes } => {
-                assert_eq!(nodes[0].value, Variant::Double(60.0));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! 1. **Dedicated layer** — a [`DeviceAdapter`] decoding the device's
 //!    native frames (pushed on [`crate::DEVICE_UPLINK_PORT`] or polled
-//!    over [`crate::OPCUA_PORT`]);
+//!    over its family's port, see [`crate::registry`]);
 //! 2. **Local database** — a [`TimeSeriesStore`] holding every sample,
 //!    with periodic retention;
 //! 3. **Web Service layer** — data retrieval and remote actuation
@@ -27,14 +27,14 @@ use pubsub::{MeasurementTopic, PubSubClient, PubSubEvent, QoS, Topic, PUBSUB_POR
 use simnet::overload::{Admission, AdmissionGate};
 use simnet::rpc::{RequestTracker, RpcEvent};
 use simnet::telemetry::{CounterHandle, GaugeHandle, Registry};
-use simnet::{Context, Node, Packet, SimDuration, TimerTag};
+use simnet::{Context, Node, Packet, Port, SimDuration, TimerTag};
 use storage::tskv::{Aggregate, SeriesId, TimeSeriesStore};
 
 use crate::adapters::DeviceAdapter;
 use crate::devices::unix_millis_at;
 use crate::registration::{MasterReply, MasterSession, ProxyRole, Registration};
 use crate::webservice::{encode_response, status, WsRequest, WsResponse, WsServer};
-use crate::{node_uri, DEVICE_DOWNLINK_PORT, OPCUA_PORT, WS_PORT};
+use crate::{node_uri, registry, DEVICE_DOWNLINK_PORT, WS_PORT};
 
 const TAG_POLL: TimerTag = TimerTag(1);
 const TAG_RETENTION: TimerTag = TimerTag(2);
@@ -84,7 +84,7 @@ pub struct DeviceProxyConfig {
     pub broker: Option<simnet::NodeId>,
     /// The device node (downlink/poll target), if any.
     pub device_node: Option<simnet::NodeId>,
-    /// Poll period for polled protocols (OPC UA); `None` for push.
+    /// Poll period for polled protocols; `None` for push.
     pub poll_interval: Option<SimDuration>,
     /// Drop samples older than this, if set.
     pub retention: Option<SimDuration>,
@@ -191,6 +191,8 @@ impl ProxySeries {
 pub struct DeviceProxyNode {
     config: DeviceProxyConfig,
     adapter: Box<dyn DeviceAdapter>,
+    /// The port the device answers polls on, from the adapter's row.
+    poll_port: Option<Port>,
     store: TimeSeriesStore,
     /// One entry per quantity the device has reported: bounded by the
     /// variants of [`QuantityKind`], so a linear scan.
@@ -236,6 +238,7 @@ impl DeviceProxyNode {
         DeviceProxyNode {
             master: MasterSession::new(config.master, TAG_HEARTBEAT, WS_CLIENT_TAGS),
             config,
+            poll_port: registry::family(adapter.protocol()).poll_port(),
             adapter,
             store: TimeSeriesStore::new(),
             routes: Vec::new(),
@@ -665,12 +668,13 @@ impl DeviceProxyNode {
     }
 
     fn poll(&mut self, ctx: &mut Context<'_>) {
-        let (Some(device_node), Some(request)) =
-            (self.config.device_node, self.adapter.poll_request())
-        else {
+        let (Some(device_node), Some(port), Some(request)) = (
+            self.config.device_node,
+            self.poll_port,
+            self.adapter.poll_request(),
+        ) else {
             return;
         };
-        let port = self.adapter.poll_port();
         self.poll_tracker
             .send_request(ctx, device_node, port, request, POLL_TIMEOUT, 1);
     }
@@ -730,7 +734,7 @@ impl Node for DeviceProxyNode {
                     self.series(ctx).shed_decode.incr();
                 }
             },
-            OPCUA_PORT | crate::COAP_PORT => {
+            port if Some(port) == self.poll_port => {
                 if let Some(RpcEvent::ResponseReceived { body, .. }) =
                     self.poll_tracker.accept(&pkt)
                 {

@@ -1,20 +1,20 @@
 //! Simulated field devices as network nodes.
 //!
-//! [`UplinkDeviceNode`] wraps a push device (802.15.4, ZigBee, EnOcean):
-//! on a timer it samples its energy profile and transmits the encoded
-//! frame to its Device-proxy. [`OpcUaFieldNode`] wraps the polled OPC UA
-//! field server. Both substitute the physical hardware of the paper's
-//! test sites.
+//! [`UplinkDeviceNode`] wraps a push device: on a timer it samples its
+//! energy profile and transmits the encoded frame to its Device-proxy.
+//! `PolledDeviceNode` wraps a polled field server. Both substitute the
+//! physical hardware of the paper's test sites; [`crate::registry`] says
+//! which protocol family gets which.
 
 use std::cell::OnceCell;
 
 use models::profiles::EnergyProfile;
-use protocols::device::{CoapFieldServer, OpcUaFieldServer, UplinkDevice};
+use protocols::device::{FieldServer, UplinkDevice};
 use simnet::rpc::{self, RpcFrame};
 use simnet::telemetry::{CounterHandle, NO_SPAN};
-use simnet::{Context, Node, Packet, SimDuration, SimTime, TimerTag};
+use simnet::{Context, Node, Packet, Port, SimDuration, SimTime, TimerTag};
 
-use crate::{COAP_PORT, DEVICE_UPLINK_PORT, OPCUA_PORT};
+use crate::{DEVICE_DOWNLINK_PORT, DEVICE_UPLINK_PORT};
 
 /// Converts simulated time to unix milliseconds given the scenario's
 /// epoch offset (the unix time at simulation start).
@@ -121,106 +121,42 @@ impl Node for UplinkDeviceNode {
     }
 }
 
-/// A polled OPC UA field server: updates its live value every `interval`
-/// and answers poll requests from its proxy.
-pub struct OpcUaFieldNode {
-    server: OpcUaFieldServer,
+/// A polled field device: refreshes its field server's live value every
+/// `interval`, answers rpc-framed polls on its family's port and raw
+/// downlink frames (actuations) on [`DEVICE_DOWNLINK_PORT`].
+pub(crate) struct PolledDeviceNode {
+    server: Box<dyn FieldServer>,
+    port: Port,
     profile: EnergyProfile,
     interval: SimDuration,
     epoch_offset_millis: i64,
-    /// Polls answered so far.
-    pub(crate) polls_answered: u64,
-}
-
-impl std::fmt::Debug for OpcUaFieldNode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OpcUaFieldNode")
-            .field("quantity", &self.server.quantity())
-            .field("polls_answered", &self.polls_answered)
-            .finish()
-    }
-}
-
-impl OpcUaFieldNode {
-    /// Creates a field node refreshing its value every `interval`.
-    pub fn new(
-        server: OpcUaFieldServer,
-        profile: EnergyProfile,
-        interval: SimDuration,
-        epoch_offset_millis: i64,
-    ) -> Self {
-        OpcUaFieldNode {
-            server,
-            profile,
-            interval,
-            epoch_offset_millis,
-            polls_answered: 0,
-        }
-    }
-
-    fn refresh(&mut self, now_millis: i64) {
-        let value = self.profile.sample(now_millis);
-        self.server.update(value, now_millis);
-    }
-}
-
-impl Node for OpcUaFieldNode {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        self.refresh(unix_millis_at(self.epoch_offset_millis, ctx.now()));
-        ctx.set_timer(self.interval, TAG_EMIT);
-    }
-
-    fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
-        if pkt.port != OPCUA_PORT {
-            return;
-        }
-        // Poll requests arrive in rpc framing from the proxy's tracker.
-        if let Ok(RpcFrame::Request { id, body }) = rpc::decode(&pkt.payload) {
-            if let Ok(response) = self.server.handle_bytes(body) {
-                ctx.send(pkt.src, OPCUA_PORT, rpc::encode_response(id, &response));
-                self.polls_answered += 1;
-            }
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
-        if tag == TAG_EMIT {
-            self.refresh(unix_millis_at(self.epoch_offset_millis, ctx.now()));
-            ctx.set_timer(self.interval, TAG_EMIT);
-        }
-    }
-}
-
-/// A polled CoAP mote: refreshes its reading every `interval` and
-/// answers CoAP GET/POST requests from its proxy.
-pub struct CoapFieldNode {
-    server: CoapFieldServer,
-    profile: EnergyProfile,
-    interval: SimDuration,
-    epoch_offset_millis: i64,
-    /// Requests answered so far.
+    /// Polls and downlink frames answered so far.
     pub(crate) requests_answered: u64,
 }
 
-impl std::fmt::Debug for CoapFieldNode {
+impl std::fmt::Debug for PolledDeviceNode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CoapFieldNode")
+        f.debug_struct("PolledDeviceNode")
             .field("quantity", &self.server.quantity())
+            .field("port", &self.port)
             .field("requests_answered", &self.requests_answered)
             .finish()
     }
 }
 
-impl CoapFieldNode {
-    /// Creates a mote refreshing its value every `interval`.
-    pub fn new(
-        server: CoapFieldServer,
+impl PolledDeviceNode {
+    /// Creates a device answering polls on `port` and refreshing its
+    /// value every `interval`.
+    pub(crate) fn new(
+        server: Box<dyn FieldServer>,
+        port: Port,
         profile: EnergyProfile,
         interval: SimDuration,
         epoch_offset_millis: i64,
     ) -> Self {
-        CoapFieldNode {
+        PolledDeviceNode {
             server,
+            port,
             profile,
             interval,
             epoch_offset_millis,
@@ -234,28 +170,25 @@ impl CoapFieldNode {
     }
 }
 
-impl Node for CoapFieldNode {
+impl Node for PolledDeviceNode {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         self.refresh(unix_millis_at(self.epoch_offset_millis, ctx.now()));
         ctx.set_timer(self.interval, TAG_EMIT);
     }
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
-        match pkt.port {
-            COAP_PORT => {
-                // Proxy polls arrive in rpc framing.
-                if let Ok(RpcFrame::Request { id, body }) = rpc::decode(&pkt.payload) {
-                    if let Ok(response) = self.server.handle_bytes(body) {
-                        ctx.send(pkt.src, COAP_PORT, rpc::encode_response(id, &response));
-                        self.requests_answered += 1;
-                    }
+        if pkt.port == self.port {
+            // Proxy polls arrive in rpc framing.
+            if let Ok(RpcFrame::Request { id, body }) = rpc::decode(&pkt.payload) {
+                if let Ok(response) = self.server.handle_bytes(body) {
+                    ctx.send(pkt.src, self.port, rpc::encode_response(id, &response));
+                    self.requests_answered += 1;
                 }
             }
+        } else if pkt.port == DEVICE_DOWNLINK_PORT && self.server.handle_bytes(&pkt.payload).is_ok()
+        {
             // Raw actuation frames (no rpc framing) from /actuate.
-            crate::DEVICE_DOWNLINK_PORT if self.server.handle_bytes(&pkt.payload).is_ok() => {
-                self.requests_answered += 1;
-            }
-            _ => {}
+            self.requests_answered += 1;
         }
     }
 
@@ -317,118 +250,27 @@ mod tests {
         }
     }
 
+    /// An install of the polled `kind` reporting `quantity`.
+    fn polled(kind: protocols::ProtocolKind, quantity: QuantityKind) -> crate::registry::Install {
+        crate::registry::Install {
+            protocol: kind,
+            quantity,
+            eep: None,
+            address: 0x0142,
+            pan: protocols::ieee802154::PanId(0x2301),
+        }
+    }
+
     #[test]
     fn opcua_field_node_answers_polls() {
-        use protocols::opcua::{AttributeId, Message, ReadValueId};
-
-        struct Poller {
-            target: simnet::NodeId,
-            value_node: protocols::opcua::NodeId,
-            responses: Vec<Vec<u8>>,
-        }
-        impl Node for Poller {
-            fn on_start(&mut self, ctx: &mut Context<'_>) {
-                let req = Message::ReadRequest {
-                    nodes: vec![ReadValueId {
-                        node_id: self.value_node.clone(),
-                        attribute: AttributeId::Value,
-                    }],
-                }
-                .encode();
-                ctx.send(self.target, OPCUA_PORT, rpc::encode_request(0, &req));
-            }
-            fn on_packet(&mut self, _ctx: &mut Context<'_>, pkt: Packet) {
-                if let Ok(RpcFrame::Response { body, .. }) = rpc::decode(&pkt.payload) {
-                    self.responses.push(body.to_vec());
-                }
-            }
-        }
-
-        let mut sim = Simulator::new(SimConfig::default());
-        let server = OpcUaFieldServer::new(QuantityKind::ThermalEnergy);
-        let value_node = server.value_node().clone();
-        let field = sim.add_node(
-            "plc",
-            OpcUaFieldNode::new(
-                server,
-                EnergyProfile::for_quantity(QuantityKind::ThermalEnergy, 2),
-                SimDuration::from_secs(10),
-                0,
-            ),
-        );
-        let poller = sim.add_node(
-            "poller",
-            Poller {
-                target: field,
-                value_node,
-                responses: vec![],
-            },
-        );
-        sim.run_for(SimDuration::from_secs(5));
-        let p = sim.node_ref::<Poller>(poller).unwrap();
-        assert_eq!(p.responses.len(), 1);
-        match Message::decode(&p.responses[0]).unwrap() {
-            Message::ReadResponse { results } => {
-                assert!(results[0].status.is_good());
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(
-            sim.node_ref::<OpcUaFieldNode>(field)
-                .unwrap()
-                .polls_answered,
-            1
-        );
+        let install = polled(protocols::ProtocolKind::OpcUa, QuantityKind::ThermalEnergy);
+        assert!(crate::testkit::round_trip(&install) >= 10);
     }
 
     #[test]
     fn coap_field_node_answers_polls() {
-        use protocols::coap::{CoapCode, CoapMessage};
-
-        struct Poller {
-            target: simnet::NodeId,
-            responses: Vec<Vec<u8>>,
-        }
-        impl Node for Poller {
-            fn on_start(&mut self, ctx: &mut Context<'_>) {
-                let req = CoapMessage::get(1, vec![9], "sensor").encode();
-                ctx.send(self.target, COAP_PORT, rpc::encode_request(0, &req));
-            }
-            fn on_packet(&mut self, _ctx: &mut Context<'_>, pkt: Packet) {
-                if let Ok(RpcFrame::Response { body, .. }) = rpc::decode(&pkt.payload) {
-                    self.responses.push(body.to_vec());
-                }
-            }
-        }
-
-        let mut sim = Simulator::new(SimConfig::default());
-        let mote = sim.add_node(
-            "mote",
-            CoapFieldNode::new(
-                CoapFieldServer::new(QuantityKind::Co2),
-                EnergyProfile::for_quantity(QuantityKind::Co2, 4),
-                SimDuration::from_secs(10),
-                0,
-            ),
-        );
-        let poller = sim.add_node(
-            "poller",
-            Poller {
-                target: mote,
-                responses: vec![],
-            },
-        );
-        sim.run_for(SimDuration::from_secs(5));
-        let p = sim.node_ref::<Poller>(poller).unwrap();
-        assert_eq!(p.responses.len(), 1);
-        let msg = CoapMessage::decode(&p.responses[0]).unwrap();
-        assert_eq!(msg.code, CoapCode::CONTENT);
-        assert_eq!(
-            sim.node_ref::<CoapFieldNode>(mote)
-                .unwrap()
-                .requests_answered,
-            1
-        );
+        let install = polled(protocols::ProtocolKind::Coap, QuantityKind::Co2);
+        assert!(crate::testkit::round_trip(&install) >= 10);
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //! * [`database_proxy`] — wraps one legacy database (BIM / SIM / GIS /
 //!   measurement archive) behind translation endpoints;
 //! * [`devices`] — the simulated field devices as network nodes (uplink
-//!   emitters and the polled OPC UA server);
+//!   emitters and polled field servers);
+//! * [`registry`] — one row per protocol family: how its device pairs
+//!   with its adapter, whether and on which port it is polled, what a
+//!   scenario installs and its share of a typical district;
 //! * [`registration`] — the register/deregister/heartbeat bodies proxies
 //!   exchange with the master node, and the [`registration::MasterSession`]
 //!   every proxy keeps with it.
@@ -24,6 +27,7 @@ pub mod database_proxy;
 pub mod device_proxy;
 pub mod devices;
 pub mod registration;
+pub mod registry;
 pub mod webservice;
 
 use dimmer_core::Uri;
@@ -54,7 +58,6 @@ pub const WS_PORT: Port = Port(80);
 pub const DEVICE_UPLINK_PORT: Port = Port(7200);
 /// Port Device-proxies push actuation frames to on their device.
 pub(crate) const DEVICE_DOWNLINK_PORT: Port = Port(7201);
-/// Port OPC UA field servers answer polls on.
-pub const OPCUA_PORT: Port = Port(4840);
-/// Port CoAP field servers answer polls on.
-pub const COAP_PORT: Port = Port(5683);
+
+#[cfg(test)]
+mod testkit;

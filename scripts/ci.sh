@@ -66,6 +66,28 @@ if ! diff -u "$listed" "$used"; then
     exit 1
 fi
 
+echo "== protocol-row lint (ProtocolKind variants only where a protocol is defined)"
+# A protocol is its codec, its adapter and one row of proxy::registry;
+# every other library file iterates or indexes the rows instead of
+# naming a variant. Test modules (the tail of a file, as above) and
+# crates/bench, whose experiments take protocols as parameters, are
+# exempt.
+named=0
+for f in $(find crates -path '*/src/*.rs' -not -path 'crates/bench/*' | sort); do
+    case "$f" in
+        crates/protocols/src/lib.rs | crates/protocols/src/device.rs | \
+            crates/proxy/src/adapters.rs | crates/proxy/src/registry.rs) continue ;;
+    esac
+    if awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$f" \
+            | grep -E 'ProtocolKind::[A-Z]' >&2; then
+        named=1
+    fi
+done
+if [[ "$named" -ne 0 ]]; then
+    echo "protocol-row lint: the lines above name a ProtocolKind variant outside its row" >&2
+    exit 1
+fi
+
 echo "== stale-path lint (README, DESIGN, EXPERIMENTS)"
 # Every results/, scripts/ or benchmark/ file these documents name must
 # exist. ROADMAP is exempt: it names planned files.

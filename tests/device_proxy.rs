@@ -8,13 +8,15 @@ use dimmer::protocols::ProtocolKind;
 use dimmer::proxy::device_proxy::DeviceProxyNode;
 use dimmer::simnet::{SimConfig, SimDuration, Simulator};
 
-fn single_protocol_run(protocol: ProtocolKind) -> (Simulator, Deployment, usize) {
+/// Runs a two-building district of `protocol` devices for ten minutes,
+/// then checks that an end user's query sees data and that every
+/// Device-proxy ingested without a decode error.
+fn end_to_end(protocol: ProtocolKind) {
     let mut config = ScenarioConfig::small();
     config.protocol_mix = ProtocolMix::only(protocol);
     config.buildings_per_district = 2;
     config.devices_per_building = 2;
     let scenario = config.build();
-    let devices = scenario.device_count();
     let mut sim = Simulator::new(SimConfig::default());
     let deployment = Deployment::build(&mut sim, &scenario);
     sim.run_for(SimDuration::from_secs(600));
@@ -38,15 +40,7 @@ fn single_protocol_run(protocol: ProtocolKind) -> (Simulator, Deployment, usize)
         !snapshot.measurements.is_empty(),
         "{protocol}: no data reached the client"
     );
-    (sim, deployment, devices)
-}
 
-fn assert_all_proxies_ingested(
-    sim: &Simulator,
-    deployment: &Deployment,
-    devices: usize,
-    protocol: ProtocolKind,
-) {
     let mut proxies_with_data = 0;
     for p in deployment.device_proxies() {
         let proxy = sim.node_ref::<DeviceProxyNode>(p).unwrap();
@@ -61,41 +55,37 @@ fn assert_all_proxies_ingested(
         }
     }
     assert_eq!(
-        proxies_with_data, devices,
+        proxies_with_data,
+        scenario.device_count(),
         "{protocol}: every proxy must ingest"
     );
 }
 
 #[test]
 fn ieee802154_end_to_end() {
-    let (sim, deployment, devices) = single_protocol_run(ProtocolKind::Ieee802154);
-    assert_all_proxies_ingested(&sim, &deployment, devices, ProtocolKind::Ieee802154);
+    end_to_end(ProtocolKind::Ieee802154);
 }
 
 #[test]
 fn zigbee_end_to_end() {
-    let (sim, deployment, devices) = single_protocol_run(ProtocolKind::Zigbee);
-    assert_all_proxies_ingested(&sim, &deployment, devices, ProtocolKind::Zigbee);
+    end_to_end(ProtocolKind::Zigbee);
 }
 
 #[test]
 fn enocean_end_to_end() {
-    let (sim, deployment, devices) = single_protocol_run(ProtocolKind::EnOcean);
-    assert_all_proxies_ingested(&sim, &deployment, devices, ProtocolKind::EnOcean);
+    end_to_end(ProtocolKind::EnOcean);
 }
 
 #[test]
 fn opcua_end_to_end() {
     // OPC UA is the polled (wired legacy) path: the proxy pulls.
-    let (sim, deployment, devices) = single_protocol_run(ProtocolKind::OpcUa);
-    assert_all_proxies_ingested(&sim, &deployment, devices, ProtocolKind::OpcUa);
+    end_to_end(ProtocolKind::OpcUa);
 }
 
 #[test]
 fn coap_end_to_end() {
     // CoAP is the second polled path (the IoT direction of §III).
-    let (sim, deployment, devices) = single_protocol_run(ProtocolKind::Coap);
-    assert_all_proxies_ingested(&sim, &deployment, devices, ProtocolKind::Coap);
+    end_to_end(ProtocolKind::Coap);
 }
 
 #[test]
