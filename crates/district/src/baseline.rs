@@ -17,7 +17,7 @@ use gis::geo::{BoundingBox, GeoPoint};
 use protocols::ieee802154::PanId;
 use proxy::adapters::DeviceAdapter;
 use proxy::devices::unix_millis_at;
-use proxy::registry::{self, Install};
+use proxy::registry::{self, Family, Install};
 use proxy::webservice::{status, WsResponse, WsServer};
 use proxy::{DEVICE_UPLINK_PORT, WS_PORT};
 use simnet::rpc::{RequestTracker, RpcEvent};
@@ -98,9 +98,14 @@ impl CentralServerNode {
         self.stats
     }
 
-    /// Takes `dev`'s adapter and poll port from its row.
-    fn register_device(&mut self, node: NodeId, dev: &DeviceSpec, install: &Install) {
-        let family = registry::family(dev.protocol);
+    /// Takes `dev`'s adapter and poll port from its `family` row.
+    fn register_device(
+        &mut self,
+        node: NodeId,
+        dev: &DeviceSpec,
+        family: &Family,
+        install: &Install,
+    ) {
         let entry = DeviceEntry {
             adapter: (family.adapter)(install),
             poll_port: family.poll_port(),
@@ -308,7 +313,7 @@ impl CentralDeployment {
                         family.add_device(sim, &install, placement(config, dev, name, 0, server));
                     sim.node_mut::<CentralServerNode>(server)
                         .expect("just added")
-                        .register_device(device_node, dev, &install);
+                        .register_device(device_node, dev, family, &install);
                     devices.push(device_node);
                 }
             }
