@@ -19,9 +19,10 @@
 //!   depend on which driver produced them.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::cell::Cell;
 use std::fmt;
 
+use crate::value::{Key, Map};
 use crate::{json, xml, CoreError, Measurement, MeasurementBatch, Value};
 
 /// An open-standard encoding of the common data format.
@@ -407,10 +408,22 @@ impl<'a> Reader<'a> {
 
     /// The tree driver: builds the next value.
     ///
+    /// Each array or object is allocated once, at its exact size, when
+    /// it closes: until then its items wait on a per-thread scratch
+    /// stack, above those of the containers around it.
+    ///
     /// # Errors
     ///
     /// Returns the format's parse error.
     pub fn value(&mut self) -> Result<Value, CoreError> {
+        let mut scratch = SCRATCH.take();
+        let value = self.build(&mut scratch);
+        scratch.reset();
+        SCRATCH.set(scratch);
+        value
+    }
+
+    fn build(&mut self, scratch: &mut Scratch) -> Result<Value, CoreError> {
         Ok(match self.next_event()? {
             Event::Null => Value::Null,
             Event::Bool(b) => Value::Bool(b),
@@ -418,24 +431,54 @@ impl<'a> Reader<'a> {
             Event::Float(f) => Value::Float(f),
             Event::Str(s) => Value::Str(s.into_owned()),
             Event::BeginArray => {
-                let mut items = Vec::new();
+                let start = scratch.items.len();
                 while self.more_items()? {
-                    items.push(self.value()?);
+                    let item = self.build(scratch)?;
+                    scratch.items.push(item);
                 }
-                Value::Array(items)
+                Value::Array(scratch.items.drain(start..).collect())
             }
             Event::BeginObject => {
-                let mut map = BTreeMap::new();
+                let start = scratch.members.len();
                 while let Some(key) = self.next_key()? {
-                    map.insert(key.into_owned(), self.value()?);
+                    let key = Key::from(key);
+                    let value = self.build(scratch)?;
+                    scratch.members.push((key, value));
                 }
-                Value::Object(map)
+                Value::Object(Map::from_members(scratch.members.drain(start..).collect()))
             }
             first @ (Event::EndArray | Event::Key(_) | Event::EndObject) => {
                 unreachable!("a value cannot begin with {first:?}")
             }
         })
     }
+}
+
+/// The items and members of the containers the tree driver has open,
+/// innermost last. Kept per thread between documents, so that once it has
+/// grown to the widest document seen, a decode allocates only the tree.
+#[derive(Default)]
+struct Scratch {
+    items: Vec<Value>,
+    members: Vec<(Key, Value)>,
+}
+
+/// Past this many entries a stack is shrunk after use, so one huge
+/// document does not pin its width for the life of the thread.
+const SCRATCH_RETAINED: usize = 4096;
+
+impl Scratch {
+    /// Empties both stacks (a failed decode leaves items behind).
+    fn reset(&mut self) {
+        self.items.clear();
+        self.items.shrink_to(SCRATCH_RETAINED);
+        self.members.clear();
+        self.members.shrink_to(SCRATCH_RETAINED);
+    }
+}
+
+thread_local! {
+    static SCRATCH: Cell<Scratch> = Cell::default();
 }
 
 /// What a typed reader makes of well-formed text: the value, or why the

@@ -5,9 +5,15 @@
 //! `Value` mirrors the JSON data model (null, bool, integer/float, string,
 //! array, object) with objects keeping deterministic (sorted) key order so
 //! encodings are reproducible.
+//!
+//! An object is a [`Map`]: its members sorted by [`Key`] in one
+//! allocation of exactly their size, with short keys stored inline. A
+//! decoded entity model is thousands of small objects, so what each one
+//! costs is what a client holding many models pays for.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 use std::fmt;
+use std::ops::Deref;
 
 use crate::CoreError;
 
@@ -38,14 +44,19 @@ pub enum Value {
     /// An ordered sequence.
     Array(Vec<Value>),
     /// A key-sorted map.
-    Object(BTreeMap<String, Value>),
+    Object(Map),
 }
+
+// A `Map` is a boxed slice and a `Key` fits a `String`'s three words, so
+// objects cost a `Value` no more than a string does.
+const _: () = assert!(std::mem::size_of::<Value>() == 32);
+const _: () = assert!(std::mem::size_of::<Key>() == 24);
 
 impl Value {
     /// Builds an object from `(key, value)` pairs.
     pub fn object<K, I>(pairs: I) -> Value
     where
-        K: Into<String>,
+        K: Into<Key>,
         I: IntoIterator<Item = (K, Value)>,
     {
         Value::Object(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
@@ -126,7 +137,7 @@ impl Value {
     }
 
     /// This value as an object map, if it is an object.
-    pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
+    pub fn as_object(&self) -> Option<&Map> {
         match self {
             Value::Object(map) => Some(map),
             _ => None,
@@ -213,12 +224,12 @@ impl Value {
     /// # Panics
     ///
     /// Panics if `self` is neither an object nor `Null`.
-    pub fn insert(&mut self, key: impl Into<String>, value: Value) -> Option<Value> {
+    pub fn insert(&mut self, key: impl Into<Key>, value: Value) -> Option<Value> {
         if self.is_null() {
-            *self = Value::Object(BTreeMap::new());
+            *self = Value::Object(Map::default());
         }
         match self {
-            Value::Object(map) => map.insert(key.into(), value),
+            Value::Object(map) => map.insert(key, value),
             other => panic!("cannot insert into {}", other.type_name()),
         }
     }
@@ -295,6 +306,250 @@ impl fmt::Display for Value {
         f.write_str(&crate::json::to_string(self))
     }
 }
+
+/// Keys of at most this many bytes are stored inside the [`Key`].
+const INLINE: usize = 22;
+
+/// The name of an object member. Up to 22 bytes live inline, longer
+/// names in their own allocation. A key derefs to, compares and orders
+/// exactly like the `str` it holds, so objects sort — and encode — as
+/// they would with `String` keys.
+#[derive(Clone)]
+pub struct Key(KeyRepr);
+
+#[derive(Clone)]
+enum KeyRepr {
+    Inline { len: u8, bytes: [u8; INLINE] },
+    Heap(Box<str>),
+}
+
+impl Key {
+    /// The key as a string slice.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            KeyRepr::Inline { len, bytes } => std::str::from_utf8(&bytes[..usize::from(*len)])
+                .expect("an inline key holds the bytes of a str"),
+            KeyRepr::Heap(s) => s,
+        }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            KeyRepr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            KeyRepr::Heap(s) => s.as_bytes(),
+        }
+    }
+
+    /// An inline key, if `s` is short enough for one.
+    fn inline(s: &str) -> Option<Key> {
+        let len = u8::try_from(s.len())
+            .ok()
+            .filter(|&n| usize::from(n) <= INLINE)?;
+        let mut bytes = [0; INLINE];
+        bytes[..s.len()].copy_from_slice(s.as_bytes());
+        Some(Key(KeyRepr::Inline { len, bytes }))
+    }
+}
+
+impl Deref for Key {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl From<&str> for Key {
+    fn from(s: &str) -> Self {
+        Key::inline(s).unwrap_or_else(|| Key(KeyRepr::Heap(s.into())))
+    }
+}
+
+impl From<String> for Key {
+    fn from(s: String) -> Self {
+        Key::inline(&s).unwrap_or_else(|| Key(KeyRepr::Heap(s.into_boxed_str())))
+    }
+}
+
+impl From<Cow<'_, str>> for Key {
+    fn from(s: Cow<'_, str>) -> Self {
+        match s {
+            Cow::Borrowed(s) => Key::from(s),
+            Cow::Owned(s) => Key::from(s),
+        }
+    }
+}
+
+impl From<Key> for String {
+    fn from(key: Key) -> Self {
+        match key.0 {
+            KeyRepr::Heap(s) => s.into_string(),
+            KeyRepr::Inline { .. } => key.as_str().to_owned(),
+        }
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Key {}
+
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Key {
+    /// Byte order, as `str` and `String` order. (A derived order would
+    /// put every inline key before every boxed one.)
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl fmt::Display for Key {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self)
+    }
+}
+
+impl fmt::Debug for Key {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+/// The members of an object: sorted by key, no key twice, in one
+/// allocation of exactly their size (none when empty).
+///
+/// Offers the part of the `BTreeMap` API that callers use, and prints
+/// like a map.
+#[derive(Clone, PartialEq, Default)]
+pub struct Map(Box<[(Key, Value)]>);
+
+impl Map {
+    /// Sorts `members` by key and keeps the last of any repeated key.
+    /// Already-sorted members (what every writer emits) cost one pass.
+    pub(crate) fn from_members(mut members: Vec<(Key, Value)>) -> Map {
+        if !members.is_sorted_by(|a, b| a.0 < b.0) {
+            // Stable, so the members of one key stay in arrival order and
+            // the last of them is what survives the dedup.
+            members.sort_by(|a, b| a.0.cmp(&b.0));
+            members.dedup_by(|later, kept| {
+                let repeated = later.0 == kept.0;
+                if repeated {
+                    std::mem::swap(&mut later.1, &mut kept.1);
+                }
+                repeated
+            });
+        }
+        Map(members.into_boxed_slice())
+    }
+
+    /// The number of members.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True when the object has no members.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    fn find(&self, key: &str) -> Result<usize, usize> {
+        self.0
+            .binary_search_by(|(k, _)| k.as_bytes().cmp(key.as_bytes()))
+    }
+
+    /// The value of member `key`.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.find(key).ok().map(|i| &self.0[i].1)
+    }
+
+    /// Sets member `key`, returning its previous value. Adding a key
+    /// reallocates the members to their new exact size.
+    pub fn insert(&mut self, key: impl Into<Key>, value: Value) -> Option<Value> {
+        let key = key.into();
+        match self.find(&key) {
+            Ok(i) => Some(std::mem::replace(&mut self.0[i].1, value)),
+            Err(i) => {
+                let mut members = std::mem::take(&mut self.0).into_vec();
+                members.reserve_exact(1);
+                members.insert(i, (key, value));
+                self.0 = members.into_boxed_slice();
+                None
+            }
+        }
+    }
+
+    /// The members in key order.
+    pub fn iter(&self) -> Iter<'_> {
+        Iter(self.0.iter())
+    }
+
+    /// The keys in order.
+    pub fn keys(&self) -> impl ExactSizeIterator<Item = &Key> {
+        self.0.iter().map(|(k, _)| k)
+    }
+
+    /// The values in key order.
+    pub fn values(&self) -> impl ExactSizeIterator<Item = &Value> {
+        self.0.iter().map(|(_, v)| v)
+    }
+}
+
+impl fmt::Debug for Map {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+impl<K: Into<Key>> FromIterator<(K, Value)> for Map {
+    /// Collects members in any order; the last of a repeated key wins.
+    fn from_iter<I: IntoIterator<Item = (K, Value)>>(iter: I) -> Self {
+        Map::from_members(iter.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+}
+
+impl IntoIterator for Map {
+    type Item = (Key, Value);
+    type IntoIter = std::vec::IntoIter<(Key, Value)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.into_vec().into_iter()
+    }
+}
+
+impl<'a> IntoIterator for &'a Map {
+    type Item = (&'a Key, &'a Value);
+    type IntoIter = Iter<'a>;
+
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
+    }
+}
+
+/// The members of a [`Map`] in key order.
+#[derive(Debug, Clone)]
+pub struct Iter<'a>(std::slice::Iter<'a, (Key, Value)>);
+
+impl<'a> Iterator for Iter<'a> {
+    type Item = (&'a Key, &'a Value);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.0.next().map(|(k, v)| (k, v))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -391,7 +646,41 @@ mod tests {
     #[test]
     fn object_keys_sorted() {
         let v = Value::object([("z", Value::Null), ("a", Value::Null)]);
-        let keys: Vec<&str> = v.as_object().unwrap().keys().map(String::as_str).collect();
+        let keys: Vec<&str> = v.as_object().unwrap().keys().map(Key::as_str).collect();
         assert_eq!(keys, vec!["a", "z"]);
+    }
+
+    #[test]
+    fn keys_order_by_bytes_across_inline_and_boxed() {
+        let long = "a".repeat(INLINE + 1);
+        let keys = ["", "a", "b", long.as_str(), "é", &"z".repeat(INLINE)];
+        let mut sorted: Vec<Key> = keys.iter().map(|&k| Key::from(k)).collect();
+        sorted.sort();
+        let mut expected = keys.map(str::to_owned);
+        expected.sort();
+        let got: Vec<&str> = sorted.iter().map(Key::as_str).collect();
+        assert_eq!(got, expected);
+        assert!(matches!(Key::from(&*long).0, KeyRepr::Heap(_)));
+        assert!(matches!(
+            Key::from("z".repeat(INLINE)).0,
+            KeyRepr::Inline { .. }
+        ));
+    }
+
+    #[test]
+    fn map_keeps_the_last_duplicate_and_prints_like_a_btree_map() {
+        let map: Map = [
+            ("b", Value::from(1)),
+            ("a", Value::Null),
+            ("b", Value::from(2)),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(map.len(), 2);
+        assert_eq!(map.get("b"), Some(&Value::from(2)));
+        let oracle: std::collections::BTreeMap<String, Value> =
+            [("a".into(), Value::Null), ("b".into(), Value::from(2))].into();
+        assert_eq!(format!("{map:?}"), format!("{oracle:?}"));
+        assert_eq!(format!("{map:#?}"), format!("{oracle:#?}"));
     }
 }

@@ -4,6 +4,8 @@
 //! property-testing crate so the workspace builds with no network
 //! access; the fixed seeds make every run reproducible.
 
+use std::collections::BTreeMap;
+
 use dimmer_core::codec::{self, DataFormat, Writer};
 use dimmer_core::{
     json, xml, CoreError, DeviceId, Measurement, MeasurementBatch, QuantityKind, Timestamp, Unit,
@@ -405,7 +407,7 @@ fn assert_decoders_agree(text: &str, format: DataFormat) {
 fn rand_measurement_members(rng: &mut DeterministicRng) -> Vec<(String, Value)> {
     let m = rand_measurement(rng);
     let mut members: Vec<(String, Value)> = match m.to_value() {
-        Value::Object(map) => map.into_iter().collect(),
+        Value::Object(map) => map.into_iter().map(|(k, v)| (k.into(), v)).collect(),
         other => panic!("measurement encodes as {other:?}"),
     };
     let junk = |rng: &mut DeterministicRng| rand_value(rng, 2);
@@ -545,5 +547,109 @@ fn shape_errors_are_reported_only_for_well_formed_text() {
             codec::decode_batch(text, format),
             Err(CoreError::ParseJson { .. } | CoreError::ParseXml { .. })
         ));
+    }
+}
+
+/// A key of exactly `len` bytes, mixing ASCII (markup included) with two-
+/// and three-byte characters.
+fn key_of_len(rng: &mut DeterministicRng, len: usize) -> String {
+    let mut key = String::new();
+    while key.len() < len {
+        let room = len - key.len();
+        key.push(match rng.next_bounded(4) {
+            0 if room >= 3 => '中',
+            1 if room >= 2 => 'é',
+            _ => ['a', 'b', 'Z', '0', '_', '<', '&', '"'][rng.next_bounded(8) as usize],
+        });
+    }
+    key
+}
+
+/// Members in arbitrary order over a few keys, so keys repeat: lengths
+/// either side of the 22 bytes an object key holds inline, and keys that
+/// extend another by one character.
+fn rand_members(rng: &mut DeterministicRng) -> Vec<(String, Value)> {
+    let mut pool: Vec<String> = Vec::new();
+    for _ in 0..rng.next_range(1, 6) {
+        let key = match pool.last() {
+            Some(last) if rng.chance(0.25) => format!("{last}{}", key_of_len(rng, 1)),
+            _ => {
+                let len = [0, 1, 21, 22, 23, 64][rng.next_bounded(6) as usize];
+                key_of_len(rng, len)
+            }
+        };
+        pool.push(key);
+    }
+    (0..rng.next_bounded(12))
+        .map(|i| {
+            let key = pool[rng.next_bounded(pool.len() as u64) as usize].clone();
+            let value = if rng.chance(0.5) {
+                Value::from(i as i64)
+            } else {
+                rand_value(rng, 1)
+            };
+            (key, value)
+        })
+        .collect()
+}
+
+#[test]
+fn objects_behave_like_a_btree_map_however_they_are_built() {
+    let mut rng = DeterministicRng::seed_from(0xC0DE_000F);
+    for _ in 0..4 * CASES {
+        let members = rand_members(&mut rng);
+        let mut oracle: BTreeMap<String, Value> = BTreeMap::new();
+        for (k, v) in &members {
+            oracle.insert(k.clone(), v.clone());
+        }
+        let mut inserted = Value::object(Vec::<(String, Value)>::new());
+        for (k, v) in &members {
+            inserted.insert(k.as_str(), v.clone());
+        }
+        let built = [
+            ("object", Value::object(members.clone())),
+            ("insert", inserted),
+            (
+                "json",
+                codec::decode_value(&object_text(&members, DataFormat::Json), DataFormat::Json)
+                    .unwrap(),
+            ),
+            (
+                "xml",
+                codec::decode_value(&object_text(&members, DataFormat::Xml), DataFormat::Xml)
+                    .unwrap(),
+            ),
+        ];
+        for (how, value) in &built {
+            let map = value.as_object().unwrap();
+            assert_eq!(map.len(), oracle.len(), "{how}: {members:?}");
+            assert!(
+                map.iter()
+                    .map(|(k, v)| (k.as_str(), v))
+                    .eq(oracle.iter().map(|(k, v)| (k.as_str(), v))),
+                "{how}: {members:?}"
+            );
+            for (k, _) in &members {
+                assert_eq!(map.get(k), oracle.get(k), "{how}: {k:?}");
+            }
+            assert_eq!(map.get("absent key"), None);
+            assert_eq!(format!("{map:?}"), format!("{oracle:?}"), "{how}");
+            assert_eq!(value, &built[0].1, "{how} vs object");
+            for format in DataFormat::all() {
+                let mut expected = String::new();
+                let mut w = Writer::new(format, &mut expected);
+                w.begin_object();
+                for (k, v) in &oracle {
+                    w.key(k);
+                    w.value(v);
+                }
+                w.end_object();
+                assert_eq!(
+                    codec::encode_value(value, format),
+                    expected,
+                    "{how} {format}"
+                );
+            }
+        }
     }
 }

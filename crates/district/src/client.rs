@@ -11,7 +11,7 @@
 //! (resolve → fetch → integrate) producing [`AreaSnapshot`]s, with
 //! latency and traffic accounting for the experiments.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use dimmer_core::codec::DataFormat;
 use dimmer_core::{DistrictId, MeasurementBatch, Value};
@@ -36,8 +36,8 @@ pub struct AreaSnapshot {
     pub(crate) completed_at: SimTime,
     /// The master's redirect response.
     pub resolution: AreaResolution,
-    /// Per-entity translated models, keyed by entity id.
-    pub entities: HashMap<String, Value>,
+    /// Per-entity translated models, in entity-id order.
+    pub entities: BTreeMap<String, Value>,
     /// All device data fetched, already in the common format.
     pub measurements: MeasurementBatch,
     /// Requests issued (1 resolve + N fetches).
@@ -64,7 +64,7 @@ enum FetchKind {
 struct QueryState {
     started_at: SimTime,
     resolution: Option<AreaResolution>,
-    entities: HashMap<String, Value>,
+    entities: BTreeMap<String, Value>,
     measurements: MeasurementBatch,
     outstanding: usize,
     requests: u64,
@@ -93,7 +93,8 @@ pub struct ClientConfig {
 pub struct ClientNode {
     config: ClientConfig,
     ws: WsClient,
-    /// request id → (query index, what it fetches)
+    /// request id → (query index, what it fetches). Lookup-only: never
+    /// iterated, so its hash order cannot reach a snapshot.
     in_flight: HashMap<u64, (usize, FetchKind)>,
     queries: Vec<QueryState>,
     snapshots: Vec<AreaSnapshot>,
@@ -148,7 +149,7 @@ impl ClientNode {
         self.queries.push(QueryState {
             started_at: ctx.now(),
             resolution: None,
-            entities: HashMap::new(),
+            entities: BTreeMap::new(),
             measurements: MeasurementBatch::new(),
             outstanding: 1,
             requests: 1,

@@ -8,7 +8,7 @@
 //! data inline. Experiment E5 measures what this does to the relay's
 //! traffic and the end-to-end latency.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use dimmer_core::{MeasurementBatch, Value};
 use gis::geo::BoundingBox;
@@ -31,7 +31,7 @@ enum FetchKind {
 #[derive(Debug)]
 struct RelayQuery {
     call: WsCall,
-    entities: HashMap<String, Value>,
+    entities: BTreeMap<String, Value>,
     measurements: MeasurementBatch,
     outstanding: usize,
     errors: u64,
@@ -52,6 +52,7 @@ pub struct RelayNode {
     master: NodeId,
     ws: WsServer,
     client: WsClient,
+    /// request id → (query index, what it fetches); lookup-only.
     in_flight: HashMap<u64, (usize, FetchKind)>,
     queries: Vec<Option<RelayQuery>>,
     stats: RelayStats,
@@ -89,7 +90,7 @@ impl RelayNode {
         let index = self.queries.len();
         self.queries.push(Some(RelayQuery {
             call,
-            entities: HashMap::new(),
+            entities: BTreeMap::new(),
             measurements: MeasurementBatch::new(),
             outstanding: 1,
             errors: 0,

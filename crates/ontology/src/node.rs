@@ -504,10 +504,12 @@ mod tests {
     fn tree_from_value_tolerates_missing_broker() {
         // Values written before broker federation existed carry no
         // `broker` key; they must still decode.
-        let mut v = sample_tree().to_value();
-        if let Value::Object(map) = &mut v {
-            map.remove("broker");
-        }
+        let v = match sample_tree().to_value() {
+            Value::Object(map) => {
+                Value::object(map.into_iter().filter(|(k, _)| k.as_str() != "broker"))
+            }
+            other => other,
+        };
         let back = DistrictTree::from_value(&v).unwrap();
         assert_eq!(back.broker(), None);
     }

@@ -364,7 +364,7 @@ fn encode_envelope(format: DataFormat, write: impl FnOnce(&mut Writer<'_>)) -> V
 }
 
 fn split_marker(bytes: &[u8]) -> Result<(DataFormat, &str), CoreError> {
-    let (&marker, text) = bytes.split_first().ok_or(CoreError::Shape {
+    let (&marker, text) = bytes.split_first().ok_or_else(|| CoreError::Shape {
         target: "ws envelope",
         reason: "empty payload".into(),
     })?;
@@ -739,7 +739,7 @@ mod tests {
                 let v = v
                     .as_str()
                     .ok_or_else(|| shape("query values must be strings"))?;
-                query.insert(k.clone(), v.to_owned());
+                query.insert(k.as_str().to_owned(), v.to_owned());
             }
         }
         Ok(WsRequest {

@@ -362,15 +362,10 @@ impl RequestTracker {
         }
         pending.retries_left -= 1;
         pending.attempt += 1;
-        let (dst, port, timeout, attempt, body) = (
-            pending.dst,
-            pending.port,
-            pending.timeout,
-            pending.attempt,
-            pending.body.clone(),
-        );
-        let delay = self.policy.delay(timeout, attempt, ctx.rng());
-        ctx.send(dst, port, encode_request(id, &body));
+        let delay = self
+            .policy
+            .delay(pending.timeout, pending.attempt, ctx.rng());
+        ctx.send(pending.dst, pending.port, encode_request(id, &pending.body));
         ctx.set_timer(delay, TimerTag(self.tag_base + id));
         None
     }

@@ -377,7 +377,7 @@ impl Table {
             self.columns
                 .iter()
                 .zip(row)
-                .map(|(c, cell)| (c.name.clone(), cell.to_value())),
+                .map(|(c, cell)| (c.name.as_str(), cell.to_value())),
         )
     }
 

@@ -85,12 +85,12 @@ fn main() {
 
     // Join: per building, the BIM heat loss + live thermal/temperature
     // series + the network's delivery efficiency at its consumer.
-    let consumers: Vec<(&String, f64)> = efficiency
+    let consumers: Vec<(&str, f64)> = efficiency
         .body
         .as_object()
         .map(|m| {
             m.iter()
-                .filter_map(|(k, v)| v.as_f64().map(|e| (k, e)))
+                .filter_map(|(k, v)| v.as_f64().map(|e| (k.as_str(), e)))
                 .collect()
         })
         .unwrap_or_default();
@@ -164,7 +164,7 @@ fn main() {
         ["consumer", "efficiency"],
     );
     for (consumer, e) in &consumers {
-        eff_table.row([(*consumer).clone(), fmt_f64(*e, 6)]);
+        eff_table.row([(*consumer).to_owned(), fmt_f64(*e, 6)]);
     }
     println!("{eff_table}");
 

@@ -1,16 +1,19 @@
 //! The cost contract of the common-format read path, counted in
 //! allocations: a Device-proxy's `/data` response is written into one
 //! growing buffer, a client decodes a batch with one allocation per
-//! measurement, and a Database-proxy answers `/model` from memoised
-//! bytes.
+//! measurement, a Database-proxy answers `/model` from memoised bytes,
+//! and a client decodes that model with one allocation per container,
+//! string and long key.
 //!
 //! This file is its own test binary, so it can install the counting
 //! `#[global_allocator]` of `tests/support` without touching any other
 //! suite.
 
-use dimmer_core::codec::DataFormat;
+use std::collections::BTreeMap;
+
+use dimmer_core::codec::{self, DataFormat};
 use dimmer_core::{
-    BuildingId, DeviceId, DistrictId, MeasurementBatch, ProxyId, QuantityKind, Unit,
+    BuildingId, DeviceId, DistrictId, MeasurementBatch, ProxyId, QuantityKind, Unit, Value,
 };
 use models::bim::BuildingModel;
 use proxy::database_proxy::{BimSource, DatabaseProxyNode, SourceTranslator};
@@ -177,11 +180,69 @@ fn model_responses_after_the_first_are_served_from_memoised_bytes() {
     assert_eq!(costs.len(), ASKS);
     let (first, later) = costs.split_at(2);
     assert!(
-        first.iter().all(|&c| c > 100),
+        first.iter().all(|&c| c > 50),
         "the first request per format builds the model: {first:?}"
     );
     assert!(
         later.iter().all(|&c| c <= 3),
         "memoised responses must not rebuild or re-encode: {later:?}"
     );
+}
+
+/// Keys up to this many bytes are stored inside the object (see
+/// `dimmer_core::value::Key`).
+const INLINE_KEY: usize = 22;
+
+/// What building `v` may allocate: one block per object, array and
+/// string, and one per key too long to be stored inline.
+fn tree_budget(v: &Value) -> u64 {
+    match v {
+        Value::Str(_) => 1,
+        Value::Array(items) => 1 + items.iter().map(tree_budget).sum::<u64>(),
+        Value::Object(map) => {
+            1 + map
+                .iter()
+                .map(|(k, v)| u64::from(k.len() > INLINE_KEY) + tree_budget(v))
+                .sum::<u64>()
+        }
+        _ => 0,
+    }
+}
+
+#[test]
+fn model_decode_allocates_once_per_container_string_and_long_key() {
+    let model = bim_source().model();
+    for format in DataFormat::all() {
+        let bytes = WsResponse::ok(model.clone()).to_bytes(format);
+        // The first decode on a thread grows its scratch stacks to the
+        // width of the document; later ones reuse them.
+        WsResponse::from_bytes(&bytes).unwrap();
+        let (decoded, allocations) = allocations_in(|| WsResponse::from_bytes(&bytes));
+        let body = decoded.unwrap().body;
+        assert_eq!(body, model, "{format}");
+        let budget = tree_budget(&body);
+        assert!(
+            allocations <= budget,
+            "{format}: {allocations} allocations for a tree that may make {budget}"
+        );
+    }
+}
+
+#[test]
+fn a_wide_object_with_descending_keys_decodes_in_n_log_n() {
+    const N: i64 = 100_000;
+    let key = |i: i64| format!("member-{i:06}");
+    let oracle: BTreeMap<String, Value> = (0..N).map(|i| (key(i), Value::from(i))).collect();
+    let members: Vec<String> = (0..N)
+        .rev()
+        .map(|i| format!("\"{}\":{i}", key(i)))
+        .collect();
+    let text = format!("{{{}}}", members.join(","));
+    let decoded = codec::decode_value(&text, DataFormat::Json).unwrap();
+    let map = decoded.as_object().unwrap();
+    assert_eq!(map.len(), oracle.len());
+    assert!(map
+        .iter()
+        .zip(&oracle)
+        .all(|((k, v), (ok, ov))| k.as_str() == ok && v == ov));
 }
