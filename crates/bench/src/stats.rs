@@ -57,11 +57,6 @@ impl Summary {
         }
     }
 
-    /// The label given at construction.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Records one observation.
     ///
     /// # Panics
@@ -81,11 +76,6 @@ impl Summary {
     /// Number of observations.
     pub fn count(&self) -> usize {
         self.values.len()
-    }
-
-    /// True if no observations have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
     }
 
     /// Arithmetic mean, or 0 for an empty summary.
@@ -115,22 +105,6 @@ impl Summary {
             .max_or_zero()
     }
 
-    /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
-        self.values.iter().sum()
-    }
-
-    /// Population standard deviation, or 0 with fewer than two points.
-    pub fn stddev(&self) -> f64 {
-        if self.values.len() < 2 {
-            return 0.0;
-        }
-        let m = self.mean();
-        let var =
-            self.values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / self.values.len() as f64;
-        var.sqrt()
-    }
-
     /// The `p`-th percentile (nearest-rank), `p` in `[0, 100]`.
     ///
     /// Returns 0 for an empty summary.
@@ -151,11 +125,6 @@ impl Summary {
         });
         let rank = ((p / 100.0) * (sorted.len() as f64 - 1.0)).round() as usize;
         sorted[rank]
-    }
-
-    /// Convenience accessor for the median.
-    pub fn median(&self) -> f64 {
-        self.percentile(50.0)
     }
 }
 
@@ -205,7 +174,7 @@ mod tests {
     #[test]
     fn empty_summary_is_zeroes() {
         let s = Summary::new("x");
-        assert!(s.is_empty());
+        assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);
@@ -219,10 +188,8 @@ mod tests {
             s.record(v);
         }
         assert_eq!(s.mean(), 5.0);
-        assert_eq!(s.stddev(), 2.0);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
-        assert_eq!(s.sum(), 40.0);
     }
 
     #[test]
@@ -233,7 +200,7 @@ mod tests {
         }
         assert_eq!(s.percentile(0.0), 1.0);
         assert_eq!(s.percentile(100.0), 100.0);
-        assert!((s.median() - 50.0).abs() <= 1.0);
+        assert!((s.percentile(50.0) - 50.0).abs() <= 1.0);
     }
 
     #[test]

@@ -49,13 +49,6 @@ pub enum CoreError {
         /// The offending input.
         input: String,
     },
-    /// A unit conversion between incompatible units was requested.
-    IncompatibleUnits {
-        /// The source unit symbol.
-        from: &'static str,
-        /// The destination unit symbol.
-        to: &'static str,
-    },
     /// An enum symbol (unit, quantity kind, …) was not recognized.
     UnknownSymbol {
         /// Which vocabulary was searched.
@@ -87,9 +80,6 @@ impl fmt::Display for CoreError {
             }
             CoreError::ParseTimestamp { input } => {
                 write!(f, "invalid timestamp {input:?}")
-            }
-            CoreError::IncompatibleUnits { from, to } => {
-                write!(f, "cannot convert {from} to {to}")
             }
             CoreError::UnknownSymbol { vocabulary, symbol } => {
                 write!(f, "unknown {vocabulary} symbol {symbol:?}")

@@ -17,10 +17,8 @@ use crate::{CoreError, DeviceId, QuantityKind, Timestamp, Unit, Value};
 ///     Unit::Kilowatt,
 ///     Timestamp::from_unix_millis(1_000_000_000),
 /// );
-/// // Normalization converts to the quantity's canonical unit.
-/// let n = m.normalized()?;
-/// assert_eq!(n.unit(), Unit::Watt);
-/// assert_eq!(n.value(), 1200.0);
+/// // The value stays in the unit the device reported it in.
+/// assert_eq!((m.value(), m.unit()), (1.2, Unit::Kilowatt));
 /// # Ok(())
 /// # }
 /// ```
@@ -85,25 +83,6 @@ impl Measurement {
     /// When the sample was taken.
     pub fn timestamp(&self) -> Timestamp {
         self.timestamp
-    }
-
-    /// Returns the measurement converted to its quantity's canonical unit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::IncompatibleUnits`] only if the type-level
-    /// invariant was somehow violated; for values constructed through
-    /// [`Measurement::new`] this cannot happen.
-    pub fn normalized(&self) -> Result<Measurement, CoreError> {
-        let target = self.quantity.canonical_unit();
-        let value = self.unit.convert(self.value, target)?;
-        Ok(Measurement {
-            device: self.device.clone(),
-            quantity: self.quantity,
-            value,
-            unit: target,
-            timestamp: self.timestamp,
-        })
     }
 
     /// Translates to the common data format [`Value`].
@@ -451,22 +430,6 @@ mod tests {
     fn value_round_trip() {
         let m = sample();
         assert_eq!(Measurement::from_value(&m.to_value()).unwrap(), m);
-    }
-
-    #[test]
-    fn normalization_converts_units() {
-        let m = Measurement::new(
-            DeviceId::new("dev-2").unwrap(),
-            QuantityKind::ElectricalEnergy,
-            3.6,
-            Unit::Megajoule,
-            Timestamp::EPOCH,
-        );
-        let n = m.normalized().unwrap();
-        assert_eq!(n.unit(), Unit::KilowattHour);
-        assert!((n.value() - 1.0).abs() < 1e-9);
-        assert_eq!(n.device(), m.device());
-        assert_eq!(n.timestamp(), m.timestamp());
     }
 
     #[test]

@@ -75,25 +75,6 @@ impl Value {
         }
     }
 
-    /// Follows a `/`-separated path of object keys and array indices.
-    ///
-    /// ```
-    /// use dimmer_core::Value;
-    /// let v = Value::object([("rooms", Value::array([Value::from("r1")]))]);
-    /// assert_eq!(v.pointer("rooms/0").and_then(Value::as_str), Some("r1"));
-    /// ```
-    pub fn pointer(&self, path: &str) -> Option<&Value> {
-        let mut cur = self;
-        for seg in path.split('/').filter(|s| !s.is_empty()) {
-            cur = match cur {
-                Value::Object(map) => map.get(seg)?,
-                Value::Array(items) => items.get(seg.parse::<usize>().ok()?)?,
-                _ => return None,
-            };
-        }
-        Some(cur)
-    }
-
     /// This value as a bool, if it is one.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
@@ -490,16 +471,6 @@ impl Map {
     pub fn iter(&self) -> Iter<'_> {
         Iter(self.0.iter())
     }
-
-    /// The keys in order.
-    pub fn keys(&self) -> impl ExactSizeIterator<Item = &Key> {
-        self.0.iter().map(|(k, _)| k)
-    }
-
-    /// The values in key order.
-    pub fn values(&self) -> impl ExactSizeIterator<Item = &Value> {
-        self.0.iter().map(|(_, v)| v)
-    }
 }
 
 impl fmt::Debug for Map {
@@ -586,19 +557,6 @@ mod tests {
     }
 
     #[test]
-    fn pointer_paths() {
-        let v = sample();
-        assert_eq!(
-            v.pointer("meta/heated").and_then(Value::as_bool),
-            Some(true)
-        );
-        assert_eq!(v.pointer("rooms/0").and_then(Value::as_str), Some("r1"));
-        assert!(v.pointer("rooms/7").is_none());
-        assert!(v.pointer("rooms/x").is_none());
-        assert_eq!(v.pointer(""), Some(&v));
-    }
-
-    #[test]
     fn int_float_bridging() {
         assert_eq!(Value::Int(3).as_f64(), Some(3.0));
         assert_eq!(Value::Float(3.0).as_i64(), Some(3));
@@ -646,7 +604,12 @@ mod tests {
     #[test]
     fn object_keys_sorted() {
         let v = Value::object([("z", Value::Null), ("a", Value::Null)]);
-        let keys: Vec<&str> = v.as_object().unwrap().keys().map(Key::as_str).collect();
+        let keys: Vec<&str> = v
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
         assert_eq!(keys, vec!["a", "z"]);
     }
 

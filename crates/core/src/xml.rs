@@ -37,88 +37,13 @@ pub fn to_string(value: &Value) -> String {
     codec::encode_value(value, DataFormat::Xml)
 }
 
-/// Serializes a value as an XML document with a declaration and
-/// two-space indentation.
-pub fn to_string_pretty(value: &Value) -> String {
-    let mut out = String::from("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n");
-    write_element_pretty(value, "value", None, &mut out, 0);
-    out.push('\n');
-    out
-}
-
-fn write_open(tag: &str, name: Option<&str>, ty: &'static str, out: &mut String) {
-    out.push('<');
-    out.push_str(tag);
-    if let Some(n) = name {
-        out.push_str(" name=\"");
-        escape_into(n, true, out);
-        out.push('"');
-    }
-    out.push_str(" type=\"");
-    out.push_str(ty);
-    out.push('"');
-}
-
-fn write_element_pretty(
-    value: &Value,
-    tag: &'static str,
-    name: Option<&str>,
-    out: &mut String,
-    indent: usize,
-) {
-    match value {
-        Value::Array(items) if !items.is_empty() => {
-            write_open(tag, name, "array", out);
-            out.push('>');
-            for item in items {
-                out.push('\n');
-                push_indent(out, indent + 1);
-                write_element_pretty(item, "item", None, out, indent + 1);
-            }
-            out.push('\n');
-            push_indent(out, indent);
-            close(tag, out);
-        }
-        Value::Object(map) if !map.is_empty() => {
-            write_open(tag, name, "object", out);
-            out.push('>');
-            for (k, v) in map {
-                out.push('\n');
-                push_indent(out, indent + 1);
-                write_element_pretty(v, "member", Some(k), out, indent + 1);
-            }
-            out.push('\n');
-            push_indent(out, indent);
-            close(tag, out);
-        }
-        // Scalars and empty containers are written compactly, as the
-        // element this position calls for.
-        other => {
-            let mut w = Writer {
-                root: tag,
-                ..Writer::new(out)
-            };
-            if let Some(k) = name {
-                w.key(k);
-            }
-            codec::Writer::Xml(w).value(other);
-        }
-    }
-}
-
 /// The tag of an element inside `parent` (`None` = the outermost
-/// element, tagged `root`; `Some(true)` = an object).
-fn tag_in(root: &'static str, parent: Option<bool>) -> &'static str {
+/// element; `Some(true)` = an object).
+fn tag_in(parent: Option<bool>) -> &'static str {
     match parent {
-        None => root,
+        None => "value",
         Some(false) => "item",
         Some(true) => "member",
-    }
-}
-
-fn push_indent(out: &mut String, levels: usize) {
-    for _ in 0..levels {
-        out.push_str("  ");
     }
 }
 
@@ -132,8 +57,6 @@ fn close(tag: &str, out: &mut String) {
 #[derive(Debug)]
 pub struct Writer<'o> {
     out: &'o mut String,
-    /// The tag of the outermost element (`value` for a document).
-    root: &'static str,
     open: KindStack,
     /// Whether `key` already wrote `<member name="…"` for the next value.
     named: bool,
@@ -144,7 +67,6 @@ impl<'o> Writer<'o> {
     pub(crate) fn new(out: &'o mut String) -> Self {
         Writer {
             out,
-            root: "value",
             open: KindStack::default(),
             named: false,
         }
@@ -153,7 +75,7 @@ impl<'o> Writer<'o> {
     /// Writes the open tag up to and including the `type` attribute and
     /// returns the tag, for the matching close.
     fn open(&mut self, ty: &str) -> &'static str {
-        let tag = tag_in(self.root, self.open.top());
+        let tag = tag_in(self.open.top());
         if self.named {
             self.named = false;
         } else {
@@ -249,7 +171,7 @@ impl<'o> Writer<'o> {
 
     fn end_container(&mut self) {
         self.open.pop();
-        let tag = tag_in(self.root, self.open.top());
+        let tag = tag_in(self.open.top());
         close(tag, self.out);
     }
 }
@@ -555,7 +477,7 @@ impl<'a> Reader<'a> {
         }
         self.pos += 2;
         let closing = self.parse_name()?;
-        let tag = tag_in("value", self.open.top());
+        let tag = tag_in(self.open.top());
         if closing != tag {
             return Err(self.err(format!("mismatched closing tag </{closing}> for <{tag}>")));
         }
@@ -661,9 +583,7 @@ mod tests {
 
     fn round_trip(v: &Value) {
         let text = to_string(v);
-        assert_eq!(&from_str(&text).unwrap(), v, "compact: {text}");
-        let pretty = to_string_pretty(v);
-        assert_eq!(&from_str(&pretty).unwrap(), v, "pretty: {pretty}");
+        assert_eq!(&from_str(&text).unwrap(), v, "{text}");
     }
 
     #[test]

@@ -80,6 +80,56 @@ fn rand_value(rng: &mut DeterministicRng, depth: u32) -> Value {
     }
 }
 
+/// `v` as JSON with a newline and `indent` per level between tokens:
+/// the whitespace a hand-written or pretty-printed document carries.
+fn spaced_json(v: &Value, indent: &str, depth: usize) -> String {
+    let pad = |d: usize| format!("\n{}", indent.repeat(d));
+    let (open, close, items): (_, _, Vec<String>) = match v {
+        Value::Array(items) if !items.is_empty() => (
+            '[',
+            ']',
+            items
+                .iter()
+                .map(|i| spaced_json(i, indent, depth + 1))
+                .collect(),
+        ),
+        Value::Object(map) if !map.is_empty() => (
+            '{',
+            '}',
+            map.iter()
+                .map(|(k, v)| {
+                    let key = json::to_string(&Value::from(k.as_str()));
+                    format!("{key} : {}", spaced_json(v, indent, depth + 1))
+                })
+                .collect(),
+        ),
+        scalar => return json::to_string(scalar),
+    };
+    let body: Vec<String> = items.iter().map(|i| pad(depth + 1) + i).collect();
+    format!("{open}{} {}{close}", body.join(" ,"), pad(depth))
+}
+
+/// `v` as XML with `sep` between adjacent tags. In the compact form `><`
+/// only ever joins two tags, since text and names escape `<` and `>`; the
+/// one place left alone is an empty string, where whitespace would be
+/// its text.
+fn spaced_xml(v: &Value, sep: &str) -> String {
+    let text = xml::to_string(v);
+    let mut pieces = text.split("><");
+    let mut out = pieces.next().unwrap_or_default().to_owned();
+    for piece in pieces {
+        if !out.ends_with(r#"type="string""#) {
+            out.push('>');
+            out.push_str(sep);
+            out.push('<');
+        } else {
+            out.push_str("><");
+        }
+        out.push_str(piece);
+    }
+    out
+}
+
 #[test]
 fn json_round_trip() {
     let mut rng = DeterministicRng::seed_from(0xC0DE_0001);
@@ -95,8 +145,9 @@ fn json_pretty_round_trip() {
     let mut rng = DeterministicRng::seed_from(0xC0DE_0002);
     for _ in 0..CASES {
         let v = rand_value(&mut rng, 3);
-        let back = json::from_str(&json::to_string_pretty(&v)).unwrap();
-        assert_eq!(back, v);
+        for text in [spaced_json(&v, "", 0), spaced_json(&v, "  ", 0)] {
+            assert_eq!(json::from_str(&text).unwrap(), v, "{text}");
+        }
     }
 }
 
@@ -115,8 +166,9 @@ fn xml_pretty_round_trip() {
     let mut rng = DeterministicRng::seed_from(0xC0DE_0004);
     for _ in 0..CASES {
         let v = rand_value(&mut rng, 3);
-        let back = xml::from_str(&xml::to_string_pretty(&v)).unwrap();
-        assert_eq!(back, v);
+        for text in [spaced_xml(&v, "\n"), spaced_xml(&v, "\n  ")] {
+            assert_eq!(xml::from_str(&text).unwrap(), v, "{text}");
+        }
     }
 }
 

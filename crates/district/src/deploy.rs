@@ -446,6 +446,7 @@ fn synthesize_archive(spec: &DistrictSpec, epoch_millis: i64) -> String {
 mod tests {
     use super::*;
     use crate::scenario::ScenarioConfig;
+    use proxy::database_proxy::SourceTranslator;
     use simnet::{SimConfig, Simulator};
 
     #[test]
@@ -636,6 +637,7 @@ mod tests {
         let scenario = ScenarioConfig::small().build();
         let csv = synthesize_archive(&scenario.districts[0], 1_000_000);
         let source = MeasurementArchiveSource::new(&csv).unwrap();
-        assert_eq!(source.len(), ARCHIVE_ROWS);
+        let batch = dimmer_core::MeasurementBatch::from_value(&source.model()).unwrap();
+        assert_eq!(batch.len(), ARCHIVE_ROWS);
     }
 }

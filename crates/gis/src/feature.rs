@@ -5,8 +5,10 @@
 //! points in a quadtree and answers the bounding-box queries the GIS
 //! Database-proxy serves.
 
+use std::collections::BTreeMap;
+
 use dimmer_core::{CoreError, Value};
-use storage::document::DocumentStore;
+use storage::StorageError;
 
 use crate::geo::{BoundingBox, GeoPoint, Polygon};
 use crate::quadtree::QuadTree;
@@ -135,7 +137,7 @@ impl Feature {
 /// See the [crate-level example](crate).
 #[derive(Debug)]
 pub struct GisDatabase {
-    docs: DocumentStore,
+    features: BTreeMap<String, Feature>,
     index: QuadTree<String>,
 }
 
@@ -149,7 +151,7 @@ impl GisDatabase {
     /// Creates an empty database.
     pub fn new() -> Self {
         GisDatabase {
-            docs: DocumentStore::new(),
+            features: BTreeMap::new(),
             index: QuadTree::new(world()),
         }
     }
@@ -158,22 +160,27 @@ impl GisDatabase {
     ///
     /// # Errors
     ///
-    /// Returns [`storage::StorageError::DuplicateId`] if the id is taken.
-    pub fn insert(&mut self, feature: Feature) -> Result<(), storage::StorageError> {
+    /// Returns [`StorageError::DuplicateId`] if the id is taken.
+    pub fn insert(&mut self, feature: Feature) -> Result<(), StorageError> {
+        if self.features.contains_key(feature.id()) {
+            return Err(StorageError::DuplicateId {
+                id: feature.id().to_owned(),
+            });
+        }
         let id = feature.id().to_owned();
-        let point = feature.geometry().reference_point();
-        self.docs.insert(&id, feature.to_value())?;
-        self.index.insert(point, id);
+        self.index
+            .insert(feature.geometry().reference_point(), id.clone());
+        self.features.insert(id, feature);
         Ok(())
     }
 
     /// Fetches a feature by id.
-    pub fn get(&self, id: &str) -> Option<Feature> {
-        self.docs.get(id).and_then(|v| Feature::from_value(v).ok())
+    pub fn get(&self, id: &str) -> Option<&Feature> {
+        self.features.get(id)
     }
 
     /// All features whose reference point falls inside `bbox`.
-    pub fn query_bbox(&self, bbox: &BoundingBox) -> Vec<Feature> {
+    pub fn query_bbox(&self, bbox: &BoundingBox) -> Vec<&Feature> {
         self.index
             .query(bbox)
             .into_iter()
@@ -181,11 +188,12 @@ impl GisDatabase {
             .collect()
     }
 
-    /// Translates the whole database to a feature-collection value.
+    /// Translates the whole database to a feature-collection value, the
+    /// features in id order.
     pub fn to_value(&self) -> Value {
         Value::object([(
             "features",
-            Value::Array(self.docs.iter().map(|(_, v)| v.clone()).collect()),
+            Value::Array(self.features.values().map(Feature::to_value).collect()),
         )])
     }
 }
@@ -234,7 +242,7 @@ mod tests {
         db.insert(building("b1", 45.05, 7.65)).unwrap();
         db.insert(building("b2", 45.06, 7.66)).unwrap();
         db.insert(building("far", 52.5, 13.4)).unwrap();
-        assert_eq!(db.docs.len(), 3);
+        assert_eq!(db.features.len(), 3);
         assert_eq!(db.get("b1").unwrap().id(), "b1");
         assert!(db.get("ghost").is_none());
 
@@ -253,7 +261,7 @@ mod tests {
         let mut db = GisDatabase::new();
         db.insert(building("b1", 45.0, 7.6)).unwrap();
         assert!(db.insert(building("b1", 45.0, 7.6)).is_err());
-        assert_eq!(db.docs.len(), 1);
+        assert_eq!(db.features.len(), 1);
     }
 
     #[test]
@@ -271,8 +279,53 @@ mod tests {
     #[test]
     fn to_value_is_feature_collection() {
         let mut db = GisDatabase::new();
+        db.insert(Feature::new(
+            "pole-2",
+            Geometry::Point(GeoPoint::new(45.5, 7.5)),
+            Value::Null,
+        ))
+        .unwrap();
         db.insert(building("b1", 45.0, 7.6)).unwrap();
-        let v = db.to_value();
-        assert_eq!(v.require_array("gis", "features").unwrap().len(), 1);
+        let point = |lat: f64, lon: f64| {
+            Value::object([("lat", Value::from(lat)), ("lon", Value::from(lon))])
+        };
+        let b1 = Value::object([
+            ("id", Value::from("b1")),
+            (
+                "geometry",
+                Value::object([
+                    ("type", Value::from("polygon")),
+                    (
+                        "coordinates",
+                        Value::array([
+                            point(45.0, 7.6),
+                            point(45.0, 7.6 + 0.001),
+                            point(45.0 + 0.001, 7.6 + 0.001),
+                            point(45.0 + 0.001, 7.6),
+                        ]),
+                    ),
+                ]),
+            ),
+            (
+                "properties",
+                Value::object([("kind", Value::from("building"))]),
+            ),
+        ]);
+        let pole = Value::object([
+            ("id", Value::from("pole-2")),
+            (
+                "geometry",
+                Value::object([
+                    ("type", Value::from("point")),
+                    ("coordinates", point(45.5, 7.5)),
+                ]),
+            ),
+            ("properties", Value::Null),
+        ]);
+        // Id order, whatever the insertion order.
+        assert_eq!(
+            db.to_value(),
+            Value::object([("features", Value::array([b1, pole]))])
+        );
     }
 }

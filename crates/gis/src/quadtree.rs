@@ -28,7 +28,6 @@ const MAX_DEPTH: usize = 24;
 pub struct QuadTree<T> {
     bounds: BoundingBox,
     root: Node<T>,
-    len: usize,
 }
 
 #[derive(Debug, Clone)]
@@ -43,14 +42,7 @@ impl<T> QuadTree<T> {
         QuadTree {
             bounds,
             root: Node::Leaf(Vec::new()),
-            len: 0,
         }
-    }
-
-    /// Number of stored items.
-    #[allow(clippy::len_without_is_empty)] // nothing asks whether it is empty
-    pub fn len(&self) -> usize {
-        self.len
     }
 
     /// Inserts an item at `point`.
@@ -65,7 +57,6 @@ impl<T> QuadTree<T> {
             "point {point} outside quadtree bounds"
         );
         insert_into(&mut self.root, self.bounds, point, item, 0);
-        self.len += 1;
     }
 
     /// Collects every item whose point falls inside `query` (inclusive).
@@ -73,30 +64,6 @@ impl<T> QuadTree<T> {
         let mut out = Vec::new();
         query_node(&self.root, self.bounds, query, &mut out);
         out
-    }
-
-    /// Visits all items.
-    pub fn iter(&self) -> impl Iterator<Item = (&GeoPoint, &T)> {
-        let mut stack = vec![&self.root];
-        std::iter::from_fn(move || loop {
-            let node = stack.pop()?;
-            match node {
-                Node::Leaf(items) => {
-                    if !items.is_empty() {
-                        // Return leaves one item at a time via a nested index
-                        // would complicate the iterator; instead flatten by
-                        // chunking leaves onto an items stack.
-                        return Some(items);
-                    }
-                }
-                Node::Branch(children) => {
-                    for c in children.iter() {
-                        stack.push(c);
-                    }
-                }
-            }
-        })
-        .flat_map(|items| items.iter().map(|(p, t)| (p, t)))
     }
 }
 
@@ -210,17 +177,22 @@ mod tests {
         BoundingBox::new(GeoPoint::new(0.0, 0.0), GeoPoint::new(10.0, 10.0))
     }
 
-    fn grid_tree(n: u32) -> QuadTree<u32> {
-        // n*n points on a grid strictly inside the bounds.
-        let mut tree = QuadTree::new(bounds());
-        let mut id = 0;
-        for i in 0..n {
-            for j in 0..n {
+    /// n*n points on a grid strictly inside the bounds, id = position.
+    fn grid(n: u32) -> Vec<GeoPoint> {
+        (0..n * n)
+            .map(|id| {
+                let (i, j) = (id / n, id % n);
                 let lat = 10.0 * (f64::from(i) + 0.5) / f64::from(n);
                 let lon = 10.0 * (f64::from(j) + 0.5) / f64::from(n);
-                tree.insert(GeoPoint::new(lat, lon), id);
-                id += 1;
-            }
+                GeoPoint::new(lat, lon)
+            })
+            .collect()
+    }
+
+    fn grid_tree(n: u32) -> QuadTree<u32> {
+        let mut tree = QuadTree::new(bounds());
+        for (id, p) in (0..).zip(grid(n)) {
+            tree.insert(p, id);
         }
         tree
     }
@@ -228,16 +200,14 @@ mod tests {
     #[test]
     fn query_matches_linear_scan() {
         let tree = grid_tree(20); // 400 points, forces splits
-        assert_eq!(tree.len(), 400);
         let q = BoundingBox::new(GeoPoint::new(2.0, 3.0), GeoPoint::new(5.5, 7.25));
         let mut from_tree: Vec<u32> = tree.query(&q).iter().map(|(_, &id)| id).collect();
-        let mut from_scan: Vec<u32> = tree
-            .iter()
-            .filter(|(p, _)| q.contains(p))
-            .map(|(_, &id)| id)
+        let from_scan: Vec<u32> = (0..)
+            .zip(grid(20))
+            .filter(|(_, p)| q.contains(p))
+            .map(|(id, _)| id)
             .collect();
         from_tree.sort_unstable();
-        from_scan.sort_unstable();
         assert!(!from_tree.is_empty());
         assert_eq!(from_tree, from_scan);
     }
@@ -262,7 +232,6 @@ mod tests {
         for i in 0..50 {
             tree.insert(p, i);
         }
-        assert_eq!(tree.len(), 50);
         let q = BoundingBox::new(GeoPoint::new(4.9, 4.9), GeoPoint::new(5.1, 5.1));
         assert_eq!(tree.query(&q).len(), 50, "depth cap keeps identical points");
     }
@@ -284,12 +253,5 @@ mod tests {
     fn outside_insert_panics() {
         let mut tree = QuadTree::new(bounds());
         tree.insert(GeoPoint::new(20.0, 5.0), 0);
-    }
-
-    #[test]
-    fn iter_visits_all() {
-        let tree = grid_tree(7);
-        assert_eq!(tree.iter().count(), 49);
-        assert_eq!(QuadTree::<u32>::new(bounds()).iter().count(), 0);
     }
 }

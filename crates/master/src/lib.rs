@@ -196,7 +196,7 @@ impl MasterSeries {
 pub struct MasterNode {
     ontology: Ontology,
     ws: WsServer,
-    registry: HashMap<ProxyId, ProxyRecord>,
+    registry: BTreeMap<ProxyId, ProxyRecord>,
     /// Device registrations whose entity has not registered yet.
     parked: Vec<Registration>,
     /// District seeds, kept so a restart can rebuild the empty ontology.
@@ -247,7 +247,7 @@ impl MasterNode {
         MasterNode {
             ontology,
             ws: WsServer::new(),
-            registry: HashMap::new(),
+            registry: BTreeMap::new(),
             parked: Vec::new(),
             seeds,
             shard_owners: Vec::new(),
@@ -865,17 +865,13 @@ impl MasterNode {
         ctx.telemetry().metrics.incr("ops.scrapes");
         // Proxies: whatever the registry holds right now, probed over
         // the Web Service at the node its registration URI names.
-        let mut proxies: Vec<(String, NodeId, &'static str)> = self
+        let proxies: Vec<(String, NodeId, &'static str)> = self
             .registry
             .iter()
             .filter_map(|(id, record)| {
                 uri_node(&record.uri).map(|node| (id.as_str().to_owned(), node, record.kind))
             })
             .collect();
-        // The registry is a `HashMap`; probe in proxy-id order so that
-        // link delays are sampled, and the run unfolds, the same way
-        // every time.
-        proxies.sort_unstable();
         for (name, node, kind) in proxies {
             let id = self
                 .ws_client

@@ -226,6 +226,32 @@ fn queries_cover_all_read_endpoints() {
 }
 
 #[test]
+fn proxies_are_listed_in_ascending_id_order() {
+    // Thirteen registrations in a scrambled order: a registry that
+    // iterated in hash order would list them in a different order per
+    // process.
+    let ids: Vec<String> = (0..13).map(|i| format!("p-{:02}", (i * 5) % 13)).collect();
+    let mut requests: Vec<WsRequest> = ids
+        .iter()
+        .map(|id| WsRequest::post("/register", building_registration(id, id, 45.05).to_value()))
+        .collect();
+    requests.push(WsRequest::get("/proxies"));
+    let (sim, _master, script) = run_script(requests);
+    let s = sim.node_ref::<Script>(script).unwrap();
+    assert!(s.responses.iter().all(WsResponse::is_ok));
+    let listed: Vec<&str> = s.responses[13]
+        .body
+        .require_array("t", "proxies")
+        .unwrap()
+        .iter()
+        .map(|p| p.get("proxy").and_then(Value::as_str).unwrap())
+        .collect();
+    let mut sorted = ids.clone();
+    sorted.sort();
+    assert_eq!(listed, sorted);
+}
+
+#[test]
 fn devices_filtered_by_protocol() {
     let (sim, _master, script) = run_script(vec![
         WsRequest::post(

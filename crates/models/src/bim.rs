@@ -7,7 +7,7 @@
 //! database keeps and its Database-proxy translates.
 
 use dimmer_core::{BuildingId, CoreError, Value};
-use storage::table::{Cell, Column, ColumnType, Predicate, Table};
+use storage::table::{Cell, Column, ColumnType, Table};
 use storage::StorageError;
 
 /// The use of a space.
@@ -367,7 +367,7 @@ impl BuildingModel {
                 }),
             }
         };
-        for row in spaces.scan(&Predicate::True) {
+        for row in spaces.scan() {
             let bid = BuildingId::new(text(&row[b_col])?)?;
             let bname = text(&row[bn_col])?;
             if building.is_none() {
@@ -403,7 +403,7 @@ impl BuildingModel {
         let kind_col = env.column_index("kind")?;
         let earea_col = env.column_index("area_m2")?;
         let u_col = env.column_index("u_value")?;
-        for row in env.scan(&Predicate::True) {
+        for row in env.scan() {
             model.add_envelope(EnvelopeElement {
                 kind: EnvelopeKind::parse(&text(&row[kind_col])?)?,
                 area_m2: match row[earea_col] {
@@ -421,7 +421,7 @@ impl BuildingModel {
         let ekind_col = eq.column_index("kind")?;
         let w_col = eq.column_index("rated_w")?;
         let space_col = eq.column_index("space_id")?;
-        for row in eq.scan(&Predicate::True) {
+        for row in eq.scan() {
             model.add_equipment(Equipment {
                 id: text(&row[eid_col])?,
                 kind: text(&row[ekind_col])?,
@@ -548,7 +548,7 @@ mod tests {
     fn tables_round_trip() {
         let m = BuildingModel::sample(&bid("campus-a"), 2, 3);
         let tables = m.to_tables();
-        assert_eq!(tables.spaces.len(), 6);
+        assert_eq!(tables.spaces.scan().count(), 6);
         let back = BuildingModel::from_tables(&tables).unwrap();
         assert_eq!(back, m);
     }
@@ -557,8 +557,8 @@ mod tests {
     fn equipment_without_space_round_trips_as_null() {
         let m = BuildingModel::sample(&bid("b1"), 1, 1);
         let tables = m.to_tables();
-        let rows = tables.equipment.scan(&Predicate::True);
-        assert!(matches!(rows[0][4], Cell::Null));
+        let row = tables.equipment.scan().next().unwrap();
+        assert!(matches!(row[4], Cell::Null));
         let back = BuildingModel::from_tables(&tables).unwrap();
         assert_eq!(back.equipment[0].space_id, None);
     }

@@ -12,9 +12,7 @@
 //!   nodes (BIM/SIM proxy URIs, cached GIS locations), device leaves
 //!   (protocol, quantity, Device-proxy URI);
 //! * [`Ontology`] — the forest of district trees with the queries the
-//!   master node answers: by area, by entity kind, by quantity;
-//! * [`triple`] — an RDF-style triple view with pattern matching, for
-//!   ontology interoperability tooling.
+//!   master node answers: by area, by entity kind, by quantity.
 //!
 //! ## Example
 //!
@@ -48,8 +46,6 @@
 
 mod forest;
 mod node;
-
-pub mod triple;
 
 pub use forest::{AreaResolution, Ontology, OntologyError};
 pub use node::{DeviceLeaf, DistrictTree, EntityNode};

@@ -314,11 +314,6 @@ impl DistrictTree {
         &self.aggregator_proxies
     }
 
-    /// Root properties.
-    pub(crate) fn properties(&self) -> &Value {
-        &self.properties
-    }
-
     /// The intermediate nodes.
     pub fn entities(&self) -> &[EntityNode] {
         &self.entities

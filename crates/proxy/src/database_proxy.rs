@@ -214,7 +214,7 @@ impl SourceTranslator for GisSource {
                     Value::Array(
                         self.db
                             .query_bbox(&bbox)
-                            .iter()
+                            .into_iter()
                             .map(gis::feature::Feature::to_value)
                             .collect(),
                     ),
@@ -269,12 +269,6 @@ impl MeasurementArchiveSource {
             ));
         }
         Ok(MeasurementArchiveSource { batch })
-    }
-
-    /// Number of archived measurements.
-    #[allow(clippy::len_without_is_empty)] // nothing asks whether it is empty
-    pub fn len(&self) -> usize {
-        self.batch.len()
     }
 }
 
@@ -539,7 +533,10 @@ mod tests {
                    2015-03-09T00:01:00Z,dev2,active_power,1200,W\n\
                    2015-03-09T00:02:00Z,dev1,temperature,21.6,degC\n";
         let source = MeasurementArchiveSource::new(csv).unwrap();
-        assert_eq!(source.len(), 3);
+        assert_eq!(
+            MeasurementBatch::from_value(&source.model()).unwrap().len(),
+            3
+        );
         let resp = source.query(&WsRequest::get("/query").with_query("device", "dev1"));
         let batch = MeasurementBatch::from_value(&resp.body).unwrap();
         assert_eq!(batch.len(), 2);

@@ -494,7 +494,7 @@ impl<T> Default for TrieNode<T> {
     }
 }
 
-impl<T: PartialEq> SubscriptionTrie<T> {
+impl<T> SubscriptionTrie<T> {
     /// Creates an empty trie.
     pub fn new() -> Self {
         SubscriptionTrie {
@@ -529,45 +529,6 @@ impl<T: PartialEq> SubscriptionTrie<T> {
         }
         node.here.push(value);
         self.len += 1;
-    }
-
-    /// Removes one subscription equal to `value` under `filter`;
-    /// returns whether something was removed.
-    pub fn remove(&mut self, filter: &TopicFilter, value: &T) -> bool {
-        fn remove_from<T: PartialEq>(list: &mut Vec<T>, value: &T) -> bool {
-            if let Some(i) = list.iter().position(|v| v == value) {
-                list.remove(i);
-                true
-            } else {
-                false
-            }
-        }
-        let mut node = &mut self.root;
-        for seg in filter.segments() {
-            match seg {
-                "#" => {
-                    if remove_from(&mut node.subtree, value) {
-                        self.len -= 1;
-                        return true;
-                    }
-                    return false;
-                }
-                "+" => match node.one_level.as_deref_mut() {
-                    Some(next) => node = next,
-                    None => return false,
-                },
-                seg => match node.children.get_mut(seg) {
-                    Some(next) => node = next,
-                    None => return false,
-                },
-            }
-        }
-        if remove_from(&mut node.here, value) {
-            self.len -= 1;
-            true
-        } else {
-            false
-        }
     }
 
     /// Removes every subscription under exactly `filter` whose value
@@ -627,7 +588,7 @@ impl<T: PartialEq> SubscriptionTrie<T> {
     }
 }
 
-impl<T: PartialEq> Default for SubscriptionTrie<T> {
+impl<T> Default for SubscriptionTrie<T> {
     fn default() -> Self {
         SubscriptionTrie::new()
     }
@@ -784,9 +745,13 @@ mod tests {
         trie.insert(&f("a/+"), 2);
         trie.insert(&f("a/b"), 3);
         assert_eq!(trie.matches(&t("a/b")).len(), 3);
-        assert!(trie.remove(&f("a/+"), &2));
-        assert!(!trie.remove(&f("a/+"), &2), "double remove is false");
-        assert!(!trie.remove(&f("x/y"), &9), "unknown filter is false");
+        assert_eq!(trie.remove_where(&f("a/+"), |&v| v == 2), 1);
+        assert_eq!(
+            trie.remove_where(&f("a/+"), |&v| v == 2),
+            0,
+            "double remove"
+        );
+        assert_eq!(trie.remove_where(&f("x/y"), |_| true), 0, "unknown filter");
         assert_eq!(trie.matches(&t("a/b")).len(), 2);
         assert_eq!(trie.len(), 2);
     }
@@ -878,7 +843,8 @@ mod tests {
         trie.insert(&f("a/#"), 7);
         trie.insert(&f("a/#"), 7);
         assert_eq!(trie.matches(&t("a/b")).len(), 2);
-        trie.remove(&f("a/#"), &7);
+        let mut first = true;
+        trie.remove_where(&f("a/#"), |&v| v == 7 && std::mem::take(&mut first));
         assert_eq!(trie.matches(&t("a/b")).len(), 1);
     }
 }

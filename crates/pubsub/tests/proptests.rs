@@ -163,7 +163,9 @@ fn trie_insert_remove_is_identity() {
             trie.insert(f, usize::MAX);
         }
         for f in &filters {
-            assert!(trie.remove(f, &usize::MAX));
+            let mut first = true;
+            let removed = trie.remove_where(f, |&v| v == usize::MAX && std::mem::take(&mut first));
+            assert_eq!(removed, 1);
         }
         let after: Vec<usize> = trie.matches(&topic).into_iter().copied().collect();
         assert_eq!(before, after);

@@ -11,10 +11,6 @@ use crate::time::{SimDuration, SimTime};
 use std::fmt;
 use telemetry::{SpanId, Telemetry, TraceId, NO_SPAN, NO_TRACE};
 
-/// Handle to a pending timer, usable with [`Context::cancel_timer`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TimerId(pub(crate) u64);
-
 #[derive(Debug)]
 pub(crate) enum Effect {
     Send {
@@ -27,9 +23,7 @@ pub(crate) enum Effect {
     SetTimer {
         at: SimTime,
         tag: TimerTag,
-        id: u64,
     },
-    CancelTimer(u64),
 }
 
 /// Execution context passed to every [`Node`](crate::Node) callback.
@@ -42,7 +36,6 @@ pub struct Context<'a> {
     pub(crate) node: NodeId,
     pub(crate) rng: &'a mut DeterministicRng,
     pub(crate) effects: &'a mut Vec<Effect>,
-    pub(crate) next_timer_id: &'a mut u64,
     pub(crate) telemetry: &'a Telemetry,
 }
 
@@ -135,24 +128,15 @@ impl Context<'_> {
     }
 
     /// Schedules a timer to fire `after` from now, carrying `tag`.
-    pub fn set_timer(&mut self, after: SimDuration, tag: TimerTag) -> TimerId {
-        self.set_timer_at(self.now + after, tag)
+    pub fn set_timer(&mut self, after: SimDuration, tag: TimerTag) {
+        self.set_timer_at(self.now + after, tag);
     }
 
     /// Schedules a timer at an absolute instant, carrying `tag`.
     ///
     /// Instants in the past fire at the current time.
-    pub fn set_timer_at(&mut self, at: SimTime, tag: TimerTag) -> TimerId {
-        let id = *self.next_timer_id;
-        *self.next_timer_id += 1;
+    pub fn set_timer_at(&mut self, at: SimTime, tag: TimerTag) {
         let at = at.max(self.now);
-        self.effects.push(Effect::SetTimer { at, tag, id });
-        TimerId(id)
-    }
-
-    /// Cancels a pending timer. Cancelling an already-fired or unknown
-    /// timer is a no-op.
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.effects.push(Effect::CancelTimer(id.0));
+        self.effects.push(Effect::SetTimer { at, tag });
     }
 }

@@ -29,7 +29,6 @@ pub(crate) enum EventKind {
     Timer {
         node: NodeId,
         tag: TimerTag,
-        timer_id: u64,
         /// Node incarnation at scheduling time; a crash bumps the epoch,
         /// which silently invalidates every timer armed before it.
         epoch: u32,
@@ -100,11 +99,6 @@ impl EventQueue {
         self.wheel.len()
     }
 
-    #[allow(dead_code)] // exercised by tests
-    pub(crate) fn is_empty(&self) -> bool {
-        self.wheel.is_empty()
-    }
-
     /// Arena slots currently holding a pending event. Equals [`len`]
     /// unless the slab leaks; chaos tests assert it returns to zero at
     /// quiesce.
@@ -168,7 +162,7 @@ mod tests {
         q.pop();
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(5)));
         q.pop();
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]

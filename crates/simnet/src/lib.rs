@@ -62,7 +62,7 @@ pub mod rng;
 pub mod rpc;
 pub mod time;
 
-pub use context::{Context, TimerId};
+pub use context::Context;
 pub use link::{LinkModel, LinkModelBuilder};
 pub use node::{Node, NodeId, Packet, Port, TimerTag};
 // `ParallelSimulator` is re-exported for `benchmark/`, its only caller.

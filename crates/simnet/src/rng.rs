@@ -121,17 +121,6 @@ impl DeterministicRng {
         }
     }
 
-    /// A sample from the standard normal distribution (Box–Muller).
-    pub fn next_gaussian(&mut self) -> f64 {
-        loop {
-            let u = self.next_f64();
-            if u > 0.0 {
-                let v = self.next_f64();
-                return (-2.0 * u.ln()).sqrt() * (2.0 * std::f64::consts::PI * v).cos();
-            }
-        }
-    }
-
     /// Fisher–Yates shuffles a slice in place.
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
@@ -231,14 +220,6 @@ mod tests {
         let mut r = DeterministicRng::seed_from(9);
         assert!(!r.chance(0.0));
         assert!(r.chance(1.0));
-    }
-
-    #[test]
-    fn gaussian_mean_near_zero() {
-        let mut r = DeterministicRng::seed_from(11);
-        let n = 20_000;
-        let mean: f64 = (0..n).map(|_| r.next_gaussian()).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.05, "mean {mean}");
     }
 
     #[test]

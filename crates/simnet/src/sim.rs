@@ -2,7 +2,7 @@
 //! [`Simulator`](crate::Simulator), crate-private. A stand-alone
 //! simulation is a runner with one of these.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 
 use crate::context::{Context, Effect};
@@ -127,7 +127,6 @@ struct KernelSeries {
     crash_drops: CounterHandle,
     partition_drops: CounterHandle,
     timers_fired: CounterHandle,
-    timers_cancelled: CounterHandle,
     timers_crashed: CounterHandle,
     wire_bytes: HistogramHandle,
     link_delay_ns: HistogramHandle,
@@ -146,7 +145,6 @@ impl KernelSeries {
             crash_drops: m.counter_handle("net.crash_drops"),
             partition_drops: m.counter_handle("net.partition_drops"),
             timers_fired: m.counter_handle("net.timers_fired"),
-            timers_cancelled: m.counter_handle("net.timers_cancelled"),
             timers_crashed: m.counter_handle("net.timers_crashed"),
             wire_bytes: m.histogram_handle("net.wire_bytes"),
             link_delay_ns: m.histogram_handle("net.link_delay_ns"),
@@ -170,8 +168,6 @@ pub(crate) struct Shard {
     default_link: LinkModel,
     link_rng: DeterministicRng,
     root_rng: DeterministicRng,
-    cancelled_timers: HashSet<u64>,
-    next_timer_id: u64,
     metrics: NetMetrics,
     telemetry: Telemetry,
     kernel: KernelSeries,
@@ -204,8 +200,6 @@ impl Shard {
             default_link: config.default_link,
             link_rng,
             root_rng,
-            cancelled_timers: HashSet::new(),
-            next_timer_id: 0,
             metrics: NetMetrics::default(),
             kernel: KernelSeries::resolve(&telemetry.metrics),
             telemetry,
@@ -592,19 +586,12 @@ impl Shard {
                     self.dispatch(dst, |node, ctx| node.on_packet(ctx, pkt));
                 }
             }
-            EventKind::Timer {
-                node,
-                tag,
-                timer_id,
-                epoch,
-            } => {
+            EventKind::Timer { node, tag, epoch } => {
                 let stale = self
                     .local(node)
                     .and_then(|i| self.slots.get(i))
                     .is_none_or(|s| !s.up || s.epoch != epoch);
-                if self.cancelled_timers.remove(&timer_id) {
-                    self.kernel.timers_cancelled.incr();
-                } else if stale {
+                if stale {
                     // Armed before a crash: the crash cancelled it.
                     self.kernel.timers_crashed.incr();
                 } else {
@@ -663,7 +650,6 @@ impl Shard {
                 node: id,
                 rng: &mut slot.rng,
                 effects: &mut effects,
-                next_timer_id: &mut self.next_timer_id,
                 telemetry: &self.telemetry,
             };
             f(node.as_mut(), &mut ctx);
@@ -804,20 +790,16 @@ impl Shard {
                         }
                     }
                 }
-                Effect::SetTimer { at, tag, id } => {
+                Effect::SetTimer { at, tag } => {
                     let epoch = self.epoch_of(src);
                     self.queue.push(
                         at,
                         EventKind::Timer {
                             node: src,
                             tag,
-                            timer_id: id,
                             epoch,
                         },
                     );
-                }
-                Effect::CancelTimer(id) => {
-                    self.cancelled_timers.insert(id);
                 }
             }
         }
@@ -846,14 +828,11 @@ mod tests {
         }
 
         fn schedule_timer(&mut self, node: NodeId, at: SimTime, tag: TimerTag) {
-            let id = self.next_timer_id;
-            self.next_timer_id += 1;
             self.queue.push(
                 at.max(self.now),
                 EventKind::Timer {
                     node,
                     tag,
-                    timer_id: id,
                     epoch: self.epoch_of(node),
                 },
             );
@@ -962,18 +941,15 @@ mod tests {
         assert!(sim.node_ref::<Counter>(rx).unwrap().packets.is_empty());
     }
 
+    #[derive(Default)]
     struct TimerNode {
         fired: Vec<TimerTag>,
-        cancel_second: bool,
     }
 
     impl Node for TimerNode {
         fn on_start(&mut self, ctx: &mut Context<'_>) {
             ctx.set_timer(SimDuration::from_secs(1), TimerTag(1));
-            let t2 = ctx.set_timer(SimDuration::from_secs(2), TimerTag(2));
-            if self.cancel_second {
-                ctx.cancel_timer(t2);
-            }
+            ctx.set_timer(SimDuration::from_secs(2), TimerTag(2));
         }
         fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: Packet) {}
         fn on_timer(&mut self, _ctx: &mut Context<'_>, tag: TimerTag) {
@@ -984,36 +960,13 @@ mod tests {
     #[test]
     fn timers_fire_in_order() {
         let mut sim = ideal_sim();
-        let n = sim.add_node(
-            "t",
-            TimerNode {
-                fired: vec![],
-                cancel_second: false,
-            },
-        );
+        let n = sim.add_node("t", TimerNode::default());
         sim.run_until_idle(100);
         assert_eq!(
             sim.node_ref::<TimerNode>(n).unwrap().fired,
             vec![TimerTag(1), TimerTag(2)]
         );
         assert_eq!(sim.now(), SimTime::from_secs(2));
-    }
-
-    #[test]
-    fn cancelled_timer_does_not_fire() {
-        let mut sim = ideal_sim();
-        let n = sim.add_node(
-            "t",
-            TimerNode {
-                fired: vec![],
-                cancel_second: true,
-            },
-        );
-        sim.run_until_idle(100);
-        assert_eq!(
-            sim.node_ref::<TimerNode>(n).unwrap().fired,
-            vec![TimerTag(1)]
-        );
     }
 
     #[test]
@@ -1054,13 +1007,7 @@ mod tests {
     #[test]
     fn external_timer_injection() {
         let mut sim = ideal_sim();
-        let n = sim.add_node(
-            "t",
-            TimerNode {
-                fired: vec![],
-                cancel_second: false,
-            },
-        );
+        let n = sim.add_node("t", TimerNode::default());
         sim.run_until_idle(100);
         sim.schedule_timer(n, SimTime::from_secs(10), TimerTag(99));
         sim.run_until_idle(100);

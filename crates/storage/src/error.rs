@@ -29,7 +29,7 @@ pub enum StorageError {
         /// What was wrong.
         reason: String,
     },
-    /// A document id was already taken.
+    /// An id was already taken.
     DuplicateId {
         /// The offending id.
         id: String,
@@ -51,7 +51,7 @@ impl fmt::Display for StorageError {
                 reason,
             } => write!(f, "{format} parse error at line {line}: {reason}"),
             StorageError::DuplicateId { id } => {
-                write!(f, "document id {id:?} already exists")
+                write!(f, "id {id:?} already exists")
             }
         }
     }

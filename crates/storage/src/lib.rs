@@ -4,9 +4,7 @@
 //!
 //! * every Device-proxy keeps a **local database** of samples (its middle
 //!   layer) — [`tskv::TimeSeriesStore`];
-//! * BIM/SIM exports behave like **relational dumps** — [`table::Table`];
-//! * GIS features and ontology snapshots are **documents** —
-//!   [`document::DocumentStore`];
+//! * BIM exports behave like **relational dumps** — [`table::Table`];
 //! * and the legacy databases each arrive in a **different on-disk
 //!   encoding** the Database-proxies must translate — [`legacy`] (CSV,
 //!   fixed-width records, INI).
@@ -33,7 +31,6 @@
 //! assert_eq!(hourly.len(), 1);
 //! ```
 
-pub mod document;
 pub mod legacy;
 pub mod table;
 pub mod tskv;

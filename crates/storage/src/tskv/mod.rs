@@ -192,9 +192,8 @@ pub struct MaintenanceReport {
 /// A series name resolved by [`TimeSeriesStore::series_id`]: an index
 /// into the store that issued it, and meaningless to any other store
 /// but a `Clone` of it. An id stays valid for the life of the store —
-/// across `drop_series`, retention that empties the series,
-/// `checkpoint` and `crash_recover` — because the WAL and the snapshot
-/// name series by it.
+/// across retention that empties the series, `checkpoint` and
+/// `crash_recover` — because the WAL and the snapshot name series by it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SeriesId(u32);
 
@@ -637,19 +636,6 @@ impl TimeSeriesStore {
         removed
     }
 
-    /// Removes a whole series; returns how many points it held.
-    pub fn drop_series(&mut self, series: &str) -> usize {
-        let Some(&id) = self.names.get(series) else {
-            return 0;
-        };
-        let n = self.series[id.index()].len();
-        if n > 0 {
-            self.wal.append(WalOp::DropSeries { series: id });
-            self.series[id.index()] = Series::default();
-        }
-        n
-    }
-
     /// Seals every head partition — including hot ones — into segments.
     /// Queries are unaffected; used before measuring compression and by
     /// tests.
@@ -736,9 +722,6 @@ impl TimeSeriesStore {
             match rec.op {
                 WalOp::Insert { series: id, t, v } => {
                     series[id.index()].head.insert(t, v);
-                }
-                WalOp::DropSeries { series: id } => {
-                    series[id.index()] = Series::default();
                 }
                 WalOp::Retention { horizon } => {
                     for s in series.iter_mut() {
@@ -1167,13 +1150,6 @@ mod tests {
     }
 
     #[test]
-    fn drop_series_reports_size() {
-        let mut s = store_with(&[(0, 1.0), (1, 2.0)]);
-        assert_eq!(s.drop_series("s"), 2);
-        assert_eq!(s.drop_series("s"), 0);
-    }
-
-    #[test]
     fn aggregate_names_round_trip() {
         for (name, a) in [
             ("mean", Aggregate::Mean),
@@ -1354,8 +1330,9 @@ mod tests {
         s.insert("a", 1, 1.0);
         s.insert("a", 2, 2.0);
         s.insert("b", 1, 1.0);
-        s.drop_series("a");
+        assert_eq!(s.apply_retention(3), 3, "drops all of a and b");
         s.insert("a", 3, 3.0);
+        s.insert("b", 1, 1.0);
         assert_eq!(s.apply_retention(1), 0, "nothing strictly older than 1");
         s.insert("b", -5, 5.0);
         s.apply_retention(0);

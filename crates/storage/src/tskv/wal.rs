@@ -24,8 +24,6 @@ use super::SeriesId;
 pub(crate) enum WalOp {
     /// `insert(series, t, v)` — last-writer-wins on `t`.
     Insert { series: SeriesId, t: i64, v: f64 },
-    /// `drop_series(series)`.
-    DropSeries { series: SeriesId },
     /// `apply_retention(horizon)` — drop `t < horizon` everywhere.
     Retention { horizon: i64 },
 }

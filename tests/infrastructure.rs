@@ -209,27 +209,6 @@ fn ontology_snapshot_survives_wire_round_trip() {
 }
 
 #[test]
-fn triples_export_covers_the_deployment() {
-    let (sim, deployment, scenario) = multi_district();
-    let master = sim.node_ref::<MasterNode>(deployment.master).unwrap();
-    let triples = dimmer::ontology::triple::export(master.ontology());
-    let devices = dimmer::ontology::triple::query(
-        &triples,
-        &dimmer::ontology::triple::TriplePattern::any()
-            .with_predicate("rdf:type")
-            .with_object("dimmer:Device"),
-    );
-    assert_eq!(devices.len(), scenario.device_count());
-    let districts = dimmer::ontology::triple::query(
-        &triples,
-        &dimmer::ontology::triple::TriplePattern::any()
-            .with_predicate("rdf:type")
-            .with_object("dimmer:District"),
-    );
-    assert_eq!(districts.len(), 2);
-}
-
-#[test]
 fn deterministic_replay_of_the_full_stack() {
     let run = || {
         let scenario = ScenarioConfig::small().build();
