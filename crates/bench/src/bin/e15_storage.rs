@@ -168,7 +168,6 @@ fn run_scan(sealed: &TimeSeriesStore, points_per_series: usize) -> ScanResult {
     let mut flat = TimeSeriesStore::with_config(TskvConfig {
         seal_threshold: usize::MAX,
         wal_checkpoint_records: usize::MAX,
-        ..TskvConfig::default()
     });
     let maps: Vec<(String, BTreeMap<i64, f64>)> = data
         .iter()

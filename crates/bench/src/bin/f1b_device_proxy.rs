@@ -61,8 +61,7 @@ fn main() {
                 device: DeviceId::new("th-1").expect("valid"),
                 primary_quantity: QuantityKind::Temperature,
                 master,
-                broker: Some(broker),
-                device_node: None,
+                broker,
                 poll_interval: None,
                 retention: None,
                 location: None,

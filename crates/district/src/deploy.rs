@@ -343,8 +343,7 @@ fn deploy_device(
         device: dev.device.clone(),
         primary_quantity: dev.quantity,
         master,
-        broker: Some(broker),
-        device_node: None, // attached below
+        broker,
         poll_interval: family.poll_port().map(|_| config.sample_interval),
         retention: Some(SimDuration::from_hours(24 * 7)),
         location: Some(dev.location),

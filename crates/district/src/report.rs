@@ -260,12 +260,16 @@ mod tests {
     #[test]
     fn metrics_report_renders_counters_and_histograms() {
         let telemetry = Telemetry::new();
-        telemetry.metrics.incr("pubsub.publish");
+        telemetry.metrics.counter_handle("pubsub.publish").incr();
         telemetry
             .metrics
-            .set_gauge("pubsub.pending_deliveries", 2.0);
+            .gauge_handle("pubsub.pending_deliveries")
+            .set(2.0);
         for v in 1..=100 {
-            telemetry.metrics.observe("net.link_delay_ns", f64::from(v));
+            telemetry
+                .metrics
+                .histogram_handle("net.link_delay_ns")
+                .observe(f64::from(v));
         }
         let text = metrics_report("E8", &telemetry.metrics.snapshot());
         assert!(text.contains("E8: counters"));

@@ -22,6 +22,12 @@ use simnet::SimDuration;
 
 use crate::DEFAULT_EPOCH_MILLIS;
 
+/// Centre of the first district.
+const TURIN: GeoPoint = GeoPoint {
+    lat: 45.0703,
+    lon: 7.6869,
+};
+
 /// One device installation in the scenario.
 #[derive(Debug, Clone)]
 pub struct DeviceSpec {
@@ -255,16 +261,12 @@ pub struct ScenarioConfig {
     pub buildings_per_district: usize,
     /// Devices per building.
     pub devices_per_building: usize,
-    /// Distribution networks per district.
-    pub(crate) networks_per_district: usize,
     /// Protocol weights.
     pub protocol_mix: ProtocolMix,
     /// How often devices report.
     pub sample_interval: SimDuration,
     /// Unix time at simulation start.
     pub epoch_offset_millis: i64,
-    /// Centre of the first district (neighbouring districts shift east).
-    pub center: GeoPoint,
     /// QoS of middleware publication.
     pub publish_qos: QoS,
     /// Optional aggregation tier; `None` (the default) deploys no
@@ -280,18 +282,16 @@ pub struct ScenarioConfig {
 
 impl ScenarioConfig {
     /// A laptop-friendly scenario: 1 district, 4 buildings, 3 devices
-    /// each, 1 heating network.
+    /// each.
     pub fn small() -> Self {
         ScenarioConfig {
             seed: 0xD1CE,
             districts: 1,
             buildings_per_district: 4,
             devices_per_building: 3,
-            networks_per_district: 1,
             protocol_mix: ProtocolMix::typical(),
             sample_interval: SimDuration::from_secs(60),
             epoch_offset_millis: DEFAULT_EPOCH_MILLIS,
-            center: GeoPoint::new(45.0703, 7.6869), // Turin
             publish_qos: QoS::AtMostOnce,
             aggregation: None,
             federation: None,
@@ -341,14 +341,15 @@ impl ScenarioConfig {
         self
     }
 
-    /// Generates the scenario.
+    /// Generates the scenario: districts side by side eastwards from
+    /// Turin, each with one heating network.
     pub fn build(self) -> Scenario {
         let mut rng = DeterministicRng::seed_from(self.seed);
         let mut districts = Vec::with_capacity(self.districts);
         let mut next_address: u32 = 0x100;
         for d in 0..self.districts {
             let district = DistrictId::new(format!("d{d}")).expect("grammatical");
-            let center = GeoPoint::new(self.center.lat, self.center.lon + 0.03 * d as f64);
+            let center = GeoPoint::new(TURIN.lat, TURIN.lon + 0.03 * d as f64);
             let mut buildings = Vec::with_capacity(self.buildings_per_district);
             for b in 0..self.buildings_per_district {
                 let building = BuildingId::new(format!("d{d}-b{b}")).expect("grammatical");
@@ -394,22 +395,19 @@ impl ScenarioConfig {
                     devices,
                 });
             }
-            let mut networks = Vec::with_capacity(self.networks_per_district);
-            for n in 0..self.networks_per_district {
-                let network = NetworkId::new(format!("d{d}-net{n}")).expect("grammatical");
-                let kind = if n % 2 == 0 {
-                    NetworkKind::DistrictHeating
-                } else {
-                    NetworkKind::Electrical
-                };
-                let substations = 1 + self.buildings_per_district / 4;
-                let consumers = (self.buildings_per_district / substations).max(1);
-                networks.push(NetworkSpec {
-                    model: NetworkModel::sample(&network, kind, substations, consumers),
-                    network,
-                    location: center,
-                });
-            }
+            let network = NetworkId::new(format!("d{d}-net0")).expect("grammatical");
+            let substations = 1 + self.buildings_per_district / 4;
+            let consumers = (self.buildings_per_district / substations).max(1);
+            let networks = vec![NetworkSpec {
+                model: NetworkModel::sample(
+                    &network,
+                    NetworkKind::DistrictHeating,
+                    substations,
+                    consumers,
+                ),
+                network,
+                location: center,
+            }];
             districts.push(DistrictSpec {
                 district,
                 name: format!("District {d}"),

@@ -85,11 +85,9 @@ fn district_breaker_config() -> BreakerConfig {
     BreakerConfig {
         window: 8,
         min_samples: 3,
-        error_threshold: 0.5,
+        trip_threshold: 0.5,
         latency_threshold: SimDuration::from_millis(750),
-        slow_threshold: 0.5,
         open_for: SimDuration::from_secs(45),
-        probes_to_close: 1,
     }
 }
 
@@ -862,7 +860,7 @@ impl MasterNode {
                 .or_insert_with(|| CircuitBreaker::new(district_breaker_config()))
                 .record_failure(ctx.now(), &ctx.telemetry().metrics);
         }
-        ctx.telemetry().metrics.incr("ops.scrapes");
+        ctx.telemetry().metrics.counter_handle("ops.scrapes").incr();
         // Proxies: whatever the registry holds right now, probed over
         // the Web Service at the node its registration URI names.
         let proxies: Vec<(String, NodeId, &'static str)> = self
@@ -956,12 +954,16 @@ impl MasterNode {
         };
         let metrics = &ctx.telemetry().metrics;
         for (name, rec) in &scrape.records {
-            metrics.set_gauge(&format!("ops.up.{name}"), if rec.up { 1.0 } else { 0.0 });
+            metrics
+                .gauge_handle(&format!("ops.up.{name}"))
+                .set(if rec.up { 1.0 } else { 0.0 });
             let age = match rec.last_ok {
                 Some(t) => ctx.now().saturating_since(t).as_nanos(),
                 None => ctx.now().as_nanos(),
             };
-            metrics.set_gauge(&format!("ops.scrape_age_ns.{name}"), age as f64);
+            metrics
+                .gauge_handle(&format!("ops.scrape_age_ns.{name}"))
+                .set(age as f64);
         }
     }
 
@@ -1165,7 +1167,10 @@ impl Node for MasterNode {
         // state: they die with the process like the registry.
         self.breakers.clear();
         self.rollup_cache.clear();
-        ctx.telemetry().metrics.incr("master.restart");
+        ctx.telemetry()
+            .metrics
+            .counter_handle("master.restart")
+            .incr();
         self.series(ctx).proxies.set(0.0);
         self.on_start(ctx);
     }
@@ -1196,7 +1201,10 @@ impl Node for MasterNode {
         if tag == TAG_LIVENESS {
             let evicted = self.sweep_liveness(ctx.now());
             if evicted > 0 {
-                ctx.telemetry().metrics.add("master.evictions", evicted);
+                ctx.telemetry()
+                    .metrics
+                    .counter_handle("master.evictions")
+                    .add(evicted);
                 self.series(ctx).proxies.set(self.registry.len() as f64);
             }
             ctx.set_timer(LIVENESS_PERIOD, TAG_LIVENESS);

@@ -389,7 +389,10 @@ impl Node for DatabaseProxyNode {
         // The source model is durable; the WS session and registration
         // are not. Re-register from scratch.
         self.master.reset();
-        ctx.telemetry().metrics.incr("proxy.restart");
+        ctx.telemetry()
+            .metrics
+            .counter_handle("proxy.restart")
+            .incr();
         self.on_start(ctx);
     }
 
@@ -399,7 +402,10 @@ impl Node for DatabaseProxyNode {
         }
         if let Some(reply) = self.master.on_packet(ctx, &pkt) {
             if reply == MasterReply::Reregistered {
-                ctx.telemetry().metrics.incr("proxy.reregister");
+                ctx.telemetry()
+                    .metrics
+                    .counter_handle("proxy.reregister")
+                    .incr();
             }
             return;
         }

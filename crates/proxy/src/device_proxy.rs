@@ -80,10 +80,8 @@ pub struct DeviceProxyConfig {
     pub primary_quantity: QuantityKind,
     /// The master node.
     pub master: simnet::NodeId,
-    /// The middleware broker, if publication is enabled.
-    pub broker: Option<simnet::NodeId>,
-    /// The device node (downlink/poll target), if any.
-    pub device_node: Option<simnet::NodeId>,
+    /// The middleware broker.
+    pub broker: simnet::NodeId,
     /// Poll period for polled protocols; `None` for push.
     pub poll_interval: Option<SimDuration>,
     /// Drop samples older than this, if set.
@@ -148,8 +146,8 @@ struct QuantityRoute {
     quantity: QuantityKind,
     /// The local-database series, named after the quantity.
     series: SeriesId,
-    /// The topic its samples publish under; `None` without a broker.
-    topic: Option<Topic>,
+    /// The topic its samples publish under.
+    topic: Topic,
 }
 
 /// The series written per sample, request or scrape, resolved on the
@@ -201,7 +199,9 @@ pub struct DeviceProxyNode {
     payload: String,
     ws: WsServer,
     master: MasterSession,
-    pubsub: Option<PubSubClient>,
+    pubsub: PubSubClient,
+    /// The device node (downlink/poll target), once attached.
+    device_node: Option<simnet::NodeId>,
     poll_tracker: RequestTracker,
     /// QoS 1 publish id → sample, until the broker acks it.
     inflight: HashMap<u64, BufferedSample>,
@@ -232,11 +232,9 @@ impl std::fmt::Debug for DeviceProxyNode {
 impl DeviceProxyNode {
     /// Creates a Device-proxy over `adapter`.
     pub fn new(config: DeviceProxyConfig, adapter: Box<dyn DeviceAdapter>) -> Self {
-        let pubsub = config
-            .broker
-            .map(|broker| PubSubClient::new(broker, PUBSUB_TAGS));
         DeviceProxyNode {
             master: MasterSession::new(config.master, TAG_HEARTBEAT, WS_CLIENT_TAGS),
+            pubsub: PubSubClient::new(config.broker, PUBSUB_TAGS),
             config,
             poll_port: registry::family(adapter.protocol()).poll_port(),
             adapter,
@@ -244,7 +242,7 @@ impl DeviceProxyNode {
             routes: Vec::new(),
             payload: String::new(),
             ws: WsServer::new(),
-            pubsub,
+            device_node: None,
             poll_tracker: RequestTracker::new(POLL_TAGS),
             inflight: HashMap::new(),
             backlog: VecDeque::new(),
@@ -274,7 +272,7 @@ impl DeviceProxyNode {
     /// Attaches the device node after construction (deployment builders
     /// create the proxy before the device, so the id arrives late).
     pub fn set_device_node(&mut self, device_node: simnet::NodeId) {
-        self.config.device_node = Some(device_node);
+        self.device_node = Some(device_node);
     }
 
     /// The counters.
@@ -315,7 +313,7 @@ impl DeviceProxyNode {
         self.routes.push(QuantityRoute {
             quantity,
             series: self.store.series_id(quantity.as_str()),
-            topic: self.pubsub.is_some().then(|| self.topic_for(quantity)),
+            topic: self.topic_for(quantity),
         });
         self.routes.len() - 1
     }
@@ -360,19 +358,17 @@ impl DeviceProxyNode {
                 parent_span,
                 format_args!("device={} quantity={quantity}", self.config.device),
             );
-            if self.pubsub.is_some() {
-                let sample = BufferedSample {
-                    quantity,
-                    unix,
-                    value,
-                    trace,
-                    span: ingest_span,
-                };
-                if self.config.publish_qos == QoS::AtLeastOnce && self.broker_down {
-                    self.buffer_sample(ctx, sample);
-                } else {
-                    self.publish_sample(ctx, sample);
-                }
+            let sample = BufferedSample {
+                quantity,
+                unix,
+                value,
+                trace,
+                span: ingest_span,
+            };
+            if self.config.publish_qos == QoS::AtLeastOnce && self.broker_down {
+                self.buffer_sample(ctx, sample);
+            } else {
+                self.publish_sample(ctx, sample);
             }
         }
     }
@@ -381,9 +377,6 @@ impl DeviceProxyNode {
     /// publishes until the broker acknowledges them.
     fn publish_sample(&mut self, ctx: &mut Context<'_>, sample: BufferedSample) {
         let route = self.route(sample.quantity);
-        let (Some(pubsub), Some(topic)) = (&mut self.pubsub, &self.routes[route].topic) else {
-            return;
-        };
         self.payload.clear();
         Measurement::write_fields(
             &mut Writer::new(DataFormat::Json, &mut self.payload),
@@ -393,9 +386,9 @@ impl DeviceProxyNode {
             sample.quantity.canonical_unit(),
             Timestamp::from_unix_millis(sample.unix),
         );
-        let id = pubsub.publish_ref(
+        let id = self.pubsub.publish_ref(
             ctx,
-            topic,
+            &self.routes[route].topic,
             self.payload.as_bytes(),
             true,
             self.config.publish_qos,
@@ -457,7 +450,10 @@ impl DeviceProxyNode {
         if !self.broker_down {
             self.broker_down = true;
             self.replay_backoff = REPLAY_BACKOFF_BASE;
-            ctx.telemetry().metrics.incr("proxy.broker_down");
+            ctx.telemetry()
+                .metrics
+                .counter_handle("proxy.broker_down")
+                .incr();
         }
         self.arm_replay(ctx);
     }
@@ -477,7 +473,10 @@ impl DeviceProxyNode {
     fn mark_broker_up(&mut self, ctx: &mut Context<'_>) {
         self.broker_down = false;
         self.replay_backoff = REPLAY_BACKOFF_BASE;
-        ctx.telemetry().metrics.incr("proxy.broker_up");
+        ctx.telemetry()
+            .metrics
+            .counter_handle("proxy.broker_up")
+            .incr();
         let parked: Vec<BufferedSample> = self.backlog.drain(..).collect();
         self.series(ctx).backlog.set(0.0);
         for mut sample in parked {
@@ -653,7 +652,7 @@ impl DeviceProxyNode {
         let Some(value) = request.body.get("value").and_then(Value::as_f64) else {
             return WsResponse::error(status::BAD_REQUEST, "body must carry a numeric value");
         };
-        let Some(device_node) = self.config.device_node else {
+        let Some(device_node) = self.device_node else {
             return WsResponse::error(status::NOT_FOUND, "no device attached");
         };
         match self.adapter.encode_actuation(value) {
@@ -669,7 +668,7 @@ impl DeviceProxyNode {
 
     fn poll(&mut self, ctx: &mut Context<'_>) {
         let (Some(device_node), Some(port), Some(request)) = (
-            self.config.device_node,
+            self.device_node,
             self.poll_port,
             self.adapter.poll_request(),
         ) else {
@@ -708,13 +707,14 @@ impl Node for DeviceProxyNode {
         // first) so they replay once the broker answers again.
         let mut unacked: Vec<(u64, BufferedSample)> = self.inflight.drain().collect();
         unacked.sort_by_key(|(id, _)| *id);
-        if let Some(pubsub) = &mut self.pubsub {
-            pubsub.reset();
-        }
+        self.pubsub.reset();
         for (_, sample) in unacked {
             self.buffer_sample(ctx, sample);
         }
-        ctx.telemetry().metrics.incr("proxy.restart");
+        ctx.telemetry()
+            .metrics
+            .counter_handle("proxy.restart")
+            .incr();
         self.on_start(ctx);
         self.broker_down = !self.backlog.is_empty();
         if self.broker_down {
@@ -750,11 +750,7 @@ impl Node for DeviceProxyNode {
                 }
             }
             PUBSUB_PORT => {
-                let event = match &mut self.pubsub {
-                    Some(pubsub) => pubsub.accept(ctx, &pkt),
-                    None => None,
-                };
-                if let Some(PubSubEvent::Published { id }) = event {
+                if let Some(PubSubEvent::Published { id }) = self.pubsub.accept(ctx, &pkt) {
                     self.inflight.remove(&id);
                     if self.broker_down {
                         self.mark_broker_up(ctx);
@@ -766,7 +762,10 @@ impl Node for DeviceProxyNode {
                 // to our registration/heartbeat, or a client request.
                 match self.master.on_packet(ctx, &pkt) {
                     Some(MasterReply::Reregistered) => {
-                        ctx.telemetry().metrics.incr("proxy.reregister");
+                        ctx.telemetry()
+                            .metrics
+                            .counter_handle("proxy.reregister")
+                            .incr();
                     }
                     Some(MasterReply::Handled) => {}
                     None => {
@@ -822,11 +821,7 @@ impl Node for DeviceProxyNode {
                 self.poll_tracker.on_timer(ctx, tag);
             }
             tag if tag.0 >= PUBSUB_TAGS => {
-                let event = match &mut self.pubsub {
-                    Some(pubsub) => pubsub.on_timer(ctx, tag),
-                    None => None,
-                };
-                if let Some(PubSubEvent::PublishTimedOut { id }) = event {
+                if let Some(PubSubEvent::PublishTimedOut { id }) = self.pubsub.on_timer(ctx, tag) {
                     self.on_publish_timeout(ctx, id);
                 }
             }

@@ -206,7 +206,7 @@ mod tests {
     use dimmer_core::QuantityKind;
     use protocols::device::ZigbeeSensor;
     use protocols::zigbee::ZigbeeFrame;
-    use simnet::{LinkModel, SimConfig, Simulator};
+    use simnet::{SimConfig, Simulator};
 
     #[derive(Default)]
     struct Sink {
@@ -221,10 +221,7 @@ mod tests {
 
     #[test]
     fn uplink_device_emits_periodically() {
-        let mut sim = Simulator::new(SimConfig {
-            seed: 5,
-            default_link: LinkModel::ideal(),
-        });
+        let mut sim = Simulator::new(SimConfig { seed: 5 });
         let sink = sim.add_node("proxy", Sink::default());
         let dev = sim.add_node(
             "dev",

@@ -17,7 +17,6 @@ use std::collections::BTreeMap;
 
 use dimmer_core::codec::{DataFormat, Reader, Scalar, Shaped, Writer};
 use dimmer_core::{CoreError, Value};
-use simnet::overload::RetryBudget;
 use simnet::rpc::{RequestTracker, RpcEvent};
 use simnet::{Context, NodeId, Packet, SimDuration, SimTime, TimerTag};
 
@@ -552,12 +551,6 @@ impl WsClient {
     pub fn reset(&mut self) {
         self.tracker.reset();
         self.sent.clear();
-    }
-
-    /// Attaches a shared retry budget to the underlying tracker (see
-    /// [`RequestTracker::set_retry_budget`]).
-    pub fn set_retry_budget(&mut self, budget: RetryBudget) {
-        self.tracker.set_retry_budget(budget);
     }
 
     /// Sends `request` to the Web Service on `server`; returns the

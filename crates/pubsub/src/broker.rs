@@ -636,7 +636,10 @@ impl BrokerNode {
                 fed.remote_subs.remove_where(f, |rs| rs.peer == peer);
             }
             fed.peer_filters[peer].clear();
-            ctx.telemetry().metrics.incr("pubsub.bridge.peer_restart");
+            ctx.telemetry()
+                .metrics
+                .counter_handle("pubsub.bridge.peer_restart")
+                .incr();
             self.readvertise_to(ctx, peer);
         }
         true

@@ -283,7 +283,10 @@ impl PubSubClient {
                 }
                 // The broker lost its subscription table; resume the
                 // session by re-sending everything we remember.
-                ctx.telemetry().metrics.incr("pubsub.resubscribe");
+                ctx.telemetry()
+                    .metrics
+                    .counter_handle("pubsub.resubscribe")
+                    .incr();
                 for (filter, qos) in self.subs.clone() {
                     ctx.send(
                         self.broker,
@@ -399,12 +402,13 @@ mod tests {
         TopicFilter::new(s).unwrap()
     }
 
+    /// A broker whose links to the next 31 nodes follow `link`.
     fn build(link: LinkModel) -> (Simulator, simnet::NodeId) {
-        let mut sim = Simulator::new(SimConfig {
-            seed: 42,
-            default_link: link,
-        });
+        let mut sim = Simulator::new(SimConfig { seed: 42 });
         let broker = sim.add_node("broker", BrokerNode::new());
+        for client in 1..32 {
+            sim.set_link(broker, simnet::NodeId::from_index(client), link.clone());
+        }
         (sim, broker)
     }
 

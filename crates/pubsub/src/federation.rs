@@ -165,11 +165,9 @@ pub(crate) fn bridge_breaker_config() -> simnet::overload::BreakerConfig {
     simnet::overload::BreakerConfig {
         window: 12,
         min_samples: 6,
-        error_threshold: 0.9,
+        trip_threshold: 0.9,
         latency_threshold: simnet::SimDuration::from_millis(1500),
-        slow_threshold: 0.9,
         open_for: simnet::SimDuration::from_secs(20),
-        probes_to_close: 1,
     }
 }
 

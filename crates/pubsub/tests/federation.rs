@@ -15,11 +15,16 @@ const TAG_PUBLISH: u64 = 1;
 const TAG_SUBSCRIBE: u64 = 2;
 const TAG_UNSUBSCRIBE: u64 = 3;
 
+/// A simulator whose first 16 nodes talk over ideal links.
 fn ideal_sim(seed: u64) -> Simulator {
-    Simulator::new(SimConfig {
-        seed,
-        default_link: LinkModel::ideal(),
-    })
+    let mut sim = Simulator::new(SimConfig { seed });
+    for a in 0..16 {
+        for b in a + 1..16 {
+            let (a, b) = (NodeId::from_index(a), NodeId::from_index(b));
+            sim.set_link(a, b, LinkModel::ideal());
+        }
+    }
+    sim
 }
 
 fn small_batches() -> BatchPolicy {

@@ -529,18 +529,18 @@ mod tests {
         }
     }
 
-    fn ideal_sim() -> Simulator {
-        Simulator::new(SimConfig {
-            seed: 1,
-            default_link: LinkModel::ideal(),
-        })
+    /// `rx` and a `Ticker` sending to it, over `link`.
+    fn ticking(seed: u64, link: LinkModel) -> (Simulator, NodeId, NodeId) {
+        let mut sim = Simulator::new(SimConfig { seed });
+        let rx = sim.add_node("rx", Rx::default());
+        let tx = sim.add_node("tx", Ticker { dst: rx });
+        sim.set_link(tx, rx, link);
+        (sim, rx, tx)
     }
 
     #[test]
     fn plan_applies_in_time_order() {
-        let mut sim = ideal_sim();
-        let rx = sim.add_node("rx", Rx::default());
-        let _tx = sim.add_node("tx", Ticker { dst: rx });
+        let (mut sim, rx, _tx) = ticking(1, LinkModel::ideal());
         // Out-of-order insertion; the runner sorts.
         let plan = FaultPlan::new()
             .at(
@@ -572,9 +572,7 @@ mod tests {
 
     #[test]
     fn link_flap_restores_previous_model() {
-        let mut sim = ideal_sim();
-        let rx = sim.add_node("rx", Rx::default());
-        let tx = sim.add_node("tx", Ticker { dst: rx });
+        let (mut sim, rx, tx) = ticking(1, LinkModel::ideal());
         let custom = LinkModel::builder()
             .latency(SimDuration::from_millis(7))
             .bandwidth_bps(1_000_000)
@@ -602,15 +600,11 @@ mod tests {
 
     #[test]
     fn latency_spike_slows_then_recovers() {
-        let mut sim = Simulator::new(SimConfig {
-            seed: 2,
-            default_link: LinkModel::builder()
-                .latency(SimDuration::from_millis(1))
-                .bandwidth_bps(u64::MAX - 1)
-                .build(),
-        });
-        let rx = sim.add_node("rx", Rx::default());
-        let tx = sim.add_node("tx", Ticker { dst: rx });
+        let link = LinkModel::builder()
+            .latency(SimDuration::from_millis(1))
+            .bandwidth_bps(u64::MAX - 1)
+            .build();
+        let (mut sim, rx, tx) = ticking(2, link);
         let plan = FaultPlan::new().at(
             SimTime::from_secs(2),
             Fault::LatencySpike {
@@ -640,15 +634,11 @@ mod tests {
 
     #[test]
     fn slow_node_stretches_then_recovers() {
-        let mut sim = Simulator::new(SimConfig {
-            seed: 3,
-            default_link: LinkModel::builder()
-                .latency(SimDuration::from_millis(10))
-                .bandwidth_bps(u64::MAX - 1)
-                .build(),
-        });
-        let rx = sim.add_node("rx", Rx::default());
-        let _tx = sim.add_node("tx", Ticker { dst: rx });
+        let link = LinkModel::builder()
+            .latency(SimDuration::from_millis(10))
+            .bandwidth_bps(u64::MAX - 1)
+            .build();
+        let (mut sim, rx, _tx) = ticking(3, link);
         let plan = FaultPlan::new().at(
             SimTime::from_secs(2),
             Fault::SlowNode {
@@ -674,9 +664,7 @@ mod tests {
 
     #[test]
     fn lossy_link_degrades_then_restores() {
-        let mut sim = ideal_sim();
-        let rx = sim.add_node("rx", Rx::default());
-        let tx = sim.add_node("tx", Ticker { dst: rx });
+        let (mut sim, rx, tx) = ticking(1, LinkModel::ideal());
         let plan = FaultPlan::new().at(
             SimTime::from_secs(1),
             Fault::LossyLink {
@@ -699,9 +687,7 @@ mod tests {
 
     #[test]
     fn flapping_expands_into_link_flap_cycles() {
-        let mut sim = ideal_sim();
-        let rx = sim.add_node("rx", Rx::default());
-        let tx = sim.add_node("tx", Ticker { dst: rx });
+        let (mut sim, rx, tx) = ticking(1, LinkModel::ideal());
         let plan = FaultPlan::new().at(
             SimTime::from_secs(1),
             Fault::Flapping {

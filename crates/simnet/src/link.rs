@@ -61,10 +61,10 @@ impl LinkModel {
     /// A metro backbone hop between broker shards: 5 ms latency,
     /// 1 Gbit/s, no jitter, no loss.
     ///
-    /// This is the default cross-shard link of a sharded
-    /// [`Simulator`](crate::Simulator); being jitter- and loss-free it contributes its full 5 ms latency
-    /// as conservative lookahead.
-    pub(crate) fn backbone() -> Self {
+    /// Every cross-shard pair of a sharded [`Simulator`](crate::Simulator)
+    /// without an override uses it; being jitter- and loss-free it
+    /// contributes its full 5 ms latency as conservative lookahead.
+    pub(crate) const fn backbone() -> Self {
         LinkModel {
             latency: SimDuration::from_millis(5),
             bandwidth_bps: 1_000_000_000,

@@ -1,29 +1,25 @@
-//! Overload-protection primitives: admission gates, retry budgets and
-//! circuit breakers.
+//! Overload-protection primitives: admission gates and circuit
+//! breakers.
 //!
-//! Three small deterministic state machines, shared by every tier that
-//! answers requests or retries them:
+//! Two small deterministic state machines, shared by every tier that
+//! answers requests or sends them:
 //!
 //! * [`AdmissionGate`] — a leaky-bucket admission controller bounding
 //!   the work a server accepts. Requests past the bound are *shed*
 //!   with a `Retry-After` hint instead of queued without limit, so an
 //!   overloaded endpoint answers cheaply instead of collapsing.
-//! * [`RetryBudget`] — a shared token bucket capping the *global*
-//!   retry volume of a client population, so correlated failure decays
-//!   into budget exhaustion instead of a retry storm.
 //! * [`CircuitBreaker`] — a per-target closed/open/half-open breaker
 //!   driven by both error rate and latency (a slow target is as broken
 //!   as a dead one: gray failure), with single-probe half-open
 //!   recovery.
 //!
-//! All three are driven exclusively by [`SimTime`] so behaviour is
-//! deterministic and replayable; metric emission goes through the
-//! caller-supplied [`Registry`] under the `admission.*` / `breaker.*`
-//! names inventoried in `docs/metrics.txt`.
+//! Both are driven exclusively by [`SimTime`] so behaviour is
+//! deterministic and replayable; metric emission goes through handles
+//! resolved from the caller-supplied [`Registry`] under the
+//! `admission.*` / `breaker.*` names inventoried in `docs/metrics.txt`.
 
 use std::cell::OnceCell;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
 
 use telemetry::metrics::{CounterHandle, GaugeHandle, Registry};
 
@@ -142,92 +138,6 @@ impl AdmissionGate {
     }
 }
 
-#[derive(Debug)]
-struct BudgetInner {
-    tokens: f64,
-    max_tokens: f64,
-    refill_per_sec: f64,
-    last: SimTime,
-    exhausted: u64,
-}
-
-/// A shared token bucket bounding fleet-wide retry volume.
-///
-/// Every retry must claim one token; the bucket refills at
-/// `refill_per_sec` up to `max_tokens`. Clones share state, so one
-/// budget can be handed to many [`rpc::RequestTracker`]s and the cap
-/// holds across all of them — under correlated failure the fleet's
-/// retries stop at the budget instead of storming the network.
-///
-/// ```
-/// use simnet::overload::RetryBudget;
-/// use simnet::rpc::RequestTracker;
-///
-/// let budget = RetryBudget::new(2.0, 1.0);
-/// let (mut a, mut b) = (RequestTracker::new(0), RequestTracker::new(1 << 32));
-/// a.set_retry_budget(budget.clone());
-/// b.set_retry_budget(budget.clone());
-/// assert_eq!(budget.exhausted(), 0); // no retry has been refused yet
-/// ```
-///
-/// [`rpc::RequestTracker`]: crate::rpc::RequestTracker
-#[derive(Debug, Clone)]
-pub struct RetryBudget {
-    inner: Arc<Mutex<BudgetInner>>,
-}
-
-impl RetryBudget {
-    /// A budget holding at most `max_tokens`, refilling at
-    /// `refill_per_sec` tokens per second. Starts full.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_tokens` or `refill_per_sec` is not positive.
-    pub fn new(max_tokens: f64, refill_per_sec: f64) -> Self {
-        assert!(max_tokens > 0.0, "budget must be positive");
-        assert!(refill_per_sec > 0.0, "refill rate must be positive");
-        RetryBudget {
-            inner: Arc::new(Mutex::new(BudgetInner {
-                tokens: max_tokens,
-                max_tokens,
-                refill_per_sec,
-                last: SimTime::ZERO,
-                exhausted: 0,
-            })),
-        }
-    }
-
-    /// Claims one retry token at `now`. Returns `false` (and counts
-    /// the exhaustion) when the budget is empty.
-    pub(crate) fn try_claim(&self, now: SimTime) -> bool {
-        let mut g = self.inner.lock().unwrap();
-        let elapsed = now.saturating_since(g.last).as_secs_f64();
-        g.last = g.last.max(now);
-        g.tokens = (g.tokens + elapsed * g.refill_per_sec).min(g.max_tokens);
-        if g.tokens >= 1.0 {
-            g.tokens -= 1.0;
-            true
-        } else {
-            g.exhausted += 1;
-            false
-        }
-    }
-
-    /// Tokens currently available (after refilling to `now`).
-    pub(crate) fn tokens(&self, now: SimTime) -> f64 {
-        let mut g = self.inner.lock().unwrap();
-        let elapsed = now.saturating_since(g.last).as_secs_f64();
-        g.last = g.last.max(now);
-        g.tokens = (g.tokens + elapsed * g.refill_per_sec).min(g.max_tokens);
-        g.tokens
-    }
-
-    /// Claims denied over the budget's lifetime.
-    pub fn exhausted(&self) -> u64 {
-        self.inner.lock().unwrap().exhausted
-    }
-}
-
 /// The three breaker states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
@@ -246,16 +156,13 @@ pub struct BreakerConfig {
     pub window: usize,
     /// Minimum outcomes in the window before the breaker may trip.
     pub min_samples: usize,
-    /// Error fraction in the window that trips the breaker.
-    pub error_threshold: f64,
+    /// Fraction of the window that trips the breaker, counted over
+    /// errors and, separately, over slow successes.
+    pub trip_threshold: f64,
     /// A success slower than this counts as *slow* (gray failure).
     pub latency_threshold: SimDuration,
-    /// Slow fraction in the window that trips the breaker.
-    pub slow_threshold: f64,
     /// Cool-down in the open state before half-open probing.
     pub open_for: SimDuration,
-    /// Probe successes required to close from half-open.
-    pub probes_to_close: u32,
 }
 
 impl Default for BreakerConfig {
@@ -263,11 +170,9 @@ impl Default for BreakerConfig {
         BreakerConfig {
             window: 20,
             min_samples: 8,
-            error_threshold: 0.5,
+            trip_threshold: 0.5,
             latency_threshold: SimDuration::from_secs(1),
-            slow_threshold: 0.5,
             open_for: SimDuration::from_secs(10),
-            probes_to_close: 2,
         }
     }
 }
@@ -282,9 +187,8 @@ struct Outcome {
 ///
 /// Closed → open when the rolling window shows too many errors *or*
 /// too many slow successes; open → half-open after the cool-down;
-/// half-open admits exactly one probe at a time, closing after
-/// `probes_to_close` consecutive probe successes and reopening on any
-/// probe failure.
+/// half-open admits exactly one probe at a time, closing on a probe
+/// success and reopening on a probe failure or a slow probe.
 ///
 /// ```
 /// use simnet::overload::{BreakerConfig, BreakerState, CircuitBreaker};
@@ -312,12 +216,17 @@ pub struct CircuitBreaker {
     outcomes: VecDeque<Outcome>,
     opened_at: SimTime,
     probe_inflight: bool,
-    probe_successes: u32,
     trips: u64,
-    /// `breaker.rejected` is written per refused request, so it goes
-    /// through a handle (resolved on first use, like
-    /// [`AdmissionGate`]'s); state transitions are rare and by-name.
-    rejected: OnceCell<CounterHandle>,
+    /// Resolved on first use, like [`AdmissionGate`]'s.
+    series: OnceCell<BreakerSeries>,
+}
+
+#[derive(Debug, Clone)]
+struct BreakerSeries {
+    rejected: CounterHandle,
+    open: CounterHandle,
+    half_open: CounterHandle,
+    close: CounterHandle,
 }
 
 impl CircuitBreaker {
@@ -329,10 +238,18 @@ impl CircuitBreaker {
             outcomes: VecDeque::with_capacity(config.window),
             opened_at: SimTime::ZERO,
             probe_inflight: false,
-            probe_successes: 0,
             trips: 0,
-            rejected: OnceCell::new(),
+            series: OnceCell::new(),
         }
+    }
+
+    fn series(&self, metrics: &Registry) -> &BreakerSeries {
+        self.series.get_or_init(|| BreakerSeries {
+            rejected: metrics.counter_handle("breaker.rejected"),
+            open: metrics.counter_handle("breaker.open"),
+            half_open: metrics.counter_handle("breaker.half_open"),
+            close: metrics.counter_handle("breaker.close"),
+        })
     }
 
     /// Current state (after any cool-down transition would apply on
@@ -344,26 +261,22 @@ impl CircuitBreaker {
     /// Whether a request may be sent to the target at `now`. Rejections
     /// count as `breaker.rejected`.
     pub fn allow(&mut self, now: SimTime, metrics: &Registry) -> bool {
-        let rejected = self
-            .rejected
-            .get_or_init(|| metrics.counter_handle("breaker.rejected"));
         match self.state {
             BreakerState::Closed => true,
             BreakerState::Open => {
                 if now.saturating_since(self.opened_at) >= self.config.open_for {
                     self.state = BreakerState::HalfOpen;
                     self.probe_inflight = true;
-                    self.probe_successes = 0;
-                    metrics.incr("breaker.half_open");
+                    self.series(metrics).half_open.incr();
                     true
                 } else {
-                    rejected.incr();
+                    self.series(metrics).rejected.incr();
                     false
                 }
             }
             BreakerState::HalfOpen => {
                 if self.probe_inflight {
-                    rejected.incr();
+                    self.series(metrics).rejected.incr();
                     false
                 } else {
                     self.probe_inflight = true;
@@ -388,12 +301,9 @@ impl CircuitBreaker {
                     // A slow probe is not a recovery: reopen.
                     self.trip(now, metrics);
                 } else {
-                    self.probe_successes += 1;
-                    if self.probe_successes >= self.config.probes_to_close {
-                        self.state = BreakerState::Closed;
-                        self.outcomes.clear();
-                        metrics.incr("breaker.close");
-                    }
+                    self.state = BreakerState::Closed;
+                    self.outcomes.clear();
+                    self.series(metrics).close.incr();
                 }
             }
             BreakerState::Open => {}
@@ -433,7 +343,8 @@ impl CircuitBreaker {
         let errors = self.outcomes.iter().filter(|o| !o.ok).count() as f64;
         let slow = self.outcomes.iter().filter(|o| o.ok && o.slow).count() as f64;
         let n = n as f64;
-        if errors / n >= self.config.error_threshold || slow / n >= self.config.slow_threshold {
+        let threshold = self.config.trip_threshold;
+        if errors / n >= threshold || slow / n >= threshold {
             self.trip(now, metrics);
         }
     }
@@ -443,9 +354,8 @@ impl CircuitBreaker {
         self.opened_at = now;
         self.outcomes.clear();
         self.probe_inflight = false;
-        self.probe_successes = 0;
         self.trips += 1;
-        metrics.incr("breaker.open");
+        self.series(metrics).open.incr();
     }
 }
 
@@ -495,58 +405,13 @@ mod tests {
         assert!(gate.admitted > 0);
     }
 
-    #[test]
-    fn budget_is_shared_across_clones_and_never_overdrawn() {
-        // Property: under N concurrent claimants hammering clones of
-        // one budget, total claims granted within any interval never
-        // exceed max_tokens + refill over that interval.
-        for seed in 0..20u64 {
-            let mut rng = DeterministicRng::seed_from(0xB0D6 ^ seed);
-            let max = 1.0 + rng.next_bounded(16) as f64;
-            let rate = 0.5 + rng.next_f64() * 8.0;
-            let budget = RetryBudget::new(max, rate);
-            let claimants: Vec<RetryBudget> = (0..8).map(|_| budget.clone()).collect();
-            let mut granted = 0u64;
-            let mut t = SimTime::ZERO;
-            let horizon = SimDuration::from_secs(20);
-            while t.saturating_since(SimTime::ZERO) < horizon {
-                let who = rng.next_bounded(claimants.len() as u64) as usize;
-                if claimants[who].try_claim(t) {
-                    granted += 1;
-                }
-                t += SimDuration::from_millis(rng.next_bounded(100));
-            }
-            let elapsed = t.as_secs_f64();
-            let ceiling = max + rate * elapsed;
-            assert!(
-                (granted as f64) <= ceiling + 1e-6,
-                "seed {seed}: granted {granted} > ceiling {ceiling}"
-            );
-            assert!(budget.exhausted() > 0, "seed {seed}: load must exhaust");
-        }
-    }
-
-    #[test]
-    fn budget_refills_to_cap_only() {
-        let budget = RetryBudget::new(3.0, 1.0);
-        for _ in 0..3 {
-            assert!(budget.try_claim(SimTime::ZERO));
-        }
-        assert!(!budget.try_claim(SimTime::ZERO));
-        // A long quiet period refills to the cap, not beyond.
-        let later = SimTime::from_secs(1000);
-        assert!((budget.tokens(later) - 3.0).abs() < 1e-9);
-    }
-
     fn quick_breaker() -> CircuitBreaker {
         CircuitBreaker::new(BreakerConfig {
             window: 8,
             min_samples: 4,
-            error_threshold: 0.5,
+            trip_threshold: 0.5,
             latency_threshold: SimDuration::from_millis(100),
-            slow_threshold: 0.5,
             open_for: SimDuration::from_secs(5),
-            probes_to_close: 2,
         })
     }
 
@@ -567,10 +432,12 @@ mod tests {
         assert_eq!(b.state(), BreakerState::HalfOpen);
         assert!(!b.allow(t1, &m), "second concurrent probe refused");
         b.record_success(t1, SimDuration::from_millis(1), &m);
-        assert!(b.allow(t1, &m));
-        b.record_success(t1, SimDuration::from_millis(1), &m);
-        assert_eq!(b.state(), BreakerState::Closed);
+        assert_eq!(b.state(), BreakerState::Closed, "one probe success closes");
         assert_eq!(b.trips, 1);
+        assert_eq!(
+            ["open", "half_open", "close", "rejected"].map(|s| m.counter(&format!("breaker.{s}"))),
+            [1, 1, 1, 2]
+        );
     }
 
     #[test]
@@ -608,18 +475,16 @@ mod tests {
         // many random error/latency sequences the breaker (1) never
         // admits while open and inside the cool-down, (2) admits at
         // most one concurrent probe in half-open, and (3) only reaches
-        // closed from half-open via probes_to_close successes.
+        // closed from half-open via a probe success.
         for seed in 0..64u64 {
             let m = metrics();
             let mut rng = DeterministicRng::seed_from(0xC1BC ^ (seed * 0x9E37));
             let config = BreakerConfig {
                 window: 4 + rng.next_bounded(12) as usize,
                 min_samples: 2 + rng.next_bounded(4) as usize,
-                error_threshold: 0.3 + rng.next_f64() * 0.5,
+                trip_threshold: 0.3 + rng.next_f64() * 0.5,
                 latency_threshold: SimDuration::from_millis(50 + rng.next_bounded(200)),
-                slow_threshold: 0.3 + rng.next_f64() * 0.5,
                 open_for: SimDuration::from_secs(1 + rng.next_bounded(10)),
-                probes_to_close: 1 + rng.next_bounded(3) as u32,
             };
             let mut b = CircuitBreaker::new(config);
             let mut t = SimTime::ZERO;

@@ -68,7 +68,7 @@ use std::sync::mpsc::{Receiver, Sender};
 use crate::link::LinkModel;
 use crate::node::{Node, NodeId};
 use crate::rng::DeterministicRng;
-use crate::sim::{CrossPacket, NetMetrics, NodeMetrics, Shard, SimConfig};
+use crate::sim::{CrossPacket, NetMetrics, NodeMetrics, Shard, SimConfig, BACKBONE};
 use crate::time::{SimDuration, SimTime};
 use telemetry::Telemetry;
 
@@ -87,12 +87,9 @@ pub struct ParallelConfig {
     /// Thread 0 is the caller's thread, which doubles as the barrier
     /// coordinator.
     pub threads: usize,
-    /// Intra-shard link model for pairs without an explicit override.
+    /// Intra-shard link model for pairs without an explicit override;
+    /// cross-shard pairs use the backbone.
     pub default_link: LinkModel,
-    /// Cross-shard link model for pairs without an explicit override.
-    /// Its minimum delay bounds the lookahead, so it must be able to
-    /// deliver and must have positive latency − jitter.
-    pub cross_link: LinkModel,
 }
 
 impl Default for ParallelConfig {
@@ -102,7 +99,6 @@ impl Default for ParallelConfig {
             shards: 1,
             threads: 1,
             default_link: LinkModel::lan(),
-            cross_link: LinkModel::backbone(),
         }
     }
 }
@@ -142,7 +138,6 @@ pub struct ShardPlan {
     seeds: Vec<u64>,
     threads: usize,
     default_link: LinkModel,
-    cross_link: LinkModel,
 }
 
 impl From<SimConfig> for ShardPlan {
@@ -151,8 +146,7 @@ impl From<SimConfig> for ShardPlan {
         ShardPlan {
             seeds: vec![cfg.seed],
             threads: 1,
-            default_link: cfg.default_link,
-            cross_link: LinkModel::backbone(),
+            default_link: LinkModel::lan(),
         }
     }
 }
@@ -173,7 +167,6 @@ impl From<ParallelConfig> for ShardPlan {
                 .collect(),
             threads: cfg.threads,
             default_link: cfg.default_link,
-            cross_link: cfg.cross_link,
         }
     }
 }
@@ -196,7 +189,6 @@ pub struct Simulator {
     /// can shrink to match (the owning shard holds the model used for
     /// delay sampling).
     cross_links: HashMap<(NodeId, NodeId), LinkModel>,
-    cross_default: LinkModel,
     stats: ParallelStats,
 }
 
@@ -229,12 +221,8 @@ impl Simulator {
             .iter()
             .enumerate()
             .map(|(i, &seed)| {
-                let mut shard = Shard::new(SimConfig {
-                    seed,
-                    default_link: plan.default_link.clone(),
-                });
+                let mut shard = Shard::new(seed, plan.default_link.clone());
                 shard.set_shard(i as u32);
-                shard.set_cross_default_link(plan.cross_link.clone());
                 shard
             })
             .collect();
@@ -243,7 +231,6 @@ impl Simulator {
             shards,
             names: HashMap::new(),
             cross_links: HashMap::new(),
-            cross_default: plan.cross_link,
             stats: ParallelStats::default(),
         }
     }
@@ -527,8 +514,8 @@ impl Simulator {
     }
 
     /// The conservative lookahead: the minimum delay any cross-shard
-    /// link can produce. Windows never exceed it, so a packet sent
-    /// during a window always lands in a later one.
+    /// link can produce, the backbone's included. Windows never exceed
+    /// it, so a packet sent during a window always lands in a later one.
     ///
     /// Links that drop everything (loss ≥ 1.0, e.g. a chaos link flap)
     /// never deliver and do not constrain the lookahead.
@@ -542,16 +529,10 @@ impl Simulator {
         let la = self
             .cross_links
             .values()
-            .chain(std::iter::once(&self.cross_default))
+            .chain(std::iter::once(&BACKBONE))
             .filter_map(LinkModel::min_delay)
             .min()
-            // Every deliverable cross link drops packets: no cross
-            // traffic can ever arrive, so any positive window works.
-            .unwrap_or_else(|| {
-                self.cross_default
-                    .latency()
-                    .max(SimDuration::from_millis(1))
-            });
+            .expect("the backbone delivers");
         assert!(
             self.shards.len() == 1 || !la.is_zero(),
             "cross-shard lookahead is zero: a cross-shard link with \
@@ -906,10 +887,7 @@ mod tests {
         // bit-identical to a `SimConfig` carrying that shard's derived
         // seed.
         let seed = DeterministicRng::seed_from(0xD1_44_E2).derive(0).next_u64();
-        let mut plain = Simulator::new(SimConfig {
-            seed,
-            default_link: LinkModel::lan(),
-        });
+        let mut plain = Simulator::new(SimConfig { seed });
         let rx = plain.add_node("rx-0", Recorder::default());
         plain.add_node(
             "tx-0",
@@ -954,12 +932,11 @@ mod tests {
     fn zero_lookahead_panics() {
         let mut sim = Simulator::new(ParallelConfig {
             shards: 2,
-            cross_link: LinkModel::ideal(),
             ..ParallelConfig::default()
         });
         let a = sim.add_node_on(0, "a", Recorder::default());
         let b = sim.add_node_on(1, "b", Recorder::default());
-        let _ = (a, b);
+        sim.set_link(a, b, LinkModel::ideal());
         sim.run_for(SimDuration::from_secs(1));
     }
 

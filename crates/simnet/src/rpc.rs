@@ -19,9 +19,8 @@ use std::collections::HashMap;
 
 use crate::context::Context;
 use crate::node::{NodeId, Packet, Port, TimerTag};
-use crate::overload::RetryBudget;
 use crate::time::SimDuration;
-use telemetry::{CounterHandle, GaugeHandle};
+use telemetry::CounterHandle;
 
 /// Direction flag + correlation id header, little-endian id.
 const HEADER_LEN: usize = 9;
@@ -136,56 +135,6 @@ pub enum RpcEvent<'a> {
     },
 }
 
-/// Retry shaping applied by a [`RequestTracker`] to every request it
-/// sends.
-///
-/// The default policy reproduces the original fixed-interval behaviour:
-/// per-request retry budgets, a constant resend interval equal to the
-/// request timeout, and no jitter.
-#[derive(Debug, Clone)]
-pub(crate) struct RetryPolicy {
-    /// When `Some`, caps (and overrides) the per-request `retries`
-    /// argument of [`RequestTracker::send_request`] for every request.
-    pub(crate) max_retries: Option<u32>,
-    /// Multiplier applied to the resend interval per attempt
-    /// (`timeout * backoff^attempt`). `1.0` keeps the interval constant;
-    /// `2.0` doubles it on every retry.
-    pub(crate) backoff: f64,
-    /// Fractional jitter on each retry delay: a delay `d` becomes a
-    /// uniform draw from `d * [1 - jitter, 1 + jitter]`. Jitter decorrelates
-    /// retry storms after a partition heals or a peer restarts.
-    pub(crate) jitter: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: None,
-            backoff: 1.0,
-            jitter: 0.0,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The delay armed after resend number `attempt` (1-based), jittered
-    /// with the caller's RNG: `base * backoff^attempt`, so the wait
-    /// between the original send and the first resend is `base` and each
-    /// subsequent gap grows by the backoff factor.
-    fn delay(
-        &self,
-        base: SimDuration,
-        attempt: u32,
-        rng: &mut crate::rng::DeterministicRng,
-    ) -> SimDuration {
-        let mut d = base.as_secs_f64() * self.backoff.powi(attempt as i32);
-        if self.jitter > 0.0 {
-            d *= rng.next_f64_range(1.0 - self.jitter, 1.0 + self.jitter);
-        }
-        SimDuration::from_secs_f64(d.max(0.0))
-    }
-}
-
 #[derive(Debug, Clone)]
 struct Pending {
     dst: NodeId,
@@ -193,8 +142,6 @@ struct Pending {
     body: Vec<u8>,
     timeout: SimDuration,
     retries_left: u32,
-    /// Retry attempts already made (0 = only the original send).
-    attempt: u32,
 }
 
 /// Correlates responses with requests; embeds in a [`Node`](crate::Node).
@@ -208,48 +155,20 @@ pub struct RequestTracker {
     tag_base: u64,
     next_id: u64,
     pending: HashMap<u64, Pending>,
-    policy: RetryPolicy,
-    /// Optional shared retry budget: when set, every resend must claim
-    /// a token, so a fleet sharing one budget cannot retry-storm even
-    /// with `max_retries: None` against a partitioned target.
-    budget: Option<RetryBudget>,
-    /// The retry-timer series, resolved when the first timer fires.
-    series: OnceCell<RetrySeries>,
-}
-
-#[derive(Debug)]
-struct RetrySeries {
-    retry_exhausted: CounterHandle,
-    budget_exhausted: CounterHandle,
-    budget_tokens: GaugeHandle,
+    /// `rpc.retry_exhausted`, resolved by the first request to exhaust
+    /// its retries.
+    retry_exhausted: OnceCell<CounterHandle>,
 }
 
 impl RequestTracker {
-    /// Creates a tracker whose timers use tags `tag_base + request-id`,
-    /// with the default (fixed-interval, unjittered) retry policy.
+    /// Creates a tracker whose timers use tags `tag_base + request-id`.
     pub fn new(tag_base: u64) -> Self {
-        RequestTracker::with_policy(tag_base, RetryPolicy::default())
-    }
-
-    /// Creates a tracker with an explicit [`RetryPolicy`].
-    pub(crate) fn with_policy(tag_base: u64, policy: RetryPolicy) -> Self {
         RequestTracker {
             tag_base,
             next_id: 0,
             pending: HashMap::new(),
-            policy,
-            budget: None,
-            series: OnceCell::new(),
+            retry_exhausted: OnceCell::new(),
         }
-    }
-
-    /// Attaches a shared [`RetryBudget`]: every retry (not the original
-    /// send) claims one token first. A denied claim abandons the request
-    /// with [`RpcEvent::RequestTimedOut`] and counts
-    /// `rpc.budget_exhausted` — the global cap the per-request retry
-    /// counter cannot provide.
-    pub fn set_retry_budget(&mut self, budget: RetryBudget) {
-        self.budget = Some(budget);
     }
 
     /// Number of requests still awaiting a response.
@@ -273,8 +192,9 @@ impl RequestTracker {
     }
 
     /// Sends `body` as a request to `dst`:`port`, arming a timeout that
-    /// will retry up to `retries` times before reporting
-    /// [`RpcEvent::RequestTimedOut`]. Returns the correlation id.
+    /// resends it, each time after `timeout` again, up to `retries` times
+    /// before reporting [`RpcEvent::RequestTimedOut`]. Returns the
+    /// correlation id.
     pub fn send_request(
         &mut self,
         ctx: &mut Context<'_>,
@@ -286,10 +206,6 @@ impl RequestTracker {
     ) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        let retries = match self.policy.max_retries {
-            Some(cap) => retries.min(cap),
-            None => retries,
-        };
         ctx.send(dst, port, encode_request(id, &body));
         ctx.set_timer(timeout, TimerTag(self.tag_base + id));
         self.pending.insert(
@@ -300,7 +216,6 @@ impl RequestTracker {
                 body,
                 timeout,
                 retries_left: retries,
-                attempt: 0,
             },
         );
         id
@@ -338,35 +253,20 @@ impl RequestTracker {
     pub fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) -> Option<RpcEvent<'static>> {
         let id = tag.0.checked_sub(self.tag_base)?;
         let pending = self.pending.get_mut(&id)?;
-        let series = self.series.get_or_init(|| {
-            let m = &ctx.telemetry().metrics;
-            RetrySeries {
-                retry_exhausted: m.counter_handle("rpc.retry_exhausted"),
-                budget_exhausted: m.counter_handle("rpc.budget_exhausted"),
-                budget_tokens: m.gauge_handle("rpc.budget_tokens"),
-            }
-        });
         if pending.retries_left == 0 {
             self.pending.remove(&id);
-            series.retry_exhausted.incr();
+            self.retry_exhausted
+                .get_or_init(|| {
+                    ctx.telemetry()
+                        .metrics
+                        .counter_handle("rpc.retry_exhausted")
+                })
+                .incr();
             return Some(RpcEvent::RequestTimedOut { id });
         }
-        if let Some(budget) = &self.budget {
-            let now = ctx.now();
-            if !budget.try_claim(now) {
-                self.pending.remove(&id);
-                series.budget_exhausted.incr();
-                return Some(RpcEvent::RequestTimedOut { id });
-            }
-            series.budget_tokens.set(budget.tokens(now));
-        }
         pending.retries_left -= 1;
-        pending.attempt += 1;
-        let delay = self
-            .policy
-            .delay(pending.timeout, pending.attempt, ctx.rng());
         ctx.send(pending.dst, pending.port, encode_request(id, &pending.body));
-        ctx.set_timer(delay, TimerTag(self.tag_base + id));
+        ctx.set_timer(pending.timeout, TimerTag(self.tag_base + id));
         None
     }
 }
@@ -497,26 +397,24 @@ mod tests {
 
     #[test]
     fn retries_survive_a_lossy_link() {
-        // 60% loss: with 5 retries the request virtually always succeeds.
-        let mut sim = Simulator::new(SimConfig {
-            seed: 77,
-            default_link: LinkModel::builder().loss(0.6).build(),
-        });
+        // 60% loss: the request resolves one way or the other.
+        let mut sim = Simulator::new(SimConfig { seed: 77 });
         let server = sim.add_node(
             "server",
             Server {
                 tracker: RequestTracker::new(1000),
             },
         );
-        let mut client_node = ClientNode {
-            tracker: RequestTracker::new(1000),
-            server,
-            responses: vec![],
-            timeouts: vec![],
-        };
-        // More retries than the default used in on_start.
-        client_node.tracker = RequestTracker::new(1000);
-        let client = sim.add_node("client", client_node);
+        let client = sim.add_node(
+            "client",
+            ClientNode {
+                tracker: RequestTracker::new(1000),
+                server,
+                responses: vec![],
+                timeouts: vec![],
+            },
+        );
+        sim.set_link(client, server, LinkModel::builder().loss(0.6).build());
         sim.run_for(SimDuration::from_secs(60));
         let c = sim.node_ref::<ClientNode>(client).unwrap();
         assert!(
@@ -550,77 +448,6 @@ mod tests {
 
     #[test]
     fn exhausted_retries_emit_a_metric_and_respect_the_policy_cap() {
-        struct Mute;
-        impl Node for Mute {
-            fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: Packet) {}
-        }
-        let mut sim = Simulator::new(SimConfig::default());
-        let server = sim.add_node("mute", Mute);
-        let client = sim.add_node(
-            "client",
-            ClientNode {
-                // The cap overrides the per-request budget of 2 retries.
-                tracker: RequestTracker::with_policy(
-                    1000,
-                    RetryPolicy {
-                        max_retries: Some(0),
-                        ..RetryPolicy::default()
-                    },
-                ),
-                server,
-                responses: vec![],
-                timeouts: vec![],
-            },
-        );
-        sim.run_for(SimDuration::from_secs(30));
-        let c = sim.node_ref::<ClientNode>(client).unwrap();
-        assert_eq!(c.timeouts, vec![0], "abandoned after the capped attempt");
-        assert_eq!(sim.telemetry().metrics.counter("rpc.retry_exhausted"), 1);
-        // With max_retries = 0 the request is sent exactly once.
-        assert_eq!(sim.node_metrics(client).packets_sent, 1);
-    }
-
-    #[test]
-    fn shared_retry_budget_caps_fleet_wide_retries() {
-        struct Mute;
-        impl Node for Mute {
-            fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: Packet) {}
-        }
-        // Two clients hammer a silent server with an uncapped policy;
-        // a shared 3-token budget (negligible refill) bounds the total
-        // resend volume across both to 3, then both abandon.
-        let budget = RetryBudget::new(3.0, 1e-9);
-        let mut sim = Simulator::new(SimConfig::default());
-        let server = sim.add_node("mute", Mute);
-        let mut clients = Vec::new();
-        for i in 0..2 {
-            let mut node = ClientNode {
-                tracker: RequestTracker::new(1000),
-                server,
-                responses: vec![],
-                timeouts: vec![],
-            };
-            node.tracker.set_retry_budget(budget.clone());
-            clients.push(sim.add_node(format!("client{i}"), node));
-        }
-        sim.run_for(SimDuration::from_secs(120));
-        let total_sent: u64 = clients
-            .iter()
-            .map(|&c| sim.node_metrics(c).packets_sent)
-            .sum();
-        // 2 original sends + at most 3 budgeted resends.
-        assert!(total_sent <= 5, "retry storm: {total_sent} packets");
-        assert!(budget.exhausted() > 0);
-        assert_eq!(sim.telemetry().metrics.counter("rpc.budget_exhausted"), 1);
-        for &c in &clients {
-            let node = sim.node_ref::<ClientNode>(c).unwrap();
-            assert_eq!(node.timeouts, vec![0], "abandoned, not retried forever");
-            assert_eq!(node.tracker.outstanding(), 0);
-        }
-    }
-
-    #[test]
-    fn backoff_and_jitter_stretch_the_retry_schedule() {
         struct Recorder {
             arrivals: Vec<crate::SimTime>,
         }
@@ -634,37 +461,24 @@ mod tests {
         let client = sim.add_node(
             "client",
             ClientNode {
-                tracker: RequestTracker::with_policy(
-                    1000,
-                    RetryPolicy {
-                        max_retries: None,
-                        backoff: 2.0,
-                        jitter: 0.2,
-                    },
-                ),
+                tracker: RequestTracker::new(1000),
                 server,
                 responses: vec![],
                 timeouts: vec![],
             },
         );
-        sim.run_for(SimDuration::from_secs(60));
+        // An ideal link: arrival gaps are the send gaps.
+        sim.set_link(client, server, LinkModel::ideal());
+        sim.run_for(SimDuration::from_secs(30));
+        let c = sim.node_ref::<ClientNode>(client).unwrap();
+        assert_eq!(c.timeouts, vec![0], "abandoned after its 2 retries");
+        assert_eq!(sim.telemetry().metrics.counter("rpc.retry_exhausted"), 1);
+        // The original send plus two resends, each after the request's
+        // own 1 s timeout.
+        assert_eq!(sim.node_metrics(client).packets_sent, 3);
         let arrivals = &sim.node_ref::<Recorder>(server).unwrap().arrivals;
-        // on_start sends with timeout 1s and 2 retries: original send plus
-        // two resends, then abandonment.
-        assert_eq!(arrivals.len(), 3, "{arrivals:?}");
-        let gap1 = arrivals[1].since(arrivals[0]).as_secs_f64();
-        let gap2 = arrivals[2].since(arrivals[1]).as_secs_f64();
-        // First resend after ~1s (±20%), second after ~2s (±20%).
-        assert!((0.8..=1.2).contains(&gap1), "gap1={gap1}");
-        assert!((1.6..=2.4).contains(&gap2), "gap2={gap2}");
-        assert!(
-            (gap1 - 1.0).abs() > 1e-9 || (gap2 - 2.0).abs() > 1e-9,
-            "jitter should perturb at least one delay"
-        );
-        assert_eq!(
-            sim.node_ref::<ClientNode>(client).unwrap().timeouts,
-            vec![0]
-        );
+        let gaps: Vec<SimDuration> = arrivals.windows(2).map(|w| w[1].since(w[0])).collect();
+        assert_eq!(gaps, [SimDuration::from_secs(1); 2]);
     }
 
     #[test]

@@ -14,23 +14,22 @@ use crate::time::{SimDuration, SimTime};
 use telemetry::{CounterHandle, GaugeHandle, HistogramHandle, Registry, Telemetry};
 
 /// Configuration of a one-shard [`Simulator`](crate::Simulator): the
-/// shard is seeded with `seed` itself.
+/// shard is seeded with `seed` itself, and node pairs without an
+/// explicit override talk over [`LinkModel::lan`].
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Seed from which all simulation randomness derives.
     pub seed: u64,
-    /// Link model applied to node pairs without an explicit override.
-    pub default_link: LinkModel,
 }
 
 impl Default for SimConfig {
     fn default() -> Self {
-        SimConfig {
-            seed: 0xD1_44_E2,
-            default_link: LinkModel::lan(),
-        }
+        SimConfig { seed: 0xD1_44_E2 }
     }
 }
+
+/// The link of a cross-shard pair without an explicit override.
+pub(crate) static BACKBONE: LinkModel = LinkModel::backbone();
 
 /// Per-node traffic counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -165,6 +164,7 @@ pub(crate) struct Shard {
     /// Active partition groups; cross-group packets are dropped at the
     /// sender. Empty = no partition. Nodes in no group reach everyone.
     partitions: Vec<Vec<NodeId>>,
+    /// Link model of intra-shard pairs without an explicit override.
     default_link: LinkModel,
     link_rng: DeterministicRng,
     root_rng: DeterministicRng,
@@ -177,9 +177,6 @@ pub(crate) struct Shard {
     /// Shard tag minted into every id this shard hands out: its index
     /// in the runner.
     shard: u32,
-    /// Link model applied to cross-shard pairs without an explicit
-    /// override (a lone shard never consults it).
-    cross_default_link: LinkModel,
     /// Packets addressed to other shards, accumulated between lookahead
     /// barriers and drained by the runner.
     cross_egress: Vec<CrossPacket>,
@@ -187,8 +184,8 @@ pub(crate) struct Shard {
 
 impl Shard {
     /// Creates an empty shard 0 at time zero.
-    pub(crate) fn new(config: SimConfig) -> Self {
-        let root_rng = DeterministicRng::seed_from(config.seed);
+    pub(crate) fn new(seed: u64, default_link: LinkModel) -> Self {
+        let root_rng = DeterministicRng::seed_from(seed);
         let link_rng = root_rng.derive(u64::MAX);
         let telemetry = Telemetry::new();
         Shard {
@@ -197,7 +194,7 @@ impl Shard {
             slots: Vec::new(),
             links: HashMap::new(),
             partitions: Vec::new(),
-            default_link: config.default_link,
+            default_link,
             link_rng,
             root_rng,
             metrics: NetMetrics::default(),
@@ -205,7 +202,6 @@ impl Shard {
             telemetry,
             effects: Vec::new(),
             shard: 0,
-            cross_default_link: LinkModel::backbone(),
             cross_egress: Vec::new(),
         }
     }
@@ -228,12 +224,6 @@ impl Shard {
         assert!(self.slots.is_empty(), "set_shard before adding nodes");
         assert!(shard < (1 << NodeId::SHARD_BITS), "shard tag out of range");
         self.shard = shard;
-    }
-
-    /// Sets the link model applied to cross-shard pairs without an
-    /// explicit [`Shard::set_link_directed`] override.
-    pub(crate) fn set_cross_default_link(&mut self, model: LinkModel) {
-        self.cross_default_link = model;
     }
 
     /// Drains the packets addressed to other shards since the last call.
@@ -353,12 +343,12 @@ impl Shard {
     }
 
     /// The link model in effect from `src` to `dst`. Pairs that span
-    /// two shards fall back to the cross-shard default instead of the
-    /// intra-shard one.
+    /// two shards fall back to the backbone instead of the shard's
+    /// default.
     pub(crate) fn link(&self, src: NodeId, dst: NodeId) -> &LinkModel {
         self.links.get(&(src, dst)).unwrap_or(
             if self.local(src).is_none() || self.local(dst).is_none() {
-                &self.cross_default_link
+                &BACKBONE
             } else {
                 &self.default_link
             },
@@ -420,7 +410,7 @@ impl Shard {
         slot.up = false;
         slot.epoch = slot.epoch.wrapping_add(1);
         self.metrics.crashes += 1;
-        self.telemetry.metrics.incr("chaos.crash");
+        self.telemetry.metrics.counter_handle("chaos.crash").incr();
         let trace = self.telemetry.tracer.next_trace_id();
         self.telemetry.tracer.record(
             self.now.as_nanos(),
@@ -465,7 +455,7 @@ impl Shard {
     /// Counts a fault that belongs to no single node under `kind` and
     /// records it into this shard's trace stream.
     pub(crate) fn record_fault(&self, kind: &'static str, detail: fmt::Arguments<'_>) {
-        self.telemetry.metrics.incr(kind);
+        self.telemetry.metrics.counter_handle(kind).incr();
         let trace = self.telemetry.tracer.next_trace_id();
         self.telemetry
             .tracer
@@ -535,7 +525,10 @@ impl Shard {
                     slot.egress_free_at = now;
                     slot.ingress_free_at = now;
                     self.metrics.restarts += 1;
-                    self.telemetry.metrics.incr("chaos.restart");
+                    self.telemetry
+                        .metrics
+                        .counter_handle("chaos.restart")
+                        .incr();
                     let trace = self.telemetry.tracer.next_trace_id();
                     let i = self.local(id).expect("just matched");
                     self.telemetry.tracer.record(
@@ -879,10 +872,7 @@ mod tests {
     }
 
     fn ideal_sim() -> Shard {
-        Shard::new(SimConfig {
-            seed: 1,
-            default_link: LinkModel::ideal(),
-        })
+        Shard::new(1, LinkModel::ideal())
     }
 
     #[test]
@@ -911,13 +901,13 @@ mod tests {
 
     #[test]
     fn latency_delays_delivery() {
-        let mut sim = Shard::new(SimConfig {
-            seed: 2,
-            default_link: LinkModel::builder()
+        let mut sim = Shard::new(
+            2,
+            LinkModel::builder()
                 .latency(SimDuration::from_millis(10))
                 .bandwidth_bps(u64::MAX - 1)
                 .build(),
-        });
+        );
         let rx = sim.add_node("rx", Counter::default());
         let _tx = sim.add_node("tx", Sender { dst: rx, n: 1 });
         sim.run_until_idle(1000);
@@ -930,10 +920,7 @@ mod tests {
 
     #[test]
     fn lossy_link_drops() {
-        let mut sim = Shard::new(SimConfig {
-            seed: 3,
-            default_link: LinkModel::builder().loss(1.0).build(),
-        });
+        let mut sim = Shard::new(3, LinkModel::builder().loss(1.0).build());
         let rx = sim.add_node("rx", Counter::default());
         let tx = sim.add_node("tx", Sender { dst: rx, n: 4 });
         sim.run_until_idle(1000);
@@ -979,10 +966,7 @@ mod tests {
     #[test]
     fn identical_seeds_replay_identically() {
         let run = |seed| {
-            let mut sim = Shard::new(SimConfig {
-                seed,
-                default_link: wan(),
-            });
+            let mut sim = Shard::new(seed, wan());
             let rx = sim.add_node("rx", Counter::default());
             let _tx = sim.add_node("tx", Sender { dst: rx, n: 50 });
             sim.run_until_idle(10_000);
@@ -1064,13 +1048,13 @@ mod tests {
 
     #[test]
     fn packets_to_a_crashed_node_are_dropped() {
-        let mut sim = Shard::new(SimConfig {
-            seed: 5,
-            default_link: LinkModel::builder()
+        let mut sim = Shard::new(
+            5,
+            LinkModel::builder()
                 .latency(SimDuration::from_millis(10))
                 .bandwidth_bps(u64::MAX - 1)
                 .build(),
-        });
+        );
         let rx = sim.add_node("rx", Counter::default());
         let _tx = sim.add_node("tx", Sender { dst: rx, n: 3 });
         // Crash the receiver before the packets (in flight) arrive.
@@ -1083,13 +1067,13 @@ mod tests {
 
     #[test]
     fn restart_between_send_and_delivery_still_drops() {
-        let mut sim = Shard::new(SimConfig {
-            seed: 6,
-            default_link: LinkModel::builder()
+        let mut sim = Shard::new(
+            6,
+            LinkModel::builder()
                 .latency(SimDuration::from_secs(1))
                 .bandwidth_bps(u64::MAX - 1)
                 .build(),
-        });
+        );
         let rx = sim.add_node("rx", Counter::default());
         let _tx = sim.add_node("tx", Sender { dst: rx, n: 1 });
         sim.run_until(SimTime::from_nanos(1_000_000));
@@ -1194,10 +1178,7 @@ mod tests {
     #[test]
     fn nic_default_off_keeps_timing_identical() {
         let run = |nic: bool| {
-            let mut sim = Shard::new(SimConfig {
-                seed: 9,
-                default_link: wan(),
-            });
+            let mut sim = Shard::new(9, wan());
             let rx = sim.add_node("rx", Counter::default());
             let tx = sim.add_node("tx", Sender { dst: rx, n: 20 });
             if nic {
@@ -1220,13 +1201,13 @@ mod tests {
         // Ideal link with a fixed 10 ms latency: a 5× slow receiver
         // turns every delivery into 50 ms.
         let run = |factor: f64| {
-            let mut sim = Shard::new(SimConfig {
-                seed: 11,
-                default_link: LinkModel::builder()
+            let mut sim = Shard::new(
+                11,
+                LinkModel::builder()
                     .latency(SimDuration::from_millis(10))
                     .bandwidth_bps(u64::MAX - 1)
                     .build(),
-            });
+            );
             let rx = sim.add_node("rx", Counter::default());
             let _tx = sim.add_node("tx", Sender { dst: rx, n: 3 });
             sim.set_node_slowdown(rx, factor);
@@ -1251,10 +1232,7 @@ mod tests {
     #[test]
     fn slowdown_default_keeps_timing_identical() {
         let run = |touch: bool| {
-            let mut sim = Shard::new(SimConfig {
-                seed: 12,
-                default_link: wan(),
-            });
+            let mut sim = Shard::new(12, wan());
             let rx = sim.add_node("rx", Counter::default());
             let tx = sim.add_node("tx", Sender { dst: rx, n: 20 });
             if touch {
@@ -1321,10 +1299,7 @@ mod tests {
     #[test]
     fn crashes_replay_identically_under_a_seed() {
         let run = |seed| {
-            let mut sim = Shard::new(SimConfig {
-                seed,
-                default_link: wan(),
-            });
+            let mut sim = Shard::new(seed, wan());
             let rx = sim.add_node("rx", Counter::default());
             let _tx = sim.add_node("tx", Sender { dst: rx, n: 50 });
             sim.run_until(SimTime::from_nanos(5_000_000));

@@ -105,52 +105,43 @@ pub struct Bucket {
     pub count: u64,
 }
 
+/// Segment time-partition width: a day, ~1.4k points at the scenario's
+/// 60 s cadence, enough to amortize the block header and keep scans
+/// streaming instead of hopping tiny segments. Sealed segments never
+/// cross a partition boundary; compaction owns whole partitions.
+pub const PARTITION_MILLIS: i64 = 86_400_000;
+/// Rollup bucket widths materialized at compaction: 5 minutes and an
+/// hour, each dividing [`PARTITION_MILLIS`].
+pub const ROLLUP_LEVELS: [i64; 2] = [300_000, 3_600_000];
+
 /// Engine tuning knobs; the defaults suit district telemetry (points
 /// every few seconds to minutes per series).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TskvConfig {
-    /// Segment time-partition width. Sealed segments never cross a
-    /// partition boundary; compaction owns whole partitions.
-    pub partition_millis: i64,
     /// Head size (points per series) that triggers an inline seal of
     /// complete partitions on insert.
     pub seal_threshold: usize,
     /// WAL length that triggers an inline checkpoint (snapshot + WAL
     /// truncation) on insert.
     pub wal_checkpoint_records: usize,
-    /// Rollup bucket widths materialized at compaction; each must
-    /// divide `partition_millis`.
-    pub rollup_levels: Vec<i64>,
 }
 
 impl Default for TskvConfig {
     fn default() -> Self {
         TskvConfig {
-            // A day per segment: ~1.4k points at the scenario's 60 s
-            // cadence, enough to amortize the block header and keep
-            // scans streaming instead of hopping tiny segments.
-            partition_millis: 86_400_000,
             seal_threshold: 512,
             wal_checkpoint_records: 8192,
-            rollup_levels: vec![300_000, 3_600_000],
         }
     }
 }
 
 impl TskvConfig {
     fn validate(&self) {
-        assert!(self.partition_millis > 0, "partition must be positive");
         assert!(self.seal_threshold >= 2, "seal threshold must be >= 2");
         assert!(
             self.wal_checkpoint_records >= 1,
             "checkpoint threshold must be >= 1"
         );
-        for &level in &self.rollup_levels {
-            assert!(
-                level > 0 && self.partition_millis % level == 0,
-                "rollup level {level} must divide the partition"
-            );
-        }
     }
 }
 
@@ -313,8 +304,8 @@ impl TimeSeriesStore {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is inconsistent (non-positive
-    /// partition, rollup level not dividing the partition, ...).
+    /// Panics if the seal threshold is below 2 or the checkpoint
+    /// threshold is zero.
     pub fn with_config(config: TskvConfig) -> Self {
         config.validate();
         TimeSeriesStore {
@@ -380,16 +371,10 @@ impl TimeSeriesStore {
             v: value,
         });
         let threshold = self.config.seal_threshold;
-        let partition = self.config.partition_millis;
         let entry = &mut self.series[series.index()];
         entry.head.insert(timestamp_millis, value);
         if entry.head.len() >= threshold {
-            let sealed = seal_head(
-                entry,
-                &mut self.next_seq,
-                partition,
-                SealMode::Auto { threshold },
-            );
+            let sealed = seal_head(entry, &mut self.next_seq, SealMode::Auto { threshold });
             self.note_seals(sealed);
         }
         if let Some(metrics) = &self.metrics {
@@ -640,10 +625,9 @@ impl TimeSeriesStore {
     /// Queries are unaffected; used before measuring compression and by
     /// tests.
     pub fn seal_all(&mut self) {
-        let partition = self.config.partition_millis;
         let mut sealed = 0;
         for s in &mut self.series {
-            sealed += seal_head(s, &mut self.next_seq, partition, SealMode::All);
+            sealed += seal_head(s, &mut self.next_seq, SealMode::All);
         }
         self.note_seals(sealed);
         self.update_gauges();
@@ -654,14 +638,11 @@ impl TimeSeriesStore {
     /// and checkpoints when the WAL is long enough. Intended to run
     /// from a periodic node timer.
     pub fn maintain(&mut self) -> MaintenanceReport {
-        let partition = self.config.partition_millis;
-        let levels = std::mem::take(&mut self.config.rollup_levels);
         let mut report = MaintenanceReport::default();
         for s in &mut self.series {
-            report.sealed += seal_head(s, &mut self.next_seq, partition, SealMode::Cold);
-            report.compacted += compact_series(s, partition, &levels);
+            report.sealed += seal_head(s, &mut self.next_seq, SealMode::Cold);
+            report.compacted += compact_series(s);
         }
-        self.config.rollup_levels = levels;
         self.note_seals(report.sealed);
         if report.compacted > 0 {
             self.compactions += report.compacted as u64;
@@ -798,7 +779,7 @@ impl TimeSeriesStore {
 
 /// Seals head partitions of one series per `mode`; returns how many
 /// segments were created.
-fn seal_head(s: &mut Series, next_seq: &mut u64, partition_millis: i64, mode: SealMode) -> usize {
+fn seal_head(s: &mut Series, next_seq: &mut u64, mode: SealMode) -> usize {
     if s.head.is_empty() {
         return 0;
     }
@@ -806,11 +787,11 @@ fn seal_head(s: &mut Series, next_seq: &mut u64, partition_millis: i64, mode: Se
         .head
         .keys()
         .next_back()
-        .map(|&t| t.div_euclid(partition_millis))
+        .map(|&t| t.div_euclid(PARTITION_MILLIS))
         .expect("non-empty head");
     let mut groups: Vec<(i64, Vec<(i64, f64)>)> = Vec::new();
     for (&t, &v) in &s.head {
-        let pid = t.div_euclid(partition_millis);
+        let pid = t.div_euclid(PARTITION_MILLIS);
         match groups.last_mut() {
             Some((gp, pts)) if *gp == pid => pts.push((t, v)),
             _ => groups.push((pid, vec![(t, v)])),
@@ -843,7 +824,7 @@ fn seal_head(s: &mut Series, next_seq: &mut u64, partition_millis: i64, mode: Se
 /// lone segment that never got its rollups) is merged into a single
 /// compacted owner with materialized levels. Returns the number of
 /// partitions compacted.
-fn compact_series(s: &mut Series, partition_millis: i64, levels: &[i64]) -> usize {
+fn compact_series(s: &mut Series) -> usize {
     if s.segments.is_empty() {
         return 0;
     }
@@ -851,17 +832,17 @@ fn compact_series(s: &mut Series, partition_millis: i64, levels: &[i64]) -> usiz
     let mut compacted = 0;
     let mut i = 0;
     while i < segs.len() {
-        let pid = segs[i].min_t.div_euclid(partition_millis);
+        let pid = segs[i].min_t.div_euclid(PARTITION_MILLIS);
         let mut j = i + 1;
         // Segments never cross partitions and are sorted by min_t, so a
         // partition's segments are contiguous.
-        while j < segs.len() && segs[j].min_t.div_euclid(partition_millis) == pid {
+        while j < segs.len() && segs[j].min_t.div_euclid(PARTITION_MILLIS) == pid {
             j += 1;
         }
         let group = &segs[i..j];
         let span = pid
-            .checked_mul(partition_millis)
-            .and_then(|lo| lo.checked_add(partition_millis).map(|hi| (lo, hi)));
+            .checked_mul(PARTITION_MILLIS)
+            .and_then(|lo| lo.checked_add(PARTITION_MILLIS).map(|hi| (lo, hi)));
         let needs = match span {
             Some(_) => group.len() >= 2 || group[0].span.is_none(),
             // Partition bounds overflow i64 (extreme timestamps): only
@@ -885,10 +866,10 @@ fn compact_series(s: &mut Series, partition_millis: i64, levels: &[i64]) -> usiz
                 // Same point set: reuse the encoded bytes, add rollups.
                 let mut seg = group[0].clone();
                 seg.span = Some(span);
-                seg.levels = materialize(&points, levels);
+                seg.levels = materialize(&points, &ROLLUP_LEVELS);
                 seg
             }
-            Some(span) => Segment::seal_compacted(&points, seq, span, levels),
+            Some(span) => Segment::seal_compacted(&points, seq, span, &ROLLUP_LEVELS),
             None => Segment::seal(&points, seq),
         };
         s.segments.push(merged);
@@ -1202,16 +1183,19 @@ mod tests {
 
     fn small_config() -> TskvConfig {
         TskvConfig {
-            partition_millis: 100,
             seal_threshold: 8,
             wal_checkpoint_records: 1_000_000,
-            rollup_levels: vec![10, 50],
         }
     }
 
+    const HOUR: i64 = 3_600_000;
+
     #[test]
     fn sealing_is_invisible_to_queries() {
-        let points: Vec<(i64, f64)> = (0..300).map(|i| (i * 7 - 500, (i % 23) as f64)).collect();
+        // Seven hours apart: the points span some 87 partitions.
+        let points: Vec<(i64, f64)> = (0..300)
+            .map(|i| ((i * 7 - 500) * HOUR, (i % 23) as f64))
+            .collect();
         let mut sealed = TimeSeriesStore::with_config(small_config());
         let mut flat = TimeSeriesStore::new();
         for &(t, v) in &points {
@@ -1222,7 +1206,8 @@ mod tests {
         assert_eq!(sealed.stats().head_points, 0);
         assert!(sealed.stats().segments > 0);
         assert_eq!(sealed, flat, "sealed store equals flat store logically");
-        assert_eq!(sealed.range("s", -500, 2000), flat.range("s", -500, 2000));
+        let (from, to) = (-500 * HOUR, 2000 * HOUR);
+        assert_eq!(sealed.range("s", from, to), flat.range("s", from, to));
         assert_eq!(sealed.latest("s"), flat.latest("s"));
         assert_eq!(sealed.series_len("s"), 300);
     }
@@ -1231,8 +1216,10 @@ mod tests {
     fn maintain_compacts_and_answers_from_rollups() {
         let mut s = TimeSeriesStore::with_config(small_config());
         let mut flat = TimeSeriesStore::new();
-        for i in 0..400 {
-            let (t, v) = (i * 3, (i % 17) as f64);
+        // One point a minute for 100 hours.
+        let minute = 60_000;
+        for i in 0..6_000 {
+            let (t, v) = (i * minute, (i % 17) as f64);
             s.insert("s", t, v);
             flat.insert("s", t, v);
         }
@@ -1240,11 +1227,17 @@ mod tests {
         let report = s.maintain();
         assert!(report.compacted > 0);
         let st = s.stats();
-        // One compacted owner per partition: 400*3 ms over 100 ms partitions.
-        assert_eq!(st.segments, 12);
+        // One compacted owner per partition: 100 hours over 1-day partitions.
+        assert_eq!(st.segments, 5);
         assert!(st.compactions > 0);
         // Aligned queries hit materialized levels and match the flat fold.
-        for (from, to, bucket) in [(0, 1200, 10), (0, 1200, 50), (100, 600, 10), (30, 777, 10)] {
+        let [five, hour] = ROLLUP_LEVELS;
+        for (from, to, bucket) in [
+            (0, 100 * hour, five),
+            (0, 100 * hour, hour),
+            (PARTITION_MILLIS, 3 * PARTITION_MILLIS, five),
+            (7 * minute, 77 * hour, five),
+        ] {
             for agg in [
                 Aggregate::Mean,
                 Aggregate::Min,
@@ -1365,10 +1358,8 @@ mod tests {
     #[test]
     fn auto_seal_and_auto_checkpoint_bound_memory() {
         let config = TskvConfig {
-            partition_millis: 100,
             seal_threshold: 16,
             wal_checkpoint_records: 64,
-            rollup_levels: vec![10],
         };
         let mut s = TimeSeriesStore::with_config(config);
         for i in 0..1000 {

@@ -6,7 +6,7 @@ use simnet::rng::DeterministicRng;
 use storage::legacy::csv::CsvDocument;
 use storage::legacy::fixedwidth::{FieldSpec, RecordLayout};
 use storage::legacy::ini::IniDocument;
-use storage::tskv::{Aggregate, TimeSeriesStore, TskvConfig};
+use storage::tskv::{Aggregate, TimeSeriesStore, TskvConfig, PARTITION_MILLIS, ROLLUP_LEVELS};
 
 const CASES: usize = 256;
 
@@ -127,12 +127,14 @@ fn adversarial_value(rng: &mut DeterministicRng) -> f64 {
 /// shows up with few points.
 fn tiny_config() -> TskvConfig {
     TskvConfig {
-        partition_millis: 1_000,
         seal_threshold: 8,
         wal_checkpoint_records: 32,
-        rollup_levels: vec![100, 500],
     }
 }
+
+/// A thousandth of a partition: times drawn in these units over a few
+/// thousand of them cross a handful of partition boundaries.
+const TICK: i64 = PARTITION_MILLIS / 1_000;
 
 #[test]
 fn tskv_segment_scans_match_flat_reference() {
@@ -143,7 +145,7 @@ fn tskv_segment_scans_match_flat_reference() {
         let n = rng.next_range(1, 121);
         for _ in 0..n {
             // Negative timestamps and frequent duplicates (overwrites).
-            let t = rng.next_bounded(8_000) as i64 - 4_000;
+            let t = (rng.next_bounded(8_000) as i64 - 4_000) * TICK;
             let v = adversarial_value(&mut rng);
             store.insert("s", t, v);
             reference.insert(t, v);
@@ -180,8 +182,8 @@ fn tskv_segment_scans_match_flat_reference() {
             expect_bits(i64::MIN, i64::MAX)
         );
         for _ in 0..4 {
-            let from = rng.next_bounded(10_000) as i64 - 5_000;
-            let to = from + rng.next_bounded(3_000) as i64;
+            let from = (rng.next_bounded(10_000) as i64 - 5_000) * TICK;
+            let to = from + rng.next_bounded(3_000) as i64 * TICK;
             assert_eq!(bits(store.range("s", from, to)), expect_bits(from, to));
             let mut streamed = Vec::new();
             store.for_each_in("s", from, to, |t, v| streamed.push((t, v)));
@@ -267,8 +269,15 @@ fn tskv_downsample_agrees_between_sealed_and_head_only_stores() {
         // (default config, tiny data), i.e. the reference fold.
         let mut sealed = TimeSeriesStore::with_config(tiny_config());
         let mut flat = TimeSeriesStore::new();
+        let [five, hour] = ROLLUP_LEVELS;
         for _ in 0..rng.next_range(1, 150) {
-            let t = rng.next_bounded(6_000) as i64 - 3_000;
+            // Clustered into three 5-minute buckets of two hours on six
+            // days, so rollup buckets hold several points each.
+            let day = rng.next_bounded(6) as i64 - 3;
+            let t = day * PARTITION_MILLIS
+                + rng.next_bounded(2) as i64 * hour
+                + rng.next_bounded(3) as i64 * five
+                + rng.next_bounded(five as u64) as i64;
             let v = adversarial_value(&mut rng);
             sealed.insert("s", t, v);
             flat.insert("s", t, v);
@@ -278,13 +287,14 @@ fn tskv_downsample_agrees_between_sealed_and_head_only_stores() {
         for _ in 0..6 {
             // Half the queries are bucket-aligned so the materialized
             // fast path actually fires; the rest take the raw fold.
-            let bucket = [100, 500, rng.next_range(1, 2_000) as i64][rng.next_bounded(3) as usize];
+            let bucket = [five, hour, rng.next_range(1, 2 * hour as u64) as i64]
+                [rng.next_bounded(3) as usize];
             let from = if rng.next_bounded(2) == 0 {
                 (rng.next_bounded(80) as i64 - 40) * bucket
             } else {
-                rng.next_bounded(8_000) as i64 - 4_000
+                (rng.next_bounded(8_000) as i64 - 4_000) * TICK
             };
-            let to = from + rng.next_bounded(5_000) as i64;
+            let to = from + rng.next_bounded(5 * PARTITION_MILLIS as u64) as i64;
             let agg = [
                 Aggregate::Mean,
                 Aggregate::Min,

@@ -139,7 +139,7 @@ pub struct AggregatorConfig {
     pub master: NodeId,
     /// The middleware broker.
     pub broker: NodeId,
-    /// Window shape (tumbling by default).
+    /// Window size.
     pub window: WindowSpec,
     /// Lateness horizon: how long the watermark trails the newest
     /// event time, bounding out-of-order acceptance.
@@ -740,7 +740,10 @@ impl AggregatorNode {
         }
         self.op = op;
         self.stats.recovered += recovered;
-        ctx.telemetry().metrics.add("streams.recovered", recovered);
+        ctx.telemetry()
+            .metrics
+            .counter_handle("streams.recovered")
+            .add(recovered);
     }
 }
 
@@ -773,7 +776,10 @@ impl Node for AggregatorNode {
         self.master.reset();
         self.pubsub.reset();
         self.recover(ctx);
-        ctx.telemetry().metrics.incr("streams.restart");
+        ctx.telemetry()
+            .metrics
+            .counter_handle("streams.restart")
+            .incr();
         self.on_start(ctx);
     }
 
@@ -792,7 +798,10 @@ impl Node for AggregatorNode {
             }
             WS_PORT => match self.master.on_packet(ctx, &pkt) {
                 Some(MasterReply::Reregistered) => {
-                    ctx.telemetry().metrics.incr("streams.reregister");
+                    ctx.telemetry()
+                        .metrics
+                        .counter_handle("streams.reregister")
+                        .incr();
                 }
                 Some(MasterReply::Handled) => {}
                 None => {

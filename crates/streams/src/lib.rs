@@ -4,9 +4,9 @@
 //! down to single building"; this crate is the streaming tier that
 //! materializes those profiles instead of recomputing them per query:
 //!
-//! - [`window`] — event-time windowed operators: tumbling + sliding
-//!   windows, monotonic watermarks with a bounded lateness horizon,
-//!   bounded per-key state with shed accounting;
+//! - [`window`] — event-time windowed operators: tumbling windows,
+//!   monotonic watermarks with a bounded lateness horizon, bounded
+//!   per-key state with shed accounting;
 //! - `rollup` — the [`rollup::Rollup`] record shared by middleware
 //!   publications, Web-Service responses and clients;
 //! - [`aggregator`] — the [`aggregator::AggregatorNode`]: one per

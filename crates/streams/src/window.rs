@@ -18,8 +18,8 @@ use telemetry::{SpanId, TraceId, NO_SPAN, NO_TRACE};
 /// bound keeps per-window state O(1) under heavy traffic.
 pub(crate) const TRACE_CAP: usize = 32;
 
-/// Default cap on concurrently open `(window, key)` panes.
-pub(crate) const DEFAULT_MAX_OPEN: usize = 4096;
+/// Cap on concurrently open `(window, key)` panes.
+pub const MAX_OPEN: usize = 4096;
 
 /// A mergeable aggregate over one window's samples. Carrying the raw
 /// `count` and `sum` (not the mean) is what makes hierarchical rollups
@@ -98,11 +98,11 @@ impl Accumulator {
     }
 }
 
-/// Shape of the windows an operator assigns samples to.
+/// Shape of the windows an operator assigns samples to: tumbling,
+/// non-overlapping windows of one size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowSpec {
     size_millis: i64,
-    slide_millis: i64,
 }
 
 impl WindowSpec {
@@ -112,21 +112,8 @@ impl WindowSpec {
     ///
     /// Panics unless `size_millis > 0`.
     pub fn tumbling(size_millis: i64) -> Self {
-        WindowSpec::sliding(size_millis, size_millis)
-    }
-
-    /// Sliding windows of `size_millis` advancing by `slide_millis`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < slide_millis <= size_millis`.
-    pub fn sliding(size_millis: i64, slide_millis: i64) -> Self {
-        assert!(slide_millis > 0, "slide must be positive");
-        assert!(slide_millis <= size_millis, "slide must not exceed size");
-        WindowSpec {
-            size_millis,
-            slide_millis,
-        }
+        assert!(size_millis > 0, "window size must be positive");
+        WindowSpec { size_millis }
     }
 
     /// Window length in milliseconds.
@@ -139,16 +126,11 @@ impl WindowSpec {
         start + self.size_millis
     }
 
-    /// Starts of every window containing event time `t`, ascending.
-    /// Starts are aligned to multiples of the slide (epoch origin), so
-    /// independent operators agree on window boundaries.
-    pub(crate) fn window_starts(&self, t: i64) -> impl Iterator<Item = i64> {
-        let slide = self.slide_millis;
-        let newest = t.div_euclid(slide) * slide;
-        // A start `newest - k * slide` still covers `t` while its end,
-        // `size` later, lies beyond `t`.
-        let older = (self.size_millis - 1 - (t - newest)).div_euclid(slide);
-        (0..=older).rev().map(move |k| newest - k * slide)
+    /// Start of the window containing event time `t`. Starts are
+    /// aligned to multiples of the size (epoch origin), so independent
+    /// operators agree on window boundaries.
+    pub(crate) fn window_start(&self, t: i64) -> i64 {
+        t.div_euclid(self.size_millis) * self.size_millis
     }
 }
 
@@ -160,9 +142,9 @@ impl WindowSpec {
 pub struct WindowStats {
     /// Samples fed through [`WindowedAggregator::observe`].
     pub samples_in: u64,
-    /// Samples folded into at least one open pane.
+    /// Samples folded into an open pane.
     pub accepted: u64,
-    /// Samples behind the watermark whose windows had all closed.
+    /// Samples behind the watermark whose window had closed.
     pub late_dropped: u64,
     /// Samples refused because the open-pane cap was reached.
     pub shed: u64,
@@ -186,9 +168,9 @@ pub struct ClosedWindow<K> {
 /// What happened to one observed sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Observed {
-    /// Folded into at least one open pane.
+    /// Folded into an open pane.
     Accepted,
-    /// All its windows were already closed by the watermark.
+    /// Its window was already closed by the watermark.
     Late,
     /// Refused: opening a new pane would exceed the state bound.
     Shed,
@@ -206,7 +188,6 @@ pub struct WindowedAggregator<K> {
     lateness_millis: i64,
     watermark: i64,
     open: BTreeMap<(i64, K), Accumulator>,
-    max_open: usize,
     stats: WindowStats,
 }
 
@@ -224,21 +205,8 @@ impl<K: Ord + Clone> WindowedAggregator<K> {
             lateness_millis,
             watermark: i64::MIN,
             open: BTreeMap::new(),
-            max_open: DEFAULT_MAX_OPEN,
             stats: WindowStats::default(),
         }
-    }
-
-    /// Overrides the bound on concurrently open panes (default
-    /// `DEFAULT_MAX_OPEN`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_open` is zero.
-    pub fn with_max_open(mut self, max_open: usize) -> Self {
-        assert!(max_open > 0, "at least one pane must stay open");
-        self.max_open = max_open;
-        self
     }
 
     /// The current watermark (`i64::MIN` before any sample).
@@ -271,8 +239,9 @@ impl<K: Ord + Clone> WindowedAggregator<K> {
     }
 
     /// Feeds one sample, advancing the watermark first; returns what
-    /// happened to it. A maximally-recent sample is always accepted:
-    /// its newest window ends after the watermark by construction.
+    /// happened to it. A maximally-recent sample is accepted unless the
+    /// pane cap is reached: its window ends after the watermark by
+    /// construction.
     pub fn observe(&mut self, key: K, t: i64, value: f64, trace: TraceId) -> Observed {
         self.observe_spanned(key, t, value, trace, NO_SPAN)
     }
@@ -308,32 +277,21 @@ impl<K: Ord + Clone> WindowedAggregator<K> {
     }
 
     fn feed(&mut self, key: K, t: i64, value: f64, trace: TraceId, span: SpanId) -> Observed {
-        let mut accepted = false;
-        let mut shed = false;
-        for start in self.spec.window_starts(t) {
-            if self.spec.window_end(start) <= self.watermark {
-                continue; // this pane already closed
-            }
-            let slot = (start, key.clone());
-            if let Some(acc) = self.open.get_mut(&slot) {
-                acc.add_spanned(value, trace, span);
-                accepted = true;
-            } else if self.open.len() < self.max_open {
-                let mut acc = Accumulator::new();
-                acc.add_spanned(value, trace, span);
-                self.open.insert(slot, acc);
-                accepted = true;
-            } else {
-                shed = true;
-            }
+        let start = self.spec.window_start(t);
+        if self.spec.window_end(start) <= self.watermark {
+            return Observed::Late;
         }
-        if accepted {
-            Observed::Accepted
-        } else if shed {
-            Observed::Shed
+        let slot = (start, key);
+        if let Some(acc) = self.open.get_mut(&slot) {
+            acc.add_spanned(value, trace, span);
+        } else if self.open.len() < MAX_OPEN {
+            let mut acc = Accumulator::new();
+            acc.add_spanned(value, trace, span);
+            self.open.insert(slot, acc);
         } else {
-            Observed::Late
+            return Observed::Shed;
         }
+        Observed::Accepted
     }
 
     /// Drains every pane whose window end the watermark has passed, in
@@ -361,33 +319,13 @@ impl<K: Ord + Clone> WindowedAggregator<K> {
 mod tests {
     use super::*;
 
-    /// The collected form of [`WindowSpec::window_starts`].
-    fn windows_for(spec: &WindowSpec, t: i64) -> Vec<i64> {
-        spec.window_starts(t).collect()
-    }
-
     #[test]
     fn tumbling_window_assignment() {
         let spec = WindowSpec::tumbling(10);
-        assert_eq!(windows_for(&spec, 0), vec![0]);
-        assert_eq!(windows_for(&spec, 9), vec![0]);
-        assert_eq!(windows_for(&spec, 10), vec![10]);
-        assert_eq!(windows_for(&spec, -1), vec![-10], "euclidean alignment");
-        assert_eq!(spec.size_millis, spec.slide_millis);
-    }
-
-    #[test]
-    fn sliding_window_assignment() {
-        let spec = WindowSpec::sliding(30, 10);
-        assert_eq!(windows_for(&spec, 5), vec![-20, -10, 0]);
-        assert_eq!(windows_for(&spec, 29), vec![0, 10, 20]);
-        assert_ne!(spec.size_millis, spec.slide_millis);
-    }
-
-    #[test]
-    #[should_panic(expected = "slide must not exceed size")]
-    fn oversized_slide_rejected() {
-        WindowSpec::sliding(10, 20);
+        assert_eq!(spec.window_start(0), 0);
+        assert_eq!(spec.window_start(9), 0);
+        assert_eq!(spec.window_start(10), 10);
+        assert_eq!(spec.window_start(-1), -10, "euclidean alignment");
     }
 
     #[test]
@@ -421,14 +359,15 @@ mod tests {
 
     #[test]
     fn state_bound_sheds_new_panes() {
-        let mut op = WindowedAggregator::new(WindowSpec::tumbling(10), 1_000).with_max_open(2);
-        assert_eq!(op.observe("a", 0, 1.0, NO_TRACE), Observed::Accepted);
-        assert_eq!(op.observe("b", 0, 1.0, NO_TRACE), Observed::Accepted);
-        assert_eq!(op.observe("c", 0, 1.0, NO_TRACE), Observed::Shed);
+        let mut op = WindowedAggregator::new(WindowSpec::tumbling(10), 1_000);
+        for key in 0..MAX_OPEN {
+            assert_eq!(op.observe(key, 0, 1.0, NO_TRACE), Observed::Accepted);
+        }
+        assert_eq!(op.observe(MAX_OPEN, 0, 1.0, NO_TRACE), Observed::Shed);
         // Existing panes still accept.
-        assert_eq!(op.observe("a", 5, 1.0, NO_TRACE), Observed::Accepted);
+        assert_eq!(op.observe(0, 5, 1.0, NO_TRACE), Observed::Accepted);
         assert_eq!(op.stats().shed, 1);
-        assert_eq!(op.open_windows(), 2);
+        assert_eq!(op.open_windows(), MAX_OPEN);
     }
 
     #[test]

@@ -95,10 +95,10 @@ mod tests {
     #[test]
     fn exposition_renders_all_three_kinds() {
         let r = Registry::new();
-        r.add("pubsub.publish", 7);
-        r.set_gauge("streams.open_windows", 3.0);
+        r.counter_handle("pubsub.publish").add(7);
+        r.gauge_handle("streams.open_windows").set(3.0);
         for v in 1..=100 {
-            r.observe_ns("net.link_delay_ns", v * 1000);
+            r.histogram_handle("net.link_delay_ns").observe_ns(v * 1000);
         }
         let text = exposition(&r.snapshot());
         assert!(text.contains("# TYPE pubsub_publish counter\npubsub_publish 7\n"));
@@ -113,9 +113,9 @@ mod tests {
     fn exposition_is_name_sorted_and_deterministic() {
         let r = Registry::new();
         // Inserted out of order on purpose.
-        r.incr("zebra.count");
-        r.incr("alpha.count");
-        r.incr("middle.count");
+        r.counter_handle("zebra.count").incr();
+        r.counter_handle("alpha.count").incr();
+        r.counter_handle("middle.count").incr();
         let text = exposition(&r.snapshot());
         let alpha = text.find("alpha_count").unwrap();
         let middle = text.find("middle_count").unwrap();

@@ -76,22 +76,26 @@ impl Telemetry {
     /// silently losing events.
     pub(crate) fn refresh_ops_gauges(&self) {
         self.metrics
-            .set_gauge("trace.dropped", self.tracer.dropped() as f64);
+            .gauge_handle("trace.dropped")
+            .set(self.tracer.dropped() as f64);
         self.metrics
-            .set_gauge("trace.ring_len", self.tracer.len() as f64);
+            .gauge_handle("trace.ring_len")
+            .set(self.tracer.len() as f64);
     }
 
     /// Harvests trace-derived latencies, evaluates every registered SLO
     /// spec, publishes `slo.<name>.attainment` / `slo.<name>.burn`
     /// gauges, and returns the reports (name order).
     pub fn slo_refresh(&self) -> Vec<SloReport> {
-        self.slos.harvest(&self.tracer.events(), &self.metrics);
+        self.slos.harvest(&self.tracer, &self.metrics);
         let reports = self.slos.evaluate(&self.metrics);
         for r in &reports {
             self.metrics
-                .set_gauge(&format!("slo.{}.attainment", r.name), r.attainment);
+                .gauge_handle(&format!("slo.{}.attainment", r.name))
+                .set(r.attainment);
             self.metrics
-                .set_gauge(&format!("slo.{}.burn", r.name), r.burn);
+                .gauge_handle(&format!("slo.{}.burn", r.name))
+                .set(r.burn);
         }
         reports
     }
@@ -112,8 +116,8 @@ mod tests {
     fn telemetry_clones_share_state() {
         let t = Telemetry::new();
         let t2 = t.clone();
-        t.metrics.incr("a");
-        t2.metrics.incr("a");
+        t.metrics.counter_handle("a").incr();
+        t2.metrics.counter_handle("a").incr();
         assert_eq!(t.metrics.counter("a"), 2);
 
         let id = t.tracer.next_trace_id();

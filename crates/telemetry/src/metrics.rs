@@ -8,14 +8,13 @@
 //! how many values are recorded, and quantiles are answered with a
 //! bounded relative error of at most `1/16 ≈ 6.25%` of the value.
 //!
-//! Every series lives in one shared slot of atomics. Per-message code
-//! resolves a [`CounterHandle`] / [`GaugeHandle`] / [`HistogramHandle`]
-//! once ([`Registry::counter_handle`] and friends) and writes through
-//! it: no lock, no allocation, no string comparison. The by-name calls
-//! ([`Registry::add`], [`Registry::set_gauge`], [`Registry::observe`])
-//! resolve and then write through the same handle, so they are for
-//! cold paths and tests. A series appears in [`Registry::snapshot`] at
-//! its first *write*, not when a handle to it is resolved.
+//! Every series lives in one shared slot of atomics, and every write
+//! goes through a [`CounterHandle`] / [`GaugeHandle`] /
+//! [`HistogramHandle`] resolved by name ([`Registry::counter_handle`]
+//! and friends): no lock, no allocation, no string comparison. Hot
+//! paths resolve once and keep the handle; cold paths resolve at the
+//! write. A series appears in [`Registry::snapshot`] at its first
+//! *write*, not when a handle to it is resolved.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -411,16 +410,6 @@ impl Registry {
         resolve(&mut self.names().histograms, name)
     }
 
-    /// Adds 1 to a counter, creating it at zero if absent.
-    pub fn incr(&self, name: &str) {
-        self.add(name, 1);
-    }
-
-    /// Adds `n` to a counter.
-    pub fn add(&self, name: &str, n: u64) {
-        self.counter_handle(name).add(n);
-    }
-
     /// Current counter value (0 if never touched).
     pub fn counter(&self, name: &str) -> u64 {
         self.names()
@@ -430,11 +419,6 @@ impl Registry {
             .unwrap_or(0)
     }
 
-    /// Sets a gauge to an absolute value.
-    pub fn set_gauge(&self, name: &str, v: f64) {
-        self.gauge_handle(name).set(v);
-    }
-
     /// Current gauge value (0.0 if never set).
     pub fn gauge(&self, name: &str) -> f64 {
         self.names()
@@ -442,16 +426,6 @@ impl Registry {
             .get(name)
             .and_then(GaugeHandle::read)
             .unwrap_or(0.0)
-    }
-
-    /// Records a sample into a named histogram.
-    pub fn observe(&self, name: &str, v: f64) {
-        self.histogram_handle(name).observe(v);
-    }
-
-    /// Convenience for duration observations in nanoseconds.
-    pub fn observe_ns(&self, name: &str, ns: u64) {
-        self.observe(name, ns as f64);
     }
 
     /// Snapshot of one histogram, if it exists.
@@ -694,9 +668,9 @@ mod tests {
     #[test]
     fn registry_counters_and_gauges() {
         let r = Registry::new();
-        r.incr("a");
-        r.add("a", 4);
-        r.set_gauge("g", 2.5);
+        r.counter_handle("a").incr();
+        r.counter_handle("a").add(4);
+        r.gauge_handle("g").set(2.5);
         assert_eq!(r.counter("a"), 5);
         assert_eq!(r.counter("missing"), 0);
         assert_eq!(r.gauge("g"), 2.5);
@@ -725,7 +699,7 @@ mod tests {
     fn registry_histograms() {
         let r = Registry::new();
         for i in 0..100 {
-            r.observe("h", i as f64);
+            r.histogram_handle("h").observe(i as f64);
         }
         let s = r.histogram("h").unwrap();
         assert_eq!(s.count, 100);

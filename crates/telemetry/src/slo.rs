@@ -13,8 +13,9 @@
 //! harvest names a
 //! `(from_kind, to_kind)` pair of hop kinds and, for every traced
 //! flight that visits both, records the first-to-last latency between
-//! them. Each trace is harvested once (the ring retains events across
-//! refreshes; the harvest deduplicates by trace id).
+//! them. Each trace is harvested once: the ring retains events across
+//! refreshes, so the harvest remembers the ids it took while any of
+//! their events is still in the ring.
 //!
 //! Error-budget **burn** is the fraction of the allowed failure budget
 //! already spent: with objective 0.99, 1% of samples may miss the
@@ -25,7 +26,7 @@
 
 use crate::flight::reconstruct;
 use crate::metrics::Registry;
-use crate::trace::{TraceEvent, TraceId};
+use crate::trace::{TraceId, Tracer};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
@@ -120,19 +121,25 @@ impl SloTracker {
         self.inner.lock().unwrap().specs.clone()
     }
 
-    /// Runs every harvest over the given trace events, observing
+    /// Runs every harvest over the ring's trace events, observing
     /// newly-completed flights into their registry histograms. Returns
-    /// the number of new samples recorded.
-    pub(crate) fn harvest(&self, events: &[TraceEvent], registry: &Registry) -> usize {
+    /// the number of new samples recorded. The ring is exported only
+    /// when a harvest is registered.
+    pub(crate) fn harvest(&self, tracer: &Tracer, registry: &Registry) -> usize {
         let mut g = self.inner.lock().unwrap();
         if g.harvests.is_empty() {
             return 0;
         }
-        let paths = reconstruct(events);
+        let paths = reconstruct(&tracer.events());
         let mut recorded = 0;
         for h in &mut g.harvests {
+            let histogram = registry.histogram_handle(&h.histogram);
+            // A trace with no event left in the ring cannot be yielded
+            // again, so `seen` keeps only the harvested ids still in it.
+            let mut seen = BTreeSet::new();
             for p in &paths {
                 if h.seen.contains(&p.trace_id) {
+                    seen.insert(p.trace_id);
                     continue;
                 }
                 let from = p.hops.iter().find(|hop| hop.kind == h.from_kind);
@@ -143,10 +150,11 @@ impl SloTracker {
                     .rev()
                     .find(|hop| hop.kind == h.to_kind && hop.time_ns >= from.time_ns);
                 let Some(to) = to else { continue };
-                registry.observe_ns(&h.histogram, to.time_ns - from.time_ns);
-                h.seen.insert(p.trace_id);
+                histogram.observe_ns(to.time_ns - from.time_ns);
+                seen.insert(p.trace_id);
                 recorded += 1;
             }
+            h.seen = seen;
         }
         recorded
     }
@@ -215,10 +223,10 @@ mod tests {
         let r = Registry::new();
         // 98 fast samples, 2 slow: attainment at 1 ms is 0.98.
         for _ in 0..98 {
-            r.observe_ns("lat", 100_000);
+            r.histogram_handle("lat").observe_ns(100_000);
         }
         for _ in 0..2 {
-            r.observe_ns("lat", 50_000_000);
+            r.histogram_handle("lat").observe_ns(50_000_000);
         }
         let t = SloTracker::default();
         t.add_spec(spec("fast_enough", "lat", 1_000_000.0, 0.99));
@@ -236,7 +244,7 @@ mod tests {
     fn met_objective_has_sub_unit_burn() {
         let r = Registry::new();
         for _ in 0..1000 {
-            r.observe_ns("lat", 100);
+            r.histogram_handle("lat").observe_ns(100);
         }
         let t = SloTracker::default();
         t.add_spec(spec("ok", "lat", 1_000_000.0, 0.99));
@@ -279,14 +287,40 @@ mod tests {
         let r = Registry::new();
         let t = SloTracker::default();
         t.add_harvest("e2e", "broker.publish", "sub.receive");
-        assert_eq!(t.harvest(&tracer.events(), &r), 1);
+        assert_eq!(t.harvest(&tracer, &r), 1);
         // Last matching to-hop wins: 9_000 - 1_000.
         let h = r.histogram("e2e").unwrap();
         assert_eq!(h.count, 1);
         assert_eq!(h.max, 8_000.0);
         // Re-harvesting the same ring records nothing new.
-        assert_eq!(t.harvest(&tracer.events(), &r), 0);
+        assert_eq!(t.harvest(&tracer, &r), 0);
         assert_eq!(r.histogram("e2e").unwrap().count, 1);
+    }
+
+    #[test]
+    fn harvest_over_a_wrapping_ring_keeps_seen_bounded_and_counts_once() {
+        let tracer = Tracer::new();
+        tracer.set_capacity(64);
+        let r = Registry::new();
+        let t = SloTracker::default();
+        t.add_harvest("e2e", "broker.publish", "sub.receive");
+        let mut flights = 0;
+        for round in 0..50u64 {
+            // 16 flights, 32 events: the ring holds the last two rounds.
+            for _ in 0..16 {
+                let id = tracer.next_trace_id();
+                let at = round * 1_000 + id;
+                tracer.record(at, 1, "broker.publish", id, format_args!(""));
+                tracer.record(at + 5, 2, "sub.receive", id, format_args!(""));
+                flights += 1;
+            }
+            assert_eq!(t.harvest(&tracer, &r), 16, "round {round}");
+            assert_eq!(t.harvest(&tracer, &r), 0, "round {round}");
+            let seen = t.inner.lock().unwrap().harvests[0].seen.len();
+            assert!(seen <= 64, "round {round}: {seen} ids kept");
+        }
+        assert!(tracer.dropped() > 0, "ring has not wrapped");
+        assert_eq!(r.histogram("e2e").unwrap().count, flights);
     }
 
     #[test]
@@ -297,7 +331,7 @@ mod tests {
         let r = Registry::new();
         let t = SloTracker::default();
         t.add_harvest("e2e", "broker.publish", "sub.receive");
-        assert_eq!(t.harvest(&tracer.events(), &r), 0);
+        assert_eq!(t.harvest(&tracer, &r), 0);
         assert!(r.histogram("e2e").is_none());
     }
 }

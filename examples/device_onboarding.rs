@@ -102,8 +102,7 @@ fn main() {
                 device: DeviceId::new("th-sensor").expect("valid id"),
                 primary_quantity: QuantityKind::Temperature,
                 master,
-                broker: Some(broker),
-                device_node: None,
+                broker,
                 poll_interval: None,
                 retention: None,
                 location: None,
@@ -193,8 +192,7 @@ fn main() {
                 device: DeviceId::new("rocker").expect("valid id"),
                 primary_quantity: QuantityKind::SwitchState,
                 master,
-                broker: Some(broker),
-                device_node: None,
+                broker,
                 poll_interval: None,
                 retention: None,
                 location: None,

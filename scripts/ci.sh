@@ -42,12 +42,10 @@ echo "== metric-name lint (docs/metrics.txt)"
 # Static metric names used in crates/*/src (test mods stripped — the
 # lint above holds them to the tail of a file) must match the
 # checked-in inventory exactly, both ways: no ad-hoc names in code, no
-# stale names in the inventory. A name is used where it is resolved to
-# a handle (`.counter_handle("..")`, `.gauge_handle`,
-# `.histogram_handle`) or written by name (`.incr("..")`, `.add`,
-# `.set_gauge`, `.observe`, `.observe_ns`). Dynamic label/SLO families
-# are documented as comments in the inventory and invisible to this
-# grep.
+# stale names in the inventory. Every write goes through a handle, so a
+# name is used where it is resolved (`.counter_handle("..")`,
+# `.gauge_handle`, `.histogram_handle`). Dynamic label/SLO families are
+# documented as comments in the inventory and invisible to this grep.
 used="$(mktemp)"
 listed="$(mktemp)"
 e13a="$(mktemp)"
@@ -56,7 +54,7 @@ trap 'rm -f "$used" "$listed" "$e13a" "$e13b"' EXIT
 for f in $(find crates -path '*/src/*.rs' | sort); do
     awk '/#\[cfg\(test\)\]/{exit} {print}' "$f"
 done | tr '\n' ' ' \
-    | grep -oE '\.(counter_handle|gauge_handle|histogram_handle|incr|add|set_gauge|observe|observe_ns)\(([^"();]{0,40},)?[[:space:]]*"[^"]+"' \
+    | grep -oE '\.(counter_handle|gauge_handle|histogram_handle)\([[:space:]]*"[^"]+"' \
     | sed -E 's/.*"([^"]+)"$/\1/' | sort -u > "$used"
 grep -v '^#' docs/metrics.txt | grep -v '^$' | sort -u > "$listed"
 if ! diff -u "$listed" "$used"; then

@@ -203,8 +203,7 @@ fn one_sample_stays_within_its_budget_at_every_hop() {
                 device: dev.device.clone(),
                 primary_quantity: dev.quantity,
                 master,
-                broker: Some(broker),
-                device_node: None,
+                broker,
                 poll_interval: None,
                 retention: None,
                 location: None,

@@ -264,10 +264,7 @@ fn exported_telemetry_matches_golden_digests() {
     const TRACE_JSON_LINES_FNV: u64 = 0x11ed_f45b_3d42_154c;
     const TRACE_DROPPED: u64 = 11_901;
 
-    let mut sim = Simulator::new(SimConfig {
-        seed: 0x601D,
-        ..SimConfig::default()
-    });
+    let mut sim = Simulator::new(SimConfig { seed: 0x601D });
     let mut config = ScenarioConfig::small()
         .with_districts(3)
         .with_federation(FederationSpec::sharded(3))

@@ -21,10 +21,7 @@ fn seed(base: u64) -> u64 {
 }
 
 fn sim_with_seed(base: u64) -> Simulator {
-    Simulator::new(SimConfig {
-        seed: seed(base),
-        ..SimConfig::default()
-    })
+    Simulator::new(SimConfig { seed: seed(base) })
 }
 
 #[test]
@@ -32,15 +29,21 @@ fn lossy_network_still_converges() {
     // 5% packet loss everywhere: registrations and WS requests retry,
     // the system still assembles and answers.
     let scenario = ScenarioConfig::small().build();
-    let mut sim = Simulator::new(SimConfig {
-        seed: seed(99),
-        default_link: LinkModel::builder()
-            .latency(SimDuration::from_millis(5))
-            .bandwidth_bps(10_000_000)
-            .loss(0.05)
-            .build(),
-    });
+    let mut sim = sim_with_seed(99);
     let deployment = Deployment::build(&mut sim, &scenario);
+    let lossy = LinkModel::builder()
+        .latency(SimDuration::from_millis(5))
+        .bandwidth_bps(10_000_000)
+        .loss(0.05)
+        .build();
+    // Every pair, the client spawned below included.
+    let nodes = sim.node_count() + 1;
+    for a in 0..nodes {
+        for b in a + 1..nodes {
+            let (a, b) = (NodeId::from_index(a), NodeId::from_index(b));
+            sim.set_link(a, b, lossy.clone());
+        }
+    }
     sim.run_for(SimDuration::from_secs(900));
 
     let master = sim.node_ref::<MasterNode>(deployment.master).unwrap();
@@ -147,8 +150,7 @@ fn late_proxy_joins_running_system() {
                 device: DeviceId::new("late-device").unwrap(),
                 primary_quantity: QuantityKind::Co2,
                 master: deployment.master,
-                broker: Some(deployment.broker),
-                device_node: None,
+                broker: deployment.broker,
                 poll_interval: None,
                 retention: None,
                 location: Some(scenario.districts[0].buildings[0].location),

@@ -73,7 +73,6 @@ fn seeded_sim(base: u64) -> Simulator {
         .unwrap_or(0);
     Simulator::new(SimConfig {
         seed: base + offset,
-        ..SimConfig::default()
     })
 }
 

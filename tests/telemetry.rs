@@ -1,7 +1,7 @@
 //! End-to-end telemetry: flight-recorder traces across the full stack,
 //! bounded-histogram accuracy against exact sorted quantiles, and the
-//! cost contract of the write path — by-handle metric writes, trace
-//! records and untraced hops allocate nothing.
+//! cost contract of the write path — metric writes, trace records,
+//! untraced hops and a harvest-free SLO refresh allocate nothing.
 //!
 //! This file is its own test binary, so it can install a counting
 //! `#[global_allocator]` without touching any other suite.
@@ -15,9 +15,7 @@ use simnet::rng::DeterministicRng;
 use simnet::telemetry::flight::reconstruct;
 use simnet::telemetry::metrics::Histogram;
 use simnet::telemetry::trace::INLINE_DETAIL_BYTES;
-use simnet::telemetry::{
-    exposition, CounterHandle, GaugeHandle, HistogramHandle, Registry, Tracer, NO_SPAN, NO_TRACE,
-};
+use simnet::telemetry::{exposition, Registry, Telemetry, Tracer, NO_SPAN, NO_TRACE};
 use simnet::{Context, Node, Packet, SimConfig, SimDuration, Simulator, TimerTag};
 
 #[path = "support/counting_alloc.rs"]
@@ -147,18 +145,15 @@ fn histogram_quantiles_track_exact_summary() {
 const WRITES: u64 = 10_000;
 
 #[test]
-fn by_handle_and_existing_by_name_metric_writes_allocate_nothing() {
+fn by_handle_metric_writes_allocate_nothing() {
     let registry = Registry::new();
     let counter = registry.counter_handle("t.counter");
     let gauge = registry.gauge_handle("t.gauge");
     let histogram = registry.histogram_handle("t.histogram");
-    // Warm-up: the first write of each kind, and the by-name series.
+    // Warm-up: the first write of each kind.
     counter.incr();
     gauge.set(1.0);
     histogram.observe(1.0);
-    registry.incr("t.by_name");
-    registry.set_gauge("t.by_name", 1.0);
-    registry.observe("t.by_name", 1.0);
 
     let ((), by_handle) = allocations_in(|| {
         for i in 0..WRITES {
@@ -169,22 +164,29 @@ fn by_handle_and_existing_by_name_metric_writes_allocate_nothing() {
     });
     assert_eq!(by_handle, 0, "by-handle writes allocated");
 
-    let ((), by_name) = allocations_in(|| {
-        for i in 0..WRITES {
-            registry.add("t.by_name", i);
-            registry.set_gauge("t.by_name", i as f64);
-            registry.observe_ns("t.by_name", i * 997);
-        }
-    });
-    assert_eq!(by_name, 0, "by-name writes to existing series allocated");
-
     let sum: u64 = (0..WRITES).sum();
     assert_eq!(registry.counter("t.counter"), 1 + sum);
-    assert_eq!(registry.counter("t.by_name"), 1 + sum);
     assert_eq!(registry.gauge("t.gauge"), (WRITES - 1) as f64);
     let h = registry.histogram("t.histogram").expect("written");
     assert_eq!(h.count, 1 + WRITES);
-    assert_eq!(registry.histogram("t.by_name"), Some(h));
+}
+
+#[test]
+fn slo_refresh_without_a_harvest_allocates_nothing() {
+    let telemetry = Telemetry::new();
+    let trace = telemetry.tracer.next_trace_id();
+    for i in 0..2 * 65_536 {
+        telemetry
+            .tracer
+            .record(i, 1, "broker.publish", trace, format_args!("n{i}"));
+    }
+    assert!(telemetry.tracer.dropped() > 0, "ring has not wrapped");
+    let (reports, allocations) = allocations_in(|| telemetry.slo_refresh());
+    assert!(reports.is_empty());
+    assert_eq!(
+        allocations, 0,
+        "slo_refresh exported the ring for no harvest"
+    );
 }
 
 #[test]
@@ -279,20 +281,6 @@ fn hops_allocate_nothing_and_untraced_hops_format_nothing() {
     assert!(events.iter().all(|e| e.kind == "probe.traced"));
 }
 
-/// One registry write; `name` indexes [`NAMES`].
-#[derive(Clone, Copy)]
-enum Write {
-    Add(usize, u64),
-    Set(usize, f64),
-    Observe(usize, f64),
-}
-
-type Handles = (
-    [CounterHandle; NAMES.len()],
-    [GaugeHandle; NAMES.len()],
-    [HistogramHandle; NAMES.len()],
-);
-
 /// Global names next to their broker-label twins, plus one that sorts
 /// between them, so the name-ordered output interleaves the families.
 const NAMES: [&str; 6] = [
@@ -305,75 +293,40 @@ const NAMES: [&str; 6] = [
 ];
 
 #[test]
-fn by_name_and_by_handle_writes_are_indistinguishable() {
+fn resolved_but_unwritten_series_stay_out_of_snapshots() {
     for seed in 0..8u64 {
         let mut rng = DeterministicRng::seed_from(0x5A3E_0000 + seed);
-        let writes: Vec<Write> = (0..2_000)
-            .map(|_| {
-                // The last name is left out on odd seeds: resolved (on
-                // the handle side) but never written.
-                let name = rng.next_bounded(NAMES.len() as u64 - seed % 2) as usize;
-                match rng.next_bounded(3) {
-                    0 => Write::Add(name, rng.next_bounded(4)), // add(0) included
-                    1 => Write::Set(name, rng.next_f64_range(-10.0, 1e6)),
-                    _ => Write::Observe(name, rng.next_f64() * 1e9),
-                }
-            })
-            .collect();
-
-        let by_name = Registry::new();
-        let by_handle = Registry::new();
-        let mixed = Registry::new();
-        let resolve = |r: &Registry| -> Handles {
-            (
-                NAMES.map(|n| r.counter_handle(n)),
-                NAMES.map(|n| r.gauge_handle(n)),
-                NAMES.map(|n| r.histogram_handle(n)),
-            )
-        };
-        let handles = resolve(&by_handle);
-        let mixed_handles = resolve(&mixed);
-        for &w in &writes {
-            let write_by_name = |r: &Registry| match w {
-                Write::Add(n, v) => r.add(NAMES[n], v),
-                Write::Set(n, v) => r.set_gauge(NAMES[n], v),
-                Write::Observe(n, v) => r.observe(NAMES[n], v),
-            };
-            let write_by_handle = |(c, g, h): &Handles| match w {
-                Write::Add(n, v) => c[n].add(v),
-                Write::Set(n, v) => g[n].set(v),
-                Write::Observe(n, v) => h[n].observe(v),
-            };
-            write_by_name(&by_name);
-            write_by_handle(&handles);
-            if rng.chance(0.5) {
-                write_by_name(&mixed);
-            } else {
-                write_by_handle(&mixed_handles);
+        let registry = Registry::new();
+        let counters = NAMES.map(|n| registry.counter_handle(n));
+        let gauges = NAMES.map(|n| registry.gauge_handle(n));
+        let histograms = NAMES.map(|n| registry.histogram_handle(n));
+        // Every name is resolved; the last is never written.
+        for _ in 0..2_000 {
+            let n = rng.next_bounded(NAMES.len() as u64 - 1) as usize;
+            match rng.next_bounded(3) {
+                0 => counters[n].add(rng.next_bounded(4)), // add(0) included
+                1 => gauges[n].set(rng.next_f64_range(-10.0, 1e6)),
+                _ => histograms[n].observe(rng.next_f64() * 1e9),
             }
         }
-
-        let expected = by_name.snapshot();
-        for (label, other) in [("by-handle", &by_handle), ("mixed", &mixed)] {
-            let got = other.snapshot();
-            assert_eq!(got.counters, expected.counters, "{label}, seed {seed}");
-            assert_eq!(got.gauges, expected.gauges, "{label}, seed {seed}");
-            assert_eq!(got.histograms, expected.histograms, "{label}, seed {seed}");
-            assert_eq!(
-                exposition(&got),
-                exposition(&expected),
-                "{label}, seed {seed}"
-            );
+        let snapshot = registry.snapshot();
+        let names = snapshot
+            .counters
+            .iter()
+            .map(|(n, _)| n)
+            .chain(snapshot.gauges.iter().map(|(n, _)| n))
+            .chain(snapshot.histograms.iter().map(|(n, _)| n));
+        for name in names {
+            assert_ne!(name, "net.wire_bytes", "seed {seed}");
         }
-        if seed % 2 == 1 {
-            let text = exposition(&by_handle.snapshot());
-            assert!(
-                !text.contains("net_wire_bytes"),
-                "a resolved but unwritten series was exposed"
-            );
-            assert_eq!(by_handle.histogram("net.wire_bytes"), None);
-            assert_eq!(by_handle.counter("net.wire_bytes"), 0);
-        }
+        let text = exposition(&snapshot);
+        assert!(text.contains("pubsub_publish"), "seed {seed}");
+        assert!(
+            !text.contains("net_wire_bytes"),
+            "a resolved but unwritten series was exposed, seed {seed}"
+        );
+        assert_eq!(registry.histogram("net.wire_bytes"), None);
+        assert_eq!(registry.counter("net.wire_bytes"), 0);
     }
 }
 
