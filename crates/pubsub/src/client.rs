@@ -402,19 +402,15 @@ mod tests {
         TopicFilter::new(s).unwrap()
     }
 
-    /// A broker whose links to the next 31 nodes follow `link`.
-    fn build(link: LinkModel) -> (Simulator, simnet::NodeId) {
+    fn build() -> (Simulator, simnet::NodeId) {
         let mut sim = Simulator::new(SimConfig { seed: 42 });
         let broker = sim.add_node("broker", BrokerNode::new());
-        for client in 1..32 {
-            sim.set_link(broker, simnet::NodeId::from_index(client), link.clone());
-        }
         (sim, broker)
     }
 
     #[test]
     fn publish_reaches_matching_subscribers() {
-        let (mut sim, broker) = build(LinkModel::lan());
+        let (mut sim, broker) = build();
         let sub_a = sim.add_node(
             "sub_a",
             Subscriber {
@@ -463,7 +459,7 @@ mod tests {
 
     #[test]
     fn qos1_publish_is_acked() {
-        let (mut sim, broker) = build(LinkModel::lan());
+        let (mut sim, broker) = build();
         let p = sim.add_node(
             "pub",
             Publisher {
@@ -485,7 +481,8 @@ mod tests {
     #[test]
     fn qos1_delivery_retries_on_loss() {
         // 70% loss: retries push through eventually (or drop after 3).
-        let (mut sim, broker) = build(LinkModel::builder().loss(0.5).build());
+        let (mut sim, broker) = build();
+        let lossy = LinkModel::builder().loss(0.5).build();
         let s = sim.add_node(
             "sub",
             Subscriber {
@@ -495,9 +492,10 @@ mod tests {
                 messages: vec![],
             },
         );
+        sim.set_link(broker, s, lossy.clone());
         sim.run_for(SimDuration::from_millis(100));
         for i in 0..20 {
-            sim.add_node(
+            let p = sim.add_node(
                 format!("pub{i}"),
                 Publisher {
                     client: PubSubClient::new(broker, 100),
@@ -509,6 +507,7 @@ mod tests {
                     timeouts: vec![],
                 },
             );
+            sim.set_link(broker, p, lossy.clone());
         }
         sim.run_for(SimDuration::from_secs(60));
         let stats = sim.node_ref::<BrokerNode>(broker).unwrap().stats();
@@ -529,7 +528,7 @@ mod tests {
 
     #[test]
     fn retained_message_reaches_late_subscriber() {
-        let (mut sim, broker) = build(LinkModel::lan());
+        let (mut sim, broker) = build();
         let _pub = sim.add_node(
             "pub",
             Publisher {
@@ -565,7 +564,7 @@ mod tests {
 
     #[test]
     fn empty_retained_payload_clears() {
-        let (mut sim, broker) = build(LinkModel::lan());
+        let (mut sim, broker) = build();
         sim.add_node(
             "pub1",
             Publisher {
@@ -636,7 +635,7 @@ mod tests {
                 }
             }
         }
-        let (mut sim, broker) = build(LinkModel::lan());
+        let (mut sim, broker) = build();
         let s = sim.add_node(
             "fickle",
             FickleSubscriber {
@@ -689,7 +688,7 @@ mod tests {
 
     #[test]
     fn keepalive_detects_broker_restart_and_resubscribes() {
-        let (mut sim, broker) = build(LinkModel::lan());
+        let (mut sim, broker) = build();
         let s = sim.add_node(
             "sub",
             ResumingSubscriber {
@@ -750,8 +749,9 @@ mod tests {
     fn qos1_accounting_is_conserved_across_a_broker_restart() {
         // Lossy link + broker restart mid-stream: every QoS 1 delivery the
         // broker enqueued must end up acked, dropped, or still pending.
-        let (mut sim, broker) = build(LinkModel::builder().loss(0.3).build());
-        sim.add_node(
+        let (mut sim, broker) = build();
+        let lossy = LinkModel::builder().loss(0.3).build();
+        let s = sim.add_node(
             "sub",
             ResumingSubscriber {
                 client: PubSubClient::new(broker, 100),
@@ -760,9 +760,10 @@ mod tests {
                 restarts_seen: 0,
             },
         );
+        sim.set_link(broker, s, lossy.clone());
         sim.run_for(SimDuration::from_secs(2));
         for i in 0..10 {
-            sim.add_node(
+            let p = sim.add_node(
                 format!("pub{i}"),
                 Publisher {
                     client: PubSubClient::new(broker, 100),
@@ -774,6 +775,7 @@ mod tests {
                     timeouts: vec![],
                 },
             );
+            sim.set_link(broker, p, lossy.clone());
         }
         sim.run_for(SimDuration::from_secs(3));
         sim.crash(broker);
@@ -830,7 +832,7 @@ mod tests {
             fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: NetPacket) {}
         }
         let capacity = DEFAULT_PENDING_CAPACITY as u64;
-        let (mut sim, broker) = build(LinkModel::lan());
+        let (mut sim, broker) = build();
         sim.add_node("mute", MuteSubscriber { broker });
         sim.run_for(SimDuration::from_millis(100));
         // Both bursts land before the first redelivery timeout (2 s).
@@ -869,7 +871,7 @@ mod tests {
             }
             fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: NetPacket) {}
         }
-        let (mut sim, broker) = build(LinkModel::lan());
+        let (mut sim, broker) = build();
         sim.add_node("garbler", Garbler { broker });
         sim.run_for(SimDuration::from_secs(1));
         let stats = sim.node_ref::<BrokerNode>(broker).unwrap().stats();

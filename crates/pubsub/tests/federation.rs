@@ -15,16 +15,11 @@ const TAG_PUBLISH: u64 = 1;
 const TAG_SUBSCRIBE: u64 = 2;
 const TAG_UNSUBSCRIBE: u64 = 3;
 
-/// A simulator whose first 16 nodes talk over ideal links.
-fn ideal_sim(seed: u64) -> Simulator {
-    let mut sim = Simulator::new(SimConfig { seed });
-    for a in 0..16 {
-        for b in a + 1..16 {
-            let (a, b) = (NodeId::from_index(a), NodeId::from_index(b));
-            sim.set_link(a, b, LinkModel::ideal());
-        }
-    }
-    sim
+/// Adds a client node on an ideal link to its `broker`.
+fn add_client<N: Node>(sim: &mut Simulator, broker: NodeId, name: &str, node: N) -> NodeId {
+    let id = sim.add_node(name, node);
+    sim.set_link(broker, id, LinkModel::ideal());
+    id
 }
 
 fn small_batches() -> BatchPolicy {
@@ -35,7 +30,8 @@ fn small_batches() -> BatchPolicy {
     }
 }
 
-/// Adds `shards` federated brokers with round-robin district ownership.
+/// Adds `shards` federated brokers with round-robin district ownership,
+/// on ideal links to each other.
 fn build_federation(
     sim: &mut Simulator,
     shards: usize,
@@ -50,6 +46,11 @@ fn build_federation(
             )
         })
         .collect();
+    for (i, &a) in brokers.iter().enumerate() {
+        for &b in &brokers[i + 1..] {
+            sim.set_link(a, b, LinkModel::ideal());
+        }
+    }
     let mut shard = ShardMap::new(shards);
     for (i, d) in districts.iter().enumerate() {
         shard.assign(*d, i % shards);
@@ -212,14 +213,18 @@ fn assert_exactly_once(got: &[(String, Vec<u8>)], count: u64, who: &str) {
 
 #[test]
 fn cross_shard_publishes_delivered_exactly_once() {
-    let mut sim = ideal_sim(11);
+    let mut sim = Simulator::new(SimConfig { seed: 11 });
     let brokers = build_federation(&mut sim, 3, &["d0", "d1", "d2"], small_batches());
     // d0 is owned by broker 0; subscribers hang off all three brokers.
-    let local = sim.add_node(
+    let local = add_client(
+        &mut sim,
+        brokers[0],
         "sub-local",
         Sub::new(brokers[0], "district/d0/#", QoS::AtMostOnce),
     );
-    let far_hash = sim.add_node(
+    let far_hash = add_client(
+        &mut sim,
+        brokers[1],
         "sub-far-hash",
         Sub::new(
             brokers[1],
@@ -227,7 +232,9 @@ fn cross_shard_publishes_delivered_exactly_once() {
             QoS::AtMostOnce,
         ),
     );
-    let far_tree = sim.add_node(
+    let far_tree = add_client(
+        &mut sim,
+        brokers[2],
         "sub-far-tree",
         Sub::new(brokers[2], "district/d0/#", QoS::AtMostOnce),
     );
@@ -240,7 +247,7 @@ fn cross_shard_publishes_delivered_exactly_once() {
         N,
         SimDuration::from_millis(1),
     );
-    sim.add_node("pub", publisher);
+    add_client(&mut sim, brokers[0], "pub", publisher);
     sim.run_until(SimTime::from_secs(5));
 
     for (id, who) in [
@@ -268,7 +275,7 @@ fn cross_shard_publishes_delivered_exactly_once() {
 
 #[test]
 fn retained_messages_cross_the_bridge_to_late_subscribers() {
-    let mut sim = ideal_sim(12);
+    let mut sim = Simulator::new(SimConfig { seed: 12 });
     let brokers = build_federation(&mut sim, 2, &["d0", "d1"], small_batches());
     // One retained publish to the owner (broker 0) at t=50ms.
     let mut publisher = Pub::new(
@@ -278,11 +285,11 @@ fn retained_messages_cross_the_bridge_to_late_subscribers() {
         SimDuration::from_millis(50),
     );
     publisher.retain = true;
-    sim.add_node("pub", publisher);
+    add_client(&mut sim, brokers[0], "pub", publisher);
     // A subscriber appears on the *other* broker a full second later.
     let mut late = Sub::new(brokers[1], "district/d0/#", QoS::AtMostOnce);
     late.subscribe_at = SimDuration::from_secs(1);
-    let late = sim.add_node("late-sub", late);
+    let late = add_client(&mut sim, brokers[1], "late-sub", late);
     sim.run_until(SimTime::from_secs(3));
 
     let got = &sim.node_ref::<Sub>(late).expect("sub").got;
@@ -296,7 +303,7 @@ fn retained_messages_cross_the_bridge_to_late_subscribers() {
 
 #[test]
 fn unsubscribe_withdraws_the_advertisement() {
-    let mut sim = ideal_sim(13);
+    let mut sim = Simulator::new(SimConfig { seed: 13 });
     let brokers = build_federation(&mut sim, 2, &["d0", "d1"], small_batches());
     // Subscriber on broker 1 walks away at t=1s; publisher keeps going
     // until t≈4s.
@@ -304,9 +311,11 @@ fn unsubscribe_withdraws_the_advertisement() {
     // Between the seq-9 publish (t=1s) and the seq-10 one (t=1.1s), off
     // the knife edge: in-flight batches have drained when it lands.
     sub.unsubscribe_at = Some(SimDuration::from_millis(1050));
-    let sub = sim.add_node("sub", sub);
+    let sub = add_client(&mut sim, brokers[1], "sub", sub);
     const N: u64 = 40;
-    sim.add_node(
+    add_client(
+        &mut sim,
+        brokers[0],
         "pub",
         Pub::new(
             brokers[0],
@@ -335,7 +344,7 @@ fn unsubscribe_withdraws_the_advertisement() {
 
 #[test]
 fn owner_restart_recovers_cross_shard_routing() {
-    let mut sim = ideal_sim(14);
+    let mut sim = Simulator::new(SimConfig { seed: 14 });
     let brokers = build_federation(&mut sim, 2, &["d0", "d1"], small_batches());
     // QoS 1 publisher: its client retries unacked publishes, so the
     // owner's 1-second outage must not lose anything.
@@ -346,10 +355,10 @@ fn owner_restart_recovers_cross_shard_routing() {
         SimDuration::from_millis(250),
     );
     publisher.qos = QoS::AtLeastOnce;
-    sim.add_node("pub", publisher);
+    add_client(&mut sim, brokers[0], "pub", publisher);
     let mut sub = Sub::new(brokers[1], "district/d0/#", QoS::AtLeastOnce);
     sub.keepalive = Some(SimDuration::from_millis(500));
-    let sub = sim.add_node("sub", sub);
+    let sub = add_client(&mut sim, brokers[1], "sub", sub);
 
     sim.run_until(SimTime::from_secs(2));
     sim.crash(brokers[0]);
@@ -380,13 +389,13 @@ fn owner_restart_recovers_cross_shard_routing() {
 
 #[test]
 fn remote_restart_wipes_and_relearns_advertisements() {
-    let mut sim = ideal_sim(15);
+    let mut sim = Simulator::new(SimConfig { seed: 15 });
     let brokers = build_federation(&mut sim, 2, &["d0", "d1"], small_batches());
     let mut sub = Sub::new(brokers[1], "district/d0/#", QoS::AtLeastOnce);
     // Keepalive lets the subscriber re-subscribe to its restarted broker,
     // which in turn re-advertises across the bridge.
     sub.keepalive = Some(SimDuration::from_millis(500));
-    let sub = sim.add_node("sub", sub);
+    let sub = add_client(&mut sim, brokers[1], "sub", sub);
     let mut publisher = Pub::new(
         brokers[0],
         "district/d0/entity/e1/device/m1/power",
@@ -394,7 +403,7 @@ fn remote_restart_wipes_and_relearns_advertisements() {
         SimDuration::from_millis(250),
     );
     publisher.qos = QoS::AtLeastOnce;
-    sim.add_node("pub", publisher);
+    add_client(&mut sim, brokers[0], "pub", publisher);
 
     sim.run_until(SimTime::from_secs(2));
     sim.crash(brokers[1]);
@@ -449,15 +458,19 @@ impl Node for TracedPub {
 fn span_tree_reconstructs_cross_shard_flight_with_bridge_hop() {
     use simnet::telemetry::SpanNode;
 
-    let mut sim = ideal_sim(21);
+    let mut sim = Simulator::new(SimConfig { seed: 21 });
     let brokers = build_federation(&mut sim, 2, &["d0", "d1"], small_batches());
     // Subscriber on shard 1 for a topic owned by shard 1; the publisher
     // hangs off shard 0, so delivery must cross the bridge.
-    let sub = sim.add_node(
+    let sub = add_client(
+        &mut sim,
+        brokers[1],
         "sub",
         Sub::new(brokers[1], "district/d1/#", QoS::AtMostOnce),
     );
-    let publisher = sim.add_node(
+    let publisher = add_client(
+        &mut sim,
+        brokers[0],
         "pub",
         TracedPub {
             client: PubSubClient::new(brokers[0], CLIENT_TAGS),

@@ -19,7 +19,7 @@ use telemetry::{SpanId, TraceId, NO_SPAN, NO_TRACE};
 pub(crate) const TRACE_CAP: usize = 32;
 
 /// Cap on concurrently open `(window, key)` panes.
-pub const MAX_OPEN: usize = 4096;
+pub(crate) const MAX_OPEN: usize = 4096;
 
 /// A mergeable aggregate over one window's samples. Carrying the raw
 /// `count` and `sum` (not the mean) is what makes hierarchical rollups
@@ -368,6 +368,58 @@ mod tests {
         assert_eq!(op.observe(0, 5, 1.0, NO_TRACE), Observed::Accepted);
         assert_eq!(op.stats().shed, 1);
         assert_eq!(op.open_windows(), MAX_OPEN);
+    }
+
+    #[test]
+    fn floods_shed_at_the_cap_and_reopen_after_closes() {
+        use simnet::rng::DeterministicRng;
+
+        // Three windows in time order, each with a quarter more keys than
+        // the cap, behind a lateness shorter than a window: the cap fills
+        // while the previous window's panes are still open, so new panes
+        // are shed until the watermark closes those, then accepted again.
+        // One sample in a hundred is a straggler two windows back.
+        for case in 0..8 {
+            let mut rng = DeterministicRng::seed_from(case);
+            let size = rng.next_range(10, 500) as i64;
+            let lateness = rng.next_range(0, size as u64 - 1) as i64;
+            let mut op = WindowedAggregator::new(WindowSpec::tumbling(size), lateness);
+            let mut accepted_closed = 0;
+            let (mut full, mut freed, mut reopened) = (false, false, false);
+            for window in 0..3 {
+                let mut times: Vec<i64> = (0..MAX_OPEN + MAX_OPEN / 4)
+                    .map(|_| window * size + rng.next_bounded(size as u64) as i64)
+                    .collect();
+                times.sort_unstable();
+                for (key, t) in times.into_iter().enumerate() {
+                    let t = if rng.chance(0.01) { t - 2 * size } else { t };
+                    let open = op.open_windows();
+                    match op.observe(key, t, 1.0, NO_TRACE) {
+                        Observed::Shed => full = true,
+                        Observed::Accepted if freed && op.open_windows() > open => reopened = true,
+                        _ => {}
+                    }
+                    let closed = op.close_ready();
+                    freed |= full && !closed.is_empty();
+                    accepted_closed += closed.iter().map(|w| w.acc.count).sum::<u64>();
+                    assert!(op.open_windows() <= MAX_OPEN, "case {case}");
+                }
+            }
+            op.advance_watermark_to(i64::MAX);
+            accepted_closed += op.close_ready().iter().map(|w| w.acc.count).sum::<u64>();
+
+            let stats = op.stats();
+            assert!(
+                stats.shed > 0 && stats.late_dropped > 0 && stats.windows_closed > 0 && reopened,
+                "case {case}: reopened {reopened}, {stats:?}"
+            );
+            assert_eq!(
+                stats.samples_in,
+                stats.accepted + stats.late_dropped + stats.shed,
+                "case {case}: {stats:?}"
+            );
+            assert_eq!(accepted_closed, stats.accepted, "case {case}: {stats:?}");
+        }
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Randomized properties of the windowed operators, driven by
 //! `simnet::rng::DeterministicRng` (reproducible, no external
 //! property-testing dependency): watermark monotonicity, window-close
-//! determinism under reordering, sample conservation and bounded state.
+//! determinism under reordering and sample conservation. Floods past
+//! the open-pane cap are `window::tests::floods_shed_at_the_cap_and_reopen_after_closes`.
 
 use std::collections::BTreeMap;
 
 use simnet::rng::DeterministicRng;
-use streams::window::MAX_OPEN;
 use streams::{ClosedWindow, Observed, WindowSpec, WindowedAggregator};
 use telemetry::NO_TRACE;
 
@@ -24,29 +24,18 @@ fn rand_spec(rng: &mut DeterministicRng) -> WindowSpec {
     WindowSpec::tumbling(rng.next_range(1, 2_000) as i64)
 }
 
-/// `n` `(key, event time, value)` samples over `keys` keys, in arrival
-/// order.
-fn rand_keyed_samples(
-    rng: &mut DeterministicRng,
-    span: i64,
-    keys: u64,
-    n: usize,
-) -> Vec<(u16, i64, f64)> {
+/// `(key, event time, value)` samples in arrival order.
+fn rand_samples(rng: &mut DeterministicRng, span: i64) -> Vec<(u8, i64, f64)> {
+    let n = rng.next_range(1, 200) as usize;
     (0..n)
         .map(|_| {
             (
-                rng.next_bounded(keys) as u16,
+                rng.next_bounded(4) as u8,
                 rng.next_range(0, span as u64 - 1) as i64,
                 rng.next_f64_range(-50.0, 50.0),
             )
         })
         .collect()
-}
-
-/// Up to 200 samples over four keys: far below [`MAX_OPEN`] panes.
-fn rand_samples(rng: &mut DeterministicRng, span: i64) -> Vec<(u16, i64, f64)> {
-    let n = rng.next_range(1, 200) as usize;
-    rand_keyed_samples(rng, span, 4, n)
 }
 
 fn drain<K: Ord + Clone>(agg: &mut WindowedAggregator<K>) -> Vec<ClosedWindow<K>> {
@@ -56,7 +45,7 @@ fn drain<K: Ord + Clone>(agg: &mut WindowedAggregator<K>) -> Vec<ClosedWindow<K>
     closed
 }
 
-fn digest(closed: &[ClosedWindow<u16>]) -> Vec<(u16, i64, i64, u64)> {
+fn digest(closed: &[ClosedWindow<u8>]) -> Vec<(u8, i64, i64, u64)> {
     closed
         .iter()
         .map(|w| (w.key, w.start, w.end, w.acc.count))
@@ -65,7 +54,7 @@ fn digest(closed: &[ClosedWindow<u16>]) -> Vec<(u16, i64, i64, u64)> {
 
 /// Sums folded in a different arrival order differ in the last float
 /// bits; everything else must agree exactly.
-fn assert_equivalent(a: &[ClosedWindow<u16>], b: &[ClosedWindow<u16>], case: usize) {
+fn assert_equivalent(a: &[ClosedWindow<u8>], b: &[ClosedWindow<u8>], case: usize) {
     assert_eq!(digest(a), digest(b), "case {case}");
     for (x, y) in a.iter().zip(b) {
         assert!(
@@ -85,7 +74,7 @@ fn watermark_is_monotonic_under_arbitrary_streams() {
         let mut rng = seed(case, 1);
         let spec = rand_spec(&mut rng);
         let lateness = rng.next_range(0, 500) as i64;
-        let mut agg: WindowedAggregator<u16> = WindowedAggregator::new(spec, lateness);
+        let mut agg: WindowedAggregator<u8> = WindowedAggregator::new(spec, lateness);
         let mut high = agg.watermark();
         for (key, t, value) in rand_samples(&mut rng, 5_000) {
             agg.observe(key, t, value, NO_TRACE);
@@ -116,7 +105,7 @@ fn closes_are_deterministic_under_bounded_reordering() {
         samples.sort_by_key(|&(_, t, _)| t);
 
         // Reference: in timestamp order, closing incrementally.
-        let mut reference: WindowedAggregator<u16> = WindowedAggregator::new(spec, lateness);
+        let mut reference: WindowedAggregator<u8> = WindowedAggregator::new(spec, lateness);
         let mut ref_closed = Vec::new();
         for &(key, t, value) in &samples {
             assert_eq!(
@@ -135,7 +124,7 @@ fn closes_are_deterministic_under_bounded_reordering() {
             .map(|(i, &(_, t, _))| (t + rng.next_range(0, lateness as u64) as i64, i))
             .collect();
         jittered.sort();
-        let mut reordered: WindowedAggregator<u16> = WindowedAggregator::new(spec, lateness);
+        let mut reordered: WindowedAggregator<u8> = WindowedAggregator::new(spec, lateness);
         let mut out = Vec::new();
         for &(_, i) in &jittered {
             let (key, t, value) = samples[i];
@@ -160,11 +149,10 @@ fn full_shuffle_with_covering_lateness_matches_sorted_order() {
         let spec = rand_spec(&mut rng);
         let span = 3_000;
         // Lateness covering the whole span: no order can drop anything.
-        // Far below the pane cap: shedding is arrival-order dependent by
-        // design (the conservation test covers it); determinism is about
-        // closes.
-        let mut sorted_agg: WindowedAggregator<u16> = WindowedAggregator::new(spec, span);
-        let mut shuffled_agg: WindowedAggregator<u16> = WindowedAggregator::new(spec, span);
+        // At most 200 panes, far below the cap: shedding is arrival-order
+        // dependent by design; determinism is about closes.
+        let mut sorted_agg: WindowedAggregator<u8> = WindowedAggregator::new(spec, span);
+        let mut shuffled_agg: WindowedAggregator<u8> = WindowedAggregator::new(spec, span);
 
         let mut samples = rand_samples(&mut rng, span);
         let mut shuffled = samples.clone();
@@ -183,29 +171,20 @@ fn full_shuffle_with_covering_lateness_matches_sorted_order() {
 
 #[test]
 fn samples_are_conserved_across_accept_late_and_shed() {
-    // Fewer cases than the rest: half of them flood the operator.
-    for case in 0..CASES / 8 {
+    for case in 0..CASES {
         let mut rng = seed(case, 4);
         let size = rng.next_range(1, 500) as i64;
-        let mut lateness = rng.next_range(0, 300) as i64;
-        let mut samples = rand_samples(&mut rng, 10_000);
-        if case % 2 == 0 {
-            // Twice the pane cap over 1024 keys, none ever closing:
-            // at least 20 480 panes to draw from, so the cap is reached.
-            lateness = 10_000;
-            samples = rand_keyed_samples(&mut rng, 10_000, 1024, 2 * MAX_OPEN);
-        }
-        let mut agg: WindowedAggregator<u16> =
+        let lateness = rng.next_range(0, 300) as i64;
+        // Ordinary streams never reach the pane cap, so `shed` stays 0
+        // here; the flood unit test in `window.rs` mixes all three.
+        let mut agg: WindowedAggregator<u8> =
             WindowedAggregator::new(WindowSpec::tumbling(size), lateness);
 
+        let samples = rand_samples(&mut rng, 10_000);
         let mut accepted_closed = 0u64;
         for &(key, t, value) in &samples {
             agg.observe(key, t, value, NO_TRACE);
             accepted_closed += agg.close_ready().iter().map(|w| w.acc.count).sum::<u64>();
-            assert!(
-                agg.open_windows() <= MAX_OPEN,
-                "case {case}: state unbounded"
-            );
         }
         accepted_closed += drain(&mut agg).iter().map(|w| w.acc.count).sum::<u64>();
 
@@ -219,12 +198,6 @@ fn samples_are_conserved_across_accept_late_and_shed() {
         // Tumbling windows assign each accepted sample to exactly one
         // pane, so every accepted sample surfaces in exactly one close.
         assert_eq!(accepted_closed, stats.accepted, "case {case}: {stats:?}");
-        if case % 2 == 0 {
-            assert!(
-                stats.shed > 0,
-                "case {case}: the flood never reached the cap"
-            );
-        }
     }
 }
 
@@ -234,10 +207,10 @@ fn closed_means_match_a_direct_computation() {
         let mut rng = seed(case, 5);
         let size = rng.next_range(10, 800) as i64;
         let span = 4_000;
-        let mut agg: WindowedAggregator<u16> =
+        let mut agg: WindowedAggregator<u8> =
             WindowedAggregator::new(WindowSpec::tumbling(size), span);
         let samples = rand_samples(&mut rng, span);
-        let mut expected: BTreeMap<(i64, u16), (u64, f64)> = BTreeMap::new();
+        let mut expected: BTreeMap<(i64, u8), (u64, f64)> = BTreeMap::new();
         for &(key, t, value) in &samples {
             agg.observe(key, t, value, NO_TRACE);
             let start = t.div_euclid(size) * size;

@@ -24,6 +24,16 @@ fn sim_with_seed(base: u64) -> Simulator {
     Simulator::new(SimConfig { seed: seed(base) })
 }
 
+/// Puts `model` on every link between two of the simulator's nodes
+/// that involves a node added at index `first` or later.
+fn set_links_from(sim: &mut Simulator, first: usize, model: &LinkModel) {
+    for b in first..sim.node_count() {
+        for a in 0..b {
+            sim.set_link(NodeId::from_index(a), NodeId::from_index(b), model.clone());
+        }
+    }
+}
+
 #[test]
 fn lossy_network_still_converges() {
     // 5% packet loss everywhere: registrations and WS requests retry,
@@ -36,14 +46,7 @@ fn lossy_network_still_converges() {
         .bandwidth_bps(10_000_000)
         .loss(0.05)
         .build();
-    // Every pair, the client spawned below included.
-    let nodes = sim.node_count() + 1;
-    for a in 0..nodes {
-        for b in a + 1..nodes {
-            let (a, b) = (NodeId::from_index(a), NodeId::from_index(b));
-            sim.set_link(a, b, lossy.clone());
-        }
-    }
+    set_links_from(&mut sim, 0, &lossy);
     sim.run_for(SimDuration::from_secs(900));
 
     let master = sim.node_ref::<MasterNode>(deployment.master).unwrap();
@@ -53,12 +56,14 @@ fn lossy_network_still_converges() {
         "all devices eventually registered despite loss"
     );
 
+    let first = sim.node_count();
     let client = ClientNode::spawn(
         &mut sim,
         &deployment,
         scenario.districts[0].district.clone(),
         scenario.districts[0].bbox(),
     );
+    set_links_from(&mut sim, first, &lossy);
     sim.run_for(SimDuration::from_secs(120));
     let snapshot = sim
         .node_ref::<ClientNode>(client)
