@@ -23,7 +23,7 @@ use std::cell::Cell;
 use std::fmt;
 
 use crate::value::{Key, Map};
-use crate::{json, xml, CoreError, Measurement, MeasurementBatch, Value};
+use crate::{json, xml, CoreError, Measurement, MeasurementBatch, Timestamp, Value};
 
 /// An open-standard encoding of the common data format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -622,6 +622,18 @@ pub fn decode_measurement(text: &str, format: DataFormat) -> Result<Measurement,
     decode_with(text, format, Measurement::read)
 }
 
+/// Decodes a measurement's timestamp and value from text in the chosen
+/// format, for a caller that knows its device already: the text is
+/// checked exactly as [`decode_measurement`] checks it, the device id's
+/// grammar in place, without allocating a [`DeviceId`](crate::DeviceId).
+///
+/// # Errors
+///
+/// As [`decode_measurement`].
+pub fn decode_reading(text: &str, format: DataFormat) -> Result<(Timestamp, f64), CoreError> {
+    decode_with(text, format, Measurement::read_reading)
+}
+
 /// Encodes a measurement batch in the chosen format.
 pub fn encode_batch(batch: &MeasurementBatch, format: DataFormat) -> String {
     encode_with(format, |w| batch.write(w))
@@ -664,6 +676,36 @@ mod tests {
         for f in DataFormat::all() {
             let text = encode_measurement(&m, f);
             assert_eq!(decode_measurement(&text, f).unwrap(), m, "{f}");
+        }
+    }
+
+    #[test]
+    fn a_reading_decodes_and_fails_exactly_as_its_measurement() {
+        let m = sample();
+        for f in DataFormat::all() {
+            let text = encode_measurement(&m, f);
+            let mut texts = vec![
+                text.clone(),
+                text.replace("dev-9", "dev 9"),
+                text.replace("dev-9", ""),
+                text.replace("co2", "colour"),
+                text.replace("ppm", "kW"),
+                text.replace("417", "\"x\""),
+                text.replace("2015", "20x5"),
+                text.replace("device", "devise"),
+                text[..text.len() - 1].to_owned(),
+                format!("{text}{text}"),
+            ];
+            let other = DataFormat::all().into_iter().find(|&o| o != f).unwrap();
+            texts.push(encode_measurement(&m, other));
+            for t in &texts {
+                assert_eq!(
+                    decode_reading(t, f),
+                    decode_measurement(t, f).map(|m| (m.timestamp(), m.value())),
+                    "{f}: {t}"
+                );
+            }
+            assert_eq!(decode_reading(&text, f), Ok((m.timestamp(), m.value())));
         }
     }
 

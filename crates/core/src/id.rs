@@ -12,7 +12,7 @@ use std::fmt;
 
 use crate::CoreError;
 
-fn validate(kind: &'static str, s: &str) -> Result<(), CoreError> {
+pub(crate) fn validate(kind: &'static str, s: &str) -> Result<(), CoreError> {
     if s.is_empty() {
         return Err(CoreError::InvalidId {
             kind,

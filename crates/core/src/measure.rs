@@ -121,22 +121,7 @@ impl Measurement {
         timestamp: Shaped<&str>,
     ) -> Result<Self, CoreError> {
         let device = DeviceId::new(device?)?;
-        let quantity = QuantityKind::parse(quantity?)?;
-        let value = value?;
-        let unit = Unit::parse(unit?)?;
-        let timestamp = Timestamp::parse(timestamp?)?;
-        if value.is_nan() {
-            return Err(CoreError::Shape {
-                target: MEASUREMENT,
-                reason: "value is NaN".into(),
-            });
-        }
-        if !quantity.accepts(unit) {
-            return Err(CoreError::Shape {
-                target: MEASUREMENT,
-                reason: format!("unit {unit} does not fit quantity {quantity}"),
-            });
-        }
+        let (quantity, value, unit, timestamp) = check_reading(quantity, value, unit, timestamp)?;
         Ok(Measurement {
             device,
             quantity,
@@ -144,6 +129,22 @@ impl Measurement {
             unit,
             timestamp,
         })
+    }
+
+    /// [`Measurement::from_fields`] for a reader that already knows the
+    /// device: the device member's grammar is checked in place rather
+    /// than copied into a [`DeviceId`], and only the timestamp and value
+    /// come back.
+    fn reading_from_fields(
+        device: Shaped<&str>,
+        quantity: Shaped<&str>,
+        value: Shaped<f64>,
+        unit: Shaped<&str>,
+        timestamp: Shaped<&str>,
+    ) -> Result<(Timestamp, f64), CoreError> {
+        crate::id::validate("device", device?)?;
+        let (_, value, _, timestamp) = check_reading(quantity, value, unit, timestamp)?;
+        Ok((timestamp, value))
     }
 
     /// Typed writer: emits the encoding of [`Measurement::to_value`]
@@ -203,22 +204,26 @@ impl Measurement {
     /// Returns the format's parse error; the inner result says whether
     /// the well-formed value describes a measurement.
     pub(crate) fn read(r: &mut Reader<'_>) -> Result<Shaped<Self>, CoreError> {
-        let [mut device, mut quantity, mut value, mut unit, mut timestamp] =
-            [const { Scalar::Missing }; 5];
-        if r.begin_object()? {
-            while let Some(key) = r.next_key()? {
-                let member = Scalar::read(r)?;
-                match &*key {
-                    "device" => device = member,
-                    "quantity" => quantity = member,
-                    "value" => value = member,
-                    "unit" => unit = member,
-                    "timestamp" => timestamp = member,
-                    _ => {}
-                }
-            }
-        }
+        let [device, quantity, value, unit, timestamp] = read_members(r)?;
         Ok(Measurement::from_fields(
+            device.require_str(MEASUREMENT, "device"),
+            quantity.require_str(MEASUREMENT, "quantity"),
+            value.require_f64(MEASUREMENT, "value"),
+            unit.require_str(MEASUREMENT, "unit"),
+            timestamp.require_str(MEASUREMENT, "timestamp"),
+        ))
+    }
+
+    /// Typed reader for a caller that knows the device already (an
+    /// aggregator whose route holds it): checks everything
+    /// [`Measurement::read`] checks and returns the timestamp and value.
+    ///
+    /// # Errors
+    ///
+    /// As [`Measurement::read`].
+    pub(crate) fn read_reading(r: &mut Reader<'_>) -> Result<Shaped<(Timestamp, f64)>, CoreError> {
+        let [device, quantity, value, unit, timestamp] = read_members(r)?;
+        Ok(Measurement::reading_from_fields(
             device.require_str(MEASUREMENT, "device"),
             quantity.require_str(MEASUREMENT, "quantity"),
             value.require_f64(MEASUREMENT, "value"),
@@ -230,6 +235,54 @@ impl Measurement {
 
 /// What decoding errors name as their target.
 const MEASUREMENT: &str = "measurement";
+
+/// The members after the device, validated in order as
+/// [`Measurement::from_fields`] validates them.
+fn check_reading(
+    quantity: Shaped<&str>,
+    value: Shaped<f64>,
+    unit: Shaped<&str>,
+    timestamp: Shaped<&str>,
+) -> Result<(QuantityKind, f64, Unit, Timestamp), CoreError> {
+    let quantity = QuantityKind::parse(quantity?)?;
+    let value = value?;
+    let unit = Unit::parse(unit?)?;
+    let timestamp = Timestamp::parse(timestamp?)?;
+    if value.is_nan() {
+        return Err(CoreError::Shape {
+            target: MEASUREMENT,
+            reason: "value is NaN".into(),
+        });
+    }
+    if !quantity.accepts(unit) {
+        return Err(CoreError::Shape {
+            target: MEASUREMENT,
+            reason: format!("unit {unit} does not fit quantity {quantity}"),
+        });
+    }
+    Ok((quantity, value, unit, timestamp))
+}
+
+/// The five members of the object `r` is at, the last occurrence of
+/// each key winning, as in a [`Value`] object.
+fn read_members<'a>(r: &mut Reader<'a>) -> Result<[Scalar<'a>; 5], CoreError> {
+    let [mut device, mut quantity, mut value, mut unit, mut timestamp] =
+        [const { Scalar::Missing }; 5];
+    if r.begin_object()? {
+        while let Some(key) = r.next_key()? {
+            let member = Scalar::read(r)?;
+            match &*key {
+                "device" => device = member,
+                "quantity" => quantity = member,
+                "value" => value = member,
+                "unit" => unit = member,
+                "timestamp" => timestamp = member,
+                _ => {}
+            }
+        }
+    }
+    Ok([device, quantity, value, unit, timestamp])
+}
 
 impl fmt::Display for Measurement {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

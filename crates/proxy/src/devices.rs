@@ -12,7 +12,7 @@ use models::profiles::EnergyProfile;
 use protocols::device::{FieldServer, UplinkDevice};
 use simnet::rpc::{self, RpcFrame};
 use simnet::telemetry::{CounterHandle, NO_SPAN};
-use simnet::{Context, Node, Packet, Port, SimDuration, SimTime, TimerTag};
+use simnet::{Context, Frame, Node, Packet, Port, SimDuration, SimTime, TimerTag};
 
 use crate::{DEVICE_DOWNLINK_PORT, DEVICE_UPLINK_PORT};
 
@@ -35,7 +35,7 @@ pub struct UplinkDeviceNode {
     /// Frames transmitted so far.
     pub(crate) frames_sent: u64,
     /// Raw actuation frames received from the proxy (most recent last).
-    pub actuations: Vec<Vec<u8>>,
+    pub actuations: Vec<Frame>,
     /// The last value sampled (for test introspection).
     pub(crate) last_value: f64,
     /// `device.samples`, resolved by the first emission.
@@ -210,7 +210,7 @@ mod tests {
 
     #[derive(Default)]
     struct Sink {
-        frames: Vec<Vec<u8>>,
+        frames: Vec<Frame>,
     }
 
     impl Node for Sink {

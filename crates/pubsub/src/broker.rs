@@ -5,7 +5,7 @@ use std::collections::HashMap;
 
 use simnet::batch::PushOutcome;
 use simnet::telemetry::{CounterHandle, GaugeHandle, HistogramHandle, Registry, NO_SPAN};
-use simnet::{Context, Node, Packet as NetPacket, SimDuration, TimerTag};
+use simnet::{Context, Frame, Node, Packet as NetPacket, SimDuration, TimerTag};
 
 use crate::federation::{
     FederationConfig, FederationState, BATCH_MAX_RETRIES, BATCH_RETRY_BIT, BATCH_RETRY_TIMEOUT,
@@ -34,7 +34,7 @@ struct Subscription {
 #[derive(Debug)]
 struct PendingDelivery {
     to: simnet::NodeId,
-    bytes: Vec<u8>,
+    frame: Frame,
     retries_left: u32,
     trace: u64,
 }
@@ -354,24 +354,24 @@ impl BrokerNode {
         };
         // Encode straight from the borrowed view: the topic and payload
         // are never materialized, only serialized.
-        let bytes = PacketRef::Deliver {
+        let packet = PacketRef::Deliver {
             id,
             topic,
             payload,
             qos,
             trace,
             span,
-        }
-        .encode();
+        };
         self.series(ctx).deliver.incr();
         self.stats.delivered += 1;
         if qos != QoS::AtLeastOnce {
-            ctx.send_spanned(to, crate::PUBSUB_PORT, bytes, trace, span);
+            ctx.send_spanned(to, crate::PUBSUB_PORT, packet.encode(), trace, span);
             return;
         }
-        // Only QoS 1 keeps the encoded packet (for redelivery), so only
-        // this branch copies it.
-        ctx.send_spanned(to, crate::PUBSUB_PORT, bytes.clone(), trace, span);
+        // QoS 1 keeps the frame for redelivery: the packet in flight and
+        // every redelivery share its one allocation.
+        let frame = packet.frame();
+        ctx.send_spanned(to, crate::PUBSUB_PORT, frame.clone(), trace, span);
         self.stats.qos1_enqueued += 1;
         if self.pending.len() >= DEFAULT_PENDING_CAPACITY {
             // The unacked table is the broker's memory bound: past it
@@ -388,7 +388,7 @@ impl BrokerNode {
             id,
             PendingDelivery {
                 to,
-                bytes,
+                frame,
                 retries_left: MAX_RETRIES,
                 trace,
             },
@@ -423,7 +423,7 @@ impl BrokerNode {
             0
         };
         if qos == QoS::AtLeastOnce {
-            ctx.send(from, crate::PUBSUB_PORT, Packet::PubAck { id }.encode());
+            ctx.send(from, crate::PUBSUB_PORT, PacketRef::PubAck { id }.frame());
         }
         if retain {
             if payload.is_empty() {
@@ -604,9 +604,9 @@ impl BrokerNode {
         let Some(fed) = &self.federation else {
             return;
         };
-        let bytes = Packet::BridgeHello { incarnation }.encode();
+        let frame = PacketRef::BridgeHello { incarnation }.frame();
         for peer in fed.peer_shards() {
-            ctx.send(fed.config.brokers[peer], crate::PUBSUB_PORT, bytes.clone());
+            ctx.send(fed.config.brokers[peer], crate::PUBSUB_PORT, frame.clone());
         }
     }
 
@@ -871,7 +871,7 @@ impl BrokerNode {
         ctx.send(
             src,
             crate::PUBSUB_PORT,
-            Packet::BridgeBatchAck { batch_id }.encode(),
+            PacketRef::BridgeBatchAck { batch_id }.frame(),
         );
         {
             let Some(fed) = &mut self.federation else {
@@ -1023,10 +1023,10 @@ impl Node for BrokerNode {
                 ctx.send(
                     pkt.src,
                     crate::PUBSUB_PORT,
-                    Packet::Pong {
+                    PacketRef::Pong {
                         incarnation: self.incarnation,
                     }
-                    .encode(),
+                    .frame(),
                 );
             }
             PacketRef::BridgeAdvertise {
@@ -1158,8 +1158,8 @@ impl Node for BrokerNode {
             return;
         }
         pending.retries_left -= 1;
-        let (to, bytes, trace) = (pending.to, pending.bytes.clone(), pending.trace);
-        ctx.send_spanned(to, crate::PUBSUB_PORT, bytes, trace, NO_SPAN);
+        let (to, frame, trace) = (pending.to, pending.frame.clone(), pending.trace);
+        ctx.send_spanned(to, crate::PUBSUB_PORT, frame, trace, NO_SPAN);
         self.stats.retries += 1;
         self.stats.delivered += 1;
         self.series(ctx).retry.incr();

@@ -2,8 +2,9 @@
 
 use std::cell::OnceCell;
 use std::collections::HashMap;
+use std::ops::Deref;
 
-use simnet::{Context, NodeId, Packet as NetPacket, SimDuration, TimerTag};
+use simnet::{Context, Frame, NodeId, Packet as NetPacket, SimDuration, TimerTag};
 
 use crate::wire::{Packet, PacketRef, QoS};
 use crate::{Topic, TopicFilter, TopicRef, PUBSUB_PORT};
@@ -14,15 +15,17 @@ const PUBLISH_RETRY: SimDuration = SimDuration::from_secs(2);
 const MAX_PUBLISH_RETRIES: u32 = 3;
 
 /// Events surfaced by [`PubSubClient::accept`] and
-/// [`PubSubClient::on_timer`].
+/// [`PubSubClient::on_timer`]. A message borrows its topic and payload
+/// from the packet that carried it (`'p`); a subscriber that keeps
+/// either copies it out.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PubSubEvent {
+pub enum PubSubEvent<'p> {
     /// A message arrived on a subscribed topic.
     Message {
         /// The topic it was published under.
-        topic: Topic,
+        topic: TopicRef<'p>,
         /// The payload.
-        payload: Vec<u8>,
+        payload: Payload<'p>,
         /// Flight-recorder trace id of the originating publish
         /// (`telemetry::NO_TRACE` = 0 when untraced).
         trace: TraceId,
@@ -51,9 +54,23 @@ pub enum PubSubEvent {
     },
 }
 
+/// The payload of a [`PubSubEvent::Message`]: bytes borrowed from the
+/// delivering packet, read through `Deref<Target = [u8]>`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Payload<'p>(&'p [u8]);
+
+impl Deref for Payload<'_> {
+    type Target = [u8];
+
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        self.0
+    }
+}
+
 #[derive(Debug, Clone)]
 struct PendingPublish {
-    bytes: Vec<u8>,
+    frame: Frame,
     retries_left: u32,
 }
 
@@ -126,7 +143,7 @@ impl PubSubClient {
     /// that survives a broker restart silently stops receiving messages.
     pub fn start_keepalive(&mut self, ctx: &mut Context<'_>, interval: SimDuration) {
         self.keepalive = Some(interval);
-        ctx.send(self.broker, PUBSUB_PORT, Packet::Ping.encode());
+        ctx.send(self.broker, PUBSUB_PORT, PacketRef::Ping.frame());
         ctx.set_timer(interval, TimerTag(self.tag_base));
     }
 
@@ -196,7 +213,7 @@ impl PubSubClient {
     ) -> u64 {
         let id = self.next_publish_id;
         self.next_publish_id += 1;
-        let bytes = PacketRef::Publish {
+        let packet = PacketRef::Publish {
             id,
             topic: TopicRef::from(topic),
             payload,
@@ -204,19 +221,19 @@ impl PubSubClient {
             qos,
             trace,
             span: parent,
-        }
-        .encode();
+        };
         if qos != QoS::AtLeastOnce {
-            ctx.send_spanned(self.broker, PUBSUB_PORT, bytes, trace, parent);
+            ctx.send_spanned(self.broker, PUBSUB_PORT, packet.encode(), trace, parent);
             return id;
         }
-        // Only QoS 1 keeps the encoded packet (for retransmission), so
-        // only this branch copies it.
-        ctx.send_spanned(self.broker, PUBSUB_PORT, bytes.clone(), trace, parent);
+        // QoS 1 keeps the frame for retransmission: the packet in flight
+        // and every resend share its one allocation.
+        let frame = packet.frame();
+        ctx.send_spanned(self.broker, PUBSUB_PORT, frame.clone(), trace, parent);
         self.pending.insert(
             id,
             PendingPublish {
-                bytes,
+                frame,
                 retries_left: MAX_PUBLISH_RETRIES,
             },
         );
@@ -225,23 +242,25 @@ impl PubSubClient {
     }
 
     /// Feeds an incoming packet through the client. QoS 1 deliveries are
-    /// acknowledged automatically.
-    pub fn accept(&mut self, ctx: &mut Context<'_>, pkt: &NetPacket) -> Option<PubSubEvent> {
-        let decoded = match Packet::decode(&pkt.payload) {
-            Ok(p) => p,
-            Err(_) => {
-                self.decode_error
-                    .get_or_init(|| {
-                        ctx.telemetry()
-                            .metrics
-                            .counter_handle("pubsub.decode_error")
-                    })
-                    .incr();
-                return None;
-            }
+    /// acknowledged automatically. A message borrows its topic and
+    /// payload from `pkt`, so accepting one allocates nothing.
+    pub fn accept<'p>(
+        &mut self,
+        ctx: &mut Context<'_>,
+        pkt: &'p NetPacket,
+    ) -> Option<PubSubEvent<'p>> {
+        let Ok(decoded) = PacketRef::decode(&pkt.payload) else {
+            self.decode_error
+                .get_or_init(|| {
+                    ctx.telemetry()
+                        .metrics
+                        .counter_handle("pubsub.decode_error")
+                })
+                .incr();
+            return None;
         };
         match decoded {
-            Packet::Deliver {
+            PacketRef::Deliver {
                 id,
                 topic,
                 payload,
@@ -250,7 +269,7 @@ impl PubSubClient {
                 span: deliver_span,
             } => {
                 if qos == QoS::AtLeastOnce {
-                    ctx.send(pkt.src, PUBSUB_PORT, Packet::DeliverAck { id }.encode());
+                    ctx.send(pkt.src, PUBSUB_PORT, PacketRef::DeliverAck { id }.frame());
                 }
                 let span = if trace != NO_TRACE {
                     ctx.span_hop(
@@ -264,16 +283,16 @@ impl PubSubClient {
                 };
                 Some(PubSubEvent::Message {
                     topic,
-                    payload,
+                    payload: Payload(payload),
                     trace,
                     span,
                 })
             }
-            Packet::PubAck { id } => {
+            PacketRef::PubAck { id } => {
                 self.pending.remove(&id)?;
                 Some(PubSubEvent::Published { id })
             }
-            Packet::Pong { incarnation } => {
+            PacketRef::Pong { incarnation } => {
                 let restarted = self
                     .last_incarnation
                     .is_some_and(|prev| prev != incarnation);
@@ -308,11 +327,15 @@ impl PubSubClient {
     }
 
     /// Feeds a fired timer through the client.
-    pub fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) -> Option<PubSubEvent> {
+    pub fn on_timer(
+        &mut self,
+        ctx: &mut Context<'_>,
+        tag: TimerTag,
+    ) -> Option<PubSubEvent<'static>> {
         let id = tag.0.checked_sub(self.tag_base)?;
         if id == 0 {
             if let Some(interval) = self.keepalive {
-                ctx.send(self.broker, PUBSUB_PORT, Packet::Ping.encode());
+                ctx.send(self.broker, PUBSUB_PORT, PacketRef::Ping.frame());
                 ctx.set_timer(interval, TimerTag(self.tag_base));
             }
             return None;
@@ -323,8 +346,7 @@ impl PubSubClient {
             return Some(PubSubEvent::PublishTimedOut { id });
         }
         pending.retries_left -= 1;
-        let bytes = pending.bytes.clone();
-        ctx.send(self.broker, PUBSUB_PORT, bytes);
+        ctx.send(self.broker, PUBSUB_PORT, pending.frame.clone());
         ctx.set_timer(PUBLISH_RETRY, TimerTag(self.tag_base + id));
         None
     }
@@ -351,7 +373,7 @@ mod tests {
         fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: NetPacket) {
             if let Some(PubSubEvent::Message { topic, payload, .. }) = self.client.accept(ctx, &pkt)
             {
-                self.messages.push((topic, payload));
+                self.messages.push((topic.to_topic(), payload.to_vec()));
             }
         }
         fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
@@ -676,7 +698,7 @@ mod tests {
         }
         fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: NetPacket) {
             match self.client.accept(ctx, &pkt) {
-                Some(PubSubEvent::Message { payload, .. }) => self.messages.push(payload),
+                Some(PubSubEvent::Message { payload, .. }) => self.messages.push(payload.to_vec()),
                 Some(PubSubEvent::BrokerRestarted { .. }) => self.restarts_seen += 1,
                 _ => {}
             }

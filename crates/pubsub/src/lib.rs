@@ -32,7 +32,7 @@ mod topic;
 mod wire;
 
 pub use broker::{BrokerNode, BrokerStats};
-pub use client::{PubSubClient, PubSubEvent};
+pub use client::{Payload, PubSubClient, PubSubEvent};
 pub use error::PubSubError;
 pub use federation::{BridgeStats, FederationConfig, ShardMap};
 pub use topic::{

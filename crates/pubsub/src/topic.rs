@@ -105,10 +105,11 @@ impl std::str::FromStr for Topic {
 ///
 /// Produced by the borrowed wire decoder
 /// ([`PacketRef`](crate::wire::PacketRef)) as a view straight into the
-/// receive buffer. Validation runs once at construction; materializing
-/// an owned [`Topic`] via `TopicRef::to_topic` is the *only*
-/// allocation on the hot publish path, and the broker calls it solely
-/// where it must retain the topic (retained messages, bridge batches).
+/// receive buffer, and handed to subscribers in
+/// [`PubSubEvent::Message`](crate::PubSubEvent::Message). Validation
+/// runs once at construction; [`TopicRef::to_topic`] materializes an
+/// owned [`Topic`], which the broker calls solely where it must retain
+/// the topic (retained messages, bridge batches).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TopicRef<'a> {
     text: &'a str,
@@ -132,12 +133,12 @@ impl<'a> TopicRef<'a> {
     }
 
     /// The topic text.
-    pub(crate) fn as_str(self) -> &'a str {
+    pub fn as_str(self) -> &'a str {
         self.text
     }
 
     /// Materializes an owned [`Topic`], skipping re-validation.
-    pub(crate) fn to_topic(self) -> Topic {
+    pub fn to_topic(self) -> Topic {
         Topic {
             text: self.text.to_owned(),
         }

@@ -7,18 +7,24 @@
 //!
 //! * [`PacketRef::decode`] — the hot path. Borrows topics and payloads
 //!   straight out of the receive buffer; the only allocation is the
-//!   frame vector of a [`PacketRef::BridgeBatch`]. The broker runs on
-//!   this and calls `to_*` conversions exactly where it must retain
-//!   data beyond the packet's lifetime.
+//!   frame vector of a [`PacketRef::BridgeBatch`]. The broker and every
+//!   client run on this; the broker calls `to_*` conversions exactly
+//!   where it must retain data beyond the packet's lifetime.
 //! * [`Packet::decode`] — the convenience path, delegating to the
-//!   borrowed decoder and materializing everything. Clients and tests
-//!   use it; by construction the two can never drift apart.
+//!   borrowed decoder and materializing everything. The master's ops
+//!   scrape and tests use it; by construction the two can never drift
+//!   apart.
 //!
-//! Encoding is single-sourced the same way: [`Packet::encode`] builds a
-//! borrowed [`PacketRef`] view ([`Packet::view`]) and defers to
-//! [`PacketRef::encode`].
+//! Encoding is single-sourced the same way: one writer,
+//! `PacketRef::encode_into`, serves [`PacketRef::encode`] (an exact-size
+//! `Vec`, for a frame sent once) and [`PacketRef::frame`] (a
+//! [`Frame`] its sender keeps: inline when it fits, else one shared
+//! allocation). [`Packet::encode`] builds a borrowed [`PacketRef`] view
+//! ([`Packet::view`]) and defers to the same writer.
 
-use simnet::Port;
+use std::cell::RefCell;
+
+use simnet::{Frame, Port};
 
 use crate::{PubSubError, Topic, TopicFilter, TopicFilterRef, TopicRef};
 
@@ -227,8 +233,8 @@ impl BridgeFrame {
 /// Produced by [`PacketRef::decode`] straight over the receive buffer —
 /// topics, filters and payloads are slices of the input; only a
 /// [`PacketRef::BridgeBatch`] allocates (its frame vector, never the
-/// frame contents). Consumed by [`PacketRef::encode`], which is the one
-/// and only encoder of the wire format.
+/// frame contents). Consumed by [`PacketRef::encode`] and
+/// [`PacketRef::frame`], which share the one writer of the wire format.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PacketRef<'a> {
     /// Borrowed [`Packet::Subscribe`].
@@ -381,6 +387,11 @@ impl BridgeFrameRef<'_> {
     fn wire_len(&self) -> usize {
         2 + self.topic.as_str().len() + 4 + self.payload.len() + 1 + 1 + 8 + 8
     }
+}
+
+thread_local! {
+    /// The buffer [`PacketRef::frame`] encodes into before its one copy.
+    static ENCODE_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Hard cap on frames per batch — a decode guard, far above any sane
@@ -568,19 +579,41 @@ impl<'a> PacketRef<'a> {
         Ok(packet)
     }
 
-    /// Encodes the packet. This is the sole encoder of the wire format;
-    /// [`Packet::encode`] defers here via [`Packet::view`].
+    /// Encodes the packet into an exact-size buffer: the form for a frame
+    /// sent once. [`Packet::encode`] defers here via [`Packet::view`].
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.wire_len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Encodes the packet as a [`Frame`] for a sender that keeps what it
+    /// sends (a QoS 1 message awaiting its ack) or sends a frame small
+    /// enough to go inline (an ack). An inline frame allocates nothing;
+    /// a longer one is written into a per-thread buffer and copied once
+    /// into a shared allocation, which the packet in flight and every
+    /// resend then share.
+    pub fn frame(&self) -> Frame {
+        ENCODE_BUF.with_borrow_mut(|buf| {
+            buf.clear();
+            buf.reserve(self.wire_len());
+            self.encode_into(buf);
+            Frame::copy_from_slice(buf)
+        })
+    }
+
+    /// Appends the packet's encoding to `out`. This is the sole writer of
+    /// the wire format.
+    fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             PacketRef::Subscribe { filter, qos } => {
                 out.push(1);
-                push_str(filter.as_str(), &mut out);
+                push_str(filter.as_str(), out);
                 out.push(qos.byte());
             }
             PacketRef::Unsubscribe { filter } => {
                 out.push(2);
-                push_str(filter.as_str(), &mut out);
+                push_str(filter.as_str(), out);
             }
             PacketRef::Publish {
                 id,
@@ -593,8 +626,8 @@ impl<'a> PacketRef<'a> {
             } => {
                 out.push(3);
                 out.extend_from_slice(&id.to_le_bytes());
-                push_str(topic.as_str(), &mut out);
-                push_bytes(payload, &mut out);
+                push_str(topic.as_str(), out);
+                push_bytes(payload, out);
                 out.push(u8::from(*retain));
                 out.push(qos.byte());
                 out.extend_from_slice(&trace.to_le_bytes());
@@ -614,8 +647,8 @@ impl<'a> PacketRef<'a> {
             } => {
                 out.push(5);
                 out.extend_from_slice(&id.to_le_bytes());
-                push_str(topic.as_str(), &mut out);
-                push_bytes(payload, &mut out);
+                push_str(topic.as_str(), out);
+                push_bytes(payload, out);
                 out.push(qos.byte());
                 out.extend_from_slice(&trace.to_le_bytes());
                 out.extend_from_slice(&span.to_le_bytes());
@@ -638,7 +671,7 @@ impl<'a> PacketRef<'a> {
             } => {
                 out.push(9);
                 out.extend_from_slice(&incarnation.to_le_bytes());
-                push_str(filter.as_str(), &mut out);
+                push_str(filter.as_str(), out);
                 out.push(qos.byte());
             }
             PacketRef::BridgeUnadvertise {
@@ -647,7 +680,7 @@ impl<'a> PacketRef<'a> {
             } => {
                 out.push(10);
                 out.extend_from_slice(&incarnation.to_le_bytes());
-                push_str(filter.as_str(), &mut out);
+                push_str(filter.as_str(), out);
             }
             PacketRef::BridgeBatch {
                 incarnation,
@@ -659,8 +692,8 @@ impl<'a> PacketRef<'a> {
                 out.extend_from_slice(&batch_id.to_le_bytes());
                 out.extend_from_slice(&(frames.len() as u16).to_le_bytes());
                 for f in frames {
-                    push_str(f.topic.as_str(), &mut out);
-                    push_bytes(f.payload, &mut out);
+                    push_str(f.topic.as_str(), out);
+                    push_bytes(f.payload, out);
                     out.push(u8::from(f.retain));
                     out.push(f.qos.byte());
                     out.extend_from_slice(&f.trace.to_le_bytes());
@@ -678,19 +711,18 @@ impl<'a> PacketRef<'a> {
             PacketRef::OpsGet { id, path } => {
                 out.push(14);
                 out.extend_from_slice(&id.to_le_bytes());
-                push_str(path, &mut out);
+                push_str(path, out);
             }
             PacketRef::OpsReply { id, status, body } => {
                 out.push(15);
                 out.extend_from_slice(&id.to_le_bytes());
                 out.extend_from_slice(&status.to_le_bytes());
-                push_bytes(body, &mut out);
+                push_bytes(body, out);
             }
         }
-        out
     }
 
-    /// Exact encoded size, so [`PacketRef::encode`] allocates once.
+    /// Exact encoded size, so an encode allocates at most once.
     fn wire_len(&self) -> usize {
         match self {
             PacketRef::Subscribe { filter, .. } => 1 + 2 + filter.as_str().len() + 1,
@@ -1031,6 +1063,8 @@ mod tests {
         for p in &sample_packets() {
             let bytes = p.encode();
             assert_eq!(bytes.len(), p.view().wire_len(), "{p:?}");
+            // A kept frame is the same bytes.
+            assert_eq!(&*p.view().frame(), &bytes[..], "{p:?}");
         }
     }
 

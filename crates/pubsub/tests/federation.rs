@@ -124,7 +124,7 @@ impl Node for Sub {
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
         if let Some(PubSubEvent::Message { topic, payload, .. }) = self.client.accept(ctx, &pkt) {
-            self.got.push((topic.as_str().to_owned(), payload));
+            self.got.push((topic.as_str().to_owned(), payload.to_vec()));
         }
     }
 

@@ -2,8 +2,13 @@
 //! wire codec, driven by `simnet::rng::DeterministicRng` (reproducible,
 //! no external property-testing dependency).
 
-use pubsub::{BridgeFrame, QoS, SubscriptionTrie, Topic, TopicFilter, WirePacket, WirePacketRef};
+use pubsub::{
+    BridgeFrame, PubSubClient, PubSubEvent, QoS, SubscriptionTrie, Topic, TopicFilter, WirePacket,
+    WirePacketRef, PUBSUB_PORT,
+};
 use simnet::rng::DeterministicRng;
+use simnet::telemetry::{NO_SPAN, NO_TRACE};
+use simnet::{Context, Node, Packet, SimConfig, SimDuration, Simulator};
 
 const CASES: usize = 512;
 
@@ -472,4 +477,100 @@ fn byte_flip_fuzz_never_panics_and_decoders_agree() {
             (b, o) => panic!("decoders disagree on validity: borrowed={b:?} owned={o:?}"),
         }
     }
+}
+
+/// Sends its frames to itself and checks what [`PubSubClient::accept`]
+/// makes of each against the owned decoder of the same bytes.
+struct Probe {
+    client: PubSubClient,
+    frames: Vec<Vec<u8>>,
+    messages: usize,
+    rejected: usize,
+}
+
+impl Node for Probe {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        for frame in std::mem::take(&mut self.frames) {
+            ctx.send(ctx.node_id(), PUBSUB_PORT, frame);
+        }
+    }
+
+    fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
+        let owned = WirePacket::decode(&pkt.payload);
+        match (owned, self.client.accept(ctx, &pkt)) {
+            (
+                Ok(WirePacket::Deliver {
+                    topic,
+                    payload,
+                    trace,
+                    ..
+                }),
+                Some(PubSubEvent::Message {
+                    topic: borrowed_topic,
+                    payload: borrowed_payload,
+                    trace: borrowed_trace,
+                    span,
+                }),
+            ) => {
+                assert_eq!(borrowed_topic, topic);
+                assert_eq!(borrowed_topic.to_topic(), topic);
+                assert_eq!(&*borrowed_payload, &payload[..]);
+                assert_eq!(borrowed_trace, trace);
+                // The span is the receive hop's own, minted only when traced.
+                assert_eq!(span == NO_SPAN, trace == NO_TRACE);
+                self.messages += 1;
+            }
+            // The client acknowledges a QoS 1 delivery to its sender: here,
+            // itself.
+            (Ok(WirePacket::DeliverAck { .. }), None) => {}
+            (Err(_), None) => self.rejected += 1,
+            (owned, event) => panic!("accept gave {event:?} for {owned:?}"),
+        }
+    }
+}
+
+#[test]
+fn accepted_message_borrows_exactly_what_the_owned_decoder_reads() {
+    let mut rng = DeterministicRng::seed_from(0x50B0_000D);
+    let mut frames = Vec::new();
+    let (mut delivers, mut truncated) = (0, 0);
+    for _ in 0..CASES {
+        let deliver = WirePacket::Deliver {
+            id: rng.next_u64(),
+            topic: rand_topic(&mut rng),
+            payload: rand_payload(&mut rng, 128),
+            qos: rand_qos(&mut rng),
+            trace: if rng.chance(0.5) {
+                rng.next_u64()
+            } else {
+                NO_TRACE
+            },
+            span: rng.next_u64(),
+        };
+        let bytes = deliver.encode();
+        if rng.chance(0.25) {
+            let cut = rng.next_bounded(bytes.len() as u64) as usize;
+            frames.push(bytes[..cut].to_vec());
+            truncated += 1;
+        }
+        frames.push(bytes);
+        delivers += 1;
+    }
+    let mut sim = Simulator::new(SimConfig { seed: 13 });
+    let probe = sim.add_node(
+        "probe",
+        Probe {
+            client: PubSubClient::new(simnet::NodeId::from_index(0), 100),
+            frames,
+            messages: 0,
+            rejected: 0,
+        },
+    );
+    sim.run_for(SimDuration::from_secs(1));
+    let probe = sim.node_ref::<Probe>(probe).expect("placed above");
+    assert_eq!((probe.messages, probe.rejected), (delivers, truncated));
+    assert_eq!(
+        sim.telemetry().metrics.counter("pubsub.decode_error"),
+        truncated as u64
+    );
 }

@@ -5,6 +5,7 @@
 //! keeps the borrow structure simple and guarantees that effects of one
 //! callback are totally ordered after the event that caused them.
 
+use crate::frame::Frame;
 use crate::node::{NodeId, Port, TimerTag};
 use crate::rng::DeterministicRng;
 use crate::time::{SimDuration, SimTime};
@@ -16,7 +17,7 @@ pub(crate) enum Effect {
     Send {
         dst: NodeId,
         port: Port,
-        payload: Vec<u8>,
+        payload: Frame,
         trace: TraceId,
         span: SpanId,
     },
@@ -62,8 +63,10 @@ impl Context<'_> {
     }
 
     /// Queues a packet to `dst` on `port`. Delivery time and loss are
-    /// decided by the link model between the two nodes.
-    pub fn send(&mut self, dst: NodeId, port: Port, payload: Vec<u8>) {
+    /// decided by the link model between the two nodes. A `Vec<u8>`
+    /// moves into the packet as it is; a [`Frame`] the sender also keeps
+    /// is shared, not copied.
+    pub fn send(&mut self, dst: NodeId, port: Port, payload: impl Into<Frame>) {
         self.send_spanned(dst, port, payload, NO_TRACE, NO_SPAN);
     }
 
@@ -76,14 +79,14 @@ impl Context<'_> {
         &mut self,
         dst: NodeId,
         port: Port,
-        payload: Vec<u8>,
+        payload: impl Into<Frame>,
         trace: TraceId,
         span: SpanId,
     ) {
         self.effects.push(Effect::Send {
             dst,
             port,
-            payload,
+            payload: payload.into(),
             trace,
             span,
         });

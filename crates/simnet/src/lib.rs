@@ -36,7 +36,7 @@
 //!         ctx.send(self.peer, simnet::Port::new(7), b"ping".to_vec());
 //!     }
 //!     fn on_packet(&mut self, _ctx: &mut Context<'_>, pkt: Packet) {
-//!         assert_eq!(pkt.payload, b"ping");
+//!         assert_eq!(&pkt.payload[..], b"ping");
 //!         self.got = true;
 //!     }
 //! }
@@ -50,6 +50,7 @@
 
 mod context;
 mod event;
+mod frame;
 mod link;
 mod node;
 mod parallel;
@@ -63,6 +64,7 @@ pub mod rpc;
 pub mod time;
 
 pub use context::Context;
+pub use frame::Frame;
 pub use link::{LinkModel, LinkModelBuilder};
 pub use node::{Node, NodeId, Packet, Port, TimerTag};
 // `ParallelSimulator` is re-exported for `benchmark/`, its only caller.

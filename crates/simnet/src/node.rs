@@ -4,6 +4,7 @@ use std::any::Any;
 use std::fmt;
 
 use crate::context::Context;
+use crate::frame::Frame;
 
 /// Identifies a node within one [`Simulator`](crate::Simulator), across
 /// all of its shards.
@@ -85,7 +86,7 @@ pub struct Packet {
     /// The destination service selector.
     pub port: Port,
     /// The opaque payload bytes (already encoded by the sender).
-    pub payload: Vec<u8>,
+    pub payload: Frame,
     /// Flight-recorder trace id carried with the packet
     /// (`telemetry::NO_TRACE` = 0 when the packet is untraced). Set via
     /// [`Context::send_spanned`](crate::Context::send_spanned).
@@ -174,7 +175,7 @@ mod tests {
             src: NodeId(0),
             dst: NodeId(1),
             port: Port::new(5),
-            payload: vec![0; 10],
+            payload: vec![0; 10].into(),
             trace: 0,
             span: 0,
         };

@@ -815,7 +815,7 @@ mod tests {
     }
     impl Node for Recorder {
         fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
-            self.got.push((ctx.now(), pkt.payload.clone()));
+            self.got.push((ctx.now(), pkt.payload.to_vec()));
             ctx.send(pkt.src, pkt.port, pkt.payload);
         }
     }

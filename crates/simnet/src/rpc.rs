@@ -515,7 +515,7 @@ mod tests {
             src: NodeId::from_index(1),
             dst: NodeId::from_index(0),
             port: Port::new(1),
-            payload: encode_response(99, b"late"),
+            payload: encode_response(99, b"late").into(),
             trace: 0,
             span: 0,
         };

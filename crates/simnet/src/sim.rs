@@ -840,7 +840,7 @@ mod tests {
 
     impl Node for Counter {
         fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
-            self.packets.push((ctx.now(), pkt.payload));
+            self.packets.push((ctx.now(), pkt.payload.to_vec()));
         }
         fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
             self.timers.push((ctx.now(), tag));

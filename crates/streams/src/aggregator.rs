@@ -32,7 +32,9 @@ use proxy::devices::unix_millis_at;
 use proxy::registration::{MasterReply, MasterSession, ProxyRole, Registration};
 use proxy::webservice::{status, WsCall, WsRequest, WsResponse, WsServer};
 use proxy::{node_uri, WS_PORT};
-use pubsub::{MeasurementTopic, PubSubClient, PubSubEvent, QoS, RollupTopic, PUBSUB_PORT};
+use pubsub::{
+    MeasurementTopic, PubSubClient, PubSubEvent, QoS, RollupTopic, TopicRef, PUBSUB_PORT,
+};
 use simnet::overload::{Admission, AdmissionGate};
 use simnet::{Context, Node, NodeId, Packet, SimDuration, TimerTag};
 use storage::tskv::{SeriesId, TimeSeriesStore};
@@ -396,11 +398,11 @@ impl AggregatorNode {
     /// What `topic` resolves to; `None` when it is not a measurement
     /// topic. A miss resolves the topic the way every hit was resolved;
     /// a full table only means the next sample misses again.
-    fn route(&mut self, topic: &pubsub::Topic) -> Option<Route> {
+    fn route(&mut self, topic: TopicRef<'_>) -> Option<Route> {
         if let Some(route) = self.routes.get(topic.as_str()) {
             return Some(route.clone());
         }
-        let parsed = MeasurementTopic::parse(topic)?;
+        let parsed = MeasurementTopic::parse(&topic.to_topic())?;
         let raw = raw_series(&parsed.entity, &parsed.device, &parsed.quantity);
         let route = Route {
             raw: self.store.series_id(&raw),
@@ -416,24 +418,25 @@ impl AggregatorNode {
     fn ingest(
         &mut self,
         ctx: &mut Context<'_>,
-        pkt_topic: &pubsub::Topic,
+        topic: TopicRef<'_>,
         payload: &[u8],
         trace: u64,
         recv_span: SpanId,
     ) {
-        let Some(route) = self.route(pkt_topic) else {
+        let Some(route) = self.route(topic) else {
             return; // not a measurement topic
         };
-        let decoded = std::str::from_utf8(payload)
+        // The route names the device; the payload's device member is
+        // checked, not kept.
+        let reading = std::str::from_utf8(payload)
             .ok()
-            .and_then(|text| codec::decode_measurement(text, DataFormat::Json).ok());
-        let Some(measurement) = decoded else {
+            .and_then(|text| codec::decode_reading(text, DataFormat::Json).ok());
+        let Some((timestamp, value)) = reading else {
             self.stats.decode_errors += 1;
             self.series(ctx).decode_errors.incr();
             return;
         };
-        let t = measurement.timestamp().as_unix_millis();
-        let value = measurement.value();
+        let t = timestamp.as_unix_millis();
         // QoS 1 redelivery and post-restart retained replays produce
         // duplicates; the raw store is the dedup authority.
         if self.store.contains_at(route.raw, t) {
@@ -793,7 +796,7 @@ impl Node for AggregatorNode {
                     span,
                 }) = self.pubsub.accept(ctx, &pkt)
                 {
-                    self.ingest(ctx, &topic, &payload, trace, span);
+                    self.ingest(ctx, topic, &payload, trace, span);
                 }
             }
             WS_PORT => match self.master.on_packet(ctx, &pkt) {
@@ -937,6 +940,55 @@ mod tests {
         let rollups = agg.district_rollups(QuantityKind::Temperature, i64::MIN, i64::MAX);
         assert_eq!(rollups.len(), 1);
         assert_eq!((rollups[0].count, rollups[0].sum), (3, 63.0));
+    }
+
+    #[test]
+    fn a_payload_whose_device_id_breaks_the_grammar_is_one_decode_error() {
+        /// Publishes each payload once, on one measurement topic.
+        struct Raw {
+            client: PubSubClient,
+            payloads: Vec<String>,
+        }
+        impl Node for Raw {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                let topic = MeasurementTopic::new("d1", "b1", "dev1", "temperature")
+                    .topic()
+                    .unwrap();
+                for payload in std::mem::take(&mut self.payloads) {
+                    let topic = topic.clone();
+                    self.client
+                        .publish(ctx, topic, payload.into_bytes(), false, QoS::AtMostOnce);
+                }
+            }
+            fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: Packet) {}
+        }
+        let good = codec::encode_measurement(
+            &Measurement::new(
+                DeviceId::new("dev1").unwrap(),
+                QuantityKind::Temperature,
+                20.5,
+                QuantityKind::Temperature.canonical_unit(),
+                Timestamp::from_unix_millis(EPOCH + 1_000),
+            ),
+            DataFormat::Json,
+        );
+        // The topic names a good device; the payload's own id does not
+        // parse, and is checked although the route supplies the device.
+        let bad = good.replace("dev1", "dev 1");
+        let (mut sim, aggregator) = aggregate(Vec::new());
+        // `aggregate` places the master, then the broker.
+        let broker = NodeId::from_index(1);
+        sim.add_node(
+            "raw",
+            Raw {
+                client: PubSubClient::new(broker, 100),
+                payloads: vec![bad, good],
+            },
+        );
+        sim.run_for(SimDuration::from_secs(1));
+        let stats = sim.node_ref::<AggregatorNode>(aggregator).unwrap().stats();
+        assert_eq!((stats.decode_errors, stats.samples_in), (1, 1));
+        assert_eq!(sim.telemetry().metrics.counter("streams.decode_errors"), 1);
     }
 
     #[test]
