@@ -198,12 +198,12 @@ impl<'o> Writer<'o> {
     }
 
     /// Opens an array.
-    pub(crate) fn begin_array(&mut self) {
+    pub fn begin_array(&mut self) {
         forward!(self, w => w.begin_array())
     }
 
     /// Closes the innermost array.
-    pub(crate) fn end_array(&mut self) {
+    pub fn end_array(&mut self) {
         forward!(self, w => w.end_array())
     }
 
@@ -382,6 +382,56 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Reads the next value with `read` unless it is null, which reads
+    /// as `None`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the format's parse error.
+    pub fn nullable<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<Shaped<T>, CoreError>,
+    ) -> Result<Shaped<Option<T>>, CoreError> {
+        match self.next_event()? {
+            Event::Null => Ok(Ok(None)),
+            first => {
+                self.peeked = Some(first);
+                Ok(read(self)?.map(Some))
+            }
+        }
+    }
+
+    /// Reads the next value as an array of what `item` reads; anything
+    /// else is consumed and ill-shaped as member `key` of `target`. The
+    /// first ill-shaped item decides the outcome, but every item's syntax
+    /// is still checked.
+    ///
+    /// # Errors
+    ///
+    /// Returns the format's parse error.
+    pub fn array<T>(
+        &mut self,
+        target: &'static str,
+        key: &str,
+        mut item: impl FnMut(&mut Self) -> Result<Shaped<T>, CoreError>,
+    ) -> Result<Shaped<Vec<T>>, CoreError> {
+        if !self.begin_array()? {
+            return Ok(Err(CoreError::Shape {
+                target,
+                reason: format!("member {key:?} is not an array"),
+            }));
+        }
+        let mut items = Ok(Vec::new());
+        while self.more_items()? {
+            match (item(self)?, &mut items) {
+                (Ok(x), Ok(items)) => items.push(x),
+                (Err(e), Ok(_)) => items = Err(e),
+                (_, Err(_)) => {}
+            }
+        }
+        Ok(items)
+    }
+
     /// Consumes the next value, checking its syntax exactly as building
     /// it would.
     ///
@@ -488,6 +538,23 @@ thread_local! {
 /// exactly as decoding to a tree first would.
 pub type Shaped<T> = Result<T, CoreError>;
 
+/// The error for an object whose member `key` never occurred, worded as
+/// [`Value::require`] words it.
+fn missing(target: &'static str, key: &str) -> CoreError {
+    CoreError::Shape {
+        target,
+        reason: format!("missing member {key:?}"),
+    }
+}
+
+/// A container member as a typed reader holds it until the object
+/// closes — `None` until it occurs — as the outcome a tree accessor
+/// such as [`Value::require_array`] gives for it. The error for an
+/// absent member is built only when one is.
+pub fn required<T>(member: Option<Shaped<T>>, target: &'static str, key: &str) -> Shaped<T> {
+    member.unwrap_or_else(|| Err(missing(target, key)))
+}
+
 /// A scalar member as a typed reader holds it until the object closes
 /// (the last occurrence of a key wins, as in a [`Value`] object).
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -524,11 +591,11 @@ impl<'a> Scalar<'a> {
     }
 
     fn shape(&self, target: &'static str, key: &str, wanted: &str) -> CoreError {
-        CoreError::Shape {
-            target,
-            reason: match self {
-                Scalar::Missing => format!("missing member {key:?}"),
-                _ => format!("member {key:?} is not {wanted}"),
+        match self {
+            Scalar::Missing => missing(target, key),
+            _ => CoreError::Shape {
+                target,
+                reason: format!("member {key:?} is not {wanted}"),
             },
         }
     }
@@ -550,7 +617,7 @@ impl<'a> Scalar<'a> {
     /// # Errors
     ///
     /// Returns [`CoreError::Shape`] if absent or not numeric.
-    pub(crate) fn require_f64(&self, target: &'static str, key: &str) -> Shaped<f64> {
+    pub fn require_f64(&self, target: &'static str, key: &str) -> Shaped<f64> {
         match self {
             Scalar::Int(i) => Ok(*i as f64),
             Scalar::Float(f) => Ok(*f),

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::codec::{Reader, Scalar, Shaped, Writer};
+use crate::codec::{self, Reader, Scalar, Shaped, Writer};
 use crate::{CoreError, DeviceId, QuantityKind, Timestamp, Unit, Value};
 
 /// One sample reported by a device, in the common data format.
@@ -188,7 +188,10 @@ impl Measurement {
         w.key("quantity");
         w.str(quantity.as_str());
         w.key("timestamp");
-        w.display(&timestamp);
+        match timestamp.canonical() {
+            Some(text) => w.str(text.as_str()),
+            None => w.display(&timestamp),
+        }
         w.key("unit");
         w.str(unit.symbol());
         w.key("value");
@@ -385,20 +388,17 @@ impl MeasurementBatch {
     /// Returns the format's parse error; the inner result says whether
     /// the well-formed value describes a batch.
     pub fn read(r: &mut Reader<'_>) -> Result<Shaped<Self>, CoreError> {
-        let mut items = Err(CoreError::Shape {
-            target: BATCH,
-            reason: "missing member \"measurements\"".into(),
-        });
+        let mut items = None;
         if r.begin_object()? {
             while let Some(key) = r.next_key()? {
                 if key == "measurements" {
-                    items = read_items(r)?;
+                    items = Some(r.array(BATCH, "measurements", Measurement::read)?);
                 } else {
                     r.skip_value()?;
                 }
             }
         }
-        Ok(items.map(|items| MeasurementBatch { items }))
+        Ok(codec::required(items, BATCH, "measurements").map(|items| MeasurementBatch { items }))
     }
 }
 
@@ -413,26 +413,6 @@ fn write_batch(w: &mut Writer<'_>, write_items: impl FnOnce(&mut Writer<'_>)) {
     write_items(w);
     w.end_array();
     w.end_object();
-}
-
-/// Reads the `measurements` member; the first ill-shaped item decides
-/// the outcome, but every item's syntax is still checked.
-fn read_items(r: &mut Reader<'_>) -> Result<Shaped<Vec<Measurement>>, CoreError> {
-    if !r.begin_array()? {
-        return Ok(Err(CoreError::Shape {
-            target: BATCH,
-            reason: "member \"measurements\" is not an array".into(),
-        }));
-    }
-    let mut items = Ok(Vec::new());
-    while r.more_items()? {
-        match (Measurement::read(r)?, &mut items) {
-            (Ok(m), Ok(items)) => items.push(m),
-            (Err(e), Ok(_)) => items = Err(e),
-            (_, Err(_)) => {}
-        }
-    }
-    Ok(items)
 }
 
 impl FromIterator<Measurement> for MeasurementBatch {

@@ -4,7 +4,14 @@
 //! It formats to and parses from the ISO 8601 profile used in the common
 //! data format: `YYYY-MM-DDThh:mm:ss[.mmm]Z`. The civil-date conversion
 //! uses Howard Hinnant's `days_from_civil` algorithm, exact over the whole
-//! supported range.
+//! `i64` range, so every timestamp displays as text that parses back to
+//! it; a year before 0 carries its sign (`-001-12-31T23:59:59.999Z`).
+//!
+//! Years 0–9999 — every timestamp a device reports — take a fixed-width
+//! path both ways: [`Timestamp::canonical`] fills a 24-byte buffer by digit
+//! arithmetic, and [`Timestamp::parse`] reads the 20- and 24-byte shapes
+//! at fixed positions. Other years go through `fmt`, and other text through
+//! the general parser, which accepts what it always accepted.
 
 use std::fmt;
 use std::ops::{Add, Sub};
@@ -38,6 +45,149 @@ pub(crate) struct CivilTime {
     pub(crate) second: u8,
     /// Millisecond 0–999.
     pub(crate) millisecond: u16,
+}
+
+impl CivilTime {
+    /// Whether every field is in range. The day is not checked against
+    /// its month: Feb 30 normalizes to Mar 1 or 2.
+    fn in_range(&self) -> bool {
+        (1..=12).contains(&self.month)
+            && (1..=31).contains(&self.day)
+            && self.hour < 24
+            && self.minute < 60
+            && self.second < 60
+            && self.millisecond < 1000
+    }
+
+    /// The instant these fields name, or `None` outside the millisecond
+    /// range of an `i64`. Fields must be in range.
+    fn to_millis(self) -> Option<i64> {
+        // |days| < 2^31 * 366, so the seconds fit an i64; the
+        // milliseconds may not.
+        let days = days_from_civil(self.year, self.month, self.day);
+        let secs = days * 86_400
+            + i64::from(self.hour) * 3_600
+            + i64::from(self.minute) * 60
+            + i64::from(self.second);
+        i64::try_from(i128::from(secs) * 1000 + i128::from(self.millisecond)).ok()
+    }
+}
+
+/// The canonical text of a timestamp in years 0–9999, built by digit
+/// arithmetic: exactly what `Display` writes for it.
+#[derive(Debug)]
+pub(crate) struct Canonical {
+    bytes: [u8; 24],
+    len: u8,
+}
+
+impl Canonical {
+    fn of(c: &CivilTime) -> Option<Canonical> {
+        let year = u16::try_from(c.year).ok().filter(|&y| y <= 9999)?;
+        let mut bytes = *b"0000-00-00T00:00:00.000Z";
+        put_digits(&mut bytes[0..4], year.into());
+        put_digits(&mut bytes[5..7], c.month.into());
+        put_digits(&mut bytes[8..10], c.day.into());
+        put_digits(&mut bytes[11..13], c.hour.into());
+        put_digits(&mut bytes[14..16], c.minute.into());
+        put_digits(&mut bytes[17..19], c.second.into());
+        let len = if c.millisecond == 0 {
+            bytes[19] = b'Z';
+            20
+        } else {
+            put_digits(&mut bytes[20..23], c.millisecond.into());
+            24
+        };
+        Some(Canonical { bytes, len })
+    }
+
+    /// The text.
+    pub(crate) fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.bytes[..usize::from(self.len)])
+            .expect("digits and separators are ASCII")
+    }
+}
+
+/// Writes `n` into `out` as zero-padded decimal digits; `n` must fit.
+fn put_digits(out: &mut [u8], mut n: u32) {
+    for b in out.iter_mut().rev() {
+        *b = b'0' + (n % 10) as u8;
+        n /= 10;
+    }
+}
+
+/// Reads `bytes` as unsigned decimal digits; `None` if one is not a digit.
+fn read_digits(bytes: &[u8]) -> Option<u32> {
+    bytes.iter().try_fold(0, |n, &b| {
+        b.is_ascii_digit().then(|| n * 10 + u32::from(b - b'0'))
+    })
+}
+
+/// The fields of text in one of the canonical shapes,
+/// `YYYY-MM-DDThh:mm:ssZ` and `YYYY-MM-DDThh:mm:ss.mmmZ`, read at fixed
+/// positions; `None` for any other text.
+fn canonical_fields(b: &[u8]) -> Option<CivilTime> {
+    let millisecond = match b.len() {
+        20 => 0,
+        24 if b[19] == b'.' => read_digits(&b[20..23])?,
+        _ => return None,
+    };
+    let separators = [(4, b'-'), (7, b'-'), (10, b'T'), (13, b':'), (16, b':')];
+    if b[b.len() - 1] != b'Z' || separators.iter().any(|&(at, sep)| b[at] != sep) {
+        return None;
+    }
+    let two = |at: usize| read_digits(&b[at..at + 2]).map(|n| n as u8);
+    Some(CivilTime {
+        year: read_digits(&b[0..4])? as i32,
+        month: two(5)?,
+        day: two(8)?,
+        hour: two(11)?,
+        minute: two(14)?,
+        second: two(17)?,
+        millisecond: millisecond as u16,
+    })
+}
+
+/// The fields of any text of the profile: each field a decimal number
+/// (`str::parse` rules), the year optionally signed, the milliseconds
+/// exactly three characters; `None` for text that is not of the profile.
+fn general_fields(s: &str) -> Option<CivilTime> {
+    if s.len() < 20 {
+        return None;
+    }
+    let (date, time) = s.strip_suffix('Z')?.split_once('T')?;
+    // A year before 0 carries its sign, which is not a field separator.
+    let unsigned = date.strip_prefix('-').unwrap_or(date);
+    let sign = date.len() - unsigned.len();
+    let mut dp = unsigned.split('-');
+    let year_digits = dp.next()?;
+    let year = date[..sign + year_digits.len()].parse().ok()?;
+    let month = dp.next()?.parse().ok()?;
+    let day = dp.next()?.parse().ok()?;
+    if dp.next().is_some() {
+        return None;
+    }
+    let (hms, millisecond) = match time.split_once('.') {
+        Some((hms, frac)) if frac.len() == 3 => (hms, frac.parse().ok()?),
+        Some(_) => return None,
+        None => (time, 0),
+    };
+    let mut tp = hms.split(':');
+    let hour = tp.next()?.parse().ok()?;
+    let minute = tp.next()?.parse().ok()?;
+    let second = tp.next()?.parse().ok()?;
+    if tp.next().is_some() {
+        return None;
+    }
+    Some(CivilTime {
+        year,
+        month,
+        day,
+        hour,
+        minute,
+        second,
+        millisecond,
+    })
 }
 
 /// Days since epoch of civil date (Hinnant's `days_from_civil`).
@@ -74,34 +224,6 @@ impl Timestamp {
         Timestamp(millis)
     }
 
-    /// Creates a timestamp from a civil UTC date and time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a field is out of range (month 1–12, day 1–31, hour < 24,
-    /// minute/second < 60, millisecond < 1000). Day overflow within a
-    /// month (e.g. Feb 30) is *not* detected; use [`Timestamp::civil`] to
-    /// normalize if needed.
-    pub(crate) fn from_civil(civil: CivilTime) -> Self {
-        let CivilTime {
-            year,
-            month,
-            day,
-            hour,
-            minute,
-            second,
-            millisecond,
-        } = civil;
-        assert!((1..=12).contains(&month), "month out of range");
-        assert!((1..=31).contains(&day), "day out of range");
-        assert!(hour < 24 && minute < 60 && second < 60, "time out of range");
-        assert!(millisecond < 1000, "millisecond out of range");
-        let days = days_from_civil(year, month, day);
-        let secs =
-            days * 86_400 + i64::from(hour) * 3_600 + i64::from(minute) * 60 + i64::from(second);
-        Timestamp(secs * 1000 + i64::from(millisecond))
-    }
-
     /// Milliseconds since the Unix epoch.
     pub const fn as_unix_millis(self) -> i64 {
         self.0
@@ -125,61 +247,29 @@ impl Timestamp {
         }
     }
 
-    /// Parses the ISO 8601 profile `YYYY-MM-DDThh:mm:ss[.mmm]Z`.
+    /// The canonical text of this timestamp when its year is in 0–9999,
+    /// formatted without `fmt`; what `Display` writes.
+    pub(crate) fn canonical(self) -> Option<Canonical> {
+        Canonical::of(&self.civil())
+    }
+
+    /// Parses the ISO 8601 profile `[-]YYYY-MM-DDThh:mm:ss[.mmm]Z`. The
+    /// canonical 20- and 24-byte shapes are read at fixed positions; any
+    /// other text by the general parser, with the same result.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::ParseTimestamp`] on any deviation.
+    /// Returns [`CoreError::ParseTimestamp`] on any deviation, and for an
+    /// instant outside the `i64` millisecond range.
     pub fn parse(s: &str) -> Result<Self, CoreError> {
-        let err = || CoreError::ParseTimestamp {
-            input: s.to_owned(),
-        };
-        let bytes = s.as_bytes();
-        if bytes.len() < 20 || bytes[bytes.len() - 1] != b'Z' {
-            return Err(err());
-        }
-        let body = &s[..s.len() - 1];
-        let (date, time) = body.split_once('T').ok_or_else(err)?;
-        let mut dp = date.split('-');
-        let year: i32 = dp.next().ok_or_else(err)?.parse().map_err(|_| err())?;
-        let month: u8 = dp.next().ok_or_else(err)?.parse().map_err(|_| err())?;
-        let day: u8 = dp.next().ok_or_else(err)?.parse().map_err(|_| err())?;
-        if dp.next().is_some() {
-            return Err(err());
-        }
-        let (hms, millis) = match time.split_once('.') {
-            Some((hms, frac)) => {
-                if frac.len() != 3 {
-                    return Err(err());
-                }
-                (hms, frac.parse::<u16>().map_err(|_| err())?)
-            }
-            None => (time, 0),
-        };
-        let mut tp = hms.split(':');
-        let hour: u8 = tp.next().ok_or_else(err)?.parse().map_err(|_| err())?;
-        let minute: u8 = tp.next().ok_or_else(err)?.parse().map_err(|_| err())?;
-        let second: u8 = tp.next().ok_or_else(err)?.parse().map_err(|_| err())?;
-        if tp.next().is_some() {
-            return Err(err());
-        }
-        if !(1..=12).contains(&month)
-            || !(1..=31).contains(&day)
-            || hour >= 24
-            || minute >= 60
-            || second >= 60
-        {
-            return Err(err());
-        }
-        Ok(Timestamp::from_civil(CivilTime {
-            year,
-            month,
-            day,
-            hour,
-            minute,
-            second,
-            millisecond: millis,
-        }))
+        canonical_fields(s.as_bytes())
+            .or_else(|| general_fields(s))
+            .filter(CivilTime::in_range)
+            .and_then(CivilTime::to_millis)
+            .map(Timestamp)
+            .ok_or_else(|| CoreError::ParseTimestamp {
+                input: s.to_owned(),
+            })
     }
 }
 
@@ -202,16 +292,24 @@ impl Sub for Timestamp {
 impl fmt::Display for Timestamp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let c = self.civil();
-        write!(
-            f,
-            "{:04}-{:02}-{:02}T{:02}:{:02}:{:02}",
-            c.year, c.month, c.day, c.hour, c.minute, c.second
-        )?;
-        if c.millisecond != 0 {
-            write!(f, ".{:03}", c.millisecond)?;
+        match Canonical::of(&c) {
+            Some(text) => f.write_str(text.as_str()),
+            None => write_civil(f, &c),
         }
-        f.write_str("Z")
     }
+}
+
+/// The `fmt` path of `Display`, taken for years outside 0–9999.
+fn write_civil(f: &mut impl fmt::Write, c: &CivilTime) -> fmt::Result {
+    write!(
+        f,
+        "{:04}-{:02}-{:02}T{:02}:{:02}:{:02}",
+        c.year, c.month, c.day, c.hour, c.minute, c.second
+    )?;
+    if c.millisecond != 0 {
+        write!(f, ".{:03}", c.millisecond)?;
+    }
+    f.write_str("Z")
 }
 
 impl std::str::FromStr for Timestamp {
@@ -224,6 +322,20 @@ impl std::str::FromStr for Timestamp {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Timestamp {
+        /// The instant `civil` names.
+        ///
+        /// # Panics
+        ///
+        /// Panics if a field is out of range; day overflow within a month
+        /// (Feb 30) normalizes.
+        fn from_civil(civil: CivilTime) -> Self {
+            assert!((1..=12).contains(&civil.month), "month out of range");
+            assert!(civil.in_range(), "field out of range");
+            Timestamp(civil.to_millis().expect("inside the i64 range"))
+        }
+    }
 
     #[test]
     fn epoch_is_1970() {
@@ -306,6 +418,122 @@ mod tests {
         let t = Timestamp::from_unix_millis(100_000);
         assert_eq!(t + 500, Timestamp::from_unix_millis(100_500));
         assert_eq!((t + 500) - t, 500);
+    }
+
+    /// The first millisecond of year 0 and of year 10000.
+    const YEAR_0: i64 = -62_167_219_200_000;
+    const YEAR_10000: i64 = 253_402_300_800_000;
+
+    #[test]
+    fn years_outside_the_fast_range_round_trip_with_their_sign() {
+        let t = Timestamp::from_unix_millis(YEAR_0 - 1);
+        assert_eq!(t.to_string(), "-001-12-31T23:59:59.999Z");
+        assert_eq!(Timestamp::parse("-001-12-31T23:59:59.999Z"), Ok(t));
+        assert_eq!(Timestamp::parse("-0001-12-31T23:59:59.999Z"), Ok(t));
+        assert_eq!(
+            Timestamp::from_unix_millis(YEAR_10000).to_string(),
+            "10000-01-01T00:00:00Z"
+        );
+        for millis in [i64::MIN, i64::MIN + 1, -1_000_000_000_000_000, i64::MAX] {
+            let t = Timestamp::from_unix_millis(millis);
+            assert_eq!(Timestamp::parse(&t.to_string()), Ok(t), "{t}");
+        }
+        for bad in ["--001-12-31T23:59:59Z", "-+001-12-31T23:59:59Z", "-"] {
+            assert!(Timestamp::parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn instants_past_the_i64_range_are_rejected_not_wrapped() {
+        let max = Timestamp::from_unix_millis(i64::MAX).to_string();
+        assert_eq!(max, "292278994-08-17T07:12:55.807Z");
+        for bad in [
+            "292278994-08-17T07:12:55.808Z",
+            "-292275055-05-16T16:47:04.191Z",
+            "2147483647-12-31T23:59:59Z",
+            "-2147483648-01-01T00:00:00Z",
+        ] {
+            assert!(Timestamp::parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn the_fixed_width_writer_equals_the_fmt_path() {
+        let mut rng = simnet::rng::DeterministicRng::seed_from(30);
+        let edges = [YEAR_0, YEAR_10000 - 1, 0, -1, 999, 1000, 1_425_859_200_123];
+        let random = (0..100_000).map(|_| {
+            let span = (YEAR_10000 - YEAR_0) as u64;
+            let millis = YEAR_0 + rng.next_bounded(span) as i64;
+            // Whole seconds half the time, so both lengths occur.
+            if rng.chance(0.5) {
+                millis - millis.rem_euclid(1000)
+            } else {
+                millis
+            }
+        });
+        for millis in edges.into_iter().chain(random) {
+            let c = Timestamp::from_unix_millis(millis).civil();
+            let mut slow = String::new();
+            write_civil(&mut slow, &c).unwrap();
+            let fast = Canonical::of(&c).expect("a year in 0-9999");
+            assert_eq!(fast.as_str(), slow, "{millis}");
+        }
+        for millis in [YEAR_0 - 1, YEAR_10000, i64::MIN, i64::MAX] {
+            assert!(Timestamp::from_unix_millis(millis).canonical().is_none());
+        }
+    }
+
+    #[test]
+    fn the_fixed_position_parser_equals_the_general_parser() {
+        let mut rng = simnet::rng::DeterministicRng::seed_from(31);
+        let noise = b"0123456789-:T.Z+ tz/";
+        for case in 0..100_000 {
+            let millis = YEAR_0 + rng.next_bounded((YEAR_10000 - YEAR_0) as u64) as i64;
+            let millis = if case % 2 == 0 {
+                millis - millis.rem_euclid(1000)
+            } else {
+                millis
+            };
+            let text = Timestamp::from_unix_millis(millis).to_string();
+            let canonical = canonical_fields(text.as_bytes());
+            assert!(canonical.is_some(), "{text}");
+            assert_eq!(canonical, general_fields(&text), "{text}");
+            // One byte replaced, inserted or removed: the fixed-position
+            // reader either declines or agrees with the general one.
+            let mut bytes = text.into_bytes();
+            let at = rng.next_bounded(bytes.len() as u64) as usize;
+            let b = noise[rng.next_bounded(noise.len() as u64) as usize];
+            match rng.next_bounded(3) {
+                0 => bytes[at] = b,
+                1 => bytes.insert(at, b),
+                _ => {
+                    bytes.remove(at);
+                }
+            }
+            let text = String::from_utf8(bytes).unwrap();
+            if let Some(fields) = canonical_fields(text.as_bytes()) {
+                assert_eq!(Some(fields), general_fields(&text), "{text}");
+            }
+        }
+        // Non-canonical shapes: read by the general parser alone.
+        for (text, fast, millis) in [
+            ("2015-3-9T1:2:3Z", false, None),
+            ("2015-03-09T9:30:00.5Z", false, None),
+            ("+2015-03-09T09:30:00Z", false, Some(1_425_893_400_000)),
+            ("2015-03-09T09:30:00.+12Z", false, Some(1_425_893_400_012)),
+            ("2015-03-09T09:30:00.000Z", true, Some(1_425_893_400_000)),
+            ("2015-03-09t09:30:00Z", false, None),
+            ("2015-03-09T09-30:00Z", false, None),
+            ("2015-03-09T09:30:00.1234Z", false, None),
+            ("2015-02-30T00:00:00Z", true, Some(1_425_254_400_000)),
+        ] {
+            assert_eq!(canonical_fields(text.as_bytes()).is_some(), fast, "{text}");
+            assert_eq!(
+                Timestamp::parse(text).ok().map(Timestamp::as_unix_millis),
+                millis,
+                "{text}"
+            );
+        }
     }
 
     #[test]

@@ -218,6 +218,39 @@ fn timestamp_civil_round_trip() {
 }
 
 #[test]
+fn timestamp_display_parse_round_trip_over_the_whole_i64_range() {
+    // `civil()` breaks down every i64 of milliseconds, years before 0
+    // and past 9999 included; each must display as text that parses
+    // back to it.
+    let mut rng = DeterministicRng::seed_from(0xC0DE_0010);
+    let edges = [
+        i64::MIN,
+        i64::MIN + 999,
+        i64::MAX,
+        -62_167_219_200_001,
+        -62_167_219_200_000,
+        253_402_300_799_999,
+        253_402_300_800_000,
+        -1,
+        0,
+    ];
+    let random = (0..64 * CASES).map(|i| {
+        let bits = rng.next_u64() as i64;
+        // Every other draw near the epoch, where the fast paths live.
+        if i % 2 == 0 {
+            bits
+        } else {
+            bits % 300_000_000_000_000
+        }
+    });
+    for millis in edges.into_iter().chain(random) {
+        let t = Timestamp::from_unix_millis(millis);
+        let text = t.to_string();
+        assert_eq!(Timestamp::parse(&text), Ok(t), "{text}");
+    }
+}
+
+#[test]
 fn uri_display_parse_round_trip() {
     let mut rng = DeterministicRng::seed_from(0xC0DE_0009);
     for _ in 0..CASES {

@@ -253,7 +253,7 @@ impl Node for CentralServerNode {
                             ctx,
                             node,
                             port,
-                            request,
+                            &request,
                             SimDuration::from_secs(2),
                             1,
                         );

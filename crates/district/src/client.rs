@@ -14,7 +14,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use dimmer_core::codec::DataFormat;
-use dimmer_core::{DistrictId, MeasurementBatch, Value};
+use dimmer_core::{DistrictId, MeasurementBatch, QuantityKind, Value};
 use gis::geo::BoundingBox;
 use ontology::AreaResolution;
 use proxy::webservice::{decode_response, status, WsClient, WsClientEvent, WsRequest, WsResponse};
@@ -163,47 +163,56 @@ impl ClientNode {
             .insert(id, (query_index, FetchKind::Resolution));
     }
 
-    fn on_resolution(&mut self, ctx: &mut Context<'_>, query_index: usize, response: WsResponse) {
-        let Ok(resolution) = AreaResolution::from_value(&response.body) else {
-            self.queries[query_index].errors += 1;
-            self.finish_if_done(ctx, query_index);
-            return;
-        };
-        // Fan out: one /model fetch per entity, one /data fetch per device.
-        let mut fetches: Vec<(NodeId, WsRequest, FetchKind)> = Vec::new();
+    /// Fans the query out: one `/model` fetch per entity, one `/data`
+    /// fetch per device, in resolution order. Each distinct request — the
+    /// one `/model` request, one `/data` request per quantity — is built
+    /// once.
+    fn on_resolution(
+        &mut self,
+        ctx: &mut Context<'_>,
+        query_index: usize,
+        resolution: AreaResolution,
+    ) {
+        let format = self.config.format;
+        let model = WsRequest::get("/model").with_format(format);
+        let mut data: Vec<(QuantityKind, WsRequest)> = Vec::new();
+        let mut fetches = 0;
         for entity in &resolution.entities {
             if let Some(node) = uri_node(entity.db_proxy()) {
-                let request = WsRequest::get("/model").with_format(self.config.format);
-                fetches.push((
-                    node,
-                    request,
-                    FetchKind::EntityModel(entity.id().to_owned()),
-                ));
+                let id = self.ws.request(ctx, node, &model);
+                let kind = FetchKind::EntityModel(entity.id().to_owned());
+                self.in_flight.insert(id, (query_index, kind));
+                fetches += 1;
             }
         }
         for device in &resolution.devices {
             if let Some(node) = uri_node(device.proxy()) {
-                let mut request = WsRequest::get("/data")
-                    .with_query("quantity", device.quantity().as_str())
-                    .with_format(self.config.format);
-                if let Some((from, to)) = self.config.data_window_millis {
-                    request = request
-                        .with_query("from", from.to_string())
-                        .with_query("to", to.to_string());
-                }
-                fetches.push((node, request, FetchKind::DeviceData));
+                let quantity = device.quantity();
+                let request = match data.iter().position(|(q, _)| *q == quantity) {
+                    Some(i) => &data[i].1,
+                    None => {
+                        let mut request = WsRequest::get("/data")
+                            .with_query("quantity", quantity.as_str())
+                            .with_format(format);
+                        if let Some((from, to)) = self.config.data_window_millis {
+                            request = request
+                                .with_query("from", from.to_string())
+                                .with_query("to", to.to_string());
+                        }
+                        data.push((quantity, request));
+                        &data[data.len() - 1].1
+                    }
+                };
+                let id = self.ws.request(ctx, node, request);
+                self.in_flight
+                    .insert(id, (query_index, FetchKind::DeviceData));
+                fetches += 1;
             }
         }
-        {
-            let query = &mut self.queries[query_index];
-            query.resolution = Some(resolution);
-            query.outstanding += fetches.len();
-            query.requests += fetches.len() as u64;
-        }
-        for (node, request, kind) in fetches {
-            let id = self.ws.request(ctx, node, &request);
-            self.in_flight.insert(id, (query_index, kind));
-        }
+        let query = &mut self.queries[query_index];
+        query.resolution = Some(resolution);
+        query.outstanding += fetches;
+        query.requests += fetches as u64;
         self.finish_if_done(ctx, query_index);
     }
 
@@ -275,9 +284,9 @@ impl Node for ClientNode {
         if let Some((id, bytes)) = self.ws.accept_encoded(&pkt) {
             if let Some((query_index, kind)) = self.in_flight.remove(&id) {
                 match kind {
-                    FetchKind::Resolution => match WsResponse::from_bytes(bytes) {
-                        Ok(response) if response.is_ok() => {
-                            self.on_resolution(ctx, query_index, response);
+                    FetchKind::Resolution => match decode_response(bytes, AreaResolution::read) {
+                        Ok((status, Some(resolution))) if status::is_success(status) => {
+                            self.on_resolution(ctx, query_index, resolution);
                         }
                         _ => {
                             self.queries[query_index].errors += 1;

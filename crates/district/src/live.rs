@@ -13,7 +13,7 @@ use dimmer_core::codec::{self, DataFormat};
 use dimmer_core::{DistrictId, Measurement};
 use gis::geo::BoundingBox;
 use ontology::AreaResolution;
-use proxy::webservice::{WsClient, WsClientEvent, WsRequest};
+use proxy::webservice::{decode_response, status, WsClient, WsRequest};
 use proxy::WS_PORT;
 use pubsub::{MeasurementTopic, PubSubClient, PubSubEvent, QoS, PUBSUB_PORT};
 use simnet::{Context, Node, NodeId, Packet, SimTime, TimerTag};
@@ -106,9 +106,11 @@ impl Node for LiveMonitorNode {
     fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
         match pkt.port {
             WS_PORT => {
-                if let Some(WsClientEvent::Response { response, .. }) = self.ws.accept(&pkt) {
-                    if response.is_ok() {
-                        if let Ok(resolution) = AreaResolution::from_value(&response.body) {
+                if let Some((_, bytes)) = self.ws.accept_encoded(&pkt) {
+                    if let Ok((status, Some(resolution))) =
+                        decode_response(bytes, AreaResolution::read)
+                    {
+                        if status::is_success(status) {
                             self.subscribe_devices(ctx, &resolution);
                             self.resolution = Some(resolution);
                         }

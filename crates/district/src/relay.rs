@@ -103,10 +103,10 @@ impl RelayNode {
     }
 
     fn on_resolution(&mut self, ctx: &mut Context<'_>, index: usize, response: &[u8]) {
-        let resolution = WsResponse::from_bytes(response)
-            .ok()
-            .filter(WsResponse::is_ok)
-            .and_then(|response| AreaResolution::from_value(&response.body).ok());
+        let resolution = match decode_response(response, AreaResolution::read) {
+            Ok((status, resolution)) if status::is_success(status) => resolution,
+            _ => None,
+        };
         let Some(resolution) = resolution else {
             if let Some(query) = &mut self.queries[index] {
                 query.errors += 1;

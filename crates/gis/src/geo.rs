@@ -3,7 +3,11 @@
 
 use std::fmt;
 
+use dimmer_core::codec::{Reader, Scalar, Shaped, Writer};
 use dimmer_core::{CoreError, Value};
+
+/// What decoding errors name as their target.
+const GEO_POINT: &str = "geo point";
 
 /// Mean Earth radius in metres (IUGG).
 pub(crate) const EARTH_RADIUS_M: f64 = 6_371_008.8;
@@ -62,11 +66,53 @@ impl GeoPoint {
     /// Returns [`CoreError::Shape`] when members are missing or out of
     /// range.
     pub fn from_value(v: &Value) -> Result<Self, CoreError> {
-        let lat = v.require_f64("geo point", "lat")?;
-        let lon = v.require_f64("geo point", "lon")?;
+        GeoPoint::from_fields(
+            v.require_f64(GEO_POINT, "lat"),
+            v.require_f64(GEO_POINT, "lon"),
+        )
+    }
+
+    /// Typed writer: emits the encoding of [`GeoPoint::to_value`] without
+    /// building it.
+    pub fn write(&self, w: &mut Writer<'_>) {
+        w.begin_object();
+        w.key("lat");
+        w.float(self.lat);
+        w.key("lon");
+        w.float(self.lon);
+        w.end_object();
+    }
+
+    /// Typed reader: decodes the next value as a point, as
+    /// [`GeoPoint::from_value`] would from the decoded tree.
+    ///
+    /// # Errors
+    ///
+    /// Returns the format's parse error; the inner result says whether
+    /// the well-formed value describes a point.
+    pub fn read(r: &mut Reader<'_>) -> Result<Shaped<Self>, CoreError> {
+        let (mut lat, mut lon) = (Scalar::Missing, Scalar::Missing);
+        if r.begin_object()? {
+            while let Some(key) = r.next_key()? {
+                let member = Scalar::read(r)?;
+                match &*key {
+                    "lat" => lat = member,
+                    "lon" => lon = member,
+                    _ => {}
+                }
+            }
+        }
+        Ok(GeoPoint::from_fields(
+            lat.require_f64(GEO_POINT, "lat"),
+            lon.require_f64(GEO_POINT, "lon"),
+        ))
+    }
+
+    fn from_fields(lat: Shaped<f64>, lon: Shaped<f64>) -> Result<Self, CoreError> {
+        let (lat, lon) = (lat?, lon?);
         if !(-90.0..=90.0).contains(&lat) || !(-180.0..=180.0).contains(&lon) {
             return Err(CoreError::Shape {
-                target: "geo point",
+                target: GEO_POINT,
                 reason: "coordinate out of range".into(),
             });
         }
@@ -337,6 +383,35 @@ mod tests {
         ]))
         .is_err());
         assert!(GeoPoint::from_value(&Value::Null).is_err());
+    }
+
+    #[test]
+    fn typed_point_drivers_match_the_tree_drivers() {
+        use dimmer_core::codec::{self, DataFormat};
+        let p = GeoPoint::new(-45.5, 180.0);
+        for format in DataFormat::all() {
+            let mut typed = String::new();
+            p.write(&mut Writer::new(format, &mut typed));
+            assert_eq!(
+                typed,
+                codec::encode_value(&p.to_value(), format),
+                "{format}"
+            );
+        }
+        for text in [
+            r#"{"lon":180,"lat":-45.5}"#,
+            r#"{"lat":1,"lat":"x","lon":2}"#,
+            r#"{"lat":"x","lat":1,"lon":2,"alt":[3]}"#,
+            r#"{"lat":99,"lon":0}"#,
+            r#"{"lat":1}"#,
+            r#"[1,2]"#,
+            r#"null"#,
+        ] {
+            let mut r = Reader::new(DataFormat::Json, text);
+            let typed = GeoPoint::read(&mut r).unwrap();
+            let tree = GeoPoint::from_value(&codec::decode_value(text, DataFormat::Json).unwrap());
+            assert_eq!(typed.ok(), tree.ok(), "{text}");
+        }
     }
 
     #[test]

@@ -50,7 +50,8 @@ use gis::geo::BoundingBox;
 use ontology::{Ontology, OntologyError};
 use proxy::registration::{ProxyRef, ProxyRole, Registration};
 use proxy::webservice::{
-    status, PathPattern, WsCall, WsClient, WsClientEvent, WsRequest, WsResponse, WsServer,
+    encode_response, status, PathPattern, WsCall, WsClient, WsClientEvent, WsRequest, WsResponse,
+    WsServer,
 };
 use proxy::{uri_node, WS_PORT};
 use pubsub::{WirePacket, PUBSUB_PORT};
@@ -187,6 +188,52 @@ impl MasterSeries {
     }
 }
 
+/// The GET endpoints under `/district/{id}`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Route {
+    Tree,
+    Area,
+    Entities,
+    Devices,
+    Profile,
+}
+
+/// The district routes, built once with the node: matching a path
+/// against them allocates nothing.
+#[derive(Debug)]
+struct DistrictRoutes([(PathPattern, Route); 5]);
+
+impl DistrictRoutes {
+    fn new() -> Self {
+        DistrictRoutes([
+            (PathPattern::new("/district/{id}/profile"), Route::Profile),
+            (PathPattern::new("/district/{id}/area"), Route::Area),
+            (PathPattern::new("/district/{id}/entities"), Route::Entities),
+            (PathPattern::new("/district/{id}/devices"), Route::Devices),
+            (PathPattern::new("/district/{id}"), Route::Tree),
+        ])
+    }
+
+    /// The route `path` takes and the district id it names.
+    fn find<'a>(&self, path: &'a str) -> Option<(Route, &'a str)> {
+        self.0
+            .iter()
+            .find_map(|(pattern, route)| Some((*route, pattern.matches(path)?["id"])))
+    }
+}
+
+/// A handler's answer: a tree, or a body a typed writer encoded already.
+enum Answer {
+    Tree(WsResponse),
+    Encoded(Vec<u8>),
+}
+
+impl From<WsResponse> for Answer {
+    fn from(response: WsResponse) -> Self {
+        Answer::Tree(response)
+    }
+}
+
 /// The master node.
 ///
 /// Construct with the districts it should pre-seed (a district created
@@ -194,6 +241,7 @@ impl MasterSeries {
 pub struct MasterNode {
     ontology: Ontology,
     ws: WsServer,
+    routes: DistrictRoutes,
     registry: BTreeMap<ProxyId, ProxyRecord>,
     /// Device registrations whose entity has not registered yet.
     parked: Vec<Registration>,
@@ -245,6 +293,7 @@ impl MasterNode {
         MasterNode {
             ontology,
             ws: WsServer::new(),
+            routes: DistrictRoutes::new(),
             registry: BTreeMap::new(),
             parked: Vec::new(),
             seeds,
@@ -559,7 +608,13 @@ impl MasterNode {
                 ("proxies", Value::from(self.registry.len() as i64)),
                 ("parked_devices", Value::from(self.parked.len() as i64)),
             ])),
-            (proxy::webservice::Method::Get, path) => self.get_routed(ctx, path, request),
+            (proxy::webservice::Method::Get, path) => match self.get_routed(ctx, path, request) {
+                Answer::Tree(response) => response,
+                Answer::Encoded(response) => {
+                    self.ws.respond_encoded(ctx, &call, &response);
+                    return;
+                }
+            },
             _ => WsResponse::error(status::NOT_FOUND, "unknown endpoint"),
         };
         self.ws.respond(ctx, &call, response);
@@ -632,149 +687,136 @@ impl MasterNode {
         WsResponse::ok(Value::object([("districts", Value::Array(list))]))
     }
 
-    fn get_routed(&mut self, ctx: &Context<'_>, path: &str, request: &WsRequest) -> WsResponse {
-        let tree_pattern = PathPattern::new("/district/{id}");
-        let area_pattern = PathPattern::new("/district/{id}/area");
-        let entities_pattern = PathPattern::new("/district/{id}/entities");
-        let devices_pattern = PathPattern::new("/district/{id}/devices");
-        let profile_pattern = PathPattern::new("/district/{id}/profile");
-
-        let parse_district = |params: &std::collections::BTreeMap<String, String>| {
-            DistrictId::new(params["id"].as_str())
+    fn get_routed(&mut self, ctx: &Context<'_>, path: &str, request: &WsRequest) -> Answer {
+        let Some((route, id)) = self.routes.find(path) else {
+            return WsResponse::error(status::NOT_FOUND, "unknown endpoint").into();
         };
+        self.stats.queries += 1;
+        let Ok(district) = DistrictId::new(id) else {
+            return WsResponse::error(status::BAD_REQUEST, "invalid district id").into();
+        };
+        match route {
+            Route::Profile => self.get_profile(ctx, &district).into(),
+            Route::Area => self.get_area(&district, request),
+            Route::Entities => self.get_entities(&district, request).into(),
+            Route::Devices => self.get_devices(&district, request).into(),
+            Route::Tree => match self.ontology.district(&district) {
+                Some(tree) => WsResponse::ok(tree.to_value()).into(),
+                None => WsResponse::error(status::NOT_FOUND, "unknown district").into(),
+            },
+        }
+    }
 
-        if let Some(params) = profile_pattern.matches(path) {
-            self.stats.queries += 1;
-            let Ok(district) = parse_district(&params) else {
-                return WsResponse::error(status::BAD_REQUEST, "invalid district id");
-            };
-            // Redirect principle: hand back the aggregator URIs serving
-            // this district's rollups, never the rollups themselves —
-            // except in degraded mode, where a stale snapshot beats a
-            // redirect into an open circuit.
-            let Some(tree) = self.ontology.district(&district) else {
-                return WsResponse::error(status::NOT_FOUND, "unknown district");
-            };
-            let uris: Vec<String> = tree
-                .aggregator_proxies()
-                .iter()
-                .map(std::string::ToString::to_string)
-                .collect();
-            let (kept, ejected) = self.eject_outliers(uris);
-            if ejected > 0 {
-                self.series(ctx).outlier_ejections.add(ejected);
-            }
-            let open = matches!(
-                self.breakers.get(&district).map(CircuitBreaker::state),
-                Some(BreakerState::Open)
-            );
-            let aggregators = Value::Array(kept.iter().map(|u| Value::from(u.as_str())).collect());
-            if open || kept.is_empty() {
-                // The district's aggregator is open-circuit (or every
-                // replica was ejected): serve the last retained rollups
-                // with a staleness marker instead of a dead redirect.
-                if let Some((at, rollups)) = self.rollup_cache.get(&district) {
-                    self.series(ctx).stale_rollups.incr();
-                    return WsResponse::ok(Value::object([
-                        ("district", Value::from(district.as_str())),
-                        ("aggregators", aggregators),
-                        ("stale", Value::from(true)),
-                        (
-                            "staleness_ms",
-                            Value::from(ctx.now().saturating_since(*at).as_millis_f64() as i64),
-                        ),
-                        ("rollups", rollups.clone()),
-                    ]));
-                }
-            }
-            return WsResponse::ok(Value::object([
-                ("district", Value::from(district.as_str())),
-                ("aggregators", aggregators),
-                ("stale", Value::from(false)),
-            ]));
+    /// Redirect principle: hand back the aggregator URIs serving this
+    /// district's rollups, never the rollups themselves — except in
+    /// degraded mode, where a stale snapshot beats a redirect into an
+    /// open circuit.
+    fn get_profile(&self, ctx: &Context<'_>, district: &DistrictId) -> WsResponse {
+        let Some(tree) = self.ontology.district(district) else {
+            return WsResponse::error(status::NOT_FOUND, "unknown district");
+        };
+        let uris: Vec<String> = tree
+            .aggregator_proxies()
+            .iter()
+            .map(std::string::ToString::to_string)
+            .collect();
+        let (kept, ejected) = self.eject_outliers(uris);
+        if ejected > 0 {
+            self.series(ctx).outlier_ejections.add(ejected);
         }
-
-        if let Some(params) = area_pattern.matches(path) {
-            self.stats.queries += 1;
-            let Ok(district) = parse_district(&params) else {
-                return WsResponse::error(status::BAD_REQUEST, "invalid district id");
-            };
-            let Some(raw) = request.query("bbox") else {
-                return WsResponse::error(status::BAD_REQUEST, "bbox parameter required");
-            };
-            let bbox = match BoundingBox::parse_query(raw) {
-                Ok(b) => b,
-                Err(e) => return WsResponse::error(status::BAD_REQUEST, e.to_string()),
-            };
-            return match self.ontology.resolve_area(&district, &bbox) {
-                Ok(resolution) => WsResponse::ok(resolution.to_value()),
-                Err(e) => WsResponse::error(status::NOT_FOUND, e.to_string()),
-            };
-        }
-        if let Some(params) = entities_pattern.matches(path) {
-            self.stats.queries += 1;
-            let Ok(district) = parse_district(&params) else {
-                return WsResponse::error(status::BAD_REQUEST, "invalid district id");
-            };
-            let kind = match request.query("kind").map(EntityKind::parse) {
-                Some(Ok(k)) => k,
-                Some(Err(e)) => return WsResponse::error(status::BAD_REQUEST, e.to_string()),
-                None => EntityKind::Building,
-            };
-            return match self.ontology.entities_of_kind(&district, kind) {
-                Ok(entities) => WsResponse::ok(Value::object([(
-                    "entities",
-                    Value::Array(entities.iter().map(|e| e.to_value()).collect()),
-                )])),
-                Err(e) => WsResponse::error(status::NOT_FOUND, e.to_string()),
-            };
-        }
-        if let Some(params) = devices_pattern.matches(path) {
-            self.stats.queries += 1;
-            let Ok(district) = parse_district(&params) else {
-                return WsResponse::error(status::BAD_REQUEST, "invalid district id");
-            };
-            let devices = match (request.query("quantity"), request.query("protocol")) {
-                (Some(q), _) => match QuantityKind::parse(q) {
-                    Ok(quantity) => self.ontology.devices_by_quantity(&district, quantity),
-                    Err(e) => return WsResponse::error(status::BAD_REQUEST, e.to_string()),
-                },
-                (None, Some(protocol)) => self.ontology.devices_by_protocol(&district, protocol),
-                (None, None) => {
-                    return WsResponse::error(
-                        status::BAD_REQUEST,
-                        "quantity or protocol parameter required",
-                    )
-                }
-            };
-            return match devices {
-                Ok(devices) => WsResponse::ok(Value::object([(
-                    "devices",
-                    Value::Array(
-                        devices
-                            .iter()
-                            .map(|(entity, leaf)| {
-                                let mut v = leaf.to_value();
-                                v.insert("entity", Value::from(*entity));
-                                v
-                            })
-                            .collect(),
+        let open = matches!(
+            self.breakers.get(district).map(CircuitBreaker::state),
+            Some(BreakerState::Open)
+        );
+        let aggregators = Value::Array(kept.iter().map(|u| Value::from(u.as_str())).collect());
+        if open || kept.is_empty() {
+            // The district's aggregator is open-circuit (or every
+            // replica was ejected): serve the last retained rollups
+            // with a staleness marker instead of a dead redirect.
+            if let Some((at, rollups)) = self.rollup_cache.get(district) {
+                self.series(ctx).stale_rollups.incr();
+                return WsResponse::ok(Value::object([
+                    ("district", Value::from(district.as_str())),
+                    ("aggregators", aggregators),
+                    ("stale", Value::from(true)),
+                    (
+                        "staleness_ms",
+                        Value::from(ctx.now().saturating_since(*at).as_millis_f64() as i64),
                     ),
-                )])),
-                Err(e) => WsResponse::error(status::NOT_FOUND, e.to_string()),
-            };
+                    ("rollups", rollups.clone()),
+                ]));
+            }
         }
-        if let Some(params) = tree_pattern.matches(path) {
-            self.stats.queries += 1;
-            let Ok(district) = parse_district(&params) else {
-                return WsResponse::error(status::BAD_REQUEST, "invalid district id");
-            };
-            return match self.ontology.district(&district) {
-                Some(tree) => WsResponse::ok(tree.to_value()),
-                None => WsResponse::error(status::NOT_FOUND, "unknown district"),
-            };
+        WsResponse::ok(Value::object([
+            ("district", Value::from(district.as_str())),
+            ("aggregators", aggregators),
+            ("stale", Value::from(false)),
+        ]))
+    }
+
+    /// The redirect response, written by the ontology's typed writer
+    /// straight from the entities the box matches.
+    fn get_area(&self, district: &DistrictId, request: &WsRequest) -> Answer {
+        let Some(raw) = request.query("bbox") else {
+            return WsResponse::error(status::BAD_REQUEST, "bbox parameter required").into();
+        };
+        let bbox = match BoundingBox::parse_query(raw) {
+            Ok(b) => b,
+            Err(e) => return WsResponse::error(status::BAD_REQUEST, e.to_string()).into(),
+        };
+        match self.ontology.match_area(district, &bbox) {
+            Ok(hit) => Answer::Encoded(encode_response(status::OK, request.format, |w| {
+                hit.write(w);
+            })),
+            Err(e) => WsResponse::error(status::NOT_FOUND, e.to_string()).into(),
         }
-        WsResponse::error(status::NOT_FOUND, "unknown endpoint")
+    }
+
+    fn get_entities(&self, district: &DistrictId, request: &WsRequest) -> WsResponse {
+        let kind = match request.query("kind").map(EntityKind::parse) {
+            Some(Ok(k)) => k,
+            Some(Err(e)) => return WsResponse::error(status::BAD_REQUEST, e.to_string()),
+            None => EntityKind::Building,
+        };
+        match self.ontology.entities_of_kind(district, kind) {
+            Ok(entities) => WsResponse::ok(Value::object([(
+                "entities",
+                Value::Array(entities.iter().map(|e| e.to_value()).collect()),
+            )])),
+            Err(e) => WsResponse::error(status::NOT_FOUND, e.to_string()),
+        }
+    }
+
+    fn get_devices(&self, district: &DistrictId, request: &WsRequest) -> WsResponse {
+        let devices = match (request.query("quantity"), request.query("protocol")) {
+            (Some(q), _) => match QuantityKind::parse(q) {
+                Ok(quantity) => self.ontology.devices_by_quantity(district, quantity),
+                Err(e) => return WsResponse::error(status::BAD_REQUEST, e.to_string()),
+            },
+            (None, Some(protocol)) => self.ontology.devices_by_protocol(district, protocol),
+            (None, None) => {
+                return WsResponse::error(
+                    status::BAD_REQUEST,
+                    "quantity or protocol parameter required",
+                )
+            }
+        };
+        match devices {
+            Ok(devices) => WsResponse::ok(Value::object([(
+                "devices",
+                Value::Array(
+                    devices
+                        .iter()
+                        .map(|(entity, leaf)| {
+                            let mut v = leaf.to_value();
+                            v.insert("entity", Value::from(*entity));
+                            v
+                        })
+                        .collect(),
+                ),
+            )])),
+            Err(e) => WsResponse::error(status::NOT_FOUND, e.to_string()),
+        }
     }
 
     /// Filters known-bad aggregators out of a redirect list: replicas

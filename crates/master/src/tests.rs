@@ -6,7 +6,7 @@ use proxy::registration::{ProxyRef, ProxyRole, Registration};
 use proxy::webservice::{WsClient, WsClientEvent, WsRequest, WsResponse};
 use simnet::{Context, Node, Packet, SimConfig, SimDuration, Simulator, TimerTag};
 
-use crate::MasterNode;
+use crate::{DistrictRoutes, MasterNode, Route};
 use gis::geo::GeoPoint;
 
 /// A scripted test client: fires a queue of requests sequentially and
@@ -435,4 +435,45 @@ fn aggregator_registration_serves_profile_redirects() {
     );
     let m = sim.node_ref::<MasterNode>(master).unwrap();
     assert_eq!(m.proxy_count(), 1);
+}
+
+#[test]
+fn every_district_route_matches_and_an_unknown_path_is_404() {
+    let routes = DistrictRoutes::new();
+    for (path, route) in [
+        ("/district/d1", Route::Tree),
+        ("/district/d1/area", Route::Area),
+        ("/district/d1/entities", Route::Entities),
+        ("/district/d1/devices", Route::Devices),
+        ("/district/d1/profile", Route::Profile),
+    ] {
+        assert_eq!(routes.find(path), Some((route, "d1")), "{path}");
+    }
+    let unknown = [
+        "/district",
+        "/district/d1/ghost",
+        "/district/d1/area/extra",
+        "/districts/d1/area",
+        "district/d1/area",
+        "/",
+        "",
+    ];
+    for path in unknown {
+        assert_eq!(routes.find(path), None, "{path:?}");
+    }
+    let (sim, _master, script) = run_script(
+        unknown[..4]
+            .iter()
+            .map(|path| WsRequest::get(*path))
+            .collect(),
+    );
+    let s = sim.node_ref::<Script>(script).unwrap();
+    assert_eq!(s.responses.len(), 4);
+    assert!(
+        s.responses
+            .iter()
+            .all(|r| r.status == proxy::webservice::status::NOT_FOUND),
+        "{:?}",
+        s.responses
+    );
 }

@@ -3,6 +3,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use dimmer_core::codec::{self, Reader, Scalar, Shaped, Writer};
 use dimmer_core::{CoreError, DistrictId, EntityKind, QuantityKind, Uri, Value};
 use gis::geo::BoundingBox;
 
@@ -80,8 +81,12 @@ pub struct AreaResolution {
     pub devices: Vec<DeviceLeaf>,
 }
 
+/// What decoding errors name as their target.
+const AREA: &str = "area resolution";
+
 impl AreaResolution {
-    /// Translates to the common data format (the master's response body).
+    /// Translates to the common data format (what the master's response
+    /// body encodes; the master writes it with [`AreaMatch::write`]).
     pub fn to_value(&self) -> Value {
         Value::object([
             (
@@ -119,34 +124,158 @@ impl AreaResolution {
     ///
     /// Returns [`CoreError`] on the wrong shape.
     pub fn from_value(v: &Value) -> Result<Self, CoreError> {
-        const T: &str = "area resolution";
-        let uris = |key: &str| -> Result<Vec<Uri>, CoreError> {
-            v.require_array(T, key)?
+        let uris = |key: &str| -> Shaped<Vec<Uri>> {
+            v.require_array(AREA, key)?
                 .iter()
-                .map(|u| {
-                    u.as_str()
-                        .ok_or_else(|| CoreError::Shape {
-                            target: T,
-                            reason: format!("{key} entries must be strings"),
-                        })
-                        .and_then(Uri::parse)
-                })
+                .map(|u| uri_entry(u.as_str(), key))
                 .collect()
         };
+        AreaResolution::from_fields(
+            uris("gis_proxies"),
+            uris("measurement_proxies"),
+            v.require_array(AREA, "entities")
+                .and_then(|items| items.iter().map(EntityNode::from_value).collect()),
+            v.require_array(AREA, "devices")
+                .and_then(|items| items.iter().map(DeviceLeaf::from_value).collect()),
+        )
+    }
+
+    /// Typed reader: decodes the next value as a resolution, as
+    /// [`AreaResolution::from_value`] would from the decoded tree — any
+    /// member order, unknown members skipped, the last of a repeated key
+    /// winning.
+    ///
+    /// # Errors
+    ///
+    /// Returns the format's parse error; the inner result says whether
+    /// the well-formed value describes a resolution.
+    pub fn read(r: &mut Reader<'_>) -> Result<Shaped<Self>, CoreError> {
+        let (mut gis_proxies, mut measurement_proxies) = (None, None);
+        let (mut entities, mut devices) = (None, None);
+        if r.begin_object()? {
+            while let Some(key) = r.next_key()? {
+                let key = &*key;
+                let uri = |r: &mut Reader<'_>| read_uri(r, key);
+                match key {
+                    "gis_proxies" => gis_proxies = Some(r.array(AREA, key, uri)?),
+                    "measurement_proxies" => measurement_proxies = Some(r.array(AREA, key, uri)?),
+                    "entities" => entities = Some(r.array(AREA, key, EntityNode::read)?),
+                    "devices" => devices = Some(r.array(AREA, key, DeviceLeaf::read)?),
+                    _ => r.skip_value()?,
+                }
+            }
+        }
+        Ok(AreaResolution::from_fields(
+            codec::required(gis_proxies, AREA, "gis_proxies"),
+            codec::required(measurement_proxies, AREA, "measurement_proxies"),
+            codec::required(entities, AREA, "entities"),
+            codec::required(devices, AREA, "devices"),
+        ))
+    }
+
+    /// Validates the members in the order [`AreaResolution::from_value`]
+    /// always has, reporting the first that is wrong.
+    fn from_fields(
+        gis_proxies: Shaped<Vec<Uri>>,
+        measurement_proxies: Shaped<Vec<Uri>>,
+        entities: Shaped<Vec<EntityNode>>,
+        devices: Shaped<Vec<DeviceLeaf>>,
+    ) -> Result<Self, CoreError> {
         Ok(AreaResolution {
-            gis_proxies: uris("gis_proxies")?,
-            measurement_proxies: uris("measurement_proxies")?,
-            entities: v
-                .require_array(T, "entities")?
-                .iter()
-                .map(EntityNode::from_value)
-                .collect::<Result<Vec<_>, _>>()?,
-            devices: v
-                .require_array(T, "devices")?
-                .iter()
-                .map(DeviceLeaf::from_value)
-                .collect::<Result<Vec<_>, _>>()?,
+            gis_proxies: gis_proxies?,
+            measurement_proxies: measurement_proxies?,
+            entities: entities?,
+            devices: devices?,
         })
+    }
+}
+
+/// One entry of a proxy list: a string that parses as a URI.
+fn uri_entry(entry: Option<&str>, key: &str) -> Result<Uri, CoreError> {
+    entry
+        .ok_or_else(|| CoreError::Shape {
+            target: AREA,
+            reason: format!("{key} entries must be strings"),
+        })
+        .and_then(Uri::parse)
+}
+
+/// Reads one entry of a proxy list, as [`uri_entry`] judges it.
+fn read_uri(r: &mut Reader<'_>, key: &str) -> Result<Shaped<Uri>, CoreError> {
+    let entry = Scalar::read(r)?;
+    Ok(uri_entry(
+        match &entry {
+            Scalar::Str(s) => Some(s),
+            _ => None,
+        },
+        key,
+    ))
+}
+
+/// An area query answered in place: a district's proxy lists and the
+/// entities inside a box, borrowed from the ontology. The master writes
+/// its response from this without copying a node.
+#[derive(Debug, Clone, Copy)]
+pub struct AreaMatch<'a> {
+    tree: &'a DistrictTree,
+    bbox: BoundingBox,
+}
+
+impl<'a> AreaMatch<'a> {
+    /// The matched entities in tree order. Entities without a cached
+    /// location never match (they are reachable by entity queries).
+    fn entities(&self) -> impl Iterator<Item = &'a EntityNode> + 'a {
+        let bbox = self.bbox;
+        self.tree
+            .entities()
+            .iter()
+            .filter(move |e| e.location().is_some_and(|loc| bbox.contains(&loc)))
+    }
+
+    /// Typed writer: emits the encoding of
+    /// `self.to_resolution().to_value()` without building either. Keys
+    /// go out in sorted order; the entities are walked twice, once for
+    /// their devices and once for themselves.
+    pub fn write(&self, w: &mut Writer<'_>) {
+        let uris = |w: &mut Writer<'_>, uris: &[Uri]| {
+            w.begin_array();
+            for uri in uris {
+                w.display(uri);
+            }
+            w.end_array();
+        };
+        w.begin_object();
+        w.key("devices");
+        w.begin_array();
+        for device in self.entities().flat_map(EntityNode::devices) {
+            device.write(w);
+        }
+        w.end_array();
+        w.key("entities");
+        w.begin_array();
+        for entity in self.entities() {
+            entity.write(w);
+        }
+        w.end_array();
+        w.key("gis_proxies");
+        uris(w, self.tree.gis_proxies());
+        w.key("measurement_proxies");
+        uris(w, self.tree.measurement_proxies());
+        w.end_object();
+    }
+
+    /// An owned copy of the match.
+    pub(crate) fn to_resolution(self) -> AreaResolution {
+        AreaResolution {
+            gis_proxies: self.tree.gis_proxies().to_vec(),
+            measurement_proxies: self.tree.measurement_proxies().to_vec(),
+            entities: self.entities().cloned().collect(),
+            devices: self
+                .entities()
+                .flat_map(EntityNode::devices)
+                .cloned()
+                .collect(),
+        }
     }
 }
 
@@ -335,8 +464,7 @@ impl Ontology {
     }
 
     /// The paper's core query: resolve an area of a district to the
-    /// proxies serving it. Entities without a cached location are never
-    /// matched by area (they are reachable via entity queries instead).
+    /// proxies serving it, as an owned copy of [`Ontology::match_area`].
     ///
     /// # Errors
     ///
@@ -347,25 +475,27 @@ impl Ontology {
         district: &DistrictId,
         bbox: &BoundingBox,
     ) -> Result<AreaResolution, OntologyError> {
+        self.match_area(district, bbox)
+            .map(|hit| hit.to_resolution())
+    }
+
+    /// The area query answered in place: what [`Ontology::resolve_area`]
+    /// copies out, borrowed. Entities without a cached location are never
+    /// matched by area (they are reachable via entity queries instead).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OntologyError::UnknownDistrict`] when the district is
+    /// unknown.
+    pub fn match_area(
+        &self,
+        district: &DistrictId,
+        bbox: &BoundingBox,
+    ) -> Result<AreaMatch<'_>, OntologyError> {
         let tree = self
             .district(district)
             .ok_or_else(|| OntologyError::UnknownDistrict(district.clone()))?;
-        let mut resolution = AreaResolution {
-            gis_proxies: tree.gis_proxies().to_vec(),
-            measurement_proxies: tree.measurement_proxies().to_vec(),
-            ..AreaResolution::default()
-        };
-        for entity in tree.entities() {
-            let inside = entity
-                .location()
-                .map(|loc| bbox.contains(&loc))
-                .unwrap_or(false);
-            if inside {
-                resolution.devices.extend(entity.devices().iter().cloned());
-                resolution.entities.push(entity.clone());
-            }
-        }
-        Ok(resolution)
+        Ok(AreaMatch { tree, bbox: *bbox })
     }
 
     /// All entities of `kind` in a district.

@@ -47,5 +47,5 @@
 mod forest;
 mod node;
 
-pub use forest::{AreaResolution, Ontology, OntologyError};
+pub use forest::{AreaMatch, AreaResolution, Ontology, OntologyError};
 pub use node::{DeviceLeaf, DistrictTree, EntityNode};

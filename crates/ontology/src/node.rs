@@ -1,9 +1,31 @@
 //! The node types of a district tree.
 
+use dimmer_core::codec::{self, Reader, Scalar, Shaped, Writer};
 use dimmer_core::{
     BuildingId, CoreError, DeviceId, DistrictId, EntityKind, NetworkId, QuantityKind, Uri, Value,
 };
 use gis::geo::GeoPoint;
+
+/// What decoding errors name as their target.
+const ENTITY: &str = "entity node";
+const LEAF: &str = "device leaf";
+
+/// The `location` member of an entity or leaf: a point or null.
+fn write_location(w: &mut Writer<'_>, location: Option<GeoPoint>) {
+    match location {
+        Some(l) => l.write(w),
+        None => w.null(),
+    }
+}
+
+/// The `location` member as `from_value` reads it from a tree: absent or
+/// null is no location, anything else must be a point.
+fn location_of(v: &Value) -> Shaped<Option<GeoPoint>> {
+    match v.get("location") {
+        Some(Value::Null) | None => Ok(None),
+        Some(loc) => GeoPoint::from_value(loc).map(Some),
+    }
+}
 
 /// An intermediate node: a building or an energy-distribution network.
 #[derive(Debug, Clone, PartialEq)]
@@ -136,33 +158,113 @@ impl EntityNode {
     ///
     /// Returns [`CoreError`] on the wrong shape.
     pub fn from_value(v: &Value) -> Result<Self, CoreError> {
-        const T: &str = "entity node";
-        let kind = EntityKind::parse(v.require_str(T, "kind")?)?;
+        EntityNode::from_fields(
+            v.require_str(ENTITY, "kind"),
+            v.require_array(ENTITY, "devices")
+                .and_then(|items| items.iter().map(DeviceLeaf::from_value).collect()),
+            v.require_str(ENTITY, "id"),
+            v.require_str(ENTITY, "db_proxy"),
+            v.get("gis_feature").and_then(Value::as_str),
+            location_of(v),
+            v.get("properties").cloned().unwrap_or(Value::Null),
+        )
+    }
+
+    /// Typed writer: emits the encoding of [`EntityNode::to_value`]
+    /// without building it. Keys go out in sorted order.
+    pub(crate) fn write(&self, w: &mut Writer<'_>) {
+        w.begin_object();
+        w.key("db_proxy");
+        w.display(&self.db_proxy);
+        w.key("devices");
+        w.begin_array();
+        for device in &self.devices {
+            device.write(w);
+        }
+        w.end_array();
+        w.key("gis_feature");
+        match &self.gis_feature {
+            Some(feature) => w.str(feature),
+            None => w.null(),
+        }
+        w.key("id");
+        w.str(&self.id);
+        w.key("kind");
+        w.str(self.kind.as_str());
+        w.key("location");
+        write_location(w, self.location);
+        w.key("properties");
+        w.value(&self.properties);
+        w.end_object();
+    }
+
+    /// Typed reader: decodes the next value as an entity node, as
+    /// [`EntityNode::from_value`] would from the decoded tree.
+    ///
+    /// # Errors
+    ///
+    /// Returns the format's parse error; the inner result says whether
+    /// the well-formed value describes an entity node.
+    pub(crate) fn read(r: &mut Reader<'_>) -> Result<Shaped<Self>, CoreError> {
+        let [mut kind, mut id, mut db_proxy, mut gis_feature] = [const { Scalar::Missing }; 4];
+        let mut devices = None;
+        let mut location = Ok(None);
+        let mut properties = Value::Null;
+        if r.begin_object()? {
+            while let Some(key) = r.next_key()? {
+                match &*key {
+                    "kind" => kind = Scalar::read(r)?,
+                    "id" => id = Scalar::read(r)?,
+                    "db_proxy" => db_proxy = Scalar::read(r)?,
+                    "gis_feature" => gis_feature = Scalar::read(r)?,
+                    "devices" => devices = Some(r.array(ENTITY, "devices", DeviceLeaf::read)?),
+                    "location" => location = r.nullable(GeoPoint::read)?,
+                    "properties" => properties = r.value()?,
+                    _ => r.skip_value()?,
+                }
+            }
+        }
+        Ok(EntityNode::from_fields(
+            kind.require_str(ENTITY, "kind"),
+            codec::required(devices, ENTITY, "devices"),
+            id.require_str(ENTITY, "id"),
+            db_proxy.require_str(ENTITY, "db_proxy"),
+            match &gis_feature {
+                Scalar::Str(feature) => Some(feature),
+                _ => None,
+            },
+            location,
+            properties,
+        ))
+    }
+
+    /// Validates the members in the order [`EntityNode::from_value`]
+    /// always has, reporting the first that is wrong. A `gis_feature`
+    /// that is not a string, and absent `properties`, are tolerated.
+    fn from_fields(
+        kind: Shaped<&str>,
+        devices: Shaped<Vec<DeviceLeaf>>,
+        id: Shaped<&str>,
+        db_proxy: Shaped<&str>,
+        gis_feature: Option<&str>,
+        location: Shaped<Option<GeoPoint>>,
+        properties: Value,
+    ) -> Result<Self, CoreError> {
+        let kind = EntityKind::parse(kind?)?;
         if !matches!(kind, EntityKind::Building | EntityKind::Network) {
             return Err(CoreError::Shape {
-                target: T,
+                target: ENTITY,
                 reason: "entity must be a building or a network".into(),
             });
         }
-        let devices = v
-            .require_array(T, "devices")?
-            .iter()
-            .map(DeviceLeaf::from_value)
-            .collect::<Result<Vec<_>, _>>()?;
         Ok(EntityNode {
+            devices: devices?,
             kind,
-            id: v.require_str(T, "id")?.to_owned(),
-            db_proxy: Uri::parse(v.require_str(T, "db_proxy")?)?,
-            gis_feature: match v.get("gis_feature") {
-                Some(Value::Str(s)) => Some(s.clone()),
-                _ => None,
-            },
-            location: match v.get("location") {
-                Some(Value::Null) | None => None,
-                Some(loc) => Some(GeoPoint::from_value(loc)?),
-            },
-            properties: v.get("properties").cloned().unwrap_or(Value::Null),
-            devices,
+            id: id?.to_owned(),
+            db_proxy: Uri::parse(db_proxy?)?,
+            gis_feature: gis_feature.map(str::to_owned),
+            location: location?,
+            properties,
         })
     }
 }
@@ -242,16 +344,78 @@ impl DeviceLeaf {
     ///
     /// Returns [`CoreError`] on the wrong shape.
     pub fn from_value(v: &Value) -> Result<Self, CoreError> {
-        const T: &str = "device leaf";
+        DeviceLeaf::from_fields(
+            v.require_str(LEAF, "device"),
+            v.require_str(LEAF, "protocol"),
+            v.require_str(LEAF, "quantity"),
+            v.require_str(LEAF, "proxy"),
+            location_of(v),
+        )
+    }
+
+    /// Typed writer: emits the encoding of [`DeviceLeaf::to_value`]
+    /// without building it. Keys go out in sorted order.
+    pub(crate) fn write(&self, w: &mut Writer<'_>) {
+        w.begin_object();
+        w.key("device");
+        w.str(self.device.as_str());
+        w.key("location");
+        write_location(w, self.location);
+        w.key("protocol");
+        w.str(&self.protocol);
+        w.key("proxy");
+        w.display(&self.proxy);
+        w.key("quantity");
+        w.str(self.quantity.as_str());
+        w.end_object();
+    }
+
+    /// Typed reader: decodes the next value as a device leaf, as
+    /// [`DeviceLeaf::from_value`] would from the decoded tree.
+    ///
+    /// # Errors
+    ///
+    /// Returns the format's parse error; the inner result says whether
+    /// the well-formed value describes a device leaf.
+    pub(crate) fn read(r: &mut Reader<'_>) -> Result<Shaped<Self>, CoreError> {
+        let [mut device, mut protocol, mut quantity, mut proxy] = [const { Scalar::Missing }; 4];
+        let mut location = Ok(None);
+        if r.begin_object()? {
+            while let Some(key) = r.next_key()? {
+                match &*key {
+                    "device" => device = Scalar::read(r)?,
+                    "protocol" => protocol = Scalar::read(r)?,
+                    "quantity" => quantity = Scalar::read(r)?,
+                    "proxy" => proxy = Scalar::read(r)?,
+                    "location" => location = r.nullable(GeoPoint::read)?,
+                    _ => r.skip_value()?,
+                }
+            }
+        }
+        Ok(DeviceLeaf::from_fields(
+            device.require_str(LEAF, "device"),
+            protocol.require_str(LEAF, "protocol"),
+            quantity.require_str(LEAF, "quantity"),
+            proxy.require_str(LEAF, "proxy"),
+            location,
+        ))
+    }
+
+    /// Validates the members in the order [`DeviceLeaf::from_value`]
+    /// always has, reporting the first that is wrong.
+    fn from_fields(
+        device: Shaped<&str>,
+        protocol: Shaped<&str>,
+        quantity: Shaped<&str>,
+        proxy: Shaped<&str>,
+        location: Shaped<Option<GeoPoint>>,
+    ) -> Result<Self, CoreError> {
         Ok(DeviceLeaf {
-            device: DeviceId::new(v.require_str(T, "device")?)?,
-            protocol: v.require_str(T, "protocol")?.to_owned(),
-            quantity: QuantityKind::parse(v.require_str(T, "quantity")?)?,
-            proxy: Uri::parse(v.require_str(T, "proxy")?)?,
-            location: match v.get("location") {
-                Some(Value::Null) | None => None,
-                Some(loc) => Some(GeoPoint::from_value(loc)?),
-            },
+            device: DeviceId::new(device?)?,
+            protocol: protocol?.to_owned(),
+            quantity: QuantityKind::parse(quantity?)?,
+            proxy: Uri::parse(proxy?)?,
+            location: location?,
         })
     }
 }

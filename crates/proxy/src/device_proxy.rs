@@ -675,7 +675,7 @@ impl DeviceProxyNode {
             return;
         };
         self.poll_tracker
-            .send_request(ctx, device_node, port, request, POLL_TIMEOUT, 1);
+            .send_request(ctx, device_node, port, &request, POLL_TIMEOUT, 1);
     }
 }
 

@@ -13,9 +13,11 @@
 //! body; [`encode_response`] and [`decode_response`] take any other
 //! typed body (a measurement batch straight from stored points, say).
 
-use std::collections::BTreeMap;
+use std::cell::Cell;
+use std::ops::Index;
 
 use dimmer_core::codec::{DataFormat, Reader, Scalar, Shaped, Writer};
+use dimmer_core::value::Key;
 use dimmer_core::{CoreError, Value};
 use simnet::rpc::{RequestTracker, RpcEvent};
 use simnet::{Context, NodeId, Packet, SimDuration, SimTime, TimerTag};
@@ -82,8 +84,10 @@ pub struct WsRequest {
     pub method: Method,
     /// The path, starting with `/`.
     pub path: String,
-    /// Query parameters.
-    pub(crate) query: BTreeMap<String, String>,
+    /// Query parameters, sorted by name, no name twice. Names and values
+    /// of up to 22 bytes are stored inline, so a decoded `/data` request
+    /// allocates once for all of its parameters.
+    pub(crate) query: Vec<(Key, Key)>,
     /// The body in the common data format (often `Null` for GET).
     pub body: Value,
     /// The open format this request (and its response) is encoded in.
@@ -96,7 +100,7 @@ impl WsRequest {
         WsRequest {
             method: Method::Get,
             path: path.into(),
-            query: BTreeMap::new(),
+            query: Vec::new(),
             body: Value::Null,
             format: DataFormat::Json,
         }
@@ -107,15 +111,15 @@ impl WsRequest {
         WsRequest {
             method: Method::Post,
             path: path.into(),
-            query: BTreeMap::new(),
+            query: Vec::new(),
             body,
             format: DataFormat::Json,
         }
     }
 
-    /// Adds a query parameter.
-    pub fn with_query(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.query.insert(key.into(), value.into());
+    /// Adds a query parameter, replacing an earlier value of `key`.
+    pub fn with_query(mut self, key: impl Into<Key>, value: impl Into<Key>) -> Self {
+        set_param(&mut self.query, key.into(), value.into());
         self
     }
 
@@ -127,12 +131,14 @@ impl WsRequest {
 
     /// A query parameter.
     pub fn query(&self, key: &str) -> Option<&str> {
-        self.query.get(key).map(String::as_str)
+        let i = find_param(&self.query, key).ok()?;
+        Some(&self.query[i].1)
     }
 
-    /// Serializes: one format byte, then the envelope in that format.
-    pub(crate) fn to_bytes(&self) -> Vec<u8> {
-        encode_envelope(self.format, |w| {
+    /// Serializes into `out`: one format byte, then the envelope in that
+    /// format.
+    pub(crate) fn write(&self, out: &mut String) {
+        write_envelope(self.format, out, |w| {
             w.begin_object();
             w.key("body");
             w.value(&self.body);
@@ -151,7 +157,7 @@ impl WsRequest {
         })
     }
 
-    /// Deserializes bytes produced by [`WsRequest::to_bytes`].
+    /// Deserializes bytes produced by [`WsRequest::write`].
     ///
     /// # Errors
     ///
@@ -194,23 +200,34 @@ impl WsRequest {
     }
 }
 
+/// Where parameter `key` is in a sorted parameter list, or where it
+/// would go.
+fn find_param(query: &[(Key, Key)], key: &str) -> Result<usize, usize> {
+    query.binary_search_by(|(k, _)| k.as_str().cmp(key))
+}
+
+/// Sets parameter `key` of a sorted parameter list; the last value wins.
+fn set_param(query: &mut Vec<(Key, Key)>, key: Key, value: Key) {
+    match find_param(query, &key) {
+        Ok(i) => query[i].1 = value,
+        Err(i) => query.insert(i, (key, value)),
+    }
+}
+
 /// Reads the `query` member of a request envelope: an object of strings
 /// (anything but an object reads as no parameters).
-fn read_query(r: &mut Reader<'_>) -> Result<Shaped<BTreeMap<String, String>>, CoreError> {
-    let mut query = BTreeMap::new();
+fn read_query(r: &mut Reader<'_>) -> Result<Shaped<Vec<(Key, Key)>>, CoreError> {
+    let mut query = Vec::new();
     // Keys whose last occurrence so far was not a string.
-    let mut ill_typed: Vec<String> = Vec::new();
+    let mut ill_typed: Vec<Key> = Vec::new();
     if r.begin_object()? {
         while let Some(key) = r.next_key()? {
-            ill_typed.retain(|k| *k != key);
+            ill_typed.retain(|k| **k != *key);
             match Scalar::read(r)? {
-                Scalar::Str(value) => {
-                    query.insert(key.into_owned(), value.into_owned());
-                }
-                _ => {
-                    query.remove(&*key);
-                    ill_typed.push(key.into_owned());
-                }
+                Scalar::Str(value) => set_param(&mut query, key.into(), value.into()),
+                // The query is ill-shaped unless a later string replaces
+                // this value, so the stale one it leaves never shows.
+                _ => ill_typed.push(key.into()),
             }
         }
     }
@@ -353,13 +370,18 @@ pub fn decode_response<B>(
 /// One format byte, then the envelope `write` emits, in one buffer.
 fn encode_envelope(format: DataFormat, write: impl FnOnce(&mut Writer<'_>)) -> Vec<u8> {
     let mut out = String::with_capacity(256);
+    write_envelope(format, &mut out, write);
+    out.into_bytes()
+}
+
+/// Appends one format byte, then the envelope `write` emits, to `out`.
+fn write_envelope(format: DataFormat, out: &mut String, write: impl FnOnce(&mut Writer<'_>)) {
     // Both markers are ASCII, so the buffer stays a valid string.
     out.push(match format {
         DataFormat::Json => '\0',
         DataFormat::Xml => '\u{1}',
     });
-    write(&mut Writer::new(format, &mut out));
-    out.into_bytes()
+    write(&mut Writer::new(format, out));
 }
 
 fn split_marker(bytes: &[u8]) -> Result<(DataFormat, &str), CoreError> {
@@ -385,11 +407,14 @@ fn split_marker(bytes: &[u8]) -> Result<(DataFormat, &str), CoreError> {
 }
 
 /// A path pattern with `{param}` captures, e.g.
-/// `/district/{id}/area`.
+/// `/district/{id}/area`. Build it once; matching allocates nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathPattern {
     segments: Vec<PatternSeg>,
 }
+
+/// Most `{param}` captures one pattern may hold.
+const MAX_PARAMS: usize = 4;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum PatternSeg {
@@ -402,8 +427,8 @@ impl PathPattern {
     ///
     /// # Panics
     ///
-    /// Panics on an empty pattern or empty segments — patterns are
-    /// compile-time constants in practice.
+    /// Panics on an empty pattern, empty segments or more than four
+    /// captures — patterns are compile-time constants in practice.
     pub fn new(pattern: &str) -> Self {
         assert!(pattern.starts_with('/'), "pattern must start with '/'");
         let segments = pattern[1..]
@@ -417,31 +442,71 @@ impl PathPattern {
                 }
             })
             .collect();
-        PathPattern { segments }
+        let pattern = PathPattern { segments };
+        assert!(
+            pattern.params().count() <= MAX_PARAMS,
+            "more than {MAX_PARAMS} captures in pattern {pattern:?}"
+        );
+        pattern
     }
 
-    /// Matches `path`, returning captured parameters on success.
-    pub fn matches(&self, path: &str) -> Option<BTreeMap<String, String>> {
-        let path = path.strip_prefix('/')?;
-        let parts: Vec<&str> = if path.is_empty() {
-            Vec::new()
-        } else {
-            path.split('/').collect()
-        };
-        if parts.len() != self.segments.len() {
-            return None;
-        }
-        let mut params = BTreeMap::new();
-        for (seg, part) in self.segments.iter().zip(parts) {
+    /// The capture names, in path order.
+    fn params(&self) -> impl Iterator<Item = &str> {
+        self.segments.iter().filter_map(|seg| match seg {
+            PatternSeg::Param(name) => Some(name.as_str()),
+            PatternSeg::Literal(_) => None,
+        })
+    }
+
+    /// Matches `path`, returning its captured segments on success.
+    pub fn matches<'a>(&self, path: &'a str) -> Option<Captures<'_, 'a>> {
+        // Every pattern has a segment, so `/` alone matches none.
+        let path = path.strip_prefix('/').filter(|p| !p.is_empty())?;
+        let mut parts = path.split('/');
+        let mut values = [""; MAX_PARAMS];
+        let mut captured = 0;
+        for seg in &self.segments {
+            let part = parts.next()?;
             match seg {
                 PatternSeg::Literal(lit) if lit == part => {}
                 PatternSeg::Literal(_) => return None,
-                PatternSeg::Param(name) => {
-                    params.insert(name.clone(), part.to_owned());
+                PatternSeg::Param(_) => {
+                    values[captured] = part;
+                    captured += 1;
                 }
             }
         }
-        Some(params)
+        parts.next().is_none().then_some(Captures {
+            pattern: self,
+            values,
+        })
+    }
+}
+
+/// The segments a [`PathPattern`] captured from a path: `captures["id"]`
+/// is the segment `{id}` matched. They borrow from the path, so a match
+/// allocates nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct Captures<'p, 'a> {
+    pattern: &'p PathPattern,
+    values: [&'a str; MAX_PARAMS],
+}
+
+impl<'a> Index<&str> for Captures<'_, 'a> {
+    type Output = &'a str;
+
+    /// The segment `{name}` captured.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pattern has no capture `name`.
+    fn index(&self, name: &str) -> &&'a str {
+        let i = self
+            .pattern
+            .params()
+            .position(|param| param == name)
+            .unwrap_or_else(|| panic!("no capture {name:?} in {:?}", self.pattern));
+        &self.values[i]
     }
 }
 
@@ -496,7 +561,7 @@ impl WsServer {
     /// Sends a response that is already serialized — by
     /// [`encode_response`] or [`WsResponse::to_bytes`] — in the format
     /// of the call's request.
-    pub(crate) fn respond_encoded(&self, ctx: &mut Context<'_>, call: &WsCall, response: &[u8]) {
+    pub fn respond_encoded(&self, ctx: &mut Context<'_>, call: &WsCall, response: &[u8]) {
         self.tracker
             .respond(ctx, call.from, WS_PORT, call.id, response);
     }
@@ -529,12 +594,24 @@ pub enum WsClientEvent {
 #[derive(Debug)]
 pub struct WsClient {
     tracker: RequestTracker,
-    /// Issue instants of in-flight requests, so callers can measure
-    /// request latency (the breaker's gray-failure signal) without
-    /// keeping their own books. Entries nobody took are pruned once they
-    /// outnumber the requests in flight, which keeps the map within
-    /// twice that number (plus one) at an amortised constant cost.
-    sent: BTreeMap<u64, SimTime>,
+    /// Issue instants of requests, by ascending id, so callers can
+    /// measure request latency (the breaker's gray-failure signal)
+    /// without keeping their own books; `None` once taken. Entries of
+    /// finished requests are pruned once they outnumber the requests in
+    /// flight, which keeps the list within twice that number (plus one)
+    /// at an amortised constant cost, in storage it reuses.
+    sent: Vec<(u64, Option<SimTime>)>,
+}
+
+/// Past this many bytes the request buffer is shrunk after use, so one
+/// large request does not pin its size for the life of the thread.
+const REQUEST_BUFFER_RETAINED: usize = 4096;
+
+thread_local! {
+    /// The buffer [`WsClient::request`] encodes each envelope into, kept
+    /// per thread between requests; the envelope leaves it as one copy,
+    /// into the request's frame.
+    static REQUEST_BUFFER: Cell<String> = const { Cell::new(String::new()) };
 }
 
 impl WsClient {
@@ -542,7 +619,7 @@ impl WsClient {
     pub fn new(tag_base: u64) -> Self {
         WsClient {
             tracker: RequestTracker::new(tag_base),
-            sent: BTreeMap::new(),
+            sent: Vec::new(),
         }
     }
 
@@ -554,21 +631,27 @@ impl WsClient {
     }
 
     /// Sends `request` to the Web Service on `server`; returns the
-    /// correlation id.
+    /// correlation id. The request costs one allocation, its frame (see
+    /// [`RequestTracker::send_request`]); a resend costs none.
     pub fn request(&mut self, ctx: &mut Context<'_>, server: NodeId, request: &WsRequest) -> u64 {
         if self.sent.len() > 2 * self.tracker.outstanding() {
             let tracker = &self.tracker;
-            self.sent.retain(|id, _| tracker.is_pending(*id));
+            self.sent.retain(|(id, _)| tracker.is_pending(*id));
         }
+        let mut buffer = REQUEST_BUFFER.take();
+        request.write(&mut buffer);
         let id = self.tracker.send_request(
             ctx,
             server,
             WS_PORT,
-            request.to_bytes(),
+            buffer.as_bytes(),
             REQUEST_TIMEOUT,
             REQUEST_RETRIES,
         );
-        self.sent.insert(id, ctx.now());
+        buffer.clear();
+        buffer.shrink_to(REQUEST_BUFFER_RETAINED);
+        REQUEST_BUFFER.set(buffer);
+        self.sent.push((id, Some(ctx.now())));
         id
     }
 
@@ -576,7 +659,8 @@ impl WsClient {
     /// when its response (or timeout) arrives to measure the round-trip
     /// latency that feeds a circuit breaker.
     pub fn take_sent_at(&mut self, id: u64) -> Option<SimTime> {
-        self.sent.remove(&id)
+        let i = self.sent.binary_search_by_key(&id, |&(id, _)| id).ok()?;
+        self.sent[i].1.take()
     }
 
     /// Feeds an incoming packet through the client.
@@ -610,7 +694,19 @@ impl WsClient {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
+
+    impl WsRequest {
+        /// The request as [`WsClient::request`] sends it, in a buffer of
+        /// its own.
+        fn to_bytes(&self) -> Vec<u8> {
+            let mut out = String::new();
+            self.write(&mut out);
+            out.into_bytes()
+        }
+    }
 
     #[test]
     fn request_round_trip_both_formats() {
@@ -738,7 +834,10 @@ mod tests {
         Ok(WsRequest {
             method,
             path: envelope.require_str(T, "path")?.to_owned(),
-            query,
+            query: query
+                .into_iter()
+                .map(|(k, v): (String, String)| (k.into(), v.into()))
+                .collect(),
             body: envelope.get("body").cloned().unwrap_or(Value::Null),
             format,
         })

@@ -10,7 +10,8 @@
 //! * **owned**: a moved-in `Vec<u8>`, so every existing `Vec` payload
 //!   becomes a frame for free;
 //! * **shared**: an `Arc<[u8]>`, copied once by
-//!   [`Frame::copy_from_slice`] and cloned in O(1) thereafter.
+//!   [`Frame::copy_from_slice`] (or, from a header and a body, by
+//!   [`Frame::concat`]) and cloned in O(1) thereafter.
 //!
 //! Cloning an inline or shared frame never allocates; cloning an owned
 //! one copies it, as cloning the `Vec` did. Equality compares bytes, not
@@ -65,6 +66,29 @@ impl Frame {
             Frame(Repr::Shared(Arc::from(bytes)))
         }
     }
+
+    /// The bytes of `head` followed by `body` as one frame whose clones
+    /// share them: inline when they fit in 15 bytes, otherwise one
+    /// `Arc<[u8]>` allocation that both are copied into.
+    pub fn concat(head: &[u8], body: &[u8]) -> Frame {
+        let len = head.len() + body.len();
+        if len <= INLINE_CAP {
+            let mut inline = [0; INLINE_CAP];
+            inline[..head.len()].copy_from_slice(head);
+            inline[head.len()..len].copy_from_slice(body);
+            return Frame(Repr::Inline {
+                len: len as u8,
+                bytes: inline,
+            });
+        }
+        // Zeroed in one allocation (an exact-size iterator), then filled
+        // by two copies while this is its only owner.
+        let mut shared: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+        let bytes = Arc::get_mut(&mut shared).expect("a new allocation has one owner");
+        bytes[..head.len()].copy_from_slice(head);
+        bytes[head.len()..].copy_from_slice(body);
+        Frame(Repr::Shared(shared))
+    }
 }
 
 impl From<Vec<u8>> for Frame {
@@ -110,12 +134,15 @@ mod tests {
     use crate::rng::DeterministicRng;
 
     /// The same bytes as `copy_from_slice` makes them (inline up to the
-    /// bound), moved in as a `Vec`, and shared at any length.
-    fn forms(bytes: &[u8]) -> [Frame; 3] {
+    /// bound), moved in as a `Vec`, shared at any length, and joined from
+    /// two halves by `concat`.
+    fn forms(bytes: &[u8]) -> [Frame; 4] {
+        let (head, body) = bytes.split_at(bytes.len() / 3);
         [
             Frame::copy_from_slice(bytes),
             Frame::from(bytes.to_vec()),
             Frame(Repr::Shared(Arc::from(bytes))),
+            Frame::concat(head, body),
         ]
     }
 
@@ -147,6 +174,8 @@ mod tests {
             }
             let inline = matches!(Frame::copy_from_slice(&bytes).0, Repr::Inline { .. });
             assert_eq!(inline, len <= INLINE_CAP, "len {len}");
+            let joined = matches!(forms[3].0, Repr::Inline { .. });
+            assert_eq!(joined, len <= INLINE_CAP, "len {len}");
             if let Some(last) = bytes.last() {
                 let mut changed = bytes.clone();
                 *changed.last_mut().expect("non-empty") = last.wrapping_add(1);

@@ -18,6 +18,7 @@ use std::cell::OnceCell;
 use std::collections::HashMap;
 
 use crate::context::Context;
+use crate::frame::Frame;
 use crate::node::{NodeId, Packet, Port, TimerTag};
 use crate::time::SimDuration;
 use telemetry::CounterHandle;
@@ -66,22 +67,22 @@ pub enum RpcFrame<'a> {
     },
 }
 
+/// The frame header: the direction flag (0 request, 1 response), then
+/// the correlation id.
+fn header(direction: u8, id: u64) -> [u8; HEADER_LEN] {
+    let mut header = [direction; HEADER_LEN];
+    header[1..].copy_from_slice(&id.to_le_bytes());
+    header
+}
+
 /// Encodes a request frame.
 pub fn encode_request(id: u64, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + body.len());
-    out.push(0);
-    out.extend_from_slice(&id.to_le_bytes());
-    out.extend_from_slice(body);
-    out
+    [&header(0, id)[..], body].concat()
 }
 
 /// Encodes a response frame.
 pub fn encode_response(id: u64, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + body.len());
-    out.push(1);
-    out.extend_from_slice(&id.to_le_bytes());
-    out.extend_from_slice(body);
-    out
+    [&header(1, id)[..], body].concat()
 }
 
 /// Decodes a frame previously produced by [`encode_request`] or
@@ -139,7 +140,8 @@ pub enum RpcEvent<'a> {
 struct Pending {
     dst: NodeId,
     port: Port,
-    body: Vec<u8>,
+    /// The request as sent: a resend shares it.
+    frame: Frame,
     timeout: SimDuration,
     retries_left: u32,
 }
@@ -195,25 +197,30 @@ impl RequestTracker {
     /// resends it, each time after `timeout` again, up to `retries` times
     /// before reporting [`RpcEvent::RequestTimedOut`]. Returns the
     /// correlation id.
+    ///
+    /// The header and the body are copied once, into one shared
+    /// [`Frame`]: the packet in flight and the copy kept for resends are
+    /// the same bytes, so a resend allocates nothing.
     pub fn send_request(
         &mut self,
         ctx: &mut Context<'_>,
         dst: NodeId,
         port: Port,
-        body: Vec<u8>,
+        body: &[u8],
         timeout: SimDuration,
         retries: u32,
     ) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        ctx.send(dst, port, encode_request(id, &body));
+        let frame = Frame::concat(&header(0, id), body);
+        ctx.send(dst, port, frame.clone());
         ctx.set_timer(timeout, TimerTag(self.tag_base + id));
         self.pending.insert(
             id,
             Pending {
                 dst,
                 port,
-                body,
+                frame,
                 timeout,
                 retries_left: retries,
             },
@@ -265,7 +272,7 @@ impl RequestTracker {
             return Some(RpcEvent::RequestTimedOut { id });
         }
         pending.retries_left -= 1;
-        ctx.send(pending.dst, pending.port, encode_request(id, &pending.body));
+        ctx.send(pending.dst, pending.port, pending.frame.clone());
         ctx.set_timer(pending.timeout, TimerTag(self.tag_base + id));
         None
     }
@@ -353,7 +360,7 @@ mod tests {
                 ctx,
                 self.server,
                 Port::new(80),
-                b"abc".to_vec(),
+                b"abc",
                 SimDuration::from_secs(1),
                 2,
             );

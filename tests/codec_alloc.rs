@@ -1,9 +1,13 @@
 //! The cost contract of the common-format read path, counted in
-//! allocations: a Device-proxy's `/data` response is written into one
-//! growing buffer, a client decodes a batch with one allocation per
-//! measurement, a Database-proxy answers `/model` from memoised bytes,
-//! and a client decodes that model with one allocation per container,
-//! string and long key.
+//! allocations: the master writes an `/area` resolution into one growing
+//! buffer and a client decodes it with one allocation per owned field; a
+//! client sends a request as one frame and resends it for nothing; a
+//! server decodes a `/data` request with one allocation for its path and
+//! one for its parameters; a Device-proxy's `/data` response is written
+//! into one growing buffer, a client decodes a batch with one allocation
+//! per measurement, a Database-proxy answers `/model` from memoised
+//! bytes, and a client decodes that model with one allocation per
+//! container, string and long key.
 //!
 //! This file is its own test binary, so it can install the counting
 //! `#[global_allocator]` of `tests/support` without touching any other
@@ -13,12 +17,15 @@ use std::collections::BTreeMap;
 
 use dimmer_core::codec::{self, DataFormat};
 use dimmer_core::{
-    BuildingId, DeviceId, DistrictId, MeasurementBatch, ProxyId, QuantityKind, Unit, Value,
+    BuildingId, DeviceId, DistrictId, MeasurementBatch, ProxyId, QuantityKind, Unit, Uri, Value,
 };
+use gis::geo::{BoundingBox, GeoPoint};
 use models::bim::BuildingModel;
+use ontology::{AreaResolution, DeviceLeaf, EntityNode, Ontology};
 use proxy::database_proxy::{BimSource, DatabaseProxyNode, SourceTranslator};
 use proxy::webservice::{
-    decode_response, encode_response, status, WsClient, WsRequest, WsResponse,
+    decode_response, encode_response, status, WsClient, WsClientEvent, WsRequest, WsResponse,
+    WsServer,
 };
 use simnet::{Context, Node, NodeId, Packet, SimConfig, SimDuration, Simulator, TimerTag};
 
@@ -245,4 +252,271 @@ fn a_wide_object_with_descending_keys_decodes_in_n_log_n() {
         .iter()
         .zip(&oracle)
         .all(|((k, v), (ok, ov))| k.as_str() == ok && v == ov));
+}
+
+/// A district of `buildings` buildings inside the query box, two devices
+/// each, the odd ones with a GIS feature and properties.
+fn district(buildings: usize) -> (Ontology, DistrictId, BoundingBox) {
+    let d = DistrictId::new("d1").unwrap();
+    let mut onto = Ontology::new();
+    onto.add_district(d.clone(), "District").unwrap();
+    let tree = onto.district_mut(&d).unwrap();
+    tree.add_gis_proxy(Uri::parse("sim://n2/gis").unwrap());
+    tree.add_measurement_proxy(Uri::parse("sim://n3/measurements").unwrap());
+    for b in 0..buildings {
+        let id = format!("d1-b{b}");
+        let mut entity = EntityNode::building(
+            BuildingId::new(id.as_str()).unwrap(),
+            Uri::parse(&format!("sim://n{}/model", 10 + b)).unwrap(),
+        )
+        .with_location(GeoPoint::new(45.0 + 0.001 * b as f64, 7.6));
+        if b % 2 == 1 {
+            entity = entity
+                .with_gis_feature(format!("feature-{b}"))
+                .with_properties(Value::object([
+                    ("floors", Value::from(4)),
+                    ("use", Value::from("residential")),
+                ]));
+        }
+        onto.add_entity(&d, entity).unwrap();
+        for (k, quantity) in [QuantityKind::Temperature, QuantityKind::ActivePower]
+            .into_iter()
+            .enumerate()
+        {
+            let leaf = DeviceLeaf::new(
+                DeviceId::new(format!("{id}-dev{k}")).unwrap(),
+                "zigbee",
+                quantity,
+                Uri::parse(&format!("sim://n{}/data", 1000 + 2 * b + k)).unwrap(),
+            );
+            onto.add_device(&d, &id, leaf).unwrap();
+        }
+    }
+    let bbox = BoundingBox::new(GeoPoint::new(44.9, 7.5), GeoPoint::new(45.5, 7.7));
+    (onto, d, bbox)
+}
+
+/// What the master does for an admitted `GET /district/{id}/area`.
+fn area_response(
+    onto: &Ontology,
+    d: &DistrictId,
+    bbox: &BoundingBox,
+    format: DataFormat,
+) -> Vec<u8> {
+    let hit = onto.match_area(d, bbox).unwrap();
+    encode_response(status::OK, format, |w| hit.write(w))
+}
+
+#[test]
+fn area_response_encode_allocates_only_its_growing_buffer() {
+    for format in DataFormat::all() {
+        for buildings in [1, 10, 50] {
+            let (onto, d, bbox) = district(buildings);
+            let (bytes, allocations) = allocations_in(|| area_response(&onto, &d, &bbox, format));
+            // One buffer, doubling from its initial capacity until the
+            // response fits: no clone of a node, no tree, nothing per URI,
+            // number or name.
+            let initial = encode_response(status::OK, format, |_| {}).capacity();
+            let doublings = (bytes.len() as f64 / initial as f64).log2().ceil().max(0.0) as u64;
+            assert_eq!(
+                allocations,
+                1 + doublings,
+                "{format} {buildings} buildings: {} bytes",
+                bytes.len()
+            );
+        }
+    }
+}
+
+/// Allocations a vector of `n` items makes as it grows item by item.
+fn growth(n: usize) -> u64 {
+    match n {
+        0 => 0,
+        // The first allocation holds four items, each later one twice as
+        // many.
+        _ => 1 + u64::from(n.div_ceil(4).next_power_of_two().ilog2()),
+    }
+}
+
+/// What decoding `uri` may allocate: its scheme, host and path.
+fn uri_budget(uri: &Uri) -> u64 {
+    assert!(!uri.to_string().contains('?'), "a query would cost more");
+    3
+}
+
+#[test]
+fn area_resolution_decode_allocates_once_per_owned_field() {
+    for format in DataFormat::all() {
+        for buildings in [1, 10, 50] {
+            let (onto, d, bbox) = district(buildings);
+            let bytes = area_response(&onto, &d, &bbox, format);
+            // The first decode on a thread grows the tree reader's scratch
+            // stacks (used for `properties`); later ones reuse them.
+            decode_response(&bytes, AreaResolution::read).unwrap();
+            let (decoded, allocations) =
+                allocations_in(|| decode_response(&bytes, AreaResolution::read));
+            let resolution = decoded.unwrap().1.unwrap();
+            assert_eq!(resolution, onto.resolve_area(&d, &bbox).unwrap());
+            // Each id, protocol and GIS feature is one string, each URI
+            // three, properties a tree; each list allocates as it grows.
+            // Nothing else: no envelope tree, no error built and dropped.
+            let leaf = |l: &DeviceLeaf| 2 + uri_budget(l.proxy());
+            let entity = |e: &EntityNode| {
+                1 + uri_budget(e.db_proxy())
+                    + u64::from(e.gis_feature().is_some())
+                    + tree_budget(e.properties())
+                    + growth(e.devices().len())
+                    + e.devices().iter().map(leaf).sum::<u64>()
+            };
+            // The district's one GIS and one measurement proxy.
+            let proxy_lists = 2 * (growth(1) + 3);
+            let budget = growth(resolution.entities.len())
+                + resolution.entities.iter().map(entity).sum::<u64>()
+                + growth(resolution.devices.len())
+                + resolution.devices.iter().map(leaf).sum::<u64>()
+                + proxy_lists;
+            assert_eq!(allocations, budget, "{format} {buildings} buildings");
+        }
+    }
+}
+
+/// Sends one request every ten seconds to a server that never answers,
+/// so each is resent twice and then times out, and records what each
+/// request and each resend costs.
+struct Asker {
+    client: WsClient,
+    server: NodeId,
+    request: WsRequest,
+    asked: usize,
+    request_costs: Vec<u64>,
+    resend_costs: Vec<u64>,
+}
+
+impl Node for Asker {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        ctx.set_timer(SimDuration::from_secs(1), TAG_ASK);
+    }
+    fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: Packet) {}
+    fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
+        if tag == TAG_ASK {
+            if self.asked < ASKS {
+                let request = self.request.clone().with_format(format_of_ask(self.asked));
+                let (_, cost) = allocations_in(|| self.client.request(ctx, self.server, &request));
+                self.request_costs.push(cost);
+                self.asked += 1;
+                ctx.set_timer(SimDuration::from_secs(10), TAG_ASK);
+            }
+            return;
+        }
+        let (event, cost) = allocations_in(|| self.client.on_timer(ctx, tag));
+        match event {
+            None => self.resend_costs.push(cost),
+            Some(event) => assert!(matches!(event, WsClientEvent::TimedOut { .. })),
+        }
+    }
+}
+
+#[test]
+fn a_request_costs_one_frame_and_its_resends_cost_nothing() {
+    let mut sim = Simulator::new(SimConfig::default());
+    let server = sim.add_node("sink", Sink);
+    let client = sim.add_node(
+        "client",
+        Asker {
+            client: WsClient::new(1000),
+            server,
+            request: WsRequest::get("/data")
+                .with_query("quantity", "temperature")
+                .with_query("from", "1425859200000")
+                .with_query("to", "1425859800000"),
+            asked: 0,
+            request_costs: Vec::new(),
+            resend_costs: Vec::new(),
+        },
+    );
+    sim.run_for(SimDuration::from_secs(10 * ASKS as u64 + 20));
+    let asker = sim.node_ref::<Asker>(client).unwrap();
+    assert_eq!(asker.request_costs.len(), ASKS);
+    assert_eq!(
+        asker.resend_costs.len(),
+        2 * ASKS,
+        "two resends per request"
+    );
+    // The first requests size the client's books and the thread's
+    // envelope buffer; from then on a request is its frame.
+    let (first, later) = asker.request_costs.split_at(2);
+    assert!(first.iter().all(|&c| c >= 1), "{first:?}");
+    assert!(later.iter().all(|&c| c == 1), "{later:?}");
+    assert!(
+        asker.resend_costs.iter().all(|&c| c == 0),
+        "a resend shares the frame: {:?}",
+        asker.resend_costs
+    );
+}
+
+/// Accepts requests and answers none.
+struct Quiet {
+    server: WsServer,
+}
+
+impl Node for Quiet {
+    fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
+        assert!(self.server.accept(ctx, &pkt).is_some(), "a valid request");
+    }
+}
+
+/// Fires its requests at the server a second apart.
+struct Fire {
+    client: WsClient,
+    server: NodeId,
+    requests: Vec<WsRequest>,
+}
+
+impl Node for Fire {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        ctx.set_timer(SimDuration::from_secs(1), TAG_ASK);
+    }
+    fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: Packet) {}
+    fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
+        if tag == TAG_ASK && !self.requests.is_empty() {
+            let request = self.requests.remove(0);
+            self.client.request(ctx, self.server, &request);
+            ctx.set_timer(SimDuration::from_secs(1), TAG_ASK);
+        }
+    }
+}
+
+#[test]
+fn a_data_request_decodes_with_one_allocation_for_its_parameters() {
+    let data = WsRequest::get("/data")
+        .with_query("quantity", "active_power")
+        .with_query("from", "1425859200000")
+        .with_query("to", "1425859800000");
+    let requests = vec![
+        data.clone(),
+        data.with_format(DataFormat::Xml),
+        WsRequest::get("/model"),
+    ];
+    let mut sim = Simulator::new(SimConfig::default());
+    let server = sim.add_node(
+        "server",
+        Counted::new(Quiet {
+            server: WsServer::new(),
+        }),
+    );
+    sim.add_node(
+        "client",
+        Fire {
+            client: WsClient::new(1000),
+            server,
+            requests,
+        },
+    );
+    // Requests leave at 1, 2 and 3 s; the first resend, 3 s after the
+    // first request, falls after the run.
+    sim.run_for(SimDuration::from_millis(3_500));
+    // The path, then the parameters in one list of inline names and
+    // values; a request without parameters allocates only its path.
+    let costs = &sim.node_ref::<Counted<Quiet>>(server).unwrap().per_packet;
+    assert_eq!(costs, &[2, 2, 1]);
 }
