@@ -1,7 +1,7 @@
 //! The middleware broker node.
 
 use std::cell::OnceCell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use simnet::batch::PushOutcome;
 use simnet::telemetry::{CounterHandle, GaugeHandle, HistogramHandle, Registry, NO_SPAN};
@@ -244,8 +244,9 @@ pub struct BrokerNode {
     incarnation: u64,
     stats: BrokerStats,
     /// Filter text → live local subscriber refcounts (advertisement
-    /// bookkeeping; empty while not federated).
-    advert_refs: HashMap<String, AdvertRefs>,
+    /// bookkeeping; empty while not federated). Ordered, because a
+    /// re-advertisement sends one packet per entry.
+    advert_refs: BTreeMap<String, AdvertRefs>,
     /// Suffix of this broker's labeled twin series, if any.
     label: Option<String>,
     series: OnceCell<BrokerSeries>,
@@ -730,13 +731,15 @@ impl BrokerNode {
         let strongest = refs.strongest();
         self.advertise(ctx, &filter, strongest);
         // Hand the new subscriber any retained messages it now matches,
-        // under the original publication's trace id and span.
-        let matching: Vec<(Topic, Vec<u8>, u64, u64)> = self
+        // under the original publication's trace id and span, in topic
+        // order (not the map's, which changes from process to process).
+        let mut matching: Vec<(Topic, Vec<u8>, u64, u64)> = self
             .retained
             .values()
             .filter(|(topic, ..)| filter.matches(topic))
             .cloned()
             .collect();
+        matching.sort_unstable_by(|a, b| a.0.as_str().cmp(b.0.as_str()));
         for (topic, payload, trace, span) in matching {
             self.deliver(
                 ctx,
@@ -823,7 +826,7 @@ impl BrokerNode {
         if !self.note_peer_incarnation(ctx, peer, incarnation) {
             return;
         }
-        let retained_reply: Vec<BridgeFrame>;
+        let mut retained_reply: Vec<BridgeFrame>;
         {
             let Some(fed) = &mut self.federation else {
                 return;
@@ -849,6 +852,7 @@ impl BrokerNode {
                 })
                 .collect();
         }
+        retained_reply.sort_unstable_by(|a, b| a.topic.as_str().cmp(b.topic.as_str()));
         for frame in retained_reply {
             self.enqueue_frame(ctx, peer, frame);
         }

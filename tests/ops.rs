@@ -250,20 +250,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Golden digests of everything telemetry exports, recorded on the
-/// by-name `BTreeMap<String, _>` registry and the `String`-per-field
-/// trace ring. The scenario crosses every instrumented layer (device →
-/// proxy → labeled broker shards → bridge → aggregator → master),
-/// crashes a broker and a proxy, partitions the network, and runs long
-/// enough for the 4096-event ring to wrap. The master's fleet scrape
-/// is off, as it was when the digests were recorded (it then probed in
-/// `HashMap` order; `tests/parallel.rs` now pins its reproducibility).
-#[test]
-fn exported_telemetry_matches_golden_digests() {
-    const METRICS_TEXT_FNV: u64 = 0xcdb5_55e0_78c5_c9de;
-    const TRACE_JSON_LINES_FNV: u64 = 0x11ed_f45b_3d42_154c;
-    const TRACE_DROPPED: u64 = 11_901;
-
+/// The federated scenario both telemetry goldens run: it crosses every
+/// instrumented layer (device → proxy → labeled broker shards → bridge
+/// → aggregator → master), crashes a broker and a proxy, and partitions
+/// the network. `ring` resizes the trace ring before the run. The
+/// master's fleet scrape is off, as it was when the digests were
+/// recorded (it then probed in `HashMap` order; `tests/parallel.rs` now
+/// pins its reproducibility).
+fn federated_chaos_run(ring: Option<usize>) -> Simulator {
     let mut sim = Simulator::new(SimConfig { seed: 0x601D });
     let mut config = ScenarioConfig::small()
         .with_districts(3)
@@ -273,7 +267,9 @@ fn exported_telemetry_matches_golden_digests() {
     config.publish_qos = QoS::AtLeastOnce;
     let scenario = config.build();
     let deployment = Deployment::build(&mut sim, &scenario);
-    sim.telemetry().tracer.set_capacity(4096);
+    if let Some(capacity) = ring {
+        sim.telemetry().tracer.set_capacity(capacity);
+    }
     let proxy = deployment.districts[1].device_proxies[0];
     sim.add_node(
         "scrape-proxy-metrics",
@@ -317,7 +313,19 @@ fn exported_telemetry_matches_golden_digests() {
         )
         .at(at(90), Fault::Heal);
     ChaosRunner::new(plan).run_for(&mut sim, SimDuration::from_secs(120));
+    sim
+}
 
+/// Golden digests of everything telemetry exports, recorded on the
+/// by-name `BTreeMap<String, _>` registry and the `String`-per-field
+/// trace ring, on a 4096-event ring that wraps.
+#[test]
+fn exported_telemetry_matches_golden_digests() {
+    const METRICS_TEXT_FNV: u64 = 0xcdb5_55e0_78c5_c9de;
+    const TRACE_JSON_LINES_FNV: u64 = 0x11ed_f45b_3d42_154c;
+    const TRACE_DROPPED: u64 = 11_901;
+
+    let sim = federated_chaos_run(Some(4096));
     let telemetry = sim.telemetry();
     let metrics_text = telemetry.exposition();
     let json_lines = telemetry.tracer.to_json_lines();
@@ -330,5 +338,25 @@ fn exported_telemetry_matches_golden_digests() {
         ),
         (METRICS_TEXT_FNV, TRACE_JSON_LINES_FNV, TRACE_DROPPED),
         "telemetry output drifted from the golden run"
+    );
+}
+
+/// The same run on the default ring, which never wraps in it: every
+/// flight is recorded, so its export must not depend on how flights are
+/// sampled once a ring wraps.
+#[test]
+fn unwrapped_trace_export_matches_its_pin() {
+    const TRACE_JSON_LINES_FNV: u64 = 0x5cd7_7b9c_b1e2_e852;
+
+    let sim = federated_chaos_run(None);
+    let tracer = &sim.telemetry().tracer;
+    assert_eq!(tracer.dropped(), 0, "the default ring wrapped");
+    let json_lines = tracer.to_json_lines();
+    assert_eq!(
+        fnv1a(json_lines.as_bytes()),
+        TRACE_JSON_LINES_FNV,
+        "got {:#018x} over {} events",
+        fnv1a(json_lines.as_bytes()),
+        tracer.len()
     );
 }
