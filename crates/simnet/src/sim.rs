@@ -218,12 +218,14 @@ impl Shard {
         (id.0 >> NodeId::SHARD_SHIFT == self.shard).then_some((id.0 & NodeId::LOCAL_MASK) as usize)
     }
 
-    /// Tags every id this shard mints with `shard`. Must be called
-    /// before any node is registered.
+    /// Tags every id this shard mints with `shard`: node ids, and the
+    /// trace and span ids of its tracer. Must be called before any node
+    /// is registered.
     pub(crate) fn set_shard(&mut self, shard: u32) {
         assert!(self.slots.is_empty(), "set_shard before adding nodes");
         assert!(shard < (1 << NodeId::SHARD_BITS), "shard tag out of range");
         self.shard = shard;
+        self.telemetry.tracer.set_shard(shard as u8);
     }
 
     /// Drains the packets addressed to other shards since the last call.

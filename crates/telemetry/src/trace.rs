@@ -7,6 +7,12 @@
 //! recorder, [`crate::flight`], reconstructs the path). `trace_id == 0`
 //! ([`NO_TRACE`]) marks an event that belongs to no particular flight.
 //!
+//! Trace and span ids are unique across the shards of a simulation:
+//! each shard's tracer counts from 1 below its shard index, which sits
+//! in the top byte of the id ([`Tracer::set_shard`]). A flight bridged
+//! into another shard's ring therefore never shares its ids with one of
+//! that shard's own flights, and shard 0 mints exactly `1, 2, 3, …`.
+//!
 //! When the ring buffer is full the *oldest* event is overwritten and a
 //! drop counter incremented, so a long simulation keeps the most recent
 //! window of activity in constant memory.
@@ -40,6 +46,9 @@ pub type SpanId = u64;
 
 /// The null span id: the event has no causal position.
 pub const NO_SPAN: SpanId = 0;
+
+/// Bit position of the shard index in every minted trace and span id.
+const SHARD_SHIFT: u32 = 56;
 
 /// Default ring capacity; overridable via [`Tracer::set_capacity`].
 const DEFAULT_CAPACITY: usize = 65_536;
@@ -145,6 +154,8 @@ struct TracerInner {
     capacity: usize,
     dropped: u64,
     names: BTreeMap<u32, String>,
+    /// The shard index, shifted into place: or-ed into every id.
+    shard_bits: u64,
     next_trace: TraceId,
     next_span: SpanId,
 }
@@ -156,6 +167,7 @@ impl Default for TracerInner {
             capacity: DEFAULT_CAPACITY,
             dropped: 0,
             names: BTreeMap::new(),
+            shard_bits: 0,
             next_trace: 1,
             next_span: 1,
         }
@@ -164,8 +176,14 @@ impl Default for TracerInner {
 
 impl TracerInner {
     fn mint_span(&mut self) -> SpanId {
-        let id = self.next_span;
+        let id = self.shard_bits | self.next_span;
         self.next_span += 1;
+        id
+    }
+
+    fn mint_trace(&mut self) -> TraceId {
+        let id = self.shard_bits | self.next_trace;
+        self.next_trace += 1;
         id
     }
 
@@ -210,6 +228,12 @@ impl Tracer {
         }
     }
 
+    /// Tags every trace and span id this tracer mints from now on with
+    /// `shard` (see the [module docs](self)).
+    pub fn set_shard(&self, shard: u8) {
+        self.inner().shard_bits = u64::from(shard) << SHARD_SHIFT;
+    }
+
     /// Associates a node index with a display name used in exports.
     pub fn register_node(&self, node: u32, name: &str) {
         self.inner().names.insert(node, name.to_string());
@@ -217,10 +241,7 @@ impl Tracer {
 
     /// Mints a fresh non-zero trace id (sequential, deterministic).
     pub fn next_trace_id(&self) -> TraceId {
-        let mut g = self.inner();
-        let id = g.next_trace;
-        g.next_trace += 1;
-        id
+        self.inner().mint_trace()
     }
 
     /// Records one unstructured event (no causal span); O(1),
@@ -421,6 +442,19 @@ mod tests {
         let t = Tracer::new();
         assert_eq!(t.next_trace_id(), 1);
         assert_eq!(t.next_trace_id(), 2);
+    }
+
+    #[test]
+    fn ids_carry_the_shard_index_in_the_top_byte() {
+        let t = Tracer::new();
+        t.set_shard(3);
+        assert_eq!(t.next_trace_id(), 3 << 56 | 1);
+        assert_eq!(
+            t.record_hop(0, 0, "a", 7, NO_SPAN, format_args!("")),
+            3 << 56 | 1
+        );
+        t.set_shard(255);
+        assert_eq!(t.next_trace_id(), 255 << 56 | 2);
     }
 
     #[test]

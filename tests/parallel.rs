@@ -14,9 +14,11 @@ use dimmer::district::scenario::{FederationSpec, Scenario, ScenarioConfig};
 use dimmer::master::MasterNode;
 use dimmer::pubsub::{BridgeStats, BrokerNode, PubSubClient, PubSubEvent, QoS, TopicFilter};
 use dimmer::simnet::chaos::{ChaosRunner, Fault, FaultPlan};
+use dimmer::simnet::telemetry::{TraceId, NO_SPAN};
 use dimmer::simnet::{
-    Context, Node, Packet, ParallelConfig, SimDuration, SimTime, Simulator, TimerTag,
+    Context, Node, NodeId, Packet, ParallelConfig, SimDuration, SimTime, Simulator, TimerTag,
 };
+use std::collections::{BTreeMap, BTreeSet};
 
 const SHARDS: usize = 4;
 
@@ -89,7 +91,15 @@ struct Fingerprint {
     now_ns: u64,
 }
 
-fn run_city(shards: usize, base_seed: u64, threads: usize, crash_broker: bool) -> Fingerprint {
+/// A finished 120 s run of the city: the simulator, its deployment and
+/// the stream recorder's id.
+struct CityRun {
+    sim: Simulator,
+    deployment: Deployment,
+    recorder: NodeId,
+}
+
+fn run_city_sim(shards: usize, base_seed: u64, threads: usize, crash_broker: bool) -> CityRun {
     let scenario = city();
     let mut sim = Simulator::new(ParallelConfig {
         seed: seed(base_seed),
@@ -119,7 +129,19 @@ fn run_city(shards: usize, base_seed: u64, threads: usize, crash_broker: bool) -
     }
     let mut chaos = ChaosRunner::new(plan);
     chaos.run_for(&mut sim, SimDuration::from_secs(120));
+    CityRun {
+        sim,
+        deployment,
+        recorder,
+    }
+}
 
+fn run_city(shards: usize, base_seed: u64, threads: usize, crash_broker: bool) -> Fingerprint {
+    let CityRun {
+        sim,
+        deployment,
+        recorder,
+    } = run_city_sim(shards, base_seed, threads, crash_broker);
     assert_eq!(
         sim.stats().cross_packets > 0,
         shards > 1,
@@ -171,15 +193,62 @@ fn sharded_deployment_identical_across_thread_counts() {
     assert_eq!(single, multi);
 }
 
+/// Each shard mints its own trace and span ids, and the federation
+/// bridge carries them into the other shards' rings: a flight bridged
+/// into shard 0 must not share its ids with one of shard 0's own
+/// flights, or the flight recorder merges the two and span trees hang
+/// hops under a foreign parent.
+#[test]
+fn trace_and_span_ids_are_unique_across_shards() {
+    let CityRun { sim, .. } = run_city_sim(SHARDS, 0x9A11, env_threads(), false);
+    let mut heads: BTreeMap<TraceId, Vec<usize>> = BTreeMap::new();
+    let mut spans: BTreeMap<u64, usize> = BTreeMap::new();
+    let mut bridged: BTreeSet<TraceId> = BTreeSet::new();
+    for shard in 0..SHARDS {
+        let tracer = &sim.shard_telemetry(shard).tracer;
+        assert_eq!(tracer.dropped(), 0, "shard {shard}'s ring wrapped");
+        for e in tracer.events() {
+            match e.kind.as_str() {
+                "device.sample" => heads.entry(e.trace_id).or_default().push(shard),
+                "bridge.deliver" if shard == 0 => {
+                    bridged.insert(e.trace_id);
+                }
+                _ => {}
+            }
+            if e.span != NO_SPAN {
+                *spans.entry(e.span).or_default() += 1;
+            }
+        }
+    }
+    assert!(
+        !bridged.is_empty(),
+        "nothing crossed the bridge into shard 0"
+    );
+    for trace in &bridged {
+        let at = heads.get(trace).map(Vec::as_slice);
+        assert!(
+            matches!(at, Some([s]) if *s != 0),
+            "bridged trace {trace:#x} started on shards {at:?}"
+        );
+    }
+    for (trace, at) in &heads {
+        assert_eq!(at.len(), 1, "trace {trace:#x} started on shards {at:?}");
+    }
+    for (span, n) in &spans {
+        assert_eq!(*n, 1, "span {span:#x} recorded {n} times");
+    }
+}
+
 /// Flight digests of the fault-free city under `ParallelConfig`'s seed
 /// rule (shard `i` is seeded `root.derive(i)`, also at `shards: 1`),
-/// recorded before the kernel became crate-private. Outside the frozen
-/// benchmark's `sim_digest` nothing else pins that rule, so a refactor
-/// of the runner must leave both unchanged. The with-faults digest of
+/// recorded before the kernel became crate-private; the 4-shard one
+/// re-recorded when trace and span ids gained their shard tag. Outside
+/// the frozen benchmark's `sim_digest` nothing else pins that rule, so
+/// a refactor of the runner must leave both unchanged. The with-faults digest of
 /// `broker_crash_mid_run_stays_deterministic` is deliberately not
 /// pinned: runner-level fault records may move between bundles; only
 /// its 1-vs-N-thread equality is promised.
-const CITY_DIGEST_4_SHARDS: u64 = 0xacf9_7779_565f_2152;
+const CITY_DIGEST_4_SHARDS: u64 = 0x4bd9_a7ba_60ef_3560;
 const CITY_DIGEST_1_SHARD: u64 = 0x9eac_ce09_97f3_e00f;
 
 #[test]
