@@ -37,9 +37,17 @@
 //! `DIMMER_SEED=<offset>` shifts the simulation seed (the CI gate holds
 //! it fixed across thread counts).
 //!
+//! The full run then repeats the 10 000-building row on one thread with
+//! tracing on and off (`Telemetry::off` on every shard, so the traced
+//! buildings' `Tracer::start_flight` declines every flight) and prints
+//! one `trace-overhead` line: the median and quartiles of each side's
+//! wall time and the ratio of the medians, the price of tracing one
+//! building in 50 at that scale.
+//!
 //! `DIMMER_E13_SMOKE=1` shrinks the run (500 buildings, short window)
 //! so `scripts/ci.sh` can exercise the binary in debug builds.
 
+use bench_support::stats::Summary;
 use dimmer_core::DistrictId;
 use district::report::{fmt_f64, install_default_slos, slo_report, Table};
 use master::MasterNode;
@@ -49,7 +57,7 @@ use pubsub::{
     PUBSUB_PORT,
 };
 use simnet::batch::BatchPolicy;
-use simnet::telemetry::SloReport;
+use simnet::telemetry::{SloReport, NO_TRACE};
 use simnet::{
     Context, Node, NodeId, Packet, ParallelConfig, SimDuration, SimTime, Simulator, TimerTag,
 };
@@ -57,6 +65,12 @@ use simnet::{
 /// Every Nth building publishes traced: enough flights for the SLO
 /// harvest without flooding the trace ring at the 100k scale.
 const TRACED_BUILDING_STRIDE: usize = 50;
+/// The scale whose row the full run repeats with tracing on and off.
+const OVERHEAD_BUILDINGS: usize = 10_000;
+/// Runs per side of that comparison, in alternating order: one
+/// sub-second run reads ±15 % on a shared two-core host, so the line
+/// reports each side's quartiles.
+const OVERHEAD_PAIRS: usize = 10;
 /// How often the master's fleet scraper and the probe poll.
 const SCRAPE_INTERVAL: SimDuration = SimDuration::from_secs(5);
 
@@ -105,8 +119,9 @@ struct LoadPub {
     start_offset: SimDuration,
     stop_at: SimTime,
     sent: u64,
-    /// When set, every publish mints a flight-recorder trace whose
-    /// spans feed the `publish_to_deliver` SLO harvest.
+    /// When set, every publish starts a flight whose spans feed the
+    /// `publish_to_deliver` SLO harvest. The shard's tracer may decline
+    /// it: always once switched off, one in 16 once its ring wraps.
     traced: bool,
 }
 
@@ -129,8 +144,12 @@ impl Node for LoadPub {
         while payload.len() < 64 {
             payload.push(' ');
         }
-        if self.traced {
-            let trace = ctx.telemetry().tracer.next_trace_id();
+        let trace = if self.traced {
+            ctx.telemetry().tracer.start_flight()
+        } else {
+            NO_TRACE
+        };
+        if trace != NO_TRACE {
             let span = ctx.trace_hop("pub.send", trace, format_args!("{}", self.topic.as_str()));
             self.client.publish_ref(
                 ctx,
@@ -288,6 +307,9 @@ struct RunResult {
     slos: Vec<SloReport>,
 }
 
+/// Runs one scale. With `tracing` off, every shard's telemetry is
+/// switched off, so no flight is minted and the `publish_to_deliver`
+/// SLO sees nothing.
 fn run_scale(
     buildings: usize,
     shards: usize,
@@ -295,6 +317,7 @@ fn run_scale(
     seed: u64,
     warmup: SimDuration,
     measure: SimDuration,
+    tracing: bool,
 ) -> RunResult {
     let districts = buildings.div_ceil(BUILDINGS_PER_DISTRICT);
     let mut sim = Simulator::new(ParallelConfig {
@@ -305,6 +328,9 @@ fn run_scale(
     });
     for s in 0..shards {
         install_default_slos(sim.shard_telemetry(s));
+        if !tracing {
+            sim.shard_telemetry(s).off();
+        }
     }
     let brokers = build_brokers(&mut sim, shards, districts);
 
@@ -413,9 +439,11 @@ fn run_scale(
         .iter()
         .find(|r| r.name == "publish_to_deliver")
         .expect("default SLO installed");
-    assert!(
+    assert_eq!(
         e2e.count > 0,
-        "publish_to_deliver SLO harvested no traced flights"
+        tracing,
+        "publish_to_deliver SLO harvested {} traced flights",
+        e2e.count
     );
     assert!(
         e2e.met,
@@ -504,7 +532,7 @@ fn main() {
     let mut digest_lines: Vec<String> = Vec::new();
     let mut last_run: Option<(usize, usize, RunResult)> = None;
     for &(buildings, shards) in &scales {
-        let r = run_scale(buildings, shards, threads, seed, warmup, measure);
+        let r = run_scale(buildings, shards, threads, seed, warmup, measure, true);
         // The engine must keep up: losing deliveries at QoS 0 with no NIC
         // cap would mean the hot path itself is broken.
         assert!(
@@ -551,7 +579,7 @@ fn main() {
     // measured between bit-identical executions.
     let (buildings, shards, r_threads) = last_run.expect("at least one scale ran");
     if threads > 1 {
-        let r1 = run_scale(buildings, shards, 1, seed, warmup, measure);
+        let r1 = run_scale(buildings, shards, 1, seed, warmup, measure, true);
         assert_eq!(
             r1.digest, r_threads.digest,
             "flight digests diverged between --threads 1 and --threads {threads}"
@@ -566,6 +594,37 @@ fn main() {
         println!(
             "e13-speedup buildings={buildings} threads=1 wall_1={:.2} wall_t={:.2} speedup=1.000",
             r_threads.wall_s, r_threads.wall_s
+        );
+    }
+
+    // Telemetry's own price: the row again with tracing on and off, on
+    // one thread, so the wall time is the work done and not how the
+    // host schedules the shards.
+    if let Some(&(buildings, shards)) = scales.iter().find(|&&(b, _)| b == OVERHEAD_BUILDINGS) {
+        let mut walls = [Summary::new("wall_on"), Summary::new("wall_off")];
+        for i in 0..OVERHEAD_PAIRS {
+            let order = if i % 2 == 0 {
+                [true, false]
+            } else {
+                [false, true]
+            };
+            for tracing in order {
+                let r = run_scale(buildings, shards, 1, seed, warmup, measure, tracing);
+                walls[usize::from(!tracing)].record(r.wall_s);
+            }
+        }
+        let quartiles = |s: &Summary| {
+            [25.0, 50.0, 75.0]
+                .map(|p| format!("{:.3}", s.percentile(p)))
+                .join("/")
+        };
+        let [on, off] = &walls;
+        println!(
+            "trace-overhead buildings={buildings} threads=1 runs={OVERHEAD_PAIRS} \
+             wall_on_q1/med/q3={} wall_off_q1/med/q3={} ratio={:.3}",
+            quartiles(on),
+            quartiles(off),
+            on.percentile(50.0) / off.percentile(50.0)
         );
     }
 

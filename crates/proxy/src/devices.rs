@@ -79,10 +79,12 @@ impl UplinkDeviceNode {
         let value = self.profile.sample(unix);
         self.last_value = value;
         let bytes = self.device.emit(value);
-        // Every reading starts a fresh flight-recorder trace; the proxy
-        // propagates the id into the pub/sub publish so the measurement
-        // can be followed device → proxy → broker → subscriber.
-        let trace = ctx.telemetry().tracer.next_trace_id();
+        // Every reading starts a flight; a sampled one carries a trace
+        // id, which the proxy propagates into the pub/sub publish so the
+        // measurement can be followed device → proxy → broker →
+        // subscriber. An unsampled one carries `NO_TRACE` and no hop
+        // records anything for it.
+        let trace = ctx.telemetry().tracer.start_flight();
         ctx.trace_hop(
             "device.sample",
             trace,

@@ -235,8 +235,9 @@ pub struct BrokerNode {
     /// publication's journey — without it, samples replayed across a
     /// broker restart would look lost even though they arrived. The span
     /// likewise parents the late delivery under the original publish in
-    /// the causal span tree.
-    retained: HashMap<String, (Topic, Vec<u8>, u64, u64)>,
+    /// the causal span tree. Ordered, because a new subscriber and a
+    /// peer's advertisement are each answered one packet per entry.
+    retained: BTreeMap<String, (Topic, Vec<u8>, u64, u64)>,
     pending: HashMap<u64, PendingDelivery>,
     next_delivery_id: u64,
     /// Bumped on every restart; clients learn it via Ping/Pong and use a
@@ -732,14 +733,13 @@ impl BrokerNode {
         self.advertise(ctx, &filter, strongest);
         // Hand the new subscriber any retained messages it now matches,
         // under the original publication's trace id and span, in topic
-        // order (not the map's, which changes from process to process).
-        let mut matching: Vec<(Topic, Vec<u8>, u64, u64)> = self
+        // order.
+        let matching: Vec<(Topic, Vec<u8>, u64, u64)> = self
             .retained
             .values()
             .filter(|(topic, ..)| filter.matches(topic))
             .cloned()
             .collect();
-        matching.sort_unstable_by(|a, b| a.0.as_str().cmp(b.0.as_str()));
         for (topic, payload, trace, span) in matching {
             self.deliver(
                 ctx,
@@ -826,7 +826,7 @@ impl BrokerNode {
         if !self.note_peer_incarnation(ctx, peer, incarnation) {
             return;
         }
-        let mut retained_reply: Vec<BridgeFrame>;
+        let retained_reply: Vec<BridgeFrame>;
         {
             let Some(fed) = &mut self.federation else {
                 return;
@@ -852,7 +852,6 @@ impl BrokerNode {
                 })
                 .collect();
         }
-        retained_reply.sort_unstable_by(|a, b| a.topic.as_str().cmp(b.topic.as_str()));
         for frame in retained_reply {
             self.enqueue_frame(ctx, peer, frame);
         }

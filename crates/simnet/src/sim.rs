@@ -11,7 +11,7 @@ use crate::link::LinkModel;
 use crate::node::{Node, NodeId, Packet};
 use crate::rng::DeterministicRng;
 use crate::time::{SimDuration, SimTime};
-use telemetry::{CounterHandle, GaugeHandle, HistogramHandle, Registry, Telemetry};
+use telemetry::{CounterHandle, GaugeHandle, HistogramHandle, Registry, Telemetry, Tracer};
 
 /// Configuration of a one-shard [`Simulator`](crate::Simulator): the
 /// shard is seeded with `seed` itself, and node pairs without an
@@ -183,11 +183,15 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    /// Creates an empty shard 0 at time zero.
+    /// Creates an empty shard 0 at time zero. `seed` also keys the
+    /// tracer's flight sampling.
     pub(crate) fn new(seed: u64, default_link: LinkModel) -> Self {
         let root_rng = DeterministicRng::seed_from(seed);
         let link_rng = root_rng.derive(u64::MAX);
-        let telemetry = Telemetry::new();
+        let telemetry = Telemetry {
+            tracer: Tracer::seeded(seed),
+            ..Telemetry::default()
+        };
         Shard {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
@@ -1139,6 +1143,24 @@ mod tests {
         for kind in ["chaos.crash", "chaos.restart", "chaos.link_flap"] {
             assert!(kinds.iter().any(|k| k == kind), "missing {kind}: {kinds:?}");
         }
+    }
+
+    #[test]
+    fn a_crash_after_the_ring_wraps_keeps_its_trace_id() {
+        let mut sim = ideal_sim();
+        let n = sim.add_node("victim", Beeper::default());
+        let tracer = sim.telemetry().tracer.clone();
+        tracer.set_capacity(4);
+        for _ in 0..8 {
+            sim.record_fault("chaos.link_flap", format_args!(""));
+        }
+        assert!(tracer.dropped() > 0, "the ring has not wrapped");
+        let flights: Vec<_> = (0..64).map(|_| tracer.start_flight()).collect();
+        assert!(flights.contains(&telemetry::NO_TRACE), "nothing sampled");
+        sim.crash(n);
+        let crash = tracer.events().pop().expect("recorded");
+        assert_eq!(crash.kind, "chaos.crash");
+        assert_ne!(crash.trace_id, telemetry::NO_TRACE);
     }
 
     #[test]

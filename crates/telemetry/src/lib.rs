@@ -13,8 +13,9 @@
 //! * [`trace`] — a sim-time tracing layer. Events are stamped with a
 //!   nanosecond timestamp and node identity and recorded into a bounded
 //!   ring buffer ([`Tracer`]) of fixed-size records; when full, the
-//!   oldest events are dropped (and counted). The buffer exports as
-//!   JSON lines.
+//!   oldest events are dropped (and counted), and from the first drop
+//!   on only one new flight in 16 is traced. The buffer exports as JSON
+//!   lines.
 //! * [`flight`] — the flight recorder: given the trace events, it
 //!   reconstructs the path of each traced measurement (device →
 //!   device-proxy → broker → subscriber/master) with a per-hop latency
@@ -65,6 +66,14 @@ impl Telemetry {
         Self::default()
     }
 
+    /// Switches flight tracing off: from now on no flight is minted
+    /// ([`Tracer::start_flight`] declines every one), while fault
+    /// records and every metric stay. What is left of telemetry's cost
+    /// is then measured by comparing a run against one with it on.
+    pub fn off(&self) {
+        self.tracer.stop_flights();
+    }
+
     /// Reconstructs per-trace causal span trees from the current
     /// ring-buffer contents. See `flight::reconstruct_trees`.
     pub fn span_trees(&self) -> Vec<SpanTree> {
@@ -72,7 +81,8 @@ impl Telemetry {
     }
 
     /// Refreshes the ops-plane self-observation gauges (`trace.dropped`,
-    /// `trace.ring_len`) so scrapes expose trace-ring health instead of
+    /// `trace.ring_len`, and `trace.unsampled` once a flight has been
+    /// declined) so scrapes expose trace-ring health instead of
     /// silently losing events.
     pub(crate) fn refresh_ops_gauges(&self) {
         self.metrics
@@ -81,6 +91,12 @@ impl Telemetry {
         self.metrics
             .gauge_handle("trace.ring_len")
             .set(self.tracer.len() as f64);
+        let unsampled = self.tracer.unsampled();
+        if unsampled > 0 {
+            self.metrics
+                .gauge_handle("trace.unsampled")
+                .set(unsampled as f64);
+        }
     }
 
     /// Harvests trace-derived latencies, evaluates every registered SLO
@@ -149,5 +165,16 @@ mod tests {
         let text = t.exposition();
         assert!(text.contains("slo_publish_to_deliver_attainment 1"));
         assert!(text.contains("# TYPE trace_dropped gauge"));
+    }
+
+    #[test]
+    fn declined_flights_are_exported_once_there_are_any() {
+        let t = Telemetry::new();
+        t.tracer.start_flight();
+        assert!(!t.exposition().contains("trace_unsampled"));
+        t.off();
+        t.tracer.start_flight();
+        t.tracer.start_flight();
+        assert!(t.exposition().contains("trace_unsampled 2"));
     }
 }

@@ -17,6 +17,17 @@
 //! drop counter incremented, so a long simulation keeps the most recent
 //! window of activity in constant memory.
 //!
+//! A flight's head asks [`Tracer::start_flight`] for its id, and that
+//! is where sampling happens: while the ring has never dropped an event
+//! every flight is traced; from the first drop on, the ring holds the
+//! same number of events whatever the rate, so a new flight is traced
+//! only when a hash of (the tracer's seed, its flight counter) lands in
+//! 1 of `TRACE_ONE_IN` (16). The ring then spans a window that many times
+//! longer at a fraction of the cost. An unsampled flight carries
+//! [`NO_TRACE`], and every hop returns before formatting anything for
+//! it, so a flight is recorded whole or not at all. The declined
+//! flights are counted and exported as the `trace.unsampled` gauge.
+//!
 //! The ring holds fixed-size records, not [`TraceEvent`]s: the kind
 //! is a `&'static str`, the node is its id alone (the display name is
 //! looked up at export) and the detail is formatted from
@@ -49,6 +60,12 @@ pub const NO_SPAN: SpanId = 0;
 
 /// Bit position of the shard index in every minted trace and span id.
 const SHARD_SHIFT: u32 = 56;
+
+/// Once a ring has dropped an event, one new flight in this many is
+/// traced. At 1 in 16 a `district_ingest` message costs ≈ 1.1 trace
+/// records instead of ≈ 13.9, about 1–2 % of its host time, so a larger
+/// divisor could buy at most that much.
+const TRACE_ONE_IN: u64 = 16;
 
 /// Default ring capacity; overridable via [`Tracer::set_capacity`].
 const DEFAULT_CAPACITY: usize = 65_536;
@@ -158,6 +175,14 @@ struct TracerInner {
     shard_bits: u64,
     next_trace: TraceId,
     next_span: SpanId,
+    /// Keys the sampling hash, so two seeds pick different flights.
+    seed: u64,
+    /// Flights started so far, sampled or not.
+    flights: u64,
+    /// Flights [`Tracer::start_flight`] declined.
+    unsampled: u64,
+    /// Set by [`crate::Telemetry::off`]: no flight is traced.
+    off: bool,
 }
 
 impl Default for TracerInner {
@@ -170,6 +195,10 @@ impl Default for TracerInner {
             shard_bits: 0,
             next_trace: 1,
             next_span: 1,
+            seed: 0,
+            flights: 0,
+            unsampled: 0,
+            off: false,
         }
     }
 }
@@ -187,6 +216,12 @@ impl TracerInner {
         id
     }
 
+    /// Whether flight number `flight` is traced: always before the ring
+    /// first drops, 1 in [`TRACE_ONE_IN`] after, never once switched off.
+    fn samples(&self, flight: u64) -> bool {
+        !self.off && (self.dropped == 0 || mix(self.seed, flight).is_multiple_of(TRACE_ONE_IN))
+    }
+
     fn export(&self, r: &Record) -> TraceEvent {
         TraceEvent {
             time_ns: r.time_ns,
@@ -201,6 +236,14 @@ impl TracerInner {
     }
 }
 
+/// The `flight`-th output of a SplitMix64 stream seeded with `seed`.
+fn mix(seed: u64, flight: u64) -> u64 {
+    let mut z = seed.wrapping_add(flight.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Shared, clonable handle to the bounded trace ring buffer.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
@@ -210,6 +253,14 @@ pub struct Tracer {
 impl Tracer {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A tracer whose flight sampling is keyed on `seed` (a shard's
+    /// seed), so a run repeats its sample and two seeds differ in it.
+    pub fn seeded(seed: u64) -> Self {
+        let tracer = Self::default();
+        tracer.inner().seed = seed;
+        tracer
     }
 
     fn inner(&self) -> MutexGuard<'_, TracerInner> {
@@ -239,9 +290,31 @@ impl Tracer {
         self.inner().names.insert(node, name.to_string());
     }
 
-    /// Mints a fresh non-zero trace id (sequential, deterministic).
+    /// Mints a fresh non-zero trace id (sequential, deterministic),
+    /// whatever the ring's state: for records that must always be
+    /// traced (faults) and for callers that sample on their own.
     pub fn next_trace_id(&self) -> TraceId {
         self.inner().mint_trace()
+    }
+
+    /// Starts a flight: a fresh trace id when the flight is sampled,
+    /// [`NO_TRACE`] when it is not (see the [module docs](self)).
+    pub fn start_flight(&self) -> TraceId {
+        let mut g = self.inner();
+        let flight = g.flights;
+        g.flights += 1;
+        if g.samples(flight) {
+            g.mint_trace()
+        } else {
+            g.unsampled += 1;
+            NO_TRACE
+        }
+    }
+
+    /// Stops tracing flights: [`Tracer::start_flight`] declines every
+    /// one from now on.
+    pub(crate) fn stop_flights(&self) {
+        self.inner().off = true;
     }
 
     /// Records one unstructured event (no causal span); O(1),
@@ -332,6 +405,11 @@ impl Tracer {
     /// Number of events overwritten because the ring was full.
     pub fn dropped(&self) -> u64 {
         self.inner().dropped
+    }
+
+    /// Number of flights [`Tracer::start_flight`] declined.
+    pub(crate) fn unsampled(&self) -> u64 {
+        self.inner().unsampled
     }
 
     /// Number of events currently held.
@@ -455,6 +533,87 @@ mod tests {
         );
         t.set_shard(255);
         assert_eq!(t.next_trace_id(), 255 << 56 | 2);
+    }
+
+    /// Wraps `t`'s ring: capacity 4, ten records.
+    fn wrap(t: &Tracer) {
+        t.set_capacity(4);
+        for i in 0..10 {
+            t.record(i, 0, "e", NO_TRACE, format_args!(""));
+        }
+        assert!(t.dropped() > 0);
+    }
+
+    /// Which of `n` flights `t` traces.
+    fn sampled(t: &Tracer, n: u64) -> Vec<u64> {
+        (0..n).filter(|_| t.start_flight() != NO_TRACE).collect()
+    }
+
+    #[test]
+    fn every_flight_is_traced_until_the_ring_drops() {
+        let t = Tracer::seeded(7);
+        let ids: Vec<TraceId> = (0..100).map(|_| t.start_flight()).collect();
+        assert_eq!(ids, (1..=100).collect::<Vec<_>>());
+        assert_eq!(t.unsampled(), 0);
+    }
+
+    #[test]
+    fn after_the_first_drop_the_seed_picks_one_flight_in_sixteen() {
+        let n = 16_000;
+        let (a, b) = (Tracer::seeded(1), Tracer::seeded(2));
+        wrap(&a);
+        wrap(&b);
+        let (picked_a, picked_b) = (sampled(&a, n), sampled(&b, n));
+        // Exactly the flights whose hash lands in 1 of 16 ...
+        let keyed = |seed| -> Vec<u64> {
+            (0..n)
+                .filter(|&f| mix(seed, f).is_multiple_of(TRACE_ONE_IN))
+                .collect()
+        };
+        assert_eq!(picked_a, keyed(1));
+        assert_eq!(picked_b, keyed(2));
+        // ... which is about one in sixteen, and another seed's pick.
+        let share = picked_a.len() as f64 / n as f64;
+        assert!((share - 1.0 / 16.0).abs() < 0.01, "{share}");
+        assert_ne!(picked_a, picked_b);
+        assert_eq!(a.unsampled(), n - picked_a.len() as u64);
+        // A seed repeats its pick.
+        let again = Tracer::seeded(1);
+        wrap(&again);
+        assert_eq!(sampled(&again, n), picked_a);
+    }
+
+    #[test]
+    fn sampled_flights_keep_sequential_ids() {
+        let t = Tracer::seeded(3);
+        wrap(&t);
+        let ids: Vec<TraceId> = (0..1_000)
+            .map(|_| t.start_flight())
+            .filter(|&id| id != NO_TRACE)
+            .collect();
+        assert_eq!(ids, (1..=ids.len() as u64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn next_trace_id_never_returns_no_trace() {
+        let t = Tracer::seeded(5);
+        wrap(&t);
+        t.stop_flights();
+        for _ in 0..1_000 {
+            assert_ne!(t.next_trace_id(), NO_TRACE);
+        }
+    }
+
+    #[test]
+    fn off_mints_nothing() {
+        let t = crate::Telemetry::new();
+        t.off();
+        assert!(sampled(&t.tracer, 1_000).is_empty());
+        assert_eq!(t.tracer.unsampled(), 1_000);
+        // Faults keep their ids, and every metric still records.
+        assert_ne!(t.tracer.next_trace_id(), NO_TRACE);
+        t.metrics.counter_handle("c").incr();
+        assert_eq!(t.metrics.counter("c"), 1);
     }
 
     #[test]

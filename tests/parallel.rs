@@ -14,6 +14,7 @@ use dimmer::district::scenario::{FederationSpec, Scenario, ScenarioConfig};
 use dimmer::master::MasterNode;
 use dimmer::pubsub::{BridgeStats, BrokerNode, PubSubClient, PubSubEvent, QoS, TopicFilter};
 use dimmer::simnet::chaos::{ChaosRunner, Fault, FaultPlan};
+use dimmer::simnet::telemetry::flight::reconstruct;
 use dimmer::simnet::telemetry::{TraceId, NO_SPAN};
 use dimmer::simnet::{
     Context, Node, NodeId, Packet, ParallelConfig, SimDuration, SimTime, Simulator, TimerTag,
@@ -92,14 +93,20 @@ struct Fingerprint {
 }
 
 /// A finished 120 s run of the city: the simulator, its deployment and
-/// the stream recorder's id.
+/// the stream recorder's id. `ring` resizes every shard's trace ring.
 struct CityRun {
     sim: Simulator,
     deployment: Deployment,
     recorder: NodeId,
 }
 
-fn run_city_sim(shards: usize, base_seed: u64, threads: usize, crash_broker: bool) -> CityRun {
+fn run_city_sim(
+    shards: usize,
+    base_seed: u64,
+    threads: usize,
+    crash_broker: bool,
+    ring: Option<usize>,
+) -> CityRun {
     let scenario = city();
     let mut sim = Simulator::new(ParallelConfig {
         seed: seed(base_seed),
@@ -107,6 +114,11 @@ fn run_city_sim(shards: usize, base_seed: u64, threads: usize, crash_broker: boo
         threads,
         ..ParallelConfig::default()
     });
+    if let Some(capacity) = ring {
+        for shard in 0..shards {
+            sim.shard_telemetry(shard).tracer.set_capacity(capacity);
+        }
+    }
     let deployment = Deployment::build(&mut sim, &scenario);
     let recorder = sim.add_node_on(
         0,
@@ -141,7 +153,7 @@ fn run_city(shards: usize, base_seed: u64, threads: usize, crash_broker: bool) -
         sim,
         deployment,
         recorder,
-    } = run_city_sim(shards, base_seed, threads, crash_broker);
+    } = run_city_sim(shards, base_seed, threads, crash_broker, None);
     assert_eq!(
         sim.stats().cross_packets > 0,
         shards > 1,
@@ -200,7 +212,7 @@ fn sharded_deployment_identical_across_thread_counts() {
 /// hops under a foreign parent.
 #[test]
 fn trace_and_span_ids_are_unique_across_shards() {
-    let CityRun { sim, .. } = run_city_sim(SHARDS, 0x9A11, env_threads(), false);
+    let CityRun { sim, .. } = run_city_sim(SHARDS, 0x9A11, env_threads(), false, None);
     let mut heads: BTreeMap<TraceId, Vec<usize>> = BTreeMap::new();
     let mut spans: BTreeMap<u64, usize> = BTreeMap::new();
     let mut bridged: BTreeSet<TraceId> = BTreeSet::new();
@@ -237,6 +249,63 @@ fn trace_and_span_ids_are_unique_across_shards() {
     for (span, n) in &spans {
         assert_eq!(*n, 1, "span {span:#x} recorded {n} times");
     }
+}
+
+/// Small enough that every shard's ring wraps early in the city run.
+const SMALL_RING: usize = 256;
+/// Longer than any fault-free flight of the city takes, retries included.
+const FLIGHT_MARGIN_NS: u64 = 10_000_000_000;
+
+/// Once the rings wrap, flights are sampled at their head. The sample
+/// is keyed on the shard seeds, so it is the same at every thread
+/// count, and it is all or nothing per flight: every flight the wrapped
+/// rings still cover end to end is whole.
+#[test]
+fn wrapped_rings_keep_whole_flights_at_any_thread_count() {
+    let single = run_city_sim(SHARDS, 0x9A11, 1, false, Some(SMALL_RING));
+    let multi = run_city_sim(SHARDS, 0x9A11, env_threads(), false, Some(SMALL_RING));
+    assert_eq!(single.sim.flight_digest(), multi.sim.flight_digest());
+
+    let sim = &multi.sim;
+    let mut events = Vec::new();
+    // Every ring holds everything since its oldest event, so all of
+    // them cover the span from the latest of those on.
+    let mut covered_from = 0;
+    for shard in 0..SHARDS {
+        let telemetry = sim.shard_telemetry(shard);
+        assert!(
+            telemetry.tracer.dropped() > 0,
+            "shard {shard}'s ring did not wrap"
+        );
+        telemetry.exposition();
+        assert!(
+            telemetry.metrics.gauge("trace.unsampled") > 0.0,
+            "shard {shard} sampled every flight"
+        );
+        let ring = telemetry.tracer.events();
+        covered_from = covered_from.max(ring[0].time_ns);
+        events.extend(ring);
+    }
+    events.sort_by_key(|e| e.time_ns);
+    let flights = reconstruct(&events);
+    let window = covered_from + FLIGHT_MARGIN_NS..=sim.now().as_nanos() - FLIGHT_MARGIN_NS;
+    let mut whole = 0;
+    for flight in flights
+        .iter()
+        .filter(|f| window.contains(&f.hops[0].time_ns))
+    {
+        assert!(
+            flight.visits(&[
+                "device.sample",
+                "proxy.ingest",
+                "broker.publish",
+                "sub.receive"
+            ]),
+            "partial flight in a wrapped ring:\n{flight}"
+        );
+        whole += 1;
+    }
+    assert!(whole > 0, "the wrapped rings cover no whole flight");
 }
 
 /// Flight digests of the fault-free city under `ParallelConfig`'s seed
