@@ -408,8 +408,18 @@ impl MasterNode {
                     .is_none()
                 {
                     // Entity not known yet: park the registration until
-                    // its Database-proxy shows up.
+                    // its Database-proxy shows up. A parked device has no
+                    // registry record, so its heartbeats are answered 404
+                    // and it registers again: that copy replaces the one
+                    // it parked before.
                     self.stats.parked_devices += 1;
+                    let device = leaf.device();
+                    self.parked.retain(|r| {
+                        r.proxy != registration.proxy
+                            || r.district != registration.district
+                            || !matches!(&r.role, ProxyRole::Device { entity_id: e, leaf: l }
+                                if e == entity_id && l.device() == device)
+                    });
                     self.parked.push(registration);
                     return Ok(());
                 }

@@ -2,7 +2,7 @@
 
 use dimmer_core::{json, BuildingId, DeviceId, DistrictId, ProxyId, QuantityKind, Uri, Value};
 use ontology::{AreaResolution, DeviceLeaf, EntityNode};
-use proxy::registration::{ProxyRef, ProxyRole, Registration};
+use proxy::registration::{MasterReply, MasterSession, ProxyRef, ProxyRole, Registration};
 use proxy::webservice::{WsClient, WsClientEvent, WsRequest, WsResponse};
 use simnet::rng::DeterministicRng;
 use simnet::{Context, Node, Packet, SimConfig, SimDuration, Simulator, TimerTag};
@@ -436,6 +436,52 @@ fn aggregator_registration_serves_profile_redirects() {
     );
     let m = sim.node_ref::<MasterNode>(master).unwrap();
     assert_eq!(m.proxy_count(), 1);
+}
+
+/// A device proxy whose building never registers, driving the same
+/// session with the master as a real one.
+struct Orphan {
+    session: MasterSession,
+    reregistered: usize,
+}
+
+impl Node for Orphan {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        let registration = device_registration("p-orphan", "ghost", "orphan");
+        self.session.start(ctx, registration);
+    }
+    fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
+        if let Some(MasterReply::Reregistered) = self.session.on_packet(ctx, &pkt) {
+            self.reregistered += 1;
+        }
+    }
+    fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
+        self.session.on_timer(ctx, tag);
+    }
+}
+
+#[test]
+fn an_orphan_device_stays_parked_once_across_heartbeats() {
+    let mut sim = Simulator::new(SimConfig::default());
+    let master = sim.add_node("master", MasterNode::new([(did("d1"), "D1".to_owned())]));
+    let orphan = sim.add_node(
+        "orphan",
+        Orphan {
+            session: MasterSession::new(master, TimerTag(1), 1000),
+            reregistered: 0,
+        },
+    );
+    // 100 heartbeat intervals of 30 s, plus time for the last answer.
+    sim.run_for(SimDuration::from_secs(100 * 30 + 5));
+    let o = sim.node_ref::<Orphan>(orphan).unwrap();
+    assert_eq!(o.reregistered, 100, "every heartbeat was answered 404");
+    let m = sim.node_ref::<MasterNode>(master).unwrap();
+    assert_eq!(m.stats().parked_devices, 101, "each registration parked");
+    let health = m.get_health().body;
+    assert_eq!(
+        health.get("parked_devices").and_then(Value::as_i64),
+        Some(1)
+    );
 }
 
 /// FNV-1a continued from `hash` over `bytes`.
