@@ -43,7 +43,7 @@
 //! `ops.scrape_age_ns.<name>` gauges).
 
 use std::cell::OnceCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use dimmer_core::{DistrictId, EntityKind, ProxyId, QuantityKind, Uri, Value};
 use gis::geo::BoundingBox;
@@ -142,11 +142,11 @@ struct FleetScrape {
     /// sorted so `/fleet/health` is deterministic.
     records: BTreeMap<String, ScrapeRecord>,
     /// In-flight Web-Service probes: request id → target name.
-    inflight_ws: HashMap<u64, String>,
+    inflight_ws: BTreeMap<u64, String>,
     /// In-flight broker ops probes: `OpsGet` id → target name.
-    inflight_ops: HashMap<u64, String>,
+    inflight_ops: BTreeMap<u64, String>,
     /// In-flight rollup-snapshot probes: request id → district.
-    inflight_rollups: HashMap<u64, DistrictId>,
+    inflight_rollups: BTreeMap<u64, DistrictId>,
     next_ops_id: u64,
 }
 
@@ -243,8 +243,9 @@ pub struct MasterNode {
     ws: WsServer,
     routes: DistrictRoutes,
     registry: BTreeMap<ProxyId, ProxyRecord>,
-    /// Device registrations whose entity has not registered yet.
-    parked: Vec<Registration>,
+    /// Device registrations whose entity has not registered yet, keyed
+    /// by (district, entity id), each list in arrival order.
+    parked: BTreeMap<(DistrictId, String), Vec<Registration>>,
     /// District seeds, kept so a restart can rebuild the empty ontology.
     seeds: Vec<(DistrictId, String)>,
     /// District → owning broker-shard label, reapplied after restarts
@@ -295,7 +296,7 @@ impl MasterNode {
             ws: WsServer::new(),
             routes: DistrictRoutes::new(),
             registry: BTreeMap::new(),
-            parked: Vec::new(),
+            parked: BTreeMap::new(),
             seeds,
             shard_owners: Vec::new(),
             ws_client: WsClient::new(WS_CLIENT_TAGS),
@@ -330,9 +331,9 @@ impl MasterNode {
             interval,
             brokers: Vec::new(),
             records: BTreeMap::new(),
-            inflight_ws: HashMap::new(),
-            inflight_ops: HashMap::new(),
-            inflight_rollups: HashMap::new(),
+            inflight_ws: BTreeMap::new(),
+            inflight_ops: BTreeMap::new(),
+            inflight_rollups: BTreeMap::new(),
             next_ops_id: 1,
         });
     }
@@ -413,14 +414,16 @@ impl MasterNode {
                     // and it registers again: that copy replaces the one
                     // it parked before.
                     self.stats.parked_devices += 1;
-                    let device = leaf.device();
-                    self.parked.retain(|r| {
+                    let waiting = self
+                        .parked
+                        .entry((registration.district.clone(), entity_id.clone()))
+                        .or_default();
+                    waiting.retain(|r| {
                         r.proxy != registration.proxy
-                            || r.district != registration.district
-                            || !matches!(&r.role, ProxyRole::Device { entity_id: e, leaf: l }
-                                if e == entity_id && l.device() == device)
+                            || !matches!(&r.role, ProxyRole::Device { leaf: l, .. }
+                                if l.device() == leaf.device())
                     });
-                    self.parked.push(registration);
+                    waiting.push(registration);
                     return Ok(());
                 }
                 let device_id = leaf.device().as_str().to_owned();
@@ -491,30 +494,24 @@ impl MasterNode {
             },
         );
         self.stats.registrations += 1;
-        // An entity registration may unblock parked devices.
-        self.retry_parked(now);
+        // A device parks only while its entity is unknown, and an entity
+        // becomes known only here: apply the devices waiting for this
+        // one, in arrival order. Each finds its entity and parks no more.
+        if let ProxyRole::EntityDatabase { entity } = &registration.role {
+            let key = (registration.district, entity.id().to_owned());
+            for device in self.parked.remove(&key).unwrap_or_default() {
+                let _ = self.apply_registration(device, now);
+            }
+        }
         Ok(())
     }
 
-    fn retry_parked(&mut self, now: SimTime) {
-        let parked = std::mem::take(&mut self.parked);
-        for registration in parked {
-            let entity_known = match &registration.role {
-                ProxyRole::Device { entity_id, .. } => self
-                    .ontology
-                    .district(&registration.district)
-                    .and_then(|t| t.entity(entity_id))
-                    .is_some(),
-                _ => true,
-            };
-            if entity_known {
-                // Cannot recurse through apply_registration's parking
-                // path: entity_known guarantees direct application.
-                let _ = self.apply_registration(registration, now);
-            } else {
-                self.parked.push(registration);
-            }
-        }
+    /// Device registrations parked, over all entities.
+    fn parked_count(&self) -> i64 {
+        self.parked
+            .values()
+            .map(|waiting| waiting.len() as i64)
+            .sum()
     }
 
     fn remove_contribution(&mut self, record: &ProxyRecord) {
@@ -616,7 +613,7 @@ impl MasterNode {
                 ("queries", Value::from(self.stats.queries as i64)),
                 ("evictions", Value::from(self.stats.evictions as i64)),
                 ("proxies", Value::from(self.registry.len() as i64)),
-                ("parked_devices", Value::from(self.parked.len() as i64)),
+                ("parked_devices", Value::from(self.parked_count())),
             ])),
             (proxy::webservice::Method::Get, path) => match self.get_routed(ctx, path, request) {
                 Answer::Tree(response) => response,
@@ -847,7 +844,7 @@ impl MasterNode {
         // Lower-middle median: with two replicas the healthy one sets
         // the norm, so the slow one still reads as an outlier.
         let median = lats.get(lats.len().saturating_sub(1) / 2).copied();
-        let by_uri: HashMap<String, &ScrapeRecord> = self
+        let by_uri: BTreeMap<String, &ScrapeRecord> = self
             .registry
             .iter()
             .filter(|(_, rec)| rec.kind == "aggregator")
@@ -894,19 +891,19 @@ impl MasterNode {
         };
         // A probe still in flight from the previous round never
         // answered: its target is down until proven otherwise.
-        for name in scrape.inflight_ws.drain().map(|(_, n)| n) {
+        for name in std::mem::take(&mut scrape.inflight_ws).into_values() {
             if let Some(rec) = scrape.records.get_mut(&name) {
                 rec.up = false;
             }
         }
-        for name in scrape.inflight_ops.drain().map(|(_, n)| n) {
+        for name in std::mem::take(&mut scrape.inflight_ops).into_values() {
             if let Some(rec) = scrape.records.get_mut(&name) {
                 rec.up = false;
             }
         }
         // A rollup snapshot still in flight from the previous round is a
         // failed probe as far as the district breaker is concerned.
-        for district in scrape.inflight_rollups.drain().map(|(_, d)| d) {
+        for district in std::mem::take(&mut scrape.inflight_rollups).into_values() {
             self.breakers
                 .entry(district)
                 .or_insert_with(|| CircuitBreaker::new(district_breaker_config()))
@@ -1105,7 +1102,7 @@ impl MasterNode {
             ("status", Value::from("ok")),
             ("kind", Value::from("master")),
             ("proxies", Value::from(self.registry.len() as i64)),
-            ("parked_devices", Value::from(self.parked.len() as i64)),
+            ("parked_devices", Value::from(self.parked_count())),
             (
                 "districts",
                 Value::from(self.ontology.district_count() as i64),
@@ -1193,10 +1190,10 @@ impl Node for MasterNode {
     }
 
     fn on_restart(&mut self, ctx: &mut Context<'_>) {
-        // The registry, parked queue and ontology are in-memory state:
-        // they die with the process, and only the district seeds come
-        // back. Proxies discover the loss when their next heartbeat is
-        // answered 404 and re-register, repopulating the ontology.
+        // The registry, parked registrations and ontology are in-memory
+        // state: they die with the process, and only the district seeds
+        // come back. Proxies discover the loss when their next heartbeat
+        // is answered 404 and re-register, repopulating the ontology.
         // Lifetime counters in `stats` survive, like a persisted log.
         self.ontology = Ontology::new();
         for (id, name) in &self.seeds {

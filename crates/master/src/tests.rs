@@ -551,7 +551,7 @@ fn storm(seed: u64) -> Vec<WsRequest> {
         storm.insert(at, arrival);
     };
     // A device registering twice, on another protocol the second time.
-    let mut twice = devices[rng.next_bounded(devices.len() as u64) as usize].clone();
+    let mut twice = rng.choose(&devices).unwrap().clone();
     if let ProxyRole::Device { leaf, .. } = &mut twice.role {
         *leaf = DeviceLeaf::new(
             leaf.device().clone(),
@@ -568,7 +568,7 @@ fn storm(seed: u64) -> Vec<WsRequest> {
     );
     // A building registering again, at a new location, once it and all
     // of its devices have registered.
-    let mut again = buildings[rng.next_bounded(buildings.len() as u64) as usize].clone();
+    let mut again = rng.choose(&buildings).unwrap().clone();
     let ProxyRole::EntityDatabase { entity } = &again.role else {
         unreachable!()
     };
@@ -586,7 +586,7 @@ fn storm(seed: u64) -> Vec<WsRequest> {
     insert_after(&mut rng, &mut storm, &waited_for, register(&again));
     // One building or device proxy deregistering after it registered.
     let leavers: Vec<&Registration> = buildings.iter().chain(&devices).collect();
-    let leaver = leavers[rng.next_bounded(leavers.len() as u64) as usize];
+    let leaver = *rng.choose(&leavers).unwrap();
     let deregister = ProxyRef {
         proxy: leaver.proxy.clone(),
         district: leaver.district.clone(),
