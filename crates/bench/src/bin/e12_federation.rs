@@ -17,6 +17,7 @@
 
 use std::collections::HashSet;
 
+use bench_support::stats::Summary;
 use district::report::{fmt_f64, Table};
 use pubsub::{
     BrokerNode, FederationConfig, PubSubClient, PubSubEvent, QoS, ShardMap, Topic, TopicFilter,
@@ -212,18 +213,14 @@ fn run_throughput(shards: usize) -> RunResult {
     sim.run_for(WARMUP + MEASURE);
 
     let mut delivered = 0u64;
-    let mut latencies: Vec<u64> = Vec::new();
+    let mut latencies = Summary::new("latency_ns");
     for &s in &subs {
         let sub = sim.node_ref::<LoadSub>(s).expect("sub");
         delivered += sub.received;
-        latencies.extend_from_slice(&sub.latencies_ns);
+        for &ns in &sub.latencies_ns {
+            latencies.record(ns as f64);
+        }
     }
-    latencies.sort_unstable();
-    let p99 = latencies
-        .get((latencies.len().saturating_mul(99)) / 100)
-        .or(latencies.last())
-        .copied()
-        .unwrap_or(0);
     let bridge_frames = brokers
         .iter()
         .map(|&b| {
@@ -235,7 +232,7 @@ fn run_throughput(shards: usize) -> RunResult {
         .sum();
     RunResult {
         delivered_per_sec: delivered as f64 / MEASURE.as_nanos() as f64 * 1e9,
-        p99_ms: p99 as f64 / 1e6,
+        p99_ms: latencies.percentile(99.0) / 1e6,
         bridge_frames,
     }
 }

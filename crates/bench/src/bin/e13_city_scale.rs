@@ -15,7 +15,9 @@
 //!
 //! * `delivered_msg_s` — application messages reaching subscribers per
 //!   simulated second (sanity: must track the offered rate);
-//! * `p99_ms` — end-to-end publish→deliver latency in simulated time;
+//! * `p99_ms` — end-to-end publish→deliver latency in simulated time,
+//!   read from the `publish_to_deliver` SLO histogram merged over every
+//!   shard, so it carries the histogram's ≤ 6.25 % bucket error;
 //! * `sim_events` / `wall_s` / `events_wall_s` — total simulator events
 //!   processed, host wall-clock for the run, and their ratio: the
 //!   engine-throughput headline;
@@ -33,7 +35,10 @@
 //! scraper tracking every broker shard (cross-shard RPCs under the
 //! barrier), a probe node scraping `GET /fleet/metrics` over the
 //! Web-Service wire, every 50th building publishing traced, and a
-//! scraped-gauge + SLO section after each scale's table row.
+//! scraped-gauge + SLO section after each scale's table row. Every
+//! subscriber records each in-window delivery into its shard's
+//! `publish_to_deliver` histogram; after the run the shards' histograms
+//! merge into one, which the SLO table and `p99_ms` both read.
 //! `DIMMER_SEED=<offset>` shifts the simulation seed (the CI gate holds
 //! it fixed across thread counts).
 //!
@@ -57,13 +62,16 @@ use pubsub::{
     PUBSUB_PORT,
 };
 use simnet::batch::BatchPolicy;
-use simnet::telemetry::{SloReport, NO_TRACE};
+use simnet::telemetry::{
+    publish_to_deliver, HistogramHandle, SloReport, Telemetry, NO_TRACE, PUBLISH_TO_DELIVER_NS,
+};
 use simnet::{
     Context, Node, NodeId, Packet, ParallelConfig, SimDuration, SimTime, Simulator, TimerTag,
 };
 
-/// Every Nth building publishes traced: enough flights for the SLO
-/// harvest without flooding the trace ring at the 100k scale.
+/// Every Nth building publishes traced: enough flights for the flight
+/// digest, while the trace ring and the time spent recording into it
+/// stay a fiftieth of tracing every building at the 100k scale.
 const TRACED_BUILDING_STRIDE: usize = 50;
 /// The scale whose row the full run repeats with tracing on and off.
 const OVERHEAD_BUILDINGS: usize = 10_000;
@@ -119,9 +127,9 @@ struct LoadPub {
     start_offset: SimDuration,
     stop_at: SimTime,
     sent: u64,
-    /// When set, every publish starts a flight whose spans feed the
-    /// `publish_to_deliver` SLO harvest. The shard's tracer may decline
-    /// it: always once switched off, one in 16 once its ring wraps.
+    /// When set, every publish starts a flight. The shard's tracer may
+    /// decline it: always once switched off, one in 16 once its ring
+    /// wraps.
     traced: bool,
 }
 
@@ -224,13 +232,15 @@ impl Node for FleetProbe {
     }
 }
 
-/// A per-district subscriber recording latency inside the measure window.
+/// A per-district subscriber recording, inside the measure window,
+/// each delivery's age into its shard's `publish_to_deliver` histogram.
 struct LoadSub {
     client: PubSubClient,
     filter: String,
     window: (SimTime, SimTime),
     received: u64,
-    latencies_ns: Vec<u64>,
+    /// Resolved in `on_start`.
+    publish_to_deliver: HistogramHandle,
 }
 
 impl Node for LoadSub {
@@ -240,6 +250,7 @@ impl Node for LoadSub {
             TopicFilter::new(&self.filter).expect("valid filter"),
             QoS::AtMostOnce,
         );
+        self.publish_to_deliver = publish_to_deliver(&ctx.telemetry().metrics);
     }
     fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
         if pkt.port != PUBSUB_PORT {
@@ -255,35 +266,14 @@ impl Node for LoadSub {
             let now = ctx.now();
             if now >= self.window.0 && now < self.window.1 {
                 self.received += 1;
-                self.latencies_ns
-                    .push(now.as_nanos().saturating_sub(sent_ns));
+                self.publish_to_deliver
+                    .observe_ns(now.as_nanos().saturating_sub(sent_ns));
             }
         }
     }
     fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
         self.client.on_timer(ctx, tag);
     }
-}
-
-/// Folds per-shard SLO reports into one per name: counts sum,
-/// attainment is count-weighted, met/burn re-derived.
-fn merge_slos(per_shard: Vec<Vec<SloReport>>) -> Vec<SloReport> {
-    let mut merged: Vec<SloReport> = Vec::new();
-    for r in per_shard.into_iter().flatten() {
-        if let Some(m) = merged.iter_mut().find(|m| m.name == r.name) {
-            let total = m.count + r.count;
-            if total > 0 {
-                m.attainment =
-                    (m.attainment * m.count as f64 + r.attainment * r.count as f64) / total as f64;
-            }
-            m.count = total;
-            m.met = m.count == 0 || m.attainment >= m.objective;
-            m.burn = (1.0 - m.attainment) / (1.0 - m.objective);
-        } else {
-            merged.push(r);
-        }
-    }
-    merged
 }
 
 struct RunResult {
@@ -303,13 +293,14 @@ struct RunResult {
     /// Queue-depth / ops / SLO gauge lines from the probe's last
     /// wire-scraped `/fleet/metrics` body.
     fleet_lines: Vec<String>,
-    /// SLO reports merged across shards at the end of the run.
+    /// SLO reports over every shard's deliveries, from the merged
+    /// histogram `p99_ms` reads.
     slos: Vec<SloReport>,
 }
 
 /// Runs one scale. With `tracing` off, every shard's telemetry is
-/// switched off, so no flight is minted and the `publish_to_deliver`
-/// SLO sees nothing.
+/// switched off, so no flight is minted; the `publish_to_deliver` SLO
+/// still sees every delivery.
 fn run_scale(
     buildings: usize,
     shards: usize,
@@ -366,7 +357,7 @@ fn run_scale(
                     filter: format!("district/d{d}/#"),
                     window: (t0, t1),
                     received: 0,
-                    latencies_ns: Vec::new(),
+                    publish_to_deliver: HistogramHandle::default(),
                 },
             )
         })
@@ -395,24 +386,14 @@ fn run_scale(
     sim.run_for(warmup + measure);
     let wall_s = wall.elapsed().as_secs_f64();
 
-    let mut delivered = 0u64;
-    let mut latencies: Vec<u64> = Vec::new();
-    for &s in &subs {
-        let sub = sim.node_ref::<LoadSub>(s).expect("sub");
-        delivered += sub.received;
-        latencies.extend_from_slice(&sub.latencies_ns);
-    }
-    latencies.sort_unstable();
-    let p99 = latencies
-        .get((latencies.len().saturating_mul(99)) / 100)
-        .or(latencies.last())
-        .copied()
-        .unwrap_or(0);
+    let delivered: u64 = subs
+        .iter()
+        .map(|&s| sim.node_ref::<LoadSub>(s).expect("sub").received)
+        .sum();
     let measure_s = measure.as_nanos() as f64 / 1e9;
 
-    // The ops-plane harvest: the probe must have scraped the fleet view
-    // over the wire at least once, and the default SLO must have real
-    // flights behind it.
+    // The ops plane: the probe must have scraped the fleet view over
+    // the wire at least once.
     let probe_ref = sim.node_ref::<FleetProbe>(probe).expect("probe");
     assert!(
         probe_ref.scrapes > 0,
@@ -430,26 +411,33 @@ fn run_scale(
         })
         .map(str::to_string)
         .collect();
-    let slos = merge_slos(
-        (0..shards)
-            .map(|s| sim.shard_telemetry(s).slo_refresh())
-            .collect(),
-    );
+    // One histogram over every shard's deliveries: the SLO and
+    // `p99_ms` read it, and it counts each delivery once.
+    let merged = Telemetry::new();
+    install_default_slos(&merged);
+    let e2e_ns = publish_to_deliver(&merged.metrics);
+    for s in 0..shards {
+        e2e_ns.merge(&publish_to_deliver(&sim.shard_telemetry(s).metrics));
+    }
+    let slos = merged.slo_refresh();
     let e2e = slos
         .iter()
         .find(|r| r.name == "publish_to_deliver")
         .expect("default SLO installed");
     assert_eq!(
-        e2e.count > 0,
-        tracing,
-        "publish_to_deliver SLO harvested {} traced flights",
+        e2e.count, delivered,
+        "publish_to_deliver SLO counted {} of {delivered} deliveries",
         e2e.count
     );
     assert!(
         e2e.met,
-        "publish_to_deliver SLO missed: attainment {:.4} over {} flights (burn {:.2})",
+        "publish_to_deliver SLO missed: attainment {:.4} over {} deliveries (burn {:.2})",
         e2e.attainment, e2e.count, e2e.burn
     );
+    let p99_ns = merged
+        .metrics
+        .histogram(PUBLISH_TO_DELIVER_NS)
+        .map_or(0.0, |h| h.p99);
 
     RunResult {
         districts,
@@ -457,7 +445,7 @@ fn run_scale(
         threads: sim.threads(),
         offered_msg_s: buildings as f64 / (PUBLISH_INTERVAL.as_nanos() as f64 / 1e9),
         delivered_msg_s: delivered as f64 / measure_s,
-        p99_ms: p99 as f64 / 1e6,
+        p99_ms: p99_ns / 1e6,
         sim_events: sim.metrics().events_processed,
         wall_s,
         digest: sim.flight_digest(),

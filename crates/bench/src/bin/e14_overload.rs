@@ -23,9 +23,11 @@
 //! useless). A profile watcher polls throughout and must see the
 //! breaker open (stale rollups served, `stale: true`), then recover to
 //! fresh redirects after the fault clears and the half-open probe
-//! succeeds. The `publish_to_deliver` SLO is asserted over the traced
-//! measurement traffic that kept flowing underneath.
+//! succeeds. The `publish_to_deliver` SLO, fed by the aggregator with
+//! the age of every new sample it accepts, is asserted over the
+//! measurement traffic before the fault.
 
+use bench_support::stats::Summary;
 use district::deploy::Deployment;
 use district::report::{
     dump_trace_if_requested, fmt_f64, install_default_slos, metrics_report, slo_report, Table,
@@ -232,8 +234,8 @@ impl Node for StaleWatch {
     }
 }
 
-/// Monitoring subscriber: completes the `broker.publish → sub.receive`
-/// trace path so the `publish_to_deliver` SLO harvest has flights.
+/// Monitoring subscriber: counts raw measurements, to show the flow
+/// kept going under the gray failure.
 struct Monitor {
     client: PubSubClient,
     received: u64,
@@ -241,11 +243,7 @@ struct Monitor {
 
 impl Node for Monitor {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        // Raw measurements only: subscribing `district/#` would also
-        // receive the aggregator's windowed rollup publications, whose
-        // traces share the original flight id — the SLO harvest would
-        // then measure publish→window-close→deliver instead of the raw
-        // publish→deliver path.
+        // Raw measurements only, not the aggregator's rollups.
         self.client.subscribe(
             ctx,
             TopicFilter::new("district/+/entity/#").expect("valid filter"),
@@ -321,7 +319,7 @@ fn run_sweep_point(
     sim.run_for(warmup + measure + drain);
 
     let (mut offered, mut served, mut shed, mut failed, mut in_window) = (0u64, 0, 0, 0, 0u64);
-    let mut latencies: Vec<u64> = Vec::new();
+    let mut latencies = Summary::new("accepted_ns");
     for &l in &loads {
         let load = sim.node_ref::<QueryLoad>(l).expect("load");
         offered += load.offered;
@@ -329,14 +327,10 @@ fn run_sweep_point(
         shed += load.shed;
         failed += load.failed;
         in_window += load.served_in_window;
-        latencies.extend_from_slice(&load.latencies_ns);
+        for &ns in &load.latencies_ns {
+            latencies.record(ns as f64);
+        }
     }
-    latencies.sort_unstable();
-    let p99 = latencies
-        .get((latencies.len().saturating_mul(99)) / 100)
-        .or(latencies.last())
-        .copied()
-        .unwrap_or(0);
     let measure_s = measure.as_nanos() as f64 / 1e9;
     let capacity = 2.0 * CAPACITY_QPS; // two gated targets
     let goodput = in_window as f64 / measure_s;
@@ -348,7 +342,7 @@ fn run_sweep_point(
         failed,
         goodput_qps: goodput,
         goodput_frac: goodput / capacity,
-        p99_ms: p99 as f64 / 1e6,
+        p99_ms: latencies.percentile(99.0) / 1e6,
         conserved: offered == served + shed + failed,
     }
 }
@@ -363,8 +357,8 @@ struct GrayResult {
     breaker_opens: u64,
     stale_rollups_served: u64,
     monitor_received: u64,
-    /// SLO state harvested just before the fault: the baseline the
-    /// accepted traffic must meet.
+    /// SLO state just before the fault: the baseline the accepted
+    /// traffic must meet.
     pre_slos: Vec<simnet::telemetry::SloReport>,
     /// SLO state at the horizon — includes the gray window, so the
     /// degradation is visible in the report (not asserted).
@@ -424,12 +418,15 @@ fn run_gray_failure() -> GrayResult {
         },
     );
     let mut runner = ChaosRunner::new(plan);
-    // Harvest the SLO baseline right before the fault lands: the flights
-    // behind it are the accepted measurement traffic under normal
-    // operation. The gray window itself degrades deliveries *through
-    // the slow node* by design — that shows up in the final report.
+    // Evaluate the SLO baseline right before the fault lands: the
+    // deliveries behind it are the measurement traffic under normal
+    // operation. The gray window itself slows deliveries *to the slow
+    // node* by design — that shows up in the final report.
     runner.run_until(&mut sim, FAULT_AT);
     let pre_slos = sim.telemetry().slo_refresh();
+    // Each sample the aggregator accepted is one delivery, and only those.
+    let samples_in = sim.telemetry().metrics.counter("streams.samples_in");
+    assert_eq!(pre_slos[0].count, samples_in, "publish_to_deliver count");
     runner.run_until(&mut sim, GRAY_HORIZON);
 
     let snapshot = sim.telemetry().metrics.snapshot();
@@ -567,10 +564,10 @@ fn main() {
         .iter()
         .find(|r| r.name == "publish_to_deliver")
         .expect("default SLO installed");
-    assert!(e2e.count > 0, "no traced flights before the gray failure");
+    assert!(e2e.count > 0, "no deliveries before the gray failure");
     assert!(
         e2e.met,
-        "publish_to_deliver missed for accepted traffic: attainment {:.4} over {} flights",
+        "publish_to_deliver missed for accepted traffic: attainment {:.4} over {} deliveries",
         e2e.attainment, e2e.count
     );
     assert!(

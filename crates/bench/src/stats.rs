@@ -105,7 +105,9 @@ impl Summary {
             .max_or_zero()
     }
 
-    /// The `p`-th percentile (nearest-rank), `p` in `[0, 100]`.
+    /// The `p`-th percentile, `p` in `[0, 100]`: the sorted observation
+    /// at 0-based rank `round(p / 100 · (n − 1))`, with no
+    /// interpolation. The minimum is p0 and the maximum p100.
     ///
     /// Returns 0 for an empty summary.
     ///

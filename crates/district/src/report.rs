@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use simnet::telemetry::{MetricsSnapshot, SloReport, SloSpec, Telemetry};
+use simnet::telemetry::{MetricsSnapshot, SloReport, SloSpec, Telemetry, PUBLISH_TO_DELIVER_NS};
 
 /// A column-aligned table that prints like the tables in a paper.
 ///
@@ -135,18 +135,17 @@ pub fn metrics_report(title: &str, snapshot: &MetricsSnapshot) -> String {
     out
 }
 
-/// Installs the framework's default latency objective: 99% of traced
-/// publishes must reach a subscriber within 250 ms. The histogram is
-/// fed by a trace harvest from `broker.publish` to `sub.receive`, so
-/// it covers the full path including store-and-forward replays and
-/// federation bridge hops. Idempotent.
+/// Installs the framework's default latency objective: 99% of
+/// deliveries must reach their subscriber within 250 ms of publish.
+/// The histogram ([`telemetry::publish_to_deliver`]) is fed by the
+/// subscribers that read a publish stamp, one sample per accepted
+/// delivery (DESIGN §8). Idempotent.
+///
+/// [`telemetry::publish_to_deliver`]: simnet::telemetry::publish_to_deliver
 pub fn install_default_slos(telemetry: &Telemetry) {
-    telemetry
-        .slos
-        .add_harvest("slo.publish_to_deliver_ns", "broker.publish", "sub.receive");
     telemetry.slos.add_spec(SloSpec {
         name: "publish_to_deliver".to_string(),
-        histogram: "slo.publish_to_deliver_ns".to_string(),
+        histogram: PUBLISH_TO_DELIVER_NS.to_string(),
         target_ns: 250_000_000.0,
         objective: 0.99,
     });
@@ -289,19 +288,13 @@ mod tests {
         let telemetry = Telemetry::new();
         install_default_slos(&telemetry);
         install_default_slos(&telemetry); // idempotent
-        let trace = telemetry.tracer.next_trace_id();
-        telemetry
-            .tracer
-            .record(1_000, 1, "broker.publish", trace, format_args!(""));
-        telemetry
-            .tracer
-            .record(2_000_000, 2, "sub.receive", trace, format_args!(""));
+        simnet::telemetry::publish_to_deliver(&telemetry.metrics).observe_ns(1_999_000);
         let reports = telemetry.slo_refresh();
         assert_eq!(reports.len(), 1);
         let r = &reports[0];
         assert_eq!(r.name, "publish_to_deliver");
         assert_eq!(r.count, 1);
-        assert!(r.met, "2 ms flight is inside the 250 ms target");
+        assert!(r.met, "a 2 ms delivery is inside the 250 ms target");
         let text = slo_report("E13", &reports);
         assert!(text.contains("E13: SLOs"));
         assert!(text.contains("publish_to_deliver"));

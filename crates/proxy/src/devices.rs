@@ -22,6 +22,16 @@ pub fn unix_millis_at(epoch_offset_millis: i64, now: SimTime) -> i64 {
     epoch_offset_millis + (now.as_nanos() / 1_000_000) as i64
 }
 
+/// The inverse of [`unix_millis_at`]: the simulated instant of a unix
+/// millisecond stamp, saturating at [`SimTime::ZERO`] before the epoch
+/// and at the last representable instant past it. A stamp made by
+/// `unix_millis_at` maps back to the start of its millisecond, so an
+/// age measured from it reads up to 1 ms high.
+pub fn sim_time_at(epoch_offset_millis: i64, unix_millis: i64) -> SimTime {
+    let nanos = (i128::from(unix_millis) - i128::from(epoch_offset_millis)) * 1_000_000;
+    SimTime::from_nanos(nanos.clamp(0, i128::from(u64::MAX)) as u64)
+}
+
 const TAG_EMIT: TimerTag = TimerTag(1);
 
 /// A push device: samples its profile every `interval` and transmits the
@@ -276,5 +286,13 @@ mod tests {
     fn unix_time_mapping() {
         assert_eq!(unix_millis_at(1_000, SimTime::ZERO), 1_000);
         assert_eq!(unix_millis_at(1_000, SimTime::from_secs(2)), 3_000);
+        let now = SimTime::from_nanos(2_345_678_901);
+        assert_eq!(
+            sim_time_at(1_000, unix_millis_at(1_000, now)),
+            SimTime::from_nanos(2_345_000_000)
+        );
+        assert_eq!(sim_time_at(1_000, 999), SimTime::ZERO);
+        assert_eq!(sim_time_at(i64::MAX, i64::MIN), SimTime::ZERO);
+        assert_eq!(sim_time_at(i64::MIN, i64::MAX).as_nanos(), u64::MAX);
     }
 }

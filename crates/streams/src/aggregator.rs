@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use dimmer_core::codec::{self, DataFormat, Writer};
 use dimmer_core::{DistrictId, ProxyId, QuantityKind, Value};
-use proxy::devices::unix_millis_at;
+use proxy::devices::{sim_time_at, unix_millis_at};
 use proxy::registration::{MasterReply, MasterSession, ProxyRole, Registration};
 use proxy::webservice::{status, WsCall, WsRequest, WsResponse, WsServer};
 use proxy::{node_uri, WS_PORT};
@@ -222,6 +222,7 @@ struct AggregatorSeries {
     open_windows: GaugeHandle,
     pending_publishes: GaugeHandle,
     window_samples: HistogramHandle,
+    publish_to_deliver: HistogramHandle,
 }
 
 impl AggregatorSeries {
@@ -238,6 +239,7 @@ impl AggregatorSeries {
             open_windows: m.gauge_handle("streams.open_windows"),
             pending_publishes: m.gauge_handle("streams.pending_publishes"),
             window_samples: m.histogram_handle("streams.window_samples"),
+            publish_to_deliver: telemetry::publish_to_deliver(m),
         }
     }
 }
@@ -446,7 +448,14 @@ impl AggregatorNode {
         }
         self.store.insert_at(route.raw, t, value);
         self.stats.samples_in += 1;
-        self.series(ctx).samples_in.incr();
+        let series = self.series(ctx);
+        series.samples_in.incr();
+        // A new delivery, so its age joins the publish-to-deliver SLO:
+        // the stamp is the proxy's ingest instant in whole milliseconds.
+        let stamp = sim_time_at(self.config.epoch_offset_millis, t);
+        series
+            .publish_to_deliver
+            .observe_ns(ctx.now().saturating_since(stamp).as_nanos());
         let ingest_span = ctx.span_hop(
             "streams.ingest",
             trace,
@@ -852,7 +861,7 @@ mod tests {
     const BATCH: usize = 1_000;
 
     /// Publishes `(entity, device, t, value)` temperature samples at
-    /// QoS 0, a batch per 100 ms.
+    /// QoS 0, retained and traced, a batch per 100 ms.
     struct Publisher {
         client: PubSubClient,
         samples: std::vec::IntoIter<(String, String, i64, f64)>,
@@ -877,8 +886,17 @@ mod tests {
                     Timestamp::from_unix_millis(t),
                 );
                 let payload = codec::encode_measurement(&measurement, DataFormat::Json);
-                self.client
-                    .publish(ctx, topic, payload.into_bytes(), false, QoS::AtMostOnce);
+                let trace = ctx.telemetry().tracer.start_flight();
+                let (retain, qos) = (true, QoS::AtMostOnce);
+                self.client.publish_ref(
+                    ctx,
+                    &topic,
+                    payload.as_bytes(),
+                    retain,
+                    qos,
+                    trace,
+                    NO_SPAN,
+                );
             }
             if self.samples.len() > 0 {
                 ctx.set_timer(SimDuration::from_millis(100), tag);
@@ -896,6 +914,13 @@ mod tests {
     /// Runs `samples` through a broker and one aggregator (10 s windows,
     /// no lateness) until every window has closed.
     fn aggregate(samples: Vec<(String, String, i64, f64)>) -> (Simulator, NodeId) {
+        let (mut sim, aggregator) = deploy(samples);
+        sim.run_for(SimDuration::from_secs(60));
+        (sim, aggregator)
+    }
+
+    /// The deployment [`aggregate`] runs, not started.
+    fn deploy(samples: Vec<(String, String, i64, f64)>) -> (Simulator, NodeId) {
         let mut sim = Simulator::new(SimConfig::default());
         let master = sim.add_node("master", Sink);
         let broker = sim.add_node("broker", BrokerNode::new());
@@ -916,7 +941,6 @@ mod tests {
                 samples: samples.into_iter(),
             },
         );
-        sim.run_for(SimDuration::from_secs(60));
         (sim, aggregator)
     }
 
@@ -940,6 +964,57 @@ mod tests {
         let rollups = agg.district_rollups(QuantityKind::Temperature, i64::MIN, i64::MAX);
         assert_eq!(rollups.len(), 1);
         assert_eq!((rollups[0].count, rollups[0].sum), (3, 63.0));
+    }
+
+    #[test]
+    fn the_slo_counts_each_new_sample_once() {
+        let sample = |t: i64| ("b1".to_owned(), "dev1".to_owned(), EPOCH + t, 20.0);
+        // A QoS 1 redelivery repeats a sample; after the crash the store
+        // replays the raw tail into the windows, and the broker replays
+        // the retained sample to the re-subscription.
+        let (mut sim, agg) = deploy([1_000, 3_000, 3_000, 5_000].map(sample).to_vec());
+        sim.run_for(SimDuration::from_secs(6));
+        sim.crash(agg);
+        sim.restart(agg, SimDuration::from_secs(3));
+        sim.run_for(SimDuration::from_secs(20));
+        let stats = sim.node_ref::<AggregatorNode>(agg).unwrap().stats();
+        assert_eq!(
+            (stats.samples_in, stats.duplicates, stats.recovered),
+            (3, 2, 3)
+        );
+        let metrics = &sim.telemetry().metrics;
+        let slo = metrics.histogram(telemetry::PUBLISH_TO_DELIVER_NS).unwrap();
+        assert_eq!((slo.count, metrics.counter("streams.samples_in")), (3, 3));
+    }
+
+    #[test]
+    fn a_delivery_age_is_accept_minus_stamp_saturated() {
+        let sample = |device: &str, t: i64| ("b1".to_owned(), device.to_owned(), t, 20.0);
+        let (mut sim, _) = deploy(vec![
+            sample("dev1", EPOCH + 750), // 250 ms before its publish at 1 s
+            sample("pre", 0),
+            sample("future", EPOCH + 100 * 365 * 86_400_000),
+        ]);
+        sim.run_for(SimDuration::from_secs(2));
+        let (metrics, events) = (&sim.telemetry().metrics, sim.telemetry().tracer.events());
+        let accepted = |device: &str| {
+            let suffix = format!("device={device}");
+            let ingest = events
+                .iter()
+                .find(|e| e.kind == "streams.ingest" && e.detail.ends_with(&suffix));
+            ingest.expect("traced ingest").time_ns as f64
+        };
+        let age = accepted("dev1") - 750e6;
+        let slo = metrics.histogram(telemetry::PUBLISH_TO_DELIVER_NS).unwrap();
+        assert_eq!(slo.count, 3);
+        // One sample sits in each of three distinct buckets: the middle
+        // one's representative is within a bucket width of its age.
+        assert!(
+            age > 250e6 && (slo.p50 - age).abs() < age / 16.0,
+            "{age} vs {slo:?}"
+        );
+        // A pre-epoch stamp saturates at the epoch, a future one at now.
+        assert_eq!((slo.min, slo.max), (0.0, accepted("pre")));
     }
 
     #[test]

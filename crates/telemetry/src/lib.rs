@@ -25,7 +25,9 @@
 //! * [`expo`] — Prometheus-style text exposition of a
 //!   [`MetricsSnapshot`], served by each node's `/metrics` endpoint.
 //! * `slo` — named latency objectives evaluated against registry
-//!   histograms, with attainment and error-budget burn.
+//!   histograms, with attainment and error-budget burn, and the one
+//!   publish-to-deliver histogram ([`publish_to_deliver`]) subscribers
+//!   feed.
 //!
 //! The crate deliberately has no dependencies — not even on `simnet` —
 //! so every layer of the workspace can use it without cycles. Time is
@@ -48,7 +50,7 @@ pub use metrics::{
     CounterHandle, GaugeHandle, Histogram, HistogramHandle, HistogramSnapshot, MetricsSnapshot,
     Registry,
 };
-pub use slo::{SloReport, SloSpec, SloTracker};
+pub use slo::{publish_to_deliver, SloReport, SloSpec, SloTracker, PUBLISH_TO_DELIVER_NS};
 pub use trace::{SpanId, TraceEvent, TraceId, Tracer, NO_SPAN, NO_TRACE};
 
 /// The bundle every instrumented component sees: a metrics registry, a
@@ -99,11 +101,11 @@ impl Telemetry {
         }
     }
 
-    /// Harvests trace-derived latencies, evaluates every registered SLO
-    /// spec, publishes `slo.<name>.attainment` / `slo.<name>.burn`
-    /// gauges, and returns the reports (name order).
+    /// Evaluates every registered SLO spec, publishes
+    /// `slo.<name>.attainment` / `slo.<name>.burn` gauges, and returns
+    /// the reports (name order). It reads histograms only, never the
+    /// trace ring.
     pub fn slo_refresh(&self) -> Vec<SloReport> {
-        self.slos.harvest(&self.tracer, &self.metrics);
         let reports = self.slos.evaluate(&self.metrics);
         for r in &reports {
             self.metrics
@@ -144,13 +146,7 @@ mod tests {
     #[test]
     fn ops_gauges_and_slo_refresh_flow_into_scrape() {
         let t = Telemetry::new();
-        let id = t.tracer.next_trace_id();
-        t.tracer
-            .record(1_000, 1, "broker.publish", id, format_args!(""));
-        t.tracer
-            .record(2_000, 2, "sub.receive", id, format_args!(""));
-        t.slos
-            .add_harvest("lat.e2e_ns", "broker.publish", "sub.receive");
+        t.metrics.histogram_handle("lat.e2e_ns").observe_ns(1_000);
         t.slos.add_spec(SloSpec {
             name: "publish_to_deliver".to_string(),
             histogram: "lat.e2e_ns".to_string(),

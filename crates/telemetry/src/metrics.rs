@@ -348,6 +348,22 @@ impl HistogramHandle {
         self.observe(ns as f64);
     }
 
+    /// Adds every sample of `other` to this series, bucket by bucket:
+    /// buckets and sums add, min and max widen. An unwritten `other`
+    /// leaves this series as it was.
+    pub fn merge(&self, other: &HistogramHandle) {
+        let Some(src) = other.read() else { return };
+        let dst = &self.0.cell;
+        for (d, s) in dst.buckets.iter().zip(src.buckets.iter()) {
+            d.fetch_add(s.load(Relaxed), Relaxed);
+        }
+        let (sum, min, max) = (src.sum.load(), src.min.load(), src.max.load());
+        dst.sum.update(|s| Some(s + sum));
+        dst.min.update(|m| (min < m).then_some(min));
+        dst.max.update(|m| (max > m).then_some(max));
+        self.0.touch();
+    }
+
     fn read(&self) -> Option<&Histogram> {
         self.0.read()
     }
@@ -663,6 +679,43 @@ mod tests {
         let snap = r.histogram("h").expect("written");
         assert_eq!((snap.count, snap.min, snap.max), (4_000, 0.0, 999.0));
         assert_eq!(snap.sum, 4.0 * 499_500.0);
+    }
+
+    #[test]
+    fn merged_histograms_read_like_one_fed_their_union() {
+        let r = Registry::new();
+        let [a, b, union, merged] = ["a", "b", "union", "merged"].map(|n| r.histogram_handle(n));
+        // Seeded integer nanoseconds over ~6 decades: sums stay exact.
+        let mut state = 0x5EED_0F4D_u64;
+        for i in 0..20_000 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            let v = (state >> 33) >> (state % 20);
+            if i % 3 == 0 { &a } else { &b }.observe_ns(v);
+            union.observe_ns(v);
+        }
+        for h in [&a, &b, &r.histogram_handle("never_written")] {
+            merged.merge(h);
+        }
+        let (m, u) = (merged.read().unwrap(), union.read().unwrap());
+        assert_eq!(
+            (m.count(), m.sum(), m.min(), m.max()),
+            (u.count(), u.sum(), u.min(), u.max())
+        );
+        for x in 0..=1000 {
+            let q = f64::from(x) / 1000.0;
+            assert_eq!(m.quantile(q), u.quantile(q), "q{q}");
+            assert_eq!(
+                m.fraction_le(q * 1e9),
+                u.fraction_le(q * 1e9),
+                "cdf at {q} s"
+            );
+        }
+        // Merging an unwritten series writes nothing.
+        r.histogram_handle("empty")
+            .merge(&r.histogram_handle("never_written"));
+        assert!(r.histogram("empty").is_none());
     }
 
     #[test]

@@ -8,14 +8,11 @@
 //! quantile in the registry and costs O(buckets) — no samples are
 //! retained.
 //!
-//! Histograms can be fed directly by instrumented code, or distilled
-//! from the trace ring by a harvest ([`SloTracker::add_harvest`]): a
-//! harvest names a
-//! `(from_kind, to_kind)` pair of hop kinds and, for every traced
-//! flight that visits both, records the first-to-last latency between
-//! them. Each trace is harvested once: the ring retains events across
-//! refreshes, so the harvest remembers the ids it took while any of
-//! their events is still in the ring.
+//! The histograms are fed by the instrumented code itself. The one
+//! objective the workspace installs, `publish_to_deliver`, reads
+//! [`publish_to_deliver`]: every subscriber that can read a message's
+//! publish stamp records `accepted − stamp` there, once per accepted
+//! delivery (DESIGN §8).
 //!
 //! Error-budget **burn** is the fraction of the allowed failure budget
 //! already spent: with objective 0.99, 1% of samples may miss the
@@ -24,11 +21,20 @@
 //!
 //! [`Histogram::fraction_le`]: crate::metrics::Histogram::fraction_le
 
-use crate::flight::reconstruct;
-use crate::metrics::Registry;
-use crate::trace::{TraceId, Tracer};
-use std::collections::BTreeSet;
+use crate::metrics::{HistogramHandle, Registry};
 use std::sync::{Arc, Mutex};
+
+/// Name of the publish-to-deliver latency histogram, for the spec that
+/// is evaluated against it. Feeders resolve it with
+/// [`publish_to_deliver`].
+pub const PUBLISH_TO_DELIVER_NS: &str = "slo.publish_to_deliver_ns";
+
+/// The publish-to-deliver latency histogram, in nanoseconds: the
+/// instant a subscriber accepts a message minus the publish instant
+/// the message carries, one sample per accepted delivery.
+pub fn publish_to_deliver(registry: &Registry) -> HistogramHandle {
+    registry.histogram_handle("slo.publish_to_deliver_ns")
+}
 
 /// One named latency objective over a registry histogram.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,25 +69,12 @@ pub struct SloReport {
     pub burn: f64,
 }
 
-/// A rule distilling trace flights into a latency histogram: for every
-/// trace that records a `from_kind` hop followed by a `to_kind` hop,
-/// observe the elapsed time between them.
-#[derive(Debug, Clone)]
-struct Harvest {
-    histogram: String,
-    from_kind: String,
-    to_kind: String,
-    /// Traces already harvested (the ring re-yields old events).
-    seen: BTreeSet<TraceId>,
-}
-
 #[derive(Debug, Default)]
 struct TrackerInner {
     specs: Vec<SloSpec>,
-    harvests: Vec<Harvest>,
 }
 
-/// Shared, clonable registry of SLO specs and trace harvests.
+/// Shared, clonable registry of SLO specs.
 #[derive(Debug, Clone, Default)]
 pub struct SloTracker {
     inner: Arc<Mutex<TrackerInner>>,
@@ -97,66 +90,9 @@ impl SloTracker {
         g.specs.sort_by(|a, b| a.name.cmp(&b.name));
     }
 
-    /// Registers a trace harvest feeding `histogram` with the
-    /// `from_kind → to_kind` latency of every traced flight. Idempotent
-    /// on the (histogram, from, to) triple.
-    pub fn add_harvest(&self, histogram: &str, from_kind: &str, to_kind: &str) {
-        let mut g = self.inner.lock().unwrap();
-        if g.harvests
-            .iter()
-            .any(|h| h.histogram == histogram && h.from_kind == from_kind && h.to_kind == to_kind)
-        {
-            return;
-        }
-        g.harvests.push(Harvest {
-            histogram: histogram.to_string(),
-            from_kind: from_kind.to_string(),
-            to_kind: to_kind.to_string(),
-            seen: BTreeSet::new(),
-        });
-    }
-
     /// Registered specs, in name order.
     pub(crate) fn specs(&self) -> Vec<SloSpec> {
         self.inner.lock().unwrap().specs.clone()
-    }
-
-    /// Runs every harvest over the ring's trace events, observing
-    /// newly-completed flights into their registry histograms. Returns
-    /// the number of new samples recorded. The ring is exported only
-    /// when a harvest is registered.
-    pub(crate) fn harvest(&self, tracer: &Tracer, registry: &Registry) -> usize {
-        let mut g = self.inner.lock().unwrap();
-        if g.harvests.is_empty() {
-            return 0;
-        }
-        let paths = reconstruct(&tracer.events());
-        let mut recorded = 0;
-        for h in &mut g.harvests {
-            let histogram = registry.histogram_handle(&h.histogram);
-            // A trace with no event left in the ring cannot be yielded
-            // again, so `seen` keeps only the harvested ids still in it.
-            let mut seen = BTreeSet::new();
-            for p in &paths {
-                if h.seen.contains(&p.trace_id) {
-                    seen.insert(p.trace_id);
-                    continue;
-                }
-                let from = p.hops.iter().find(|hop| hop.kind == h.from_kind);
-                let Some(from) = from else { continue };
-                let to = p
-                    .hops
-                    .iter()
-                    .rev()
-                    .find(|hop| hop.kind == h.to_kind && hop.time_ns >= from.time_ns);
-                let Some(to) = to else { continue };
-                histogram.observe_ns(to.time_ns - from.time_ns);
-                seen.insert(p.trace_id);
-                recorded += 1;
-            }
-            h.seen = seen;
-        }
-        recorded
     }
 
     /// Evaluates every spec against the registry's current histograms.
@@ -207,7 +143,6 @@ impl SloTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Tracer;
 
     fn spec(name: &str, histogram: &str, target_ns: f64, objective: f64) -> SloSpec {
         SloSpec {
@@ -275,63 +210,5 @@ mod tests {
         assert_eq!(specs[0].name, "a");
         assert_eq!(specs[1].name, "b");
         assert_eq!(specs[1].histogram, "h3");
-    }
-
-    #[test]
-    fn harvest_measures_from_to_and_dedups() {
-        let tracer = Tracer::new();
-        let id = tracer.next_trace_id();
-        tracer.record(1_000, 1, "broker.publish", id, format_args!(""));
-        tracer.record(4_000, 2, "sub.receive", id, format_args!(""));
-        tracer.record(9_000, 3, "sub.receive", id, format_args!("")); // second subscriber
-        let r = Registry::new();
-        let t = SloTracker::default();
-        t.add_harvest("e2e", "broker.publish", "sub.receive");
-        assert_eq!(t.harvest(&tracer, &r), 1);
-        // Last matching to-hop wins: 9_000 - 1_000.
-        let h = r.histogram("e2e").unwrap();
-        assert_eq!(h.count, 1);
-        assert_eq!(h.max, 8_000.0);
-        // Re-harvesting the same ring records nothing new.
-        assert_eq!(t.harvest(&tracer, &r), 0);
-        assert_eq!(r.histogram("e2e").unwrap().count, 1);
-    }
-
-    #[test]
-    fn harvest_over_a_wrapping_ring_keeps_seen_bounded_and_counts_once() {
-        let tracer = Tracer::new();
-        tracer.set_capacity(64);
-        let r = Registry::new();
-        let t = SloTracker::default();
-        t.add_harvest("e2e", "broker.publish", "sub.receive");
-        let mut flights = 0;
-        for round in 0..50u64 {
-            // 16 flights, 32 events: the ring holds the last two rounds.
-            for _ in 0..16 {
-                let id = tracer.next_trace_id();
-                let at = round * 1_000 + id;
-                tracer.record(at, 1, "broker.publish", id, format_args!(""));
-                tracer.record(at + 5, 2, "sub.receive", id, format_args!(""));
-                flights += 1;
-            }
-            assert_eq!(t.harvest(&tracer, &r), 16, "round {round}");
-            assert_eq!(t.harvest(&tracer, &r), 0, "round {round}");
-            let seen = t.inner.lock().unwrap().harvests[0].seen.len();
-            assert!(seen <= 64, "round {round}: {seen} ids kept");
-        }
-        assert!(tracer.dropped() > 0, "ring has not wrapped");
-        assert_eq!(r.histogram("e2e").unwrap().count, flights);
-    }
-
-    #[test]
-    fn harvest_ignores_incomplete_flights() {
-        let tracer = Tracer::new();
-        let id = tracer.next_trace_id();
-        tracer.record(1_000, 1, "broker.publish", id, format_args!(""));
-        let r = Registry::new();
-        let t = SloTracker::default();
-        t.add_harvest("e2e", "broker.publish", "sub.receive");
-        assert_eq!(t.harvest(&tracer, &r), 0);
-        assert!(r.histogram("e2e").is_none());
     }
 }

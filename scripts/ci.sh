@@ -143,6 +143,17 @@ if [[ -z "$d1" || "$d1" != "$d4" ]]; then
     exit 1
 fi
 echo "determinism gate: ok (digest $d1 at both --threads 1 and --threads 4)"
+# The SLO is merged from every shard's deliveries, so it must not depend
+# on the thread count either.
+s1="$(grep '^| publish_to_deliver |' "$e13a")"
+s4="$(grep '^| publish_to_deliver |' "$e13b")"
+if [[ -z "$s1" || "$s1" != "$s4" ]]; then
+    echo "determinism gate: publish_to_deliver SLO rows differ across thread counts" >&2
+    echo "  --threads 1: ${s1:-<missing>}" >&2
+    echo "  --threads 4: ${s4:-<missing>}" >&2
+    exit 1
+fi
+echo "determinism gate: ok (publish_to_deliver SLO rows equal at both thread counts)"
 
 echo "== results diff (the ten wall-clock-free experiments against results/, release build)"
 # These ten print no wall-clock field and repeat byte for byte, so the

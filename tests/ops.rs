@@ -321,10 +321,12 @@ fn federated_chaos_run(ring: Option<usize>) -> Simulator {
 /// registry and the `String`-per-field trace ring, re-recorded once
 /// flights were sampled after a ring's first drop (`trace.unsampled`
 /// joined the metrics text, and the ring reaches back over 13 610
-/// events of the unsampled stream instead of 4 096).
+/// events of the unsampled stream instead of 4 096), and once more for
+/// the metrics text when the aggregator began feeding
+/// `slo.publish_to_deliver_ns` (the scraped `/metrics` bodies carry it).
 #[test]
 fn exported_telemetry_matches_golden_digests() {
-    const METRICS_TEXT_FNV: u64 = 0x76a1_47f9_ddd7_8588;
+    const METRICS_TEXT_FNV: u64 = 0xb29c_087e_0d96_e8b2;
     const TRACE_JSON_LINES_FNV: u64 = 0xda43_5220_d930_d5a7;
     const TRACE_DROPPED: u64 = 2_387;
 

@@ -1,7 +1,7 @@
 //! End-to-end telemetry: flight-recorder traces across the full stack,
 //! bounded-histogram accuracy against exact sorted quantiles, and the
 //! cost contract of the write path — metric writes, trace records,
-//! untraced hops and a harvest-free SLO refresh allocate nothing.
+//! untraced hops and an SLO refresh over a full ring allocate nothing.
 //!
 //! This file is its own test binary, so it can install a counting
 //! `#[global_allocator]` without touching any other suite.
@@ -172,7 +172,7 @@ fn by_handle_metric_writes_allocate_nothing() {
 }
 
 #[test]
-fn slo_refresh_without_a_harvest_allocates_nothing() {
+fn slo_refresh_never_reads_the_trace_ring() {
     let telemetry = Telemetry::new();
     let trace = telemetry.tracer.next_trace_id();
     for i in 0..2 * 65_536 {
@@ -183,10 +183,7 @@ fn slo_refresh_without_a_harvest_allocates_nothing() {
     assert!(telemetry.tracer.dropped() > 0, "ring has not wrapped");
     let (reports, allocations) = allocations_in(|| telemetry.slo_refresh());
     assert!(reports.is_empty());
-    assert_eq!(
-        allocations, 0,
-        "slo_refresh exported the ring for no harvest"
-    );
+    assert_eq!(allocations, 0, "slo_refresh exported the ring");
 }
 
 #[test]
