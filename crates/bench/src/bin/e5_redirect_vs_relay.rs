@@ -5,43 +5,14 @@
 //! serves the same queries both ways and reports what relaying does to
 //! the aggregation point's traffic and the end-to-end latency.
 
-use bench_support::deploy_warm;
 use bench_support::stats::Summary;
+use bench_support::{deploy_warm, AreaProbe};
 use district::client::ClientNode;
 use district::relay::RelayNode;
 use district::report::{fmt_bytes, fmt_f64, Table};
 use district::scenario::ScenarioConfig;
-use proxy::webservice::{WsClient, WsClientEvent, WsRequest, WsResponse};
-use simnet::{Context, Node, NodeId, Packet, SimDuration, SimTime, TimerTag};
-
-/// A client that asks the relay instead of walking the redirect.
-struct RelayClient {
-    client: WsClient,
-    relay: NodeId,
-    district: String,
-    bbox: String,
-    started: SimTime,
-    latency: Option<SimDuration>,
-}
-
-impl Node for RelayClient {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        self.started = ctx.now();
-        let request = WsRequest::get("/area")
-            .with_query("district", self.district.clone())
-            .with_query("bbox", self.bbox.clone());
-        self.client.request(ctx, self.relay, &request);
-    }
-    fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
-        if let Some(WsClientEvent::Response { response, .. }) = self.client.accept(&pkt) {
-            let _: WsResponse = response;
-            self.latency = Some(ctx.now().saturating_since(self.started));
-        }
-    }
-    fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
-        self.client.on_timer(ctx, tag);
-    }
-}
+use proxy::webservice::WsRequest;
+use simnet::SimDuration;
 
 fn main() {
     let mut table = Table::new(
@@ -66,7 +37,7 @@ fn main() {
         sim.reset_metrics();
         let mut latency = Summary::new("redirect");
         let mut client_rx = 0u64;
-        for i in 0..5 {
+        for _ in 0..5 {
             let client = ClientNode::spawn(
                 &mut sim,
                 &deployment,
@@ -81,7 +52,6 @@ fn main() {
                 latency.record_duration(s.latency());
             }
             client_rx += sim.node_metrics(client).bytes_received;
-            let _ = i;
         }
         let hot = sim.node_metrics(deployment.master);
         table.row([
@@ -101,19 +71,12 @@ fn main() {
         let mut latency = Summary::new("relay");
         let mut client_rx = 0u64;
         for i in 0..5 {
-            let client = sim.add_node(
-                format!("relay-client-{i}"),
-                RelayClient {
-                    client: WsClient::new(1000),
-                    relay,
-                    district: scenario.districts[0].district.to_string(),
-                    bbox: scenario.districts[0].bbox().to_query(),
-                    started: SimTime::ZERO,
-                    latency: None,
-                },
-            );
+            let request = WsRequest::get("/area")
+                .with_query("district", scenario.districts[0].district.to_string())
+                .with_query("bbox", scenario.districts[0].bbox().to_query());
+            let client = sim.add_node(format!("relay-client-{i}"), AreaProbe::new(relay, request));
             sim.run_for(SimDuration::from_secs(30));
-            if let Some(d) = sim.node_ref::<RelayClient>(client).and_then(|c| c.latency) {
+            if let Some(d) = sim.node_ref::<AreaProbe>(client).and_then(|p| p.latency) {
                 latency.record_duration(d);
             }
             client_rx += sim.node_metrics(client).bytes_received;

@@ -6,41 +6,14 @@
 //! and compares the traffic concentration at the hottest node and the
 //! full-area query cost.
 
-use bench_support::deploy_warm;
+use bench_support::{deploy_warm, AreaProbe};
 use district::baseline::{CentralDeployment, CentralServerNode};
 use district::client::ClientNode;
 use district::report::{fmt_bytes, fmt_f64, Table};
 use district::scenario::ScenarioConfig;
 use proxy::device_proxy::DeviceProxyNode;
-use proxy::webservice::{WsClient, WsClientEvent, WsRequest};
-use simnet::{Context, Node, Packet, SimConfig, SimDuration, SimTime, Simulator, TimerTag};
-
-struct AreaProbe {
-    client: WsClient,
-    server: simnet::NodeId,
-    bbox: String,
-    started: SimTime,
-    latency: Option<SimDuration>,
-    response_bytes: usize,
-}
-
-impl Node for AreaProbe {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        self.started = ctx.now();
-        let request = WsRequest::get("/area").with_query("bbox", self.bbox.clone());
-        self.client.request(ctx, self.server, &request);
-    }
-    fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
-        let payload_len = pkt.payload.len();
-        if let Some(WsClientEvent::Response { .. }) = self.client.accept(&pkt) {
-            self.latency = Some(ctx.now().saturating_since(self.started));
-            self.response_bytes = payload_len;
-        }
-    }
-    fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
-        self.client.on_timer(ctx, tag);
-    }
-}
+use proxy::webservice::WsRequest;
+use simnet::{SimConfig, SimDuration, Simulator};
 
 fn main() {
     let mut table = Table::new(
@@ -107,21 +80,13 @@ fn main() {
     let deployment = CentralDeployment::build(&mut sim, &scenario);
     sim.run_for(horizon);
     let central_rx = sim.node_metrics(deployment.server).bytes_received;
-    let probe = sim.add_node(
-        "probe",
-        AreaProbe {
-            client: WsClient::new(1000),
-            server: deployment.server,
-            bbox: scenario.districts[0].bbox().to_query(),
-            started: SimTime::ZERO,
-            latency: None,
-            response_bytes: 0,
-        },
-    );
+    let request =
+        WsRequest::get("/area").with_query("bbox", scenario.districts[0].bbox().to_query());
+    let probe = sim.add_node("probe", AreaProbe::new(deployment.server, request));
     sim.run_for(SimDuration::from_secs(60));
-    let probe_ref = sim.node_ref::<AreaProbe>(probe).expect("probe");
-    let latency = probe_ref
-        .latency
+    let latency = sim
+        .node_ref::<AreaProbe>(probe)
+        .and_then(|p| p.latency)
         .map(|d| d.as_millis_f64())
         .unwrap_or(f64::NAN);
     let server = sim

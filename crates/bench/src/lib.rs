@@ -10,7 +10,8 @@ pub mod stats;
 use district::client::{AreaSnapshot, ClientConfig, ClientNode};
 use district::deploy::Deployment;
 use district::scenario::{Scenario, ScenarioConfig};
-use simnet::{NodeId, SimConfig, SimDuration, Simulator};
+use proxy::webservice::{WsClient, WsRequest};
+use simnet::{Context, Node, NodeId, Packet, SimConfig, SimDuration, Simulator, TimerTag};
 
 /// Builds and warms a deployment: proxies registered, `warmup` of device
 /// reporting done.
@@ -59,6 +60,45 @@ pub fn run_queries(
                 .cloned()
         })
         .collect()
+}
+
+/// A client whose area query one server answers whole — the relay (E5)
+/// or the centralized union server (E9): it sends one request at start
+/// and records how long the answer took.
+pub struct AreaProbe {
+    client: WsClient,
+    server: NodeId,
+    request: WsRequest,
+    /// Issue-to-answer time of the query, once answered.
+    pub latency: Option<SimDuration>,
+}
+
+impl AreaProbe {
+    /// A probe sending `request` to `server`.
+    pub fn new(server: NodeId, request: WsRequest) -> Self {
+        let client = WsClient::new(1000);
+        AreaProbe {
+            client,
+            server,
+            request,
+            latency: None,
+        }
+    }
+}
+
+impl Node for AreaProbe {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        self.client.request(ctx, self.server, &self.request);
+    }
+    fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
+        if let Some((id, _)) = self.client.accept_encoded(&pkt) {
+            let sent_at = self.client.take_sent_at(id);
+            self.latency = sent_at.map(|t| ctx.now().saturating_since(t));
+        }
+    }
+    fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
+        self.client.on_timer(ctx, tag);
+    }
 }
 
 /// Wall-clock timing of `f` over `iterations` runs; returns (total

@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use dimmer_core::{DeviceId, Measurement, MeasurementBatch, QuantityKind, Timestamp, Value};
+use dimmer_core::{DeviceId, Measurement, QuantityKind, Timestamp, Value};
 use gis::geo::{BoundingBox, GeoPoint};
 use protocols::ieee802154::PanId;
 use proxy::adapters::DeviceAdapter;
@@ -142,7 +142,7 @@ impl CentralServerNode {
                 Value::object([("id", Value::from(id.as_str())), ("model", model.clone())])
             })
             .collect();
-        let mut batch = MeasurementBatch::new();
+        let mut measurements = Vec::new();
         for entry in self.devices.values() {
             if !bbox.contains(&entry.location) {
                 continue;
@@ -150,26 +150,20 @@ impl CentralServerNode {
             for &q in QuantityKind::all() {
                 let series = format!("{}:{}", entry.device, q.as_str());
                 for (t, v) in self.store.range(&series, i64::MIN, i64::MAX) {
-                    batch.push(Measurement::new(
+                    let m = Measurement::new(
                         entry.device.clone(),
                         q,
                         v,
                         q.canonical_unit(),
                         Timestamp::from_unix_millis(t),
-                    ));
+                    );
+                    measurements.push(m.to_value());
                 }
             }
         }
         Value::object([
             ("entities", Value::Array(entities)),
-            (
-                "measurements",
-                batch
-                    .to_value()
-                    .get("measurements")
-                    .cloned()
-                    .unwrap_or(Value::Array(vec![])),
-            ),
+            ("measurements", Value::Array(measurements)),
         ])
     }
 }

@@ -7,9 +7,10 @@
 //! application queries directly each returned proxy and retrieves the
 //! model and the data for each entity."
 //!
-//! [`ClientNode`] is that application: a three-phase state machine
-//! (resolve → fetch → integrate) producing [`AreaSnapshot`]s, with
-//! latency and traffic accounting for the experiments.
+//! [`ClientNode`] is that application: `AreaFanIn`, a three-phase
+//! state machine (resolve → fetch → integrate) producing
+//! [`AreaSnapshot`]s, run once or periodically, with latency and traffic
+//! accounting for the experiments. E5's relay runs the same engine.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -61,14 +62,189 @@ enum FetchKind {
 }
 
 #[derive(Debug)]
-struct QueryState {
-    started_at: SimTime,
-    resolution: Option<AreaResolution>,
-    entities: BTreeMap<String, Value>,
-    measurements: MeasurementBatch,
+struct QueryState<T> {
+    /// Handed back with the finished snapshot.
+    caller: T,
     outstanding: usize,
-    requests: u64,
-    errors: u64,
+    /// What is integrated so far.
+    snapshot: AreaSnapshot,
+}
+
+/// A finished query: its caller value and its snapshot.
+type Done<T> = (T, AreaSnapshot);
+
+/// The resolve → fetch → integrate engine: asks the master for an area,
+/// fetches every returned proxy and integrates the answers into one
+/// [`AreaSnapshot`]. Each query carries a caller value, handed back with
+/// its snapshot: nothing for a [`ClientNode`], the call to answer for a
+/// [`RelayNode`](crate::relay::RelayNode).
+#[derive(Debug)]
+pub(crate) struct AreaFanIn<T> {
+    master: NodeId,
+    format: DataFormat,
+    data_window_millis: Option<(i64, i64)>,
+    ws: WsClient,
+    /// request id → (query index, what it fetches). Lookup-only: never
+    /// iterated, so its hash order cannot reach a snapshot.
+    in_flight: HashMap<u64, (usize, FetchKind)>,
+    /// Every query issued, `None` once finished.
+    queries: Vec<Option<QueryState<T>>>,
+}
+
+impl<T> AreaFanIn<T> {
+    /// An engine resolving areas through `master` in `format`, fetching
+    /// the device data in `window` (`None` = everything).
+    pub(crate) fn new(master: NodeId, format: DataFormat, window: Option<(i64, i64)>) -> Self {
+        AreaFanIn {
+            master,
+            format,
+            data_window_millis: window,
+            ws: WsClient::new(WS_TAGS),
+            in_flight: HashMap::new(),
+            queries: Vec::new(),
+        }
+    }
+
+    /// Issues one query for `district`'s `bbox`.
+    pub(crate) fn issue(
+        &mut self,
+        ctx: &mut Context<'_>,
+        district: &DistrictId,
+        bbox: &BoundingBox,
+        caller: T,
+    ) {
+        let index = self.queries.len();
+        let snapshot = AreaSnapshot {
+            started_at: ctx.now(),
+            completed_at: ctx.now(),
+            resolution: AreaResolution::default(),
+            entities: BTreeMap::new(),
+            measurements: MeasurementBatch::new(),
+            requests: 1,
+            errors: 0,
+        };
+        self.queries.push(Some(QueryState {
+            caller,
+            outstanding: 1,
+            snapshot,
+        }));
+        let request = WsRequest::get(format!("/district/{district}/area"))
+            .with_query("bbox", bbox.to_query())
+            .with_format(self.format);
+        let id = self.ws.request(ctx, self.master, &request);
+        self.in_flight.insert(id, (index, FetchKind::Resolution));
+    }
+
+    /// Feeds a packet from the Web-Service port; returns the query it
+    /// finished, if any.
+    pub(crate) fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: &Packet) -> Option<Done<T>> {
+        let (id, bytes) = self.ws.accept_encoded(pkt)?;
+        let (index, kind) = self.in_flight.remove(&id)?;
+        self.on_response(ctx, index, kind, Some(bytes))
+    }
+
+    /// Feeds a fired timer: a request out of retries is an error of its
+    /// query, which may finish it.
+    pub(crate) fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) -> Option<Done<T>> {
+        let Some(WsClientEvent::TimedOut { id }) = self.ws.on_timer(ctx, tag) else {
+            return None;
+        };
+        let (index, kind) = self.in_flight.remove(&id)?;
+        self.on_response(ctx, index, kind, None)
+    }
+
+    /// Integrates one response; `response` is the still-encoded answer,
+    /// or `None` after a timeout. The resolution fans the query out;
+    /// device data is decoded straight into measurements; an entity
+    /// model is the tree the snapshot keeps.
+    fn on_response(
+        &mut self,
+        ctx: &mut Context<'_>,
+        index: usize,
+        kind: FetchKind,
+        response: Option<&[u8]>,
+    ) -> Option<Done<T>> {
+        let mut query = self.queries[index].take()?;
+        let snapshot = &mut query.snapshot;
+        let integrated = response.is_some_and(|bytes| match kind {
+            FetchKind::Resolution => match decode_response(bytes, AreaResolution::read) {
+                Ok((status, Some(resolution))) if status::is_success(status) => {
+                    let fetches = self.fan_out(ctx, index, &resolution);
+                    snapshot.resolution = resolution;
+                    snapshot.requests += fetches as u64;
+                    query.outstanding += fetches;
+                    true
+                }
+                _ => false,
+            },
+            FetchKind::EntityModel(entity_id) => match WsResponse::from_bytes(bytes) {
+                Ok(response) if response.is_ok() => {
+                    snapshot.entities.insert(entity_id, response.body);
+                    true
+                }
+                _ => false,
+            },
+            FetchKind::DeviceData => match decode_response(bytes, MeasurementBatch::read) {
+                Ok((status, Some(batch))) if status::is_success(status) => {
+                    snapshot.measurements.extend(batch);
+                    true
+                }
+                _ => false,
+            },
+        });
+        if !integrated {
+            snapshot.errors += 1;
+        }
+        query.outstanding -= 1;
+        if query.outstanding > 0 {
+            self.queries[index] = Some(query);
+            return None;
+        }
+        query.snapshot.completed_at = ctx.now();
+        Some((query.caller, query.snapshot))
+    }
+
+    /// Fans a query out: one `/model` fetch per entity, one `/data`
+    /// fetch per device, in resolution order; returns the fetch count.
+    /// Each distinct request — the one `/model` request, one `/data`
+    /// request per quantity — is built once.
+    fn fan_out(&mut self, ctx: &mut Context<'_>, index: usize, area: &AreaResolution) -> usize {
+        let model = WsRequest::get("/model").with_format(self.format);
+        let mut data: Vec<(QuantityKind, WsRequest)> = Vec::new();
+        let mut fetches = 0;
+        for entity in &area.entities {
+            if let Some(node) = uri_node(entity.db_proxy()) {
+                let id = self.ws.request(ctx, node, &model);
+                let kind = FetchKind::EntityModel(entity.id().to_owned());
+                self.in_flight.insert(id, (index, kind));
+                fetches += 1;
+            }
+        }
+        for device in &area.devices {
+            if let Some(node) = uri_node(device.proxy()) {
+                let quantity = device.quantity();
+                let request = match data.iter().position(|(q, _)| *q == quantity) {
+                    Some(i) => &data[i].1,
+                    None => {
+                        let mut request = WsRequest::get("/data")
+                            .with_query("quantity", quantity.as_str())
+                            .with_format(self.format);
+                        if let Some((from, to)) = self.data_window_millis {
+                            request = request
+                                .with_query("from", from.to_string())
+                                .with_query("to", to.to_string());
+                        }
+                        data.push((quantity, request));
+                        &data[data.len() - 1].1
+                    }
+                };
+                let id = self.ws.request(ctx, node, request);
+                self.in_flight.insert(id, (index, FetchKind::DeviceData));
+                fetches += 1;
+            }
+        }
+        fetches
+    }
 }
 
 /// Configuration of a [`ClientNode`].
@@ -92,11 +268,7 @@ pub struct ClientConfig {
 #[derive(Debug)]
 pub struct ClientNode {
     config: ClientConfig,
-    ws: WsClient,
-    /// request id → (query index, what it fetches). Lookup-only: never
-    /// iterated, so its hash order cannot reach a snapshot.
-    in_flight: HashMap<u64, (usize, FetchKind)>,
-    queries: Vec<QueryState>,
+    fan_in: AreaFanIn<()>,
     snapshots: Vec<AreaSnapshot>,
 }
 
@@ -104,10 +276,8 @@ impl ClientNode {
     /// Creates a client.
     pub fn new(config: ClientConfig) -> Self {
         ClientNode {
+            fan_in: AreaFanIn::new(config.master, config.format, config.data_window_millis),
             config,
-            ws: WsClient::new(WS_TAGS),
-            in_flight: HashMap::new(),
-            queries: Vec::new(),
             snapshots: Vec::new(),
         }
     }
@@ -143,180 +313,34 @@ impl ClientNode {
     pub fn latest_snapshot(&self) -> Option<&AreaSnapshot> {
         self.snapshots.last()
     }
-
-    fn issue_query(&mut self, ctx: &mut Context<'_>) {
-        let query_index = self.queries.len();
-        self.queries.push(QueryState {
-            started_at: ctx.now(),
-            resolution: None,
-            entities: BTreeMap::new(),
-            measurements: MeasurementBatch::new(),
-            outstanding: 1,
-            requests: 1,
-            errors: 0,
-        });
-        let request = WsRequest::get(format!("/district/{}/area", self.config.district))
-            .with_query("bbox", self.config.bbox.to_query())
-            .with_format(self.config.format);
-        let id = self.ws.request(ctx, self.config.master, &request);
-        self.in_flight
-            .insert(id, (query_index, FetchKind::Resolution));
-    }
-
-    /// Fans the query out: one `/model` fetch per entity, one `/data`
-    /// fetch per device, in resolution order. Each distinct request — the
-    /// one `/model` request, one `/data` request per quantity — is built
-    /// once.
-    fn on_resolution(
-        &mut self,
-        ctx: &mut Context<'_>,
-        query_index: usize,
-        resolution: AreaResolution,
-    ) {
-        let format = self.config.format;
-        let model = WsRequest::get("/model").with_format(format);
-        let mut data: Vec<(QuantityKind, WsRequest)> = Vec::new();
-        let mut fetches = 0;
-        for entity in &resolution.entities {
-            if let Some(node) = uri_node(entity.db_proxy()) {
-                let id = self.ws.request(ctx, node, &model);
-                let kind = FetchKind::EntityModel(entity.id().to_owned());
-                self.in_flight.insert(id, (query_index, kind));
-                fetches += 1;
-            }
-        }
-        for device in &resolution.devices {
-            if let Some(node) = uri_node(device.proxy()) {
-                let quantity = device.quantity();
-                let request = match data.iter().position(|(q, _)| *q == quantity) {
-                    Some(i) => &data[i].1,
-                    None => {
-                        let mut request = WsRequest::get("/data")
-                            .with_query("quantity", quantity.as_str())
-                            .with_format(format);
-                        if let Some((from, to)) = self.config.data_window_millis {
-                            request = request
-                                .with_query("from", from.to_string())
-                                .with_query("to", to.to_string());
-                        }
-                        data.push((quantity, request));
-                        &data[data.len() - 1].1
-                    }
-                };
-                let id = self.ws.request(ctx, node, request);
-                self.in_flight
-                    .insert(id, (query_index, FetchKind::DeviceData));
-                fetches += 1;
-            }
-        }
-        let query = &mut self.queries[query_index];
-        query.resolution = Some(resolution);
-        query.outstanding += fetches;
-        query.requests += fetches as u64;
-        self.finish_if_done(ctx, query_index);
-    }
-
-    /// Integrates one fetch; `response` is the still-encoded answer, or
-    /// `None` after a timeout. Device data is decoded straight into
-    /// measurements; an entity model is the tree the snapshot keeps.
-    fn on_fetch(
-        &mut self,
-        ctx: &mut Context<'_>,
-        query_index: usize,
-        kind: FetchKind,
-        response: Option<&[u8]>,
-    ) {
-        let query = &mut self.queries[query_index];
-        let integrated = response.is_some_and(|bytes| match kind {
-            FetchKind::EntityModel(entity_id) => match WsResponse::from_bytes(bytes) {
-                Ok(response) if response.is_ok() => {
-                    query.entities.insert(entity_id, response.body);
-                    true
-                }
-                _ => false,
-            },
-            FetchKind::DeviceData => match decode_response(bytes, MeasurementBatch::read) {
-                Ok((status, Some(batch))) if status::is_success(status) => {
-                    query.measurements.extend(batch);
-                    true
-                }
-                _ => false,
-            },
-            FetchKind::Resolution => unreachable!("handled in on_resolution"),
-        });
-        if !integrated {
-            query.errors += 1;
-        }
-        self.finish_if_done(ctx, query_index);
-    }
-
-    fn finish_if_done(&mut self, ctx: &mut Context<'_>, query_index: usize) {
-        let query = &mut self.queries[query_index];
-        query.outstanding = query.outstanding.saturating_sub(1);
-        if query.outstanding > 0 {
-            return;
-        }
-        let resolution = query.resolution.take().unwrap_or_default();
-        self.snapshots.push(AreaSnapshot {
-            started_at: query.started_at,
-            completed_at: ctx.now(),
-            resolution,
-            entities: std::mem::take(&mut query.entities),
-            measurements: std::mem::take(&mut query.measurements),
-            requests: query.requests,
-            errors: query.errors,
-        });
-    }
 }
 
 impl Node for ClientNode {
+    /// The first query is the first tick of the period.
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        self.issue_query(ctx);
-        if let Some(period) = self.config.period {
-            ctx.set_timer(period, TAG_PERIODIC);
-        }
+        self.on_timer(ctx, TAG_PERIODIC);
     }
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
         if pkt.port != WS_PORT {
             return;
         }
-        if let Some((id, bytes)) = self.ws.accept_encoded(&pkt) {
-            if let Some((query_index, kind)) = self.in_flight.remove(&id) {
-                match kind {
-                    FetchKind::Resolution => match decode_response(bytes, AreaResolution::read) {
-                        Ok((status, Some(resolution))) if status::is_success(status) => {
-                            self.on_resolution(ctx, query_index, resolution);
-                        }
-                        _ => {
-                            self.queries[query_index].errors += 1;
-                            self.finish_if_done(ctx, query_index);
-                        }
-                    },
-                    other => self.on_fetch(ctx, query_index, other, Some(bytes)),
-                }
-            }
+        if let Some(((), snapshot)) = self.fan_in.on_packet(ctx, &pkt) {
+            self.snapshots.push(snapshot);
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
         if tag == TAG_PERIODIC {
-            self.issue_query(ctx);
-            if let Some(period) = self.config.period {
+            let config = &self.config;
+            self.fan_in.issue(ctx, &config.district, &config.bbox, ());
+            if let Some(period) = config.period {
                 ctx.set_timer(period, TAG_PERIODIC);
             }
             return;
         }
-        if let Some(WsClientEvent::TimedOut { id }) = self.ws.on_timer(ctx, tag) {
-            if let Some((query_index, kind)) = self.in_flight.remove(&id) {
-                match kind {
-                    FetchKind::Resolution => {
-                        self.queries[query_index].errors += 1;
-                        self.finish_if_done(ctx, query_index);
-                    }
-                    other => self.on_fetch(ctx, query_index, other, None),
-                }
-            }
+        if let Some(((), snapshot)) = self.fan_in.on_timer(ctx, tag) {
+            self.snapshots.push(snapshot);
         }
     }
 }

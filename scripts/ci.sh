@@ -7,7 +7,8 @@
 # Knobs:
 #   DIMMER_SEEDS=n   sweep the failure-injection suites
 #                    (tests/resilience.rs, tests/chaos.rs,
-#                    tests/streams.rs) across n simulation seeds — each
+#                    tests/streams.rs) and the answer-level oracles
+#                    (tests/oracles.rs) across n simulation seeds — each
 #                    run shifts every sim seed by DIMMER_SEED, shaking
 #                    out assertions that only hold for one timing.
 #                    Defaults to 2; set 0 to skip.
@@ -116,10 +117,10 @@ cargo test -q
 
 seeds="${DIMMER_SEEDS:-2}"
 if [[ "$seeds" -gt 0 ]]; then
-    echo "== seed sweep: resilience + chaos + streams under $seeds seeds"
+    echo "== seed sweep: resilience + chaos + streams + oracles under $seeds seeds"
     for s in $(seq 1 "$seeds"); do
         echo "-- DIMMER_SEED=$s"
-        DIMMER_SEED="$s" cargo test -q --test resilience --test chaos --test streams
+        DIMMER_SEED="$s" cargo test -q --test resilience --test chaos --test streams --test oracles
     done
 fi
 
