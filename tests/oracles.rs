@@ -5,11 +5,14 @@
 //!   maps, and measurements as multisets sorted by (device, quantity,
 //!   timestamp), since answers arrive in different orders from different
 //!   network positions or body sizes;
-//! * redirect == centralized: entity ids, and models byte for byte.
+//! * redirect == centralized: entity ids, and models byte for byte;
+//! * one stored series read from the head == from L0 segments == from
+//!   compacted partitions == after a crash and WAL recovery, bit for
+//!   bit, through every `storage::tskv` read call.
 //!
 //! Every scenario is queried at one instant after the same warm-up. The
-//! simulations seed from `DIMMER_SEED` (default 0), so `scripts/ci.sh`
-//! can sweep the oracles across seeds.
+//! simulations and the stored series seed from `DIMMER_SEED` (default
+//! 0), so `scripts/ci.sh` can sweep the oracles across seeds.
 
 use std::collections::BTreeMap;
 
@@ -21,18 +24,26 @@ use dimmer::district::deploy::Deployment;
 use dimmer::district::relay::RelayNode;
 use dimmer::district::scenario::ScenarioConfig;
 use dimmer::proxy::webservice::{WsClient, WsClientEvent, WsRequest};
+use dimmer::simnet::rng::DeterministicRng;
 use dimmer::simnet::{Context, Node, NodeId, Packet, SimConfig, SimDuration, Simulator, TimerTag};
+use dimmer::storage::tskv::{
+    Aggregate, SeriesId, TimeSeriesStore, TskvConfig, PARTITION_MILLIS, ROLLUP_LEVELS,
+};
 
 const WARM_UP: SimDuration = SimDuration::from_secs(600);
 const ANSWER_WITHIN: SimDuration = SimDuration::from_secs(60);
 
-/// A simulator seeded from `DIMMER_SEED` (default 0).
-fn seeded_sim() -> Simulator {
-    let seed = std::env::var("DIMMER_SEED")
+/// `DIMMER_SEED` (default 0).
+fn seed() -> u64 {
+    std::env::var("DIMMER_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    Simulator::new(SimConfig { seed })
+        .unwrap_or(0)
+}
+
+/// A simulator seeded from `DIMMER_SEED`.
+fn seeded_sim() -> Simulator {
+    Simulator::new(SimConfig { seed: seed() })
 }
 
 /// Sends one request to a server at start and keeps the body of its
@@ -185,5 +196,363 @@ fn centralized_server_holds_the_models_the_redirect_fetches() {
             .map(|(id, model)| (id.clone(), json::to_string(model)))
             .collect();
         assert_eq!(central, redirect);
+    }
+}
+
+// ---- storage: head == sealed == compacted == WAL-recovered ----
+
+/// 2015-03-09T00:00:00Z, a partition boundary.
+const EPOCH: i64 = 1_425_859_200_000;
+const MINUTE: i64 = 60_000;
+/// A sealed block's decoder may resume before every 128th point; reads
+/// that start on either side of those positions are checked on purpose.
+const BLOCK_STRIDE: usize = 128;
+
+/// How a stored series' values are drawn, one per segment encoding.
+#[derive(Debug, Clone, Copy)]
+enum Values {
+    /// Centi-units on a random walk: the decimal-int encoding.
+    Decimal,
+    /// Full-precision doubles with repeats and near-repeats: XOR floats.
+    Xor,
+    /// Decimal values with NaN payloads, signed zeros and infinities.
+    Special,
+}
+
+impl Values {
+    fn draw(self, rng: &mut DeterministicRng, prev: f64, level: &mut i64) -> f64 {
+        match self {
+            Values::Decimal => {
+                *level += rng.next_bounded(7) as i64 - 3;
+                *level as f64 / 100.0
+            }
+            Values::Xor => match rng.next_bounded(4) {
+                0 => prev,
+                1 => f64::from_bits(prev.to_bits() ^ (rng.next_u64() & 0xffff)),
+                _ => 15.0 + rng.next_f64() * 10.0,
+            },
+            Values::Special => match rng.next_bounded(12) {
+                0 => {
+                    f64::from_bits(0x7ff8_0000_0000_0000 | (rng.next_u64() & 0x0007_ffff_ffff_ffff))
+                }
+                1 => -0.0,
+                2 => 0.0,
+                3 => [f64::INFINITY, f64::NEG_INFINITY][rng.next_bounded(2) as usize],
+                _ => Values::Decimal.draw(rng, prev, level),
+            },
+        }
+    }
+}
+
+/// One series stored four ways, and the points it must hold.
+struct StoredCase {
+    kind: Values,
+    reference: BTreeMap<i64, f64>,
+    /// `(label, store, id)`: the head-only store comes first.
+    stores: Vec<(&'static str, TimeSeriesStore, SeriesId)>,
+    /// Timestamps at positions `128k − 1` and `128k` of every block the
+    /// sealing stores wrote.
+    block_edges: Vec<i64>,
+}
+
+const SERIES: &str = "b0:temperature";
+
+/// At a 60 s cadence from a random minute of the first day, over four
+/// days and more: jittered timestamps, short and long gaps.
+fn stored_points(rng: &mut DeterministicRng, kind: Values) -> Vec<(i64, f64)> {
+    let mut points = Vec::new();
+    let mut minute = rng.next_bounded(720) as i64;
+    let end = minute + 4 * 1_440 + 90;
+    let (mut prev, mut level) = (20.0, 2_000);
+    while minute < end {
+        let jitter = match rng.next_bounded(2) {
+            0 => 0,
+            _ => rng.next_bounded(30_000) as i64,
+        };
+        prev = kind.draw(rng, prev, &mut level);
+        points.push((EPOCH + minute * MINUTE + jitter, prev));
+        minute += 1;
+        match rng.next_bounded(64) {
+            0 => minute += 1 + rng.next_bounded(5) as i64,
+            1 if rng.next_bounded(64) == 0 => minute += 30 + rng.next_bounded(90) as i64,
+            _ => {}
+        }
+    }
+    points
+}
+
+/// Positions `128k − 1` and `128k` of `run` split into partitions.
+fn push_block_edges(run: &BTreeMap<i64, f64>, out: &mut Vec<i64>) {
+    let mut by_partition: BTreeMap<i64, Vec<i64>> = BTreeMap::new();
+    for &t in run.keys() {
+        by_partition
+            .entry(t.div_euclid(PARTITION_MILLIS))
+            .or_default()
+            .push(t);
+    }
+    for ts in by_partition.values() {
+        for k in (BLOCK_STRIDE..ts.len()).step_by(BLOCK_STRIDE) {
+            out.extend([ts[k - 1], ts[k]]);
+        }
+    }
+}
+
+/// Builds one series of `kind` four ways. The first 60 % of the points
+/// go in, then the rest with overwrites mixed in: 3 % of all
+/// timestamps at random, plus every point within 50 of the cut, so
+/// overwrites straddle the first seal.
+fn stored_case(rng: &mut DeterministicRng, kind: Values) -> StoredCase {
+    let points = stored_points(rng, kind);
+    let cut = points.len() * 3 / 5;
+    let (first, rest) = points.split_at(cut);
+    let mut later: Vec<(i64, f64)> = rest.to_vec();
+    let mut overwrites: Vec<usize> = (cut - 50..cut + 50).collect();
+    overwrites
+        .extend((0..points.len() / 33).map(|_| rng.next_bounded(points.len() as u64) as usize));
+    let mut level = 1_000;
+    for i in overwrites {
+        let v = kind.draw(rng, points[i].1, &mut level);
+        let at = rng.next_bounded(later.len() as u64 + 1) as usize;
+        later.insert(at, (points[i].0, v));
+    }
+
+    let unsealed = TskvConfig {
+        seal_threshold: usize::MAX,
+        wal_checkpoint_records: usize::MAX,
+    };
+    let mut stores: Vec<(&'static str, TimeSeriesStore, SeriesId)> = [
+        ("head", TimeSeriesStore::with_config(unsealed.clone())),
+        ("sealed", TimeSeriesStore::with_config(unsealed.clone())),
+        ("compacted", TimeSeriesStore::with_config(unsealed)),
+        ("recovered", TimeSeriesStore::new()),
+    ]
+    .into_iter()
+    .map(|(label, mut store)| {
+        let id = store.series_id(SERIES);
+        (label, store, id)
+    })
+    .collect();
+    let mut reference = BTreeMap::new();
+    let mut block_edges = Vec::new();
+    let insert = |stores: &mut Vec<(&str, TimeSeriesStore, SeriesId)>, t: i64, v: f64| {
+        for (_, store, id) in stores.iter_mut() {
+            store.insert_at(*id, t, v);
+        }
+    };
+
+    for &(t, v) in first {
+        insert(&mut stores, t, v);
+        reference.insert(t, v);
+    }
+    push_block_edges(&reference, &mut block_edges);
+    stores[1].1.seal_all();
+    stores[2].1.seal_all();
+    stores[2].1.maintain();
+    stores[3].1.checkpoint();
+
+    let mut second = BTreeMap::new();
+    for (i, &(t, v)) in later.iter().enumerate() {
+        insert(&mut stores, t, v);
+        reference.insert(t, v);
+        second.insert(t, v);
+        if i == later.len() / 2 {
+            stores[3].1.checkpoint();
+        }
+    }
+    push_block_edges(&second, &mut block_edges);
+    push_block_edges(&reference, &mut block_edges);
+    stores[1].1.seal_all();
+    stores[2].1.seal_all();
+    stores[2].1.maintain();
+    assert!(stores[3].1.crash_recover() > 0, "the WAL tail replays");
+
+    let partitions = |store: &TimeSeriesStore| store.stats().segments;
+    let days: std::collections::BTreeSet<i64> = reference
+        .keys()
+        .map(|t| t.div_euclid(PARTITION_MILLIS))
+        .collect();
+    assert_eq!(partitions(&stores[0].1), 0, "the head store never seals");
+    assert!(
+        partitions(&stores[1].1) > days.len(),
+        "L0 segments per seal"
+    );
+    assert_eq!(partitions(&stores[2].1), days.len(), "one owner per day");
+    let largest = days
+        .iter()
+        .map(|d| {
+            let lo = d * PARTITION_MILLIS;
+            reference.range(lo..lo + PARTITION_MILLIS).count()
+        })
+        .max()
+        .expect("points");
+    assert!(largest > 10 * BLOCK_STRIDE, "{largest} points in a day");
+    block_edges.sort_unstable();
+    block_edges.dedup();
+    StoredCase {
+        kind,
+        reference,
+        stores,
+        block_edges,
+    }
+}
+
+/// The three stored series of this seed.
+fn stored_cases() -> Vec<StoredCase> {
+    let mut rng = DeterministicRng::seed_from(seed() ^ 0x0e7a_c1e5);
+    [Values::Decimal, Values::Xor, Values::Special]
+        .into_iter()
+        .map(|kind| stored_case(&mut rng, kind))
+        .collect()
+}
+
+fn bits(points: &[(i64, f64)]) -> Vec<(i64, u64)> {
+    points.iter().map(|&(t, v)| (t, v.to_bits())).collect()
+}
+
+impl StoredCase {
+    fn first(&self) -> i64 {
+        *self.reference.keys().next().expect("points")
+    }
+
+    fn last(&self) -> i64 {
+        *self.reference.keys().next_back().expect("points")
+    }
+
+    /// Query ranges: from every block edge (and one either side of it)
+    /// over 1 min to 3 h, 1 h reads from random instants, and random
+    /// spans up to two days that may reach past either end.
+    fn ranges(&self, rng: &mut DeterministicRng) -> Vec<(i64, i64)> {
+        let mut ranges = Vec::new();
+        for &edge in &self.block_edges {
+            let len = MINUTE + rng.next_bounded(180) as i64 * MINUTE;
+            for from in [edge - 1, edge, edge + 1] {
+                ranges.push((from, from + len));
+            }
+        }
+        let (lo, hi) = (self.first() - 3_600_000, self.last() + 3_600_000);
+        for _ in 0..200 {
+            let from = lo + rng.next_bounded((hi - lo) as u64) as i64;
+            ranges.push((from, from + 3_600_000));
+            let len = 1 + rng.next_bounded(2 * PARTITION_MILLIS as u64) as i64;
+            ranges.push((from, from + len));
+        }
+        ranges.push((i64::MIN, i64::MAX));
+        ranges
+    }
+}
+
+#[test]
+fn stored_series_read_the_same_from_head_sealed_compacted_and_recovered() {
+    let mut rng = DeterministicRng::seed_from(seed() ^ 0x0e7a_c1e6);
+    for case in stored_cases() {
+        let kind = case.kind;
+        let (lt, lv) = case
+            .reference
+            .iter()
+            .next_back()
+            .map(|(&t, &v)| (t, v))
+            .expect("points");
+        for (label, store, id) in &case.stores {
+            assert_eq!(
+                store.series_len(SERIES),
+                case.reference.len(),
+                "{kind:?} {label}"
+            );
+            let latest = store.latest(SERIES).expect("latest");
+            assert_eq!(
+                (latest.0, latest.1.to_bits()),
+                (lt, lv.to_bits()),
+                "{kind:?} {label}"
+            );
+            for &t in &case.block_edges {
+                for t in [t - 1, t, t + 1] {
+                    assert_eq!(
+                        store.contains_at(*id, t),
+                        case.reference.contains_key(&t),
+                        "{kind:?} {label} contains_at({t})"
+                    );
+                }
+            }
+        }
+        for (from, to) in case.ranges(&mut rng) {
+            let want: Vec<(i64, u64)> = case
+                .reference
+                .range(from..to)
+                .map(|(&t, &v)| (t, v.to_bits()))
+                .collect();
+            for (label, store, id) in &case.stores {
+                let got = store.range(SERIES, from, to);
+                assert_eq!(bits(&got), want, "{kind:?} {label} range [{from}, {to})");
+                let mut streamed = Vec::new();
+                store.for_each_in(SERIES, from, to, |t, v| streamed.push((t, v)));
+                assert_eq!(
+                    bits(&streamed),
+                    want,
+                    "{kind:?} {label} for_each_in [{from}, {to})"
+                );
+                assert_eq!(
+                    store.contains_at(*id, from),
+                    case.reference.contains_key(&from),
+                    "{kind:?} {label} contains_at({from})"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn stored_series_downsample_the_same_from_head_sealed_compacted_and_recovered() {
+    const AGGREGATES: [Aggregate; 6] = [
+        Aggregate::Mean,
+        Aggregate::Min,
+        Aggregate::Max,
+        Aggregate::Sum,
+        Aggregate::Count,
+        Aggregate::Last,
+    ];
+    let mut rng = DeterministicRng::seed_from(seed() ^ 0x0e7a_c1e7);
+    let buckets = [ROLLUP_LEVELS[0], ROLLUP_LEVELS[1], 7 * MINUTE];
+    for case in stored_cases() {
+        let kind = case.kind;
+        let day0 = case.first().div_euclid(PARTITION_MILLIS) * PARTITION_MILLIS;
+        // Whole days, which compacted partitions answer from their
+        // rollups, then a sample of the read ranges.
+        let mut ranges: Vec<(i64, i64)> = (1..=5)
+            .map(|d| (day0, day0 + d * PARTITION_MILLIS))
+            .chain([(day0 + PARTITION_MILLIS, day0 + 3 * PARTITION_MILLIS)])
+            .collect();
+        let sampled = case.ranges(&mut rng);
+        ranges.extend(
+            sampled
+                .iter()
+                .step_by(8)
+                .copied()
+                .filter(|&(_, to)| to < i64::MAX),
+        );
+        for (from, to) in ranges {
+            for bucket in buckets {
+                let aligned = from.div_euclid(bucket) * bucket;
+                for from in [aligned, from] {
+                    let aggregate = AGGREGATES[rng.next_bounded(6) as usize];
+                    let answer = |store: &TimeSeriesStore| -> Vec<(i64, u64, u64)> {
+                        store
+                            .downsample_counted(SERIES, from, to, bucket, aggregate)
+                            .into_iter()
+                            .map(|b| (b.start, b.value.to_bits(), b.count))
+                            .collect()
+                    };
+                    let want = answer(&case.stores[0].1);
+                    let count: u64 = want.iter().map(|b| b.2).sum();
+                    assert_eq!(count as usize, case.reference.range(from..to).count());
+                    for (label, store, _) in &case.stores[1..] {
+                        assert_eq!(
+                            answer(store),
+                            want,
+                            "{kind:?} {label} downsample_counted({from}, {to}, {bucket}, {aggregate:?})"
+                        );
+                    }
+                }
+            }
+        }
     }
 }
