@@ -15,6 +15,14 @@
 //! Both are lossless: decode reproduces every `f64` bit-exactly,
 //! including NaN payloads and `-0.0` (a negative zero fails the
 //! decimal-int bit-equality probe and falls back to XOR).
+//!
+//! A block decodes sequentially, so a sealed segment also keeps a side
+//! table of [`Restart`] points: the decoder state before every
+//! [`RESTART_INTERVAL`]th point, from which [`BlockIter::seek`] resumes
+//! mid-block. The table is written next to the block, never into it.
+
+/// Points between two restart points of an indexed block.
+pub(crate) const RESTART_INTERVAL: usize = 128;
 
 /// Exact powers of ten for the decimal-int scales (`k <= 4`).
 const SCALES: [f64; 5] = [1.0, 10.0, 100.0, 1_000.0, 10_000.0];
@@ -73,6 +81,18 @@ impl<'a> BitReader<'a> {
             cache: 0,
             cached: 0,
         }
+    }
+
+    /// A reader positioned `bit` bits into `bytes`.
+    fn at(bytes: &'a [u8], bit: usize) -> Self {
+        let mut r = BitReader {
+            bytes,
+            byte_pos: bit >> 3,
+            cache: 0,
+            cached: 0,
+        };
+        r.read_small((bit & 7) as u32);
+        r
     }
 
     /// Tops the cache up past 56 bits. The fast path shifts in whole
@@ -222,6 +242,35 @@ enum ValueMode {
     XorFloat,
 }
 
+impl ValueMode {
+    /// Reads the block header.
+    fn read(r: &mut BitReader<'_>) -> ValueMode {
+        if r.read_bit() {
+            ValueMode::XorFloat
+        } else {
+            ValueMode::DecimalInt {
+                scale: r.read_bits(3) as u8,
+            }
+        }
+    }
+}
+
+/// The decoder state before one point of a block: enough to resume
+/// decoding there without reading the bits that precede it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Restart {
+    /// Timestamp of the point before it.
+    prev_t: i64,
+    prev_delta: i64,
+    /// `prev_m` (decimal-int blocks) or `prev_bits` (XOR blocks).
+    prev_v: u64,
+    /// Bit offset of the point's encoding.
+    bit: u32,
+    /// The XOR `(leading, meaningful)` window; `(0, 64)` before the
+    /// first one, like a fresh decoder.
+    window: (u8, u8),
+}
+
 /// Probes whether every value is exactly `m / 10^k` for one `k <= 4`
 /// with `|m|` comfortably inside the exact-integer range of `f64`.
 fn detect_decimal_scale(points: &[(i64, f64)]) -> Option<u8> {
@@ -248,6 +297,18 @@ fn detect_decimal_scale(points: &[(i64, f64)]) -> Option<u8> {
 /// Encodes a strictly-increasing-timestamp point run into a bitstream.
 /// The count is carried out of band (in the segment header).
 pub(crate) fn encode_block(points: &[(i64, f64)]) -> Box<[u8]> {
+    encode(points, None)
+}
+
+/// [`encode_block`] plus the block's restart table: one [`Restart`]
+/// before every [`RESTART_INTERVAL`]th point. The bytes are the same.
+pub(crate) fn encode_indexed(points: &[(i64, f64)]) -> (Box<[u8]>, Box<[Restart]>) {
+    let mut restarts = Vec::with_capacity(points.len().saturating_sub(1) / RESTART_INTERVAL);
+    let bytes = encode(points, Some(&mut restarts));
+    (bytes, restarts.into_boxed_slice())
+}
+
+fn encode(points: &[(i64, f64)], mut restarts: Option<&mut Vec<Restart>>) -> Box<[u8]> {
     let mut w = BitWriter::new();
     if points.is_empty() {
         return w.finish();
@@ -284,8 +345,24 @@ pub(crate) fn encode_block(points: &[(i64, f64)]) -> Box<[u8]> {
         }
     }
 
-    for &(t, v) in &points[1..] {
+    for (i, &(t, v)) in points.iter().enumerate().skip(1) {
         debug_assert!(t > prev_t, "segment timestamps must strictly increase");
+        if i % RESTART_INTERVAL == 0 {
+            // A block past 4 Gbit keeps the restarts before that mark.
+            if let (Some(restarts), Ok(bit)) = (restarts.as_deref_mut(), u32::try_from(w.bit_len)) {
+                let (leading, meaningful) = window.unwrap_or((0, 64));
+                restarts.push(Restart {
+                    prev_t,
+                    prev_delta,
+                    prev_v: match mode {
+                        ValueMode::DecimalInt { .. } => prev_m as u64,
+                        ValueMode::XorFloat => prev_bits,
+                    },
+                    bit,
+                    window: (leading as u8, meaningful as u8),
+                });
+            }
+        }
         let delta = t - prev_t;
         write_varbit(&mut w, delta - prev_delta);
         prev_delta = delta;
@@ -356,6 +433,28 @@ impl<'a> BlockIter<'a> {
             window: (0, 64),
         }
     }
+
+    /// A decoder over the same block that resumes at the last restart
+    /// whose previous timestamp is older than `from`, so every point it
+    /// skips is older than `from`. It still yields fewer than
+    /// [`RESTART_INTERVAL`] older points before reaching `from`.
+    pub(crate) fn seek(bytes: &'a [u8], count: u32, restarts: &[Restart], from: i64) -> Self {
+        let k = restarts.partition_point(|r| r.prev_t < from);
+        let Some(at) = k.checked_sub(1).map(|i| restarts[i]) else {
+            return BlockIter::new(bytes, count);
+        };
+        BlockIter {
+            r: BitReader::at(bytes, at.bit as usize),
+            remaining: count - (k * RESTART_INTERVAL) as u32,
+            started: true,
+            mode: ValueMode::read(&mut BitReader::new(bytes)),
+            prev_t: at.prev_t,
+            prev_delta: at.prev_delta,
+            prev_m: at.prev_v as i64,
+            prev_bits: at.prev_v,
+            window: (u32::from(at.window.0), u32::from(at.window.1)),
+        }
+    }
 }
 
 impl Iterator for BlockIter<'_> {
@@ -369,13 +468,7 @@ impl Iterator for BlockIter<'_> {
         self.remaining -= 1;
         if !self.started {
             self.started = true;
-            self.mode = if self.r.read_bit() {
-                ValueMode::XorFloat
-            } else {
-                ValueMode::DecimalInt {
-                    scale: self.r.read_bits(3) as u8,
-                }
-            };
+            self.mode = ValueMode::read(&mut self.r);
             self.prev_t = self.r.read_bits(64) as i64;
             let v = match self.mode {
                 ValueMode::DecimalInt { scale } => {
@@ -505,6 +598,78 @@ mod tests {
         round_trip(&[(i64::MIN / 2, 1.5)]);
         round_trip(&[(-10, f64::from_bits(0x7ff8_dead_beef_0001)), (-9, 2.0)]);
         round_trip(&[]);
+    }
+
+    #[test]
+    fn a_reader_starts_at_any_bit() {
+        let mut w = BitWriter::new();
+        for i in 0..40u64 {
+            w.push_bits(i, 7);
+        }
+        let bytes = w.finish();
+        for i in 0..40u64 {
+            let mut r = BitReader::at(&bytes, 7 * i as usize);
+            assert_eq!(r.read_bits(7), i);
+        }
+    }
+
+    /// Both encodings over 1 000 points at irregular steps: XOR noise
+    /// with repeats, and centi-units.
+    fn indexed_blocks() -> [Vec<(i64, f64)>; 2] {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let (mut t, mut prev) = (-5_000i64, 0.0);
+        let (mut noise, mut decimal) = (Vec::new(), Vec::new());
+        for i in 0..1_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            t += 1 + (x % 97) as i64;
+            if i % 5 != 0 {
+                prev = f64::from_bits(x >> 12) * 1e3;
+            }
+            noise.push((t, prev));
+            decimal.push((t, (x % 4_001) as f64 / 100.0 - 20.0));
+        }
+        [noise, decimal]
+    }
+
+    #[test]
+    fn a_restart_costs_32_bytes() {
+        assert_eq!(std::mem::size_of::<Restart>(), 32);
+    }
+
+    #[test]
+    fn restarts_leave_the_block_bytes_alone() {
+        for points in indexed_blocks() {
+            let (bytes, restarts) = encode_indexed(&points);
+            assert_eq!(bytes, encode_block(&points));
+            assert_eq!(restarts.len(), (points.len() - 1) / RESTART_INTERVAL);
+            let (_, none) = encode_indexed(&points[..RESTART_INTERVAL]);
+            assert!(none.is_empty(), "a block of one interval has no restart");
+        }
+    }
+
+    #[test]
+    fn seek_skips_only_points_older_than_from() {
+        for points in indexed_blocks() {
+            let (bytes, restarts) = encode_indexed(&points);
+            let n = points.len() as u32;
+            for from in points.iter().flat_map(|&(t, _)| [t - 1, t, t + 1]) {
+                let mut seek = BlockIter::seek(&bytes, n, &restarts, from);
+                let early = seek.by_ref().take_while(|&(t, _)| t < from).count();
+                assert!(early < RESTART_INTERVAL, "{early} points before {from}");
+                let got: Vec<(i64, u64)> = BlockIter::seek(&bytes, n, &restarts, from)
+                    .skip_while(|&(t, _)| t < from)
+                    .map(|(t, v)| (t, v.to_bits()))
+                    .collect();
+                let want: Vec<(i64, u64)> = points
+                    .iter()
+                    .filter(|&&(t, _)| t >= from)
+                    .map(|&(t, v)| (t, v.to_bits()))
+                    .collect();
+                assert_eq!(got, want, "seek({from})");
+            }
+        }
     }
 
     #[test]

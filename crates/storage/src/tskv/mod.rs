@@ -400,9 +400,9 @@ impl TimeSeriesStore {
                 seg.min_t <= t
                     && t <= seg.max_t
                     && seg
-                        .iter()
-                        .take_while(|&(pt, _)| pt <= t)
-                        .any(|(pt, _)| pt == t)
+                        .iter_from(t)
+                        .find(|&(pt, _)| pt >= t)
+                        .is_some_and(|(pt, _)| pt == t)
             });
         if let Some(metrics) = &self.metrics {
             metrics.scanned(f64::from(u8::from(found)));
@@ -611,8 +611,10 @@ impl TimeSeriesStore {
                 if seg.min_t >= horizon_millis {
                     s.segments.push(seg);
                 } else if seg.max_t >= horizon_millis {
-                    let pts: Vec<(i64, f64)> =
-                        seg.iter().filter(|&(t, _)| t >= horizon_millis).collect();
+                    let pts: Vec<(i64, f64)> = seg
+                        .iter_from(horizon_millis)
+                        .filter(|&(t, _)| t >= horizon_millis)
+                        .collect();
                     s.segments.push(Segment::seal(&pts, seg.seq));
                 }
             }
@@ -822,24 +824,22 @@ fn seal_head(s: &mut Series, next_seq: &mut u64, mode: SealMode) -> usize {
 
 /// Compacts one series: every partition holding several segments (or a
 /// lone segment that never got its rollups) is merged into a single
-/// compacted owner with materialized levels. Returns the number of
-/// partitions compacted.
+/// compacted owner with materialized levels. The merged owner replaces
+/// its group in place, and a partition that needs nothing is not
+/// touched, so a pass costs what changed, not the series' history.
+/// Returns the number of partitions compacted.
 fn compact_series(s: &mut Series) -> usize {
-    if s.segments.is_empty() {
-        return 0;
-    }
-    let segs = std::mem::take(&mut s.segments);
     let mut compacted = 0;
     let mut i = 0;
-    while i < segs.len() {
-        let pid = segs[i].min_t.div_euclid(PARTITION_MILLIS);
+    while i < s.segments.len() {
+        let pid = s.segments[i].min_t.div_euclid(PARTITION_MILLIS);
         let mut j = i + 1;
-        // Segments never cross partitions and are sorted by min_t, so a
-        // partition's segments are contiguous.
-        while j < segs.len() && segs[j].min_t.div_euclid(PARTITION_MILLIS) == pid {
+        // Segments never cross partitions and are sorted by partition, so
+        // a partition's segments are contiguous.
+        while j < s.segments.len() && s.segments[j].min_t.div_euclid(PARTITION_MILLIS) == pid {
             j += 1;
         }
-        let group = &segs[i..j];
+        let group = &s.segments[i..j];
         let span = pid
             .checked_mul(PARTITION_MILLIS)
             .and_then(|lo| lo.checked_add(PARTITION_MILLIS).map(|hi| (lo, hi)));
@@ -849,9 +849,9 @@ fn compact_series(s: &mut Series) -> usize {
             // merge multi-segment groups, without claiming a span.
             None => group.len() >= 2,
         };
+        // The group is one segment from here on.
+        i += 1;
         if !needs {
-            s.segments.push(group[0].clone());
-            i = j;
             continue;
         }
         let seq = group
@@ -861,22 +861,23 @@ fn compact_series(s: &mut Series) -> usize {
             .expect("non-empty group");
         let empty = BTreeMap::new();
         let points: Vec<(i64, f64)> = MergeScan::new(&empty, group, i64::MIN, None).collect();
-        let merged = match span {
+        match span {
             Some(span) if group.len() == 1 => {
-                // Same point set: reuse the encoded bytes, add rollups.
-                let mut seg = group[0].clone();
+                // Same point set: keep the encoded bytes, add rollups.
+                let seg = &mut s.segments[i - 1];
                 seg.span = Some(span);
                 seg.levels = materialize(&points, &ROLLUP_LEVELS);
-                seg
             }
-            Some(span) => Segment::seal_compacted(&points, seq, span, &ROLLUP_LEVELS),
-            None => Segment::seal(&points, seq),
-        };
-        s.segments.push(merged);
+            _ => {
+                let merged = match span {
+                    Some(span) => Segment::seal_compacted(&points, seq, span, &ROLLUP_LEVELS),
+                    None => Segment::seal(&points, seq),
+                };
+                s.segments.splice(i - 1..j, [merged]);
+            }
+        }
         compacted += 1;
-        i = j;
     }
-    s.segments.sort_by_key(|seg| (seg.min_t, seg.seq));
     compacted
 }
 
@@ -1429,6 +1430,74 @@ mod tests {
         let mut streamed = Vec::new();
         s.for_each_in("s", 100, 1500, |t, v| streamed.push((t, v)));
         assert_eq!(streamed, s.range("s", 100, 1500));
+    }
+
+    /// `(min_t, block address, first level's bucket address)` of every
+    /// compacted segment of `name`.
+    fn compacted_addresses(s: &TimeSeriesStore, name: &str) -> Vec<(i64, usize, usize)> {
+        s.get(name)
+            .expect("series")
+            .segments
+            .iter()
+            .filter(|seg| seg.span.is_some())
+            .map(|seg| {
+                let buckets = seg.levels[0].buckets.as_ptr() as usize;
+                (seg.min_t, seg.bytes.as_ptr() as usize, buckets)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn maintain_leaves_compacted_partitions_where_they_are() {
+        let minute = 60_000;
+        let mut s = TimeSeriesStore::new();
+        for i in 0..3 * 1_440 {
+            s.insert("s", i * minute, (i % 17) as f64);
+        }
+        s.maintain();
+        let before = compacted_addresses(&s, "s");
+        assert_eq!(before.len(), 3);
+        // Day 3's inserts seal day 2's tail, so day 2 is merged again.
+        for i in 3 * 1_440..4 * 1_440 {
+            s.insert("s", i * minute, (i % 17) as f64);
+        }
+        assert_eq!(s.maintain().compacted, 2, "days 2 and 3");
+        let after = compacted_addresses(&s, "s");
+        assert_eq!(after.len(), 4);
+        assert_eq!(after[..2], before[..2], "days 0 and 1 were not rewritten");
+        assert_ne!(after[2], before[2], "day 2 was");
+    }
+
+    #[test]
+    fn materialized_levels_hold_no_spare_capacity() {
+        let minute = 60_000;
+        let mut s = TimeSeriesStore::with_config(TskvConfig {
+            seal_threshold: usize::MAX,
+            wal_checkpoint_records: usize::MAX,
+        });
+        // Day 0 seals whole, so its rollups are added in place; days 1
+        // and 2 seal in two halves, which are merged.
+        for i in 0..1_440 {
+            s.insert("one", i * minute, (i % 17) as f64);
+        }
+        s.seal_all();
+        for half in [0, 1] {
+            for i in (1_440 + half..3 * 1_440).step_by(2) {
+                s.insert("one", i * minute, (i % 13) as f64);
+            }
+            s.seal_all();
+        }
+        assert_eq!(s.stats().segments, 5);
+        assert_eq!(s.maintain().compacted, 3);
+        let segments = &s.get("one").expect("series").segments;
+        assert_eq!(segments.len(), 3);
+        for seg in segments {
+            assert_eq!(seg.levels.len(), ROLLUP_LEVELS.len());
+            for level in &seg.levels {
+                assert!(!level.buckets.is_empty());
+                assert_eq!(level.buckets.len(), level.buckets.capacity());
+            }
+        }
     }
 
     #[test]

@@ -78,18 +78,11 @@ impl<'a> MergeScan<'a> {
             .iter()
             .filter(|s| to.is_none_or(|to| s.overlaps(from, to)) && s.max_t >= from);
         for seg in overlapping {
-            let mut iter = SourceIter::Block(seg.iter());
-            // Blocks decode sequentially; skip the prefix before `from`.
-            let mut peek = iter.next();
-            while let Some((t, _)) = peek {
-                if t >= from {
-                    break;
-                }
-                peek = iter.next();
-            }
+            let mut iter = seg.iter_from(from);
+            let peek = iter.find(|&(t, _)| t >= from);
             sources.push(Source {
                 priority: seg.seq,
-                iter,
+                iter: SourceIter::Block(iter),
                 peek,
             });
         }

@@ -13,8 +13,13 @@
 //! last)` summaries that can answer `downsample_counted` for any
 //! [`Aggregate`](crate::tskv::Aggregate) without touching the
 //! compressed points.
+//!
+//! Every segment keeps its block's restart table, so a read that starts
+//! mid-day decodes from the last restart point before its `from`, not
+//! from the partition's first point. Like the rollup levels, the table
+//! sits beside the block and is not counted in `bytes_compressed`.
 
-use crate::tskv::gorilla::{encode_block, BlockIter};
+use crate::tskv::gorilla::{encode_indexed, BlockIter, Restart};
 
 /// One materialized rollup bucket: everything needed to serve any of
 /// the six aggregates for the bucket starting at `start`.
@@ -53,6 +58,8 @@ pub(crate) struct Segment {
     pub count: u32,
     /// The Gorilla-encoded block.
     pub(crate) bytes: Box<[u8]>,
+    /// The block's restart points (see [`BlockIter::seek`]).
+    restarts: Box<[Restart]>,
     /// `Some((start, end))` when this segment is the compacted owner of
     /// the whole partition `[start, end)`.
     pub span: Option<(i64, i64)>,
@@ -65,13 +72,15 @@ impl Segment {
     /// non-empty) into an L0 segment.
     pub(crate) fn seal(points: &[(i64, f64)], seq: u64) -> Segment {
         debug_assert!(!points.is_empty());
+        let (bytes, restarts) = encode_indexed(points);
         Segment {
             seq,
             min_t: points[0].0,
             max_t: points[points.len() - 1].0,
             last_v: points[points.len() - 1].1,
             count: points.len() as u32,
-            bytes: encode_block(points),
+            bytes,
+            restarts,
             span: None,
             levels: Vec::new(),
         }
@@ -91,9 +100,12 @@ impl Segment {
         seg
     }
 
-    /// A lazy decoder over the segment's points.
-    pub(crate) fn iter(&self) -> BlockIter<'_> {
-        BlockIter::new(&self.bytes, self.count)
+    /// A lazy decoder that starts at the last restart point before
+    /// `from`: it skips only points older than `from`, and yields fewer
+    /// than [`RESTART_INTERVAL`](crate::tskv::gorilla::RESTART_INTERVAL)
+    /// of them before reaching it.
+    pub(crate) fn iter_from(&self, from: i64) -> BlockIter<'_> {
+        BlockIter::seek(&self.bytes, self.count, &self.restarts, from)
     }
 
     /// True when the segment may hold points in `[from, to)`.
@@ -105,12 +117,19 @@ impl Segment {
 /// Builds rollup levels over `points` (sorted by timestamp) with a
 /// single streaming pass per level. The fold order (chronological) and
 /// the min/max/sum arithmetic mirror the raw query fold exactly, so a
-/// materialized answer is bit-identical to a raw scan.
+/// materialized answer is bit-identical to a raw scan. Each level's
+/// buckets are counted first, so a level holds no spare capacity for
+/// as long as its segment lives.
 pub(crate) fn materialize(points: &[(i64, f64)], level_millis: &[i64]) -> Vec<MaterializedLevel> {
     level_millis
         .iter()
         .map(|&bucket| {
-            let mut buckets = Vec::new();
+            let n = usize::from(!points.is_empty())
+                + points
+                    .windows(2)
+                    .filter(|w| w[0].0.div_euclid(bucket) != w[1].0.div_euclid(bucket))
+                    .count();
+            let mut buckets = Vec::with_capacity(n);
             let mut acc: Option<SummaryBucket> = None;
             for &(t, v) in points {
                 let start = t.div_euclid(bucket) * bucket;
@@ -158,7 +177,7 @@ mod tests {
         let seg = Segment::seal(&pts, 7);
         assert_eq!((seg.seq, seg.min_t, seg.max_t, seg.count), (7, -50, 75, 3));
         assert_eq!(seg.last_v, -3.5);
-        assert_eq!(seg.iter().collect::<Vec<_>>(), pts);
+        assert_eq!(seg.iter_from(i64::MIN).collect::<Vec<_>>(), pts);
         assert!(seg.overlaps(-50, -49));
         assert!(seg.overlaps(75, 76));
         assert!(!seg.overlaps(76, 100));
