@@ -21,9 +21,11 @@ use dimmer::core::{json, Measurement, MeasurementBatch, Value};
 use dimmer::district::baseline::CentralDeployment;
 use dimmer::district::client::{AreaSnapshot, ClientConfig, ClientNode};
 use dimmer::district::deploy::Deployment;
+use dimmer::district::live::LiveMonitorNode;
 use dimmer::district::relay::RelayNode;
-use dimmer::district::scenario::ScenarioConfig;
+use dimmer::district::scenario::{Scenario, ScenarioConfig};
 use dimmer::proxy::webservice::{WsClient, WsClientEvent, WsRequest};
+use dimmer::pubsub::QoS;
 use dimmer::simnet::rng::DeterministicRng;
 use dimmer::simnet::{Context, Node, NodeId, Packet, SimConfig, SimDuration, Simulator, TimerTag};
 use dimmer::storage::tskv::{
@@ -196,6 +198,202 @@ fn centralized_server_holds_the_models_the_redirect_fetches() {
             .map(|(id, model)| (id.clone(), json::to_string(model)))
             .collect();
         assert_eq!(central, redirect);
+    }
+}
+
+// ---- push == pull: the live monitor's cache against a fetch ----
+
+/// When the live monitor joins, after the deployment starts.
+const MONITOR_JOINS: SimDuration = SimDuration::from_secs(60);
+/// A sample stamped this long before an instant has reached every
+/// subscriber by then: it is settled.
+const SETTLE_MILLIS: i64 = 1_000;
+
+/// A `(device, quantity)` series.
+type SeriesKey = (String, String);
+
+fn series_key(m: &Measurement) -> SeriesKey {
+    (
+        m.device().as_str().to_owned(),
+        m.quantity().as_str().to_owned(),
+    )
+}
+
+/// Same stamp, and the same value bit for bit.
+fn same_sample(a: &Measurement, b: &Measurement) -> bool {
+    a.timestamp() == b.timestamp() && a.value().to_bits() == b.value().to_bits()
+}
+
+/// A deployment with a live monitor over district 0 that joined after
+/// [`MONITOR_JOINS`].
+struct Monitored {
+    sim: Simulator,
+    scenario: Scenario,
+    master: NodeId,
+    monitor: NodeId,
+}
+
+impl Monitored {
+    fn new(config: ScenarioConfig) -> Self {
+        let scenario = config.build();
+        let mut sim = seeded_sim();
+        let deployment = Deployment::build(&mut sim, &scenario);
+        sim.run_for(MONITOR_JOINS);
+        let district = &scenario.districts[0];
+        let monitor = LiveMonitorNode::new(
+            deployment.master,
+            deployment.broker,
+            district.district.clone(),
+            district.bbox(),
+        );
+        let monitor = sim.add_node("live-monitor", monitor);
+        Monitored {
+            sim,
+            master: deployment.master,
+            monitor,
+            scenario,
+        }
+    }
+
+    /// The monitor's latest sample per series, now.
+    fn pushed(&self) -> BTreeMap<SeriesKey, Measurement> {
+        let monitor = self.sim.node_ref::<LiveMonitorNode>(self.monitor);
+        let series = monitor.expect("monitor").series();
+        let pushed = series
+            .into_iter()
+            .map(|(key, v)| (key.clone(), v.measurement.clone()));
+        pushed.collect()
+    }
+
+    /// Unix millis of the newest settled stamp now.
+    fn settled(&self) -> i64 {
+        let now_millis = (self.sim.now().as_nanos() / 1_000_000) as i64;
+        self.scenario.config.epoch_offset_millis + now_millis - SETTLE_MILLIS
+    }
+
+    /// Queries district 0 with a one-shot JSON client from now, runs
+    /// `answer_within` and returns the client's snapshot.
+    fn pull(&mut self, answer_within: SimDuration) -> AreaSnapshot {
+        let district = &self.scenario.districts[0];
+        let client = ClientNode::new(ClientConfig {
+            master: self.master,
+            district: district.district.clone(),
+            bbox: district.bbox(),
+            data_window_millis: None,
+            period: None,
+            format: DataFormat::Json,
+        });
+        let name = format!("pull-{}", self.sim.node_count());
+        let client = self.sim.add_node(name, client);
+        self.sim.run_for(answer_within);
+        let snapshot = self.sim.node_ref::<ClientNode>(client);
+        let snapshot = snapshot.and_then(ClientNode::latest_snapshot).cloned();
+        let snapshot = snapshot.expect("client finished its query");
+        assert!(
+            snapshot.errors == 0 && !snapshot.measurements.is_empty(),
+            "{snapshot:?}"
+        );
+        snapshot
+    }
+}
+
+/// The pulled samples stamped at or before `settled`, newest per series.
+fn newest_settled(pulled: &AreaSnapshot, settled: i64) -> BTreeMap<SeriesKey, &Measurement> {
+    let mut newest: BTreeMap<SeriesKey, &Measurement> = BTreeMap::new();
+    for m in pulled.measurements.iter() {
+        if m.timestamp().as_unix_millis() > settled {
+            continue;
+        }
+        let slot = newest.entry(series_key(m)).or_insert(m);
+        if m.timestamp() > slot.timestamp() {
+            *slot = m;
+        }
+    }
+    newest
+}
+
+/// Every pushed series the client fetched holds a sample the client
+/// fetched too: the monitor is never ahead of the proxies and never
+/// differs from them. A pushed series the client did not fetch must be
+/// of a quantity its device does not advertise (the resolution names
+/// one quantity per device). Returns the series both sides hold.
+fn assert_push_within_pull(
+    pushed: &BTreeMap<SeriesKey, Measurement>,
+    pulled: &AreaSnapshot,
+) -> usize {
+    let mut fetched: BTreeMap<SeriesKey, Vec<&Measurement>> = BTreeMap::new();
+    for m in pulled.measurements.iter() {
+        fetched.entry(series_key(m)).or_default().push(m);
+    }
+    let mut shared = 0;
+    for (key, p) in pushed {
+        match fetched.get(key) {
+            Some(samples) => {
+                assert!(
+                    samples.iter().any(|m| same_sample(m, p)),
+                    "{key:?}: pushed {p:?} was never pulled"
+                );
+                shared += 1;
+            }
+            None => {
+                let leaf = pulled
+                    .resolution
+                    .devices
+                    .iter()
+                    .find(|d| d.device().as_str() == key.0);
+                let leaf = leaf.unwrap_or_else(|| panic!("{key:?}: monitored device not resolved"));
+                assert_ne!(
+                    leaf.quantity().as_str(),
+                    key.1,
+                    "{key:?}: an advertised series the client did not fetch"
+                );
+            }
+        }
+    }
+    shared
+}
+
+/// The push == pull rule at an instant whose settled stamp is
+/// `settled`: for every series the client fetched, the monitor's
+/// latest is the client's newest settled sample, stamp and value bits.
+/// It may instead be a newer one the client pulled too, stamped within
+/// the settle margin and already arrived. Returns the series compared.
+fn assert_push_equals_pull(
+    pushed: &BTreeMap<SeriesKey, Measurement>,
+    pulled: &AreaSnapshot,
+    settled: i64,
+) -> usize {
+    assert_push_within_pull(pushed, pulled);
+    let newest = newest_settled(pulled, settled);
+    for (key, m) in &newest {
+        let p = pushed
+            .get(key)
+            .unwrap_or_else(|| panic!("{key:?}: the monitor holds nothing"));
+        assert!(
+            same_sample(p, m) || p.timestamp() > m.timestamp(),
+            "{key:?}: pushed {p:?}, pulled {m:?}"
+        );
+    }
+    newest.len()
+}
+
+#[test]
+fn live_monitor_holds_the_newest_sample_a_client_pulls() {
+    let mut ten_by_two = ScenarioConfig::small()
+        .with_buildings(10)
+        .with_devices_per_building(2);
+    ten_by_two.publish_qos = QoS::AtLeastOnce;
+    for config in [ScenarioConfig::small(), ten_by_two] {
+        let mut run = Monitored::new(config);
+        run.sim.run_for(WARM_UP - MONITOR_JOINS);
+        let (pushed, settled) = (run.pushed(), run.settled());
+        let pulled = run.pull(ANSWER_WITHIN);
+        let compared = assert_push_equals_pull(&pushed, &pulled, settled);
+        assert_eq!(
+            compared,
+            pulled.resolution.devices.len(),
+            "one series per advertised leaf"
+        );
     }
 }
 
