@@ -254,6 +254,28 @@ mod tests {
     }
 
     #[test]
+    fn monitor_with_the_master_down_subscribes_to_nothing() {
+        let (mut sim, deployment, scenario) = deployed();
+        sim.crash(deployment.master);
+        let monitor = sim.add_node(
+            "monitor",
+            LiveMonitorNode::new(
+                deployment.master,
+                deployment.broker,
+                scenario.districts[0].district.clone(),
+                scenario.districts[0].bbox(),
+            ),
+        );
+        sim.run_for(SimDuration::from_secs(60));
+        let m = sim.node_ref::<LiveMonitorNode>(monitor).unwrap();
+        assert!(m.resolution.is_none());
+        assert_eq!(m.stats().subscriptions, 0);
+        assert!(m.series().is_empty());
+        // The resolve request and its two retries, nothing after.
+        assert_eq!(sim.node_metrics(monitor).packets_sent, 3);
+    }
+
+    #[test]
     fn monitor_with_unknown_district_stays_empty() {
         let (mut sim, deployment, scenario) = deployed();
         let monitor = sim.add_node(

@@ -259,6 +259,27 @@ mod tests {
     }
 
     #[test]
+    fn profile_with_the_master_down_times_out_once() {
+        let scenario = ScenarioConfig::small().build();
+        let mut sim = Simulator::new(SimConfig::default());
+        let deployment = crate::deploy::Deployment::build(&mut sim, &scenario);
+        sim.run_for(SimDuration::from_secs(60));
+        sim.crash(deployment.master);
+        let district = scenario.districts[0].district.clone();
+        let client = spawn(&mut sim, deployment.master, district, (0, 1));
+        sim.run_for(SimDuration::from_secs(60));
+        let snapshots = sim
+            .node_ref::<ProfileClientNode>(client)
+            .unwrap()
+            .snapshots();
+        assert_eq!(snapshots.len(), 1, "{snapshots:?}");
+        let snapshot = &snapshots[0];
+        assert_eq!((snapshot.requests, snapshot.errors), (1, 1));
+        assert!(snapshot.aggregator.is_none());
+        assert!(snapshot.windows.is_empty());
+    }
+
+    #[test]
     fn profile_without_aggregation_tier_reports_error() {
         let scenario = ScenarioConfig::small().build();
         let mut sim = Simulator::new(SimConfig::default());
