@@ -16,10 +16,13 @@ use ontology::AreaResolution;
 use proxy::webservice::{decode_response, status, WsClient, WsRequest};
 use proxy::WS_PORT;
 use pubsub::{MeasurementTopic, PubSubClient, PubSubEvent, QoS, PUBSUB_PORT};
-use simnet::{Context, Node, NodeId, Packet, SimTime, TimerTag};
+use simnet::{Context, Node, NodeId, Packet, SimDuration, SimTime, TimerTag};
 
 const WS_TAGS: u64 = 1_000_000_000;
 const PUBSUB_TAGS: u64 = 2_000_000_000;
+/// How often the monitor pings the broker, so it notices a broker
+/// restart and re-subscribes.
+const KEEPALIVE_INTERVAL: SimDuration = SimDuration::from_secs(10);
 
 /// One live cache entry.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,6 +115,7 @@ impl Node for LiveMonitorNode {
                     {
                         if status::is_success(status) {
                             self.subscribe_devices(ctx, &resolution);
+                            self.pubsub.start_keepalive(ctx, KEEPALIVE_INTERVAL);
                             self.resolution = Some(resolution);
                         }
                     }
@@ -166,7 +170,7 @@ mod tests {
     use super::*;
     use crate::deploy::Deployment;
     use crate::scenario::ScenarioConfig;
-    use simnet::{SimConfig, SimDuration, Simulator};
+    use simnet::{SimConfig, Simulator};
 
     fn deployed() -> (Simulator, Deployment, crate::scenario::Scenario) {
         let scenario = ScenarioConfig::small().build();

@@ -27,7 +27,9 @@ use dimmer::district::scenario::{Scenario, ScenarioConfig};
 use dimmer::proxy::webservice::{WsClient, WsClientEvent, WsRequest};
 use dimmer::pubsub::QoS;
 use dimmer::simnet::rng::DeterministicRng;
-use dimmer::simnet::{Context, Node, NodeId, Packet, SimConfig, SimDuration, Simulator, TimerTag};
+use dimmer::simnet::{
+    Context, Node, NodeId, Packet, SimConfig, SimDuration, SimTime, Simulator, TimerTag,
+};
 use dimmer::storage::tskv::{
     Aggregate, SeriesId, TimeSeriesStore, TskvConfig, PARTITION_MILLIS, ROLLUP_LEVELS,
 };
@@ -230,6 +232,7 @@ struct Monitored {
     sim: Simulator,
     scenario: Scenario,
     master: NodeId,
+    broker: NodeId,
     monitor: NodeId,
 }
 
@@ -250,6 +253,7 @@ impl Monitored {
         Monitored {
             sim,
             master: deployment.master,
+            broker: deployment.broker,
             monitor,
             scenario,
         }
@@ -395,6 +399,38 @@ fn live_monitor_holds_the_newest_sample_a_client_pulls() {
             "one series per advertised leaf"
         );
     }
+}
+
+/// The monitor's keepalive interval.
+const KEEPALIVE: SimDuration = SimDuration::from_secs(10);
+/// How often the crash run compares push with pull.
+const CHECK_EVERY: SimDuration = SimDuration::from_secs(15);
+
+#[test]
+fn live_monitor_catches_up_with_pulls_after_a_broker_restart() {
+    let mut config = ScenarioConfig::small();
+    config.publish_qos = QoS::AtLeastOnce;
+    let mut run = Monitored::new(config);
+    run.sim.run_for(SimDuration::from_secs(240));
+    let crashed_at = run.sim.now();
+    let down = SimDuration::from_secs(30);
+    run.sim.crash(run.broker);
+    run.sim.restart(run.broker, down);
+    let sample = run.scenario.config.sample_interval;
+    let caught_up = crashed_at.as_nanos() + (down + KEEPALIVE + sample).as_nanos();
+    let mut compared = 0;
+    while run.sim.now() < SimTime::from_secs(540) {
+        let (pushed, settled, now) = (run.pushed(), run.settled(), run.sim.now());
+        let pulled = run.pull(CHECK_EVERY);
+        assert_push_within_pull(&pushed, &pulled);
+        if now.as_nanos() >= caught_up {
+            compared += assert_push_equals_pull(&pushed, &pulled, settled);
+        }
+    }
+    assert!(
+        compared >= 12,
+        "{compared} series compared after catching up"
+    );
 }
 
 // ---- storage: head == sealed == compacted == WAL-recovered ----
