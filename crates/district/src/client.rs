@@ -7,10 +7,10 @@
 //! application queries directly each returned proxy and retrieves the
 //! model and the data for each entity."
 //!
-//! [`ClientNode`] is that application: `AreaFanIn`, a three-phase
-//! state machine (resolve → fetch → integrate) producing
-//! [`AreaSnapshot`]s, run once or periodically, with latency and traffic
-//! accounting for the experiments. E5's relay runs the same engine.
+//! [`ClientNode`] is that application: `AreaFanIn`, the resolve → fetch
+//! → integrate engine every reader runs on, with the area `Plan`,
+//! producing [`AreaSnapshot`]s once or periodically, with latency and
+//! traffic accounting for the experiments.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -48,176 +48,229 @@ pub struct AreaSnapshot {
 }
 
 impl AreaSnapshot {
+    fn new(query: Done<AreaPlan, ()>) -> Self {
+        let (resolution, entities, measurements) = query.answer;
+        AreaSnapshot {
+            started_at: query.started_at,
+            completed_at: query.completed_at,
+            resolution,
+            entities,
+            measurements,
+            requests: query.requests,
+            errors: query.errors,
+        }
+    }
+
     /// End-to-end latency of the query.
     pub fn latency(&self) -> SimDuration {
         self.completed_at.saturating_since(self.started_at)
     }
 }
 
-#[derive(Debug)]
-enum FetchKind {
-    Resolution,
-    EntityModel(String),
-    DeviceData,
+/// What one reader makes of the master's redirect: the fetches it calls
+/// for, each tagged with a `Fetch`, and how their answers build an `Answer`.
+pub(crate) trait Plan {
+    type Answer: Default;
+    type Fetch;
+    /// Integrates an encoded answer (the redirect's when `fetch` is
+    /// `None`), sending through `get` the fetches it calls for; returns
+    /// the errors in it.
+    fn integrate(
+        &self,
+        fetch: Option<Self::Fetch>,
+        bytes: &[u8],
+        answer: &mut Self::Answer,
+        get: &mut impl FnMut(NodeId, &WsRequest, Self::Fetch),
+    ) -> u64;
 }
 
+/// One query: the caller value handed back when it finishes, what its
+/// plan integrated, and the bookkeeping the engine keeps alike for every
+/// reader: its requests (the resolve and each fetch), how many of them
+/// are answered or timed out, and how many of those are errors.
 #[derive(Debug)]
-struct QueryState<T> {
-    /// Handed back with the finished snapshot.
-    caller: T,
-    outstanding: usize,
-    /// What is integrated so far.
-    snapshot: AreaSnapshot,
+pub(crate) struct Query<A, T> {
+    pub(crate) caller: T,
+    answered: u64,
+    pub(crate) started_at: SimTime,
+    pub(crate) completed_at: SimTime,
+    pub(crate) requests: u64,
+    pub(crate) errors: u64,
+    pub(crate) answer: A,
 }
 
-/// A finished query: its caller value and its snapshot.
-type Done<T> = (T, AreaSnapshot);
+/// A finished query of a `P` plan.
+pub(crate) type Done<P, T> = Query<<P as Plan>::Answer, T>;
 
-/// The resolve → fetch → integrate engine: asks the master for an area,
-/// fetches every returned proxy and integrates the answers into one
-/// [`AreaSnapshot`]. Each query carries a caller value, handed back with
-/// its snapshot: nothing for a [`ClientNode`], the call to answer for a
+/// The resolve → fetch → integrate engine every reader runs on. Each
+/// query carries a caller value, handed back when it finishes: nothing
+/// for a [`ClientNode`], the call to answer for a
 /// [`RelayNode`](crate::relay::RelayNode).
 #[derive(Debug)]
-pub(crate) struct AreaFanIn<T> {
+pub(crate) struct AreaFanIn<P: Plan, T> {
     master: NodeId,
-    format: DataFormat,
-    data_window_millis: Option<(i64, i64)>,
+    pub(crate) plan: P,
     ws: WsClient,
-    /// request id → (query index, what it fetches). Lookup-only: never
-    /// iterated, so its hash order cannot reach a snapshot.
-    in_flight: HashMap<u64, (usize, FetchKind)>,
-    /// Every query issued, `None` once finished.
-    queries: Vec<Option<QueryState<T>>>,
+    /// request id → (query index, fetch; `None`: the resolve). Only
+    /// looked up, never iterated: its hash order cannot reach an answer.
+    in_flight: HashMap<u64, (usize, Option<P::Fetch>)>,
+    /// The queries by index, `None` once finished; a finished tail is
+    /// dropped, so the table holds no more than the queries overlapping.
+    queries: Vec<Option<Query<P::Answer, T>>>,
 }
 
-impl<T> AreaFanIn<T> {
-    /// An engine resolving areas through `master` in `format`, fetching
-    /// the device data in `window` (`None` = everything).
-    pub(crate) fn new(master: NodeId, format: DataFormat, window: Option<(i64, i64)>) -> Self {
+impl<P: Plan, T> AreaFanIn<P, T> {
+    /// An engine resolving through `master` and following `plan`.
+    pub(crate) fn new(master: NodeId, plan: P) -> Self {
         AreaFanIn {
             master,
-            format,
-            data_window_millis: window,
+            plan,
             ws: WsClient::new(WS_TAGS),
             in_flight: HashMap::new(),
             queries: Vec::new(),
         }
     }
 
-    /// Issues one query for `district`'s `bbox`.
-    pub(crate) fn issue(
-        &mut self,
-        ctx: &mut Context<'_>,
-        district: &DistrictId,
-        bbox: &BoundingBox,
-        caller: T,
-    ) {
-        let index = self.queries.len();
-        let snapshot = AreaSnapshot {
+    /// Issues one query: `resolve` to the master.
+    pub(crate) fn issue(&mut self, ctx: &mut Context<'_>, resolve: &WsRequest, caller: T) {
+        let id = self.ws.request(ctx, self.master, resolve);
+        self.in_flight.insert(id, (self.queries.len(), None));
+        self.queries.push(Some(Query {
+            caller,
+            answered: 0,
             started_at: ctx.now(),
             completed_at: ctx.now(),
-            resolution: AreaResolution::default(),
-            entities: BTreeMap::new(),
-            measurements: MeasurementBatch::new(),
             requests: 1,
             errors: 0,
-        };
-        self.queries.push(Some(QueryState {
-            caller,
-            outstanding: 1,
-            snapshot,
+            answer: P::Answer::default(),
         }));
-        let request = WsRequest::get(format!("/district/{district}/area"))
-            .with_query("bbox", bbox.to_query())
-            .with_format(self.format);
-        let id = self.ws.request(ctx, self.master, &request);
-        self.in_flight.insert(id, (index, FetchKind::Resolution));
     }
 
-    /// Feeds a packet from the Web-Service port; returns the query it
-    /// finished, if any.
-    pub(crate) fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: &Packet) -> Option<Done<T>> {
+    /// Feeds a packet; returns the query it finished, if any.
+    pub(crate) fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: &Packet) -> Option<Done<P, T>> {
+        if pkt.port != WS_PORT {
+            return None;
+        }
         let (id, bytes) = self.ws.accept_encoded(pkt)?;
-        let (index, kind) = self.in_flight.remove(&id)?;
-        self.on_response(ctx, index, kind, Some(bytes))
+        self.on_response(ctx, id, Some(bytes))
     }
 
-    /// Feeds a fired timer: a request out of retries is an error of its
-    /// query, which may finish it.
-    pub(crate) fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) -> Option<Done<T>> {
+    /// Feeds a fired timer: a request out of retries is an error.
+    pub(crate) fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) -> Option<Done<P, T>> {
         let Some(WsClientEvent::TimedOut { id }) = self.ws.on_timer(ctx, tag) else {
             return None;
         };
-        let (index, kind) = self.in_flight.remove(&id)?;
-        self.on_response(ctx, index, kind, None)
+        self.on_response(ctx, id, None)
     }
 
-    /// Integrates one response; `response` is the still-encoded answer,
-    /// or `None` after a timeout. The resolution fans the query out;
-    /// device data is decoded straight into measurements; an entity
-    /// model is the tree the snapshot keeps.
+    /// Integrates the encoded answer to request `id`; `None`: timed out.
     fn on_response(
         &mut self,
         ctx: &mut Context<'_>,
-        index: usize,
-        kind: FetchKind,
+        id: u64,
         response: Option<&[u8]>,
-    ) -> Option<Done<T>> {
-        let mut query = self.queries[index].take()?;
-        let snapshot = &mut query.snapshot;
-        let integrated = response.is_some_and(|bytes| match kind {
-            FetchKind::Resolution => match decode_response(bytes, AreaResolution::read) {
-                Ok((status, Some(resolution))) if status::is_success(status) => {
-                    let fetches = self.fan_out(ctx, index, &resolution);
-                    snapshot.resolution = resolution;
-                    snapshot.requests += fetches as u64;
-                    query.outstanding += fetches;
-                    true
-                }
-                _ => false,
-            },
-            FetchKind::EntityModel(entity_id) => match WsResponse::from_bytes(bytes) {
-                Ok(response) if response.is_ok() => {
-                    snapshot.entities.insert(entity_id, response.body);
-                    true
-                }
-                _ => false,
-            },
-            FetchKind::DeviceData => match decode_response(bytes, MeasurementBatch::read) {
-                Ok((status, Some(batch))) if status::is_success(status) => {
-                    snapshot.measurements.extend(batch);
-                    true
-                }
-                _ => false,
-            },
-        });
-        if !integrated {
-            snapshot.errors += 1;
-        }
-        query.outstanding -= 1;
-        if query.outstanding > 0 {
-            self.queries[index] = Some(query);
+    ) -> Option<Done<P, T>> {
+        let (index, fetch) = self.in_flight.remove(&id)?;
+        let query = self.queries[index].as_mut()?;
+        let mut get = |server, request: &WsRequest, fetch| {
+            let id = self.ws.request(ctx, server, request);
+            self.in_flight.insert(id, (index, Some(fetch)));
+            query.requests += 1;
+        };
+        let answer = &mut query.answer;
+        query.errors += match response {
+            Some(bytes) => self.plan.integrate(fetch, bytes, answer, &mut get),
+            None => 1,
+        };
+        query.answered += 1;
+        if query.answered < query.requests {
             return None;
         }
-        query.snapshot.completed_at = ctx.now();
-        Some((query.caller, query.snapshot))
+        query.completed_at = ctx.now();
+        let done = self.queries[index].take();
+        let last = self.queries.iter().rposition(Option::is_some);
+        self.queries.truncate(last.map_or(0, |i| i + 1));
+        done
+    }
+}
+
+/// The area plan: a `/model` fetch per entity and a `/data` fetch per
+/// device in `format`, the data in `data_window_millis` (`None` = all);
+/// none if `resolve_only` (the live monitor subscribes instead).
+#[derive(Debug, Default)]
+pub(crate) struct AreaPlan {
+    pub(crate) format: DataFormat,
+    pub(crate) data_window_millis: Option<(i64, i64)>,
+    pub(crate) resolve_only: bool,
+}
+
+/// An area fetch: an entity's model, or a device's data.
+#[derive(Debug)]
+pub(crate) enum AreaFetch {
+    EntityModel(String),
+    DeviceData,
+}
+
+impl Plan for AreaPlan {
+    /// The resolution, the entity models and the device data.
+    type Answer = (AreaResolution, BTreeMap<String, Value>, MeasurementBatch);
+    type Fetch = AreaFetch;
+
+    /// The resolution fans the query out; device data is decoded
+    /// straight into measurements; an entity model is the tree the
+    /// snapshot keeps.
+    fn integrate(
+        &self,
+        fetch: Option<AreaFetch>,
+        bytes: &[u8],
+        (resolution, entities, measurements): &mut Self::Answer,
+        get: &mut impl FnMut(NodeId, &WsRequest, AreaFetch),
+    ) -> u64 {
+        match fetch {
+            None => match decode_response(bytes, AreaResolution::read) {
+                Ok((status, Some(area))) if status::is_success(status) => {
+                    if !self.resolve_only {
+                        self.fan_out(&area, get);
+                    }
+                    *resolution = area;
+                    0
+                }
+                _ => 1,
+            },
+            Some(AreaFetch::EntityModel(entity_id)) => match WsResponse::from_bytes(bytes) {
+                Ok(response) if response.is_ok() => {
+                    entities.insert(entity_id, response.body);
+                    0
+                }
+                _ => 1,
+            },
+            Some(AreaFetch::DeviceData) => match decode_response(bytes, MeasurementBatch::read) {
+                Ok((status, Some(batch))) if status::is_success(status) => {
+                    measurements.extend(batch);
+                    0
+                }
+                _ => 1,
+            },
+        }
+    }
+}
+
+impl AreaPlan {
+    /// The master's `/area` request for `district`'s `bbox`.
+    pub(crate) fn request(&self, district: &DistrictId, bbox: &BoundingBox) -> WsRequest {
+        WsRequest::get(format!("/district/{district}/area"))
+            .with_query("bbox", bbox.to_query())
+            .with_format(self.format)
     }
 
-    /// Fans a query out: one `/model` fetch per entity, one `/data`
-    /// fetch per device, in resolution order; returns the fetch count.
-    /// Each distinct request — the one `/model` request, one `/data`
-    /// request per quantity — is built once.
-    fn fan_out(&mut self, ctx: &mut Context<'_>, index: usize, area: &AreaResolution) -> usize {
+    /// A `/model` fetch per entity, then a `/data` fetch per device, in
+    /// resolution order; each distinct request is built once.
+    fn fan_out(&self, area: &AreaResolution, get: &mut impl FnMut(NodeId, &WsRequest, AreaFetch)) {
         let model = WsRequest::get("/model").with_format(self.format);
         let mut data: Vec<(QuantityKind, WsRequest)> = Vec::new();
-        let mut fetches = 0;
         for entity in &area.entities {
             if let Some(node) = uri_node(entity.db_proxy()) {
-                let id = self.ws.request(ctx, node, &model);
-                let kind = FetchKind::EntityModel(entity.id().to_owned());
-                self.in_flight.insert(id, (index, kind));
-                fetches += 1;
+                get(node, &model, AreaFetch::EntityModel(entity.id().to_owned()));
             }
         }
         for device in &area.devices {
@@ -238,12 +291,9 @@ impl<T> AreaFanIn<T> {
                         &data[data.len() - 1].1
                     }
                 };
-                let id = self.ws.request(ctx, node, request);
-                self.in_flight.insert(id, (index, FetchKind::DeviceData));
-                fetches += 1;
+                get(node, request, AreaFetch::DeviceData);
             }
         }
-        fetches
     }
 }
 
@@ -268,15 +318,20 @@ pub struct ClientConfig {
 #[derive(Debug)]
 pub struct ClientNode {
     config: ClientConfig,
-    fan_in: AreaFanIn<()>,
+    fan_in: AreaFanIn<AreaPlan, ()>,
     snapshots: Vec<AreaSnapshot>,
 }
 
 impl ClientNode {
     /// Creates a client.
     pub fn new(config: ClientConfig) -> Self {
+        let plan = AreaPlan {
+            format: config.format,
+            data_window_millis: config.data_window_millis,
+            resolve_only: false,
+        };
         ClientNode {
-            fan_in: AreaFanIn::new(config.master, config.format, config.data_window_millis),
+            fan_in: AreaFanIn::new(config.master, plan),
             config,
             snapshots: Vec::new(),
         }
@@ -322,26 +377,24 @@ impl Node for ClientNode {
     }
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
-        if pkt.port != WS_PORT {
-            return;
-        }
-        if let Some(((), snapshot)) = self.fan_in.on_packet(ctx, &pkt) {
-            self.snapshots.push(snapshot);
-        }
+        let done = self.fan_in.on_packet(ctx, &pkt);
+        self.snapshots.extend(done.map(AreaSnapshot::new));
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
         if tag == TAG_PERIODIC {
-            let config = &self.config;
-            self.fan_in.issue(ctx, &config.district, &config.bbox, ());
-            if let Some(period) = config.period {
+            let request = self
+                .fan_in
+                .plan
+                .request(&self.config.district, &self.config.bbox);
+            self.fan_in.issue(ctx, &request, ());
+            if let Some(period) = self.config.period {
                 ctx.set_timer(period, TAG_PERIODIC);
             }
             return;
         }
-        if let Some(((), snapshot)) = self.fan_in.on_timer(ctx, tag) {
-            self.snapshots.push(snapshot);
-        }
+        let done = self.fan_in.on_timer(ctx, tag);
+        self.snapshots.extend(done.map(AreaSnapshot::new));
     }
 }
 
@@ -442,6 +495,29 @@ mod tests {
         sim.run_for(SimDuration::from_secs(125));
         let c = sim.node_ref::<ClientNode>(client).unwrap();
         assert!(c.snapshots().len() >= 4, "{}", c.snapshots().len());
+    }
+
+    #[test]
+    fn finished_queries_leave_no_slot_in_the_engine() {
+        let (mut sim, deployment, scenario) = deployed();
+        let client = sim.add_node(
+            "periodic-client",
+            ClientNode::new(ClientConfig {
+                master: deployment.master,
+                district: scenario.districts[0].district.clone(),
+                bbox: scenario.districts[0].bbox(),
+                data_window_millis: None,
+                period: Some(SimDuration::from_secs(30)),
+                format: DataFormat::Json,
+            }),
+        );
+        sim.run_for(SimDuration::from_secs(125));
+        let c = sim.node_ref::<ClientNode>(client).unwrap();
+        assert_eq!(c.snapshots().len(), 5);
+        // Each query finished before the next began, so the engine's
+        // per-query table is empty instead of one slot per query issued.
+        assert!(c.fan_in.queries.is_empty(), "{}", c.fan_in.queries.len());
+        assert!(c.fan_in.in_flight.is_empty());
     }
 
     #[test]

@@ -8,18 +8,14 @@
 //!   measurement archives, devices with protocol mixes);
 //! * [`deploy`] — instantiates a scenario on a [`simnet::Simulator`]:
 //!   master node, middleware broker, every proxy, every device;
-//! * [`client`] — the end-user application: query the master for an
-//!   area, dereference the returned URIs, integrate the translated data
-//!   into one [`client::AreaSnapshot`];
-//! * [`live`] — the event-driven extension: resolve an area once, then
-//!   track it through middleware subscriptions instead of polling;
-//! * [`profile`] — the rollup-served profile query: the master
-//!   redirects to the district aggregator, which answers from
-//!   pre-computed windows ([`profile::ProfileSnapshot`]);
+//! * the readers, on one redirect engine (resolve at the master, fetch
+//!   from the proxies it names, integrate): [`client`] integrates an
+//!   area into one [`client::AreaSnapshot`]; [`relay`] is a master that
+//!   fetches and aggregates itself (ablation for experiment E5);
+//!   [`profile`] reads pre-computed rollups ([`profile::ProfileSnapshot`]);
+//!   [`live`] resolves once, then subscribes instead of polling;
 //! * [`baseline`] — the centralized comparison architecture (one server
 //!   ingesting every raw frame and serving every query itself);
-//! * [`relay`] — a master variant that fetches and aggregates data
-//!   itself instead of redirecting (ablation for experiment E5);
 //! * [`report`] — plain-text tables for the experiment binaries.
 //!
 //! ## Quickstart

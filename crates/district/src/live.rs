@@ -3,25 +3,24 @@
 //! The paper's middleware heritage (SEEMPubS) is *event-driven and
 //! user-centric*: applications should not poll. [`LiveMonitorNode`]
 //! combines both halves of the infrastructure: it resolves an area
-//! through the master **once** (redirect), then **subscribes** to the
-//! matched devices' middleware topics and maintains an always-fresh
-//! cache of latest values — zero polling after the initial resolution.
+//! through the master **once** (redirect, on the client's engine with a
+//! plan that fetches nothing), then **subscribes** to the matched
+//! devices' middleware topics and maintains an always-fresh cache of
+//! latest values — zero polling after the initial resolution.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use dimmer_core::codec::{self, DataFormat};
 use dimmer_core::{DistrictId, Measurement};
 use gis::geo::BoundingBox;
 use ontology::AreaResolution;
-use proxy::webservice::{decode_response, status, WsClient, WsRequest};
-use proxy::WS_PORT;
 use pubsub::{MeasurementTopic, PubSubClient, PubSubEvent, QoS, PUBSUB_PORT};
 use simnet::{Context, Node, NodeId, Packet, SimDuration, SimTime, TimerTag};
 
-const WS_TAGS: u64 = 1_000_000_000;
+use crate::client::{AreaFanIn, AreaPlan, Done};
+
 const PUBSUB_TAGS: u64 = 2_000_000_000;
-/// How often the monitor pings the broker, so it notices a broker
-/// restart and re-subscribes.
+/// How often the monitor pings the broker, to re-subscribe after a restart.
 const KEEPALIVE_INTERVAL: SimDuration = SimDuration::from_secs(10);
 
 /// One live cache entry.
@@ -48,37 +47,37 @@ pub struct LiveMonitorStats {
 /// middleware instead of polling proxies.
 #[derive(Debug)]
 pub struct LiveMonitorNode {
-    master: NodeId,
     district: DistrictId,
     bbox: BoundingBox,
-    ws: WsClient,
+    fan_in: AreaFanIn<AreaPlan, ()>,
     pubsub: PubSubClient,
     resolution: Option<AreaResolution>,
     /// `(device, quantity)` → latest value.
-    latest: HashMap<(String, String), LiveValue>,
+    latest: BTreeMap<(String, String), LiveValue>,
     stats: LiveMonitorStats,
 }
 
 impl LiveMonitorNode {
     /// Creates a monitor for `bbox` in `district`.
     pub fn new(master: NodeId, broker: NodeId, district: DistrictId, bbox: BoundingBox) -> Self {
+        let plan = AreaPlan {
+            resolve_only: true,
+            ..AreaPlan::default()
+        };
         LiveMonitorNode {
-            master,
             district,
             bbox,
-            ws: WsClient::new(WS_TAGS),
+            fan_in: AreaFanIn::new(master, plan),
             pubsub: PubSubClient::new(broker, PUBSUB_TAGS),
             resolution: None,
-            latest: HashMap::new(),
+            latest: BTreeMap::new(),
             stats: LiveMonitorStats::default(),
         }
     }
 
     /// All live series, sorted by key.
     pub fn series(&self) -> Vec<(&(String, String), &LiveValue)> {
-        let mut all: Vec<_> = self.latest.iter().collect();
-        all.sort_by(|a, b| a.0.cmp(b.0));
-        all
+        self.latest.iter().collect()
     }
 
     /// Counters.
@@ -86,7 +85,12 @@ impl LiveMonitorNode {
         self.stats
     }
 
-    fn subscribe_devices(&mut self, ctx: &mut Context<'_>, resolution: &AreaResolution) {
+    /// Subscribes to each device of the resolved area (none if it failed).
+    fn subscribe(&mut self, ctx: &mut Context<'_>, query: Done<AreaPlan, ()>) {
+        if query.errors > 0 {
+            return;
+        }
+        let (resolution, ..) = query.answer;
         for device in &resolution.devices {
             // One wildcard per device: all its quantities. QoS 1 +
             // retained messages give the monitor an immediate first value.
@@ -96,71 +100,58 @@ impl LiveMonitorNode {
             self.pubsub.subscribe(ctx, filter, QoS::AtLeastOnce);
             self.stats.subscriptions += 1;
         }
+        self.pubsub.start_keepalive(ctx, KEEPALIVE_INTERVAL);
+        self.resolution = Some(resolution);
     }
 }
 
 impl Node for LiveMonitorNode {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        let request = WsRequest::get(format!("/district/{}/area", self.district))
-            .with_query("bbox", self.bbox.to_query());
-        self.ws.request(ctx, self.master, &request);
+        let request = self.fan_in.plan.request(&self.district, &self.bbox);
+        self.fan_in.issue(ctx, &request, ());
     }
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
-        match pkt.port {
-            WS_PORT => {
-                if let Some((_, bytes)) = self.ws.accept_encoded(&pkt) {
-                    if let Ok((status, Some(resolution))) =
-                        decode_response(bytes, AreaResolution::read)
-                    {
-                        if status::is_success(status) {
-                            self.subscribe_devices(ctx, &resolution);
-                            self.pubsub.start_keepalive(ctx, KEEPALIVE_INTERVAL);
-                            self.resolution = Some(resolution);
-                        }
-                    }
-                }
-            }
-            PUBSUB_PORT => {
-                if let Some(PubSubEvent::Message { payload, .. }) = self.pubsub.accept(ctx, &pkt) {
-                    self.stats.updates += 1;
-                    let decoded = std::str::from_utf8(&payload)
-                        .ok()
-                        .and_then(|text| codec::decode_measurement(text, DataFormat::Json).ok());
-                    match decoded {
-                        Some(measurement) => {
-                            let key = (
-                                measurement.device().as_str().to_owned(),
-                                measurement.quantity().as_str().to_owned(),
-                            );
-                            // Middleware redeliveries can arrive out of
-                            // order; keep the chronologically newest.
-                            let newer = self.latest.get(&key).is_none_or(|old| {
-                                measurement.timestamp() >= old.measurement.timestamp()
-                            });
-                            if newer {
-                                self.latest.insert(
-                                    key,
-                                    LiveValue {
-                                        measurement,
-                                        arrived_at: ctx.now(),
-                                    },
-                                );
-                            }
-                        }
-                        None => self.stats.decode_errors += 1,
-                    }
-                }
-            }
-            _ => {}
+        if let Some(query) = self.fan_in.on_packet(ctx, &pkt) {
+            return self.subscribe(ctx, query);
+        }
+        if pkt.port != PUBSUB_PORT {
+            return;
+        }
+        let Some(PubSubEvent::Message { payload, .. }) = self.pubsub.accept(ctx, &pkt) else {
+            return;
+        };
+        self.stats.updates += 1;
+        let text = std::str::from_utf8(&payload).ok();
+        let decoded = text.and_then(|text| codec::decode_measurement(text, DataFormat::Json).ok());
+        let Some(measurement) = decoded else {
+            self.stats.decode_errors += 1;
+            return;
+        };
+        let key = (
+            measurement.device().as_str().to_owned(),
+            measurement.quantity().as_str().to_owned(),
+        );
+        // Middleware redeliveries can arrive out of order; keep the
+        // chronologically newest.
+        let latest = self.latest.get(&key);
+        if latest.is_none_or(|old| measurement.timestamp() >= old.measurement.timestamp()) {
+            let arrived_at = ctx.now();
+            self.latest.insert(
+                key,
+                LiveValue {
+                    measurement,
+                    arrived_at,
+                },
+            );
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
         if tag.0 >= PUBSUB_TAGS {
             self.pubsub.on_timer(ctx, tag);
-        } else if tag.0 >= WS_TAGS {
-            self.ws.on_timer(ctx, tag);
+        } else if let Some(query) = self.fan_in.on_timer(ctx, tag) {
+            self.subscribe(ctx, query);
         }
     }
 }

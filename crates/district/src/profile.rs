@@ -2,19 +2,20 @@
 //!
 //! The redirect principle of the area query applies to profiling too:
 //! the master never serves rollups itself, it returns the URIs of the
-//! aggregators registered for the district. [`ProfileClientNode`]
-//! dereferences the first URI and fetches pre-computed windows from the
-//! aggregator's `/rollups` Web Service — two requests total, however
-//! many devices the district holds. Compare [`crate::client::ClientNode`],
-//! which fetches every device series and integrates client-side.
+//! aggregators registered for the district. [`ProfileClientNode`] runs
+//! the client's redirect engine with a plan that follows the first URI
+//! and fetches pre-computed windows from the aggregator's `/rollups`
+//! Web Service — two requests total, however many devices the district
+//! holds. Compare [`crate::client::ClientNode`], which fetches every
+//! device series and integrates client-side.
 
-use dimmer_core::{DistrictId, QuantityKind, Uri, Value};
-use proxy::webservice::{WsClient, WsClientEvent, WsRequest, WsResponse};
-use proxy::{uri_node, WS_PORT};
+use dimmer_core::{DistrictId, QuantityKind, Uri};
+use proxy::uri_node;
+use proxy::webservice::{WsRequest, WsResponse};
 use simnet::{Context, Node, NodeId, Packet, SimTime, TimerTag};
 use streams::Rollup;
 
-const WS_TAGS: u64 = 1_000_000_000;
+use crate::client::{AreaFanIn, Done, Plan};
 
 /// Configuration of a [`ProfileClientNode`].
 #[derive(Debug, Clone)]
@@ -50,28 +51,71 @@ pub struct ProfileSnapshot {
 }
 
 impl ProfileSnapshot {
+    fn new(query: Done<ProfileConfig, ()>) -> Self {
+        let (aggregator, windows) = query.answer;
+        ProfileSnapshot {
+            started_at: query.started_at,
+            completed_at: query.completed_at,
+            aggregator,
+            windows,
+            requests: query.requests,
+            errors: query.errors,
+        }
+    }
+
     /// End-to-end latency of the query.
     pub fn latency(&self) -> simnet::SimDuration {
         self.completed_at.saturating_since(self.started_at)
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Phase {
-    Resolve,
-    Fetch,
+/// The profile plan: one `/rollups` fetch from the first aggregator the
+/// master names; each malformed window is one error.
+impl Plan for ProfileConfig {
+    /// The aggregator followed and the windows fetched.
+    type Answer = (Option<Uri>, Vec<Rollup>);
+    type Fetch = ();
+
+    fn integrate(
+        &self,
+        rollups: Option<()>,
+        bytes: &[u8],
+        (aggregator, windows): &mut Self::Answer,
+        get: &mut impl FnMut(NodeId, &WsRequest, ()),
+    ) -> u64 {
+        let response = WsResponse::from_bytes(bytes).ok().filter(WsResponse::is_ok);
+        let array = |key| response.as_ref()?.body.get(key)?.as_array();
+        if rollups.is_some() {
+            let Some(items) = array("rollups") else {
+                return 1;
+            };
+            let before = windows.len();
+            windows.extend(items.iter().flat_map(Rollup::from_value));
+            return (before + items.len() - windows.len()) as u64;
+        }
+        let uri = array("aggregators").and_then(|uris| Uri::parse(uris.first()?.as_str()?).ok());
+        let Some((node, uri)) = uri.and_then(|uri| Some((uri_node(&uri)?, uri))) else {
+            return 1;
+        };
+        let (from, to) = self.range;
+        let mut request = WsRequest::get("/rollups")
+            .with_query("level", "district")
+            .with_query("quantity", self.quantity.as_str())
+            .with_query("from", from.to_string())
+            .with_query("to", to.to_string());
+        if let Some(window) = self.window_millis {
+            request = request.with_query("window", window.to_string());
+        }
+        get(node, &request, ());
+        *aggregator = Some(uri);
+        0
+    }
 }
 
 /// A client that profiles a district through its aggregator.
 #[derive(Debug)]
 pub struct ProfileClientNode {
-    config: ProfileConfig,
-    ws: WsClient,
-    in_flight: Option<(u64, Phase)>,
-    started_at: Option<SimTime>,
-    aggregator: Option<Uri>,
-    requests: u64,
-    errors: u64,
+    fan_in: AreaFanIn<ProfileConfig, ()>,
     snapshots: Vec<ProfileSnapshot>,
 }
 
@@ -79,13 +123,7 @@ impl ProfileClientNode {
     /// Creates a profile client.
     pub fn new(config: ProfileConfig) -> Self {
         ProfileClientNode {
-            config,
-            ws: WsClient::new(WS_TAGS),
-            in_flight: None,
-            started_at: None,
-            aggregator: None,
-            requests: 0,
-            errors: 0,
+            fan_in: AreaFanIn::new(config.master, config),
             snapshots: Vec::new(),
         }
     }
@@ -99,106 +137,22 @@ impl ProfileClientNode {
     pub fn latest_snapshot(&self) -> Option<&ProfileSnapshot> {
         self.snapshots.last()
     }
-
-    fn finish(&mut self, ctx: &Context<'_>, windows: Vec<Rollup>) {
-        self.snapshots.push(ProfileSnapshot {
-            started_at: self.started_at.take().unwrap_or_else(|| ctx.now()),
-            completed_at: ctx.now(),
-            aggregator: self.aggregator.take(),
-            windows,
-            requests: self.requests,
-            errors: self.errors,
-        });
-    }
-
-    fn on_resolution(&mut self, ctx: &mut Context<'_>, response: WsResponse) {
-        let uri = response
-            .is_ok()
-            .then(|| response.body.get("aggregators"))
-            .flatten()
-            .and_then(Value::as_array)
-            .and_then(|uris| uris.first())
-            .and_then(Value::as_str)
-            .and_then(|raw| Uri::parse(raw).ok());
-        let Some(uri) = uri else {
-            self.errors += 1;
-            self.finish(ctx, Vec::new());
-            return;
-        };
-        let Some(node) = uri_node(&uri) else {
-            self.errors += 1;
-            self.finish(ctx, Vec::new());
-            return;
-        };
-        self.aggregator = Some(uri);
-        let (from, to) = self.config.range;
-        let mut request = WsRequest::get("/rollups")
-            .with_query("level", "district")
-            .with_query("quantity", self.config.quantity.as_str())
-            .with_query("from", from.to_string())
-            .with_query("to", to.to_string());
-        if let Some(window) = self.config.window_millis {
-            request = request.with_query("window", window.to_string());
-        }
-        self.requests += 1;
-        let id = self.ws.request(ctx, node, &request);
-        self.in_flight = Some((id, Phase::Fetch));
-    }
-
-    fn on_fetch(&mut self, ctx: &mut Context<'_>, response: WsResponse) {
-        let mut windows = Vec::new();
-        match response
-            .is_ok()
-            .then(|| response.body.get("rollups"))
-            .flatten()
-        {
-            Some(Value::Array(items)) => {
-                for item in items {
-                    match Rollup::from_value(item) {
-                        Ok(rollup) => windows.push(rollup),
-                        Err(_) => self.errors += 1,
-                    }
-                }
-            }
-            _ => self.errors += 1,
-        }
-        self.finish(ctx, windows);
-    }
 }
 
 impl Node for ProfileClientNode {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        self.started_at = Some(ctx.now());
-        let request = WsRequest::get(format!("/district/{}/profile", self.config.district));
-        self.requests += 1;
-        let id = self.ws.request(ctx, self.config.master, &request);
-        self.in_flight = Some((id, Phase::Resolve));
+        let request = WsRequest::get(format!("/district/{}/profile", self.fan_in.plan.district));
+        self.fan_in.issue(ctx, &request, ());
     }
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
-        if pkt.port != WS_PORT {
-            return;
-        }
-        if let Some(WsClientEvent::Response { id, response }) = self.ws.accept(&pkt) {
-            match self.in_flight.take_if(|(waiting, _)| *waiting == id) {
-                Some((_, Phase::Resolve)) => self.on_resolution(ctx, response),
-                Some((_, Phase::Fetch)) => self.on_fetch(ctx, response),
-                None => {}
-            }
-        }
+        let done = self.fan_in.on_packet(ctx, &pkt);
+        self.snapshots.extend(done.map(ProfileSnapshot::new));
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
-        if let Some(WsClientEvent::TimedOut { id }) = self.ws.on_timer(ctx, tag) {
-            if self
-                .in_flight
-                .take_if(|(waiting, _)| *waiting == id)
-                .is_some()
-            {
-                self.errors += 1;
-                self.finish(ctx, Vec::new());
-            }
-        }
+        let done = self.fan_in.on_timer(ctx, tag);
+        self.snapshots.extend(done.map(ProfileSnapshot::new));
     }
 }
 

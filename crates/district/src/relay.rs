@@ -4,26 +4,25 @@
 //! fetches the data itself. The obvious alternative routes all data
 //! through the central point. [`RelayNode`] implements that alternative:
 //! it serves `GET /area?district=&bbox=` by running the end-user
-//! application's own resolve → fetch → integrate engine
+//! application's own resolve → fetch → integrate engine and area plan
 //! (`client::AreaFanIn`) against the real master, and returning the
 //! integrated snapshot inline. Experiment E5 measures what this does to
 //! the relay's traffic and the end-to-end latency.
 
-use dimmer_core::codec::DataFormat;
 use dimmer_core::{DistrictId, Measurement, Value};
 use gis::geo::BoundingBox;
 use proxy::webservice::{status, WsCall, WsResponse, WsServer};
 use proxy::WS_PORT;
 use simnet::{Context, Node, NodeId, Packet, TimerTag};
 
-use crate::client::{AreaFanIn, AreaSnapshot};
+use crate::client::{AreaFanIn, AreaPlan, Done};
 
 /// The relaying aggregator node: a Web-Service front on the client's
 /// fan-in engine.
 #[derive(Debug)]
 pub struct RelayNode {
     ws: WsServer,
-    fan_in: AreaFanIn<WsCall>,
+    fan_in: AreaFanIn<AreaPlan, WsCall>,
 }
 
 impl RelayNode {
@@ -33,20 +32,21 @@ impl RelayNode {
             ws: WsServer::new(),
             // JSON and no data window: the requests a one-shot JSON
             // client sends.
-            fan_in: AreaFanIn::new(master, DataFormat::Json, None),
+            fan_in: AreaFanIn::new(master, AreaPlan::default()),
         }
     }
 
-    /// Answers `call` with the finished snapshot's entities, measurements
+    /// Answers `call` with the finished query's entities, measurements
     /// and error count.
-    fn answer(&self, ctx: &mut Context<'_>, call: &WsCall, snapshot: AreaSnapshot) {
-        let measurements = snapshot.measurements.iter().map(Measurement::to_value);
+    fn answer(&self, ctx: &mut Context<'_>, query: Done<AreaPlan, WsCall>) {
+        let (_, entities, measurements) = query.answer;
+        let measurements = measurements.iter().map(Measurement::to_value);
         let body = Value::object([
-            ("entities", Value::object(snapshot.entities)),
+            ("entities", Value::object(entities)),
             ("measurements", Value::Array(measurements.collect())),
-            ("errors", Value::from(snapshot.errors as i64)),
+            ("errors", Value::from(query.errors as i64)),
         ]);
-        self.ws.respond(ctx, call, WsResponse::ok(body));
+        self.ws.respond(ctx, &query.caller, WsResponse::ok(body));
     }
 }
 
@@ -55,15 +55,16 @@ impl Node for RelayNode {
         if pkt.port != WS_PORT {
             return;
         }
-        if let Some((call, snapshot)) = self.fan_in.on_packet(ctx, &pkt) {
-            self.answer(ctx, &call, snapshot);
+        if let Some(query) = self.fan_in.on_packet(ctx, &pkt) {
+            self.answer(ctx, query);
         } else if let Some(call) = self.ws.accept(ctx, &pkt) {
             let is_area = call.request.path == "/area";
             let district = call.request.query("district").map(DistrictId::new);
             let bbox = call.request.query("bbox").map(BoundingBox::parse_query);
             let error = match (is_area, district, bbox) {
                 (true, Some(Ok(district)), Some(Ok(bbox))) => {
-                    self.fan_in.issue(ctx, &district, &bbox, call);
+                    let request = self.fan_in.plan.request(&district, &bbox);
+                    self.fan_in.issue(ctx, &request, call);
                     return;
                 }
                 (true, ..) => {
@@ -76,8 +77,8 @@ impl Node for RelayNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
-        if let Some((call, snapshot)) = self.fan_in.on_timer(ctx, tag) {
-            self.answer(ctx, &call, snapshot);
+        if let Some(query) = self.fan_in.on_timer(ctx, tag) {
+            self.answer(ctx, query);
         }
     }
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Offline CI gate: formatting, lints, docs, examples, the full test
-# suite, the e13 smoke, the results diff, the benchmark's own gate and the
-# allocation-count ratchet over its --quick runs.
+# Offline CI gate: formatting, lints, docs, the examples (built and run),
+# the full test suite, the e13 smoke, the results diff, the benchmark's own
+# gate and the allocation-count ratchet over its --quick runs.
 # Usage: scripts/ci.sh
 #
 # Knobs:
@@ -108,6 +108,13 @@ cargo clippy --all-targets -- -D warnings
 
 echo "== cargo build --examples"
 cargo build --examples
+
+echo "== examples (each runs to completion; a failed assert exits non-zero)"
+for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    echo "-- $name"
+    cargo run -q --example "$name" > /dev/null
+done
 
 echo "== cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
