@@ -672,6 +672,198 @@ mod tests {
         }
     }
 
+    /// The reference encoder: a bit-at-a-time writer into a growing
+    /// `Vec` and the block layout over it, kept apart from the
+    /// production path so both its bytes and its restart tables can be
+    /// compared against [`encode_indexed`].
+    mod reference {
+        use super::super::{detect_decimal_scale, zigzag, Restart, RESTART_INTERVAL, SCALES};
+
+        #[derive(Default)]
+        struct BitByBit {
+            bytes: Vec<u8>,
+            bit_len: usize,
+        }
+
+        impl BitByBit {
+            fn push_bits(&mut self, v: u64, n: u32) {
+                for i in (0..n).rev() {
+                    let byte_idx = self.bit_len >> 3;
+                    if byte_idx == self.bytes.len() {
+                        self.bytes.push(0);
+                    }
+                    if (v >> i) & 1 == 1 {
+                        self.bytes[byte_idx] |= 1 << (7 - (self.bit_len & 7));
+                    }
+                    self.bit_len += 1;
+                }
+            }
+        }
+
+        fn write_varbit(w: &mut BitByBit, v: i64) {
+            let z = zigzag(v);
+            let (prefix, prefix_len, payload) = match z {
+                0 => (0b0, 1, 0),
+                _ if z < 1 << 7 => (0b10, 2, 7),
+                _ if z < 1 << 9 => (0b110, 3, 9),
+                _ if z < 1 << 12 => (0b1110, 4, 12),
+                _ if z < 1 << 32 => (0b11110, 5, 32),
+                _ => (0b11111, 5, 64),
+            };
+            w.push_bits(prefix, prefix_len);
+            w.push_bits(z, payload);
+        }
+
+        pub(super) fn encode(points: &[(i64, f64)]) -> (Vec<u8>, Vec<Restart>) {
+            let mut w = BitByBit::default();
+            let mut restarts = Vec::new();
+            let Some(&(t0, v0)) = points.first() else {
+                return (w.bytes, restarts);
+            };
+            let scale = detect_decimal_scale(points);
+            match scale {
+                Some(k) => {
+                    w.push_bits(0b0, 1);
+                    w.push_bits(u64::from(k), 3);
+                }
+                None => w.push_bits(0b1, 1),
+            }
+            let (mut prev_t, mut prev_delta) = (t0, 0i64);
+            w.push_bits(t0 as u64, 64);
+            let (mut prev_m, mut prev_bits) = (0i64, 0u64);
+            let mut window: Option<(u32, u32)> = None;
+            match scale {
+                Some(k) => {
+                    prev_m = (v0 * SCALES[k as usize]).round() as i64;
+                    write_varbit(&mut w, prev_m);
+                }
+                None => {
+                    prev_bits = v0.to_bits();
+                    w.push_bits(prev_bits, 64);
+                }
+            }
+            for (i, &(t, v)) in points.iter().enumerate().skip(1) {
+                if i % RESTART_INTERVAL == 0 {
+                    let (leading, meaningful) = window.unwrap_or((0, 64));
+                    restarts.push(Restart {
+                        prev_t,
+                        prev_delta,
+                        prev_v: if scale.is_some() {
+                            prev_m as u64
+                        } else {
+                            prev_bits
+                        },
+                        bit: w.bit_len as u32,
+                        window: (leading as u8, meaningful as u8),
+                    });
+                }
+                let delta = t - prev_t;
+                write_varbit(&mut w, delta - prev_delta);
+                (prev_delta, prev_t) = (delta, t);
+                if let Some(k) = scale {
+                    let m = (v * SCALES[k as usize]).round() as i64;
+                    write_varbit(&mut w, m - prev_m);
+                    prev_m = m;
+                    continue;
+                }
+                let bits = v.to_bits();
+                let xor = bits ^ prev_bits;
+                prev_bits = bits;
+                if xor == 0 {
+                    w.push_bits(0b0, 1);
+                    continue;
+                }
+                let leading = xor.leading_zeros().min(31);
+                let trailing = xor.trailing_zeros();
+                let meaningful = 64 - leading - trailing;
+                if let Some((wl, wm)) = window {
+                    let w_trailing = 64 - wl - wm;
+                    if leading >= wl && trailing >= w_trailing {
+                        w.push_bits(0b10, 2);
+                        w.push_bits(xor >> w_trailing, wm);
+                        continue;
+                    }
+                }
+                w.push_bits(0b11, 2);
+                w.push_bits(u64::from(leading), 5);
+                w.push_bits(u64::from(meaningful - 1), 6);
+                w.push_bits(xor >> trailing, meaningful);
+                window = Some((leading, meaningful));
+            }
+            (w.bytes, restarts)
+        }
+    }
+
+    /// A seeded block of `len` points in one of eight shapes: steady and
+    /// jittery cadences with timestamp jumps that take the 32- and
+    /// 64-bit varbit classes, decimal values with deltas in every
+    /// class, and XOR values that repeat, reuse the window and reset it,
+    /// with NaN payloads, signed zeros and infinities.
+    fn seeded_block(seed: u64, shape: u64, len: usize) -> Vec<(i64, f64)> {
+        let mut x = (seed * 8 + shape).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let scale = SCALES[(seed % 5) as usize];
+        let mut t = next() as i32 as i64 * 1_000;
+        let mut prev = 0.0f64;
+        (0..len)
+            .map(|i| {
+                let r = next();
+                t += match (shape % 4, r % 16) {
+                    (0, _) => 60_000,
+                    (1, 0) => 1 + (r >> 24) as i64,
+                    (2, 0) => 1 + (r >> 44) as i64,
+                    (3, 0) => 1 + (r >> 10) as i64,
+                    _ => 1 + (r >> 32) as i64 % 97,
+                };
+                let v = if shape < 4 {
+                    let small = (r >> 20) as i64;
+                    let m = match r >> 60 {
+                        0 => (1 << 42) + small % 1_000,
+                        1 => small % 100_000 - 50_000,
+                        2..=4 => small % 2_000 - 1_000,
+                        _ => 2_000 + (i as i64 % 37) - 18,
+                    };
+                    m as f64 / scale
+                } else {
+                    match r >> 59 {
+                        0 => prev = f64::from_bits(0x7ff8_0000_0000_0000 | (r & 0xf_ffff)),
+                        1 => prev = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY][(r & 3) as usize],
+                        2..=9 => {}
+                        10..=19 => prev = f64::from_bits(prev.to_bits() ^ ((r & 0xff) << 20)),
+                        _ => prev = f64::from_bits(r >> 12) * 1e3,
+                    }
+                    prev
+                };
+                (t, v)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_block_writer_matches_the_bit_at_a_time_reference() {
+        let mut modes = [0usize; 2];
+        for seed in 0..16 {
+            for shape in 0..8 {
+                for len in [1, 2, 3, 127, 128, 129, 256, 257, 1_000, 2_000] {
+                    let points = seeded_block(seed, shape, len);
+                    let (bytes, restarts) = encode_indexed(&points);
+                    let (want_bytes, want_restarts) = reference::encode(&points);
+                    let case = format!("seed {seed}, shape {shape}, {len} points");
+                    assert_eq!(&*bytes, &want_bytes[..], "{case}");
+                    assert_eq!(&*restarts, &want_restarts[..], "{case}");
+                    assert_eq!(&*encode_block(&points), &want_bytes[..], "{case}");
+                    modes[usize::from(detect_decimal_scale(&points).is_none())] += 1;
+                }
+            }
+        }
+        assert!(modes.iter().all(|&n| n >= 400), "value modes {modes:?}");
+    }
+
     #[test]
     fn negative_zero_takes_the_xor_path() {
         assert_eq!(detect_decimal_scale(&[(0, -0.0)]), None);

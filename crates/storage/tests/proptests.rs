@@ -196,6 +196,183 @@ fn tskv_segment_scans_match_flat_reference() {
     }
 }
 
+/// `downsample_counted` folded straight over the `BTreeMap` model: one
+/// chronological pass, the same arithmetic as the store's raw fold.
+fn reference_downsample(
+    reference: &std::collections::BTreeMap<i64, f64>,
+    from: i64,
+    to: i64,
+    bucket: i64,
+    agg: Aggregate,
+) -> Vec<(i64, u64, u64)> {
+    // (start, count, sum, min, max, last)
+    let mut buckets: Vec<(i64, u64, f64, f64, f64, f64)> = Vec::new();
+    for (&t, &v) in reference.range(from..to) {
+        let start = from + (t - from).div_euclid(bucket) * bucket;
+        match buckets.last_mut() {
+            Some(b) if b.0 == start => {
+                b.1 += 1;
+                b.2 += v;
+                b.3 = b.3.min(v);
+                b.4 = b.4.max(v);
+                b.5 = v;
+            }
+            _ => buckets.push((
+                start,
+                1,
+                v,
+                f64::INFINITY.min(v),
+                f64::NEG_INFINITY.max(v),
+                v,
+            )),
+        }
+    }
+    buckets
+        .into_iter()
+        .map(|(start, count, sum, min, max, last)| {
+            let value = match agg {
+                Aggregate::Mean => sum / count as f64,
+                Aggregate::Min => min,
+                Aggregate::Max => max,
+                Aggregate::Sum => sum,
+                Aggregate::Count => count as f64,
+                Aggregate::Last => last,
+            };
+            (start, value.to_bits(), count)
+        })
+        .collect()
+}
+
+#[test]
+fn tskv_interleaved_appends_match_flat_reference() {
+    let mut rng = DeterministicRng::seed_from(0x5709_0014);
+    let [five, hour] = ROLLUP_LEVELS;
+    for _ in 0..CASES / 8 {
+        let mut store = TimeSeriesStore::with_config(tiny_config());
+        let names = ["a", "b", "raw/b1/dev/temperature", "agg/b1/power"];
+        let ids: Vec<_> = names.iter().map(|n| store.series_id(n)).collect();
+        let mut reference = vec![std::collections::BTreeMap::new(); names.len()];
+        // Each series appends at its own cursor, mostly in order.
+        let mut cursors: Vec<i64> = (0..names.len())
+            .map(|_| (rng.next_bounded(400) as i64 - 2_000) * TICK)
+            .collect();
+        for _ in 0..rng.next_range(50, 400) {
+            let s = rng.next_bounded(names.len() as u64) as usize;
+            let t = match rng.next_bounded(20) {
+                // Out of order: up to two partitions behind the cursor.
+                0 | 1 => cursors[s] - rng.next_bounded(2_000) as i64 * TICK,
+                // Overwrite a point the series already holds.
+                2 if !reference[s].is_empty() => {
+                    let k = rng.next_bounded(reference[s].len() as u64) as usize;
+                    *reference[s].keys().nth(k).expect("k < len")
+                }
+                _ => {
+                    cursors[s] += rng.next_range(1, 40) as i64 * TICK;
+                    cursors[s]
+                }
+            };
+            let v = adversarial_value(&mut rng);
+            store.insert_at(ids[s], t, v);
+            reference[s].insert(t, v);
+            match rng.next_bounded(24) {
+                0 => store.seal_all(),
+                1 | 2 => {
+                    store.maintain();
+                }
+                3 => store.checkpoint(),
+                4 => {
+                    store.debug_snapshot_without_truncate();
+                    store.crash_recover();
+                }
+                5 => {
+                    store.crash_recover();
+                }
+                6 => {
+                    // Drop what lies a partition or so behind the
+                    // slowest cursor.
+                    let oldest = cursors.iter().min().expect("series");
+                    let horizon = oldest - rng.next_bounded(1_500) as i64 * TICK;
+                    let removed: usize = reference
+                        .iter_mut()
+                        .map(|r| {
+                            let keep = r.split_off(&horizon);
+                            std::mem::replace(r, keep).len()
+                        })
+                        .sum();
+                    assert_eq!(store.apply_retention(horizon), removed);
+                }
+                _ => {}
+            }
+        }
+        let bits = |pts: Vec<(i64, f64)>| -> Vec<(i64, u64)> {
+            pts.into_iter().map(|(t, v)| (t, v.to_bits())).collect()
+        };
+        // Once as the churn left it, once fully sealed and compacted so
+        // aligned queries are served from materialized rollups.
+        for settle in [false, true] {
+            if settle {
+                store.seal_all();
+                store.maintain();
+            }
+            assert_eq!(
+                store.len(),
+                reference.iter().map(|r| r.len()).sum::<usize>()
+            );
+            for (s, name) in names.iter().enumerate() {
+                let r = &reference[s];
+                let want: Vec<(i64, u64)> = r.iter().map(|(&t, &v)| (t, v.to_bits())).collect();
+                assert_eq!(bits(store.range(name, i64::MIN, i64::MAX)), want, "{name}");
+                assert_eq!(store.series_len(name), r.len());
+                assert_eq!(
+                    store.latest(name).map(|(t, v)| (t, v.to_bits())),
+                    r.iter().next_back().map(|(&t, &v)| (t, v.to_bits())),
+                    "{name}"
+                );
+                let held = r.keys().copied();
+                let probes: Vec<i64> = held
+                    .flat_map(|t| [t - TICK, t, t + 1])
+                    .chain((0..8).map(|_| (rng.next_bounded(6_000) as i64 - 3_000) * TICK))
+                    .collect();
+                for t in probes {
+                    assert_eq!(
+                        store.contains_at(ids[s], t),
+                        r.contains_key(&t),
+                        "{name} at {t}"
+                    );
+                }
+                for _ in 0..6 {
+                    let bucket = [five, hour, rng.next_range(1, 2 * hour as u64) as i64]
+                        [rng.next_bounded(3) as usize];
+                    let from = if rng.next_bounded(2) == 0 {
+                        (rng.next_bounded(6) as i64 - 4) * PARTITION_MILLIS
+                    } else {
+                        (rng.next_bounded(5_000) as i64 - 4_000) * TICK
+                    };
+                    let to = from + rng.next_bounded(4 * PARTITION_MILLIS as u64) as i64;
+                    let agg = [
+                        Aggregate::Mean,
+                        Aggregate::Min,
+                        Aggregate::Max,
+                        Aggregate::Sum,
+                        Aggregate::Count,
+                        Aggregate::Last,
+                    ][rng.next_bounded(6) as usize];
+                    let got: Vec<(i64, u64, u64)> = store
+                        .downsample_counted(name, from, to, bucket, agg)
+                        .into_iter()
+                        .map(|b| (b.start, b.value.to_bits(), b.count))
+                        .collect();
+                    assert_eq!(
+                        got,
+                        reference_downsample(r, from, to, bucket, agg),
+                        "{name}: downsample({from},{to},{bucket},{agg:?})"
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn tskv_series_ids_are_the_string_paths() {
     let mut rng = DeterministicRng::seed_from(0x5709_0013);
