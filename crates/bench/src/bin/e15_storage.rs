@@ -17,7 +17,8 @@
 //!
 //! Phase 2 — scan throughput. Borrowed scans ([`TimeSeriesStore::
 //! for_each_in`]) over the fully sealed corpus race the same points in
-//! a flat `BTreeMap<i64, f64>`; both sides fold the identical checksum.
+//! a head-only store and a raw `BTreeMap<i64, f64>`; every side folds
+//! the identical checksum.
 //! The ratio is printed, not asserted: it divides a compute-bound
 //! decode by a memory-bound scan and moves with the host, so the speed
 //! is tracked by `storage.scan_sealed_mpts` in `BENCHMARK.json`.

@@ -27,11 +27,14 @@ pub(crate) const RESTART_INTERVAL: usize = 128;
 /// Exact powers of ten for the decimal-int scales (`k <= 4`).
 const SCALES: [f64; 5] = [1.0, 10.0, 100.0, 1_000.0, 10_000.0];
 
-/// An MSB-first bit sink.
+/// An MSB-first bit sink, the mirror of [`BitReader`]: bits gather in
+/// a 64-bit accumulator and reach the buffer a whole word at a time.
 #[derive(Debug, Default)]
 pub(crate) struct BitWriter {
     bytes: Vec<u8>,
-    bit_len: usize,
+    /// The low `pending` bits are written but not yet in `bytes`.
+    acc: u64,
+    pending: u32,
 }
 
 impl BitWriter {
@@ -40,24 +43,35 @@ impl BitWriter {
         BitWriter::default()
     }
 
+    /// Bits in the buffer, flushed or not.
+    fn bits(&self) -> usize {
+        self.bytes.len() * 8 + self.pending as usize
+    }
+
     /// Appends the low `n` bits of `v`, most significant first.
+    #[inline]
     pub(crate) fn push_bits(&mut self, v: u64, n: u32) {
         debug_assert!(n <= 64);
-        for i in (0..n).rev() {
-            let byte_idx = self.bit_len >> 3;
-            if byte_idx == self.bytes.len() {
-                self.bytes.push(0);
-            }
-            if (v >> i) & 1 == 1 {
-                self.bytes[byte_idx] |= 1 << (7 - (self.bit_len & 7));
-            }
-            self.bit_len += 1;
+        let v = v & u64::MAX.checked_shr(64 - n).unwrap_or(0);
+        let free = 64 - self.pending;
+        if n < free {
+            self.acc = (self.acc << n) | v;
+            self.pending += n;
+        } else {
+            // The word fills: flush it, keep the bits that did not fit.
+            let word = self.acc.checked_shl(free).unwrap_or(0) | (v >> (n - free));
+            self.bytes.extend_from_slice(&word.to_be_bytes());
+            (self.acc, self.pending) = (v, n - free);
         }
     }
 
     /// The packed bytes (trailing bits zero-padded).
-    pub(crate) fn finish(self) -> Box<[u8]> {
-        self.bytes.into_boxed_slice()
+    pub(crate) fn finish(mut self) -> Vec<u8> {
+        let tail = self.acc.checked_shl(64 - self.pending).unwrap_or(0);
+        let tail_len = self.pending.div_ceil(8) as usize;
+        self.bytes
+            .extend_from_slice(&tail.to_be_bytes()[..tail_len]);
+        self.bytes
     }
 }
 
@@ -294,25 +308,36 @@ fn detect_decimal_scale(points: &[(i64, f64)]) -> Option<u8> {
     None
 }
 
-/// Encodes a strictly-increasing-timestamp point run into a bitstream.
-/// The count is carried out of band (in the segment header).
-pub(crate) fn encode_block(points: &[(i64, f64)]) -> Box<[u8]> {
-    encode(points, None)
+/// Appends the encoding of a strictly-increasing-timestamp point run to
+/// `out`. The count is carried out of band (in the segment header or
+/// the snapshot's block list).
+pub(crate) fn encode_into(points: &[(i64, f64)], out: &mut Vec<u8>) {
+    *out = encode(points, None, std::mem::take(out));
 }
 
-/// [`encode_block`] plus the block's restart table: one [`Restart`]
-/// before every [`RESTART_INTERVAL`]th point. The bytes are the same.
+/// Encodes `points` as a block in a buffer of its own, plus the block's
+/// restart table: one [`Restart`] before every [`RESTART_INTERVAL`]th
+/// point. The table is not part of the bytes.
 pub(crate) fn encode_indexed(points: &[(i64, f64)]) -> (Box<[u8]>, Box<[Restart]>) {
     let mut restarts = Vec::with_capacity(points.len().saturating_sub(1) / RESTART_INTERVAL);
-    let bytes = encode(points, Some(&mut restarts));
-    (bytes, restarts.into_boxed_slice())
+    let bytes = encode(points, Some(&mut restarts), Vec::new());
+    (bytes.into_boxed_slice(), restarts.into_boxed_slice())
 }
 
-fn encode(points: &[(i64, f64)], mut restarts: Option<&mut Vec<Restart>>) -> Box<[u8]> {
+/// Appends the block to `bytes`. A restart's bit offset counts from
+/// the start of `bytes`, so only a block alone in its buffer keeps one.
+fn encode(
+    points: &[(i64, f64)],
+    mut restarts: Option<&mut Vec<Restart>>,
+    bytes: Vec<u8>,
+) -> Vec<u8> {
     let mut w = BitWriter::new();
+    w.bytes = bytes;
     if points.is_empty() {
         return w.finish();
     }
+    // At most a 64-bit varbit timestamp and the widest XOR value each.
+    w.bytes.reserve((points.len() * (69 + 77)).div_ceil(8));
     let mode = match detect_decimal_scale(points) {
         Some(scale) => ValueMode::DecimalInt { scale },
         None => ValueMode::XorFloat,
@@ -349,7 +374,7 @@ fn encode(points: &[(i64, f64)], mut restarts: Option<&mut Vec<Restart>>) -> Box
         debug_assert!(t > prev_t, "segment timestamps must strictly increase");
         if i % RESTART_INTERVAL == 0 {
             // A block past 4 Gbit keeps the restarts before that mark.
-            if let (Some(restarts), Ok(bit)) = (restarts.as_deref_mut(), u32::try_from(w.bit_len)) {
+            if let (Some(restarts), Ok(bit)) = (restarts.as_deref_mut(), u32::try_from(w.bits())) {
                 let (leading, meaningful) = window.unwrap_or((0, 64));
                 restarts.push(Restart {
                     prev_t,
@@ -517,6 +542,13 @@ impl Iterator for BlockIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One block in a buffer of its own.
+    fn encode_block(points: &[(i64, f64)]) -> Box<[u8]> {
+        let mut out = Vec::new();
+        encode_into(points, &mut out);
+        out.into_boxed_slice()
+    }
 
     fn round_trip(points: &[(i64, f64)]) {
         let bytes = encode_block(points);

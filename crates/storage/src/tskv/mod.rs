@@ -9,8 +9,9 @@
 //! resolution plus the same body. The store is an LSM-lite engine
 //! behind the same facade the flat `BTreeMap` version exposed:
 //!
-//! * a **mutable head** per series (a `BTreeMap`, so inserts keep the
-//!   same last-writer-wins overwrite semantics),
+//! * a **mutable head** per series: its points sorted by timestamp in a
+//!   `Vec`, where an in-order insert is a push and an insert at a held
+//!   timestamp overwrites it (last-writer-wins),
 //! * **immutable sealed segments** — time-partitioned runs compressed
 //!   with Gorilla-style delta-of-delta timestamps plus either
 //!   decimal-integer deltas (the common case for quantized device
@@ -41,8 +42,8 @@ use std::collections::BTreeMap;
 
 use telemetry::{CounterHandle, GaugeHandle, HistogramHandle, Registry};
 
-use self::gorilla::{encode_block, BlockIter};
-use self::scan::MergeScan;
+use self::gorilla::{encode_into, BlockIter};
+use self::scan::{head_from, MergeScan};
 use self::segment::{materialize, Segment};
 use self::wal::{Snapshot, Wal, WalOp};
 
@@ -194,15 +195,33 @@ impl SeriesId {
     }
 }
 
-/// One series' storage: the mutable head plus sealed segments sorted
-/// by `(min_t, seq)`.
+/// One series' storage: the mutable head, sorted by timestamp, plus
+/// sealed segments sorted by `(min_t, seq)`.
 #[derive(Debug, Clone, Default)]
 struct Series {
-    head: BTreeMap<i64, f64>,
+    head: Vec<(i64, f64)>,
     segments: Vec<Segment>,
 }
 
 impl Series {
+    /// Writes a point into the head: a push past its newest point, else
+    /// an overwrite or an insert at the timestamp's place.
+    fn put(&mut self, t: i64, v: f64) {
+        if self.head.last().is_none_or(|&(newest, _)| newest < t) {
+            return self.head.push((t, v));
+        }
+        match self.head.binary_search_by_key(&t, |&(t, _)| t) {
+            Ok(i) => self.head[i].1 = v,
+            Err(i) => self.head.insert(i, (t, v)),
+        }
+    }
+
+    /// Drops the head's points older than `horizon`.
+    fn expire_head(&mut self, horizon: i64) {
+        let expired = self.head.len() - head_from(&self.head, horizon).len();
+        self.head.drain(..expired);
+    }
+
     fn is_empty(&self) -> bool {
         self.head.is_empty() && self.segments.is_empty()
     }
@@ -372,7 +391,7 @@ impl TimeSeriesStore {
         });
         let threshold = self.config.seal_threshold;
         let entry = &mut self.series[series.index()];
-        entry.head.insert(timestamp_millis, value);
+        entry.put(timestamp_millis, value);
         if entry.head.len() >= threshold {
             let sealed = seal_head(entry, &mut self.next_seq, SealMode::Auto { threshold });
             self.note_seals(sealed);
@@ -395,7 +414,7 @@ impl TimeSeriesStore {
     pub fn contains_at(&self, series: SeriesId, timestamp_millis: i64) -> bool {
         let t = timestamp_millis;
         let s = &self.series[series.index()];
-        let found = s.head.contains_key(&t)
+        let found = s.head.binary_search_by_key(&t, |&(t, _)| t).is_ok()
             || s.segments.iter().any(|seg| {
                 seg.min_t <= t
                     && t <= seg.max_t
@@ -447,8 +466,7 @@ impl TimeSeriesStore {
     /// The chronologically last point of a series.
     pub fn latest(&self, series: &str) -> Option<(i64, f64)> {
         let s = self.get(series)?;
-        let mut best: Option<(i64, f64, u64)> =
-            s.head.iter().next_back().map(|(&t, &v)| (t, v, u64::MAX));
+        let mut best: Option<(i64, f64, u64)> = s.head.last().map(|&(t, v)| (t, v, u64::MAX));
         for seg in &s.segments {
             let newer = match best {
                 None => true,
@@ -604,8 +622,7 @@ impl TimeSeriesStore {
             horizon: horizon_millis,
         });
         for s in &mut self.series {
-            let keep = s.head.split_off(&horizon_millis);
-            s.head = keep;
+            s.expire_head(horizon_millis);
             let old = std::mem::take(&mut s.segments);
             for seg in old {
                 if seg.min_t >= horizon_millis {
@@ -618,6 +635,8 @@ impl TimeSeriesStore {
                     s.segments.push(Segment::seal(&pts, seg.seq));
                 }
             }
+            // Rewritten segments start later: restore `(min_t, seq)` order.
+            s.segments.sort_unstable_by_key(|seg| (seg.min_t, seg.seq));
         }
         self.update_gauges();
         removed
@@ -685,31 +704,29 @@ impl TimeSeriesStore {
     /// replays the WAL tail in order. Returns the number of WAL
     /// records replayed. Call from a node's `on_restart` hook.
     pub fn crash_recover(&mut self) -> u64 {
-        for s in &mut self.series {
-            s.head.clear();
-        }
-        for (id, count, bytes) in &self.snapshot.blocks {
-            self.series[id.index()]
-                .head
-                .extend(BlockIter::new(bytes, *count));
-        }
-        let mut replayed = 0u64;
         let TimeSeriesStore {
             wal,
             snapshot,
             series,
             ..
         } = self;
+        for s in series.iter_mut() {
+            s.head.clear();
+        }
+        for (id, count, range) in &snapshot.blocks {
+            let block = &snapshot.bytes[range.clone()];
+            series[id.index()]
+                .head
+                .extend(BlockIter::new(block, *count));
+        }
+        let mut replayed = 0u64;
         for rec in wal.records_after(snapshot.upto_seq) {
             replayed += 1;
             match rec.op {
-                WalOp::Insert { series: id, t, v } => {
-                    series[id.index()].head.insert(t, v);
-                }
+                WalOp::Insert { series: id, t, v } => series[id.index()].put(t, v),
                 WalOp::Retention { horizon } => {
                     for s in series.iter_mut() {
-                        let keep = s.head.split_off(&horizon);
-                        s.head = keep;
+                        s.expire_head(horizon);
                     }
                 }
             }
@@ -752,19 +769,21 @@ impl TimeSeriesStore {
         }
     }
 
+    /// Encodes every head into the snapshot's own buffers, in place.
     fn write_snapshot(&mut self) {
-        let mut blocks = Vec::new();
+        let snapshot = &mut self.snapshot;
+        snapshot.upto_seq = self.wal.last_seq();
+        snapshot.bytes.clear();
+        snapshot.blocks.clear();
         for (id, s) in (0..).map(SeriesId).zip(&self.series) {
             if s.head.is_empty() {
                 continue;
             }
-            let pts: Vec<(i64, f64)> = s.head.iter().map(|(&t, &v)| (t, v)).collect();
-            blocks.push((id, pts.len() as u32, encode_block(&pts)));
+            let start = snapshot.bytes.len();
+            encode_into(&s.head, &mut snapshot.bytes);
+            let block = (id, s.head.len() as u32, start..snapshot.bytes.len());
+            snapshot.blocks.push(block);
         }
-        self.snapshot = Snapshot {
-            upto_seq: self.wal.last_seq(),
-            blocks,
-        };
     }
 
     fn update_gauges(&self) {
@@ -779,46 +798,37 @@ impl TimeSeriesStore {
     }
 }
 
-/// Seals head partitions of one series per `mode`; returns how many
-/// segments were created.
+/// Seals head partitions of one series per `mode`, each straight from
+/// its slice of the head; returns how many segments were created. Every
+/// mode takes the complete partitions, so only the hot one may stay.
 fn seal_head(s: &mut Series, next_seq: &mut u64, mode: SealMode) -> usize {
-    if s.head.is_empty() {
+    let Some(&(newest, _)) = s.head.last() else {
         return 0;
-    }
-    let hot = s
-        .head
-        .keys()
-        .next_back()
-        .map(|&t| t.div_euclid(PARTITION_MILLIS))
-        .expect("non-empty head");
-    let mut groups: Vec<(i64, Vec<(i64, f64)>)> = Vec::new();
-    for (&t, &v) in &s.head {
-        let pid = t.div_euclid(PARTITION_MILLIS);
-        match groups.last_mut() {
-            Some((gp, pts)) if *gp == pid => pts.push((t, v)),
-            _ => groups.push((pid, vec![(t, v)])),
-        }
-    }
+    };
+    let hot = newest.div_euclid(PARTITION_MILLIS);
     let mut sealed = 0;
-    for (pid, pts) in groups {
+    let mut start = 0;
+    while let Some(&(t, _)) = s.head.get(start) {
+        let pid = t.div_euclid(PARTITION_MILLIS);
+        let rest = &s.head[start..];
+        let len = rest.partition_point(|&(t, _)| t.div_euclid(PARTITION_MILLIS) == pid);
         let take = match mode {
             SealMode::Cold => pid < hot,
             SealMode::All => true,
-            SealMode::Auto { threshold } => pid < hot || pts.len() >= threshold,
+            SealMode::Auto { threshold } => pid < hot || len >= threshold,
         };
         if !take {
-            continue;
-        }
-        for &(t, _) in &pts {
-            s.head.remove(&t);
+            break;
         }
         *next_seq += 1;
-        s.segments.push(Segment::seal(&pts, *next_seq));
+        let seg = Segment::seal(&rest[..len], *next_seq);
+        // The newest seal sorts last among segments with its `min_t`.
+        let at = s.segments.partition_point(|o| o.min_t <= seg.min_t);
+        s.segments.insert(at, seg);
         sealed += 1;
+        start += len;
     }
-    if sealed > 0 {
-        s.segments.sort_by_key(|seg| (seg.min_t, seg.seq));
-    }
+    s.head.drain(..start);
     sealed
 }
 
@@ -859,8 +869,8 @@ fn compact_series(s: &mut Series) -> usize {
             .map(|seg| seg.seq)
             .max()
             .expect("non-empty group");
-        let empty = BTreeMap::new();
-        let points: Vec<(i64, f64)> = MergeScan::new(&empty, group, i64::MIN, None).collect();
+        let mut points = Vec::with_capacity(group.iter().map(|seg| seg.count as usize).sum());
+        MergeScan::new(&[], group, i64::MIN, None).for_each(|t, v| points.push((t, v)));
         match span {
             Some(span) if group.len() == 1 => {
                 // Same point set: keep the encoded bytes, add rollups.
@@ -896,7 +906,7 @@ fn eligible_spans(s: &Series, from: i64, to: i64, bucket: i64) -> Vec<(i64, i64,
         let Some(li) = seg.levels.iter().position(|l| l.bucket_millis == bucket) else {
             continue;
         };
-        if s.head.range(ps..pe).next().is_some() {
+        if head_from(&s.head, ps).first().is_some_and(|&(t, _)| t < pe) {
             continue;
         }
         if s.segments
@@ -1498,6 +1508,32 @@ mod tests {
                 assert_eq!(level.buckets.len(), level.buckets.capacity());
             }
         }
+    }
+
+    #[test]
+    fn seals_insert_segments_in_min_t_seq_order() {
+        let mut s = TimeSeriesStore::with_config(small_config());
+        let mut flat = TimeSeriesStore::new();
+        // 40 seals over 23 days in scrambled order; later seals of a
+        // day share or precede earlier ones' first timestamps.
+        for k in 0..40 {
+            let day = (k * 17) % 23;
+            for i in 0..3 {
+                let t = day * PARTITION_MILLIS + (k % 3) * 1_000 + i * 7;
+                s.insert("s", t, (k * 3 + i) as f64);
+                flat.insert("s", t, (k * 3 + i) as f64);
+            }
+            s.seal_all();
+        }
+        let segments = &s.get("s").expect("series").segments;
+        assert_eq!(segments.len(), 40);
+        assert!(segments
+            .windows(2)
+            .all(|w| (w[0].min_t, w[0].seq) < (w[1].min_t, w[1].seq)));
+        assert_eq!(s, flat);
+        s.maintain();
+        assert_eq!(s.stats().segments, 23);
+        assert_eq!(s, flat);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! outranks an earlier one. All sources at the winning timestamp are
 //! advanced, so each logical point is emitted exactly once.
 
-use std::collections::btree_map;
+use std::slice;
 
 use crate::tskv::gorilla::BlockIter;
 use crate::tskv::segment::Segment;
@@ -16,7 +16,7 @@ use crate::tskv::segment::Segment;
 const HEAD_PRIORITY: u64 = u64::MAX;
 
 enum SourceIter<'a> {
-    Head(btree_map::Range<'a, i64, f64>),
+    Head(slice::Iter<'a, (i64, f64)>),
     Block(BlockIter<'a>),
 }
 
@@ -24,7 +24,7 @@ impl SourceIter<'_> {
     #[inline]
     fn next(&mut self) -> Option<(i64, f64)> {
         match self {
-            SourceIter::Head(r) => r.next().map(|(&t, &v)| (t, v)),
+            SourceIter::Head(r) => r.next().copied(),
             SourceIter::Block(b) => b.next(),
         }
     }
@@ -49,6 +49,11 @@ impl Source<'_> {
     }
 }
 
+/// The points of a sorted head from `from` on.
+pub(crate) fn head_from(head: &[(i64, f64)], from: i64) -> &[(i64, f64)] {
+    &head[head.partition_point(|&(t, _)| t < from)..]
+}
+
 /// A merged iterator over `[from, to)` (`to = None` means unbounded,
 /// including `i64::MAX`).
 ///
@@ -66,9 +71,10 @@ pub(crate) struct MergeScan<'a> {
 }
 
 impl<'a> MergeScan<'a> {
-    /// A merged scan over one series' head and segments.
+    /// A merged scan over one series' head (sorted by timestamp) and
+    /// segments.
     pub(crate) fn new(
-        head: &'a std::collections::BTreeMap<i64, f64>,
+        head: &'a [(i64, f64)],
         segments: &'a [Segment],
         from: i64,
         to: Option<i64>,
@@ -87,7 +93,7 @@ impl<'a> MergeScan<'a> {
             });
         }
         if !head.is_empty() {
-            let mut iter = SourceIter::Head(head.range(from..));
+            let mut iter = SourceIter::Head(head_from(head, from).iter());
             let peek = iter.next();
             sources.push(Source {
                 priority: HEAD_PRIORITY,
@@ -165,7 +171,7 @@ impl<'a> MergeScan<'a> {
                                 break;
                             }
                             f(t, v);
-                            cur = r.next().map(|(&t, &v)| (t, v));
+                            cur = r.next().copied();
                         }
                     }
                 }
@@ -254,8 +260,6 @@ impl Iterator for MergeScan<'_> {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeMap;
-
     use super::*;
 
     #[test]
@@ -264,9 +268,7 @@ mod tests {
         // head overwrites t 20 and adds t 30.
         let s1 = Segment::seal(&[(0, 1.0), (10, 1.0), (20, 1.0)], 1);
         let s2 = Segment::seal(&[(10, 2.0)], 2);
-        let mut head = BTreeMap::new();
-        head.insert(20, 3.0);
-        head.insert(30, 3.0);
+        let head = [(20, 3.0), (30, 3.0)];
         let segs = vec![s1, s2];
         let got: Vec<(i64, f64)> = MergeScan::new(&head, &segs, 0, None).collect();
         assert_eq!(got, vec![(0, 1.0), (10, 2.0), (20, 3.0), (30, 3.0)]);
@@ -277,8 +279,7 @@ mod tests {
 
     #[test]
     fn unbounded_scan_reaches_i64_max() {
-        let mut head = BTreeMap::new();
-        head.insert(i64::MAX, 9.0);
+        let head = [(i64::MAX, 9.0)];
         let got: Vec<(i64, f64)> = MergeScan::new(&head, &[], i64::MIN, None).collect();
         assert_eq!(got, vec![(i64::MAX, 9.0)]);
     }

@@ -115,56 +115,62 @@ impl Segment {
 }
 
 /// Builds rollup levels over `points` (sorted by timestamp) with a
-/// single streaming pass per level. The fold order (chronological) and
-/// the min/max/sum arithmetic mirror the raw query fold exactly, so a
-/// materialized answer is bit-identical to a raw scan. Each level's
-/// buckets are counted first, so a level holds no spare capacity for
-/// as long as its segment lives.
+/// single streaming pass per level and one `div_euclid` per bucket. The
+/// fold order (chronological) and the min/max/sum arithmetic mirror the
+/// raw query fold exactly, so a materialized answer is bit-identical to
+/// a raw scan. Each level's buckets are counted first, so a level holds
+/// no spare capacity for as long as its segment lives.
 pub(crate) fn materialize(points: &[(i64, f64)], level_millis: &[i64]) -> Vec<MaterializedLevel> {
     level_millis
         .iter()
         .map(|&bucket| {
-            let n = usize::from(!points.is_empty())
-                + points
-                    .windows(2)
-                    .filter(|w| w[0].0.div_euclid(bucket) != w[1].0.div_euclid(bucket))
-                    .count();
+            let mut n = 0;
+            fold_level(points, bucket, |_| n += 1);
             let mut buckets = Vec::with_capacity(n);
-            let mut acc: Option<SummaryBucket> = None;
-            for &(t, v) in points {
-                let start = t.div_euclid(bucket) * bucket;
-                match &mut acc {
-                    Some(b) if b.start == start => {
-                        b.count += 1;
-                        b.sum += v;
-                        b.min = b.min.min(v);
-                        b.max = b.max.max(v);
-                        b.last = v;
-                    }
-                    _ => {
-                        if let Some(b) = acc.take() {
-                            buckets.push(b);
-                        }
-                        acc = Some(SummaryBucket {
-                            start,
-                            count: 1,
-                            sum: v,
-                            min: f64::INFINITY.min(v),
-                            max: f64::NEG_INFINITY.max(v),
-                            last: v,
-                        });
-                    }
-                }
-            }
-            if let Some(b) = acc {
-                buckets.push(b);
-            }
+            fold_level(points, bucket, |b| buckets.push(b));
             MaterializedLevel {
                 bucket_millis: bucket,
                 buckets,
             }
         })
         .collect()
+}
+
+/// Folds sorted `points` into `bucket`-aligned summaries, handing each
+/// to `emit` in order.
+fn fold_level(points: &[(i64, f64)], bucket: i64, mut emit: impl FnMut(SummaryBucket)) {
+    let mut acc: Option<SummaryBucket> = None;
+    // The open bucket holds `t < end`; `None` past `i64::MAX`.
+    let mut end = None;
+    for &(t, v) in points {
+        match &mut acc {
+            Some(b) if end.is_none_or(|end| t < end) => {
+                b.count += 1;
+                b.sum += v;
+                b.min = b.min.min(v);
+                b.max = b.max.max(v);
+                b.last = v;
+            }
+            _ => {
+                if let Some(b) = acc.take() {
+                    emit(b);
+                }
+                let start = t.div_euclid(bucket) * bucket;
+                end = start.checked_add(bucket);
+                acc = Some(SummaryBucket {
+                    start,
+                    count: 1,
+                    sum: v,
+                    min: f64::INFINITY.min(v),
+                    max: f64::NEG_INFINITY.max(v),
+                    last: v,
+                });
+            }
+        }
+    }
+    if let Some(b) = acc {
+        emit(b);
+    }
 }
 
 #[cfg(test)]

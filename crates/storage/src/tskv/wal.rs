@@ -8,7 +8,7 @@
 //! touching the head, so a point is "acknowledged" only once it is
 //! replayable.
 //!
-//! A **checkpoint** encodes the current head into a compressed
+//! A **checkpoint** encodes the current heads into a compressed
 //! [`Snapshot`] and truncates the WAL through the snapshot's sequence.
 //! Recovery restores the snapshot and replays the WAL tail in order;
 //! because inserts are last-writer-wins overwrites, replay is
@@ -74,12 +74,15 @@ impl Wal {
     }
 }
 
-/// A compressed image of the mutable head, taken at `upto_seq`. Blocks
-/// are `(series, point-count, encoded bytes)`.
+/// A compressed image of every mutable head, taken at `upto_seq`: the
+/// heads' blocks back to back in one buffer, listed as `(series,
+/// point-count, byte range)`. A checkpoint rewrites both in place, so
+/// once they have grown to the heads' size it allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Snapshot {
     pub(crate) upto_seq: u64,
-    pub(crate) blocks: Vec<(SeriesId, u32, Box<[u8]>)>,
+    pub(crate) bytes: Vec<u8>,
+    pub(crate) blocks: Vec<(SeriesId, u32, std::ops::Range<usize>)>,
 }
 
 #[cfg(test)]
