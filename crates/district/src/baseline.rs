@@ -16,11 +16,12 @@ use dimmer_core::{DeviceId, Measurement, QuantityKind, Timestamp, Value};
 use gis::geo::{BoundingBox, GeoPoint};
 use protocols::ieee802154::PanId;
 use proxy::adapters::DeviceAdapter;
+use proxy::device_proxy::{POLL_RETRIES, POLL_TIMEOUT};
 use proxy::devices::unix_millis_at;
 use proxy::registry::{self, Family, Install};
 use proxy::webservice::{status, WsResponse, WsServer};
 use proxy::{DEVICE_UPLINK_PORT, WS_PORT};
-use simnet::rpc::{RequestTracker, RpcEvent};
+use simnet::rpc::RequestTracker;
 use simnet::{Context, Node, NodeId, Packet, Port, SimDuration, Simulator, TimerTag};
 use storage::tskv::TimeSeriesStore;
 
@@ -83,7 +84,7 @@ impl CentralServerNode {
     pub(crate) fn new(poll_interval: SimDuration, epoch_offset_millis: i64) -> Self {
         CentralServerNode {
             devices: BTreeMap::new(),
-            poll_tracker: RequestTracker::new(POLL_TAGS),
+            poll_tracker: RequestTracker::new(POLL_TAGS, POLL_TIMEOUT, POLL_RETRIES),
             poll_interval,
             store: TimeSeriesStore::new(),
             entities: Vec::new(),
@@ -197,9 +198,7 @@ impl Node for CentralServerNode {
                 .get(&pkt.src)
                 .is_some_and(|e| e.poll_port == Some(port)) =>
             {
-                if let Some(RpcEvent::ResponseReceived { body, .. }) =
-                    self.poll_tracker.accept(&pkt)
-                {
+                if let Some((_, body)) = self.poll_tracker.accept(&pkt) {
                     let unix = unix_millis_at(self.epoch_offset_millis, ctx.now());
                     let decoded = self
                         .devices
@@ -243,14 +242,7 @@ impl Node for CentralServerNode {
                 for (&node, e) in &mut self.devices {
                     let Some(port) = e.poll_port else { continue };
                     if let Some(request) = e.adapter.poll_request() {
-                        self.poll_tracker.send_request(
-                            ctx,
-                            node,
-                            port,
-                            &request,
-                            SimDuration::from_secs(2),
-                            1,
-                        );
+                        self.poll_tracker.send_request(ctx, node, port, &request);
                     }
                 }
                 ctx.set_timer(self.poll_interval, TAG_POLL);

@@ -25,7 +25,7 @@ use gis::geo::GeoPoint;
 use ontology::DeviceLeaf;
 use pubsub::{MeasurementTopic, PubSubClient, PubSubEvent, QoS, Topic, PUBSUB_PORT};
 use simnet::overload::{Admission, AdmissionGate};
-use simnet::rpc::{RequestTracker, RpcEvent};
+use simnet::rpc::RequestTracker;
 use simnet::telemetry::{CounterHandle, GaugeHandle, Registry};
 use simnet::{Context, Node, Packet, Port, SimDuration, TimerTag};
 use storage::tskv::{Aggregate, SeriesId, TimeSeriesStore};
@@ -50,7 +50,12 @@ const RETENTION_PERIOD: SimDuration = SimDuration::from_hours(1);
 /// Storage maintenance cadence: seal cold partitions, compact,
 /// checkpoint the WAL (see `TimeSeriesStore::maintain`).
 const TSKV_MAINTAIN_PERIOD: SimDuration = SimDuration::from_secs(300);
-const POLL_TIMEOUT: SimDuration = SimDuration::from_secs(2);
+/// How long a poll waits for the device's answer before resending it,
+/// and how many resends it gets: the central baseline polls its devices
+/// under the same two.
+pub const POLL_TIMEOUT: SimDuration = SimDuration::from_secs(2);
+/// See [`POLL_TIMEOUT`].
+pub const POLL_RETRIES: u32 = 1;
 
 /// Bounded store-and-forward capacity (QoS 1 samples held while the
 /// broker is unreachable).
@@ -243,7 +248,7 @@ impl DeviceProxyNode {
             payload: String::new(),
             ws: WsServer::new(),
             device_node: None,
-            poll_tracker: RequestTracker::new(POLL_TAGS),
+            poll_tracker: RequestTracker::new(POLL_TAGS, POLL_TIMEOUT, POLL_RETRIES),
             inflight: HashMap::new(),
             backlog: VecDeque::new(),
             broker_down: false,
@@ -675,7 +680,7 @@ impl DeviceProxyNode {
             return;
         };
         self.poll_tracker
-            .send_request(ctx, device_node, port, &request, POLL_TIMEOUT, 1);
+            .send_request(ctx, device_node, port, &request);
     }
 }
 
@@ -735,9 +740,7 @@ impl Node for DeviceProxyNode {
                 }
             },
             port if Some(port) == self.poll_port => {
-                if let Some(RpcEvent::ResponseReceived { body, .. }) =
-                    self.poll_tracker.accept(&pkt)
-                {
+                if let Some((_, body)) = self.poll_tracker.accept(&pkt) {
                     match self.adapter.decode_poll(body) {
                         Ok(samples) => self.ingest(ctx, samples, pkt.trace, pkt.span),
                         Err(_) => {

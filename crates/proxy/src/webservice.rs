@@ -19,7 +19,7 @@ use std::ops::Index;
 use dimmer_core::codec::{DataFormat, Reader, Scalar, Shaped, Writer};
 use dimmer_core::value::Key;
 use dimmer_core::{CoreError, Value};
-use simnet::rpc::{RequestTracker, RpcEvent};
+use simnet::rpc::{self, RequestTracker, RpcFrame};
 use simnet::{Context, NodeId, Packet, SimDuration, SimTime, TimerTag};
 
 use crate::WS_PORT;
@@ -522,34 +522,31 @@ pub struct WsCall {
 }
 
 /// Server half of the Web-Service layer; embed in a [`simnet::Node`].
-#[derive(Debug)]
-pub struct WsServer {
-    tracker: RequestTracker,
-}
+/// A server never originates requests, so it keeps no state.
+#[derive(Debug, Default)]
+pub struct WsServer;
 
 impl WsServer {
-    /// Creates a server (servers never originate requests, so no tag
-    /// namespace is needed).
+    /// Creates a server.
     pub fn new() -> Self {
-        WsServer {
-            tracker: RequestTracker::new(u64::MAX / 2),
-        }
+        WsServer
     }
 
     /// Feeds an incoming packet; returns a call when it was a valid
     /// request. Malformed requests are answered with 400 automatically.
     pub fn accept(&mut self, ctx: &mut Context<'_>, pkt: &Packet) -> Option<WsCall> {
-        match self.tracker.accept(pkt)? {
-            RpcEvent::IncomingRequest { id, from, body, .. } => match WsRequest::from_bytes(body) {
-                Ok(request) => Some(WsCall { id, from, request }),
-                Err(e) => {
-                    let resp = WsResponse::error(status::BAD_REQUEST, e.to_string());
-                    self.tracker
-                        .respond(ctx, from, WS_PORT, id, &resp.to_bytes(DataFormat::Json));
-                    None
-                }
-            },
-            _ => None,
+        let RpcFrame::Request { id, body } = rpc::decode(&pkt.payload).ok()? else {
+            return None;
+        };
+        let from = pkt.src;
+        match WsRequest::from_bytes(body) {
+            Ok(request) => Some(WsCall { id, from, request }),
+            Err(e) => {
+                let resp = WsResponse::error(status::BAD_REQUEST, e.to_string());
+                let bytes = resp.to_bytes(DataFormat::Json);
+                ctx.send(from, WS_PORT, rpc::encode_response(id, &bytes));
+                None
+            }
         }
     }
 
@@ -562,14 +559,7 @@ impl WsServer {
     /// [`encode_response`] or [`WsResponse::to_bytes`] — in the format
     /// of the call's request.
     pub fn respond_encoded(&self, ctx: &mut Context<'_>, call: &WsCall, response: &[u8]) {
-        self.tracker
-            .respond(ctx, call.from, WS_PORT, call.id, response);
-    }
-}
-
-impl Default for WsServer {
-    fn default() -> Self {
-        WsServer::new()
+        ctx.send(call.from, WS_PORT, rpc::encode_response(call.id, response));
     }
 }
 
@@ -618,7 +608,7 @@ impl WsClient {
     /// Creates a client whose timers use tags from `tag_base`.
     pub fn new(tag_base: u64) -> Self {
         WsClient {
-            tracker: RequestTracker::new(tag_base),
+            tracker: RequestTracker::new(tag_base, REQUEST_TIMEOUT, REQUEST_RETRIES),
             sent: Vec::new(),
         }
     }
@@ -640,14 +630,9 @@ impl WsClient {
         }
         let mut buffer = REQUEST_BUFFER.take();
         request.write(&mut buffer);
-        let id = self.tracker.send_request(
-            ctx,
-            server,
-            WS_PORT,
-            buffer.as_bytes(),
-            REQUEST_TIMEOUT,
-            REQUEST_RETRIES,
-        );
+        let id = self
+            .tracker
+            .send_request(ctx, server, WS_PORT, buffer.as_bytes());
         buffer.clear();
         buffer.shrink_to(REQUEST_BUFFER_RETAINED);
         REQUEST_BUFFER.set(buffer);
@@ -677,18 +662,13 @@ impl WsClient {
     /// caller that knows what the request asked for can decode the body
     /// straight into it.
     pub fn accept_encoded<'a>(&mut self, pkt: &'a Packet) -> Option<(u64, &'a [u8])> {
-        match self.tracker.accept(pkt)? {
-            RpcEvent::ResponseReceived { id, body } => Some((id, body)),
-            _ => None,
-        }
+        self.tracker.accept(pkt)
     }
 
     /// Feeds a fired timer through the client.
     pub fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) -> Option<WsClientEvent> {
-        match self.tracker.on_timer(ctx, tag)? {
-            RpcEvent::RequestTimedOut { id } => Some(WsClientEvent::TimedOut { id }),
-            _ => None,
-        }
+        let id = self.tracker.on_timer(ctx, tag)?;
+        Some(WsClientEvent::TimedOut { id })
     }
 }
 

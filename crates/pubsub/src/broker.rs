@@ -1,19 +1,17 @@
 //! The middleware broker node.
 
 use std::cell::OnceCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use simnet::batch::PushOutcome;
-use simnet::telemetry::{CounterHandle, GaugeHandle, HistogramHandle, Registry, NO_SPAN};
-use simnet::{Context, Frame, Node, Packet as NetPacket, SimDuration, TimerTag};
+use simnet::rpc::{Fired, Retransmit};
+use simnet::telemetry::{CounterHandle, GaugeHandle, HistogramHandle, Registry, NO_TRACE};
+use simnet::{Context, Node, Packet as NetPacket, SimDuration, TimerTag};
 
-use crate::federation::{
-    FederationConfig, FederationState, BATCH_MAX_RETRIES, BATCH_RETRY_BIT, BATCH_RETRY_TIMEOUT,
-    FLUSH_TIMER_BIT,
-};
+use crate::federation::{FederationConfig, FederationState, BATCH_RETRY_BIT, FLUSH_TIMER_BIT};
 use crate::topic::SubscriptionTrie;
 use crate::wire::{BridgeFrame, BridgeFrameRef, Packet, PacketRef, QoS};
-use crate::{BridgeStats, Topic, TopicFilter, TopicRef};
+use crate::{BridgeStats, Topic, TopicFilter, TopicRef, PUBSUB_PORT};
 
 /// How long the broker waits before redelivering an unacked QoS 1
 /// message.
@@ -29,14 +27,6 @@ pub(crate) const DEFAULT_PENDING_CAPACITY: usize = 65_536;
 struct Subscription {
     node: simnet::NodeId,
     qos: QoS,
-}
-
-#[derive(Debug)]
-struct PendingDelivery {
-    to: simnet::NodeId,
-    frame: Frame,
-    retries_left: u32,
-    trace: u64,
 }
 
 /// Per-QoS local subscriber counts for one filter: drives bridge
@@ -217,7 +207,7 @@ pub struct BrokerStats {
 
 /// A SEEMPubS-style broker running as a [`simnet::Node`].
 ///
-/// Clients talk to it on [`PUBSUB_PORT`](crate::PUBSUB_PORT) with
+/// Clients talk to it on [`PUBSUB_PORT`] with
 /// [`Packet`](crate::WirePacket)s; the [`PubSubClient`](crate::PubSubClient)
 /// helper wraps that protocol.
 ///
@@ -225,7 +215,7 @@ pub struct BrokerStats {
 /// entry point) or as one shard of a federation — see
 /// [`BrokerNode::federate`] and the [`federation`](crate::federation)
 /// module.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct BrokerNode {
     subscriptions: SubscriptionTrie<Subscription>,
     /// topic text → (topic, last retained payload, trace id, span).
@@ -238,7 +228,8 @@ pub struct BrokerNode {
     /// the causal span tree. Ordered, because a new subscriber and a
     /// peer's advertisement are each answered one packet per entry.
     retained: BTreeMap<String, (Topic, Vec<u8>, u64, u64)>,
-    pending: HashMap<u64, PendingDelivery>,
+    /// Unacked QoS 1 deliveries, each retried under timer tag = its id.
+    pending: Retransmit<()>,
     next_delivery_id: u64,
     /// Bumped on every restart; clients learn it via Ping/Pong and use a
     /// change to detect that their subscriptions were wiped.
@@ -257,6 +248,25 @@ pub struct BrokerNode {
     targets: Vec<Subscription>,
     /// Scratch for [`BrokerNode::forward_to_peers`], likewise.
     peers: Vec<usize>,
+}
+
+impl Default for BrokerNode {
+    fn default() -> Self {
+        BrokerNode {
+            subscriptions: SubscriptionTrie::default(),
+            retained: BTreeMap::new(),
+            pending: Retransmit::new(0, RETRY_TIMEOUT, MAX_RETRIES),
+            next_delivery_id: 0,
+            incarnation: 0,
+            stats: BrokerStats::default(),
+            advert_refs: BTreeMap::new(),
+            label: None,
+            series: OnceCell::new(),
+            federation: None,
+            targets: Vec::new(),
+            peers: Vec::new(),
+        }
+    }
 }
 
 impl BrokerNode {
@@ -319,7 +329,7 @@ impl BrokerNode {
 
     /// Number of QoS 1 deliveries awaiting acknowledgement.
     pub fn pending_deliveries(&self) -> usize {
-        self.pending.len()
+        self.pending.outstanding()
     }
 
     fn series(&self, ctx: &Context<'_>) -> &BrokerSeries {
@@ -328,7 +338,9 @@ impl BrokerNode {
     }
 
     fn gauge_pending(&self, ctx: &Context<'_>) {
-        self.series(ctx).pending.set(self.pending.len() as f64);
+        self.series(ctx)
+            .pending
+            .set(self.pending.outstanding() as f64);
     }
 
     #[allow(clippy::too_many_arguments)] // mirrors the Deliver wire frame field for field
@@ -367,15 +379,15 @@ impl BrokerNode {
         self.series(ctx).deliver.incr();
         self.stats.delivered += 1;
         if qos != QoS::AtLeastOnce {
-            ctx.send_spanned(to, crate::PUBSUB_PORT, packet.encode(), trace, span);
+            ctx.send_spanned(to, PUBSUB_PORT, packet.encode(), trace, span);
             return;
         }
         // QoS 1 keeps the frame for redelivery: the packet in flight and
         // every redelivery share its one allocation.
         let frame = packet.frame();
-        ctx.send_spanned(to, crate::PUBSUB_PORT, frame.clone(), trace, span);
+        ctx.send_spanned(to, PUBSUB_PORT, frame.clone(), trace, span);
         self.stats.qos1_enqueued += 1;
-        if self.pending.len() >= DEFAULT_PENDING_CAPACITY {
+        if self.pending.outstanding() >= DEFAULT_PENDING_CAPACITY {
             // The unacked table is the broker's memory bound: past it
             // the delivery degrades to at-most-once — sent once above,
             // never retried — and is counted dropped right away, so
@@ -386,17 +398,10 @@ impl BrokerNode {
             self.series(ctx).queue_shed.incr();
             return;
         }
-        self.pending.insert(
-            id,
-            PendingDelivery {
-                to,
-                frame,
-                retries_left: MAX_RETRIES,
-                trace,
-            },
-        );
+        // A redelivery carries the trace, under no span.
+        self.pending
+            .keep(ctx, id, to, PUBSUB_PORT, frame, trace, ());
         self.gauge_pending(ctx);
-        ctx.set_timer(RETRY_TIMEOUT, TimerTag(id));
     }
 
     #[allow(clippy::too_many_arguments)] // mirrors the Publish wire frame field for field
@@ -425,7 +430,7 @@ impl BrokerNode {
             0
         };
         if qos == QoS::AtLeastOnce {
-            ctx.send(from, crate::PUBSUB_PORT, PacketRef::PubAck { id }.frame());
+            ctx.send(from, PUBSUB_PORT, PacketRef::PubAck { id }.frame());
         }
         if retain {
             if payload.is_empty() {
@@ -572,30 +577,23 @@ impl BrokerNode {
         }
         let batch_id = fed.next_batch_id;
         fed.next_batch_id += 1;
-        // Serialize from borrowed views; the frames themselves move
-        // into the retransmission ledger below without a deep clone.
-        let bytes = PacketRef::BridgeBatch {
+        // Serialized once from borrowed views: a retry resends these
+        // bytes (the incarnation in them only changes on a restart,
+        // which empties the ledger).
+        let frame = PacketRef::BridgeBatch {
             incarnation,
             batch_id,
             frames: frames.iter().map(BridgeFrame::view).collect(),
         }
-        .encode();
+        .frame();
         let dst = fed.config.brokers[peer];
         fed.stats.batches_sent += 1;
-        let batch_frames = frames.len() as f64;
-        fed.pending.insert(
-            batch_id,
-            crate::federation::PendingBatch {
-                peer,
-                frames,
-                retries_left: BATCH_MAX_RETRIES,
-                sent_at: ctx.now(),
-            },
-        );
-        ctx.send(dst, crate::PUBSUB_PORT, bytes);
-        ctx.set_timer(BATCH_RETRY_TIMEOUT, TimerTag(BATCH_RETRY_BIT | batch_id));
+        ctx.send(dst, PUBSUB_PORT, frame.clone());
+        let sent = (peer, frames.len(), ctx.now());
+        fed.pending
+            .keep(ctx, batch_id, dst, PUBSUB_PORT, frame, NO_TRACE, sent);
         let series = self.series(ctx);
-        series.bridge_batch_frames.observe(batch_frames);
+        series.bridge_batch_frames.observe(frames.len() as f64);
         series.bridge_batch_sent.incr();
     }
 
@@ -608,7 +606,7 @@ impl BrokerNode {
         };
         let frame = PacketRef::BridgeHello { incarnation }.frame();
         for peer in fed.peer_shards() {
-            ctx.send(fed.config.brokers[peer], crate::PUBSUB_PORT, frame.clone());
+            ctx.send(fed.config.brokers[peer], PUBSUB_PORT, frame.clone());
         }
     }
 
@@ -666,7 +664,7 @@ impl BrokerNode {
                 qos,
             }
             .encode();
-            ctx.send(dst, crate::PUBSUB_PORT, bytes);
+            ctx.send(dst, PUBSUB_PORT, bytes);
         }
     }
 
@@ -768,7 +766,7 @@ impl BrokerNode {
         }
         .encode();
         for peer in fed.peer_shards() {
-            ctx.send(fed.config.brokers[peer], crate::PUBSUB_PORT, bytes.clone());
+            ctx.send(fed.config.brokers[peer], PUBSUB_PORT, bytes.clone());
         }
     }
 
@@ -805,7 +803,7 @@ impl BrokerNode {
                 }
                 .encode();
                 for peer in fed.peer_shards() {
-                    ctx.send(fed.config.brokers[peer], crate::PUBSUB_PORT, bytes.clone());
+                    ctx.send(fed.config.brokers[peer], PUBSUB_PORT, bytes.clone());
                 }
             }
         } else {
@@ -873,7 +871,7 @@ impl BrokerNode {
         // was evidently lost or outrun by the retry timer.
         ctx.send(
             src,
-            crate::PUBSUB_PORT,
+            PUBSUB_PORT,
             PacketRef::BridgeBatchAck { batch_id }.frame(),
         );
         {
@@ -893,47 +891,31 @@ impl BrokerNode {
         }
     }
 
-    fn on_batch_retry(&mut self, ctx: &mut Context<'_>, batch_id: u64) {
-        let incarnation = self.incarnation;
-        let mut drop_count = 0u64;
-        let mut resend: Option<(simnet::NodeId, Vec<u8>)> = None;
-        {
-            let Some(fed) = &mut self.federation else {
-                return;
-            };
-            let Some(pending) = fed.pending.get_mut(&batch_id) else {
-                return; // acked in time
-            };
-            if pending.retries_left == 0 {
-                let dead = fed.pending.remove(&batch_id).expect("present");
-                drop_count = dead.frames.len() as u64;
-                fed.stats.frames_dropped += drop_count;
-                fed.breakers[dead.peer].record_failure(ctx.now(), &ctx.telemetry().metrics);
-            } else {
-                // Each expired retry timer is one failed transmission in
-                // the peer breaker's window.
-                let peer = pending.peer;
-                pending.retries_left -= 1;
-                pending.sent_at = ctx.now();
-                fed.stats.retries += 1;
-                let bytes = PacketRef::BridgeBatch {
-                    incarnation,
-                    batch_id,
-                    frames: pending.frames.iter().map(BridgeFrame::view).collect(),
-                }
-                .encode();
-                resend = Some((fed.config.brokers[pending.peer], bytes));
-                fed.breakers[peer].record_failure(ctx.now(), &ctx.telemetry().metrics);
-            }
-        }
-        if drop_count > 0 {
-            self.series(ctx).bridge_drop.incr();
+    /// A batch's retry timer fired before its ack: each firing is one
+    /// failed transmission in the peer breaker's window.
+    fn on_batch_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
+        let Some(fed) = &mut self.federation else {
             return;
-        }
-        if let Some((dst, bytes)) = resend {
-            ctx.send(dst, crate::PUBSUB_PORT, bytes);
-            ctx.set_timer(BATCH_RETRY_TIMEOUT, TimerTag(BATCH_RETRY_BIT | batch_id));
-            self.series(ctx).bridge_retry.incr();
+        };
+        let now = ctx.now();
+        let (peer, resent) = match fed.pending.on_timer(ctx, tag) {
+            None => return, // acked in time
+            Some(Fired::Resent((peer, _, sent_at))) => {
+                *sent_at = now;
+                fed.stats.retries += 1;
+                (*peer, true)
+            }
+            Some(Fired::Expired(_, (peer, frames, _))) => {
+                fed.stats.frames_dropped += frames as u64;
+                (peer, false)
+            }
+        };
+        fed.breakers[peer].record_failure(now, &ctx.telemetry().metrics);
+        let series = self.series(ctx);
+        if resent {
+            series.bridge_retry.incr();
+        } else {
+            series.bridge_drop.incr();
         }
     }
 
@@ -943,7 +925,7 @@ impl BrokerNode {
     fn refresh_scrape_gauges(&self, ctx: &Context<'_>) {
         let series = self.series(ctx);
         series.retained.set(self.retained.len() as f64);
-        series.pending.set(self.pending.len() as f64);
+        series.pending.set(self.pending.outstanding() as f64);
         if let Some(fed) = &self.federation {
             series.bridge_buffered.set(fed.buffered_frames() as f64);
             series.bridge_inflight.set(fed.in_flight_frames() as f64);
@@ -963,7 +945,7 @@ impl BrokerNode {
                      \"bridge_buffered\":{},\"bridge_in_flight\":{}}}",
                     self.incarnation,
                     self.subscriptions.len(),
-                    self.pending.len(),
+                    self.pending.outstanding(),
                     self.retained.len(),
                     self.bridge_buffered(),
                     self.bridge_in_flight(),
@@ -1016,7 +998,7 @@ impl Node for BrokerNode {
                 span,
             } => self.on_publish(ctx, pkt.src, id, topic, payload, retain, qos, trace, span),
             PacketRef::DeliverAck { id } => {
-                if self.pending.remove(&id).is_some() {
+                if self.pending.ack(id).is_some() {
                     self.stats.acked += 1;
                     self.series(ctx).ack.incr();
                     self.gauge_pending(ctx);
@@ -1025,7 +1007,7 @@ impl Node for BrokerNode {
             PacketRef::Ping => {
                 ctx.send(
                     pkt.src,
-                    crate::PUBSUB_PORT,
+                    PUBSUB_PORT,
                     PacketRef::Pong {
                         incarnation: self.incarnation,
                     }
@@ -1066,11 +1048,11 @@ impl Node for BrokerNode {
             }
             PacketRef::BridgeBatchAck { batch_id } => {
                 if let Some(fed) = &mut self.federation {
-                    if let Some(done) = fed.pending.remove(&batch_id) {
-                        fed.stats.frames_acked += done.frames.len() as u64;
-                        fed.breakers[done.peer].record_success(
+                    if let Some((peer, frames, sent_at)) = fed.pending.ack(batch_id) {
+                        fed.stats.frames_acked += frames as u64;
+                        fed.breakers[peer].record_success(
                             ctx.now(),
-                            ctx.now().saturating_since(done.sent_at),
+                            ctx.now().saturating_since(sent_at),
                             &ctx.telemetry().metrics,
                         );
                     }
@@ -1085,7 +1067,7 @@ impl Node for BrokerNode {
                 let (status, body) = self.serve_ops(ctx, path);
                 ctx.send(
                     pkt.src,
-                    crate::PUBSUB_PORT,
+                    PUBSUB_PORT,
                     Packet::OpsReply { id, status, body }.encode(),
                 );
             }
@@ -1107,7 +1089,7 @@ impl Node for BrokerNode {
         // so post-restart ids never collide with pre-crash ones.
         self.subscriptions = SubscriptionTrie::default();
         self.retained.clear();
-        self.stats.dropped += self.pending.len() as u64;
+        self.stats.dropped += self.pending.outstanding() as u64;
         self.pending.clear();
         self.advert_refs.clear();
         self.incarnation += 1;
@@ -1141,31 +1123,24 @@ impl Node for BrokerNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
-        let id = tag.0;
-        if id & BATCH_RETRY_BIT != 0 {
-            self.on_batch_retry(ctx, id & !BATCH_RETRY_BIT);
-            return;
+        if tag.0 & BATCH_RETRY_BIT != 0 {
+            return self.on_batch_timer(ctx, tag);
         }
-        if id & FLUSH_TIMER_BIT != 0 {
-            self.flush_peer(ctx, (id & !FLUSH_TIMER_BIT) as usize);
-            return;
+        if tag.0 & FLUSH_TIMER_BIT != 0 {
+            return self.flush_peer(ctx, (tag.0 & !FLUSH_TIMER_BIT) as usize);
         }
-        let Some(pending) = self.pending.get_mut(&id) else {
-            return; // already acked
-        };
-        if pending.retries_left == 0 {
-            self.pending.remove(&id);
-            self.stats.dropped += 1;
-            self.series(ctx).drop.incr();
-            self.gauge_pending(ctx);
-            return;
+        match self.pending.on_timer(ctx, tag) {
+            None => {} // already acked
+            Some(Fired::Resent(())) => {
+                self.stats.retries += 1;
+                self.stats.delivered += 1;
+                self.series(ctx).retry.incr();
+            }
+            Some(Fired::Expired(..)) => {
+                self.stats.dropped += 1;
+                self.series(ctx).drop.incr();
+                self.gauge_pending(ctx);
+            }
         }
-        pending.retries_left -= 1;
-        let (to, frame, trace) = (pending.to, pending.frame.clone(), pending.trace);
-        ctx.send_spanned(to, crate::PUBSUB_PORT, frame, trace, NO_SPAN);
-        self.stats.retries += 1;
-        self.stats.delivered += 1;
-        self.series(ctx).retry.incr();
-        ctx.set_timer(RETRY_TIMEOUT, TimerTag(id));
     }
 }

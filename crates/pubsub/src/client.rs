@@ -1,10 +1,10 @@
 //! The client half of the middleware, embedded in nodes.
 
 use std::cell::OnceCell;
-use std::collections::HashMap;
 use std::ops::Deref;
 
-use simnet::{Context, Frame, NodeId, Packet as NetPacket, SimDuration, TimerTag};
+use simnet::rpc::{Fired, Retransmit};
+use simnet::{Context, NodeId, Packet as NetPacket, SimDuration, TimerTag};
 
 use crate::wire::{Packet, PacketRef, QoS};
 use crate::{Topic, TopicFilter, TopicRef, PUBSUB_PORT};
@@ -68,12 +68,6 @@ impl Deref for Payload<'_> {
     }
 }
 
-#[derive(Debug, Clone)]
-struct PendingPublish {
-    frame: Frame,
-    retries_left: u32,
-}
-
 /// Middleware client state a [`simnet::Node`] embeds.
 ///
 /// The owning node must:
@@ -84,10 +78,11 @@ struct PendingPublish {
 #[derive(Debug)]
 pub struct PubSubClient {
     broker: NodeId,
-    tag_base: u64,
     /// Publish ids start at 1; `tag_base + 0` is the keepalive timer.
     next_publish_id: u64,
-    pending: HashMap<u64, PendingPublish>,
+    /// Unacked QoS 1 publishes, each retried under timer `tag_base + id`;
+    /// the one record of the client's `tag_base`.
+    pending: Retransmit<()>,
     /// Subscriptions this client holds, remembered so they can be
     /// re-sent when the broker restarts (session resumption).
     subs: Vec<(TopicFilter, QoS)>,
@@ -107,9 +102,8 @@ impl PubSubClient {
     pub fn new(broker: NodeId, tag_base: u64) -> Self {
         PubSubClient {
             broker,
-            tag_base,
             next_publish_id: 1,
-            pending: HashMap::new(),
+            pending: Retransmit::new(tag_base, PUBLISH_RETRY, MAX_PUBLISH_RETRIES),
             subs: Vec::new(),
             last_incarnation: None,
             keepalive: None,
@@ -119,7 +113,7 @@ impl PubSubClient {
 
     /// Number of QoS 1 publishes awaiting acknowledgement.
     pub fn pending_publishes(&self) -> usize {
-        self.pending.len()
+        self.pending.outstanding()
     }
 
     /// Forgets all in-flight publishes and session state.
@@ -144,7 +138,7 @@ impl PubSubClient {
     pub fn start_keepalive(&mut self, ctx: &mut Context<'_>, interval: SimDuration) {
         self.keepalive = Some(interval);
         ctx.send(self.broker, PUBSUB_PORT, PacketRef::Ping.frame());
-        ctx.set_timer(interval, TimerTag(self.tag_base));
+        ctx.set_timer(interval, TimerTag(self.pending.tag_base()));
     }
 
     /// Subscribes to `filter` with the given delivery guarantee and
@@ -227,17 +221,12 @@ impl PubSubClient {
             return id;
         }
         // QoS 1 keeps the frame for retransmission: the packet in flight
-        // and every resend share its one allocation.
+        // and every resend share its one allocation. A resend goes
+        // untraced.
         let frame = packet.frame();
         ctx.send_spanned(self.broker, PUBSUB_PORT, frame.clone(), trace, parent);
-        self.pending.insert(
-            id,
-            PendingPublish {
-                frame,
-                retries_left: MAX_PUBLISH_RETRIES,
-            },
-        );
-        ctx.set_timer(PUBLISH_RETRY, TimerTag(self.tag_base + id));
+        self.pending
+            .keep(ctx, id, self.broker, PUBSUB_PORT, frame, NO_TRACE, ());
         id
     }
 
@@ -289,7 +278,7 @@ impl PubSubClient {
                 })
             }
             PacketRef::PubAck { id } => {
-                self.pending.remove(&id)?;
+                self.pending.ack(id)?;
                 Some(PubSubEvent::Published { id })
             }
             PacketRef::Pong { incarnation } => {
@@ -321,9 +310,9 @@ impl PubSubClient {
 
     /// Whether a timer tag belongs to this client.
     pub fn owns_tag(&self, tag: TimerTag) -> bool {
-        tag.0.checked_sub(self.tag_base).is_some_and(|id| {
-            (id == 0 && self.keepalive.is_some()) || self.pending.contains_key(&id)
-        })
+        tag.0
+            .checked_sub(self.pending.tag_base())
+            .is_some_and(|id| (id == 0 && self.keepalive.is_some()) || self.pending.contains(id))
     }
 
     /// Feeds a fired timer through the client.
@@ -332,23 +321,18 @@ impl PubSubClient {
         ctx: &mut Context<'_>,
         tag: TimerTag,
     ) -> Option<PubSubEvent<'static>> {
-        let id = tag.0.checked_sub(self.tag_base)?;
+        let id = tag.0.checked_sub(self.pending.tag_base())?;
         if id == 0 {
             if let Some(interval) = self.keepalive {
                 ctx.send(self.broker, PUBSUB_PORT, PacketRef::Ping.frame());
-                ctx.set_timer(interval, TimerTag(self.tag_base));
+                ctx.set_timer(interval, tag);
             }
             return None;
         }
-        let pending = self.pending.get_mut(&id)?;
-        if pending.retries_left == 0 {
-            self.pending.remove(&id);
-            return Some(PubSubEvent::PublishTimedOut { id });
-        }
-        pending.retries_left -= 1;
-        ctx.send(self.broker, PUBSUB_PORT, pending.frame.clone());
-        ctx.set_timer(PUBLISH_RETRY, TimerTag(self.tag_base + id));
-        None
+        let Fired::Expired(id, ()) = self.pending.on_timer(ctx, tag)? else {
+            return None;
+        };
+        Some(PubSubEvent::PublishTimedOut { id })
     }
 }
 

@@ -32,7 +32,8 @@
 use std::collections::{HashMap, HashSet};
 
 use simnet::batch::{BatchPolicy, Batcher};
-use simnet::NodeId;
+use simnet::rpc::Retransmit;
+use simnet::{NodeId, SimTime};
 
 use crate::topic::SubscriptionTrie;
 use crate::wire::{BridgeFrame, QoS};
@@ -49,9 +50,9 @@ pub(crate) const BATCH_RETRY_BIT: u64 = 1 << 63;
 /// How long a broker waits for a [`BridgeBatchAck`] before resending a
 /// batch. Combined with [`BATCH_MAX_RETRIES`] the bridge rides out link
 /// outages of tens of seconds without losing QoS 1 frames.
-pub(crate) const BATCH_RETRY_TIMEOUT: simnet::SimDuration = simnet::SimDuration::from_secs(2);
+const BATCH_RETRY_TIMEOUT: simnet::SimDuration = simnet::SimDuration::from_secs(2);
 /// Retransmissions before a batch's frames are counted dropped.
-pub(crate) const BATCH_MAX_RETRIES: u32 = 8;
+const BATCH_MAX_RETRIES: u32 = 8;
 
 /// Assigns every topic to exactly one broker shard.
 ///
@@ -146,17 +147,6 @@ pub(crate) struct RemoteSub {
     pub(crate) qos: QoS,
 }
 
-/// An unacknowledged batch awaiting [`BridgeBatchAck`].
-#[derive(Debug)]
-pub(crate) struct PendingBatch {
-    pub(crate) peer: usize,
-    pub(crate) frames: Vec<BridgeFrame>,
-    pub(crate) retries_left: u32,
-    /// Instant of the last (re)transmission, so the ack's round-trip
-    /// feeds the peer breaker's latency signal.
-    pub(crate) sent_at: simnet::SimTime,
-}
-
 /// Breaker settings for the per-peer bridge links: sized to the 2 s
 /// batch-retry cadence so a dead or gray peer trips after roughly six
 /// consecutive failed transmissions, while an 8 s link flap (about four
@@ -205,8 +195,9 @@ pub(crate) struct FederationState {
     pub(crate) peer_filters: Vec<HashMap<String, TopicFilter>>,
     /// One batcher per shard index (this broker's own slot stays empty).
     pub(crate) batchers: Vec<Batcher<BridgeFrame>>,
-    /// Sent-but-unacked batches, by batch id.
-    pub(crate) pending: HashMap<u64, PendingBatch>,
+    /// Unacked batches under timers `BATCH_RETRY_BIT | id`: (peer, frame
+    /// count, last transmission, timing the ack for the peer breaker).
+    pub(crate) pending: Retransmit<(usize, usize, SimTime)>,
     /// Monotonic over the broker's whole lifetime (restarts included),
     /// so a retransmitted id never collides with a fresh one.
     pub(crate) next_batch_id: u64,
@@ -245,7 +236,7 @@ impl FederationState {
             remote_subs: SubscriptionTrie::new(),
             peer_filters: (0..n).map(|_| HashMap::new()).collect(),
             batchers: (0..n).map(|_| Batcher::new(config.batch)).collect(),
-            pending: HashMap::new(),
+            pending: Retransmit::new(BATCH_RETRY_BIT, BATCH_RETRY_TIMEOUT, BATCH_MAX_RETRIES),
             next_batch_id: 1,
             peer_incarnation: vec![0; n],
             seen_batches: (0..n).map(|_| HashSet::new()).collect(),
@@ -269,7 +260,7 @@ impl FederationState {
 
     /// Frames on the wire awaiting acknowledgement.
     pub(crate) fn in_flight_frames(&self) -> usize {
-        self.pending.values().map(|p| p.frames.len()).sum()
+        self.pending.values().map(|&(_, frames, _)| frames).sum()
     }
 }
 

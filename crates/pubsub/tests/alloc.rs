@@ -1,14 +1,19 @@
 //! What the middleware's frames cost, counted in allocations: a
-//! subscriber borrows what it accepts, acknowledgements go inline, and
-//! a QoS 1 delivery is one shared frame that its redeliveries reuse.
+//! subscriber borrows what it accepts, acknowledgements go inline, a
+//! QoS 1 delivery is one shared frame that its redeliveries reuse, and
+//! a bridge batch is encoded once, however often it is resent.
 //!
 //! This file is its own test binary, so it can install the counting
 //! `#[global_allocator]` without touching any other suite.
 
+use pubsub::federation::{FederationConfig, ShardMap};
 use pubsub::{BrokerNode, PubSubClient, PubSubEvent, QoS, Topic, TopicFilter, WirePacket};
 use pubsub::{WirePacketRef, PUBSUB_PORT};
+use simnet::batch::BatchPolicy;
 use simnet::telemetry::{NO_SPAN, NO_TRACE};
-use simnet::{Context, Node, NodeId, Packet, SimConfig, SimDuration, Simulator, TimerTag};
+use simnet::{
+    Context, LinkModel, Node, NodeId, Packet, SimConfig, SimDuration, Simulator, TimerTag,
+};
 
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -220,4 +225,84 @@ fn qos1_frames_are_shared_acks_inline_and_deliveries_borrowed() {
     let pub_acks = at_publisher.costs("puback");
     assert_eq!(pub_acks.len(), 60);
     assert!(pub_acks.iter().all(|&cost| cost == 0), "{pub_acks:?}");
+}
+
+/// Timer tags of the bridge's batch retries carry this bit.
+const BATCH_RETRY_BIT: u64 = 1 << 63;
+
+#[test]
+fn a_bridge_batch_retry_resends_its_kept_frame() {
+    let mut sim = Simulator::new(SimConfig { seed: 31 });
+    let brokers = [
+        sim.add_node("b0", Counted::new(BrokerNode::with_label("b0"))),
+        sim.add_node("b1", BrokerNode::with_label("b1")),
+    ];
+    sim.set_link(brokers[0], brokers[1], LinkModel::ideal());
+    let config = |index| FederationConfig {
+        index,
+        brokers: brokers.to_vec(),
+        shard: ShardMap::new(2),
+        batch: BatchPolicy {
+            max_items: 8,
+            max_bytes: 4 * 1024,
+            max_age: SimDuration::from_millis(10),
+        },
+    };
+    sim.node_mut::<Counted<BrokerNode>>(brokers[0])
+        .expect("placed above")
+        .inner
+        .federate(config(0));
+    sim.node_mut::<BrokerNode>(brokers[1])
+        .expect("placed above")
+        .federate(config(1));
+    // A subscriber on b1 makes b0 forward its publishes over the bridge.
+    sim.add_node(
+        "sub",
+        Subscriber {
+            client: PubSubClient::new(brokers[1], 100),
+        },
+    );
+    sim.run_for(SimDuration::from_millis(100));
+    sim.add_node(
+        "pub",
+        Publisher {
+            client: PubSubClient::new(brokers[0], 100),
+            topic: Topic::new("d1/b1/temp").expect("grammatical"),
+            payload: vec![0x5A; 64],
+        },
+    );
+    sim.run_for(SimDuration::from_secs(5));
+    // The bridge goes dark: every batch from here is resent until it is
+    // written off, and the peer breaker trips, probes and trips again.
+    sim.set_link(
+        brokers[0],
+        brokers[1],
+        LinkModel::builder().loss(1.0).build(),
+    );
+    sim.run_for(SimDuration::from_secs(60));
+    let at_b0 = sim
+        .node_mut::<Counted<BrokerNode>>(brokers[0])
+        .expect("placed above");
+    at_b0.reset();
+    let retries_before = at_b0.inner.bridge_stats().retries;
+
+    sim.run_for(SimDuration::from_secs(120));
+    let at_b0 = sim
+        .node_ref::<Counted<BrokerNode>>(brokers[0])
+        .expect("placed above");
+    let retry_timers: Vec<u64> = at_b0
+        .timers
+        .iter()
+        .filter(|(tag, _)| tag.0 & BATCH_RETRY_BIT != 0)
+        .map(|&(_, cost)| cost)
+        .collect();
+    // Both outcomes ran in the window: resends, and firings past the
+    // budget that write a batch off.
+    let resends = at_b0.inner.bridge_stats().retries - retries_before;
+    assert!(resends >= 8, "{resends} resends");
+    assert!(retry_timers.len() as u64 > resends, "no batch expired");
+    assert!(
+        retry_timers.iter().all(|&cost| cost == 0),
+        "{retry_timers:?}"
+    );
 }

@@ -15,6 +15,16 @@ const TAG_PUBLISH: u64 = 1;
 const TAG_SUBSCRIBE: u64 = 2;
 const TAG_UNSUBSCRIBE: u64 = 3;
 
+/// The simulation seed of a test: `base` shifted by `DIMMER_SEED`, so
+/// the seed sweep in `scripts/ci.sh` runs every scenario under other
+/// timings.
+fn seed(base: u64) -> u64 {
+    base + std::env::var("DIMMER_SEED")
+        .ok()
+        .and_then(|s| s.parse::<u64>().ok())
+        .unwrap_or(0)
+}
+
 /// Adds a client node on an ideal link to its `broker`.
 fn add_client<N: Node>(sim: &mut Simulator, broker: NodeId, name: &str, node: N) -> NodeId {
     let id = sim.add_node(name, node);
@@ -213,7 +223,7 @@ fn assert_exactly_once(got: &[(String, Vec<u8>)], count: u64, who: &str) {
 
 #[test]
 fn cross_shard_publishes_delivered_exactly_once() {
-    let mut sim = Simulator::new(SimConfig { seed: 11 });
+    let mut sim = Simulator::new(SimConfig { seed: seed(11) });
     let brokers = build_federation(&mut sim, 3, &["d0", "d1", "d2"], small_batches());
     // d0 is owned by broker 0; subscribers hang off all three brokers.
     let local = add_client(
@@ -275,7 +285,7 @@ fn cross_shard_publishes_delivered_exactly_once() {
 
 #[test]
 fn retained_messages_cross_the_bridge_to_late_subscribers() {
-    let mut sim = Simulator::new(SimConfig { seed: 12 });
+    let mut sim = Simulator::new(SimConfig { seed: seed(12) });
     let brokers = build_federation(&mut sim, 2, &["d0", "d1"], small_batches());
     // One retained publish to the owner (broker 0) at t=50ms.
     let mut publisher = Pub::new(
@@ -303,7 +313,7 @@ fn retained_messages_cross_the_bridge_to_late_subscribers() {
 
 #[test]
 fn unsubscribe_withdraws_the_advertisement() {
-    let mut sim = Simulator::new(SimConfig { seed: 13 });
+    let mut sim = Simulator::new(SimConfig { seed: seed(13) });
     let brokers = build_federation(&mut sim, 2, &["d0", "d1"], small_batches());
     // Subscriber on broker 1 walks away at t=1s; publisher keeps going
     // until t≈4s.
@@ -344,7 +354,7 @@ fn unsubscribe_withdraws_the_advertisement() {
 
 #[test]
 fn owner_restart_recovers_cross_shard_routing() {
-    let mut sim = Simulator::new(SimConfig { seed: 14 });
+    let mut sim = Simulator::new(SimConfig { seed: seed(14) });
     let brokers = build_federation(&mut sim, 2, &["d0", "d1"], small_batches());
     // QoS 1 publisher: its client retries unacked publishes, so the
     // owner's 1-second outage must not lose anything.
@@ -389,7 +399,7 @@ fn owner_restart_recovers_cross_shard_routing() {
 
 #[test]
 fn remote_restart_wipes_and_relearns_advertisements() {
-    let mut sim = Simulator::new(SimConfig { seed: 15 });
+    let mut sim = Simulator::new(SimConfig { seed: seed(15) });
     let brokers = build_federation(&mut sim, 2, &["d0", "d1"], small_batches());
     let mut sub = Sub::new(brokers[1], "district/d0/#", QoS::AtLeastOnce);
     // Keepalive lets the subscriber re-subscribe to its restarted broker,
@@ -458,7 +468,7 @@ impl Node for TracedPub {
 fn span_tree_reconstructs_cross_shard_flight_with_bridge_hop() {
     use simnet::telemetry::SpanNode;
 
-    let mut sim = Simulator::new(SimConfig { seed: 21 });
+    let mut sim = Simulator::new(SimConfig { seed: seed(21) });
     let brokers = build_federation(&mut sim, 2, &["d0", "d1"], small_batches());
     // Subscriber on shard 1 for a topic owned by shard 1; the publisher
     // hangs off shard 0, so delivery must cross the bridge.

@@ -1,18 +1,18 @@
-//! Request/response framing and tracking over raw packets.
+//! Request/response framing, tracking and retransmission.
 //!
 //! The Web-Service layer of the framework (see the `proxy` crate) is a
-//! request/response protocol. This module provides the two halves every
-//! node needs:
+//! request/response protocol. This module provides what its nodes need:
 //!
 //! * a tiny wire frame ([`encode_request`] / [`encode_response`] /
 //!   [`decode`]) carrying a direction flag and a 64-bit correlation id;
+//! * [`Retransmit`], the ledger of every at-least-once sender: RPC
+//!   requests, and pub/sub publishes, deliveries and bridge batches;
 //! * a [`RequestTracker`] that a node embeds to correlate responses with
-//!   outstanding requests, with per-request timeout and bounded retry.
+//!   outstanding requests, with a timeout and bounded retry.
 //!
-//! The tracker is deliberately callback-free: the owning node feeds it
-//! incoming packets and timer ticks and reacts to the returned
-//! [`RpcEvent`]s, which keeps all state in the node where the simulator
-//! can see it.
+//! Both are deliberately callback-free: the owning node feeds them
+//! incoming packets and timer ticks and reacts to what they return,
+//! which keeps all state in the node where the simulator can see it.
 
 use std::cell::OnceCell;
 use std::collections::HashMap;
@@ -21,7 +21,7 @@ use crate::context::Context;
 use crate::frame::Frame;
 use crate::node::{NodeId, Packet, Port, TimerTag};
 use crate::time::SimDuration;
-use telemetry::CounterHandle;
+use telemetry::{CounterHandle, TraceId, NO_SPAN, NO_TRACE};
 
 /// Direction flag + correlation id header, little-endian id.
 const HEADER_LEN: usize = 9;
@@ -105,48 +105,129 @@ pub fn decode(bytes: &[u8]) -> Result<RpcFrame<'_>, DecodeRpcError> {
     }
 }
 
-/// Events surfaced by [`RequestTracker::accept`] and
-/// [`RequestTracker::on_timer`]; payloads borrow from the accepted
-/// packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RpcEvent<'a> {
-    /// A peer sent us a request; reply with
-    /// [`RequestTracker::respond`] using the same id.
-    IncomingRequest {
-        /// Correlation id chosen by the requester.
-        id: u64,
-        /// The requesting node.
-        from: NodeId,
-        /// The port the request arrived on (responses go back to it).
-        port: Port,
-        /// Application payload.
-        body: &'a [u8],
-    },
-    /// A response matched one of our outstanding requests.
-    ResponseReceived {
-        /// Correlation id of our request.
-        id: u64,
-        /// Application payload.
-        body: &'a [u8],
-    },
-    /// An outstanding request exhausted its retries without a response.
-    RequestTimedOut {
-        /// Correlation id of the abandoned request.
-        id: u64,
-    },
+/// What [`Retransmit::on_timer`] did with a fired retry timer.
+#[derive(Debug)]
+pub enum Fired<'a, M> {
+    /// The frame went out again and its timer is re-armed.
+    Resent(&'a mut M),
+    /// The retry budget was spent: the entry of this id is gone.
+    Expired(u64, M),
 }
 
-#[derive(Debug, Clone)]
-struct Pending {
+/// A kept frame with its resends' address and trace (under no span).
+#[derive(Debug)]
+struct Unacked<M> {
     dst: NodeId,
     port: Port,
-    /// The request as sent: a resend shares it.
     frame: Frame,
-    timeout: SimDuration,
+    trace: TraceId,
     retries_left: u32,
+    meta: M,
 }
 
-/// Correlates responses with requests; embeds in a [`Node`](crate::Node).
+/// The retransmission ledger of an at-least-once sender. The sender puts
+/// a frame on the wire and [keeps](Retransmit::keep) it under its own id
+/// with what it needs to settle the id (`M`); the ledger arms timer
+/// `tag_base + id`. Until the [`ack`](Retransmit::ack), each firing
+/// resends the same frame (so a resend allocates nothing) and re-arms
+/// the timer, `retries` times; the next firing expires the entry.
+#[derive(Debug)]
+pub struct Retransmit<M> {
+    tag_base: u64,
+    timeout: SimDuration,
+    retries: u32,
+    unacked: HashMap<u64, Unacked<M>>,
+}
+
+impl<M> Retransmit<M> {
+    /// An empty ledger: timer tags from `tag_base`, each timer `timeout`
+    /// after a send, at most `retries` resends per frame.
+    pub fn new(tag_base: u64, timeout: SimDuration, retries: u32) -> Self {
+        Retransmit {
+            tag_base,
+            timeout,
+            retries,
+            unacked: HashMap::new(),
+        }
+    }
+
+    /// The first tag of the ledger's namespace.
+    pub fn tag_base(&self) -> u64 {
+        self.tag_base
+    }
+
+    /// Number of frames awaiting their acknowledgement.
+    pub fn outstanding(&self) -> usize {
+        self.unacked.len()
+    }
+
+    /// Whether frame `id` awaits its acknowledgement.
+    pub fn contains(&self, id: u64) -> bool {
+        self.unacked.contains_key(&id)
+    }
+
+    /// What the sender keeps beside each awaited frame.
+    pub fn values(&self) -> impl Iterator<Item = &M> {
+        self.unacked.values().map(|u| &u.meta)
+    }
+
+    /// Forgets every entry: call from `on_restart`, the crash having
+    /// cancelled the timers.
+    pub fn clear(&mut self) {
+        self.unacked.clear();
+    }
+
+    /// Keeps `frame`, just sent to `dst`:`port`, under `id` and arms its
+    /// timer. Its resends carry `trace`.
+    #[allow(clippy::too_many_arguments)] // a resend's packet, and the sender's `M`
+    pub fn keep(
+        &mut self,
+        ctx: &mut Context<'_>,
+        id: u64,
+        dst: NodeId,
+        port: Port,
+        frame: Frame,
+        trace: TraceId,
+        meta: M,
+    ) {
+        ctx.set_timer(self.timeout, TimerTag(self.tag_base + id));
+        let retries_left = self.retries;
+        let unacked = Unacked {
+            dst,
+            port,
+            frame,
+            trace,
+            retries_left,
+            meta,
+        };
+        self.unacked.insert(id, unacked);
+    }
+
+    /// Settles frame `id`; `None` when it is not awaited.
+    pub fn ack(&mut self, id: u64) -> Option<M> {
+        self.unacked.remove(&id).map(|u| u.meta)
+    }
+
+    /// Feeds a fired timer through the ledger; `None` when the tag is
+    /// foreign or its frame no longer awaited.
+    pub fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) -> Option<Fired<'_, M>> {
+        let id = tag.0.checked_sub(self.tag_base)?;
+        // A timer that fires after its ack (the common case) costs one
+        // lookup; `entry` would also reserve room for an insert.
+        if self.unacked.get(&id)?.retries_left == 0 {
+            return Some(Fired::Expired(id, self.unacked.remove(&id)?.meta));
+        }
+        let u = self.unacked.get_mut(&id)?;
+        u.retries_left -= 1;
+        ctx.send_spanned(u.dst, u.port, u.frame.clone(), u.trace, NO_SPAN);
+        ctx.set_timer(self.timeout, tag);
+        Some(Fired::Resent(&mut u.meta))
+    }
+}
+
+/// Correlates responses with the requests a node sends; embeds in a
+/// [`Node`](crate::Node). A node answering requests needs no state: it
+/// [`decode`]s each and replies with [`encode_response`].
 ///
 /// The tracker owns a contiguous range of timer tags starting at the
 /// `tag_base` given to [`RequestTracker::new`]; the owning node must route
@@ -154,33 +235,33 @@ struct Pending {
 /// [`RequestTracker::on_timer`]. See `crates/proxy` for a complete usage.
 #[derive(Debug)]
 pub struct RequestTracker {
-    tag_base: u64,
     next_id: u64,
-    pending: HashMap<u64, Pending>,
+    pending: Retransmit<()>,
     /// `rpc.retry_exhausted`, resolved by the first request to exhaust
     /// its retries.
     retry_exhausted: OnceCell<CounterHandle>,
 }
 
 impl RequestTracker {
-    /// Creates a tracker whose timers use tags `tag_base + request-id`.
-    pub fn new(tag_base: u64) -> Self {
+    /// Creates a tracker whose timers use tags `tag_base + request-id`. A
+    /// request is resent each `timeout` without a response, up to
+    /// `retries` times, before [`RequestTracker::on_timer`] gives it up.
+    pub fn new(tag_base: u64, timeout: SimDuration, retries: u32) -> Self {
         RequestTracker {
-            tag_base,
             next_id: 0,
-            pending: HashMap::new(),
+            pending: Retransmit::new(tag_base, timeout, retries),
             retry_exhausted: OnceCell::new(),
         }
     }
 
     /// Number of requests still awaiting a response.
     pub fn outstanding(&self) -> usize {
-        self.pending.len()
+        self.pending.outstanding()
     }
 
     /// Whether request `id` is still awaiting a response.
     pub fn is_pending(&self, id: u64) -> bool {
-        self.pending.contains_key(&id)
+        self.pending.contains(id)
     }
 
     /// Forgets every outstanding request without firing events.
@@ -193,10 +274,8 @@ impl RequestTracker {
         self.pending.clear();
     }
 
-    /// Sends `body` as a request to `dst`:`port`, arming a timeout that
-    /// resends it, each time after `timeout` again, up to `retries` times
-    /// before reporting [`RpcEvent::RequestTimedOut`]. Returns the
-    /// correlation id.
+    /// Sends `body` as a request to `dst`:`port` under the tracker's
+    /// timeout and retry budget. Returns the correlation id.
     ///
     /// The header and the body are copied once, into one shared
     /// [`Frame`]: the packet in flight and the copy kept for resends are
@@ -207,74 +286,42 @@ impl RequestTracker {
         dst: NodeId,
         port: Port,
         body: &[u8],
-        timeout: SimDuration,
-        retries: u32,
     ) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
         let frame = Frame::concat(&header(0, id), body);
         ctx.send(dst, port, frame.clone());
-        ctx.set_timer(timeout, TimerTag(self.tag_base + id));
-        self.pending.insert(
-            id,
-            Pending {
-                dst,
-                port,
-                frame,
-                timeout,
-                retries_left: retries,
-            },
-        );
+        self.pending.keep(ctx, id, dst, port, frame, NO_TRACE, ());
         id
     }
 
-    /// Sends a response for a previously received request id.
-    pub fn respond(&self, ctx: &mut Context<'_>, to: NodeId, port: Port, id: u64, body: &[u8]) {
-        ctx.send(to, port, encode_response(id, body));
+    /// Feeds an incoming packet through the tracker: returns the
+    /// correlation id and body of a response to an outstanding request,
+    /// borrowed from `pkt`; `None` for anything else (not an RPC frame,
+    /// a request, a late or duplicate response).
+    pub fn accept<'a>(&mut self, pkt: &'a Packet) -> Option<(u64, &'a [u8])> {
+        let RpcFrame::Response { id, body } = decode(&pkt.payload).ok()? else {
+            return None;
+        };
+        self.pending.ack(id)?;
+        Some((id, body))
     }
 
-    /// Feeds an incoming packet through the tracker.
-    ///
-    /// Returns `None` for packets that are not valid RPC frames or that
-    /// answer an already-completed (or unknown) request.
-    pub fn accept<'a>(&mut self, pkt: &'a Packet) -> Option<RpcEvent<'a>> {
-        match decode(&pkt.payload).ok()? {
-            RpcFrame::Request { id, body } => Some(RpcEvent::IncomingRequest {
-                id,
-                from: pkt.src,
-                port: pkt.port,
-                body,
-            }),
-            RpcFrame::Response { id, body } => {
-                self.pending.remove(&id)?;
-                Some(RpcEvent::ResponseReceived { id, body })
-            }
-        }
-    }
-
-    /// Feeds a fired timer through the tracker.
-    ///
-    /// Returns `Some(RequestTimedOut)` when a request ran out of retries,
-    /// `None` when the tag is foreign, the request already completed, or a
-    /// retry was transparently resent.
-    pub fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) -> Option<RpcEvent<'static>> {
-        let id = tag.0.checked_sub(self.tag_base)?;
-        let pending = self.pending.get_mut(&id)?;
-        if pending.retries_left == 0 {
-            self.pending.remove(&id);
-            self.retry_exhausted
-                .get_or_init(|| {
-                    ctx.telemetry()
-                        .metrics
-                        .counter_handle("rpc.retry_exhausted")
-                })
-                .incr();
-            return Some(RpcEvent::RequestTimedOut { id });
-        }
-        pending.retries_left -= 1;
-        ctx.send(pending.dst, pending.port, pending.frame.clone());
-        ctx.set_timer(pending.timeout, TimerTag(self.tag_base + id));
-        None
+    /// Feeds a fired timer through the tracker: returns the id of a
+    /// request that ran out of retries; `None` when the tag is foreign,
+    /// the request already completed, or a retry was resent.
+    pub fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) -> Option<u64> {
+        let Fired::Expired(id, ()) = self.pending.on_timer(ctx, tag)? else {
+            return None;
+        };
+        self.retry_exhausted
+            .get_or_init(|| {
+                ctx.telemetry()
+                    .metrics
+                    .counter_handle("rpc.retry_exhausted")
+            })
+            .incr();
+        Some(id)
     }
 }
 
@@ -322,27 +369,177 @@ mod tests {
         }
     }
 
+    // The ledger is driven callback by callback: each call runs on a
+    // context of its own and is judged by the effects it queued.
+    use crate::context::Effect;
+    use crate::rng::DeterministicRng;
+    use crate::SimTime;
+    use telemetry::{SpanId, Telemetry};
+
+    /// An effect, comparable: a send's bytes, trace and span, or a timer.
+    #[derive(Debug, PartialEq)]
+    enum Seen {
+        Send(NodeId, Port, Vec<u8>, TraceId, SpanId),
+        Timer(SimTime, TimerTag),
+    }
+
+    /// Runs `f` on a context at `now`; returns its result and the
+    /// effects it queued, with each send's payload address.
+    fn run<R>(
+        now: SimTime,
+        f: impl FnOnce(&mut Context<'_>) -> R,
+    ) -> (R, Vec<Seen>, Vec<*const u8>) {
+        let mut rng = DeterministicRng::seed_from(1);
+        let mut effects = Vec::new();
+        let telemetry = Telemetry::new();
+        let mut ctx = Context {
+            now,
+            node: NodeId::from_index(0),
+            rng: &mut rng,
+            effects: &mut effects,
+            telemetry: &telemetry,
+        };
+        let out = f(&mut ctx);
+        let mut addresses = Vec::new();
+        let seen = effects
+            .into_iter()
+            .map(|effect| match effect {
+                Effect::Send {
+                    dst,
+                    port,
+                    payload,
+                    trace,
+                    span,
+                } => {
+                    addresses.push(payload.as_ptr());
+                    Seen::Send(dst, port, payload.to_vec(), trace, span)
+                }
+                Effect::SetTimer { at, tag } => Seen::Timer(at, tag),
+            })
+            .collect();
+        (out, seen, addresses)
+    }
+
+    const PEER: NodeId = NodeId(1);
+    const PORT: Port = Port::new(7);
+    /// Longer than a frame keeps inline, so a resend's bytes have an
+    /// address of their own to compare.
+    const BODY: &[u8] = b"a frame too long to be kept inline";
+
+    fn at(secs: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_secs(secs)
+    }
+
+    /// Tags from 100, a 1 s timeout and two resends.
+    fn ledger() -> Retransmit<&'static str> {
+        Retransmit::new(100, SimDuration::from_secs(1), 2)
+    }
+
+    fn keep(ledger: &mut Retransmit<&'static str>, id: u64, meta: &'static str) -> Frame {
+        let frame = Frame::copy_from_slice(BODY);
+        let kept = frame.clone();
+        let ((), seen, _) = run(at(0), |ctx| ledger.keep(ctx, id, PEER, PORT, kept, 9, meta));
+        assert_eq!(seen, [Seen::Timer(at(1), TimerTag(100 + id))]);
+        frame
+    }
+
+    #[test]
+    fn ledger_ack_stops_resends() {
+        let mut ledger = ledger();
+        keep(&mut ledger, 3, "three");
+        let (resent, _, _) = run(at(1), |ctx| {
+            matches!(ledger.on_timer(ctx, TimerTag(103)), Some(Fired::Resent(_)))
+        });
+        assert!(resent && ledger.contains(3));
+        assert_eq!(ledger.ack(3), Some("three"));
+        assert!(ledger.outstanding() == 0);
+        let (fired, seen, _) = run(at(2), |ctx| ledger.on_timer(ctx, TimerTag(103)).is_some());
+        assert!(!fired, "an acked frame's timer does nothing");
+        assert!(seen.is_empty());
+        assert_eq!(ledger.ack(3), None, "a duplicate ack settles nothing");
+    }
+
+    #[test]
+    fn ledger_resends_exactly_retries_times_then_expires_once() {
+        let mut ledger = ledger();
+        let frame = keep(&mut ledger, 3, "three");
+        for round in 1..=2 {
+            let ((), seen, addresses) =
+                run(at(round), |ctx| match ledger.on_timer(ctx, TimerTag(103)) {
+                    Some(Fired::Resent(meta)) => *meta = "resent",
+                    other => panic!("round {round}: {other:?}"),
+                });
+            // The same bytes under the resend trace and no span, sharing
+            // the kept frame's allocation; then the timer again.
+            assert_eq!(
+                seen,
+                [
+                    Seen::Send(PEER, PORT, BODY.to_vec(), 9, NO_SPAN),
+                    Seen::Timer(at(round + 1), TimerTag(103)),
+                ]
+            );
+            assert_eq!(addresses, [frame.as_ptr()]);
+        }
+        let (expired, seen, _) = run(at(3), |ctx| {
+            matches!(
+                ledger.on_timer(ctx, TimerTag(103)),
+                Some(Fired::Expired(3, "resent"))
+            )
+        });
+        assert!(expired, "the budget spent, the entry expires");
+        assert!(seen.is_empty(), "an expiry sends nothing");
+        assert!(ledger.outstanding() == 0);
+    }
+
+    #[test]
+    fn ledger_ignores_foreign_and_finished_tags() {
+        let mut ledger = ledger();
+        keep(&mut ledger, 0, "zero");
+        keep(&mut ledger, 1, "one");
+        assert_eq!(ledger.ack(1), Some("one"));
+        for _ in 0..3 {
+            run(at(1), |ctx| ledger.on_timer(ctx, TimerTag(100)).is_some());
+        }
+        assert!(ledger.outstanding() == 0, "id 0 expired");
+        // Below the namespace, finished (acked, expired) and never kept.
+        for tag in [99, 100, 101, 102] {
+            let (fired, seen, _) = run(at(4), |ctx| ledger.on_timer(ctx, TimerTag(tag)).is_some());
+            assert!(!fired && seen.is_empty(), "tag {tag}");
+        }
+    }
+
+    #[test]
+    fn ledger_clear_forgets_every_entry() {
+        let mut ledger = ledger();
+        for id in 0..3 {
+            keep(&mut ledger, id, "kept");
+        }
+        assert_eq!(ledger.outstanding(), 3);
+        assert_eq!(ledger.values().count(), 3);
+        ledger.clear();
+        assert!(ledger.outstanding() == 0);
+        for id in 0..3 {
+            let (fired, seen, _) = run(at(1), |ctx| {
+                ledger.on_timer(ctx, TimerTag(100 + id)).is_some()
+            });
+            assert!(!fired && seen.is_empty(), "id {id}");
+            assert_eq!(ledger.ack(id), None);
+        }
+    }
+
     // Tracker behaviour is exercised end-to-end in the integration test
     // below using a real simulator.
     use crate::link::LinkModel;
     use crate::{Node, SimConfig, Simulator};
 
-    struct Server {
-        tracker: RequestTracker,
-    }
+    struct Server;
 
     impl Node for Server {
         fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
-            if let Some(RpcEvent::IncomingRequest {
-                id,
-                from,
-                port,
-                body,
-            }) = self.tracker.accept(&pkt)
-            {
+            if let Ok(RpcFrame::Request { id, body }) = decode(&pkt.payload) {
                 let mut reply = body.to_vec();
                 reply.reverse();
-                self.tracker.respond(ctx, from, port, id, &reply);
+                ctx.send(pkt.src, pkt.port, encode_response(id, &reply));
             }
         }
     }
@@ -356,22 +553,16 @@ mod tests {
 
     impl Node for ClientNode {
         fn on_start(&mut self, ctx: &mut Context<'_>) {
-            self.tracker.send_request(
-                ctx,
-                self.server,
-                Port::new(80),
-                b"abc",
-                SimDuration::from_secs(1),
-                2,
-            );
+            self.tracker
+                .send_request(ctx, self.server, Port::new(80), b"abc");
         }
         fn on_packet(&mut self, _ctx: &mut Context<'_>, pkt: Packet) {
-            if let Some(RpcEvent::ResponseReceived { id, body }) = self.tracker.accept(&pkt) {
+            if let Some((id, body)) = self.tracker.accept(&pkt) {
                 self.responses.push((id, body.to_vec()));
             }
         }
         fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
-            if let Some(RpcEvent::RequestTimedOut { id }) = self.tracker.on_timer(ctx, tag) {
+            if let Some(id) = self.tracker.on_timer(ctx, tag) {
                 self.timeouts.push(id);
             }
         }
@@ -380,16 +571,11 @@ mod tests {
     #[test]
     fn request_response_over_network() {
         let mut sim = Simulator::new(SimConfig::default());
-        let server = sim.add_node(
-            "server",
-            Server {
-                tracker: RequestTracker::new(1000),
-            },
-        );
+        let server = sim.add_node("server", Server);
         let client = sim.add_node(
             "client",
             ClientNode {
-                tracker: RequestTracker::new(1000),
+                tracker: RequestTracker::new(1000, SimDuration::from_secs(1), 2),
                 server,
                 responses: vec![],
                 timeouts: vec![],
@@ -406,16 +592,11 @@ mod tests {
     fn retries_survive_a_lossy_link() {
         // 60% loss: the request resolves one way or the other.
         let mut sim = Simulator::new(SimConfig { seed: 77 });
-        let server = sim.add_node(
-            "server",
-            Server {
-                tracker: RequestTracker::new(1000),
-            },
-        );
+        let server = sim.add_node("server", Server);
         let client = sim.add_node(
             "client",
             ClientNode {
-                tracker: RequestTracker::new(1000),
+                tracker: RequestTracker::new(1000, SimDuration::from_secs(1), 2),
                 server,
                 responses: vec![],
                 timeouts: vec![],
@@ -441,7 +622,7 @@ mod tests {
         let client = sim.add_node(
             "client",
             ClientNode {
-                tracker: RequestTracker::new(1000),
+                tracker: RequestTracker::new(1000, SimDuration::from_secs(1), 2),
                 server,
                 responses: vec![],
                 timeouts: vec![],
@@ -468,7 +649,7 @@ mod tests {
         let client = sim.add_node(
             "client",
             ClientNode {
-                tracker: RequestTracker::new(1000),
+                tracker: RequestTracker::new(1000, SimDuration::from_secs(1), 2),
                 server,
                 responses: vec![],
                 timeouts: vec![],
@@ -501,7 +682,7 @@ mod tests {
         let client = sim.add_node(
             "client",
             ClientNode {
-                tracker: RequestTracker::new(1000),
+                tracker: RequestTracker::new(1000, SimDuration::from_secs(1), 2),
                 server,
                 responses: vec![],
                 timeouts: vec![],
@@ -516,7 +697,7 @@ mod tests {
 
     #[test]
     fn late_duplicate_response_is_ignored() {
-        let mut tracker = RequestTracker::new(0);
+        let mut tracker = RequestTracker::new(0, SimDuration::from_secs(1), 2);
         // Simulate a response for an id that was never pending.
         let pkt = Packet {
             src: NodeId::from_index(1),

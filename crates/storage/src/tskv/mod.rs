@@ -44,7 +44,7 @@ use telemetry::{CounterHandle, GaugeHandle, HistogramHandle, Registry};
 
 use self::gorilla::{encode_into, BlockIter};
 use self::scan::{head_from, MergeScan};
-use self::segment::{materialize, Segment};
+use self::segment::{materialize, Segment, SummaryBucket};
 use self::wal::{Snapshot, Wal, WalOp};
 
 /// How a downsampling bucket combines its points.
@@ -80,16 +80,21 @@ impl Aggregate {
         })
     }
 
-    /// Finishes a streamed bucket accumulation.
+    /// Finishes a bucket accumulation.
     #[inline]
-    fn finish(self, count: u64, sum: f64, min: f64, max: f64, last: f64) -> f64 {
-        match self {
-            Aggregate::Mean => sum / count as f64,
-            Aggregate::Min => min,
-            Aggregate::Max => max,
-            Aggregate::Sum => sum,
-            Aggregate::Count => count as f64,
-            Aggregate::Last => last,
+    fn finish(self, b: &SummaryBucket) -> Bucket {
+        let value = match self {
+            Aggregate::Mean => b.sum / b.count as f64,
+            Aggregate::Min => b.min,
+            Aggregate::Max => b.max,
+            Aggregate::Sum => b.sum,
+            Aggregate::Count => b.count as f64,
+            Aggregate::Last => b.last,
+        };
+        Bucket {
+            start: b.start,
+            value,
+            count: b.count,
         }
     }
 }
@@ -579,11 +584,7 @@ impl TimeSeriesStore {
                         &mut scanned,
                     );
                     for b in &s.segments[seg_idx].levels[level_idx].buckets {
-                        out.push(Bucket {
-                            start: b.start,
-                            value: aggregate.finish(b.count, b.sum, b.min, b.max, b.last),
-                            count: b.count,
-                        });
+                        out.push(aggregate.finish(b));
                         scanned += b.count;
                     }
                     cursor = pe;
@@ -923,7 +924,8 @@ fn eligible_spans(s: &Series, from: i64, to: i64, bucket: i64) -> Vec<(i64, i64,
 }
 
 /// Folds the raw points of `[a, b)` into buckets aligned to the query's
-/// `from`, streaming (one accumulator, no per-bucket allocation).
+/// `from`, streaming through one [`SummaryBucket`], the accumulator the
+/// materialized rollups are folded with (no per-bucket allocation).
 #[allow(clippy::too_many_arguments)]
 fn fold_buckets(
     s: &Series,
@@ -938,51 +940,22 @@ fn fold_buckets(
     if a >= b {
         return;
     }
-    struct Acc {
-        start: i64,
-        count: u64,
-        sum: f64,
-        min: f64,
-        max: f64,
-        last: f64,
-    }
-    let mut acc: Option<Acc> = None;
+    let mut acc: Option<SummaryBucket> = None;
     for (t, v) in MergeScan::new(&s.head, &s.segments, a, Some(b)) {
         *scanned += 1;
         let start = from + (t - from).div_euclid(bucket) * bucket;
         match &mut acc {
-            Some(acc) if acc.start == start => {
-                acc.count += 1;
-                acc.sum += v;
-                acc.min = acc.min.min(v);
-                acc.max = acc.max.max(v);
-                acc.last = v;
-            }
+            Some(acc) if acc.start == start => acc.push(v),
             _ => {
                 if let Some(acc) = acc.take() {
-                    out.push(Bucket {
-                        start: acc.start,
-                        value: aggregate.finish(acc.count, acc.sum, acc.min, acc.max, acc.last),
-                        count: acc.count,
-                    });
+                    out.push(aggregate.finish(&acc));
                 }
-                acc = Some(Acc {
-                    start,
-                    count: 1,
-                    sum: v,
-                    min: f64::INFINITY.min(v),
-                    max: f64::NEG_INFINITY.max(v),
-                    last: v,
-                });
+                acc = Some(SummaryBucket::first(start, v));
             }
         }
     }
     if let Some(acc) = acc {
-        out.push(Bucket {
-            start: acc.start,
-            value: aggregate.finish(acc.count, acc.sum, acc.min, acc.max, acc.last),
-            count: acc.count,
-        });
+        out.push(aggregate.finish(&acc));
     }
 }
 

@@ -33,6 +33,36 @@ pub(crate) struct SummaryBucket {
     pub(crate) last: f64,
 }
 
+impl SummaryBucket {
+    /// A bucket holding its first point.
+    #[inline]
+    pub(crate) fn first(start: i64, v: f64) -> Self {
+        SummaryBucket {
+            start,
+            count: 1,
+            sum: v,
+            min: f64::INFINITY.min(v),
+            max: f64::NEG_INFINITY.max(v),
+            last: v,
+        }
+    }
+
+    /// Folds in the bucket's next point, in time order. The raw query
+    /// fold and the materialized rollups both accumulate here, so a
+    /// rollup is bit-identical to the raw fold over the same points.
+    /// Inlined in debug builds too: which NaN payload `sum += v` keeps
+    /// depends on the code around it, and the tests compare the store's
+    /// sums bit for bit with folds written inline.
+    #[inline(always)]
+    pub(crate) fn push(&mut self, v: f64) {
+        self.count += 1;
+        self.sum += v;
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+        self.last = v;
+    }
+}
+
 /// All buckets of one rollup granularity inside a segment's span.
 /// Buckets are aligned to `t.div_euclid(bucket_millis) * bucket_millis`
 /// and empty buckets are omitted, matching the query-path convention
@@ -144,27 +174,14 @@ fn fold_level(points: &[(i64, f64)], bucket: i64, mut emit: impl FnMut(SummaryBu
     let mut end = None;
     for &(t, v) in points {
         match &mut acc {
-            Some(b) if end.is_none_or(|end| t < end) => {
-                b.count += 1;
-                b.sum += v;
-                b.min = b.min.min(v);
-                b.max = b.max.max(v);
-                b.last = v;
-            }
+            Some(b) if end.is_none_or(|end| t < end) => b.push(v),
             _ => {
                 if let Some(b) = acc.take() {
                     emit(b);
                 }
                 let start = t.div_euclid(bucket) * bucket;
                 end = start.checked_add(bucket);
-                acc = Some(SummaryBucket {
-                    start,
-                    count: 1,
-                    sum: v,
-                    min: f64::INFINITY.min(v),
-                    max: f64::NEG_INFINITY.max(v),
-                    last: v,
-                });
+                acc = Some(SummaryBucket::first(start, v));
             }
         }
     }

@@ -142,10 +142,23 @@ fn tskv_segment_scans_match_flat_reference() {
     for _ in 0..CASES / 4 {
         let mut store = TimeSeriesStore::with_config(tiny_config());
         let mut reference = std::collections::BTreeMap::new();
+        // The last `seal_threshold` timestamps inserted: those a head
+        // may still hold.
+        let mut recent = std::collections::VecDeque::new();
         let n = rng.next_range(1, 121);
         for _ in 0..n {
-            // Negative timestamps and frequent duplicates (overwrites).
-            let t = (rng.next_bounded(8_000) as i64 - 4_000) * TICK;
+            // Negative timestamps and frequent duplicates (overwrites);
+            // one draw in four revisits a recent insert, so overwrites
+            // land in the head as well as in sealed segments.
+            let t = if !recent.is_empty() && rng.next_bounded(4) == 0 {
+                recent[rng.next_bounded(recent.len() as u64) as usize]
+            } else {
+                (rng.next_bounded(8_000) as i64 - 4_000) * TICK
+            };
+            if recent.len() == tiny_config().seal_threshold {
+                recent.pop_front();
+            }
+            recent.push_back(t);
             let v = adversarial_value(&mut rng);
             store.insert("s", t, v);
             reference.insert(t, v);
@@ -439,6 +452,33 @@ fn tskv_series_ids_are_the_string_paths() {
 
 #[test]
 fn tskv_downsample_agrees_between_sealed_and_head_only_stores() {
+    let [five, hour] = ROLLUP_LEVELS;
+    // Two NaNs with different payloads in one bucket: a Sum or a Mean
+    // keeps whichever payload the fold's `+` keeps, and the
+    // materialized rollup (served for a query over the whole
+    // partition) must keep the one the raw fold keeps.
+    let nans = [0x7ff8_0000_0000_0001, 0xfff8_0000_0000_0002].map(f64::from_bits);
+    let mut sealed = TimeSeriesStore::with_config(tiny_config());
+    let mut flat = TimeSeriesStore::new();
+    for (t, v) in [(0, nans[0]), (five / 2, nans[1])] {
+        sealed.insert("s", t, v);
+        flat.insert("s", t, v);
+    }
+    sealed.seal_all();
+    sealed.maintain();
+    for agg in [Aggregate::Sum, Aggregate::Mean] {
+        let project = |s: &TimeSeriesStore| -> Vec<(i64, u64, u64)> {
+            s.downsample_counted("s", 0, PARTITION_MILLIS, five, agg)
+                .into_iter()
+                .map(|b| (b.start, b.value.to_bits(), b.count))
+                .collect()
+        };
+        let answer = project(&flat);
+        assert_eq!(answer.len(), 1, "{agg:?}: one bucket of two points");
+        assert!(f64::from_bits(answer[0].1).is_nan(), "{agg:?}");
+        assert_eq!(project(&sealed), answer, "{agg:?} over two NaNs");
+    }
+
     let mut rng = DeterministicRng::seed_from(0x5709_000a);
     for _ in 0..CASES / 4 {
         // `sealed` runs the full engine (segments, compaction,
@@ -446,7 +486,6 @@ fn tskv_downsample_agrees_between_sealed_and_head_only_stores() {
         // (default config, tiny data), i.e. the reference fold.
         let mut sealed = TimeSeriesStore::with_config(tiny_config());
         let mut flat = TimeSeriesStore::new();
-        let [five, hour] = ROLLUP_LEVELS;
         for _ in 0..rng.next_range(1, 150) {
             // Clustered into three 5-minute buckets of two hours on six
             // days, so rollup buckets hold several points each.

@@ -7,11 +7,12 @@
 # Knobs:
 #   DIMMER_SEEDS=n   sweep the failure-injection suites
 #                    (tests/resilience.rs, tests/chaos.rs,
-#                    tests/streams.rs) and the answer-level oracles
-#                    (tests/oracles.rs) across n simulation seeds — each
-#                    run shifts every sim seed by DIMMER_SEED, shaking
-#                    out assertions that only hold for one timing.
-#                    Defaults to 2; set 0 to skip.
+#                    tests/streams.rs), the answer-level oracles
+#                    (tests/oracles.rs) and the broker federation's
+#                    suite (crates/pubsub/tests/federation.rs) across n
+#                    simulation seeds — each run shifts every sim seed
+#                    by DIMMER_SEED, shaking out assertions that only
+#                    hold for one timing. Defaults to 2; set 0 to skip.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -124,10 +125,11 @@ cargo test -q
 
 seeds="${DIMMER_SEEDS:-2}"
 if [[ "$seeds" -gt 0 ]]; then
-    echo "== seed sweep: resilience + chaos + streams + oracles under $seeds seeds"
+    echo "== seed sweep: resilience + chaos + streams + oracles + federation under $seeds seeds"
     for s in $(seq 1 "$seeds"); do
         echo "-- DIMMER_SEED=$s"
         DIMMER_SEED="$s" cargo test -q --test resilience --test chaos --test streams --test oracles
+        DIMMER_SEED="$s" cargo test -q -p dimmer-pubsub --test federation
     done
 fi
 
