@@ -13,7 +13,9 @@
 //! * [`Measurement`]s and batches thereof;
 //! * civil [`Timestamp`]s;
 //! * the dynamic [`Value`] tree plus [`json`] and [`xml`] codecs and the
-//!   format-agnostic [`codec`] entry points.
+//!   format-agnostic [`codec`] entry points;
+//! * the byte [`bytes::Cursor`] every decoder of device and pub/sub
+//!   frames reads through.
 //!
 //! ## Example: translating to the common format
 //!
@@ -36,6 +38,7 @@
 //! # }
 //! ```
 
+pub mod bytes;
 pub mod codec;
 pub mod id;
 pub mod json;

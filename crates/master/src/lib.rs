@@ -54,7 +54,7 @@ use proxy::webservice::{
     WsServer,
 };
 use proxy::{uri_node, WS_PORT};
-use pubsub::{WirePacket, PUBSUB_PORT};
+use pubsub::{WirePacketRef, PUBSUB_PORT};
 use simnet::overload::{Admission, AdmissionGate, BreakerConfig, BreakerState, CircuitBreaker};
 use simnet::telemetry::{CounterHandle, GaugeHandle, Registry};
 use simnet::{Context, Node, NodeId, Packet, SimDuration, SimTime, TimerTag};
@@ -939,9 +939,9 @@ impl MasterNode {
             ctx.send(
                 node,
                 PUBSUB_PORT,
-                WirePacket::OpsGet {
+                WirePacketRef::OpsGet {
                     id,
-                    path: "/health".to_owned(),
+                    path: "/health",
                 }
                 .encode(),
             );
@@ -1236,10 +1236,10 @@ impl Node for MasterNode {
                 }
             }
             PUBSUB_PORT => {
-                if let Ok(WirePacket::OpsReply { id, status, body }) =
-                    WirePacket::decode(&pkt.payload)
+                if let Ok(WirePacketRef::OpsReply { id, status, body }) =
+                    WirePacketRef::decode(&pkt.payload)
                 {
-                    self.on_scrape_ops_reply(ctx, id, status, &body);
+                    self.on_scrape_ops_reply(ctx, id, status, body);
                 }
             }
             _ => {}

@@ -9,7 +9,8 @@
 //! responses, tokens, Uri-Path and Content-Format options (delta
 //! encoding with the extended 13 form), payload marker `0xFF`.
 
-use crate::ieee802154::Reader;
+use dimmer_core::bytes::Cursor;
+
 use crate::ProtocolError;
 
 /// The message type (RFC 7252 §3).
@@ -212,7 +213,7 @@ impl CoapMessage {
     /// unsupported option.
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtocolError> {
         const CTX: &str = "coap message";
-        let mut r = Reader::new(bytes, CTX);
+        let mut r = Cursor::new(bytes, CTX);
         let first = r.u8()?;
         if first >> 6 != 1 {
             return Err(ProtocolError::Unsupported {
@@ -228,7 +229,7 @@ impl CoapMessage {
             });
         }
         let code = CoapCode(r.u8()?);
-        let message_id = u16::from_be_bytes([r.u8()?, r.u8()?]);
+        let message_id = r.u16_be()?;
         let token = r.take(token_len)?.to_vec();
         let mut uri_path = Vec::new();
         let mut content_format = None;
@@ -259,18 +260,13 @@ impl CoapMessage {
                         reason: "uri-path is not utf-8",
                     }
                 })?),
-                12 => {
-                    content_format = Some(match value.len() {
-                        0 => 0,
-                        1 => u16::from(value[0]),
-                        2 => u16::from_be_bytes([value[0], value[1]]),
-                        _ => {
-                            return Err(ProtocolError::Malformed {
-                                reason: "content-format too long",
-                            })
-                        }
+                12 if value.len() > 2 => {
+                    return Err(ProtocolError::Malformed {
+                        reason: "content-format too long",
                     })
                 }
+                // A 0- to 2-byte big-endian unsigned integer.
+                12 => content_format = Some(value.iter().fold(0, |cf, &b| cf << 8 | u16::from(b))),
                 other => {
                     // Critical options (odd) must be understood; elective
                     // (even) may be skipped.
@@ -318,11 +314,16 @@ fn nibble(value: u16) -> (u8, Vec<u8>) {
     }
 }
 
-fn decode_option_part(nibble: u8, r: &mut Reader<'_>) -> Result<u16, ProtocolError> {
+fn decode_option_part(nibble: u8, r: &mut Cursor<'_>) -> Result<u16, ProtocolError> {
     match nibble {
         0..=12 => Ok(u16::from(nibble)),
         13 => Ok(13 + u16::from(r.u8()?)),
-        14 => Ok(269 + u16::from_be_bytes([r.u8()?, r.u8()?])),
+        14 => r
+            .u16_be()?
+            .checked_add(269)
+            .ok_or(ProtocolError::Malformed {
+                reason: "option extension above 65535",
+            }),
         _ => Err(ProtocolError::Malformed {
             reason: "reserved option nibble 15",
         }),
@@ -424,6 +425,21 @@ mod tests {
         // Append option with delta 2 from 11 → 13 (critical), length 0.
         m.push(0x20);
         assert!(CoapMessage::decode(&m).is_err());
+    }
+
+    #[test]
+    fn option_extension_above_u16_is_malformed() {
+        // Nibble 14 adds 269 to a two-byte extension: 0xFFFF + 269 fits
+        // no u16, for the option delta and for the option length alike.
+        for option in [0xE0, 0x0E] {
+            assert_eq!(
+                CoapMessage::decode(&[0x40, 0x01, 0, 0, option, 0xFF, 0xFF]),
+                Err(ProtocolError::Malformed {
+                    reason: "option extension above 65535"
+                }),
+                "{option:#04x}"
+            );
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! the real decode path. Uplink devices ([`UplinkDevice`]) push frames;
 //! field servers ([`FieldServer`]: OPC UA, CoAP) are polled.
 
+use dimmer_core::bytes::Cursor;
 use dimmer_core::QuantityKind;
 
 use crate::enocean::{Eep, EepReading};
@@ -124,12 +125,13 @@ impl Ieee802154Sensor {
                 reason: "raw sensor payload must be 6 bytes",
             });
         }
-        if payload[0] != RAW_SENSOR_MARKER {
-            return Err(ProtocolError::BadSync { found: payload[0] });
+        let mut r = Cursor::new(payload, "raw sensor payload");
+        let marker = r.u8()?;
+        if marker != RAW_SENSOR_MARKER {
+            return Err(ProtocolError::BadSync { found: marker });
         }
-        let quantity = quantity_from_code(payload[1])?;
-        let value = f32::from_le_bytes(payload[2..6].try_into().expect("length checked"));
-        Ok((quantity, f64::from(value)))
+        let quantity = quantity_from_code(r.u8()?)?;
+        Ok((quantity, f64::from(r.f32_le()?)))
     }
 
     /// The application payload reporting `value` as `quantity`, the

@@ -13,9 +13,9 @@
 //!   A5-12-01 (automated meter reading), D5-00-01 (single input contact)
 //!   and F6-02-01 (rocker switch).
 
+use dimmer_core::bytes::Cursor;
 use dimmer_core::QuantityKind;
 
-use crate::ieee802154::Reader;
 use crate::ProtocolError;
 
 /// CRC-8 with polynomial 0x07 (init 0), as used by ESP3.
@@ -127,21 +127,18 @@ impl Erp1Telegram {
     /// Returns [`ProtocolError`] on truncation or an unknown RORG.
     pub(crate) fn decode(bytes: &[u8]) -> Result<Self, ProtocolError> {
         const CTX: &str = "erp1 telegram";
-        let mut r = Reader::new(bytes, CTX);
+        let mut r = Cursor::new(bytes, CTX);
         let rorg = Rorg::from_byte(r.u8()?)?;
         let data = r.take(rorg.data_len())?.to_vec();
-        let sender_hi = r.u8()?;
-        let sender = u32::from_be_bytes([sender_hi, r.u8()?, r.u8()?, r.u8()?]);
+        let sender_id = r.u32_be()?;
         let status = r.u8()?;
-        if r.remaining() != 0 {
-            return Err(ProtocolError::Malformed {
-                reason: "trailing bytes after erp1 telegram",
-            });
-        }
+        r.finish(ProtocolError::Malformed {
+            reason: "trailing bytes after erp1 telegram",
+        })?;
         Ok(Erp1Telegram {
             rorg,
             data,
-            sender_id: sender,
+            sender_id,
             status,
         })
     }
@@ -179,17 +176,13 @@ impl Erp1Telegram {
     /// truncation, or a non-ERP1 packet type.
     pub fn from_esp3(bytes: &[u8]) -> Result<Self, ProtocolError> {
         const CTX: &str = "esp3 packet";
-        if bytes.is_empty() {
-            return Err(ProtocolError::Truncated { context: CTX });
+        let mut r = Cursor::new(bytes, CTX);
+        let sync = r.u8()?;
+        if sync != 0x55 {
+            return Err(ProtocolError::BadSync { found: sync });
         }
-        if bytes[0] != 0x55 {
-            return Err(ProtocolError::BadSync { found: bytes[0] });
-        }
-        if bytes.len() < 6 {
-            return Err(ProtocolError::Truncated { context: CTX });
-        }
-        let header = &bytes[1..5];
-        let header_crc = bytes[5];
+        let header = r.take(4)?;
+        let header_crc = r.u8()?;
         let expected = crc8(header);
         if header_crc != expected {
             return Err(ProtocolError::BadChecksum {
@@ -198,21 +191,18 @@ impl Erp1Telegram {
                 found: u32::from(header_crc),
             });
         }
-        let data_len = (usize::from(header[0]) << 8) | usize::from(header[1]);
-        let opt_len = usize::from(header[2]);
-        let packet_type = header[3];
+        let mut h = Cursor::new(header, CTX);
+        let data_len = usize::from(h.u16_be()?);
+        let opt_len = usize::from(h.u8()?);
+        let packet_type = h.u8()?;
         if packet_type != 0x01 {
             return Err(ProtocolError::Unsupported {
                 context: "esp3 packet type",
                 value: u64::from(packet_type),
             });
         }
-        let total = 6 + data_len + opt_len + 1;
-        if bytes.len() < total {
-            return Err(ProtocolError::Truncated { context: CTX });
-        }
-        let payload = &bytes[6..6 + data_len + opt_len];
-        let found = bytes[6 + data_len + opt_len];
+        let payload = r.take(data_len + opt_len)?;
+        let found = r.u8()?;
         let expected = crc8(payload);
         if found != expected {
             return Err(ProtocolError::BadChecksum {
@@ -221,7 +211,7 @@ impl Erp1Telegram {
                 found: u32::from(found),
             });
         }
-        Erp1Telegram::decode(&payload[..data_len])
+        Erp1Telegram::decode(Cursor::new(payload, CTX).take(data_len)?)
     }
 }
 

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use dimmer_core::bytes::Truncated;
+
 /// Errors raised by the protocol codecs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -65,6 +67,12 @@ impl fmt::Display for ProtocolError {
 }
 
 impl std::error::Error for ProtocolError {}
+
+impl From<Truncated> for ProtocolError {
+    fn from(Truncated { context }: Truncated) -> Self {
+        ProtocolError::Truncated { context }
+    }
+}
 
 #[cfg(test)]
 mod tests {

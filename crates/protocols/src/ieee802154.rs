@@ -6,6 +6,8 @@
 //! 0x1021, as specified in §7.2.1.9 of the standard). Multi-byte fields
 //! are little-endian per the standard.
 
+use dimmer_core::bytes::Cursor;
+
 use crate::ProtocolError;
 
 /// A 16-bit PAN identifier.
@@ -203,8 +205,9 @@ impl MacFrame {
         if bytes.len() < 5 {
             return Err(ProtocolError::Truncated { context: CTX });
         }
-        let (body, fcs_bytes) = bytes.split_at(bytes.len() - 2);
-        let found = u16::from_le_bytes([fcs_bytes[0], fcs_bytes[1]]);
+        let mut frame = Cursor::new(bytes, CTX);
+        let body = frame.take(bytes.len() - 2)?;
+        let found = frame.u16_le()?;
         let expected = crc16_ccitt(body);
         if found != expected {
             return Err(ProtocolError::BadChecksum {
@@ -213,8 +216,8 @@ impl MacFrame {
                 found: u32::from(found),
             });
         }
-        let mut r = Reader::new(body, CTX);
-        let fc = r.u16()?;
+        let mut r = Cursor::new(body, CTX);
+        let fc = r.u16_le()?;
         let frame_type = FrameType::from_bits(fc & 0b111)?;
         if fc & (1 << 3) != 0 {
             return Err(ProtocolError::Unsupported {
@@ -230,7 +233,7 @@ impl MacFrame {
         let sequence = r.u8()?;
         let (dest_pan, dest) = read_pan_address(&mut r, dest_mode)?;
         let src_pan = if src_mode != 0b00 && !pan_compressed {
-            Some(PanId(r.u16()?))
+            Some(PanId(r.u16_le()?))
         } else {
             None
         };
@@ -259,21 +262,21 @@ fn push_address(out: &mut Vec<u8>, addr: Address) {
 }
 
 fn read_pan_address(
-    r: &mut Reader<'_>,
+    r: &mut Cursor<'_>,
     mode: u16,
 ) -> Result<(Option<PanId>, Address), ProtocolError> {
     if mode == 0b00 {
         return Ok((None, Address::None));
     }
-    let pan = PanId(r.u16()?);
+    let pan = PanId(r.u16_le()?);
     Ok((Some(pan), read_address(r, mode)?))
 }
 
-fn read_address(r: &mut Reader<'_>, mode: u16) -> Result<Address, ProtocolError> {
+fn read_address(r: &mut Cursor<'_>, mode: u16) -> Result<Address, ProtocolError> {
     match mode {
         0b00 => Ok(Address::None),
-        0b10 => Ok(Address::Short(r.u16()?)),
-        0b11 => Ok(Address::Extended(r.u64()?)),
+        0b10 => Ok(Address::Short(r.u16_le()?)),
+        0b11 => Ok(Address::Extended(r.u64_le()?)),
         other => Err(ProtocolError::Unsupported {
             context: "802.15.4 addressing mode",
             value: u64::from(other),
@@ -296,86 +299,6 @@ pub(crate) fn crc16_ccitt(bytes: &[u8]) -> u16 {
         }
     }
     crc
-}
-
-/// A bounds-checked little-endian byte reader.
-pub(crate) struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    context: &'static str,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(bytes: &'a [u8], context: &'static str) -> Self {
-        Reader {
-            bytes,
-            pos: 0,
-            context,
-        }
-    }
-
-    fn need(&self, n: usize) -> Result<(), ProtocolError> {
-        if self.pos + n > self.bytes.len() {
-            Err(ProtocolError::Truncated {
-                context: self.context,
-            })
-        } else {
-            Ok(())
-        }
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, ProtocolError> {
-        self.need(1)?;
-        let b = self.bytes[self.pos];
-        self.pos += 1;
-        Ok(b)
-    }
-
-    pub(crate) fn u16(&mut self) -> Result<u16, ProtocolError> {
-        self.need(2)?;
-        let v = u16::from_le_bytes([self.bytes[self.pos], self.bytes[self.pos + 1]]);
-        self.pos += 2;
-        Ok(v)
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, ProtocolError> {
-        self.need(4)?;
-        let v = u32::from_le_bytes(
-            self.bytes[self.pos..self.pos + 4]
-                .try_into()
-                .expect("length checked"),
-        );
-        self.pos += 4;
-        Ok(v)
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, ProtocolError> {
-        self.need(8)?;
-        let v = u64::from_le_bytes(
-            self.bytes[self.pos..self.pos + 8]
-                .try_into()
-                .expect("length checked"),
-        );
-        self.pos += 8;
-        Ok(v)
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], ProtocolError> {
-        self.need(n)?;
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    pub(crate) fn rest(&mut self) -> &'a [u8] {
-        let s = &self.bytes[self.pos..];
-        self.pos = self.bytes.len();
-        s
-    }
-
-    pub(crate) fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
 }
 
 #[cfg(test)]

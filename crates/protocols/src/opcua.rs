@@ -12,7 +12,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::ieee802154::Reader;
+use dimmer_core::bytes::Cursor;
+
 use crate::ProtocolError;
 
 /// An OPC UA node identifier: a namespace index plus a numeric or string
@@ -66,14 +67,14 @@ impl NodeId {
         }
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, ProtocolError> {
+    fn decode(r: &mut Cursor<'_>) -> Result<Self, ProtocolError> {
         match r.u8()? {
             0x01 => Ok(NodeId {
-                namespace: r.u16()?,
-                identifier: Identifier::Numeric(r.u32()?),
+                namespace: r.u16_le()?,
+                identifier: Identifier::Numeric(r.u32_le()?),
             }),
             0x03 => Ok(NodeId {
-                namespace: r.u16()?,
+                namespace: r.u16_le()?,
                 identifier: Identifier::Str(decode_string(r)?),
             }),
             other => Err(ProtocolError::Unsupported {
@@ -146,16 +147,14 @@ impl Variant {
         }
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, ProtocolError> {
+    fn decode(r: &mut Cursor<'_>) -> Result<Self, ProtocolError> {
         Ok(match r.u8()? {
             1 => Variant::Boolean(r.u8()? != 0),
-            6 => Variant::Int32(r.u32()? as i32),
-            8 => Variant::Int64(r.u64()? as i64),
-            11 => Variant::Double(f64::from_le_bytes(
-                r.take(8)?.try_into().expect("length checked"),
-            )),
+            6 => Variant::Int32(r.u32_le()? as i32),
+            8 => Variant::Int64(r.u64_le()? as i64),
+            11 => Variant::Double(r.f64_le()?),
             12 => Variant::Str(decode_string(r)?),
-            13 => Variant::DateTime(r.u64()? as i64),
+            13 => Variant::DateTime(r.u64_le()? as i64),
             other => {
                 return Err(ProtocolError::Unsupported {
                     context: "opcua variant type",
@@ -237,7 +236,7 @@ impl DataValue {
         }
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, ProtocolError> {
+    fn decode(r: &mut Cursor<'_>) -> Result<Self, ProtocolError> {
         let mask = r.u8()?;
         let value = if mask & 0x01 != 0 {
             Some(Variant::decode(r)?)
@@ -245,12 +244,12 @@ impl DataValue {
             None
         };
         let status = if mask & 0x02 != 0 {
-            StatusCode(r.u32()?)
+            StatusCode(r.u32_le()?)
         } else {
             StatusCode::GOOD
         };
         let source_timestamp = if mask & 0x04 != 0 {
-            Some(r.u64()? as i64)
+            Some(r.u64_le()? as i64)
         } else {
             None
         };
@@ -454,14 +453,14 @@ impl Message {
     /// Returns [`ProtocolError`] on truncation or unknown discriminators.
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtocolError> {
         const CTX: &str = "opcua message";
-        let mut r = Reader::new(bytes, CTX);
+        let mut r = Cursor::new(bytes, CTX);
         let msg = match r.u8()? {
             1 => {
                 let n = decode_len(&mut r)?;
                 let mut nodes = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
                     let node_id = NodeId::decode(&mut r)?;
-                    let attribute = AttributeId::from_id(r.u32()?)?;
+                    let attribute = AttributeId::from_id(r.u32_le()?)?;
                     nodes.push(ReadValueId { node_id, attribute });
                 }
                 Message::ReadRequest { nodes }
@@ -479,7 +478,7 @@ impl Message {
                 let mut nodes = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
                     let node_id = NodeId::decode(&mut r)?;
-                    let attribute = AttributeId::from_id(r.u32()?)?;
+                    let attribute = AttributeId::from_id(r.u32_le()?)?;
                     let value = Variant::decode(&mut r)?;
                     nodes.push(WriteValue {
                         node_id,
@@ -493,7 +492,7 @@ impl Message {
                 let n = decode_len(&mut r)?;
                 let mut results = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
-                    results.push(StatusCode(r.u32()?));
+                    results.push(StatusCode(r.u32_le()?));
                 }
                 Message::WriteResponse { results }
             }
@@ -501,13 +500,13 @@ impl Message {
                 node_id: NodeId::decode(&mut r)?,
             },
             6 => {
-                let status = StatusCode(r.u32()?);
+                let status = StatusCode(r.u32_le()?);
                 let n = decode_len(&mut r)?;
                 let mut references = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
                     let node_id = NodeId::decode(&mut r)?;
                     let browse_name = decode_string(&mut r)?;
-                    let node_class = NodeClass::from_id(r.u32()? as i32)?;
+                    let node_class = NodeClass::from_id(r.u32_le()? as i32)?;
                     references.push(ReferenceDescription {
                         node_id,
                         browse_name,
@@ -523,11 +522,9 @@ impl Message {
                 })
             }
         };
-        if r.remaining() != 0 {
-            return Err(ProtocolError::Malformed {
-                reason: "trailing bytes after opcua message",
-            });
-        }
+        r.finish(ProtocolError::Malformed {
+            reason: "trailing bytes after opcua message",
+        })?;
         Ok(msg)
     }
 }
@@ -536,8 +533,8 @@ fn encode_len(n: usize, out: &mut Vec<u8>) {
     out.extend_from_slice(&(n as u32).to_le_bytes());
 }
 
-fn decode_len(r: &mut Reader<'_>) -> Result<usize, ProtocolError> {
-    let n = r.u32()? as usize;
+fn decode_len(r: &mut Cursor<'_>) -> Result<usize, ProtocolError> {
+    let n = r.u32_le()? as usize;
     if n > 1_000_000 {
         return Err(ProtocolError::Malformed {
             reason: "implausible array length",
@@ -551,8 +548,8 @@ fn encode_string(s: &str, out: &mut Vec<u8>) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn decode_string(r: &mut Reader<'_>) -> Result<String, ProtocolError> {
-    let len = r.u32()? as i32;
+fn decode_string(r: &mut Cursor<'_>) -> Result<String, ProtocolError> {
+    let len = r.u32_le()? as i32;
     if len < 0 {
         return Ok(String::new());
     }

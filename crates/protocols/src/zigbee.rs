@@ -7,7 +7,8 @@
 //! Temperature Measurement, Relative Humidity, Electrical Measurement and
 //! Simple Metering.
 
-use crate::ieee802154::Reader;
+use dimmer_core::bytes::Cursor;
+
 use crate::ProtocolError;
 
 /// A ZigBee cluster identifier.
@@ -89,19 +90,19 @@ impl ZclValue {
         }
     }
 
-    fn decode(type_id: u8, r: &mut Reader<'_>) -> Result<Self, ProtocolError> {
+    fn decode(type_id: u8, r: &mut Cursor<'_>) -> Result<Self, ProtocolError> {
         Ok(match type_id {
             0x10 => ZclValue::Bool(r.u8()? != 0),
             0x20 => ZclValue::U8(r.u8()?),
-            0x21 => ZclValue::U16(r.u16()?),
-            0x23 => ZclValue::U32(r.u32()?),
+            0x21 => ZclValue::U16(r.u16_le()?),
+            0x23 => ZclValue::U32(r.u32_le()?),
             0x25 => {
-                let lo = r.u32()?;
-                let hi = r.u16()?;
+                let lo = r.u32_le()?;
+                let hi = r.u16_le()?;
                 ZclValue::U48(u64::from(lo) | (u64::from(hi) << 32))
             }
-            0x29 => ZclValue::I16(r.u16()? as i16),
-            0x2B => ZclValue::I32(r.u32()? as i32),
+            0x29 => ZclValue::I16(r.u16_le()? as i16),
+            0x2B => ZclValue::I32(r.u32_le()? as i32),
             other => {
                 return Err(ProtocolError::Unsupported {
                     context: "zcl data type",
@@ -230,16 +231,16 @@ impl ZigbeeFrame {
     /// Returns [`ProtocolError`] on truncation or unsupported fields.
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtocolError> {
         const CTX: &str = "zigbee frame";
-        let mut r = Reader::new(bytes, CTX);
-        let nwk_fc = r.u16()?;
+        let mut r = Cursor::new(bytes, CTX);
+        let nwk_fc = r.u16_le()?;
         if nwk_fc & 0b11 != 0 {
             return Err(ProtocolError::Unsupported {
                 context: "nwk frame type",
                 value: u64::from(nwk_fc & 0b11),
             });
         }
-        let nwk_dest = r.u16()?;
-        let nwk_src = r.u16()?;
+        let nwk_dest = r.u16_le()?;
+        let nwk_src = r.u16_le()?;
         let radius = r.u8()?;
         let nwk_sequence = r.u8()?;
         let aps_fc = r.u8()?;
@@ -250,8 +251,8 @@ impl ZigbeeFrame {
             });
         }
         let dest_endpoint = r.u8()?;
-        let cluster = ClusterId(r.u16()?);
-        let profile = r.u16()?;
+        let cluster = ClusterId(r.u16_le()?);
+        let profile = r.u16_le()?;
         let src_endpoint = r.u8()?;
         let aps_counter = r.u8()?;
         let zcl_fc = r.u8()?;
@@ -265,7 +266,7 @@ impl ZigbeeFrame {
         let command = ZclCommand::from_id(r.u8()?)?;
         let mut attributes = Vec::new();
         while r.remaining() > 0 {
-            let id = r.u16()?;
+            let id = r.u16_le()?;
             if command == ZclCommand::ReadAttributesResponse {
                 let status = r.u8()?;
                 if status != 0 {

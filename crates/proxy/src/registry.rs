@@ -234,6 +234,66 @@ mod tests {
         }
     }
 
+    /// Every truncation and single-bit flip of a row's real frames goes
+    /// through the row's adapter without a panic; where the frame
+    /// carries a checksum, every flip is an `Err`. A new row inherits
+    /// this by being a row.
+    #[test]
+    fn every_rows_decoder_is_total_over_cut_and_flipped_frames() {
+        let mut rng = DeterministicRng::seed_from(11);
+        for family in &FAMILIES {
+            let (quantity, eep) = (family.draw)(&mut rng);
+            let install = Install {
+                protocol: family.kind,
+                quantity,
+                eep,
+                address: 0x0142,
+                pan: PanId(0x2301),
+            };
+            let mut adapter = (family.adapter)(&install);
+            let frames: Vec<Vec<u8>> = match family.device {
+                Device::Push(device) => {
+                    let mut device = device(&install);
+                    [0.0, 1.0, 21.5, 1234.5].map(|v| device.emit(v)).into()
+                }
+                Device::Polled { server, .. } => {
+                    let mut server = server(&install);
+                    server.update(21.5, 1_420_416_000_000);
+                    let request = adapter.poll_request().expect("a polled row polls");
+                    vec![server.handle_bytes(&request).expect("answers its adapter")]
+                }
+            };
+            let polled = family.poll_port().is_some();
+            let mut decode = |bytes: &[u8]| {
+                if polled {
+                    adapter.decode_poll(bytes)
+                } else {
+                    adapter.decode_uplink(bytes)
+                }
+            };
+            let checksummed = matches!(
+                family.kind,
+                ProtocolKind::Ieee802154 | ProtocolKind::EnOcean
+            );
+            for frame in &frames {
+                assert!(decode(frame).is_ok(), "{:?} {frame:02x?}", family.kind);
+                for cut in 0..frame.len() {
+                    let _ = decode(&frame[..cut]);
+                }
+                for bit in 0..frame.len() * 8 {
+                    let mut flipped = frame.clone();
+                    flipped[bit / 8] ^= 1 << (bit % 8);
+                    let verdict = decode(&flipped);
+                    assert!(
+                        !checksummed || verdict.is_err(),
+                        "{:?}: flip of bit {bit} accepted: {verdict:?}",
+                        family.kind
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn each_protocol_kind_has_one_row() {
         use ProtocolKind::{Coap, EnOcean, Ieee802154, OpcUa, Zigbee};

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use dimmer_core::bytes::Truncated;
+
 /// Errors raised by the publish/subscribe middleware.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -44,3 +46,11 @@ impl fmt::Display for PubSubError {
 }
 
 impl std::error::Error for PubSubError {}
+
+impl From<Truncated> for PubSubError {
+    fn from(_: Truncated) -> Self {
+        PubSubError::DecodePacket {
+            reason: "truncated",
+        }
+    }
+}

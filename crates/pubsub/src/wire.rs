@@ -3,19 +3,16 @@
 //! A small tagged binary encoding. Strings are u16-length-prefixed,
 //! payloads u32-length-prefixed, integers little-endian.
 //!
-//! Decoding comes in two flavours sharing one grammar:
+//! There is one decoder, [`PacketRef::decode`]. It reads through
+//! [`dimmer_core::bytes::Cursor`] and borrows topics and payloads
+//! straight out of the receive buffer; the only allocation is the
+//! frame vector of a [`PacketRef::BridgeBatch`]. The broker, every
+//! client and the master's ops scrape run on it; the broker calls
+//! `to_*` conversions exactly where it must retain data beyond the
+//! packet's lifetime. The owned [`Packet`] is a value to build and
+//! encode, compared with a decoded view through [`Packet::view`].
 //!
-//! * [`PacketRef::decode`] — the hot path. Borrows topics and payloads
-//!   straight out of the receive buffer; the only allocation is the
-//!   frame vector of a [`PacketRef::BridgeBatch`]. The broker and every
-//!   client run on this; the broker calls `to_*` conversions exactly
-//!   where it must retain data beyond the packet's lifetime.
-//! * [`Packet::decode`] — the convenience path, delegating to the
-//!   borrowed decoder and materializing everything. The master's ops
-//!   scrape and tests use it; by construction the two can never drift
-//!   apart.
-//!
-//! Encoding is single-sourced the same way: one writer,
+//! Encoding is single-sourced too: one writer,
 //! `PacketRef::encode_into`, serves [`PacketRef::encode`] (an exact-size
 //! `Vec`, for a frame sent once) and [`PacketRef::frame`] (a
 //! [`Frame`] its sender keeps: inline when it fits, else one shared
@@ -24,6 +21,7 @@
 
 use std::cell::RefCell;
 
+use dimmer_core::bytes::Cursor;
 use simnet::{Frame, Port};
 
 use crate::{PubSubError, Topic, TopicFilter, TopicFilterRef, TopicRef};
@@ -371,18 +369,6 @@ pub struct BridgeFrameRef<'a> {
 }
 
 impl BridgeFrameRef<'_> {
-    /// Materializes an owned [`BridgeFrame`].
-    pub(crate) fn to_frame(self) -> BridgeFrame {
-        BridgeFrame {
-            topic: self.topic.to_topic(),
-            payload: self.payload.to_vec(),
-            retain: self.retain,
-            qos: self.qos,
-            trace: self.trace,
-            span: self.span,
-        }
-    }
-
     /// Encoded size of this frame on the wire.
     fn wire_len(&self) -> usize {
         2 + self.topic.as_str().len() + 4 + self.payload.len() + 1 + 1 + 8 + 8
@@ -408,76 +394,23 @@ fn push_bytes(b: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(b);
 }
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// A u16-length-prefixed string, borrowed from the buffer.
+fn str_ref<'a>(c: &mut Cursor<'a>) -> Result<&'a str, PubSubError> {
+    let len = usize::from(c.u16_le()?);
+    std::str::from_utf8(c.take(len)?).map_err(|_| PubSubError::DecodePacket {
+        reason: "invalid utf-8",
+    })
 }
 
-impl<'a> Cursor<'a> {
-    fn u8(&mut self) -> Result<u8, PubSubError> {
-        let b = self
-            .bytes
-            .get(self.pos)
-            .copied()
-            .ok_or(PubSubError::DecodePacket {
-                reason: "truncated",
-            })?;
-        self.pos += 1;
-        Ok(b)
+/// A u32-length-prefixed byte field, borrowed from the buffer.
+fn bytes_ref<'a>(c: &mut Cursor<'a>) -> Result<&'a [u8], PubSubError> {
+    let len = c.u32_le()? as usize;
+    if len > 16 * 1024 * 1024 {
+        return Err(PubSubError::DecodePacket {
+            reason: "implausible payload length",
+        });
     }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], PubSubError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(PubSubError::DecodePacket {
-                reason: "truncated",
-            });
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u16(&mut self) -> Result<u16, PubSubError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len")))
-    }
-
-    fn u32(&mut self) -> Result<u32, PubSubError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len")))
-    }
-
-    fn u64(&mut self) -> Result<u64, PubSubError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len")))
-    }
-
-    /// A u16-length-prefixed string, borrowed from the buffer.
-    fn str_ref(&mut self) -> Result<&'a str, PubSubError> {
-        let len = self.u16()? as usize;
-        let bytes = self.take(len)?;
-        std::str::from_utf8(bytes).map_err(|_| PubSubError::DecodePacket {
-            reason: "invalid utf-8",
-        })
-    }
-
-    /// A u32-length-prefixed byte field, borrowed from the buffer.
-    fn bytes_ref(&mut self) -> Result<&'a [u8], PubSubError> {
-        let len = self.u32()? as usize;
-        if len > 16 * 1024 * 1024 {
-            return Err(PubSubError::DecodePacket {
-                reason: "implausible payload length",
-            });
-        }
-        self.take(len)
-    }
-
-    fn finish(&self) -> Result<(), PubSubError> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(PubSubError::DecodePacket {
-                reason: "trailing bytes",
-            })
-        }
-    }
+    Ok(c.take(len)?)
 }
 
 impl<'a> PacketRef<'a> {
@@ -489,51 +422,51 @@ impl<'a> PacketRef<'a> {
     /// error) on malformed input. Never panics: every length is
     /// bounds-checked and every string/topic/filter validated.
     pub fn decode(bytes: &'a [u8]) -> Result<Self, PubSubError> {
-        let mut c = Cursor { bytes, pos: 0 };
+        let mut c = Cursor::new(bytes, "pubsub packet");
         let packet = match c.u8()? {
             1 => PacketRef::Subscribe {
-                filter: TopicFilterRef::new(c.str_ref()?)?,
+                filter: TopicFilterRef::new(str_ref(&mut c)?)?,
                 qos: QoS::from_byte(c.u8()?)?,
             },
             2 => PacketRef::Unsubscribe {
-                filter: TopicFilterRef::new(c.str_ref()?)?,
+                filter: TopicFilterRef::new(str_ref(&mut c)?)?,
             },
             3 => PacketRef::Publish {
-                id: c.u64()?,
-                topic: TopicRef::new(c.str_ref()?)?,
-                payload: c.bytes_ref()?,
+                id: c.u64_le()?,
+                topic: TopicRef::new(str_ref(&mut c)?)?,
+                payload: bytes_ref(&mut c)?,
                 retain: c.u8()? != 0,
                 qos: QoS::from_byte(c.u8()?)?,
-                trace: c.u64()?,
-                span: c.u64()?,
+                trace: c.u64_le()?,
+                span: c.u64_le()?,
             },
-            4 => PacketRef::PubAck { id: c.u64()? },
+            4 => PacketRef::PubAck { id: c.u64_le()? },
             5 => PacketRef::Deliver {
-                id: c.u64()?,
-                topic: TopicRef::new(c.str_ref()?)?,
-                payload: c.bytes_ref()?,
+                id: c.u64_le()?,
+                topic: TopicRef::new(str_ref(&mut c)?)?,
+                payload: bytes_ref(&mut c)?,
                 qos: QoS::from_byte(c.u8()?)?,
-                trace: c.u64()?,
-                span: c.u64()?,
+                trace: c.u64_le()?,
+                span: c.u64_le()?,
             },
-            6 => PacketRef::DeliverAck { id: c.u64()? },
+            6 => PacketRef::DeliverAck { id: c.u64_le()? },
             7 => PacketRef::Ping,
             8 => PacketRef::Pong {
-                incarnation: c.u64()?,
+                incarnation: c.u64_le()?,
             },
             9 => PacketRef::BridgeAdvertise {
-                incarnation: c.u64()?,
-                filter: TopicFilterRef::new(c.str_ref()?)?,
+                incarnation: c.u64_le()?,
+                filter: TopicFilterRef::new(str_ref(&mut c)?)?,
                 qos: QoS::from_byte(c.u8()?)?,
             },
             10 => PacketRef::BridgeUnadvertise {
-                incarnation: c.u64()?,
-                filter: TopicFilterRef::new(c.str_ref()?)?,
+                incarnation: c.u64_le()?,
+                filter: TopicFilterRef::new(str_ref(&mut c)?)?,
             },
             11 => {
-                let incarnation = c.u64()?;
-                let batch_id = c.u64()?;
-                let count = c.u16()? as usize;
+                let incarnation = c.u64_le()?;
+                let batch_id = c.u64_le()?;
+                let count = c.u16_le()? as usize;
                 if count > MAX_BRIDGE_FRAMES {
                     return Err(PubSubError::DecodePacket {
                         reason: "implausible bridge batch size",
@@ -542,12 +475,12 @@ impl<'a> PacketRef<'a> {
                 let mut frames = Vec::with_capacity(count);
                 for _ in 0..count {
                     frames.push(BridgeFrameRef {
-                        topic: TopicRef::new(c.str_ref()?)?,
-                        payload: c.bytes_ref()?,
+                        topic: TopicRef::new(str_ref(&mut c)?)?,
+                        payload: bytes_ref(&mut c)?,
                         retain: c.u8()? != 0,
                         qos: QoS::from_byte(c.u8()?)?,
-                        trace: c.u64()?,
-                        span: c.u64()?,
+                        trace: c.u64_le()?,
+                        span: c.u64_le()?,
                     });
                 }
                 PacketRef::BridgeBatch {
@@ -556,18 +489,20 @@ impl<'a> PacketRef<'a> {
                     frames,
                 }
             }
-            12 => PacketRef::BridgeBatchAck { batch_id: c.u64()? },
+            12 => PacketRef::BridgeBatchAck {
+                batch_id: c.u64_le()?,
+            },
             13 => PacketRef::BridgeHello {
-                incarnation: c.u64()?,
+                incarnation: c.u64_le()?,
             },
             14 => PacketRef::OpsGet {
-                id: c.u64()?,
-                path: c.str_ref()?,
+                id: c.u64_le()?,
+                path: str_ref(&mut c)?,
             },
             15 => PacketRef::OpsReply {
-                id: c.u64()?,
-                status: c.u16()?,
-                body: c.bytes_ref()?,
+                id: c.u64_le()?,
+                status: c.u16_le()?,
+                body: bytes_ref(&mut c)?,
             },
             _ => {
                 return Err(PubSubError::DecodePacket {
@@ -575,7 +510,9 @@ impl<'a> PacketRef<'a> {
                 })
             }
         };
-        c.finish()?;
+        c.finish(PubSubError::DecodePacket {
+            reason: "trailing bytes",
+        })?;
         Ok(packet)
     }
 
@@ -748,97 +685,6 @@ impl<'a> PacketRef<'a> {
             PacketRef::OpsReply { body, .. } => 1 + 8 + 2 + 4 + body.len(),
         }
     }
-
-    /// Materializes an owned [`Packet`].
-    pub fn to_packet(&self) -> Packet {
-        match self {
-            PacketRef::Subscribe { filter, qos } => Packet::Subscribe {
-                filter: filter.to_filter(),
-                qos: *qos,
-            },
-            PacketRef::Unsubscribe { filter } => Packet::Unsubscribe {
-                filter: filter.to_filter(),
-            },
-            PacketRef::Publish {
-                id,
-                topic,
-                payload,
-                retain,
-                qos,
-                trace,
-                span,
-            } => Packet::Publish {
-                id: *id,
-                topic: topic.to_topic(),
-                payload: payload.to_vec(),
-                retain: *retain,
-                qos: *qos,
-                trace: *trace,
-                span: *span,
-            },
-            PacketRef::PubAck { id } => Packet::PubAck { id: *id },
-            PacketRef::Deliver {
-                id,
-                topic,
-                payload,
-                qos,
-                trace,
-                span,
-            } => Packet::Deliver {
-                id: *id,
-                topic: topic.to_topic(),
-                payload: payload.to_vec(),
-                qos: *qos,
-                trace: *trace,
-                span: *span,
-            },
-            PacketRef::DeliverAck { id } => Packet::DeliverAck { id: *id },
-            PacketRef::Ping => Packet::Ping,
-            PacketRef::Pong { incarnation } => Packet::Pong {
-                incarnation: *incarnation,
-            },
-            PacketRef::BridgeAdvertise {
-                incarnation,
-                filter,
-                qos,
-            } => Packet::BridgeAdvertise {
-                incarnation: *incarnation,
-                filter: filter.to_filter(),
-                qos: *qos,
-            },
-            PacketRef::BridgeUnadvertise {
-                incarnation,
-                filter,
-            } => Packet::BridgeUnadvertise {
-                incarnation: *incarnation,
-                filter: filter.to_filter(),
-            },
-            PacketRef::BridgeBatch {
-                incarnation,
-                batch_id,
-                frames,
-            } => Packet::BridgeBatch {
-                incarnation: *incarnation,
-                batch_id: *batch_id,
-                frames: frames.iter().map(|f| f.to_frame()).collect(),
-            },
-            PacketRef::BridgeBatchAck { batch_id } => Packet::BridgeBatchAck {
-                batch_id: *batch_id,
-            },
-            PacketRef::BridgeHello { incarnation } => Packet::BridgeHello {
-                incarnation: *incarnation,
-            },
-            PacketRef::OpsGet { id, path } => Packet::OpsGet {
-                id: *id,
-                path: path.to_string(),
-            },
-            PacketRef::OpsReply { id, status, body } => Packet::OpsReply {
-                id: *id,
-                status: *status,
-                body: body.to_vec(),
-            },
-        }
-    }
 }
 
 impl Packet {
@@ -935,19 +781,6 @@ impl Packet {
     pub fn encode(&self) -> Vec<u8> {
         self.view().encode()
     }
-
-    /// Decodes a packet produced by [`Packet::encode`], materializing
-    /// owned topics and payloads. Delegates to [`PacketRef::decode`],
-    /// so the owned and borrowed decoders accept exactly the same
-    /// inputs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PubSubError::DecodePacket`] (or a topic/filter grammar
-    /// error) on malformed input.
-    pub fn decode(bytes: &[u8]) -> Result<Self, PubSubError> {
-        Ok(PacketRef::decode(bytes)?.to_packet())
-    }
 }
 
 #[cfg(test)]
@@ -1042,19 +875,11 @@ mod tests {
     #[test]
     fn all_packets_round_trip() {
         for p in &sample_packets() {
-            assert_eq!(&Packet::decode(&p.encode()).unwrap(), p, "{p:?}");
-        }
-    }
-
-    #[test]
-    fn borrowed_decode_matches_owned_decode_for_all_packets() {
-        for p in &sample_packets() {
             let bytes = p.encode();
-            let borrowed = PacketRef::decode(&bytes).unwrap();
-            assert_eq!(borrowed, p.view(), "{p:?}");
-            assert_eq!(&borrowed.to_packet(), p, "{p:?}");
+            let decoded = PacketRef::decode(&bytes).unwrap();
+            assert_eq!(decoded, p.view(), "{p:?}");
             // The view's encoding is the encoding.
-            assert_eq!(borrowed.encode(), bytes, "{p:?}");
+            assert_eq!(decoded.encode(), bytes, "{p:?}");
         }
     }
 
@@ -1104,8 +929,7 @@ mod tests {
         }
         .encode();
         for cut in 0..bytes.len() {
-            assert!(Packet::decode(&bytes[..cut]).is_err(), "cut {cut}");
-            assert!(PacketRef::decode(&bytes[..cut]).is_err(), "borrowed {cut}");
+            assert!(PacketRef::decode(&bytes[..cut]).is_err(), "cut {cut}");
         }
     }
 
@@ -1121,7 +945,6 @@ mod tests {
         .encode();
         let n = bytes.len();
         bytes[n - 2..].copy_from_slice(&3u16.to_le_bytes());
-        assert!(Packet::decode(&bytes).is_err());
         assert!(PacketRef::decode(&bytes).is_err());
     }
 
@@ -1139,7 +962,6 @@ mod tests {
         out.push(0);
         out.extend_from_slice(&0u64.to_le_bytes());
         out.extend_from_slice(&0u64.to_le_bytes());
-        assert!(Packet::decode(&out).is_err());
         assert!(PacketRef::decode(&out).is_err());
     }
 
@@ -1156,15 +978,12 @@ mod tests {
         }
         .encode();
         for cut in 0..bytes.len() {
-            assert!(Packet::decode(&bytes[..cut]).is_err(), "cut {cut}");
-            assert!(PacketRef::decode(&bytes[..cut]).is_err(), "borrowed {cut}");
+            assert!(PacketRef::decode(&bytes[..cut]).is_err(), "cut {cut}");
         }
     }
 
     #[test]
     fn garbage_rejected() {
-        assert!(Packet::decode(&[]).is_err());
-        assert!(Packet::decode(&[99]).is_err());
         assert!(PacketRef::decode(&[]).is_err());
         assert!(PacketRef::decode(&[99]).is_err());
         let mut bad_qos = Packet::Subscribe {
@@ -1173,7 +992,6 @@ mod tests {
         }
         .encode();
         *bad_qos.last_mut().unwrap() = 9;
-        assert!(Packet::decode(&bad_qos).is_err());
         assert!(PacketRef::decode(&bad_qos).is_err());
     }
 
@@ -1181,7 +999,6 @@ mod tests {
     fn trailing_bytes_rejected() {
         let mut bytes = Packet::PubAck { id: 1 }.encode();
         bytes.push(0);
-        assert!(Packet::decode(&bytes).is_err());
         assert!(PacketRef::decode(&bytes).is_err());
     }
 
@@ -1195,10 +1012,6 @@ mod tests {
         out.push(0);
         out.push(0);
         out.extend_from_slice(&0u64.to_le_bytes());
-        assert!(matches!(
-            Packet::decode(&out),
-            Err(PubSubError::InvalidTopic { .. })
-        ));
         assert!(matches!(
             PacketRef::decode(&out),
             Err(PubSubError::InvalidTopic { .. })

@@ -80,10 +80,12 @@ impl Aggregate {
         })
     }
 
-    /// Finishes a bucket accumulation.
+    /// Finishes a bucket accumulation. The Mean of a NaN sum is that
+    /// NaN, bit for bit (see `SummaryBucket::push`).
     #[inline]
     fn finish(self, b: &SummaryBucket) -> Bucket {
         let value = match self {
+            Aggregate::Mean if b.sum.is_nan() => b.sum,
             Aggregate::Mean => b.sum / b.count as f64,
             Aggregate::Min => b.min,
             Aggregate::Max => b.max,

@@ -50,16 +50,34 @@ impl SummaryBucket {
     /// Folds in the bucket's next point, in time order. The raw query
     /// fold and the materialized rollups both accumulate here, so a
     /// rollup is bit-identical to the raw fold over the same points.
-    /// Inlined in debug builds too: which NaN payload `sum += v` keeps
-    /// depends on the code around it, and the tests compare the store's
-    /// sums bit for bit with folds written inline.
-    #[inline(always)]
+    /// The sum keeps the first NaN pushed, by assignment: which operand's
+    /// payload `+` keeps is left to codegen. The NaN case is a cold call,
+    /// so the common case stays a plain add.
+    #[inline]
     pub(crate) fn push(&mut self, v: f64) {
         self.count += 1;
-        self.sum += v;
+        let sum = self.sum + v;
+        self.sum = if sum.is_nan() {
+            first_nan(self.sum, v, sum)
+        } else {
+            sum
+        };
         self.min = self.min.min(v);
         self.max = self.max.max(v);
         self.last = v;
+    }
+}
+
+/// The sum after `sum + v` came out NaN: `sum` if it already was, else
+/// `v` if it is, else the NaN the addition made (`inf + -inf`).
+#[cold]
+fn first_nan(sum: f64, v: f64, added: f64) -> f64 {
+    if sum.is_nan() {
+        sum
+    } else if v.is_nan() {
+        v
+    } else {
+        added
     }
 }
 

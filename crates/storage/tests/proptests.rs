@@ -210,7 +210,8 @@ fn tskv_segment_scans_match_flat_reference() {
 }
 
 /// `downsample_counted` folded straight over the `BTreeMap` model: one
-/// chronological pass, the same arithmetic as the store's raw fold.
+/// chronological pass, the same arithmetic as the store's raw fold. A
+/// sum keeps the first NaN it meets, and a Mean over it is that NaN.
 fn reference_downsample(
     reference: &std::collections::BTreeMap<i64, f64>,
     from: i64,
@@ -225,7 +226,9 @@ fn reference_downsample(
         match buckets.last_mut() {
             Some(b) if b.0 == start => {
                 b.1 += 1;
-                b.2 += v;
+                if !b.2.is_nan() {
+                    b.2 = if v.is_nan() { v } else { b.2 + v };
+                }
                 b.3 = b.3.min(v);
                 b.4 = b.4.max(v);
                 b.5 = v;
@@ -244,6 +247,7 @@ fn reference_downsample(
         .into_iter()
         .map(|(start, count, sum, min, max, last)| {
             let value = match agg {
+                Aggregate::Mean if sum.is_nan() => sum,
                 Aggregate::Mean => sum / count as f64,
                 Aggregate::Min => min,
                 Aggregate::Max => max,
@@ -454,9 +458,9 @@ fn tskv_series_ids_are_the_string_paths() {
 fn tskv_downsample_agrees_between_sealed_and_head_only_stores() {
     let [five, hour] = ROLLUP_LEVELS;
     // Two NaNs with different payloads in one bucket: a Sum or a Mean
-    // keeps whichever payload the fold's `+` keeps, and the
+    // keeps the first one, both in the raw fold and in the
     // materialized rollup (served for a query over the whole
-    // partition) must keep the one the raw fold keeps.
+    // partition).
     let nans = [0x7ff8_0000_0000_0001, 0xfff8_0000_0000_0002].map(f64::from_bits);
     let mut sealed = TimeSeriesStore::with_config(tiny_config());
     let mut flat = TimeSeriesStore::new();
@@ -475,7 +479,7 @@ fn tskv_downsample_agrees_between_sealed_and_head_only_stores() {
         };
         let answer = project(&flat);
         assert_eq!(answer.len(), 1, "{agg:?}: one bucket of two points");
-        assert!(f64::from_bits(answer[0].1).is_nan(), "{agg:?}");
+        assert_eq!(answer[0].1, nans[0].to_bits(), "{agg:?}");
         assert_eq!(project(&sealed), answer, "{agg:?} over two NaNs");
     }
 
