@@ -877,9 +877,18 @@ mod tests {
         for p in &sample_packets() {
             let bytes = p.encode();
             let decoded = PacketRef::decode(&bytes).unwrap();
-            assert_eq!(decoded, p.view(), "{p:?}");
             // The view's encoding is the encoding.
             assert_eq!(decoded.encode(), bytes, "{p:?}");
+        }
+    }
+
+    #[test]
+    fn borrowed_decode_matches_owned_decode_for_all_packets() {
+        // The one decoder borrows; what it reads must equal the owned
+        // packet that was encoded, field for field.
+        for p in &sample_packets() {
+            let bytes = p.encode();
+            assert_eq!(PacketRef::decode(&bytes).unwrap(), p.view(), "{p:?}");
         }
     }
 
