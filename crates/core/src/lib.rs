@@ -15,7 +15,9 @@
 //! * the dynamic [`Value`] tree plus [`json`] and [`xml`] codecs and the
 //!   format-agnostic [`codec`] entry points;
 //! * the byte [`bytes::Cursor`] every decoder of device and pub/sub
-//!   frames reads through.
+//!   frames reads through;
+//! * the [`Summary`] fold every window pane, rollup and store bucket
+//!   summarizes its samples with.
 //!
 //! ## Example: translating to the common format
 //!
@@ -44,6 +46,7 @@ pub mod id;
 pub mod json;
 pub(crate) mod measure;
 pub mod quantity;
+pub(crate) mod summary;
 pub(crate) mod timestamp;
 pub(crate) mod units;
 pub mod uri;
@@ -56,6 +59,7 @@ pub use error::CoreError;
 pub use id::{BuildingId, DeviceId, DistrictId, EntityKind, NetworkId, ProxyId};
 pub use measure::{Measurement, MeasurementBatch};
 pub use quantity::QuantityKind;
+pub use summary::Summary;
 pub use timestamp::Timestamp;
 pub use units::Unit;
 pub use uri::Uri;

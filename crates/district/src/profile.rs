@@ -206,8 +206,9 @@ mod tests {
         assert!(snapshot.aggregator.is_some());
         assert_eq!(snapshot.windows.len(), 2, "windows: {:?}", snapshot.windows);
         for w in &snapshot.windows {
-            assert!(w.count > 0);
-            assert!(w.min <= w.mean() && w.mean() <= w.max);
+            let s = &w.summary;
+            assert!(s.count > 0);
+            assert!(s.min <= s.mean() && s.mean() <= s.max);
         }
         assert!(snapshot.latency() > SimDuration::ZERO);
     }

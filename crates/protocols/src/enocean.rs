@@ -161,10 +161,9 @@ impl Erp1Telegram {
         out.push(crc8(&header));
         out.extend_from_slice(&data);
         out.extend_from_slice(&optional);
-        let mut payload_crc = Vec::with_capacity(data.len() + optional.len());
-        payload_crc.extend_from_slice(&data);
-        payload_crc.extend_from_slice(&optional);
-        out.push(crc8(&payload_crc));
+        // The data CRC covers data and optional data, already at the
+        // tail of `out` after the 6-byte sync, header and header CRC.
+        out.push(crc8(&out[6..]));
         out
     }
 

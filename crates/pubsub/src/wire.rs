@@ -371,7 +371,7 @@ pub struct BridgeFrameRef<'a> {
 impl BridgeFrameRef<'_> {
     /// Encoded size of this frame on the wire.
     fn wire_len(&self) -> usize {
-        2 + self.topic.as_str().len() + 4 + self.payload.len() + 1 + 1 + 8 + 8
+        MIN_BRIDGE_FRAME_BYTES + self.topic.as_str().len() + self.payload.len()
     }
 }
 
@@ -383,6 +383,11 @@ thread_local! {
 /// Hard cap on frames per batch — a decode guard, far above any sane
 /// [`BatchPolicy`](simnet::batch::BatchPolicy) flush bound.
 const MAX_BRIDGE_FRAMES: usize = 4096;
+
+/// Wire size of a bridge frame with an empty topic and payload: the
+/// topic and payload lengths, retain, QoS, trace and span. A batch's
+/// decode reserves no more frames than its remaining bytes can hold.
+const MIN_BRIDGE_FRAME_BYTES: usize = 2 + 4 + 1 + 1 + 8 + 8;
 
 fn push_str(s: &str, out: &mut Vec<u8>) {
     out.extend_from_slice(&(s.len() as u16).to_le_bytes());
@@ -472,7 +477,8 @@ impl<'a> PacketRef<'a> {
                         reason: "implausible bridge batch size",
                     });
                 }
-                let mut frames = Vec::with_capacity(count);
+                let mut frames =
+                    Vec::with_capacity(count.min(c.remaining() / MIN_BRIDGE_FRAME_BYTES));
                 for _ in 0..count {
                     frames.push(BridgeFrameRef {
                         topic: TopicRef::new(str_ref(&mut c)?)?,

@@ -1,7 +1,8 @@
 //! What the middleware's frames cost, counted in allocations: a
 //! subscriber borrows what it accepts, acknowledgements go inline, a
 //! QoS 1 delivery is one shared frame that its redeliveries reuse, and
-//! a bridge batch is encoded once, however often it is resent.
+//! a bridge batch is encoded once, however often it is resent, and
+//! decoding one reserves no more than its bytes can hold.
 //!
 //! This file is its own test binary, so it can install the counting
 //! `#[global_allocator]` without touching any other suite.
@@ -17,7 +18,7 @@ use simnet::{
 
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
-use counting_alloc::allocations_in;
+use counting_alloc::{allocations_and_bytes_in, allocations_in};
 
 /// Runs the wrapped node, recording what each callback allocates: per
 /// packet with the kind of wire packet it carried, and per timer.
@@ -305,4 +306,26 @@ fn a_bridge_batch_retry_resends_its_kept_frame() {
         retry_timers.iter().all(|&cost| cost == 0),
         "{retry_timers:?}"
     );
+}
+
+#[test]
+fn a_bridge_batch_reserves_no_more_frames_than_its_bytes_hold() {
+    // Tag 11, incarnation, batch id and a claim of 4 096 frames: a
+    // 19-byte header, then `pad` zero bytes, whose empty topic is no
+    // frame at all.
+    for pad in [0, 24, 240] {
+        let mut packet = vec![11];
+        packet.extend_from_slice(&7u64.to_le_bytes());
+        packet.extend_from_slice(&1u64.to_le_bytes());
+        packet.extend_from_slice(&4096u16.to_le_bytes());
+        packet.resize(19 + pad, 0);
+        let (rejected, allocations, bytes) =
+            allocations_and_bytes_in(|| WirePacketRef::decode(&packet).is_err());
+        assert!(rejected, "pad {pad}");
+        assert!(
+            bytes <= 4 * packet.len() as u64,
+            "pad {pad}: {bytes} bytes in {allocations} allocations for a {}-byte packet",
+            packet.len()
+        );
+    }
 }

@@ -40,6 +40,7 @@ mod wal;
 
 use std::collections::BTreeMap;
 
+use dimmer_core::Summary;
 use telemetry::{CounterHandle, GaugeHandle, HistogramHandle, Registry};
 
 use self::gorilla::{encode_into, BlockIter};
@@ -81,22 +82,22 @@ impl Aggregate {
     }
 
     /// Finishes a bucket accumulation. The Mean of a NaN sum is that
-    /// NaN, bit for bit (see `SummaryBucket::push`).
+    /// NaN, bit for bit (see `Summary::mean`).
     #[inline]
     fn finish(self, b: &SummaryBucket) -> Bucket {
+        let s = &b.summary;
         let value = match self {
-            Aggregate::Mean if b.sum.is_nan() => b.sum,
-            Aggregate::Mean => b.sum / b.count as f64,
-            Aggregate::Min => b.min,
-            Aggregate::Max => b.max,
-            Aggregate::Sum => b.sum,
-            Aggregate::Count => b.count as f64,
+            Aggregate::Mean => s.mean(),
+            Aggregate::Min => s.min,
+            Aggregate::Max => s.max,
+            Aggregate::Sum => s.sum,
+            Aggregate::Count => s.count as f64,
             Aggregate::Last => b.last,
         };
         Bucket {
             start: b.start,
             value,
-            count: b.count,
+            count: s.count,
         }
     }
 }
@@ -587,7 +588,7 @@ impl TimeSeriesStore {
                     );
                     for b in &s.segments[seg_idx].levels[level_idx].buckets {
                         out.push(aggregate.finish(b));
-                        scanned += b.count;
+                        scanned += b.summary.count;
                     }
                     cursor = pe;
                 }
@@ -926,8 +927,8 @@ fn eligible_spans(s: &Series, from: i64, to: i64, bucket: i64) -> Vec<(i64, i64,
 }
 
 /// Folds the raw points of `[a, b)` into buckets aligned to the query's
-/// `from`, streaming through one [`SummaryBucket`], the accumulator the
-/// materialized rollups are folded with (no per-bucket allocation).
+/// `from`, streaming through one [`SummaryBucket`], the bucket the
+/// materialized rollups are folded into (no per-bucket allocation).
 #[allow(clippy::too_many_arguments)]
 fn fold_buckets(
     s: &Series,
@@ -942,22 +943,28 @@ fn fold_buckets(
     if a >= b {
         return;
     }
-    let mut acc: Option<SummaryBucket> = None;
+    let mut open: Option<SummaryBucket> = None;
     for (t, v) in MergeScan::new(&s.head, &s.segments, a, Some(b)) {
         *scanned += 1;
         let start = from + (t - from).div_euclid(bucket) * bucket;
-        match &mut acc {
-            Some(acc) if acc.start == start => acc.push(v),
+        let acc = match open {
+            Some(ref mut acc) if acc.start == start => acc,
             _ => {
-                if let Some(acc) = acc.take() {
-                    out.push(aggregate.finish(&acc));
+                if let Some(done) = open {
+                    out.push(aggregate.finish(&done));
                 }
-                acc = Some(SummaryBucket::first(start, v));
+                open.insert(SummaryBucket {
+                    start,
+                    summary: Summary::EMPTY,
+                    last: v,
+                })
             }
-        }
+        };
+        acc.summary.push(v);
+        acc.last = v;
     }
-    if let Some(acc) = acc {
-        out.push(aggregate.finish(&acc));
+    if let Some(done) = open {
+        out.push(aggregate.finish(&done));
     }
 }
 

@@ -19,66 +19,21 @@
 //! from the partition's first point. Like the rollup levels, the table
 //! sits beside the block and is not counted in `bytes_compressed`.
 
+use dimmer_core::Summary;
+
 use crate::tskv::gorilla::{encode_indexed, BlockIter, Restart};
 
 /// One materialized rollup bucket: everything needed to serve any of
-/// the six aggregates for the bucket starting at `start`.
+/// the six aggregates for the bucket starting at `start`. The raw query
+/// fold and the materialized rollups both fold a bucket's points, in
+/// time order, into its `summary`, so a rollup is bit-identical to the
+/// raw fold over the same points.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct SummaryBucket {
     pub start: i64,
-    pub count: u64,
-    pub sum: f64,
-    pub min: f64,
-    pub max: f64,
+    pub summary: Summary,
+    /// The bucket's chronologically last point.
     pub(crate) last: f64,
-}
-
-impl SummaryBucket {
-    /// A bucket holding its first point.
-    #[inline]
-    pub(crate) fn first(start: i64, v: f64) -> Self {
-        SummaryBucket {
-            start,
-            count: 1,
-            sum: v,
-            min: f64::INFINITY.min(v),
-            max: f64::NEG_INFINITY.max(v),
-            last: v,
-        }
-    }
-
-    /// Folds in the bucket's next point, in time order. The raw query
-    /// fold and the materialized rollups both accumulate here, so a
-    /// rollup is bit-identical to the raw fold over the same points.
-    /// The sum keeps the first NaN pushed, by assignment: which operand's
-    /// payload `+` keeps is left to codegen. The NaN case is a cold call,
-    /// so the common case stays a plain add.
-    #[inline]
-    pub(crate) fn push(&mut self, v: f64) {
-        self.count += 1;
-        let sum = self.sum + v;
-        self.sum = if sum.is_nan() {
-            first_nan(self.sum, v, sum)
-        } else {
-            sum
-        };
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-        self.last = v;
-    }
-}
-
-/// The sum after `sum + v` came out NaN: `sum` if it already was, else
-/// `v` if it is, else the NaN the addition made (`inf + -inf`).
-#[cold]
-fn first_nan(sum: f64, v: f64, added: f64) -> f64 {
-    if sum.is_nan() {
-        sum
-    } else if v.is_nan() {
-        v
-    } else {
-        added
-    }
 }
 
 /// All buckets of one rollup granularity inside a segment's span.
@@ -187,24 +142,30 @@ pub(crate) fn materialize(points: &[(i64, f64)], level_millis: &[i64]) -> Vec<Ma
 /// Folds sorted `points` into `bucket`-aligned summaries, handing each
 /// to `emit` in order.
 fn fold_level(points: &[(i64, f64)], bucket: i64, mut emit: impl FnMut(SummaryBucket)) {
-    let mut acc: Option<SummaryBucket> = None;
+    let mut open: Option<SummaryBucket> = None;
     // The open bucket holds `t < end`; `None` past `i64::MAX`.
     let mut end = None;
     for &(t, v) in points {
-        match &mut acc {
-            Some(b) if end.is_none_or(|end| t < end) => b.push(v),
+        let acc = match open {
+            Some(ref mut acc) if end.is_none_or(|end| t < end) => acc,
             _ => {
-                if let Some(b) = acc.take() {
-                    emit(b);
+                if let Some(done) = open {
+                    emit(done);
                 }
                 let start = t.div_euclid(bucket) * bucket;
                 end = start.checked_add(bucket);
-                acc = Some(SummaryBucket::first(start, v));
+                open.insert(SummaryBucket {
+                    start,
+                    summary: Summary::EMPTY,
+                    last: v,
+                })
             }
-        }
+        };
+        acc.summary.push(v);
+        acc.last = v;
     }
-    if let Some(b) = acc {
-        emit(b);
+    if let Some(done) = open {
+        emit(done);
     }
 }
 
@@ -234,9 +195,12 @@ mod tests {
         assert_eq!(levels.len(), 1);
         let b = &levels[0].buckets;
         assert_eq!(b.len(), 3);
-        assert_eq!((b[0].start, b[0].count, b[0].last), (-10, 1, 2.0));
-        assert_eq!((b[1].start, b[1].count, b[1].sum), (0, 2, 4.0));
-        assert_eq!((b[1].min, b[1].max), (1.0, 3.0));
-        assert_eq!((b[2].start, b[2].count, b[2].last), (10, 1, 5.0));
+        assert_eq!((b[0].start, b[0].summary.count, b[0].last), (-10, 1, 2.0));
+        assert_eq!(
+            (b[1].start, b[1].summary.count, b[1].summary.sum),
+            (0, 2, 4.0)
+        );
+        assert_eq!((b[1].summary.min, b[1].summary.max), (1.0, 3.0));
+        assert_eq!((b[2].start, b[2].summary.count, b[2].last), (10, 1, 5.0));
     }
 }

@@ -27,7 +27,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use dimmer_core::codec::{self, DataFormat, Writer};
-use dimmer_core::{DistrictId, ProxyId, QuantityKind, Value};
+use dimmer_core::{DistrictId, ProxyId, QuantityKind, Summary, Value};
 use proxy::devices::{sim_time_at, unix_millis_at};
 use proxy::registration::{MasterReply, MasterSession, ProxyRole, Registration};
 use proxy::webservice::{status, WsCall, WsRequest, WsResponse, WsServer};
@@ -41,7 +41,7 @@ use storage::tskv::{SeriesId, TimeSeriesStore};
 use telemetry::{CounterHandle, GaugeHandle, HistogramHandle, Registry, SpanId, NO_SPAN, NO_TRACE};
 
 use crate::rollup::Rollup;
-use crate::window::{Accumulator, WindowSpec, WindowedAggregator};
+use crate::window::{merge_traces, ClosedWindow, WindowSpec, WindowedAggregator};
 
 const TAG_HEARTBEAT: TimerTag = TimerTag(1);
 const TAG_FLUSH: TimerTag = TimerTag(2);
@@ -346,23 +346,10 @@ impl AggregatorNode {
         to: i64,
     ) -> Vec<Rollup> {
         let base = rollup_series_base(entity, quantity.as_str(), window_millis);
-        let counts = self.store.range(&format!("{base}/count"), from, to);
-        let sums: BTreeMap<i64, f64> = self
-            .store
-            .range(&format!("{base}/sum"), from, to)
-            .into_iter()
-            .collect();
-        let mins: BTreeMap<i64, f64> = self
-            .store
-            .range(&format!("{base}/min"), from, to)
-            .into_iter()
-            .collect();
-        let maxs: BTreeMap<i64, f64> = self
-            .store
-            .range(&format!("{base}/max"), from, to)
-            .into_iter()
-            .collect();
-        counts
+        let column = |part: &str| self.store.range(&format!("{base}/{part}"), from, to);
+        let by_start = |part| column(part).into_iter().collect::<BTreeMap<i64, f64>>();
+        let (sums, mins, maxs) = (by_start("sum"), by_start("min"), by_start("max"));
+        column("count")
             .into_iter()
             .map(|(start, count)| Rollup {
                 district: self.config.district.as_str().to_owned(),
@@ -370,10 +357,12 @@ impl AggregatorNode {
                 quantity,
                 window_start: start,
                 window_millis,
-                count: count as u64,
-                sum: sums.get(&start).copied().unwrap_or(0.0),
-                min: mins.get(&start).copied().unwrap_or(f64::INFINITY),
-                max: maxs.get(&start).copied().unwrap_or(f64::NEG_INFINITY),
+                summary: Summary {
+                    count: count as u64,
+                    sum: sums.get(&start).copied().unwrap_or(0.0),
+                    min: mins.get(&start).copied().unwrap_or(f64::INFINITY),
+                    max: maxs.get(&start).copied().unwrap_or(f64::NEG_INFINITY),
+                },
             })
             .collect()
     }
@@ -474,34 +463,39 @@ impl AggregatorNode {
     }
 
     /// Closes every ready building pane, rolls the same panes up into
-    /// district accumulators, then persists + publishes both tiers.
+    /// district panes, then persists + publishes both tiers.
     fn drain(&mut self, ctx: &mut Context<'_>) {
         let closed = self.op.close_ready();
         if !closed.is_empty() {
             self.stats.windows_closed += closed.len() as u64;
             self.series(ctx).windows_closed.add(closed.len() as u64);
-            // Merging the building accumulators that closed for the same
-            // (window, quantity) gives the exact district aggregate: the
-            // watermark is shared, so all panes of a window close in the
-            // same drain.
+            // Merging the building panes that closed for the same
+            // (window, quantity) gives the district pane: the watermark
+            // is shared, so all panes of a window close in the same drain.
             // Keyed by the quantity's name, not its kind, so the district
             // tier publishes in the order the building tier closed.
-            let mut district: BTreeMap<(i64, &str), (QuantityKind, Accumulator)> = BTreeMap::new();
+            let mut district: BTreeMap<(i64, &str), ClosedWindow<QuantityKind>> = BTreeMap::new();
             for w in &closed {
                 let Ok(quantity) = QuantityKind::parse(&w.key.quantity) else {
                     continue; // foreign quantity segment; nothing speaks it downstream
                 };
                 let entity = Some(&*w.key.entity);
-                self.emit_rollup(ctx, entity, quantity, w.key.rollup, w.start, &w.acc);
-                district
+                self.emit_rollup(ctx, entity, quantity, w.key.rollup, w);
+                let d = district
                     .entry((w.start, quantity.as_str()))
-                    .or_insert_with(|| (quantity, Accumulator::new()))
-                    .1
-                    .merge(&w.acc);
+                    .or_insert_with(|| ClosedWindow {
+                        key: quantity,
+                        start: w.start,
+                        end: w.end,
+                        summary: Summary::EMPTY,
+                        traces: Vec::new(),
+                    });
+                d.summary.merge(&w.summary);
+                merge_traces(&mut d.traces, &w.traces);
             }
-            for ((start, _), (quantity, acc)) in district {
-                let series = self.district_rollup_series(quantity);
-                self.emit_rollup(ctx, None, quantity, series, start, &acc);
+            for d in district.into_values() {
+                let series = self.district_rollup_series(d.key);
+                self.emit_rollup(ctx, None, d.key, series, &d);
             }
         }
         // Persist progress so recovery never re-closes a closed window.
@@ -523,20 +517,20 @@ impl AggregatorNode {
         series
     }
 
-    fn emit_rollup(
+    fn emit_rollup<K>(
         &mut self,
         ctx: &mut Context<'_>,
         entity: Option<&str>,
         quantity: QuantityKind,
         series: RollupSeries,
-        start: i64,
-        acc: &Accumulator,
+        w: &ClosedWindow<K>,
     ) {
+        let (start, s) = (w.start, &w.summary);
         let window_millis = self.config.window.size_millis();
-        self.store.insert_at(series.count, start, acc.count as f64);
-        self.store.insert_at(series.sum, start, acc.sum);
-        self.store.insert_at(series.min, start, acc.min);
-        self.store.insert_at(series.max, start, acc.max);
+        self.store.insert_at(series.count, start, s.count as f64);
+        self.store.insert_at(series.sum, start, s.sum);
+        self.store.insert_at(series.min, start, s.min);
+        self.store.insert_at(series.max, start, s.max);
 
         let district = self.config.district.as_str();
         let Ok(topic) = RollupTopic::render(district, entity, quantity.as_str(), window_millis)
@@ -547,11 +541,11 @@ impl AggregatorNode {
         // (bounded) contributing sample, each parented onto the span the
         // sample entered the operator under.
         let mut close = (NO_TRACE, NO_SPAN);
-        if !acc.traces().is_empty() {
+        if !w.traces.is_empty() {
             self.detail.clear();
-            let _ = write!(self.detail, "{topic} start={start} count={}", acc.count);
+            let _ = write!(self.detail, "{topic} start={start} count={}", s.count);
         }
-        for &(trace, parent) in acc.traces() {
+        for &(trace, parent) in &w.traces {
             let span = ctx.span_hop(
                 "streams.window_close",
                 trace,
@@ -570,10 +564,7 @@ impl AggregatorNode {
             quantity,
             start,
             window_millis,
-            acc.count,
-            acc.sum,
-            acc.min,
-            acc.max,
+            s,
         );
         self.pubsub.publish_ref(
             ctx,
@@ -586,7 +577,7 @@ impl AggregatorNode {
         );
         self.stats.rollups_published += 1;
         self.series(ctx).rollups_published.incr();
-        self.series(ctx).window_samples.observe(acc.count as f64);
+        self.series(ctx).window_samples.observe(s.count as f64);
     }
 
     fn serve(&mut self, ctx: &mut Context<'_>, call: WsCall) {
@@ -963,7 +954,10 @@ mod tests {
         assert_eq!(metrics.counter("streams.duplicates"), 1);
         let rollups = agg.district_rollups(QuantityKind::Temperature, i64::MIN, i64::MAX);
         assert_eq!(rollups.len(), 1);
-        assert_eq!((rollups[0].count, rollups[0].sum), (3, 63.0));
+        assert_eq!(
+            (rollups[0].summary.count, rollups[0].summary.sum),
+            (3, 63.0)
+        );
     }
 
     #[test]

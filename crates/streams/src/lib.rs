@@ -11,7 +11,8 @@
 //!   publications, Web-Service responses and clients;
 //! - [`aggregator`] — the [`aggregator::AggregatorNode`]: one per
 //!   district, subscribing to measurement topics, rolling device →
-//!   building → district up count-weighted (mean-of-means is exact),
+//!   building → district up count-weighted (one `dimmer_core::Summary`
+//!   merge per pane, never a mean of means),
 //!   publishing retained rollups and serving `/rollups` redirects.
 
 pub mod aggregator;
@@ -20,6 +21,4 @@ pub mod window;
 
 pub use aggregator::{AggregatorConfig, AggregatorNode, AggregatorStats};
 pub use rollup::Rollup;
-pub use window::{
-    Accumulator, ClosedWindow, Observed, WindowSpec, WindowStats, WindowedAggregator,
-};
+pub use window::{ClosedWindow, Observed, WindowSpec, WindowStats, WindowedAggregator};

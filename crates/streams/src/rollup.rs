@@ -5,7 +5,7 @@
 //! Service responses, and the profile client's parsed results.
 
 use dimmer_core::codec::Writer;
-use dimmer_core::{CoreError, QuantityKind, Value};
+use dimmer_core::{CoreError, QuantityKind, Summary, Value};
 
 /// One closed window at district or entity scope.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,27 +21,16 @@ pub struct Rollup {
     pub window_start: i64,
     /// Window length in milliseconds.
     pub window_millis: i64,
-    /// Raw samples folded into the window.
-    pub count: u64,
-    /// Sum of sample values.
-    pub sum: f64,
-    /// Minimum sample value.
-    pub min: f64,
-    /// Maximum sample value.
-    pub max: f64,
+    /// The raw samples folded into the window; its mean is the
+    /// count-weighted mean.
+    pub summary: Summary,
 }
 
 impl Rollup {
-    /// The count-weighted mean (`NaN` when empty).
-    pub fn mean(&self) -> f64 {
-        self.sum / self.count as f64
-    }
-
     /// Writes the object [`Rollup::to_value`] builds — members in the
     /// order `Value::object` sorts them, so the bytes are the tree
     /// driver's — from the borrowed parts of a window the aggregator has
     /// just closed, without building a `Rollup` or a tree.
-    #[allow(clippy::too_many_arguments)] // the rollup record field for field
     pub(crate) fn write_fields(
         w: &mut Writer<'_>,
         district: &str,
@@ -49,14 +38,11 @@ impl Rollup {
         quantity: QuantityKind,
         window_start: i64,
         window_millis: i64,
-        count: u64,
-        sum: f64,
-        min: f64,
-        max: f64,
+        summary: &Summary,
     ) {
         w.begin_object();
         w.key("count");
-        w.int(count as i64);
+        w.int(summary.count as i64);
         w.key("district");
         w.str(district);
         w.key("entity");
@@ -65,15 +51,15 @@ impl Rollup {
             None => w.null(),
         }
         w.key("max");
-        w.float(max);
+        w.float(summary.max);
         w.key("mean");
-        w.float(sum / count as f64);
+        w.float(summary.mean());
         w.key("min");
-        w.float(min);
+        w.float(summary.min);
         w.key("quantity");
         w.str(quantity.as_str());
         w.key("sum");
-        w.float(sum);
+        w.float(summary.sum);
         w.key("window_millis");
         w.int(window_millis);
         w.key("window_start");
@@ -95,11 +81,11 @@ impl Rollup {
             ("quantity", Value::from(self.quantity.as_str())),
             ("window_start", Value::from(self.window_start)),
             ("window_millis", Value::from(self.window_millis)),
-            ("count", Value::from(self.count as i64)),
-            ("sum", Value::from(self.sum)),
-            ("min", Value::from(self.min)),
-            ("max", Value::from(self.max)),
-            ("mean", Value::from(self.mean())),
+            ("count", Value::from(self.summary.count as i64)),
+            ("sum", Value::from(self.summary.sum)),
+            ("min", Value::from(self.summary.min)),
+            ("max", Value::from(self.summary.max)),
+            ("mean", Value::from(self.summary.mean())),
         ])
     }
 
@@ -126,10 +112,12 @@ impl Rollup {
             quantity: QuantityKind::parse(v.require_str(T, "quantity")?)?,
             window_start: v.require_i64(T, "window_start")?,
             window_millis: v.require_i64(T, "window_millis")?,
-            count: v.require_i64(T, "count")?.max(0) as u64,
-            sum: v.require_f64(T, "sum")?,
-            min: v.require_f64(T, "min")?,
-            max: v.require_f64(T, "max")?,
+            summary: Summary {
+                count: v.require_i64(T, "count")?.max(0) as u64,
+                sum: v.require_f64(T, "sum")?,
+                min: v.require_f64(T, "min")?,
+                max: v.require_f64(T, "max")?,
+            },
         })
     }
 }
@@ -145,10 +133,12 @@ mod tests {
             quantity: QuantityKind::Temperature,
             window_start: 1_425_859_200_000,
             window_millis: 300_000,
-            count: 12,
-            sum: 252.0,
-            min: 18.5,
-            max: 23.5,
+            summary: Summary {
+                count: 12,
+                sum: 252.0,
+                min: 18.5,
+                max: 23.5,
+            },
         }
     }
 
@@ -171,10 +161,7 @@ mod tests {
                     r.quantity,
                     r.window_start,
                     r.window_millis,
-                    r.count,
-                    r.sum,
-                    r.min,
-                    r.max,
+                    &r.summary,
                 );
                 assert_eq!(
                     typed,
@@ -187,7 +174,7 @@ mod tests {
     #[test]
     fn derived_fields() {
         let r = sample(None);
-        assert_eq!(r.mean(), 21.0);
+        assert_eq!(r.summary.mean(), 21.0);
     }
 
     #[test]

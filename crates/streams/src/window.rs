@@ -10,91 +10,34 @@
 //! horizon*, bounding both how long results are delayed and how much
 //! state stays open.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
+use dimmer_core::Summary;
 use telemetry::{SpanId, TraceId, NO_SPAN, NO_TRACE};
 
-/// Most contributing flight-recorder traces kept per accumulator; the
-/// bound keeps per-window state O(1) under heavy traffic.
+/// Most contributing flight-recorder traces kept per pane; the bound
+/// keeps per-window state O(1) under heavy traffic.
 pub(crate) const TRACE_CAP: usize = 32;
 
 /// Cap on concurrently open `(window, key)` panes.
 pub(crate) const MAX_OPEN: usize = 4096;
 
-/// A mergeable aggregate over one window's samples. Carrying the raw
-/// `count` and `sum` (not the mean) is what makes hierarchical rollups
-/// exact: merging building accumulators into a district one weights
-/// every sample equally, so mean-of-means equals the raw mean.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Accumulator {
-    /// Samples folded in.
-    pub count: u64,
-    /// Sum of sample values.
-    pub sum: f64,
-    /// Minimum sample value (`∞` when empty).
-    pub min: f64,
-    /// Maximum sample value (`-∞` when empty).
-    pub max: f64,
-    /// Flight-recorder `(trace, span)` pairs of contributing samples
-    /// (bounded). The span is the hop under which the sample entered
-    /// the operator, so window-close hops can parent onto it.
-    traces: Vec<(TraceId, SpanId)>,
-}
+/// Flight-recorder `(trace, span)` pairs of a pane's contributing
+/// samples, at most [`TRACE_CAP`]. The span is the hop under which the
+/// sample entered the operator, so window-close hops can parent onto
+/// it. The list sits beside the pane's [`Summary`], not in it.
+pub(crate) type Traces = Vec<(TraceId, SpanId)>;
 
-impl Default for Accumulator {
-    fn default() -> Self {
-        Accumulator::new()
-    }
-}
-
-impl Accumulator {
-    /// An empty accumulator.
-    pub(crate) fn new() -> Self {
-        Accumulator {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            traces: Vec::new(),
+/// Appends `from` to `into` in order, one pair at a time, until `into`
+/// holds [`TRACE_CAP`] (used to roll buildings up into the district
+/// tier).
+pub(crate) fn merge_traces(into: &mut Traces, from: &[(TraceId, SpanId)]) {
+    for &t in from {
+        if into.len() >= TRACE_CAP {
+            break;
         }
-    }
-
-    /// Folds one sample in, remembering the span it arrived under.
-    pub(crate) fn add_spanned(&mut self, value: f64, trace: TraceId, span: SpanId) {
-        self.count += 1;
-        self.sum += value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-        if trace != NO_TRACE && self.traces.len() < TRACE_CAP {
-            self.traces.push((trace, span));
-        }
-    }
-
-    /// Merges another accumulator in (used to roll buildings up into
-    /// the district tier).
-    pub(crate) fn merge(&mut self, other: &Accumulator) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for &t in &other.traces {
-            if self.traces.len() >= TRACE_CAP {
-                break;
-            }
-            self.traces.push(t);
-        }
-    }
-
-    /// The arithmetic mean (`NaN` when empty).
-    pub fn mean(&self) -> f64 {
-        self.sum / self.count as f64
-    }
-
-    /// `(trace, span)` pairs of contributing samples (bounded to
-    /// [`TRACE_CAP`]). The span is [`NO_SPAN`] for samples folded in
-    /// through [`Accumulator::add`].
-    pub(crate) fn traces(&self) -> &[(TraceId, SpanId)] {
-        &self.traces
+        into.push(t);
     }
 }
 
@@ -162,7 +105,9 @@ pub struct ClosedWindow<K> {
     /// Window end (unix millis, exclusive).
     pub end: i64,
     /// The folded samples.
-    pub acc: Accumulator,
+    pub summary: Summary,
+    /// The contributing samples' traces (see [`Traces`]).
+    pub(crate) traces: Traces,
 }
 
 /// What happened to one observed sample.
@@ -187,7 +132,7 @@ pub struct WindowedAggregator<K> {
     spec: WindowSpec,
     lateness_millis: i64,
     watermark: i64,
-    open: BTreeMap<(i64, K), Accumulator>,
+    open: BTreeMap<(i64, K), (Summary, Traces)>,
     stats: WindowStats,
 }
 
@@ -281,15 +226,15 @@ impl<K: Ord + Clone> WindowedAggregator<K> {
         if self.spec.window_end(start) <= self.watermark {
             return Observed::Late;
         }
-        let slot = (start, key);
-        if let Some(acc) = self.open.get_mut(&slot) {
-            acc.add_spanned(value, trace, span);
-        } else if self.open.len() < MAX_OPEN {
-            let mut acc = Accumulator::new();
-            acc.add_spanned(value, trace, span);
-            self.open.insert(slot, acc);
-        } else {
-            return Observed::Shed;
+        let full = self.open.len() >= MAX_OPEN;
+        let (summary, traces) = match self.open.entry((start, key)) {
+            Entry::Occupied(pane) => pane.into_mut(),
+            Entry::Vacant(_) if full => return Observed::Shed,
+            Entry::Vacant(slot) => slot.insert((Summary::EMPTY, Traces::new())),
+        };
+        summary.push(value);
+        if trace != NO_TRACE && traces.len() < TRACE_CAP {
+            traces.push((trace, span));
         }
         Observed::Accepted
     }
@@ -302,12 +247,14 @@ impl<K: Ord + Clone> WindowedAggregator<K> {
             if self.spec.window_end(*start) > self.watermark {
                 break;
             }
-            let ((start, key), acc) = self.open.pop_first().expect("checked non-empty");
+            let ((start, key), (summary, traces)) =
+                self.open.pop_first().expect("checked non-empty");
             out.push(ClosedWindow {
                 key,
                 start,
                 end: self.spec.window_end(start),
-                acc,
+                summary,
+                traces,
             });
         }
         self.stats.windows_closed += out.len() as u64;
@@ -338,7 +285,7 @@ mod tests {
         let closed = op.close_ready();
         let keys: Vec<_> = closed.iter().map(|w| (w.start, w.key)).collect();
         assert_eq!(keys, vec![(0, "a"), (0, "b")]);
-        assert_eq!(closed[1].acc.count, 1);
+        assert_eq!(closed[1].summary.count, 1);
         assert_eq!(op.open_windows(), 1, "[20,30) still open");
     }
 
@@ -401,12 +348,16 @@ mod tests {
                     }
                     let closed = op.close_ready();
                     freed |= full && !closed.is_empty();
-                    accepted_closed += closed.iter().map(|w| w.acc.count).sum::<u64>();
+                    accepted_closed += closed.iter().map(|w| w.summary.count).sum::<u64>();
                     assert!(op.open_windows() <= MAX_OPEN, "case {case}");
                 }
             }
             op.advance_watermark_to(i64::MAX);
-            accepted_closed += op.close_ready().iter().map(|w| w.acc.count).sum::<u64>();
+            accepted_closed += op
+                .close_ready()
+                .iter()
+                .map(|w| w.summary.count)
+                .sum::<u64>();
 
             let stats = op.stats();
             assert!(
@@ -424,29 +375,39 @@ mod tests {
 
     #[test]
     fn merged_accumulators_keep_mean_exact() {
-        let mut building_a = Accumulator::new();
-        let mut building_b = Accumulator::new();
-        for v in [1.0, 2.0, 3.0] {
-            building_a.add_spanned(v, NO_TRACE, NO_SPAN);
+        // Two buildings' panes of one window roll up into the district
+        // tier the way the aggregator does it.
+        let mut op = WindowedAggregator::new(WindowSpec::tumbling(10), 0);
+        for (building, v, trace) in [("a", 1.0, 1), ("a", 2.0, 2), ("a", 3.0, 3), ("b", 10.0, 4)] {
+            op.observe(building, 5, v, trace);
         }
-        building_b.add_spanned(10.0, NO_TRACE, NO_SPAN);
-        let mut district = Accumulator::new();
-        district.merge(&building_a);
-        district.merge(&building_b);
-        assert_eq!(district.count, 4);
-        assert_eq!(district.mean(), 4.0, "count-weighted, not mean of means");
-        assert_eq!(district.min, 1.0);
-        assert_eq!(district.max, 10.0);
+        op.advance_watermark_to(10);
+        let mut district = (Summary::EMPTY, Traces::new());
+        for w in op.close_ready() {
+            district.0.merge(&w.summary);
+            merge_traces(&mut district.1, &w.traces);
+        }
+        let (summary, traces) = district;
+        assert_eq!(summary.count, 4);
+        assert_eq!(summary.mean(), 4.0, "count-weighted, not mean of means");
+        assert_eq!((summary.min, summary.max), (1.0, 10.0));
+        let ids: Vec<TraceId> = traces.iter().map(|t| t.0).collect();
+        assert_eq!(ids, [1, 2, 3, 4], "building order, then arrival order");
     }
 
     #[test]
     fn trace_capture_is_bounded() {
-        let mut acc = Accumulator::new();
+        let mut op = WindowedAggregator::new(WindowSpec::tumbling(10), 0);
         for i in 0..(2 * TRACE_CAP as u64) {
-            acc.add_spanned(1.0, i + 1, NO_SPAN);
+            op.observe((), 5, 1.0, i + 1);
         }
-        assert_eq!(acc.traces().len(), TRACE_CAP);
-        assert_eq!(acc.count, 2 * TRACE_CAP as u64);
+        op.advance_watermark_to(10);
+        let closed = op.close_ready();
+        assert_eq!(closed[0].traces.len(), TRACE_CAP);
+        assert_eq!(closed[0].summary.count, 2 * TRACE_CAP as u64);
+        let mut district = closed[0].traces.clone();
+        merge_traces(&mut district, &closed[0].traces);
+        assert_eq!(district, closed[0].traces, "the merge keeps the bound");
     }
 
     #[test]

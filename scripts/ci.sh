@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Offline CI gate: formatting, lints, docs, the examples (built and run),
-# the full test suite, the e13 smoke, the results diff, the benchmark's own
-# gate and the allocation-count ratchet over its --quick runs.
+# the full test suite, the e13 smoke, the results diff, the core, storage
+# and streams tests again in release, the benchmark's own gate and the
+# allocation-count ratchet over its --quick runs.
 # Usage: scripts/ci.sh
 #
 # Knobs:
@@ -180,6 +181,11 @@ for bin in e1_query_scaling e2_ingest_throughput e5_redirect_vs_relay \
     fi
     echo "results diff: $bin ok"
 done
+
+echo "== cargo test --release (core, storage, streams: the Summary fold's NaN rule under release codegen)"
+# Which NaN a sum keeps is a codegen question, and the suite above runs
+# only in debug.
+cargo test -q --release -p dimmer-core -p dimmer-storage -p dimmer-streams
 
 echo "== e15 storage (compression + recovery + crash sweep; asserts only, prints wall-clock fields)"
 target/release/e15_storage

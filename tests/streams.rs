@@ -76,32 +76,68 @@ fn seeded_sim(base: u64) -> Simulator {
     })
 }
 
-/// Expected per-window `(count, sum)` per quantity, rebuilt directly
-/// from the device proxies' durable stores — the ground truth the
-/// district rollups must conserve exactly.
+/// One window's raw fold: `(count, sum, min, max, Σ|x|)`.
+type RawFold = (u64, f64, f64, f64, f64);
+
+/// Expected per-window [`RawFold`] per quantity, rebuilt directly from the device proxies' durable stores with a
+/// plain fold — the ground truth the district rollups must conserve.
 fn expected_windows(
     sim: &Simulator,
     deployment: &Deployment,
     window_millis: i64,
     from: i64,
     to: i64,
-) -> BTreeMap<(String, i64), (u64, f64)> {
-    let mut expected: BTreeMap<(String, i64), (u64, f64)> = BTreeMap::new();
+) -> BTreeMap<(String, i64), RawFold> {
+    let mut expected = BTreeMap::new();
     for p in deployment.device_proxies() {
         let proxy = sim.node_ref::<DeviceProxyNode>(p).unwrap();
         let series: Vec<String> = proxy.store().series_names().map(str::to_owned).collect();
         for quantity in series {
             for (t, value) in proxy.store().range(&quantity, from, to) {
                 let start = t.div_euclid(window_millis) * window_millis;
-                let e = expected
-                    .entry((quantity.clone(), start))
-                    .or_insert((0, 0.0));
+                let e = expected.entry((quantity.clone(), start)).or_insert((
+                    0,
+                    0.0,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    0.0,
+                ));
                 e.0 += 1;
                 e.1 += value;
+                e.2 = e.2.min(value);
+                e.3 = e.3.max(value);
+                e.4 += value.abs();
             }
         }
     }
     expected
+}
+
+/// A district rollup against the raw fold of its window: count, min
+/// and max bit for bit, and the sum within the stated bound for two
+/// groupings of the same `n` samples, `(n − 1) · ε · Σ|x|`.
+fn assert_matches_raw_fold(r: &Rollup, expected: RawFold, what: &str) {
+    let (count, sum, min, max, abs_sum) = expected;
+    let s = &r.summary;
+    assert_eq!(s.count, count, "{what}: rollup lost samples");
+    assert_eq!(
+        s.min.to_bits(),
+        min.to_bits(),
+        "{what}: min {} vs {min}",
+        s.min
+    );
+    assert_eq!(
+        s.max.to_bits(),
+        max.to_bits(),
+        "{what}: max {} vs {max}",
+        s.max
+    );
+    let bound = (count - 1) as f64 * f64::EPSILON * abs_sum;
+    assert!(
+        (s.sum - sum).abs() <= bound,
+        "{what}: sum {} vs {sum}, bound {bound}",
+        s.sum
+    );
 }
 
 #[test]
@@ -134,8 +170,9 @@ fn rollups_flow_from_devices_to_retained_topics_and_store() {
     );
     assert_eq!(rollups.len(), 2, "rollups: {rollups:?}");
     for r in &rollups {
-        assert!(r.count > 0);
-        assert!(r.min <= r.mean() && r.mean() <= r.max);
+        let s = &r.summary;
+        assert!(s.count > 0);
+        assert!(s.min <= s.mean() && s.mean() <= s.max);
     }
 
     // Exactness: the district mean is the count-weighted mean of the
@@ -148,9 +185,9 @@ fn rollups_flow_from_devices_to_retained_topics_and_store() {
         DEFAULT_EPOCH_MILLIS + 600_000,
     );
     for r in &rollups {
-        let (count, sum) = expected[&("temperature".to_owned(), r.window_start)];
-        assert_eq!(r.count, count);
-        assert!((r.sum - sum).abs() < 1e-9);
+        let e = expected[&("temperature".to_owned(), r.window_start)];
+        assert_matches_raw_fold(r, e, &format!("temperature {}", r.window_start));
+        assert!((r.summary.sum - e.1).abs() < 1e-9);
     }
 
     // A late subscriber sees the latest windows immediately: the
@@ -159,7 +196,10 @@ fn rollups_flow_from_devices_to_retained_topics_and_store() {
     sim.run_for(SimDuration::from_secs(5));
     let m = sim.node_ref::<RollupMonitor>(monitor).unwrap();
     assert!(!m.rollups.is_empty(), "no retained rollups delivered");
-    assert!(m.rollups.iter().all(|r| r.district == "d0" && r.count > 0));
+    assert!(m
+        .rollups
+        .iter()
+        .all(|r| r.district == "d0" && r.summary.count > 0));
     assert!(
         m.rollups.iter().any(|r| r.entity.is_none()),
         "district tier"
@@ -258,14 +298,11 @@ fn aggregator_crash_mid_window_conserves_rollup_counts() {
             "{quantity}: rollup windows missing or spurious"
         );
         for r in &rollups {
-            let (count, sum) = expected[&(quantity.to_owned(), r.window_start)];
-            assert_eq!(
-                r.count, count,
-                "{quantity} window {}: rollup lost samples",
-                r.window_start
-            );
-            assert!((r.sum - sum).abs() < 1e-9, "{quantity} {}", r.window_start);
-            checked += r.count;
+            let e = expected[&(quantity.to_owned(), r.window_start)];
+            let what = format!("{quantity} window {}", r.window_start);
+            assert_matches_raw_fold(r, e, &what);
+            assert!((r.summary.sum - e.1).abs() < 1e-9, "{what}");
+            checked += r.summary.count;
         }
     }
     assert!(checked > 0, "conservation check covered no samples");

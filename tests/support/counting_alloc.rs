@@ -13,14 +13,18 @@ thread_local! {
     /// parallel; const-initialised and destructor-free, so touching it
     /// from inside the allocator allocates nothing itself.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those allocations asked for (a reallocation counts its new
+    /// size).
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// The system allocator, counting calls per thread.
 struct CountingAllocator;
 
-fn count_allocation() {
+fn count_allocation(bytes: usize) {
     // `try_with`: the allocator also runs while a thread is torn down.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -28,17 +32,17 @@ fn count_allocation() {
 // only a thread-local `Cell` and never allocates or unwinds.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
+        count_allocation(layout.size());
         // SAFETY: the caller's `layout` is passed through as is.
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
+        count_allocation(layout.size());
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_allocation();
+        count_allocation(new_size);
         // SAFETY: `ptr` came from this allocator, i.e. from `System`,
         // with `layout`; both are passed through as is.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -55,7 +59,18 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 /// Runs `f`; returns its result and the allocations the current thread
 /// made meanwhile.
 pub fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.with(Cell::get);
+    let (out, allocations, _) = allocations_and_bytes_in(f);
+    (out, allocations)
+}
+
+/// Like [`allocations_in`], also returning the bytes those allocations
+/// asked for.
+pub fn allocations_and_bytes_in<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let before = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
     let out = f();
-    (out, ALLOCATIONS.with(Cell::get) - before)
+    (
+        out,
+        ALLOCATIONS.with(Cell::get) - before.0,
+        BYTES.with(Cell::get) - before.1,
+    )
 }
