@@ -137,12 +137,9 @@ impl Ieee802154Sensor {
     /// The application payload reporting `value` as `quantity`, the
     /// inverse of [`Ieee802154Sensor::parse_payload`]. Downlink
     /// actuations use the same format.
-    pub fn encode_payload(quantity: QuantityKind, value: f64) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(6);
-        payload.push(RAW_SENSOR_MARKER);
-        payload.push(quantity_code(quantity));
-        payload.extend_from_slice(&(value as f32).to_le_bytes());
-        payload
+    pub fn encode_payload(quantity: QuantityKind, value: f64) -> [u8; 6] {
+        let [a, b, c, d] = (value as f32).to_le_bytes();
+        [RAW_SENSOR_MARKER, quantity_code(quantity), a, b, c, d]
     }
 }
 
@@ -156,12 +153,13 @@ impl UplinkDevice for Ieee802154Sensor {
     }
 
     fn emit(&mut self, value: f64) -> Vec<u8> {
+        let payload = Ieee802154Sensor::encode_payload(self.quantity, value);
         let frame = MacFrame::data(
             self.pan,
             Address::Short(self.coordinator),
             Address::Short(self.short_address),
             self.sequence,
-            Ieee802154Sensor::encode_payload(self.quantity, value),
+            &payload,
         );
         self.sequence = self.sequence.wrapping_add(1);
         frame.encode()
@@ -248,12 +246,13 @@ impl UplinkDevice for ZigbeeSensor {
     fn emit(&mut self, value: f64) -> Vec<u8> {
         let (cluster, attr_id) =
             ZigbeeSensor::cluster_for(self.quantity).expect("checked in constructor");
+        let attribute = [ZclAttribute::new(
+            attr_id,
+            ZigbeeSensor::scale_to_wire(self.quantity, value),
+        )];
         let frame = zigbee::report_builder(self.nwk_address, cluster)
             .sequence(self.sequence)
-            .attribute(ZclAttribute::new(
-                attr_id,
-                ZigbeeSensor::scale_to_wire(self.quantity, value),
-            ))
+            .attributes(&attribute)
             .build();
         self.sequence = self.sequence.wrapping_add(1);
         frame.encode()
@@ -305,8 +304,9 @@ impl UplinkDevice for EnoceanSensor {
     }
 
     fn emit(&mut self, value: f64) -> Vec<u8> {
+        let mut data = [0; 4];
         self.eep
-            .encode_reading(&self.reading_for(value), self.sender_id)
+            .encode_reading(&self.reading_for(value), self.sender_id, &mut data)
             .to_esp3()
     }
 }
@@ -318,7 +318,7 @@ impl UplinkDevice for EnoceanSensor {
 #[derive(Debug)]
 pub struct OpcUaFieldServer {
     space: AddressSpace,
-    value_node: NodeId,
+    value_node: NodeId<'static>,
     quantity: QuantityKind,
 }
 
@@ -339,13 +339,13 @@ impl OpcUaFieldServer {
     }
 
     /// The node id holding the live value.
-    pub fn value_node(&self) -> &NodeId {
+    pub fn value_node(&self) -> &NodeId<'static> {
         &self.value_node
     }
 
     /// The node id a server for `quantity` holds its live value at, so
     /// a poller can be built without building the server.
-    pub fn value_node_for(quantity: QuantityKind) -> NodeId {
+    pub fn value_node_for(quantity: QuantityKind) -> NodeId<'static> {
         NodeId::string(1, format!("plant.{quantity}"))
     }
 
@@ -362,8 +362,7 @@ impl OpcUaFieldServer {
     ///
     /// Returns [`ProtocolError`] when the request bytes do not decode.
     pub fn handle_bytes(&mut self, request: &[u8]) -> Result<Vec<u8>, ProtocolError> {
-        let msg = Message::decode(request)?;
-        Ok(self.space.handle(&msg).encode())
+        Ok(self.space.handle(&Message::decode(request)?))
     }
 }
 
@@ -420,37 +419,28 @@ impl CoapFieldServer {
     ///
     /// Returns [`ProtocolError`] when the request bytes do not decode.
     pub fn handle_bytes(&mut self, request: &[u8]) -> Result<Vec<u8>, ProtocolError> {
-        use crate::coap::{content_format, CoapCode, CoapMessage};
+        use crate::coap::{content_format, json_value, CoapCode, CoapMessage};
         let msg = CoapMessage::decode(request)?;
-        let response = match (msg.code, msg.path().as_str()) {
-            (CoapCode::GET, "sensor") => {
-                let body = format!(
+        let code = match msg.code {
+            CoapCode::GET if msg.path_is("sensor") => {
+                // The reading goes straight into the response buffer.
+                let content = msg.respond(CoapCode::CONTENT, Some(content_format::JSON), &[]);
+                return Ok(content.encode_formatted(format_args!(
                     "{{\"value\":{},\"unix_millis\":{}}}",
                     self.value, self.unix_millis
-                );
-                msg.respond(
-                    CoapCode::CONTENT,
-                    Some(content_format::JSON),
-                    body.into_bytes(),
-                )
+                )));
             }
-            (CoapCode::POST, "actuate") => {
-                let value = std::str::from_utf8(&msg.payload)
-                    .ok()
-                    .and_then(|text| dimmer_core::json::from_str(text).ok())
-                    .and_then(|v| v.get("value").and_then(dimmer_core::Value::as_f64));
-                match value {
-                    Some(v) => {
-                        self.actuations.push(v);
-                        msg.respond(CoapCode::CHANGED, None, Vec::new())
-                    }
-                    None => msg.respond(CoapCode::METHOD_NOT_ALLOWED, None, Vec::new()),
+            CoapCode::POST if msg.path_is("actuate") => match json_value(msg.payload) {
+                Some(v) => {
+                    self.actuations.push(v);
+                    CoapCode::CHANGED
                 }
-            }
-            (CoapCode::GET, _) => msg.respond(CoapCode::NOT_FOUND, None, Vec::new()),
-            _ => msg.respond(CoapCode::METHOD_NOT_ALLOWED, None, Vec::new()),
+                None => CoapCode::METHOD_NOT_ALLOWED,
+            },
+            CoapCode::GET => CoapCode::NOT_FOUND,
+            _ => CoapCode::METHOD_NOT_ALLOWED,
         };
-        Ok(response.encode())
+        Ok(msg.respond(code, None, &[]).encode())
     }
 }
 
@@ -478,11 +468,12 @@ mod tests {
         let mut dev = Ieee802154Sensor::new(PanId(0x1234), 0x0042, QuantityKind::Temperature);
         let bytes = dev.emit(21.5);
         let frame = MacFrame::decode(&bytes).unwrap();
-        let (q, v) = Ieee802154Sensor::parse_payload(&frame.payload).unwrap();
+        let (q, v) = Ieee802154Sensor::parse_payload(frame.payload).unwrap();
         assert_eq!(q, QuantityKind::Temperature);
         assert!((v - 21.5).abs() < 1e-6);
         // Sequence increments.
-        let second = MacFrame::decode(&dev.emit(22.0)).unwrap();
+        let second = dev.emit(22.0);
+        let second = MacFrame::decode(&second).unwrap();
         assert_eq!(second.sequence, frame.sequence.wrapping_add(1));
     }
 
@@ -504,11 +495,13 @@ mod tests {
     #[test]
     fn zigbee_sensor_scales_per_cluster() {
         let mut dev = ZigbeeSensor::new(0x77, QuantityKind::Temperature);
-        let frame = zigbee::ZigbeeFrame::decode(&dev.emit(21.57)).unwrap();
+        let bytes = dev.emit(21.57);
+        let frame = zigbee::ZigbeeFrame::decode(&bytes).unwrap();
         assert_eq!(frame.cluster, ClusterId::TEMPERATURE_MEASUREMENT);
-        assert_eq!(frame.attributes[0].value, ZclValue::I16(2157));
+        let value = frame.attributes().next().unwrap().value;
+        assert_eq!(value, ZclValue::I16(2157));
         assert_eq!(
-            ZigbeeSensor::scale_from_wire(QuantityKind::Temperature, frame.attributes[0].value),
+            ZigbeeSensor::scale_from_wire(QuantityKind::Temperature, value),
             21.57
         );
     }
@@ -516,9 +509,10 @@ mod tests {
     #[test]
     fn zigbee_energy_uses_metering_u48() {
         let mut dev = ZigbeeSensor::new(0x78, QuantityKind::ElectricalEnergy);
-        let frame = zigbee::ZigbeeFrame::decode(&dev.emit(12_345.67)).unwrap();
+        let bytes = dev.emit(12_345.67);
+        let frame = zigbee::ZigbeeFrame::decode(&bytes).unwrap();
         assert_eq!(frame.cluster, ClusterId::SIMPLE_METERING);
-        match frame.attributes[0].value {
+        match frame.attributes().next().unwrap().value {
             ZclValue::U48(v) => assert_eq!(v, 1_234_567),
             other => panic!("unexpected {other:?}"),
         }
@@ -558,19 +552,21 @@ mod tests {
     fn opcua_server_answers_polls() {
         let mut server = OpcUaFieldServer::new(QuantityKind::ThermalEnergy);
         server.update(4321.0, 5_000);
+        let read = [ReadValueId {
+            node_id: server.value_node().clone(),
+            attribute: AttributeId::Value,
+        }];
         let request = Message::ReadRequest {
-            nodes: vec![ReadValueId {
-                node_id: server.value_node().clone(),
-                attribute: AttributeId::Value,
-            }],
+            nodes: (&read).into(),
         }
         .encode();
         let response = server.handle_bytes(&request).unwrap();
         let Message::ReadResponse { results } = Message::decode(&response).unwrap() else {
             panic!("wrong response");
         };
-        assert_eq!(results[0].value, Some(Variant::Double(4321.0)));
-        assert_eq!(results[0].source_timestamp, Some(5_000));
+        let result = results.iter().next().unwrap();
+        assert_eq!(result.value, Some(Variant::Double(4321.0)));
+        assert_eq!(result.source_timestamp, Some(5_000));
     }
 
     #[test]
@@ -578,24 +574,24 @@ mod tests {
         use crate::coap::{CoapCode, CoapMessage};
         let mut server = CoapFieldServer::new(QuantityKind::Co2);
         server.update(417.0, 9_000);
-        let get = CoapMessage::get(1, vec![7], "sensor");
-        let resp = CoapMessage::decode(&server.handle_bytes(&get.encode()).unwrap()).unwrap();
+        let get = CoapMessage::get(1, &[7], "sensor");
+        let bytes = server.handle_bytes(&get.encode()).unwrap();
+        assert_eq!(bytes.capacity(), bytes.len(), "sized up front");
+        let resp = CoapMessage::decode(&bytes).unwrap();
         assert_eq!(resp.code, CoapCode::CONTENT);
-        assert_eq!(resp.token, vec![7]);
-        let body =
-            dimmer_core::json::from_str(std::str::from_utf8(&resp.payload).unwrap()).unwrap();
-        assert_eq!(
-            body.get("value").and_then(dimmer_core::Value::as_f64),
-            Some(417.0)
-        );
+        assert_eq!(resp.token, [7]);
+        assert_eq!(resp.payload, br#"{"value":417,"unix_millis":9000}"#);
+        assert_eq!(crate::coap::json_value(resp.payload), Some(417.0));
 
-        let post = CoapMessage::post_json(2, vec![8], "actuate", b"{\"value\":1.0}".to_vec());
-        let resp = CoapMessage::decode(&server.handle_bytes(&post.encode()).unwrap()).unwrap();
+        let post = CoapMessage::post_json(2, &[8], "actuate", b"{\"value\":1.0}");
+        let bytes = server.handle_bytes(&post.encode()).unwrap();
+        let resp = CoapMessage::decode(&bytes).unwrap();
         assert_eq!(resp.code, CoapCode::CHANGED);
         assert_eq!(server.actuations, vec![1.0]);
 
-        let missing = CoapMessage::get(3, vec![], "ghost");
-        let resp = CoapMessage::decode(&server.handle_bytes(&missing.encode()).unwrap()).unwrap();
+        let missing = CoapMessage::get(3, &[], "ghost");
+        let bytes = server.handle_bytes(&missing.encode()).unwrap();
+        let resp = CoapMessage::decode(&bytes).unwrap();
         assert_eq!(resp.code, CoapCode::NOT_FOUND);
         assert!(server.handle_bytes(&[0xFF, 0x00]).is_err());
     }

@@ -76,27 +76,32 @@ impl Rorg {
     }
 }
 
-/// An ERP1 radio telegram.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Erp1Telegram {
+/// An ERP1 radio telegram. Its user data is borrowed: from the sender's
+/// bytes when it is built, from the received packet when it is decoded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Erp1Telegram<'a> {
     /// The telegram organization.
     pub rorg: Rorg,
     /// User data; length must equal `rorg.data_len()`.
-    pub data: Vec<u8>,
+    pub data: &'a [u8],
     /// The 32-bit unique sender id.
     pub sender_id: u32,
     /// The status byte (repeater count, integrity bits).
     pub status: u8,
 }
 
-impl Erp1Telegram {
+/// ESP3 optional data: subTelNum=3, destination broadcast, dBm=0xFF,
+/// security level 0 — the fixed shape gateways emit.
+const OPTIONAL: [u8; 7] = [0x03, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x00];
+
+impl<'a> Erp1Telegram<'a> {
     /// Creates a telegram, validating the data length.
     ///
     /// # Panics
     ///
     /// Panics if `data.len() != rorg.data_len()` — telegram builders are
     /// internal producers, so a mismatch is a programming error.
-    pub fn new(rorg: Rorg, data: Vec<u8>, sender_id: u32, status: u8) -> Self {
+    pub fn new(rorg: Rorg, data: &'a [u8], sender_id: u32, status: u8) -> Self {
         assert_eq!(
             data.len(),
             rorg.data_len(),
@@ -110,26 +115,29 @@ impl Erp1Telegram {
         }
     }
 
-    /// Encodes the telegram body (RORG + data + sender + status).
-    pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(2 + self.data.len() + 4);
-        out.push(self.rorg.byte());
-        out.extend_from_slice(&self.data);
-        out.extend_from_slice(&self.sender_id.to_be_bytes());
-        out.push(self.status);
-        out
+    /// The length of the telegram body (RORG + data + sender + status).
+    fn wire_len(&self) -> usize {
+        1 + self.data.len() + 4 + 1
     }
 
-    /// Decodes a telegram body.
+    /// Appends the telegram body (RORG + data + sender + status) to `out`.
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.push(self.rorg.byte());
+        out.extend_from_slice(self.data);
+        out.extend_from_slice(&self.sender_id.to_be_bytes());
+        out.push(self.status);
+    }
+
+    /// Decodes a telegram body; the data borrows `bytes`.
     ///
     /// # Errors
     ///
     /// Returns [`ProtocolError`] on truncation or an unknown RORG.
-    pub(crate) fn decode(bytes: &[u8]) -> Result<Self, ProtocolError> {
+    fn decode(bytes: &'a [u8]) -> Result<Self, ProtocolError> {
         const CTX: &str = "erp1 telegram";
         let mut r = Cursor::new(bytes, CTX);
         let rorg = Rorg::from_byte(r.u8()?)?;
-        let data = r.take(rorg.data_len())?.to_vec();
+        let data = r.take(rorg.data_len())?;
         let sender_id = r.u32_be()?;
         let status = r.u8()?;
         r.finish(ProtocolError::Malformed {
@@ -143,37 +151,36 @@ impl Erp1Telegram {
         })
     }
 
-    /// Wraps the telegram in an ESP3 packet (type 1, RADIO_ERP1).
+    /// Wraps the telegram in an ESP3 packet (type 1, RADIO_ERP1), in an
+    /// exact-size buffer.
     pub fn to_esp3(&self) -> Vec<u8> {
-        let data = self.encode();
-        // Optional data: subTelNum=3, destination broadcast, dBm=0xFF,
-        // security level 0 — the fixed shape gateways emit.
-        let optional = [0x03, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x00];
-        let mut out = Vec::with_capacity(6 + data.len() + optional.len() + 2);
+        let data_len = self.wire_len();
+        let mut out = Vec::with_capacity(6 + data_len + OPTIONAL.len() + 1);
         out.push(0x55);
         let header = [
-            (data.len() >> 8) as u8,
-            data.len() as u8,
-            optional.len() as u8,
+            (data_len >> 8) as u8,
+            data_len as u8,
+            OPTIONAL.len() as u8,
             0x01, // packet type RADIO_ERP1
         ];
         out.extend_from_slice(&header);
         out.push(crc8(&header));
-        out.extend_from_slice(&data);
-        out.extend_from_slice(&optional);
+        self.encode_into(&mut out);
+        out.extend_from_slice(&OPTIONAL);
         // The data CRC covers data and optional data, already at the
         // tail of `out` after the 6-byte sync, header and header CRC.
         out.push(crc8(&out[6..]));
         out
     }
 
-    /// Extracts the telegram from an ESP3 packet, verifying both CRCs.
+    /// Extracts the telegram from an ESP3 packet, verifying both CRCs;
+    /// the telegram's data borrows `bytes`.
     ///
     /// # Errors
     ///
     /// Returns [`ProtocolError`] on a bad sync byte, CRC mismatch,
     /// truncation, or a non-ERP1 packet type.
-    pub fn from_esp3(bytes: &[u8]) -> Result<Self, ProtocolError> {
+    pub fn from_esp3(bytes: &'a [u8]) -> Result<Self, ProtocolError> {
         const CTX: &str = "esp3 packet";
         let mut r = Cursor::new(bytes, CTX);
         let sync = r.u8()?;
@@ -296,21 +303,28 @@ impl Eep {
         }
     }
 
-    /// Encodes a reading into a telegram from `sender_id`.
+    /// Encodes a reading into a telegram from `sender_id`, whose user
+    /// data is written into `data` (the first `rorg().data_len()` bytes).
     ///
     /// # Panics
     ///
     /// Panics if `reading` does not match the profile, or a field is out
     /// of the profile's range (e.g. temperature outside 0–40 °C is
     /// clamped, but a mismatched variant is a programming error).
-    pub fn encode_reading(self, reading: &EepReading, sender_id: u32) -> Erp1Telegram {
-        match (self, reading) {
+    pub fn encode_reading<'a>(
+        self,
+        reading: &EepReading,
+        sender_id: u32,
+        data: &'a mut [u8; 4],
+    ) -> Erp1Telegram<'a> {
+        let status = match (self, reading) {
             (Eep::A50205, EepReading::Temperature { celsius }) => {
                 // DB1 holds 255..0 over 0..40 degC (inverted scale).
                 let t = celsius.clamp(0.0, 40.0);
                 let raw = (255.0 - t / 40.0 * 255.0).round() as u8;
                 // DB0 bit3 = 1 marks a data telegram (not teach-in).
-                Erp1Telegram::new(Rorg::FourBs, vec![0, 0, raw, 0x08], sender_id, 0)
+                *data = [0, 0, raw, 0x08];
+                0
             }
             (Eep::A50401, EepReading::TemperatureHumidity { celsius, humidity }) => {
                 let h = humidity.clamp(0.0, 100.0);
@@ -318,7 +332,8 @@ impl Eep {
                 let hraw = (h / 100.0 * 250.0).round() as u8;
                 let traw = (t / 40.0 * 250.0).round() as u8;
                 // DB0 bit3 data telegram, bit1 temperature available.
-                Erp1Telegram::new(Rorg::FourBs, vec![0, hraw, traw, 0x0A], sender_id, 0)
+                *data = [0, hraw, traw, 0x0A];
+                0
             }
             (
                 Eep::A51201,
@@ -333,32 +348,28 @@ impl Eep {
                 let db0 = 0x08 // data telegram (LRN bit set)
                     | 0x01 // divisor 10 (DIV field DB0.0-1 = 01)
                     | ((channel & 0x0F) << 4);
-                Erp1Telegram::new(
-                    Rorg::FourBs,
-                    vec![
-                        (counter >> 16) as u8,
-                        (counter >> 8) as u8,
-                        counter as u8,
-                        db0,
-                    ],
-                    sender_id,
-                    0,
-                )
+                *data = [
+                    (counter >> 16) as u8,
+                    (counter >> 8) as u8,
+                    counter as u8,
+                    db0,
+                ];
+                0
             }
             (Eep::D50001, EepReading::Contact { closed }) => {
                 // Bit3 = learn (1 = data), bit0 = contact.
-                let byte = 0x08 | u8::from(*closed);
-                Erp1Telegram::new(Rorg::OneBs, vec![byte], sender_id, 0)
+                data[0] = 0x08 | u8::from(*closed);
+                0
             }
             (Eep::F60201, EepReading::Rocker { pressed, button }) => {
                 assert!(*button < 4, "rocker button out of range");
-                let byte = if *pressed {
+                data[0] = if *pressed {
                     (button << 5) | 0x10 // energy bow pressed
                 } else {
                     0x00
                 };
                 // Status 0x30: T21 + NU flags for RPS data telegrams.
-                Erp1Telegram::new(Rorg::Rps, vec![byte], sender_id, 0x30)
+                0x30
             }
             (profile, reading) => {
                 panic!(
@@ -366,7 +377,10 @@ impl Eep {
                     profile.name()
                 )
             }
-        }
+        };
+        let rorg = self.rorg();
+        let data: &'a [u8; 4] = data;
+        Erp1Telegram::new(rorg, &data[..rorg.data_len()], sender_id, status)
     }
 
     /// Decodes a telegram according to this profile.
@@ -464,26 +478,30 @@ mod tests {
     #[test]
     fn erp1_round_trip_all_rorgs() {
         for (rorg, data) in [
-            (Rorg::Rps, vec![0x30]),
-            (Rorg::OneBs, vec![0x09]),
-            (Rorg::FourBs, vec![1, 2, 3, 8]),
+            (Rorg::Rps, &[0x30][..]),
+            (Rorg::OneBs, &[0x09]),
+            (Rorg::FourBs, &[1, 2, 3, 8]),
         ] {
             let t = Erp1Telegram::new(rorg, data, 0x0180_92AB, 0x30);
-            assert_eq!(Erp1Telegram::decode(&t.encode()).unwrap(), t);
+            let mut body = Vec::new();
+            t.encode_into(&mut body);
+            assert_eq!(body.len(), t.wire_len());
+            assert_eq!(Erp1Telegram::decode(&body).unwrap(), t);
         }
     }
 
     #[test]
     fn esp3_round_trip() {
-        let t = Erp1Telegram::new(Rorg::FourBs, vec![0, 0, 128, 8], 0x0180_92AB, 0);
+        let t = Erp1Telegram::new(Rorg::FourBs, &[0, 0, 128, 8], 0x0180_92AB, 0);
         let packet = t.to_esp3();
         assert_eq!(packet[0], 0x55);
+        assert_eq!(packet.capacity(), packet.len(), "sized up front");
         assert_eq!(Erp1Telegram::from_esp3(&packet).unwrap(), t);
     }
 
     #[test]
     fn esp3_detects_corruption() {
-        let t = Erp1Telegram::new(Rorg::OneBs, vec![0x09], 42, 0);
+        let t = Erp1Telegram::new(Rorg::OneBs, &[0x09], 42, 0);
         let good = t.to_esp3();
 
         let mut bad_sync = good.clone();
@@ -515,7 +533,9 @@ mod tests {
     #[test]
     fn temperature_profile_round_trip() {
         for t in [0.0, 10.5, 21.3, 39.9, 40.0] {
-            let tel = Eep::A50205.encode_reading(&EepReading::Temperature { celsius: t }, 1);
+            let mut data = [0; 4];
+            let tel =
+                Eep::A50205.encode_reading(&EepReading::Temperature { celsius: t }, 1, &mut data);
             match Eep::A50205.decode_reading(&tel).unwrap() {
                 EepReading::Temperature { celsius } => {
                     // 8-bit quantization over 40 degC: ±0.08 degC.
@@ -528,7 +548,9 @@ mod tests {
 
     #[test]
     fn temperature_out_of_range_clamped() {
-        let tel = Eep::A50205.encode_reading(&EepReading::Temperature { celsius: 99.0 }, 1);
+        let mut data = [0; 4];
+        let tel =
+            Eep::A50205.encode_reading(&EepReading::Temperature { celsius: 99.0 }, 1, &mut data);
         match Eep::A50205.decode_reading(&tel).unwrap() {
             EepReading::Temperature { celsius } => assert!((celsius - 40.0).abs() < 1e-9),
             other => panic!("unexpected {other:?}"),
@@ -537,12 +559,14 @@ mod tests {
 
     #[test]
     fn temperature_humidity_round_trip() {
+        let mut data = [0; 4];
         let tel = Eep::A50401.encode_reading(
             &EepReading::TemperatureHumidity {
                 celsius: 22.0,
                 humidity: 55.0,
             },
             7,
+            &mut data,
         );
         match Eep::A50401.decode_reading(&tel).unwrap() {
             EepReading::TemperatureHumidity { celsius, humidity } => {
@@ -555,12 +579,14 @@ mod tests {
 
     #[test]
     fn meter_reading_round_trip() {
+        let mut data = [0; 4];
         let tel = Eep::A51201.encode_reading(
             &EepReading::MeterReading {
                 kilowatt_hours: 12_345.6,
                 channel: 2,
             },
             9,
+            &mut data,
         );
         match Eep::A51201.decode_reading(&tel).unwrap() {
             EepReading::MeterReading {
@@ -577,7 +603,8 @@ mod tests {
     #[test]
     fn contact_round_trip() {
         for closed in [true, false] {
-            let tel = Eep::D50001.encode_reading(&EepReading::Contact { closed }, 3);
+            let mut data = [0; 4];
+            let tel = Eep::D50001.encode_reading(&EepReading::Contact { closed }, 3, &mut data);
             assert_eq!(
                 Eep::D50001.decode_reading(&tel).unwrap(),
                 EepReading::Contact { closed }
@@ -588,12 +615,14 @@ mod tests {
     #[test]
     fn rocker_round_trip() {
         for button in 0..4 {
+            let mut data = [0; 4];
             let tel = Eep::F60201.encode_reading(
                 &EepReading::Rocker {
                     pressed: true,
                     button,
                 },
                 3,
+                &mut data,
             );
             assert_eq!(
                 Eep::F60201.decode_reading(&tel).unwrap(),
@@ -603,12 +632,14 @@ mod tests {
                 }
             );
         }
+        let mut data = [0; 4];
         let tel = Eep::F60201.encode_reading(
             &EepReading::Rocker {
                 pressed: false,
                 button: 0,
             },
             3,
+            &mut data,
         );
         assert_eq!(
             Eep::F60201.decode_reading(&tel).unwrap(),
@@ -622,7 +653,7 @@ mod tests {
     #[test]
     fn teach_in_telegram_rejected() {
         // DB0 bit3 = 0 marks teach-in for 4BS profiles.
-        let tel = Erp1Telegram::new(Rorg::FourBs, vec![0, 0, 100, 0x00], 1, 0);
+        let tel = Erp1Telegram::new(Rorg::FourBs, &[0, 0, 100, 0x00], 1, 0);
         assert!(matches!(
             Eep::A50205.decode_reading(&tel),
             Err(ProtocolError::Malformed { .. })
@@ -631,14 +662,14 @@ mod tests {
 
     #[test]
     fn profile_rorg_mismatch_rejected() {
-        let tel = Erp1Telegram::new(Rorg::OneBs, vec![0x09], 1, 0);
+        let tel = Erp1Telegram::new(Rorg::OneBs, &[0x09], 1, 0);
         assert!(Eep::A50205.decode_reading(&tel).is_err());
     }
 
     #[test]
     #[should_panic(expected = "data length")]
     fn wrong_data_length_panics() {
-        Erp1Telegram::new(Rorg::FourBs, vec![1, 2], 1, 0);
+        Erp1Telegram::new(Rorg::FourBs, &[1, 2], 1, 0);
     }
 
     #[test]

@@ -80,7 +80,9 @@ impl FrameType {
     }
 }
 
-/// A complete IEEE 802.15.4 MAC frame.
+/// An IEEE 802.15.4 MAC frame. Its payload is borrowed: from the
+/// sender's bytes when it is built, from the received bytes when it is
+/// decoded.
 ///
 /// ```
 /// use protocols::ieee802154::{MacFrame, FrameType, Address, PanId};
@@ -90,15 +92,15 @@ impl FrameType {
 ///     Address::Short(0x0001),   // coordinator
 ///     Address::Short(0x004F),   // sensor
 ///     17,
-///     vec![0xA0, 0x42],
+///     &[0xA0, 0x42],
 /// );
 /// let bytes = frame.encode();
 /// assert_eq!(MacFrame::decode(&bytes)?, frame);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MacFrame {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MacFrame<'a> {
     /// The frame type.
     pub frame_type: FrameType,
     /// Whether the sender requests an acknowledgement.
@@ -116,13 +118,13 @@ pub struct MacFrame {
     /// Source address.
     pub src: Address,
     /// MAC payload.
-    pub payload: Vec<u8>,
+    pub payload: &'a [u8],
 }
 
-impl MacFrame {
+impl<'a> MacFrame<'a> {
     /// Builds an intra-PAN data frame with ack-request set, the common
     /// shape for sensor uplinks.
-    pub fn data(pan: PanId, dest: Address, src: Address, sequence: u8, payload: Vec<u8>) -> Self {
+    pub fn data(pan: PanId, dest: Address, src: Address, sequence: u8, payload: &'a [u8]) -> Self {
         MacFrame {
             frame_type: FrameType::Data,
             ack_request: true,
@@ -141,7 +143,14 @@ impl MacFrame {
         self.dest_pan.is_some() && self.src_pan.is_none() && !matches!(self.src, Address::None)
     }
 
-    /// Encodes the frame including the trailing FCS.
+    /// The encoded length, FCS included.
+    fn wire_len(&self) -> usize {
+        let pans = usize::from(self.dest_pan.is_some()) + usize::from(self.src_pan.is_some());
+        2 + 1 + 2 * pans + self.dest.encoded_len() + self.src.encoded_len() + self.payload.len() + 2
+    }
+
+    /// Encodes the frame including the trailing FCS into an exact-size
+    /// buffer.
     ///
     /// # Panics
     ///
@@ -149,6 +158,14 @@ impl MacFrame {
     /// address requires `dest_pan`, and a present source address requires
     /// either `src_pan` or PAN-id compression (which needs `dest_pan`).
     pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.wire_len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the frame and its FCS to `out`; the FCS is computed over
+    /// the bytes just written.
+    fn encode_into(&self, out: &mut Vec<u8>) {
         assert!(
             matches!(self.dest, Address::None) || self.dest_pan.is_some(),
             "destination address requires a destination PAN"
@@ -157,14 +174,7 @@ impl MacFrame {
             matches!(self.src, Address::None) || self.src_pan.is_some() || self.pan_compression(),
             "source address requires a source PAN or PAN-id compression"
         );
-        let mut out = Vec::with_capacity(
-            2 + 1
-                + 2 * 2
-                + self.dest.encoded_len()
-                + self.src.encoded_len()
-                + self.payload.len()
-                + 2,
-        );
+        let start = out.len();
         let mut fc: u16 = self.frame_type.bits();
         if self.frame_pending {
             fc |= 1 << 4;
@@ -183,24 +193,23 @@ impl MacFrame {
         if let Some(PanId(pan)) = self.dest_pan {
             out.extend_from_slice(&pan.to_le_bytes());
         }
-        push_address(&mut out, self.dest);
+        push_address(out, self.dest);
         if let Some(PanId(pan)) = self.src_pan {
             out.extend_from_slice(&pan.to_le_bytes());
         }
-        push_address(&mut out, self.src);
-        out.extend_from_slice(&self.payload);
-        let fcs = crc16_ccitt(&out);
+        push_address(out, self.src);
+        out.extend_from_slice(self.payload);
+        let fcs = crc16_ccitt(&out[start..]);
         out.extend_from_slice(&fcs.to_le_bytes());
-        out
     }
 
-    /// Decodes a frame, verifying the FCS.
+    /// Decodes a frame, verifying the FCS; the payload borrows `bytes`.
     ///
     /// # Errors
     ///
     /// Returns [`ProtocolError`] on truncation, FCS mismatch, or
     /// unsupported field values.
-    pub fn decode(bytes: &[u8]) -> Result<Self, ProtocolError> {
+    pub fn decode(bytes: &'a [u8]) -> Result<Self, ProtocolError> {
         const CTX: &str = "802.15.4 frame";
         if bytes.len() < 5 {
             return Err(ProtocolError::Truncated { context: CTX });
@@ -238,7 +247,6 @@ impl MacFrame {
             None
         };
         let src = read_address(&mut r, src_mode)?;
-        let payload = r.rest().to_vec();
         Ok(MacFrame {
             frame_type,
             ack_request,
@@ -248,7 +256,7 @@ impl MacFrame {
             dest,
             src_pan,
             src,
-            payload,
+            payload: r.rest(),
         })
     }
 }
@@ -305,13 +313,13 @@ pub(crate) fn crc16_ccitt(bytes: &[u8]) -> u16 {
 mod tests {
     use super::*;
 
-    fn sample() -> MacFrame {
+    fn sample() -> MacFrame<'static> {
         MacFrame::data(
             PanId(0x23AD),
             Address::Short(0x0001),
             Address::Short(0x004F),
             17,
-            vec![0xDE, 0xAD, 0xBE, 0xEF],
+            &[0xDE, 0xAD, 0xBE, 0xEF],
         )
     }
 
@@ -332,7 +340,7 @@ mod tests {
             dest: Address::None,
             src_pan: None,
             src: Address::None,
-            payload: Vec::new(),
+            payload: &[],
         };
         let bytes = f.encode();
         // fc(2) + seq(1) + fcs(2)
@@ -351,7 +359,7 @@ mod tests {
             dest: Address::None,
             src_pan: Some(PanId(0x0001)),
             src: Address::Extended(0x00_12_4B_00_01_02_03_04),
-            payload: vec![0xFF, 0xCF, 0x00, 0x00],
+            payload: &[0xFF, 0xCF, 0x00, 0x00],
         };
         assert_eq!(MacFrame::decode(&f.encode()).unwrap(), f);
     }
@@ -409,14 +417,9 @@ mod tests {
 
     #[test]
     fn empty_payload_allowed() {
-        let f = MacFrame::data(
-            PanId(1),
-            Address::Short(1),
-            Address::Short(2),
-            0,
-            Vec::new(),
-        );
-        let back = MacFrame::decode(&f.encode()).unwrap();
+        let f = MacFrame::data(PanId(1), Address::Short(1), Address::Short(2), 0, &[]);
+        let bytes = f.encode();
+        let back = MacFrame::decode(&bytes).unwrap();
         assert!(back.payload.is_empty());
     }
 
@@ -428,7 +431,7 @@ mod tests {
             Address::Short(1),
             Address::Extended(42),
             9,
-            payload,
+            &payload,
         );
         assert_eq!(MacFrame::decode(&f.encode()).unwrap(), f);
     }

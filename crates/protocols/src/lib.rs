@@ -24,8 +24,9 @@
 //!
 //! # fn main() -> Result<(), protocols::ProtocolError> {
 //! // A ZigBee temperature report: 21.57 degC as centidegrees.
+//! let reading = [ZclAttribute::new(0x0000, ZclValue::I16(2157))];
 //! let frame = zigbee::report_builder(0x1234, ClusterId::TEMPERATURE_MEASUREMENT)
-//!     .attribute(ZclAttribute::new(0x0000, ZclValue::I16(2157)))
+//!     .attributes(&reading)
 //!     .build();
 //! let bytes = frame.encode();
 //! let back = zigbee::ZigbeeFrame::decode(&bytes)?;

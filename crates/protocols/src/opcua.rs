@@ -9,33 +9,42 @@
 //! * the **Read**, **Write** and **Browse** services in OPC UA binary
 //!   encoding (little-endian, length-prefixed strings);
 //! * a server-side `AddressSpace` that answers those services.
+//!
+//! A decoded [`Message`] borrows its input: strings are slices of it and
+//! each array is a [`Seq`] over its checked wire bytes, read again item
+//! by item when iterated. A message a sender builds borrows the sender's
+//! values the same way.
 
+use std::borrow::{Borrow, Cow};
 use std::collections::BTreeMap;
 
 use dimmer_core::bytes::Cursor;
 
 use crate::ProtocolError;
 
+const CTX: &str = "opcua message";
+
 /// An OPC UA node identifier: a namespace index plus a numeric or string
-/// identifier.
+/// identifier. A decoded string identifier borrows the message; an
+/// address space owns its own.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct NodeId {
+pub struct NodeId<'a> {
     /// The namespace index.
     pub(crate) namespace: u16,
     /// The identifier within the namespace.
-    pub(crate) identifier: Identifier,
+    pub(crate) identifier: Identifier<'a>,
 }
 
 /// The identifier part of a [`NodeId`].
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub(crate) enum Identifier {
+pub(crate) enum Identifier<'a> {
     /// Numeric identifier (encoding byte 0x01 — four-byte form).
     Numeric(u32),
     /// String identifier (encoding byte 0x03).
-    Str(String),
+    Str(Cow<'a, str>),
 }
 
-impl NodeId {
+impl<'a> NodeId<'a> {
     /// A numeric node id.
     pub fn numeric(namespace: u16, id: u32) -> Self {
         NodeId {
@@ -45,10 +54,28 @@ impl NodeId {
     }
 
     /// A string node id.
-    pub fn string(namespace: u16, id: impl Into<String>) -> Self {
+    pub fn string(namespace: u16, id: impl Into<Cow<'a, str>>) -> Self {
         NodeId {
             namespace,
             identifier: Identifier::Str(id.into()),
+        }
+    }
+
+    /// The same id, borrowing this one's string.
+    pub fn view(&self) -> NodeId<'_> {
+        NodeId {
+            namespace: self.namespace,
+            identifier: match &self.identifier {
+                Identifier::Numeric(id) => Identifier::Numeric(*id),
+                Identifier::Str(s) => Identifier::Str(Cow::Borrowed(s)),
+            },
+        }
+    }
+
+    fn wire_len(&self) -> usize {
+        match &self.identifier {
+            Identifier::Numeric(_) => 1 + 2 + 4,
+            Identifier::Str(s) => 1 + 2 + 4 + s.len(),
         }
     }
 
@@ -67,7 +94,7 @@ impl NodeId {
         }
     }
 
-    fn decode(r: &mut Cursor<'_>) -> Result<Self, ProtocolError> {
+    fn decode(r: &mut Cursor<'a>) -> Result<Self, ProtocolError> {
         match r.u8()? {
             0x01 => Ok(NodeId {
                 namespace: r.u16_le()?,
@@ -75,7 +102,7 @@ impl NodeId {
             }),
             0x03 => Ok(NodeId {
                 namespace: r.u16_le()?,
-                identifier: Identifier::Str(decode_string(r)?),
+                identifier: Identifier::Str(Cow::Borrowed(decode_string(r)?)),
             }),
             other => Err(ProtocolError::Unsupported {
                 context: "opcua nodeid encoding",
@@ -85,7 +112,7 @@ impl NodeId {
     }
 }
 
-impl std::fmt::Display for NodeId {
+impl std::fmt::Display for NodeId<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.identifier {
             Identifier::Numeric(id) => write!(f, "ns={};i={}", self.namespace, id),
@@ -96,7 +123,7 @@ impl std::fmt::Display for NodeId {
 
 /// A typed OPC UA value.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Variant {
+pub enum Variant<'a> {
     /// Boolean (type 1).
     Boolean(bool),
     /// Int32 (type 6).
@@ -106,13 +133,13 @@ pub enum Variant {
     /// Double (type 11).
     Double(f64),
     /// String (type 12).
-    Str(String),
+    Str(Cow<'a, str>),
     /// DateTime as milliseconds since the Unix epoch (type 13; real OPC UA
     /// uses 100 ns ticks since 1601 — the proxy converts at the boundary).
     DateTime(i64),
 }
 
-impl Variant {
+impl Variant<'_> {
     fn type_id(&self) -> u8 {
         match self {
             Variant::Boolean(_) => 1,
@@ -135,6 +162,38 @@ impl Variant {
         }
     }
 
+    /// The same value, borrowing this one's string.
+    fn view(&self) -> Variant<'_> {
+        match self {
+            Variant::Boolean(b) => Variant::Boolean(*b),
+            Variant::Int32(v) => Variant::Int32(*v),
+            Variant::Int64(v) => Variant::Int64(*v),
+            Variant::Double(v) => Variant::Double(*v),
+            Variant::Str(s) => Variant::Str(Cow::Borrowed(s)),
+            Variant::DateTime(v) => Variant::DateTime(*v),
+        }
+    }
+
+    fn into_owned(self) -> Variant<'static> {
+        match self {
+            Variant::Boolean(b) => Variant::Boolean(b),
+            Variant::Int32(v) => Variant::Int32(v),
+            Variant::Int64(v) => Variant::Int64(v),
+            Variant::Double(v) => Variant::Double(v),
+            Variant::Str(s) => Variant::Str(Cow::Owned(s.into_owned())),
+            Variant::DateTime(v) => Variant::DateTime(v),
+        }
+    }
+
+    fn wire_len(&self) -> usize {
+        1 + match self {
+            Variant::Boolean(_) => 1,
+            Variant::Int32(_) => 4,
+            Variant::Int64(_) | Variant::Double(_) | Variant::DateTime(_) => 8,
+            Variant::Str(s) => 4 + s.len(),
+        }
+    }
+
     fn encode_into(&self, out: &mut Vec<u8>) {
         out.push(self.type_id());
         match self {
@@ -146,14 +205,16 @@ impl Variant {
             Variant::DateTime(v) => out.extend_from_slice(&v.to_le_bytes()),
         }
     }
+}
 
-    fn decode(r: &mut Cursor<'_>) -> Result<Self, ProtocolError> {
+impl<'a> Variant<'a> {
+    fn decode(r: &mut Cursor<'a>) -> Result<Self, ProtocolError> {
         Ok(match r.u8()? {
             1 => Variant::Boolean(r.u8()? != 0),
             6 => Variant::Int32(r.u32_le()? as i32),
             8 => Variant::Int64(r.u64_le()? as i64),
             11 => Variant::Double(r.f64_le()?),
-            12 => Variant::Str(decode_string(r)?),
+            12 => Variant::Str(Cow::Borrowed(decode_string(r)?)),
             13 => Variant::DateTime(r.u64_le()? as i64),
             other => {
                 return Err(ProtocolError::Unsupported {
@@ -189,18 +250,18 @@ impl StatusCode {
 
 /// A value with quality and source timestamp, as returned by Read.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DataValue {
+pub struct DataValue<'a> {
     /// The value, absent when `status` is bad.
-    pub value: Option<Variant>,
+    pub value: Option<Variant<'a>>,
     /// The quality of the value.
     pub status: StatusCode,
     /// When the underlying source produced the value (Unix millis).
     pub(crate) source_timestamp: Option<i64>,
 }
 
-impl DataValue {
+impl<'a> DataValue<'a> {
     /// A good value stamped at `timestamp_millis`.
-    pub fn good(value: Variant, timestamp_millis: i64) -> Self {
+    pub fn good(value: Variant<'a>, timestamp_millis: i64) -> Self {
         DataValue {
             value: Some(value),
             status: StatusCode::GOOD,
@@ -216,27 +277,26 @@ impl DataValue {
             source_timestamp: None,
         }
     }
+}
 
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        let mut mask = 0u8;
-        if self.value.is_some() {
-            mask |= 0x01;
-        }
-        mask |= 0x02; // status always present
-        if self.source_timestamp.is_some() {
-            mask |= 0x04;
-        }
-        out.push(mask);
-        if let Some(v) = &self.value {
-            v.encode_into(out);
-        }
-        out.extend_from_slice(&self.status.0.to_le_bytes());
-        if let Some(t) = self.source_timestamp {
-            out.extend_from_slice(&t.to_le_bytes());
-        }
-    }
+/// An element of a [`Seq`]: an item of one of the service arrays. It is
+/// `pub` only because [`Seq::iter`]'s bound names it; no other crate
+/// implements or calls it.
+pub trait Item<'a>: Sized + Clone {
+    /// Reads one item.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProtocolError`] on truncation or an unsupported field.
+    fn read(r: &mut Cursor<'a>) -> Result<Self, ProtocolError>;
+    /// Its encoded length.
+    fn wire_len(&self) -> usize;
+    /// Appends its encoding to `out`.
+    fn write(&self, out: &mut Vec<u8>);
+}
 
-    fn decode(r: &mut Cursor<'_>) -> Result<Self, ProtocolError> {
+impl<'a> Item<'a> for DataValue<'a> {
+    fn read(r: &mut Cursor<'a>) -> Result<Self, ProtocolError> {
         let mask = r.u8()?;
         let value = if mask & 0x01 != 0 {
             Some(Variant::decode(r)?)
@@ -258,6 +318,35 @@ impl DataValue {
             status,
             source_timestamp,
         })
+    }
+
+    fn wire_len(&self) -> usize {
+        1 + self.value.as_ref().map_or(0, Variant::wire_len)
+            + 4
+            + if self.source_timestamp.is_some() {
+                8
+            } else {
+                0
+            }
+    }
+
+    fn write(&self, out: &mut Vec<u8>) {
+        let mut mask = 0u8;
+        if self.value.is_some() {
+            mask |= 0x01;
+        }
+        mask |= 0x02; // status always present
+        if self.source_timestamp.is_some() {
+            mask |= 0x04;
+        }
+        out.push(mask);
+        if let Some(v) = &self.value {
+            v.encode_into(out);
+        }
+        out.extend_from_slice(&self.status.0.to_le_bytes());
+        if let Some(t) = self.source_timestamp {
+            out.extend_from_slice(&t.to_le_bytes());
+        }
     }
 }
 
@@ -325,196 +414,311 @@ impl NodeClass {
 
 /// One read target: a node attribute.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ReadValueId {
+pub struct ReadValueId<'a> {
     /// The node to read.
-    pub node_id: NodeId,
+    pub node_id: NodeId<'a>,
     /// Which attribute of the node.
     pub attribute: AttributeId,
 }
 
+impl<'a> Item<'a> for ReadValueId<'a> {
+    fn read(r: &mut Cursor<'a>) -> Result<Self, ProtocolError> {
+        let node_id = NodeId::decode(r)?;
+        let attribute = AttributeId::from_id(r.u32_le()?)?;
+        Ok(ReadValueId { node_id, attribute })
+    }
+
+    fn wire_len(&self) -> usize {
+        self.node_id.wire_len() + 4
+    }
+
+    fn write(&self, out: &mut Vec<u8>) {
+        self.node_id.encode_into(out);
+        out.extend_from_slice(&self.attribute.id().to_le_bytes());
+    }
+}
+
 /// One write target with the value to write.
 #[derive(Debug, Clone, PartialEq)]
-pub struct WriteValue {
+pub struct WriteValue<'a> {
     /// The node to write.
-    pub node_id: NodeId,
+    pub node_id: NodeId<'a>,
     /// Which attribute (only [`AttributeId::Value`] is writable).
     pub attribute: AttributeId,
     /// The value to write.
-    pub value: Variant,
+    pub value: Variant<'a>,
+}
+
+impl<'a> Item<'a> for WriteValue<'a> {
+    fn read(r: &mut Cursor<'a>) -> Result<Self, ProtocolError> {
+        let node_id = NodeId::decode(r)?;
+        let attribute = AttributeId::from_id(r.u32_le()?)?;
+        let value = Variant::decode(r)?;
+        Ok(WriteValue {
+            node_id,
+            attribute,
+            value,
+        })
+    }
+
+    fn wire_len(&self) -> usize {
+        self.node_id.wire_len() + 4 + self.value.wire_len()
+    }
+
+    fn write(&self, out: &mut Vec<u8>) {
+        self.node_id.encode_into(out);
+        out.extend_from_slice(&self.attribute.id().to_le_bytes());
+        self.value.encode_into(out);
+    }
+}
+
+impl<'a> Item<'a> for StatusCode {
+    fn read(r: &mut Cursor<'a>) -> Result<Self, ProtocolError> {
+        Ok(StatusCode(r.u32_le()?))
+    }
+
+    fn wire_len(&self) -> usize {
+        4
+    }
+
+    fn write(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.0.to_le_bytes());
+    }
 }
 
 /// A browse result entry: one forward reference from the browsed node.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ReferenceDescription {
+pub struct ReferenceDescription<'a> {
     /// The target node.
-    pub node_id: NodeId,
+    pub node_id: NodeId<'a>,
     /// Its browse name.
-    pub(crate) browse_name: String,
+    pub(crate) browse_name: &'a str,
     /// Its class.
     pub(crate) node_class: NodeClass,
 }
 
+impl<'a> Item<'a> for ReferenceDescription<'a> {
+    fn read(r: &mut Cursor<'a>) -> Result<Self, ProtocolError> {
+        let node_id = NodeId::decode(r)?;
+        let browse_name = decode_string(r)?;
+        let node_class = NodeClass::from_id(r.u32_le()? as i32)?;
+        Ok(ReferenceDescription {
+            node_id,
+            browse_name,
+            node_class,
+        })
+    }
+
+    fn wire_len(&self) -> usize {
+        self.node_id.wire_len() + 4 + self.browse_name.len() + 4
+    }
+
+    fn write(&self, out: &mut Vec<u8>) {
+        self.node_id.encode_into(out);
+        encode_string(self.browse_name, out);
+        out.extend_from_slice(&self.node_class.id().to_le_bytes());
+    }
+}
+
+/// An array of a [`Message`]: the sender's items, or the items of a
+/// decoded message, checked and left in their wire bytes.
+#[derive(Debug, Clone)]
+pub struct Seq<'a, T> {
+    items: Items<'a, T>,
+}
+
+#[derive(Debug, Clone)]
+enum Items<'a, T> {
+    /// Listed by the sender.
+    Listed(&'a [T]),
+    /// Decoded: `len` items in `bytes`, each read once by
+    /// [`Message::decode`].
+    Wire { len: usize, bytes: &'a [u8] },
+}
+
+impl<'a, T> From<&'a [T]> for Seq<'a, T> {
+    fn from(items: &'a [T]) -> Self {
+        Seq {
+            items: Items::Listed(items),
+        }
+    }
+}
+
+impl<'a, T, const N: usize> From<&'a [T; N]> for Seq<'a, T> {
+    fn from(items: &'a [T; N]) -> Self {
+        Seq {
+            items: Items::Listed(items),
+        }
+    }
+}
+
+impl<'a, T: Item<'a>> Seq<'a, T> {
+    /// The items, in wire order.
+    pub fn iter(&self) -> SeqIter<'a, T> {
+        SeqIter {
+            items: self.items.clone(),
+        }
+    }
+
+    /// Reads a length-prefixed array, checking every item.
+    fn decode(r: &mut Cursor<'a>) -> Result<Self, ProtocolError> {
+        let len = decode_len(r)?;
+        let mut start = r.clone();
+        for _ in 0..len {
+            T::read(r)?;
+        }
+        let bytes = start.take(start.remaining() - r.remaining())?;
+        Ok(Seq {
+            items: Items::Wire { len, bytes },
+        })
+    }
+}
+
+impl<'a, T: Item<'a> + PartialEq> PartialEq for Seq<'a, T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+/// The iterator of [`Seq::iter`].
+#[derive(Debug, Clone)]
+pub struct SeqIter<'a, T> {
+    items: Items<'a, T>,
+}
+
+impl<'a, T: Item<'a>> Iterator for SeqIter<'a, T> {
+    type Item = T;
+
+    fn next(&mut self) -> Option<T> {
+        match &mut self.items {
+            Items::Listed(list) => {
+                let (first, rest) = list.split_first()?;
+                *list = rest;
+                Some(first.clone())
+            }
+            Items::Wire { len, bytes } => {
+                *len = len.checked_sub(1)?;
+                // `Seq::decode` read this item once already, so the read
+                // succeeds.
+                let mut r = Cursor::new(bytes, CTX);
+                let item = T::read(&mut r).ok()?;
+                *bytes = r.rest();
+                Some(item)
+            }
+        }
+    }
+}
+
+/// Encodes a message of one service: its byte, `prefix`, then `items`
+/// as a length-prefixed array, into an exact-size buffer. `items` is
+/// walked twice, once to size the buffer.
+fn encode_array<'a, T: Item<'a>>(
+    service: u8,
+    prefix: &[u8],
+    items: impl Iterator<Item = T> + Clone,
+) -> Vec<u8> {
+    let (count, len) = items.clone().fold((0, 0), |(count, len), item| {
+        (count + 1, len + item.wire_len())
+    });
+    let mut out = Vec::with_capacity(1 + prefix.len() + 4 + len);
+    out.push(service);
+    out.extend_from_slice(prefix);
+    encode_len(count, &mut out);
+    for item in items {
+        item.write(&mut out);
+    }
+    out
+}
+
+/// The service byte of a read response.
+const READ_RESPONSE: u8 = 2;
+
 /// An OPC UA service message.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Message {
+pub enum Message<'a> {
     /// Read one or more attributes.
     ReadRequest {
         /// The attributes to read.
-        nodes: Vec<ReadValueId>,
+        nodes: Seq<'a, ReadValueId<'a>>,
     },
     /// Results in request order.
     ReadResponse {
         /// One result per requested attribute.
-        results: Vec<DataValue>,
+        results: Seq<'a, DataValue<'a>>,
     },
     /// Write one or more values.
     WriteRequest {
         /// The writes to perform.
-        nodes: Vec<WriteValue>,
+        nodes: Seq<'a, WriteValue<'a>>,
     },
     /// Per-write status codes in request order.
     WriteResponse {
         /// One status per requested write.
-        results: Vec<StatusCode>,
+        results: Seq<'a, StatusCode>,
     },
     /// Browse the forward references of one node.
     BrowseRequest {
         /// The node to browse.
-        node_id: NodeId,
+        node_id: NodeId<'a>,
     },
     /// The references found.
     BrowseResponse {
         /// Status of the browse itself.
         status: StatusCode,
         /// One entry per child.
-        references: Vec<ReferenceDescription>,
+        references: Seq<'a, ReferenceDescription<'a>>,
     },
 }
 
-impl Message {
+impl<'a> Message<'a> {
     /// Encodes the message in OPC UA binary style with a leading service
-    /// discriminator byte.
+    /// discriminator byte, into an exact-size buffer.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
         match self {
-            Message::ReadRequest { nodes } => {
-                out.push(1);
-                encode_len(nodes.len(), &mut out);
-                for n in nodes {
-                    n.node_id.encode_into(&mut out);
-                    out.extend_from_slice(&n.attribute.id().to_le_bytes());
-                }
-            }
-            Message::ReadResponse { results } => {
-                out.push(2);
-                encode_len(results.len(), &mut out);
-                for r in results {
-                    r.encode_into(&mut out);
-                }
-            }
-            Message::WriteRequest { nodes } => {
-                out.push(3);
-                encode_len(nodes.len(), &mut out);
-                for n in nodes {
-                    n.node_id.encode_into(&mut out);
-                    out.extend_from_slice(&n.attribute.id().to_le_bytes());
-                    n.value.encode_into(&mut out);
-                }
-            }
-            Message::WriteResponse { results } => {
-                out.push(4);
-                encode_len(results.len(), &mut out);
-                for r in results {
-                    out.extend_from_slice(&r.0.to_le_bytes());
-                }
-            }
+            Message::ReadRequest { nodes } => encode_array(1, &[], nodes.iter()),
+            Message::ReadResponse { results } => encode_array(READ_RESPONSE, &[], results.iter()),
+            Message::WriteRequest { nodes } => encode_array(3, &[], nodes.iter()),
+            Message::WriteResponse { results } => encode_array(4, &[], results.iter()),
             Message::BrowseRequest { node_id } => {
+                let mut out = Vec::with_capacity(1 + node_id.wire_len());
                 out.push(5);
                 node_id.encode_into(&mut out);
+                out
             }
             Message::BrowseResponse { status, references } => {
-                out.push(6);
-                out.extend_from_slice(&status.0.to_le_bytes());
-                encode_len(references.len(), &mut out);
-                for r in references {
-                    r.node_id.encode_into(&mut out);
-                    encode_string(&r.browse_name, &mut out);
-                    out.extend_from_slice(&r.node_class.id().to_le_bytes());
-                }
+                encode_array(6, &status.0.to_le_bytes(), references.iter())
             }
         }
-        out
     }
 
-    /// Decodes a message produced by [`Message::encode`].
+    /// Decodes a message produced by [`Message::encode`], checking every
+    /// array item; strings and arrays borrow `bytes`.
     ///
     /// # Errors
     ///
     /// Returns [`ProtocolError`] on truncation or unknown discriminators.
-    pub fn decode(bytes: &[u8]) -> Result<Self, ProtocolError> {
-        const CTX: &str = "opcua message";
+    pub fn decode(bytes: &'a [u8]) -> Result<Self, ProtocolError> {
         let mut r = Cursor::new(bytes, CTX);
         let msg = match r.u8()? {
-            1 => {
-                let n = decode_len(&mut r)?;
-                let mut nodes = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let node_id = NodeId::decode(&mut r)?;
-                    let attribute = AttributeId::from_id(r.u32_le()?)?;
-                    nodes.push(ReadValueId { node_id, attribute });
-                }
-                Message::ReadRequest { nodes }
-            }
-            2 => {
-                let n = decode_len(&mut r)?;
-                let mut results = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    results.push(DataValue::decode(&mut r)?);
-                }
-                Message::ReadResponse { results }
-            }
-            3 => {
-                let n = decode_len(&mut r)?;
-                let mut nodes = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let node_id = NodeId::decode(&mut r)?;
-                    let attribute = AttributeId::from_id(r.u32_le()?)?;
-                    let value = Variant::decode(&mut r)?;
-                    nodes.push(WriteValue {
-                        node_id,
-                        attribute,
-                        value,
-                    });
-                }
-                Message::WriteRequest { nodes }
-            }
-            4 => {
-                let n = decode_len(&mut r)?;
-                let mut results = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    results.push(StatusCode(r.u32_le()?));
-                }
-                Message::WriteResponse { results }
-            }
+            1 => Message::ReadRequest {
+                nodes: Seq::decode(&mut r)?,
+            },
+            READ_RESPONSE => Message::ReadResponse {
+                results: Seq::decode(&mut r)?,
+            },
+            3 => Message::WriteRequest {
+                nodes: Seq::decode(&mut r)?,
+            },
+            4 => Message::WriteResponse {
+                results: Seq::decode(&mut r)?,
+            },
             5 => Message::BrowseRequest {
                 node_id: NodeId::decode(&mut r)?,
             },
-            6 => {
-                let status = StatusCode(r.u32_le()?);
-                let n = decode_len(&mut r)?;
-                let mut references = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let node_id = NodeId::decode(&mut r)?;
-                    let browse_name = decode_string(&mut r)?;
-                    let node_class = NodeClass::from_id(r.u32_le()? as i32)?;
-                    references.push(ReferenceDescription {
-                        node_id,
-                        browse_name,
-                        node_class,
-                    });
-                }
-                Message::BrowseResponse { status, references }
-            }
+            6 => Message::BrowseResponse {
+                status: StatusCode(r.u32_le()?),
+                references: Seq::decode(&mut r)?,
+            },
             other => {
                 return Err(ProtocolError::Unsupported {
                     context: "opcua service",
@@ -548,23 +752,35 @@ fn encode_string(s: &str, out: &mut Vec<u8>) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn decode_string(r: &mut Cursor<'_>) -> Result<String, ProtocolError> {
+fn decode_string<'a>(r: &mut Cursor<'a>) -> Result<&'a str, ProtocolError> {
     let len = r.u32_le()? as i32;
     if len < 0 {
-        return Ok(String::new());
+        return Ok("");
     }
     let bytes = r.take(len as usize)?;
-    String::from_utf8(bytes.to_vec()).map_err(|_| ProtocolError::Malformed {
+    std::str::from_utf8(bytes).map_err(|_| ProtocolError::Malformed {
         reason: "string is not valid utf-8",
     })
+}
+
+/// An address-space key: an owned node id that lookups borrow as a
+/// `NodeId` of any lifetime, so a decoded request finds its node
+/// without copying the id.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Key(NodeId<'static>);
+
+impl<'a> Borrow<NodeId<'a>> for Key {
+    fn borrow(&self) -> &NodeId<'a> {
+        &self.0
+    }
 }
 
 struct SpaceNode {
     browse_name: String,
     node_class: NodeClass,
-    value: Option<DataValue>,
+    value: Option<DataValue<'static>>,
     writable: bool,
-    children: Vec<NodeId>,
+    children: Vec<NodeId<'static>>,
 }
 
 /// A server-side address space answering Read/Write/Browse, reached
@@ -576,21 +792,22 @@ struct SpaceNode {
 /// use protocols::opcua::{AttributeId, Message, ReadValueId};
 /// let mut server = OpcUaFieldServer::new(QuantityKind::Temperature);
 /// server.update(71.5, 0);
-/// let request = Message::ReadRequest {
-///     nodes: vec![ReadValueId {
-///         node_id: server.value_node().clone(),
-///         attribute: AttributeId::Value,
-///     }],
-/// };
+/// let read = [ReadValueId {
+///     node_id: server.value_node().clone(),
+///     attribute: AttributeId::Value,
+/// }];
+/// let request = Message::ReadRequest { nodes: (&read).into() };
 /// let response = server.handle_bytes(&request.encode()).unwrap();
 /// match Message::decode(&response).unwrap() {
-///     Message::ReadResponse { results } => assert!(results[0].status.is_good()),
+///     Message::ReadResponse { results } => {
+///         assert!(results.iter().all(|r| r.status.is_good()))
+///     }
 ///     _ => unreachable!(),
 /// }
 /// ```
 #[derive(Default)]
 pub(crate) struct AddressSpace {
-    nodes: BTreeMap<NodeId, SpaceNode>,
+    nodes: BTreeMap<Key, SpaceNode>,
 }
 
 impl std::fmt::Debug for AddressSpace {
@@ -610,9 +827,9 @@ impl AddressSpace {
     /// Adds an object (folder) node, optionally under `parent`.
     pub(crate) fn add_object(
         &mut self,
-        id: NodeId,
+        id: NodeId<'static>,
         browse_name: impl Into<String>,
-        parent: Option<&NodeId>,
+        parent: Option<&NodeId<'_>>,
     ) {
         self.add(
             id,
@@ -627,9 +844,9 @@ impl AddressSpace {
     /// Adds a variable node, optionally under `parent`.
     pub(crate) fn add_variable(
         &mut self,
-        id: NodeId,
+        id: NodeId<'static>,
         browse_name: impl Into<String>,
-        parent: Option<&NodeId>,
+        parent: Option<&NodeId<'_>>,
         writable: bool,
     ) {
         self.add(
@@ -644,15 +861,15 @@ impl AddressSpace {
 
     fn add(
         &mut self,
-        id: NodeId,
+        id: NodeId<'static>,
         browse_name: String,
         node_class: NodeClass,
-        value: Option<DataValue>,
+        value: Option<DataValue<'static>>,
         writable: bool,
-        parent: Option<&NodeId>,
+        parent: Option<&NodeId<'_>>,
     ) {
         self.nodes.insert(
-            id.clone(),
+            Key(id.clone()),
             SpaceNode {
                 browse_name,
                 node_class,
@@ -676,8 +893,8 @@ impl AddressSpace {
     /// exist or is not a variable.
     pub(crate) fn set_value(
         &mut self,
-        id: &NodeId,
-        value: Variant,
+        id: &NodeId<'_>,
+        value: Variant<'static>,
         timestamp_millis: i64,
     ) -> Result<(), StatusCode> {
         match self.nodes.get_mut(id) {
@@ -689,57 +906,78 @@ impl AddressSpace {
         }
     }
 
-    /// Answers a service request. Requests that are themselves responses
-    /// yield an empty `ReadResponse` (servers ignore them).
-    pub(crate) fn handle(&mut self, request: &Message) -> Message {
+    /// Answers a service request with the encoded response. Requests
+    /// that are themselves responses yield an empty `ReadResponse`
+    /// (servers ignore them). A read is answered in one exact-size
+    /// buffer, its results written straight from the space.
+    pub(crate) fn handle(&mut self, request: &Message<'_>) -> Vec<u8> {
         match request {
-            Message::ReadRequest { nodes } => Message::ReadResponse {
-                results: nodes.iter().map(|rv| self.read_one(rv)).collect(),
-            },
-            Message::WriteRequest { nodes } => Message::WriteResponse {
-                results: nodes.iter().map(|wv| self.write_one(wv)).collect(),
-            },
+            Message::ReadRequest { nodes } => encode_array(
+                READ_RESPONSE,
+                &[],
+                nodes.iter().map(|rv| self.read_one(&rv)),
+            ),
+            Message::WriteRequest { nodes } => {
+                let results: Vec<StatusCode> = nodes.iter().map(|wv| self.write_one(wv)).collect();
+                Message::WriteResponse {
+                    results: results.as_slice().into(),
+                }
+                .encode()
+            }
             Message::BrowseRequest { node_id } => match self.nodes.get(node_id) {
-                Some(node) => Message::BrowseResponse {
-                    status: StatusCode::GOOD,
-                    references: node
+                Some(node) => {
+                    let references: Vec<ReferenceDescription<'_>> = node
                         .children
                         .iter()
                         .filter_map(|c| {
                             self.nodes.get(c).map(|cn| ReferenceDescription {
-                                node_id: c.clone(),
-                                browse_name: cn.browse_name.clone(),
+                                node_id: c.view(),
+                                browse_name: &cn.browse_name,
                                 node_class: cn.node_class,
                             })
                         })
-                        .collect(),
-                },
+                        .collect();
+                    Message::BrowseResponse {
+                        status: StatusCode::GOOD,
+                        references: references.as_slice().into(),
+                    }
+                    .encode()
+                }
                 None => Message::BrowseResponse {
                     status: StatusCode::BAD_NODE_ID_UNKNOWN,
-                    references: Vec::new(),
-                },
+                    references: (&[]).into(),
+                }
+                .encode(),
             },
             _ => Message::ReadResponse {
-                results: Vec::new(),
-            },
+                results: (&[]).into(),
+            }
+            .encode(),
         }
     }
 
-    fn read_one(&self, rv: &ReadValueId) -> DataValue {
+    fn read_one(&self, rv: &ReadValueId<'_>) -> DataValue<'_> {
         let Some(node) = self.nodes.get(&rv.node_id) else {
             return DataValue::bad(StatusCode::BAD_NODE_ID_UNKNOWN);
         };
         match rv.attribute {
-            AttributeId::Value => node
-                .value
-                .clone()
-                .unwrap_or_else(|| DataValue::bad(StatusCode::BAD_ATTRIBUTE_ID_INVALID)),
-            AttributeId::BrowseName => DataValue::good(Variant::Str(node.browse_name.clone()), 0),
+            // The stored value, its string (if any) borrowed, not copied.
+            AttributeId::Value => match &node.value {
+                Some(stored) => DataValue {
+                    value: stored.value.as_ref().map(Variant::view),
+                    status: stored.status,
+                    source_timestamp: stored.source_timestamp,
+                },
+                None => DataValue::bad(StatusCode::BAD_ATTRIBUTE_ID_INVALID),
+            },
+            AttributeId::BrowseName => {
+                DataValue::good(Variant::Str(Cow::Borrowed(&node.browse_name)), 0)
+            }
             AttributeId::NodeClass => DataValue::good(Variant::Int32(node.node_class.id()), 0),
         }
     }
 
-    fn write_one(&mut self, wv: &WriteValue) -> StatusCode {
+    fn write_one(&mut self, wv: WriteValue<'_>) -> StatusCode {
         if wv.attribute != AttributeId::Value {
             return StatusCode::BAD_ATTRIBUTE_ID_INVALID;
         }
@@ -762,7 +1000,7 @@ impl AddressSpace {
                         return StatusCode::BAD_TYPE_MISMATCH;
                     }
                 }
-                node.value = Some(DataValue::good(wv.value.clone(), 0));
+                node.value = Some(DataValue::good(wv.value.into_owned(), 0));
                 StatusCode::GOOD
             }
         }
@@ -773,7 +1011,12 @@ impl AddressSpace {
 mod tests {
     use super::*;
 
-    fn space() -> (AddressSpace, NodeId, NodeId, NodeId) {
+    fn space() -> (
+        AddressSpace,
+        NodeId<'static>,
+        NodeId<'static>,
+        NodeId<'static>,
+    ) {
         let mut s = AddressSpace::new();
         let root = NodeId::numeric(1, 1);
         let temp = NodeId::string(1, "plant.supply_temp");
@@ -788,61 +1031,69 @@ mod tests {
 
     #[test]
     fn all_messages_round_trip() {
+        let reads = [
+            ReadValueId {
+                node_id: NodeId::numeric(2, 42),
+                attribute: AttributeId::Value,
+            },
+            ReadValueId {
+                node_id: NodeId::string(0, "x"),
+                attribute: AttributeId::BrowseName,
+            },
+        ];
+        let results = [
+            DataValue::good(Variant::Double(1.5), 123),
+            DataValue::bad(StatusCode::BAD_NODE_ID_UNKNOWN),
+            DataValue::good(Variant::Str("té".into()), 0),
+            DataValue::good(Variant::Boolean(true), -5),
+            DataValue::good(Variant::Int64(i64::MIN), 0),
+            DataValue::good(Variant::DateTime(1_425_900_000_000), 0),
+        ];
+        let writes = [WriteValue {
+            node_id: NodeId::string(1, "sp"),
+            attribute: AttributeId::Value,
+            value: Variant::Int32(-7),
+        }];
+        let references = [ReferenceDescription {
+            node_id: NodeId::string(1, "child"),
+            browse_name: "Child",
+            node_class: NodeClass::Variable,
+        }];
         let messages = [
             Message::ReadRequest {
-                nodes: vec![
-                    ReadValueId {
-                        node_id: NodeId::numeric(2, 42),
-                        attribute: AttributeId::Value,
-                    },
-                    ReadValueId {
-                        node_id: NodeId::string(0, "x"),
-                        attribute: AttributeId::BrowseName,
-                    },
-                ],
+                nodes: (&reads).into(),
             },
             Message::ReadResponse {
-                results: vec![
-                    DataValue::good(Variant::Double(1.5), 123),
-                    DataValue::bad(StatusCode::BAD_NODE_ID_UNKNOWN),
-                    DataValue::good(Variant::Str("té".into()), 0),
-                    DataValue::good(Variant::Boolean(true), -5),
-                    DataValue::good(Variant::Int64(i64::MIN), 0),
-                    DataValue::good(Variant::DateTime(1_425_900_000_000), 0),
-                ],
+                results: (&results).into(),
             },
             Message::WriteRequest {
-                nodes: vec![WriteValue {
-                    node_id: NodeId::string(1, "sp"),
-                    attribute: AttributeId::Value,
-                    value: Variant::Int32(-7),
-                }],
+                nodes: (&writes).into(),
             },
             Message::WriteResponse {
-                results: vec![StatusCode::GOOD, StatusCode::BAD_NOT_WRITABLE],
+                results: (&[StatusCode::GOOD, StatusCode::BAD_NOT_WRITABLE]).into(),
             },
             Message::BrowseRequest {
                 node_id: NodeId::numeric(1, 1),
             },
             Message::BrowseResponse {
                 status: StatusCode::GOOD,
-                references: vec![ReferenceDescription {
-                    node_id: NodeId::string(1, "child"),
-                    browse_name: "Child".into(),
-                    node_class: NodeClass::Variable,
-                }],
+                references: (&references).into(),
             },
         ];
         for m in &messages {
             let bytes = m.encode();
-            assert_eq!(&Message::decode(&bytes).unwrap(), m);
+            assert_eq!(bytes.capacity(), bytes.len(), "sized up front");
+            let back = Message::decode(&bytes).unwrap();
+            assert_eq!(&back, m);
+            assert_eq!(back.encode(), bytes);
         }
     }
 
     #[test]
     fn truncation_rejected_everywhere() {
+        let results = [DataValue::good(Variant::Str("hello".into()), 9)];
         let m = Message::ReadResponse {
-            results: vec![DataValue::good(Variant::Str("hello".into()), 9)],
+            results: (&results).into(),
         };
         let bytes = m.encode();
         for cut in 0..bytes.len() {
@@ -853,29 +1104,32 @@ mod tests {
     #[test]
     fn read_value_and_metadata() {
         let (mut s, root, temp, _) = space();
+        let reads = [
+            ReadValueId {
+                node_id: temp.clone(),
+                attribute: AttributeId::Value,
+            },
+            ReadValueId {
+                node_id: temp.clone(),
+                attribute: AttributeId::BrowseName,
+            },
+            ReadValueId {
+                node_id: root,
+                attribute: AttributeId::NodeClass,
+            },
+            ReadValueId {
+                node_id: NodeId::numeric(9, 9),
+                attribute: AttributeId::Value,
+            },
+        ];
         let resp = s.handle(&Message::ReadRequest {
-            nodes: vec![
-                ReadValueId {
-                    node_id: temp.clone(),
-                    attribute: AttributeId::Value,
-                },
-                ReadValueId {
-                    node_id: temp.clone(),
-                    attribute: AttributeId::BrowseName,
-                },
-                ReadValueId {
-                    node_id: root,
-                    attribute: AttributeId::NodeClass,
-                },
-                ReadValueId {
-                    node_id: NodeId::numeric(9, 9),
-                    attribute: AttributeId::Value,
-                },
-            ],
+            nodes: (&reads).into(),
         });
-        let Message::ReadResponse { results } = resp else {
+        assert_eq!(resp.capacity(), resp.len(), "sized up front");
+        let Message::ReadResponse { results } = Message::decode(&resp).unwrap() else {
             panic!("wrong response type");
         };
+        let results: Vec<DataValue> = results.iter().collect();
         assert_eq!(results[0].value, Some(Variant::Double(71.5)));
         assert_eq!(results[0].source_timestamp, Some(1000));
         assert_eq!(results[1].value, Some(Variant::Str("SupplyTemp".into())));
@@ -886,33 +1140,35 @@ mod tests {
     #[test]
     fn write_rules_enforced() {
         let (mut s, _, temp, setpoint) = space();
+        let writes = [
+            WriteValue {
+                node_id: setpoint.clone(),
+                attribute: AttributeId::Value,
+                value: Variant::Double(60.0),
+            },
+            WriteValue {
+                node_id: temp, // read-only
+                attribute: AttributeId::Value,
+                value: Variant::Double(0.0),
+            },
+            WriteValue {
+                node_id: setpoint.clone(), // type mismatch
+                attribute: AttributeId::Value,
+                value: Variant::Boolean(true),
+            },
+            WriteValue {
+                node_id: setpoint.clone(), // non-value attribute
+                attribute: AttributeId::BrowseName,
+                value: Variant::Str("nope".into()),
+            },
+        ];
         let resp = s.handle(&Message::WriteRequest {
-            nodes: vec![
-                WriteValue {
-                    node_id: setpoint.clone(),
-                    attribute: AttributeId::Value,
-                    value: Variant::Double(60.0),
-                },
-                WriteValue {
-                    node_id: temp, // read-only
-                    attribute: AttributeId::Value,
-                    value: Variant::Double(0.0),
-                },
-                WriteValue {
-                    node_id: setpoint.clone(), // type mismatch
-                    attribute: AttributeId::Value,
-                    value: Variant::Boolean(true),
-                },
-                WriteValue {
-                    node_id: setpoint.clone(), // non-value attribute
-                    attribute: AttributeId::BrowseName,
-                    value: Variant::Str("nope".into()),
-                },
-            ],
+            nodes: (&writes).into(),
         });
-        let Message::WriteResponse { results } = resp else {
+        let Message::WriteResponse { results } = Message::decode(&resp).unwrap() else {
             panic!("wrong response type");
         };
+        let results: Vec<StatusCode> = results.iter().collect();
         assert_eq!(results[0], StatusCode::GOOD);
         assert_eq!(results[1], StatusCode::BAD_NOT_WRITABLE);
         assert_eq!(results[2], StatusCode::BAD_TYPE_MISMATCH);
@@ -927,11 +1183,11 @@ mod tests {
     fn browse_lists_children() {
         let (mut s, root, _, _) = space();
         let resp = s.handle(&Message::BrowseRequest { node_id: root });
-        let Message::BrowseResponse { status, references } = resp else {
+        let Message::BrowseResponse { status, references } = Message::decode(&resp).unwrap() else {
             panic!("wrong response type");
         };
         assert!(status.is_good());
-        let names: Vec<&str> = references.iter().map(|r| r.browse_name.as_str()).collect();
+        let names: Vec<&str> = references.iter().map(|r| r.browse_name).collect();
         assert_eq!(names, vec!["SupplyTemp", "Setpoint"]);
     }
 
@@ -941,11 +1197,11 @@ mod tests {
         let resp = s.handle(&Message::BrowseRequest {
             node_id: NodeId::numeric(7, 7),
         });
-        let Message::BrowseResponse { status, references } = resp else {
+        let Message::BrowseResponse { status, references } = Message::decode(&resp).unwrap() else {
             panic!("wrong response type");
         };
         assert!(!status.is_good());
-        assert!(references.is_empty());
+        assert_eq!(references.iter().count(), 0);
     }
 
     #[test]
@@ -956,7 +1212,10 @@ mod tests {
 
     #[test]
     fn implausible_length_rejected() {
-        let mut bytes = Message::ReadRequest { nodes: vec![] }.encode();
+        let mut bytes = Message::ReadRequest {
+            nodes: (&[]).into(),
+        }
+        .encode();
         bytes[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(Message::decode(&bytes).is_err());
     }

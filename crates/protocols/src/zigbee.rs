@@ -78,6 +78,16 @@ impl ZclValue {
         }
     }
 
+    /// The encoded length of the value, without its type byte.
+    fn encoded_len(self) -> usize {
+        match self {
+            ZclValue::Bool(_) | ZclValue::U8(_) => 1,
+            ZclValue::U16(_) | ZclValue::I16(_) => 2,
+            ZclValue::U32(_) | ZclValue::I32(_) => 4,
+            ZclValue::U48(_) => 6,
+        }
+    }
+
     fn encode_into(self, out: &mut Vec<u8>) {
         match self {
             ZclValue::Bool(b) => out.push(u8::from(b)),
@@ -158,9 +168,94 @@ impl ZclCommand {
     }
 }
 
-/// A complete ZigBee frame: NWK header, APS header and ZCL payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ZigbeeFrame {
+/// The attribute records of a [`ZigbeeFrame`]: the sender's list, or
+/// the records of a decoded frame, checked and left in their wire bytes.
+#[derive(Debug, Clone, Copy)]
+enum Records<'a> {
+    /// Listed by the sender.
+    Listed(&'a [ZclAttribute]),
+    /// Decoded; each record carries a status byte when `with_status`.
+    Wire { bytes: &'a [u8], with_status: bool },
+}
+
+impl<'a> Records<'a> {
+    fn iter(self) -> Attributes<'a> {
+        Attributes { records: self }
+    }
+
+    fn wire_len(self, with_status: bool) -> usize {
+        match self {
+            Records::Listed(list) => list
+                .iter()
+                .map(|a| 2 + usize::from(with_status) + 1 + a.value.encoded_len())
+                .sum(),
+            Records::Wire { bytes, .. } => bytes.len(),
+        }
+    }
+}
+
+impl PartialEq for Records<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Records<'_> {}
+
+/// The attribute records of a frame, in wire order (see
+/// [`ZigbeeFrame::attributes`]).
+#[derive(Debug, Clone)]
+pub struct Attributes<'a> {
+    records: Records<'a>,
+}
+
+impl Iterator for Attributes<'_> {
+    type Item = ZclAttribute;
+
+    fn next(&mut self) -> Option<ZclAttribute> {
+        match &mut self.records {
+            Records::Listed(list) => {
+                let (first, rest) = list.split_first()?;
+                *list = rest;
+                Some(*first)
+            }
+            Records::Wire { bytes, with_status } => {
+                if bytes.is_empty() {
+                    return None;
+                }
+                // Every record was read once by `decode`, so this read
+                // succeeds.
+                let mut r = Cursor::new(bytes, "zigbee frame");
+                let attribute = read_record(&mut r, *with_status).ok()?;
+                *bytes = r.rest();
+                Some(attribute)
+            }
+        }
+    }
+}
+
+/// Reads one attribute record: id, status (when `with_status`), type
+/// and value.
+fn read_record(r: &mut Cursor<'_>, with_status: bool) -> Result<ZclAttribute, ProtocolError> {
+    let id = r.u16_le()?;
+    if with_status {
+        let status = r.u8()?;
+        if status != 0 {
+            return Err(ProtocolError::Malformed {
+                reason: "attribute status is not SUCCESS",
+            });
+        }
+    }
+    let type_id = r.u8()?;
+    let value = ZclValue::decode(type_id, r)?;
+    Ok(ZclAttribute { id, value })
+}
+
+/// A ZigBee frame: NWK header, APS header and ZCL payload. Its attribute
+/// records are borrowed: from the sender's list when it is built, from
+/// the received bytes when it is decoded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ZigbeeFrame<'a> {
     /// NWK destination short address.
     pub(crate) nwk_dest: u16,
     /// NWK source short address (the reporting device).
@@ -184,14 +279,27 @@ pub struct ZigbeeFrame {
     /// The ZCL command.
     pub(crate) command: ZclCommand,
     /// The attribute records.
-    pub attributes: Vec<ZclAttribute>,
+    records: Records<'a>,
 }
 
-impl ZigbeeFrame {
-    /// Encodes NWK + APS + ZCL into bytes (the payload of an 802.15.4
-    /// data frame in a real stack).
+/// NWK (8) + APS (8) + ZCL (3) header bytes.
+const HEADER_LEN: usize = 19;
+
+impl<'a> ZigbeeFrame<'a> {
+    /// The attribute records, in wire order.
+    pub fn attributes(&self) -> Attributes<'a> {
+        self.records.iter()
+    }
+
+    fn with_status(&self) -> bool {
+        self.command == ZclCommand::ReadAttributesResponse
+    }
+
+    /// Encodes NWK + APS + ZCL into an exact-size buffer (the payload of
+    /// an 802.15.4 data frame in a real stack).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + 8 + 3 + 5 * self.attributes.len());
+        let with_status = self.with_status();
+        let mut out = Vec::with_capacity(HEADER_LEN + self.records.wire_len(with_status));
         // NWK header: frame control (data, protocol version 2), dest, src,
         // radius, sequence.
         let nwk_fc: u16 = 0b0000_0000_0000_1000; // version 2 in bits 2..5
@@ -213,23 +321,29 @@ impl ZigbeeFrame {
         out.push(0x18);
         out.push(self.zcl_sequence);
         out.push(self.command.id());
-        for attr in &self.attributes {
-            out.extend_from_slice(&attr.id.to_le_bytes());
-            if self.command == ZclCommand::ReadAttributesResponse {
-                out.push(0x00); // status SUCCESS
+        match self.records {
+            Records::Listed(list) => {
+                for attr in list {
+                    out.extend_from_slice(&attr.id.to_le_bytes());
+                    if with_status {
+                        out.push(0x00); // status SUCCESS
+                    }
+                    out.push(attr.value.type_id());
+                    attr.value.encode_into(&mut out);
+                }
             }
-            out.push(attr.value.type_id());
-            attr.value.encode_into(&mut out);
+            Records::Wire { bytes, .. } => out.extend_from_slice(bytes),
         }
         out
     }
 
-    /// Decodes a frame produced by [`ZigbeeFrame::encode`].
+    /// Decodes a frame produced by [`ZigbeeFrame::encode`], checking
+    /// every attribute record; the records borrow `bytes`.
     ///
     /// # Errors
     ///
     /// Returns [`ProtocolError`] on truncation or unsupported fields.
-    pub fn decode(bytes: &[u8]) -> Result<Self, ProtocolError> {
+    pub fn decode(bytes: &'a [u8]) -> Result<Self, ProtocolError> {
         const CTX: &str = "zigbee frame";
         let mut r = Cursor::new(bytes, CTX);
         let nwk_fc = r.u16_le()?;
@@ -264,20 +378,10 @@ impl ZigbeeFrame {
         }
         let zcl_sequence = r.u8()?;
         let command = ZclCommand::from_id(r.u8()?)?;
-        let mut attributes = Vec::new();
+        let with_status = command == ZclCommand::ReadAttributesResponse;
+        let records = r.clone().rest();
         while r.remaining() > 0 {
-            let id = r.u16_le()?;
-            if command == ZclCommand::ReadAttributesResponse {
-                let status = r.u8()?;
-                if status != 0 {
-                    return Err(ProtocolError::Malformed {
-                        reason: "attribute status is not SUCCESS",
-                    });
-                }
-            }
-            let type_id = r.u8()?;
-            let value = ZclValue::decode(type_id, &mut r)?;
-            attributes.push(ZclAttribute { id, value });
+            read_record(&mut r, with_status)?;
         }
         Ok(ZigbeeFrame {
             nwk_dest,
@@ -291,7 +395,10 @@ impl ZigbeeFrame {
             aps_counter,
             zcl_sequence,
             command,
-            attributes,
+            records: Records::Wire {
+                bytes: records,
+                with_status,
+            },
         })
     }
 }
@@ -300,12 +407,13 @@ impl ZigbeeFrame {
 ///
 /// ```
 /// use protocols::zigbee::{report_builder, ClusterId, ZclAttribute, ZclValue};
+/// let on = [ZclAttribute::new(0x0000, ZclValue::Bool(true))];
 /// let frame = report_builder(0x77AA, ClusterId::ON_OFF)
-///     .attribute(ZclAttribute::new(0x0000, ZclValue::Bool(true)))
+///     .attributes(&on)
 ///     .build();
 /// assert_eq!(frame.cluster, ClusterId::ON_OFF);
 /// ```
-pub fn report_builder(nwk_src: u16, cluster: ClusterId) -> ReportBuilder {
+pub fn report_builder<'a>(nwk_src: u16, cluster: ClusterId) -> ReportBuilder<'a> {
     ReportBuilder {
         frame: ZigbeeFrame {
             nwk_dest: 0x0000, // coordinator
@@ -319,21 +427,21 @@ pub fn report_builder(nwk_src: u16, cluster: ClusterId) -> ReportBuilder {
             aps_counter: 0,
             zcl_sequence: 0,
             command: ZclCommand::ReportAttributes,
-            attributes: Vec::new(),
+            records: Records::Listed(&[]),
         },
     }
 }
 
 /// Builder returned by [`report_builder`].
 #[derive(Debug, Clone)]
-pub struct ReportBuilder {
-    frame: ZigbeeFrame,
+pub struct ReportBuilder<'a> {
+    frame: ZigbeeFrame<'a>,
 }
 
-impl ReportBuilder {
-    /// Adds an attribute record.
-    pub fn attribute(mut self, attr: ZclAttribute) -> Self {
-        self.frame.attributes.push(attr);
+impl<'a> ReportBuilder<'a> {
+    /// Sets the attribute records, borrowed until the frame is encoded.
+    pub fn attributes(mut self, attributes: &'a [ZclAttribute]) -> Self {
+        self.frame.records = Records::Listed(attributes);
         self
     }
 
@@ -347,7 +455,7 @@ impl ReportBuilder {
     }
 
     /// Finalizes the frame.
-    pub fn build(self) -> ZigbeeFrame {
+    pub fn build(self) -> ZigbeeFrame<'a> {
         self.frame
     }
 }
@@ -356,10 +464,15 @@ impl ReportBuilder {
 mod tests {
     use super::*;
 
-    fn sample() -> ZigbeeFrame {
+    const TEMPERATURE: [ZclAttribute; 1] = [ZclAttribute {
+        id: 0x0000,
+        value: ZclValue::I16(2157),
+    }];
+
+    fn sample() -> ZigbeeFrame<'static> {
         report_builder(0x4F21, ClusterId::TEMPERATURE_MEASUREMENT)
             .sequence(9)
-            .attribute(ZclAttribute::new(0x0000, ZclValue::I16(2157)))
+            .attributes(&TEMPERATURE)
             .build()
     }
 
@@ -381,16 +494,21 @@ mod tests {
             ZclValue::I16(-2157),
             ZclValue::I32(-2_000_000_000),
         ];
-        let mut b = report_builder(1, ClusterId::SIMPLE_METERING);
-        for (i, v) in values.iter().enumerate() {
-            b = b.attribute(ZclAttribute::new(i as u16, *v));
+        let attributes: Vec<ZclAttribute> = (0..)
+            .zip(values)
+            .map(|(i, v)| ZclAttribute::new(i, v))
+            .collect();
+        let f = report_builder(1, ClusterId::SIMPLE_METERING)
+            .attributes(&attributes)
+            .build();
+        let bytes = f.encode();
+        assert_eq!(bytes.capacity(), bytes.len(), "sized up front");
+        let back = ZigbeeFrame::decode(&bytes).unwrap();
+        assert_eq!(back.attributes().count(), values.len());
+        for (attr, v) in back.attributes().zip(values) {
+            assert_eq!(attr.value, v);
         }
-        let f = b.build();
-        let back = ZigbeeFrame::decode(&f.encode()).unwrap();
-        assert_eq!(back.attributes.len(), values.len());
-        for (attr, v) in back.attributes.iter().zip(values.iter()) {
-            assert_eq!(&attr.value, v);
-        }
+        assert_eq!(back, f);
     }
 
     #[test]
@@ -423,11 +541,13 @@ mod tests {
     #[test]
     fn u48_boundary_values() {
         for v in [0u64, 1, 0xFFFF_FFFF, 0x0000_FFFF_FFFF_FFFF] {
+            let attribute = [ZclAttribute::new(0, ZclValue::U48(v))];
             let f = report_builder(1, ClusterId::SIMPLE_METERING)
-                .attribute(ZclAttribute::new(0, ZclValue::U48(v)))
+                .attributes(&attribute)
                 .build();
-            let back = ZigbeeFrame::decode(&f.encode()).unwrap();
-            assert_eq!(back.attributes[0].value, ZclValue::U48(v));
+            let bytes = f.encode();
+            let back = ZigbeeFrame::decode(&bytes).unwrap();
+            assert_eq!(back.attributes().next().unwrap().value, ZclValue::U48(v));
         }
     }
 
@@ -449,7 +569,8 @@ mod tests {
     #[test]
     fn empty_attribute_list_round_trips() {
         let f = report_builder(7, ClusterId::ON_OFF).build();
-        let back = ZigbeeFrame::decode(&f.encode()).unwrap();
-        assert!(back.attributes.is_empty());
+        let bytes = f.encode();
+        let back = ZigbeeFrame::decode(&bytes).unwrap();
+        assert_eq!(back.attributes().next(), None);
     }
 }

@@ -47,7 +47,7 @@ fn rand_zcl_value(rng: &mut DeterministicRng) -> ZclValue {
     }
 }
 
-fn rand_variant(rng: &mut DeterministicRng) -> Variant {
+fn rand_variant(rng: &mut DeterministicRng) -> Variant<'static> {
     match rng.next_bounded(6) {
         0 => Variant::Boolean(rng.chance(0.5)),
         1 => Variant::Int32(rng.next_u64() as i32),
@@ -57,12 +57,12 @@ fn rand_variant(rng: &mut DeterministicRng) -> Variant {
             let f = f64::from_bits(rng.next_u64());
             Variant::Double(if f.is_nan() { 0.5 } else { f })
         }
-        4 => Variant::Str(string_from(rng, "abcXYZ019 ._é✓", 0, 16)),
+        4 => Variant::Str(string_from(rng, "abcXYZ019 ._é✓", 0, 16).into()),
         _ => Variant::DateTime(rng.next_u64() as i64),
     }
 }
 
-fn rand_node_id(rng: &mut DeterministicRng) -> NodeId {
+fn rand_node_id(rng: &mut DeterministicRng) -> NodeId<'static> {
     if rng.chance(0.5) {
         NodeId::numeric(rng.next_u64() as u16, rng.next_u64() as u32)
     } else {
@@ -89,6 +89,7 @@ fn mac_frame_round_trip() {
         } else {
             None
         };
+        let payload = rand_bytes(&mut rng, 99);
         let frame = MacFrame {
             frame_type: FrameType::Data,
             ack_request: rng.chance(0.5),
@@ -98,9 +99,11 @@ fn mac_frame_round_trip() {
             dest,
             src_pan,
             src,
-            payload: rand_bytes(&mut rng, 99),
+            payload: &payload,
         };
-        let back = MacFrame::decode(&frame.encode()).unwrap();
+        let bytes = frame.encode();
+        assert_eq!(bytes.capacity(), bytes.len(), "sized up front");
+        let back = MacFrame::decode(&bytes).unwrap();
         assert_eq!(back, frame);
     }
 }
@@ -121,7 +124,7 @@ fn mac_bit_flips_never_yield_wrong_frames() {
         if payload.is_empty() {
             payload.push(0);
         }
-        let frame = MacFrame::data(PanId(7), Address::Short(1), Address::Short(2), 1, payload);
+        let frame = MacFrame::data(PanId(7), Address::Short(1), Address::Short(2), 1, &payload);
         let mut bytes = frame.encode();
         let bit = rng.next_bounded((bytes.len() * 8) as u64) as usize;
         bytes[bit / 8] ^= 1 << (bit % 8);
@@ -143,13 +146,19 @@ fn zigbee_round_trip() {
         let values: Vec<ZclValue> = (0..rng.next_bounded(6))
             .map(|_| rand_zcl_value(&mut rng))
             .collect();
-        let mut b = report_builder(nwk, ClusterId::SIMPLE_METERING).sequence(seq);
-        for (i, v) in values.iter().enumerate() {
-            b = b.attribute(ZclAttribute::new(i as u16, *v));
-        }
-        let frame = b.build();
-        let back = ZigbeeFrame::decode(&frame.encode()).unwrap();
+        let attributes: Vec<ZclAttribute> = (0..)
+            .zip(values)
+            .map(|(i, v)| ZclAttribute::new(i, v))
+            .collect();
+        let frame = report_builder(nwk, ClusterId::SIMPLE_METERING)
+            .sequence(seq)
+            .attributes(&attributes)
+            .build();
+        let bytes = frame.encode();
+        assert_eq!(bytes.capacity(), bytes.len(), "sized up front");
+        let back = ZigbeeFrame::decode(&bytes).unwrap();
         assert_eq!(back, frame);
+        assert_eq!(back.encode(), bytes);
     }
 }
 
@@ -168,12 +177,13 @@ fn erp1_esp3_round_trip() {
         let data4: Vec<u8> = (0..4).map(|_| rng.next_u64() as u8).collect();
         let t = Erp1Telegram::new(
             Rorg::FourBs,
-            data4,
+            &data4,
             rng.next_u64() as u32,
             rng.next_u64() as u8,
         );
-        let back = Erp1Telegram::from_esp3(&t.to_esp3()).unwrap();
-        assert_eq!(back, t);
+        let packet = t.to_esp3();
+        assert_eq!(packet.capacity(), packet.len(), "sized up front");
+        assert_eq!(Erp1Telegram::from_esp3(&packet).unwrap(), t);
     }
 }
 
@@ -190,7 +200,8 @@ fn enocean_temperature_quantization_bounded() {
     let mut rng = DeterministicRng::seed_from(0x0154_0008);
     for _ in 0..CASES {
         let t = rng.next_f64_range(0.0, 40.0);
-        let tel = Eep::A50205.encode_reading(&EepReading::Temperature { celsius: t }, 1);
+        let mut data = [0; 4];
+        let tel = Eep::A50205.encode_reading(&EepReading::Temperature { celsius: t }, 1, &mut data);
         match Eep::A50205.decode_reading(&tel).unwrap() {
             EepReading::Temperature { celsius } => {
                 assert!((celsius - t).abs() <= 40.0 / 255.0 / 2.0 + 1e-9);
@@ -213,42 +224,50 @@ fn opcua_messages_round_trip() {
         let statuses: Vec<u32> = (0..rng.next_bounded(5))
             .map(|_| rng.next_u64() as u32)
             .collect();
+        let read_ids: Vec<ReadValueId> = reads
+            .iter()
+            .cloned()
+            .map(|node_id| ReadValueId {
+                node_id,
+                attribute: AttributeId::Value,
+            })
+            .collect();
+        let results: Vec<DataValue> = variants
+            .iter()
+            .cloned()
+            .map(|v| DataValue::good(v, 7))
+            .collect();
+        let writes: Vec<WriteValue> = reads
+            .iter()
+            .cloned()
+            .zip(variants.iter().cloned())
+            .map(|(node_id, value)| WriteValue {
+                node_id,
+                attribute: AttributeId::Value,
+                value,
+            })
+            .collect();
+        let statuses: Vec<StatusCode> = statuses.iter().map(|&s| StatusCode(s)).collect();
         let messages = [
             Message::ReadRequest {
-                nodes: reads
-                    .iter()
-                    .cloned()
-                    .map(|node_id| ReadValueId {
-                        node_id,
-                        attribute: AttributeId::Value,
-                    })
-                    .collect(),
+                nodes: read_ids.as_slice().into(),
             },
             Message::ReadResponse {
-                results: variants
-                    .iter()
-                    .cloned()
-                    .map(|v| DataValue::good(v, 7))
-                    .collect(),
+                results: results.as_slice().into(),
             },
             Message::WriteRequest {
-                nodes: reads
-                    .iter()
-                    .cloned()
-                    .zip(variants.iter().cloned())
-                    .map(|(node_id, value)| WriteValue {
-                        node_id,
-                        attribute: AttributeId::Value,
-                        value,
-                    })
-                    .collect(),
+                nodes: writes.as_slice().into(),
             },
             Message::WriteResponse {
-                results: statuses.iter().map(|&s| StatusCode(s)).collect(),
+                results: statuses.as_slice().into(),
             },
         ];
         for m in &messages {
-            assert_eq!(&Message::decode(&m.encode()).unwrap(), m);
+            let bytes = m.encode();
+            assert_eq!(bytes.capacity(), bytes.len(), "sized up front");
+            let back = Message::decode(&bytes).unwrap();
+            assert_eq!(&back, m);
+            assert_eq!(back.encode(), bytes);
         }
     }
 }
@@ -268,27 +287,34 @@ fn coap_round_trip() {
         let path: Vec<String> = (0..rng.next_bounded(5))
             .map(|_| string_from(&mut rng, "abcXYZ019._-", 1, 24))
             .collect();
-        let msg = CoapMessage {
-            mtype: match rng.next_bounded(4) {
-                0 => CoapType::Confirmable,
-                1 => CoapType::NonConfirmable,
-                2 => CoapType::Acknowledgement,
-                _ => CoapType::Reset,
-            },
-            code: *[CoapCode::GET, CoapCode::POST, CoapCode::CONTENT]
-                .get(rng.next_bounded(3) as usize)
-                .unwrap(),
-            message_id: rng.next_u64() as u16,
-            token: rand_bytes(&mut rng, 8),
-            uri_path: path,
-            content_format: if rng.chance(0.5) {
-                Some(rng.next_u64() as u16)
-            } else {
-                None
-            },
-            payload: rand_bytes(&mut rng, 63),
+        let mtype = match rng.next_bounded(4) {
+            0 => CoapType::Confirmable,
+            1 => CoapType::NonConfirmable,
+            2 => CoapType::Acknowledgement,
+            _ => CoapType::Reset,
         };
-        assert_eq!(CoapMessage::decode(&msg.encode()).expect("round trip"), msg);
+        let code = *[CoapCode::GET, CoapCode::POST, CoapCode::CONTENT]
+            .get(rng.next_bounded(3) as usize)
+            .unwrap();
+        let message_id = rng.next_u64() as u16;
+        let token = rand_bytes(&mut rng, 8);
+        let path = path.join("/");
+        let content_format = if rng.chance(0.5) {
+            Some(rng.next_u64() as u16)
+        } else {
+            None
+        };
+        let payload = rand_bytes(&mut rng, 63);
+        let mut msg = CoapMessage::get(message_id, &token, &path);
+        msg.mtype = mtype;
+        msg.code = code;
+        msg.content_format = content_format;
+        msg.payload = &payload;
+        let bytes = msg.encode();
+        assert_eq!(bytes.capacity(), bytes.len(), "sized up front");
+        let back = CoapMessage::decode(&bytes).expect("round trip");
+        assert_eq!(back, msg);
+        assert_eq!(back.encode(), bytes);
     }
 }
 

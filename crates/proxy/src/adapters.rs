@@ -84,18 +84,19 @@ impl DeviceAdapter for Ieee802154Adapter {
                 reason: "frame from a different device",
             });
         }
-        let (quantity, value) = Ieee802154Sensor::parse_payload(&frame.payload)?;
+        let (quantity, value) = Ieee802154Sensor::parse_payload(frame.payload)?;
         Ok(vec![(quantity, value)])
     }
 
     fn encode_actuation(&mut self, value: f64) -> Option<Vec<u8>> {
         // Downlink: the same raw payload format, switch-state quantity.
+        let payload = Ieee802154Sensor::encode_payload(QuantityKind::SwitchState, value);
         let frame = MacFrame::data(
             self.pan,
             Address::Short(self.device_address),
             Address::Short(0x0000),
             self.downlink_sequence,
-            Ieee802154Sensor::encode_payload(QuantityKind::SwitchState, value),
+            &payload,
         );
         self.downlink_sequence = self.downlink_sequence.wrapping_add(1);
         Some(frame.encode())
@@ -144,8 +145,7 @@ impl DeviceAdapter for ZigbeeAdapter {
             });
         }
         Ok(frame
-            .attributes
-            .iter()
+            .attributes()
             .filter_map(|attr| {
                 ZigbeeAdapter::quantity_of(frame.cluster, attr.id)
                     .map(|q| (q, ZigbeeSensor::scale_from_wire(q, attr.value)))
@@ -156,9 +156,10 @@ impl DeviceAdapter for ZigbeeAdapter {
     fn encode_actuation(&mut self, value: f64) -> Option<Vec<u8>> {
         // An On/Off "report" in the downlink direction models the ZCL
         // On/Off command for the simulated stack.
+        let on_off = [ZclAttribute::new(0x0000, ZclValue::Bool(value != 0.0))];
         let frame = zigbee::report_builder(0x0000, ClusterId::ON_OFF)
             .sequence(self.downlink_sequence)
-            .attribute(ZclAttribute::new(0x0000, ZclValue::Bool(value != 0.0)))
+            .attributes(&on_off)
             .build();
         self.downlink_sequence = self.downlink_sequence.wrapping_add(1);
         Some(frame.encode())
@@ -223,6 +224,7 @@ impl DeviceAdapter for EnoceanAdapter {
                             button: 0,
                         },
                         self.sender_id,
+                        &mut [0; 4],
                     )
                     .to_esp3(),
             ),
@@ -236,13 +238,13 @@ impl DeviceAdapter for EnoceanAdapter {
 /// server exposes no writable node, so it is not actuatable.
 #[derive(Debug)]
 pub struct OpcUaAdapter {
-    value_node: UaNodeId,
+    value_node: UaNodeId<'static>,
     quantity: QuantityKind,
 }
 
 impl OpcUaAdapter {
     /// Creates an adapter polling `value_node` for `quantity`.
-    pub fn new(value_node: UaNodeId, quantity: QuantityKind) -> Self {
+    pub fn new(value_node: UaNodeId<'static>, quantity: QuantityKind) -> Self {
         OpcUaAdapter {
             value_node,
             quantity,
@@ -267,12 +269,13 @@ impl DeviceAdapter for OpcUaAdapter {
     }
 
     fn poll_request(&mut self) -> Option<Vec<u8>> {
+        let read = [ReadValueId {
+            node_id: self.value_node.view(),
+            attribute: AttributeId::Value,
+        }];
         Some(
             Message::ReadRequest {
-                nodes: vec![ReadValueId {
-                    node_id: self.value_node.clone(),
-                    attribute: AttributeId::Value,
-                }],
+                nodes: (&read).into(),
             }
             .encode(),
         )
@@ -327,22 +330,15 @@ impl DeviceAdapter for CoapAdapter {
         use protocols::coap::CoapMessage;
         let id = self.next_message_id;
         self.next_message_id = self.next_message_id.wrapping_add(1);
-        Some(
-            CoapMessage::post_json(
-                id,
-                id.to_be_bytes().to_vec(),
-                "actuate",
-                format!("{{\"value\":{value}}}").into_bytes(),
-            )
-            .encode(),
-        )
+        let body = format!("{{\"value\":{value}}}");
+        Some(CoapMessage::post_json(id, &id.to_be_bytes(), "actuate", body.as_bytes()).encode())
     }
 
     fn poll_request(&mut self) -> Option<Vec<u8>> {
         use protocols::coap::CoapMessage;
         let id = self.next_message_id;
         self.next_message_id = self.next_message_id.wrapping_add(1);
-        Some(CoapMessage::get(id, id.to_be_bytes().to_vec(), "sensor").encode())
+        Some(CoapMessage::get(id, &id.to_be_bytes(), "sensor").encode())
     }
 
     fn decode_poll(&mut self, bytes: &[u8]) -> Result<Vec<Sample>, ProtocolError> {
@@ -353,13 +349,9 @@ impl DeviceAdapter for CoapAdapter {
                 reason: "coap poll answered with an error code",
             });
         }
-        let value = std::str::from_utf8(&msg.payload)
-            .ok()
-            .and_then(|text| dimmer_core::json::from_str(text).ok())
-            .and_then(|v| v.get("value").and_then(dimmer_core::Value::as_f64))
-            .ok_or(ProtocolError::Malformed {
-                reason: "coap payload is not a sensor reading",
-            })?;
+        let value = protocols::coap::json_value(msg.payload).ok_or(ProtocolError::Malformed {
+            reason: "coap payload is not a sensor reading",
+        })?;
         Ok(vec![(self.quantity, value)])
     }
 }
@@ -391,7 +383,7 @@ mod tests {
         let bytes = adapter.encode_actuation(1.0).unwrap();
         let frame = MacFrame::decode(&bytes).unwrap();
         assert_eq!(frame.dest, Address::Short(0x0042));
-        let (q, v) = Ieee802154Sensor::parse_payload(&frame.payload).unwrap();
+        let (q, v) = Ieee802154Sensor::parse_payload(frame.payload).unwrap();
         assert_eq!(q, QuantityKind::SwitchState);
         assert_eq!(v, 1.0);
     }
@@ -422,7 +414,8 @@ mod tests {
         let bytes = adapter.encode_actuation(1.0).unwrap();
         let frame = ZigbeeFrame::decode(&bytes).unwrap();
         assert_eq!(frame.cluster, ClusterId::ON_OFF);
-        assert_eq!(frame.attributes[0].value, ZclValue::Bool(true));
+        let on = frame.attributes().next().unwrap();
+        assert_eq!(on.value, ZclValue::Bool(true));
     }
 
     #[test]
@@ -485,7 +478,7 @@ mod tests {
         let mut server = CoapFieldServer::new(QuantityKind::Co2);
         let mut adapter = CoapAdapter::new(QuantityKind::Co2);
         // Poll a missing resource by hand.
-        let bad = protocols::coap::CoapMessage::get(1, vec![], "ghost").encode();
+        let bad = protocols::coap::CoapMessage::get(1, &[], "ghost").encode();
         let response = server.handle_bytes(&bad).unwrap();
         assert!(adapter.decode_poll(&response).is_err());
     }

@@ -184,6 +184,9 @@ pub struct MasterSession {
     ws_client: WsClient,
     /// What this proxy registers as; known once the node has an id.
     registration: Option<Registration>,
+    /// The `/heartbeat` request, built once by [`start`](Self::start)
+    /// and resent on every tick.
+    heartbeat: Option<WsRequest>,
     registered: bool,
     /// Correlation id of the in-flight heartbeat, so a 404 answer can
     /// trigger re-registration.
@@ -199,6 +202,7 @@ impl MasterSession {
             heartbeat_tag,
             ws_client: WsClient::new(ws_client_tags),
             registration: None,
+            heartbeat: None,
             registered: false,
             heartbeat_req: None,
         }
@@ -211,6 +215,12 @@ impl MasterSession {
 
     /// Registers as `registration` and arms the heartbeat.
     pub fn start(&mut self, ctx: &mut Context<'_>, registration: Registration) {
+        let body = ProxyRef {
+            proxy: registration.proxy.clone(),
+            district: registration.district.clone(),
+        }
+        .to_value();
+        self.heartbeat = Some(WsRequest::post("/heartbeat", body));
         self.registration = Some(registration);
         self.register(ctx);
         ctx.set_timer(HEARTBEAT_INTERVAL, self.heartbeat_tag);
@@ -259,14 +269,11 @@ impl MasterSession {
     pub fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
         if tag == self.heartbeat_tag {
             if self.registered {
-                let registration = self.registration();
-                let body = ProxyRef {
-                    proxy: registration.proxy.clone(),
-                    district: registration.district.clone(),
-                }
-                .to_value();
-                let request = WsRequest::post("/heartbeat", body);
-                let id = self.ws_client.request(ctx, self.master, &request);
+                let request = self
+                    .heartbeat
+                    .as_ref()
+                    .expect("start() runs before any timer");
+                let id = self.ws_client.request(ctx, self.master, request);
                 self.heartbeat_req = Some(id);
             } else {
                 // The registration response never came: retry now.

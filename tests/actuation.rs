@@ -117,8 +117,8 @@ fn operator_actuates_discovered_switches() {
                 dimmer::protocols::zigbee::ClusterId::ON_OFF
             );
             assert_eq!(
-                decoded.attributes[0].value,
-                dimmer::protocols::zigbee::ZclValue::Bool(true)
+                decoded.attributes().next().map(|a| a.value),
+                Some(dimmer::protocols::zigbee::ZclValue::Bool(true))
             );
             actuated += 1;
         }

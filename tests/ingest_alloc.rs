@@ -8,17 +8,19 @@
 //! `#[global_allocator]` of `tests/support` without touching any other
 //! suite.
 
-use dimmer_core::{DistrictId, ProxyId};
+use dimmer_core::{DistrictId, ProxyId, Uri};
 use district::scenario::{AggregationSpec, ScenarioConfig};
+use master::MasterNode;
 use models::profiles::EnergyProfile;
 use protocols::device::ZigbeeSensor;
 use protocols::ProtocolKind;
 use proxy::adapters::ZigbeeAdapter;
 use proxy::device_proxy::{DeviceProxyConfig, DeviceProxyNode};
 use proxy::devices::UplinkDeviceNode;
+use proxy::registration::{MasterSession, ProxyRole, Registration};
 use pubsub::{BrokerNode, MeasurementTopic, PubSubClient, QoS, SubscriptionTrie, TopicFilter};
 use simnet::time::TimerWheel;
-use simnet::{Context, Node, Packet, SimConfig, SimDuration, SimTime, Simulator};
+use simnet::{Context, Node, Packet, SimConfig, SimDuration, SimTime, Simulator, TimerTag};
 use storage::tskv::TimeSeriesStore;
 use streams::{AggregatorConfig, AggregatorNode, WindowSpec};
 
@@ -254,12 +256,12 @@ fn one_sample_stays_within_its_budget_at_every_hop() {
     assert_eq!(publishes as u64, samples);
     assert_eq!(at_broker.iter().max(), Some(&2));
 
-    // The Device-proxy: the decoded frame and its sample list and the
-    // Publish frame, shared with the retransmission it keeps; topic,
-    // series and payload buffer are resolved. The rest is `BTreeMap`
-    // growth.
+    // The Device-proxy: the sample list (the frame decodes as a view of
+    // the packet) and the Publish frame, shared with the retransmission
+    // it keeps; topic, series and payload buffer are resolved. The rest
+    // is `BTreeMap` growth.
     let at_proxy = per_sample(&packet_costs::<DeviceProxyNode>(&mut sim, proxy));
-    assert!(at_proxy <= 3.5, "proxy: {at_proxy} per sample");
+    assert!(at_proxy <= 2.5, "proxy: {at_proxy} per sample");
 
     // The aggregator: its client borrows the topic and payload, the
     // DeliverAck goes inline and the reading is decoded without a
@@ -271,4 +273,63 @@ fn one_sample_stays_within_its_budget_at_every_hop() {
         at_aggregator <= 1.0,
         "aggregator: {at_aggregator} per sample"
     );
+}
+
+const HEARTBEAT: TimerTag = TimerTag(1);
+
+/// A proxy that only keeps its session with the master, recording what
+/// each heartbeat tick allocates.
+struct Heartbeating {
+    session: MasterSession,
+    registration: Registration,
+    per_tick: Vec<u64>,
+}
+
+impl Node for Heartbeating {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        self.session.start(ctx, self.registration.clone());
+    }
+    fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
+        self.session.on_packet(ctx, &pkt);
+    }
+    fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
+        let ((), cost) = allocations_in(|| self.session.on_timer(ctx, tag));
+        if tag == HEARTBEAT {
+            self.per_tick.push(cost);
+        }
+    }
+}
+
+/// A registered proxy's heartbeat resends the request it built at start:
+/// each tick costs its frame and nothing else.
+#[test]
+fn a_heartbeat_tick_allocates_only_its_frame() {
+    let district = DistrictId::new("d0").unwrap();
+    let mut sim = Simulator::new(SimConfig::default());
+    let master = sim.add_node(
+        "master",
+        MasterNode::new([(district.clone(), "Demo".into())]),
+    );
+    let proxy = sim.add_node(
+        "agg",
+        Heartbeating {
+            session: MasterSession::new(master, HEARTBEAT, 1_000),
+            registration: Registration {
+                proxy: ProxyId::new("agg").unwrap(),
+                district,
+                uri: Uri::parse("sim://n1/").unwrap(),
+                role: ProxyRole::Aggregator,
+            },
+            per_tick: Vec::new(),
+        },
+    );
+    // Warm-up: the registration is acknowledged and the client's books
+    // reach their size.
+    sim.run_for(SimDuration::from_secs(100));
+    let node = sim.node_mut::<Heartbeating>(proxy).expect("placed above");
+    assert!(node.session.is_registered());
+    node.per_tick.clear();
+    sim.run_for(SimDuration::from_secs(600));
+    let node = sim.node_ref::<Heartbeating>(proxy).expect("placed above");
+    assert_eq!(node.per_tick, vec![1; 20]);
 }
