@@ -3,7 +3,7 @@
 use dimmer_core::{json, BuildingId, DeviceId, DistrictId, ProxyId, QuantityKind, Uri, Value};
 use ontology::{AreaResolution, DeviceLeaf, EntityNode};
 use proxy::registration::{MasterReply, MasterSession, ProxyRef, ProxyRole, Registration};
-use proxy::webservice::{WsClient, WsClientEvent, WsRequest, WsResponse};
+use proxy::webservice::{WsClient, WsClientEvent, WsRequest, WsResponse, WsServer};
 use simnet::rng::DeterministicRng;
 use simnet::{Context, Node, Packet, SimConfig, SimDuration, Simulator, TimerTag};
 
@@ -752,5 +752,59 @@ fn every_district_route_matches_and_an_unknown_path_is_404() {
             .all(|r| r.status == proxy::webservice::status::NOT_FOUND),
         "{:?}",
         s.responses
+    );
+}
+
+/// Answers every `/health` request with a healthy body.
+struct Healthy(WsServer);
+
+impl Node for Healthy {
+    fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
+        if let Some(call) = self.0.accept(ctx, &pkt) {
+            let body = Value::object([("status", Value::from("ok"))]);
+            self.0.respond(ctx, &call, WsResponse::ok(body));
+        }
+    }
+}
+
+#[test]
+fn a_probe_outliving_its_round_marks_its_target_down_and_its_late_answer_is_ignored() {
+    let mut sim = Simulator::new(SimConfig::default());
+    let mut master = MasterNode::new([(did("d1"), "D1".to_owned())]);
+    master.enable_fleet_scrape(SimDuration::from_secs(2));
+    let master = sim.add_node("master", master);
+    let target = sim.add_node("slow", Healthy(WsServer::new()));
+    let mut registration = building_registration("p-slow", "b1", 45.05);
+    registration.uri = uri(&format!("sim://n{}/", target.index()));
+    sim.add_node(
+        "script",
+        Script::new(
+            master,
+            vec![WsRequest::post("/register", registration.to_value())],
+        ),
+    );
+    let record = |sim: &Simulator| {
+        let m = sim.node_ref::<MasterNode>(master).unwrap();
+        let rec = &m.scrape.as_ref().unwrap().records["p-slow"];
+        (rec.up, rec.last_ok)
+    };
+    // The round at 2 s probes over a LAN: answered within it.
+    sim.run_for(SimDuration::from_secs(3));
+    let (up, answered) = record(&sim);
+    assert!(up && answered.is_some());
+    // From now on a round trip (2.4 s) outlasts the 2 s round but not
+    // the 3 s request timeout: the probe sent at 4 s is still out when
+    // the round at 6 s begins, and its answer lands at 6.4 s.
+    let slow = simnet::LinkModel::builder()
+        .latency(SimDuration::from_millis(1200))
+        .build();
+    sim.set_link(master, target, slow);
+    sim.run_for(SimDuration::from_millis(3200));
+    assert_eq!(record(&sim), (false, answered), "down at the next round");
+    sim.run_for(SimDuration::from_millis(800));
+    assert_eq!(
+        record(&sim),
+        (false, answered),
+        "the late answer is ignored"
     );
 }

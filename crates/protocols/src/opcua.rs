@@ -1204,6 +1204,76 @@ mod tests {
         assert_eq!(references.iter().count(), 0);
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Write and Browse answers, byte for byte: every write verdict, a
+    /// string written into an empty variable and then mistyped, and a
+    /// browse of a folder, of a leaf and of an unknown node.
+    #[test]
+    fn write_and_browse_answers_match_their_pinned_bytes() {
+        let (mut s, root, temp, setpoint) = space();
+        let note = NodeId::string(1, "plant.note");
+        s.add_variable(note.clone(), "Note", Some(&root), true);
+        let write = |node_id: &NodeId<'static>, attribute, value| WriteValue {
+            node_id: node_id.clone(),
+            attribute,
+            value,
+        };
+        let writes = [
+            write(&setpoint, AttributeId::Value, Variant::Double(60.0)),
+            write(&temp, AttributeId::Value, Variant::Double(0.0)),
+            write(&setpoint, AttributeId::Value, Variant::Boolean(true)),
+            write(&setpoint, AttributeId::BrowseName, Variant::Str("x".into())),
+            write(&root, AttributeId::Value, Variant::Int32(1)),
+            write(
+                &NodeId::numeric(9, 9),
+                AttributeId::Value,
+                Variant::Int32(1),
+            ),
+            write(&note, AttributeId::Value, Variant::Str("valve open".into())),
+            write(&note, AttributeId::Value, Variant::Int64(3)),
+        ];
+        let answers = [
+            s.handle(&Message::WriteRequest {
+                nodes: (&writes).into(),
+            }),
+            s.handle(&Message::WriteRequest {
+                nodes: (&[]).into(),
+            }),
+            s.handle(&Message::BrowseRequest { node_id: root }),
+            s.handle(&Message::BrowseRequest { node_id: temp }),
+            s.handle(&Message::BrowseRequest {
+                node_id: NodeId::numeric(7, 7),
+            }),
+        ];
+        let answers: Vec<String> = answers.iter().map(|a| hex(a)).collect();
+        assert_eq!(
+            answers,
+            [
+                "04080000000000000000003b80000074800000358000003580000034800000000000007480",
+                "0400000000",
+                concat!(
+                    "06000000000300000003010011000000706c616e742e737570706c795f74656d70",
+                    "0a000000537570706c7954656d700200000003010",
+                    "00e000000706c616e742e736574706f696e7408000000536574706f696e7402000000",
+                    "0301000a000000706c616e742e6e6f7465040000004e6f746502000000",
+                ),
+                "060000000000000000",
+                "060000348000000000",
+            ]
+        );
+        let Some(DataValue {
+            value: Some(Variant::Str(written)),
+            ..
+        }) = &s.nodes[&note].value
+        else {
+            panic!("the string write stuck");
+        };
+        assert_eq!(written, "valve open");
+    }
+
     #[test]
     fn node_id_display() {
         assert_eq!(NodeId::numeric(2, 42).to_string(), "ns=2;i=42");

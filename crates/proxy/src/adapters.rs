@@ -472,6 +472,38 @@ mod tests {
         assert_eq!(server.actuations, vec![1.0]);
     }
 
+    /// Actuation frames, byte for byte, over values whose `{value}`
+    /// formatting differs in length and form.
+    #[test]
+    fn coap_actuation_frames_match_their_pinned_bytes() {
+        let mut adapter = CoapAdapter::new(QuantityKind::SwitchState);
+        let frames: Vec<String> = [1.0, 0.0, -2.5, 0.1 + 0.2, 1e21, -0.0]
+            .into_iter()
+            .map(|v| {
+                let frame = adapter.encode_actuation(v).unwrap();
+                frame.iter().map(|b| format!("{b:02x}")).collect()
+            })
+            .collect();
+        // A confirmable POST (0x02) with id and token `i`, Uri-Path
+        // "actuate", Content-Format JSON (50), then the body.
+        let pinned: Vec<String> = [
+            r#"{"value":1}"#,
+            r#"{"value":0}"#,
+            r#"{"value":-2.5}"#,
+            r#"{"value":0.30000000000000004}"#,
+            r#"{"value":1000000000000000000000}"#,
+            r#"{"value":-0}"#,
+        ]
+        .iter()
+        .zip(1u16..)
+        .map(|(body, i)| {
+            let body: String = body.bytes().map(|b| format!("{b:02x}")).collect();
+            format!("4202{i:04x}{i:04x}b7616374756174651132ff{body}")
+        })
+        .collect();
+        assert_eq!(frames, pinned);
+    }
+
     #[test]
     fn coap_error_responses_rejected() {
         use protocols::device::CoapFieldServer;

@@ -2,6 +2,9 @@
 //! district deployment — broker outages, master amnesia, and seeded
 //! random fault plans.
 
+use std::collections::BTreeSet;
+
+use dimmer::core::{json, Measurement};
 use dimmer::district::deploy::Deployment;
 use dimmer::district::scenario::ScenarioConfig;
 use dimmer::master::MasterNode;
@@ -10,7 +13,9 @@ use dimmer::pubsub::{BrokerNode, PubSubClient, PubSubEvent, QoS, TopicFilter, PU
 use dimmer::simnet::chaos::{ChaosRunner, FaultPlan, RandomFaults};
 use dimmer::simnet::telemetry::flight::reconstruct;
 use dimmer::simnet::telemetry::NO_SPAN;
-use dimmer::simnet::{Context, Node, Packet, SimConfig, SimDuration, SimTime, Simulator, TimerTag};
+use dimmer::simnet::{
+    Context, LinkModel, Node, Packet, SimConfig, SimDuration, SimTime, Simulator, TimerTag,
+};
 
 /// A subscriber that rides out broker restarts via keepalive probes.
 struct Monitor {
@@ -191,6 +196,105 @@ fn store_and_forward_sheds_the_oldest_sample_past_its_capacity() {
         "one probe at most in flight"
     );
     assert!(shed > 1);
+}
+
+/// A subscriber keeping each payload it hears on one filter, in
+/// arrival order.
+struct Tap {
+    client: PubSubClient,
+    filter: TopicFilter,
+    heard: Vec<Vec<u8>>,
+}
+
+impl Node for Tap {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        self.client
+            .subscribe(ctx, self.filter.clone(), QoS::AtLeastOnce);
+    }
+    fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
+        if let Some(PubSubEvent::Message { payload, .. }) = self.client.accept(ctx, &pkt) {
+            self.heard.push(payload.to_vec());
+        }
+    }
+    fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
+        self.client.on_timer(ctx, tag);
+    }
+}
+
+#[test]
+fn a_device_proxy_crashing_with_publishes_in_flight_replays_them_oldest_first() {
+    let mut config = ScenarioConfig::small();
+    config.publish_qos = QoS::AtLeastOnce;
+    config.sample_interval = SimDuration::from_secs(1);
+    let scenario = config.build();
+    let mut sim = seeded_sim(0xC4A4);
+    let deployment = Deployment::build(&mut sim, &scenario);
+    let (broker, victim) = (deployment.broker, deployment.districts[0].device_proxies[0]);
+    let spec = &scenario.districts[0];
+    let filter = format!(
+        "district/{}/entity/+/device/{}/#",
+        spec.district, spec.buildings[0].devices[0].device
+    );
+    let tap = sim.add_node(
+        "tap",
+        Tap {
+            client: PubSubClient::new(broker, 100),
+            filter: TopicFilter::new(filter).expect("valid"),
+            heard: Vec::new(),
+        },
+    );
+    sim.run_for(SimDuration::from_secs(30));
+    // Cut the victim off from the broker for 5 s, inside the 8 s a QoS 1
+    // publish is retried: its publishes pile up unacknowledged.
+    let cut = LinkModel::builder().loss(1.0).build();
+    sim.set_link(victim, broker, cut);
+    sim.run_for(SimDuration::from_secs(5));
+    let heard_before = sim.node_ref::<Tap>(tap).unwrap().heard.len();
+    sim.crash(victim);
+    sim.set_link(victim, broker, LinkModel::default());
+    sim.restart(victim, SimDuration::from_secs(2));
+    sim.run_for(SimDuration::from_secs(60));
+
+    let proxy = sim.node_ref::<DeviceProxyNode>(victim).unwrap();
+    let stats = proxy.stats();
+    assert!(stats.buffered >= 3, "parked at the restart: {stats:?}");
+    assert_eq!(
+        stats.buffered,
+        stats.replayed + stats.shed_capacity + proxy.backlog_len() as u64,
+        "conservation violated: {stats:?}"
+    );
+    assert_eq!((stats.shed_capacity, proxy.backlog_len()), (0, 0));
+
+    // Every sample the victim stored (but the last second's, which may
+    // still be on the wire) reached the subscriber.
+    let sample = |payload: &[u8]| {
+        let text = std::str::from_utf8(payload).expect("utf-8");
+        let m = Measurement::from_value(&json::from_str(text).expect("json")).expect("sample");
+        (
+            m.timestamp().as_unix_millis(),
+            m.quantity().as_str().to_owned(),
+        )
+    };
+    let heard = &sim.node_ref::<Tap>(tap).unwrap().heard;
+    let heard_set: BTreeSet<(i64, String)> = heard.iter().map(|p| sample(p)).collect();
+    let newest = heard_set.last().expect("heard something").0;
+    let mut stored = 0;
+    for series in proxy.store().series_names() {
+        for (unix, _) in proxy.store().range(series, i64::MIN, newest - 1000) {
+            assert!(
+                heard_set.contains(&(unix, series.to_owned())),
+                "{series} at {unix} lost"
+            );
+            stored += 1;
+        }
+    }
+    assert!(stored > 60, "{stored} samples stored");
+    // The replay starts from the oldest parked sample.
+    let after: Vec<(i64, String)> = heard[heard_before..].iter().map(|p| sample(p)).collect();
+    assert!(
+        after.iter().all(|s| after[0].0 <= s.0),
+        "the first sample heard after the crash is not the oldest: {after:?}"
+    );
 }
 
 #[test]
