@@ -167,6 +167,7 @@ impl Node for LoadPub {
                 QoS::AtMostOnce,
                 trace,
                 span,
+                (),
             );
         } else {
             self.client.publish(
@@ -224,7 +225,7 @@ impl Node for FleetProbe {
     fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
         if tag == TimerTag(1) {
             self.client
-                .request(ctx, self.master, &WsRequest::get("/fleet/metrics"));
+                .request(ctx, self.master, &WsRequest::get("/fleet/metrics"), ());
             ctx.set_timer(self.interval, TimerTag(1));
         } else {
             self.client.on_timer(ctx, tag);

@@ -118,35 +118,26 @@ impl Node for QueryLoad {
         ctx.set_timer(self.start_offset, TimerTag(1));
     }
     fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
-        match self.client.accept(&pkt) {
-            Some(WsClientEvent::Response { id, response }) => {
-                let sent_at = self.client.take_sent_at(id);
-                if response.is_shed() {
-                    self.shed += 1;
-                } else if response.is_ok() {
-                    self.served += 1;
-                    let now = ctx.now();
-                    if now >= self.window.0 && now < self.window.1 {
-                        self.served_in_window += 1;
-                        if let Some(at) = sent_at {
-                            self.latencies_ns.push(now.saturating_since(at).as_nanos());
-                        }
-                    }
-                } else {
-                    self.failed += 1;
-                }
+        let Some(WsClientEvent::Response { settled, response }) = self.client.accept(&pkt) else {
+            return;
+        };
+        if response.is_shed() {
+            self.shed += 1;
+        } else if response.is_ok() {
+            self.served += 1;
+            let now = ctx.now();
+            if now >= self.window.0 && now < self.window.1 {
+                self.served_in_window += 1;
+                self.latencies_ns
+                    .push(now.saturating_since(settled.issued_at).as_nanos());
             }
-            Some(WsClientEvent::TimedOut { id }) => {
-                let _ = self.client.take_sent_at(id);
-                self.failed += 1;
-            }
-            None => {}
+        } else {
+            self.failed += 1;
         }
     }
     fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
         if tag != TimerTag(1) {
-            if let Some(WsClientEvent::TimedOut { id }) = self.client.on_timer(ctx, tag) {
-                let _ = self.client.take_sent_at(id);
+            if self.client.on_timer(ctx, tag).is_some() {
                 self.failed += 1;
             }
             return;
@@ -155,7 +146,7 @@ impl Node for QueryLoad {
             return;
         }
         self.client
-            .request(ctx, self.target, &WsRequest::get(&self.path));
+            .request(ctx, self.target, &WsRequest::get(&self.path), ());
         self.offered += 1;
         ctx.set_timer(self.interval, TimerTag(1));
     }
@@ -182,44 +173,35 @@ impl Node for StaleWatch {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         ctx.set_timer(WATCH_INTERVAL, TimerTag(1));
     }
-    fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
-        let _ = ctx;
-        match self.client.accept(&pkt) {
-            Some(WsClientEvent::Response { id, response }) => {
-                let _ = self.client.take_sent_at(id);
-                if response.is_shed() {
-                    self.shed += 1;
-                } else if response.is_ok() {
-                    self.served += 1;
-                    let stale = response
-                        .body
-                        .get("stale")
-                        .and_then(dimmer_core::Value::as_bool)
-                        .unwrap_or(false);
-                    self.last_stale = Some(stale);
-                    if stale {
-                        self.stale_seen += 1;
-                        if response.body.get("rollups").is_some() {
-                            self.stale_with_rollups += 1;
-                        }
-                    } else {
-                        self.fresh_seen += 1;
-                    }
-                } else {
-                    self.failed += 1;
+    fn on_packet(&mut self, _ctx: &mut Context<'_>, pkt: Packet) {
+        let Some(WsClientEvent::Response { response, .. }) = self.client.accept(&pkt) else {
+            return;
+        };
+        if response.is_shed() {
+            self.shed += 1;
+        } else if response.is_ok() {
+            self.served += 1;
+            let stale = response
+                .body
+                .get("stale")
+                .and_then(dimmer_core::Value::as_bool)
+                .unwrap_or(false);
+            self.last_stale = Some(stale);
+            if stale {
+                self.stale_seen += 1;
+                if response.body.get("rollups").is_some() {
+                    self.stale_with_rollups += 1;
                 }
+            } else {
+                self.fresh_seen += 1;
             }
-            Some(WsClientEvent::TimedOut { id }) => {
-                let _ = self.client.take_sent_at(id);
-                self.failed += 1;
-            }
-            None => {}
+        } else {
+            self.failed += 1;
         }
     }
     fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
         if tag != TimerTag(1) {
-            if let Some(WsClientEvent::TimedOut { id }) = self.client.on_timer(ctx, tag) {
-                let _ = self.client.take_sent_at(id);
+            if self.client.on_timer(ctx, tag).is_some() {
                 self.failed += 1;
             }
             return;
@@ -228,7 +210,7 @@ impl Node for StaleWatch {
             return;
         }
         self.client
-            .request(ctx, self.master, &WsRequest::get(&self.path));
+            .request(ctx, self.master, &WsRequest::get(&self.path), ());
         self.offered += 1;
         ctx.set_timer(WATCH_INTERVAL, TimerTag(1));
     }

@@ -80,6 +80,7 @@ impl Node for Pub {
                 QoS::AtMostOnce,
                 trace,
                 NO_SPAN,
+                (),
             );
         } else {
             self.client.on_timer(ctx, tag);

@@ -88,12 +88,11 @@ impl AreaProbe {
 
 impl Node for AreaProbe {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        self.client.request(ctx, self.server, &self.request);
+        self.client.request(ctx, self.server, &self.request, ());
     }
     fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
-        if let Some((id, _)) = self.client.accept_encoded(&pkt) {
-            let sent_at = self.client.take_sent_at(id);
-            self.latency = sent_at.map(|t| ctx.now().saturating_since(t));
+        if let Some((settled, _)) = self.client.accept_encoded(&pkt) {
+            self.latency = Some(ctx.now().saturating_since(settled.issued_at));
         }
     }
     fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {

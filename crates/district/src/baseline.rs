@@ -242,7 +242,8 @@ impl Node for CentralServerNode {
                 for (&node, e) in &mut self.devices {
                     let Some(port) = e.poll_port else { continue };
                     if let Some(request) = e.adapter.poll_request() {
-                        self.poll_tracker.send_request(ctx, node, port, &request);
+                        self.poll_tracker
+                            .send_request(ctx, node, port, &request, ());
                     }
                 }
                 ctx.set_timer(self.poll_interval, TAG_POLL);
@@ -325,7 +326,7 @@ mod tests {
     impl Node for OneShot {
         fn on_start(&mut self, ctx: &mut Context<'_>) {
             let request = self.request.clone();
-            self.client.request(ctx, self.server, &request);
+            self.client.request(ctx, self.server, &request, ());
         }
         fn on_packet(&mut self, _ctx: &mut Context<'_>, pkt: Packet) {
             if let Some(WsClientEvent::Response { response, .. }) = self.client.accept(&pkt) {

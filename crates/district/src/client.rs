@@ -12,7 +12,7 @@
 //! producing [`AreaSnapshot`]s once or periodically, with latency and
 //! traffic accounting for the experiments.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use dimmer_core::codec::DataFormat;
 use dimmer_core::{DistrictId, MeasurementBatch, QuantityKind, Value};
@@ -110,10 +110,9 @@ pub(crate) type Done<P, T> = Query<<P as Plan>::Answer, T>;
 pub(crate) struct AreaFanIn<P: Plan, T> {
     master: NodeId,
     pub(crate) plan: P,
-    ws: WsClient,
-    /// request id → (query index, fetch; `None`: the resolve). Only
-    /// looked up, never iterated: its hash order cannot reach an answer.
-    in_flight: HashMap<u64, (usize, Option<P::Fetch>)>,
+    /// Each request in flight keeps its query's index and its fetch
+    /// (`None`: the resolve) until it settles.
+    ws: WsClient<(usize, Option<P::Fetch>)>,
     /// The queries by index, `None` once finished; a finished tail is
     /// dropped, so the table holds no more than the queries overlapping.
     queries: Vec<Option<Query<P::Answer, T>>>,
@@ -126,15 +125,14 @@ impl<P: Plan, T> AreaFanIn<P, T> {
             master,
             plan,
             ws: WsClient::new(WS_TAGS),
-            in_flight: HashMap::new(),
             queries: Vec::new(),
         }
     }
 
     /// Issues one query: `resolve` to the master.
     pub(crate) fn issue(&mut self, ctx: &mut Context<'_>, resolve: &WsRequest, caller: T) {
-        let id = self.ws.request(ctx, self.master, resolve);
-        self.in_flight.insert(id, (self.queries.len(), None));
+        let index = self.queries.len();
+        self.ws.request(ctx, self.master, resolve, (index, None));
         self.queries.push(Some(Query {
             caller,
             answered: 0,
@@ -151,30 +149,29 @@ impl<P: Plan, T> AreaFanIn<P, T> {
         if pkt.port != WS_PORT {
             return None;
         }
-        let (id, bytes) = self.ws.accept_encoded(pkt)?;
-        self.on_response(ctx, id, Some(bytes))
+        let (settled, bytes) = self.ws.accept_encoded(pkt)?;
+        self.on_response(ctx, settled.meta, Some(bytes))
     }
 
     /// Feeds a fired timer: a request out of retries is an error.
     pub(crate) fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) -> Option<Done<P, T>> {
-        let Some(WsClientEvent::TimedOut { id }) = self.ws.on_timer(ctx, tag) else {
+        let Some(WsClientEvent::TimedOut(settled)) = self.ws.on_timer(ctx, tag) else {
             return None;
         };
-        self.on_response(ctx, id, None)
+        self.on_response(ctx, settled.meta, None)
     }
 
-    /// Integrates the encoded answer to request `id`; `None`: timed out.
+    /// Integrates the encoded answer to a request of query `index`
+    /// fetching `fetch`; `None`: timed out.
     fn on_response(
         &mut self,
         ctx: &mut Context<'_>,
-        id: u64,
+        (index, fetch): (usize, Option<P::Fetch>),
         response: Option<&[u8]>,
     ) -> Option<Done<P, T>> {
-        let (index, fetch) = self.in_flight.remove(&id)?;
         let query = self.queries[index].as_mut()?;
         let mut get = |server, request: &WsRequest, fetch| {
-            let id = self.ws.request(ctx, server, request);
-            self.in_flight.insert(id, (index, Some(fetch)));
+            self.ws.request(ctx, server, request, (index, Some(fetch)));
             query.requests += 1;
         };
         let answer = &mut query.answer;
@@ -517,7 +514,7 @@ mod tests {
         // Each query finished before the next began, so the engine's
         // per-query table is empty instead of one slot per query issued.
         assert!(c.fan_in.queries.is_empty(), "{}", c.fan_in.queries.len());
-        assert!(c.fan_in.in_flight.is_empty());
+        assert!(c.fan_in.ws.awaited().is_empty());
     }
 
     #[test]

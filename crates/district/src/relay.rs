@@ -96,7 +96,7 @@ mod tests {
 
     impl Node for OneShot {
         fn on_start(&mut self, ctx: &mut Context<'_>) {
-            self.0.request(ctx, self.1, &self.2);
+            self.0.request(ctx, self.1, &self.2, ());
         }
         fn on_packet(&mut self, _ctx: &mut Context<'_>, pkt: Packet) {
             if let Some(WsClientEvent::Response { response, .. }) = self.0.accept(&pkt) {

@@ -136,18 +136,48 @@ struct ScrapeRecord {
 #[derive(Debug)]
 struct FleetScrape {
     interval: SimDuration,
+    /// The round under way; its Web-Service probes carry it.
+    round: u64,
     /// Broker shards polled over the middleware ops tags.
     brokers: Vec<(String, NodeId)>,
     /// Scrape records keyed by target name (proxy id or broker label),
     /// sorted so `/fleet/health` is deterministic.
     records: BTreeMap<String, ScrapeRecord>,
-    /// In-flight Web-Service probes: request id → target name.
-    inflight_ws: BTreeMap<u64, String>,
-    /// In-flight broker ops probes: `OpsGet` id → target name.
+    /// In-flight broker ops probes: `OpsGet` id → target name. They
+    /// ride no retransmission ledger, so they keep their own table.
     inflight_ops: BTreeMap<u64, String>,
-    /// In-flight rollup-snapshot probes: request id → district.
-    inflight_rollups: BTreeMap<u64, DistrictId>,
     next_ops_id: u64,
+}
+
+/// What a fleet-scrape probe asks for.
+#[derive(Debug)]
+enum Probe {
+    /// A proxy's or a broker's `/health`, by target name.
+    Health(String),
+    /// A district aggregator's `/rollups`, for its district breaker.
+    Rollups(DistrictId),
+}
+
+/// A probe that failed, or was still awaited when the next round began:
+/// its target is down until proven otherwise, and a rollup snapshot is a
+/// failure for its district breaker.
+fn probe_failed(
+    scrape: &mut FleetScrape,
+    breakers: &mut BTreeMap<DistrictId, CircuitBreaker>,
+    probe: &Probe,
+    ctx: &Context<'_>,
+) {
+    match probe {
+        Probe::Health(name) => {
+            if let Some(rec) = scrape.records.get_mut(name) {
+                rec.up = false;
+            }
+        }
+        Probe::Rollups(district) => breakers
+            .entry(district.clone())
+            .or_insert_with(|| CircuitBreaker::new(district_breaker_config()))
+            .record_failure(ctx.now(), &ctx.telemetry().metrics),
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -251,8 +281,9 @@ pub struct MasterNode {
     /// District → owning broker-shard label, reapplied after restarts
     /// (empty on single-broker deployments).
     shard_owners: Vec<(DistrictId, String)>,
-    /// Client half used by the fleet scraper's `/health` probes.
-    ws_client: WsClient,
+    /// Client half used by the fleet scraper's probes; each keeps its
+    /// target, stamped with the round that sent it, until it settles.
+    ws_client: WsClient<(u64, Probe)>,
     /// Fleet scraper state; `None` until enabled.
     scrape: Option<FleetScrape>,
     /// Admission gate over the query endpoints; registrations,
@@ -329,11 +360,10 @@ impl MasterNode {
     pub fn enable_fleet_scrape(&mut self, interval: SimDuration) {
         self.scrape = Some(FleetScrape {
             interval,
+            round: 0,
             brokers: Vec::new(),
             records: BTreeMap::new(),
-            inflight_ws: BTreeMap::new(),
             inflight_ops: BTreeMap::new(),
-            inflight_rollups: BTreeMap::new(),
             next_ops_id: 1,
         });
     }
@@ -890,25 +920,18 @@ impl MasterNode {
             return;
         };
         // A probe still in flight from the previous round never
-        // answered: its target is down until proven otherwise.
-        for name in std::mem::take(&mut scrape.inflight_ws).into_values() {
-            if let Some(rec) = scrape.records.get_mut(&name) {
-                rec.up = false;
+        // answered; its answer, if any, is ignored.
+        for settled in self.ws_client.awaited() {
+            let (round, probe) = &settled.meta;
+            if *round == scrape.round {
+                probe_failed(scrape, &mut self.breakers, probe, ctx);
             }
         }
         for name in std::mem::take(&mut scrape.inflight_ops).into_values() {
-            if let Some(rec) = scrape.records.get_mut(&name) {
-                rec.up = false;
-            }
+            probe_failed(scrape, &mut self.breakers, &Probe::Health(name), ctx);
         }
-        // A rollup snapshot still in flight from the previous round is a
-        // failed probe as far as the district breaker is concerned.
-        for district in std::mem::take(&mut scrape.inflight_rollups).into_values() {
-            self.breakers
-                .entry(district)
-                .or_insert_with(|| CircuitBreaker::new(district_breaker_config()))
-                .record_failure(ctx.now(), &ctx.telemetry().metrics);
-        }
+        scrape.round += 1;
+        let round = scrape.round;
         ctx.telemetry().metrics.counter_handle("ops.scrapes").incr();
         // Proxies: whatever the registry holds right now, probed over
         // the Web Service at the node its registration URI names.
@@ -920,10 +943,9 @@ impl MasterNode {
             })
             .collect();
         for (name, node, kind) in proxies {
-            let id = self
-                .ws_client
-                .request(ctx, node, &WsRequest::get("/health"));
-            scrape.inflight_ws.insert(id, name.clone());
+            let probe = (round, Probe::Health(name.clone()));
+            self.ws_client
+                .request(ctx, node, &WsRequest::get("/health"), probe);
             scrape.records.entry(name).or_insert(ScrapeRecord {
                 kind,
                 last_ok: None,
@@ -957,27 +979,15 @@ impl MasterNode {
         // Rollup snapshot probes: one aggregator per district (smallest
         // proxy id, for determinism), gated by that district's breaker —
         // an open circuit stops probing until the half-open window.
-        let mut targets: BTreeMap<DistrictId, (String, NodeId)> = BTreeMap::new();
-        for (id, rec) in &self.registry {
-            if rec.kind != "aggregator" {
-                continue;
-            }
-            let Some(node) = uri_node(&rec.uri) else {
-                continue;
-            };
-            let name = id.as_str().to_owned();
-            match targets.entry(rec.district.clone()) {
-                std::collections::btree_map::Entry::Vacant(v) => {
-                    v.insert((name, node));
-                }
-                std::collections::btree_map::Entry::Occupied(mut o) => {
-                    if name < o.get().0 {
-                        o.insert((name, node));
-                    }
-                }
+        let mut targets: BTreeMap<DistrictId, NodeId> = BTreeMap::new();
+        let aggregators = self.registry.values().filter(|r| r.kind == "aggregator");
+        for rec in aggregators {
+            // The registry is in id order: a district's first is its smallest.
+            if let Some(node) = uri_node(&rec.uri) {
+                targets.entry(rec.district.clone()).or_insert(node);
             }
         }
-        for (district, (_, node)) in targets {
+        for (district, node) in targets {
             let breaker = self
                 .breakers
                 .entry(district.clone())
@@ -985,11 +995,9 @@ impl MasterNode {
             if !breaker.allow(ctx.now(), &ctx.telemetry().metrics) {
                 continue;
             }
-            let id = self
-                .ws_client
-                .request(ctx, node, &WsRequest::get("/rollups"));
-            let scrape = self.scrape.as_mut().expect("checked above");
-            scrape.inflight_rollups.insert(id, district);
+            let probe = (round, Probe::Rollups(district));
+            self.ws_client
+                .request(ctx, node, &WsRequest::get("/rollups"), probe);
         }
         self.refresh_fleet_gauges(ctx);
     }
@@ -1016,64 +1024,36 @@ impl MasterNode {
         }
     }
 
-    fn on_scrape_ws_event(&mut self, ctx: &Context<'_>, event: WsClientEvent) {
-        match event {
-            WsClientEvent::Response { id, response } => {
-                let latency = self
-                    .ws_client
-                    .take_sent_at(id)
-                    .map(|t| ctx.now().saturating_since(t));
-                let Some(scrape) = self.scrape.as_mut() else {
-                    return;
-                };
-                if let Some(district) = scrape.inflight_rollups.remove(&id) {
-                    let breaker = self
-                        .breakers
-                        .entry(district.clone())
-                        .or_insert_with(|| CircuitBreaker::new(district_breaker_config()));
-                    if response.is_ok() {
-                        breaker.record_success(
-                            ctx.now(),
-                            latency.unwrap_or_default(),
-                            &ctx.telemetry().metrics,
-                        );
-                        self.rollup_cache
-                            .insert(district, (ctx.now(), response.body));
-                    } else {
-                        breaker.record_failure(ctx.now(), &ctx.telemetry().metrics);
-                    }
-                    return;
-                }
-                let Some(name) = scrape.inflight_ws.remove(&id) else {
-                    return;
-                };
+    /// Settles a Web-Service probe by its answer or its expiry; one
+    /// settled after its round ended is ignored.
+    fn on_scrape_ws_event(&mut self, ctx: &Context<'_>, event: WsClientEvent<(u64, Probe)>) {
+        let (settled, response) = match event {
+            WsClientEvent::Response { settled, response } => (settled, Some(response)),
+            WsClientEvent::TimedOut(settled) => (settled, None),
+        };
+        let (round, probe) = settled.meta;
+        let Some(scrape) = self.scrape.as_mut().filter(|s| s.round == round) else {
+            return;
+        };
+        let latency = ctx.now().saturating_since(settled.issued_at);
+        match (probe, response.filter(WsResponse::is_ok)) {
+            (Probe::Rollups(district), Some(response)) => {
+                self.breakers
+                    .entry(district.clone())
+                    .or_insert_with(|| CircuitBreaker::new(district_breaker_config()))
+                    .record_success(ctx.now(), latency, &ctx.telemetry().metrics);
+                self.rollup_cache
+                    .insert(district, (ctx.now(), response.body));
+            }
+            (Probe::Health(name), Some(response)) => {
                 if let Some(rec) = scrape.records.get_mut(&name) {
-                    rec.up = response.is_ok();
-                    if response.is_ok() {
-                        rec.last_ok = Some(ctx.now());
-                        rec.latency = latency;
-                        rec.health = response.body;
-                    }
+                    rec.up = true;
+                    rec.last_ok = Some(ctx.now());
+                    rec.latency = Some(latency);
+                    rec.health = response.body;
                 }
             }
-            WsClientEvent::TimedOut { id } => {
-                self.ws_client.take_sent_at(id);
-                let Some(scrape) = self.scrape.as_mut() else {
-                    return;
-                };
-                if let Some(district) = scrape.inflight_rollups.remove(&id) {
-                    self.breakers
-                        .entry(district)
-                        .or_insert_with(|| CircuitBreaker::new(district_breaker_config()))
-                        .record_failure(ctx.now(), &ctx.telemetry().metrics);
-                    return;
-                }
-                if let Some(name) = scrape.inflight_ws.remove(&id) {
-                    if let Some(rec) = scrape.records.get_mut(&name) {
-                        rec.up = false;
-                    }
-                }
-            }
+            (probe, None) => probe_failed(scrape, &mut self.breakers, &probe, ctx),
         }
     }
 
@@ -1208,9 +1188,7 @@ impl Node for MasterNode {
         if let Some(scrape) = &mut self.scrape {
             // In-flight probes died with the process; the records (and
             // their gauges) survive like any other lifetime counter.
-            scrape.inflight_ws.clear();
             scrape.inflight_ops.clear();
-            scrape.inflight_rollups.clear();
         }
         // Breaker windows and the stale-rollup cache are in-memory
         // state: they die with the process like the registry.

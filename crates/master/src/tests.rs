@@ -34,7 +34,7 @@ impl Script {
     fn fire_next(&mut self, ctx: &mut Context<'_>) {
         if let Some(request) = self.queue.first().cloned() {
             self.queue.remove(0);
-            self.client.request(ctx, self.master, &request);
+            self.client.request(ctx, self.master, &request, ());
         }
     }
 }

@@ -313,7 +313,7 @@ impl<'a> CoapMessage<'a> {
 
     /// Encodes the message with `body`, formatted straight into the
     /// exact-size buffer, as its payload in place of `self.payload`.
-    pub(crate) fn encode_formatted(&self, body: fmt::Arguments<'_>) -> Vec<u8> {
+    pub fn encode_formatted(&self, body: fmt::Arguments<'_>) -> Vec<u8> {
         let len = formatted_len(body);
         let marked = if len == 0 { 0 } else { 1 + len };
         let mut out = Vec::with_capacity(self.head_len() + marked);

@@ -620,6 +620,17 @@ fn encode_array<'a, T: Item<'a>>(
     let (count, len) = items.clone().fold((0, 0), |(count, len), item| {
         (count + 1, len + item.wire_len())
     });
+    encode_counted(service, prefix, (count, len), items)
+}
+
+/// [`encode_array`] of items whose count and encoded length in all are
+/// known up front, so `items` is walked once.
+fn encode_counted<'a, T: Item<'a>>(
+    service: u8,
+    prefix: &[u8],
+    (count, len): (usize, usize),
+    items: impl Iterator<Item = T>,
+) -> Vec<u8> {
     let mut out = Vec::with_capacity(1 + prefix.len() + 4 + len);
     out.push(service);
     out.extend_from_slice(prefix);
@@ -630,8 +641,10 @@ fn encode_array<'a, T: Item<'a>>(
     out
 }
 
-/// The service byte of a read response.
+/// The service bytes of the answers an address space writes.
 const READ_RESPONSE: u8 = 2;
+const WRITE_RESPONSE: u8 = 4;
+const BROWSE_RESPONSE: u8 = 6;
 
 /// An OPC UA service message.
 #[derive(Debug, Clone, PartialEq)]
@@ -678,7 +691,7 @@ impl<'a> Message<'a> {
             Message::ReadRequest { nodes } => encode_array(1, &[], nodes.iter()),
             Message::ReadResponse { results } => encode_array(READ_RESPONSE, &[], results.iter()),
             Message::WriteRequest { nodes } => encode_array(3, &[], nodes.iter()),
-            Message::WriteResponse { results } => encode_array(4, &[], results.iter()),
+            Message::WriteResponse { results } => encode_array(WRITE_RESPONSE, &[], results.iter()),
             Message::BrowseRequest { node_id } => {
                 let mut out = Vec::with_capacity(1 + node_id.wire_len());
                 out.push(5);
@@ -686,7 +699,7 @@ impl<'a> Message<'a> {
                 out
             }
             Message::BrowseResponse { status, references } => {
-                encode_array(6, &status.0.to_le_bytes(), references.iter())
+                encode_array(BROWSE_RESPONSE, &status.0.to_le_bytes(), references.iter())
             }
         }
     }
@@ -908,8 +921,9 @@ impl AddressSpace {
 
     /// Answers a service request with the encoded response. Requests
     /// that are themselves responses yield an empty `ReadResponse`
-    /// (servers ignore them). A read is answered in one exact-size
-    /// buffer, its results written straight from the space.
+    /// (servers ignore them). Every answer is one exact-size buffer, its
+    /// results written straight from the space: a write's as each write
+    /// is applied, in request order.
     pub(crate) fn handle(&mut self, request: &Message<'_>) -> Vec<u8> {
         match request {
             Message::ReadRequest { nodes } => encode_array(
@@ -918,31 +932,24 @@ impl AddressSpace {
                 nodes.iter().map(|rv| self.read_one(&rv)),
             ),
             Message::WriteRequest { nodes } => {
-                let results: Vec<StatusCode> = nodes.iter().map(|wv| self.write_one(wv)).collect();
-                Message::WriteResponse {
-                    results: results.as_slice().into(),
-                }
-                .encode()
+                // Each result is one status: the answer's size is known
+                // before a write mutates the space.
+                let count = nodes.iter().count();
+                let results = nodes.iter().map(|wv| self.write_one(wv));
+                encode_counted(WRITE_RESPONSE, &[], (count, 4 * count), results)
             }
             Message::BrowseRequest { node_id } => match self.nodes.get(node_id) {
-                Some(node) => {
-                    let references: Vec<ReferenceDescription<'_>> = node
-                        .children
-                        .iter()
-                        .filter_map(|c| {
-                            self.nodes.get(c).map(|cn| ReferenceDescription {
-                                node_id: c.view(),
-                                browse_name: &cn.browse_name,
-                                node_class: cn.node_class,
-                            })
+                Some(node) => encode_array(
+                    BROWSE_RESPONSE,
+                    &StatusCode::GOOD.0.to_le_bytes(),
+                    node.children.iter().filter_map(|c| {
+                        self.nodes.get(c).map(|cn| ReferenceDescription {
+                            node_id: c.view(),
+                            browse_name: &cn.browse_name,
+                            node_class: cn.node_class,
                         })
-                        .collect();
-                    Message::BrowseResponse {
-                        status: StatusCode::GOOD,
-                        references: references.as_slice().into(),
-                    }
-                    .encode()
-                }
+                    }),
+                ),
                 None => Message::BrowseResponse {
                     status: StatusCode::BAD_NODE_ID_UNKNOWN,
                     references: (&[]).into(),

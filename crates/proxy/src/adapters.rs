@@ -330,8 +330,10 @@ impl DeviceAdapter for CoapAdapter {
         use protocols::coap::CoapMessage;
         let id = self.next_message_id;
         self.next_message_id = self.next_message_id.wrapping_add(1);
-        let body = format!("{{\"value\":{value}}}");
-        Some(CoapMessage::post_json(id, &id.to_be_bytes(), "actuate", body.as_bytes()).encode())
+        // The body is formatted straight into the frame.
+        let token = id.to_be_bytes();
+        let request = CoapMessage::post_json(id, &token, "actuate", &[]);
+        Some(request.encode_formatted(format_args!("{{\"value\":{value}}}")))
     }
 
     fn poll_request(&mut self) -> Option<Vec<u8>> {

@@ -15,7 +15,7 @@
 //! heartbeats periodically.
 
 use std::cell::OnceCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use dimmer_core::codec::{DataFormat, Writer};
 use dimmer_core::{
@@ -204,12 +204,12 @@ pub struct DeviceProxyNode {
     payload: String,
     ws: WsServer,
     master: MasterSession,
-    pubsub: PubSubClient,
+    /// The middleware session; each unacked QoS 1 publish keeps its
+    /// sample until the broker acks it.
+    pubsub: PubSubClient<BufferedSample>,
     /// The device node (downlink/poll target), once attached.
     device_node: Option<simnet::NodeId>,
     poll_tracker: RequestTracker,
-    /// QoS 1 publish id → sample, until the broker acks it.
-    inflight: HashMap<u64, BufferedSample>,
     /// Bounded store-and-forward buffer (oldest at the front).
     backlog: VecDeque<BufferedSample>,
     /// Whether the broker is currently considered unreachable.
@@ -249,7 +249,6 @@ impl DeviceProxyNode {
             ws: WsServer::new(),
             device_node: None,
             poll_tracker: RequestTracker::new(POLL_TAGS, POLL_TIMEOUT, POLL_RETRIES),
-            inflight: HashMap::new(),
             backlog: VecDeque::new(),
             broker_down: false,
             replay_backoff: REPLAY_BACKOFF_BASE,
@@ -378,8 +377,8 @@ impl DeviceProxyNode {
         }
     }
 
-    /// Publishes one sample into the middleware, remembering QoS 1
-    /// publishes until the broker acknowledges them.
+    /// Publishes one sample into the middleware; a QoS 1 publish keeps
+    /// the sample until the broker acknowledges it.
     fn publish_sample(&mut self, ctx: &mut Context<'_>, sample: BufferedSample) {
         let route = self.route(sample.quantity);
         self.payload.clear();
@@ -391,7 +390,7 @@ impl DeviceProxyNode {
             sample.quantity.canonical_unit(),
             Timestamp::from_unix_millis(sample.unix),
         );
-        let id = self.pubsub.publish_ref(
+        self.pubsub.publish_ref(
             ctx,
             &self.routes[route].topic,
             self.payload.as_bytes(),
@@ -399,12 +398,10 @@ impl DeviceProxyNode {
             self.config.publish_qos,
             sample.trace,
             sample.span,
+            sample,
         );
         self.stats.published += 1;
         self.series(ctx).published.incr();
-        if self.config.publish_qos == QoS::AtLeastOnce {
-            self.inflight.insert(id, sample);
-        }
     }
 
     /// Parks a QoS 1 sample in the bounded store-and-forward buffer,
@@ -427,30 +424,29 @@ impl DeviceProxyNode {
         self.series(ctx).backlog.set(self.backlog.len() as f64);
     }
 
-    /// A QoS 1 publish ran out of retries: the broker is unreachable.
-    fn on_publish_timeout(&mut self, ctx: &mut Context<'_>, id: u64) {
-        if let Some(mut sample) = self.inflight.remove(&id) {
-            // Requeue at the front — it is older than everything parked.
-            if self.backlog.len() >= STORE_FORWARD_CAPACITY {
-                // It enters the buffer's books and is immediately shed
-                // (being the oldest), so `buffered == replayed +
-                // shed_capacity + backlog` stays an exact identity.
-                self.stats.buffered += 1;
-                self.series(ctx).buffered.incr();
-                self.stats.shed_capacity += 1;
-                self.series(ctx).shed_capacity.incr();
-            } else {
-                sample.span = ctx.span_hop(
-                    "proxy.buffer",
-                    sample.trace,
-                    sample.span,
-                    format_args!("backlog={}", self.backlog.len() + 1),
-                );
-                self.backlog.push_front(sample);
-                self.stats.buffered += 1;
-                self.series(ctx).buffered.incr();
-                self.series(ctx).backlog.set(self.backlog.len() as f64);
-            }
+    /// A QoS 1 publish of `sample` ran out of retries: the broker is
+    /// unreachable.
+    fn on_publish_timeout(&mut self, ctx: &mut Context<'_>, mut sample: BufferedSample) {
+        // Requeue at the front — it is older than everything parked.
+        if self.backlog.len() >= STORE_FORWARD_CAPACITY {
+            // It enters the buffer's books and is immediately shed
+            // (being the oldest), so `buffered == replayed +
+            // shed_capacity + backlog` stays an exact identity.
+            self.stats.buffered += 1;
+            self.series(ctx).buffered.incr();
+            self.stats.shed_capacity += 1;
+            self.series(ctx).shed_capacity.incr();
+        } else {
+            sample.span = ctx.span_hop(
+                "proxy.buffer",
+                sample.trace,
+                sample.span,
+                format_args!("backlog={}", self.backlog.len() + 1),
+            );
+            self.backlog.push_front(sample);
+            self.stats.buffered += 1;
+            self.series(ctx).buffered.incr();
+            self.series(ctx).backlog.set(self.backlog.len() as f64);
         }
         if !self.broker_down {
             self.broker_down = true;
@@ -551,7 +547,8 @@ impl DeviceProxyNode {
     fn health(&self, ctx: &Context<'_>) -> WsResponse {
         let series = self.series(ctx);
         series.backlog.set(self.backlog.len() as f64);
-        series.inflight_publishes.set(self.inflight.len() as f64);
+        let inflight = self.pubsub.pending_publishes();
+        series.inflight_publishes.set(inflight as f64);
         WsResponse::ok(Value::object([
             ("status", Value::from("ok")),
             ("proxy", Value::from(self.config.proxy.as_str())),
@@ -560,10 +557,7 @@ impl DeviceProxyNode {
             ("registered", Value::from(self.master.is_registered())),
             ("broker_down", Value::from(self.broker_down)),
             ("backlog", Value::from(self.backlog.len() as i64)),
-            (
-                "inflight_publishes",
-                Value::from(self.inflight.len() as i64),
-            ),
+            ("inflight_publishes", Value::from(inflight as i64)),
             (
                 "samples_ingested",
                 Value::from(self.stats.samples_ingested as i64),
@@ -680,7 +674,7 @@ impl DeviceProxyNode {
             return;
         };
         self.poll_tracker
-            .send_request(ctx, device_node, port, &request);
+            .send_request(ctx, device_node, port, &request, ());
     }
 }
 
@@ -710,10 +704,7 @@ impl Node for DeviceProxyNode {
         self.poll_tracker.reset();
         // Unacked publishes were lost with the crash; park them (oldest
         // first) so they replay once the broker answers again.
-        let mut unacked: Vec<(u64, BufferedSample)> = self.inflight.drain().collect();
-        unacked.sort_by_key(|(id, _)| *id);
-        self.pubsub.reset();
-        for (_, sample) in unacked {
+        for sample in self.pubsub.reset() {
             self.buffer_sample(ctx, sample);
         }
         ctx.telemetry()
@@ -753,8 +744,7 @@ impl Node for DeviceProxyNode {
                 }
             }
             PUBSUB_PORT => {
-                if let Some(PubSubEvent::Published { id }) = self.pubsub.accept(ctx, &pkt) {
-                    self.inflight.remove(&id);
+                if let Some(PubSubEvent::Published { .. }) = self.pubsub.accept(ctx, &pkt) {
                     if self.broker_down {
                         self.mark_broker_up(ctx);
                     }
@@ -824,8 +814,10 @@ impl Node for DeviceProxyNode {
                 self.poll_tracker.on_timer(ctx, tag);
             }
             tag if tag.0 >= PUBSUB_TAGS => {
-                if let Some(PubSubEvent::PublishTimedOut { id }) = self.pubsub.on_timer(ctx, tag) {
-                    self.on_publish_timeout(ctx, id);
+                if let Some(PubSubEvent::PublishTimedOut { meta, .. }) =
+                    self.pubsub.on_timer(ctx, tag)
+                {
+                    self.on_publish_timeout(ctx, meta);
                 }
             }
             // The heartbeat and the master-request timeouts.

@@ -242,16 +242,16 @@ impl MasterSession {
 
     fn register(&mut self, ctx: &mut Context<'_>) {
         let request = WsRequest::post("/register", self.registration().to_value());
-        self.ws_client.request(ctx, self.master, &request);
+        self.ws_client.request(ctx, self.master, &request, ());
     }
 
     /// Feeds a packet from the Web-Service port; `None` means it is not
     /// an answer from the master (so it may be a client request).
     pub fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: &Packet) -> Option<MasterReply> {
-        let WsClientEvent::Response { id, response } = self.ws_client.accept(pkt)? else {
+        let WsClientEvent::Response { settled, response } = self.ws_client.accept(pkt)? else {
             return Some(MasterReply::Handled);
         };
-        if self.heartbeat_req == Some(id) {
+        if self.heartbeat_req == Some(settled.id) {
             self.heartbeat_req = None;
             if response.status == status::NOT_FOUND {
                 self.registered = false;
@@ -273,15 +273,15 @@ impl MasterSession {
                     .heartbeat
                     .as_ref()
                     .expect("start() runs before any timer");
-                let id = self.ws_client.request(ctx, self.master, request);
+                let id = self.ws_client.request(ctx, self.master, request, ());
                 self.heartbeat_req = Some(id);
             } else {
                 // The registration response never came: retry now.
                 self.register(ctx);
             }
             ctx.set_timer(HEARTBEAT_INTERVAL, self.heartbeat_tag);
-        } else if let Some(WsClientEvent::TimedOut { id }) = self.ws_client.on_timer(ctx, tag) {
-            if self.heartbeat_req == Some(id) {
+        } else if let Some(WsClientEvent::TimedOut(settled)) = self.ws_client.on_timer(ctx, tag) {
+            if self.heartbeat_req == Some(settled.id) {
                 self.heartbeat_req = None;
             }
         }

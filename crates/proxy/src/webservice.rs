@@ -19,8 +19,8 @@ use std::ops::Index;
 use dimmer_core::codec::{DataFormat, Reader, Scalar, Shaped, Writer};
 use dimmer_core::value::Key;
 use dimmer_core::{CoreError, Value};
-use simnet::rpc::{self, RequestTracker, RpcFrame};
-use simnet::{Context, NodeId, Packet, SimDuration, SimTime, TimerTag};
+use simnet::rpc::{self, RequestTracker, RpcFrame, Settled};
+use simnet::{Context, NodeId, Packet, SimDuration, TimerTag};
 
 use crate::WS_PORT;
 
@@ -563,34 +563,28 @@ impl WsServer {
     }
 }
 
-/// Client-side events.
+/// Client-side events: each settles a request once, handing back its
+/// id, when it was issued (for its latency, the breaker's gray-failure
+/// signal) and what the caller kept beside it (`M`).
 #[derive(Debug, Clone, PartialEq)]
-pub enum WsClientEvent {
-    /// The response to request `id` arrived.
+pub enum WsClientEvent<M = ()> {
+    /// The response to a request arrived.
     Response {
-        /// Correlation id from [`WsClient::request`].
-        id: u64,
+        /// The request it answers.
+        settled: Settled<M>,
         /// The decoded response (500 synthesized on decode failure).
         response: WsResponse,
     },
-    /// Request `id` timed out after retries.
-    TimedOut {
-        /// Correlation id from [`WsClient::request`].
-        id: u64,
-    },
+    /// A request timed out after retries.
+    TimedOut(Settled<M>),
 }
 
 /// Client half of the Web-Service layer; embed in a [`simnet::Node`].
+/// Its one table of requests in flight is its tracker's ledger, which
+/// keeps each request's issue instant and the caller's `M`.
 #[derive(Debug)]
-pub struct WsClient {
-    tracker: RequestTracker,
-    /// Issue instants of requests, by ascending id, so callers can
-    /// measure request latency (the breaker's gray-failure signal)
-    /// without keeping their own books; `None` once taken. Entries of
-    /// finished requests are pruned once they outnumber the requests in
-    /// flight, which keeps the list within twice that number (plus one)
-    /// at an amortised constant cost, in storage it reuses.
-    sent: Vec<(u64, Option<SimTime>)>,
+pub struct WsClient<M = ()> {
+    tracker: RequestTracker<M>,
 }
 
 /// Past this many bytes the request buffer is shrunk after use, so one
@@ -604,71 +598,68 @@ thread_local! {
     static REQUEST_BUFFER: Cell<String> = const { Cell::new(String::new()) };
 }
 
-impl WsClient {
+impl<M> WsClient<M> {
     /// Creates a client whose timers use tags from `tag_base`.
     pub fn new(tag_base: u64) -> Self {
         WsClient {
             tracker: RequestTracker::new(tag_base, REQUEST_TIMEOUT, REQUEST_RETRIES),
-            sent: Vec::new(),
         }
     }
 
-    /// Forgets every in-flight request; call from a node's `on_restart`
-    /// (the crash already cancelled the retry timers).
-    pub fn reset(&mut self) {
-        self.tracker.reset();
-        self.sent.clear();
+    /// The requests in flight, in ascending id order.
+    pub fn awaited(&self) -> Vec<&Settled<M>> {
+        self.tracker.awaited()
     }
 
-    /// Sends `request` to the Web Service on `server`; returns the
-    /// correlation id. The request costs one allocation, its frame (see
+    /// Forgets every in-flight request, handing each back in ascending
+    /// id order; call from a node's `on_restart` (the crash already
+    /// cancelled the retry timers).
+    pub fn reset(&mut self) -> Vec<Settled<M>> {
+        self.tracker.reset()
+    }
+
+    /// Sends `request` to the Web Service on `server`, keeping `meta`
+    /// until the request settles; returns the correlation id. The
+    /// request costs one allocation, its frame (see
     /// [`RequestTracker::send_request`]); a resend costs none.
-    pub fn request(&mut self, ctx: &mut Context<'_>, server: NodeId, request: &WsRequest) -> u64 {
-        if self.sent.len() > 2 * self.tracker.outstanding() {
-            let tracker = &self.tracker;
-            self.sent.retain(|(id, _)| tracker.is_pending(*id));
-        }
+    pub fn request(
+        &mut self,
+        ctx: &mut Context<'_>,
+        server: NodeId,
+        request: &WsRequest,
+        meta: M,
+    ) -> u64 {
         let mut buffer = REQUEST_BUFFER.take();
         request.write(&mut buffer);
         let id = self
             .tracker
-            .send_request(ctx, server, WS_PORT, buffer.as_bytes());
+            .send_request(ctx, server, WS_PORT, buffer.as_bytes(), meta);
         buffer.clear();
         buffer.shrink_to(REQUEST_BUFFER_RETAINED);
         REQUEST_BUFFER.set(buffer);
-        self.sent.push((id, Some(ctx.now())));
         id
     }
 
-    /// Removes and returns the instant request `id` was issued. Call
-    /// when its response (or timeout) arrives to measure the round-trip
-    /// latency that feeds a circuit breaker.
-    pub fn take_sent_at(&mut self, id: u64) -> Option<SimTime> {
-        let i = self.sent.binary_search_by_key(&id, |&(id, _)| id).ok()?;
-        self.sent[i].1.take()
-    }
-
     /// Feeds an incoming packet through the client.
-    pub fn accept(&mut self, pkt: &Packet) -> Option<WsClientEvent> {
-        let (id, bytes) = self.accept_encoded(pkt)?;
+    pub fn accept(&mut self, pkt: &Packet) -> Option<WsClientEvent<M>> {
+        let (settled, bytes) = self.accept_encoded(pkt)?;
         let response = WsResponse::from_bytes(bytes)
             .unwrap_or_else(|e| WsResponse::error(status::INTERNAL_ERROR, e.to_string()));
-        Some(WsClientEvent::Response { id, response })
+        Some(WsClientEvent::Response { settled, response })
     }
 
     /// Like [`WsClient::accept`], but leaves the response serialized:
-    /// returns the correlation id and the bytes for
+    /// returns the settled request and the bytes for
     /// [`WsResponse::from_bytes`] or a typed [`decode_response`], so a
     /// caller that knows what the request asked for can decode the body
     /// straight into it.
-    pub fn accept_encoded<'a>(&mut self, pkt: &'a Packet) -> Option<(u64, &'a [u8])> {
+    pub fn accept_encoded<'a>(&mut self, pkt: &'a Packet) -> Option<(Settled<M>, &'a [u8])> {
         self.tracker.accept(pkt)
     }
 
     /// Feeds a fired timer through the client.
-    pub fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) -> Option<WsClientEvent> {
-        let id = self.tracker.on_timer(ctx, tag)?;
-        Some(WsClientEvent::TimedOut { id })
+    pub fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) -> Option<WsClientEvent<M>> {
+        self.tracker.on_timer(ctx, tag).map(WsClientEvent::TimedOut)
     }
 }
 
@@ -1005,7 +996,7 @@ mod tests {
     impl Node for TestClient {
         fn on_start(&mut self, ctx: &mut Context<'_>) {
             let request = self.request.clone();
-            self.client.request(ctx, self.server, &request);
+            self.client.request(ctx, self.server, &request, ());
         }
         fn on_packet(&mut self, _ctx: &mut Context<'_>, pkt: Packet) {
             if let Some(WsClientEvent::Response { response, .. }) = self.client.accept(&pkt) {
@@ -1048,24 +1039,34 @@ mod tests {
         );
     }
 
-    /// Issues `FAN_OUT` requests per round and the next round once all
-    /// are answered, taking the issue instant of every other response
-    /// and leaving the rest for the client to prune.
+    /// Issues `FAN_OUT` requests per round, each keeping its sequence
+    /// number, and the next round once all are settled; records every
+    /// sequence number handed back and how.
     struct FanOutClient {
-        client: WsClient,
+        client: WsClient<u64>,
         server: NodeId,
+        issued: u64,
         rounds_left: usize,
-        largest_sent_map: usize,
+        answered: Vec<u64>,
+        timed_out: Vec<u64>,
     }
 
-    const FAN_OUT: usize = 16;
+    const FAN_OUT: u64 = 16;
 
     impl FanOutClient {
         fn issue_round(&mut self, ctx: &mut Context<'_>) {
             for _ in 0..FAN_OUT {
-                self.client
-                    .request(ctx, self.server, &WsRequest::get("/info"));
-                self.largest_sent_map = self.largest_sent_map.max(self.client.sent.len());
+                let request = WsRequest::get("/info");
+                self.client.request(ctx, self.server, &request, self.issued);
+                self.issued += 1;
+            }
+            assert_eq!(self.client.awaited().len() as u64, FAN_OUT);
+        }
+
+        fn settled(&mut self, ctx: &mut Context<'_>) {
+            if self.client.awaited().is_empty() && self.rounds_left > 0 {
+                self.rounds_left -= 1;
+                self.issue_round(ctx);
             }
         }
     }
@@ -1075,21 +1076,32 @@ mod tests {
             self.issue_round(ctx);
         }
         fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
-            if let Some(WsClientEvent::Response { id, .. }) = self.client.accept(&pkt) {
-                if id % 2 == 0 {
-                    assert!(self.client.take_sent_at(id).is_some_and(|t| t <= ctx.now()));
-                    assert_eq!(self.client.take_sent_at(id), None, "taken once");
-                }
-                if self.client.tracker.outstanding() == 0 && self.rounds_left > 0 {
-                    self.rounds_left -= 1;
-                    self.issue_round(ctx);
-                }
+            // A duplicate of every answer arrives too: it settles nothing.
+            let Some(event) = self.client.accept(&pkt) else {
+                return;
+            };
+            assert!(self.client.accept(&pkt).is_none(), "settled once");
+            let WsClientEvent::Response { settled, .. } = event else {
+                unreachable!("a packet settles by response");
+            };
+            assert_eq!(settled.id, settled.meta, "both count from 0");
+            assert!(settled.issued_at <= ctx.now());
+            self.answered.push(settled.meta);
+            self.settled(ctx);
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
+            if let Some(WsClientEvent::TimedOut(settled)) = self.client.on_timer(ctx, tag) {
+                self.timed_out.push(settled.meta);
+                self.settled(ctx);
             }
         }
     }
 
+    /// Every request's `M` comes back exactly once, by its response or
+    /// its expiry, over ten thousand requests on a lossy link; the
+    /// ledger is then empty.
     #[test]
-    fn sent_map_stays_bounded_over_ten_thousand_rounds() {
+    fn each_requests_meta_comes_back_once_over_ten_thousand_requests() {
         let mut sim = Simulator::new(SimConfig::default());
         let server = sim.add_node(
             "server",
@@ -1097,27 +1109,28 @@ mod tests {
                 server: WsServer::new(),
             },
         );
-        let rounds = 10_000 / FAN_OUT;
+        let rounds = 10_000 / FAN_OUT as usize;
         let client = sim.add_node(
             "client",
             FanOutClient {
                 client: WsClient::new(1000),
                 server,
+                issued: 0,
                 rounds_left: rounds - 1,
-                largest_sent_map: 0,
+                answered: Vec::new(),
+                timed_out: Vec::new(),
             },
         );
-        sim.run_for(SimDuration::from_secs(600));
+        let lossy = simnet::LinkModel::builder().loss(0.4).build();
+        sim.set_link(client, server, lossy);
+        sim.run_for(SimDuration::from_secs(100_000));
         let c = sim.node_ref::<FanOutClient>(client).unwrap();
         assert_eq!(c.rounds_left, 0, "every round completed");
-        assert_eq!(c.client.tracker.outstanding(), 0);
-        // Untaken entries may linger until they outnumber the requests in
-        // flight, never longer.
-        assert!(
-            c.largest_sent_map <= 2 * FAN_OUT + 1,
-            "sent map grew to {}",
-            c.largest_sent_map
-        );
+        assert!(c.client.awaited().is_empty());
+        assert!(!c.timed_out.is_empty(), "the loss expires some requests");
+        let mut back: Vec<u64> = c.answered.iter().chain(&c.timed_out).copied().collect();
+        back.sort_unstable();
+        assert_eq!(back, (0..c.issued).collect::<Vec<_>>());
     }
 
     #[test]

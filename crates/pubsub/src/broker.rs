@@ -1089,8 +1089,7 @@ impl Node for BrokerNode {
         // so post-restart ids never collide with pre-crash ones.
         self.subscriptions = SubscriptionTrie::default();
         self.retained.clear();
-        self.stats.dropped += self.pending.outstanding() as u64;
-        self.pending.clear();
+        self.stats.dropped += self.pending.drain().len() as u64;
         self.advert_refs.clear();
         self.incarnation += 1;
         if let Some(fed) = &mut self.federation {
@@ -1103,7 +1102,7 @@ impl Node for BrokerNode {
             for b in &mut fed.batchers {
                 b.take();
             }
-            fed.pending.clear();
+            fed.pending.drain();
             fed.remote_subs = SubscriptionTrie::new();
             for m in &mut fed.peer_filters {
                 m.clear();

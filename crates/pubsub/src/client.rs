@@ -17,9 +17,10 @@ const MAX_PUBLISH_RETRIES: u32 = 3;
 /// Events surfaced by [`PubSubClient::accept`] and
 /// [`PubSubClient::on_timer`]. A message borrows its topic and payload
 /// from the packet that carried it (`'p`); a subscriber that keeps
-/// either copies it out.
+/// either copies it out. A settled QoS 1 publish hands back what the
+/// publisher kept beside it (`M`).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PubSubEvent<'p> {
+pub enum PubSubEvent<'p, M = ()> {
     /// A message arrived on a subscribed topic.
     Message {
         /// The topic it was published under.
@@ -38,11 +39,15 @@ pub enum PubSubEvent<'p> {
     Published {
         /// The id returned by [`PubSubClient::publish`].
         id: u64,
+        /// What the publisher kept beside it.
+        meta: M,
     },
     /// A QoS 1 publish exhausted its retries without acknowledgement.
     PublishTimedOut {
         /// The id returned by [`PubSubClient::publish`].
         id: u64,
+        /// What the publisher kept beside it.
+        meta: M,
     },
     /// A keepalive probe revealed that the broker restarted since we last
     /// heard from it. The client has already re-sent its subscriptions
@@ -76,13 +81,13 @@ impl Deref for Payload<'_> {
 /// * route timers whose tag the client [`owns`](PubSubClient::owns_tag)
 ///   to [`PubSubClient::on_timer`].
 #[derive(Debug)]
-pub struct PubSubClient {
+pub struct PubSubClient<M = ()> {
     broker: NodeId,
     /// Publish ids start at 1; `tag_base + 0` is the keepalive timer.
     next_publish_id: u64,
-    /// Unacked QoS 1 publishes, each retried under timer `tag_base + id`;
-    /// the one record of the client's `tag_base`.
-    pending: Retransmit<()>,
+    /// Unacked QoS 1 publishes and their `M`s, each retried under timer
+    /// `tag_base + id`; the one record of the client's `tag_base`.
+    pending: Retransmit<M>,
     /// Subscriptions this client holds, remembered so they can be
     /// re-sent when the broker restarts (session resumption).
     subs: Vec<(TopicFilter, QoS)>,
@@ -96,7 +101,7 @@ pub struct PubSubClient {
     decode_error: OnceCell<CounterHandle>,
 }
 
-impl PubSubClient {
+impl<M> PubSubClient<M> {
     /// Creates a client talking to `broker`, using timer tags starting at
     /// `tag_base`.
     pub fn new(broker: NodeId, tag_base: u64) -> Self {
@@ -116,17 +121,18 @@ impl PubSubClient {
         self.pending.outstanding()
     }
 
-    /// Forgets all in-flight publishes and session state.
+    /// Forgets all in-flight publishes and session state, handing back
+    /// what the publisher kept beside each unacked publish, oldest first.
     ///
     /// Call from the owning node's `on_restart`: pre-crash retry timers
     /// are gone, so pending entries could never resolve. Remembered
     /// subscriptions are also cleared — a rebooted node re-subscribes
     /// itself, and re-arms the keepalive, as part of its boot path.
-    pub fn reset(&mut self) {
-        self.pending.clear();
+    pub fn reset(&mut self) -> Vec<M> {
         self.subs.clear();
         self.last_incarnation = None;
         self.keepalive = None;
+        self.pending.drain()
     }
 
     /// Starts periodic broker keepalive probes (Ping/Pong).
@@ -171,25 +177,12 @@ impl PubSubClient {
         self.subs.retain(|(f, _)| *f != filter);
     }
 
-    /// Publishes `payload` under `topic`. Returns the publish id; for
-    /// QoS 1 the id later appears in [`PubSubEvent::Published`] or
-    /// [`PubSubEvent::PublishTimedOut`].
-    pub fn publish(
-        &mut self,
-        ctx: &mut Context<'_>,
-        topic: Topic,
-        payload: Vec<u8>,
-        retain: bool,
-        qos: QoS,
-    ) -> u64 {
-        self.publish_ref(ctx, &topic, &payload, retain, qos, NO_TRACE, NO_SPAN)
-    }
-
     /// [`PubSubClient::publish`] on a borrowed topic and payload, for
     /// publishers that keep both (a Device-proxy's topic per quantity,
     /// its reused payload buffer): the frame is encoded straight from
-    /// the borrows. The publish is stamped with a flight-recorder trace
-    /// id that the broker propagates to every matching delivery (see
+    /// the borrows. A QoS 1 publish keeps `meta` until it settles; others
+    /// drop it. The publish is stamped with a flight-recorder trace id
+    /// that the broker propagates to every matching delivery (see
     /// [`PubSubEvent::Message::trace`]) and threads a causal parent
     /// span: the broker's `broker.publish` hop becomes a child of
     /// `parent`, so cross-node span trees stay connected (device sample
@@ -204,6 +197,7 @@ impl PubSubClient {
         qos: QoS,
         trace: TraceId,
         parent: SpanId,
+        meta: M,
     ) -> u64 {
         let id = self.next_publish_id;
         self.next_publish_id += 1;
@@ -226,7 +220,7 @@ impl PubSubClient {
         let frame = packet.frame();
         ctx.send_spanned(self.broker, PUBSUB_PORT, frame.clone(), trace, parent);
         self.pending
-            .keep(ctx, id, self.broker, PUBSUB_PORT, frame, NO_TRACE, ());
+            .keep(ctx, id, self.broker, PUBSUB_PORT, frame, NO_TRACE, meta);
         id
     }
 
@@ -237,7 +231,7 @@ impl PubSubClient {
         &mut self,
         ctx: &mut Context<'_>,
         pkt: &'p NetPacket,
-    ) -> Option<PubSubEvent<'p>> {
+    ) -> Option<PubSubEvent<'p, M>> {
         let Ok(decoded) = PacketRef::decode(&pkt.payload) else {
             self.decode_error
                 .get_or_init(|| {
@@ -278,8 +272,8 @@ impl PubSubClient {
                 })
             }
             PacketRef::PubAck { id } => {
-                self.pending.ack(id)?;
-                Some(PubSubEvent::Published { id })
+                let meta = self.pending.ack(id)?;
+                Some(PubSubEvent::Published { id, meta })
             }
             PacketRef::Pong { incarnation } => {
                 let restarted = self
@@ -320,7 +314,7 @@ impl PubSubClient {
         &mut self,
         ctx: &mut Context<'_>,
         tag: TimerTag,
-    ) -> Option<PubSubEvent<'static>> {
+    ) -> Option<PubSubEvent<'static, M>> {
         let id = tag.0.checked_sub(self.pending.tag_base())?;
         if id == 0 {
             if let Some(interval) = self.keepalive {
@@ -329,10 +323,26 @@ impl PubSubClient {
             }
             return None;
         }
-        let Fired::Expired(id, ()) = self.pending.on_timer(ctx, tag)? else {
+        let Fired::Expired(id, meta) = self.pending.on_timer(ctx, tag)? else {
             return None;
         };
-        Some(PubSubEvent::PublishTimedOut { id })
+        Some(PubSubEvent::PublishTimedOut { id, meta })
+    }
+}
+
+impl PubSubClient {
+    /// Publishes `payload` under `topic`. Returns the publish id; for
+    /// QoS 1 the id later appears in [`PubSubEvent::Published`] or
+    /// [`PubSubEvent::PublishTimedOut`].
+    pub fn publish(
+        &mut self,
+        ctx: &mut Context<'_>,
+        topic: Topic,
+        payload: Vec<u8>,
+        retain: bool,
+        qos: QoS,
+    ) -> u64 {
+        self.publish_ref(ctx, &topic, &payload, retain, qos, NO_TRACE, NO_SPAN, ())
     }
 }
 
@@ -388,13 +398,13 @@ mod tests {
         }
         fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: NetPacket) {
             match self.client.accept(ctx, &pkt) {
-                Some(PubSubEvent::Published { id }) => self.acks.push(id),
-                Some(PubSubEvent::PublishTimedOut { id }) => self.timeouts.push(id),
+                Some(PubSubEvent::Published { id, .. }) => self.acks.push(id),
+                Some(PubSubEvent::PublishTimedOut { id, .. }) => self.timeouts.push(id),
                 _ => {}
             }
         }
         fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
-            if let Some(PubSubEvent::PublishTimedOut { id }) = self.client.on_timer(ctx, tag) {
+            if let Some(PubSubEvent::PublishTimedOut { id, .. }) = self.client.on_timer(ctx, tag) {
                 self.timeouts.push(id);
             }
         }

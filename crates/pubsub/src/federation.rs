@@ -260,7 +260,8 @@ impl FederationState {
 
     /// Frames on the wire awaiting acknowledgement.
     pub(crate) fn in_flight_frames(&self) -> usize {
-        self.pending.values().map(|&(_, frames, _)| frames).sum()
+        let awaited = self.pending.awaited().into_iter();
+        awaited.map(|&(_, frames, _)| frames).sum()
     }
 }
 

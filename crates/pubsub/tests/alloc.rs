@@ -108,6 +108,7 @@ impl Node for Publisher {
             QoS::AtLeastOnce,
             NO_TRACE,
             NO_SPAN,
+            (),
         );
         ctx.set_timer(SimDuration::from_secs(1), PUBLISH);
     }

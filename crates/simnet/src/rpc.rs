@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use crate::context::Context;
 use crate::frame::Frame;
 use crate::node::{NodeId, Packet, Port, TimerTag};
-use crate::time::SimDuration;
+use crate::time::{SimDuration, SimTime};
 use telemetry::{CounterHandle, TraceId, NO_SPAN, NO_TRACE};
 
 /// Direction flag + correlation id header, little-endian id.
@@ -166,15 +166,17 @@ impl<M> Retransmit<M> {
         self.unacked.contains_key(&id)
     }
 
-    /// What the sender keeps beside each awaited frame.
-    pub fn values(&self) -> impl Iterator<Item = &M> {
-        self.unacked.values().map(|u| &u.meta)
+    /// What the sender keeps beside each awaited frame, in ascending id
+    /// order.
+    pub fn awaited(&self) -> Vec<&M> {
+        in_id_order(self.unacked.iter().map(|(&id, u)| (id, &u.meta)))
     }
 
-    /// Forgets every entry: call from `on_restart`, the crash having
-    /// cancelled the timers.
-    pub fn clear(&mut self) {
-        self.unacked.clear();
+    /// Forgets every entry, handing back what the sender kept beside
+    /// each, in ascending id order: call from `on_restart`, the crash
+    /// having cancelled the timers.
+    pub fn drain(&mut self) -> Vec<M> {
+        in_id_order(self.unacked.drain().map(|(id, u)| (id, u.meta)))
     }
 
     /// Keeps `frame`, just sent to `dst`:`port`, under `id` and arms its
@@ -225,24 +227,44 @@ impl<M> Retransmit<M> {
     }
 }
 
+/// Map entries, ordered by their ids, without the ids.
+fn in_id_order<T>(entries: impl Iterator<Item = (u64, T)>) -> Vec<T> {
+    let mut entries: Vec<(u64, T)> = entries.collect();
+    entries.sort_unstable_by_key(|&(id, _)| id);
+    entries.into_iter().map(|(_, entry)| entry).collect()
+}
+
+/// A request as its response or its expiry settles it: its correlation
+/// id, the instant it was first sent, and what the sender kept beside it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Settled<M> {
+    /// The correlation id [`RequestTracker::send_request`] returned.
+    pub id: u64,
+    /// When the request was first sent (resends do not move it).
+    pub issued_at: SimTime,
+    /// What the sender kept beside the request.
+    pub meta: M,
+}
+
 /// Correlates responses with the requests a node sends; embeds in a
 /// [`Node`](crate::Node). A node answering requests needs no state: it
 /// [`decode`]s each and replies with [`encode_response`].
+/// Each request waits in its [`Retransmit`] ledger as a [`Settled`].
 ///
 /// The tracker owns a contiguous range of timer tags starting at the
 /// `tag_base` given to [`RequestTracker::new`]; the owning node must route
 /// any timer whose tag falls in that namespace to
 /// [`RequestTracker::on_timer`]. See `crates/proxy` for a complete usage.
 #[derive(Debug)]
-pub struct RequestTracker {
+pub struct RequestTracker<M = ()> {
     next_id: u64,
-    pending: Retransmit<()>,
+    pending: Retransmit<Settled<M>>,
     /// `rpc.retry_exhausted`, resolved by the first request to exhaust
     /// its retries.
     retry_exhausted: OnceCell<CounterHandle>,
 }
 
-impl RequestTracker {
+impl<M> RequestTracker<M> {
     /// Creates a tracker whose timers use tags `tag_base + request-id`. A
     /// request is resent each `timeout` without a response, up to
     /// `retries` times, before [`RequestTracker::on_timer`] gives it up.
@@ -254,28 +276,25 @@ impl RequestTracker {
         }
     }
 
-    /// Number of requests still awaiting a response.
-    pub fn outstanding(&self) -> usize {
-        self.pending.outstanding()
+    /// The outstanding requests, in ascending id order.
+    pub fn awaited(&self) -> Vec<&Settled<M>> {
+        self.pending.awaited()
     }
 
-    /// Whether request `id` is still awaiting a response.
-    pub fn is_pending(&self, id: u64) -> bool {
-        self.pending.contains(id)
-    }
-
-    /// Forgets every outstanding request without firing events.
+    /// Forgets every outstanding request without firing events, handing
+    /// each back, in ascending id order.
     ///
     /// Call from a node's `on_restart`: the crash already cancelled the
     /// retry timers, so pending entries could otherwise never resolve.
     /// Correlation ids keep increasing across the reset, which makes any
     /// late response to a pre-crash request fall on the floor.
-    pub fn reset(&mut self) {
-        self.pending.clear();
+    pub fn reset(&mut self) -> Vec<Settled<M>> {
+        self.pending.drain()
     }
 
     /// Sends `body` as a request to `dst`:`port` under the tracker's
-    /// timeout and retry budget. Returns the correlation id.
+    /// timeout and retry budget, keeping `meta` until it settles. Returns
+    /// the correlation id.
     ///
     /// The header and the body are copied once, into one shared
     /// [`Frame`]: the packet in flight and the copy kept for resends are
@@ -286,32 +305,38 @@ impl RequestTracker {
         dst: NodeId,
         port: Port,
         body: &[u8],
+        meta: M,
     ) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
         let frame = Frame::concat(&header(0, id), body);
         ctx.send(dst, port, frame.clone());
-        self.pending.keep(ctx, id, dst, port, frame, NO_TRACE, ());
+        let issued_at = ctx.now();
+        let kept = Settled {
+            id,
+            issued_at,
+            meta,
+        };
+        self.pending.keep(ctx, id, dst, port, frame, NO_TRACE, kept);
         id
     }
 
-    /// Feeds an incoming packet through the tracker: returns the
-    /// correlation id and body of a response to an outstanding request,
-    /// borrowed from `pkt`; `None` for anything else (not an RPC frame,
-    /// a request, a late or duplicate response).
-    pub fn accept<'a>(&mut self, pkt: &'a Packet) -> Option<(u64, &'a [u8])> {
+    /// Feeds an incoming packet through the tracker: returns the settled
+    /// request a response answers, with its body borrowed from `pkt`;
+    /// `None` for anything else (not an RPC frame, a request, a late or
+    /// duplicate response).
+    pub fn accept<'a>(&mut self, pkt: &'a Packet) -> Option<(Settled<M>, &'a [u8])> {
         let RpcFrame::Response { id, body } = decode(&pkt.payload).ok()? else {
             return None;
         };
-        self.pending.ack(id)?;
-        Some((id, body))
+        Some((self.pending.ack(id)?, body))
     }
 
-    /// Feeds a fired timer through the tracker: returns the id of a
-    /// request that ran out of retries; `None` when the tag is foreign,
-    /// the request already completed, or a retry was resent.
-    pub fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) -> Option<u64> {
-        let Fired::Expired(id, ()) = self.pending.on_timer(ctx, tag)? else {
+    /// Feeds a fired timer through the tracker: returns a request that
+    /// ran out of retries; `None` when the tag is foreign, the request
+    /// already completed, or a retry was resent.
+    pub fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) -> Option<Settled<M>> {
+        let Fired::Expired(_, settled) = self.pending.on_timer(ctx, tag)? else {
             return None;
         };
         self.retry_exhausted
@@ -321,7 +346,7 @@ impl RequestTracker {
                     .counter_handle("rpc.retry_exhausted")
             })
             .incr();
-        Some(id)
+        Some(settled)
     }
 }
 
@@ -509,14 +534,14 @@ mod tests {
     }
 
     #[test]
-    fn ledger_clear_forgets_every_entry() {
+    fn ledger_drain_forgets_every_entry() {
         let mut ledger = ledger();
         for id in 0..3 {
             keep(&mut ledger, id, "kept");
         }
         assert_eq!(ledger.outstanding(), 3);
-        assert_eq!(ledger.values().count(), 3);
-        ledger.clear();
+        assert_eq!(ledger.awaited().len(), 3);
+        assert_eq!(ledger.drain(), ["kept"; 3]);
         assert!(ledger.outstanding() == 0);
         for id in 0..3 {
             let (fired, seen, _) = run(at(1), |ctx| {
@@ -525,6 +550,40 @@ mod tests {
             assert!(!fired && seen.is_empty(), "id {id}");
             assert_eq!(ledger.ack(id), None);
         }
+    }
+
+    #[test]
+    fn each_kept_meta_comes_back_once_by_ack_expiry_or_drain_in_id_order() {
+        let mut ledger: Retransmit<u64> = Retransmit::new(100, SimDuration::from_secs(1), 2);
+        // Kept out of id order, so a hash map's order cannot pass for
+        // the drain's.
+        let ids = [7, 3, 11, 0, 5, 9, 2];
+        for id in ids {
+            let frame = Frame::copy_from_slice(BODY);
+            run(at(0), |ctx| ledger.keep(ctx, id, PEER, PORT, frame, 0, id));
+        }
+        let mut back = Vec::new();
+        back.extend(ledger.ack(3));
+        back.extend(ledger.ack(9));
+        assert_eq!(ledger.ack(3), None, "a duplicate ack settles nothing");
+        for round in 1..=3 {
+            run(at(round), |ctx| {
+                if let Some(Fired::Expired(id, meta)) = ledger.on_timer(ctx, TimerTag(111)) {
+                    assert_eq!((round, id), (3, 11), "expired after its two resends");
+                    back.push(meta);
+                }
+            });
+        }
+        assert_eq!(ledger.ack(11), None, "a late ack settles nothing");
+        assert_eq!(ledger.awaited(), [&0, &2, &5, &7]);
+        let drained = ledger.drain();
+        assert_eq!(drained, [0, 2, 5, 7], "drained in ascending id order");
+        back.extend(drained);
+        assert!(ledger.drain().is_empty() && ledger.ack(0).is_none());
+        back.sort_unstable();
+        let mut kept = ids.to_vec();
+        kept.sort_unstable();
+        assert_eq!(back, kept, "every kept meta comes back exactly once");
     }
 
     // Tracker behaviour is exercised end-to-end in the integration test
@@ -545,25 +604,37 @@ mod tests {
     }
 
     struct ClientNode {
-        tracker: RequestTracker,
+        tracker: RequestTracker<&'static str>,
         server: NodeId,
-        responses: Vec<(u64, Vec<u8>)>,
+        responses: Vec<(Settled<&'static str>, Vec<u8>)>,
         timeouts: Vec<u64>,
+    }
+
+    impl ClientNode {
+        fn new(server: NodeId) -> Self {
+            ClientNode {
+                tracker: RequestTracker::new(1000, SimDuration::from_secs(1), 2),
+                server,
+                responses: vec![],
+                timeouts: vec![],
+            }
+        }
     }
 
     impl Node for ClientNode {
         fn on_start(&mut self, ctx: &mut Context<'_>) {
             self.tracker
-                .send_request(ctx, self.server, Port::new(80), b"abc");
+                .send_request(ctx, self.server, Port::new(80), b"abc", "abc");
         }
         fn on_packet(&mut self, _ctx: &mut Context<'_>, pkt: Packet) {
-            if let Some((id, body)) = self.tracker.accept(&pkt) {
-                self.responses.push((id, body.to_vec()));
+            if let Some((settled, body)) = self.tracker.accept(&pkt) {
+                self.responses.push((settled, body.to_vec()));
             }
         }
         fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
-            if let Some(id) = self.tracker.on_timer(ctx, tag) {
-                self.timeouts.push(id);
+            if let Some(settled) = self.tracker.on_timer(ctx, tag) {
+                assert_eq!(settled.meta, "abc");
+                self.timeouts.push(settled.id);
             }
         }
     }
@@ -572,20 +643,17 @@ mod tests {
     fn request_response_over_network() {
         let mut sim = Simulator::new(SimConfig::default());
         let server = sim.add_node("server", Server);
-        let client = sim.add_node(
-            "client",
-            ClientNode {
-                tracker: RequestTracker::new(1000, SimDuration::from_secs(1), 2),
-                server,
-                responses: vec![],
-                timeouts: vec![],
-            },
-        );
+        let client = sim.add_node("client", ClientNode::new(server));
         sim.run_for(SimDuration::from_secs(10));
         let c = sim.node_ref::<ClientNode>(client).unwrap();
-        assert_eq!(c.responses, vec![(0, b"cba".to_vec())]);
+        let settled = Settled {
+            id: 0,
+            issued_at: SimTime::ZERO,
+            meta: "abc",
+        };
+        assert_eq!(c.responses, vec![(settled, b"cba".to_vec())]);
         assert!(c.timeouts.is_empty());
-        assert_eq!(c.tracker.outstanding(), 0);
+        assert_eq!(c.tracker.awaited().len(), 0);
     }
 
     #[test]
@@ -593,15 +661,7 @@ mod tests {
         // 60% loss: the request resolves one way or the other.
         let mut sim = Simulator::new(SimConfig { seed: 77 });
         let server = sim.add_node("server", Server);
-        let client = sim.add_node(
-            "client",
-            ClientNode {
-                tracker: RequestTracker::new(1000, SimDuration::from_secs(1), 2),
-                server,
-                responses: vec![],
-                timeouts: vec![],
-            },
-        );
+        let client = sim.add_node("client", ClientNode::new(server));
         sim.set_link(client, server, LinkModel::builder().loss(0.6).build());
         sim.run_for(SimDuration::from_secs(60));
         let c = sim.node_ref::<ClientNode>(client).unwrap();
@@ -619,15 +679,7 @@ mod tests {
         }
         let mut sim = Simulator::new(SimConfig::default());
         let server = sim.add_node("mute", Mute);
-        let client = sim.add_node(
-            "client",
-            ClientNode {
-                tracker: RequestTracker::new(1000, SimDuration::from_secs(1), 2),
-                server,
-                responses: vec![],
-                timeouts: vec![],
-            },
-        );
+        let client = sim.add_node("client", ClientNode::new(server));
         sim.run_for(SimDuration::from_secs(30));
         let c = sim.node_ref::<ClientNode>(client).unwrap();
         assert_eq!(c.timeouts, vec![0]);
@@ -646,15 +698,7 @@ mod tests {
         }
         let mut sim = Simulator::new(SimConfig::default());
         let server = sim.add_node("recorder", Recorder { arrivals: vec![] });
-        let client = sim.add_node(
-            "client",
-            ClientNode {
-                tracker: RequestTracker::new(1000, SimDuration::from_secs(1), 2),
-                server,
-                responses: vec![],
-                timeouts: vec![],
-            },
-        );
+        let client = sim.add_node("client", ClientNode::new(server));
         // An ideal link: arrival gaps are the send gaps.
         sim.set_link(client, server, LinkModel::ideal());
         sim.run_for(SimDuration::from_secs(30));
@@ -670,6 +714,33 @@ mod tests {
     }
 
     #[test]
+    fn a_response_carries_the_first_sends_instant_not_the_last_resends() {
+        /// Answers only the third copy of a request it receives.
+        struct Third(u32);
+        impl Node for Third {
+            fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
+                self.0 += 1;
+                if let (3, Ok(RpcFrame::Request { id, body })) = (self.0, decode(&pkt.payload)) {
+                    ctx.send(pkt.src, pkt.port, encode_response(id, body));
+                }
+            }
+        }
+        let mut sim = Simulator::new(SimConfig::default());
+        let server = sim.add_node("third", Third(0));
+        let client = sim.add_node("client", ClientNode::new(server));
+        sim.set_link(client, server, LinkModel::ideal());
+        sim.run_for(SimDuration::from_secs(10));
+        let c = sim.node_ref::<ClientNode>(client).unwrap();
+        assert_eq!(sim.node_metrics(client).packets_sent, 3, "two resends");
+        let [(settled, body)] = c.responses.as_slice() else {
+            panic!("{:?}", c.responses);
+        };
+        assert_eq!(body, b"abc");
+        assert_eq!((settled.issued_at, settled.meta), (SimTime::ZERO, "abc"));
+        assert!(c.timeouts.is_empty());
+    }
+
+    #[test]
     fn reset_forgets_outstanding_requests() {
         let mut sim = Simulator::new(SimConfig::default());
         let server = sim.add_node("mute", {
@@ -679,25 +750,18 @@ mod tests {
             }
             Mute
         });
-        let client = sim.add_node(
-            "client",
-            ClientNode {
-                tracker: RequestTracker::new(1000, SimDuration::from_secs(1), 2),
-                server,
-                responses: vec![],
-                timeouts: vec![],
-            },
-        );
+        let client = sim.add_node("client", ClientNode::new(server));
         sim.run_for(SimDuration::from_millis(10));
         let c = sim.node_mut::<ClientNode>(client).unwrap();
-        assert_eq!(c.tracker.outstanding(), 1);
-        c.tracker.reset();
-        assert_eq!(c.tracker.outstanding(), 0);
+        assert_eq!(c.tracker.awaited().len(), 1);
+        assert_eq!(c.tracker.awaited()[0].meta, "abc");
+        assert_eq!(c.tracker.reset()[0].meta, "abc");
+        assert_eq!(c.tracker.awaited().len(), 0);
     }
 
     #[test]
     fn late_duplicate_response_is_ignored() {
-        let mut tracker = RequestTracker::new(0, SimDuration::from_secs(1), 2);
+        let mut tracker: RequestTracker = RequestTracker::new(0, SimDuration::from_secs(1), 2);
         // Simulate a response for an id that was never pending.
         let pkt = Packet {
             src: NodeId::from_index(1),

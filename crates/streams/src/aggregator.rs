@@ -574,6 +574,7 @@ impl AggregatorNode {
             QoS::AtMostOnce,
             close.0,
             close.1,
+            (),
         );
         self.stats.rollups_published += 1;
         self.series(ctx).rollups_published.incr();
@@ -887,6 +888,7 @@ mod tests {
                     qos,
                     trace,
                     NO_SPAN,
+                    (),
                 );
             }
             if self.samples.len() > 0 {

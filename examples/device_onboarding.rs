@@ -62,7 +62,7 @@ struct Probe {
 impl Node for Probe {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         let request = self.request.clone();
-        self.client.request(ctx, self.target, &request);
+        self.client.request(ctx, self.target, &request, ());
     }
     fn on_packet(&mut self, _ctx: &mut Context<'_>, pkt: Packet) {
         if let Some(WsClientEvent::Response { response, .. }) = self.client.accept(&pkt) {

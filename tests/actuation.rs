@@ -28,12 +28,12 @@ impl Node for Operator {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         let request = WsRequest::get(format!("/district/{}/area", self.district))
             .with_query("bbox", self.bbox.clone());
-        self.phase_resolve = Some(self.client.request(ctx, self.master, &request));
+        self.phase_resolve = Some(self.client.request(ctx, self.master, &request, ()));
     }
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
-        if let Some(WsClientEvent::Response { id, response }) = self.client.accept(&pkt) {
-            if Some(id) == self.phase_resolve {
+        if let Some(WsClientEvent::Response { settled, response }) = self.client.accept(&pkt) {
+            if Some(settled.id) == self.phase_resolve {
                 let resolution =
                     AreaResolution::from_value(&response.body).expect("valid resolution");
                 for device in &resolution.devices {
@@ -44,7 +44,7 @@ impl Node for Operator {
                                 "/actuate",
                                 Value::object([("value", Value::from(1.0))]),
                             );
-                            self.client.request(ctx, node, &request);
+                            self.client.request(ctx, node, &request, ());
                         }
                     }
                 }

@@ -497,6 +497,7 @@ impl Node for BurstPub {
             QoS::AtLeastOnce,
             trace,
             NO_SPAN,
+            (),
         );
         self.sent += 1;
         ctx.set_timer(SimDuration::from_millis(100), TimerTag(1));
@@ -654,6 +655,7 @@ impl Node for Querier {
             ctx,
             self.master,
             &dimmer::proxy::webservice::WsRequest::get("/districts"),
+            (),
         );
         self.sent += 1;
         ctx.set_timer(SimDuration::from_secs(2), TimerTag(1));

@@ -120,7 +120,7 @@ impl Node for ModelClient {
     fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
         if tag == TAG_ASK && self.asked < ASKS {
             let request = WsRequest::get("/model").with_format(format_of_ask(self.asked));
-            self.client.request(ctx, self.server, &request);
+            self.client.request(ctx, self.server, &request, ());
             self.asked += 1;
             ctx.set_timer(SimDuration::from_secs(1), TAG_ASK);
         } else {
@@ -401,7 +401,8 @@ impl Node for Asker {
         if tag == TAG_ASK {
             if self.asked < ASKS {
                 let request = self.request.clone().with_format(format_of_ask(self.asked));
-                let (_, cost) = allocations_in(|| self.client.request(ctx, self.server, &request));
+                let (_, cost) =
+                    allocations_in(|| self.client.request(ctx, self.server, &request, ()));
                 self.request_costs.push(cost);
                 self.asked += 1;
                 ctx.set_timer(SimDuration::from_secs(10), TAG_ASK);
@@ -480,7 +481,7 @@ impl Node for Fire {
     fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
         if tag == TAG_ASK && !self.requests.is_empty() {
             let request = self.requests.remove(0);
-            self.client.request(ctx, self.server, &request);
+            self.client.request(ctx, self.server, &request, ());
             ctx.set_timer(SimDuration::from_secs(1), TAG_ASK);
         }
     }

@@ -1,11 +1,12 @@
 //! The cost contract of the Device-proxy's dedicated layer, counted in
 //! allocations, for every row of `proxy::registry::FAMILIES`: a device's
-//! `emit`, an adapter's `poll_request` and a field server's
-//! `handle_bytes` allocate once, for the frame they return, sized up
-//! front; `decode_uplink` and `decode_poll` allocate once, for the
-//! samples they return, and not at all when they fail. A decode of any
-//! cut or bit-flipped frame allocates at most once and at most 64 bytes
-//! (k = 0, c = 64 in the amplification table of ROADMAP item 26).
+//! `emit`, an adapter's `poll_request` and `encode_actuation` and a
+//! field server's `handle_bytes` allocate once, for the frame they
+//! return, sized up front; `decode_uplink` and `decode_poll` allocate
+//! once, for the samples they return, and not at all when they fail.
+//! A decode of any cut or bit-flipped frame allocates at most once and
+//! at most 64 bytes (k = 0, c = 64 in the amplification table of
+//! ROADMAP item 26).
 //!
 //! This file is its own test binary, so it can install the counting
 //! `#[global_allocator]` of `tests/support` without touching any other
@@ -141,5 +142,69 @@ fn a_frame_from_another_device_fails_without_allocating() {
         let (verdict, cost) = allocations_in(|| stranger.decode_uplink(&frame));
         assert!(verdict.is_err(), "{:?}", family.kind);
         assert_eq!(cost, 0, "{:?}", family.kind);
+    }
+}
+
+/// A CoAP actuation formats its JSON body straight into its frame.
+#[test]
+fn an_actuation_allocates_only_its_frame() {
+    let mut rng = DeterministicRng::seed_from(28);
+    for family in &FAMILIES {
+        let (quantity, eep) = (family.draw)(&mut rng);
+        let install = Install {
+            protocol: family.kind,
+            quantity,
+            eep,
+            address: 0x0142,
+            pan: PanId(0x2301),
+        };
+        let mut adapter = (family.adapter)(&install);
+        for value in [0.0, 1.0, 21.5, -0.5] {
+            let (frame, cost) = allocations_in(|| adapter.encode_actuation(value));
+            let Some(frame) = frame else {
+                assert_eq!(cost, 0, "{:?}: no actuation", family.kind);
+                continue;
+            };
+            assert_eq!(cost, 1, "{:?}: encode_actuation", family.kind);
+            assert_eq!(frame.capacity(), frame.len(), "{:?}", family.kind);
+        }
+    }
+}
+
+/// An OPC UA server writes its Browse and Write answers straight from
+/// its address space: one allocation each, the answer.
+#[test]
+fn opcua_write_and_browse_answers_allocate_only_themselves() {
+    use dimmer_core::QuantityKind;
+    use protocols::device::OpcUaFieldServer;
+    use protocols::opcua::{AttributeId, Message, NodeId, Variant, WriteValue};
+    let mut server = OpcUaFieldServer::new(QuantityKind::Temperature);
+    server.update(21.5, 1_420_416_000_000);
+    let write = |node_id: NodeId<'static>| WriteValue {
+        node_id,
+        attribute: AttributeId::Value,
+        value: Variant::Double(19.0),
+    };
+    let writes = [
+        write(server.value_node().clone()),
+        write(NodeId::numeric(9, 9)),
+    ];
+    let requests = [
+        Message::BrowseRequest {
+            node_id: NodeId::numeric(1, 1),
+        },
+        Message::BrowseRequest {
+            node_id: NodeId::numeric(9, 9),
+        },
+        Message::WriteRequest {
+            nodes: (&writes).into(),
+        },
+    ];
+    for request in &requests {
+        let bytes = request.encode();
+        let (answer, cost) = allocations_in(|| server.handle_bytes(&bytes));
+        let answer = answer.expect("a well-formed request");
+        assert_eq!(cost, 1, "{request:?}");
+        assert_eq!(answer.capacity(), answer.len(), "{request:?}");
     }
 }

@@ -115,7 +115,7 @@ fn local_store_supports_downsampled_retrieval() {
     impl Node for Probe {
         fn on_start(&mut self, ctx: &mut Context<'_>) {
             let request = self.request.clone();
-            self.client.request(ctx, self.target, &request);
+            self.client.request(ctx, self.target, &request, ());
         }
         fn on_packet(&mut self, _ctx: &mut Context<'_>, pkt: Packet) {
             if let Some(WsClientEvent::Response { response, .. }) = self.client.accept(&pkt) {

@@ -175,7 +175,7 @@ fn ontology_snapshot_survives_wire_round_trip() {
     impl Node for Probe {
         fn on_start(&mut self, ctx: &mut Context<'_>) {
             let request = WsRequest::get("/ontology");
-            self.client.request(ctx, self.master, &request);
+            self.client.request(ctx, self.master, &request, ());
         }
         fn on_packet(&mut self, _ctx: &mut Context<'_>, pkt: Packet) {
             if let Some(WsClientEvent::Response { response, .. }) = self.client.accept(&pkt) {

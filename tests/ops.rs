@@ -49,7 +49,7 @@ impl Node for Scraper {
     fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
         if tag == TimerTag(1) {
             self.client
-                .request(ctx, self.server, &WsRequest::get(self.path));
+                .request(ctx, self.server, &WsRequest::get(self.path), ());
             ctx.set_timer(self.interval, TimerTag(1));
         } else {
             self.client.on_timer(ctx, tag);
