@@ -18,15 +18,15 @@
 //! proxy store-and-forward counters, and — from the flight recorder —
 //! how many buffered samples were replayed end to end with zero loss.
 
-use district::deploy::Deployment;
-use district::report::{dump_trace_if_requested, fmt_f64, metrics_report, Table};
+use bench_support::report::{dump_trace_if_requested, fmt_f64, metrics_report, Table};
+use bench_support::{deploy, Subscriber};
 use district::scenario::ScenarioConfig;
 use master::MasterNode;
 use proxy::device_proxy::DeviceProxyNode;
-use pubsub::{PubSubClient, PubSubEvent, QoS, TopicFilter, PUBSUB_PORT};
+use pubsub::QoS;
 use simnet::chaos::{ChaosRunner, Fault, FaultPlan};
 use simnet::telemetry::flight::reconstruct;
-use simnet::{Context, Node, Packet, SimConfig, SimDuration, SimTime, Simulator, TimerTag};
+use simnet::{SimDuration, SimTime};
 
 /// Devices in the 6-building scenario (3 per building).
 const DEVICES: usize = 18;
@@ -41,37 +41,6 @@ const PROXY_CRASH: SimTime = SimTime::from_secs(420);
 const PROXY_DOWNTIME: SimDuration = SimDuration::from_secs(150);
 const HORIZON: SimTime = SimTime::from_secs(780);
 
-/// A monitoring subscriber with keepalive-based session resumption.
-struct Monitor {
-    client: PubSubClient,
-    received: u64,
-    broker_restarts_seen: u64,
-}
-
-impl Node for Monitor {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        self.client.subscribe(
-            ctx,
-            TopicFilter::new("district/#").expect("valid filter"),
-            QoS::AtLeastOnce,
-        );
-        self.client.start_keepalive(ctx, SimDuration::from_secs(2));
-    }
-    fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
-        if pkt.port != PUBSUB_PORT {
-            return;
-        }
-        match self.client.accept(ctx, &pkt) {
-            Some(PubSubEvent::Message { .. }) => self.received += 1,
-            Some(PubSubEvent::BrokerRestarted { .. }) => self.broker_restarts_seen += 1,
-            _ => {}
-        }
-    }
-    fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
-        self.client.on_timer(ctx, tag);
-    }
-}
-
 struct Sample {
     at: SimTime,
     devices: usize,
@@ -82,20 +51,19 @@ struct Sample {
 fn main() {
     let mut config = ScenarioConfig::small().with_buildings(6);
     config.publish_qos = QoS::AtLeastOnce;
-    let scenario = config.build();
-
-    let mut sim = Simulator::new(SimConfig::default());
+    let (mut sim, deployment, _) = deploy(config);
     // The default trace ring is sized for demos; a 13-minute chaos run
     // needs the full history to reconstruct loss afterwards.
     sim.telemetry().tracer.set_capacity(1 << 18);
-    let deployment = Deployment::build(&mut sim, &scenario);
+    // A monitor with keepalive-based session resumption.
     let monitor = sim.add_node(
         "monitor",
-        Monitor {
-            client: PubSubClient::new(deployment.broker, 100),
-            received: 0,
-            broker_restarts_seen: 0,
-        },
+        Subscriber::new(
+            deployment.broker,
+            "district/#",
+            QoS::AtLeastOnce,
+            Some(SimDuration::from_secs(2)),
+        ),
     );
 
     // Two buildings (their proxies AND their devices, which stay
@@ -145,7 +113,11 @@ fn main() {
             .expect("master")
             .ontology()
             .device_count();
-        let monitor_node = sim.node_ref::<Monitor>(monitor).expect("monitor");
+        let received = sim
+            .node_ref::<Subscriber>(monitor)
+            .expect("monitor")
+            .received
+            .len() as u64;
         let backlog: usize = deployment
             .device_proxies()
             .map(|p| {
@@ -157,7 +129,7 @@ fn main() {
         samples.push(Sample {
             at: t,
             devices,
-            received: monitor_node.received,
+            received,
             backlog,
         });
     }
@@ -195,8 +167,7 @@ fn main() {
             peak.to_string(),
         ]);
     }
-    println!("{table}");
-    println!("# series (csv)\n{}", table.to_csv());
+    table.print_with_series();
 
     // Recovery times.
     let first_after = |from: SimTime, pred: &dyn Fn(&Sample, &Sample) -> bool| {
@@ -220,9 +191,9 @@ fn main() {
     println!(
         "final inventory: {final_devices}/{DEVICES} devices, {} faults injected, monitor saw {} broker restart(s)",
         runner.faults_injected(),
-        sim.node_ref::<Monitor>(monitor)
+        sim.node_ref::<Subscriber>(monitor)
             .expect("monitor")
-            .broker_restarts_seen,
+            .broker_restarts,
     );
 
     // Store-and-forward counters across all Device-proxies.

@@ -9,10 +9,10 @@
 //! with the number of buildings.
 
 use bench_support::deploy_warm;
+use bench_support::report::{fmt_bytes, fmt_f64, Table};
 use dimmer_core::QuantityKind;
 use district::client::{ClientConfig, ClientNode};
 use district::profile::{ProfileClientNode, ProfileConfig};
-use district::report::{fmt_bytes, fmt_f64, Table};
 use district::scenario::{AggregationSpec, ScenarioConfig};
 use district::DEFAULT_EPOCH_MILLIS;
 use simnet::SimDuration;
@@ -113,6 +113,5 @@ fn main() {
             fmt_bytes(base_master_tx),
         ]);
     }
-    println!("{table}");
-    println!("# series (csv)\n{}", table.to_csv());
+    table.print_with_series();
 }

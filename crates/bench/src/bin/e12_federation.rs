@@ -17,11 +17,10 @@
 
 use std::collections::HashSet;
 
+use bench_support::report::{fmt_f64, Table};
 use bench_support::stats::Summary;
-use district::report::{fmt_f64, Table};
 use pubsub::{
-    BrokerNode, FederationConfig, PubSubClient, PubSubEvent, QoS, ShardMap, Topic, TopicFilter,
-    PUBSUB_PORT,
+    federation, BrokerNode, PubSubClient, PubSubEvent, QoS, Topic, TopicFilter, PUBSUB_PORT,
 };
 use simnet::batch::BatchPolicy;
 use simnet::chaos::{ChaosRunner, Fault, FaultPlan};
@@ -35,41 +34,6 @@ const PUBLISH_INTERVAL: SimDuration = SimDuration::from_millis(25);
 const BROKER_NIC_BPS: u64 = 500_000;
 const WARMUP: SimDuration = SimDuration::from_secs(5);
 const MEASURE: SimDuration = SimDuration::from_secs(60);
-
-/// Federates `shards` labeled brokers over `districts` round-robin
-/// district assignments (district i → shard i % shards), mirroring
-/// `district::deploy`.
-fn build_brokers(
-    sim: &mut Simulator,
-    shards: usize,
-    districts: usize,
-    nic_bps: Option<u64>,
-) -> Vec<NodeId> {
-    let ids: Vec<NodeId> = (0..shards)
-        .map(|i| {
-            sim.add_node(
-                format!("broker-{i}"),
-                BrokerNode::with_label(format!("b{i}")),
-            )
-        })
-        .collect();
-    let mut shard = ShardMap::new(shards);
-    for d in 0..districts {
-        shard.assign(format!("d{d}"), d % shards);
-    }
-    for (i, &id) in ids.iter().enumerate() {
-        sim.node_mut::<BrokerNode>(id)
-            .expect("just added")
-            .federate(FederationConfig {
-                index: i,
-                brokers: ids.clone(),
-                shard: shard.clone(),
-                batch: BatchPolicy::default(),
-            });
-        sim.set_node_bandwidth(id, nic_bps);
-    }
-    ids
-}
 
 /// A constant-rate publisher stamping each payload with its send time.
 struct LoadPub {
@@ -178,7 +142,15 @@ struct RunResult {
 /// NIC-capped brokers.
 fn run_throughput(shards: usize) -> RunResult {
     let mut sim = Simulator::new(SimConfig::default());
-    let brokers = build_brokers(&mut sim, shards, DISTRICTS, Some(BROKER_NIC_BPS));
+    let brokers = federation::add_brokers(
+        &mut sim,
+        shards,
+        (0..DISTRICTS).map(|d| format!("d{d}")),
+        BatchPolicy::default(),
+    );
+    for &id in &brokers {
+        sim.set_node_bandwidth(id, Some(BROKER_NIC_BPS));
+    }
 
     let t0 = SimTime::ZERO + WARMUP;
     let t1 = t0 + MEASURE;
@@ -242,7 +214,7 @@ fn run_throughput(shards: usize) -> RunResult {
 fn run_bridge_faults() {
     const PUBLISHES: u64 = 200;
     let mut sim = Simulator::new(SimConfig::default());
-    let brokers = build_brokers(&mut sim, 2, 2, None);
+    let brokers = federation::add_brokers(&mut sim, 2, ["d0", "d1"], BatchPolicy::default());
 
     // District d1 lives on shard 1; the monitor listens on shard 0, so
     // every publish crosses the bridge.
@@ -337,7 +309,6 @@ fn main() {
             fmt_f64(r.delivered_per_sec / base, 2),
         ]);
     }
-    println!("{table}");
-    println!("# series (csv)\n{}", table.to_csv());
+    table.print_with_series();
     run_bridge_faults();
 }

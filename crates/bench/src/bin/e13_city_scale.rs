@@ -52,15 +52,12 @@
 //! `DIMMER_E13_SMOKE=1` shrinks the run (500 buildings, short window)
 //! so `scripts/ci.sh` can exercise the binary in debug builds.
 
+use bench_support::report::{fmt_f64, install_default_slos, slo_report, Table};
 use bench_support::stats::Summary;
 use dimmer_core::DistrictId;
-use district::report::{fmt_f64, install_default_slos, slo_report, Table};
 use master::MasterNode;
 use proxy::webservice::{WsClient, WsClientEvent, WsRequest};
-use pubsub::{
-    BrokerNode, FederationConfig, PubSubClient, PubSubEvent, QoS, ShardMap, Topic, TopicFilter,
-    PUBSUB_PORT,
-};
+use pubsub::{federation, PubSubClient, PubSubEvent, QoS, Topic, TopicFilter, PUBSUB_PORT};
 use simnet::batch::BatchPolicy;
 use simnet::telemetry::{
     publish_to_deliver, HistogramHandle, SloReport, Telemetry, NO_TRACE, PUBLISH_TO_DELIVER_NS,
@@ -86,37 +83,6 @@ const BUILDINGS_PER_DISTRICT: usize = 100;
 const PUBLISH_INTERVAL: SimDuration = SimDuration::from_secs(2);
 const WARMUP: SimDuration = SimDuration::from_secs(5);
 const MEASURE: SimDuration = SimDuration::from_secs(60);
-
-/// Federates `shards` brokers over round-robin district assignments
-/// (district i → shard i % shards), mirroring `district::deploy`.
-/// Broker i lives on simulation shard i, so bridge batches are the
-/// cross-shard traffic.
-fn build_brokers(sim: &mut Simulator, shards: usize, districts: usize) -> Vec<NodeId> {
-    let ids: Vec<NodeId> = (0..shards)
-        .map(|i| {
-            sim.add_node_on(
-                i,
-                format!("broker-{i}"),
-                BrokerNode::with_label(format!("b{i}")),
-            )
-        })
-        .collect();
-    let mut shard = ShardMap::new(shards);
-    for d in 0..districts {
-        shard.assign(format!("d{d}"), d % shards);
-    }
-    for (i, &id) in ids.iter().enumerate() {
-        sim.node_mut::<BrokerNode>(id)
-            .expect("just added")
-            .federate(FederationConfig {
-                index: i,
-                brokers: ids.clone(),
-                shard: shard.clone(),
-                batch: BatchPolicy::default(),
-            });
-    }
-    ids
-}
 
 /// A constant-rate building publisher stamping each payload with its
 /// send time (64-byte padded, the measurement-frame size from E2).
@@ -324,7 +290,14 @@ fn run_scale(
             sim.shard_telemetry(s).off();
         }
     }
-    let brokers = build_brokers(&mut sim, shards, districts);
+    // Broker i lives on simulation shard i, so bridge batches are the
+    // cross-shard traffic.
+    let brokers = federation::add_brokers(
+        &mut sim,
+        shards,
+        (0..districts).map(|d| format!("d{d}")),
+        BatchPolicy::default(),
+    );
 
     // Ops plane: a master scraping every broker shard (cross-shard RPC
     // under the barrier), plus a probe pulling the merged fleet
@@ -557,8 +530,7 @@ fn main() {
         ops_sections.push((buildings, r.fleet_lines.clone(), r.slos.clone()));
         last_run = Some((buildings, shards, r));
     }
-    println!("{table}");
-    println!("# series (csv)\n{}", table.to_csv());
+    table.print_with_series();
     for line in &digest_lines {
         println!("{line}");
     }

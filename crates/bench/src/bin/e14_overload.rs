@@ -27,17 +27,17 @@
 //! the age of every new sample it accepts, is asserted over the
 //! measurement traffic before the fault.
 
-use bench_support::stats::Summary;
-use district::deploy::Deployment;
-use district::report::{
+use bench_support::report::{
     dump_trace_if_requested, fmt_f64, install_default_slos, metrics_report, slo_report, Table,
 };
+use bench_support::stats::Summary;
+use bench_support::{deploy, Subscriber};
 use district::scenario::{AggregationSpec, OverloadSpec, ScenarioConfig};
 use master::MasterNode;
 use proxy::webservice::{WsClient, WsClientEvent, WsRequest};
-use pubsub::{PubSubClient, PubSubEvent, QoS, TopicFilter, PUBSUB_PORT};
+use pubsub::QoS;
 use simnet::chaos::{ChaosRunner, Fault, FaultPlan};
-use simnet::{Context, Node, NodeId, Packet, SimConfig, SimDuration, SimTime, Simulator, TimerTag};
+use simnet::{Context, Node, NodeId, Packet, SimDuration, SimTime, TimerTag};
 
 /// Admission drain rate each gate is sized to (master and aggregator).
 const CAPACITY_QPS: f64 = 40.0;
@@ -58,11 +58,10 @@ const WATCH_INTERVAL: SimDuration = SimDuration::from_secs(2);
 /// Fleet-scrape cadence in the gray phase.
 const SCRAPE_INTERVAL: SimDuration = SimDuration::from_secs(5);
 
-fn scenario() -> district::scenario::Scenario {
+fn scenario() -> ScenarioConfig {
     ScenarioConfig::small()
         .with_aggregation(AggregationSpec::tumbling(10_000))
         .with_overload(OverloadSpec::rate_limited(CAPACITY_QPS))
-        .build()
 }
 
 /// An open-loop query client: fires GETs on a fixed cadence regardless
@@ -216,35 +215,6 @@ impl Node for StaleWatch {
     }
 }
 
-/// Monitoring subscriber: counts raw measurements, to show the flow
-/// kept going under the gray failure.
-struct Monitor {
-    client: PubSubClient,
-    received: u64,
-}
-
-impl Node for Monitor {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        // Raw measurements only, not the aggregator's rollups.
-        self.client.subscribe(
-            ctx,
-            TopicFilter::new("district/+/entity/#").expect("valid filter"),
-            QoS::AtMostOnce,
-        );
-    }
-    fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
-        if pkt.port != PUBSUB_PORT {
-            return;
-        }
-        if let Some(PubSubEvent::Message { .. }) = self.client.accept(ctx, &pkt) {
-            self.received += 1;
-        }
-    }
-    fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
-        self.client.on_timer(ctx, tag);
-    }
-}
-
 struct SweepPoint {
     mult: f64,
     offered: u64,
@@ -263,9 +233,7 @@ fn run_sweep_point(
     measure: SimDuration,
     drain: SimDuration,
 ) -> SweepPoint {
-    let scenario = scenario();
-    let mut sim = Simulator::new(SimConfig::default());
-    let deployment = Deployment::build(&mut sim, &scenario);
+    let (mut sim, deployment, scenario) = deploy(scenario());
     let district = scenario.districts[0].district.clone();
     let aggregator = deployment.districts[0]
         .aggregator
@@ -349,11 +317,9 @@ struct GrayResult {
 }
 
 fn run_gray_failure() -> GrayResult {
-    let scenario = scenario();
-    let mut sim = Simulator::new(SimConfig::default());
+    let (mut sim, deployment, scenario) = deploy(scenario());
     install_default_slos(sim.telemetry());
     sim.telemetry().tracer.set_capacity(1 << 18);
-    let deployment = Deployment::build(&mut sim, &scenario);
     let district = scenario.districts[0].district.clone();
     let aggregator = deployment.districts[0]
         .aggregator
@@ -364,12 +330,16 @@ fn run_gray_failure() -> GrayResult {
         .expect("master")
         .enable_fleet_scrape(SCRAPE_INTERVAL);
 
+    // Raw measurements only, not the aggregator's rollups: the flow
+    // must keep going under the gray failure.
     let monitor = sim.add_node(
         "monitor",
-        Monitor {
-            client: PubSubClient::new(deployment.broker, 100),
-            received: 0,
-        },
+        Subscriber::new(
+            deployment.broker,
+            "district/+/entity/#",
+            QoS::AtMostOnce,
+            None,
+        ),
     );
     let watch = sim.add_node(
         "stale-watch",
@@ -430,7 +400,11 @@ fn run_gray_failure() -> GrayResult {
         recovered_fresh: w.last_stale == Some(false),
         breaker_opens: counter("breaker.open"),
         stale_rollups_served: counter("master.stale_rollups"),
-        monitor_received: sim.node_ref::<Monitor>(monitor).expect("monitor").received,
+        monitor_received: sim
+            .node_ref::<Subscriber>(monitor)
+            .expect("monitor")
+            .received
+            .len() as u64,
         pre_slos,
         slos,
         metrics_text: metrics_report("E14 gray failure", &snapshot)
@@ -477,8 +451,7 @@ fn main() {
         ]);
         points.push(p);
     }
-    println!("{table}");
-    println!("# series (csv)\n{}", table.to_csv());
+    table.print_with_series();
 
     for p in &points {
         assert!(

@@ -34,13 +34,13 @@
 //! bit-identically after recovery, and the flight recorder must show
 //! measurement ingest on both sides of every crash window.
 
-use district::deploy::Deployment;
-use district::report::{fmt_bytes, fmt_f64, Table};
+use bench_support::deploy;
+use bench_support::report::{fmt_bytes, fmt_f64, Table};
 use district::scenario::ScenarioConfig;
 use models::profiles::EnergyProfile;
 use proxy::device_proxy::DeviceProxyNode;
 use simnet::telemetry::flight::reconstruct;
-use simnet::{NodeId, SimConfig, SimDuration, Simulator};
+use simnet::{NodeId, SimDuration};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::Instant;
@@ -265,10 +265,8 @@ struct SweepResult {
 }
 
 fn run_crash_sweep(rounds: usize) -> SweepResult {
-    let scenario = ScenarioConfig::small().build();
-    let mut sim = Simulator::new(SimConfig::default());
+    let (mut sim, deployment, _) = deploy(ScenarioConfig::small());
     sim.telemetry().tracer.set_capacity(1 << 18);
-    let deployment = Deployment::build(&mut sim, &scenario);
     let proxies: Vec<NodeId> = deployment.device_proxies().collect();
 
     let round_gap = SimDuration::from_secs(180);
@@ -385,8 +383,7 @@ fn main() {
             fmt_f64(r.bytes_compressed as f64 / r.points as f64, 2),
         ]);
     }
-    println!("{table}");
-    println!("# series (csv)\n{}", table.to_csv());
+    table.print_with_series();
     assert!(
         quantized.ratio >= MIN_RATIO,
         "quantized corpus compressed only {:.2}x (< {MIN_RATIO}x floor)",
@@ -420,8 +417,7 @@ fn main() {
             fmt_f64(r.krec_per_s, 0),
         ]);
     }
-    println!("{rec_table}");
-    println!("# series (csv)\n{}", rec_table.to_csv());
+    rec_table.print_with_series();
 
     let sweep = run_crash_sweep(3);
     println!(

@@ -5,9 +5,9 @@
 //! reports, per district size, the query latency percentiles and how
 //! many bytes the master versus the proxies contributed to the answer.
 
+use bench_support::report::{fmt_bytes, fmt_f64, Table};
 use bench_support::stats::Summary;
 use bench_support::{deploy_warm, run_queries};
-use district::report::{fmt_bytes, fmt_f64, Table};
 use district::scenario::ScenarioConfig;
 use simnet::SimDuration;
 
@@ -54,6 +54,5 @@ fn main() {
             fmt_f64(requests as f64 / snapshots.len().max(1) as f64, 1),
         ]);
     }
-    println!("{table}");
-    println!("# series (csv)\n{}", table.to_csv());
+    table.print_with_series();
 }

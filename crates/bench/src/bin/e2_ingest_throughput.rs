@@ -5,13 +5,12 @@
 //! Reports samples ingested per simulated second and broker load for
 //! growing device populations, at both QoS levels.
 
-use bench_support::deploy_warm;
-use district::deploy::Deployment;
-use district::report::{fmt_f64, Table};
+use bench_support::report::{fmt_f64, Table};
+use bench_support::{deploy, deploy_warm};
 use district::scenario::ScenarioConfig;
 use proxy::device_proxy::DeviceProxyNode;
 use pubsub::{BrokerNode, QoS};
-use simnet::{LinkModel, SimConfig, SimDuration, Simulator};
+use simnet::{LinkModel, SimDuration};
 
 /// QoS ablation under loss: the same publication load over a degraded
 /// proxy↔broker path, at both delivery guarantees.
@@ -22,9 +21,7 @@ fn qos_under_loss(table: &mut Table, horizon: SimDuration) {
             .with_devices_per_building(5);
         config.sample_interval = SimDuration::from_secs(10);
         config.publish_qos = qos;
-        let scenario = config.build();
-        let mut sim = Simulator::new(SimConfig::default());
-        let deployment = Deployment::build(&mut sim, &scenario);
+        let (mut sim, deployment, scenario) = deploy(config);
         let lossy = LinkModel::builder()
             .latency(SimDuration::from_millis(5))
             .bandwidth_bps(10_000_000)
@@ -107,8 +104,7 @@ fn main() {
         }
     }
     qos_under_loss(&mut table, horizon);
-    println!("{table}");
-    println!("# series (csv)\n{}", table.to_csv());
+    table.print_with_series();
     println!(
         "note: the '10% loss' rows ablate the QoS choice — QoS 1's \
          publisher retries recover publications QoS 0 silently drops."

@@ -5,11 +5,11 @@
 //! Measures wall-clock decode+translate cost for each protocol family
 //! and the resulting common-format JSON size.
 
+use bench_support::report::{fmt_f64, Table};
 use bench_support::time_it;
 use dimmer_core::codec::{self, DataFormat};
 use dimmer_core::QuantityKind::{self, Co2, Temperature, ThermalEnergy};
 use dimmer_core::{DeviceId, Measurement, Timestamp};
-use district::report::{fmt_f64, Table};
 use protocols::enocean::Eep;
 use protocols::ieee802154::PanId;
 use protocols::ProtocolKind::{Coap, EnOcean, Ieee802154, OpcUa, Zigbee};
@@ -110,6 +110,5 @@ fn main() {
         measure(name, install, value, &mut table);
     }
 
-    println!("{table}");
-    println!("# series (csv)\n{}", table.to_csv());
+    table.print_with_series();
 }

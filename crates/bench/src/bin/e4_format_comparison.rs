@@ -6,10 +6,10 @@
 //! infrastructure actually moves: single measurements, measurement
 //! batches, BIM models and area resolutions.
 
+use bench_support::report::{fmt_f64, Table};
 use bench_support::time_it;
 use dimmer_core::codec::{self, DataFormat};
 use dimmer_core::{DeviceId, Measurement, MeasurementBatch, QuantityKind, Timestamp, Value};
-use district::report::{fmt_f64, Table};
 use models::bim::BuildingModel;
 
 const ITERATIONS: u32 = 5_000;
@@ -107,8 +107,7 @@ fn main() {
     );
     tree_rows(&mut table, "bim_model", &bim.to_value());
 
-    println!("{table}");
-    println!("# series (csv)\n{}", table.to_csv());
+    table.print_with_series();
 
     // Size ratio summary (the paper-level takeaway).
     let json = codec::encode_batch(&batch(100), DataFormat::Json).len() as f64;

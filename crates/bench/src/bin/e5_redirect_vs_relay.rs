@@ -5,11 +5,11 @@
 //! serves the same queries both ways and reports what relaying does to
 //! the aggregation point's traffic and the end-to-end latency.
 
+use bench_support::report::{fmt_bytes, fmt_f64, Table};
 use bench_support::stats::Summary;
 use bench_support::{deploy_warm, AreaProbe};
 use district::client::ClientNode;
 use district::relay::RelayNode;
-use district::report::{fmt_bytes, fmt_f64, Table};
 use district::scenario::ScenarioConfig;
 use proxy::webservice::WsRequest;
 use simnet::SimDuration;
@@ -91,8 +91,7 @@ fn main() {
             fmt_bytes(client_rx),
         ]);
     }
-    println!("{table}");
-    println!("# series (csv)\n{}", table.to_csv());
+    table.print_with_series();
     println!(
         "note: 'hot node' is the master (redirect) or the relay (relay); \
          the relay both receives and re-sends the full data volume."

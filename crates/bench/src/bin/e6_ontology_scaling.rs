@@ -5,9 +5,9 @@
 //! viable. Measures area resolution and quantity lookups over ontologies
 //! from 10² to 10⁵ devices.
 
+use bench_support::report::{fmt_f64, Table};
 use bench_support::time_it;
 use dimmer_core::{BuildingId, DeviceId, DistrictId, QuantityKind, Uri};
-use district::report::{fmt_f64, Table};
 use gis::geo::{BoundingBox, GeoPoint};
 use ontology::{DeviceLeaf, EntityNode, Ontology};
 
@@ -97,6 +97,5 @@ fn main() {
             (snapshot.len() / 1024).to_string(),
         ]);
     }
-    println!("{table}");
-    println!("# series (csv)\n{}", table.to_csv());
+    table.print_with_series();
 }

@@ -4,8 +4,8 @@
 //! load. Measures ingest rate, range/downsample query cost and the
 //! retention sweep over realistic store sizes.
 
+use bench_support::report::{fmt_f64, Table};
 use bench_support::time_it;
-use district::report::{fmt_f64, Table};
 use storage::tskv::{Aggregate, TimeSeriesStore};
 
 fn filled(series: usize, points_per_series: usize) -> TimeSeriesStore {
@@ -75,7 +75,6 @@ fn main() {
             fmt_f64(retention_total * 1000.0 / 10.0, 2),
         ]);
     }
-    println!("{table}");
-    println!("# series (csv)\n{}", table.to_csv());
+    table.print_with_series();
     println!("note: retention_ms includes cloning the store (worst case upper bound).");
 }

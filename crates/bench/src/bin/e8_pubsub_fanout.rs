@@ -16,44 +16,15 @@
 //! subscription trie against a linear scan of the same filters, in
 //! wall-clock ns per match.
 
+use bench_support::report::{dump_trace_if_requested, fmt_f64, metrics_report, Table};
 use bench_support::stats::Summary;
-use bench_support::time_it;
-use district::deploy::Deployment;
-use district::report::{dump_trace_if_requested, fmt_f64, metrics_report, Table};
+use bench_support::{deploy, time_it, Subscriber};
 use district::scenario::ScenarioConfig;
-use pubsub::{
-    BrokerNode, PubSubClient, PubSubEvent, QoS, SubscriptionTrie, Topic, TopicFilter, PUBSUB_PORT,
-};
+use pubsub::{BrokerNode, PubSubClient, QoS, SubscriptionTrie, Topic, TopicFilter};
 use simnet::telemetry::flight::reconstruct;
 use simnet::telemetry::{MetricsSnapshot, NO_SPAN};
 use simnet::{Context, Node, NodeId, Packet, SimConfig, SimDuration, SimTime, Simulator, TimerTag};
 use std::hint::black_box;
-
-struct Sub {
-    client: PubSubClient,
-    filter: &'static str,
-    received: Vec<SimTime>,
-}
-
-impl Node for Sub {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        self.client.subscribe(
-            ctx,
-            TopicFilter::new(self.filter).expect("valid filter"),
-            QoS::AtMostOnce,
-        );
-    }
-    fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
-        if pkt.port == PUBSUB_PORT {
-            if let Some(PubSubEvent::Message { .. }) = self.client.accept(ctx, &pkt) {
-                self.received.push(ctx.now());
-            }
-        }
-    }
-    fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
-        self.client.on_timer(ctx, tag);
-    }
-}
 
 struct Pub {
     client: PubSubClient,
@@ -100,11 +71,7 @@ fn run(subscribers: usize, wildcard_fraction: usize) -> (f64, f64, u64, MetricsS
             };
             sim.add_node(
                 format!("sub{i}"),
-                Sub {
-                    client: PubSubClient::new(broker, 100),
-                    filter,
-                    received: vec![],
-                },
+                Subscriber::new(broker, filter, QoS::AtMostOnce, None),
             )
         })
         .collect();
@@ -125,7 +92,7 @@ fn run(subscribers: usize, wildcard_fraction: usize) -> (f64, f64, u64, MetricsS
     let mut latency = Summary::new("deliver");
     let mut delivered = 0usize;
     for &s in &subs {
-        for &t in &sim.node_ref::<Sub>(s).expect("sub").received {
+        for &t in &sim.node_ref::<Subscriber>(s).expect("sub").received {
             latency.record_duration(t.saturating_since(t0));
             delivered += 1;
         }
@@ -142,20 +109,18 @@ fn run(subscribers: usize, wildcard_fraction: usize) -> (f64, f64, u64, MetricsS
 /// Deploys a small district and follows one measurement end to end:
 /// device → device-proxy → broker → subscriber, by trace id.
 fn flight_recorder_demo() {
-    let mut sim = Simulator::new(SimConfig::default());
-    let scenario = ScenarioConfig::small().build();
-    let deployment = Deployment::build(&mut sim, &scenario);
+    let (mut sim, deployment, _) = deploy(ScenarioConfig::small());
     let sub = sim.add_node(
         "monitor",
-        Sub {
-            client: PubSubClient::new(deployment.broker, 100),
-            filter: "district/#",
-            received: vec![],
-        },
+        Subscriber::new(deployment.broker, "district/#", QoS::AtMostOnce, None),
     );
     sim.run_for(SimDuration::from_secs(180));
 
-    let received = sim.node_ref::<Sub>(sub).expect("monitor").received.len();
+    let received = sim
+        .node_ref::<Subscriber>(sub)
+        .expect("monitor")
+        .received
+        .len();
     println!("## E8 flight recorder: small district, 180 s, monitor received {received} messages");
     let telemetry = sim.telemetry();
     print!(
@@ -261,8 +226,7 @@ fn main() {
             last_snapshot = Some(snapshot);
         }
     }
-    println!("{table}");
-    println!("# series (csv)\n{}", table.to_csv());
+    table.print_with_series();
     if let Some(snapshot) = last_snapshot {
         print!(
             "{}",

@@ -6,10 +6,10 @@
 //! and compares the traffic concentration at the hottest node and the
 //! full-area query cost.
 
+use bench_support::report::{fmt_bytes, fmt_f64, Table};
 use bench_support::{deploy_warm, AreaProbe};
 use district::baseline::{CentralDeployment, CentralServerNode};
 use district::client::ClientNode;
-use district::report::{fmt_bytes, fmt_f64, Table};
 use district::scenario::ScenarioConfig;
 use proxy::device_proxy::DeviceProxyNode;
 use proxy::webservice::WsRequest;
@@ -101,8 +101,7 @@ fn main() {
         format!("{} (one per device)", deployment.devices.len()),
     ]);
     println!("central server stats: {:?}", server.stats());
-    println!("{table}");
-    println!("# series (csv)\n{}", table.to_csv());
+    table.print_with_series();
     println!(
         "note: 'ingest_rx_hottest' is the busiest single node's ingest \
          traffic — the centralization hot-spot the paper avoids."

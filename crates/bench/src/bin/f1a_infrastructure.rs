@@ -4,8 +4,8 @@
 //! full trace of one area query through it (what the figure implies).
 
 use bench_support::deploy_warm;
+use bench_support::report::Table;
 use district::client::ClientNode;
-use district::report::Table;
 use district::scenario::ScenarioConfig;
 use master::MasterNode;
 use proxy::device_proxy::DeviceProxyNode;

@@ -1,27 +1,37 @@
 //! Shared helpers for the experiment binaries.
 //!
-//! Every experiment binary (`e1_…` … `e9_…`, `f1a_…`, `f1b_…`) prints the
-//! table or series recorded in `EXPERIMENTS.md`. This support library
-//! centralizes the common moves: deploying a scenario, spawning probe
-//! clients, and collecting per-query statistics.
+//! Every experiment binary (`e1_…` … `e15_…`, `f1a_…`, `f1b_…`) prints
+//! the table or series recorded in `EXPERIMENTS.md`. This support
+//! library centralizes the common moves: deploying a scenario, spawning
+//! probe clients and subscribers, collecting per-query statistics and
+//! printing the tables ([`report`]).
 
+pub mod report;
 pub mod stats;
 
 use district::client::{AreaSnapshot, ClientConfig, ClientNode};
 use district::deploy::Deployment;
 use district::scenario::{Scenario, ScenarioConfig};
 use proxy::webservice::{WsClient, WsRequest};
-use simnet::{Context, Node, NodeId, Packet, SimConfig, SimDuration, Simulator, TimerTag};
+use pubsub::{PubSubClient, PubSubEvent, QoS, TopicFilter, PUBSUB_PORT};
+use simnet::{Context, Node, NodeId, Packet, SimConfig, SimDuration, SimTime, Simulator, TimerTag};
 
-/// Builds and warms a deployment: proxies registered, `warmup` of device
-/// reporting done.
+/// Builds `config`'s scenario and deploys it on a fresh single-shard
+/// simulator, not yet run.
+pub fn deploy(config: ScenarioConfig) -> (Simulator, Deployment, Scenario) {
+    let scenario = config.build();
+    let mut sim = Simulator::new(SimConfig::default());
+    let deployment = Deployment::build(&mut sim, &scenario);
+    (sim, deployment, scenario)
+}
+
+/// [`deploy`], then `warmup` of proxy registration and device
+/// reporting.
 pub fn deploy_warm(
     config: ScenarioConfig,
     warmup: SimDuration,
 ) -> (Simulator, Deployment, Scenario) {
-    let scenario = config.build();
-    let mut sim = Simulator::new(SimConfig::default());
-    let deployment = Deployment::build(&mut sim, &scenario);
+    let (mut sim, deployment, scenario) = deploy(config);
     sim.run_for(warmup);
     (sim, deployment, scenario)
 }
@@ -93,6 +103,60 @@ impl Node for AreaProbe {
     fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
         if let Some((settled, _)) = self.client.accept_encoded(&pkt) {
             self.latency = Some(ctx.now().saturating_since(settled.issued_at));
+        }
+    }
+    fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
+        self.client.on_timer(ctx, tag);
+    }
+}
+
+/// A subscriber to one filter that records when each message arrived
+/// and counts the broker restarts its client noticed.
+pub struct Subscriber {
+    client: PubSubClient,
+    filter: TopicFilter,
+    qos: QoS,
+    keepalive: Option<SimDuration>,
+    /// Arrival instant of every delivered message.
+    pub received: Vec<SimTime>,
+    /// Broker restarts the client noticed.
+    pub broker_restarts: u64,
+}
+
+impl Subscriber {
+    /// A subscriber of `broker` to `filter` at `qos`, pinging the broker
+    /// every `keepalive` when set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `filter` is not a valid topic filter.
+    pub fn new(broker: NodeId, filter: &str, qos: QoS, keepalive: Option<SimDuration>) -> Self {
+        Subscriber {
+            client: PubSubClient::new(broker, 100),
+            filter: TopicFilter::new(filter).expect("valid filter"),
+            qos,
+            keepalive,
+            received: Vec::new(),
+            broker_restarts: 0,
+        }
+    }
+}
+
+impl Node for Subscriber {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        self.client.subscribe(ctx, self.filter.clone(), self.qos);
+        if let Some(interval) = self.keepalive {
+            self.client.start_keepalive(ctx, interval);
+        }
+    }
+    fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
+        if pkt.port != PUBSUB_PORT {
+            return;
+        }
+        match self.client.accept(ctx, &pkt) {
+            Some(PubSubEvent::Message { .. }) => self.received.push(ctx.now()),
+            Some(PubSubEvent::BrokerRestarted { .. }) => self.broker_restarts += 1,
+            _ => {}
         }
     }
     fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {

@@ -1,4 +1,5 @@
-//! Plain-text tables for the experiment binaries.
+//! Plain-text tables, metric and SLO reports and the trace dump the
+//! experiment binaries print.
 
 use std::fmt;
 
@@ -7,7 +8,7 @@ use simnet::telemetry::{MetricsSnapshot, SloReport, SloSpec, Telemetry, PUBLISH_
 /// A column-aligned table that prints like the tables in a paper.
 ///
 /// ```
-/// use district::report::Table;
+/// use bench_support::report::Table;
 /// let mut t = Table::new("E0: demo", ["n", "latency_ms"]);
 /// t.row(["10", "4.2"]);
 /// t.row(["100", "5.9"]);
@@ -54,8 +55,15 @@ impl Table {
         self.rows.is_empty()
     }
 
+    /// Prints the table, then its rows as CSV under `# series (csv)`
+    /// (the figure series), each followed by a blank line.
+    pub fn print_with_series(&self) {
+        println!("{self}");
+        println!("# series (csv)\n{}", self.to_csv());
+    }
+
     /// Emits the table as CSV (for the figure series).
-    pub fn to_csv(&self) -> String {
+    fn to_csv(&self) -> String {
         let mut out = String::new();
         out.push_str(&self.headers.join(","));
         out.push('\n');

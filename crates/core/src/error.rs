@@ -27,14 +27,14 @@ pub enum CoreError {
         /// Byte offset of the failure.
         offset: usize,
         /// Why parsing failed.
-        reason: String,
+        reason: &'static str,
     },
     /// XML text could not be parsed.
     ParseXml {
         /// Byte offset of the failure.
         offset: usize,
         /// Why parsing failed.
-        reason: String,
+        reason: &'static str,
     },
     /// A decoded [`Value`](crate::Value) did not have the shape required
     /// by the target type.

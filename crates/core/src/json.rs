@@ -290,10 +290,10 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
-    fn err(&self, reason: impl Into<String>) -> CoreError {
+    fn err(&self, reason: &'static str) -> CoreError {
         CoreError::ParseJson {
             offset: self.pos,
-            reason: reason.into(),
+            reason,
         }
     }
 
@@ -318,7 +318,7 @@ impl<'a> Reader<'a> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(self.err(format!("expected {:?}", b as char)))
+            Err(self.err("unexpected character"))
         }
     }
 
@@ -372,7 +372,7 @@ impl<'a> Reader<'a> {
                 return Ok(Event::BeginObject);
             }
             Some(b'-' | b'0'..=b'9') => self.parse_number()?,
-            Some(c) => return Err(self.err(format!("unexpected character {:?}", c as char))),
+            Some(_) => return Err(self.err("unexpected character")),
             None => return Err(self.err("unexpected end of input")),
         };
         self.expect = self.after_value();
@@ -384,7 +384,7 @@ impl<'a> Reader<'a> {
             self.pos += word.len();
             Ok(event)
         } else {
-            Err(self.err(format!("invalid keyword (expected {word})")))
+            Err(self.err("invalid keyword"))
         }
     }
 
@@ -457,7 +457,7 @@ impl<'a> Reader<'a> {
                     char::from_u32(hi).ok_or_else(|| self.err("invalid code point"))?
                 }
             }
-            other => return Err(self.err(format!("invalid escape \\{}", other as char))),
+            _ => return Err(self.err("invalid escape")),
         })
     }
 

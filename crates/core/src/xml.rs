@@ -323,10 +323,10 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
-    fn err(&self, reason: impl Into<String>) -> CoreError {
+    fn err(&self, reason: &'static str) -> CoreError {
         CoreError::ParseXml {
             offset: self.pos,
-            reason: reason.into(),
+            reason,
         }
     }
 
@@ -397,9 +397,9 @@ impl<'a> Reader<'a> {
         let tag = self.parse_name()?;
         if tag != expected {
             return Err(self.err(match expected {
-                "value" => format!("root element must be <value>, got <{tag}>"),
-                "item" => "array children must be <item>".to_owned(),
-                _ => "object children must be <member>".to_owned(),
+                "value" => "root element must be <value>",
+                "item" => "array children must be <item>",
+                _ => "object children must be <member>",
             }));
         }
         let mut name_attr = None;
@@ -462,7 +462,7 @@ impl<'a> Reader<'a> {
             Some("string") => Type::String,
             Some("array") => Type::Array,
             Some("object") => Type::Object,
-            Some(other) => return Err(self.err(format!("unknown type {other:?}"))),
+            Some(_) => return Err(self.err("unknown type")),
         };
         if self_closing && ty != Type::Null {
             return Err(self.err("self-closing element must be type=\"null\""));
@@ -479,7 +479,7 @@ impl<'a> Reader<'a> {
         let closing = self.parse_name()?;
         let tag = tag_in(self.open.top());
         if closing != tag {
-            return Err(self.err(format!("mismatched closing tag </{closing}> for <{tag}>")));
+            return Err(self.err("mismatched closing tag"));
         }
         self.skip_ws();
         if self.peek() != Some(b'>') {
@@ -568,7 +568,7 @@ impl<'a> Reader<'a> {
                         .map_err(|_| self.err("invalid character reference"))?;
                     out.push(char::from_u32(code).ok_or_else(|| self.err("invalid code point"))?);
                 }
-                other => return Err(self.err(format!("unknown entity &{other};"))),
+                _ => return Err(self.err("unknown entity")),
             }
             rest = &rest[end + 1..];
         }

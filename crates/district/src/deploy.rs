@@ -15,7 +15,7 @@ use proxy::database_proxy::{
 };
 use proxy::device_proxy::{DeviceProxyConfig, DeviceProxyNode};
 use proxy::registry::{self, Placement};
-use pubsub::{BrokerNode, FederationConfig, ShardMap};
+use pubsub::{federation, BrokerNode};
 use simnet::{NodeId, SimDuration, Simulator};
 use streams::{AggregatorConfig, AggregatorNode, WindowSpec};
 
@@ -89,34 +89,16 @@ impl Deployment {
         // Broker tier: the classic single broker, or one labeled broker
         // per shard bridged into a federation (district i → shard
         // i % shards, mirroring the scenario's round-robin promise).
-        // Broker i lives on simulation shard i % sim_shards.
         let brokers: Vec<NodeId> =
             match scenario.config.federation {
                 None => vec![sim.add_node_on(0, "broker".to_owned(), BrokerNode::new())],
                 Some(spec) => {
-                    let ids: Vec<NodeId> = (0..spec.shards)
-                        .map(|i| {
-                            sim.add_node_on(
-                                i % sim_shards,
-                                format!("broker-{i}"),
-                                BrokerNode::with_label(format!("b{i}")),
-                            )
-                        })
-                        .collect();
-                    let mut shard = ShardMap::new(spec.shards);
-                    for (i, d) in scenario.districts.iter().enumerate() {
-                        shard.assign(d.district.as_str(), i % spec.shards);
-                    }
-                    for (i, &id) in ids.iter().enumerate() {
-                        sim.node_mut::<BrokerNode>(id)
-                            .expect("just added")
-                            .federate(FederationConfig {
-                                index: i,
-                                brokers: ids.clone(),
-                                shard: shard.clone(),
-                                batch: spec.batch_policy(),
-                            });
-                    }
+                    let ids = federation::add_brokers(
+                        sim,
+                        spec.shards,
+                        scenario.districts.iter().map(|d| d.district.as_str()),
+                        spec.batch_policy(),
+                    );
                     sim.node_mut::<MasterNode>(master)
                         .expect("just added")
                         .set_shard_owners(

@@ -15,8 +15,7 @@
 //!   [`profile`] reads pre-computed rollups ([`profile::ProfileSnapshot`]);
 //!   [`live`] resolves once, then subscribes instead of polling;
 //! * [`baseline`] — the centralized comparison architecture (one server
-//!   ingesting every raw frame and serving every query itself);
-//! * [`report`] — plain-text tables for the experiment binaries.
+//!   ingesting every raw frame and serving every query itself).
 //!
 //! ## Quickstart
 //!
@@ -49,7 +48,6 @@ pub mod deploy;
 pub mod live;
 pub mod profile;
 pub mod relay;
-pub mod report;
 pub mod scenario;
 
 /// Unix millis of 2015-03-09T00:00:00Z — the default epoch the

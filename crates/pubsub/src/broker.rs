@@ -242,7 +242,7 @@ pub struct BrokerNode {
     /// Suffix of this broker's labeled twin series, if any.
     label: Option<String>,
     series: OnceCell<BrokerSeries>,
-    federation: Option<FederationState>,
+    pub(crate) federation: Option<FederationState>,
     /// Scratch for [`BrokerNode::fan_out`]: the subscribers matching the
     /// publish in hand. Empty between publishes; kept for its buffer.
     targets: Vec<Subscription>,

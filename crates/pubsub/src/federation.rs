@@ -25,7 +25,7 @@
 //!   restart on either end wipes the routing state learned from the dead
 //!   incarnation and triggers re-advertisement.
 //!
-//! The logic lives on [`BrokerNode`](crate::BrokerNode) (see
+//! The logic lives on [`BrokerNode`] (see
 //! `broker.rs`); this module holds the shard map, the federation
 //! configuration and the bridge bookkeeping.
 
@@ -33,11 +33,11 @@ use std::collections::{HashMap, HashSet};
 
 use simnet::batch::{BatchPolicy, Batcher};
 use simnet::rpc::Retransmit;
-use simnet::{NodeId, SimTime};
+use simnet::{NodeId, SimTime, Simulator};
 
 use crate::topic::SubscriptionTrie;
 use crate::wire::{BridgeFrame, QoS};
-use crate::{Topic, TopicFilter};
+use crate::{BrokerNode, Topic, TopicFilter};
 
 /// Timer-tag namespace bit for per-peer batch flush timers (the low bits
 /// carry the peer's shard index). Delivery-retry timers use the plain
@@ -138,6 +138,48 @@ pub struct FederationConfig {
     pub shard: ShardMap,
     /// Flush policy for the per-peer bridge batchers.
     pub batch: BatchPolicy,
+}
+
+/// Adds a federation of `shards` brokers to `sim` and returns their ids
+/// in shard index order. Broker `i` is named `broker-{i}`, labelled
+/// `b{i}` and placed on simulation shard `i % sim.shard_count()`; the
+/// `j`-th of `districts` is owned by broker `j % shards`; every broker
+/// bridges to every other under `batch`.
+///
+/// # Panics
+///
+/// Panics if `shards` is zero.
+pub fn add_brokers<D: Into<String>>(
+    sim: &mut Simulator,
+    shards: usize,
+    districts: impl IntoIterator<Item = D>,
+    batch: BatchPolicy,
+) -> Vec<NodeId> {
+    let sim_shards = sim.shard_count();
+    let brokers: Vec<NodeId> = (0..shards)
+        .map(|i| {
+            sim.add_node_on(
+                i % sim_shards,
+                format!("broker-{i}"),
+                BrokerNode::with_label(format!("b{i}")),
+            )
+        })
+        .collect();
+    let mut shard = ShardMap::new(shards);
+    for (j, district) in districts.into_iter().enumerate() {
+        shard.assign(district, j % shards);
+    }
+    for (index, &id) in brokers.iter().enumerate() {
+        sim.node_mut::<BrokerNode>(id)
+            .expect("just added")
+            .federate(FederationConfig {
+                index,
+                brokers: brokers.clone(),
+                shard: shard.clone(),
+                batch,
+            });
+    }
+    brokers
 }
 
 /// A peer broker's advertised interest in a filter.
@@ -312,6 +354,29 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn assignment_out_of_range_panics() {
         ShardMap::new(2).assign("d", 5);
+    }
+
+    #[test]
+    fn add_brokers_places_round_robin() {
+        let mut sim = Simulator::new(simnet::ParallelConfig {
+            shards: 2,
+            threads: 1,
+            ..simnet::ParallelConfig::default()
+        });
+        let districts: Vec<String> = (0..8).map(|j| format!("d{j}")).collect();
+        let brokers = add_brokers(&mut sim, 4, &districts, BatchPolicy::default());
+        assert_eq!(brokers.len(), 4);
+        for (i, &id) in brokers.iter().enumerate() {
+            assert_eq!(id.shard(), i % 2, "broker {i}'s sim shard");
+            assert_eq!(sim.node_name(id), format!("broker-{i}"));
+            let broker = sim.node_ref::<BrokerNode>(id).unwrap();
+            let config = &broker.federation.as_ref().expect("federated").config;
+            assert_eq!((config.index, &config.brokers), (i, &brokers));
+            for (j, d) in districts.iter().enumerate() {
+                let t = topic(&format!("district/{d}/entity/e/device/x/power"));
+                assert_eq!(config.shard.owner(&t), j % 4, "owner of {d}");
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! bridge batching, retained mirroring, advertisement withdrawal and
 //! incarnation recovery — all over the simulated network.
 
-use pubsub::federation::{FederationConfig, ShardMap};
+use pubsub::federation;
 use pubsub::{BrokerNode, PubSubClient, PubSubEvent, QoS, Topic, TopicFilter};
 use simnet::batch::BatchPolicy;
 use simnet::{
@@ -40,43 +40,13 @@ fn small_batches() -> BatchPolicy {
     }
 }
 
-/// Adds `shards` federated brokers with round-robin district ownership,
-/// on ideal links to each other.
-fn build_federation(
-    sim: &mut Simulator,
-    shards: usize,
-    districts: &[&str],
-    batch: BatchPolicy,
-) -> Vec<NodeId> {
-    let brokers: Vec<NodeId> = (0..shards)
-        .map(|i| {
-            sim.add_node(
-                format!("broker{i}"),
-                BrokerNode::with_label(format!("b{i}")),
-            )
-        })
-        .collect();
+/// Puts federated `brokers` on ideal links to each other.
+fn link_ideally(sim: &mut Simulator, brokers: &[NodeId]) {
     for (i, &a) in brokers.iter().enumerate() {
         for &b in &brokers[i + 1..] {
             sim.set_link(a, b, LinkModel::ideal());
         }
     }
-    let mut shard = ShardMap::new(shards);
-    for (i, d) in districts.iter().enumerate() {
-        shard.assign(*d, i % shards);
-    }
-    for (i, &id) in brokers.iter().enumerate() {
-        let config = FederationConfig {
-            index: i,
-            brokers: brokers.clone(),
-            shard: shard.clone(),
-            batch,
-        };
-        sim.node_mut::<BrokerNode>(id)
-            .expect("broker node")
-            .federate(config);
-    }
-    brokers
 }
 
 /// Every bridge frame a broker ever enqueued is accounted for.
@@ -224,7 +194,8 @@ fn assert_exactly_once(got: &[(String, Vec<u8>)], count: u64, who: &str) {
 #[test]
 fn cross_shard_publishes_delivered_exactly_once() {
     let mut sim = Simulator::new(SimConfig { seed: seed(11) });
-    let brokers = build_federation(&mut sim, 3, &["d0", "d1", "d2"], small_batches());
+    let brokers = federation::add_brokers(&mut sim, 3, ["d0", "d1", "d2"], small_batches());
+    link_ideally(&mut sim, &brokers);
     // d0 is owned by broker 0; subscribers hang off all three brokers.
     let local = add_client(
         &mut sim,
@@ -286,7 +257,8 @@ fn cross_shard_publishes_delivered_exactly_once() {
 #[test]
 fn retained_messages_cross_the_bridge_to_late_subscribers() {
     let mut sim = Simulator::new(SimConfig { seed: seed(12) });
-    let brokers = build_federation(&mut sim, 2, &["d0", "d1"], small_batches());
+    let brokers = federation::add_brokers(&mut sim, 2, ["d0", "d1"], small_batches());
+    link_ideally(&mut sim, &brokers);
     // One retained publish to the owner (broker 0) at t=50ms.
     let mut publisher = Pub::new(
         brokers[0],
@@ -314,7 +286,8 @@ fn retained_messages_cross_the_bridge_to_late_subscribers() {
 #[test]
 fn unsubscribe_withdraws_the_advertisement() {
     let mut sim = Simulator::new(SimConfig { seed: seed(13) });
-    let brokers = build_federation(&mut sim, 2, &["d0", "d1"], small_batches());
+    let brokers = federation::add_brokers(&mut sim, 2, ["d0", "d1"], small_batches());
+    link_ideally(&mut sim, &brokers);
     // Subscriber on broker 1 walks away at t=1s; publisher keeps going
     // until t≈4s.
     let mut sub = Sub::new(brokers[1], "district/d0/#", QoS::AtMostOnce);
@@ -355,7 +328,8 @@ fn unsubscribe_withdraws_the_advertisement() {
 #[test]
 fn owner_restart_recovers_cross_shard_routing() {
     let mut sim = Simulator::new(SimConfig { seed: seed(14) });
-    let brokers = build_federation(&mut sim, 2, &["d0", "d1"], small_batches());
+    let brokers = federation::add_brokers(&mut sim, 2, ["d0", "d1"], small_batches());
+    link_ideally(&mut sim, &brokers);
     // QoS 1 publisher: its client retries unacked publishes, so the
     // owner's 1-second outage must not lose anything.
     let mut publisher = Pub::new(
@@ -400,7 +374,8 @@ fn owner_restart_recovers_cross_shard_routing() {
 #[test]
 fn remote_restart_wipes_and_relearns_advertisements() {
     let mut sim = Simulator::new(SimConfig { seed: seed(15) });
-    let brokers = build_federation(&mut sim, 2, &["d0", "d1"], small_batches());
+    let brokers = federation::add_brokers(&mut sim, 2, ["d0", "d1"], small_batches());
+    link_ideally(&mut sim, &brokers);
     let mut sub = Sub::new(brokers[1], "district/d0/#", QoS::AtLeastOnce);
     // Keepalive lets the subscriber re-subscribe to its restarted broker,
     // which in turn re-advertises across the bridge.
@@ -477,7 +452,8 @@ fn span_tree_reconstructs_cross_shard_flight_with_bridge_hop() {
     use simnet::telemetry::SpanNode;
 
     let mut sim = Simulator::new(SimConfig { seed: seed(21) });
-    let brokers = build_federation(&mut sim, 2, &["d0", "d1"], small_batches());
+    let brokers = federation::add_brokers(&mut sim, 2, ["d0", "d1"], small_batches());
+    link_ideally(&mut sim, &brokers);
     // Subscriber on shard 1 for a topic owned by shard 1; the publisher
     // hangs off shard 0, so delivery must cross the bridge.
     let sub = add_client(
@@ -541,8 +517,8 @@ fn span_tree_reconstructs_cross_shard_flight_with_bridge_hop() {
         "no root-to-leaf path matches {expect:?}; got {paths:?}"
     );
 
-    // The bridge hop really crossed shards: forward on broker0,
-    // deliver on broker1.
+    // The bridge hop really crossed shards: forward on broker-0,
+    // deliver on broker-1.
     let nodes = tree.nodes();
     let fwd = nodes
         .iter()
@@ -552,8 +528,8 @@ fn span_tree_reconstructs_cross_shard_flight_with_bridge_hop() {
         .iter()
         .find(|n| n.hop.kind == "bridge.deliver")
         .expect("bridge.deliver span");
-    assert_eq!(fwd.hop.node_name, "broker0");
-    assert_eq!(del.hop.node_name, "broker1");
+    assert_eq!(fwd.hop.node_name, "broker-0");
+    assert_eq!(del.hop.node_name, "broker-1");
     assert_ne!(fwd.hop.node, del.hop.node);
     assert_bridge_conservation(&sim, &brokers);
 }

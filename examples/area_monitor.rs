@@ -9,11 +9,11 @@
 //!
 //! Run with `cargo run --example area_monitor`.
 
+use bench_support::report::{fmt_f64, Table};
 use dimmer::core::codec::DataFormat;
 use dimmer::core::QuantityKind;
 use dimmer::district::client::{ClientConfig, ClientNode};
 use dimmer::district::deploy::Deployment;
-use dimmer::district::report::{fmt_f64, Table};
 use dimmer::district::scenario::ScenarioConfig;
 use dimmer::simnet::{SimConfig, SimDuration, Simulator};
 use std::collections::BTreeMap;

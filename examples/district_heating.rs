@@ -10,10 +10,10 @@
 //!
 //! Run with `cargo run --example district_heating`.
 
+use bench_support::report::{fmt_f64, Table};
 use dimmer::core::{QuantityKind, Value};
 use dimmer::district::client::ClientNode;
 use dimmer::district::deploy::Deployment;
-use dimmer::district::report::{fmt_f64, Table};
 use dimmer::district::scenario::ScenarioConfig;
 use dimmer::proxy::webservice::{WsClient, WsClientEvent, WsRequest, WsResponse};
 use dimmer::simnet::{Context, Node, Packet, SimConfig, SimDuration, Simulator, TimerTag};

@@ -8,11 +8,11 @@
 //!
 //! Run with `cargo run --example live_monitor`.
 
+use bench_support::report::Table;
 use dimmer::core::codec::DataFormat;
 use dimmer::district::client::{ClientConfig, ClientNode};
 use dimmer::district::deploy::Deployment;
 use dimmer::district::live::LiveMonitorNode;
-use dimmer::district::report::Table;
 use dimmer::district::scenario::ScenarioConfig;
 use dimmer::simnet::{SimConfig, SimDuration, Simulator};
 

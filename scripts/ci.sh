@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Offline CI gate: formatting, lints, docs, the examples (built and run),
 # the full test suite, the e13 smoke, the results diff, the core, storage
-# and streams tests again in release, the benchmark's own gate and the
-# allocation-count ratchet over its --quick runs.
+# and streams tests again in release, e15, e3, e7 and e8 run to
+# completion, the benchmark's own gate and the allocation-count ratchet
+# over its --quick runs.
 # Usage: scripts/ci.sh
 #
 # Knobs:
@@ -189,6 +190,15 @@ cargo test -q --release -p dimmer-core -p dimmer-storage -p dimmer-streams
 
 echo "== e15 storage (compression + recovery + crash sweep; asserts only, prints wall-clock fields)"
 target/release/e15_storage
+
+echo "== e3, e7, e8 run to completion (release; output discarded, it holds wall-clock fields)"
+# They print through the shared harness and nothing else in CI runs
+# them; e4 (about a minute) and e6 (about half a minute) stay out for
+# time.
+for bin in e3_protocol_translation e7_local_store e8_pubsub_fanout; do
+    env -u DIMMER_TRACE "target/release/$bin" > /dev/null
+    echo "ran: $bin ok"
+done
 
 echo "== benchmark/check.sh (the frozen benchmark still builds against the facade and its checks pass)"
 benchmark/check.sh

@@ -7,7 +7,8 @@
 //! into one growing buffer, a client decodes a batch with one allocation
 //! per measurement, a Database-proxy answers `/model` from memoised
 //! bytes, and a client decodes that model with one allocation per
-//! container, string and long key.
+//! container, string and long key. A malformed document fails without
+//! allocating.
 //!
 //! This file is its own test binary, so it can install the counting
 //! `#[global_allocator]` of `tests/support` without touching any other
@@ -17,7 +18,8 @@ use std::collections::BTreeMap;
 
 use dimmer_core::codec::{self, DataFormat};
 use dimmer_core::{
-    BuildingId, DeviceId, DistrictId, MeasurementBatch, ProxyId, QuantityKind, Unit, Uri, Value,
+    BuildingId, CoreError, DeviceId, DistrictId, MeasurementBatch, ProxyId, QuantityKind, Unit,
+    Uri, Value,
 };
 use gis::geo::{BoundingBox, GeoPoint};
 use models::bim::BuildingModel;
@@ -520,4 +522,147 @@ fn a_data_request_decodes_with_one_allocation_for_its_parameters() {
     // values; a request without parameters allocates only its path.
     let costs = &sim.node_ref::<Counted<Quiet>>(server).unwrap().per_packet;
     assert_eq!(costs, &[2, 2, 1]);
+}
+
+/// One malformed document per place a reader can fail before it
+/// meets a JSON escape or an XML entity (whose decoded text it owns) or
+/// nests 64 containers deep (where its kind stack spills to the heap).
+const MALFORMED: [(DataFormat, &str, &str); 37] = [
+    (DataFormat::Json, r#"{"a":1 "b":2}"#, "expected ',' or '}'"),
+    (DataFormat::Json, "[1 2]", "expected ',' or ']'"),
+    (DataFormat::Json, "1 2", "trailing characters after value"),
+    (DataFormat::Json, r#"{"a" 1}"#, "unexpected character"),
+    (DataFormat::Json, "[x]", "unexpected character"),
+    (DataFormat::Json, "[", "unexpected end of input"),
+    (DataFormat::Json, "tru", "invalid keyword"),
+    (
+        DataFormat::Json,
+        "\"a\u{1}b\"",
+        "raw control character in string",
+    ),
+    (DataFormat::Json, r#""abc"#, "unterminated string"),
+    (DataFormat::Json, "-", "invalid number"),
+    (DataFormat::Json, "1.", "digit required after decimal point"),
+    (DataFormat::Json, "1e+", "digit required in exponent"),
+    (DataFormat::Json, "1e999", "number out of range"),
+    (
+        DataFormat::Xml,
+        r#"<value type="int">1</value><x/>"#,
+        "trailing characters after document",
+    ),
+    (
+        DataFormat::Xml,
+        r#"<value type="array">x</value>"#,
+        "unexpected text inside container",
+    ),
+    (
+        DataFormat::Xml,
+        r#"<value type="object"><member type="int">1</member></value>"#,
+        "member missing name attribute",
+    ),
+    (DataFormat::Xml, "<>", "expected a name"),
+    (DataFormat::Xml, "value", "expected '<'"),
+    (
+        DataFormat::Xml,
+        r#"<root type="int">1</root>"#,
+        "root element must be <value>",
+    ),
+    (
+        DataFormat::Xml,
+        r#"<value type="array"><member type="int">1</member></value>"#,
+        "array children must be <item>",
+    ),
+    (
+        DataFormat::Xml,
+        r#"<value type="object"><item type="int">1</item></value>"#,
+        "object children must be <member>",
+    ),
+    (DataFormat::Xml, "<value/x", "expected '>' after '/'"),
+    (DataFormat::Xml, "<value type>", "expected '=' in attribute"),
+    (
+        DataFormat::Xml,
+        "<value type=int>",
+        "attribute value must be quoted",
+    ),
+    (
+        DataFormat::Xml,
+        r#"<value type="int"#,
+        "unterminated attribute value",
+    ),
+    (
+        DataFormat::Xml,
+        r#"<value type="int""#,
+        "unexpected end inside tag",
+    ),
+    (
+        DataFormat::Xml,
+        "<value>1</value>",
+        "missing type attribute",
+    ),
+    (
+        DataFormat::Xml,
+        r#"<value type="date">1</value>"#,
+        "unknown type",
+    ),
+    (
+        DataFormat::Xml,
+        r#"<value type="int"/>"#,
+        r#"self-closing element must be type="null""#,
+    ),
+    (
+        DataFormat::Xml,
+        r#"<value type="int">1<value>"#,
+        "expected closing tag",
+    ),
+    (
+        DataFormat::Xml,
+        r#"<value type="int">1</item>"#,
+        "mismatched closing tag",
+    ),
+    (
+        DataFormat::Xml,
+        r#"<value type="int">1</value"#,
+        "expected '>' to end closing tag",
+    ),
+    (
+        DataFormat::Xml,
+        r#"<value type="null">x</value>"#,
+        "null element must be empty",
+    ),
+    (
+        DataFormat::Xml,
+        r#"<value type="bool">yes</value>"#,
+        "bool must be 'true' or 'false'",
+    ),
+    (
+        DataFormat::Xml,
+        r#"<value type="int">x</value>"#,
+        "invalid int",
+    ),
+    (
+        DataFormat::Xml,
+        r#"<value type="float">x</value>"#,
+        "invalid float",
+    ),
+    (
+        DataFormat::Xml,
+        r#"<value type="float">NaN</value>"#,
+        "invalid float",
+    ),
+];
+
+#[test]
+fn malformed_documents_fail_without_allocating() {
+    for (format, text, want) in MALFORMED {
+        let (verdict, allocations) = allocations_in(|| {
+            let mut r = codec::Reader::new(format, text);
+            r.skip_value().and_then(|()| r.finish())
+        });
+        let reason = match verdict {
+            Err(CoreError::ParseJson { reason, .. } | CoreError::ParseXml { reason, .. }) => reason,
+            other => panic!("{format} {text:?}: {other:?}"),
+        };
+        assert_eq!(reason, want, "{format} {text:?}");
+        assert_eq!(allocations, 0, "{format} {text:?}: {reason}");
+    }
 }
