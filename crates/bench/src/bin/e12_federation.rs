@@ -142,12 +142,7 @@ struct RunResult {
 /// NIC-capped brokers.
 fn run_throughput(shards: usize) -> RunResult {
     let mut sim = Simulator::new(SimConfig::default());
-    let brokers = federation::add_brokers(
-        &mut sim,
-        shards,
-        (0..DISTRICTS).map(|d| format!("d{d}")),
-        BatchPolicy::default(),
-    );
+    let brokers = federation::add_brokers(&mut sim, shards, BatchPolicy::default());
     for &id in &brokers {
         sim.set_node_bandwidth(id, Some(BROKER_NIC_BPS));
     }
@@ -214,7 +209,7 @@ fn run_throughput(shards: usize) -> RunResult {
 fn run_bridge_faults() {
     const PUBLISHES: u64 = 200;
     let mut sim = Simulator::new(SimConfig::default());
-    let brokers = federation::add_brokers(&mut sim, 2, ["d0", "d1"], BatchPolicy::default());
+    let brokers = federation::add_brokers(&mut sim, 2, BatchPolicy::default());
 
     // District d1 lives on shard 1; the monitor listens on shard 0, so
     // every publish crosses the bridge.

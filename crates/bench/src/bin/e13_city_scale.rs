@@ -292,12 +292,7 @@ fn run_scale(
     }
     // Broker i lives on simulation shard i, so bridge batches are the
     // cross-shard traffic.
-    let brokers = federation::add_brokers(
-        &mut sim,
-        shards,
-        (0..districts).map(|d| format!("d{d}")),
-        BatchPolicy::default(),
-    );
+    let brokers = federation::add_brokers(&mut sim, shards, BatchPolicy::default());
 
     // Ops plane: a master scraping every broker shard (cross-shard RPC
     // under the barrier), plus a probe pulling the merged fleet

@@ -87,18 +87,14 @@ impl Deployment {
         }
 
         // Broker tier: the classic single broker, or one labeled broker
-        // per shard bridged into a federation (district i → shard
-        // i % shards, mirroring the scenario's round-robin promise).
+        // per shard bridged into a federation. District i is served by
+        // broker i % shards: the master records that owner, and the
+        // district's nodes connect to it below.
         let brokers: Vec<NodeId> =
             match scenario.config.federation {
                 None => vec![sim.add_node_on(0, "broker".to_owned(), BrokerNode::new())],
                 Some(spec) => {
-                    let ids = federation::add_brokers(
-                        sim,
-                        spec.shards,
-                        scenario.districts.iter().map(|d| d.district.as_str()),
-                        spec.batch_policy(),
-                    );
+                    let ids = federation::add_brokers(sim, spec.shards, spec.batch_policy());
                     sim.node_mut::<MasterNode>(master)
                         .expect("just added")
                         .set_shard_owners(

@@ -205,9 +205,9 @@ impl AggregationSpec {
 }
 
 /// Broker-federation parameters: when set on a scenario, the deployment
-/// runs `shards` brokers instead of one, assigns district `i` to broker
-/// `i % shards` in the shard map, and bridges the brokers with batched
-/// wire frames (see [`pubsub::federation`]).
+/// runs `shards` brokers instead of one, serves district `i` from broker
+/// `i % shards`, and bridges the brokers with batched wire frames (see
+/// [`pubsub::federation`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FederationSpec {
     /// Number of broker shards (1 = the classic single broker, but

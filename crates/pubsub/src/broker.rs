@@ -240,7 +240,7 @@ pub struct BrokerNode {
     /// re-advertisement sends one packet per entry.
     advert_refs: BTreeMap<String, AdvertRefs>,
     /// Suffix of this broker's labeled twin series, if any.
-    label: Option<String>,
+    pub(crate) label: Option<String>,
     series: OnceCell<BrokerSeries>,
     pub(crate) federation: Option<FederationState>,
     /// Scratch for [`BrokerNode::fan_out`]: the subscribers matching the
@@ -287,7 +287,7 @@ impl BrokerNode {
 
     /// Makes this broker one shard of a federation. Call before the
     /// simulation starts (the deployment wires every member with the
-    /// same shard map and broker list).
+    /// same broker list).
     pub fn federate(&mut self, config: FederationConfig) {
         self.federation = Some(FederationState::new(config));
     }
@@ -544,7 +544,7 @@ impl BrokerNode {
         };
         fed.stats.frames_enqueued += 1;
         let cost = frame.topic.as_str().len() + frame.payload.len() + 18;
-        let max_age = fed.config.batch.max_age;
+        let max_age = fed.batch.max_age;
         match fed.batchers[peer].push(frame, cost) {
             PushOutcome::Flush => self.flush_peer(ctx, peer),
             PushOutcome::ArmTimer => {
@@ -566,7 +566,7 @@ impl BrokerNode {
         // re-attempting, so the half-open probe happens naturally.
         if !fed.breakers[peer].allow(ctx.now(), &ctx.telemetry().metrics) {
             if !fed.batchers[peer].is_empty() {
-                let max_age = fed.config.batch.max_age;
+                let max_age = fed.batch.max_age;
                 ctx.set_timer(max_age, TimerTag(FLUSH_TIMER_BIT | peer as u64));
             }
             return;
@@ -586,7 +586,7 @@ impl BrokerNode {
             frames: frames.iter().map(BridgeFrame::view).collect(),
         }
         .frame();
-        let dst = fed.config.brokers[peer];
+        let dst = fed.brokers[peer];
         fed.stats.batches_sent += 1;
         ctx.send(dst, PUBSUB_PORT, frame.clone());
         let sent = (peer, frames.len(), ctx.now());
@@ -606,7 +606,7 @@ impl BrokerNode {
         };
         let frame = PacketRef::BridgeHello { incarnation }.frame();
         for peer in fed.peer_shards() {
-            ctx.send(fed.config.brokers[peer], PUBSUB_PORT, frame.clone());
+            ctx.send(fed.brokers[peer], PUBSUB_PORT, frame.clone());
         }
     }
 
@@ -631,11 +631,9 @@ impl BrokerNode {
         if incarnation > known {
             fed.peer_incarnation[peer] = incarnation;
             fed.seen_batches[peer].clear();
-            let filters: Vec<TopicFilter> = fed.peer_filters[peer].values().cloned().collect();
-            for f in &filters {
-                fed.remote_subs.remove_where(f, |rs| rs.peer == peer);
+            for f in std::mem::take(&mut fed.peer_filters[peer]) {
+                fed.remote_subs.remove_where(&f, |rs| rs.peer == peer);
             }
-            fed.peer_filters[peer].clear();
             ctx.telemetry()
                 .metrics
                 .counter_handle("pubsub.bridge.peer_restart")
@@ -656,7 +654,7 @@ impl BrokerNode {
         let Some(fed) = &self.federation else {
             return;
         };
-        let dst = fed.config.brokers[peer];
+        let dst = fed.brokers[peer];
         for (filter, qos) in adverts {
             let bytes = Packet::BridgeAdvertise {
                 incarnation,
@@ -766,7 +764,7 @@ impl BrokerNode {
         }
         .encode();
         for peer in fed.peer_shards() {
-            ctx.send(fed.config.brokers[peer], PUBSUB_PORT, bytes.clone());
+            ctx.send(fed.brokers[peer], PUBSUB_PORT, bytes.clone());
         }
     }
 
@@ -803,7 +801,7 @@ impl BrokerNode {
                 }
                 .encode();
                 for peer in fed.peer_shards() {
-                    ctx.send(fed.config.brokers[peer], PUBSUB_PORT, bytes.clone());
+                    ctx.send(fed.brokers[peer], PUBSUB_PORT, bytes.clone());
                 }
             }
         } else {
@@ -832,7 +830,7 @@ impl BrokerNode {
             fed.remote_subs.remove_where(&filter, |rs| rs.peer == peer);
             fed.remote_subs
                 .insert(&filter, crate::federation::RemoteSub { peer, qos });
-            fed.peer_filters[peer].insert(filter.as_str().to_owned(), filter.clone());
+            fed.peer_filters[peer].insert(filter.clone());
             // Answer with any retained messages the peer's new filter
             // matches, so its late subscribers see retained state that
             // lives on this side of the bridge.
@@ -878,9 +876,7 @@ impl BrokerNode {
             let Some(fed) = &mut self.federation else {
                 return;
             };
-            fed.stats.batches_received += 1;
-            if !fed.seen_batches[peer].insert(batch_id) {
-                fed.stats.duplicate_batches += 1;
+            if !fed.seen_batches[peer].insert(batch_id, ctx.now()) {
                 self.series(ctx).bridge_duplicate.incr();
                 return;
             }
@@ -959,9 +955,7 @@ impl BrokerNode {
     /// Resolves the shard index of a packet's source, when the source is
     /// a federation peer. Bridge frames from anyone else are ignored.
     fn peer_of(&self, src: simnet::NodeId) -> Option<usize> {
-        let fed = self.federation.as_ref()?;
-        let idx = *fed.peer_index.get(&src)?;
-        (idx != fed.config.index).then_some(idx)
+        self.federation.as_ref()?.peer_of(src)
     }
 }
 
@@ -1032,7 +1026,7 @@ impl Node for BrokerNode {
                         if let Some(fed) = &mut self.federation {
                             let filter = filter.to_filter();
                             fed.remote_subs.remove_where(&filter, |rs| rs.peer == peer);
-                            fed.peer_filters[peer].remove(filter.as_str());
+                            fed.peer_filters[peer].remove(&filter);
                         }
                     }
                 }

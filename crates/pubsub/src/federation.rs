@@ -1,14 +1,11 @@
-//! Broker federation: topic-sharded brokers bridged per-link.
+//! Broker federation: brokers bridged per-link into one middleware.
 //!
 //! The paper's middleware exposes one publish/subscribe entry point per
 //! district; at production scale that single broker saturates (E8). The
-//! federation tier shards the topic space by district — each shard is
-//! owned by exactly one broker — and bridges the brokers pairwise:
+//! federation tier bridges several brokers pairwise. The deployment
+//! decides which broker serves a district; a broker routes on what its
+//! peers advertise:
 //!
-//! * **Shard ownership.** A [`ShardMap`] assigns every district (the
-//!   second segment of `district/<d>/...` topics) to one broker index;
-//!   topics outside the district namespace hash onto a shard. Ownership
-//!   is a partition: every topic has exactly one owner.
 //! * **Routing advertisements.** When a broker gains a local subscriber
 //!   it advertises the filter to its peers
 //!   ([`BridgeAdvertise`](crate::WirePacket::BridgeAdvertise)); peers
@@ -20,24 +17,24 @@
 //!   ([`BridgeBatch`](crate::WirePacket::BridgeBatch)).
 //! * **Reliability.** Every batch is acknowledged; unacked batches are
 //!   retried with the batch id held stable, and receivers deduplicate on
-//!   batch id, so QoS 1 conservation holds across a lossy or flapping
-//!   bridge link. Incarnation numbers ride on every bridge frame; a
-//!   restart on either end wipes the routing state learned from the dead
-//!   incarnation and triggers re-advertisement.
+//!   batch id over the retry horizon (`SEEN_SPAN`), so QoS 1
+//!   conservation holds across a lossy or flapping bridge link.
+//!   Incarnation numbers ride on every bridge frame; a restart on either
+//!   end wipes the routing state learned from the dead incarnation and
+//!   triggers re-advertisement.
 //!
-//! The logic lives on [`BrokerNode`] (see
-//! `broker.rs`); this module holds the shard map, the federation
-//! configuration and the bridge bookkeeping.
+//! The logic lives on [`BrokerNode`] (see `broker.rs`); this module
+//! holds the federation configuration and the bridge bookkeeping.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::BTreeSet;
 
 use simnet::batch::{BatchPolicy, Batcher};
 use simnet::rpc::Retransmit;
-use simnet::{NodeId, SimTime, Simulator};
+use simnet::{NodeId, SimDuration, SimTime, Simulator};
 
 use crate::topic::SubscriptionTrie;
 use crate::wire::{BridgeFrame, QoS};
-use crate::{BrokerNode, Topic, TopicFilter};
+use crate::{BrokerNode, TopicFilter};
 
 /// Timer-tag namespace bit for per-peer batch flush timers (the low bits
 /// carry the peer's shard index). Delivery-retry timers use the plain
@@ -50,32 +47,34 @@ pub(crate) const BATCH_RETRY_BIT: u64 = 1 << 63;
 /// How long a broker waits for a [`BridgeBatchAck`] before resending a
 /// batch. Combined with [`BATCH_MAX_RETRIES`] the bridge rides out link
 /// outages of tens of seconds without losing QoS 1 frames.
-const BATCH_RETRY_TIMEOUT: simnet::SimDuration = simnet::SimDuration::from_secs(2);
+const BATCH_RETRY_TIMEOUT: SimDuration = SimDuration::from_secs(2);
 /// Retransmissions before a batch's frames are counted dropped.
 const BATCH_MAX_RETRIES: u32 = 8;
 
-/// Assigns every topic to exactly one broker shard.
+/// The age of a receiver's batch-id generation at which it rotates, so
+/// each applied id is remembered for one to two spans.
 ///
-/// District topics (`district/<d>/...`) are owned by the broker the
-/// district was assigned to — or, for districts never assigned, by a
-/// deterministic hash of the district name. Topics outside the district
-/// namespace hash on their full text. Either way the owner is a pure
-/// function of the topic, so ownership partitions the topic space.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A sender resends a batch for at most `BATCH_MAX_RETRIES` ×
+/// `BATCH_RETRY_TIMEOUT` (16 s) after its first send and writes it off
+/// at 18 s. The span is twice that, 36 s: a resend is recognised if it
+/// arrives at most 20 s later than the link's minimum delay would bring
+/// it. A bridge slower than that can apply a batch twice.
+pub(crate) const SEEN_SPAN: SimDuration =
+    SimDuration::from_nanos(2 * (BATCH_MAX_RETRIES as u64 + 1) * BATCH_RETRY_TIMEOUT.as_nanos());
+
+/// The number of brokers in a federation: [`BrokerNode::federate`]
+/// checks it against the broker list. Which broker serves a district is
+/// the deployment's decision.
+#[derive(Debug, Clone)]
 pub struct ShardMap {
     shards: usize,
-    districts: HashMap<String, usize>,
 }
 
 impl ShardMap {
-    /// A map over `shards` brokers with no district assignments yet
-    /// (everything hash-routed). `shards` must be at least 1.
+    /// A map over `shards` brokers. `shards` must be at least 1.
     pub fn new(shards: usize) -> Self {
         assert!(shards >= 1, "a federation needs at least one shard");
-        ShardMap {
-            shards,
-            districts: HashMap::new(),
-        }
+        ShardMap { shards }
     }
 
     /// Number of shards.
@@ -83,47 +82,15 @@ impl ShardMap {
         self.shards
     }
 
-    /// Pins `district` to the broker at `shard`.
+    /// Checks that `shard` is one of this map's shards. The district is
+    /// not kept: no broker routes on it.
     ///
     /// # Panics
     ///
     /// Panics if `shard` is out of range.
-    pub fn assign(&mut self, district: impl Into<String>, shard: usize) {
+    pub fn assign(&mut self, _district: impl Into<String>, shard: usize) {
         assert!(shard < self.shards, "shard {shard} out of range");
-        self.districts.insert(district.into(), shard);
     }
-
-    /// The district segment of a topic, when it has one.
-    pub fn district_of(topic: &Topic) -> Option<&str> {
-        let mut segs = topic.segments();
-        match (segs.next(), segs.next()) {
-            (Some("district"), Some(d)) => Some(d),
-            _ => None,
-        }
-    }
-
-    /// The owning shard of `topic`. Total and deterministic: every topic
-    /// has exactly one owner in `0..shards()`.
-    pub fn owner(&self, topic: &Topic) -> usize {
-        match Self::district_of(topic) {
-            Some(d) => match self.districts.get(d) {
-                Some(&shard) => shard,
-                None => fnv1a(d.as_bytes()) as usize % self.shards,
-            },
-            None => fnv1a(topic.as_str().as_bytes()) as usize % self.shards,
-        }
-    }
-}
-
-/// FNV-1a: a deterministic hash independent of the process's random
-/// hasher state, so shard routing replays identically across runs.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// How a broker participates in a federation.
@@ -134,7 +101,8 @@ pub struct FederationConfig {
     /// Every broker in the federation, shard index order (including this
     /// one at `index`).
     pub brokers: Vec<NodeId>,
-    /// The shard ownership map (shared verbatim by all members).
+    /// Its shard count must equal `brokers.len()`; the broker keeps
+    /// nothing else of it.
     pub shard: ShardMap,
     /// Flush policy for the per-peer bridge batchers.
     pub batch: BatchPolicy,
@@ -142,19 +110,13 @@ pub struct FederationConfig {
 
 /// Adds a federation of `shards` brokers to `sim` and returns their ids
 /// in shard index order. Broker `i` is named `broker-{i}`, labelled
-/// `b{i}` and placed on simulation shard `i % sim.shard_count()`; the
-/// `j`-th of `districts` is owned by broker `j % shards`; every broker
-/// bridges to every other under `batch`.
+/// `b{i}` and placed on simulation shard `i % sim.shard_count()`; every
+/// broker bridges to every other under `batch`.
 ///
 /// # Panics
 ///
 /// Panics if `shards` is zero.
-pub fn add_brokers<D: Into<String>>(
-    sim: &mut Simulator,
-    shards: usize,
-    districts: impl IntoIterator<Item = D>,
-    batch: BatchPolicy,
-) -> Vec<NodeId> {
+pub fn add_brokers(sim: &mut Simulator, shards: usize, batch: BatchPolicy) -> Vec<NodeId> {
     let sim_shards = sim.shard_count();
     let brokers: Vec<NodeId> = (0..shards)
         .map(|i| {
@@ -165,17 +127,13 @@ pub fn add_brokers<D: Into<String>>(
             )
         })
         .collect();
-    let mut shard = ShardMap::new(shards);
-    for (j, district) in districts.into_iter().enumerate() {
-        shard.assign(district, j % shards);
-    }
     for (index, &id) in brokers.iter().enumerate() {
         sim.node_mut::<BrokerNode>(id)
             .expect("just added")
             .federate(FederationConfig {
                 index,
                 brokers: brokers.clone(),
-                shard: shard.clone(),
+                shard: ShardMap::new(shards),
                 batch,
             });
     }
@@ -214,27 +172,69 @@ pub struct BridgeStats {
     pub frames_acked: u64,
     /// Frames abandoned: batch retries exhausted or wiped by a restart.
     pub frames_dropped: u64,
-    /// Batches received from peers, duplicates included.
-    pub(crate) batches_received: u64,
     /// Frames applied locally from received batches.
     pub frames_received: u64,
-    /// Received batches discarded as retransmissions of an applied batch.
-    pub(crate) duplicate_batches: u64,
     /// Batch retransmissions sent.
     pub retries: u64,
+}
+
+/// The batch ids one peer sent recently, in two generations.
+///
+/// An arrival at least [`SEEN_SPAN`] after the last rotation moves
+/// `current` to `previous` and empties `current`, so the ids held are
+/// bounded by the peer's batch rate, not by the length of the run.
+/// Rotation happens on arrival, never on a timer. Ids arrive almost in
+/// order, so a sorted insert is nearly always an append.
+#[derive(Debug, Default)]
+pub(crate) struct SeenBatches {
+    /// Ids that arrived since `rotated_at`, ascending.
+    current: Vec<u64>,
+    /// Ids of the generation before, ascending.
+    previous: Vec<u64>,
+    /// The arrival that last rotated the generations.
+    rotated_at: SimTime,
+}
+
+impl SeenBatches {
+    /// Records `id`, arriving at `now`. Returns `false` if it was seen
+    /// within the horizon: a retransmission of an applied batch.
+    pub(crate) fn insert(&mut self, id: u64, now: SimTime) -> bool {
+        if now.saturating_since(self.rotated_at) >= SEEN_SPAN {
+            std::mem::swap(&mut self.current, &mut self.previous);
+            self.current.clear();
+            self.rotated_at = now;
+        }
+        if self.previous.binary_search(&id).is_ok() {
+            return false;
+        }
+        let Err(at) = self.current.binary_search(&id) else {
+            return false;
+        };
+        self.current.insert(at, id);
+        true
+    }
+
+    /// Forgets every id (the peer or this broker restarted).
+    pub(crate) fn clear(&mut self) {
+        self.current.clear();
+        self.previous.clear();
+    }
 }
 
 /// Per-broker federation bookkeeping (lives on `BrokerNode`).
 #[derive(Debug)]
 pub(crate) struct FederationState {
-    pub(crate) config: FederationConfig,
-    /// Peer node id → shard index, for classifying inbound bridge frames.
-    pub(crate) peer_index: HashMap<NodeId, usize>,
+    /// This broker's shard index into `brokers`.
+    pub(crate) index: usize,
+    /// Every broker in the federation, shard index order.
+    pub(crate) brokers: Vec<NodeId>,
+    /// Flush policy for the per-peer batchers.
+    pub(crate) batch: BatchPolicy,
     /// Filters peers advertised, matched against local publishes.
     pub(crate) remote_subs: SubscriptionTrie<RemoteSub>,
-    /// The same filters indexed per peer (filter text → filter), so a
-    /// peer restart can purge exactly what that peer advertised.
-    pub(crate) peer_filters: Vec<HashMap<String, TopicFilter>>,
+    /// The same filters per peer, so a peer restart can purge exactly
+    /// what that peer advertised.
+    pub(crate) peer_filters: Vec<BTreeSet<TopicFilter>>,
     /// One batcher per shard index (this broker's own slot stays empty).
     pub(crate) batchers: Vec<Batcher<BridgeFrame>>,
     /// Unacked batches under timers `BATCH_RETRY_BIT | id`: (peer, frame
@@ -246,8 +246,8 @@ pub(crate) struct FederationState {
     /// Last incarnation observed per peer; a change wipes that peer's
     /// remote subscriptions and dedup history.
     pub(crate) peer_incarnation: Vec<u64>,
-    /// Batch ids already applied, per peer (reset on peer restart).
-    pub(crate) seen_batches: Vec<HashSet<u64>>,
+    /// Batch ids recently applied, per peer (reset on peer restart).
+    pub(crate) seen_batches: Vec<SeenBatches>,
     /// One circuit breaker per peer link (this broker's own slot idles
     /// closed); while a peer's breaker is open, its frames accumulate
     /// in the batcher instead of going on the wire.
@@ -256,43 +256,39 @@ pub(crate) struct FederationState {
 }
 
 impl FederationState {
+    /// The state of a broker federated under `config`; of its shard map
+    /// only the shard count is checked, and nothing is kept.
     pub(crate) fn new(config: FederationConfig) -> Self {
-        assert!(
-            config.index < config.brokers.len(),
-            "federation index out of range"
-        );
-        assert_eq!(
-            config.brokers.len(),
-            config.shard.shards(),
-            "one broker per shard"
-        );
         let n = config.brokers.len();
-        let peer_index = config
-            .brokers
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i))
-            .collect();
+        assert!(config.index < n, "federation index out of range");
+        assert_eq!(n, config.shard.shards(), "one broker per shard");
         FederationState {
-            peer_index,
             remote_subs: SubscriptionTrie::new(),
-            peer_filters: (0..n).map(|_| HashMap::new()).collect(),
+            peer_filters: vec![BTreeSet::new(); n],
             batchers: (0..n).map(|_| Batcher::new(config.batch)).collect(),
             pending: Retransmit::new(BATCH_RETRY_BIT, BATCH_RETRY_TIMEOUT, BATCH_MAX_RETRIES),
             next_batch_id: 1,
             peer_incarnation: vec![0; n],
-            seen_batches: (0..n).map(|_| HashSet::new()).collect(),
+            seen_batches: (0..n).map(|_| SeenBatches::default()).collect(),
             breakers: (0..n)
                 .map(|_| simnet::overload::CircuitBreaker::new(bridge_breaker_config()))
                 .collect(),
             stats: BridgeStats::default(),
-            config,
+            index: config.index,
+            brokers: config.brokers,
+            batch: config.batch,
         }
+    }
+
+    /// The shard index of `node`, if it is a peer (not this broker).
+    pub(crate) fn peer_of(&self, node: NodeId) -> Option<usize> {
+        let idx = self.brokers.iter().position(|&b| b == node)?;
+        (idx != self.index).then_some(idx)
     }
 
     /// Shard indices of every peer (everyone but this broker).
     pub(crate) fn peer_shards(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.config.brokers.len()).filter(move |&i| i != self.config.index)
+        (0..self.brokers.len()).filter(move |&i| i != self.index)
     }
 
     /// Frames buffered in batchers, not yet on the wire.
@@ -310,45 +306,9 @@ impl FederationState {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn topic(s: &str) -> Topic {
-        Topic::new(s).unwrap()
-    }
-
-    #[test]
-    fn district_topics_follow_assignments() {
-        let mut map = ShardMap::new(4);
-        map.assign("d0", 0);
-        map.assign("d1", 1);
-        map.assign("d2", 2);
-        assert_eq!(map.owner(&topic("district/d1/entity/e/device/x/power")), 1);
-        assert_eq!(map.owner(&topic("district/d2/agg/mean")), 2);
-        assert_eq!(map.owner(&topic("district/d0/anything")), 0);
-    }
-
-    #[test]
-    fn unassigned_districts_hash_deterministically() {
-        let map = ShardMap::new(4);
-        let a = map.owner(&topic("district/mystery/x"));
-        let b = map.owner(&topic("district/mystery/y/z"));
-        assert_eq!(a, b, "same district, same owner regardless of suffix");
-        assert!(a < 4);
-    }
-
-    #[test]
-    fn non_district_topics_hash_on_full_text() {
-        let map = ShardMap::new(3);
-        let a = map.owner(&topic("ops/heartbeat"));
-        assert_eq!(a, map.owner(&topic("ops/heartbeat")));
-        assert!(a < 3);
-    }
-
-    #[test]
-    fn single_shard_owns_everything() {
-        let map = ShardMap::new(1);
-        assert_eq!(map.owner(&topic("district/d9/x")), 0);
-        assert_eq!(map.owner(&topic("a/b/c")), 0);
-    }
+    use crate::{PubSubClient, PubSubEvent, Topic};
+    use simnet::telemetry::{NO_SPAN, NO_TRACE};
+    use simnet::{Context, Node, Packet, SimConfig, TimerTag};
 
     #[test]
     #[should_panic(expected = "out of range")]
@@ -363,19 +323,15 @@ mod tests {
             threads: 1,
             ..simnet::ParallelConfig::default()
         });
-        let districts: Vec<String> = (0..8).map(|j| format!("d{j}")).collect();
-        let brokers = add_brokers(&mut sim, 4, &districts, BatchPolicy::default());
+        let brokers = add_brokers(&mut sim, 4, BatchPolicy::default());
         assert_eq!(brokers.len(), 4);
         for (i, &id) in brokers.iter().enumerate() {
             assert_eq!(id.shard(), i % 2, "broker {i}'s sim shard");
             assert_eq!(sim.node_name(id), format!("broker-{i}"));
             let broker = sim.node_ref::<BrokerNode>(id).unwrap();
-            let config = &broker.federation.as_ref().expect("federated").config;
-            assert_eq!((config.index, &config.brokers), (i, &brokers));
-            for (j, d) in districts.iter().enumerate() {
-                let t = topic(&format!("district/{d}/entity/e/device/x/power"));
-                assert_eq!(config.shard.owner(&t), j % 4, "owner of {d}");
-            }
+            assert_eq!(broker.label.as_deref(), Some(format!("b{i}").as_str()));
+            let fed = broker.federation.as_ref().expect("federated");
+            assert_eq!((fed.index, &fed.brokers), (i, &brokers));
         }
     }
 
@@ -387,5 +343,154 @@ mod tests {
         assert_ne!(flush, retry);
         assert_eq!(flush & BATCH_RETRY_BIT, 0);
         assert_ne!(retry & BATCH_RETRY_BIT, 0);
+    }
+
+    #[test]
+    fn a_seen_id_lives_between_one_and_two_spans() {
+        let at = |ms: u64| SimTime::ZERO + SimDuration::from_millis(ms);
+        let mut seen = SeenBatches::default();
+        assert!(seen.insert(7, at(1_000)));
+        assert!(seen.insert(5, at(1_001)), "out of order");
+        assert!(!seen.insert(5, at(1_002)));
+        // 36.5 s: the first rotation; 5 and 7 move to `previous`.
+        assert!(!seen.insert(7, at(36_500)));
+        assert!(seen.insert(8, at(40_000)));
+        assert!(!seen.insert(5, at(72_000)), "one span after the rotation");
+        // 72.5 s: the second rotation forgets 5 and 7, keeps 8.
+        assert!(seen.insert(9, at(72_500)));
+        assert!(seen.insert(7, at(72_600)));
+        assert!(!seen.insert(8, at(72_700)));
+        seen.clear();
+        assert!(seen.insert(8, at(72_800)));
+    }
+
+    /// The simulation seed of a test: `base` shifted by `DIMMER_SEED`,
+    /// as in `tests/federation.rs`.
+    fn seed(base: u64) -> u64 {
+        base + std::env::var("DIMMER_SEED")
+            .ok()
+            .and_then(|s| s.parse::<u64>().ok())
+            .unwrap_or(0)
+    }
+
+    const TICK: TimerTag = TimerTag(1);
+    const CLIENT_TAGS: u64 = 1 << 40;
+
+    /// Publishes `count` QoS 0 messages, one every `period`, each
+    /// carrying its sequence number.
+    struct Ticker {
+        client: PubSubClient,
+        topic: Topic,
+        period: SimDuration,
+        count: u32,
+        sent: u32,
+    }
+
+    impl Node for Ticker {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            ctx.set_timer(self.period, TICK);
+        }
+        fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
+            self.client.accept(ctx, &pkt);
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
+            if tag != TICK || self.sent == self.count {
+                return;
+            }
+            let payload = self.sent.to_le_bytes();
+            let qos = QoS::AtMostOnce;
+            let topic = &self.topic;
+            let client = &mut self.client;
+            client.publish_ref(ctx, topic, &payload, false, qos, NO_TRACE, NO_SPAN, ());
+            self.sent += 1;
+            ctx.set_timer(self.period, TICK);
+        }
+    }
+
+    /// Subscribes at start and counts each sequence number it receives.
+    struct Tally {
+        client: PubSubClient,
+        filter: TopicFilter,
+        got: Vec<u32>,
+    }
+
+    impl Node for Tally {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            let filter = self.filter.clone();
+            self.client.subscribe(ctx, filter, QoS::AtMostOnce);
+        }
+        fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
+            if let Some(PubSubEvent::Message { payload, .. }) = self.client.accept(ctx, &pkt) {
+                let seq = u32::from_le_bytes((*payload).try_into().expect("a sequence number"));
+                self.got[seq as usize] += 1;
+            }
+        }
+        fn on_timer(&mut self, _: &mut Context<'_>, _: TimerTag) {}
+    }
+
+    /// The most batch ids any broker remembers for one peer.
+    fn remembered(sim: &Simulator, brokers: &[NodeId]) -> usize {
+        let seen = |id| {
+            let broker = sim.node_ref::<BrokerNode>(id).expect("broker");
+            let fed = broker.federation.as_ref().expect("federated");
+            let sizes = fed.seen_batches.iter();
+            sizes.map(|s| s.current.len() + s.previous.len()).max()
+        };
+        brokers.iter().filter_map(|&id| seen(id)).max().unwrap_or(0)
+    }
+
+    /// The dedup memory follows the batch rate, not the run length:
+    /// over 100 000 one-frame batches a receiver never remembers more
+    /// ids than arrive in two spans, and every publish still reaches the
+    /// subscriber exactly once.
+    #[test]
+    fn remembered_batch_ids_stay_within_two_spans_of_arrivals() {
+        const BATCHES: u32 = 100_000;
+        let period = SimDuration::from_millis(20);
+        let mut sim = Simulator::new(SimConfig { seed: seed(41) });
+        let one_frame = BatchPolicy {
+            max_items: 1,
+            ..BatchPolicy::default()
+        };
+        let brokers = add_brokers(&mut sim, 2, one_frame);
+        let tally = sim.add_node(
+            "tally",
+            Tally {
+                client: PubSubClient::new(brokers[1], CLIENT_TAGS),
+                filter: TopicFilter::new("district/d0/#").expect("filter"),
+                got: vec![0; BATCHES as usize],
+            },
+        );
+        sim.run_for(SimDuration::from_millis(100));
+        sim.add_node(
+            "ticker",
+            Ticker {
+                client: PubSubClient::new(brokers[0], CLIENT_TAGS),
+                topic: Topic::new("district/d0/entity/e/device/m/power").expect("topic"),
+                period,
+                count: BATCHES,
+                sent: 0,
+            },
+        );
+        // A generation ends at the first arrival one span after it
+        // began, so jitter can stretch it by one id past rate × span.
+        let bound = 2 * (SEEN_SPAN.as_nanos() / period.as_nanos() + 1) as usize;
+        let mut most = 0;
+        for _ in 0..(u64::from(BATCHES) * 20 / 1000 + 20) {
+            sim.run_for(SimDuration::from_secs(1));
+            most = most.max(remembered(&sim, &brokers));
+        }
+        assert!(
+            most <= bound,
+            "{most} ids remembered for one peer, bound {bound}"
+        );
+        let got = &sim.node_ref::<Tally>(tally).expect("tally").got;
+        let wrong: Vec<_> = (0..).zip(got).filter(|&(_, &n)| n != 1).collect();
+        assert!(
+            wrong.is_empty(),
+            "(seq, times) not delivered once: {wrong:?}"
+        );
+        let receiver = sim.node_ref::<BrokerNode>(brokers[1]).expect("broker");
+        assert_eq!(receiver.bridge_stats().frames_received, u64::from(BATCHES));
     }
 }

@@ -1,9 +1,10 @@
-//! End-to-end tests of the federated broker tier: shard routing,
-//! bridge batching, retained mirroring, advertisement withdrawal and
-//! incarnation recovery — all over the simulated network.
+//! End-to-end tests of the federated broker tier: cross-broker routing,
+//! bridge batching, batch dedup over the retry horizon, retained
+//! mirroring, advertisement withdrawal and incarnation recovery — all
+//! over the simulated network.
 
-use pubsub::federation;
-use pubsub::{BrokerNode, PubSubClient, PubSubEvent, QoS, Topic, TopicFilter};
+use pubsub::federation::{self, FederationConfig, ShardMap};
+use pubsub::{BrokerNode, PubSubClient, PubSubEvent, QoS, Topic, TopicFilter, WirePacketRef};
 use simnet::batch::BatchPolicy;
 use simnet::{
     Context, LinkModel, Node, NodeId, Packet, SimConfig, SimDuration, SimTime, Simulator, TimerTag,
@@ -49,10 +50,17 @@ fn link_ideally(sim: &mut Simulator, brokers: &[NodeId]) {
     }
 }
 
+/// The broker at `id`, bare or wrapped in [`DropAcks`].
+fn broker(sim: &Simulator, id: NodeId) -> &BrokerNode {
+    sim.node_ref::<BrokerNode>(id)
+        .or_else(|| sim.node_ref::<DropAcks>(id).map(|d| &d.inner))
+        .expect("broker")
+}
+
 /// Every bridge frame a broker ever enqueued is accounted for.
 fn assert_bridge_conservation(sim: &Simulator, brokers: &[NodeId]) {
     for &id in brokers {
-        let b = sim.node_ref::<BrokerNode>(id).expect("broker");
+        let b = broker(sim, id);
         let s = b.bridge_stats();
         assert_eq!(
             s.frames_enqueued,
@@ -194,7 +202,7 @@ fn assert_exactly_once(got: &[(String, Vec<u8>)], count: u64, who: &str) {
 #[test]
 fn cross_shard_publishes_delivered_exactly_once() {
     let mut sim = Simulator::new(SimConfig { seed: seed(11) });
-    let brokers = federation::add_brokers(&mut sim, 3, ["d0", "d1", "d2"], small_batches());
+    let brokers = federation::add_brokers(&mut sim, 3, small_batches());
     link_ideally(&mut sim, &brokers);
     // d0 is owned by broker 0; subscribers hang off all three brokers.
     let local = add_client(
@@ -257,7 +265,7 @@ fn cross_shard_publishes_delivered_exactly_once() {
 #[test]
 fn retained_messages_cross_the_bridge_to_late_subscribers() {
     let mut sim = Simulator::new(SimConfig { seed: seed(12) });
-    let brokers = federation::add_brokers(&mut sim, 2, ["d0", "d1"], small_batches());
+    let brokers = federation::add_brokers(&mut sim, 2, small_batches());
     link_ideally(&mut sim, &brokers);
     // One retained publish to the owner (broker 0) at t=50ms.
     let mut publisher = Pub::new(
@@ -286,7 +294,7 @@ fn retained_messages_cross_the_bridge_to_late_subscribers() {
 #[test]
 fn unsubscribe_withdraws_the_advertisement() {
     let mut sim = Simulator::new(SimConfig { seed: seed(13) });
-    let brokers = federation::add_brokers(&mut sim, 2, ["d0", "d1"], small_batches());
+    let brokers = federation::add_brokers(&mut sim, 2, small_batches());
     link_ideally(&mut sim, &brokers);
     // Subscriber on broker 1 walks away at t=1s; publisher keeps going
     // until t≈4s.
@@ -328,7 +336,7 @@ fn unsubscribe_withdraws_the_advertisement() {
 #[test]
 fn owner_restart_recovers_cross_shard_routing() {
     let mut sim = Simulator::new(SimConfig { seed: seed(14) });
-    let brokers = federation::add_brokers(&mut sim, 2, ["d0", "d1"], small_batches());
+    let brokers = federation::add_brokers(&mut sim, 2, small_batches());
     link_ideally(&mut sim, &brokers);
     // QoS 1 publisher: its client retries unacked publishes, so the
     // owner's 1-second outage must not lose anything.
@@ -374,7 +382,7 @@ fn owner_restart_recovers_cross_shard_routing() {
 #[test]
 fn remote_restart_wipes_and_relearns_advertisements() {
     let mut sim = Simulator::new(SimConfig { seed: seed(15) });
-    let brokers = federation::add_brokers(&mut sim, 2, ["d0", "d1"], small_batches());
+    let brokers = federation::add_brokers(&mut sim, 2, small_batches());
     link_ideally(&mut sim, &brokers);
     let mut sub = Sub::new(brokers[1], "district/d0/#", QoS::AtLeastOnce);
     // Keepalive lets the subscriber re-subscribe to its restarted broker,
@@ -452,7 +460,7 @@ fn span_tree_reconstructs_cross_shard_flight_with_bridge_hop() {
     use simnet::telemetry::SpanNode;
 
     let mut sim = Simulator::new(SimConfig { seed: seed(21) });
-    let brokers = federation::add_brokers(&mut sim, 2, ["d0", "d1"], small_batches());
+    let brokers = federation::add_brokers(&mut sim, 2, small_batches());
     link_ideally(&mut sim, &brokers);
     // Subscriber on shard 1 for a topic owned by shard 1; the publisher
     // hangs off shard 0, so delivery must cross the bridge.
@@ -531,5 +539,90 @@ fn span_tree_reconstructs_cross_shard_flight_with_bridge_hop() {
     assert_eq!(fwd.hop.node_name, "broker-0");
     assert_eq!(del.hop.node_name, "broker-1");
     assert_ne!(fwd.hop.node, del.hop.node);
+    assert_bridge_conservation(&sim, &brokers);
+}
+
+/// A broker that never sees the bridge acks arriving in `[from, until)`.
+struct DropAcks {
+    inner: BrokerNode,
+    from: SimTime,
+    until: SimTime,
+}
+
+impl Node for DropAcks {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        self.inner.on_start(ctx);
+    }
+    fn on_packet(&mut self, ctx: &mut Context<'_>, pkt: Packet) {
+        let now = ctx.now();
+        let ack = matches!(
+            WirePacketRef::decode(&pkt.payload),
+            Ok(WirePacketRef::BridgeBatchAck { .. })
+        );
+        if !(ack && self.from <= now && now < self.until) {
+            self.inner.on_packet(ctx, pkt);
+        }
+    }
+    fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
+        self.inner.on_timer(ctx, tag);
+    }
+}
+
+/// A sender resends a batch for 16 s after its first send; a receiver
+/// must recognise the last resend although its dedup generations
+/// rotated in between. Broker 1's first generation ends at the first
+/// batch arrival at least 36 s into the run, which is the third resend
+/// of a batch first sent at 30 s; the later resends are found in the
+/// generation before.
+#[test]
+fn every_resend_of_a_batch_is_recognised_across_a_rotation() {
+    let publish_at = SimDuration::from_secs(30);
+    let mut sim = Simulator::new(SimConfig { seed: seed(16) });
+    let brokers = [
+        sim.add_node(
+            "broker-0",
+            DropAcks {
+                inner: BrokerNode::with_label("b0"),
+                from: SimTime::ZERO + publish_at,
+                until: SimTime::ZERO + publish_at + SimDuration::from_secs(17),
+            },
+        ),
+        sim.add_node("broker-1", BrokerNode::with_label("b1")),
+    ];
+    link_ideally(&mut sim, &brokers);
+    let config = |index| FederationConfig {
+        index,
+        brokers: brokers.to_vec(),
+        shard: ShardMap::new(2),
+        batch: small_batches(),
+    };
+    let sender = sim.node_mut::<DropAcks>(brokers[0]).expect("placed above");
+    sender.inner.federate(config(0));
+    let receiver = sim
+        .node_mut::<BrokerNode>(brokers[1])
+        .expect("placed above");
+    receiver.federate(config(1));
+    let sub = add_client(
+        &mut sim,
+        brokers[1],
+        "sub",
+        Sub::new(brokers[1], "district/d0/#", QoS::AtMostOnce),
+    );
+    let publisher = Pub::new(
+        brokers[0],
+        "district/d0/entity/e1/device/m1/power",
+        1,
+        publish_at,
+    );
+    add_client(&mut sim, brokers[0], "pub", publisher);
+    sim.run_until(SimTime::from_secs(60));
+
+    assert_exactly_once(&sim.node_ref::<Sub>(sub).expect("sub").got, 1, "sub");
+    let sent = broker(&sim, brokers[0]).bridge_stats();
+    assert_eq!((sent.batches_sent, sent.retries), (1, 8), "{sent:?}");
+    assert_eq!(sent.frames_dropped, 1, "no ack came back: written off");
+    assert_eq!(broker(&sim, brokers[1]).bridge_stats().frames_received, 1);
+    let metrics = &sim.telemetry().metrics;
+    assert_eq!(metrics.counter("pubsub.bridge.duplicate"), 8);
     assert_bridge_conservation(&sim, &brokers);
 }

@@ -242,53 +242,6 @@ fn grammar_rejections_never_panic() {
     }
 }
 
-/// A random district-flavoured or free-form topic.
-fn rand_district_topic(rng: &mut DeterministicRng, districts: &[String]) -> Topic {
-    if rng.chance(0.7) {
-        let d = &districts[rng.next_bounded(districts.len() as u64) as usize];
-        let tail: Vec<String> = (0..rng.next_range(1, 4)).map(|_| segment(rng)).collect();
-        Topic::new(format!("district/{d}/{}", tail.join("/"))).expect("valid by construction")
-    } else {
-        rand_topic(rng)
-    }
-}
-
-#[test]
-fn shard_routing_is_a_partition() {
-    use pubsub::ShardMap;
-    let mut rng = DeterministicRng::seed_from(0x50B0_0008);
-    for _ in 0..CASES {
-        let shards = rng.next_range(1, 8) as usize;
-        let mut map = ShardMap::new(shards);
-        let districts: Vec<String> = (0..rng.next_range(1, 12))
-            .map(|_| segment(&mut rng))
-            .collect();
-        for d in &districts {
-            // Some districts are explicitly assigned, some hash-routed.
-            if rng.chance(0.6) {
-                map.assign(d.clone(), rng.next_bounded(shards as u64) as usize);
-            }
-        }
-        for _ in 0..16 {
-            let topic = rand_district_topic(&mut rng, &districts);
-            // Total: every topic has an owner, and it is in range.
-            let owner = map.owner(&topic);
-            assert!(owner < shards, "{topic}: owner {owner} of {shards}");
-            // A function: asking twice gives the same owner — so shard
-            // ownership partitions the topic space (each topic in
-            // exactly one shard).
-            assert_eq!(owner, map.owner(&topic), "{topic}: deterministic");
-            // District topics route on the district alone: any sibling
-            // topic in the same district has the same owner.
-            if let Some(d) = ShardMap::district_of(&topic) {
-                let sibling = Topic::new(format!("district/{d}/{}", segment(&mut rng)))
-                    .expect("valid by construction");
-                assert_eq!(owner, map.owner(&sibling), "{topic} vs {sibling}");
-            }
-        }
-    }
-}
-
 #[test]
 fn bridge_batch_frames_round_trip() {
     let mut rng = DeterministicRng::seed_from(0x50B0_0009);

@@ -11,7 +11,9 @@
 #                    (tests/resilience.rs, tests/chaos.rs,
 #                    tests/streams.rs), the answer-level oracles
 #                    (tests/oracles.rs) and the broker federation's
-#                    suite (crates/pubsub/tests/federation.rs) across n
+#                    suites (crates/pubsub/tests/federation.rs and the
+#                    pubsub unit tests, among them the bridge dedup
+#                    growth test) across n
 #                    simulation seeds — each run shifts every sim seed
 #                    by DIMMER_SEED, shaking out assertions that only
 #                    hold for one timing. Defaults to 2; set 0 to skip.
@@ -131,7 +133,7 @@ if [[ "$seeds" -gt 0 ]]; then
     for s in $(seq 1 "$seeds"); do
         echo "-- DIMMER_SEED=$s"
         DIMMER_SEED="$s" cargo test -q --test resilience --test chaos --test streams --test oracles
-        DIMMER_SEED="$s" cargo test -q -p dimmer-pubsub --test federation
+        DIMMER_SEED="$s" cargo test -q -p dimmer-pubsub --lib --test federation
     done
 fi
 
