@@ -22,7 +22,7 @@ use std::borrow::Cow;
 use std::cell::Cell;
 use std::fmt;
 
-use crate::value::{Key, Map};
+use crate::value::{Map, Text};
 use crate::{json, xml, CoreError, Measurement, MeasurementBatch, Timestamp, Value};
 
 /// An open-standard encoding of the common data format.
@@ -479,7 +479,7 @@ impl<'a> Reader<'a> {
             Event::Bool(b) => Value::Bool(b),
             Event::Int(i) => Value::Int(i),
             Event::Float(f) => Value::Float(f),
-            Event::Str(s) => Value::Str(s.into_owned()),
+            Event::Str(s) => Value::Str(s.into()),
             Event::BeginArray => {
                 let start = scratch.items.len();
                 while self.more_items()? {
@@ -491,7 +491,7 @@ impl<'a> Reader<'a> {
             Event::BeginObject => {
                 let start = scratch.members.len();
                 while let Some(key) = self.next_key()? {
-                    let key = Key::from(key);
+                    let key = Text::from(key);
                     let value = self.build(scratch)?;
                     scratch.members.push((key, value));
                 }
@@ -510,7 +510,7 @@ impl<'a> Reader<'a> {
 #[derive(Default)]
 struct Scratch {
     items: Vec<Value>,
-    members: Vec<(Key, Value)>,
+    members: Vec<(Text, Value)>,
 }
 
 /// Past this many entries a stack is shrunk after use, so one huge

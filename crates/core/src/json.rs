@@ -551,7 +551,7 @@ mod tests {
             Value::Float(1.5),
             Value::Float(-0.001),
             Value::Float(1e300),
-            Value::Str(String::new()),
+            Value::from(""),
             Value::Str("plain".into()),
             Value::Str("esc \" \\ \n \t \r \u{08} \u{0C} ü 🌍".into()),
         ] {

@@ -8,9 +8,12 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::value::Text;
 use crate::CoreError;
 
-/// A parsed service URI.
+/// A parsed service URI. Its scheme, host and path are [`Text`]s, so a
+/// URI without a query whose parts are each at most 22 bytes is built
+/// without allocating.
 ///
 /// ```
 /// use dimmer_core::Uri;
@@ -25,10 +28,10 @@ use crate::CoreError;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Uri {
-    scheme: String,
-    host: String,
+    scheme: Text,
+    host: Text,
     port: Option<u16>,
-    path: String,
+    path: Text,
     query: BTreeMap<String, String>,
 }
 
@@ -42,14 +45,12 @@ impl Uri {
     /// Returns [`CoreError::InvalidUri`] if scheme or host are empty or
     /// contain separator characters.
     pub fn new(
-        scheme: impl Into<String>,
-        host: impl Into<String>,
+        scheme: impl AsRef<str>,
+        host: impl AsRef<str>,
         port: Option<u16>,
-        path: impl Into<String>,
+        path: impl AsRef<str>,
     ) -> Result<Self, CoreError> {
-        let scheme = scheme.into();
-        let host = host.into();
-        let mut path = path.into();
+        let (scheme, host, path) = (scheme.as_ref(), host.as_ref(), path.as_ref());
         let check = |part: &str, what: &'static str| -> Result<(), CoreError> {
             if part.is_empty() {
                 return Err(CoreError::InvalidUri {
@@ -68,23 +69,22 @@ impl Uri {
             }
             Ok(())
         };
-        check(&scheme, "scheme")?;
-        check(&host, "host")?;
-        if path.is_empty() {
-            path.push('/');
-        }
-        if !path.starts_with('/') {
-            path.insert(0, '/');
-        }
+        check(scheme, "scheme")?;
+        check(host, "host")?;
+        let path = if path.starts_with('/') {
+            Text::from(path)
+        } else {
+            Text::concat("/", path)
+        };
         if path.contains(['?', '#', ' ']) {
             return Err(CoreError::InvalidUri {
-                input: path,
+                input: path.into(),
                 reason: "path must not contain '?', '#' or spaces",
             });
         }
         Ok(Uri {
-            scheme,
-            host,
+            scheme: scheme.into(),
+            host: host.into(),
             port,
             path,
             query: BTreeMap::new(),
@@ -174,10 +174,10 @@ mod tests {
     #[test]
     fn parse_full_uri() {
         let u = Uri::parse("http://master:9000/ontology/area?bbox=1,2,3,4&fmt=json").unwrap();
-        assert_eq!(u.scheme, "http");
+        assert_eq!(u.scheme.as_str(), "http");
         assert_eq!(u.host(), "master");
         assert_eq!(u.port, Some(9000));
-        assert_eq!(u.path, "/ontology/area");
+        assert_eq!(u.path.as_str(), "/ontology/area");
         assert_eq!(u.query["bbox"], "1,2,3,4");
         assert_eq!(u.query["fmt"], "json");
         assert_eq!(u.query.get("missing"), None);
@@ -186,7 +186,7 @@ mod tests {
     #[test]
     fn parse_minimal_uri() {
         let u = Uri::parse("ws://node7").unwrap();
-        assert_eq!(u.path, "/");
+        assert_eq!(u.path.as_str(), "/");
         assert_eq!(u.port, None);
         assert!(u.query.is_empty());
     }
@@ -224,15 +224,15 @@ mod tests {
         let u = Uri::parse("sim://n1/data").unwrap();
         let v = u.clone().with_query("from", "10");
         assert_eq!(v.query["from"], "10");
-        assert_eq!(v.path, "/data", "path survives query change");
+        assert_eq!(v.path.as_str(), "/data", "path survives query change");
     }
 
     #[test]
     fn new_normalizes_path() {
         let u = Uri::new("sim", "n1", None, "data").unwrap();
-        assert_eq!(u.path, "/data");
+        assert_eq!(u.path.as_str(), "/data");
         let v = Uri::new("sim", "n1", None, "").unwrap();
-        assert_eq!(v.path, "/");
+        assert_eq!(v.path.as_str(), "/");
     }
 
     #[test]

@@ -6,13 +6,15 @@
 //! array, object) with objects keeping deterministic (sorted) key order so
 //! encodings are reproducible.
 //!
-//! An object is a [`Map`]: its members sorted by [`Key`] in one
-//! allocation of exactly their size, with short keys stored inline. A
-//! decoded entity model is thousands of small objects, so what each one
-//! costs is what a client holding many models pays for.
+//! An object is a [`Map`]: its members sorted by key in one allocation of
+//! exactly their size. Keys and string values are [`Text`]s, which store
+//! up to 22 bytes inline. A decoded entity model is thousands of small
+//! objects and short strings, so what each one costs is what a client
+//! holding many models pays for.
 
 use std::borrow::Cow;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 
 use crate::CoreError;
@@ -39,24 +41,25 @@ pub enum Value {
     Int(i64),
     /// A 64-bit float. Never NaN (constructors reject it).
     Float(f64),
-    /// A UTF-8 string.
-    Str(String),
+    /// A UTF-8 string, inline when short.
+    Str(Text),
     /// An ordered sequence.
     Array(Vec<Value>),
     /// A key-sorted map.
     Object(Map),
 }
 
-// A `Map` is a boxed slice and a `Key` fits a `String`'s three words, so
-// objects cost a `Value` no more than a string does.
+// A `Map` is a boxed slice and a `Text` fits a `String`'s three words, so
+// neither objects nor inline strings cost a `Value` more than a `String`
+// would.
 const _: () = assert!(std::mem::size_of::<Value>() == 32);
-const _: () = assert!(std::mem::size_of::<Key>() == 24);
+const _: () = assert!(std::mem::size_of::<Text>() == 24);
 
 impl Value {
     /// Builds an object from `(key, value)` pairs.
     pub fn object<K, I>(pairs: I) -> Value
     where
-        K: Into<Key>,
+        K: Into<Text>,
         I: IntoIterator<Item = (K, Value)>,
     {
         Value::Object(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
@@ -104,7 +107,7 @@ impl Value {
     /// This value as a string slice, if it is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Value::Str(s) => Some(s),
+            Value::Str(s) => Some(s.as_str()),
             _ => None,
         }
     }
@@ -205,7 +208,7 @@ impl Value {
     /// # Panics
     ///
     /// Panics if `self` is neither an object nor `Null`.
-    pub fn insert(&mut self, key: impl Into<Key>, value: Value) -> Option<Value> {
+    pub fn insert(&mut self, key: impl Into<Text>, value: Value) -> Option<Value> {
         if self.is_null() {
             *self = Value::Object(Map::default());
         }
@@ -265,13 +268,13 @@ impl From<f64> for Value {
 
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
-        Value::Str(s.to_owned())
+        Value::Str(s.into())
     }
 }
 
 impl From<String> for Value {
     fn from(s: String) -> Self {
-        Value::Str(s)
+        Value::Str(s.into())
     }
 }
 
@@ -288,51 +291,56 @@ impl fmt::Display for Value {
     }
 }
 
-/// Keys of at most this many bytes are stored inside the [`Key`].
+/// Texts of at most this many bytes are stored inside the [`Text`].
 const INLINE: usize = 22;
 
-/// The name of an object member. Up to 22 bytes live inline, longer
-/// names in their own allocation. A key derefs to, compares and orders
-/// exactly like the `str` it holds, so objects sort — and encode — as
-/// they would with `String` keys.
+/// A short string: an object member's name, a string value, an id or a
+/// URI part. Up to 22 bytes live inline, longer texts in their own
+/// allocation. A text derefs to, compares, orders and hashes exactly like
+/// the `str` it holds, so objects sort — and encode — as they would with
+/// `String` keys, and a map of ids iterates in the same order.
 #[derive(Clone)]
-pub struct Key(KeyRepr);
+pub struct Text(Repr);
 
 #[derive(Clone)]
-enum KeyRepr {
+enum Repr {
     Inline { len: u8, bytes: [u8; INLINE] },
     Heap(Box<str>),
 }
 
-impl Key {
-    /// The key as a string slice.
+impl Text {
+    /// The text as a string slice.
     pub fn as_str(&self) -> &str {
         match &self.0 {
-            KeyRepr::Inline { len, bytes } => std::str::from_utf8(&bytes[..usize::from(*len)])
-                .expect("an inline key holds the bytes of a str"),
-            KeyRepr::Heap(s) => s,
+            Repr::Inline { len, bytes } => std::str::from_utf8(&bytes[..usize::from(*len)])
+                .expect("an inline text holds the bytes of a str"),
+            Repr::Heap(s) => s,
         }
     }
 
     fn as_bytes(&self) -> &[u8] {
         match &self.0 {
-            KeyRepr::Inline { len, bytes } => &bytes[..usize::from(*len)],
-            KeyRepr::Heap(s) => s.as_bytes(),
+            Repr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Repr::Heap(s) => s.as_bytes(),
         }
     }
 
-    /// An inline key, if `s` is short enough for one.
-    fn inline(s: &str) -> Option<Key> {
-        let len = u8::try_from(s.len())
-            .ok()
-            .filter(|&n| usize::from(n) <= INLINE)?;
+    /// `head` followed by `tail`, built once: inline if the two fit,
+    /// else in one allocation.
+    pub(crate) fn concat(head: &str, tail: &str) -> Text {
+        let len = head.len() + tail.len();
+        if len > INLINE {
+            return Text(Repr::Heap([head, tail].concat().into_boxed_str()));
+        }
         let mut bytes = [0; INLINE];
-        bytes[..s.len()].copy_from_slice(s.as_bytes());
-        Some(Key(KeyRepr::Inline { len, bytes }))
+        bytes[..head.len()].copy_from_slice(head.as_bytes());
+        bytes[head.len()..len].copy_from_slice(tail.as_bytes());
+        let len = u8::try_from(len).expect("an inline length fits a u8");
+        Text(Repr::Inline { len, bytes })
     }
 }
 
-impl Deref for Key {
+impl Deref for Text {
     type Target = str;
 
     fn deref(&self) -> &str {
@@ -340,65 +348,76 @@ impl Deref for Key {
     }
 }
 
-impl From<&str> for Key {
+impl From<&str> for Text {
     fn from(s: &str) -> Self {
-        Key::inline(s).unwrap_or_else(|| Key(KeyRepr::Heap(s.into())))
+        Text::concat(s, "")
     }
 }
 
-impl From<String> for Key {
+impl From<String> for Text {
     fn from(s: String) -> Self {
-        Key::inline(&s).unwrap_or_else(|| Key(KeyRepr::Heap(s.into_boxed_str())))
+        if s.len() <= INLINE {
+            Text::from(s.as_str())
+        } else {
+            Text(Repr::Heap(s.into_boxed_str()))
+        }
     }
 }
 
-impl From<Cow<'_, str>> for Key {
+impl From<Cow<'_, str>> for Text {
     fn from(s: Cow<'_, str>) -> Self {
         match s {
-            Cow::Borrowed(s) => Key::from(s),
-            Cow::Owned(s) => Key::from(s),
+            Cow::Borrowed(s) => Text::from(s),
+            Cow::Owned(s) => Text::from(s),
         }
     }
 }
 
-impl From<Key> for String {
-    fn from(key: Key) -> Self {
-        match key.0 {
-            KeyRepr::Heap(s) => s.into_string(),
-            KeyRepr::Inline { .. } => key.as_str().to_owned(),
+impl From<Text> for String {
+    fn from(text: Text) -> Self {
+        match text.0 {
+            Repr::Heap(s) => s.into_string(),
+            Repr::Inline { .. } => text.as_str().to_owned(),
         }
     }
 }
 
-impl PartialEq for Key {
+impl PartialEq for Text {
     fn eq(&self, other: &Self) -> bool {
         self.as_bytes() == other.as_bytes()
     }
 }
 
-impl Eq for Key {}
+impl Eq for Text {}
 
-impl PartialOrd for Key {
+impl PartialOrd for Text {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for Key {
+impl Ord for Text {
     /// Byte order, as `str` and `String` order. (A derived order would
-    /// put every inline key before every boxed one.)
+    /// put every inline text before every boxed one.)
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.as_bytes().cmp(other.as_bytes())
     }
 }
 
-impl fmt::Display for Key {
+impl Hash for Text {
+    /// Hashes as the `str` it holds, as `String` does.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+impl fmt::Display for Text {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self)
     }
 }
 
-impl fmt::Debug for Key {
+impl fmt::Debug for Text {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(self.as_str(), f)
     }
@@ -410,12 +429,12 @@ impl fmt::Debug for Key {
 /// Offers the part of the `BTreeMap` API that callers use, and prints
 /// like a map.
 #[derive(Clone, PartialEq, Default)]
-pub struct Map(Box<[(Key, Value)]>);
+pub struct Map(Box<[(Text, Value)]>);
 
 impl Map {
     /// Sorts `members` by key and keeps the last of any repeated key.
     /// Already-sorted members (what every writer emits) cost one pass.
-    pub(crate) fn from_members(mut members: Vec<(Key, Value)>) -> Map {
+    pub(crate) fn from_members(mut members: Vec<(Text, Value)>) -> Map {
         if !members.is_sorted_by(|a, b| a.0 < b.0) {
             // Stable, so the members of one key stay in arrival order and
             // the last of them is what survives the dedup.
@@ -453,7 +472,7 @@ impl Map {
 
     /// Sets member `key`, returning its previous value. Adding a key
     /// reallocates the members to their new exact size.
-    pub fn insert(&mut self, key: impl Into<Key>, value: Value) -> Option<Value> {
+    pub fn insert(&mut self, key: impl Into<Text>, value: Value) -> Option<Value> {
         let key = key.into();
         match self.find(&key) {
             Ok(i) => Some(std::mem::replace(&mut self.0[i].1, value)),
@@ -479,7 +498,7 @@ impl fmt::Debug for Map {
     }
 }
 
-impl<K: Into<Key>> FromIterator<(K, Value)> for Map {
+impl<K: Into<Text>> FromIterator<(K, Value)> for Map {
     /// Collects members in any order; the last of a repeated key wins.
     fn from_iter<I: IntoIterator<Item = (K, Value)>>(iter: I) -> Self {
         Map::from_members(iter.into_iter().map(|(k, v)| (k.into(), v)).collect())
@@ -487,8 +506,8 @@ impl<K: Into<Key>> FromIterator<(K, Value)> for Map {
 }
 
 impl IntoIterator for Map {
-    type Item = (Key, Value);
-    type IntoIter = std::vec::IntoIter<(Key, Value)>;
+    type Item = (Text, Value);
+    type IntoIter = std::vec::IntoIter<(Text, Value)>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.0.into_vec().into_iter()
@@ -496,7 +515,7 @@ impl IntoIterator for Map {
 }
 
 impl<'a> IntoIterator for &'a Map {
-    type Item = (&'a Key, &'a Value);
+    type Item = (&'a Text, &'a Value);
     type IntoIter = Iter<'a>;
 
     fn into_iter(self) -> Iter<'a> {
@@ -506,10 +525,10 @@ impl<'a> IntoIterator for &'a Map {
 
 /// The members of a [`Map`] in key order.
 #[derive(Debug, Clone)]
-pub struct Iter<'a>(std::slice::Iter<'a, (Key, Value)>);
+pub struct Iter<'a>(std::slice::Iter<'a, (Text, Value)>);
 
 impl<'a> Iterator for Iter<'a> {
-    type Item = (&'a Key, &'a Value);
+    type Item = (&'a Text, &'a Value);
 
     fn next(&mut self) -> Option<Self::Item> {
         self.0.next().map(|(k, v)| (k, v))
@@ -617,16 +636,16 @@ mod tests {
     fn keys_order_by_bytes_across_inline_and_boxed() {
         let long = "a".repeat(INLINE + 1);
         let keys = ["", "a", "b", long.as_str(), "é", &"z".repeat(INLINE)];
-        let mut sorted: Vec<Key> = keys.iter().map(|&k| Key::from(k)).collect();
+        let mut sorted: Vec<Text> = keys.iter().map(|&k| Text::from(k)).collect();
         sorted.sort();
         let mut expected = keys.map(str::to_owned);
         expected.sort();
-        let got: Vec<&str> = sorted.iter().map(Key::as_str).collect();
+        let got: Vec<&str> = sorted.iter().map(Text::as_str).collect();
         assert_eq!(got, expected);
-        assert!(matches!(Key::from(&*long).0, KeyRepr::Heap(_)));
+        assert!(matches!(Text::from(&*long).0, Repr::Heap(_)));
         assert!(matches!(
-            Key::from("z".repeat(INLINE)).0,
-            KeyRepr::Inline { .. }
+            Text::from("z".repeat(INLINE)).0,
+            Repr::Inline { .. }
         ));
     }
 

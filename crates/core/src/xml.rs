@@ -596,7 +596,7 @@ mod tests {
             Value::Int(i64::MAX),
             Value::Float(2.5),
             Value::Float(-1e-3),
-            Value::Str(String::new()),
+            Value::from(""),
             Value::Str("a & b < c > d \" e ' f".into()),
             Value::Str("unicode ü 🌍 and\nnewline".into()),
         ] {

@@ -5,8 +5,10 @@
 //! access; the fixed seeds make every run reproducible.
 
 use std::collections::BTreeMap;
+use std::hash::BuildHasher;
 
 use dimmer_core::codec::{self, DataFormat, Writer};
+use dimmer_core::value::Text;
 use dimmer_core::{
     json, xml, CoreError, DeviceId, Measurement, MeasurementBatch, QuantityKind, Timestamp, Unit,
     Uri, Value,
@@ -735,6 +737,48 @@ fn objects_behave_like_a_btree_map_however_they_are_built() {
                     "{how} {format}"
                 );
             }
+        }
+    }
+}
+
+/// Equality, order and hash of `value::Text` agree with `str` on both
+/// sides of the 22 bytes it holds inline (DESIGN §17: a derived order
+/// would put every inline text before every boxed one).
+#[test]
+fn texts_compare_order_and_hash_like_str_across_the_inline_boundary() {
+    let mut rng = DeterministicRng::seed_from(0xC0DE_0010);
+    let mut strings: Vec<String> = Vec::new();
+    for len in 0..=40 {
+        strings.push(key_of_len(&mut rng, len));
+    }
+    // A two-, three- or four-byte character that ends before, at, or
+    // straddles byte 22, and the same text one character longer.
+    for wide in ['é', '中', '🌍'] {
+        for before in 18..=22 {
+            let text = format!("{}{wide}", "a".repeat(before));
+            strings.push(format!("{text}a"));
+            strings.push(text);
+        }
+    }
+    for _ in 0..CASES {
+        let len = rng.next_bounded(41) as usize;
+        strings.push(key_of_len(&mut rng, len));
+    }
+    let hasher = std::hash::RandomState::new();
+    let texts: Vec<Text> = strings
+        .iter()
+        .enumerate()
+        .map(|(i, s)| match i % 2 {
+            0 => Text::from(s.as_str()),
+            _ => Text::from(s.clone()),
+        })
+        .collect();
+    for (a, ta) in strings.iter().zip(&texts) {
+        assert_eq!(ta.as_str(), a);
+        assert_eq!(hasher.hash_one(ta), hasher.hash_one(a.as_str()), "{a:?}");
+        for (b, tb) in strings.iter().zip(&texts) {
+            assert_eq!(ta == tb, a == b, "{a:?} == {b:?}");
+            assert_eq!(ta.cmp(tb), a.as_str().cmp(b), "{a:?} cmp {b:?}");
         }
     }
 }

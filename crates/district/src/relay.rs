@@ -58,7 +58,7 @@ impl Node for RelayNode {
         if let Some(query) = self.fan_in.on_packet(ctx, &pkt) {
             self.answer(ctx, query);
         } else if let Some(call) = self.ws.accept(ctx, &pkt) {
-            let is_area = call.request.path == "/area";
+            let is_area = call.request.path.as_str() == "/area";
             let district = call.request.query("district").map(DistrictId::new);
             let bbox = call.request.query("bbox").map(BoundingBox::parse_query);
             let error = match (is_area, district, bbox) {

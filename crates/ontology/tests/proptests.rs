@@ -40,7 +40,7 @@ fn rand_value(rng: &mut DeterministicRng, depth: u32) -> Value {
             let f = f64::from_bits(rng.next_u64());
             Value::Float(if f.is_finite() { f } else { -4.0 })
         }
-        4 => Value::Str(escaped_text(rng, 8)),
+        4 => Value::from(escaped_text(rng, 8)),
         5 => Value::array((0..rng.next_bounded(3)).map(|_| rand_value(rng, depth - 1))),
         _ => Value::object(
             (0..rng.next_bounded(3))

@@ -414,7 +414,7 @@ impl Node for DatabaseProxyNode {
             let response = match call.request.path.as_str() {
                 "/model" | "/query" => {
                     match self.gate.try_admit(ctx.now(), &ctx.telemetry().metrics) {
-                        Admission::Admitted if call.request.path == "/model" => {
+                        Admission::Admitted if call.request.path.as_str() == "/model" => {
                             let response = self.model_response(call.request.format);
                             return self.ws.respond_encoded(ctx, &call, response);
                         }

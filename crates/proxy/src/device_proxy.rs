@@ -501,7 +501,7 @@ impl DeviceProxyNode {
             "/info" => self.info(ctx),
             "/latest" | "/data" => match self.gate.try_admit(ctx.now(), &ctx.telemetry().metrics) {
                 Admission::Admitted => {
-                    let encoded = if request.path == "/latest" {
+                    let encoded = if request.path.as_str() == "/latest" {
                         self.latest(request)
                     } else {
                         self.data(request)

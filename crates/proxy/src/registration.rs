@@ -375,7 +375,7 @@ mod tests {
             let Some(call) = self.ws.accept(ctx, &pkt) else {
                 return;
             };
-            if call.request.path == "/register" {
+            if call.request.path.as_str() == "/register" {
                 self.registers += 1;
                 self.ws.respond(ctx, &call, WsResponse::ok(Value::Null));
             } else {

@@ -17,7 +17,7 @@ use std::cell::Cell;
 use std::ops::Index;
 
 use dimmer_core::codec::{DataFormat, Reader, Scalar, Shaped, Writer};
-use dimmer_core::value::Key;
+use dimmer_core::value::Text;
 use dimmer_core::{CoreError, Value};
 use simnet::rpc::{self, RequestTracker, RpcFrame, Settled};
 use simnet::{Context, NodeId, Packet, SimDuration, TimerTag};
@@ -82,12 +82,12 @@ impl Method {
 pub struct WsRequest {
     /// The method.
     pub method: Method,
-    /// The path, starting with `/`.
-    pub path: String,
+    /// The path, starting with `/`; inline when short.
+    pub path: Text,
     /// Query parameters, sorted by name, no name twice. Names and values
     /// of up to 22 bytes are stored inline, so a decoded `/data` request
     /// allocates once for all of its parameters.
-    pub(crate) query: Vec<(Key, Key)>,
+    pub(crate) query: Vec<(Text, Text)>,
     /// The body in the common data format (often `Null` for GET).
     pub body: Value,
     /// The open format this request (and its response) is encoded in.
@@ -96,10 +96,10 @@ pub struct WsRequest {
 
 impl WsRequest {
     /// A GET request for `path`.
-    pub fn get(path: impl Into<String>) -> Self {
+    pub fn get(path: impl AsRef<str>) -> Self {
         WsRequest {
             method: Method::Get,
-            path: path.into(),
+            path: path.as_ref().into(),
             query: Vec::new(),
             body: Value::Null,
             format: DataFormat::Json,
@@ -107,10 +107,10 @@ impl WsRequest {
     }
 
     /// A POST request for `path` carrying `body`.
-    pub fn post(path: impl Into<String>, body: Value) -> Self {
+    pub fn post(path: impl AsRef<str>, body: Value) -> Self {
         WsRequest {
             method: Method::Post,
-            path: path.into(),
+            path: path.as_ref().into(),
             query: Vec::new(),
             body,
             format: DataFormat::Json,
@@ -118,7 +118,7 @@ impl WsRequest {
     }
 
     /// Adds a query parameter, replacing an earlier value of `key`.
-    pub fn with_query(mut self, key: impl Into<Key>, value: impl Into<Key>) -> Self {
+    pub fn with_query(mut self, key: impl Into<Text>, value: impl Into<Text>) -> Self {
         set_param(&mut self.query, key.into(), value.into());
         self
     }
@@ -192,7 +192,7 @@ impl WsRequest {
         })??;
         Ok(WsRequest {
             method,
-            path: path.require_str(T, "path")?.to_owned(),
+            path: path.require_str(T, "path")?.into(),
             query,
             body,
             format,
@@ -202,12 +202,12 @@ impl WsRequest {
 
 /// Where parameter `key` is in a sorted parameter list, or where it
 /// would go.
-fn find_param(query: &[(Key, Key)], key: &str) -> Result<usize, usize> {
+fn find_param(query: &[(Text, Text)], key: &str) -> Result<usize, usize> {
     query.binary_search_by(|(k, _)| k.as_str().cmp(key))
 }
 
 /// Sets parameter `key` of a sorted parameter list; the last value wins.
-fn set_param(query: &mut Vec<(Key, Key)>, key: Key, value: Key) {
+fn set_param(query: &mut Vec<(Text, Text)>, key: Text, value: Text) {
     match find_param(query, &key) {
         Ok(i) => query[i].1 = value,
         Err(i) => query.insert(i, (key, value)),
@@ -216,10 +216,10 @@ fn set_param(query: &mut Vec<(Key, Key)>, key: Key, value: Key) {
 
 /// Reads the `query` member of a request envelope: an object of strings
 /// (anything but an object reads as no parameters).
-fn read_query(r: &mut Reader<'_>) -> Result<Shaped<Vec<(Key, Key)>>, CoreError> {
+fn read_query(r: &mut Reader<'_>) -> Result<Shaped<Vec<(Text, Text)>>, CoreError> {
     let mut query = Vec::new();
     // Keys whose last occurrence so far was not a string.
-    let mut ill_typed: Vec<Key> = Vec::new();
+    let mut ill_typed: Vec<Text> = Vec::new();
     if r.begin_object()? {
         while let Some(key) = r.next_key()? {
             ill_typed.retain(|k| **k != *key);
@@ -804,7 +804,7 @@ mod tests {
         }
         Ok(WsRequest {
             method,
-            path: envelope.require_str(T, "path")?.to_owned(),
+            path: envelope.require_str(T, "path")?.into(),
             query: query
                 .into_iter()
                 .map(|(k, v): (String, String)| (k.into(), v.into()))

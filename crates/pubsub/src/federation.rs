@@ -170,7 +170,9 @@ pub struct BridgeStats {
     pub batches_sent: u64,
     /// Frames acknowledged by the peer.
     pub frames_acked: u64,
-    /// Frames abandoned: batch retries exhausted or wiped by a restart.
+    /// Frames written off: their batch expired unacknowledged, or a
+    /// restart wiped them. An upper bound on bridge loss, not a count of
+    /// it: a batch whose acks alone were lost was applied by the peer.
     pub frames_dropped: u64,
     /// Frames applied locally from received batches.
     pub frames_received: u64,

@@ -58,7 +58,7 @@ impl Cell {
         match self {
             Cell::Int(i) => Value::Int(*i),
             Cell::Float(f) => Value::Float(*f),
-            Cell::Text(s) => Value::Str(s.clone()),
+            Cell::Text(s) => Value::from(s.as_str()),
             Cell::Bool(b) => Value::Bool(*b),
             Cell::Null => Value::Null,
         }

@@ -1,13 +1,15 @@
 //! The cost contract of the common-format read path, counted in
-//! allocations: the master writes an `/area` resolution into one growing
-//! buffer and a client decodes it with one allocation per owned field; a
-//! client sends a request as one frame and resends it for nothing; a
-//! server decodes a `/data` request with one allocation for its path and
-//! one for its parameters; a Device-proxy's `/data` response is written
-//! into one growing buffer, a client decodes a batch with one allocation
-//! per measurement, a Database-proxy answers `/model` from memoised
-//! bytes, and a client decodes that model with one allocation per
-//! container, string and long key. A malformed document fails without
+//! allocations. Strings, ids and URI parts of up to 22 bytes are stored
+//! inline (`dimmer_core::value::Text`) and cost nothing. The master
+//! writes an `/area` resolution into one growing buffer and a client
+//! decodes it with one allocation per owned field; a client sends a
+//! request as one frame and resends it for nothing; a server decodes a
+//! `/data` request with one allocation, for its parameters; a
+//! Device-proxy's `/data` response is written into one growing buffer, a
+//! client decodes a batch of short-id measurements with only the growth
+//! of their vector, a Database-proxy answers `/model` from memoised bytes,
+//! and a client decodes that model with one allocation per container,
+//! long string and long key. A malformed document fails without
 //! allocating.
 //!
 //! This file is its own test binary, so it can install the counting
@@ -73,7 +75,7 @@ fn data_response_encode_allocates_only_its_growing_buffer() {
 }
 
 #[test]
-fn batch_response_decode_allocates_once_per_measurement() {
+fn batch_response_decode_allocates_only_the_growth_of_its_vector() {
     let device = DeviceId::new("d0-b0-dev0").unwrap();
     for format in DataFormat::all() {
         for n in [10usize, 100] {
@@ -83,15 +85,25 @@ fn batch_response_decode_allocates_once_per_measurement() {
             let (status, batch) = decoded.unwrap();
             assert_eq!(status, status::OK);
             assert_eq!(batch.unwrap().len(), n);
-            // The device id of each measurement, plus the growth of the
-            // vector that holds them; names, numbers, units and
-            // timestamps are read in place.
-            assert!(
-                allocations <= n as u64 + 8,
-                "{format} n={n}: {allocations} allocations"
-            );
+            // Only the vector that holds the measurements, as it grows:
+            // the short device id is stored inline, and names, numbers,
+            // units and timestamps are read in place.
+            assert_eq!(allocations, growth(n), "{format} n={n}");
         }
     }
+}
+
+#[test]
+fn short_ids_and_uris_are_built_without_allocating() {
+    let (built, allocations) = allocations_in(|| {
+        (
+            DeviceId::new("d3-b49-dev1").unwrap(),
+            DistrictId::new("d3").unwrap(),
+            Uri::parse("sim://n12/model").unwrap(),
+        )
+    });
+    assert_eq!(allocations, 0, "{built:?}");
+    assert_eq!(built.2.to_string(), "sim://n12/model");
 }
 
 /// Asks `server` for `/model` once a second, alternating formats, and
@@ -178,10 +190,9 @@ fn model_responses_after_the_first_are_served_from_memoised_bytes() {
 
     // The proxy received nothing but the model requests (its master
     // never answers). The first request in each format translates and
-    // encodes the source; from then on a request costs three
-    // allocations whatever the size of the model: the path string of the
-    // decoded request, the outgoing packet buffer, and the list the
-    // simulator collects the callback's one send in.
+    // encodes the source; from then on a request costs one allocation
+    // whatever the size of the model: the outgoing packet buffer. The
+    // decoded request's path is stored inline.
     let costs = &sim
         .node_ref::<Counted<DatabaseProxyNode>>(proxy)
         .unwrap()
@@ -189,29 +200,34 @@ fn model_responses_after_the_first_are_served_from_memoised_bytes() {
     assert_eq!(costs.len(), ASKS);
     let (first, later) = costs.split_at(2);
     assert!(
-        first.iter().all(|&c| c > 50),
+        first.iter().all(|&c| c > 20),
         "the first request per format builds the model: {first:?}"
     );
     assert!(
-        later.iter().all(|&c| c <= 3),
+        later.iter().all(|&c| c <= 1),
         "memoised responses must not rebuild or re-encode: {later:?}"
     );
 }
 
-/// Keys up to this many bytes are stored inside the object (see
-/// `dimmer_core::value::Key`).
-const INLINE_KEY: usize = 22;
+/// Strings, ids and URI parts up to this many bytes are stored inline
+/// (see `dimmer_core::value::Text`).
+const INLINE: usize = 22;
 
-/// What building `v` may allocate: one block per object, array and
-/// string, and one per key too long to be stored inline.
+/// What storing `s` costs: one block if it is too long to be inline.
+fn text_budget(s: &str) -> u64 {
+    u64::from(s.len() > INLINE)
+}
+
+/// What building `v` may allocate: one block per object and array, and
+/// one per string or key too long to be stored inline.
 fn tree_budget(v: &Value) -> u64 {
     match v {
-        Value::Str(_) => 1,
+        Value::Str(s) => text_budget(s),
         Value::Array(items) => 1 + items.iter().map(tree_budget).sum::<u64>(),
         Value::Object(map) => {
             1 + map
                 .iter()
-                .map(|(k, v)| u64::from(k.len() > INLINE_KEY) + tree_budget(v))
+                .map(|(k, v)| text_budget(k) + tree_budget(v))
                 .sum::<u64>()
         }
         _ => 0,
@@ -219,7 +235,7 @@ fn tree_budget(v: &Value) -> u64 {
 }
 
 #[test]
-fn model_decode_allocates_once_per_container_string_and_long_key() {
+fn model_decode_allocates_once_per_container_long_string_and_long_key() {
     let model = bim_source().model();
     for format in DataFormat::all() {
         let bytes = WsResponse::ok(model.clone()).to_bytes(format);
@@ -340,10 +356,14 @@ fn growth(n: usize) -> u64 {
     }
 }
 
-/// What decoding `uri` may allocate: its scheme, host and path.
+/// What decoding `uri` may allocate: its scheme, host and path, each
+/// only if too long to be stored inline.
 fn uri_budget(uri: &Uri) -> u64 {
-    assert!(!uri.to_string().contains('?'), "a query would cost more");
-    3
+    let text = uri.to_string();
+    assert!(!text.contains('?'), "a query would cost more");
+    let (scheme, rest) = text.split_once("://").unwrap();
+    let path = &rest[rest.find('/').unwrap()..];
+    text_budget(scheme) + text_budget(uri.host()) + text_budget(path)
 }
 
 #[test]
@@ -359,10 +379,13 @@ fn area_resolution_decode_allocates_once_per_owned_field() {
                 allocations_in(|| decode_response(&bytes, AreaResolution::read));
             let resolution = decoded.unwrap().1.unwrap();
             assert_eq!(resolution, onto.resolve_area(&d, &bbox).unwrap());
-            // Each id, protocol and GIS feature is one string, each URI
-            // three, properties a tree; each list allocates as it grows.
-            // Nothing else: no envelope tree, no error built and dropped.
-            let leaf = |l: &DeviceLeaf| 2 + uri_budget(l.proxy());
+            // Each entity id, protocol and GIS feature is one string;
+            // device ids and URI parts cost one only when too long to be
+            // inline; properties are a tree; each list allocates as it
+            // grows. Nothing else: no envelope tree, no error built and
+            // dropped.
+            let leaf =
+                |l: &DeviceLeaf| text_budget(l.device().as_str()) + 1 + uri_budget(l.proxy());
             let entity = |e: &EntityNode| {
                 1 + uri_budget(e.db_proxy())
                     + u64::from(e.gis_feature().is_some())
@@ -371,7 +394,9 @@ fn area_resolution_decode_allocates_once_per_owned_field() {
                     + e.devices().iter().map(leaf).sum::<u64>()
             };
             // The district's one GIS and one measurement proxy.
-            let proxy_lists = 2 * (growth(1) + 3);
+            let proxy_lists = 2 * growth(1)
+                + uri_budget(&Uri::parse("sim://n2/gis").unwrap())
+                + uri_budget(&Uri::parse("sim://n3/measurements").unwrap());
             let budget = growth(resolution.entities.len())
                 + resolution.entities.iter().map(entity).sum::<u64>()
                 + growth(resolution.devices.len())
@@ -518,10 +543,10 @@ fn a_data_request_decodes_with_one_allocation_for_its_parameters() {
     // Requests leave at 1, 2 and 3 s; the first resend, 3 s after the
     // first request, falls after the run.
     sim.run_for(SimDuration::from_millis(3_500));
-    // The path, then the parameters in one list of inline names and
-    // values; a request without parameters allocates only its path.
+    // The parameters in one list of inline names and values; the path is
+    // inline too, so a request without parameters allocates nothing.
     let costs = &sim.node_ref::<Counted<Quiet>>(server).unwrap().per_packet;
-    assert_eq!(costs, &[2, 2, 1]);
+    assert_eq!(costs, &[1, 1, 0]);
 }
 
 /// One malformed document per place a reader can fail before it
