@@ -10,9 +10,12 @@
 # one entry per workload:
 #
 #   sim_digest        the untraced runs' digest (they must agree);
-#   exact             the end-to-end metrics that the three untraced runs
-#                     repeat bit for bit (allocs_per_op, bytes_per_op and
-#                     the simulated latencies);
+#   allocs_per_op,    the median of the three untraced runs, each run's
+#   bytes_per_op      value beside it (`area_query` can differ by one
+#                     allocation in about a thousand operations);
+#   exact             the other end-to-end metrics that the three
+#                     untraced runs repeat bit for bit (the simulated
+#                     latencies);
 #   per_layer         every per-layer metric that the two traced runs
 #                     repeat bit for bit (event, packet, timer, request
 #                     and storage counts, ...);
@@ -72,10 +75,15 @@ for workload in $workloads; do
         if ($records | map(.sim_digest) | unique | length) != 1 then
             error("untraced runs disagree on sim_digest")
         else . end
-        | (values($lines)) as $e2e
+        | (values($lines)) as $counted
+        | ($counted | del(.allocs_per_op, .bytes_per_op)) as $e2e
         | (values($traced)) as $layer
         | {
             sim_digest: $records[0].sim_digest,
+            allocs_per_op: ($counted.allocs_per_op | median),
+            allocs_per_op_runs: $counted.allocs_per_op,
+            bytes_per_op: ($counted.bytes_per_op | median),
+            bytes_per_op_runs: $counted.bytes_per_op,
             exact: ($e2e | with_entries(select((.key | memory | not) and (.value | repeats))
                 | .value = .value[0])),
             per_layer: ($layer | with_entries(select((.key | memory | not) and (.value | repeats))
