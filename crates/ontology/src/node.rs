@@ -1,6 +1,7 @@
 //! The node types of a district tree.
 
 use dimmer_core::codec::{self, Reader, Scalar, Shaped, Writer};
+use dimmer_core::value::Text;
 use dimmer_core::{
     BuildingId, CoreError, DeviceId, DistrictId, EntityKind, NetworkId, QuantityKind, Uri, Value,
 };
@@ -31,12 +32,12 @@ fn location_of(v: &Value) -> Shaped<Option<GeoPoint>> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct EntityNode {
     kind: EntityKind,
-    id: String,
+    id: Text,
     /// The Web-Service URI of the BIM (buildings) or SIM (networks)
     /// Database-proxy serving this entity's model.
     db_proxy: Uri,
     /// The GIS feature id mapping this entity into the GIS databases.
-    gis_feature: Option<String>,
+    gis_feature: Option<Text>,
     /// Location cached from the GIS at registration time, so area
     /// resolution does not need a GIS round trip per query.
     location: Option<GeoPoint>,
@@ -51,7 +52,7 @@ impl EntityNode {
     pub fn building(id: BuildingId, bim_proxy: Uri) -> Self {
         EntityNode {
             kind: EntityKind::Building,
-            id: id.into_inner(),
+            id: id.as_str().into(),
             db_proxy: bim_proxy,
             gis_feature: None,
             location: None,
@@ -64,7 +65,7 @@ impl EntityNode {
     pub fn network(id: NetworkId, sim_proxy: Uri) -> Self {
         EntityNode {
             kind: EntityKind::Network,
-            id: id.into_inner(),
+            id: id.as_str().into(),
             db_proxy: sim_proxy,
             gis_feature: None,
             location: None,
@@ -74,7 +75,7 @@ impl EntityNode {
     }
 
     /// Sets the GIS feature mapping.
-    pub fn with_gis_feature(mut self, feature_id: impl Into<String>) -> Self {
+    pub fn with_gis_feature(mut self, feature_id: impl Into<Text>) -> Self {
         self.gis_feature = Some(feature_id.into());
         self
     }
@@ -260,9 +261,9 @@ impl EntityNode {
         Ok(EntityNode {
             devices: devices?,
             kind,
-            id: id?.to_owned(),
+            id: id?.into(),
             db_proxy: Uri::parse(db_proxy?)?,
-            gis_feature: gis_feature.map(str::to_owned),
+            gis_feature: gis_feature.map(Text::from),
             location: location?,
             properties,
         })
@@ -274,7 +275,7 @@ impl EntityNode {
 pub struct DeviceLeaf {
     device: DeviceId,
     /// The protocol family name ("zigbee", "enocean", …).
-    protocol: String,
+    protocol: Text,
     quantity: QuantityKind,
     /// The Web-Service URI of the Device-proxy serving this device.
     proxy: Uri,
@@ -285,7 +286,7 @@ impl DeviceLeaf {
     /// Creates a device leaf.
     pub fn new(
         device: DeviceId,
-        protocol: impl Into<String>,
+        protocol: impl Into<Text>,
         quantity: QuantityKind,
         proxy: Uri,
     ) -> Self {
@@ -412,7 +413,7 @@ impl DeviceLeaf {
     ) -> Result<Self, CoreError> {
         Ok(DeviceLeaf {
             device: DeviceId::new(device?)?,
-            protocol: protocol?.to_owned(),
+            protocol: protocol?.into(),
             quantity: QuantityKind::parse(quantity?)?,
             proxy: Uri::parse(proxy?)?,
             location: location?,

@@ -371,7 +371,11 @@ impl TimeSeriesStore {
         if let Some(&id) = self.names.get(name) {
             return id;
         }
-        let id = SeriesId(u32::try_from(self.series.len()).expect("fewer than 2^32 series"));
+        let id = u32::try_from(self.series.len())
+            .ok()
+            .filter(|&id| id != wal::RETENTION_SERIES)
+            .map(SeriesId)
+            .expect("fewer than 2^32 - 1 series");
         self.names.insert(name.into(), id);
         self.series.push(Series::default());
         id
@@ -487,13 +491,20 @@ impl TimeSeriesStore {
         best.map(|(t, v, _)| (t, v))
     }
 
-    /// All points with `from <= t < to`, in chronological order.
+    /// All points with `from <= t < to`, in chronological order. A
+    /// series with no sealed segment answers with one exact-size copy of
+    /// its head's slice.
     pub fn range(&self, series: &str, from: i64, to: i64) -> Vec<(i64, f64)> {
         let mut out = Vec::new();
         if from < to {
             if let Some(s) = self.get(series) {
-                MergeScan::new(&s.head, &s.segments, from, Some(to))
-                    .for_each(|t, v| out.push((t, v)));
+                if s.segments.is_empty() {
+                    let tail = head_from(&s.head, from);
+                    out = tail[..tail.partition_point(|&(t, _)| t < to)].to_vec();
+                } else {
+                    MergeScan::new(&s.head, &s.segments, from, Some(to))
+                        .for_each(|t, v| out.push((t, v)));
+                }
             }
         }
         if let Some(metrics) = &self.metrics {
@@ -724,9 +735,9 @@ impl TimeSeriesStore {
                 .extend(BlockIter::new(block, *count));
         }
         let mut replayed = 0u64;
-        for rec in wal.records_after(snapshot.upto_seq) {
+        for op in wal.records_after(snapshot.upto_seq) {
             replayed += 1;
-            match rec.op {
+            match op {
                 WalOp::Insert { series: id, t, v } => series[id.index()].put(t, v),
                 WalOp::Retention { horizon } => {
                     for s in series.iter_mut() {

@@ -17,6 +17,10 @@
 
 use super::SeriesId;
 
+/// The series id a retention record carries: no series is issued it
+/// (see [`TimeSeriesStore::series_id`](super::TimeSeriesStore::series_id)).
+pub(crate) const RETENTION_SERIES: u32 = u32::MAX;
+
 /// One logged mutation. Series are named by the store's [`SeriesId`],
 /// which keeps the log compact; the store's name table survives
 /// truncation and crashes with the log.
@@ -28,38 +32,75 @@ pub(crate) enum WalOp {
     Retention { horizon: i64 },
 }
 
-/// A sequenced WAL record.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct WalRecord {
-    pub(crate) seq: u64,
-    pub(crate) op: WalOp,
+/// A [`WalOp`] as the log stores it, in 20 bytes: the series id, the
+/// timestamp and the value's bits. A retention is stored under
+/// [`RETENTION_SERIES`] with its horizon as the timestamp. The two
+/// 8-byte fields are byte arrays so the record aligns to 4, not 8.
+#[derive(Debug, Clone, Copy)]
+struct Record {
+    series: u32,
+    t: [u8; 8],
+    bits: [u8; 8],
 }
 
-/// The in-simulation write-ahead log.
+impl Record {
+    fn new(op: WalOp) -> Record {
+        let (series, t, v) = match op {
+            WalOp::Insert { series, t, v } => (series.0, t, v),
+            WalOp::Retention { horizon } => (RETENTION_SERIES, horizon, 0.0),
+        };
+        Record {
+            series,
+            t: t.to_ne_bytes(),
+            bits: v.to_bits().to_ne_bytes(),
+        }
+    }
+
+    fn op(&self) -> WalOp {
+        let t = i64::from_ne_bytes(self.t);
+        match self.series {
+            RETENTION_SERIES => WalOp::Retention { horizon: t },
+            series => WalOp::Insert {
+                series: SeriesId(series),
+                t,
+                v: f64::from_bits(u64::from_ne_bytes(self.bits)),
+            },
+        }
+    }
+}
+
+/// The in-simulation write-ahead log. Sequences are implicit: the
+/// record at index `i` has sequence `base + 1 + i`, where `base` counts
+/// the records truncated so far.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Wal {
-    records: Vec<WalRecord>,
-    next_seq: u64,
+    records: Vec<Record>,
+    base: u64,
 }
 
 impl Wal {
     /// Logs one mutation; returns its sequence.
     pub(crate) fn append(&mut self, op: WalOp) -> u64 {
-        self.next_seq += 1;
-        let seq = self.next_seq;
-        self.records.push(WalRecord { seq, op });
-        seq
+        self.records.push(Record::new(op));
+        self.last_seq()
     }
 
     /// Sequence of the most recent record (0 before any append).
     pub(crate) fn last_seq(&self) -> u64 {
-        self.next_seq
+        self.base + self.records.len() as u64
     }
 
-    /// Records with `seq > after`, oldest first.
-    pub(crate) fn records_after(&self, after: u64) -> &[WalRecord] {
-        let start = self.records.partition_point(|r| r.seq <= after);
-        &self.records[start..]
+    /// Index of the first record with sequence above `seq`.
+    fn index_after(&self, seq: u64) -> usize {
+        let held = seq.saturating_sub(self.base).min(self.records.len() as u64);
+        usize::try_from(held).expect("at most `len` records")
+    }
+
+    /// The mutations with sequence above `after`, oldest first.
+    pub(crate) fn records_after(&self, after: u64) -> impl Iterator<Item = WalOp> + '_ {
+        self.records[self.index_after(after)..]
+            .iter()
+            .map(Record::op)
     }
 
     /// Number of live (untruncated) records.
@@ -67,10 +108,12 @@ impl Wal {
         self.records.len()
     }
 
-    /// Drops every record with `seq <= through` (checkpoint truncate).
+    /// Drops every record with sequence at most `through` (checkpoint
+    /// truncate).
     pub(crate) fn truncate_through(&mut self, through: u64) {
-        let start = self.records.partition_point(|r| r.seq <= through);
+        let start = self.index_after(through);
         self.records.drain(..start);
+        self.base += start as u64;
     }
 }
 
@@ -98,6 +141,40 @@ mod tests {
     }
 
     #[test]
+    fn a_record_is_twenty_bytes() {
+        assert_eq!(std::mem::size_of::<Record>(), 20);
+    }
+
+    #[test]
+    fn records_decode_to_the_ops_logged() {
+        let ops = [
+            insert(0, i64::MIN, -0.0),
+            WalOp::Retention { horizon: i64::MAX },
+            insert(
+                RETENTION_SERIES - 1,
+                -1,
+                f64::from_bits(0x7ff8_0000_dead_beef),
+            ),
+            WalOp::Retention { horizon: -7 },
+            insert(3, 0, f64::NEG_INFINITY),
+        ];
+        let mut wal = Wal::default();
+        for op in ops {
+            wal.append(op);
+        }
+        let back: Vec<WalOp> = wal.records_after(0).collect();
+        // Bit for bit, so a NaN's payload and a zero's sign count.
+        let bits = |op: &WalOp| match *op {
+            WalOp::Insert { series, t, v } => (series.0, t, v.to_bits()),
+            WalOp::Retention { horizon } => (RETENTION_SERIES, horizon, 0),
+        };
+        assert_eq!(
+            back.iter().map(bits).collect::<Vec<_>>(),
+            ops.iter().map(bits).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
     fn sequences_and_truncate() {
         let mut wal = Wal::default();
         assert_eq!(wal.last_seq(), 0);
@@ -108,9 +185,19 @@ mod tests {
 
         wal.truncate_through(2);
         assert_eq!(wal.len(), 1);
-        assert_eq!(wal.records_after(0)[0].seq, 3);
+        assert_eq!(wal.records_after(0).next(), Some(insert(0, 3, 3.0)));
+        assert_eq!(wal.records_after(2).count(), 1);
+        assert_eq!(wal.records_after(3).count(), 0);
         // Sequencing survives truncation.
         assert_eq!(wal.append(WalOp::Retention { horizon: 10 }), 4);
-        assert_eq!(wal.records_after(3).len(), 1);
+        assert_eq!(wal.records_after(3).count(), 1);
+        // Truncating through an old sequence drops nothing; past the
+        // newest, everything, and the next append continues the count.
+        wal.truncate_through(1);
+        assert_eq!(wal.len(), 2);
+        wal.truncate_through(9);
+        assert_eq!((wal.len(), wal.last_seq()), (0, 4));
+        assert_eq!(wal.append(insert(2, 5, 5.0)), 5);
+        assert_eq!(wal.records_after(4).count(), 1);
     }
 }

@@ -390,6 +390,92 @@ fn tskv_interleaved_appends_match_flat_reference() {
     }
 }
 
+/// The WAL alone against a model: several series written mostly to
+/// their heads, with retentions, checkpoints (inline and explicit), torn
+/// checkpoints and crashes in between. Every crash must recover exactly
+/// the flat reference, replay exactly the records logged since the last
+/// snapshot, and leave the live record count where the model has it.
+#[test]
+fn tskv_wal_recovery_matches_flat_reference() {
+    let mut rng = DeterministicRng::seed_from(0x5709_0054);
+    let names = [
+        "temperature",
+        "power",
+        "raw/b1/dev/energy",
+        "agg/b1/power",
+        "x",
+    ];
+    for case in 0..CASES / 4 {
+        // Heads never seal on insert; the log checkpoints inline every
+        // few records, or never.
+        let every = [1, 2, 7, 64, usize::MAX][rng.next_bounded(5) as usize];
+        let mut store = TimeSeriesStore::with_config(TskvConfig {
+            seal_threshold: 1 << 20,
+            wal_checkpoint_records: every,
+        });
+        let ids: Vec<_> = names.iter().map(|n| store.series_id(n)).collect();
+        let mut reference = vec![std::collections::BTreeMap::new(); names.len()];
+        // Records ever logged, the newest one a snapshot holds, and the
+        // newest one truncated.
+        let (mut logged, mut snapshot, mut truncated) = (0u64, 0u64, 0u64);
+        for _ in 0..rng.next_range(1, 300) {
+            match rng.next_bounded(16) {
+                0 => {
+                    let horizon = (rng.next_bounded(2_000) as i64 - 1_200) * TICK;
+                    let removed: usize = reference
+                        .iter_mut()
+                        .map(|r| {
+                            let keep = r.split_off(&horizon);
+                            std::mem::replace(r, keep).len()
+                        })
+                        .sum();
+                    assert_eq!(store.apply_retention(horizon), removed);
+                    // A retention that removes nothing is not logged.
+                    logged += u64::from(removed > 0);
+                }
+                1 => {
+                    store.checkpoint();
+                    (snapshot, truncated) = (logged, logged);
+                }
+                2 => {
+                    store.debug_snapshot_without_truncate();
+                    snapshot = logged;
+                }
+                3 | 4 => assert_eq!(store.crash_recover(), logged - snapshot, "case {case}"),
+                _ => {
+                    let s = rng.next_bounded(names.len() as u64) as usize;
+                    let t = (rng.next_bounded(2_000) as i64 - 1_000) * TICK;
+                    let v = adversarial_value(&mut rng);
+                    store.insert_at(ids[s], t, v);
+                    reference[s].insert(t, v);
+                    logged += 1;
+                    if (logged - truncated) as usize >= every {
+                        (snapshot, truncated) = (logged, logged);
+                    }
+                }
+            }
+            assert_eq!(
+                store.stats().wal_records as u64,
+                logged - truncated,
+                "case {case}"
+            );
+        }
+        store.crash_recover();
+        for (s, name) in names.iter().enumerate() {
+            let got: Vec<(i64, u64)> = store
+                .range(name, i64::MIN, i64::MAX)
+                .into_iter()
+                .map(|(t, v)| (t, v.to_bits()))
+                .collect();
+            let want: Vec<(i64, u64)> = reference[s]
+                .iter()
+                .map(|(&t, &v)| (t, v.to_bits()))
+                .collect();
+            assert_eq!(got, want, "case {case}: {name}");
+        }
+    }
+}
+
 #[test]
 fn tskv_series_ids_are_the_string_paths() {
     let mut rng = DeterministicRng::seed_from(0x5709_0013);

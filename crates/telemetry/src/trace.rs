@@ -28,13 +28,16 @@
 //! it, so a flight is recorded whole or not at all. The declined
 //! flights are counted and exported as the `trace.unsampled` gauge.
 //!
-//! The ring holds fixed-size records, not [`TraceEvent`]s: the kind
-//! is a `&'static str`, the node is its id alone (the display name is
-//! looked up at export) and the detail is formatted from
-//! [`fmt::Arguments`] into [`INLINE_DETAIL_BYTES`] of inline storage,
-//! spilling to the heap only when it does not fit. Recording therefore
-//! allocates nothing in the steady state, and a caller whose message is
-//! untraced never runs its formatter at all.
+//! The ring does not hold [`TraceEvent`]s. Each event is a fixed
+//! 56-byte header: its ids and time, the kind as a `&'static str`, the
+//! node as its id alone (the display name is looked up at export) and
+//! the detail's length. The details are formatted from
+//! [`fmt::Arguments`] straight into one byte ring, back to back in
+//! event order, and leave it in step with their headers. A held event
+//! therefore costs its header plus its own detail, whatever the
+//! detail's length. Once both rings have grown to the window's size,
+//! recording allocates nothing, and a caller whose message is untraced
+//! never runs its formatter at all.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::{self, Write as _};
@@ -70,12 +73,6 @@ const TRACE_ONE_IN: u64 = 16;
 /// Default ring capacity; overridable via [`Tracer::set_capacity`].
 const DEFAULT_CAPACITY: usize = 65_536;
 
-/// Detail bytes a ring record stores inline. The longest detail the
-/// workspace's own hops write (`topic=…` of a device or rollup topic
-/// plus a peer id) is under 100 bytes; with this capacity a record is
-/// 160 bytes.
-pub const INLINE_DETAIL_BYTES: usize = 102;
-
 /// One structured trace event, as exported by [`Tracer::events`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
@@ -97,77 +94,86 @@ pub struct TraceEvent {
     pub detail: String,
 }
 
-/// A record's detail text: inline while it fits, on the heap after.
+/// What the ring stores per event besides its detail; see the
+/// [module docs](self).
 #[derive(Debug)]
-enum Detail {
-    Inline {
-        len: u8,
-        bytes: [u8; INLINE_DETAIL_BYTES],
-    },
-    Spilled(String),
-}
-
-impl Detail {
-    fn format(args: fmt::Arguments<'_>) -> Detail {
-        let mut detail = Detail::Inline {
-            len: 0,
-            bytes: [0; INLINE_DETAIL_BYTES],
-        };
-        // `write_str` below never fails; a failing `Display` impl just
-        // leaves the detail cut short.
-        let _ = detail.write_fmt(args);
-        detail
-    }
-
-    fn as_str(&self) -> &str {
-        match self {
-            Detail::Inline { len, bytes } => inline_str(&bytes[..usize::from(*len)]),
-            Detail::Spilled(heap) => heap,
-        }
-    }
-}
-
-/// The inline bytes are a concatenation of whole `&str`s.
-fn inline_str(bytes: &[u8]) -> &str {
-    std::str::from_utf8(bytes).expect("inline detail is only ever extended by whole strs")
-}
-
-impl fmt::Write for Detail {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        if let Detail::Inline { len, bytes } = self {
-            let start = usize::from(*len);
-            let end = start + s.len();
-            if end <= INLINE_DETAIL_BYTES {
-                bytes[start..end].copy_from_slice(s.as_bytes());
-                *len = end as u8;
-                return Ok(());
-            }
-            let mut heap = String::with_capacity(end);
-            heap.push_str(inline_str(&bytes[..start]));
-            *self = Detail::Spilled(heap);
-        }
-        if let Detail::Spilled(heap) = self {
-            heap.push_str(s);
-        }
-        Ok(())
-    }
-}
-
-/// What the ring stores per event; see the [module docs](self).
-#[derive(Debug)]
-struct Record {
+struct Header {
     time_ns: u64,
     trace_id: TraceId,
     span: SpanId,
     parent_span: SpanId,
     kind: &'static str,
     node: u32,
-    detail: Detail,
+    /// Bytes of the detail, which follows the previous event's in
+    /// [`TracerInner::details`].
+    detail_len: u32,
+}
+
+/// Formats a detail onto the end of the detail ring, counting its
+/// bytes. A detail ends at the first piece that would take it past
+/// `u32::MAX` bytes, as it would at a failing `Display`.
+struct DetailWriter<'a> {
+    details: &'a mut VecDeque<u8>,
+    len: u32,
+}
+
+impl fmt::Write for DetailWriter<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let len = u32::try_from(s.len())
+            .ok()
+            .and_then(|n| self.len.checked_add(n))
+            .ok_or(fmt::Error)?;
+        self.details.extend(s.as_bytes());
+        self.len = len;
+        Ok(())
+    }
+}
+
+/// The held events laid out for reading: every detail contiguous.
+struct Held<'a> {
+    headers: &'a VecDeque<Header>,
+    details: &'a [u8],
+    names: &'a BTreeMap<u32, String>,
+}
+
+impl<'a> Held<'a> {
+    /// Each held event with its detail, oldest first.
+    fn iter(&self) -> impl Iterator<Item = (&'a Header, &'a str)> {
+        let details = self.details;
+        let mut start = 0;
+        self.headers.iter().map(move |h| {
+            let end = start + h.detail_len as usize;
+            let detail = std::str::from_utf8(&details[start..end])
+                .expect("a detail is only ever extended by whole strs");
+            start = end;
+            (h, detail)
+        })
+    }
+
+    fn name(&self, node: u32) -> &'a str {
+        self.names.get(&node).map_or("", String::as_str)
+    }
+
+    fn export(&self, h: &Header, detail: &str) -> TraceEvent {
+        TraceEvent {
+            time_ns: h.time_ns,
+            node: h.node,
+            node_name: self.name(h.node).to_string(),
+            kind: h.kind.to_string(),
+            trace_id: h.trace_id,
+            span: h.span,
+            parent_span: h.parent_span,
+            detail: detail.to_string(),
+        }
+    }
 }
 
 #[derive(Debug)]
 struct TracerInner {
-    ring: VecDeque<Record>,
+    ring: VecDeque<Header>,
+    /// The held events' details back to back, oldest first.
+    details: VecDeque<u8>,
+    /// Events held at most.
     capacity: usize,
     dropped: u64,
     names: BTreeMap<u32, String>,
@@ -189,6 +195,7 @@ impl Default for TracerInner {
     fn default() -> Self {
         TracerInner {
             ring: VecDeque::new(),
+            details: VecDeque::new(),
             capacity: DEFAULT_CAPACITY,
             dropped: 0,
             names: BTreeMap::new(),
@@ -222,16 +229,34 @@ impl TracerInner {
         !self.off && (self.dropped == 0 || mix(self.seed, flight).is_multiple_of(TRACE_ONE_IN))
     }
 
-    fn export(&self, r: &Record) -> TraceEvent {
-        TraceEvent {
-            time_ns: r.time_ns,
-            node: r.node,
-            node_name: self.names.get(&r.node).cloned().unwrap_or_default(),
-            kind: r.kind.to_string(),
-            trace_id: r.trace_id,
-            span: r.span,
-            parent_span: r.parent_span,
-            detail: r.detail.as_str().to_string(),
+    /// Drops the oldest event and its detail, counting the drop.
+    fn evict(&mut self) {
+        if let Some(oldest) = self.ring.pop_front() {
+            self.details.drain(..oldest.detail_len as usize);
+            self.dropped += 1;
+        }
+    }
+
+    /// Grows the header ring, which is full, and the detail ring with
+    /// it: to the new header capacity (at most the event capacity) at
+    /// the mean detail length held, counting the detail just written,
+    /// plus an eighth. The detail ring then reallocates between two
+    /// header growths, or in a full ring, only once the details held run
+    /// more than an eighth longer than that mean.
+    fn grow(&mut self) {
+        self.ring.reserve(1);
+        let events = self.ring.capacity().min(self.capacity);
+        let mean = self.details.len().div_ceil(self.ring.len() + 1);
+        let want = events * (mean + mean / 8);
+        self.details
+            .reserve_exact(want.saturating_sub(self.details.len()));
+    }
+
+    fn held(&mut self) -> Held<'_> {
+        Held {
+            headers: &self.ring,
+            details: self.details.make_contiguous(),
+            names: &self.names,
         }
     }
 }
@@ -274,8 +299,7 @@ impl Tracer {
         let mut g = self.inner();
         g.capacity = capacity.max(1);
         while g.ring.len() > g.capacity {
-            g.ring.pop_front();
-            g.dropped += 1;
+            g.evict();
         }
     }
 
@@ -369,9 +393,11 @@ impl Tracer {
         self.store(time_ns, node, kind, trace_id, None, parent_span, detail)
     }
 
-    /// Formats the detail, then takes the lock once to mint the span
-    /// (when `span` is `None`) and store the record. Returns the span
-    /// the record was stored under.
+    /// Takes the lock once to mint the span (when `span` is `None`),
+    /// make room, format the detail onto the detail ring and store the
+    /// header. Returns the span the event was stored under. The detail
+    /// is formatted under the lock, so a `Display` in it must not
+    /// record into this tracer.
     #[allow(clippy::too_many_arguments)]
     fn store(
         &self,
@@ -383,21 +409,29 @@ impl Tracer {
         parent_span: SpanId,
         detail: fmt::Arguments<'_>,
     ) -> SpanId {
-        let detail = Detail::format(detail);
         let mut g = self.inner();
         let span = span.unwrap_or_else(|| g.mint_span());
         if g.ring.len() >= g.capacity {
-            g.ring.pop_front();
-            g.dropped += 1;
+            g.evict();
         }
-        g.ring.push_back(Record {
+        let mut writer = DetailWriter {
+            details: &mut g.details,
+            len: 0,
+        };
+        // A failing `Display` just leaves the detail cut short.
+        let _ = writer.write_fmt(detail);
+        let detail_len = writer.len;
+        if g.ring.len() == g.ring.capacity() {
+            g.grow();
+        }
+        g.ring.push_back(Header {
             time_ns,
             trace_id,
             span,
             parent_span,
             kind,
             node,
-            detail,
+            detail_len,
         });
         span
     }
@@ -420,37 +454,38 @@ impl Tracer {
 
     /// All retained events, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
-        let g = self.inner();
-        g.ring.iter().map(|r| g.export(r)).collect()
+        let mut g = self.inner();
+        let held = g.held();
+        held.iter().map(|(h, d)| held.export(h, d)).collect()
     }
 
     /// Retained events belonging to one trace, oldest first.
     pub fn events_for(&self, trace_id: TraceId) -> Vec<TraceEvent> {
-        let g = self.inner();
-        g.ring
-            .iter()
-            .filter(|r| r.trace_id == trace_id)
-            .map(|r| g.export(r))
+        let mut g = self.inner();
+        let held = g.held();
+        held.iter()
+            .filter(|(h, _)| h.trace_id == trace_id)
+            .map(|(h, d)| held.export(h, d))
             .collect()
     }
 
     /// Exports the retained events as JSON lines (one object per line).
     pub fn to_json_lines(&self) -> String {
-        let g = self.inner();
+        let mut g = self.inner();
+        let held = g.held();
         let mut out = String::new();
-        for r in &g.ring {
-            let name = g.names.get(&r.node).map_or("", String::as_str);
+        for (h, detail) in held.iter() {
             let _ = writeln!(
                 out,
                 "{{\"t_ns\":{},\"node\":{},\"name\":\"{}\",\"kind\":\"{}\",\"trace\":{},\"span\":{},\"parent\":{},\"detail\":\"{}\"}}",
-                r.time_ns,
-                r.node,
-                escape(name),
-                escape(r.kind),
-                r.trace_id,
-                r.span,
-                r.parent_span,
-                escape(r.detail.as_str()),
+                h.time_ns,
+                h.node,
+                escape(held.name(h.node)),
+                escape(h.kind),
+                h.trace_id,
+                h.span,
+                h.parent_span,
+                escape(detail),
             );
         }
         out
@@ -507,10 +542,9 @@ mod tests {
     }
 
     #[test]
-    fn record_is_fixed_size_and_smaller_than_an_event() {
-        // 4 × u64, a `&'static str`, the node id and the detail
-        // (tag + length byte + inline bytes), padded to 8.
-        assert_eq!(std::mem::size_of::<Record>(), 160);
+    fn a_header_is_56_bytes_and_smaller_than_an_event() {
+        // 4 × u64, a `&'static str`, the node id and the detail length.
+        assert_eq!(std::mem::size_of::<Header>(), 56);
         // A `TraceEvent` is 112 bytes *plus* three heap strings.
         assert_eq!(std::mem::size_of::<TraceEvent>(), 112);
     }

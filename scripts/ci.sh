@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Offline CI gate: formatting, lints, docs, the examples (built and run),
-# the full test suite, the e13 smoke, the results diff, the core, storage
-# and streams tests again in release, e15, e3, e7 and e8 run to
+# the full test suite, the e13 smoke, the results diff, the core, storage,
+# streams and telemetry tests again in release, e15, e3, e7 and e8 run to
 # completion, the benchmark's own gate and the allocation-count ratchet
 # over its --quick runs.
 # Usage: scripts/ci.sh
@@ -185,10 +185,10 @@ for bin in e1_query_scaling e2_ingest_throughput e5_redirect_vs_relay \
     echo "results diff: $bin ok"
 done
 
-echo "== cargo test --release (core, storage, streams: the Summary fold's NaN rule under release codegen)"
+echo "== cargo test --release (core, storage, streams, telemetry: the Summary fold's NaN rule and the trace ring's byte bookkeeping under release codegen)"
 # Which NaN a sum keeps is a codegen question, and the suite above runs
-# only in debug.
-cargo test -q --release -p dimmer-core -p dimmer-storage -p dimmer-streams
+# only in debug; so do the trace ring's header and detail offsets.
+cargo test -q --release -p dimmer-core -p dimmer-storage -p dimmer-streams -p dimmer-telemetry
 
 echo "== e15 storage (compression + recovery + crash sweep; asserts only, prints wall-clock fields)"
 target/release/e15_storage

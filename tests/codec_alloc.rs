@@ -379,16 +379,17 @@ fn area_resolution_decode_allocates_once_per_owned_field() {
                 allocations_in(|| decode_response(&bytes, AreaResolution::read));
             let resolution = decoded.unwrap().1.unwrap();
             assert_eq!(resolution, onto.resolve_area(&d, &bbox).unwrap());
-            // Each entity id, protocol and GIS feature is one string;
-            // device ids and URI parts cost one only when too long to be
-            // inline; properties are a tree; each list allocates as it
-            // grows. Nothing else: no envelope tree, no error built and
-            // dropped.
-            let leaf =
-                |l: &DeviceLeaf| text_budget(l.device().as_str()) + 1 + uri_budget(l.proxy());
+            // Entity ids, GIS features, device ids, protocols and URI
+            // parts cost one only when too long to be inline; properties
+            // are a tree; each list allocates as it grows. Nothing else:
+            // no envelope tree, no error built and dropped.
+            let leaf = |l: &DeviceLeaf| {
+                text_budget(l.device().as_str()) + text_budget(l.protocol()) + uri_budget(l.proxy())
+            };
             let entity = |e: &EntityNode| {
-                1 + uri_budget(e.db_proxy())
-                    + u64::from(e.gis_feature().is_some())
+                text_budget(e.id())
+                    + uri_budget(e.db_proxy())
+                    + e.gis_feature().map_or(0, text_budget)
                     + tree_budget(e.properties())
                     + growth(e.devices().len())
                     + e.devices().iter().map(leaf).sum::<u64>()

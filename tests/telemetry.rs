@@ -1,5 +1,6 @@
 //! End-to-end telemetry: flight-recorder traces across the full stack,
-//! bounded-histogram accuracy against exact sorted quantiles, and the
+//! bounded-histogram accuracy against exact sorted quantiles, the trace
+//! ring's exports against a model of the events it holds, and the
 //! cost contract of the write path — metric writes, trace records,
 //! untraced hops and an SLO refresh over a full ring allocate nothing.
 //!
@@ -14,7 +15,7 @@ use pubsub::{PubSubClient, PubSubEvent, QoS, TopicFilter, PUBSUB_PORT};
 use simnet::rng::DeterministicRng;
 use simnet::telemetry::flight::reconstruct;
 use simnet::telemetry::metrics::Histogram;
-use simnet::telemetry::trace::INLINE_DETAIL_BYTES;
+use simnet::telemetry::trace::TraceEvent;
 use simnet::telemetry::{exposition, Registry, Telemetry, Tracer, NO_SPAN, NO_TRACE};
 use simnet::{Context, Node, Packet, SimConfig, SimDuration, Simulator, TimerTag};
 
@@ -327,33 +328,159 @@ fn resolved_but_unwritten_series_stay_out_of_snapshots() {
     }
 }
 
+/// Writes its text, then fails: a detail holding it is cut short
+/// right after it.
+struct FailsAfter<'a>(&'a str);
+
+impl fmt::Display for FailsAfter<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.0)?;
+        Err(fmt::Error)
+    }
+}
+
+/// A detail of about `len` bytes drawn from one- to four-byte
+/// characters, quotes and control characters, so JSON escaping and
+/// character boundaries both show.
+fn random_detail(rng: &mut DeterministicRng, len: usize) -> String {
+    const CHARS: [char; 9] = ['x', '7', 'é', '€', '𝄞', '"', '\\', '\n', '\u{1}'];
+    let mut s = String::new();
+    while s.len() < len {
+        s.push(CHARS[rng.next_bounded(CHARS.len() as u64) as usize]);
+    }
+    s
+}
+
+/// The JSON line `Tracer::to_json_lines` writes for `e`, escaped here
+/// independently of the tracer.
+fn json_line(e: &TraceEvent) -> String {
+    let escape = |s: &str| {
+        s.chars()
+            .map(|c| match c {
+                '"' => "\\\"".to_string(),
+                '\\' => "\\\\".to_string(),
+                '\n' => "\\n".to_string(),
+                '\r' => "\\r".to_string(),
+                '\t' => "\\t".to_string(),
+                c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32),
+                c => c.to_string(),
+            })
+            .collect::<String>()
+    };
+    format!(
+        "{{\"t_ns\":{},\"node\":{},\"name\":\"{}\",\"kind\":\"{}\",\"trace\":{},\"span\":{},\"parent\":{},\"detail\":\"{}\"}}\n",
+        e.time_ns,
+        e.node,
+        escape(&e.node_name),
+        escape(&e.kind),
+        e.trace_id,
+        e.span,
+        e.parent_span,
+        escape(&e.detail)
+    )
+}
+
 #[test]
-fn details_past_the_inline_capacity_round_trip() {
-    let tracer = Tracer::new();
-    let n = INLINE_DETAIL_BYTES;
-    // Lengths straddling the capacity; 'é' is two bytes, so some
-    // pieces cannot be split at the boundary.
-    let details: Vec<String> = [0, 1, n - 1, n, n + 1, 2 * n, 1_000]
-        .into_iter()
-        .flat_map(|len| ["x".repeat(len), "é".repeat(len / 2)])
-        .collect();
-    for (i, d) in details.iter().enumerate() {
-        // One piece, and three pieces so the spill happens mid-format.
-        tracer.record(i as u64, 0, "whole", 1, format_args!("{d}"));
-        let (head, tail) = d.split_at(d.len() / 2 - (d.len() / 2) % 2);
-        tracer.record(i as u64, 0, "pieces", 1, format_args!("{head}|{tail}"));
+fn ring_exports_match_a_model_of_the_events_held() {
+    const KINDS: [&str; 3] = ["broker.deliver", "proxy.ingest", "k\"ind"];
+    // Lengths around 102 and 255, past them, and empty.
+    const LENGTHS: [usize; 9] = [0, 1, 101, 102, 103, 255, 256, 257, 1_000];
+    for seed in 0..4u64 {
+        let mut rng = DeterministicRng::seed_from(0x7E1E_0054 + seed);
+        let tracer = Tracer::new();
+        tracer.register_node(1, "broker-0");
+        tracer.register_node(2, "proxy \"b1\"");
+        let mut capacity = 16;
+        tracer.set_capacity(capacity);
+        let mut model: std::collections::VecDeque<TraceEvent> = Default::default();
+        let mut dropped = 0u64;
+        for step in 0..600u64 {
+            if rng.next_bounded(40) == 0 {
+                // Shrink (dropping the oldest) or grow the ring.
+                capacity = rng.next_range(1, 33) as usize;
+                tracer.set_capacity(capacity);
+                while model.len() > capacity {
+                    model.pop_front();
+                    dropped += 1;
+                }
+            }
+            let len = LENGTHS[rng.next_bounded(LENGTHS.len() as u64) as usize];
+            let whole = random_detail(&mut rng, len);
+            let cut = whole
+                .char_indices()
+                .map(|(i, _)| i)
+                .nth(rng.next_bounded(whole.chars().count() as u64 + 1) as usize)
+                .unwrap_or(whole.len());
+            let (head, tail) = whole.split_at(cut);
+            let node = rng.next_bounded(4) as u32;
+            let kind = KINDS[rng.next_bounded(KINDS.len() as u64) as usize];
+            let trace = rng.next_bounded(3);
+            let parent = rng.next_bounded(5);
+            // One piece, two pieces, or two pieces and a `Display` that
+            // fails after writing part of the text.
+            let (span, detail) = match rng.next_bounded(3) {
+                0 => {
+                    let span =
+                        tracer.record_hop(step, node, kind, trace, parent, format_args!("{whole}"));
+                    (span, whole.clone())
+                }
+                1 => {
+                    tracer.record_span(
+                        step,
+                        node,
+                        kind,
+                        trace,
+                        step + 100,
+                        parent,
+                        format_args!("{head}{tail}"),
+                    );
+                    (step + 100, whole.clone())
+                }
+                _ => {
+                    tracer.record_span(
+                        step,
+                        node,
+                        kind,
+                        trace,
+                        step + 100,
+                        parent,
+                        format_args!("{head}{}{tail}", FailsAfter("!")),
+                    );
+                    (step + 100, format!("{head}!"))
+                }
+            };
+            if model.len() == capacity {
+                model.pop_front();
+                dropped += 1;
+            }
+            let node_name = ["", "broker-0", "proxy \"b1\"", ""][node as usize];
+            model.push_back(TraceEvent {
+                time_ns: step,
+                node,
+                node_name: node_name.to_string(),
+                kind: kind.to_string(),
+                trace_id: trace,
+                span,
+                parent_span: parent,
+                detail,
+            });
+            if step % 7 == 0 {
+                let expected: Vec<TraceEvent> = model.iter().cloned().collect();
+                assert_eq!(tracer.events(), expected, "seed {seed} step {step}");
+                for trace in 0..3 {
+                    let of_trace: Vec<TraceEvent> = expected
+                        .iter()
+                        .filter(|e| e.trace_id == trace)
+                        .cloned()
+                        .collect();
+                    assert_eq!(tracer.events_for(trace), of_trace);
+                }
+                let json: String = expected.iter().map(json_line).collect();
+                assert_eq!(tracer.to_json_lines(), json, "seed {seed} step {step}");
+                assert_eq!(tracer.len(), model.len());
+                assert_eq!(tracer.dropped(), dropped);
+            }
+        }
+        assert!(dropped > 0, "the ring never wrapped");
     }
-    let events = tracer.events();
-    let json = tracer.to_json_lines();
-    let lines: Vec<&str> = json.lines().collect();
-    assert_eq!(events.len(), 2 * details.len());
-    assert_eq!(lines.len(), events.len());
-    for (i, d) in details.iter().enumerate() {
-        let (head, tail) = d.split_at(d.len() / 2 - (d.len() / 2) % 2);
-        assert_eq!(events[2 * i].detail, *d);
-        assert_eq!(events[2 * i + 1].detail, format!("{head}|{tail}"));
-        assert!(lines[2 * i].ends_with(&format!("\"detail\":\"{d}\"}}")));
-        assert!(lines[2 * i + 1].ends_with(&format!("\"detail\":\"{head}|{tail}\"}}")));
-    }
-    assert_eq!(tracer.events_for(1), events);
 }
