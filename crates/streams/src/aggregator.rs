@@ -337,6 +337,19 @@ impl AggregatorNode {
         self.assemble_rollups(None, quantity, self.config.window.size_millis(), from, to)
     }
 
+    /// Building-tier rollups persisted for `entity`'s `quantity` over
+    /// `[from, to)`, assembled from the local store.
+    pub fn entity_rollups(
+        &self,
+        entity: &str,
+        quantity: QuantityKind,
+        from: i64,
+        to: i64,
+    ) -> Vec<Rollup> {
+        let window = self.config.window.size_millis();
+        self.assemble_rollups(Some(entity), quantity, window, from, to)
+    }
+
     fn assemble_rollups(
         &self,
         entity: Option<&str>,

@@ -1,7 +1,10 @@
 //! End-to-end tests of the aggregation tier: device measurements roll
 //! up into retained district windows, and an aggregator crash in the
 //! middle of a window loses no samples — rollup counts stay exactly
-//! conserved against the device proxies' durable stores.
+//! conserved against the device proxies' durable stores, and a crash
+//! just after a flush, mid-window, just before a flush or beside a
+//! broker crash leaves every closed window of both tiers as a
+//! crash-free run closes it.
 
 use std::collections::BTreeMap;
 
@@ -312,4 +315,200 @@ fn aggregator_crash_mid_window_conserves_rollup_counts() {
     assert!(paths
         .iter()
         .any(|p| p.visits(&["streams.ingest", "streams.window_close"])));
+}
+
+/// When the aggregator goes down in [`crash_run`], against its 5 s flush
+/// timer (armed at start, so flushes fall on whole multiples of 5 s until
+/// the first restart) and its 120 s windows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Crash {
+    /// 1 ms after the flush at 240 s persisted the watermark.
+    AfterFlush,
+    /// Halfway through the window `[180 s, 300 s)` and between flushes.
+    MidWindow,
+    /// 1 ms before the flush at 240 s.
+    BeforeFlush,
+    /// 8 s into a 20 s broker outage that starts at 240 s.
+    WithBroker,
+}
+
+/// A closed window of either tier: `(entity, quantity, start)`, where
+/// entity `None` is the district tier.
+type WindowKey = (Option<String>, String, i64);
+
+/// Closed windows of both tiers.
+type Closed = BTreeMap<WindowKey, dimmer::core::Summary>;
+
+const SWEEP_WINDOW: i64 = 120_000;
+
+/// Runs the crash-test scenario for 900 s with the aggregator crashing
+/// as `crash` says (or never) and reboots 3 s later (12 s in the broker
+/// case, as the broker does). Returns the simulator, the deployment and
+/// the scenario.
+fn crash_run(crash: Option<Crash>) -> (Simulator, Deployment, Scenario) {
+    let scenario = aggregation_scenario(SWEEP_WINDOW, 90_000, QoS::AtLeastOnce);
+    let mut sim = seeded_sim(0x57A2);
+    let deployment = Deployment::build(&mut sim, &scenario);
+    let agg = deployment.districts[0].aggregator.expect("tier enabled");
+    let at = |millis: u64| SimDuration::from_millis(millis);
+    let rest = match crash {
+        None => at(900_000),
+        Some(Crash::WithBroker) => {
+            sim.run_for(at(240_000));
+            sim.crash(deployment.broker);
+            sim.run_for(at(8_000));
+            sim.crash(agg);
+            sim.restart(deployment.broker, at(12_000));
+            sim.restart(agg, at(12_000));
+            at(900_000 - 248_000)
+        }
+        Some(crash) => {
+            let down = match crash {
+                Crash::AfterFlush => 240_001,
+                Crash::MidWindow => 242_500,
+                _ => 239_999,
+            };
+            sim.run_for(at(down));
+            sim.crash(agg);
+            sim.restart(agg, at(3_000));
+            at(900_000 - down)
+        }
+    };
+    sim.run_for(rest);
+    (sim, deployment, scenario)
+}
+
+/// Every rollup of both tiers the aggregator persisted for windows that
+/// end by `to`, with the `Σ|x|` of each window's raw points from the
+/// device proxies' stores.
+fn closed_windows(
+    sim: &Simulator,
+    deployment: &Deployment,
+    scenario: &Scenario,
+    to: i64,
+) -> (Closed, BTreeMap<WindowKey, f64>) {
+    let from = DEFAULT_EPOCH_MILLIS;
+    let entities = scenario.districts[0]
+        .buildings
+        .iter()
+        .flat_map(|b| b.devices.iter().map(move |_| b.building.as_str()));
+    let mut abs_sums = BTreeMap::new();
+    for (p, entity) in deployment.device_proxies().zip(entities) {
+        let store = sim.node_ref::<DeviceProxyNode>(p).unwrap().store();
+        for quantity in store.series_names() {
+            for (t, value) in store.range(quantity, from, to) {
+                let start = t.div_euclid(SWEEP_WINDOW) * SWEEP_WINDOW;
+                for tier in [Some(entity.to_owned()), None] {
+                    *abs_sums
+                        .entry((tier, quantity.to_owned(), start))
+                        .or_insert(0.0) += value.abs();
+                }
+            }
+        }
+    }
+    let agg_node = deployment.districts[0].aggregator.expect("tier enabled");
+    let agg = sim.node_ref::<AggregatorNode>(agg_node).unwrap();
+    let mut closed = Closed::new();
+    for (entity, quantity, _) in abs_sums.keys() {
+        let quantity = QuantityKind::parse(quantity).unwrap();
+        let rollups = match entity {
+            Some(entity) => agg.entity_rollups(entity, quantity, from, to),
+            None => agg.district_rollups(quantity, from, to),
+        };
+        for r in rollups {
+            let key = (
+                r.entity.clone(),
+                quantity.as_str().to_owned(),
+                r.window_start,
+            );
+            closed.insert(key, r.summary);
+        }
+    }
+    (closed, abs_sums)
+}
+
+/// The aggregator's own books after a run: every sample it took in
+/// since its last restart is accepted, late or shed, and every one it
+/// ever took in was observed once by the publish-to-deliver SLO.
+fn assert_books_balance(sim: &Simulator, deployment: &Deployment, what: &str) {
+    let agg_node = deployment.districts[0].aggregator.expect("tier enabled");
+    let agg = sim.node_ref::<AggregatorNode>(agg_node).unwrap();
+    let ws = agg.window_stats();
+    assert_eq!(
+        ws.samples_in,
+        ws.accepted + ws.late_dropped + ws.shed,
+        "{what}: {ws:?}"
+    );
+    let slo = sim
+        .telemetry()
+        .metrics
+        .histogram(dimmer::simnet::telemetry::PUBLISH_TO_DELIVER_NS)
+        .expect("samples were delivered");
+    assert_eq!(slo.count, agg.stats().samples_in, "{what}");
+    assert_eq!(
+        sim.telemetry().metrics.counter("streams.samples_in"),
+        agg.stats().samples_in,
+        "{what}"
+    );
+}
+
+#[test]
+fn an_aggregator_crash_anywhere_around_a_flush_leaves_every_closed_window_as_without_it() {
+    let (sim, deployment, scenario) = crash_run(None);
+    assert_books_balance(&sim, &deployment, "crash-free");
+    let agg = deployment.districts[0].aggregator.expect("tier enabled");
+    let watermark = sim.node_ref::<AggregatorNode>(agg).unwrap().watermark();
+    let (reference, _) = closed_windows(
+        &sim,
+        &deployment,
+        &scenario,
+        watermark.div_euclid(SWEEP_WINDOW) * SWEEP_WINDOW,
+    );
+    for crash in [
+        Crash::AfterFlush,
+        Crash::MidWindow,
+        Crash::BeforeFlush,
+        Crash::WithBroker,
+    ] {
+        let what = format!("{crash:?}");
+        let (sim, deployment, scenario) = crash_run(Some(crash));
+        assert_books_balance(&sim, &deployment, &what);
+        let node = sim.node_ref::<AggregatorNode>(agg).unwrap();
+        assert!(node.stats().recovered > 0, "{what}: nothing replayed");
+        // Both runs have closed every window they compare.
+        let to = node.watermark().min(watermark).div_euclid(SWEEP_WINDOW) * SWEEP_WINDOW;
+        assert!(
+            to >= DEFAULT_EPOCH_MILLIS + 5 * SWEEP_WINDOW,
+            "{what}: run too short to close the crash windows"
+        );
+        let (closed, abs_sums) = closed_windows(&sim, &deployment, &scenario, to);
+        let expected: Closed = reference
+            .iter()
+            .filter(|((_, _, start), _)| start + SWEEP_WINDOW <= to)
+            .map(|(k, s)| (k.clone(), *s))
+            .collect();
+        assert_eq!(
+            closed.keys().collect::<Vec<_>>(),
+            expected.keys().collect::<Vec<_>>(),
+            "{what}: windows missing or spurious"
+        );
+        assert!(
+            closed.keys().any(|(e, ..)| e.is_some()),
+            "{what}: no building tier"
+        );
+        for (key, s) in &closed {
+            let e = &expected[key];
+            let at = format!("{what} {key:?}");
+            assert_eq!(s.count, e.count, "{at}: count");
+            assert_eq!(s.min.to_bits(), e.min.to_bits(), "{at}: min");
+            assert_eq!(s.max.to_bits(), e.max.to_bits(), "{at}: max");
+            let bound = (s.count - 1) as f64 * f64::EPSILON * abs_sums[key];
+            assert!(
+                (s.sum - e.sum).abs() <= bound,
+                "{at}: sum {} vs {}, bound {bound}",
+                s.sum,
+                e.sum
+            );
+        }
+    }
 }
