@@ -754,9 +754,9 @@ impl Simulator {
     }
 
     /// A 64-bit FNV-1a digest of every flight-recorder event, shard by
-    /// shard in index order. Two runs of the same scenario and seed
-    /// produce the same digest at any thread count — `scripts/ci.sh`
-    /// gates on exactly this.
+    /// shard in index order, hashed from each ring in place. Two runs
+    /// of the same scenario and seed produce the same digest at any
+    /// thread count — `scripts/ci.sh` gates on exactly this.
     pub fn flight_digest(&self) -> u64 {
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
         let mut eat = |bytes: &[u8]| {
@@ -766,7 +766,7 @@ impl Simulator {
             }
         };
         for s in &self.shards {
-            for e in s.telemetry().tracer.events() {
+            s.telemetry().tracer.for_each_event(|e| {
                 eat(&e.time_ns.to_le_bytes());
                 eat(&e.node.to_le_bytes());
                 eat(e.kind.as_bytes());
@@ -775,7 +775,7 @@ impl Simulator {
                 eat(&e.parent_span.to_le_bytes());
                 eat(e.detail.as_bytes());
                 eat(&[0xFF]);
-            }
+            });
         }
         hash
     }

@@ -15,7 +15,9 @@
 //! which keeps all state in the node where the simulator can see it.
 
 use std::cell::OnceCell;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 use crate::context::Context;
 use crate::frame::Frame;
@@ -131,12 +133,16 @@ struct Unacked<M> {
 /// `tag_base + id`. Until the [`ack`](Retransmit::ack), each firing
 /// resends the same frame (so a resend allocates nothing) and re-arms
 /// the timer, `retries` times; the next firing expires the entry.
+///
+/// The map hashes ids with fixed keys, not a per-process random seed:
+/// its probe, tombstone and growth pattern — and so a run's allocation
+/// count — is then the same in every process.
 #[derive(Debug)]
 pub struct Retransmit<M> {
     tag_base: u64,
     timeout: SimDuration,
     retries: u32,
-    unacked: HashMap<u64, Unacked<M>>,
+    unacked: HashMap<u64, Unacked<M>, BuildHasherDefault<DefaultHasher>>,
 }
 
 impl<M> Retransmit<M> {
@@ -147,7 +153,7 @@ impl<M> Retransmit<M> {
             tag_base,
             timeout,
             retries,
-            unacked: HashMap::new(),
+            unacked: HashMap::default(),
         }
     }
 

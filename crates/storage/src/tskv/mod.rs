@@ -224,9 +224,14 @@ impl Series {
         }
     }
 
+    /// How many of the head's points are older than `horizon`.
+    fn head_expired(&self, horizon: i64) -> usize {
+        self.head.len() - head_from(&self.head, horizon).len()
+    }
+
     /// Drops the head's points older than `horizon`.
     fn expire_head(&mut self, horizon: i64) {
-        let expired = self.head.len() - head_from(&self.head, horizon).len();
+        let expired = self.head_expired(horizon);
         self.head.drain(..expired);
     }
 
@@ -291,16 +296,30 @@ struct TskvSeries {
     compactions: CounterHandle,
     wal_truncated: CounterHandle,
     wal_replayed: CounterHandle,
-    segments: GaugeHandle,
-    bytes_raw: GaugeHandle,
-    bytes_compressed: GaugeHandle,
-    wal_records: GaugeHandle,
+    /// `tskv.segments`, `tskv.bytes_raw`, `tskv.bytes_compressed` and
+    /// `tskv.wal_records`: totals over every store attached to the
+    /// registry, each store adding the change in its own share.
+    gauges: [GaugeHandle; 4],
+    /// This store's share of `gauges` as last added, once it added one.
+    share: Option<[f64; 4]>,
 }
 
 impl TskvSeries {
     fn scanned(&self, points: f64) {
         self.scan.incr();
         self.scan_points.observe(points);
+    }
+
+    /// Takes this store's share, if it added one, back out of the
+    /// gauges; returns whether it had.
+    fn retract(&self) -> bool {
+        let Some(share) = self.share else {
+            return false;
+        };
+        for (gauge, held) in self.gauges.iter().zip(share) {
+            gauge.add(-held);
+        }
+        true
     }
 }
 
@@ -345,9 +364,13 @@ impl TimeSeriesStore {
     /// scans (`tskv.append`, `tskv.scan`), sizes result sets
     /// (`tskv.scan_points`), counts engine events (`tskv.seals`,
     /// `tskv.compactions`, `tskv.wal_truncated`, `tskv.wal_replayed`)
-    /// and gauges physical state (`tskv.segments`, `tskv.bytes_raw`,
-    /// `tskv.bytes_compressed`, `tskv.wal_records`).
+    /// and adds its physical state to gauges that sum over the stores
+    /// attached to the registry (`tskv.segments`, `tskv.bytes_raw`,
+    /// `tskv.bytes_compressed`, `tskv.wal_records`). Attaching again (a
+    /// node's restart) moves the store's share to the new handles, so
+    /// it is counted once.
     pub fn attach_metrics(&mut self, metrics: &Registry) {
+        let moved = self.metrics.take().is_some_and(|old| old.retract());
         self.metrics = Some(TskvSeries {
             append: metrics.counter_handle("tskv.append"),
             scan: metrics.counter_handle("tskv.scan"),
@@ -356,11 +379,17 @@ impl TimeSeriesStore {
             compactions: metrics.counter_handle("tskv.compactions"),
             wal_truncated: metrics.counter_handle("tskv.wal_truncated"),
             wal_replayed: metrics.counter_handle("tskv.wal_replayed"),
-            segments: metrics.gauge_handle("tskv.segments"),
-            bytes_raw: metrics.gauge_handle("tskv.bytes_raw"),
-            bytes_compressed: metrics.gauge_handle("tskv.bytes_compressed"),
-            wal_records: metrics.gauge_handle("tskv.wal_records"),
+            gauges: [
+                metrics.gauge_handle("tskv.segments"),
+                metrics.gauge_handle("tskv.bytes_raw"),
+                metrics.gauge_handle("tskv.bytes_compressed"),
+                metrics.gauge_handle("tskv.wal_records"),
+            ],
+            share: None,
         });
+        if moved {
+            self.update_gauges();
+        }
     }
 
     /// Resolves `name` to the handle [`TimeSeriesStore::insert_at`] and
@@ -622,13 +651,19 @@ impl TimeSeriesStore {
     }
 
     /// Drops every point strictly older than `horizon_millis` across all
-    /// series; returns how many points were removed. Partially-expired
-    /// segments are rewritten (they lose their compacted status until
-    /// the next maintenance pass).
+    /// series; returns how many points were removed. A head-only series
+    /// counts its expired points by binary search, so trimming a store
+    /// of head-only series allocates nothing but WAL growth.
+    /// Partially-expired segments are rewritten (they lose their
+    /// compacted status until the next maintenance pass).
     pub fn apply_retention(&mut self, horizon_millis: i64) -> usize {
         let mut removed = 0usize;
         for s in &self.series {
-            removed += MergeScan::new(&s.head, &s.segments, i64::MIN, Some(horizon_millis)).count();
+            removed += if s.segments.is_empty() {
+                s.head_expired(horizon_millis)
+            } else {
+                MergeScan::new(&s.head, &s.segments, i64::MIN, Some(horizon_millis)).count()
+            };
         }
         if removed == 0 {
             return 0;
@@ -801,15 +836,26 @@ impl TimeSeriesStore {
         }
     }
 
-    fn update_gauges(&self) {
-        let Some(metrics) = &self.metrics else {
+    /// Adds the change in this store's physical state to the gauges.
+    fn update_gauges(&mut self) {
+        if self.metrics.is_none() {
+            return;
+        }
+        let st = self.stats();
+        let share = [
+            st.segments as f64,
+            st.bytes_raw as f64,
+            st.bytes_compressed as f64,
+            st.wal_records as f64,
+        ];
+        let Some(metrics) = &mut self.metrics else {
             return;
         };
-        let st = self.stats();
-        metrics.segments.set(st.segments as f64);
-        metrics.bytes_raw.set(st.bytes_raw as f64);
-        metrics.bytes_compressed.set(st.bytes_compressed as f64);
-        metrics.wal_records.set(st.wal_records as f64);
+        let held = metrics.share.unwrap_or_default();
+        for ((gauge, now), before) in metrics.gauges.iter().zip(share).zip(held) {
+            gauge.add(now - before);
+        }
+        metrics.share = Some(share);
     }
 }
 
@@ -1171,6 +1217,51 @@ mod tests {
         bare.insert("s", 1, 1.0);
         bare.insert("s", 2, 2.0);
         assert_eq!(s, bare);
+    }
+
+    #[test]
+    fn stores_on_one_registry_gauge_their_sum() {
+        let registry = Registry::new();
+        let gauges = |r: &Registry| {
+            ["segments", "bytes_raw", "bytes_compressed", "wal_records"]
+                .map(|g| r.gauge(&format!("tskv.{g}")))
+        };
+        let (mut a, mut b) = (TimeSeriesStore::new(), TimeSeriesStore::new());
+        a.attach_metrics(&registry);
+        b.attach_metrics(&registry);
+        for t in 0..10 {
+            a.insert("x", t, 1.0);
+            b.insert("y", t, 2.0);
+            b.insert("z", t, 3.0);
+        }
+        a.seal_all();
+        b.checkpoint();
+        let (sa, sb) = (a.stats(), b.stats());
+        let summed = |sa: TskvStats, sb: TskvStats| {
+            [
+                (sa.segments + sb.segments) as f64,
+                (sa.bytes_raw + sb.bytes_raw) as f64,
+                (sa.bytes_compressed + sb.bytes_compressed) as f64,
+                (sa.wal_records + sb.wal_records) as f64,
+            ]
+        };
+        assert_eq!(sa.wal_records, 10);
+        assert_eq!(sb.segments, 0);
+        assert_eq!(gauges(&registry), summed(sa, sb));
+        // A store that shrinks takes its change off the total.
+        a.checkpoint();
+        assert_eq!(gauges(&registry), summed(a.stats(), b.stats()));
+        // Attaching again, as a node's restart does, counts a store once.
+        b.crash_recover();
+        b.attach_metrics(&registry);
+        a.attach_metrics(&registry);
+        assert_eq!(gauges(&registry), summed(a.stats(), b.stats()));
+        // A store that never reported shows nothing until it does.
+        let fresh = Registry::new();
+        let mut c = TimeSeriesStore::new();
+        c.attach_metrics(&fresh);
+        c.attach_metrics(&fresh);
+        assert!(fresh.snapshot().gauges.is_empty());
     }
 
     #[test]

@@ -13,13 +13,19 @@
 //! 3. the **flight recorder**, as `streams.window_close` hops carrying
 //!    the trace ids of contributing samples.
 //!
-//! Recovery mirrors the Device-proxy's durable/volatile split: the
-//! local store (raw samples, rollups, watermark) survives a crash, the
-//! window state does not — it is rebuilt by replaying the raw tail
-//! newer than `watermark - window size`. Samples that were in flight
-//! during the outage come back through QoS 1 redelivery and the device
-//! proxies' store-and-forward buffers; the raw store deduplicates, so
-//! rollup sample counts are conserved exactly.
+//! Recovery mirrors the Device-proxy's durable/volatile split: two
+//! local stores survive a crash — one holding the rollups and the
+//! watermark, one holding the *tail*, the raw samples an open window
+//! may still need — and the window state does not. It is rebuilt by
+//! replaying the tail newer than `watermark - window size`. Each flush
+//! persists the watermark and trims the tail back to that horizon, so
+//! the tail holds the open windows' samples, not the district's
+//! history. Samples that were in flight during the outage come back
+//! through QoS 1 redelivery and the device proxies' store-and-forward
+//! buffers; the tail deduplicates, so rollup sample counts are
+//! conserved exactly. A redelivery older than the horizon is behind
+//! every open window: the tail no longer knows it, and the window
+//! operator drops it as late.
 
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashMap};
@@ -124,8 +130,8 @@ impl PartialOrd for PaneKey {
 #[derive(Debug, Clone)]
 struct Route {
     device: Arc<str>,
-    /// `raw/<entity>/<device>/<quantity>`: every sample, and the dedup
-    /// authority.
+    /// `raw/<entity>/<device>/<quantity>` in the tail: the samples open
+    /// windows may still need, and the dedup authority.
     raw: SeriesId,
     pane: PaneKey,
 }
@@ -191,7 +197,7 @@ impl AggregatorConfig {
 pub struct AggregatorStats {
     /// Measurement messages decoded and stored.
     pub samples_in: u64,
-    /// Redelivered samples already present in the raw store.
+    /// Redelivered samples already present in the tail.
     pub duplicates: u64,
     /// Messages that failed to decode.
     pub decode_errors: u64,
@@ -249,7 +255,11 @@ pub struct AggregatorNode {
     config: AggregatorConfig,
     /// Building-tier operator keyed by `(entity, quantity)`.
     op: WindowedAggregator<PaneKey>,
+    /// The rollup history and the persisted watermark.
     store: TimeSeriesStore,
+    /// Each accepted raw sample newer than the last flush's
+    /// `watermark - window`, WAL-logged before it is acknowledged.
+    tail: TimeSeriesStore,
     /// Topic text → what [`MeasurementTopic::parse`] and the store made
     /// of it; at most [`ROUTE_TABLE_CAPACITY`] entries.
     routes: HashMap<Box<str>, Route>,
@@ -299,6 +309,7 @@ impl AggregatorNode {
             payload: String::new(),
             detail: String::new(),
             store,
+            tail: TimeSeriesStore::new(),
             ws: WsServer::new(),
             pubsub,
             stats: AggregatorStats::default(),
@@ -409,7 +420,7 @@ impl AggregatorNode {
         let parsed = MeasurementTopic::parse(&topic.to_topic())?;
         let raw = raw_series(&parsed.entity, &parsed.device, &parsed.quantity);
         let route = Route {
-            raw: self.store.series_id(&raw),
+            raw: self.tail.series_id(&raw),
             pane: self.pane_key(&parsed.entity, &parsed.quantity),
             device: parsed.device.into(),
         };
@@ -442,13 +453,13 @@ impl AggregatorNode {
         };
         let t = timestamp.as_unix_millis();
         // QoS 1 redelivery and post-restart retained replays produce
-        // duplicates; the raw store is the dedup authority.
-        if self.store.contains_at(route.raw, t) {
+        // duplicates; the tail is the dedup authority.
+        if self.tail.contains_at(route.raw, t) {
             self.stats.duplicates += 1;
             self.series(ctx).duplicates.incr();
             return;
         }
-        self.store.insert_at(route.raw, t, value);
+        self.tail.insert_at(route.raw, t, value);
         self.stats.samples_in += 1;
         let series = self.series(ctx);
         series.samples_in.incr();
@@ -511,14 +522,27 @@ impl AggregatorNode {
                 self.emit_rollup(ctx, None, d.key, series, &d);
             }
         }
-        // Persist progress so recovery never re-closes a closed window.
-        let wm = self.op.watermark();
-        if wm > i64::MIN {
-            self.store.insert_at(self.watermark_series, 0, wm as f64);
-        }
         self.series(ctx)
             .open_windows
             .set(self.op.open_windows() as f64);
+    }
+
+    /// A flush's durable progress: the watermark, so recovery never
+    /// re-closes a closed window, and the tail cut back to what an open
+    /// window may still need, checkpointed once replaying its WAL would
+    /// cost more than loading its points.
+    fn persist(&mut self) {
+        let wm = self.op.watermark();
+        if wm == i64::MIN {
+            return;
+        }
+        self.store.insert_at(self.watermark_series, 0, wm as f64);
+        let horizon = wm.saturating_sub(self.config.window.size_millis());
+        self.tail.apply_retention(horizon);
+        let tail = self.tail.stats();
+        if tail.wal_records > tail.head_points {
+            self.tail.checkpoint();
+        }
     }
 
     fn district_rollup_series(&mut self, quantity: QuantityKind) -> RollupSeries {
@@ -724,24 +748,29 @@ impl AggregatorNode {
         ]))
     }
 
-    /// Rebuilds the volatile window state from the durable store: seed
-    /// the watermark from its persisted value, then replay every raw
-    /// sample new enough to still belong to an open window.
+    /// Rebuilds the volatile window state from the durable stores: seed
+    /// the watermark from its value at the last flush and from the
+    /// newest sample since (the watermark trails it by the lateness
+    /// horizon), which is the watermark at the crash, then replay every
+    /// tail sample new enough to still belong to an open window.
     fn recover(&mut self, ctx: &mut Context<'_>) {
         let mut op = WindowedAggregator::new(self.config.window, self.config.lateness_millis);
         if let Some((_, wm)) = self.store.latest(WATERMARK_SERIES) {
             op.advance_watermark_to(wm as i64);
         }
+        let tail = &self.tail;
+        let newest = tail
+            .series_names()
+            .filter_map(|s| tail.latest(s))
+            .max_by_key(|&(t, _)| t);
+        if let Some((t, _)) = newest {
+            op.advance_watermark(t);
+        }
         let replay_from = op
             .watermark()
             .saturating_sub(self.config.window.size_millis());
         let mut recovered = 0u64;
-        let raw: Vec<String> = self
-            .store
-            .series_names()
-            .filter(|s| s.starts_with("raw/"))
-            .map(str::to_owned)
-            .collect();
+        let raw: Vec<String> = self.tail.series_names().map(str::to_owned).collect();
         for series in raw {
             let mut parts = series.splitn(4, '/');
             let (Some("raw"), Some(entity), Some(_device), Some(quantity)) =
@@ -750,7 +779,7 @@ impl AggregatorNode {
                 continue;
             };
             let key = self.pane_key(entity, quantity);
-            for (t, v) in self.store.range(&series, replay_from, i64::MAX) {
+            for (t, v) in self.tail.range(&series, replay_from, i64::MAX) {
                 op.restore(key.clone(), t, v);
                 recovered += 1;
             }
@@ -767,6 +796,7 @@ impl AggregatorNode {
 impl Node for AggregatorNode {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         self.store.attach_metrics(&ctx.telemetry().metrics);
+        self.tail.attach_metrics(&ctx.telemetry().metrics);
         let registration = Registration {
             proxy: self.config.proxy.clone(),
             district: self.config.district.clone(),
@@ -784,12 +814,13 @@ impl Node for AggregatorNode {
 
     fn on_restart(&mut self, ctx: &mut Context<'_>) {
         // Volatile across a reboot: registration, the middleware
-        // session, the open window panes, and the store's mutable head.
-        // Durable: the store's sealed segments, snapshot and WAL (raw
-        // tail, rollups, watermark) and the lifetime counters. Replay
-        // the WAL tail first so `recover` rebuilds windows from a store
-        // with every acknowledged point back in place.
+        // session, the open window panes, and the stores' mutable heads.
+        // Durable: each store's sealed segments, snapshot and WAL (the
+        // rollups and watermark, and the raw tail) and the lifetime
+        // counters. Replay the WALs first so `recover` rebuilds windows
+        // from stores with every acknowledged point back in place.
         self.store.crash_recover();
+        self.tail.crash_recover();
         self.master.reset();
         self.pubsub.reset();
         self.recover(ctx);
@@ -840,6 +871,7 @@ impl Node for AggregatorNode {
                 let now_unix = unix_millis_at(self.config.epoch_offset_millis, ctx.now());
                 self.op.advance_watermark(now_unix);
                 self.drain(ctx);
+                self.persist();
                 ctx.set_timer(FLUSH_INTERVAL, TAG_FLUSH);
             }
             TAG_TSKV_MAINTAIN => {

@@ -51,7 +51,7 @@ pub use metrics::{
     Registry,
 };
 pub use slo::{publish_to_deliver, SloReport, SloSpec, SloTracker, PUBLISH_TO_DELIVER_NS};
-pub use trace::{SpanId, TraceEvent, TraceId, Tracer, NO_SPAN, NO_TRACE};
+pub use trace::{EventRef, SpanId, TraceEvent, TraceId, Tracer, NO_SPAN, NO_TRACE};
 
 /// The bundle every instrumented component sees: a metrics registry, a
 /// trace recorder, and the SLO tracker. Cloning shares the underlying

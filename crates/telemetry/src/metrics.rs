@@ -326,6 +326,13 @@ impl GaugeHandle {
         self.0.touch();
     }
 
+    /// Adds `delta` to the gauge: for a total that several writers each
+    /// hold a share of and move by the change in their share.
+    pub fn add(&self, delta: f64) {
+        self.0.cell.update(|v| Some(v + delta));
+        self.0.touch();
+    }
+
     fn read(&self) -> Option<f64> {
         Some(self.0.read()?.load())
     }
@@ -727,6 +734,12 @@ mod tests {
         assert_eq!(r.counter("a"), 5);
         assert_eq!(r.counter("missing"), 0);
         assert_eq!(r.gauge("g"), 2.5);
+        // Two writers of one total each add the change in their share.
+        let (x, y) = (r.gauge_handle("total"), r.gauge_handle("total"));
+        x.add(3.0);
+        y.add(4.0);
+        x.add(-1.0);
+        assert_eq!(r.gauge("total"), 6.0);
         let snap = r.snapshot();
         assert_eq!(snap.counters, vec![("a".to_string(), 5)]);
     }

@@ -94,6 +94,44 @@ pub struct TraceEvent {
     pub detail: String,
 }
 
+/// One held event, lent by [`Tracer::for_each_event`] straight from the
+/// ring: the fields of a [`TraceEvent`], borrowed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EventRef<'a> {
+    /// Simulation time in nanoseconds.
+    pub time_ns: u64,
+    /// Raw node index, `u32::MAX` if none.
+    pub node: u32,
+    /// Human-readable node name.
+    pub node_name: &'a str,
+    /// Event kind, dotted.
+    pub kind: &'static str,
+    /// Correlation id; [`NO_TRACE`] if the event is stand-alone.
+    pub trace_id: TraceId,
+    /// This event's span within the trace; [`NO_SPAN`] if unstructured.
+    pub span: SpanId,
+    /// The span that caused this one; [`NO_SPAN`] for a root span.
+    pub parent_span: SpanId,
+    /// Free-form detail.
+    pub detail: &'a str,
+}
+
+impl EventRef<'_> {
+    /// The owned copy [`Tracer::events`] exports.
+    fn to_event(self) -> TraceEvent {
+        TraceEvent {
+            time_ns: self.time_ns,
+            node: self.node,
+            node_name: self.node_name.to_string(),
+            kind: self.kind.to_string(),
+            trace_id: self.trace_id,
+            span: self.span,
+            parent_span: self.parent_span,
+            detail: self.detail.to_string(),
+        }
+    }
+}
+
 /// What the ring stores per event besides its detail; see the
 /// [module docs](self).
 #[derive(Debug)]
@@ -137,34 +175,26 @@ struct Held<'a> {
 }
 
 impl<'a> Held<'a> {
-    /// Each held event with its detail, oldest first.
-    fn iter(&self) -> impl Iterator<Item = (&'a Header, &'a str)> {
-        let details = self.details;
+    /// Each held event, oldest first.
+    fn iter(&self) -> impl ExactSizeIterator<Item = EventRef<'a>> {
+        let (details, names) = (self.details, self.names);
         let mut start = 0;
         self.headers.iter().map(move |h| {
             let end = start + h.detail_len as usize;
             let detail = std::str::from_utf8(&details[start..end])
                 .expect("a detail is only ever extended by whole strs");
             start = end;
-            (h, detail)
+            EventRef {
+                time_ns: h.time_ns,
+                node: h.node,
+                node_name: names.get(&h.node).map_or("", String::as_str),
+                kind: h.kind,
+                trace_id: h.trace_id,
+                span: h.span,
+                parent_span: h.parent_span,
+                detail,
+            }
         })
-    }
-
-    fn name(&self, node: u32) -> &'a str {
-        self.names.get(&node).map_or("", String::as_str)
-    }
-
-    fn export(&self, h: &Header, detail: &str) -> TraceEvent {
-        TraceEvent {
-            time_ns: h.time_ns,
-            node: h.node,
-            node_name: self.name(h.node).to_string(),
-            kind: h.kind.to_string(),
-            trace_id: h.trace_id,
-            span: h.span,
-            parent_span: h.parent_span,
-            detail: detail.to_string(),
-        }
     }
 }
 
@@ -452,42 +482,47 @@ impl Tracer {
         self.inner().ring.len()
     }
 
+    /// Lends each retained event, oldest first, to `f`, reading the ring
+    /// in place: nothing is copied or allocated. `f` runs under the
+    /// ring's lock, so it must not use this tracer.
+    pub fn for_each_event(&self, f: impl FnMut(EventRef<'_>)) {
+        let mut g = self.inner();
+        g.held().iter().for_each(f);
+    }
+
     /// All retained events, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
         let mut g = self.inner();
-        let held = g.held();
-        held.iter().map(|(h, d)| held.export(h, d)).collect()
+        g.held().iter().map(EventRef::to_event).collect()
     }
 
     /// Retained events belonging to one trace, oldest first.
     pub fn events_for(&self, trace_id: TraceId) -> Vec<TraceEvent> {
         let mut g = self.inner();
-        let held = g.held();
-        held.iter()
-            .filter(|(h, _)| h.trace_id == trace_id)
-            .map(|(h, d)| held.export(h, d))
+        g.held()
+            .iter()
+            .filter(|e| e.trace_id == trace_id)
+            .map(EventRef::to_event)
             .collect()
     }
 
     /// Exports the retained events as JSON lines (one object per line).
     pub fn to_json_lines(&self) -> String {
-        let mut g = self.inner();
-        let held = g.held();
         let mut out = String::new();
-        for (h, detail) in held.iter() {
+        self.for_each_event(|e| {
             let _ = writeln!(
                 out,
                 "{{\"t_ns\":{},\"node\":{},\"name\":\"{}\",\"kind\":\"{}\",\"trace\":{},\"span\":{},\"parent\":{},\"detail\":\"{}\"}}",
-                h.time_ns,
-                h.node,
-                escape(held.name(h.node)),
-                escape(h.kind),
-                h.trace_id,
-                h.span,
-                h.parent_span,
-                escape(detail),
+                e.time_ns,
+                e.node,
+                escape(e.node_name),
+                escape(e.kind),
+                e.trace_id,
+                e.span,
+                e.parent_span,
+                escape(e.detail),
             );
-        }
+        });
         out
     }
 }

@@ -19,8 +19,13 @@ use proxy::device_proxy::{DeviceProxyConfig, DeviceProxyNode};
 use proxy::devices::UplinkDeviceNode;
 use proxy::registration::{MasterSession, ProxyRole, Registration};
 use pubsub::{BrokerNode, MeasurementTopic, PubSubClient, QoS, SubscriptionTrie, TopicFilter};
+use simnet::rng::DeterministicRng;
+use simnet::rpc::Retransmit;
+use simnet::telemetry::NO_TRACE;
 use simnet::time::TimerWheel;
-use simnet::{Context, Node, Packet, SimConfig, SimDuration, SimTime, Simulator, TimerTag};
+use simnet::{
+    Context, Frame, Node, Packet, Port, SimConfig, SimDuration, SimTime, Simulator, TimerTag,
+};
 use storage::tskv::TimeSeriesStore;
 use streams::{AggregatorConfig, AggregatorNode, WindowSpec};
 
@@ -176,6 +181,10 @@ fn one_sample_stays_within_its_budget_at_every_hop() {
     let interval = SimDuration::from_secs(2);
 
     let mut sim = Simulator::new(SimConfig::default());
+    // A ring the warm-up fills, so the trace ring, which every hop
+    // records into, grows in no measured packet.
+    const RING: usize = 512;
+    sim.telemetry().tracer.set_capacity(RING);
     let master = sim.add_node("master", Sink);
     let broker = sim.add_node("broker", Counted::new(BrokerNode::new()));
     let mut agg_config = AggregatorConfig::new(
@@ -229,6 +238,9 @@ fn one_sample_stays_within_its_budget_at_every_hop() {
     // Warm-up: identities resolve, tables and buffers reach their size,
     // the first windows close.
     sim.run_for(SimDuration::from_secs(120));
+    let tracer = &sim.telemetry().tracer;
+    assert_eq!(tracer.len(), RING, "the ring is full");
+    assert!(tracer.dropped() > 0, "and has wrapped");
     let aggregated = |sim: &Simulator| {
         let counted = sim.node_ref::<Counted<AggregatorNode>>(aggregator);
         counted.expect("placed above").inner.stats()
@@ -273,6 +285,71 @@ fn one_sample_stays_within_its_budget_at_every_hop() {
         at_aggregator <= 1.0,
         "aggregator: {at_aggregator} per sample"
     );
+}
+
+/// Drives one retransmission ledger through a seeded keep/ack churn in
+/// its start callback, recording what each keep and ack allocates.
+struct Churn {
+    ledger: Retransmit<()>,
+    per_step: Vec<u64>,
+}
+
+impl Node for Churn {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        let mut rng = DeterministicRng::seed_from(0x5EED_0055);
+        let peer = ctx.node_id();
+        let mut outstanding: Vec<u64> = Vec::with_capacity(256);
+        self.per_step.reserve(40_000);
+        for id in 0..20_000u64 {
+            // Up to 120 frames in flight, acked out of order: the table
+            // runs near full, so removals leave tombstones and growth
+            // comes early or late depending on where the ids hash.
+            if outstanding.len() < 120 && (outstanding.is_empty() || rng.chance(0.5)) {
+                let frame = Frame::from(vec![0u8; 32]);
+                let ((), n) = allocations_in(|| {
+                    self.ledger
+                        .keep(ctx, id, peer, Port(9), frame, NO_TRACE, ());
+                });
+                self.per_step.push(n);
+                outstanding.push(id);
+            } else {
+                let i = rng.next_bounded(outstanding.len() as u64) as usize;
+                let id = outstanding.swap_remove(i);
+                let (acked, n) = allocations_in(|| self.ledger.ack(id));
+                assert!(acked.is_some());
+                self.per_step.push(n);
+            }
+        }
+    }
+    fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: Packet) {}
+}
+
+/// The ledger's table hashes ids with fixed keys: ledgers put through
+/// one churn — probes, tombstones, growth — allocate at the same steps,
+/// so a run's allocation count does not depend on the process.
+#[test]
+fn two_ledgers_through_one_churn_allocate_alike() {
+    let churned = || {
+        let mut sim = Simulator::new(SimConfig::default());
+        let node = sim.add_node(
+            "sender",
+            Churn {
+                ledger: Retransmit::new(1_000, SimDuration::from_secs(3600), 3),
+                per_step: Vec::new(),
+            },
+        );
+        sim.run_for(SimDuration::from_millis(1));
+        let churn = sim.node_mut::<Churn>(node).expect("placed above");
+        std::mem::take(&mut churn.per_step)
+    };
+    let first = churned();
+    for _ in 0..3 {
+        let other = churned();
+        let at =
+            |steps: &[u64]| -> Vec<usize> { (0..steps.len()).filter(|&i| steps[i] > 0).collect() };
+        assert_eq!(at(&other), at(&first), "steps that allocate");
+        assert_eq!(other, first);
+    }
 }
 
 const HEARTBEAT: TimerTag = TimerTag(1);

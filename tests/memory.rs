@@ -1,14 +1,21 @@
 //! Memory pins: the bytes the write path's two append-only logs hold
 //! per entry (a device proxy's store, head and WAL, and the flight
-//! recorder's ring), and the one allocation a head-only range read
-//! makes.
+//! recorder's ring), the one allocation a head-only range read makes,
+//! the aggregator's bytes under steady load (its open windows' samples,
+//! not the district's history), and the reads and trims that copy
+//! nothing (the flight digest, a head-only retention pass).
 //!
 //! This file is its own test binary, so it can install a counting
 //! `#[global_allocator]` without touching any other suite.
 
+use dimmer_core::codec::{self, DataFormat};
+use dimmer_core::{DeviceId, DistrictId, Measurement, ProxyId, QuantityKind, Timestamp};
+use pubsub::{BrokerNode, MeasurementTopic, PubSubClient, QoS, Topic};
 use simnet::rng::DeterministicRng;
-use simnet::telemetry::Tracer;
+use simnet::telemetry::{Tracer, NO_SPAN, NO_TRACE};
+use simnet::{Context, Node, Packet, SimConfig, SimDuration, Simulator, TimerTag};
 use storage::tskv::{TimeSeriesStore, TskvConfig};
+use streams::{AggregatorConfig, AggregatorNode, WindowSpec};
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -87,4 +94,185 @@ fn a_head_only_range_allocates_exactly_once() {
         assert_eq!(allocations, u64::from(!range.is_empty()), "[{from}, {to})");
         assert_eq!(range.capacity(), range.len());
     }
+}
+
+#[test]
+fn a_flight_digest_of_a_full_default_ring_allocates_nothing() {
+    let sim = Simulator::new(SimConfig::default());
+    let tracer = &sim.telemetry().tracer;
+    tracer.register_node(1, "broker");
+    for i in 0..2 * 65_536u64 {
+        let detail = format_args!("topic=district/d0/entity/b{}/device/dev{i}/energy", i % 9);
+        tracer.record_span(i, 1, "broker.deliver", 1 + i % 7, i, i / 2, detail);
+    }
+    assert_eq!(tracer.len(), 65_536);
+    let (digest, allocations) = allocations_in(|| sim.flight_digest());
+    assert_eq!(allocations, 0);
+    // The same FNV-1a stream as hashing the exported copies.
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    };
+    for e in tracer.events() {
+        eat(&e.time_ns.to_le_bytes());
+        eat(&e.node.to_le_bytes());
+        eat(e.kind.as_bytes());
+        eat(&e.trace_id.to_le_bytes());
+        eat(&e.span.to_le_bytes());
+        eat(&e.parent_span.to_le_bytes());
+        eat(e.detail.as_bytes());
+        eat(&[0xFF]);
+    }
+    assert_eq!(digest, hash);
+}
+
+#[test]
+fn a_retention_pass_over_head_only_series_allocates_nothing() {
+    let mut store = head_only_store();
+    let names = ["a", "b", "c", "d", "e"];
+    // 1 500 WAL records: the log's `Vec` holds 2 048, so the retention
+    // records below fit without growing it.
+    for i in 0..300 {
+        for name in names {
+            store.insert(name, i * 1_000, i as f64);
+        }
+    }
+    for horizon in [0, 10_000, 10_000, 150_500, 299_000, 400_000] {
+        let before = store.len();
+        let (removed, allocations) = allocations_in(|| store.apply_retention(horizon));
+        assert_eq!(allocations, 0, "horizon {horizon}");
+        assert_eq!(removed, before - store.len(), "horizon {horizon}");
+        let kept = names.len() * (300 - ((horizon + 999) / 1_000).clamp(0, 300)) as usize;
+        assert_eq!(store.len(), kept, "horizon {horizon}");
+    }
+}
+
+/// Publishes one untraced QoS 0 temperature sample per device per
+/// second, stamped with the simulated instant: steady load on an
+/// aggregator, with nothing kept on this side. Values carry a full
+/// mantissa, so a stored copy of them does not compress away.
+struct SteadyPublisher {
+    client: PubSubClient,
+    /// `(topic, device)` per device, resolved at start.
+    devices: Vec<(Topic, DeviceId)>,
+    rng: DeterministicRng,
+}
+
+const EPOCH: i64 = 1_425_859_200_000;
+const ENTITIES: usize = 4;
+const DEVICES: usize = 200;
+
+impl Node for SteadyPublisher {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        self.devices = (0..DEVICES)
+            .map(|i| {
+                let (entity, device) = (format!("b{}", i % ENTITIES), format!("dev{i}"));
+                let quantity = QuantityKind::Temperature.as_str();
+                let topic = MeasurementTopic::new("d1", entity, device.as_str(), quantity);
+                (topic.topic().unwrap(), DeviceId::new(device).unwrap())
+            })
+            .collect();
+        ctx.set_timer(SimDuration::from_secs(1), TimerTag(1));
+    }
+    fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: Packet) {}
+    fn on_timer(&mut self, ctx: &mut Context<'_>, tag: TimerTag) {
+        let t = EPOCH + (ctx.now().as_nanos() / 1_000_000) as i64;
+        let quantity = QuantityKind::Temperature;
+        for (topic, device) in &self.devices {
+            let value = 20.0 + 5.0 * self.rng.next_f64();
+            let measurement = Measurement::new(
+                device.clone(),
+                quantity,
+                value,
+                quantity.canonical_unit(),
+                Timestamp::from_unix_millis(t),
+            );
+            let payload = codec::encode_measurement(&measurement, DataFormat::Json);
+            let (retain, qos) = (false, QoS::AtMostOnce);
+            self.client.publish_ref(
+                ctx,
+                topic,
+                payload.as_bytes(),
+                retain,
+                qos,
+                NO_TRACE,
+                NO_SPAN,
+                (),
+            );
+        }
+        ctx.set_timer(SimDuration::from_secs(1), tag);
+    }
+}
+
+/// A master that never answers.
+struct Sink;
+
+impl Node for Sink {
+    fn on_packet(&mut self, _ctx: &mut Context<'_>, _pkt: Packet) {}
+}
+
+#[test]
+fn an_aggregator_under_steady_load_keeps_its_open_windows_not_its_history() {
+    // 200 devices in 4 buildings, a sample each per second, 10 s windows.
+    let mut sim = Simulator::new(SimConfig::default());
+    let master = sim.add_node("master", Sink);
+    let broker = sim.add_node("broker", BrokerNode::new());
+    let mut config = AggregatorConfig::new(
+        ProxyId::new("agg").unwrap(),
+        DistrictId::new("d1").unwrap(),
+        master,
+        broker,
+        EPOCH,
+    );
+    config.window = WindowSpec::tumbling(10_000);
+    config.lateness_millis = 2_000;
+    let agg = sim.add_node("agg", AggregatorNode::new(config));
+    sim.add_node(
+        "publisher",
+        SteadyPublisher {
+            client: PubSubClient::new(broker, 100),
+            devices: Vec::new(),
+            rng: DeterministicRng::seed_from(0x5EED_0055),
+        },
+    );
+    // Warm-up: routes resolve, the tail fills to its window and
+    // checkpoints, every buffer reaches its size.
+    sim.run_for(SimDuration::from_secs(600));
+    let published = |sim: &Simulator| {
+        let stats = sim.node_ref::<AggregatorNode>(agg).unwrap().stats();
+        assert_eq!(stats.duplicates, 0);
+        stats.rollups_published
+    };
+    // What the rollup history holds: four points per rollup, each a
+    // 16-byte head point and a 20-byte WAL record, and a 20-byte
+    // watermark record per 5 s flush. Its vectors hold at most twice
+    // their length.
+    let history = |rollups: u64, secs: u64| 4 * 36 * rollups + 20 * secs / 5;
+    let stretch = SimDuration::from_secs(600);
+    let (r0, samples0) = (
+        published(&sim),
+        sim.node_ref::<AggregatorNode>(agg)
+            .unwrap()
+            .stats()
+            .samples_in,
+    );
+    let ((), first) = live_bytes_in(|| sim.run_for(stretch));
+    let r1 = published(&sim);
+    let ((), second) = live_bytes_in(|| sim.run_for(stretch));
+    let r2 = published(&sim);
+    let samples = sim
+        .node_ref::<AggregatorNode>(agg)
+        .unwrap()
+        .stats()
+        .samples_in
+        - samples0;
+    assert_eq!(samples, 2 * 600 * DEVICES as u64, "every sample taken in");
+    assert!(r2 - r1 >= 60 * (ENTITIES as u64 + 1), "{r0} {r1} {r2}");
+    let bound = 2 * history(r2, 1_800) as i64 - history(r1, 1_200) as i64;
+    assert!(
+        second <= bound,
+        "second stretch retained {second} B (first {first} B); the rollup history allows {bound} B"
+    );
 }

@@ -321,12 +321,16 @@ fn federated_chaos_run(ring: Option<usize>) -> Simulator {
 /// registry and the `String`-per-field trace ring, re-recorded once
 /// flights were sampled after a ring's first drop (`trace.unsampled`
 /// joined the metrics text, and the ring reaches back over 13 610
-/// events of the unsampled stream instead of 4 096), and once more for
+/// events of the unsampled stream instead of 4 096), once more for
 /// the metrics text when the aggregator began feeding
-/// `slo.publish_to_deliver_ns` (the scraped `/metrics` bodies carry it).
+/// `slo.publish_to_deliver_ns` (the scraped `/metrics` bodies carry it),
+/// and once more for it when the aggregator's raw samples moved into a
+/// trimmed tail store and the `tskv.*` gauges began summing over stores
+/// (`tskv_*` lines, and the `net_wire_bytes` / `net_link_delay_ns`
+/// quantiles and sums of the scraped bodies, which carry them).
 #[test]
 fn exported_telemetry_matches_golden_digests() {
-    const METRICS_TEXT_FNV: u64 = 0xb29c_087e_0d96_e8b2;
+    const METRICS_TEXT_FNV: u64 = 0xad9f_ec2e_ab97_8c6d;
     const TRACE_JSON_LINES_FNV: u64 = 0xda43_5220_d930_d5a7;
     const TRACE_DROPPED: u64 = 2_387;
 
