@@ -2,8 +2,9 @@
 # Offline CI gate: formatting, lints, docs, the examples (built and run),
 # the full test suite, the e13 smoke, the results diff, the core, storage,
 # streams and telemetry tests again in release, e15, e3, e7 and e8 run to
-# completion, the benchmark's own gate and the allocation-count ratchet
-# over its --quick runs.
+# completion, the benchmark's own gate, the allocation-count ratchet
+# over its --quick runs, and a second --quick run of district_ingest and
+# area_query whose allocation count must equal the first exactly.
 # Usage: scripts/ci.sh
 #
 # Knobs:
@@ -219,5 +220,23 @@ while read -r workload ceiling _; do
     fi
     echo "alloc ratchet: $workload $got <= $ceiling"
 done < scripts/alloc_ceilings.txt
+
+echo "== allocs_per_op repeats (a second untraced --quick run equals check.sh's exactly)"
+# An allocation count is exact per seed and scale, so two runs of one
+# build that differ mean some structure allocates by a per-process
+# accident (a randomly seeded hash map's probes and growth did, until
+# the retransmission ledger took fixed keys).
+for workload in district_ingest area_query; do
+    first="$(awk '$1 == "allocs_per_op" {print $2}' "benchmark/out/quick.$workload.0.log")"
+    cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
+        run --workload "$workload" --seed 1 --quick --trace 0 --out-dir benchmark/out/quick \
+        >"benchmark/out/quick.$workload.again.log" 2>&1
+    again="$(awk '$1 == "allocs_per_op" {print $2}' "benchmark/out/quick.$workload.again.log")"
+    if [[ -z "$first" || "$first" != "$again" ]]; then
+        echo "alloc repeat: $workload allocs_per_op ${first:-<missing>} then ${again:-<missing>}" >&2
+        exit 1
+    fi
+    echo "alloc repeat: $workload $first twice"
+done
 
 echo "ci: ok"

@@ -11,8 +11,7 @@
 #
 #   sim_digest        the untraced runs' digest (they must agree);
 #   allocs_per_op,    the median of the three untraced runs, each run's
-#   bytes_per_op      value beside it (`area_query` can differ by one
-#                     allocation in about a thousand operations);
+#   bytes_per_op      value beside it;
 #   exact             the other end-to-end metrics that the three
 #                     untraced runs repeat bit for bit (the simulated
 #                     latencies);
